@@ -36,7 +36,7 @@ const (
 	// heavy contention.
 	Suicide Kind = iota
 	// Backoff is Suicide plus bounded randomized exponential backoff
-	// between retries (subsumes the old Config.BackoffOnAbort boolean).
+	// between retries.
 	Backoff
 	// Karma accumulates priority from work done (reads + writes),
 	// carried across retries: a transaction that keeps losing grows
@@ -143,8 +143,7 @@ type Sampler func() (commits, aborts uint64)
 type Knobs struct {
 	// BackoffFloorExp and BackoffCapExp bound the Backoff policy's
 	// randomized spin window: retry n draws from [0, 2^min(floor-1+n,
-	// cap)). Defaults 6 and 16 — identical to the pre-policy
-	// Config.BackoffOnAbort behaviour, whose regression tests pin them.
+	// cap)). Defaults 6 and 16; core's backoff regression tests pin them.
 	BackoffFloorExp uint
 	BackoffCapExp   uint
 	// Patience bounds how many times a winning Karma/Timestamp

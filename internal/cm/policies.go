@@ -30,8 +30,7 @@ func (backoff) Detach(*State)                                          {}
 func (b backoff) OnAbort(s *State) {
 	// s.aborts was just incremented by NoteAbort: the first failed
 	// attempt draws from the floor window, later ones from doubled
-	// windows up to the cap — the same schedule the old
-	// Config.BackoffOnAbort implemented.
+	// windows up to the cap.
 	SpinWait(Spins(&s.rng, int(s.aborts), b.kn.BackoffFloorExp, b.kn.BackoffCapExp))
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // Contention-management extension tests: bounded spinning on conflicts
-// (Config.ConflictSpin) and randomized backoff (Config.BackoffOnAbort).
+// (Config.ConflictSpin) and randomized backoff (CM: cm.Backoff).
 
 func TestSpinDisabledAbortsImmediately(t *testing.T) {
 	tm, _ := newTestTM(t, WriteBack, nil) // ConflictSpin = 0

@@ -13,22 +13,6 @@ import (
 // paths, cooperative kills, live policy switching, and the correctness
 // suites under every policy.
 
-// The deprecated boolean must keep selecting randomized backoff.
-func TestBackoffOnAbortShim(t *testing.T) {
-	tm, _ := newTestTM(t, WriteBack, func(c *Config) { c.BackoffOnAbort = true })
-	if got := tm.CM(); got != cm.Backoff {
-		t.Errorf("BackoffOnAbort mapped to %v, want backoff", got)
-	}
-	// An explicit policy wins over the shim.
-	tm2, _ := newTestTM(t, WriteBack, func(c *Config) {
-		c.BackoffOnAbort = true
-		c.CM = cm.Karma
-	})
-	if got := tm2.CM(); got != cm.Karma {
-		t.Errorf("explicit CM overridden by shim: %v", got)
-	}
-}
-
 // A kill request from a winning policy must abort the victim at its next
 // commit checkpoint — cooperatively, with the victim classifying the abort
 // as AbortKilled and releasing its locks.

@@ -110,12 +110,6 @@ type Config struct {
 	// CMKnobs tunes the selected policy (zero value: the cm package
 	// defaults). The knobs travel with SetCM switches unless overridden.
 	CMKnobs cm.Knobs
-	// BackoffOnAbort enables bounded randomized exponential backoff
-	// between retries.
-	//
-	// Deprecated: the boolean predates Config.CM and maps to CM =
-	// cm.Backoff; it is still honored when CM is unset (Suicide).
-	BackoffOnAbort bool
 	// Snapshots enables the commit-ordered MVCC sidecar (package mvcc)
 	// and with it the snapshot execution mode: TM.AtomicSnap runs
 	// read-only transactions against a fixed start timestamp with no read
@@ -154,11 +148,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Locks == 0 {
 		c.Locks = 1 << 16
-	}
-	// Backward-compat shim: the legacy boolean selects the Backoff policy
-	// unless a policy was chosen explicitly.
-	if c.BackoffOnAbort && c.CM == cm.Suicide {
-		c.CM = cm.Backoff
 	}
 	if c.Hier == 0 {
 		c.Hier = 1

@@ -155,16 +155,13 @@ func TestConfigForCarriesAllFields(t *testing.T) {
 	base := Config{
 		Space: sp, Locks: 1 << 10, Shifts: 2, Hier: 4, Hier2: 2,
 		Design: WriteThrough, Clock: TicketBatch, ClockBatch: 16,
-		MaxClock: 1 << 20, BackoffOnAbort: true, ConflictSpin: 7, YieldEvery: 3,
+		MaxClock: 1 << 20, CM: cm.Backoff, ConflictSpin: 7, YieldEvery: 3,
 	}
 	tm := MustNew(base)
 	p := Params{Locks: 1 << 12, Shifts: 1, Hier: 8}
 	got := tm.configFor(p)
 	want := base
 	want.Locks, want.Shifts, want.Hier = p.Locks, p.Shifts, p.Hier
-	// The deprecated boolean maps to the Backoff policy in withDefaults,
-	// and configFor reports the configuration as New saw it.
-	want.CM = cm.Backoff
 	if got != want {
 		t.Fatalf("configFor dropped fields:\ngot  %+v\nwant %+v", got, want)
 	}

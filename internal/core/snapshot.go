@@ -107,101 +107,7 @@ func (tm *TM) ActiveSnapshots() int {
 // update transaction (like AtomicRO's upgrade). Without Config.Snapshots
 // it falls back to AtomicRO.
 func (tm *TM) AtomicSnap(tx *Tx, fn func(*Tx)) {
-	if tm.mvcc == nil {
-		tm.AtomicRO(tx, fn)
-		return
-	}
-	if tx.tm != tm {
-		panic("core: descriptor belongs to a different TM")
-	}
-	if tx.inTx {
-		// Flat nesting: an inner block merges into the enclosing
-		// transaction, whatever mode it runs in.
-		fn(tx)
-		return
-	}
-	tx.attempts = 0
-	tx.upgr = false
-	for {
-		tx.attempts++
-		tx.maybeRollOverOnBegin()
-		tx.BeginSnap()
-		if tx.runBody(fn) && tx.Commit() {
-			return
-		}
-		if tx.upgr {
-			// fn wrote: snapshot mode cannot serve it; rerun the whole
-			// block as a regular update transaction.
-			tm.atomic(tx, fn, false)
-			return
-		}
-		// AbortSnapshotTooOld (or a cooperative kill): retry on a fresh
-		// snapshot. No backoff — the fresh snapshot is taken at the
-		// current clock, past whatever trimmed the old one.
-	}
-}
-
-// BeginSnap starts a snapshot-mode read-only attempt: the snapshot
-// timestamp is the current clock value and is registered with the
-// sidecar's horizon tracking until commit/rollback. Most callers use
-// TM.AtomicSnap. Without Config.Snapshots it degrades to a classic
-// read-only Begin.
-func (tx *Tx) BeginSnap() {
-	if tx.tm.mvcc == nil {
-		tx.Begin(true)
-		return
-	}
-	if tx.inTx {
-		panic("core: Begin on descriptor already in a transaction")
-	}
-	if tx.released {
-		panic("core: Begin on released descriptor")
-	}
-	tx.tm.fz.enter()
-	tx.resetHier()
-	tx.geo = tx.tm.geo.Load()
-	tx.design = tx.tm.design
-	tx.verShift = 1
-	if tx.design == WriteThrough {
-		tx.verShift = 1 + incBits
-	}
-	tx.yieldEvery = tx.tm.yieldN
-	if tx.yieldEvery > 0 {
-		tx.opBudget = tx.yieldEvery
-	} else {
-		tx.opBudget = opBudgetIdle
-	}
-	// The contention-management policy is not consulted (snapshot
-	// attempts own no locks and conflict with nobody), but the attempt
-	// epoch is opened so the shared rollback/commit bookkeeping stays
-	// uniform.
-	tx.cmst.BeginAttempt()
-	tx.inTx = true
-	tx.ro = true
-	tx.snap = true
-	tx.wset = tx.wset[:0]
-	tx.owned = tx.owned[:0]
-	tx.undo = tx.undo[:0]
-	tx.allocs = tx.allocs[:0]
-	tx.frees = tx.frees[:0]
-	tx.redo = tx.redo[:0]
-	tx.redoTicket = nil
-	// Register with the sidecar BEFORE taking the snapshot timestamp.
-	// Publishers skip version retention while no snapshot is registered,
-	// and every clock strategy makes a commit's timestamp visible before
-	// its publication-skip check: a clock value read AFTER our
-	// registration is therefore >= the timestamp of every commit that
-	// skipped before seeing us, so the snapshot can never need a version
-	// that was legitimately skipped.
-	tx.tm.mvcc.Enter(tx.slot, tx.tm.clk.now())
-	tx.start = tx.tm.clk.now()
-	tx.end = tx.start
-	// startEpoch pins retired memory blocks (package reclaim) exactly as
-	// for update transactions: a block freed at ts > start must survive
-	// until this snapshot finishes. The sidecar registration (at a clock
-	// value <= start, conservative for trimming) additionally pins
-	// retained versions where the budget allows.
-	tx.startEpoch.Store(tx.start + 1)
+	tm.atomic(tx, fn, true, tm.mvcc != nil)
 }
 
 // InSnapshot reports whether the current attempt runs in snapshot mode.

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"tinystm/internal/cm"
 	"tinystm/internal/rng"
 )
 
@@ -95,7 +96,7 @@ func TestBankInvariantHighShift(t *testing.T) {
 }
 
 func TestBankInvariantWithBackoff(t *testing.T) {
-	tm, _ := newTestTM(t, WriteBack, func(c *Config) { c.BackoffOnAbort = true })
+	tm, _ := newTestTM(t, WriteBack, func(c *Config) { c.CM = cm.Backoff })
 	runBankStress(t, tm, 4, 300)
 }
 

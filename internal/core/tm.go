@@ -59,8 +59,7 @@ type TM struct {
 
 	// obsHook is the installed observability sink (SetObs); nil when the
 	// layer is not attached. The atomic retry loop loads it once per
-	// block — disabled instrumentation costs one pointer load and a
-	// predictable branch.
+	// block and nil-checks it at each observation point.
 	obsHook atomic.Pointer[obs.TMObs]
 
 	// cmh holds the active contention-management policy behind one
@@ -321,7 +320,7 @@ func (tx *Tx) Release() {
 // until it commits. Panics from fn other than the STM's internal abort
 // signal propagate to the caller after the transaction rolls back.
 func (tm *TM) Atomic(tx *Tx, fn func(*Tx)) {
-	tm.atomic(tx, fn, false)
+	tm.atomic(tx, fn, false, false)
 }
 
 // AtomicRO runs fn as a read-only transaction: no read set is maintained
@@ -329,110 +328,104 @@ func (tm *TM) Atomic(tx *Tx, fn func(*Tx)) {
 // transactions are particularly efficient"). If fn writes, the attempt
 // restarts transparently in update mode.
 func (tm *TM) AtomicRO(tx *Tx, fn func(*Tx)) {
-	tm.atomic(tx, fn, true)
+	tm.atomic(tx, fn, true, false)
 }
 
-func (tm *TM) atomic(tx *Tx, fn func(*Tx), ro bool) {
+// atomic is the one retry loop behind Atomic, AtomicRO and AtomicSnap.
+// With an observability sink installed it also times every attempt into
+// the commit/abort histograms and, for sampled blocks, emits the
+// begin/retry/abort/commit event trace; detached, the sink costs the one
+// pointer load and a predictable branch per observation point.
+func (tm *TM) atomic(tx *Tx, fn func(*Tx), ro, snap bool) {
 	if tx.tm != tm {
 		panic("core: descriptor belongs to a different TM")
 	}
 	if tx.inTx {
 		// Flat nesting: an inner atomic block merges into the enclosing
-		// transaction (TinySTM's nesting model).
+		// transaction, whatever mode it runs in (TinySTM's nesting model).
 		fn(tx)
 		return
 	}
 	o := tm.obsHook.Load()
-	if o == nil {
-		// Uninstrumented fast path: no clock reads, no sampling draw.
-		tx.attempts = 0
-		tx.upgr = false
-		for {
-			tx.attempts++
-			tx.maybeRollOverOnBegin()
+	sampled := o != nil && o.SampleTx()
+	tx.attempts = 0
+	tx.upgr = false
+	for {
+		tx.attempts++
+		var t0 time.Time
+		if o != nil {
+			if sampled {
+				kind := obs.EvRetry
+				if tx.attempts == 1 {
+					kind = obs.EvBegin
+				}
+				tm.trace(tx, o, kind, 0, 0)
+			}
+			t0 = time.Now()
+		}
+		tx.maybeRollOverOnBegin()
+		if snap {
+			tx.BeginSnap() // no policy hooks: see begin
+		} else {
 			tx.Begin(ro && !tx.upgr)
 			if tx.attempts == 1 {
 				tx.pol.OnStart(&tx.cmst)
 			}
-			if tx.runBody(fn) && tx.Commit() {
-				tx.pol.OnCommit(&tx.cmst)
+		}
+		committed := tx.runBody(fn) && tx.Commit()
+		if o != nil {
+			d := uint64(time.Since(t0))
+			kind, cause := obs.EvCommit, txn.AbortKind(0)
+			if committed {
+				o.OnCommit(d)
+			} else {
+				kind, cause = obs.EvAbort, tx.lastAbort
+				o.OnAbort(d, cause)
+			}
+			if sampled {
+				tm.trace(tx, o, kind, cause, d)
+			}
+		}
+		switch {
+		case snap:
+			if committed {
 				return
 			}
+			// AbortSnapshotTooOld (or a cooperative kill) retries on a
+			// fresh snapshot with no backoff: it is taken at the current
+			// clock, past whatever trimmed the old one. If fn wrote,
+			// snapshot mode cannot serve it: rerun the whole block as a
+			// regular update transaction.
+			if tx.upgr {
+				snap, tx.attempts = false, 0
+			}
+		case committed:
+			tx.pol.OnCommit(&tx.cmst)
+			return
+		default:
 			// The attempt failed and rolled back (NoteAbort already
 			// accrued its work as priority); the policy may block here —
 			// backoff spinning, or waiting for the serialization token.
 			tx.pol.OnAbort(&tx.cmst)
 		}
 	}
-	tm.atomicObserved(tx, fn, ro, o)
 }
 
-// atomicObserved is the instrumented twin of the atomic retry loop: it
-// times every attempt into the commit/abort histograms and, for sampled
-// blocks, emits the begin/retry/abort/commit event trace.
-func (tm *TM) atomicObserved(tx *Tx, fn func(*Tx), ro bool, o *obs.TMObs) {
-	sampled := o.SampleTx()
-	tx.attempts = 0
-	tx.upgr = false
-	for {
-		tx.attempts++
-		if sampled {
-			tm.traceAttempt(tx, o)
-		}
-		t0 := time.Now()
-		tx.maybeRollOverOnBegin()
-		tx.Begin(ro && !tx.upgr)
-		if tx.attempts == 1 {
-			tx.pol.OnStart(&tx.cmst)
-		}
-		if tx.runBody(fn) && tx.Commit() {
-			d := uint64(time.Since(t0))
-			o.OnCommit(d)
-			if sampled {
-				tm.traceOutcome(tx, o, obs.EvCommit, 0, d)
-			}
-			tx.pol.OnCommit(&tx.cmst)
-			return
-		}
-		d := uint64(time.Since(t0))
-		o.OnAbort(d, tx.lastAbort)
-		if sampled {
-			tm.traceOutcome(tx, o, obs.EvAbort, tx.lastAbort, d)
-		}
-		tx.pol.OnAbort(&tx.cmst)
-	}
-}
-
-// traceAttempt emits the begin (first attempt) or retry event for a
-// sampled atomic block.
-func (tm *TM) traceAttempt(tx *Tx, o *obs.TMObs) {
-	kind := obs.EvRetry
-	if tx.attempts == 1 {
-		kind = obs.EvBegin
-	}
-	o.Trace(tm.baseEvent(tx, kind))
-}
-
-// traceOutcome emits the abort or commit event closing one attempt.
-func (tm *TM) traceOutcome(tx *Tx, o *obs.TMObs, kind obs.EventKind, cause txn.AbortKind, durNs uint64) {
-	e := tm.baseEvent(tx, kind)
-	e.Cause = cause
-	e.DurNs = durNs
-	o.Trace(e)
-}
-
-func (tm *TM) baseEvent(tx *Tx, kind obs.EventKind) obs.Event {
+// trace emits one flight-recorder event for a sampled atomic block.
+func (tm *TM) trace(tx *Tx, o *obs.TMObs, kind obs.EventKind, cause txn.AbortKind, durNs uint64) {
 	p := tm.geo.Load().params()
-	return obs.Event{
+	o.Trace(obs.Event{
 		TimeUnixNano: time.Now().UnixNano(),
 		Kind:         kind,
+		Cause:        cause,
 		CM:           tm.CM(),
 		Slot:         uint32(tx.slot),
 		Attempt:      uint32(tx.attempts),
+		DurNs:        durNs,
 		Locks:        p.Locks,
 		Shifts:       uint32(p.Shifts),
 		Hier:         p.Hier,
-	}
+	})
 }
 
 // runBody executes fn, converting the abort sentinel into a false return.

@@ -196,7 +196,16 @@ func (m *mask256) reset()            { *m = mask256{} }
 
 // Begin starts a transaction attempt on this descriptor. Most callers use
 // TM.Atomic instead. readOnly selects the no-read-set fast path.
-func (tx *Tx) Begin(readOnly bool) {
+func (tx *Tx) Begin(readOnly bool) { tx.begin(readOnly, false) }
+
+// BeginSnap starts a snapshot-mode read-only attempt: the snapshot
+// timestamp is the current clock value and is registered with the
+// sidecar's horizon tracking until commit/rollback. Most callers use
+// TM.AtomicSnap. Without Config.Snapshots it degrades to a classic
+// read-only Begin.
+func (tx *Tx) BeginSnap() { tx.begin(true, tx.tm.mvcc != nil) }
+
+func (tx *Tx) begin(readOnly, snap bool) {
 	if tx.inTx {
 		panic("core: Begin on descriptor already in a transaction")
 	}
@@ -224,7 +233,10 @@ func (tx *Tx) Begin(readOnly bool) {
 	// without an OnStart (e.g. no Timestamp age: it would lose every
 	// conflict AND read as killable-youngest to everyone else, starving
 	// exactly the long-retrying transactions wait/die protects).
-	if p := tx.tm.policy(); tx.pol != p {
+	// Snapshot attempts own no locks and conflict with nobody: the policy
+	// is not consulted, only the attempt epoch below is opened so the
+	// shared rollback/commit bookkeeping stays uniform.
+	if p := tx.tm.policy(); !snap && tx.pol != p {
 		if tx.pol != nil {
 			tx.pol.Detach(&tx.cmst)
 		}
@@ -234,10 +246,35 @@ func (tx *Tx) Begin(readOnly bool) {
 	tx.cmst.BeginAttempt()
 	tx.inTx = true
 	tx.ro = readOnly
-	tx.snap = false
+	tx.snap = snap
+	if snap {
+		// Register with the sidecar BEFORE taking the snapshot timestamp.
+		// Publishers skip version retention while no snapshot is
+		// registered, and every clock strategy makes a commit's timestamp
+		// visible before its publication-skip check: a clock value read
+		// AFTER our registration is therefore >= the timestamp of every
+		// commit that skipped before seeing us, so the snapshot can never
+		// need a version that was legitimately skipped.
+		tx.tm.mvcc.Enter(tx.slot, tx.tm.clk.now())
+	}
 	tx.start = tx.tm.clk.now()
 	tx.end = tx.start
+	// startEpoch pins retired memory blocks (package reclaim): a block
+	// freed at ts > start must survive until this attempt finishes. A
+	// snapshot's sidecar registration (at a clock value <= start,
+	// conservative for trimming) additionally pins retained versions where
+	// the budget allows.
 	tx.startEpoch.Store(tx.start + 1)
+	tx.wset = tx.wset[:0]
+	tx.owned = tx.owned[:0]
+	tx.undo = tx.undo[:0]
+	tx.allocs = tx.allocs[:0]
+	tx.frees = tx.frees[:0]
+	tx.redo = tx.redo[:0]
+	tx.redoTicket = nil
+	if snap {
+		return // no read set to size: the snapshot is consistent by construction
+	}
 
 	// Size the partitioned read set to the current h, reusing capacity.
 	h := 1
@@ -257,13 +294,6 @@ func (tx *Tx) Begin(readOnly bool) {
 	if tx.rparts[0] == nil {
 		tx.rparts[0] = tx.rinline[:0]
 	}
-	tx.wset = tx.wset[:0]
-	tx.owned = tx.owned[:0]
-	tx.undo = tx.undo[:0]
-	tx.allocs = tx.allocs[:0]
-	tx.frees = tx.frees[:0]
-	tx.redo = tx.redo[:0]
-	tx.redoTicket = nil
 	tx.rmask.reset()
 	tx.rmask2.reset()
 	if h == 1 {

@@ -57,8 +57,8 @@ const (
 	// desynchronized or hostile stream cannot make the reader allocate
 	// unboundedly.
 	MaxFrame = 1 << 20
-	// MaxBatchOps bounds one Batch request, mirroring the server's
-	// per-transaction batch cap.
+	// MaxBatchOps bounds one Batch request on both server surfaces: a
+	// giant batch is a giant transaction that conflicts with everything.
 	MaxBatchOps = 1024
 	// MaxScanPairs bounds one Scan response's pair list.
 	MaxScanPairs = 4096
@@ -159,13 +159,16 @@ type BatchOp struct {
 
 // BatchResult is the outcome of one Batch sub-operation.
 type BatchResult struct {
-	Val   uint64
-	Found bool
-	OK    bool
+	Val   uint64 `json:"val"`
+	Found bool   `json:"found"`
+	OK    bool   `json:"ok"`
 }
 
 // KV is one Scan pair.
-type KV struct{ Key, Val uint64 }
+type KV struct {
+	Key uint64 `json:"key"`
+	Val uint64 `json:"val"`
+}
 
 // Stats is the OpStats response body: the counters a load generator or
 // smoke test wants without parsing the HTTP /stats document.

@@ -1,0 +1,220 @@
+// The request pipeline. Both surfaces are codecs around exec: each parses
+// its transport's bytes into a kvproto.Request, calls exec, and renders
+// the kvproto.Response. Everything that decides whether and how a data
+// request runs lives here and only here:
+//
+//	lifecycle gate → brownout class → deadline (op) → update admission
+//	(deadline at the gate) → store call → panic-to-status → latency
+//
+// A refusal is a status, never a transport error: StatusUnavailable for
+// the lifecycle gate, a brownout shed or a failed durability wait (503 +
+// Retry-After on HTTP), StatusDeadlineExceeded for a spent budget (504),
+// StatusError for a request that can never succeed (400, or 507 for
+// arena exhaustion).
+package kvserver
+
+import (
+	"time"
+
+	"tinystm/internal/core"
+	"tinystm/internal/kvproto"
+	"tinystm/internal/kvstore"
+	"tinystm/internal/resilience"
+)
+
+// storeKinds maps wire sub-op codes to store op kinds, wireOps back.
+var (
+	storeKinds = [...]kvstore.OpKind{
+		kvproto.OpGet:    kvstore.OpGet,
+		kvproto.OpPut:    kvstore.OpPut,
+		kvproto.OpDelete: kvstore.OpDelete,
+		kvproto.OpCAS:    kvstore.OpCAS,
+		kvproto.OpAdd:    kvstore.OpAdd,
+	}
+	wireOps = [...]kvproto.Op{
+		kvstore.OpGet:    kvproto.OpGet,
+		kvstore.OpPut:    kvproto.OpPut,
+		kvstore.OpDelete: kvproto.OpDelete,
+		kvstore.OpCAS:    kvproto.OpCAS,
+		kvstore.OpAdd:    kvproto.OpAdd,
+	}
+)
+
+// exec runs one decoded request from surface surf against the store and
+// builds its response. dl is the request's absolute deadline (zero: none),
+// re-anchored by the codec the moment the request left the transport.
+func (s *Server) exec(surf int, dl time.Time, req *kvproto.Request) (resp *kvproto.Response) {
+	resp = &kvproto.Response{ID: req.ID, Op: req.Op}
+	switch {
+	case req.Op == kvproto.OpStats:
+		// Observability always answers, whatever the lifecycle state.
+		st := s.tm.Stats()
+		resp.Stats = kvproto.Stats{
+			Commits:        st.Commits,
+			Aborts:         st.Aborts,
+			Keys:           s.store.Len(),
+			AdmissionWidth: uint32(s.admissionWidth()),
+		}
+		return resp
+	case req.Op < kvproto.OpGet || req.Op > kvproto.OpScan:
+		resp.Status, resp.Msg = kvproto.StatusError, "unknown op"
+		return resp
+	}
+	if msg := s.refusal(req.Op); msg != "" {
+		resp.Status, resp.Msg = kvproto.StatusUnavailable, msg
+		return resp
+	}
+	t0 := time.Now()
+	defer func() {
+		d := uint64(time.Since(t0))
+		s.met.reqAll.Record(d)
+		s.met.req[surf][req.Op-kvproto.OpGet].Record(d)
+		// Arena exhaustion and a failed durability wait become statuses
+		// instead of tearing down the caller's goroutine. Any other panic
+		// is a real bug and is re-raised.
+		switch rec := recover().(type) {
+		case nil:
+		case *kvstore.DurabilityError:
+			// The commit exists in memory but its log records never
+			// reached disk: refuse the ack. The WAL's OnError has already
+			// flipped the server degraded, so this is a retry-later.
+			resp.Status, resp.Msg = kvproto.StatusUnavailable, rec.Error()
+		default:
+			if rec != core.ErrSpaceExhausted {
+				panic(rec)
+			}
+			resp.Status, resp.Msg = kvproto.StatusError, core.ErrSpaceExhausted.Error()
+		}
+	}()
+
+	// Classify: which requests are update transactions (and pass the
+	// admission gate), and which are long enough that a spent budget must
+	// stop them before they start.
+	var ops []kvstore.Op
+	update := false
+	switch req.Op {
+	case kvproto.OpPut, kvproto.OpDelete, kvproto.OpCAS, kvproto.OpAdd:
+		update = true
+	case kvproto.OpBatch:
+		if len(req.Ops) == 0 {
+			resp.Status, resp.Msg = kvproto.StatusError, "empty batch"
+			return resp
+		}
+		if expired(dl) {
+			return s.shedDeadline(surf, shedStageOp, resp)
+		}
+		// An all-Get batch runs as an ungated snapshot read, exactly like
+		// Apply's own read-only path.
+		ops = make([]kvstore.Op, len(req.Ops))
+		for i, o := range req.Ops {
+			ops[i] = kvstore.Op{Kind: storeKinds[o.Op], Key: o.Key, Val: o.Val, Old: o.Old}
+			update = update || o.Op != kvproto.OpGet
+		}
+	case kvproto.OpScan:
+		if expired(dl) {
+			return s.shedDeadline(surf, shedStageOp, resp)
+		}
+	}
+	if update {
+		// Claim an update slot or find the budget ran out first: the gate
+		// sheds instead of queueing a corpse. A zero deadline never sheds.
+		if s.gate == nil {
+			if expired(dl) {
+				return s.shedDeadline(surf, shedStageGate, resp)
+			}
+		} else {
+			tw := time.Now()
+			if !s.gate.EnterUntil(dl) {
+				return s.shedDeadline(surf, shedStageGate, resp)
+			}
+			s.met.admWaitNs.Record(uint64(time.Since(tw)))
+			defer s.gate.Exit()
+		}
+	}
+
+	switch req.Op {
+	case kvproto.OpGet:
+		resp.Val, resp.Found = s.store.Get(req.Key)
+	case kvproto.OpPut:
+		resp.OK = s.store.Put(req.Key, req.Val)
+	case kvproto.OpDelete:
+		resp.Found = s.store.Delete(req.Key)
+	case kvproto.OpCAS:
+		resp.OK = s.store.CAS(req.Key, req.Old, req.Val)
+	case kvproto.OpAdd:
+		resp.Val = s.store.Add(req.Key, req.Val)
+	case kvproto.OpBatch:
+		res := s.store.Apply(ops)
+		resp.Results = make([]kvproto.BatchResult, len(res))
+		for i, r := range res {
+			resp.Results[i] = kvproto.BatchResult{Val: r.Val, Found: r.Found, OK: r.OK}
+		}
+	case kvproto.OpScan:
+		// The walk always covers the whole table (Total is exact); only
+		// the returned pairs are capped.
+		limit := kvproto.MaxScanPairs
+		if req.Limit > 0 && int(req.Limit) < limit {
+			limit = int(req.Limit)
+		}
+		pairs, total := s.store.Scan(limit)
+		resp.Total = total
+		resp.Snapshot = s.tm.SnapshotsEnabled()
+		if len(pairs) > 0 {
+			resp.Pairs = make([]kvproto.KV, len(pairs))
+			for i, kv := range pairs {
+				resp.Pairs[i] = kvproto.KV{Key: kv.Key, Val: kv.Val}
+			}
+		}
+	}
+	return resp
+}
+
+// refusal is the door: it returns why a data request of kind op may not
+// run right now, or "" when it may. Brownout sheds whole request classes
+// in cost order — the full-table scan first, then everything that is not
+// a point read (a batch costs write-like even when its ops are all Gets)
+// — before any transaction runs or gate slot is waited on. The lifecycle
+// gate then requires a ready server, except that point reads and scans
+// still serve in degraded mode (committed memory is intact).
+func (s *Server) refusal(op kvproto.Op) string {
+	class := resilience.ClassWrite
+	switch op {
+	case kvproto.OpGet:
+		class = resilience.ClassRead
+	case kvproto.OpScan:
+		class = resilience.ClassScan
+	}
+	if s.brown != nil && s.brown.Sheds(class) {
+		s.shed.brownout[class].Add(1)
+		// Name the class so a client log line is actionable without
+		// scraping /stats.
+		return "brownout: shedding " + class.String() + " requests (p99 over SLO); retry later"
+	}
+	switch s.dur.state.Load() {
+	case stateReady:
+		return ""
+	case stateDegraded:
+		if class != resilience.ClassWrite {
+			return ""
+		}
+		return "degraded: write-ahead log failed; serving reads only"
+	case stateFailed:
+		return "recovery failed; see /stats"
+	default: // stateStarting
+		return "recovering write-ahead log"
+	}
+}
+
+// shedDeadline stamps a deadline-shed response and counts it per surface
+// and stage, so /metrics can prove where requests die under overload.
+func (s *Server) shedDeadline(surf, stage int, resp *kvproto.Response) *kvproto.Response {
+	s.shed.deadline[surf][stage].Add(1)
+	resp.Status = kvproto.StatusDeadlineExceeded
+	resp.Msg = "deadline exceeded before execution (" + shedStageNames[stage] + ")"
+	return resp
+}
+
+// expired reports whether a non-zero deadline has passed.
+func expired(dl time.Time) bool {
+	return !dl.IsZero() && !time.Now().Before(dl)
+}

@@ -26,18 +26,9 @@ const (
 
 var surfaceNames = [nSurfaces]string{"http", "proto"}
 
-const (
-	mopGet = iota
-	mopPut
-	mopDelete
-	mopCAS
-	mopAdd
-	mopBatch
-	mopScan
-	nReqOps
-)
-
-var reqOpNames = [nReqOps]string{"get", "put", "delete", "cas", "add", "batch", "scan"}
+// nReqOps counts the data ops, kvproto.OpGet through kvproto.OpScan: the
+// request-latency histograms are indexed by op - kvproto.OpGet.
+const nReqOps = int(kvproto.OpScan-kvproto.OpGet) + 1
 
 // txTraceDefaultEvery is the default flight-recorder sampling rate (one
 // atomic block in N); txTraceCap the retained event window.
@@ -147,7 +138,7 @@ func newMetrics(s *Server) *metrics {
 		for op := 0; op < nReqOps; op++ {
 			m.req[surf][op] = obs.NewHistogram()
 			m.reg.Histogram("stmkvd_request_seconds", "Data-request latency by surface and op.",
-				obs.Labels{"surface": surfaceNames[surf], "op": reqOpNames[op]},
+				obs.Labels{"surface": surfaceNames[surf], "op": (kvproto.OpGet + kvproto.Op(op)).String()},
 				m.req[surf][op], 1e-9, lat)
 		}
 	}
@@ -276,37 +267,6 @@ func newMetrics(s *Server) *metrics {
 	return m
 }
 
-// timed wraps an HTTP data handler with request-latency recording.
-func (s *Server) timed(op int, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		h(w, r)
-		d := uint64(time.Since(t0))
-		s.met.reqAll.Record(d)
-		s.met.req[surfHTTP][op].Record(d)
-	}
-}
-
-// protoReqOp maps a wire op to its request-latency op index.
-func protoReqOp(op kvproto.Op) int {
-	switch op {
-	case kvproto.OpGet:
-		return mopGet
-	case kvproto.OpPut:
-		return mopPut
-	case kvproto.OpDelete:
-		return mopDelete
-	case kvproto.OpCAS:
-		return mopCAS
-	case kvproto.OpAdd:
-		return mopAdd
-	case kvproto.OpBatch:
-		return mopBatch
-	default:
-		return mopScan
-	}
-}
-
 // Metrics exposes the server's registry (tests; embedding servers).
 func (s *Server) Metrics() *obs.Registry { return s.met.reg }
 
@@ -339,14 +299,9 @@ func (s *Server) handleTxTrace(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
 		return
 	}
-	limit := 0
-	if q := r.URL.Query().Get("limit"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 1 {
-			http.Error(w, "bad limit", http.StatusBadRequest)
-			return
-		}
-		limit = n
+	limit, ok := queryLimit(w, r)
+	if !ok {
+		return
 	}
 	evs := s.met.rec.Dump(limit)
 	out := make([]wireTxEvent, len(evs))

@@ -1,9 +1,8 @@
-// The binary-protocol face of the server: the same store, lifecycle gate
-// and admission gate as the HTTP handlers, behind the kvproto framing.
-// One TCP connection carries many requests in flight — the reader
-// dispatches each op to its own goroutine (bounded per connection) and
-// the writer streams responses back in COMPLETION order, so a slow
-// update never convoys the reads pipelined behind it.
+// The binary codec of the request pipeline: kvproto frames in, exec,
+// kvproto frames out. One TCP connection carries many requests in
+// flight — the reader dispatches each op to its own goroutine (bounded
+// per connection) and the writer streams responses back in COMPLETION
+// order, so a slow update never convoys the reads pipelined behind it.
 package kvserver
 
 import (
@@ -16,9 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tinystm/internal/core"
 	"tinystm/internal/kvproto"
-	"tinystm/internal/kvstore"
 )
 
 // protoInflight bounds one connection's concurrently executing ops: the
@@ -151,15 +148,12 @@ func (s *Server) serveProtoConn(conn net.Conn) {
 			// (the slots send above blocks when protoInflight ops run).
 			// Starting work for a client that already gave up is waste.
 			if expired(dl) {
-				s.shed.deadline[surfProto][shedStageDequeue].Add(1)
-				s.sendProto(out, &kvproto.Response{
-					ID: req.ID, Op: req.Op,
-					Status: kvproto.StatusDeadlineExceeded,
-					Msg:    "deadline exceeded before execution (dequeue)",
-				})
+				s.sendProto(out, s.shedDeadline(surfProto, shedStageDequeue,
+					&kvproto.Response{ID: req.ID, Op: req.Op}))
 				return
 			}
-			s.sendProto(out, s.protoExec(req, dl))
+			s.proto.ops.Add(1)
+			s.sendProto(out, s.exec(surfProto, dl, req))
 		}(req, dl)
 	}
 	wg.Wait()
@@ -181,185 +175,4 @@ func (s *Server) sendProto(out chan<- []byte, resp *kvproto.Response) {
 		})
 	}
 	out <- payload
-}
-
-// protoOpKinds maps wire sub-op codes to store op kinds (same order).
-var protoOpKinds = [...]kvstore.OpKind{
-	kvproto.OpGet:    kvstore.OpGet,
-	kvproto.OpPut:    kvstore.OpPut,
-	kvproto.OpDelete: kvstore.OpDelete,
-	kvproto.OpCAS:    kvstore.OpCAS,
-	kvproto.OpAdd:    kvstore.OpAdd,
-}
-
-// protoShedDeadline stamps a deadline-shed response and counts it.
-func (s *Server) protoShedDeadline(resp *kvproto.Response, stage int) *kvproto.Response {
-	s.shed.deadline[surfProto][stage].Add(1)
-	resp.Status = kvproto.StatusDeadlineExceeded
-	resp.Msg = "deadline exceeded before execution (" + shedStageNames[stage] + ")"
-	return resp
-}
-
-// protoGate claims an update-admission slot under the request's
-// deadline; on expiry it stamps the shed response instead.
-func (s *Server) protoGate(resp *kvproto.Response, dl time.Time) (release func(), ok bool) {
-	release, ok = s.enterUpdateUntil(dl)
-	if !ok {
-		s.protoShedDeadline(resp, shedStageGate)
-		return nil, false
-	}
-	return release, true
-}
-
-// protoExec runs one request against the store and builds its response.
-// It applies the same gates as the HTTP path: the lifecycle gate
-// (replaying/degraded/failed servers refuse work), brownout class
-// shedding, the admission gate (update transactions only, bounded by
-// the request's deadline), and the recover layer that converts arena
-// exhaustion and failed durability waits into statuses instead of
-// tearing down the connection.
-func (s *Server) protoExec(req *kvproto.Request, dl time.Time) (resp *kvproto.Response) {
-	s.proto.ops.Add(1)
-	resp = &kvproto.Response{ID: req.ID, Op: req.Op}
-	if msg, ok := s.protoAdmit(req.Op); !ok {
-		resp.Status = kvproto.StatusUnavailable
-		resp.Msg = msg
-		return resp
-	}
-	t0 := time.Now()
-	defer func() {
-		d := uint64(time.Since(t0))
-		s.met.reqAll.Record(d)
-		s.met.req[surfProto][protoReqOp(req.Op)].Record(d)
-	}()
-	defer func() {
-		if rec := recover(); rec != nil {
-			if rec == core.ErrSpaceExhausted {
-				resp.Status = kvproto.StatusError
-				resp.Msg = core.ErrSpaceExhausted.Error()
-				return
-			}
-			if derr, ok := rec.(*kvstore.DurabilityError); ok {
-				resp.Status = kvproto.StatusUnavailable
-				resp.Msg = derr.Error()
-				return
-			}
-			panic(rec)
-		}
-	}()
-	switch req.Op {
-	case kvproto.OpGet:
-		resp.Val, resp.Found = s.store.Get(req.Key)
-	case kvproto.OpPut:
-		release, ok := s.protoGate(resp, dl)
-		if !ok {
-			return resp
-		}
-		defer release()
-		resp.OK = s.store.Put(req.Key, req.Val)
-	case kvproto.OpDelete:
-		release, ok := s.protoGate(resp, dl)
-		if !ok {
-			return resp
-		}
-		defer release()
-		resp.Found = s.store.Delete(req.Key)
-	case kvproto.OpCAS:
-		release, ok := s.protoGate(resp, dl)
-		if !ok {
-			return resp
-		}
-		defer release()
-		resp.OK = s.store.CAS(req.Key, req.Old, req.Val)
-	case kvproto.OpAdd:
-		release, ok := s.protoGate(resp, dl)
-		if !ok {
-			return resp
-		}
-		defer release()
-		resp.Val = s.store.Add(req.Key, req.Val)
-	case kvproto.OpBatch:
-		if len(req.Ops) == 0 {
-			resp.Status = kvproto.StatusError
-			resp.Msg = "empty batch"
-			return resp
-		}
-		// The batch is one multi-key transaction: re-check the budget
-		// right before the expensive part.
-		if expired(dl) {
-			return s.protoShedDeadline(resp, shedStageOp)
-		}
-		ops := make([]kvstore.Op, len(req.Ops))
-		for i, o := range req.Ops {
-			ops[i] = kvstore.Op{Kind: protoOpKinds[o.Op], Key: o.Key, Val: o.Val, Old: o.Old}
-		}
-		if !readOnlyOps(ops) {
-			release, ok := s.protoGate(resp, dl)
-			if !ok {
-				return resp
-			}
-			defer release()
-		}
-		res := s.store.Apply(ops)
-		resp.Results = make([]kvproto.BatchResult, len(res))
-		for i, r := range res {
-			resp.Results[i] = kvproto.BatchResult{Val: r.Val, Found: r.Found, OK: r.OK}
-		}
-	case kvproto.OpScan:
-		// The full-table walk must not start for a client that already
-		// gave up.
-		if expired(dl) {
-			return s.protoShedDeadline(resp, shedStageOp)
-		}
-		limit := maxScanPairs
-		if req.Limit > 0 && int(req.Limit) < limit {
-			limit = int(req.Limit)
-		}
-		pairs, total := s.store.Scan(limit)
-		resp.Total = total
-		resp.Snapshot = s.tm.SnapshotsEnabled()
-		if len(pairs) > 0 {
-			resp.Pairs = make([]kvproto.KV, len(pairs))
-			for i, kv := range pairs {
-				resp.Pairs[i] = kvproto.KV{Key: kv.Key, Val: kv.Val}
-			}
-		}
-	case kvproto.OpStats:
-		st := s.tm.Stats()
-		resp.Stats = kvproto.Stats{
-			Commits:        st.Commits,
-			Aborts:         st.Aborts,
-			Keys:           s.store.Len(),
-			AdmissionWidth: uint32(s.admissionWidth()),
-		}
-	default:
-		resp.Status = kvproto.StatusError
-		resp.Msg = "unknown op"
-	}
-	return resp
-}
-
-// protoAdmit is the lifecycle gate for binary ops, mirroring admit():
-// stats always answer (observability), reads survive degraded mode,
-// everything else needs a ready server.
-func (s *Server) protoAdmit(op kvproto.Op) (msg string, ok bool) {
-	if op == kvproto.OpStats {
-		return "", true
-	}
-	if class := classifyProtoOp(op); s.brownSheds(class) {
-		return brownoutMsg(class), false
-	}
-	switch s.dur.state.Load() {
-	case stateReady:
-		return "", true
-	case stateDegraded:
-		if op == kvproto.OpGet || op == kvproto.OpScan {
-			return "", true
-		}
-		return "degraded: write-ahead log failed; serving reads only", false
-	case stateFailed:
-		return "recovery failed; see /stats", false
-	default:
-		return "recovering write-ahead log", false
-	}
 }

@@ -1,6 +1,7 @@
 // The server half of the resilience stack: end-to-end deadline
-// enforcement and brownout load shedding, shared by both request
-// surfaces.
+// enforcement and brownout load shedding. exec (exec.go) applies both to
+// every request of either surface; this file holds their accounting and
+// the HTTP codec's deadline plumbing.
 //
 // Deadlines travel as RELATIVE budgets (the X-Timeout-Ms header on HTTP,
 // the flagged TimeoutMs field on the wire protocol) and are re-anchored
@@ -27,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tinystm/internal/kvproto"
 	"tinystm/internal/resilience"
 )
 
@@ -80,80 +80,6 @@ func withDeadline(r *http.Request, dl time.Time) *http.Request {
 func deadlineOf(r *http.Request) time.Time {
 	dl, _ := r.Context().Value(deadlineKey{}).(time.Time)
 	return dl
-}
-
-// expired reports whether a non-zero deadline has passed.
-func expired(dl time.Time) bool {
-	return !dl.IsZero() && !time.Now().Before(dl)
-}
-
-// shedDeadlineHTTP counts one HTTP deadline shed and answers 504: the
-// client's budget for this request is spent, so the answer documents
-// that the server refused the work rather than timing out silently.
-func (s *Server) shedDeadlineHTTP(w http.ResponseWriter, stage int) {
-	s.shed.deadline[surfHTTP][stage].Add(1)
-	http.Error(w, "deadline exceeded before execution ("+shedStageNames[stage]+")", http.StatusGatewayTimeout)
-}
-
-// enterUpdateUntil is enterUpdate with the request's deadline applied at
-// the gate: it claims an update slot or reports that the budget ran out
-// first (the caller then sheds). A zero deadline never sheds.
-func (s *Server) enterUpdateUntil(dl time.Time) (release func(), ok bool) {
-	if s.gate == nil {
-		if expired(dl) {
-			return nil, false
-		}
-		return func() {}, true
-	}
-	t0 := time.Now()
-	if !s.gate.EnterUntil(dl) {
-		return nil, false
-	}
-	s.met.admWaitNs.Record(uint64(time.Since(t0)))
-	return s.gate.Exit, true
-}
-
-// classifyHTTP maps a data request onto a brownout class: /scan is the
-// expensive full-table walk, other GETs are reads, everything else —
-// including POST /batch, whose cost is write-like even when its ops are
-// all Gets — mutates.
-func classifyHTTP(r *http.Request) resilience.Class {
-	if r.URL.Path == "/scan" {
-		return resilience.ClassScan
-	}
-	if r.Method == http.MethodGet {
-		return resilience.ClassRead
-	}
-	return resilience.ClassWrite
-}
-
-// classifyProtoOp maps a wire op onto a brownout class (same ladder as
-// HTTP; Batch counts as a write for the same reason POST /batch does).
-func classifyProtoOp(op kvproto.Op) resilience.Class {
-	switch op {
-	case kvproto.OpGet:
-		return resilience.ClassRead
-	case kvproto.OpScan:
-		return resilience.ClassScan
-	default:
-		return resilience.ClassWrite
-	}
-}
-
-// brownSheds reports whether the current brownout level sheds class c,
-// counting the shed when it does.
-func (s *Server) brownSheds(c resilience.Class) bool {
-	if s.brown == nil || !s.brown.Sheds(c) {
-		return false
-	}
-	s.shed.brownout[c].Add(1)
-	return true
-}
-
-// brownoutMsg is the shed response body/message; it names the class so
-// a client log line is actionable without scraping /stats.
-func brownoutMsg(c resilience.Class) string {
-	return "brownout: shedding " + c.String() + " requests (p99 over SLO); retry later"
 }
 
 // deadlineShedStats renders the per-surface/stage shed counters.

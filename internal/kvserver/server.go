@@ -1,9 +1,14 @@
-// Package kvserver is the HTTP face of the STM-backed key-value store:
-// the handler set cmd/stmkvd serves. Every request runs one (or, for
+// Package kvserver serves the STM-backed key-value store: the handler set
+// and binary listener cmd/stmkvd runs. Every request runs one (or, for
 // batches, exactly one multi-key) transaction against a kvstore.Store,
 // descriptors are borrowed from the store's pool per request, and an
 // attached tuning.Runtime re-adapts the TM's lock-table geometry to the
 // live traffic while the server runs.
+//
+// A data request takes one path whatever its transport: a codec (the HTTP
+// handlers in this file, the kvproto framing in proto.go) parses it into a
+// kvproto.Request, exec (exec.go) decides whether and how it runs, and the
+// codec renders the kvproto.Response.
 //
 // Endpoints:
 //
@@ -40,6 +45,7 @@ import (
 	"tinystm/internal/admission"
 	"tinystm/internal/cm"
 	"tinystm/internal/core"
+	"tinystm/internal/kvproto"
 	"tinystm/internal/kvstore"
 	"tinystm/internal/mem"
 	"tinystm/internal/resilience"
@@ -315,11 +321,10 @@ func (s *Server) Close() {
 	s.store.Close()
 }
 
-// Handler returns the root handler: a lifecycle gate in front of the
-// route mux, wrapped in a recover layer that converts arena exhaustion
-// into 507 and a failed durability wait into 503 instead of tearing down
-// the connection's goroutine. Any other panic is a real bug and is
-// re-raised for net/http's connection-level recovery to log.
+// Handler returns the root handler: it re-anchors the request's relative
+// X-Timeout-Ms budget to an absolute deadline on the server's own clock
+// (a malformed header is a 400) and routes. The data routes are the HTTP
+// codec of the request pipeline: parse → exec → render.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		dl, err := httpDeadline(r)
@@ -327,69 +332,17 @@ func (s *Server) Handler() http.Handler {
 			http.Error(w, "bad "+resilience.TimeoutHeader+": "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		r = withDeadline(r, dl)
-		if !s.admit(w, r) {
-			return
-		}
-		defer func() {
-			if rec := recover(); rec != nil {
-				if rec == core.ErrSpaceExhausted {
-					http.Error(w, core.ErrSpaceExhausted.Error(), http.StatusInsufficientStorage)
-					return
-				}
-				if derr, ok := rec.(*kvstore.DurabilityError); ok {
-					// The commit exists in memory but its log records
-					// never reached disk: refuse the ack. The WAL's
-					// OnError has already flipped the server degraded,
-					// so this is a retry-later, like every other 503.
-					s.unavailable(w, derr.Error())
-					return
-				}
-				panic(rec)
-			}
-		}()
-		s.mux.ServeHTTP(w, r)
+		s.mux.ServeHTTP(w, withDeadline(r, dl))
 	})
 }
 
-// admit applies the lifecycle gate. Health, readiness and observability
-// endpoints always answer; everything else requires a ready server —
-// except in degraded mode, where reads still serve (committed memory is
-// intact) and only mutations are refused.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
-	switch r.URL.Path {
-	case "/healthz", "/readyz", "/stats", "/tuning", "/metrics", "/debug/txtrace":
-		return true
+// httpError answers a refusal; a 503 carries a Retry-After hint so
+// pollers and load balancers back off politely.
+func httpError(w http.ResponseWriter, msg string, code int) {
+	if code == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
 	}
-	// Brownout sheds whole request classes at the door, before any
-	// transaction runs or gate slot is waited on: refusal is the point.
-	if class := classifyHTTP(r); s.brownSheds(class) {
-		s.unavailable(w, brownoutMsg(class))
-		return false
-	}
-	switch s.dur.state.Load() {
-	case stateReady:
-		return true
-	case stateDegraded:
-		if r.Method == http.MethodGet {
-			return true
-		}
-		s.unavailable(w, "degraded: write-ahead log failed; serving reads only")
-		return false
-	case stateFailed:
-		s.unavailable(w, "recovery failed; see /stats")
-		return false
-	default: // stateStarting
-		s.unavailable(w, "recovering write-ahead log")
-		return false
-	}
-}
-
-// unavailable answers 503 with a Retry-After hint so pollers and load
-// balancers back off politely.
-func (s *Server) unavailable(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", "1")
-	http.Error(w, msg, http.StatusServiceUnavailable)
+	http.Error(w, msg, code)
 }
 
 func (s *Server) routes() {
@@ -402,38 +355,28 @@ func (s *Server) routes() {
 	})
 	s.mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		if st := s.dur.state.Load(); st != stateReady {
-			s.unavailable(w, stateName(st))
+			httpError(w, stateName(st), http.StatusServiceUnavailable)
 			return
 		}
 		fmt.Fprintln(w, "ready")
 	})
-	s.mux.HandleFunc("GET /kv/{key}", s.timed(mopGet, s.handleGet))
-	s.mux.HandleFunc("PUT /kv/{key}", s.timed(mopPut, s.handlePut))
-	s.mux.HandleFunc("DELETE /kv/{key}", s.timed(mopDelete, s.handleDelete))
-	s.mux.HandleFunc("POST /kv/{key}/cas", s.timed(mopCAS, s.handleCAS))
-	s.mux.HandleFunc("POST /kv/{key}/add", s.timed(mopAdd, s.handleAdd))
-	s.mux.HandleFunc("POST /batch", s.timed(mopBatch, s.handleBatch))
-	s.mux.HandleFunc("GET /scan", s.timed(mopScan, s.handleScan))
+	s.mux.HandleFunc("GET /kv/{key}", s.handleGet)
+	s.mux.HandleFunc("PUT /kv/{key}", s.handlePut)
+	s.mux.HandleFunc("DELETE /kv/{key}", s.handleDelete)
+	s.mux.HandleFunc("POST /kv/{key}/cas", s.handleCAS)
+	s.mux.HandleFunc("POST /kv/{key}/add", s.handleAdd)
+	s.mux.HandleFunc("POST /batch", s.handleBatch)
+	s.mux.HandleFunc("GET /scan", s.handleScan)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /tuning", s.handleTuning)
 	s.mux.Handle("GET /metrics", s.met.reg.Handler())
 	s.mux.HandleFunc("GET /debug/txtrace", s.handleTxTrace)
 }
 
-// enterUpdate claims an update-admission slot (blocking at the door when
-// the gate is full) and returns the release. A nil gate admits freely.
-// Both surfaces — the HTTP handlers and the binary-protocol executor —
-// pass every update transaction through here, so the tuned width governs
-// the whole server.
-func (s *Server) enterUpdate() func() {
-	if s.gate == nil {
-		return func() {}
-	}
-	t0 := time.Now()
-	s.gate.Enter()
-	s.met.admWaitNs.Record(uint64(time.Since(t0)))
-	return s.gate.Exit
-}
+// The parse half of the HTTP codec: each data handler turns its request
+// into the kvproto.Request the binary surface would have decoded (a
+// malformed one is a 400 here, as a malformed frame is a decode error
+// there) and hands it to serve.
 
 func pathKey(w http.ResponseWriter, r *http.Request) (uint64, bool) {
 	k, err := strconv.ParseUint(r.PathValue("key"), 10, 64)
@@ -444,6 +387,28 @@ func pathKey(w http.ResponseWriter, r *http.Request) (uint64, bool) {
 	return k, true
 }
 
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
+		return false
+	}
+	return true
+}
+
+// queryLimit parses the optional ?limit=N (N >= 1); 0 means absent.
+func queryLimit(w http.ResponseWriter, r *http.Request) (int, bool) {
+	q := r.URL.Query().Get("limit")
+	if q == "" {
+		return 0, true
+	}
+	n, err := strconv.Atoi(q)
+	if err != nil || n < 1 {
+		http.Error(w, "bad limit", http.StatusBadRequest)
+		return 0, false
+	}
+	return n, true
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -451,16 +416,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	key, ok := pathKey(w, r)
-	if !ok {
-		return
+	if key, ok := pathKey(w, r); ok {
+		s.serve(w, r, &kvproto.Request{Op: kvproto.OpGet, Key: key})
 	}
-	val, found := s.store.Get(key)
-	if !found {
-		http.Error(w, "key not found", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]uint64{"key": key, "val": val})
 }
 
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
@@ -473,72 +431,27 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad value (want a decimal uint64 body): "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	release, ok := s.enterUpdateUntil(deadlineOf(r))
-	if !ok {
-		s.shedDeadlineHTTP(w, shedStageGate)
-		return
-	}
-	defer release()
-	inserted := s.store.Put(key, val)
-	writeJSON(w, http.StatusOK, map[string]bool{"inserted": inserted})
+	s.serve(w, r, &kvproto.Request{Op: kvproto.OpPut, Key: key, Val: val})
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	key, ok := pathKey(w, r)
-	if !ok {
-		return
+	if key, ok := pathKey(w, r); ok {
+		s.serve(w, r, &kvproto.Request{Op: kvproto.OpDelete, Key: key})
 	}
-	release, ok := s.enterUpdateUntil(deadlineOf(r))
-	if !ok {
-		s.shedDeadlineHTTP(w, shedStageGate)
-		return
-	}
-	defer release()
-	if !s.store.Delete(key) {
-		http.Error(w, "key not found", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"deleted": true})
 }
 
 func (s *Server) handleCAS(w http.ResponseWriter, r *http.Request) {
-	key, ok := pathKey(w, r)
-	if !ok {
-		return
+	var body struct{ Old, New uint64 }
+	if key, ok := pathKey(w, r); ok && readJSON(w, r, &body) {
+		s.serve(w, r, &kvproto.Request{Op: kvproto.OpCAS, Key: key, Old: body.Old, Val: body.New})
 	}
-	var req struct{ Old, New uint64 }
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	release, ok := s.enterUpdateUntil(deadlineOf(r))
-	if !ok {
-		s.shedDeadlineHTTP(w, shedStageGate)
-		return
-	}
-	defer release()
-	swapped := s.store.CAS(key, req.Old, req.New)
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": swapped})
 }
 
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
-	key, ok := pathKey(w, r)
-	if !ok {
-		return
+	var body struct{ Delta uint64 }
+	if key, ok := pathKey(w, r); ok && readJSON(w, r, &body) {
+		s.serve(w, r, &kvproto.Request{Op: kvproto.OpAdd, Key: key, Val: body.Delta})
 	}
-	var req struct{ Delta uint64 }
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	release, ok := s.enterUpdateUntil(deadlineOf(r))
-	if !ok {
-		s.shedDeadlineHTTP(w, shedStageGate)
-		return
-	}
-	defer release()
-	val := s.store.Add(key, req.Delta)
-	writeJSON(w, http.StatusOK, map[string]uint64{"val": val})
 }
 
 // wireOp is the JSON form of one batch operation.
@@ -549,109 +462,94 @@ type wireOp struct {
 	Old uint64 `json:"old,omitempty"`
 }
 
-// wireResult is the JSON form of one batch result.
-type wireResult struct {
-	Val   uint64 `json:"val"`
-	Found bool   `json:"found"`
-	OK    bool   `json:"ok"`
-}
-
-// maxBatchOps bounds a single atomic batch: a giant batch is a giant
-// transaction, and past a point it would conflict with everything and
-// starve (the same reason the resize transaction is per-shard).
-const maxBatchOps = 1024
-
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
+	var body struct {
 		Ops []wireOp `json:"ops"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
+	if !readJSON(w, r, &body) {
 		return
 	}
-	if len(req.Ops) == 0 {
-		http.Error(w, "empty batch", http.StatusBadRequest)
+	// A giant batch is a giant transaction, and past a point it would
+	// conflict with everything and starve (the same reason the resize
+	// transaction is per-shard); the wire decoder enforces the same cap.
+	if len(body.Ops) > kvproto.MaxBatchOps {
+		http.Error(w, fmt.Sprintf("batch exceeds %d ops", kvproto.MaxBatchOps), http.StatusRequestEntityTooLarge)
 		return
 	}
-	if len(req.Ops) > maxBatchOps {
-		http.Error(w, fmt.Sprintf("batch exceeds %d ops", maxBatchOps), http.StatusRequestEntityTooLarge)
-		return
-	}
-	ops := make([]kvstore.Op, len(req.Ops))
-	for i, o := range req.Ops {
+	req := &kvproto.Request{Op: kvproto.OpBatch, Ops: make([]kvproto.BatchOp, len(body.Ops))}
+	for i, o := range body.Ops {
 		kind, err := kvstore.ParseOpKind(o.Op)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		ops[i] = kvstore.Op{Kind: kind, Key: o.Key, Val: o.Val, Old: o.Old}
+		req.Ops[i] = kvproto.BatchOp{Op: wireOps[kind], Key: o.Key, Val: o.Val, Old: o.Old}
 	}
-	// A batch is one multi-key transaction: check the budget right before
-	// the expensive part, then again (for updates) at the gate.
-	dl := deadlineOf(r)
-	if expired(dl) {
-		s.shedDeadlineHTTP(w, shedStageOp)
-		return
-	}
-	if !readOnlyOps(ops) {
-		release, ok := s.enterUpdateUntil(dl)
-		if !ok {
-			s.shedDeadlineHTTP(w, shedStageGate)
-			return
-		}
-		defer release()
-	}
-	res := s.store.Apply(ops)
-	out := make([]wireResult, len(res))
-	for i, r := range res {
-		out[i] = wireResult{Val: r.Val, Found: r.Found, OK: r.OK}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": out})
+	s.serve(w, r, req)
 }
-
-// readOnlyOps reports whether a batch is all Gets (and therefore runs as
-// an ungated snapshot read, exactly like Apply's own read-only path).
-func readOnlyOps(ops []kvstore.Op) bool {
-	for _, op := range ops {
-		if op.Kind != kvstore.OpGet {
-			return false
-		}
-	}
-	return true
-}
-
-// maxScanPairs bounds one /scan response's pair list; ?limit=N requests
-// fewer. The walk itself always covers the whole table (the "keys" count
-// is exact) — only the returned pairs are capped.
-const maxScanPairs = 4096
 
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
-	limit := maxScanPairs
-	if q := r.URL.Query().Get("limit"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 1 {
-			http.Error(w, "bad limit", http.StatusBadRequest)
-			return
-		}
-		if n < limit {
-			limit = n
-		}
-	}
-	// The full-table walk is the server's most expensive read: a request
-	// whose budget already ran out must not start it.
-	if expired(deadlineOf(r)) {
-		s.shedDeadlineHTTP(w, shedStageOp)
+	limit, ok := queryLimit(w, r)
+	if !ok {
 		return
 	}
-	pairs, total := s.store.Scan(limit)
-	if pairs == nil {
-		pairs = []kvstore.KV{}
+	s.serve(w, r, &kvproto.Request{Op: kvproto.OpScan, Limit: uint32(min(limit, kvproto.MaxScanPairs))})
+}
+
+// httpStatus is the one Status → HTTP code table.
+var httpStatus = [...]int{
+	kvproto.StatusOK:               http.StatusOK,
+	kvproto.StatusUnavailable:      http.StatusServiceUnavailable,
+	kvproto.StatusError:            http.StatusBadRequest,
+	kvproto.StatusDeadlineExceeded: http.StatusGatewayTimeout,
+}
+
+// serve is the back half of the HTTP codec: run the parsed request
+// through exec and render the response.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, req *kvproto.Request) {
+	resp := s.exec(surfHTTP, deadlineOf(r), req)
+	if resp.Status != kvproto.StatusOK {
+		code := httpStatus[resp.Status]
+		if resp.Msg == core.ErrSpaceExhausted.Error() {
+			// The wire vocabulary folds arena exhaustion into StatusError;
+			// HTTP tells the client it was not their request's fault.
+			code = http.StatusInsufficientStorage
+		}
+		httpError(w, resp.Msg, code)
+		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"keys":     total,
-		"pairs":    pairs,
-		"snapshot": s.tm.SnapshotsEnabled(),
-	})
+	switch req.Op {
+	case kvproto.OpGet:
+		if !resp.Found {
+			http.Error(w, "key not found", http.StatusNotFound)
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]uint64{"key": req.Key, "val": resp.Val})
+	case kvproto.OpPut:
+		writeJSON(w, http.StatusOK, map[string]bool{"inserted": resp.OK})
+	case kvproto.OpDelete:
+		if !resp.Found {
+			http.Error(w, "key not found", http.StatusNotFound)
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]bool{"deleted": true})
+	case kvproto.OpCAS:
+		writeJSON(w, http.StatusOK, map[string]bool{"ok": resp.OK})
+	case kvproto.OpAdd:
+		writeJSON(w, http.StatusOK, map[string]uint64{"val": resp.Val})
+	case kvproto.OpBatch:
+		writeJSON(w, http.StatusOK, map[string]any{"results": resp.Results})
+	case kvproto.OpScan:
+		pairs := resp.Pairs
+		if pairs == nil {
+			pairs = []kvproto.KV{}
+		}
+		writeJSON(w, http.StatusOK, map[string]any{
+			"keys":     resp.Total,
+			"pairs":    pairs,
+			"snapshot": resp.Snapshot,
+		})
+	}
 }
 
 // wireParams is the JSON form of a tunable triple.
@@ -766,16 +664,12 @@ func (s *Server) handleTuning(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
 		return
 	}
-	limit := maxTuningEvents
-	if q := r.URL.Query().Get("limit"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 1 {
-			http.Error(w, "bad limit", http.StatusBadRequest)
-			return
-		}
-		if n < limit {
-			limit = n
-		}
+	limit, ok := queryLimit(w, r)
+	if !ok {
+		return
+	}
+	if limit == 0 || limit > maxTuningEvents {
+		limit = maxTuningEvents
 	}
 	events := s.rt.Trace()
 	if len(events) > limit {

@@ -222,27 +222,23 @@ func TestReset(t *testing.T) {
 
 func TestConcurrentPublishRead(t *testing.T) {
 	s := newTestStore(t, 4, 128)
+	// Each writer publishes a fixed run of fresh addresses inside its own
+	// window, so the test stays within the store's 1<<16 words however
+	// fast the host runs the writers relative to the reader.
+	const perWriter = 4000
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(w uint64) {
 			defer wg.Done()
-			ts := uint64(2)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s.Publish(ts, []Version{{Stripe: uint64(w), Addr: uint64(w)*1000 + ts, Val: ts, From: ts - 1}})
-				ts++
+			for n := uint64(0); n < perWriter; n++ {
+				ts := n + 2
+				s.Publish(ts, []Version{{Stripe: w, Addr: w*perWriter + n, Val: ts, From: ts - 1}})
 			}
-		}(w)
+		}(uint64(w))
 	}
-	for i := 0; i < 10000; i++ {
-		s.Read(uint64(i%4), uint64(i%60000), uint64(i))
+	for i := uint64(0); i < 10000; i++ {
+		s.Read(i%4, i%(4*perWriter), i)
 	}
-	close(stop)
 	wg.Wait()
 }

@@ -42,3 +42,24 @@ func TestObsInstrumentation(t *testing.T) {
 		t.Fatalf("detached hook still recorded: %d", got)
 	}
 }
+
+// TestAtomicEmptyDoesNotAllocate pins the merged retry loop's hot path:
+// an empty atomic block costs no heap traffic, whether the observability
+// hook is detached or installed with no sampled trace.
+func TestAtomicEmptyDoesNotAllocate(t *testing.T) {
+	tm := tl2.MustNew(tl2.Config{Space: mem.NewSpace(1 << 12), Locks: 1 << 8})
+	tx := tm.NewTx()
+	body := func(*tl2.Tx) {}
+	for _, c := range []struct {
+		name string
+		hook *obs.TMObs
+	}{
+		{"nil hook", nil},
+		{"hook installed, unsampled", obs.NewTMObs(nil)},
+	} {
+		tm.SetObs(c.hook)
+		if n := testing.AllocsPerRun(1000, func() { tm.Atomic(tx, body) }); n != 0 {
+			t.Errorf("%s: empty Atomic allocates %v times per run, want 0", c.name, n)
+		}
+	}
+}

@@ -112,7 +112,7 @@ type TM struct {
 	_     [64]byte
 
 	// obsHook is the installed observability sink (SetObs); nil when
-	// detached. One pointer load per atomic block when disabled.
+	// detached. The retry loop loads it once per atomic block.
 	obsHook atomic.Pointer[obs.TMObs]
 
 	pool  reclaim.Pool
@@ -219,6 +219,11 @@ func (tm *TM) Atomic(tx *Tx, fn func(*Tx)) { tm.atomic(tx, fn, false) }
 // if fn writes, the attempt restarts in update mode.
 func (tm *TM) AtomicRO(tx *Tx, fn func(*Tx)) { tm.atomic(tx, fn, true) }
 
+// atomic is the one retry loop behind Atomic and AtomicRO. With an
+// observability sink installed it also times every attempt into the
+// commit/abort histograms and, for sampled blocks, emits the
+// begin/retry/abort/commit event trace; detached, the sink costs one
+// pointer load and a predictable branch per observation point.
 func (tm *TM) atomic(tx *Tx, fn func(*Tx), ro bool) {
 	if tx.tm != tm {
 		panic("tl2: descriptor belongs to a different TM")
@@ -228,82 +233,63 @@ func (tm *TM) atomic(tx *Tx, fn func(*Tx), ro bool) {
 		return
 	}
 	o := tm.obsHook.Load()
-	if o == nil {
-		// Uninstrumented fast path: no clock reads, no sampling draw.
-		tx.upgr = false
-		attempts := 0
-		for {
-			attempts++
-			tx.Begin(ro && !tx.upgr)
-			if attempts == 1 {
-				tm.pol.OnStart(&tx.cmst)
-			}
-			if tx.runBody(fn) && tx.Commit() {
-				tm.pol.OnCommit(&tx.cmst)
-				return
-			}
-			tm.pol.OnAbort(&tx.cmst)
-		}
-	}
-	tm.atomicObserved(tx, fn, ro, o)
-}
-
-// atomicObserved is the instrumented twin of the atomic retry loop: it
-// times every attempt into the commit/abort histograms and, for sampled
-// blocks, emits the begin/retry/abort/commit event trace. TL2's geometry
-// is static, so events carry the construction-time lock table (Hier 0 —
-// TL2 has no hierarchical layer).
-func (tm *TM) atomicObserved(tx *Tx, fn func(*Tx), ro bool, o *obs.TMObs) {
-	sampled := o.SampleTx()
+	sampled := o != nil && o.SampleTx()
 	tx.upgr = false
 	attempts := 0
 	for {
 		attempts++
-		if sampled {
-			e := tm.baseEvent(tx, obs.EvRetry, attempts)
-			if attempts == 1 {
-				e.Kind = obs.EvBegin
+		var t0 time.Time
+		if o != nil {
+			if sampled {
+				kind := obs.EvRetry
+				if attempts == 1 {
+					kind = obs.EvBegin
+				}
+				tm.trace(tx, o, kind, attempts, 0, 0)
 			}
-			o.Trace(e)
+			t0 = time.Now()
 		}
-		t0 := time.Now()
 		tx.Begin(ro && !tx.upgr)
 		if attempts == 1 {
 			tm.pol.OnStart(&tx.cmst)
 		}
-		if tx.runBody(fn) && tx.Commit() {
+		committed := tx.runBody(fn) && tx.Commit()
+		if o != nil {
 			d := uint64(time.Since(t0))
-			o.OnCommit(d)
-			if sampled {
-				e := tm.baseEvent(tx, obs.EvCommit, attempts)
-				e.DurNs = d
-				o.Trace(e)
+			kind, cause := obs.EvCommit, txn.AbortKind(0)
+			if committed {
+				o.OnCommit(d)
+			} else {
+				kind, cause = obs.EvAbort, tx.lastAbort
+				o.OnAbort(d, cause)
 			}
+			if sampled {
+				tm.trace(tx, o, kind, attempts, cause, d)
+			}
+		}
+		if committed {
 			tm.pol.OnCommit(&tx.cmst)
 			return
-		}
-		d := uint64(time.Since(t0))
-		o.OnAbort(d, tx.lastAbort)
-		if sampled {
-			e := tm.baseEvent(tx, obs.EvAbort, attempts)
-			e.Cause = tx.lastAbort
-			e.DurNs = d
-			o.Trace(e)
 		}
 		tm.pol.OnAbort(&tx.cmst)
 	}
 }
 
-func (tm *TM) baseEvent(tx *Tx, kind obs.EventKind, attempts int) obs.Event {
-	return obs.Event{
+// trace emits one flight-recorder event for a sampled atomic block. TL2's
+// geometry is static, so events carry the construction-time lock table
+// (Hier 0 — TL2 has no hierarchical layer).
+func (tm *TM) trace(tx *Tx, o *obs.TMObs, kind obs.EventKind, attempts int, cause txn.AbortKind, durNs uint64) {
+	o.Trace(obs.Event{
 		TimeUnixNano: time.Now().UnixNano(),
 		Kind:         kind,
+		Cause:        cause,
 		CM:           tm.pol.Kind(),
 		Slot:         uint32(tx.slot),
 		Attempt:      uint32(attempts),
+		DurNs:        durNs,
 		Locks:        uint64(len(tm.locks)),
 		Shifts:       uint32(tm.shifts),
-	}
+	})
 }
 
 // SetObs installs (or, with nil, detaches) the observability sink:
