@@ -228,11 +228,12 @@ func (c Config) validate() error {
 }
 
 // Params is the tunable triple of Section 4, reported and adjusted as a
-// unit by the dynamic tuner.
+// unit by the dynamic tuner (the JSON form is what /stats and /tuning
+// serve).
 type Params struct {
-	Locks  uint64
-	Shifts uint
-	Hier   uint64
+	Locks  uint64 `json:"locks"`
+	Shifts uint   `json:"shifts"`
+	Hier   uint64 `json:"hier"`
 }
 
 // String renders the triple like the paper's configuration labels.

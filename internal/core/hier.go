@@ -12,9 +12,9 @@ package core
 // any address in it since the snapshot. Read sets are partitioned per
 // bucket so the skip drops entire slices.
 //
-// Deviation from the paper (documented in DESIGN.md): the paper
-// increments the counter only on a transaction's *first* write per bucket
-// (a write-mask bit), and validation skips when the counter is unchanged
+// Deviation from the paper: the paper increments the counter only on a
+// transaction's *first* write per bucket (a write-mask bit), and
+// validation skips when the counter is unchanged
 // or changed by exactly that own first-write increment. That formulation
 // has an unsound window: a writer W that performed its first bucket write
 // (and increment) *before* a reader R snapshots the counter can acquire
@@ -34,11 +34,23 @@ package core
 // a group of first-level buckets, lets validation skip whole groups with
 // a single check before falling back to per-bucket and per-entry work.
 
-// hierRecordRead returns the read-set partition index for addr, recording
-// the bucket's counter on first contact. Only called with hierarchical
+// Both sides of the counter handshake are ordered so that a foreign
+// acquisition can never hide inside a snapshot: a transaction snapshots a
+// bucket's counter BEFORE it reads (or CASes) any lock word in the
+// bucket, and a writer increments the counter only AFTER its CAS took the
+// lock. A reader that saw a lock word unowned therefore holds a snapshot
+// that predates the acquiring CAS, and so the increment that follows it.
+// A writer caught between its CAS and its increment has not drawn a
+// commit timestamp yet, so a validation that skips the bucket in that
+// window still serializes before the writer.
+
+// hierTouch returns the bucket (= read-set partition) of addr, snapshotting
+// the bucket's counter on first contact. It must run before the attempt's
+// first look at any lock word in the bucket: Load calls it ahead of its
+// first loadLock, acquire ahead of the CAS. Only called with hierarchical
 // locking enabled; with h == 1 everything lives in partition 0 and Begin
 // pre-arms the single active bucket.
-func (tx *Tx) hierRecordRead(addr uint64) uint64 {
+func (tx *Tx) hierTouch(addr uint64) uint64 {
 	g := tx.geo
 	b := g.hierIndex(addr)
 	if !tx.rmask.has(b) {
@@ -55,28 +67,16 @@ func (tx *Tx) hierRecordRead(addr uint64) uint64 {
 	return b
 }
 
-// hierRecordWrite records a lock acquisition: first contact snapshots the
-// counter (the snapshot must precede our own increments for the
-// counter == snapshot + own-acquisitions fast-path rule), then the shared
-// counter is incremented to signal competing readers. Called once per
-// acquisition attempt; a failed CAS retries through here, which bumps
-// both the shared counter and the own count consistently (competitors
-// merely lose a skip opportunity). Only called with hierarchical locking
+// hierRecordWrite publishes one lock acquisition in bucket b: the shared
+// counter tells competing readers a lock in the bucket changed hands, the
+// own count keeps the counter == snapshot + own-acquisitions skip rule
+// exact. Called only after a successful casLock — an increment that
+// precedes the CAS can land inside a reader's snapshot while the reader
+// still sees the lock word unowned, and validation would then skip the
+// bucket the write made stale. Only called with hierarchical locking
 // enabled.
-func (tx *Tx) hierRecordWrite(addr uint64) {
+func (tx *Tx) hierRecordWrite(b uint64) {
 	g := tx.geo
-	b := g.hierIndex(addr)
-	if !tx.rmask.has(b) {
-		tx.rmask.set(b)
-		tx.hsnap[b] = g.hier[b].v.Load()
-		tx.hactive = append(tx.hactive, uint8(b))
-		if g.hier2Enabled() {
-			if b2 := g.hier2Index(b); !tx.rmask2.has(b2) {
-				tx.rmask2.set(b2)
-				tx.hsnap2[b2] = g.hier2[b2].v.Load()
-			}
-		}
-	}
 	g.hier[b].v.Add(1)
 	tx.hacq[b]++
 	if g.hier2Enabled() {

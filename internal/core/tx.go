@@ -479,18 +479,24 @@ func (tx *Tx) Load(addr uint64) uint64 {
 	a := mem.Addr(addr)
 	g := tx.geo
 	li := g.lockIndex(addr)
+	// The bucket's counter snapshot must predate the first look at the
+	// lock word (see hier.go); with h == 1 this is one predictable branch.
+	b := uint64(0)
+	if !tx.ro && g.hierEnabled() {
+		b = tx.hierTouch(addr)
+	}
 
 	lw := g.loadLock(li)
 	if !isOwned(lw) {
 		val := tx.tm.space.Load(a)
 		if g.loadLock(li) == lw {
 			if ver := lw >> tx.verShift; ver <= tx.end {
-				tx.recordRead(addr, li, ver)
+				tx.recordRead(b, li, ver)
 				return val
 			}
 		}
 	}
-	return tx.loadSlow(a, li)
+	return tx.loadSlow(a, li, b)
 }
 
 // loadTick is the cold half of the per-load yield bookkeeping
@@ -505,14 +511,11 @@ func (tx *Tx) loadTick() {
 	tx.opBudget = opBudgetIdle
 }
 
-// recordRead appends one read-set entry (no-op for read-only attempts).
-func (tx *Tx) recordRead(addr uint64, li uint64, ver uint64) {
+// recordRead appends one read-set entry to partition b, the bucket Load
+// touched before reading (no-op for read-only attempts).
+func (tx *Tx) recordRead(b, li, ver uint64) {
 	if tx.ro {
 		return
-	}
-	b := uint64(0)
-	if tx.geo.hierEnabled() {
-		b = tx.hierRecordRead(addr)
 	}
 	part := tx.rparts[b]
 	// Duplicate-read suppression: loop-heavy transactions re-read the
@@ -531,7 +534,7 @@ func (tx *Tx) recordRead(addr uint64, li uint64, ver uint64) {
 // loadSlow handles the uncommon read cases: a lock owned by this or
 // another transaction, a lock word that changed under the read, or a
 // version beyond the snapshot (triggering LSA extension).
-func (tx *Tx) loadSlow(a mem.Addr, li uint64) uint64 {
+func (tx *Tx) loadSlow(a mem.Addr, li, b uint64) uint64 {
 	if tx.cmst.Doomed() {
 		tx.abort(txn.AbortKilled)
 	}
@@ -588,7 +591,7 @@ restart:
 		continue restart
 	}
 
-	tx.recordRead(uint64(a), li, ver)
+	tx.recordRead(b, li, ver)
 	return val
 }
 
@@ -668,13 +671,18 @@ func (tx *Tx) store(addr uint64, v uint64, lockOnly bool) {
 // acquire attempts to take the lock at li (currently reading lw) and
 // record the write. Returns false if the CAS lost a race.
 func (tx *Tx) acquire(a mem.Addr, v uint64, li uint64, lw uint64, lockOnly bool) bool {
-	if tx.geo.hierEnabled() {
-		tx.hierRecordWrite(uint64(a))
+	hier := tx.geo.hierEnabled()
+	var b uint64
+	if hier {
+		b = tx.hierTouch(uint64(a))
 	}
 	if tx.design == WriteThrough {
 		idx := len(tx.owned)
 		if !tx.geo.casLock(li, lw, mkOwned(tx.slot, idx)) {
 			return false
+		}
+		if hier {
+			tx.hierRecordWrite(b)
 		}
 		tx.owned = append(tx.owned, lockRec{lockIdx: li, prevLock: lw})
 		old := tx.tm.space.Load(a)
@@ -688,6 +696,9 @@ func (tx *Tx) acquire(a mem.Addr, v uint64, li uint64, lw uint64, lockOnly bool)
 	idx := len(tx.wset)
 	if !tx.geo.casLock(li, lw, mkOwned(tx.slot, idx)) {
 		return false
+	}
+	if hier {
+		tx.hierRecordWrite(b)
 	}
 	val := v
 	if lockOnly {

@@ -103,19 +103,17 @@ func (r AutotuneResult) TraceTable(title string) harness.Table {
 	tbl := harness.Table{Title: title,
 		Headers: []string{"period", "phase", "locks", "shifts", "h", "throughput (10^3/s)", "move"}}
 	for i, e := range r.Events {
+		g := e.Decision(tuning.GeometryName)
 		move := "idle"
 		if !e.Idle {
-			move = e.Move.String()
-			if e.Reversed {
-				move = "-" + move
-			}
+			move = g.Move.Signed(g.Reversed)
 		}
 		phase := 0
 		if i < len(r.EventPhases) {
 			phase = r.EventPhases[i]
 		}
-		tbl.AddRow(e.Period, phase, fmt.Sprintf("2^%d", log2(e.Params.Locks)), e.Params.Shifts,
-			e.Params.Hier, fmt.Sprintf("%.1f", e.Throughput/1000), move)
+		tbl.AddRow(e.Period, phase, fmt.Sprintf("2^%d", log2(g.From.Params.Locks)), g.From.Params.Shifts,
+			g.From.Params.Hier, fmt.Sprintf("%.1f", e.Throughput/1000), move)
 	}
 	return tbl
 }
@@ -164,10 +162,14 @@ func AutotuneSweep(sc Scale, ac AutotuneConfig) AutotuneResult {
 		samples = 3
 	}
 	trace := make(chan tuning.Event, ac.Periods+8)
+	var ctls []tuning.Controller
+	if ac.TuneCM {
+		ctls = append(ctls, tuning.NewCM(tm, tuning.CMConfig{}))
+	}
 	rt := tuning.NewRuntime(tm, tuning.RuntimeConfig{
 		Tuner:  tuning.Config{Initial: ac.Start, Bounds: ac.Bounds, Seed: ac.Seed},
 		Period: ac.Period, Samples: samples, Trace: trace,
-		CM: tuning.CMConfig{Enable: ac.TuneCM},
+		Controllers: ctls,
 	})
 	if err := rt.Start(); err != nil {
 		panic(fmt.Sprintf("experiments: autotune start: %v", err))
@@ -192,7 +194,7 @@ func AutotuneSweep(sc Scale, ac AutotuneConfig) AutotuneResult {
 	}
 	rt.Stop()
 	result.Best, result.BestTp = rt.Best()
-	result.Final = rt.Current()
+	result.Final = rt.Knob(tuning.GeometryName).Params
 	workers.Stop()
 
 	// Static baselines: every configuration measured under every phase on

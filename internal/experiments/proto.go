@@ -295,8 +295,8 @@ func runProtoPoint(sc Scale, cfg ProtoConfig, surface string, readPct int, theta
 		p.AbortRatio = float64(delta.Aborts) / float64(total)
 	}
 	if rt := sf.srv.Runtime(); rt != nil {
-		p.AdmWidth = rt.AdmissionWidth()
-		p.AdmMoves = rt.AdmissionMoves()
+		p.AdmWidth = rt.Knob(tuning.AdmissionName).N
+		p.AdmMoves = rt.Moves(tuning.AdmissionName)
 	}
 	return p, nil
 }

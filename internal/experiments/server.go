@@ -179,16 +179,16 @@ func runServerPoint(sc Scale, cfg ServerConfig, geo core.Params, autotune bool) 
 	lat := obs.NewHistogram()
 	var rt *tuning.Runtime
 	if autotune {
-		admCfg := tuning.AdmissionConfig{Enable: cfg.TuneAdmission && gate != nil}
-		if admCfg.Enable {
-			admCfg.Gate = gate
+		var ctls []tuning.Controller
+		if cfg.TuneAdmission && gate != nil {
+			ctls = append(ctls, tuning.NewAdmission(gate, tuning.AdmissionConfig{}))
 		}
 		rt = tuning.NewRuntime(tm, tuning.RuntimeConfig{
-			Tuner:     tuning.Config{Initial: geo, Bounds: cfg.Bounds, Seed: cfg.Seed},
-			Period:    cfg.Period,
-			Samples:   cfg.Samples,
-			Admission: admCfg,
-			Latency:   lat,
+			Tuner:       tuning.Config{Initial: geo, Bounds: cfg.Bounds, Seed: cfg.Seed},
+			Period:      cfg.Period,
+			Samples:     cfg.Samples,
+			Controllers: ctls,
+			Latency:     lat,
 		})
 		if err := rt.Start(); err != nil {
 			panic(fmt.Sprintf("experiments: server sweep autotune start: %v", err))
@@ -226,7 +226,7 @@ func runServerPoint(sc Scale, cfg ServerConfig, geo core.Params, autotune bool) 
 		pt.AdmWidth = gate.Width()
 	}
 	if rt != nil {
-		pt.AdmMoves = rt.AdmissionMoves()
+		pt.AdmMoves = rt.Moves(tuning.AdmissionName)
 	}
 	return pt, events
 }

@@ -66,12 +66,8 @@ func (r TuneResult) TraceTable(title string) harness.Table {
 	tbl := harness.Table{Title: title,
 		Headers: []string{"cfg#", "locks", "shifts", "h", "throughput (10^3/s)", "move"}}
 	for _, e := range r.Trace {
-		move := e.Move.String()
-		if e.Reversed {
-			move = "-" + move // the paper's "-x": reverse then move x
-		}
 		tbl.AddRow(e.Index, fmt.Sprintf("2^%d", log2(e.Params.Locks)), e.Params.Shifts,
-			e.Params.Hier, fmt.Sprintf("%.1f", e.Throughput/1000), move)
+			e.Params.Hier, fmt.Sprintf("%.1f", e.Throughput/1000), e.Move.Signed(e.Reversed))
 	}
 	return tbl
 }

@@ -6,6 +6,7 @@
 package kvserver
 
 import (
+	"math/bits"
 	"net/http"
 	"strconv"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"tinystm/internal/kvproto"
 	"tinystm/internal/obs"
 	"tinystm/internal/resilience"
+	"tinystm/internal/tuning"
 	"tinystm/internal/txn"
 	"tinystm/internal/wal"
 )
@@ -265,6 +267,31 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(s.proto.badFrames.Load()) })
 
 	return m
+}
+
+// registerTuning exports every controller's decisions and live knob, so
+// "why did the tuner move" is answerable from /metrics alone. Called from
+// New once the runtime exists (it is built after the instruments it reads).
+func (m *metrics) registerTuning(rt *tuning.Runtime) {
+	knob := func(name, dim string, f func(tuning.Knob) float64) {
+		m.reg.GaugeFunc("stm_tuning_knob", "Setting each tuning controller believes is installed.",
+			obs.Labels{"controller": name, "dim": dim},
+			func() float64 { return f(rt.Knob(name)) })
+	}
+	for _, name := range rt.Controllers() {
+		for _, o := range tuning.Outcomes {
+			m.reg.CounterFunc("stm_tuning_decisions_total", "Per-period decisions by tuning controller and outcome.",
+				obs.Labels{"controller": name, "outcome": string(o)},
+				func() float64 { return float64(rt.Count(name, o)) })
+		}
+		if name == tuning.GeometryName {
+			knob(name, "locks_log2", func(k tuning.Knob) float64 { return float64(bits.TrailingZeros64(k.Params.Locks)) })
+			knob(name, "shifts", func(k tuning.Knob) float64 { return float64(k.Params.Shifts) })
+			knob(name, "hier_log2", func(k tuning.Knob) float64 { return float64(bits.TrailingZeros64(k.Params.Hier)) })
+			continue
+		}
+		knob(name, "value", func(k tuning.Knob) float64 { return float64(k.N) })
+	}
 }
 
 // Metrics exposes the server's registry (tests; embedding servers).

@@ -3,11 +3,15 @@ package kvserver
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"tinystm/internal/tuning"
 )
 
 // scrape fetches /metrics and returns the body plus a sample lookup:
@@ -52,9 +56,11 @@ func scrape(t *testing.T, c *http.Client, url string) (string, func(series strin
 // TestMetricsEndpoint drives traffic over a fully-featured server and
 // checks the exposition covers every layer with live values.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{
+	srv, ts := newTestServer(t, Config{
 		SpaceWords: 1 << 18, Shards: 4, Buckets: 8,
 		Snapshots: true, AdmissionWidth: 8,
+		Autotune: true, TuneCM: true, TuneSnapshots: true, TuneAdmission: true,
+		BrownoutSLO: time.Second, Period: 2 * time.Millisecond, Samples: 1,
 	})
 	c := ts.Client()
 
@@ -64,8 +70,47 @@ func TestMetricsEndpoint(t *testing.T) {
 		var got struct{ Val uint64 }
 		doJSON(t, c, "GET", ts.URL+"/kv/"+strconv.Itoa(i), "", &got)
 	}
+	// Freeze the controllers so the scrape and the runtime's own counts
+	// below describe the same instant.
+	rt := srv.Runtime()
+	for deadline := time.Now().Add(5 * time.Second); rt.Periods() < 4 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	rt.Stop()
 
 	body, val := scrape(t, c, ts.URL)
+
+	// Every running controller exports its decisions by outcome and its
+	// live knob; the landed moves on /metrics are the runtime's Moves.
+	if got := rt.Controllers(); len(got) != 5 {
+		t.Fatalf("controllers = %v, want geometry + the four Tune* ones", got)
+	}
+	for _, name := range rt.Controllers() {
+		var decisions, landed float64
+		for _, o := range tuning.Outcomes {
+			v, ok := val(`stm_tuning_decisions_total{controller="` + name + `",outcome="` + string(o) + `"}`)
+			if !ok {
+				t.Fatalf("no %s decisions series for controller %s", o, name)
+			}
+			decisions += v
+			if o == tuning.Moved || o == tuning.Reverted {
+				landed += v
+			}
+		}
+		if decisions != float64(rt.Periods()) || decisions < 4 {
+			t.Errorf("%s: %v decisions exported over %d periods", name, decisions, rt.Periods())
+		}
+		if landed != float64(rt.Moves(name)) {
+			t.Errorf("%s: %v landed moves exported, Runtime.Moves = %d", name, landed, rt.Moves(name))
+		}
+		dim, want := "value", float64(rt.Knob(name).N)
+		if name == tuning.GeometryName {
+			dim, want = "locks_log2", math.Log2(float64(srv.TM().Params().Locks))
+		}
+		if v, ok := val(`stm_tuning_knob{controller="` + name + `",dim="` + dim + `"}`); !ok || v != want {
+			t.Errorf("%s knob gauge = %v (ok=%v), want %v", name, v, ok, want)
+		}
+	}
 
 	if v, ok := val("stm_commits_total"); !ok || v < 32 {
 		t.Fatalf("stm_commits_total = %v (ok=%v), want >= 32", v, ok)
@@ -91,8 +136,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v, ok := val("stmkvd_keys"); !ok || v != 32 {
 		t.Fatalf("stmkvd_keys = %v (ok=%v), want 32", v, ok)
 	}
-	if v, ok := val("stmkvd_admission_width"); !ok || v != 8 {
-		t.Fatalf("admission width = %v (ok=%v), want 8", v, ok)
+	if v, ok := val("stmkvd_admission_width"); !ok || v != float64(rt.Knob(tuning.AdmissionName).N) || v < 8 {
+		t.Fatalf("admission width = %v (ok=%v), want the controller's %v (calm traffic only widens it from 8)",
+			v, ok, rt.Knob(tuning.AdmissionName))
 	}
 	if v, ok := val("stmkvd_admission_admitted_total"); !ok || v < 32 {
 		t.Fatalf("admitted = %v (ok=%v), want >= 32", v, ok)

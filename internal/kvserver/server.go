@@ -263,19 +263,27 @@ func New(cfg Config) (*Server, error) {
 		s.brown = resilience.NewBrownout(resilience.BrownoutConfig{SLO: cfg.BrownoutSLO})
 	}
 	if cfg.Autotune {
-		admCfg := tuning.AdmissionConfig{Enable: cfg.TuneAdmission}
+		// A controller in the list is on: the Tune* switches decide which
+		// ones the runtime runs behind its geometry tuner.
+		var ctls []tuning.Controller
+		if cfg.TuneCM {
+			ctls = append(ctls, tuning.NewCM(tm, tuning.CMConfig{}))
+		}
+		if cfg.TuneSnapshots {
+			ctls = append(ctls, tuning.NewBudget(tm, tuning.SnapshotConfig{}))
+		}
 		if cfg.TuneAdmission {
-			admCfg.Gate = s.gate
+			ctls = append(ctls, tuning.NewAdmission(s.gate, tuning.AdmissionConfig{}))
+		}
+		if s.brown != nil {
+			ctls = append(ctls, tuning.NewBrownout(s.brown))
 		}
 		s.rt = tuning.NewRuntime(tm, tuning.RuntimeConfig{
 			Tuner:            tuning.Config{Initial: cfg.Geometry, Bounds: cfg.Bounds, Seed: cfg.Seed},
 			Period:           cfg.Period,
 			Samples:          cfg.Samples,
 			MinPeriodCommits: cfg.MinPeriodCommits,
-			CM:               tuning.CMConfig{Enable: cfg.TuneCM},
-			Snapshot:         tuning.SnapshotConfig{Enable: cfg.TuneSnapshots},
-			Admission:        admCfg,
-			Brownout:         tuning.BrownoutConfig{Enable: s.brown != nil, Brown: s.brown},
+			Controllers:      ctls,
 			// A daemon tunes forever: keep only a bounded window of
 			// events in memory (/tuning serves its tail).
 			TraceCap: traceCap,
@@ -283,6 +291,7 @@ func New(cfg Config) (*Server, error) {
 			Now:      cfg.Now,
 			After:    cfg.After,
 		})
+		s.met.registerTuning(s.rt)
 		if err := s.rt.Start(); err != nil {
 			s.store.Close()
 			return nil, err
@@ -552,17 +561,6 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, req *kvproto.Requ
 	}
 }
 
-// wireParams is the JSON form of a tunable triple.
-type wireParams struct {
-	Locks  uint64 `json:"locks"`
-	Shifts uint   `json:"shifts"`
-	Hier   uint64 `json:"hier"`
-}
-
-func toWireParams(p core.Params) wireParams {
-	return wireParams{Locks: p.Locks, Shifts: p.Shifts, Hier: p.Hier}
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.tm.Stats()
 	minted, free := s.tm.DescriptorCounts()
@@ -571,7 +569,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"uptime_seconds": time.Since(s.start).Seconds(),
 		"design":         s.tm.Design().String(),
 		"clock":          s.tm.Clock().String(),
-		"params":         toWireParams(s.tm.Params()),
+		"params":         s.tm.Params(),
 		"cm":             s.tm.CM().String(),
 		"cm_switches":    st.CMSwitches,
 		"keys":           s.store.Len(),
@@ -623,32 +621,57 @@ func (s *Server) admissionStats() map[string]any {
 	}
 }
 
-// wireEvent is the JSON form of one tuning period.
-type wireEvent struct {
-	Period     int        `json:"period"`
-	Params     wireParams `json:"params"`
-	Throughput float64    `json:"throughput"`
-	Commits    uint64     `json:"commits"`
-	Aborts     uint64     `json:"aborts"`
-	Idle       bool       `json:"idle"`
-	Move       string     `json:"move,omitempty"`
-	Next       wireParams `json:"next"`
-	CM         string     `json:"cm,omitempty"`
-	NextCM     string     `json:"next_cm,omitempty"`
-	Budget     int        `json:"budget,omitempty"`
-	NextBudget int        `json:"next_budget,omitempty"`
-	SnapTooOld uint64     `json:"snap_too_old,omitempty"`
-	AdmWidth   int        `json:"adm_width,omitempty"`
-	NextAdm    int        `json:"next_adm_width,omitempty"`
-	Brownout   string     `json:"brownout,omitempty"`
-	NextBrown  string     `json:"next_brownout,omitempty"`
-	LatP50Ns   int64      `json:"lat_p50_ns,omitempty"`
-	LatP99Ns   int64      `json:"lat_p99_ns,omitempty"`
-	LatSamples uint64     `json:"lat_samples,omitempty"`
-	Err        string     `json:"err,omitempty"`
-	CMErr      string     `json:"cm_err,omitempty"`
-	SnapErr    string     `json:"snap_err,omitempty"`
-	AdmErr     string     `json:"adm_err,omitempty"`
+// wireKeys names a controller's knob before the period, the knob after a
+// move, and a failed move, in a /tuning event. The default is <name>,
+// next_<name>, <name>_err; the exceptions predate the controller list and
+// are frozen because clients read them.
+func wireKeys(controller string) (from, to, err string) {
+	switch controller {
+	case tuning.GeometryName:
+		return "params", "next", "err"
+	case tuning.BudgetName:
+		return "budget", "next_budget", "snap_err"
+	case tuning.AdmissionName:
+		return "adm_width", "next_adm_width", "adm_err"
+	}
+	return controller, "next_" + controller, controller + "_err"
+}
+
+// wireEvent is the JSON form of one tuning period: the sample, geometry's
+// next configuration and move number, then each controller's knob under
+// its wireKeys (the next knob only when it moved).
+func wireEvent(e tuning.Event) map[string]any {
+	we := map[string]any{
+		"period":     e.Period,
+		"throughput": e.Throughput,
+		"commits":    e.Commits,
+		"aborts":     e.Aborts,
+		"idle":       e.Idle,
+	}
+	if e.SnapTooOld > 0 {
+		we["snap_too_old"] = e.SnapTooOld
+	}
+	if e.LatSamples > 0 {
+		we["lat_p50_ns"] = int64(e.LatP50)
+		we["lat_p99_ns"] = int64(e.LatP99)
+		we["lat_samples"] = e.LatSamples
+	}
+	g := e.Decisions[0]
+	we["next"] = g.To
+	if !e.Idle {
+		we["move"] = g.Move.Signed(g.Reversed)
+	}
+	for _, d := range e.Decisions {
+		from, to, errKey := wireKeys(d.Controller)
+		we[from] = d.From
+		if d.Moved {
+			we[to] = d.To
+		}
+		if d.Err != nil {
+			we[errKey] = d.Err.Error()
+		}
+	}
+	return we
 }
 
 // traceCap bounds the tuning runtime's retained event window on a
@@ -675,92 +698,35 @@ func (s *Server) handleTuning(w http.ResponseWriter, r *http.Request) {
 	if len(events) > limit {
 		events = events[len(events)-limit:]
 	}
-	out := make([]wireEvent, len(events))
+	out := make([]map[string]any, len(events))
 	reconfigurations := 0
 	for i, e := range events {
-		we := wireEvent{
-			Period:     e.Period,
-			Params:     toWireParams(e.Params),
-			Throughput: e.Throughput,
-			Commits:    e.Commits,
-			Aborts:     e.Aborts,
-			Idle:       e.Idle,
-			Next:       toWireParams(e.Next),
-		}
-		if !e.Idle {
-			we.Move = e.Move.String()
-			if e.Reversed {
-				we.Move = "-" + we.Move
-			}
-		}
-		if s.cfg.TuneCM {
-			we.CM = e.CM.String()
-			if e.CMSwitched {
-				we.NextCM = e.NextCM.String()
-			}
-			if e.CMErr != nil {
-				we.CMErr = e.CMErr.Error()
-			}
-		}
-		if s.cfg.TuneSnapshots {
-			we.Budget = e.Budget
-			we.SnapTooOld = e.SnapTooOld
-			if e.BudgetChanged {
-				we.NextBudget = e.NextBudget
-			}
-			if e.SnapErr != nil {
-				we.SnapErr = e.SnapErr.Error()
-			}
-		}
-		if s.cfg.TuneAdmission {
-			we.AdmWidth = e.AdmWidth
-			if e.AdmChanged {
-				we.NextAdm = e.NextAdmWidth
-			}
-			if e.AdmErr != nil {
-				we.AdmErr = e.AdmErr.Error()
-			}
-		}
-		if s.brown != nil {
-			we.Brownout = e.Brownout.String()
-			if e.BrownoutChanged {
-				we.NextBrown = e.NextBrownout.String()
-			}
-		}
-		if e.LatSamples > 0 {
-			we.LatP50Ns = int64(e.LatP50)
-			we.LatP99Ns = int64(e.LatP99)
-			we.LatSamples = e.LatSamples
-		}
-		if e.Err != nil {
-			we.Err = e.Err.Error()
-		}
-		if !e.Idle && e.Next != e.Params && e.Err == nil {
+		out[i] = wireEvent(e)
+		if g := e.Decisions[0]; g.Moved && g.Err == nil {
 			reconfigurations++
 		}
-		out[i] = we
 	}
 	best, bestTp := s.rt.Best()
 	st := s.tm.Stats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"enabled":           true,
 		"running":           s.rt.Running(),
-		"current":           toWireParams(s.rt.Current()),
-		"best":              toWireParams(best),
+		"current":           s.rt.Knob(tuning.GeometryName).Params,
+		"best":              best,
 		"best_throughput":   bestTp,
 		"reconfigurations":  reconfigurations,
 		"reconfigs_total":   st.Reconfigs,
 		"periods_total":     s.rt.Periods(),
 		"cm":                s.tm.CM().String(),
 		"cm_tuning":         s.cfg.TuneCM,
-		"cm_switches":       s.rt.CMSwitches(),
+		"cm_switches":       s.rt.Moves(tuning.CMName),
 		"cm_switches_total": st.CMSwitches,
 		"snapshot_tuning":   s.cfg.TuneSnapshots,
 		"version_budget":    s.tm.VersionBudget(),
-		"budget_moves":      s.rt.BudgetMoves(),
+		"budget_moves":      s.rt.Moves(tuning.BudgetName),
 		"admission_tuning":  s.cfg.TuneAdmission,
 		"admission_width":   s.admissionWidth(),
-		"admission_moves":   s.rt.AdmissionMoves(),
+		"admission_moves":   s.rt.Moves(tuning.AdmissionName),
 		"brownout_tuning":   s.brown != nil,
 		"brownout_level":    s.brownoutLevelName(),
 		"events":            out,

@@ -3,10 +3,12 @@ package kvserver
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +17,7 @@ import (
 
 	"tinystm/internal/cm"
 	"tinystm/internal/core"
+	"tinystm/internal/tuning"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -509,5 +512,98 @@ func TestTuneSnapshotsRequiresSnapshots(t *testing.T) {
 	}
 	if out.SnapshotTuning {
 		t.Fatal("/tuning claims snapshot tuning with the sidecar disabled")
+	}
+}
+
+// wireParams and parentWireEvent are the /tuning event structs as they stood before events
+// became Sample + []Decision. They are the frozen client contract: bench/ and
+// the smokes read these keys.
+type wireParams struct {
+	Locks  uint64 `json:"locks"`
+	Shifts uint   `json:"shifts"`
+	Hier   uint64 `json:"hier"`
+}
+
+type parentWireEvent struct {
+	Period     *int        `json:"period"`
+	Params     *wireParams `json:"params"`
+	Throughput *float64    `json:"throughput"`
+	Commits    *uint64     `json:"commits"`
+	Aborts     *uint64     `json:"aborts"`
+	Idle       *bool       `json:"idle"`
+	Move       *string     `json:"move"`
+	Next       *wireParams `json:"next"`
+	CM         *string     `json:"cm"`
+	NextCM     *string     `json:"next_cm"`
+	Budget     *int        `json:"budget"`
+	NextBudget *int        `json:"next_budget"`
+	SnapTooOld *uint64     `json:"snap_too_old"`
+	AdmWidth   *int        `json:"adm_width"`
+	NextAdm    *int        `json:"next_adm_width"`
+	Brownout   *string     `json:"brownout"`
+	NextBrown  *string     `json:"next_brownout"`
+	LatP50Ns   *int64      `json:"lat_p50_ns"`
+	LatP99Ns   *int64      `json:"lat_p99_ns"`
+	LatSamples *uint64     `json:"lat_samples"`
+	Err        *string     `json:"err"`
+	CMErr      *string     `json:"cm_err"`
+	SnapErr    *string     `json:"snap_err"`
+	AdmErr     *string     `json:"adm_err"`
+}
+
+// TestTuningWireKeysFrozen: a period in which every controller moved and
+// every move failed must still render every key the old flat event had,
+// with the old JSON types (decoding into the old struct checks both), and
+// a live /tuning response must keep every top-level key.
+func TestTuningWireKeysFrozen(t *testing.T) {
+	knob := func(n int, name string) tuning.Knob { return tuning.Knob{N: n, Name: name} }
+	failed := errors.New("refused")
+	ev := tuning.Event{
+		Sample: tuning.Sample{
+			Period: 3, Throughput: 1e4, Commits: 100, Aborts: 300, SnapTooOld: 2,
+			LatP50: time.Millisecond, LatP99: 9 * time.Millisecond, LatSamples: 50,
+		},
+		Decisions: []tuning.Decision{
+			{Controller: tuning.GeometryName, Moved: true, Move: tuning.MoveDoubleLocks, Err: failed,
+				From: tuning.Knob{Params: core.Params{Locks: 256, Hier: 1}}, To: tuning.Knob{Params: core.Params{Locks: 512, Hier: 1}}},
+			{Controller: tuning.CMName, From: knob(0, "suicide"), To: knob(1, "backoff"), Moved: true, Err: failed},
+			{Controller: tuning.BudgetName, From: knob(64, ""), To: knob(128, ""), Moved: true, Err: failed},
+			{Controller: tuning.AdmissionName, From: knob(8, ""), To: knob(4, ""), Moved: true, Err: failed},
+			{Controller: tuning.BrownoutName, From: knob(0, "off"), To: knob(1, "shed-scans"), Moved: true},
+		},
+	}
+	raw, err := json.Marshal(wireEvent(ev))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old parentWireEvent
+	if err := json.Unmarshal(raw, &old); err != nil {
+		t.Fatalf("event no longer decodes into the old shape: %v\n%s", err, raw)
+	}
+	for v, i := reflect.ValueOf(old), 0; i < v.NumField(); i++ {
+		if v.Field(i).IsNil() {
+			t.Errorf("event lost key %q: %s", v.Type().Field(i).Tag.Get("json"), raw)
+		}
+	}
+	if *old.Move != "1" || *old.NextCM != "backoff" || *old.NextBudget != 128 || *old.NextAdm != 4 || *old.NextBrown != "shed-scans" {
+		t.Errorf("event values moved: %s", raw)
+	}
+
+	_, ts := newTestServer(t, Config{
+		SpaceWords: 1 << 18, Shards: 2, Buckets: 8, Snapshots: true, AdmissionWidth: 8,
+		Autotune: true, TuneCM: true, TuneSnapshots: true, TuneAdmission: true,
+		BrownoutSLO: time.Second, Period: time.Hour,
+	})
+	var top map[string]json.RawMessage
+	doJSON(t, ts.Client(), "GET", ts.URL+"/tuning", "", &top)
+	for _, key := range []string{
+		"enabled", "running", "current", "best", "best_throughput", "reconfigurations",
+		"reconfigs_total", "periods_total", "cm", "cm_tuning", "cm_switches", "cm_switches_total",
+		"snapshot_tuning", "version_budget", "budget_moves", "admission_tuning", "admission_width",
+		"admission_moves", "brownout_tuning", "brownout_level", "events",
+	} {
+		if _, ok := top[key]; !ok {
+			t.Errorf("/tuning lost top-level key %q", key)
+		}
 	}
 }

@@ -142,33 +142,49 @@ func NewBrownout(cfg BrownoutConfig) *Brownout {
 	return &Brownout{cfg: cfg.withDefaults()}
 }
 
-// Step feeds one period's measured p99 and sample count and returns
-// the (possibly new) level plus whether it changed. Single-stepper
-// only: call from one controller goroutine.
-func (b *Brownout) Step(p99 time.Duration, samples uint64) (Level, bool) {
+// Decide feeds one period's measured p99 and sample count to the
+// hysteresis and returns the level the ladder should stand on next, plus
+// whether that is a change. It does not move the ladder — Set does — so a
+// controller can decide under its own lock and install outside it.
+// Single-stepper only: call from one controller goroutine.
+func (b *Brownout) Decide(p99 time.Duration, samples uint64) (Level, bool) {
 	lvl := b.Level()
 	if samples >= b.cfg.MinSamples && p99 > b.cfg.SLO {
 		b.hot++
 		b.calm = 0
 		if b.hot >= b.cfg.EscalateAfter && lvl < b.cfg.MaxLevel {
-			lvl++
 			b.hot = 0
-			b.level.Store(int32(lvl))
-			b.escalations.Add(1)
-			return lvl, true
+			return lvl + 1, true
 		}
 		return lvl, false
 	}
 	b.calm++
 	b.hot = 0
 	if b.calm >= b.cfg.CalmAfter && lvl > LevelOff {
-		lvl--
 		b.calm = 0
-		b.level.Store(int32(lvl))
-		b.deescalations.Add(1)
-		return lvl, true
+		return lvl - 1, true
 	}
 	return lvl, false
+}
+
+// Set moves the ladder to lvl (the request paths see it on their next
+// atomic load) and counts the move as an escalation or de-escalation.
+func (b *Brownout) Set(lvl Level) {
+	switch old := Level(b.level.Swap(int32(lvl))); {
+	case lvl > old:
+		b.escalations.Add(1)
+	case lvl < old:
+		b.deescalations.Add(1)
+	}
+}
+
+// Step is Decide followed by Set: one period of the ladder in one call.
+func (b *Brownout) Step(p99 time.Duration, samples uint64) (Level, bool) {
+	lvl, changed := b.Decide(p99, samples)
+	if changed {
+		b.Set(lvl)
+	}
+	return lvl, changed
 }
 
 // Level returns the current rung (lock-free; safe from any goroutine).

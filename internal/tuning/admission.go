@@ -1,11 +1,9 @@
 package tuning
 
-// AdmissionGate is the runtime's view of an update-admission token
-// bucket whose width can be walked live. admission.Gate satisfies it.
-// Unlike the CM and snapshot knobs the gate is not part of the STM — it
-// sits in front of it, at the server door — so it is handed to the
-// runtime through AdmissionConfig.Gate instead of being discovered on
-// the System.
+// AdmissionGate is an update-admission token bucket whose width can be
+// walked live. admission.Gate satisfies it. Unlike the CM and snapshot
+// knobs the gate is not part of the STM — it sits in front of it, at the
+// server door.
 type AdmissionGate interface {
 	// Width returns the current number of concurrent-updater tokens.
 	Width() int
@@ -13,9 +11,10 @@ type AdmissionGate interface {
 	SetWidth(int) error
 }
 
-// AdmissionConfig parameterizes the proactive admission controller: the
-// paper's dynamic-tuning loop applied to the one knob the contention
-// managers cannot reach — how many update transactions run AT ALL.
+// AdmissionConfig parameterizes the proactive admission controller
+// (NewAdmission): the paper's dynamic-tuning loop applied to the one knob
+// the contention managers cannot reach — how many update transactions run
+// AT ALL.
 //
 // The cost-of-concurrency observation (Ravi): past a workload-dependent
 // point, admitting more concurrent updaters reduces committed
@@ -38,11 +37,6 @@ type AdmissionGate interface {
 // The floor is 1, never 0: admission control may serialize updates but
 // must never starve them.
 type AdmissionConfig struct {
-	// Enable turns the controller on. Gate must then be non-nil (Start
-	// fails otherwise).
-	Enable bool
-	// Gate is the live token bucket to walk (the server's gate).
-	Gate AdmissionGate
 	// Min and Max bound the walk. Defaults 1 and 1024.
 	Min, Max int
 	// ShrinkAbortRatio is the abort ratio aborts/(commits+aborts) at or
@@ -88,26 +82,42 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 // cmTuner and snapTuner, so the fake-clock runtime tests cover it end
 // to end.
 type admTuner struct {
+	gate  AdmissionGate
 	cfg   AdmissionConfig
 	width int
 	calm  int // consecutive periods at or below GrowAbortRatio
 	hold  int
-	moves int
 }
 
-func newAdmTuner(cfg AdmissionConfig, width int) *admTuner {
+func (t *admTuner) Name() string { return AdmissionName }
+func (t *admTuner) Knob() Knob   { return Knob{N: t.width} }
+
+func (t *admTuner) Observe(s Sample) Decision {
+	return decide(t, s, func() bool {
+		_, changed := t.step(s.Commits, s.Aborts)
+		return changed
+	})
+}
+
+// Apply resizes the live gate (no world freeze).
+func (t *admTuner) Apply(d Decision) error { return t.gate.SetWidth(d.To.N) }
+
+// Revert resynchronizes with the width the live gate actually has.
+func (t *admTuner) Revert(Decision) { t.width = t.gate.Width() }
+
+// NewAdmission returns the admission-width controller over gate, starting
+// from the width the gate has now (clamped into [Min, Max]).
+func NewAdmission(gate AdmissionGate, cfg AdmissionConfig) Controller {
 	cfg = cfg.withDefaults()
+	width := gate.Width()
 	if width < cfg.Min {
 		width = cfg.Min
 	}
 	if width > cfg.Max {
 		width = cfg.Max
 	}
-	return &admTuner{cfg: cfg, width: width}
+	return &admTuner{gate: gate, cfg: cfg, width: width}
 }
-
-// switches returns how many width moves the controller decided.
-func (t *admTuner) switches() int { return t.moves }
 
 // step consumes one period's (commits, aborts) deltas and returns the
 // width for the next period (changed reports a move).
@@ -146,6 +156,5 @@ func (t *admTuner) step(commits, aborts uint64) (next int, changed bool) {
 		return t.width, false
 	}
 	t.hold = t.cfg.HoldPeriods
-	t.moves++
 	return t.width, true
 }

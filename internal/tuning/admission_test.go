@@ -1,11 +1,15 @@
 package tuning
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
+
+// newAdmTuner builds the controller the way a server does, over a gate
+// currently width wide.
+func newAdmTuner(cfg AdmissionConfig, width int) *admTuner {
+	return NewAdmission(&fakeSystem{width: width}, cfg).(*admTuner)
+}
 
 func TestAdmTunerRules(t *testing.T) {
 	at := newAdmTuner(AdmissionConfig{Min: 1, Max: 64, GrowAfter: 2, HoldPeriods: 1}, 32)
@@ -59,12 +63,8 @@ func TestAdmTunerNeverStarves(t *testing.T) {
 		t.Fatalf("storm parked the width at %d, want the floor 1", at.width)
 	}
 	// At the floor a storm period is not a move: nothing to shrink.
-	before := at.switches()
 	if _, ch := at.step(0, 100); ch {
 		t.Fatal("shrink reported at the floor")
-	}
-	if at.switches() != before {
-		t.Fatal("move counted at the floor")
 	}
 }
 
@@ -87,183 +87,49 @@ func TestAdmTunerClamps(t *testing.T) {
 	}
 }
 
-// fakeGate is an AdmissionGate for the fake-clock runtime tests: it
-// records every width the controller installs.
-type fakeGate struct {
-	mu       sync.Mutex
-	width    int
-	sets     int
-	minSeen  int
-	failSets bool
-}
-
-func newFakeGate(width int) *fakeGate {
-	return &fakeGate{width: width, minSeen: width}
-}
-
-func (g *fakeGate) Width() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.width
-}
-
-func (g *fakeGate) SetWidth(w int) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.failSets {
-		return fmt.Errorf("fake gate: SetWidth disabled")
-	}
-	g.width = w
-	g.sets++
-	if w < g.minSeen {
-		g.minSeen = w
-	}
-	return nil
-}
-
-// admEnv extends virtualEnv with a synthetic abort source: during the
-// write-storm phase, any gate width above hotWidth makes the admitted
-// updaters mostly kill each other (abort ratio 0.75); at or below it —
-// and after the flip to the calm phase — aborts stop.
-type admEnv struct {
-	*virtualEnv
-	gate     *fakeGate
-	flipTick int // phase boundary, in After ticks
-	hotWidth int
-
-	aborts uint64
-}
-
-func (e *admEnv) CommitAbortCounts() (uint64, uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.commits, e.aborts
-}
-
-// After advances the fake clock via the embedded env, then accrues the
-// phase's abort signal from the commit delta and the live gate width.
-func (e *admEnv) After(d time.Duration) <-chan time.Time {
-	e.mu.Lock()
-	before := e.commits
-	e.mu.Unlock()
-	ch := e.virtualEnv.After(d)
-	w := e.gate.Width()
-	e.mu.Lock()
-	if dc := e.commits - before; e.ticks <= e.flipTick && w > e.hotWidth {
-		e.aborts += 3 * dc
-	}
-	e.mu.Unlock()
-	return ch
-}
-
 // TestRuntimeAdaptsAdmissionWidth is the deterministic fake-clock check
 // of the acceptance criterion: the gate narrows while the write storm
 // keeps manufacturing aborts, and probes back open once the storm ends.
 func TestRuntimeAdaptsAdmissionWidth(t *testing.T) {
-	const periods = 60
-	gate := newFakeGate(32)
-	env := &admEnv{
-		virtualEnv: newVirtualEnv(p(10, 0, 1), synthetic(p(10, 0, 1)), periods),
-		gate:       gate,
-		flipTick:   periods / 2,
-		hotWidth:   2,
-	}
-	rt := NewRuntime(env, RuntimeConfig{
-		Tuner:   Config{Initial: p(10, 0, 1), Seed: 3},
-		Period:  time.Second,
-		Samples: 1,
-		Admission: AdmissionConfig{
-			Enable: true, Gate: gate, Min: 1, Max: 64,
-			GrowAfter: 2, HoldPeriods: 2,
-		},
-		Now:   env.Now,
-		After: env.After,
+	const (
+		periods  = 60
+		flipTick = periods / 2 // phase boundary, in After ticks
+		hotWidth = 2
+	)
+	rate := synthetic(p(10, 0, 1))
+	// During the write-storm phase, any gate width above hotWidth makes
+	// the admitted updaters mostly kill each other (abort ratio 0.75); at
+	// or below it — and after the flip to the calm phase — aborts stop.
+	env := newFakeSystem(p(10, 0, 1), periods, func(f *fakeSystem, d time.Duration) {
+		dc := uint64(rate(f.params) * d.Seconds())
+		f.commits += dc
+		if f.ticks <= flipTick && f.width > hotWidth {
+			f.aborts += 3 * dc
+		}
 	})
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	<-env.reached
-	rt.Stop()
-
-	trace := rt.Trace()
+	cfg := env.config(Config{Initial: p(10, 0, 1), Seed: 3},
+		NewAdmission(env, AdmissionConfig{Min: 1, Max: 64, GrowAfter: 2, HoldPeriods: 2}))
+	cfg.Samples = 1
+	rt := NewRuntime(env, cfg)
+	trace := env.runToEnd(t, rt)
 	if len(trace) == 0 {
 		t.Fatal("empty trace")
 	}
 	// Phase 1: the storm must have squeezed the gate down to the calm
 	// width (the synthetic surface keeps aborting until width <= hotWidth).
-	if gate.minSeen > env.hotWidth {
-		t.Fatalf("storm phase narrowed the gate only to %d, want <= %d", gate.minSeen, env.hotWidth)
+	if env.minWidth > hotWidth {
+		t.Fatalf("storm phase narrowed the gate only to %d, want <= %d", env.minWidth, hotWidth)
 	}
 	// Phase 2: with the storm gone, the gate must have probed back open.
-	final := trace[len(trace)-1].NextAdmWidth
-	if final < 2*env.hotWidth {
-		t.Fatalf("calm phase reopened the gate only to %d, want >= %d", final, 2*env.hotWidth)
+	final := trace[len(trace)-1].Decision(AdmissionName).To.N
+	if final < 2*hotWidth {
+		t.Fatalf("calm phase reopened the gate only to %d, want >= %d", final, 2*hotWidth)
 	}
-	if rt.AdmissionMoves() == 0 || gate.sets == 0 {
-		t.Fatalf("controller made no width moves (moves=%d, sets=%d)", rt.AdmissionMoves(), gate.sets)
+	if rt.Moves(AdmissionName) == 0 || rt.Moves(AdmissionName) != env.widthSets {
+		t.Fatalf("controller counted %d width moves, the gate saw %d", rt.Moves(AdmissionName), env.widthSets)
 	}
-	if gate.Width() != final || rt.AdmissionWidth() != final {
+	if env.Width() != final || rt.Knob(AdmissionName).N != final {
 		t.Fatalf("gate width %d / controller width %d diverged from trace's %d",
-			gate.Width(), rt.AdmissionWidth(), final)
-	}
-}
-
-// TestRuntimeAdmissionResyncOnFailedMove pins the revert path: a width
-// that never lands must not be counted as a move, and the rule engine
-// must resynchronize with the live gate.
-func TestRuntimeAdmissionResyncOnFailedMove(t *testing.T) {
-	const periods = 12
-	gate := newFakeGate(4)
-	gate.failSets = true
-	env := &admEnv{
-		virtualEnv: newVirtualEnv(p(10, 0, 1), synthetic(p(10, 0, 1)), periods),
-		gate:       gate,
-		flipTick:   -1, // calm from the start: every decided move is a grow
-		hotWidth:   0,
-	}
-	rt := NewRuntime(env, RuntimeConfig{
-		Tuner:   Config{Initial: p(10, 0, 1), Seed: 3},
-		Period:  time.Second,
-		Samples: 1,
-		Admission: AdmissionConfig{
-			Enable: true, Gate: gate, Min: 1, Max: 64,
-			GrowAfter: 1, HoldPeriods: 1,
-		},
-		Now:   env.Now,
-		After: env.After,
-	})
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	<-env.reached
-	rt.Stop()
-
-	sawErr := false
-	for _, ev := range rt.Trace() {
-		if ev.AdmErr != nil {
-			sawErr = true
-		}
-	}
-	if !sawErr {
-		t.Fatal("no AdmErr recorded although every SetWidth failed")
-	}
-	if rt.AdmissionMoves() != 0 {
-		t.Fatalf("AdmissionMoves = %d although no move ever landed", rt.AdmissionMoves())
-	}
-	if rt.AdmissionWidth() != 4 {
-		t.Fatalf("controller width %d diverged from the live gate's 4", rt.AdmissionWidth())
-	}
-}
-
-// TestRuntimeAdmissionRequiresGate pins the Start-time check.
-func TestRuntimeAdmissionRequiresGate(t *testing.T) {
-	env := newVirtualEnv(p(10, 0, 1), synthetic(p(10, 0, 1)), 3)
-	rt := NewRuntime(env, RuntimeConfig{
-		Tuner:     Config{Initial: p(10, 0, 1)},
-		Admission: AdmissionConfig{Enable: true},
-		Now:       env.Now, After: env.After,
-	})
-	if err := rt.Start(); err == nil {
-		t.Fatal("Start accepted the admission controller without a gate")
+			env.Width(), rt.Knob(AdmissionName).N, final)
 	}
 }

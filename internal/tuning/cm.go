@@ -4,11 +4,9 @@ import (
 	"tinystm/internal/cm"
 )
 
-// CMSystem is the optional extension of System for STMs whose
-// contention-management policy can be switched live. *core.TM satisfies
-// it; enable the controller with RuntimeConfig.CM.Enable.
+// CMSystem is an STM whose contention-management policy can be switched
+// live. *core.TM satisfies it.
 type CMSystem interface {
-	System
 	// CM returns the active policy kind.
 	CM() cm.Kind
 	// SetCM switches the policy on the live system (no world freeze; a
@@ -16,9 +14,9 @@ type CMSystem interface {
 	SetCM(k cm.Kind, kn cm.Knobs) error
 }
 
-// CMConfig parameterizes the adaptive contention-management controller:
-// a rule-based ladder climber layered beside the geometry hill-climber,
-// driven by the same per-period (throughput, commits, aborts) measurement.
+// CMConfig parameterizes the adaptive contention-management controller
+// (NewCM): a rule-based ladder climber layered beside the geometry
+// hill-climber, driven by the same per-period Sample.
 //
 // The controller escalates to a heavier policy when the abort ratio says
 // the current one is livelocking, retreats to the best-measured policy
@@ -26,9 +24,6 @@ type CMSystem interface {
 // contention subsides — the adaptive-transaction-scheduling idea applied
 // to the whole policy ladder.
 type CMConfig struct {
-	// Enable turns the controller on. The Runtime's System must then
-	// implement CMSystem (Start fails otherwise).
-	Enable bool
 	// Ladder is the escalation order, lightest first. Default
 	// cm.AllKinds (suicide, backoff, karma, timestamp, serializer).
 	Ladder []cm.Kind
@@ -85,19 +80,39 @@ func (c CMConfig) withDefaults() CMConfig {
 // decision engine — deterministic given the measurement sequence — so the
 // fake-clock runtime tests cover it end to end.
 type cmTuner struct {
+	sys    CMSystem
 	cfg    CMConfig
 	ladder []cm.Kind
 	cur    int
 	seen   []bool
 	tp     []float64 // latest throughput measured per rung
 	hold   int
-	moves  int
 	prev   int // rung before the last switch (for revert on failed SetCM)
 }
 
-func newCMTuner(cfg CMConfig, start cm.Kind) *cmTuner {
+func (t *cmTuner) Name() string { return CMName }
+
+func (t *cmTuner) Knob() Knob {
+	k := t.current()
+	return Knob{N: int(k), Name: k.String()}
+}
+
+func (t *cmTuner) Observe(s Sample) Decision {
+	return decide(t, s, func() bool {
+		_, switched := t.step(s.Throughput, s.Commits, s.Aborts, s.GeometrySettled)
+		return switched
+	})
+}
+
+// Apply switches the live policy (no world freeze).
+func (t *cmTuner) Apply(d Decision) error { return t.sys.SetCM(cm.Kind(d.To.N), t.cfg.Knobs) }
+func (t *cmTuner) Revert(Decision)        { t.revert() }
+
+// NewCM returns the contention-management controller over sys, starting
+// from the policy sys runs now.
+func NewCM(sys CMSystem, cfg CMConfig) Controller {
 	cfg = cfg.withDefaults()
-	ladder := cfg.Ladder
+	start, ladder := sys.CM(), cfg.Ladder
 	cur := -1
 	for i, k := range ladder {
 		if k == start {
@@ -113,6 +128,7 @@ func newCMTuner(cfg CMConfig, start cm.Kind) *cmTuner {
 		cur = 0
 	}
 	return &cmTuner{
+		sys:    sys,
 		cfg:    cfg,
 		ladder: ladder,
 		cur:    cur,
@@ -123,9 +139,6 @@ func newCMTuner(cfg CMConfig, start cm.Kind) *cmTuner {
 
 // current returns the rung the controller believes is installed.
 func (t *cmTuner) current() cm.Kind { return t.ladder[t.cur] }
-
-// switches returns how many policy changes the controller decided.
-func (t *cmTuner) switches() int { return t.moves }
 
 // best returns the index of the best-measured rung (the current one when
 // nothing else was measured yet).
@@ -190,16 +203,14 @@ func (t *cmTuner) step(tp float64, commits, aborts uint64, geomSettled bool) (ne
 	t.prev = t.cur
 	t.cur = target
 	t.hold = t.cfg.HoldPeriods
-	t.moves++
 	return t.ladder[t.cur], true
 }
 
-// revert rolls the last switch back: the runtime calls it when SetCM
-// failed, so the controller's notion of the installed rung never drifts
-// from reality (otherwise every later measurement would be credited to a
-// rung that was never live, and the switch would never be retried).
+// revert rolls the last switch back after a failed SetCM, so the
+// controller's notion of the installed rung never drifts from reality
+// (otherwise every later measurement would be credited to a rung that was
+// never live, and the switch would never be retried).
 func (t *cmTuner) revert() {
 	t.cur = t.prev
 	t.hold = 0
-	t.moves--
 }

@@ -1,7 +1,6 @@
 package tuning
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -11,8 +10,14 @@ import (
 
 // cmTuner unit tests: the ladder climber is a pure decision engine.
 
+// newCMTuner builds the controller the way a server does, over a system
+// currently running start.
+func newCMTuner(cfg CMConfig, start cm.Kind) *cmTuner {
+	return NewCM(&fakeSystem{kind: start}, cfg).(*cmTuner)
+}
+
 func TestCMTunerEscalatesOnHighAbortRatio(t *testing.T) {
-	ct := newCMTuner(CMConfig{Enable: true, HoldPeriods: 1}, cm.Suicide)
+	ct := newCMTuner(CMConfig{HoldPeriods: 1}, cm.Suicide)
 	next, switched := ct.step(1000, 10, 90, true) // ratio 0.9
 	if !switched || next != cm.Backoff {
 		t.Fatalf("step = (%v, %v), want escalate to backoff", next, switched)
@@ -27,7 +32,7 @@ func TestCMTunerEscalatesOnHighAbortRatio(t *testing.T) {
 }
 
 func TestCMTunerRetreatsToBestOnThroughputDrop(t *testing.T) {
-	ct := newCMTuner(CMConfig{Enable: true, HoldPeriods: 1}, cm.Suicide)
+	ct := newCMTuner(CMConfig{HoldPeriods: 1}, cm.Suicide)
 	// Suicide measures 10000 at a healthy ratio: no move.
 	if _, switched := ct.step(10000, 100, 1, true); switched {
 		t.Fatal("moved off a healthy best policy")
@@ -43,13 +48,10 @@ func TestCMTunerRetreatsToBestOnThroughputDrop(t *testing.T) {
 	if !switched || next != cm.Suicide {
 		t.Fatalf("step = (%v, %v), want retreat to suicide", next, switched)
 	}
-	if ct.switches() != 2 {
-		t.Errorf("switches = %d, want 2", ct.switches())
-	}
 }
 
 func TestCMTunerDeescalatesWhenCalm(t *testing.T) {
-	ct := newCMTuner(CMConfig{Enable: true, HoldPeriods: 1}, cm.Karma)
+	ct := newCMTuner(CMConfig{HoldPeriods: 1}, cm.Karma)
 	next, switched := ct.step(5000, 1000, 1, true) // ratio ~0.001: probe down
 	if !switched || next != cm.Backoff {
 		t.Fatalf("step = (%v, %v), want de-escalate to backoff", next, switched)
@@ -69,7 +71,7 @@ func TestCMTunerDeescalatesWhenCalm(t *testing.T) {
 }
 
 func TestCMTunerStartOffLadder(t *testing.T) {
-	ct := newCMTuner(CMConfig{Enable: true, Ladder: []cm.Kind{cm.Karma, cm.Serializer}, HoldPeriods: 0}, cm.Suicide)
+	ct := newCMTuner(CMConfig{Ladder: []cm.Kind{cm.Karma, cm.Serializer}, HoldPeriods: 0}, cm.Suicide)
 	if got := ct.current(); got != cm.Suicide {
 		t.Fatalf("current = %v, want the system's actual policy", got)
 	}
@@ -78,89 +80,17 @@ func TestCMTunerStartOffLadder(t *testing.T) {
 	}
 }
 
-// cmVirtualEnv is a fake CMSystem under a fake clock: commits and aborts
-// accrue at a synthetic rate/abort-ratio profile that depends on both the
-// geometry and the contention-management policy. Deterministic end to end.
-type cmVirtualEnv struct {
-	mu          sync.Mutex
-	now         time.Time
-	commits     uint64
-	aborts      uint64
-	params      core.Params
-	kind        cm.Kind
-	profile     func(core.Params, cm.Kind) (rate, abortRatio float64)
-	ticks       int
-	maxTicks    int
-	reached     chan struct{}
-	reachedOnce sync.Once
-	cmSwitches  int
-}
-
-func newCMVirtualEnv(start core.Params, kind cm.Kind,
-	profile func(core.Params, cm.Kind) (float64, float64), maxTicks int) *cmVirtualEnv {
-	return &cmVirtualEnv{
-		now: time.Unix(0, 0), params: start, kind: kind,
-		profile: profile, maxTicks: maxTicks, reached: make(chan struct{}),
+// policyLoad is a fake-clock workload whose commit rate and abort ratio
+// depend on both the geometry and the contention-management policy.
+func policyLoad(profile func(core.Params, cm.Kind) (rate, abortRatio float64)) func(*fakeSystem, time.Duration) {
+	return func(f *fakeSystem, d time.Duration) {
+		rate, ar := profile(f.params, f.kind)
+		dc := rate * d.Seconds()
+		f.commits += uint64(dc)
+		if ar > 0 && ar < 1 {
+			f.aborts += uint64(dc * ar / (1 - ar)) // so aborts/(commits+aborts) == ar
+		}
 	}
-}
-
-func (v *cmVirtualEnv) CommitAbortCounts() (uint64, uint64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.commits, v.aborts
-}
-
-func (v *cmVirtualEnv) Reconfigure(p core.Params) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.params = p
-	return nil
-}
-
-func (v *cmVirtualEnv) Params() core.Params {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.params
-}
-
-func (v *cmVirtualEnv) CM() cm.Kind {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.kind
-}
-
-func (v *cmVirtualEnv) SetCM(k cm.Kind, _ cm.Knobs) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.kind = k
-	v.cmSwitches++
-	return nil
-}
-
-func (v *cmVirtualEnv) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now
-}
-
-func (v *cmVirtualEnv) After(d time.Duration) <-chan time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	if v.ticks >= v.maxTicks {
-		v.reachedOnce.Do(func() { close(v.reached) })
-		return ch // never fires; the runtime parks until Stop
-	}
-	v.ticks++
-	v.now = v.now.Add(d)
-	rate, ar := v.profile(v.params, v.kind)
-	dc := rate * d.Seconds()
-	v.commits += uint64(dc)
-	if ar > 0 && ar < 1 {
-		v.aborts += uint64(dc * ar / (1 - ar)) // so aborts/(commits+aborts) == ar
-	}
-	ch <- v.now
-	return ch
 }
 
 // The acceptance scenario: a livelock-prone configuration (Suicide under a
@@ -188,39 +118,27 @@ func TestRuntimeEscapesLivelockBySwitchingPolicy(t *testing.T) {
 		return geom(pp) * b.factor, b.ratio
 	}
 	const periods = 300
-	env := newCMVirtualEnv(start, cm.Suicide, profile, periods*3)
-	rt := NewRuntime(env, RuntimeConfig{
-		Tuner:   Config{Initial: start, Seed: 7},
-		Period:  time.Second,
-		Samples: 3,
-		CM:      CMConfig{Enable: true},
-		Now:     env.Now,
-		After:   env.After,
-	})
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	<-env.reached
-	rt.Stop()
-
-	trace := rt.Trace()
+	env := newFakeSystem(start, periods*3, policyLoad(profile))
+	rt := NewRuntime(env, env.config(Config{Initial: start, Seed: 7}, NewCM(env, CMConfig{})))
+	trace := env.runToEnd(t, rt)
 	if len(trace) < periods-1 {
 		t.Fatalf("trace has %d events, want ~%d", len(trace), periods)
 	}
 	switched := 0
 	bestTp := 0.0
 	for _, ev := range trace {
-		if ev.CMSwitched {
+		if ev.Decision(CMName).Moved {
 			switched++
 		}
 		if ev.Throughput > bestTp {
 			bestTp = ev.Throughput
 		}
 	}
-	if switched == 0 || rt.CMSwitches() == 0 || env.cmSwitches == 0 {
-		t.Fatal("runtime never switched the contention-management policy")
+	if switched == 0 || rt.Moves(CMName) != switched || env.cmSwitches != switched {
+		t.Fatalf("trace carries %d policy switches, Moves = %d, the system saw %d; want equal and non-zero",
+			switched, rt.Moves(CMName), env.cmSwitches)
 	}
-	if final := rt.CM(); final == cm.Suicide {
+	if final := rt.Knob(CMName); final.N == int(cm.Suicide) {
 		t.Fatal("runtime is still on the livelock-prone policy")
 	}
 	// The abort ratio must have dropped: compare the first period against
@@ -257,41 +175,11 @@ func TestRuntimeCMDeterministicUnderSeed(t *testing.T) {
 		return r, 0.1
 	}
 	run := func() []Event {
-		env := newCMVirtualEnv(p(8, 0, 1), cm.Suicide, profile, 80*3)
-		rt := NewRuntime(env, RuntimeConfig{
-			Tuner: Config{Initial: p(8, 0, 1), Seed: 42}, Period: time.Second,
-			Samples: 3, CM: CMConfig{Enable: true}, Now: env.Now, After: env.After,
-		})
-		if err := rt.Start(); err != nil {
-			t.Fatal(err)
-		}
-		<-env.reached
-		rt.Stop()
-		return rt.Trace()
+		env := newFakeSystem(p(8, 0, 1), 80*3, policyLoad(profile))
+		rt := NewRuntime(env, env.config(Config{Initial: p(8, 0, 1), Seed: 42}, NewCM(env, CMConfig{})))
+		return env.runToEnd(t, rt)
 	}
-	a, b := run(), run()
-	if len(a) != len(b) || len(a) == 0 {
-		t.Fatalf("trace lengths differ or empty: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("trace diverges at period %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
-// Enabling the controller against a System that cannot switch policies
-// must fail loudly at Start, not silently tune nothing.
-func TestRuntimeCMRequiresCMSystem(t *testing.T) {
-	env := newVirtualEnv(p(8, 0, 1), synthetic(p(12, 0, 1)), 10)
-	rt := NewRuntime(env, RuntimeConfig{
-		Tuner: Config{Initial: p(8, 0, 1), Seed: 1}, CM: CMConfig{Enable: true},
-		Now: env.Now, After: env.After,
-	})
-	if err := rt.Start(); err == nil {
-		rt.Stop()
-		t.Fatal("Start succeeded without a CMSystem")
-	}
+	sameTrace(t, run(), run())
 }
 
 // The live core.TM satisfies CMSystem and applies switches end to end.
@@ -302,31 +190,13 @@ func TestCoreTMIsCMSystem(t *testing.T) {
 // A ladder containing invalid kinds must be sanitized before the
 // controller can climb onto a rung SetCM would reject.
 func TestCMConfigDropsInvalidLadderKinds(t *testing.T) {
-	cfg := CMConfig{Enable: true, Ladder: []cm.Kind{cm.Suicide, cm.Kind(9), cm.Karma}}.withDefaults()
+	cfg := CMConfig{Ladder: []cm.Kind{cm.Suicide, cm.Kind(9), cm.Karma}}.withDefaults()
 	if len(cfg.Ladder) != 2 || cfg.Ladder[0] != cm.Suicide || cfg.Ladder[1] != cm.Karma {
 		t.Fatalf("ladder not sanitized: %v", cfg.Ladder)
 	}
 	// All-invalid ladders fall back to the default.
-	cfg = CMConfig{Enable: true, Ladder: []cm.Kind{cm.Kind(9)}}.withDefaults()
+	cfg = CMConfig{Ladder: []cm.Kind{cm.Kind(9)}}.withDefaults()
 	if len(cfg.Ladder) != len(cm.AllKinds) {
 		t.Fatalf("all-invalid ladder did not fall back: %v", cfg.Ladder)
-	}
-}
-
-// A failed SetCM must roll the controller back so its rung tracking never
-// drifts from the policy actually installed.
-func TestCMTunerRevertOnFailedSwitch(t *testing.T) {
-	ct := newCMTuner(CMConfig{Enable: true, HoldPeriods: 1}, cm.Suicide)
-	next, switched := ct.step(1000, 10, 90, true)
-	if !switched || next != cm.Backoff {
-		t.Fatalf("step = (%v, %v), want escalate", next, switched)
-	}
-	ct.revert()
-	if ct.current() != cm.Suicide || ct.switches() != 0 {
-		t.Fatalf("revert left cur=%v switches=%d", ct.current(), ct.switches())
-	}
-	// The escalation trigger fires again on the next period (no hold).
-	if next, switched = ct.step(1000, 10, 90, true); !switched || next != cm.Backoff {
-		t.Fatalf("retry after revert = (%v, %v), want escalate", next, switched)
 	}
 }

@@ -2,13 +2,12 @@ package tuning
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
-	"tinystm/internal/cm"
 	"tinystm/internal/core"
 	"tinystm/internal/obs"
-	"tinystm/internal/resilience"
 )
 
 // System is the runtime's view of a tunable STM: an O(1) lock-free sampler
@@ -27,119 +26,6 @@ type System interface {
 }
 
 var _ System = (*core.TM)(nil)
-
-// Event is one tuning period as observed by the runtime, published on the
-// trace channel (observability) and retained in the runtime's own trace.
-type Event struct {
-	// Period is the zero-based index of the tuning period.
-	Period int
-	// Params is the configuration that was live during the period.
-	Params core.Params
-	// Throughput is the maximum commits/second over the period's samples
-	// (Section 4.3 measures three times and keeps the maximum).
-	Throughput float64
-	// Commits and Aborts are the raw counter deltas over the whole period.
-	Commits, Aborts uint64
-	// Idle marks a paused period: the system was (nearly) quiescent, so
-	// the measurement was discarded instead of being charged to the
-	// current configuration, and no move was made.
-	Idle bool
-	// Move is the hill-climber's decision; Reversed marks the paper's "-x"
-	// notation (reverse to best, then move x). Meaningless when Idle.
-	Move     Move
-	Reversed bool
-	// Next is the configuration installed for the following period.
-	Next core.Params
-	// CM is the contention-management policy live during the period and
-	// NextCM the one installed for the following period; CMSwitched
-	// marks a change. Only meaningful with the policy controller
-	// enabled (RuntimeConfig.CM.Enable).
-	CM         cm.Kind
-	NextCM     cm.Kind
-	CMSwitched bool
-	// SnapTooOld and SnapReads are the period's snapshot-too-old abort
-	// and sidecar-read deltas; Budget is the version budget live during
-	// the period and NextBudget the one installed for the following one
-	// (BudgetChanged marks a move). Only meaningful with the snapshot
-	// controller enabled (RuntimeConfig.Snapshot.Enable).
-	SnapTooOld    uint64
-	SnapReads     uint64
-	Budget        int
-	NextBudget    int
-	BudgetChanged bool
-	// AdmWidth is the update-admission gate width live during the period
-	// and NextAdmWidth the one installed for the following one
-	// (AdmChanged marks a move). Only meaningful with the admission
-	// controller enabled (RuntimeConfig.Admission.Enable).
-	AdmWidth     int
-	NextAdmWidth int
-	AdmChanged   bool
-	// LatP50 and LatP99 are the period's request-latency quantiles and
-	// LatSamples its request count, differenced from the attached
-	// latency histogram (RuntimeConfig.Latency). Zero without one: the
-	// controller then steers on throughput alone.
-	LatP50, LatP99 time.Duration
-	LatSamples     uint64
-	// Brownout is the overload-shed level live during the period and
-	// NextBrownout the one after stepping the ladder on the period's p99;
-	// BrownoutChanged marks a move. Only meaningful with the brownout
-	// controller enabled (RuntimeConfig.Brownout.Enable). Unlike every
-	// other dimension, the ladder also steps on Idle periods — idleness
-	// is the calm that walks it back down.
-	Brownout        resilience.Level
-	NextBrownout    resilience.Level
-	BrownoutChanged bool
-	// Err reports a failed Reconfigure (the system keeps its previous
-	// parameters; the tuner's memory still records the move). CMErr
-	// reports a failed SetCM, SnapErr a failed SetVersionBudget and
-	// AdmErr a failed SetWidth likewise.
-	Err     error
-	CMErr   error
-	SnapErr error
-	AdmErr  error
-}
-
-// String renders one trace line ("cfg → tp via move").
-func (e Event) String() string {
-	switch {
-	case e.Idle:
-		s := fmt.Sprintf("period %d: %v idle (%d commits), holding", e.Period, e.Params, e.Commits)
-		if e.BrownoutChanged {
-			s += fmt.Sprintf(", brownout %v -> %v", e.Brownout, e.NextBrownout)
-		}
-		return s
-	case e.Err != nil:
-		return fmt.Sprintf("period %d: %v %.0f txs/s, move %v failed: %v", e.Period, e.Params, e.Throughput, e.Move, e.Err)
-	default:
-		m := e.Move.String()
-		if e.Reversed {
-			m = "-" + m
-		}
-		s := fmt.Sprintf("period %d: %v %.0f txs/s, move %v -> %v", e.Period, e.Params, e.Throughput, m, e.Next)
-		if e.LatSamples > 0 {
-			s += fmt.Sprintf(", lat p50=%v p99=%v (%d reqs)", e.LatP50, e.LatP99, e.LatSamples)
-		}
-		if e.CMSwitched {
-			s += fmt.Sprintf(", cm %v -> %v", e.CM, e.NextCM)
-		}
-		if e.CMErr != nil {
-			s += fmt.Sprintf(" (cm switch failed: %v)", e.CMErr)
-		}
-		if e.BudgetChanged {
-			s += fmt.Sprintf(", version budget %d -> %d (%d too-old)", e.Budget, e.NextBudget, e.SnapTooOld)
-		}
-		if e.AdmChanged {
-			s += fmt.Sprintf(", admission %d -> %d", e.AdmWidth, e.NextAdmWidth)
-		}
-		if e.AdmErr != nil {
-			s += fmt.Sprintf(" (admission move failed: %v)", e.AdmErr)
-		}
-		if e.BrownoutChanged {
-			s += fmt.Sprintf(", brownout %v -> %v", e.Brownout, e.NextBrownout)
-		}
-		return s
-	}
-}
 
 // RuntimeConfig parameterizes a Runtime.
 type RuntimeConfig struct {
@@ -170,40 +56,15 @@ type RuntimeConfig struct {
 	// read the full path afterwards).
 	TraceCap int
 
-	// CM configures the adaptive contention-management controller. With
-	// CM.Enable the System must also implement CMSystem: each period the
-	// controller reads the same measurement as the geometry tuner and
-	// may switch the live conflict-resolution policy (cm.Kind ladder)
-	// when the abort ratio or throughput says the current one lost.
-	CM CMConfig
-
-	// Snapshot configures the version-budget controller. With
-	// Snapshot.Enable the System must also implement SnapshotSystem with
-	// the MVCC sidecar attached: each period the controller meters
-	// snapshot-too-old aborts and sidecar reads and walks the per-shard
-	// version budget so buffer memory tracks the live read/write mix.
-	Snapshot SnapshotConfig
-
-	// Admission configures the proactive admission-control controller.
-	// With Admission.Enable, Admission.Gate must carry the live
-	// update-admission token bucket (it is not part of the System): each
-	// period the controller reads the same abort-ratio measurement and
-	// walks the gate's width — shrink when aborts climb, probe wider
-	// when calm.
-	Admission AdmissionConfig
-
-	// Brownout configures the overload-shed controller. With
-	// Brownout.Enable, Brownout.Brown must carry the server's ladder and
-	// Latency should carry the request histogram (without it the ladder
-	// only ever sees calm): each period the controller feeds the ladder
-	// the period's p99 and sample count, stepping it up under sustained
-	// SLO violation and back down under sustained calm — including idle
-	// periods, which every other controller skips.
-	Brownout BrownoutConfig
+	// Controllers run after the geometry controller, in order, over the
+	// same per-period Sample: NewCM, NewBudget, NewAdmission, NewBrownout,
+	// or anything else that implements Controller. A controller in the
+	// list is on; each constructor takes the system it drives.
+	Controllers []Controller
 
 	// Latency, when non-nil, is the server's request-latency histogram
 	// (nanoseconds). The runtime snapshots it once per period and
-	// carries the period's p50/p99 deltas on every Event — the measured
+	// carries the period's p50/p99 deltas on every Sample — the measured
 	// service-level consequence of each tuning move, next to the raw
 	// throughput the climbers steer on.
 	Latency *obs.Histogram
@@ -233,116 +94,65 @@ func (c RuntimeConfig) withDefaults() RuntimeConfig {
 	return c
 }
 
-// Runtime is the online auto-tuning controller (the paper's Section 4
-// "dynamic tuning" running inside the system rather than in a benchmark
-// harness): a background goroutine meters live commit throughput from the
-// system's aggregate counters, feeds the hill-climbing Tuner one
-// measurement per period, and applies the chosen moves to the live system
-// via Reconfigure.
+// Runtime is the online auto-tuning loop (the paper's Section 4 "dynamic
+// tuning" running inside the system rather than in a benchmark harness):
+// a background goroutine builds one Sample per period from the system's
+// aggregate counters, hands it to every controller — the hill-climbing
+// geometry tuner first, then RuntimeConfig.Controllers — and applies the
+// moves they choose to the live system.
 //
-// Start launches the controller; Stop halts it and waits for it to exit.
-// A stopped Runtime can be started again and continues from the tuner's
-// accumulated memory.
+// Start launches the loop; Stop halts it and waits for it to exit. A
+// stopped Runtime can be started again and continues from the
+// controllers' accumulated memory.
 type Runtime struct {
 	sys System
 	cfg RuntimeConfig
 
-	mu       sync.Mutex // guards tuner, trace, running/starting/stopping/stop/done, cmt/cmLive
-	tuner    *Tuner
+	mu       sync.Mutex // guards everything below
+	geom     *geometry  // ctls[0], kept typed for Best and Start
+	ctls     []Controller
+	names    []string             // ctls[i].Name()
+	counts   []map[Outcome]uint64 // decisions per controller, by outcome
 	trace    []Event
 	periods  int
 	running  bool
 	starting bool // Start in progress: installing the initial configuration
-	stopping bool // Stop in progress: stop closed, controller still draining
+	stopping bool // Stop in progress: stop closed, loop still draining
 	stop     chan struct{}
 	done     chan struct{}
-
-	// Contention-management controller (nil when disabled): cmSys is the
-	// System's CMSystem view, cmt the ladder climber, cmLive the policy
-	// the runtime believes is installed.
-	cmSys  CMSystem
-	cmt    *cmTuner
-	cmLive cm.Kind
-
-	// Snapshot version-budget controller (nil when disabled): snapSys is
-	// the System's SnapshotSystem view, snapT the rule engine; the
-	// too-old/read baselines live in the controller goroutine.
-	snapSys SnapshotSystem
-	snapT   *snapTuner
-
-	// Admission-width controller (nil when disabled): admGate is the
-	// server's token bucket, admT the rule engine.
-	admGate AdmissionGate
-	admT    *admTuner
-
-	// Overload-shed ladder (nil when disabled); the runtime is its
-	// single stepper.
-	brown *resilience.Brownout
 }
 
-// NewRuntime builds a controller over sys. The tuner starts at
+// NewRuntime builds the loop over sys. The geometry tuner starts at
 // cfg.Tuner.Initial, or at the system's current parameters when unset.
 func NewRuntime(sys System, cfg RuntimeConfig) *Runtime {
 	cfg = cfg.withDefaults()
 	if cfg.Tuner.Initial == (core.Params{}) {
 		cfg.Tuner.Initial = sys.Params()
 	}
-	r := &Runtime{sys: sys, cfg: cfg, tuner: New(cfg.Tuner)}
-	if cs, ok := sys.(CMSystem); ok {
-		// Report the system's actual policy even with the controller
-		// off; the controller itself only engages with CM.Enable.
-		r.cmLive = cs.CM()
-		if cfg.CM.Enable {
-			r.cmSys = cs
-			r.cmt = newCMTuner(cfg.CM, r.cmLive)
-		}
-	}
-	if ss, ok := sys.(SnapshotSystem); ok && cfg.Snapshot.Enable && ss.SnapshotsEnabled() {
-		r.snapSys = ss
-		r.snapT = newSnapTuner(cfg.Snapshot, ss.VersionBudget())
-	}
-	if cfg.Admission.Enable && cfg.Admission.Gate != nil {
-		r.admGate = cfg.Admission.Gate
-		r.admT = newAdmTuner(cfg.Admission, r.admGate.Width())
-	}
-	if cfg.Brownout.Enable && cfg.Brownout.Brown != nil {
-		r.brown = cfg.Brownout.Brown
+	geom := &geometry{sys: sys, t: New(cfg.Tuner)}
+	r := &Runtime{sys: sys, cfg: cfg, geom: geom, ctls: append([]Controller{geom}, cfg.Controllers...)}
+	for _, c := range r.ctls {
+		r.names = append(r.names, c.Name())
+		r.counts = append(r.counts, map[Outcome]uint64{})
 	}
 	return r
 }
 
-// Start launches the controller goroutine. It first reconfigures the
-// system to the tuner's current configuration if the two disagree (e.g. a
-// non-zero Tuner.Initial differing from the system's construction
-// parameters).
+// Start launches the loop goroutine. It first reconfigures the system to
+// the tuner's current configuration if the two disagree (e.g. a non-zero
+// Tuner.Initial differing from the system's construction parameters).
 func (r *Runtime) Start() error {
 	r.mu.Lock()
 	if r.running || r.starting {
 		r.mu.Unlock()
 		return fmt.Errorf("tuning: runtime already running")
 	}
-	if r.cfg.CM.Enable && r.cmSys == nil {
-		r.mu.Unlock()
-		return fmt.Errorf("tuning: CM controller enabled but the system does not implement CMSystem")
-	}
-	if r.cfg.Snapshot.Enable && r.snapSys == nil {
-		r.mu.Unlock()
-		return fmt.Errorf("tuning: snapshot controller enabled but the system has no MVCC sidecar (SnapshotSystem with Snapshots on)")
-	}
-	if r.cfg.Admission.Enable && r.admGate == nil {
-		r.mu.Unlock()
-		return fmt.Errorf("tuning: admission controller enabled but AdmissionConfig.Gate is nil")
-	}
-	if r.cfg.Brownout.Enable && r.brown == nil {
-		r.mu.Unlock()
-		return fmt.Errorf("tuning: brownout controller enabled but BrownoutConfig.Brown is nil")
-	}
 	// Claim the start before the unlocked Reconfigure below: a concurrent
 	// Start must fail here rather than race in — its stale Reconfigure
-	// could otherwise revert parameters the winner's controller has
-	// already moved past.
+	// could otherwise revert parameters the winner's loop has already
+	// moved past.
 	r.starting = true
-	cur := r.tuner.Current()
+	cur := r.geom.t.Current()
 	r.mu.Unlock()
 
 	// The initial Reconfigure runs outside r.mu: it freezes the world and
@@ -368,11 +178,11 @@ func (r *Runtime) Start() error {
 	return nil
 }
 
-// Stop halts the controller and waits for the goroutine to exit. Safe to
-// call multiple times and on a never-started runtime. The runtime stays
-// `running` (a concurrent Start fails) until the controller has actually
+// Stop halts the loop and waits for the goroutine to exit. Safe to call
+// multiple times and on a never-started runtime. The runtime stays
+// `running` (a concurrent Start fails) until the loop has actually
 // exited: clearing the flag before the drain would let a Start race in a
-// second controller goroutine against the old one mid-period.
+// second loop goroutine against the old one mid-period.
 func (r *Runtime) Stop() {
 	r.mu.Lock()
 	if !r.running {
@@ -397,7 +207,7 @@ func (r *Runtime) Stop() {
 	r.mu.Unlock()
 }
 
-// Running reports whether the controller goroutine is active.
+// Running reports whether the loop goroutine is active.
 func (r *Runtime) Running() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -409,14 +219,7 @@ func (r *Runtime) Running() bool {
 func (r *Runtime) Best() (core.Params, float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.tuner.Best()
-}
-
-// Current returns the configuration the tuner is currently measuring.
-func (r *Runtime) Current() core.Params {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tuner.Current()
+	return r.geom.t.Best()
 }
 
 // Periods returns the total number of tuning periods observed, including
@@ -427,67 +230,35 @@ func (r *Runtime) Periods() int {
 	return r.periods
 }
 
-// CM returns the contention-management policy the runtime believes is
-// installed (the system's initial policy when the controller is off).
-func (r *Runtime) CM() cm.Kind {
+// Controllers lists the running controllers' names, geometry first.
+func (r *Runtime) Controllers() []string { return r.names }
+
+// Knob returns the setting the named controller believes is installed
+// (the zero Knob when it is not running).
+func (r *Runtime) Knob(name string) Knob {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.cmLive
+	if i := slices.Index(r.names, name); i >= 0 {
+		return r.ctls[i].Knob()
+	}
+	return Knob{}
 }
 
-// CMSwitches returns how many live policy switches the controller decided
-// (zero when disabled).
-func (r *Runtime) CMSwitches() int {
+// Count returns how many of the named controller's decisions ended in
+// outcome o (zero when it is not running).
+func (r *Runtime) Count(name string, o Outcome) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.cmt == nil {
-		return 0
+	if i := slices.Index(r.names, name); i >= 0 {
+		return r.counts[i][o]
 	}
-	return r.cmt.switches()
+	return 0
 }
 
-// BudgetMoves returns how many version-budget moves the snapshot
-// controller decided (zero when disabled).
-func (r *Runtime) BudgetMoves() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.snapT == nil {
-		return 0
-	}
-	return r.snapT.switches()
-}
-
-// VersionBudget returns the per-shard version budget the snapshot
-// controller believes is installed (zero when disabled).
-func (r *Runtime) VersionBudget() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.snapT == nil {
-		return 0
-	}
-	return r.snapT.budget
-}
-
-// AdmissionMoves returns how many gate-width moves the admission
-// controller decided (zero when disabled).
-func (r *Runtime) AdmissionMoves() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.admT == nil {
-		return 0
-	}
-	return r.admT.switches()
-}
-
-// AdmissionWidth returns the gate width the admission controller
-// believes is installed (zero when disabled).
-func (r *Runtime) AdmissionWidth() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.admT == nil {
-		return 0
-	}
-	return r.admT.width
+// Moves returns how many of the named controller's moves landed on the
+// live system: its Moved plus Reverted decisions.
+func (r *Runtime) Moves(name string) int {
+	return int(r.Count(name, Moved) + r.Count(name, Reverted))
 }
 
 // Trace returns a copy of the per-period event log (the most recent
@@ -500,53 +271,69 @@ func (r *Runtime) Trace() []Event {
 	return out
 }
 
-// run is the controller loop. stop/done are captured at Start so a
+// snapshotCounter is the optional sampler extension for systems with an
+// MVCC sidecar: monotonically increasing too-old aborts, sidecar-served
+// snapshot reads, versions published and versions trimmed. Must be O(1)
+// like CommitAbortCounts. *core.TM satisfies it.
+type snapshotCounter interface {
+	SnapshotCounts() (tooOld, sidecarReads, published, trimmed uint64)
+}
+
+// baseline is the sampler's memory between periods: the counter values a
+// period's deltas are taken against.
+type baseline struct {
+	commits, aborts  uint64
+	tooOld, snapRead uint64
+	lat              obs.Snapshot
+	t                time.Time
+}
+
+// rebase reads every source the Sample is differenced from.
+func (r *Runtime) rebase() (b baseline) {
+	b.commits, b.aborts = r.sys.CommitAbortCounts()
+	if sc, ok := r.sys.(snapshotCounter); ok {
+		b.tooOld, b.snapRead, _, _ = sc.SnapshotCounts()
+	}
+	if r.cfg.Latency != nil {
+		b.lat = r.cfg.Latency.Snapshot()
+	}
+	b.t = r.cfg.Now()
+	return b
+}
+
+// run is the sampler loop. stop/done are captured at Start so a
 // concurrent Stop+Start pair cannot cross wires.
 func (r *Runtime) run(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
-	lastC, lastA := r.sys.CommitAbortCounts()
-	var lastTooOld, lastReads uint64
-	if r.snapSys != nil {
-		lastTooOld, lastReads, _, _ = r.snapSys.SnapshotCounts()
-	}
-	var latBase obs.Snapshot
-	if r.cfg.Latency != nil {
-		latBase = r.cfg.Latency.Snapshot()
-	}
-	lastT := r.cfg.Now()
+	base := r.rebase()
 	for {
-		maxTp := 0.0
-		var commits, aborts uint64
-		for s := 0; s < r.cfg.Samples; s++ {
+		var s Sample
+		lastC, lastT := base.commits, base.t
+		for i := 0; i < r.cfg.Samples; i++ {
 			select {
 			case <-stop:
 				return
 			case <-r.cfg.After(r.cfg.Period):
 			}
-			c, a := r.sys.CommitAbortCounts()
+			c, _ := r.sys.CommitAbortCounts()
 			t := r.cfg.Now()
-			dc, da := c-lastC, a-lastA
-			secs := t.Sub(lastT).Seconds()
-			lastC, lastA, lastT = c, a, t
-			commits += dc
-			aborts += da
-			if secs > 0 {
-				if tp := float64(dc) / secs; tp > maxTp {
-					maxTp = tp
-				}
+			if secs := t.Sub(lastT).Seconds(); secs > 0 {
+				s.Throughput = max(s.Throughput, float64(c-lastC)/secs)
 			}
+			lastC, lastT = c, t
 		}
-		var snapTooOld, snapReads uint64
-		if r.snapSys != nil {
-			to, rd, _, _ := r.snapSys.SnapshotCounts()
-			snapTooOld, snapReads = to-lastTooOld, rd-lastReads
+		end := r.rebase()
+		s.Commits, s.Aborts = end.commits-base.commits, end.aborts-base.aborts
+		s.SnapTooOld, s.SnapReads = end.tooOld-base.tooOld, end.snapRead-base.snapRead
+		if lat := end.lat.Sub(&base.lat); lat.Count > 0 {
+			s.LatP50 = time.Duration(lat.Quantile(0.50))
+			s.LatP99 = time.Duration(lat.Quantile(0.99))
+			s.LatSamples = lat.Count
 		}
-		var lat obs.Snapshot
-		if r.cfg.Latency != nil {
-			cur := r.cfg.Latency.Snapshot()
-			lat = cur.Sub(&latBase)
-		}
-		r.step(maxTp, commits, aborts, snapTooOld, snapReads, &lat)
+		// Pause on idle: an idle application must not teach any
+		// controller that its current setting is bad.
+		s.Idle = s.Commits < r.cfg.MinPeriodCommits
+		r.step(s)
 		// Re-baseline after the decision: step can block arbitrarily long
 		// in Reconfigure's world-freeze, during which commits are
 		// suppressed. Without a fresh baseline the new configuration's
@@ -555,133 +342,30 @@ func (r *Runtime) run(stop <-chan struct{}, done chan<- struct{}) {
 		// drop, spuriously triggering the tuner's reverse/forbid rules.
 		// The latency baseline follows the same rule: requests stalled
 		// behind the freeze must not be charged to the next period.
-		lastC, lastA = r.sys.CommitAbortCounts()
-		if r.snapSys != nil {
-			lastTooOld, lastReads, _, _ = r.snapSys.SnapshotCounts()
-		}
-		if r.cfg.Latency != nil {
-			latBase = r.cfg.Latency.Snapshot()
-		}
-		lastT = r.cfg.Now()
+		base = r.rebase()
 	}
 }
 
-// step makes one tuning decision from a period's measurement and applies
-// it to the live system.
-func (r *Runtime) step(maxTp float64, commits, aborts, snapTooOld, snapReads uint64, lat *obs.Snapshot) {
+// step runs one period of the controller loop: every controller observes
+// the sample under the lock, the moves are applied outside it (Reconfigure
+// freezes the world and can block behind in-flight transactions, and
+// Stop/Best/Trace must stay responsive), and failed moves are rolled back.
+func (r *Runtime) step(s Sample) {
 	r.mu.Lock()
-	ev := Event{
-		Period:     r.periods,
-		Params:     r.tuner.Current(),
-		Throughput: maxTp,
-		Commits:    commits,
-		Aborts:     aborts,
-		CM:         r.cmLive,
-		NextCM:     r.cmLive,
-	}
-	if lat.Count > 0 {
-		ev.LatP50 = time.Duration(lat.Quantile(0.50))
-		ev.LatP99 = time.Duration(lat.Quantile(0.99))
-		ev.LatSamples = lat.Count
-	}
-	if r.snapT != nil {
-		ev.SnapTooOld, ev.SnapReads = snapTooOld, snapReads
-		ev.Budget, ev.NextBudget = r.snapT.budget, r.snapT.budget
-	}
-	if r.admT != nil {
-		ev.AdmWidth, ev.NextAdmWidth = r.admT.width, r.admT.width
-	}
-	if r.brown != nil {
-		// The ladder steps on EVERY period, idle ones included: idle is
-		// exactly the calm evidence that walks an escalated server back.
-		// Step applies the level atomically itself (the request paths read
-		// it lock-free), so unlike the other dimensions there is nothing
-		// to install outside the lock and no error path to roll back.
-		ev.Brownout = r.brown.Level()
-		ev.NextBrownout, ev.BrownoutChanged = r.brown.Step(ev.LatP99, ev.LatSamples)
-	}
+	s.Period = r.periods
 	r.periods++
-	if commits < r.cfg.MinPeriodCommits {
-		// Pause on idle: hold the configuration and teach the tuner
-		// nothing — near-zero offered load says nothing about the
-		// configuration's quality.
-		ev.Idle = true
-		ev.Next = ev.Params
-		r.appendTrace(ev)
-		r.mu.Unlock()
-		r.emit(ev)
-		return
-	}
-	next, move := r.tuner.Step(maxTp)
-	ev.Move = move
-	ev.Next = next
-	if tr := r.tuner.Trace(); len(tr) > 0 {
-		ev.Reversed = tr[len(tr)-1].Reversed
-	}
-	reconfigure := next != ev.Params
-	if r.cmt != nil {
-		// The policy controller reads the same measurement; its switch
-		// (if any) is applied below, outside the lock, like Reconfigure.
-		// A period whose geometry is about to move is flagged unsettled
-		// so the rung memory is not polluted by geometry churn.
-		ev.NextCM, ev.CMSwitched = r.cmt.step(maxTp, commits, aborts, !reconfigure)
-	}
-	if r.snapT != nil {
-		// The budget controller is independent of geometry churn: a
-		// too-old abort means live snapshots lost versions no geometry
-		// move restores, and the knob applies with no world freeze.
-		ev.NextBudget, ev.BudgetChanged = r.snapT.step(snapTooOld, snapReads)
-	}
-	if r.admT != nil {
-		// The admission controller walks the gate width from the same
-		// abort-ratio measurement; the gate lives outside the STM, so
-		// the move needs no world freeze either.
-		ev.NextAdmWidth, ev.AdmChanged = r.admT.step(commits, aborts)
-	}
+	ds := observe(r.ctls, &s)
 	r.mu.Unlock()
 
-	// Reconfigure outside r.mu: it freezes the world and can block behind
-	// in-flight transactions, and Stop/Best/Trace must stay responsive.
-	if reconfigure {
-		if err := r.sys.Reconfigure(next); err != nil {
-			ev.Err = err
-		}
-	}
-	if ev.CMSwitched {
-		if err := r.cmSys.SetCM(ev.NextCM, r.cfg.CM.Knobs); err != nil {
-			ev.CMErr = err
-		}
-	}
-	if ev.BudgetChanged {
-		if err := r.snapSys.SetVersionBudget(ev.NextBudget); err != nil {
-			ev.SnapErr = err
-		}
-	}
-	if ev.AdmChanged {
-		if err := r.admGate.SetWidth(ev.NextAdmWidth); err != nil {
-			ev.AdmErr = err
-		}
-	}
+	install(r.ctls, ds)
+
+	ev := Event{Sample: s, Decisions: ds}
 	r.mu.Lock()
-	if ev.CMSwitched {
-		if ev.CMErr == nil {
-			r.cmLive = ev.NextCM
-		} else {
-			// The switch never landed: roll the ladder climber back so
-			// its rung memory keeps tracking the policy actually live.
-			r.cmt.revert()
+	for i, d := range ds {
+		if d.Err != nil {
+			r.ctls[i].Revert(d)
 		}
-	}
-	if ev.BudgetChanged && ev.SnapErr != nil {
-		// The budget never landed: resynchronize the rule engine with
-		// whatever the system actually runs.
-		r.snapT.budget = r.snapSys.VersionBudget()
-		r.snapT.moves--
-	}
-	if ev.AdmChanged && ev.AdmErr != nil {
-		// The width never landed: resynchronize with the live gate.
-		r.admT.width = r.admGate.Width()
-		r.admT.moves--
+		r.counts[i][d.Outcome()]++
 	}
 	r.appendTrace(ev)
 	r.mu.Unlock()

@@ -1,11 +1,13 @@
 package tuning
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"tinystm/internal/cm"
 	"tinystm/internal/core"
 	"tinystm/internal/harness"
 	"tinystm/internal/mem"
@@ -13,85 +15,119 @@ import (
 	"tinystm/internal/resilience"
 )
 
-// virtualEnv is a fake System plus fake clock: time only advances when the
-// runtime waits for a sample, and commits accrue at a synthetic
-// per-configuration rate. After maxTicks waits it hands the runtime a
-// channel that never fires and signals the test, making the whole
-// controller loop deterministic — no goroutine coordination, no wall
-// clock.
-type virtualEnv struct {
+// fakeSystem is everything a controller can drive — the STM's geometry,
+// its contention-management policy, its version budget and the admission
+// gate in front of it — behind one fake clock: time only advances when
+// the runtime waits for a sample, and each advance calls tick, the test's
+// synthetic workload, to accrue counters from the settings live at that
+// moment. After maxTicks waits it hands the runtime a channel that never
+// fires and signals the test, making the whole loop deterministic — no
+// goroutine coordination, no wall clock.
+type fakeSystem struct {
 	mu          sync.Mutex
 	now         time.Time
-	commits     uint64
-	params      core.Params
-	rate        func(core.Params) float64
 	ticks       int
 	maxTicks    int
 	reached     chan struct{} // closed (once) when maxTicks waits have elapsed
 	reachedOnce sync.Once
-	reconfigs   int
-	// onTick, when set, runs on the runtime goroutine after each clock
-	// advance — a deterministic injection point for per-period inputs
-	// (e.g. latency recordings for the brownout controller).
-	onTick func(tick int)
+	// tick runs under mu on the runtime goroutine after each clock
+	// advance: it reads the live settings and bumps the counters.
+	tick func(f *fakeSystem, d time.Duration)
+
+	// Live settings, each moved by one controller's Apply.
+	params core.Params
+	kind   cm.Kind
+	budget int
+	width  int
+	// Monotonic counters the sampler differences.
+	commits, aborts, tooOld, reads uint64
+	// What the controllers did to the system.
+	reconfigs, cmSwitches, budgetSets, widthSets int
+	minWidth                                     int
 }
 
-func newVirtualEnv(start core.Params, rate func(core.Params) float64, maxTicks int) *virtualEnv {
-	return &virtualEnv{
-		now: time.Unix(0, 0), params: start, rate: rate,
-		maxTicks: maxTicks, reached: make(chan struct{}),
+func newFakeSystem(start core.Params, maxTicks int, tick func(*fakeSystem, time.Duration)) *fakeSystem {
+	return &fakeSystem{
+		now: time.Unix(0, 0), params: start, maxTicks: maxTicks, tick: tick,
+		reached: make(chan struct{}), budget: 64, width: 32, minWidth: 32,
 	}
 }
 
-func (v *virtualEnv) CommitAbortCounts() (uint64, uint64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.commits, 0
+// commitsAt is the plain workload: commits accrue at a synthetic
+// per-configuration rate, nothing aborts.
+func commitsAt(rate func(core.Params) float64) func(*fakeSystem, time.Duration) {
+	return func(f *fakeSystem, d time.Duration) { f.commits += uint64(rate(f.params) * d.Seconds()) }
 }
 
-func (v *virtualEnv) Reconfigure(p core.Params) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.params = p
-	v.reconfigs++
+func (f *fakeSystem) locked(fn func()) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	fn()
+}
+
+func (f *fakeSystem) CommitAbortCounts() (c, a uint64) {
+	f.locked(func() { c, a = f.commits, f.aborts })
+	return
+}
+func (f *fakeSystem) SnapshotCounts() (tooOld, reads, _, _ uint64) {
+	f.locked(func() { tooOld, reads = f.tooOld, f.reads })
+	return
+}
+func (f *fakeSystem) Params() (p core.Params) { f.locked(func() { p = f.params }); return }
+func (f *fakeSystem) CM() (k cm.Kind)         { f.locked(func() { k = f.kind }); return }
+func (f *fakeSystem) VersionBudget() (n int)  { f.locked(func() { n = f.budget }); return }
+func (f *fakeSystem) Width() (n int)          { f.locked(func() { n = f.width }); return }
+func (f *fakeSystem) Now() (t time.Time)      { f.locked(func() { t = f.now }); return }
+
+func (f *fakeSystem) Reconfigure(p core.Params) error {
+	f.locked(func() { f.params = p; f.reconfigs++ })
+	return nil
+}
+func (f *fakeSystem) SetCM(k cm.Kind, _ cm.Knobs) error {
+	f.locked(func() { f.kind = k; f.cmSwitches++ })
+	return nil
+}
+func (f *fakeSystem) SetVersionBudget(n int) error {
+	f.locked(func() { f.budget = n; f.budgetSets++ })
+	return nil
+}
+func (f *fakeSystem) SetWidth(w int) error {
+	f.locked(func() { f.width = w; f.widthSets++; f.minWidth = min(f.minWidth, w) })
 	return nil
 }
 
-func (v *virtualEnv) Params() core.Params {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.params
-}
-
-func (v *virtualEnv) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now
-}
-
-func (v *virtualEnv) After(d time.Duration) <-chan time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
+func (f *fakeSystem) After(d time.Duration) <-chan time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	ch := make(chan time.Time, 1)
-	if v.ticks >= v.maxTicks {
-		v.reachedOnce.Do(func() { close(v.reached) })
+	if f.ticks >= f.maxTicks {
+		f.reachedOnce.Do(func() { close(f.reached) })
 		return ch // never fires; the runtime parks until Stop
 	}
-	v.ticks++
-	v.now = v.now.Add(d)
-	v.commits += uint64(v.rate(v.params) * d.Seconds())
-	if v.onTick != nil {
-		v.onTick(v.ticks)
-	}
-	ch <- v.now
+	f.ticks++
+	f.now = f.now.Add(d)
+	f.tick(f, d)
+	ch <- f.now
 	return ch
 }
 
-func (v *virtualEnv) config(tcfg Config) RuntimeConfig {
+// config is the fake-clock runtime configuration: 1s periods, max-of-3.
+func (f *fakeSystem) config(tcfg Config, ctls ...Controller) RuntimeConfig {
 	return RuntimeConfig{
-		Tuner: tcfg, Period: time.Second, Samples: 3,
-		Now: v.Now, After: v.After,
+		Tuner: tcfg, Period: time.Second, Samples: 3, Controllers: ctls,
+		Now: f.Now, After: f.After,
 	}
+}
+
+// runToEnd starts rt, lets the fake clock run out, and stops it.
+func (f *fakeSystem) runToEnd(t *testing.T, rt *Runtime) []Event {
+	t.Helper()
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	<-f.reached
+	rt.Stop()
+	return rt.Trace()
 }
 
 // The runtime under a fake clock must escape the deliberately bad 2^8
@@ -102,19 +138,15 @@ func TestRuntimeConvergesDeterministically(t *testing.T) {
 	opt := p(18, 3, 4)
 	rate := synthetic(opt)
 	const periods = 300
-	env := newVirtualEnv(start, rate, periods*3)
+	env := newFakeSystem(start, periods*3, commitsAt(rate))
 	rt := NewRuntime(env, env.config(Config{Initial: start, Seed: 7}))
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	<-env.reached
-	rt.Stop()
+	trace := env.runToEnd(t, rt)
 
 	best, bestTp := rt.Best()
 	if best.Locks <= 1<<8 {
 		t.Errorf("tuner never escaped the 2^8 start: best %v", best)
 	}
-	final := rt.Current()
+	final := rt.Knob(GeometryName).Params
 	if got := rate(final); got < bestTp*0.9 {
 		t.Errorf("final configuration %v yields %.1f, more than 10%% below best seen %.1f (at %v)",
 			final, got, bestTp, best)
@@ -122,8 +154,25 @@ func TestRuntimeConvergesDeterministically(t *testing.T) {
 	if env.reconfigs == 0 {
 		t.Error("runtime never reconfigured the system")
 	}
-	if len(rt.Trace()) < periods-1 {
-		t.Errorf("trace has %d events, want ~%d", len(rt.Trace()), periods)
+	if rt.Moves(GeometryName) != env.reconfigs {
+		t.Errorf("Moves(geometry) = %d, system saw %d reconfigurations", rt.Moves(GeometryName), env.reconfigs)
+	}
+	if len(trace) < periods-1 {
+		t.Errorf("trace has %d events, want ~%d", len(trace), periods)
+	}
+}
+
+// sameTrace fails the test unless two runs took the same path, event for
+// event and decision for decision.
+func sameTrace(t *testing.T, a, b []Event) {
+	t.Helper()
+	if len(a) != len(b) || len(a) == 0 {
+		t.Fatalf("trace lengths differ or empty: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			t.Fatalf("trace diverges at period %d: %+v vs %+v", i, a[i], b[i])
+		}
 	}
 }
 
@@ -131,38 +180,20 @@ func TestRuntimeConvergesDeterministically(t *testing.T) {
 // exactly the same configuration path.
 func TestRuntimeDeterministicUnderSeed(t *testing.T) {
 	run := func() []Event {
-		env := newVirtualEnv(p(8, 0, 1), synthetic(p(16, 2, 4)), 60*3)
+		env := newFakeSystem(p(8, 0, 1), 60*3, commitsAt(synthetic(p(16, 2, 4))))
 		rt := NewRuntime(env, env.config(Config{Initial: p(8, 0, 1), Seed: 42}))
-		if err := rt.Start(); err != nil {
-			t.Fatal(err)
-		}
-		<-env.reached
-		rt.Stop()
-		return rt.Trace()
+		return env.runToEnd(t, rt)
 	}
-	a, b := run(), run()
-	if len(a) != len(b) || len(a) == 0 {
-		t.Fatalf("trace lengths differ or empty: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("trace diverges at period %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
+	sameTrace(t, run(), run())
 }
 
 // A quiescent application must pause the tuner, not teach it that the
 // current configuration is worthless.
 func TestRuntimePausesOnIdle(t *testing.T) {
 	start := p(10, 0, 1)
-	env := newVirtualEnv(start, func(core.Params) float64 { return 0 }, 10*3)
+	env := newFakeSystem(start, 10*3, commitsAt(func(core.Params) float64 { return 0 }))
 	rt := NewRuntime(env, env.config(Config{Initial: start, Seed: 1}))
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	<-env.reached
-	rt.Stop()
-	trace := rt.Trace()
+	trace := env.runToEnd(t, rt)
 	if len(trace) == 0 {
 		t.Fatal("no events recorded")
 	}
@@ -170,14 +201,14 @@ func TestRuntimePausesOnIdle(t *testing.T) {
 		if !ev.Idle {
 			t.Fatalf("event not marked idle: %+v", ev)
 		}
-		if ev.Next != start {
+		if g := ev.Decision(GeometryName); g.Moved || g.To.Params != start {
 			t.Fatalf("idle period moved the configuration: %+v", ev)
 		}
 	}
 	if env.reconfigs != 0 {
 		t.Errorf("idle runtime reconfigured %d times", env.reconfigs)
 	}
-	if cur := rt.Current(); cur != start {
+	if cur := rt.Knob(GeometryName).Params; cur != start {
 		t.Errorf("tuner moved while idle: %v", cur)
 	}
 }
@@ -185,7 +216,7 @@ func TestRuntimePausesOnIdle(t *testing.T) {
 // Start/Stop lifecycle: double Start fails, Stop is idempotent, and a
 // stopped runtime restarts and keeps tuning from its memory.
 func TestRuntimeLifecycle(t *testing.T) {
-	env := newVirtualEnv(p(8, 0, 1), synthetic(p(12, 0, 1)), 1<<30)
+	env := newFakeSystem(p(8, 0, 1), 1<<30, commitsAt(synthetic(p(12, 0, 1))))
 	rt := NewRuntime(env, env.config(Config{Initial: p(8, 0, 1), Seed: 5}))
 	rt.Stop() // never started: no-op
 	if err := rt.Start(); err != nil {
@@ -352,11 +383,12 @@ func TestRuntimeLiveWorkersPhaseShift(t *testing.T) {
 	}
 	moved := false
 	for _, ev := range trace {
-		if !ev.Idle && ev.Next != ev.Params {
+		g := ev.Decision(GeometryName)
+		if g.Moved {
 			moved = true
 		}
-		if ev.Err != nil {
-			t.Errorf("reconfigure failed: %v", ev.Err)
+		if g.Err != nil {
+			t.Errorf("reconfigure failed: %v", g.Err)
 		}
 	}
 	if !moved {
@@ -370,7 +402,7 @@ func TestRuntimeLiveWorkersPhaseShift(t *testing.T) {
 func TestRuntimeTraceCap(t *testing.T) {
 	r := &Runtime{cfg: RuntimeConfig{TraceCap: 3}.withDefaults()}
 	for i := 0; i < 10; i++ {
-		r.appendTrace(Event{Period: i})
+		r.appendTrace(Event{Sample: Sample{Period: i}})
 	}
 	tr := r.Trace()
 	if len(tr) != 3 || tr[0].Period != 7 || tr[2].Period != 9 {
@@ -387,26 +419,18 @@ func TestRuntimeTraceCap(t *testing.T) {
 // period's requests are never charged to the next.
 func TestRuntimeLatencyDeltas(t *testing.T) {
 	start := p(10, 0, 1)
-	env := newVirtualEnv(start, func(core.Params) float64 { return 1000 }, 6*3)
 	h := obs.NewHistogram()
-	cfg := env.config(Config{Initial: start, Seed: 1})
-	cfg.Latency = h
 	// Each sample wait contributes ten requests of 1..10µs, so every
 	// period's delta holds exactly Samples*10 observations.
-	cfg.After = func(d time.Duration) <-chan time.Time {
+	env := newFakeSystem(start, 6*3, func(f *fakeSystem, d time.Duration) {
+		f.commits += uint64(1000 * d.Seconds())
 		for i := uint64(1); i <= 10; i++ {
 			h.Record(i * 1000)
 		}
-		return env.After(d)
-	}
-	rt := NewRuntime(env, cfg)
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	<-env.reached
-	rt.Stop()
-
-	events := rt.Trace()
+	})
+	cfg := env.config(Config{Initial: start, Seed: 1})
+	cfg.Latency = h
+	events := env.runToEnd(t, NewRuntime(env, cfg))
 	if len(events) == 0 {
 		t.Fatal("no events")
 	}
@@ -430,38 +454,30 @@ func TestRuntimeLatencyDeltas(t *testing.T) {
 // one rung per EscalateAfter periods, sustained calm walks it back down.
 func TestRuntimeBrownoutLadderFollowsLatency(t *testing.T) {
 	start := p(8, 0, 1)
-	env := newVirtualEnv(start, func(core.Params) float64 { return 100 }, 42)
 	hist := obs.NewHistogram()
 	const samplesPerPeriod = 3
-	env.onTick = func(tick int) {
+	env := newFakeSystem(start, 42, func(f *fakeSystem, d time.Duration) {
+		f.commits += uint64(100 * d.Seconds())
 		lat := uint64(20 * time.Millisecond) // hot: p99 over the 10ms SLO
-		if tick > 6*samplesPerPeriod {
+		if f.ticks > 6*samplesPerPeriod {
 			lat = uint64(time.Millisecond) // calm
 		}
 		hist.Record(lat)
 		hist.Record(lat)
-	}
+	})
 	brown := resilience.NewBrownout(resilience.BrownoutConfig{
 		SLO: 10 * time.Millisecond, EscalateAfter: 2, CalmAfter: 2, MinSamples: 4,
 	})
-	cfg := env.config(Config{Initial: start, Seed: 1})
+	cfg := env.config(Config{Initial: start, Seed: 1}, NewBrownout(brown))
 	cfg.Latency = hist
-	cfg.Brownout = BrownoutConfig{Enable: true, Brown: brown}
 	rt := NewRuntime(env, cfg)
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	<-env.reached
-	rt.Stop()
 
 	maxLevel := resilience.LevelOff
 	changes := 0
-	for _, ev := range rt.Trace() {
-		if ev.BrownoutChanged {
+	for _, ev := range env.runToEnd(t, rt) {
+		if d := ev.Decision(BrownoutName); d.Moved {
 			changes++
-			if ev.NextBrownout > maxLevel {
-				maxLevel = ev.NextBrownout
-			}
+			maxLevel = max(maxLevel, resilience.Level(d.To.N))
 		}
 	}
 	if maxLevel != resilience.LevelShedAll {
@@ -474,8 +490,8 @@ func TestRuntimeBrownoutLadderFollowsLatency(t *testing.T) {
 	if esc != 3 || deesc != 3 {
 		t.Errorf("moves = (%d escalations, %d deescalations), want (3, 3)", esc, deesc)
 	}
-	if changes != 6 {
-		t.Errorf("trace carries %d brownout changes, want 6", changes)
+	if changes != 6 || rt.Moves(BrownoutName) != 6 {
+		t.Errorf("trace carries %d brownout changes, Moves = %d, want 6", changes, rt.Moves(BrownoutName))
 	}
 }
 
@@ -485,7 +501,7 @@ func TestRuntimeBrownoutLadderFollowsLatency(t *testing.T) {
 // trace events must carry the change.
 func TestRuntimeBrownoutStepsOnIdlePeriods(t *testing.T) {
 	start := p(8, 0, 1)
-	env := newVirtualEnv(start, func(core.Params) float64 { return 0 }, 12)
+	env := newFakeSystem(start, 12, commitsAt(func(core.Params) float64 { return 0 }))
 	brown := resilience.NewBrownout(resilience.BrownoutConfig{
 		SLO: 10 * time.Millisecond, EscalateAfter: 2, CalmAfter: 2, MinSamples: 4,
 	})
@@ -496,39 +512,19 @@ func TestRuntimeBrownoutStepsOnIdlePeriods(t *testing.T) {
 	if brown.Level() != resilience.LevelShedScans {
 		t.Fatalf("pre-escalation landed at %v, want shed-scans", brown.Level())
 	}
-	cfg := env.config(Config{Initial: start, Seed: 1})
-	cfg.Brownout = BrownoutConfig{Enable: true, Brown: brown}
-	rt := NewRuntime(env, cfg)
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	<-env.reached
-	rt.Stop()
+	rt := NewRuntime(env, env.config(Config{Initial: start, Seed: 1}, NewBrownout(brown)))
+	trace := env.runToEnd(t, rt)
 
 	if brown.Level() != resilience.LevelOff {
 		t.Errorf("idle periods never walked the ladder back: level %v", brown.Level())
 	}
 	idleChange := false
-	for _, ev := range rt.Trace() {
-		if ev.Idle && ev.BrownoutChanged {
+	for _, ev := range trace {
+		if ev.Idle && ev.Decision(BrownoutName).Moved {
 			idleChange = true
 		}
 	}
 	if !idleChange {
 		t.Error("no Idle trace event carries the brownout walk-back")
-	}
-}
-
-// TestRuntimeBrownoutEnableRequiresLadder mirrors the other controllers'
-// Start-time validation.
-func TestRuntimeBrownoutEnableRequiresLadder(t *testing.T) {
-	start := p(8, 0, 1)
-	env := newVirtualEnv(start, func(core.Params) float64 { return 1 }, 3)
-	cfg := env.config(Config{Initial: start})
-	cfg.Brownout = BrownoutConfig{Enable: true}
-	rt := NewRuntime(env, cfg)
-	if err := rt.Start(); err == nil {
-		rt.Stop()
-		t.Fatal("Start accepted an enabled brownout controller with a nil ladder")
 	}
 }

@@ -1,27 +1,21 @@
 package tuning
 
-// SnapshotSystem is the optional extension of System for STMs with an
-// MVCC snapshot sidecar whose per-shard version budget can be walked
-// live. *core.TM (built with Config.Snapshots) satisfies it; enable the
-// controller with RuntimeConfig.Snapshot.Enable.
+// SnapshotSystem is an STM with an MVCC snapshot sidecar whose per-shard
+// version budget can be walked live. *core.TM (built with
+// Config.Snapshots) satisfies it. The too-old and sidecar-read signals
+// the controller steers on reach it through the Sample (see
+// snapshotCounter in runtime.go).
 type SnapshotSystem interface {
-	System
-	// SnapshotsEnabled reports whether the sidecar is attached at all.
-	SnapshotsEnabled() bool
-	// SnapshotCounts returns monotonically increasing aggregates: too-old
-	// aborts, sidecar-served snapshot reads, versions published and
-	// versions trimmed. Must be O(1) like CommitAbortCounts.
-	SnapshotCounts() (tooOld, sidecarReads, published, trimmed uint64)
 	// VersionBudget returns the current per-shard version budget.
 	VersionBudget() int
 	// SetVersionBudget replaces it on the live system (no world freeze).
 	SetVersionBudget(int) error
 }
 
-// SnapshotConfig parameterizes the version-budget controller: the paper's
-// dynamic-tuning loop applied to the snapshot subsystem's one knob. Each
-// period it reads the same measurement cadence as the geometry tuner and
-// walks the per-shard version budget:
+// SnapshotConfig parameterizes the version-budget controller (NewBudget):
+// the paper's dynamic-tuning loop applied to the snapshot subsystem's one
+// knob. Each period it reads the Sample's snapshot deltas and walks the
+// per-shard version budget:
 //
 //   - snapshot-too-old aborts during the period mean live snapshots fell
 //     off the retained horizon — the buffer is too small for the current
@@ -33,10 +27,6 @@ type SnapshotSystem interface {
 //     serving scans without too-old aborts is exactly right, and
 //     shrinking it would oscillate.
 type SnapshotConfig struct {
-	// Enable turns the controller on. The Runtime's System must then
-	// implement SnapshotSystem with snapshots attached (Start fails
-	// otherwise).
-	Enable bool
 	// Min and Max bound the walk. Defaults 64 and 65536.
 	Min, Max int
 	// ShrinkAfter is how many consecutive calm periods (no too-old
@@ -69,26 +59,44 @@ func (c SnapshotConfig) withDefaults() SnapshotConfig {
 // snapTuner is the controller state: a deterministic rule engine like
 // cmTuner, so the fake-clock runtime tests cover it end to end.
 type snapTuner struct {
+	sys    SnapshotSystem
 	cfg    SnapshotConfig
 	budget int
 	calm   int // consecutive periods with no too-old aborts and no reads
 	hold   int
-	moves  int
 }
 
-func newSnapTuner(cfg SnapshotConfig, budget int) *snapTuner {
+func (t *snapTuner) Name() string { return BudgetName }
+func (t *snapTuner) Knob() Knob   { return Knob{N: t.budget} }
+
+// Observe is independent of geometry churn: a too-old abort means live
+// snapshots lost versions no geometry move restores.
+func (t *snapTuner) Observe(s Sample) Decision {
+	return decide(t, s, func() bool {
+		_, changed := t.step(s.SnapTooOld, s.SnapReads)
+		return changed
+	})
+}
+
+// Apply resizes the live sidecar (no world freeze).
+func (t *snapTuner) Apply(d Decision) error { return t.sys.SetVersionBudget(d.To.N) }
+
+// Revert resynchronizes with whatever budget the system actually runs.
+func (t *snapTuner) Revert(Decision) { t.budget = t.sys.VersionBudget() }
+
+// NewBudget returns the version-budget controller over sys, starting from
+// the budget sys runs now (clamped into [Min, Max]).
+func NewBudget(sys SnapshotSystem, cfg SnapshotConfig) Controller {
 	cfg = cfg.withDefaults()
+	budget := sys.VersionBudget()
 	if budget < cfg.Min {
 		budget = cfg.Min
 	}
 	if budget > cfg.Max {
 		budget = cfg.Max
 	}
-	return &snapTuner{cfg: cfg, budget: budget}
+	return &snapTuner{sys: sys, cfg: cfg, budget: budget}
 }
-
-// switches returns how many budget moves the controller decided.
-func (t *snapTuner) switches() int { return t.moves }
 
 // step consumes one period's deltas and returns the budget for the next
 // period (changed reports a move).
@@ -120,6 +128,5 @@ func (t *snapTuner) step(tooOld, sidecarReads uint64) (next int, changed bool) {
 		return t.budget, false
 	}
 	t.hold = t.cfg.HoldPeriods
-	t.moves++
 	return t.budget, true
 }

@@ -5,6 +5,12 @@ import (
 	"time"
 )
 
+// newSnapTuner builds the controller the way a server does, over a
+// sidecar currently retaining budget versions per shard.
+func newSnapTuner(cfg SnapshotConfig, budget int) *snapTuner {
+	return NewBudget(&fakeSystem{budget: budget}, cfg).(*snapTuner)
+}
+
 func TestSnapTunerRules(t *testing.T) {
 	st := newSnapTuner(SnapshotConfig{Min: 64, Max: 1024, ShrinkAfter: 2, HoldPeriods: 1}, 64)
 	// Too-old aborts: grow, then hold one period.
@@ -40,84 +46,34 @@ func TestSnapTunerRules(t *testing.T) {
 	}
 }
 
-// snapEnv extends virtualEnv with a synthetic snapshot subsystem: during
-// the scan-heavy phase, snapshots keep falling off the horizon (too-old
-// aborts accrue) until the budget reaches enough, and sidecar reads flow;
-// after the flip to the write-heavy phase both signals stop.
-type snapEnv struct {
-	*virtualEnv
-	flipTick int // phase boundary, in After ticks
-
-	budget     int
-	enough     int
-	tooOld     uint64
-	reads      uint64
-	budgetSets int
-}
-
-func (e *snapEnv) SnapshotsEnabled() bool { return true }
-func (e *snapEnv) VersionBudget() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.budget
-}
-func (e *snapEnv) SetVersionBudget(n int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.budget = n
-	e.budgetSets++
-	return nil
-}
-func (e *snapEnv) SnapshotCounts() (uint64, uint64, uint64, uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.tooOld, e.reads, 0, 0
-}
-
-// After advances the fake clock via the embedded env, then accrues the
-// phase's snapshot signals.
-func (e *snapEnv) After(d time.Duration) <-chan time.Time {
-	ch := e.virtualEnv.After(d)
-	e.mu.Lock()
-	if e.ticks <= e.flipTick {
-		e.reads += 1000
-		if e.budget < e.enough {
-			e.tooOld += 10
-		}
-	}
-	e.mu.Unlock()
-	return ch
-}
-
 // TestRuntimeAdaptsVersionBudget is the deterministic fake-clock check of
 // the acceptance criterion: the budget grows while the scan-heavy phase
 // keeps producing snapshot-too-old aborts, and shrinks back once the
 // phase flips write-heavy (no snapshot traffic at all).
 func TestRuntimeAdaptsVersionBudget(t *testing.T) {
-	const periods = 60
-	env := &snapEnv{
-		virtualEnv: newVirtualEnv(p(10, 0, 1), synthetic(p(10, 0, 1)), periods),
-		flipTick:   periods / 2,
-		budget:     64,
-		enough:     512,
-	}
-	rt := NewRuntime(env, RuntimeConfig{
-		Tuner:   Config{Initial: p(10, 0, 1), Seed: 3},
-		Period:  time.Second,
-		Samples: 1,
-		Snapshot: SnapshotConfig{
-			Enable: true, Min: 64, Max: 4096, ShrinkAfter: 3, HoldPeriods: 1,
-		},
-		Now:   env.Now,
-		After: env.After,
+	const (
+		periods  = 60
+		flipTick = periods / 2 // phase boundary, in After ticks
+		enough   = 512
+	)
+	rate := synthetic(p(10, 0, 1))
+	// During the scan-heavy phase sidecar reads flow and snapshots keep
+	// falling off the horizon (too-old aborts accrue) until the budget
+	// reaches enough; after the flip to write-heavy both signals stop.
+	env := newFakeSystem(p(10, 0, 1), periods, func(f *fakeSystem, d time.Duration) {
+		f.commits += uint64(rate(f.params) * d.Seconds())
+		if f.ticks <= flipTick {
+			f.reads += 1000
+			if f.budget < enough {
+				f.tooOld += 10
+			}
+		}
 	})
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	<-env.reached
-	rt.Stop()
-
-	trace := rt.Trace()
+	cfg := env.config(Config{Initial: p(10, 0, 1), Seed: 3},
+		NewBudget(env, SnapshotConfig{Min: 64, Max: 4096, ShrinkAfter: 3, HoldPeriods: 1}))
+	cfg.Samples = 1
+	rt := NewRuntime(env, cfg)
+	trace := env.runToEnd(t, rt)
 	if len(trace) == 0 {
 		t.Fatal("empty trace")
 	}
@@ -125,36 +81,23 @@ func TestRuntimeAdaptsVersionBudget(t *testing.T) {
 	// synthetic surface keeps producing too-old aborts until then).
 	maxBudget := 0
 	for _, ev := range trace {
-		if ev.Period <= env.flipTick && ev.NextBudget > maxBudget {
-			maxBudget = ev.NextBudget
+		if ev.Period <= flipTick {
+			maxBudget = max(maxBudget, ev.Decision(BudgetName).To.N)
 		}
 	}
-	if maxBudget < env.enough {
-		t.Fatalf("scan-heavy phase grew the budget only to %d, want >= %d", maxBudget, env.enough)
+	if maxBudget < enough {
+		t.Fatalf("scan-heavy phase grew the budget only to %d, want >= %d", maxBudget, enough)
 	}
 	// Phase 2: with snapshot traffic gone, the budget must shrink back
 	// toward Min by the end of the run.
-	final := trace[len(trace)-1].NextBudget
+	final := trace[len(trace)-1].Decision(BudgetName).To.N
 	if final > 64 {
 		t.Fatalf("write-heavy phase ended with budget %d, want shrunk to 64", final)
 	}
-	if rt.BudgetMoves() == 0 || env.budgetSets == 0 {
-		t.Fatalf("controller made no budget moves (moves=%d, sets=%d)", rt.BudgetMoves(), env.budgetSets)
+	if rt.Moves(BudgetName) == 0 || rt.Moves(BudgetName) != env.budgetSets {
+		t.Fatalf("controller counted %d budget moves, the system saw %d", rt.Moves(BudgetName), env.budgetSets)
 	}
 	if env.budget != final {
 		t.Fatalf("system budget %d diverged from controller's %d", env.budget, final)
-	}
-}
-
-// TestRuntimeSnapshotControllerRequiresSidecar pins the Start-time check.
-func TestRuntimeSnapshotControllerRequiresSidecar(t *testing.T) {
-	env := newVirtualEnv(p(10, 0, 1), synthetic(p(10, 0, 1)), 3)
-	rt := NewRuntime(env, RuntimeConfig{
-		Tuner:    Config{Initial: p(10, 0, 1)},
-		Snapshot: SnapshotConfig{Enable: true},
-		Now:      env.Now, After: env.After,
-	})
-	if err := rt.Start(); err == nil {
-		t.Fatal("Start accepted the snapshot controller without a SnapshotSystem")
 	}
 }

@@ -71,6 +71,15 @@ func (m Move) String() string {
 	}
 }
 
+// Signed renders the move with the paper's "-x" notation when it followed
+// a reverse to the best configuration (reverse, then move x).
+func (m Move) Signed(reversed bool) string {
+	if reversed {
+		return "-" + m.String()
+	}
+	return m.String()
+}
+
 // Bounds limits the explorable configuration space.
 type Bounds struct {
 	MinLocks, MaxLocks uint64 // powers of two
@@ -365,3 +374,43 @@ func (t *Tuner) finishStep(measured core.Params, tp float64, move Move, reversed
 	t.steps++
 	return t.cur, move
 }
+
+// revert puts the tuner back on the configuration a failed Reconfigure
+// left live. The memory keeps what was measured; only the position and
+// the move that led to it are withdrawn, so the next period is credited
+// to the configuration that actually ran and no forbidden area is drawn
+// from a move that never happened.
+func (t *Tuner) revert(live core.Params) {
+	t.cur = live
+	t.last = MoveNone
+}
+
+// geometry is the hill-climbing Tuner as a Controller over the live
+// system's (#locks, #shifts, h) triple. The runtime builds it from
+// RuntimeConfig.Tuner and always runs it first.
+type geometry struct {
+	sys System
+	t   *Tuner
+}
+
+func (g *geometry) Name() string { return GeometryName }
+func (g *geometry) Knob() Knob   { return Knob{Params: g.t.Current()} }
+
+// Observe pauses on idle: the tuner learns nothing from a period in which
+// (almost) nothing ran.
+func (g *geometry) Observe(s Sample) Decision {
+	d := decide(g, s, func() bool {
+		from := g.t.cur
+		next, _ := g.t.Step(s.Throughput)
+		return next != from
+	})
+	if !s.Idle {
+		last := g.t.trace[len(g.t.trace)-1]
+		d.Move, d.Reversed = last.Move, last.Reversed
+	}
+	return d
+}
+
+// Apply freezes the world and can block behind in-flight transactions.
+func (g *geometry) Apply(d Decision) error { return g.sys.Reconfigure(d.To.Params) }
+func (g *geometry) Revert(d Decision)      { g.t.revert(d.From.Params) }

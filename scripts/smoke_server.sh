@@ -38,8 +38,9 @@ curl -sf "$BASE/healthz" >/dev/null
 # arrivals; -min-ops makes the generator itself fail below 10k completions.
 # The generator runs in the background so read-only snapshot traffic —
 # full-table /scan and all-Get /batch — can be driven AGAINST the
-# phase-shifting write load; those reads must finish with zero read-only
-# aborts (the MVCC sidecar serves them wait-free).
+# phase-shifting write load; every one of those reads must be answered
+# (the MVCC sidecar serves them wait-free; a snapshot that outlives its
+# versions is retried inside the server, never surfaced).
 "$BIN/stmkv-loadgen" -addr "$BASE" -rate 3000 -duration 5s -workers 16 \
   -keys 2048 -theta 0.9 -shift -min-ops 10000 &
 GEN=$!
@@ -84,10 +85,13 @@ PY
 
 wait $GEN
 
-# The autotuner must have moved the live geometry at least once, and the
-# snapshot reads driven above must have completed without a single
-# read-only abort (only bounded snapshot-too-old retries would even be
-# legal, and at this scale there must be none).
+# The autotuner must have moved the live geometry at least once, and every
+# snapshot read driven above must have been answered (counted in the loop:
+# curl -f fails the script on a non-200). Snapshot-too-old aborts are NOT
+# failures: a too-old abort is retried inside the server and is the input
+# signal of the version-budget controller. What must hold is that they
+# stay rare (<= 1% of snapshot reads) and that, when any occurred, the
+# controller reacted by moving the budget.
 TUNING="$(curl -sf "$BASE/tuning")"
 STATS="$(curl -sf "$BASE/stats")"
 FINAL_SCAN="$(curl -sf "$BASE/scan?limit=4")"
@@ -107,13 +111,17 @@ assert scans >= 30, f"only {scans} snapshot scans completed under load"
 assert batches >= 30, f"only {batches} all-Get batches completed under load"
 snap = stats["snapshots"]
 assert snap["enabled"], f"snapshots not enabled: {snap}"
-assert snap["aborts_snapshot_too_old"] == 0, f"snapshot reads aborted: {snap}"
-assert snap["reads_live"] + snap["reads_sidecar"] > 0, f"no snapshot reads recorded: {snap}"
+reads, too_old = snap["reads_live"] + snap["reads_sidecar"], snap["aborts_snapshot_too_old"]
+assert reads > 0, f"no snapshot reads recorded: {snap}"
+assert too_old * 100 <= reads, f"{too_old} too-old aborts over {reads} snapshot reads (> 1%): {snap}"
+assert too_old == 0 or tuning["budget_moves"] >= 1, \
+    f"{too_old} too-old aborts and the budget controller never moved: {tuning['budget_moves']}"
 assert scan["keys"] >= 1000, f"final scan saw only {scan['keys']} keys"
 print(f"smoke ok: {stats['commits']} commits, {stats['reconfigs']} reconfigs, "
       f"{len(tuning['events'])} tuning periods, final geometry {stats['params']}, "
-      f"{scans} scans + {batches} ro-batches under load with 0 RO aborts "
-      f"({snap['reads_live']} live + {snap['reads_sidecar']} sidecar snapshot reads)")
+      f"{scans} scans + {batches} ro-batches answered under load "
+      f"({snap['reads_live']} live + {snap['reads_sidecar']} sidecar snapshot reads, "
+      f"{too_old} too-old retries, {tuning['budget_moves']} budget moves)")
 PY
 
 kill $SRV
