@@ -27,4 +27,4 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -count=1 -run '^$$' \
 		./internal/microbench ./internal/core ./internal/tl2 \
-		./internal/kvproto ./internal/obs .
+		./internal/kvproto ./internal/kvserver ./internal/obs .

@@ -72,3 +72,21 @@ func readsAreFine(tm *stm.TM, m *stm.Map) uint64 {
 	})
 	return v
 }
+
+// getter keeps its read-only body on a struct field; the runner call names
+// only the field.
+type getter struct{ body func(*stm.Tx) }
+
+func newGetter(m *stm.Map) *getter {
+	g := &getter{}
+	g.body = func(tx *stm.Tx) {
+		m.Put(tx, 1, 2)
+	}
+	return g
+}
+
+func fieldBoundBody(tm *stm.TM, g *getter) {
+	tx := tm.NewTx()
+	defer tx.Release()
+	tm.AtomicRO(tx, g.body) // want `AtomicRO body reaches a write: Put`
+}

@@ -246,7 +246,8 @@ func isStoreSig(m *types.Func) bool {
 }
 
 // ResolveBody resolves a runner's body argument to a function literal:
-// either the literal itself or, via bodies, a local variable bound to one.
+// either the literal itself or, via bodies, a local variable or struct
+// field (x.f) bound to one.
 func ResolveBody(bodies map[types.Object]*ast.FuncLit, info *types.Info, expr ast.Expr) *ast.FuncLit {
 	switch e := ast.Unparen(expr).(type) {
 	case *ast.FuncLit:
@@ -255,21 +256,42 @@ func ResolveBody(bodies map[types.Object]*ast.FuncLit, info *types.Info, expr as
 		if obj := info.Uses[e]; obj != nil {
 			return bodies[obj]
 		}
+	case *ast.SelectorExpr:
+		if f := fieldOf(info, e); f != nil {
+			return bodies[f]
+		}
 	}
 	return nil
 }
 
-// LocalFuncLits indexes `v := func(...){...}` bindings across the package
-// so a runner call's body argument can be resolved when it is a variable.
-// Only single-assignment bindings are recorded: a rebound variable could
-// alias several literals.
+// fieldOf returns the struct field sel selects, or nil. A field of an
+// instantiated generic type resolves to the generic declaration's field,
+// so every instantiation shares one identity.
+func fieldOf(info *types.Info, sel *ast.SelectorExpr) types.Object {
+	if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+		return v.Origin()
+	}
+	return nil
+}
+
+// LocalFuncLits indexes `v := func(...){...}` and `x.f = func(...){...}`
+// bindings across the package so a runner call's body argument can be
+// resolved when it is a variable or a struct field (bodies built once and
+// kept on a struct, as kvstore's pointOp does). Only single-assignment
+// bindings are recorded: a rebound variable or field could alias several
+// literals.
 func LocalFuncLits(info *types.Info, files []*ast.File) map[types.Object]*ast.FuncLit {
 	out := make(map[types.Object]*ast.FuncLit)
 	rebound := make(map[types.Object]bool)
-	bind := func(id *ast.Ident, rhs ast.Expr) {
-		obj := info.Defs[id]
-		if obj == nil {
-			obj = info.Uses[id]
+	bind := func(lhs ast.Expr, rhs ast.Expr) {
+		var obj types.Object
+		switch e := lhs.(type) {
+		case *ast.Ident:
+			if obj = info.Defs[e]; obj == nil {
+				obj = info.Uses[e]
+			}
+		case *ast.SelectorExpr:
+			obj = fieldOf(info, e)
 		}
 		if obj == nil {
 			return
@@ -290,10 +312,8 @@ func LocalFuncLits(info *types.Info, files []*ast.File) map[types.Object]*ast.Fu
 					return true
 				}
 				for i, lhs := range st.Lhs {
-					if id, ok := lhs.(*ast.Ident); ok {
-						if _, isLit := ast.Unparen(st.Rhs[i]).(*ast.FuncLit); isLit {
-							bind(id, st.Rhs[i])
-						}
+					if _, isLit := ast.Unparen(st.Rhs[i]).(*ast.FuncLit); isLit {
+						bind(lhs, st.Rhs[i])
 					}
 				}
 			case *ast.ValueSpec:

@@ -78,3 +78,30 @@ func resetMakesItIdempotent(tm *stm.TM) (int, []uint64) {
 	})
 	return total, hits
 }
+
+// op keeps its body on a struct field, built once over the struct's own
+// fields (kvstore's pointOp): the body is found through the field, and a
+// field of the captured struct is captured state.
+type op struct {
+	key, val uint64
+	tries    int
+	body     func(*stm.Tx)
+}
+
+func newOp() *op {
+	o := &op{}
+	o.body = func(tx *stm.Tx) {
+		o.tries++ // want `captured variable "tries" mutated non-idempotently inside AtomicRO body`
+		o.val = tx.Load(o.key)
+		var local op
+		local.tries++
+	}
+	return o
+}
+
+func fieldBoundBody(tm *stm.TM, o *op) uint64 {
+	tx := tm.NewTx()
+	defer tx.Release()
+	tm.AtomicRO(tx, o.body)
+	return o.val
+}

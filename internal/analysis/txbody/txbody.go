@@ -9,7 +9,7 @@
 //
 //   - non-idempotent mutation of captured state with no in-body reset:
 //     x++, x += e, x = append(x, ...) on a variable declared outside the
-//     body. A plain re-assignment (x = e) or truncation (x = x[:0])
+//     body, or on a field of one (x.f++). A plain re-assignment (x = e) or truncation (x = x[:0])
 //     earlier in the body counts as a reset and legitimizes later
 //     accumulation — re-execution then starts clean.
 //   - channel sends, close, and goroutine launches: they cannot be undone
@@ -270,9 +270,18 @@ func resetBefore(resets []reset, obj types.Object, pos token.Pos) bool {
 }
 
 // capturedVar resolves expr to a variable declared OUTSIDE the body
-// literal (captured by reference), or nil.
+// literal (captured by reference), or nil. A field path x.f.g is state of
+// its root variable x: when x is captured, the selected field is returned.
 func capturedVar(info *types.Info, body *ast.FuncLit, expr ast.Expr) types.Object {
-	id, ok := ast.Unparen(expr).(*ast.Ident)
+	expr = ast.Unparen(expr)
+	if sel, ok := expr.(*ast.SelectorExpr); ok {
+		field, isVar := info.Uses[sel.Sel].(*types.Var)
+		if !isVar || !field.IsField() || capturedVar(info, body, sel.X) == nil {
+			return nil
+		}
+		return field
+	}
+	id, ok := expr.(*ast.Ident)
 	if !ok {
 		return nil
 	}

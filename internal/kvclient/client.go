@@ -194,8 +194,16 @@ func (c *Client) getConn() (*clientConn, error) {
 	}
 	if c.conn != nil {
 		conn := c.conn
-		c.mu.Unlock()
-		return conn, nil
+		select {
+		case <-conn.dead:
+			// Broken, but its reader has not detached it yet: handing it
+			// out again would fail this call — and every retry that beats
+			// the reader to c.mu — without ever trying the server.
+			c.conn = nil
+		default:
+			c.mu.Unlock()
+			return conn, nil
+		}
 	}
 	if st := c.dialing; st != nil {
 		c.mu.Unlock()

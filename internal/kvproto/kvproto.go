@@ -41,6 +41,7 @@
 package kvproto
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -249,22 +250,54 @@ func AppendFrame(dst, payload []byte) ([]byte, error) {
 	if len(payload) > MaxFrame {
 		return dst, ErrFrameTooLarge
 	}
-	var hdr [HeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...), nil
+	start := len(dst)
+	dst = append(dst, make([]byte, HeaderSize)...)
+	dst = append(dst, payload...)
+	sealFrame(dst[start:])
+	return dst, nil
+}
+
+// sealFrame fills in the header of frame, whose payload already sits
+// behind the HeaderSize bytes reserved for it.
+func sealFrame(frame []byte) {
+	payload := frame[HeaderSize:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+}
+
+// AppendResponseFrame appends resp as one whole frame to dst: the payload
+// is encoded in place behind a reserved header, which is then back-filled,
+// so a sender that owns a write buffer needs no per-response slice. On
+// error (an unencodable response, or a payload above MaxFrame) dst is
+// returned at its original length.
+func AppendResponseFrame(dst []byte, resp *Response) ([]byte, error) {
+	start := len(dst)
+	out, err := AppendResponse(append(dst, make([]byte, HeaderSize)...), resp)
+	if err == nil && len(out)-start-HeaderSize > MaxFrame {
+		err = ErrFrameTooLarge
+	}
+	if err != nil {
+		return dst[:start], err
+	}
+	sealFrame(out[start:])
+	return out, nil
 }
 
 // ReadFrame reads one frame from r, reusing buf when it is large enough,
 // and returns the verified payload. Any error invalidates the stream:
 // the caller must drop the connection (framing cannot resynchronize).
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header is read into buf as well: a local array would escape
+	// through the io.Reader call and cost one allocation per frame.
+	if cap(buf) < HeaderSize {
+		buf = make([]byte, HeaderSize)
+	}
+	hdr := buf[:HeaderSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
+	sum := binary.LittleEndian.Uint32(hdr[4:8])
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
@@ -278,10 +311,24 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 		}
 		return nil, err
 	}
-	if crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
+	if crc32.Checksum(buf, castagnoli) != sum {
 		return nil, ErrChecksum
 	}
 	return buf, nil
+}
+
+// FrameBuffered reports whether the next ReadFrame on r returns without
+// reading from the underlying stream: a whole frame is already buffered,
+// or a header whose length ReadFrame rejects. A connection loop uses it to
+// tell "more requests of this burst are waiting" from "the next read may
+// block".
+func FrameBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < HeaderSize {
+		return false
+	}
+	hdr, _ := r.Peek(HeaderSize) // cannot fail: the bytes are buffered
+	n := binary.LittleEndian.Uint32(hdr[0:4])
+	return n > MaxFrame || r.Buffered() >= HeaderSize+int(n)
 }
 
 // AppendRequest appends req's payload (no frame header) to dst.
@@ -336,20 +383,31 @@ func appendRequestBody(dst []byte, req *Request) ([]byte, error) {
 // DecodeRequest parses one request payload. It never panics on malformed
 // input and rejects trailing bytes (a frame carries exactly one message).
 func DecodeRequest(p []byte) (*Request, error) {
-	d := decoder{buf: p}
 	req := &Request{}
+	if err := DecodeRequestInto(p, req); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// DecodeRequestInto is DecodeRequest into a caller-owned Request, which it
+// overwrites whole (nothing of p is retained, so p may be reused at
+// once). On error req's contents are unspecified.
+func DecodeRequestInto(p []byte, req *Request) error {
+	d := decoder{buf: p}
+	*req = Request{}
 	req.ID = d.u64()
 	opByte := d.u8()
 	req.Op = Op(opByte &^ opDeadlineFlag)
 	if d.err == nil && !req.Op.Valid() {
-		return nil, ErrBadOp
+		return ErrBadOp
 	}
 	if opByte&opDeadlineFlag != 0 {
 		req.TimeoutMs = d.u32()
 		if d.err == nil && req.TimeoutMs == 0 {
 			// Canonical: "no deadline" is encoded as a clear flag, so a
 			// flagged zero budget is something our encoder never emits.
-			return nil, ErrBadDeadline
+			return ErrBadDeadline
 		}
 	}
 	switch req.Op {
@@ -365,11 +423,11 @@ func DecodeRequest(p []byte) (*Request, error) {
 	case OpBatch:
 		n := d.u32()
 		if d.err == nil && n > MaxBatchOps {
-			return nil, ErrTooManyOps
+			return ErrTooManyOps
 		}
 		if d.err == nil && int(n)*25 > d.remaining() {
 			// Each sub-op is 25 bytes; reject the count before allocating.
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		if d.err == nil {
 			req.Ops = make([]BatchOp, n)
@@ -377,13 +435,14 @@ func DecodeRequest(p []byte) (*Request, error) {
 				o := &req.Ops[i]
 				o.Op = Op(d.u8())
 				if d.err == nil && (o.Op < OpGet || o.Op > OpAdd) {
-					return nil, ErrBadOp
+					return ErrBadOp
 				}
 				o.Key, o.Val, o.Old = d.u64(), d.u64(), d.u64()
 			}
 		}
 	}
-	return finish(&d, req)
+	_, err := finish(&d, req)
+	return err
 }
 
 // AppendResponse appends resp's payload (no frame header) to dst.

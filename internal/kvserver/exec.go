@@ -43,8 +43,17 @@ var (
 // exec runs one decoded request from surface surf against the store and
 // builds its response. dl is the request's absolute deadline (zero: none),
 // re-anchored by the codec the moment the request left the transport.
-func (s *Server) exec(surf int, dl time.Time, req *kvproto.Request) (resp *kvproto.Response) {
-	resp = &kvproto.Response{ID: req.ID, Op: req.Op}
+func (s *Server) exec(surf int, dl time.Time, req *kvproto.Request) *kvproto.Response {
+	resp := new(kvproto.Response)
+	s.execInto(surf, dl, req, resp)
+	return resp
+}
+
+// execInto is exec into a caller-owned response, overwritten whole: a
+// codec that answers one request at a time reuses one Response for all of
+// them, and a single-key request then allocates nothing on its way through.
+func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kvproto.Response) {
+	*resp = kvproto.Response{ID: req.ID, Op: req.Op}
 	switch {
 	case req.Op == kvproto.OpStats:
 		// Observability always answers, whatever the lifecycle state.
@@ -55,14 +64,14 @@ func (s *Server) exec(surf int, dl time.Time, req *kvproto.Request) (resp *kvpro
 			Keys:           s.store.Len(),
 			AdmissionWidth: uint32(s.admissionWidth()),
 		}
-		return resp
+		return
 	case req.Op < kvproto.OpGet || req.Op > kvproto.OpScan:
 		resp.Status, resp.Msg = kvproto.StatusError, "unknown op"
-		return resp
+		return
 	}
 	if msg := s.refusal(req.Op); msg != "" {
 		resp.Status, resp.Msg = kvproto.StatusUnavailable, msg
-		return resp
+		return
 	}
 	t0 := time.Now()
 	defer func() {
@@ -98,10 +107,11 @@ func (s *Server) exec(surf int, dl time.Time, req *kvproto.Request) (resp *kvpro
 	case kvproto.OpBatch:
 		if len(req.Ops) == 0 {
 			resp.Status, resp.Msg = kvproto.StatusError, "empty batch"
-			return resp
+			return
 		}
 		if expired(dl) {
-			return s.shedDeadline(surf, shedStageOp, resp)
+			s.shedDeadline(surf, shedStageOp, resp)
+			return
 		}
 		// An all-Get batch runs as an ungated snapshot read, exactly like
 		// Apply's own read-only path.
@@ -112,7 +122,8 @@ func (s *Server) exec(surf int, dl time.Time, req *kvproto.Request) (resp *kvpro
 		}
 	case kvproto.OpScan:
 		if expired(dl) {
-			return s.shedDeadline(surf, shedStageOp, resp)
+			s.shedDeadline(surf, shedStageOp, resp)
+			return
 		}
 	}
 	if update {
@@ -120,12 +131,14 @@ func (s *Server) exec(surf int, dl time.Time, req *kvproto.Request) (resp *kvpro
 		// sheds instead of queueing a corpse. A zero deadline never sheds.
 		if s.gate == nil {
 			if expired(dl) {
-				return s.shedDeadline(surf, shedStageGate, resp)
+				s.shedDeadline(surf, shedStageGate, resp)
+				return
 			}
 		} else {
 			tw := time.Now()
 			if !s.gate.EnterUntil(dl) {
-				return s.shedDeadline(surf, shedStageGate, resp)
+				s.shedDeadline(surf, shedStageGate, resp)
+				return
 			}
 			s.met.admWaitNs.Record(uint64(time.Since(tw)))
 			defer s.gate.Exit()
@@ -166,7 +179,21 @@ func (s *Server) exec(surf int, dl time.Time, req *kvproto.Request) (resp *kvpro
 			}
 		}
 	}
-	return resp
+}
+
+// mayPark reports whether executing op can wait on something other than
+// the STM's own retry loop, or run long: an update queues at the admission
+// gate when there is one and waits for its WAL ticket under group
+// durability; a batch or a scan is as long as the client made it. A codec
+// that serves many requests from one goroutine gives such an op its own.
+func (s *Server) mayPark(op kvproto.Op) bool {
+	switch op {
+	case kvproto.OpGet, kvproto.OpStats:
+		return false
+	case kvproto.OpPut, kvproto.OpDelete, kvproto.OpCAS, kvproto.OpAdd:
+		return s.gate != nil || s.dur.mode == DurabilityGroup
+	}
+	return true
 }
 
 // refusal is the door: it returns why a data request of kind op may not
@@ -205,13 +232,12 @@ func (s *Server) refusal(op kvproto.Op) string {
 	}
 }
 
-// shedDeadline stamps a deadline-shed response and counts it per surface
+// shedDeadline stamps resp as a deadline shed and counts it per surface
 // and stage, so /metrics can prove where requests die under overload.
-func (s *Server) shedDeadline(surf, stage int, resp *kvproto.Response) *kvproto.Response {
+func (s *Server) shedDeadline(surf, stage int, resp *kvproto.Response) {
 	s.shed.deadline[surf][stage].Add(1)
 	resp.Status = kvproto.StatusDeadlineExceeded
 	resp.Msg = "deadline exceeded before execution (" + shedStageNames[stage] + ")"
-	return resp
 }
 
 // expired reports whether a non-zero deadline has passed.

@@ -1,8 +1,33 @@
 // The binary codec of the request pipeline: kvproto frames in, exec,
-// kvproto frames out. One TCP connection carries many requests in
-// flight — the reader dispatches each op to its own goroutine (bounded
-// per connection) and the writer streams responses back in COMPLETION
-// order, so a slow update never convoys the reads pipelined behind it.
+// kvproto frames out. One TCP connection carries many requests in flight
+// and is served by one protoConn: a buffered reader, a buffered writer
+// behind a mutex, and the scratch one request at a time needs.
+//
+// Execution rule. The connection's reader goroutine reads frames through
+// its buffer, so a pipelined burst costs one read(2), and decides per
+// request from what the server can observe (Server.mayPark):
+//
+//   - An op that cannot park runs to completion on the reader itself: Get
+//     and Stats always, the point updates (Put/Delete/CAS/Add) when the
+//     server has no admission gate and its durability mode does not wait
+//     on a WAL ticket. No goroutine, no hand-off, no allocation.
+//   - An op that can wait or run long — a gated or group-durable update, a
+//     Batch, a Scan — gets its own goroutine, at most protoInflight of
+//     them per connection (the admission gate then bounds updaters across
+//     ALL connections), and checks its deadline again when it starts.
+//
+// Responses therefore complete OUT OF ORDER: a parked update never convoys
+// the reads pipelined behind it, and the id the client chose is its only
+// matching key.
+//
+// Flush rule. Every responder encodes its frame straight into the shared
+// write buffer; who issues the write(2) is decided by a count of the
+// responders that are encoding or about to (protoConn.senders). The
+// reader counts itself in for as long as a complete next frame is already
+// buffered — more answers of this burst are coming — and out before any
+// read that can block, including on a partial frame. Whoever brings the
+// count to zero flushes: one write per burst for pipelined load, an
+// immediate one for a ping-pong caller.
 package kvserver
 
 import (
@@ -18,11 +43,18 @@ import (
 	"tinystm/internal/kvproto"
 )
 
-// protoInflight bounds one connection's concurrently executing ops: the
-// pipeline stays thousands deep in the kernel socket buffers, but only
-// this many transactions run at once per connection (the admission gate
-// then bounds updaters across ALL connections).
-const protoInflight = 256
+const (
+	// protoInflight bounds one connection's concurrently running op
+	// goroutines: the pipeline stays thousands deep in the kernel socket
+	// buffers, but only this many parked or long ops exist at once per
+	// connection.
+	protoInflight = 256
+	// The two fixed buffers a connection owns. A frame larger than the
+	// read buffer is still served (ReadFrame reads through it); a response
+	// larger than the write buffer is written through.
+	protoReadBuf  = 16 << 10
+	protoWriteBuf = 64 << 10
+)
 
 // protoStats carries the binary listener's counters for /stats and the
 // smoke tests' zero-protocol-errors assertion.
@@ -49,9 +81,8 @@ func (p *protoStats) stats() map[string]any {
 	}
 }
 
-// ServeProto accepts kvproto connections on l until the listener closes.
-// Each connection gets a reader (frames in, ops dispatched) and a writer
-// (responses out, coalesced flushes); the call blocks like http.Serve.
+// ServeProto accepts kvproto connections on l until the listener closes,
+// serving each on its own goroutine; the call blocks like http.Serve.
 func (s *Server) ServeProto(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
@@ -70,109 +101,176 @@ func (s *Server) ServeProto(l net.Listener) error {
 	}
 }
 
-// serveProtoConn runs one connection's reader loop. Any framing error —
-// oversized length, CRC mismatch, truncation — kills the connection:
-// a byte stream that lost framing cannot resynchronize.
-func (s *Server) serveProtoConn(conn net.Conn) {
-	defer conn.Close()
+// protoConn is one binary connection. The fields down to holding belong
+// to the reader goroutine; bw is shared with the op goroutines under mu.
+type protoConn struct {
+	s  *Server
+	br *bufio.Reader
+	// frame is ReadFrame's payload scratch; req and resp are the decode
+	// target and the response of the request the reader is handling.
+	frame []byte
+	req   kvproto.Request
+	resp  kvproto.Response
+	// holding is set while the reader is counted in senders.
+	holding bool
 
-	// The writer drains out. Responses complete out of order by design;
-	// the id the client chose is its only matching key. The buffered
-	// channel lets op goroutines finish without rendezvousing with the
-	// flush, and the writer flushes only when the channel runs dry —
-	// group-flush for pipelined load, immediate for ping-pong callers.
-	out := make(chan []byte, protoInflight)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		bw := bufio.NewWriterSize(conn, 64<<10)
-		for payload := range out {
-			frame, err := kvproto.AppendFrame(nil, payload)
-			if err != nil {
-				continue // oversized payload is a server bug; drop the response, not the conn
-			}
-			if _, err := bw.Write(frame); err != nil {
-				// Drain without writing: the connection is gone, but op
-				// goroutines must never block on send.
-				for range out {
-				}
-				return
-			}
-			if len(out) == 0 {
-				if bw.Flush() != nil {
-					for range out {
-					}
-					return
-				}
-			}
-		}
-		bw.Flush()
-	}()
+	// senders counts the responders that are encoding into bw or about
+	// to; the one that brings it to zero flushes.
+	//stm:allow-atomic flush combining between a connection's responders, outside any transaction
+	senders atomic.Int32
+	//stm:allow-atomic guards the connection's write buffer, outside any transaction
+	mu sync.Mutex
+	bw *bufio.Writer
 
-	var wg sync.WaitGroup
-	slots := make(chan struct{}, protoInflight)
-	var buf []byte
-	for {
-		payload, err := kvproto.ReadFrame(conn, buf)
-		if err != nil {
-			if err != io.EOF {
-				s.proto.badFrames.Add(1)
-			}
-			break
-		}
-		buf = payload
-		req, err := kvproto.DecodeRequest(payload)
-		if err != nil {
-			// The frame was intact (CRC passed) but the payload is not a
-			// request we understand: answer StatusError when the id is
-			// recoverable, then drop the connection — the peer is broken.
-			s.proto.badFrames.Add(1)
-			if len(payload) >= 8 {
-				id := binary.LittleEndian.Uint64(payload[:8])
-				s.sendProto(out, &kvproto.Response{ID: id, Op: kvproto.OpGet, Status: kvproto.StatusError, Msg: err.Error()})
-			}
-			break
-		}
-		// Re-anchor the relative budget to an absolute deadline the moment
-		// the request leaves the socket: transit time never counts against
-		// it, and the server's own clock is the only one consulted.
-		var dl time.Time
-		if req.TimeoutMs > 0 {
-			dl = time.Now().Add(time.Duration(req.TimeoutMs) * time.Millisecond)
-		}
-		slots <- struct{}{}
-		wg.Add(1)
-		go func(req *kvproto.Request, dl time.Time) {
-			defer func() { <-slots; wg.Done() }()
-			// Dequeue check: the op may have sat behind a full pipeline
-			// (the slots send above blocks when protoInflight ops run).
-			// Starting work for a client that already gave up is waste.
-			if expired(dl) {
-				s.sendProto(out, s.shedDeadline(surfProto, shedStageDequeue,
-					&kvproto.Response{ID: req.ID, Op: req.Op}))
-				return
-			}
-			s.proto.ops.Add(1)
-			s.sendProto(out, s.exec(surfProto, dl, req))
-		}(req, dl)
-	}
-	wg.Wait()
-	close(out)
-	<-writerDone
+	// slots bounds the op goroutines, wg waits for them at teardown.
+	slots chan struct{}
+	wg    sync.WaitGroup
 }
 
-// sendProto encodes and enqueues one response.
-func (s *Server) sendProto(out chan<- []byte, resp *kvproto.Response) {
-	if resp.Status != kvproto.StatusOK {
-		s.proto.errOps.Add(1)
+// serveProtoConn serves one connection until its stream ends or loses
+// framing, then waits for the op goroutines still running: each answers
+// into the write buffer and flushes (into an error, if the peer is gone —
+// a failed write is sticky in bufio.Writer and never blocks).
+func (s *Server) serveProtoConn(conn net.Conn) {
+	defer conn.Close()
+	c := &protoConn{
+		s:     s,
+		br:    bufio.NewReaderSize(conn, protoReadBuf),
+		bw:    bufio.NewWriterSize(conn, protoWriteBuf),
+		slots: make(chan struct{}, protoInflight),
 	}
-	payload, err := kvproto.AppendResponse(nil, resp)
+	c.readLoop()
+	c.release()
+	c.wg.Wait()
+}
+
+// readLoop runs the connection's requests until a read fails. Any framing
+// error — oversized length, CRC mismatch, truncation — ends it: a byte
+// stream that lost framing cannot resynchronize.
+func (c *protoConn) readLoop() {
+	for {
+		payload, err := kvproto.ReadFrame(c.br, c.frame)
+		if err != nil {
+			if err != io.EOF {
+				c.s.proto.badFrames.Add(1)
+			}
+			return
+		}
+		c.frame = payload
+		// With the next request already here, this one's answer can share
+		// its write: hold the flush until the buffered burst runs out.
+		more := kvproto.FrameBuffered(c.br)
+		if more && !c.holding {
+			c.senders.Add(1)
+			c.holding = true
+		}
+		if !c.dispatch(payload) {
+			return
+		}
+		if !more {
+			c.release() // the next read may block
+		}
+	}
+}
+
+// dispatch decodes one request payload and runs it, here or on a goroutine
+// of its own. It reports false when the connection must be dropped.
+func (c *protoConn) dispatch(payload []byte) bool {
+	s := c.s
+	if err := kvproto.DecodeRequestInto(payload, &c.req); err != nil {
+		// The frame was intact (CRC passed) but the payload is not a
+		// request we understand: answer StatusError when the id is
+		// recoverable, then drop the connection — the peer is broken.
+		s.proto.badFrames.Add(1)
+		if len(payload) >= 8 {
+			id := binary.LittleEndian.Uint64(payload[:8])
+			c.send(&kvproto.Response{ID: id, Op: kvproto.OpGet, Status: kvproto.StatusError, Msg: err.Error()})
+		}
+		return false
+	}
+	// Re-anchor the relative budget to an absolute deadline the moment
+	// the request leaves the socket: transit time never counts against
+	// it, and the server's own clock is the only one consulted.
+	var dl time.Time
+	if c.req.TimeoutMs > 0 {
+		dl = time.Now().Add(time.Duration(c.req.TimeoutMs) * time.Millisecond)
+	}
+	if s.mayPark(c.req.Op) {
+		c.spawn(dl)
+		return true
+	}
+	s.proto.ops.Add(1)
+	s.execInto(surfProto, dl, &c.req, &c.resp)
+	c.send(&c.resp)
+	return true
+}
+
+// spawn hands the decoded request to a goroutine of its own.
+func (c *protoConn) spawn(dl time.Time) {
+	req := new(kvproto.Request)
+	*req = c.req
+	select {
+	case c.slots <- struct{}{}:
+	default:
+		// protoInflight ops are running: waiting for one to finish is a
+		// block like any other, and their answers must not wait on it.
+		c.release()
+		c.slots <- struct{}{}
+	}
+	c.wg.Add(1)
+	go func() {
+		defer func() { <-c.slots; c.wg.Done() }()
+		s := c.s
+		var resp kvproto.Response
+		// Dequeue check: the op may have sat behind a full pipeline, or
+		// behind a busy scheduler. Starting work for a client that already
+		// gave up is waste.
+		if expired(dl) {
+			resp = kvproto.Response{ID: req.ID, Op: req.Op}
+			s.shedDeadline(surfProto, shedStageDequeue, &resp)
+		} else {
+			s.proto.ops.Add(1)
+			s.execInto(surfProto, dl, req, &resp)
+		}
+		c.send(&resp)
+	}()
+}
+
+// send encodes one response into the write buffer and flushes it unless
+// another responder is about to. Write errors are dropped here on purpose:
+// bufio.Writer keeps the first one and turns every later write into a
+// no-op, and the reader finds out about the dead peer from its own read.
+func (c *protoConn) send(resp *kvproto.Response) {
+	c.senders.Add(1)
+	c.mu.Lock()
+	frame, err := kvproto.AppendResponseFrame(c.bw.AvailableBuffer(), resp)
 	if err != nil {
-		// Encoding our own response can only fail on a server bug
-		// (oversized pair list); degrade to a generic error.
-		payload, _ = kvproto.AppendResponse(nil, &kvproto.Response{
-			ID: resp.ID, Op: resp.Op, Status: kvproto.StatusError, Msg: "response encoding failed",
-		})
+		// Only a server bug gets here (a pair list or frame over the
+		// protocol's caps), but the client is waiting on this id: answer
+		// it with a generic error instead of leaving it to time out.
+		resp = &kvproto.Response{ID: resp.ID, Op: resp.Op, Status: kvproto.StatusError, Msg: "response encoding failed"}
+		frame, _ = kvproto.AppendResponseFrame(c.bw.AvailableBuffer(), resp)
 	}
-	out <- payload
+	if resp.Status != kvproto.StatusOK {
+		c.s.proto.errOps.Add(1)
+	}
+	_, _ = c.bw.Write(frame)
+	if c.senders.Add(-1) == 0 {
+		_ = c.bw.Flush()
+	}
+	c.mu.Unlock()
+}
+
+// release takes the reader out of senders, flushing if that leaves nobody
+// to do it. The reader calls it before anything that can block.
+func (c *protoConn) release() {
+	if !c.holding {
+		return
+	}
+	c.holding = false
+	if c.senders.Add(-1) == 0 {
+		c.mu.Lock()
+		_ = c.bw.Flush() // see send
+		c.mu.Unlock()
+	}
 }

@@ -1,0 +1,375 @@
+package kvserver
+
+import (
+	"bufio"
+	"bytes"
+	"io"
+	"net"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"tinystm/internal/kvproto"
+)
+
+// Tests of the connection loop itself (proto.go): which goroutine runs an
+// op, when a flush happens, and what teardown waits for. They speak the
+// protocol over a raw socket, because kvclient would hide exactly the
+// byte-level timing they are about.
+
+func dialRaw(t testing.TB, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
+
+func reqFrame(t testing.TB, req *kvproto.Request) []byte {
+	t.Helper()
+	payload, err := kvproto.AppendRequest(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := kvproto.AppendFrame(nil, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// readResp reads one response, failing the test if none arrives in time:
+// a response the loop forgot to flush shows up here as a timeout.
+func readResp(t testing.TB, conn net.Conn) *kvproto.Response {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	payload, err := kvproto.ReadFrame(conn, nil)
+	if err != nil {
+		t.Fatalf("read response: %v", err)
+	}
+	resp, err := kvproto.DecodeResponse(payload)
+	if err != nil {
+		t.Fatalf("decode response: %v", err)
+	}
+	return resp
+}
+
+// waitFor polls cond: the server-side effects these tests wait on (a
+// connection's teardown, goroutines exiting) have no event to block on.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestProtoLoopParkedUpdateDoesNotConvoy: a Put parked at the admission
+// gate has its own goroutine, so the Get pipelined BEHIND it on the same
+// connection is answered first, and the Put answers once released.
+func TestProtoLoopParkedUpdateDoesNotConvoy(t *testing.T) {
+	h := startProto(t, Config{AdmissionWidth: 1})
+	if _, err := h.c.Put(7, 70); err != nil {
+		t.Fatal(err)
+	}
+	h.srv.gate.Enter()
+	conn := dialRaw(t, h.addr)
+	burst := append(reqFrame(t, &kvproto.Request{ID: 1, Op: kvproto.OpPut, Key: 8, Val: 80}),
+		reqFrame(t, &kvproto.Request{ID: 2, Op: kvproto.OpGet, Key: 7})...)
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	if r := readResp(t, conn); r.ID != 2 || r.Status != kvproto.StatusOK || !r.Found || r.Val != 70 {
+		t.Fatalf("first answer = %+v, want the Get (id 2, found 70)", r)
+	}
+	h.srv.gate.Exit()
+	if r := readResp(t, conn); r.ID != 1 || r.Status != kvproto.StatusOK || !r.OK {
+		t.Fatalf("second answer = %+v, want the released Put (id 1, inserted)", r)
+	}
+}
+
+// TestProtoLoopPartialFrame: with one and a half frames on the wire the
+// first request is answered at once — the reader gives up its hold on the
+// flush before blocking on the rest of the second.
+func TestProtoLoopPartialFrame(t *testing.T) {
+	h := startProto(t, Config{})
+	conn := dialRaw(t, h.addr)
+	first := reqFrame(t, &kvproto.Request{ID: 1, Op: kvproto.OpPut, Key: 3, Val: 30})
+	second := reqFrame(t, &kvproto.Request{ID: 2, Op: kvproto.OpGet, Key: 3})
+	half := len(second) / 2
+	if _, err := conn.Write(append(first, second[:half]...)); err != nil {
+		t.Fatal(err)
+	}
+	if r := readResp(t, conn); r.ID != 1 || r.Status != kvproto.StatusOK {
+		t.Fatalf("answer to the complete frame = %+v", r)
+	}
+	if _, err := conn.Write(second[half:]); err != nil {
+		t.Fatal(err)
+	}
+	if r := readResp(t, conn); r.ID != 2 || !r.Found || r.Val != 30 {
+		t.Fatalf("answer to the completed frame = %+v", r)
+	}
+}
+
+// TestProtoLoopFragmentedBurst delivers a burst one byte per write: every
+// request is answered, once, in a valid frame.
+func TestProtoLoopFragmentedBurst(t *testing.T) {
+	h := startProto(t, Config{Snapshots: true})
+	conn := dialRaw(t, h.addr)
+	reqs := []*kvproto.Request{
+		{ID: 1, Op: kvproto.OpPut, Key: 1, Val: 10},
+		{ID: 2, Op: kvproto.OpGet, Key: 1},
+		{ID: 3, Op: kvproto.OpBatch, Ops: []kvproto.BatchOp{{Op: kvproto.OpAdd, Key: 2, Val: 5}}},
+		{ID: 4, Op: kvproto.OpStats},
+		{ID: 5, Op: kvproto.OpScan},
+		{ID: 6, Op: kvproto.OpCAS, Key: 1, Old: 10, Val: 11},
+	}
+	var burst []byte
+	for _, r := range reqs {
+		burst = append(burst, reqFrame(t, r)...)
+	}
+	go func() {
+		for i := range burst {
+			if _, err := conn.Write(burst[i : i+1]); err != nil {
+				return // the reads below fail the test
+			}
+		}
+	}()
+	seen := map[uint64]bool{}
+	for range reqs {
+		r := readResp(t, conn)
+		if r.Status != kvproto.StatusOK || seen[r.ID] || r.ID < 1 || r.ID > uint64(len(reqs)) {
+			t.Fatalf("answer %+v (seen before: %v)", r, seen[r.ID])
+		}
+		seen[r.ID] = true
+	}
+}
+
+// TestProtoLoopCombiningStress runs two connections of mixed reader-run
+// and goroutine-run ops, written in bursts of every size while the answers
+// are read concurrently: every id is answered exactly once, every frame
+// decodes, and the listener's accounting matches what the clients saw.
+func TestProtoLoopCombiningStress(t *testing.T) {
+	h := startProto(t, Config{Snapshots: true, SpaceWords: 1 << 18})
+	const conns, perConn = 2, 3000
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var sawErr uint64
+	for ci := 0; ci < conns; ci++ {
+		conn := dialRaw(t, h.addr)
+		var writes [][]byte // bursts of 1..13 requests
+		var burst []byte
+		for i := 1; i <= perConn; i++ {
+			req := &kvproto.Request{ID: uint64(i), Key: uint64(ci*64 + i%64)}
+			switch i % 8 {
+			case 0: // goroutine-run, and refused by exec: an error the client sees
+				req.Op = kvproto.OpBatch
+			case 1:
+				req.Op, req.Ops = kvproto.OpBatch, []kvproto.BatchOp{{Op: kvproto.OpAdd, Key: req.Key, Val: 1}}
+			case 2:
+				req.Op, req.Limit = kvproto.OpScan, 4
+			case 3, 4:
+				req.Op, req.Val = kvproto.OpPut, uint64(i)
+			default:
+				req.Op = kvproto.OpGet
+			}
+			burst = append(burst, reqFrame(t, req)...)
+			if i%(1+i%13) == 0 || i == perConn {
+				writes, burst = append(writes, burst), nil
+			}
+		}
+		wg.Add(2)
+		go func(ci int) { // writer
+			defer wg.Done()
+			for _, w := range writes {
+				if _, err := conn.Write(w); err != nil {
+					t.Errorf("conn %d: write: %v", ci, err)
+					return
+				}
+			}
+		}(ci)
+		go func(ci int) { // reader
+			defer wg.Done()
+			br := bufio.NewReader(conn)
+			conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+			seen := make([]bool, perConn+1)
+			var errs uint64
+			var buf []byte
+			for n := 0; n < perConn; n++ {
+				payload, err := kvproto.ReadFrame(br, buf)
+				if err != nil {
+					t.Errorf("conn %d: answer %d: %v", ci, n, err)
+					return
+				}
+				buf = payload
+				r, err := kvproto.DecodeResponse(payload)
+				if err != nil {
+					t.Errorf("conn %d: answer %d: %v", ci, n, err)
+					return
+				}
+				if r.ID < 1 || r.ID > perConn || seen[r.ID] {
+					t.Errorf("conn %d: id %d answered twice or never asked", ci, r.ID)
+					return
+				}
+				seen[r.ID] = true
+				if wantErr := r.ID%8 == 0; wantErr != (r.Status != kvproto.StatusOK) {
+					t.Errorf("conn %d: id %d: status %v (%s)", ci, r.ID, r.Status, r.Msg)
+				}
+				if r.Status != kvproto.StatusOK {
+					errs++
+				}
+			}
+			mu.Lock()
+			sawErr += errs
+			mu.Unlock()
+		}(ci)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	p := &h.srv.proto
+	if ops, errOps := p.ops.Load(), p.errOps.Load(); ops != conns*perConn || errOps != sawErr {
+		t.Errorf("proto accounting: ops=%d err_ops=%d, clients sent %d and saw %d errors", ops, errOps, conns*perConn, sawErr)
+	}
+	if bad := p.badFrames.Load(); bad != 0 {
+		t.Errorf("bad_frames = %d, want 0", bad)
+	}
+}
+
+// TestProtoLoopTeardown: the peer vanishes mid-burst with an update still
+// parked at the gate. The parked op finishes once released, its answer is
+// discarded into the dead writer without blocking anything, the connection
+// is accounted closed and every goroutine it started is gone.
+func TestProtoLoopTeardown(t *testing.T) {
+	h := startProto(t, Config{AdmissionWidth: 1})
+	if _, err := h.c.Put(1, 1); err != nil { // the harness client's connection is up before the baseline
+		t.Fatal(err)
+	}
+	goroutines := runtime.NumGoroutine()
+	h.srv.gate.Enter()
+	conn := dialRaw(t, h.addr)
+	burst := reqFrame(t, &kvproto.Request{ID: 1, Op: kvproto.OpGet, Key: 1})
+	burst = append(burst, reqFrame(t, &kvproto.Request{ID: 2, Op: kvproto.OpPut, Key: 9, Val: 90})...)
+	third := reqFrame(t, &kvproto.Request{ID: 3, Op: kvproto.OpGet, Key: 1})
+	burst = append(burst, third[:len(third)/2]...)
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	if r := readResp(t, conn); r.ID != 1 {
+		t.Fatalf("first answer = %+v, want the Get", r)
+	}
+	conn.Close()
+	// The reader has seen the truncated stream once bad_frames moves; the
+	// connection must stay open for its parked Put.
+	waitFor(t, "the reader to see the truncated frame", func() bool { return h.srv.proto.badFrames.Load() == 1 })
+	if n := h.srv.proto.conns.Load(); n != 2 {
+		t.Fatalf("conns = %d with an op still parked, want 2 (harness client + this one)", n)
+	}
+	h.srv.gate.Exit()
+	waitFor(t, "the connection to close", func() bool { return h.srv.proto.conns.Load() == 1 })
+	if v, found, err := h.c.Get(9); err != nil || !found || v != 90 {
+		t.Fatalf("the parked Put did not finish: Get(9) = (%d, %v, %v)", v, found, err)
+	}
+	waitFor(t, "the connection's goroutines to exit", func() bool { return runtime.NumGoroutine() <= goroutines })
+}
+
+// TestProtoUnencodableResponseDegrades: a response the codec refuses to
+// encode (here a pair list over the protocol's cap, the same path a frame
+// over MaxFrame takes) must still answer its id — with a generic error —
+// or the client waits on it until its own timeout.
+func TestProtoUnencodableResponseDegrades(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	var wire bytes.Buffer
+	c := &protoConn{s: s, bw: bufio.NewWriter(&wire)}
+	c.send(&kvproto.Response{ID: 9, Op: kvproto.OpScan, Pairs: make([]kvproto.KV, kvproto.MaxScanPairs+1)})
+	payload, err := kvproto.ReadFrame(&wire, nil)
+	if err != nil {
+		t.Fatalf("no frame answered: %v", err)
+	}
+	resp, err := kvproto.DecodeResponse(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ID != 9 || resp.Op != kvproto.OpScan || resp.Status != kvproto.StatusError {
+		t.Fatalf("degraded answer = %+v, want (id 9, scan, error)", resp)
+	}
+	if n := s.proto.errOps.Load(); n != 1 {
+		t.Fatalf("err_ops = %d, want 1: the client saw an error", n)
+	}
+}
+
+// TestProtoReaderPathAllocs pins the reader-run path: decoding a Get,
+// executing it and encoding its answer into the write buffer allocates at
+// most once (ROADMAP item 2; the path measures 0 today).
+func TestProtoReaderPathAllocs(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	s.store.Put(5, 50)
+	c := &protoConn{s: s, bw: bufio.NewWriterSize(io.Discard, protoWriteBuf)}
+	payload, err := kvproto.AppendRequest(nil, &kvproto.Request{ID: 1, Op: kvproto.OpGet, Key: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(500, func() { c.dispatch(payload) }); n > 1 {
+		t.Fatalf("decode → exec → encode of a Get: %v allocs, want <= 1", n)
+	}
+	if !c.resp.Found || c.resp.Val != 50 {
+		t.Fatalf("the measured path answered %+v", c.resp)
+	}
+}
+
+// pipelinedBench drives one loopback connection in lock-step bursts of
+// depth pre-encoded requests, each written in one call, and reports the
+// cost per request: the connection loop's own rung on the ladder.
+func pipelinedBench(b *testing.B, depth int, op kvproto.Op) {
+	srv, err := New(Config{SpaceWords: 1 << 18})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lis.Close()
+	go srv.ServeProto(lis)
+	for k := uint64(0); k < 1024; k++ {
+		srv.store.Put(k, k)
+	}
+	conn := dialRaw(b, lis.Addr().String())
+	var burst []byte
+	ends := make([]int, depth) // burst[:ends[i]] is the first i+1 requests
+	for i := range ends {
+		burst = append(burst, reqFrame(b, &kvproto.Request{ID: uint64(i), Op: op, Key: uint64(i * 37 % 1024), Val: 1})...)
+		ends[i] = len(burst)
+	}
+	br := bufio.NewReader(conn)
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for left := b.N; left > 0; {
+		n := min(depth, left)
+		if _, err := conn.Write(burst[:ends[n-1]]); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if buf, err = kvproto.ReadFrame(br, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		left -= n
+	}
+}
+
+func BenchmarkProtoPipelinedGet(b *testing.B) {
+	b.Run("depth=4", func(b *testing.B) { pipelinedBench(b, 4, kvproto.OpGet) })
+	b.Run("depth=32", func(b *testing.B) { pipelinedBench(b, 32, kvproto.OpGet) })
+}
+
+func BenchmarkProtoPipelinedPut(b *testing.B) {
+	b.Run("depth=4", func(b *testing.B) { pipelinedBench(b, 4, kvproto.OpPut) })
+}

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"sync"
 
 	"tinystm/internal/obs"
 	"tinystm/internal/txn"
@@ -96,6 +97,11 @@ type Store[T txn.Tx] struct {
 	// count per single-key operation, keyed by shard — the server's
 	// contention heat map. Nil costs every op one predictable branch.
 	heat *obs.ShardHeat
+
+	// opFree recycles the single-key operations' pointOps.
+	//stm:allow-atomic guards the pointOp free-list; ops are borrowed and returned outside transactions
+	opMu   sync.Mutex
+	opFree []*pointOp[T]
 }
 
 // NewStore builds the Map inside sys and wraps it.
@@ -125,13 +131,6 @@ func (s *Store[T]) atomicRO(tx T, body func(T)) {
 // NewShardHeat(Map().Shards())). Attach before traffic starts.
 func (s *Store[T]) SetShardHeat(h *obs.ShardHeat) { s.heat = h }
 
-// noteHeat records one finished single-key op against its shard.
-func (s *Store[T]) noteHeat(sh uint64, attempts int) {
-	if s.heat != nil {
-		s.heat.Record(sh, attempts)
-	}
-}
-
 // Map exposes the underlying transactional map.
 func (s *Store[T]) Map() *Map[T] { return s.m }
 
@@ -139,17 +138,102 @@ func (s *Store[T]) Map() *Map[T] { return s.m }
 // idle.
 func (s *Store[T]) Close() { s.pool.Close() }
 
+// pointOp carries one single-key operation through its atomic block:
+// arguments in, results out, and the five bodies. A body written as a
+// closure where it is called captures its results by reference and
+// escapes through the System interface — four heap allocations around a
+// Get whose transaction makes none — so the bodies are built once per
+// pointOp, over its fields, and the ops are recycled (Store.getOp).
+type pointOp[T txn.Tx] struct {
+	// In: val is Put's value, Add's delta and CAS's new value; old is
+	// CAS's expected value; sh is key's shard.
+	key, val, old, sh uint64
+	// Out: res is Get's value and Add's result; flag is found (Get,
+	// Delete), inserted (Put) or swapped (CAS); grow asks for a follow-up
+	// Grow of the shard. attempts counts the body's executions for the
+	// heat map.
+	res        uint64
+	flag, grow bool
+	attempts   int
+
+	get, put, del, cas, add func(T)
+}
+
+func newPointOp[T txn.Tx](s *Store[T]) *pointOp[T] {
+	o := &pointOp[T]{}
+	o.get = func(tx T) {
+		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
+		o.attempts++
+		o.res, o.flag = s.m.Get(tx, o.key)
+	}
+	o.put = func(tx T) {
+		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
+		o.attempts++
+		o.flag = s.m.Put(tx, o.key, o.val)
+		o.grow = o.flag && s.m.NeedsGrow(tx, o.sh)
+		s.redo(tx, txn.RedoPut, o.key, o.val)
+	}
+	o.del = func(tx T) {
+		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
+		o.attempts++
+		o.flag = s.m.Delete(tx, o.key)
+		if o.flag {
+			s.redo(tx, txn.RedoDelete, o.key, 0)
+		}
+	}
+	o.cas = func(tx T) {
+		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
+		o.attempts++
+		o.flag = s.m.CAS(tx, o.key, o.old, o.val)
+		if o.flag {
+			s.redo(tx, txn.RedoPut, o.key, o.val)
+		}
+	}
+	o.add = func(tx T) {
+		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
+		o.attempts++
+		o.res = s.m.Add(tx, o.key, o.val)
+		o.grow = s.m.NeedsGrow(tx, o.sh)
+		s.redo(tx, txn.RedoPut, o.key, o.res)
+	}
+	return o
+}
+
+// getOp borrows a pointOp armed with the operation's arguments. An op
+// lost to a panic unwinding through its caller is simply collected.
+func (s *Store[T]) getOp(key, val, old uint64) *pointOp[T] {
+	var o *pointOp[T]
+	s.opMu.Lock()
+	if n := len(s.opFree); n > 0 {
+		o, s.opFree = s.opFree[n-1], s.opFree[:n-1]
+	}
+	s.opMu.Unlock()
+	if o == nil {
+		o = newPointOp(s)
+	}
+	o.key, o.val, o.old, o.sh = key, val, old, s.m.Shard(key)
+	o.grow, o.attempts = false, 0
+	return o
+}
+
+// putOp records the finished op against its shard's heat and recycles it.
+func (s *Store[T]) putOp(o *pointOp[T]) {
+	if s.heat != nil {
+		s.heat.Record(o.sh, o.attempts)
+	}
+	s.opMu.Lock()
+	s.opFree = append(s.opFree, o)
+	s.opMu.Unlock()
+}
+
 // Get returns key's value via a read-only transaction.
 func (s *Store[T]) Get(key uint64) (val uint64, found bool) {
 	tx := s.pool.Get()
 	defer s.pool.Put(tx)
-	attempts := 0
-	s.sys.AtomicRO(tx, func(tx T) {
-		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
-		attempts++
-		val, found = s.m.Get(tx, key)
-	})
-	s.noteHeat(s.m.Shard(key), attempts)
+	o := s.getOp(key, 0, 0)
+	s.sys.AtomicRO(tx, o.get)
+	val, found = o.res, o.flag
+	s.putOp(o)
 	return val, found
 }
 
@@ -157,27 +241,28 @@ func (s *Store[T]) Get(key uint64) (val uint64, found bool) {
 // tips the owning shard over its load factor, the shard is grown in a
 // follow-up freeze/rehash transaction before Put returns.
 func (s *Store[T]) Put(key, val uint64) (inserted bool) {
-	var grow bool
 	tx := s.pool.Get()
 	defer s.pool.Put(tx)
-	sh := s.m.Shard(key)
-	attempts := 0
-	s.sys.Atomic(tx, func(tx T) {
-		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
-		attempts++
-		inserted = s.m.Put(tx, key, val)
-		grow = inserted && s.m.NeedsGrow(tx, sh)
-		s.redo(tx, txn.RedoPut, key, val)
-	})
-	s.noteHeat(sh, attempts)
+	o := s.getOp(key, val, 0)
+	s.sys.Atomic(tx, o.put)
+	inserted = o.flag
+	s.finishUpdate(tx, o)
+	return inserted
+}
+
+// finishUpdate is the tail every single-key update shares once its atomic
+// block has committed: recycle the op, grow the shard if the body asked
+// for it, then wait for the commit to be durable.
+func (s *Store[T]) finishUpdate(tx T, o *pointOp[T]) {
 	// The ticket must be read before tryGrow: the growth transaction's
 	// Begin clears it from the descriptor.
 	t := s.ticket(tx)
+	sh, grow := o.sh, o.grow
+	s.putOp(o)
 	if grow {
 		s.tryGrow(tx, sh)
 	}
 	s.waitDurable(t)
-	return inserted
 }
 
 // tryGrow runs the freeze/rehash transaction as best-effort housekeeping:
@@ -199,17 +284,10 @@ func (s *Store[T]) tryGrow(tx T, sh uint64) {
 func (s *Store[T]) Delete(key uint64) (found bool) {
 	tx := s.pool.Get()
 	defer s.pool.Put(tx)
-	attempts := 0
-	s.sys.Atomic(tx, func(tx T) {
-		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
-		attempts++
-		found = s.m.Delete(tx, key)
-		if found {
-			s.redo(tx, txn.RedoDelete, key, 0)
-		}
-	})
-	s.noteHeat(s.m.Shard(key), attempts)
-	s.waitDurable(s.ticket(tx))
+	o := s.getOp(key, 0, 0)
+	s.sys.Atomic(tx, o.del)
+	found = o.flag
+	s.finishUpdate(tx, o)
 	return found
 }
 
@@ -217,41 +295,22 @@ func (s *Store[T]) Delete(key uint64) (found bool) {
 func (s *Store[T]) CAS(key, old, new uint64) (ok bool) {
 	tx := s.pool.Get()
 	defer s.pool.Put(tx)
-	attempts := 0
-	s.sys.Atomic(tx, func(tx T) {
-		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
-		attempts++
-		ok = s.m.CAS(tx, key, old, new)
-		if ok {
-			s.redo(tx, txn.RedoPut, key, new)
-		}
-	})
-	s.noteHeat(s.m.Shard(key), attempts)
-	s.waitDurable(s.ticket(tx))
+	o := s.getOp(key, new, old)
+	s.sys.Atomic(tx, o.cas)
+	ok = o.flag
+	s.finishUpdate(tx, o)
 	return ok
 }
 
 // Add atomically adds delta to key's value (inserting at delta when
 // absent) and returns the new value.
 func (s *Store[T]) Add(key, delta uint64) (val uint64) {
-	var grow bool
 	tx := s.pool.Get()
 	defer s.pool.Put(tx)
-	sh := s.m.Shard(key)
-	attempts := 0
-	s.sys.Atomic(tx, func(tx T) {
-		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
-		attempts++
-		val = s.m.Add(tx, key, delta)
-		grow = s.m.NeedsGrow(tx, sh)
-		s.redo(tx, txn.RedoPut, key, val)
-	})
-	s.noteHeat(sh, attempts)
-	t := s.ticket(tx)
-	if grow {
-		s.tryGrow(tx, sh)
-	}
-	s.waitDurable(t)
+	o := s.getOp(key, delta, 0)
+	s.sys.Atomic(tx, o.add)
+	val = o.res
+	s.finishUpdate(tx, o)
 	return val
 }
 

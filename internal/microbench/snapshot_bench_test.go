@@ -35,6 +35,7 @@ func benchKVGet(b *testing.B, snapshots bool) {
 	s := benchStore(b, snapshots)
 	defer s.Close()
 	r := rng.New(7)
+	b.ReportAllocs() // pinned at 0 by kvstore's TestSingleKeyOpsDoNotAllocate
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Get(r.Uint64n(4096))
@@ -48,6 +49,7 @@ func benchKVPut(b *testing.B, snapshots bool) {
 	s := benchStore(b, snapshots)
 	defer s.Close()
 	r := rng.New(7)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Put(r.Uint64n(4096), uint64(i))
