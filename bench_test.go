@@ -2,10 +2,9 @@
 // figure of the paper's evaluation. Each benchmark executes the
 // corresponding experiment runner from internal/experiments at a reduced
 // scale and reports the headline throughput as a custom metric
-// (txs/sec). For paper-scale runs use the CLI tools (cmd/stmbench,
-// cmd/sweep, cmd/tune, cmd/vacation); both paths share all experiment
-// code, so the benchmarks double as end-to-end regression checks for
-// every figure.
+// (txs/sec). For paper-scale runs use `stmbench -fig N`; both paths share
+// all experiment code, so the benchmarks double as end-to-end regression
+// checks for every figure.
 package tinystm
 
 import (
@@ -205,12 +204,13 @@ func tuneBenchScale() experiments.Scale {
 	return sc
 }
 
-func tuneBenchConfig(kind harness.Kind) experiments.TuneConfig {
-	return experiments.TuneConfig{
-		Kind: kind, Size: 256, UpdatePct: 20,
-		Threads: 2, Periods: 6, Period: 5 * time.Millisecond,
-		SamplesPerConfig: 2,
-		Start:            core.Params{Locks: 1 << 8, Shifts: 0, Hier: 1},
+// tuneBenchConfig is the Figure 10-12 experiment at bench scale: the
+// tuning runtime over one steady workload, no static baselines.
+func tuneBenchConfig(kind harness.Kind) experiments.AutotuneConfig {
+	return experiments.AutotuneConfig{
+		Phases:  []harness.IntsetParams{{Kind: kind, InitialSize: 256, UpdatePct: 20}},
+		Threads: 2, Periods: 6, Period: 5 * time.Millisecond, Samples: 2,
+		Start: core.Params{Locks: 1 << 8, Shifts: 0, Hier: 1},
 		Bounds: tuning.Bounds{
 			MinLocks: 1 << 6, MaxLocks: 1 << 14,
 			MinShifts: 0, MaxShifts: 4, MinHier: 1, MaxHier: 64,
@@ -223,7 +223,7 @@ func BenchmarkFig10TuningRBTree(b *testing.B) {
 	sc := tuneBenchScale()
 	var tp float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunTuning(sc, tuneBenchConfig(harness.KindRBTree))
+		r := experiments.AutotuneSweep(sc, tuneBenchConfig(harness.KindRBTree))
 		tp = r.BestTp
 	}
 	b.ReportMetric(tp, "txs/s")
@@ -233,7 +233,7 @@ func BenchmarkFig11TuningList(b *testing.B) {
 	sc := tuneBenchScale()
 	var tp float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunTuning(sc, tuneBenchConfig(harness.KindList))
+		r := experiments.AutotuneSweep(sc, tuneBenchConfig(harness.KindList))
 		tp = r.BestTp
 	}
 	b.ReportMetric(tp, "txs/s")
@@ -243,7 +243,7 @@ func BenchmarkFig12ValidationCounters(b *testing.B) {
 	sc := tuneBenchScale()
 	var skipped float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunTuning(sc, tuneBenchConfig(harness.KindList))
+		r := experiments.AutotuneSweep(sc, tuneBenchConfig(harness.KindList))
 		for _, v := range r.Validation {
 			skipped += v.SkippedPerSec
 		}

@@ -1,16 +1,25 @@
-// Command stmbench runs the paper's integer-set benchmarks (Figures 2-5):
-// throughput and abort rates of TinySTM write-back / write-through and TL2
-// over the red-black tree and sorted linked list micro-benchmarks.
+// Command stmbench runs every figure of the paper's evaluation, plus the
+// sweeps this repository adds on top, from one flag block and one -fig
+// dispatch table:
+//
+//	2 3 4 4r 5   integer-set throughput and abort rates, TinySTM-WB/WT vs TL2
+//	6 7 8 9      (#locks x #shifts x h) sweeps: rbtree/list, Vacation, improvement curves
+//	10 11 12     dynamic tuning from (2^8,0,1) on tuning.Runtime: rbtree, list, validation counters
+//	clock cm     commit-clock strategies; contention-management policies
+//	snapshot server proto   MVCC scans, the in-process service, the wire surfaces
+//	custom       one workload (-b -size -update) across all three systems
+//	autotune     the tuning runtime against a phase-shifting workload vs. static baselines
 //
 // Examples:
 //
-//	stmbench                      # all panels of Figures 2-4, paper scale
-//	stmbench -fig 5               # the Figure 5 size x update surface
-//	stmbench -fig 3 -quick -csv   # fast smoke run, CSV output
-//	stmbench -b skiplist -size 1024 -update 20   # extension workload
-//	stmbench -fig cm -b list -size 256 -update 80   # contention-management sweep
-//	stmbench -cm karma -fig 3     # run a figure under the Karma policy
-//	stmbench -fig snapshot -threads 4   # RO full scans x writers, MVCC on/off
+//	stmbench -fig 3 -quick -csv                    # fast smoke run, CSV output
+//	stmbench -fig 6 -b rbtree -locks 8,12,16       # Figure 6 on a chosen grid
+//	stmbench -fig 7 -r 16384 -q 90 -u 80 -n 4      # Figure 7, Vacation parameters
+//	stmbench -fig 11 -periods 40 -duration 1s      # Figure 11, 40 configurations
+//	stmbench -b skiplist -size 1024 -update 20     # extension workload (-fig custom)
+//	stmbench -fig cm -b list -size 256 -update 80  # contention-management sweep
+//	stmbench -cm karma -fig 3                      # run a figure under the Karma policy
+//	stmbench -fig autotune -b list -tune-cm        # autotuned vs. static comparison
 package main
 
 import (
@@ -18,6 +27,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"tinystm/internal/cliutil"
@@ -26,192 +36,320 @@ import (
 	"tinystm/internal/experiments"
 	"tinystm/internal/harness"
 	"tinystm/internal/tuning"
+	"tinystm/internal/vacation"
 )
 
 // defaultGeometry matches the fixed configuration the non-sweep figures
 // use (2^20 locks, no shift, hierarchy disabled).
 var defaultGeometry = core.Params{Locks: 1 << 20, Shifts: 0, Hier: 1}
 
+// figures is the -fig dispatch table, in the order the usage string lists
+// the names.
+var figures = []struct {
+	name string
+	run  func(*options)
+}{
+	{"2", fig2}, {"3", fig3}, {"4", fig4}, {"4r", fig4r}, {"5", fig5},
+	{"6", fig6}, {"7", fig7}, {"8", fig8}, {"9", fig9},
+	{"10", fig10}, {"11", fig11}, {"12", fig12},
+	{"clock", figClock}, {"cm", figCM}, {"snapshot", figSnapshot},
+	{"server", figServer}, {"proto", figProto},
+	{"custom", figCustom}, {"autotune", figAutotune},
+}
+
+func figureNames() string {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	return strings.Join(names, " ")
+}
+
+// options is the one flag block, plus what main derives from it once.
+type options struct {
+	fig, cm, clock, bench, threads string
+	size, update                   int
+	duration, warmup               time.Duration
+	seed                           uint64
+	quick, csv, tuneCM             bool
+	yield, repeats, periods, shift int
+	locks, shifts, hiers           string
+	vacation                       vacation.Params
+
+	sc      experiments.Scale
+	kind    harness.Kind
+	sizeSet bool // -size given explicitly (snapshot keeps its own default otherwise)
+}
+
+func declare(fs *flag.FlagSet) *options {
+	o := new(options)
+	fs.StringVar(&o.fig, "fig", "custom", "figure to run: "+figureNames())
+	fs.StringVar(&o.cm, "cm", "suicide", "contention-management policy (suicide, backoff, karma, timestamp, serializer); -fig cm sweeps all five")
+	fs.StringVar(&o.clock, "clock", "fetchinc", "commit-clock strategy for TinySTM points (fetchinc, lazy, ticket); -fig clock sweeps all three")
+	fs.StringVar(&o.bench, "b", "rbtree", "structure (list, rbtree, skiplist, hashset) for -fig 6, 8, clock, cm, custom, autotune")
+	fs.IntVar(&o.size, "size", 4096, "initial elements for -fig 10-12, clock, cm, snapshot, custom, autotune")
+	fs.IntVar(&o.update, "update", 20, "update percentage for -fig 10-12, clock, cm, custom, autotune")
+	fs.StringVar(&o.threads, "threads", "1,2,4,6,8", "comma-separated thread counts (sweeps and tuning runs use the largest)")
+	fs.DurationVar(&o.duration, "duration", time.Second, "measurement window per point; one tuning sample for -fig 10-12, autotune")
+	fs.DurationVar(&o.warmup, "warmup", 200*time.Millisecond, "warm-up before measuring")
+	fs.Uint64Var(&o.seed, "seed", 42, "workload seed")
+	fs.BoolVar(&o.quick, "quick", false, "milliseconds-scale smoke run")
+	fs.IntVar(&o.yield, "yield", 0, "yield after every N loads (multi-core interleaving simulation; 0 = off)")
+	fs.IntVar(&o.repeats, "repeats", 1, "measurements per point (maximum kept)")
+	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned tables")
+	fs.IntVar(&o.periods, "periods", 30, "tuning periods (configurations) for -fig 10-12, autotune")
+	fs.BoolVar(&o.tuneCM, "tune-cm", false, "let -fig autotune also switch the contention-management policy live")
+	fs.IntVar(&o.shift, "shift", 0, "flip the workload phase every N tuning periods for -fig autotune (0 = half the run)")
+	fs.StringVar(&o.locks, "locks", "", "lock-array exponents for -fig 6-9 (default 8,10,...,24; -fig 7: 16,18,...,24)")
+	fs.StringVar(&o.shifts, "shifts", "", "shift values for -fig 6-9 (default 0,1,...,6; -fig 7: 0,2,...,8)")
+	fs.StringVar(&o.hiers, "hiers", "4,16,64,256", "hierarchical array sizes for -fig 9")
+	fs.IntVar(&o.vacation.Relations, "r", 1<<12, "-fig 7: records per Vacation relation")
+	fs.IntVar(&o.vacation.QueryPct, "q", 90, "-fig 7: percent of relations queried")
+	fs.IntVar(&o.vacation.UserPct, "u", 80, "-fig 7: percent of user (reservation) transactions")
+	fs.IntVar(&o.vacation.QueriesPerTx, "n", 4, "-fig 7: queries per transaction")
+	return o
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("stmbench: ")
-
-	var (
-		fig      = flag.String("fig", "all", "figure to reproduce: 2, 3, 4, 4r, 5, all, custom, clock, cm, server, snapshot, proto")
-		cmFlag   = flag.String("cm", "suicide", "contention-management policy (suicide, backoff, karma, timestamp, serializer); -fig cm sweeps all five")
-		clock    = flag.String("clock", "fetchinc", "commit-clock strategy for TinySTM points (fetchinc, lazy, ticket); -fig clock sweeps all three")
-		bench    = flag.String("b", "rbtree", "structure for -fig custom (list, rbtree, skiplist, hashset)")
-		size     = flag.Int("size", 4096, "initial elements for -fig custom")
-		update   = flag.Int("update", 20, "update percentage for -fig custom")
-		threads  = flag.String("threads", "1,2,4,6,8", "comma-separated thread counts")
-		duration = flag.Duration("duration", time.Second, "measurement window per point")
-		warmup   = flag.Duration("warmup", 200*time.Millisecond, "warm-up before measuring")
-		seed     = flag.Uint64("seed", 42, "workload seed")
-		quick    = flag.Bool("quick", false, "milliseconds-scale smoke run")
-		yield_   = flag.Int("yield", 0, "yield after every N loads (multi-core interleaving simulation; 0 = off)")
-		repeats  = flag.Int("repeats", 1, "measurements per point (maximum kept)")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		autotune = flag.Bool("autotune", false, "run the online auto-tuning runtime against a live workload (uses -b, -size, -update, -threads, -duration; overrides -fig)")
-		tuneCM   = flag.Bool("tune-cm", false, "let -autotune also switch the contention-management policy live")
-		periods  = flag.Int("periods", 30, "tuning periods for -autotune")
-		shift    = flag.Int("shift", 0, "flip the workload phase every N tuning periods for -autotune (0 = half the run)")
-	)
+	o := declare(flag.CommandLine)
 	flag.Parse()
+	flag.Visit(func(f *flag.Flag) { o.sizeSet = o.sizeSet || f.Name == "size" })
 
-	ths, err := cliutil.ParseInts(*threads)
+	o.sc = cliutil.Scale(o.duration, o.warmup, must(cliutil.ParseInts(o.threads)), o.seed, o.quick, o.yield)
+	o.sc.Repeats = o.repeats
+	o.sc.Clock = must(core.ParseClockStrategy(o.clock))
+	o.sc.CM = must(cm.ParseKind(o.cm))
+	o.kind = must(cliutil.ParseKind(o.bench))
+
+	for _, f := range figures {
+		if f.name == o.fig {
+			f.run(o)
+			return
+		}
+	}
+	log.Fatalf("unknown -fig %q (%s)", o.fig, figureNames())
+}
+
+func must[T any](v T, err error) T {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sc := cliutil.Scale(*duration, *warmup, ths, *seed, *quick, *yield_)
-	sc.Repeats = *repeats
-	cs, err := core.ParseClockStrategy(*clock)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sc.Clock = cs
-	ck, err := cm.ParseKind(*cmFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sc.CM = ck
+	return v
+}
 
-	emit := func(tbl harness.Table) {
-		if *csv {
-			tbl.RenderCSV(os.Stdout)
-		} else {
-			tbl.Render(os.Stdout)
-		}
-		fmt.Println()
+func (o *options) emit(tbl harness.Table) {
+	if o.csv {
+		tbl.RenderCSV(os.Stdout)
+	} else {
+		tbl.Render(os.Stdout)
 	}
+	fmt.Println()
+}
 
-	if *autotune {
-		kind, err := cliutil.ParseKind(*bench)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runAutotune(sc, kind, *size, *update, *periods, *shift, *tuneCM, emit)
-		return
+// intset is the -b/-size/-update workload.
+func (o *options) intset() harness.IntsetParams {
+	return harness.IntsetParams{Kind: o.kind, InitialSize: o.size, UpdatePct: o.update}
+}
+
+// grid is the (#locks x #shifts) sweep grid: -locks/-shifts, or the
+// figure's own default when unset. -quick keeps the first two of each.
+func (o *options) grid(locks, shifts string) ([]int, []uint) {
+	if o.locks != "" {
+		locks = o.locks
 	}
+	if o.shifts != "" {
+		shifts = o.shifts
+	}
+	les, shs := must(cliutil.ParseInts(locks)), must(cliutil.ParseUints(shifts))
+	if o.quick {
+		les, shs = les[:min(len(les), 2)], shs[:min(len(shs), 2)]
+	}
+	return les, shs
+}
 
-	switch *fig {
-	case "2":
-		runFig2(sc, emit)
-	case "3":
-		runFig3(sc, emit)
-	case "4":
-		runFig4(sc, emit)
-	case "4r":
-		emit(experiments.Figure4Overwrite(sc, 256, 5).ToTable("throughput"))
-	case "5":
-		runFig5(sc, emit)
-	case "all":
-		runFig2(sc, emit)
-		runFig3(sc, emit)
-		runFig4(sc, emit)
-		emit(experiments.Figure4Overwrite(sc, 256, 5).ToTable("throughput"))
-	case "clock":
-		kind, err := cliutil.ParseKind(*bench)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ip := harness.IntsetParams{Kind: kind, InitialSize: *size, UpdatePct: *update}
-		for _, d := range []core.Design{core.WriteBack, core.WriteThrough} {
-			emit(experiments.SweepClockStrategies(sc, d, defaultGeometry, ip,
-				core.AllClockStrategies).ToTable())
-		}
-	case "cm":
-		// Contention-management sweep: all five policies across thread
-		// counts. Pass a hot mix (-b list -size 256 -update 80, plus
-		// -yield on few-core hosts) to make the policies actually
-		// differ; under light contention they all converge on Suicide's
-		// numbers.
-		kind, err := cliutil.ParseKind(*bench)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ip := harness.IntsetParams{Kind: kind, InitialSize: *size, UpdatePct: *update}
-		for _, d := range []core.Design{core.WriteBack, core.WriteThrough} {
-			emit(experiments.SweepCMPolicies(sc, d, defaultGeometry, ip, cm.AllKinds).ToTable())
-		}
-	case "server":
-		// Open-loop service load (the cmd/stmkvd shape, in-process):
-		// autotuned vs. static geometries under a calm-to-hot phase flip.
-		cfg := experiments.DefaultServerConfig(sc)
-		fmt.Printf("server sweep: rate %.0f req/s, %d workers, %v per point, period %v, start %v\n",
-			cfg.Rate, cfg.Workers, cfg.Duration, cfg.Period, cfg.Start)
-		r := experiments.ServerSweep(sc, cfg)
-		for _, ev := range r.Events {
-			fmt.Println(ev)
-		}
-		fmt.Println()
-		emit(r.ToTable())
-	case "proto":
-		// Wire-surface and admission comparison over live TCP servers:
-		// HTTP+JSON vs. the binary kvproto protocol at equal workers,
-		// then a hot-key write storm with the admission gate off vs. on.
-		cfg := experiments.DefaultProtoConfig(sc)
-		fmt.Printf("proto sweep: %d keys, %d workers, %v per point, storm read %d%% theta %.2f, admission width %d\n",
-			cfg.Keys, cfg.Workers, cfg.Duration, cfg.StormReadPct, cfg.StormTheta, cfg.AdmissionWidth)
-		r := experiments.ProtoSweep(sc, cfg)
-		emit(r.SurfaceTable())
-		emit(r.StormTable())
-	case "snapshot":
-		// Read-only full-table scans under write pressure: the MVCC
-		// sidecar off (classic RO transactions that abort under writers)
-		// vs. on across version budgets. -size overrides the table,
-		// -threads the writer sweep.
-		cfg := experiments.DefaultSnapshotConfig(sc)
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "size" {
-				cfg.Keys = uint64(*size)
-			}
-		})
-		fmt.Printf("snapshot sweep: %d keys, %d scanners, theta %.2f, %v per point, budgets %v\n",
-			cfg.Keys, cfg.Scanners, cfg.Theta, cfg.Duration, cfg.Budgets)
-		emit(experiments.SnapshotSweep(sc, cfg).ToTable())
-	case "custom":
-		kind, err := cliutil.ParseKind(*bench)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ip := harness.IntsetParams{Kind: kind, InitialSize: *size, UpdatePct: *update}
-		tbl := harness.Table{
-			Title:   fmt.Sprintf("custom: %v, %d elements, %d%% updates", kind, *size, *update),
-			Headers: []string{"threads", "system", "throughput (10^3/s)", "aborts (10^3/s)"},
-		}
-		for _, th := range sc.Threads {
-			for _, sys := range experiments.AllSystems {
-				p := experiments.RunIntsetPoint(sc, sys, defaultGeometry, ip, th)
-				tbl.AddRow(th, sys.String(),
-					fmt.Sprintf("%.1f", p.Throughput/1000),
-					fmt.Sprintf("%.1f", p.AbortRate/1000))
-			}
-		}
-		emit(tbl)
-	default:
-		log.Fatalf("unknown -fig %q", *fig)
+const (
+	intsetLocks  = "8,10,12,14,16,18,20,22,24"
+	intsetShifts = "0,1,2,3,4,5,6"
+)
+
+func fig2(o *options) {
+	for _, c := range []struct{ size, update int }{{256, 20}, {4096, 20}, {4096, 60}} {
+		o.emit(experiments.Figure2(o.sc, c.size, c.update).ToTable("throughput"))
 	}
 }
 
-// runAutotune drives the online tuning runtime against a live workload
+func fig3(o *options) {
+	for _, c := range []struct{ size, update int }{{256, 0}, {256, 20}, {4096, 20}} {
+		o.emit(experiments.Figure3(o.sc, c.size, c.update).ToTable("throughput"))
+	}
+}
+
+func fig4(o *options) {
+	o.emit(experiments.Figure4Aborts(o.sc, harness.KindRBTree, 4096, 20).ToTable("aborts"))
+	o.emit(experiments.Figure4Aborts(o.sc, harness.KindList, 256, 20).ToTable("aborts"))
+}
+
+func fig4r(o *options) {
+	o.emit(experiments.Figure4Overwrite(o.sc, 256, 5).ToTable("throughput"))
+}
+
+func fig5(o *options) {
+	sizes := []int{256, 512, 1024, 2048, 4096}
+	updates := []int{0, 20, 40, 60, 80, 100}
+	o.emit(experiments.Figure5(o.sc, harness.KindRBTree, sizes, updates).ToTable())
+	o.emit(experiments.Figure5(o.sc, harness.KindList, sizes, updates).ToTable())
+}
+
+func (o *options) emitSurface(r experiments.SweepSurface) {
+	o.emit(r.ToTable())
+	best, tp := r.Best()
+	fmt.Printf("best static configuration: %v at %.1f x10^3 txs/s\n", best, tp/1000)
+}
+
+func fig6(o *options) {
+	les, shs := o.grid(intsetLocks, intsetShifts)
+	o.emitSurface(experiments.Figure6(o.sc, o.kind, les, shs))
+}
+
+func fig7(o *options) {
+	les, shs := o.grid("16,18,20,22,24", "0,2,4,6,8")
+	sc, vp := o.sc, o.vacation
+	if o.quick {
+		vp.Relations = 256
+		sc.Duration = 40 * time.Millisecond
+	}
+	o.emitSurface(experiments.Figure7(sc, vp, les, shs))
+}
+
+func fig8(o *options) {
+	les, shs := o.grid(intsetLocks, intsetShifts)
+	o.emitSurface(experiments.Figure8(o.sc, o.kind, les, shs))
+}
+
+func fig9(o *options) {
+	les, shs := o.grid(intsetLocks, intsetShifts)
+	maxExp := les[len(les)-1]
+	o.emit(experiments.Figure9Locks(o.sc, les).ToTable())
+	o.emit(experiments.Figure9Shifts(o.sc, maxExp, shs).ToTable())
+	o.emit(experiments.Figure9Hier(o.sc, maxExp, must(cliutil.ParseUint64s(o.hiers))).ToTable())
+}
+
+// tuningFigure runs Section 4.3's experiment — the tuning runtime over one
+// steady workload from the paper's deliberately bad (2^8, 0, 1), maximum
+// of three samples per configuration — which Figures 10, 11 and 12 all
+// draw from.
+func (o *options) tuningFigure(kind harness.Kind) experiments.AutotuneResult {
+	ac := experiments.DefaultAutotuneConfig(o.sc, kind)
+	ac.Phases = []harness.IntsetParams{{Kind: kind, InitialSize: o.size, UpdatePct: o.update}}
+	ac.ShiftEvery, ac.Statics = 0, nil
+	ac.Periods = o.periods
+	return experiments.AutotuneSweep(o.sc, ac)
+}
+
+func (o *options) emitPath(fig int, kind harness.Kind) {
+	r := o.tuningFigure(kind)
+	o.emit(r.TraceTable(fmt.Sprintf("Figure %d: auto-tuning, %v, size=%d, threads=%d",
+		fig, kind, o.size, o.sc.Threads[len(o.sc.Threads)-1])))
+	fmt.Printf("final configuration: %v\n", r.Final)
+	fmt.Printf("best configuration:  %v at %.1f x10^3 txs/s\n", r.Best, r.BestTp/1000)
+}
+
+func fig10(o *options) { o.emitPath(10, harness.KindRBTree) }
+func fig11(o *options) { o.emitPath(11, harness.KindList) }
+func fig12(o *options) { o.emit(o.tuningFigure(harness.KindList).ValidationTable()) }
+
+func figClock(o *options) {
+	for _, d := range []core.Design{core.WriteBack, core.WriteThrough} {
+		o.emit(experiments.SweepClockStrategies(o.sc, d, defaultGeometry, o.intset(),
+			core.AllClockStrategies).ToTable())
+	}
+}
+
+// figCM sweeps all five policies across thread counts. Pass a hot mix
+// (-b list -size 256 -update 80, plus -yield on few-core hosts) to make
+// the policies actually differ; under light contention they all converge
+// on Suicide's numbers.
+func figCM(o *options) {
+	for _, d := range []core.Design{core.WriteBack, core.WriteThrough} {
+		o.emit(experiments.SweepCMPolicies(o.sc, d, defaultGeometry, o.intset(), cm.AllKinds).ToTable())
+	}
+}
+
+// figSnapshot: read-only full-table scans under write pressure, the MVCC
+// sidecar off (classic RO transactions that abort under writers) vs. on
+// across version budgets. -size overrides the table, -threads the writer
+// sweep.
+func figSnapshot(o *options) {
+	cfg := experiments.DefaultSnapshotConfig(o.sc)
+	if o.sizeSet {
+		cfg.Keys = uint64(o.size)
+	}
+	fmt.Printf("snapshot sweep: %d keys, %d scanners, theta %.2f, %v per point, budgets %v\n",
+		cfg.Keys, cfg.Scanners, cfg.Theta, cfg.Duration, cfg.Budgets)
+	o.emit(experiments.SnapshotSweep(o.sc, cfg).ToTable())
+}
+
+// figServer: open-loop service load (the cmd/stmkvd shape, in-process),
+// autotuned vs. static geometries under a calm-to-hot phase flip.
+func figServer(o *options) {
+	cfg := experiments.DefaultServerConfig(o.sc)
+	fmt.Printf("server sweep: rate %.0f req/s, %d workers, %v per point, period %v, start %v\n",
+		cfg.Rate, cfg.Workers, cfg.Duration, cfg.Period, cfg.Start)
+	r := experiments.ServerSweep(o.sc, cfg)
+	for _, ev := range r.Events {
+		fmt.Println(ev)
+	}
+	fmt.Println()
+	o.emit(r.ToTable())
+}
+
+// figProto: wire-surface and admission comparison over live TCP servers —
+// HTTP+JSON vs. the binary kvproto protocol at equal workers, then a
+// hot-key write storm with the admission gate off vs. on.
+func figProto(o *options) {
+	cfg := experiments.DefaultProtoConfig(o.sc)
+	fmt.Printf("proto sweep: %d keys, %d workers, %v per point, storm read %d%% theta %.2f, admission width %d\n",
+		cfg.Keys, cfg.Workers, cfg.Duration, cfg.StormReadPct, cfg.StormTheta, cfg.AdmissionWidth)
+	r := experiments.ProtoSweep(o.sc, cfg)
+	o.emit(r.SurfaceTable())
+	o.emit(r.StormTable())
+}
+
+func figCustom(o *options) {
+	tbl := harness.Table{
+		Title:   fmt.Sprintf("custom: %v, %d elements, %d%% updates", o.kind, o.size, o.update),
+		Headers: []string{"threads", "system", "throughput (10^3/s)", "aborts (10^3/s)"},
+	}
+	for _, th := range o.sc.Threads {
+		for _, sys := range experiments.AllSystems {
+			p := experiments.RunIntsetPoint(o.sc, sys, defaultGeometry, o.intset(), th)
+			tbl.AddRow(th, sys.String(),
+				fmt.Sprintf("%.1f", p.Throughput/1000),
+				fmt.Sprintf("%.1f", p.AbortRate/1000))
+		}
+	}
+	o.emit(tbl)
+}
+
+// figAutotune drives the online tuning runtime against a live workload
 // starting from the paper's deliberately bad (2^8, 0, 1) configuration,
 // printing one trace line per tuning period as the controller makes its
 // moves; a mid-run phase shift exercises re-adaptation. It ends with the
 // autotuned-vs-static comparison table.
-func runAutotune(sc experiments.Scale, kind harness.Kind, size, update, periods, shift int,
-	tuneCM bool, emit func(harness.Table)) {
-	ac := experiments.DefaultAutotuneConfig(sc, kind)
-	ac.TuneCM = tuneCM
-	calm := harness.IntsetParams{Kind: kind, InitialSize: size, UpdatePct: update}
+func figAutotune(o *options) {
+	ac := experiments.DefaultAutotuneConfig(o.sc, o.kind)
+	ac.TuneCM = o.tuneCM
+	calm := o.intset()
 	hot := calm
-	hot.UpdatePct = min(update+60, 100)
-	hot.Range = uint64(size) / 4 // working-set shrink: conflicts concentrate
+	hot.UpdatePct = min(o.update+60, 100)
+	hot.Range = uint64(o.size) / 4 // working-set shrink: conflicts concentrate
 	ac.Phases = []harness.IntsetParams{calm, hot}
-	ac.Periods = periods
-	if shift > 0 {
-		ac.ShiftEvery = shift
-	} else {
-		ac.ShiftEvery = periods / 2
+	ac.Periods = o.periods
+	ac.ShiftEvery = o.periods / 2
+	if o.shift > 0 {
+		ac.ShiftEvery = o.shift
 	}
 	ac.OnEvent = func(ev tuning.Event) {
 		fmt.Println(ev)
@@ -220,37 +358,13 @@ func runAutotune(sc experiments.Scale, kind harness.Kind, size, update, periods,
 		}
 	}
 	fmt.Printf("autotune: %v, %d elements, %d%% updates, %d threads, period %v, start %v\n",
-		kind, size, update, ac.Threads, ac.Period, ac.Start)
-	r := experiments.AutotuneSweep(sc, ac)
+		o.kind, o.size, o.update, ac.Threads, ac.Period, ac.Start)
+	r := experiments.AutotuneSweep(o.sc, ac)
 	fmt.Println()
-	emit(r.TraceTable("autotune trace"))
-	emit(r.ComparisonTable())
+	o.emit(r.TraceTable("autotune trace"))
+	o.emit(r.ComparisonTable())
 	for phase, bs := range r.BestStatic {
 		fmt.Printf("phase %d: autotuned best %.0f txs/s vs. best static %v at %.0f txs/s\n",
 			phase, r.PhaseBest[phase], bs.Params, bs.Throughput)
 	}
-}
-
-func runFig2(sc experiments.Scale, emit func(harness.Table)) {
-	for _, c := range []struct{ size, update int }{{256, 20}, {4096, 20}, {4096, 60}} {
-		emit(experiments.Figure2(sc, c.size, c.update).ToTable("throughput"))
-	}
-}
-
-func runFig3(sc experiments.Scale, emit func(harness.Table)) {
-	for _, c := range []struct{ size, update int }{{256, 0}, {256, 20}, {4096, 20}} {
-		emit(experiments.Figure3(sc, c.size, c.update).ToTable("throughput"))
-	}
-}
-
-func runFig4(sc experiments.Scale, emit func(harness.Table)) {
-	emit(experiments.Figure4Aborts(sc, harness.KindRBTree, 4096, 20).ToTable("aborts"))
-	emit(experiments.Figure4Aborts(sc, harness.KindList, 256, 20).ToTable("aborts"))
-}
-
-func runFig5(sc experiments.Scale, emit func(harness.Table)) {
-	sizes := []int{256, 512, 1024, 2048, 4096}
-	updates := []int{0, 20, 40, 60, 80, 100}
-	emit(experiments.Figure5(sc, harness.KindRBTree, sizes, updates).ToTable())
-	emit(experiments.Figure5(sc, harness.KindList, sizes, updates).ToTable())
 }

@@ -61,8 +61,6 @@ func main() {
 		admWidth  = flag.Int("admission", 0, "admission gate width: max concurrent update transactions on both surfaces (0 = ungated)")
 		tuneAdm   = flag.Bool("tune-admission", true, "let the tuning runtime walk the admission width live (needs -autotune and -admission > 0)")
 		space     = flag.Int("space", 1<<22, "transactional arena size in 64-bit words")
-		shards    = flag.Uint64("shards", 16, "store shards (power of two)")
-		buckets   = flag.Uint64("buckets", 64, "initial buckets per shard (power of two)")
 		design    = flag.String("design", "wb", "memory design: wb (write-back) or wt (write-through)")
 		clock     = flag.String("clock", "fetchinc", "commit-clock strategy: fetchinc, lazy, ticket")
 		geometry  = flag.String("geometry", "2^8,0,1", "initial lock-table triple locks,shifts,h (accepts 2^k)")
@@ -74,7 +72,6 @@ func main() {
 		autotune  = flag.Bool("autotune", true, "attach the online tuning runtime")
 		period    = flag.Duration("period", time.Second, "tuning sample period")
 		samples   = flag.Int("samples", 3, "samples per tuning decision (max kept)")
-		minc      = flag.Uint64("min-commits", 1, "pause tuning below this many commits per period")
 		seed      = flag.Uint64("seed", 42, "tuner move-selection seed")
 		durab     = flag.String("durability", "off", "write-ahead-log ack mode: off, async, group (needs -wal-dir)")
 		walDir    = flag.String("wal-dir", "", "write-ahead-log directory (segments and checkpoints)")
@@ -108,30 +105,27 @@ func main() {
 	}
 
 	srv, err := kvserver.New(kvserver.Config{
-		SpaceWords:       *space,
-		Shards:           *shards,
-		Buckets:          *buckets,
-		Design:           d,
-		Clock:            cs,
-		Geometry:         geo,
-		CM:               ck,
-		Snapshots:        *snaps,
-		SnapshotBudget:   *snapBudg,
-		Autotune:         *autotune,
-		TuneCM:           *autotune && *tuneCM,
-		TuneSnapshots:    *autotune && *tuneSnap && *snaps,
-		AdmissionWidth:   *admWidth,
-		TuneAdmission:    *autotune && *tuneAdm && *admWidth > 0,
-		BrownoutSLO:      *brownSLO,
-		Period:           *period,
-		Samples:          *samples,
-		MinPeriodCommits: *minc,
-		Seed:             *seed,
-		Durability:       dmode,
-		WALDir:           *walDir,
-		WALBatch:         *walBatch,
-		CheckpointEvery:  *ckptEvry,
-		TxTraceEvery:     *txTrace,
+		SpaceWords:      *space,
+		Design:          d,
+		Clock:           cs,
+		Geometry:        geo,
+		CM:              ck,
+		Snapshots:       *snaps,
+		SnapshotBudget:  *snapBudg,
+		Autotune:        *autotune,
+		TuneCM:          *autotune && *tuneCM,
+		TuneSnapshots:   *autotune && *tuneSnap && *snaps,
+		AdmissionWidth:  *admWidth,
+		TuneAdmission:   *autotune && *tuneAdm && *admWidth > 0,
+		BrownoutSLO:     *brownSLO,
+		Period:          *period,
+		Samples:         *samples,
+		Seed:            *seed,
+		Durability:      dmode,
+		WALDir:          *walDir,
+		WALBatch:        *walBatch,
+		CheckpointEvery: *ckptEvry,
+		TxTraceEvery:    *txTrace,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -12,6 +12,8 @@ import (
 // AutotuneConfig parameterizes the AutotuneSweep experiment: the online
 // tuning runtime (tuning.Runtime) against a live, optionally
 // phase-shifting workload, compared with statically configured baselines.
+// With one phase and no baselines it is the paper's dynamic-tuning
+// experiment (Figures 10, 11 and 12).
 type AutotuneConfig struct {
 	// Phases are the workload mixes; the run starts in Phases[0] and the
 	// workload flips to the next phase (cyclically) every ShiftEvery
@@ -66,6 +68,15 @@ func DefaultAutotuneConfig(sc Scale, kind harness.Kind) AutotuneConfig {
 	}
 }
 
+// ValidationSample records, for one tuning period, the rate of read-set
+// locks individually validated versus skipped via the hierarchical fast
+// path (the two series of Figure 12).
+type ValidationSample struct {
+	Config          core.Params
+	ProcessedPerSec float64
+	SkippedPerSec   float64
+}
+
 // StaticPoint is one statically configured baseline measurement under one
 // workload phase.
 type StaticPoint struct {
@@ -80,6 +91,9 @@ type AutotuneResult struct {
 	// workload phase that was active during Events[i].
 	Events      []tuning.Event
 	EventPhases []int
+	// Validation[i] is the validation counters' rate over Events[i]'s
+	// period, differenced from tm.Stats() between events.
+	Validation []ValidationSample
 	// Best/BestTp are the best configuration the tuner saw and its
 	// recorded throughput; Final is where the tuner ended.
 	Best   core.Params
@@ -116,6 +130,31 @@ func (r AutotuneResult) TraceTable(title string) harness.Table {
 			g.From.Params.Hier, fmt.Sprintf("%.1f", e.Throughput/1000), move)
 	}
 	return tbl
+}
+
+// ValidationTable renders the Figure 12 data.
+func (r AutotuneResult) ValidationTable() harness.Table {
+	tbl := harness.Table{
+		Title: "Figure 12: locks processed or skipped during validation (10^6/s)",
+		Headers: []string{"period", "locks", "shifts", "h",
+			"processed (10^6/s)", "skipped (10^6/s)"},
+	}
+	for i, v := range r.Validation {
+		tbl.AddRow(i, fmt.Sprintf("2^%d", log2(v.Config.Locks)), v.Config.Shifts,
+			v.Config.Hier,
+			fmt.Sprintf("%.2f", v.ProcessedPerSec/1e6),
+			fmt.Sprintf("%.2f", v.SkippedPerSec/1e6))
+	}
+	return tbl
+}
+
+func log2(v uint64) int {
+	n := 0
+	for v > 1 {
+		v >>= 1
+		n++
+	}
+	return n
 }
 
 // ComparisonTable renders autotuned-vs-static throughput, phase by phase
@@ -177,11 +216,20 @@ func AutotuneSweep(sc Scale, ac AutotuneConfig) AutotuneResult {
 
 	var result AutotuneResult
 	result.PhaseBest = make([]float64, len(ac.Phases))
+	lastStats, lastT := tm.Stats(), time.Now()
 	for len(result.Events) < ac.Periods {
 		ev := <-trace
 		phase := phased.Phase()
+		st, now := tm.Stats(), time.Now()
+		delta, secs := st.Sub(lastStats), now.Sub(lastT).Seconds()
+		lastStats, lastT = st, now
 		result.Events = append(result.Events, ev)
 		result.EventPhases = append(result.EventPhases, phase)
+		result.Validation = append(result.Validation, ValidationSample{
+			Config:          ev.Decision(tuning.GeometryName).From.Params,
+			ProcessedPerSec: float64(delta.LocksValidated) / secs,
+			SkippedPerSec:   float64(delta.LocksSkipped) / secs,
+		})
 		if !ev.Idle && ev.Throughput > result.PhaseBest[phase] {
 			result.PhaseBest[phase] = ev.Throughput
 		}

@@ -1,6 +1,6 @@
 // Package experiments reproduces every figure of the paper's evaluation:
-// one runner per figure, shared by the command-line tools (cmd/stmbench,
-// cmd/sweep, cmd/tune, cmd/vacation) and the root bench_test.go harness.
+// one runner per figure, shared by cmd/stmbench and the root bench_test.go
+// harness.
 //
 // Each runner builds fresh STM instances per measured point (so points are
 // independent), runs the paper's workload mix, and returns structured

@@ -176,37 +176,49 @@ func TestFigure9Curves(t *testing.T) {
 	}
 }
 
-func TestRunTuningReconfigures(t *testing.T) {
+// TestTuningFigureReconfigures drives the Figure 10/11/12 path: one
+// workload phase, no static baselines, every number read from
+// tuning.Runtime's events.
+func TestTuningFigureReconfigures(t *testing.T) {
 	sc := tinyScale()
-	tc := TuneConfig{
-		Kind: harness.KindRBTree, Size: 128, UpdatePct: 20,
-		Threads: 2, Periods: 8, Period: 5 * time.Millisecond,
-		SamplesPerConfig: 2,
-		Start:            core.Params{Locks: 1 << 8, Shifts: 0, Hier: 1},
+	ac := AutotuneConfig{
+		Phases:  []harness.IntsetParams{{Kind: harness.KindRBTree, InitialSize: 128, UpdatePct: 20}},
+		Threads: 2, Periods: 8, Period: 5 * time.Millisecond, Samples: 2,
+		Start: core.Params{Locks: 1 << 8, Shifts: 0, Hier: 1},
 		Bounds: tuning.Bounds{
 			MinLocks: 1 << 6, MaxLocks: 1 << 12,
 			MinShifts: 0, MaxShifts: 3, MinHier: 1, MaxHier: 16,
 		},
 		Seed: 42,
 	}
-	r := RunTuning(sc, tc)
-	if len(r.Trace) != tc.Periods {
-		t.Fatalf("trace length = %d, want %d", len(r.Trace), tc.Periods)
+	r := AutotuneSweep(sc, ac)
+	if len(r.Events) != ac.Periods {
+		t.Fatalf("events = %d, want %d", len(r.Events), ac.Periods)
 	}
-	if len(r.Validation) != tc.Periods {
-		t.Fatalf("validation samples = %d, want %d", len(r.Validation), tc.Periods)
+	if len(r.Validation) != ac.Periods {
+		t.Fatalf("validation samples = %d, want one per period (%d)", len(r.Validation), ac.Periods)
 	}
-	if r.Trace[0].Params != tc.Start {
-		t.Errorf("first measured config = %+v, want start", r.Trace[0].Params)
+	if len(r.Statics) != 0 {
+		t.Errorf("%d static baselines measured, want none", len(r.Statics))
 	}
-	moved := false
-	for _, e := range r.Trace {
-		if e.Next != tc.Start {
-			moved = true
+	if first := r.Events[0].Decision(tuning.GeometryName).From.Params; first != ac.Start {
+		t.Errorf("first measured config = %+v, want start", first)
+	}
+	moved := 0
+	for i, e := range r.Events {
+		g := e.Decision(tuning.GeometryName)
+		if g.Moved && g.Err == nil {
+			moved++
+		}
+		if r.Validation[i].Config != g.From.Params {
+			t.Errorf("period %d: validation sample for %v, event measured %v", i, r.Validation[i].Config, g.From.Params)
 		}
 	}
-	if !moved {
-		t.Error("tuner never moved")
+	if moved == 0 {
+		t.Error("tuner never reconfigured")
+	}
+	if last := r.Events[len(r.Events)-1].Decision(tuning.GeometryName); last.Err == nil && r.Final != last.To.Params {
+		t.Errorf("Final = %v, runtime's geometry knob ended at %v", r.Final, last.To.Params)
 	}
 	if r.BestTp <= 0 {
 		t.Error("no best throughput recorded")

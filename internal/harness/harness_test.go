@@ -9,7 +9,6 @@ import (
 	"tinystm/internal/harness"
 	"tinystm/internal/mem"
 	"tinystm/internal/rng"
-	"tinystm/internal/txn"
 )
 
 func newRng(seed uint64) *rng.Rand { return rng.New(seed) }
@@ -110,38 +109,6 @@ func TestOverwriteOpProducesWrites(t *testing.T) {
 	d := tm.Stats().Sub(before)
 	if d.Commits != 20 {
 		t.Errorf("commits = %d, want 20", d.Commits)
-	}
-}
-
-func TestMeterDeltas(t *testing.T) {
-	var s txn.Stats
-	now := time.Unix(0, 0)
-	m := harness.NewMeterClock(func() txn.Stats { return s }, func() time.Time { return now })
-	s.Commits = 500
-	now = now.Add(time.Second)
-	tp, delta := m.Sample()
-	if tp != 500 {
-		t.Errorf("tp = %f, want 500", tp)
-	}
-	if delta.Commits != 500 {
-		t.Errorf("delta = %d, want 500", delta.Commits)
-	}
-	// Second interval: 250 more commits over 500ms → 500/s.
-	s.Commits = 750
-	now = now.Add(500 * time.Millisecond)
-	tp, _ = m.Sample()
-	if tp != 500 {
-		t.Errorf("tp = %f, want 500", tp)
-	}
-}
-
-func TestMeterZeroElapsed(t *testing.T) {
-	var s txn.Stats
-	now := time.Unix(0, 0)
-	m := harness.NewMeterClock(func() txn.Stats { return s }, func() time.Time { return now })
-	tp, _ := m.Sample() // zero elapsed: no division by zero
-	if tp != 0 {
-		t.Errorf("tp = %f, want 0", tp)
 	}
 }
 

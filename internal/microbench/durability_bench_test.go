@@ -18,9 +18,7 @@ import (
 // against the real filesystem (b.TempDir) so Group pays genuine fsyncs;
 // the parallel variant is the honest one — group commit amortizes the
 // fsync across concurrent committers, which a single-threaded loop cannot
-// show. Deliberately named outside the CI benchdiff gate's filter: fsync
-// latency is machine noise the >20% regression gate must not flake on.
-// The ISSUE-6 acceptance number (group within 2x of off, parallel) comes
+// show. The ISSUE-6 acceptance number (group within 2x of off, parallel) comes
 // from BenchmarkDurabilityPutParallel*.
 
 type benchSink struct{ log *wal.Log }

@@ -6,8 +6,8 @@ import (
 	"tinystm/internal/txn"
 )
 
-// The ObsRecord* benchmarks are in the benchdiff gate: the record path
-// must stay at single-digit-nanosecond cost so instrumentation can sit
+// The ObsRecord* benchmarks pin the record path: it must stay at
+// single-digit-nanosecond cost so instrumentation can sit
 // inside the STM commit path without perturbing what it measures.
 
 func BenchmarkObsRecord(b *testing.B) {
@@ -44,7 +44,7 @@ func BenchmarkObsRecordTMAbort(b *testing.B) {
 }
 
 // Parallel contention picture; intentionally named outside the ObsRecord
-// benchdiff-gate prefix (throughput under contention is machine-shaped).
+// prefix (throughput under contention is machine-shaped).
 func BenchmarkObsParallelHistogram(b *testing.B) {
 	h := NewHistogram()
 	b.ReportAllocs()

@@ -23,11 +23,9 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tinystm/internal/cm"
 	"tinystm/internal/mem"
-	"tinystm/internal/obs"
 	"tinystm/internal/reclaim"
 	"tinystm/internal/txn"
 )
@@ -110,10 +108,6 @@ type TM struct {
 	_     [64]byte
 	clock atomic.Uint64
 	_     [64]byte
-
-	// obsHook is the installed observability sink (SetObs); nil when
-	// detached. The retry loop loads it once per atomic block.
-	obsHook atomic.Pointer[obs.TMObs]
 
 	pool  reclaim.Pool
 	mu    sync.Mutex
@@ -219,11 +213,8 @@ func (tm *TM) Atomic(tx *Tx, fn func(*Tx)) { tm.atomic(tx, fn, false) }
 // if fn writes, the attempt restarts in update mode.
 func (tm *TM) AtomicRO(tx *Tx, fn func(*Tx)) { tm.atomic(tx, fn, true) }
 
-// atomic is the one retry loop behind Atomic and AtomicRO. With an
-// observability sink installed it also times every attempt into the
-// commit/abort histograms and, for sampled blocks, emits the
-// begin/retry/abort/commit event trace; detached, the sink costs one
-// pointer load and a predictable branch per observation point.
+// atomic is the one retry loop behind Atomic and AtomicRO: Begin, body,
+// Commit, with the contention manager told of each outcome.
 func (tm *TM) atomic(tx *Tx, fn func(*Tx), ro bool) {
 	if tx.tm != tm {
 		panic("tl2: descriptor belongs to a different TM")
@@ -232,72 +223,19 @@ func (tm *TM) atomic(tx *Tx, fn func(*Tx), ro bool) {
 		fn(tx) // flat nesting
 		return
 	}
-	o := tm.obsHook.Load()
-	sampled := o != nil && o.SampleTx()
 	tx.upgr = false
-	attempts := 0
-	for {
-		attempts++
-		var t0 time.Time
-		if o != nil {
-			if sampled {
-				kind := obs.EvRetry
-				if attempts == 1 {
-					kind = obs.EvBegin
-				}
-				tm.trace(tx, o, kind, attempts, 0, 0)
-			}
-			t0 = time.Now()
-		}
+	for first := true; ; first = false {
 		tx.Begin(ro && !tx.upgr)
-		if attempts == 1 {
+		if first {
 			tm.pol.OnStart(&tx.cmst)
 		}
-		committed := tx.runBody(fn) && tx.Commit()
-		if o != nil {
-			d := uint64(time.Since(t0))
-			kind, cause := obs.EvCommit, txn.AbortKind(0)
-			if committed {
-				o.OnCommit(d)
-			} else {
-				kind, cause = obs.EvAbort, tx.lastAbort
-				o.OnAbort(d, cause)
-			}
-			if sampled {
-				tm.trace(tx, o, kind, attempts, cause, d)
-			}
-		}
-		if committed {
+		if tx.runBody(fn) && tx.Commit() {
 			tm.pol.OnCommit(&tx.cmst)
 			return
 		}
 		tm.pol.OnAbort(&tx.cmst)
 	}
 }
-
-// trace emits one flight-recorder event for a sampled atomic block. TL2's
-// geometry is static, so events carry the construction-time lock table
-// (Hier 0 — TL2 has no hierarchical layer).
-func (tm *TM) trace(tx *Tx, o *obs.TMObs, kind obs.EventKind, attempts int, cause txn.AbortKind, durNs uint64) {
-	o.Trace(obs.Event{
-		TimeUnixNano: time.Now().UnixNano(),
-		Kind:         kind,
-		Cause:        cause,
-		CM:           tm.pol.Kind(),
-		Slot:         uint32(tx.slot),
-		Attempt:      uint32(attempts),
-		DurNs:        durNs,
-		Locks:        uint64(len(tm.locks)),
-		Shifts:       uint32(tm.shifts),
-	})
-}
-
-// SetObs installs (or, with nil, detaches) the observability sink:
-// commit/abort duration histograms plus the sampled flight recorder.
-func (tm *TM) SetObs(o *obs.TMObs) { tm.obsHook.Store(o) }
-
-// Obs returns the installed observability sink, nil when detached.
-func (tm *TM) Obs() *obs.TMObs { return tm.obsHook.Load() }
 
 // CommitAbortCounts returns aggregate commit/abort counters summed over
 // all descriptors. Lock-free (it walks the published descriptor

@@ -435,3 +435,14 @@ func TestBloomBitDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestAtomicEmptyDoesNotAllocate pins the retry loop's hot path: an empty
+// atomic block costs no heap traffic.
+func TestAtomicEmptyDoesNotAllocate(t *testing.T) {
+	tm, _ := newTestTM(t, nil)
+	tx := tm.NewTx()
+	body := func(*Tx) {}
+	if n := testing.AllocsPerRun(1000, func() { tm.Atomic(tx, body) }); n != 0 {
+		t.Errorf("empty Atomic allocates %v times per run, want 0", n)
+	}
+}

@@ -53,11 +53,6 @@ type Tx struct {
 	// commit (zero for read-only commits).
 	lastCommitTS uint64
 
-	// lastAbort classifies the most recent rollback, read by the atomic
-	// retry loop's instrumentation to bucket the failed attempt's
-	// duration by cause.
-	lastAbort txn.AbortKind
-
 	commits        atomic.Uint64
 	aborts         atomic.Uint64
 	abortsByKind   [txn.NAbortKinds]atomic.Uint64
@@ -113,7 +108,6 @@ func (tx *Tx) rollback(kind txn.AbortKind) {
 	}
 	tx.aborts.Add(1)
 	tx.abortsByKind[kind].Add(1)
-	tx.lastAbort = kind
 	tx.cmst.NoteAbort(uint64(len(tx.rset) + len(tx.wset)))
 	tx.cmst.EndAttempt()
 	tx.inTx = false

@@ -21,7 +21,7 @@ func TestQuickTunerStaysInBounds(t *testing.T) {
 		tr := New(Config{Initial: p(8, 1, 2), Bounds: b, Seed: seed})
 		cur := tr.Current()
 		for _, fb := range feedback {
-			cur, _ = tr.Step(float64(fb) + 1)
+			cur, _, _ = tr.Step(float64(fb) + 1)
 			if cur.Locks < b.MinLocks || cur.Locks > b.MaxLocks {
 				return false
 			}
@@ -42,24 +42,19 @@ func TestQuickTunerStaysInBounds(t *testing.T) {
 	}
 }
 
-// Property: the tuner's trace always chains (Next of step i equals Params
-// of step i+1) and records the throughput it was fed.
+// Property: the collected Step returns always chain (the next of step i
+// is the configuration measured at step i+1) and the memory holds the
+// throughput the tuner was last fed there.
 func TestQuickTraceChains(t *testing.T) {
 	f := func(feedback []uint16, seed uint64) bool {
-		if len(feedback) == 0 {
-			return true
-		}
 		tr := New(Config{Initial: p(10, 0, 1), Seed: seed})
-		for _, fb := range feedback {
-			tr.Step(float64(fb) + 1)
-		}
-		trace := tr.Trace()
-		for i := 0; i+1 < len(trace); i++ {
-			if trace[i].Next != trace[i+1].Params {
+		path := drive(tr, len(feedback), func(i int, _ core.Params) float64 { return float64(feedback[i]) + 1 })
+		for i, s := range path {
+			if i+1 < len(path) && s.next != path[i+1].at {
 				return false
 			}
 		}
-		return len(trace) == len(feedback)
+		return len(path) == 0 || tr.memory[path[len(path)-1].at] == path[len(path)-1].tp
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -79,7 +74,7 @@ func TestQuickBestIsMaxOfMemory(t *testing.T) {
 		for _, fb := range feedback {
 			tp := float64(fb) + 1
 			latest[cur] = tp
-			cur, _ = tr.Step(tp)
+			cur, _, _ = tr.Step(tp)
 		}
 		_, bestTp := tr.Best()
 		max := 0.0

@@ -131,18 +131,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// TraceEntry records one tuning period for the Figure 10/11 plots.
-type TraceEntry struct {
-	Index      int
-	Params     core.Params
-	Throughput float64
-	// Move is the move that produced the *next* configuration; Reversed
-	// marks the paper's "-x" notation (reverse followed by move x).
-	Move     Move
-	Reversed bool
-	Next     core.Params
-}
-
 // Tuner is the hill-climbing engine. Not safe for concurrent use.
 type Tuner struct {
 	cfg Config
@@ -159,9 +147,6 @@ type Tuner struct {
 	// forbidden areas (dynamic clamps tightened on big drops).
 	minShifts, maxShifts uint
 	minHier, maxHier     uint64
-
-	trace []TraceEntry
-	steps int
 }
 
 // New builds a tuner starting at cfg.Initial.
@@ -188,9 +173,6 @@ func (t *Tuner) Best() (core.Params, float64) {
 	best, _, tp, _ := t.ranked()
 	return best, tp
 }
-
-// Trace returns the per-period log (Figures 10 and 11).
-func (t *Tuner) Trace() []TraceEntry { return t.trace }
 
 // ranked scans the memory for the best and second-best configurations.
 func (t *Tuner) ranked() (best, second core.Params, bestTp, secondTp float64) {
@@ -301,8 +283,12 @@ func (t *Tuner) forbidIfBigDrop(tp float64) {
 }
 
 // Step records the throughput measured at the current configuration and
-// returns the next configuration together with the move chosen.
-func (t *Tuner) Step(throughput float64) (core.Params, Move) {
+// returns the next configuration, the move that produced it, and whether
+// that move followed a reverse to the best configuration (the paper's
+// "-x" notation). The tuner keeps no per-step log — its state is bounded
+// by the configurations it has visited — so a caller that wants the path
+// collects these returns, as Runtime's trace does.
+func (t *Tuner) Step(throughput float64) (core.Params, Move, bool) {
 	measured := t.cur
 	var prevBest core.Params
 	hadMemory := len(t.memory) > 0
@@ -322,11 +308,11 @@ func (t *Tuner) Step(throughput float64) (core.Params, Move) {
 		// switch to the new best automatically (Section 4.2's "if the
 		// throughput drops below that of the second best configuration,
 		// we automatically switch to that configuration").
-		move = MoveSecondBest
 		t.cur = best
 		t.prevTp = bestTp
 		t.hasPrev = true
-		return t.finishStep(measured, throughput, move, false)
+		t.last = MoveSecondBest
+		return t.cur, t.last, false
 	}
 
 	badVsPrev := t.hasPrev && t.prevTp > 0 && throughput < t.prevTp*(1-t.cfg.DropReverse)
@@ -358,21 +344,8 @@ func (t *Tuner) Step(throughput float64) (core.Params, Move) {
 		t.prevTp = throughput
 		t.hasPrev = true
 	}
-	return t.finishStep(measured, throughput, move, reversed)
-}
-
-func (t *Tuner) finishStep(measured core.Params, tp float64, move Move, reversed bool) (core.Params, Move) {
 	t.last = move
-	t.trace = append(t.trace, TraceEntry{
-		Index:      t.steps,
-		Params:     measured,
-		Throughput: tp,
-		Move:       move,
-		Reversed:   reversed,
-		Next:       t.cur,
-	})
-	t.steps++
-	return t.cur, move
+	return t.cur, move, reversed
 }
 
 // revert puts the tuner back on the configuration a failed Reconfigure
@@ -399,15 +372,15 @@ func (g *geometry) Knob() Knob   { return Knob{Params: g.t.Current()} }
 // Observe pauses on idle: the tuner learns nothing from a period in which
 // (almost) nothing ran.
 func (g *geometry) Observe(s Sample) Decision {
+	var move Move
+	var reversed bool
 	d := decide(g, s, func() bool {
 		from := g.t.cur
-		next, _ := g.t.Step(s.Throughput)
+		var next core.Params
+		next, move, reversed = g.t.Step(s.Throughput)
 		return next != from
 	})
-	if !s.Idle {
-		last := g.t.trace[len(g.t.trace)-1]
-		d.Move, d.Reversed = last.Move, last.Reversed
-	}
+	d.Move, d.Reversed = move, reversed
 	return d
 }
 

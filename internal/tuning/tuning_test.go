@@ -3,6 +3,7 @@ package tuning
 import (
 	"math"
 	"math/bits"
+	"reflect"
 	"testing"
 
 	"tinystm/internal/core"
@@ -84,7 +85,7 @@ func TestLegalRespectsBounds(t *testing.T) {
 
 func TestStepExploresUncharted(t *testing.T) {
 	tr := New(Config{Initial: p(10, 2, 4), Seed: 1})
-	next, move := tr.Step(100)
+	next, move, _ := tr.Step(100)
 	if move < MoveDoubleLocks || move > MoveHalveHier {
 		t.Fatalf("first move = %v, want an exploratory move 1-6", move)
 	}
@@ -98,18 +99,17 @@ func TestStepExploresUncharted(t *testing.T) {
 
 func TestReverseOnTwoPercentDrop(t *testing.T) {
 	tr := New(Config{Initial: p(10, 0, 1), Seed: 3})
-	tr.Step(1000)           // at initial, move somewhere
-	_, move := tr.Step(900) // 10% drop: must reverse (and explore from best)
-	if !tr.trace[1].Reversed && move != MoveReverse {
-		t.Fatalf("no reverse after big drop (move=%v, trace=%+v)", move, tr.trace[1])
+	tr.Step(1000)                     // at initial, move somewhere
+	_, move, reversed := tr.Step(900) // 10% drop: must reverse (and explore from best)
+	if !reversed && move != MoveReverse {
+		t.Fatalf("no reverse after big drop (move=%v)", move)
 	}
 }
 
 func TestNoReverseOnSmallDrop(t *testing.T) {
 	tr := New(Config{Initial: p(10, 0, 1), Seed: 3})
 	tr.Step(1000)
-	tr.Step(995) // 0.5% drop: keep climbing
-	if tr.trace[1].Reversed {
+	if _, _, reversed := tr.Step(995); reversed { // 0.5% drop: keep climbing
 		t.Fatal("reversed on a 0.5% drop")
 	}
 }
@@ -149,7 +149,7 @@ func TestNopAtExploredOptimum(t *testing.T) {
 	tr := New(Config{Initial: p(8, 0, 1), Bounds: b, Seed: 1})
 	tr.Step(1000) // explores the only neighbour 2^9
 	tr.Step(1100) // better; neighbours of 2^9: only 2^8, charted
-	_, move := tr.Step(1100)
+	_, move, _ := tr.Step(1100)
 	if move != MoveNop {
 		t.Errorf("move = %v, want nop at fully-explored optimum", move)
 	}
@@ -161,7 +161,7 @@ func TestSecondBestSwitch(t *testing.T) {
 	tr.Step(1000) // memory[2^8]=1000, move to 2^9
 	tr.Step(1100) // memory[2^9]=1100, best; no uncharted → nop
 	// Throughput at best collapses below second best (1000): switch.
-	next, move := tr.Step(900)
+	next, move, _ := tr.Step(900)
 	if move != MoveSecondBest {
 		t.Fatalf("move = %v, want second-best switch", move)
 	}
@@ -177,7 +177,7 @@ func TestConvergesToSyntheticOptimum(t *testing.T) {
 		tr := New(Config{Initial: p(8, 0, 1), Seed: seed})
 		cur := tr.Current()
 		for i := 0; i < 400; i++ {
-			cur, _ = tr.Step(f(cur))
+			cur, _, _ = tr.Step(f(cur))
 		}
 		best, bestTp := tr.Best()
 		if bestTp < f(opt)*0.85 {
@@ -187,43 +187,75 @@ func TestConvergesToSyntheticOptimum(t *testing.T) {
 	}
 }
 
+// step is one collected Step call: what was measured where, and what the
+// tuner returned. The tuner keeps no log of its own, so tests that look at
+// the path build it from these.
+type step struct {
+	at       core.Params
+	tp       float64
+	next     core.Params
+	move     Move
+	reversed bool
+}
+
+// drive feeds the tuner n measurements from f and collects every Step.
+func drive(tr *Tuner, n int, f func(i int, at core.Params) float64) []step {
+	path := make([]step, n)
+	for i := range path {
+		s := step{at: tr.Current()}
+		s.tp = f(i, s.at)
+		s.next, s.move, s.reversed = tr.Step(s.tp)
+		path[i] = s
+	}
+	return path
+}
+
 func TestDeterministicUnderSeed(t *testing.T) {
 	f := synthetic(p(16, 2, 4))
-	run := func() []TraceEntry {
+	run := func() []step {
 		tr := New(Config{Initial: p(8, 0, 1), Seed: 42})
-		cur := tr.Current()
-		for i := 0; i < 100; i++ {
-			cur, _ = tr.Step(f(cur))
-		}
-		return tr.Trace()
+		return drive(tr, 100, func(_ int, at core.Params) float64 { return f(at) })
 	}
 	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatal("trace lengths differ")
-	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("trace diverges at %d: %+v vs %+v", i, a[i], b[i])
+			t.Fatalf("path diverges at %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }
 
 func TestTraceRecordsMeasurements(t *testing.T) {
 	tr := New(Config{Initial: p(10, 0, 1), Seed: 9})
-	tr.Step(500)
-	tr.Step(600)
-	trace := tr.Trace()
-	if len(trace) != 2 {
-		t.Fatalf("trace length = %d, want 2", len(trace))
-	}
-	if trace[0].Throughput != 500 || trace[1].Throughput != 600 {
-		t.Error("throughputs not recorded in order")
-	}
-	if trace[0].Params != p(10, 0, 1) {
+	path := drive(tr, 2, func(i int, _ core.Params) float64 { return 500 + 100*float64(i) })
+	if path[0].at != p(10, 0, 1) {
 		t.Error("first measured config wrong")
 	}
-	if trace[0].Next != trace[1].Params {
-		t.Error("trace chain broken: Next[0] != Params[1]")
+	if path[0].next != path[1].at {
+		t.Error("path chain broken: Step's next is not the configuration measured next")
+	}
+	for _, s := range path {
+		if tr.memory[s.at] != s.tp {
+			t.Errorf("memory[%v] = %v, want the measured %v", s.at, tr.memory[s.at], s.tp)
+		}
+	}
+}
+
+// TestTunerKeepsNoPerStepState: a daemon tunes forever, so nothing the
+// tuner retains may grow with the number of periods. Every slice and map
+// in the struct is bounded by the configurations its bounds admit.
+func TestTunerKeepsNoPerStepState(t *testing.T) {
+	b := Bounds{MinLocks: 1 << 8, MaxLocks: 1 << 10, MinShifts: 0, MaxShifts: 1, MinHier: 1, MaxHier: 2}
+	const configs = 3 * 2 * 2
+	tr := New(Config{Initial: p(8, 0, 1), Bounds: b, Seed: 7})
+	drive(tr, 10000, func(i int, _ core.Params) float64 { return float64(1000 + i%97) })
+	v := reflect.ValueOf(tr).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice || f.Kind() == reflect.Map {
+			if f.Len() > configs {
+				t.Errorf("Tuner.%s holds %d entries after 10000 steps over %d configurations",
+					v.Type().Field(i).Name, f.Len(), configs)
+			}
+		}
 	}
 }
 
