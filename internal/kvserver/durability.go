@@ -103,7 +103,10 @@ func (d *durability) walLog() *wal.Log {
 	return d.log
 }
 
-// walSink adapts the log's tickets to the store's DurabilitySink.
+// walSink adapts the log's tickets to the store's DurabilitySink. It is
+// what makes the store ack after durability at all (a non-nil sink) and
+// serves the store's blocking methods; the request pipeline takes its
+// tickets unwaited (execInto) and waits on them itself (settle).
 type walSink struct{ log *wal.Log }
 
 func (ws walSink) WaitDurable(t txn.DurableTicket) error { return t.(*wal.Pending).Wait() }
@@ -322,7 +325,8 @@ func (s *Server) Checkpoint() error {
 
 // closeDurability tears down the WAL half of Close: stop checkpointing,
 // detach the redo hook so no new records are staged, then close the log
-// (final drain). Requests still in flight may see their tickets resolve
+// (final drain). Requests still in flight — a blocked HTTP handler, a
+// response on a connection's held FIFO — may see their tickets resolve
 // with wal.ErrLogClosed and answer 503; the server is shutting down.
 func (s *Server) closeDurability() {
 	d := s.dur

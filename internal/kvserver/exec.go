@@ -4,7 +4,21 @@
 // request runs lives here and only here:
 //
 //	lifecycle gate → brownout class → deadline (op) → update admission
-//	(deadline at the gate) → store call → panic-to-status → latency
+//	(deadline at the gate) → store call → panic-to-status → [durability
+//	wait] → latency
+//
+// The durability wait is the one step execInto does not take itself. Under
+// group durability an update's store call returns with the commit done and
+// its WAL ticket unresolved; execInto hands that open half back (ackWait)
+// and the codec decides where to wait — HTTP inline in exec, one blocked
+// handler per request; the binary connection on its acker, so the reader
+// keeps reading — and then calls settle, which turns a failed ticket into
+// a status and records the latency over the whole span, wait included.
+//
+// The admission slot is returned when the transaction commits, not when it
+// is durable: the gate bounds the transactions that can conflict with each
+// other, and a committed one conflicts with nobody while the disk catches
+// up.
 //
 // A refusal is a status, never a transport error: StatusUnavailable for
 // the lifecycle gate, a brownout shed or a failed durability wait (503 +
@@ -20,6 +34,8 @@ import (
 	"tinystm/internal/kvproto"
 	"tinystm/internal/kvstore"
 	"tinystm/internal/resilience"
+	"tinystm/internal/txn"
+	"tinystm/internal/wal"
 )
 
 // storeKinds maps wire sub-op codes to store op kinds, wireOps back.
@@ -40,19 +56,58 @@ var (
 	}
 )
 
+// ackWait is the open half of a request whose update has committed but
+// whose log records are not on disk yet: the ticket to wait on, and the two
+// instants settle measures from.
+type ackWait struct {
+	ticket *wal.Pending
+	start  time.Time // the request's latency span began
+	commit time.Time // the store call returned
+}
+
 // exec runs one decoded request from surface surf against the store and
-// builds its response. dl is the request's absolute deadline (zero: none),
-// re-anchored by the codec the moment the request left the transport.
+// builds its response, waiting inline for a group-durable update's ticket:
+// the form for a codec with a goroutine per request (HTTP). dl is the
+// request's absolute deadline (zero: none), re-anchored by the codec the
+// moment the request left the transport.
 func (s *Server) exec(surf int, dl time.Time, req *kvproto.Request) *kvproto.Response {
 	resp := new(kvproto.Response)
-	s.execInto(surf, dl, req, resp)
+	if ack := s.execInto(surf, dl, req, resp); ack.ticket != nil {
+		s.settle(surf, resp, ack)
+	}
 	return resp
+}
+
+// settle finishes a request execInto left open. It blocks until the ticket
+// resolves (a caller that has seen ticket.Done never blocks here), refuses
+// the acknowledgement if the log failed, and records the request's latency
+// from its start to now, so the span covers the durability wait wherever
+// it was spent.
+func (s *Server) settle(surf int, resp *kvproto.Response, ack ackWait) {
+	if err := ack.ticket.Wait(); err != nil {
+		// The commit exists in memory but its log records never reached
+		// disk: refuse the ack. The WAL's OnError has already flipped the
+		// server degraded, so this is a retry-later.
+		*resp = kvproto.Response{ID: resp.ID, Op: resp.Op, Status: kvproto.StatusUnavailable,
+			Msg: (&kvstore.DurabilityError{Err: err}).Error()}
+	}
+	now := time.Now()
+	s.met.ackWaitNs.Record(uint64(now.Sub(ack.commit)))
+	s.recordLatency(surf, resp.Op, now.Sub(ack.start))
+}
+
+func (s *Server) recordLatency(surf int, op kvproto.Op, d time.Duration) {
+	s.met.reqAll.Record(uint64(d))
+	s.met.req[surf][op-kvproto.OpGet].Record(uint64(d))
 }
 
 // execInto is exec into a caller-owned response, overwritten whole: a
 // codec that answers one request at a time reuses one Response for all of
 // them, and a single-key request then allocates nothing on its way through.
-func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kvproto.Response) {
+// It never waits for the disk. A zero ackWait says resp is final; one with
+// a ticket says resp is what to answer IF the ticket resolves clean, and
+// the caller owes a settle before it sends anything.
+func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kvproto.Response) (ack ackWait) {
 	*resp = kvproto.Response{ID: req.ID, Op: req.Op}
 	switch {
 	case req.Op == kvproto.OpStats:
@@ -75,24 +130,17 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 	}
 	t0 := time.Now()
 	defer func() {
-		d := uint64(time.Since(t0))
-		s.met.reqAll.Record(d)
-		s.met.req[surf][req.Op-kvproto.OpGet].Record(d)
-		// Arena exhaustion and a failed durability wait become statuses
-		// instead of tearing down the caller's goroutine. Any other panic
-		// is a real bug and is re-raised.
-		switch rec := recover().(type) {
-		case nil:
-		case *kvstore.DurabilityError:
-			// The commit exists in memory but its log records never
-			// reached disk: refuse the ack. The WAL's OnError has already
-			// flipped the server degraded, so this is a retry-later.
-			resp.Status, resp.Msg = kvproto.StatusUnavailable, rec.Error()
-		default:
+		// Arena exhaustion becomes a status instead of tearing down the
+		// caller's goroutine. Any other panic is a real bug and is
+		// re-raised.
+		if rec := recover(); rec != nil {
 			if rec != core.ErrSpaceExhausted {
 				panic(rec)
 			}
 			resp.Status, resp.Msg = kvproto.StatusError, core.ErrSpaceExhausted.Error()
+		}
+		if ack.ticket == nil {
+			s.recordLatency(surf, req.Op, time.Since(t0))
 		}
 	}()
 
@@ -145,19 +193,17 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 		}
 	}
 
+	var ticket txn.DurableTicket
 	switch req.Op {
 	case kvproto.OpGet:
 		resp.Val, resp.Found = s.store.Get(req.Key)
-	case kvproto.OpPut:
-		resp.OK = s.store.Put(req.Key, req.Val)
-	case kvproto.OpDelete:
-		resp.Found = s.store.Delete(req.Key)
-	case kvproto.OpCAS:
-		resp.OK = s.store.CAS(req.Key, req.Old, req.Val)
-	case kvproto.OpAdd:
-		resp.Val = s.store.Add(req.Key, req.Val)
+	case kvproto.OpPut, kvproto.OpDelete, kvproto.OpCAS, kvproto.OpAdd:
+		var r kvstore.OpResult
+		r, ticket = s.store.Update(storeKinds[req.Op], req.Key, req.Val, req.Old)
+		resp.Val, resp.Found, resp.OK = r.Val, r.Found, r.OK
 	case kvproto.OpBatch:
-		res := s.store.Apply(ops)
+		var res []kvstore.OpResult
+		res, ticket = s.store.ApplyTicket(ops)
 		resp.Results = make([]kvproto.BatchResult, len(res))
 		for i, r := range res {
 			resp.Results[i] = kvproto.BatchResult{Val: r.Val, Found: r.Found, OK: r.OK}
@@ -179,19 +225,25 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 			}
 		}
 	}
+	if ticket != nil {
+		// The server's redo hook returns wal.Log.Append's ticket.
+		ack = ackWait{ticket: ticket.(*wal.Pending), start: t0, commit: time.Now()}
+	}
+	return
 }
 
 // mayPark reports whether executing op can wait on something other than
 // the STM's own retry loop, or run long: an update queues at the admission
-// gate when there is one and waits for its WAL ticket under group
-// durability; a batch or a scan is as long as the client made it. A codec
-// that serves many requests from one goroutine gives such an op its own.
+// gate when there is one; a batch or a scan is as long as the client made
+// it. A codec that serves many requests from one goroutine gives such an op
+// its own. The durability mode does not enter into it: execInto never waits
+// for the disk.
 func (s *Server) mayPark(op kvproto.Op) bool {
 	switch op {
 	case kvproto.OpGet, kvproto.OpStats:
 		return false
 	case kvproto.OpPut, kvproto.OpDelete, kvproto.OpCAS, kvproto.OpAdd:
-		return s.gate != nil || s.dur.mode == DurabilityGroup
+		return s.gate != nil
 	}
 	return true
 }

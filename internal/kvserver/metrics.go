@@ -55,6 +55,9 @@ type metrics struct {
 	admWaitNs   *obs.Histogram
 	walFlushNs  *obs.Histogram
 	walBatchOps *obs.Histogram
+	// ackWaitNs is the durability wait itself: from an update's commit to
+	// the release of its acknowledgement (Server.settle).
+	ackWaitNs *obs.Histogram
 
 	tmObs *obs.TMObs
 	rec   *obs.Recorder
@@ -88,6 +91,7 @@ func newMetrics(s *Server) *metrics {
 	m.admWaitNs = obs.NewHistogram()
 	m.walFlushNs = obs.NewHistogram()
 	m.walBatchOps = obs.NewHistogram()
+	m.ackWaitNs = obs.NewHistogram()
 
 	m.reg.OnScrape(func() {
 		m.st = s.tm.Stats()
@@ -253,6 +257,8 @@ func newMetrics(s *Server) *metrics {
 		m.walFlushNs, 1e-9, lat)
 	m.reg.Histogram("stmkvd_wal_batch_ops", "Records per flushed WAL batch.", nil,
 		m.walBatchOps, 1, obs.SizeBounds())
+	m.reg.Histogram("stmkvd_wal_ack_wait_seconds", "Time a committed update's acknowledgement waited for its WAL ticket, commit to release.", nil,
+		m.ackWaitNs, 1e-9, lat)
 
 	// --- Binary protocol listener ---
 	m.reg.GaugeFunc("stmkvd_proto_conns", "Open binary-protocol connections.", nil,

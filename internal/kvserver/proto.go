@@ -1,7 +1,8 @@
 // The binary codec of the request pipeline: kvproto frames in, exec,
 // kvproto frames out. One TCP connection carries many requests in flight
 // and is served by one protoConn: a buffered reader, a buffered writer
-// behind a mutex, and the scratch one request at a time needs.
+// behind a mutex, the scratch one request at a time needs, and a FIFO of
+// answers that wait for the disk.
 //
 // Execution rule. The connection's reader goroutine reads frames through
 // its buffer, so a pipelined burst costs one read(2), and decides per
@@ -9,25 +10,43 @@
 //
 //   - An op that cannot park runs to completion on the reader itself: Get
 //     and Stats always, the point updates (Put/Delete/CAS/Add) when the
-//     server has no admission gate and its durability mode does not wait
-//     on a WAL ticket. No goroutine, no hand-off, no allocation.
-//   - An op that can wait or run long — a gated or group-durable update, a
-//     Batch, a Scan — gets its own goroutine, at most protoInflight of
-//     them per connection (the admission gate then bounds updaters across
-//     ALL connections), and checks its deadline again when it starts.
+//     server has no admission gate — whatever the durability mode, because
+//     execInto commits and returns without waiting for the log. No
+//     goroutine, no hand-off; the only allocation is the WAL ticket.
+//   - An op that can wait or run long — a gated update, a Batch, a Scan —
+//     gets its own goroutine, at most protoInflight of them per connection
+//     (the admission gate then bounds updaters across ALL connections), and
+//     checks its deadline again when it starts.
 //
-// Responses therefore complete OUT OF ORDER: a parked update never convoys
-// the reads pipelined behind it, and the id the client chose is its only
-// matching key.
+// Acknowledgement rule. Under group durability an update's response must
+// not leave before its WAL ticket resolves, and nothing parks on a ticket
+// to see to that except the connection's acker. Whoever ran the op — the
+// reader or an op goroutine — puts (ticket, response) on the connection's
+// held FIFO and moves on; the acker, one goroutine per connection, started
+// by the first held response, blocks on the OLDEST ticket and then releases
+// every held response whose ticket has resolved — a flusher batch resolves
+// many at once — with one encode pass and one flush. It is the only release
+// path of a durable answer: a failed ticket becomes StatusUnavailable
+// there, and the request's latency is recorded there, so the span covers
+// the wait. At most protoInflight responses are held per connection; with
+// the FIFO full the next holder waits for the acker, the reader giving up
+// its flush hold first. A read is never held: it may observe a committed
+// write whose acknowledgement is still waiting for the disk, exactly as it
+// could while that write's goroutine was parked on the ticket.
 //
-// Flush rule. Every responder encodes its frame straight into the shared
+// Responses therefore complete OUT OF ORDER: a parked or held update never
+// convoys the reads pipelined behind it, and the id the client chose is
+// its only matching key.
+//
+// Flush rule. Every responder encodes its frames straight into the shared
 // write buffer; who issues the write(2) is decided by a count of the
 // responders that are encoding or about to (protoConn.senders). The
 // reader counts itself in for as long as a complete next frame is already
 // buffered — more answers of this burst are coming — and out before any
-// read that can block, including on a partial frame. Whoever brings the
-// count to zero flushes: one write per burst for pipelined load, an
-// immediate one for a ping-pong caller.
+// read that can block, including on a partial frame, and before waiting
+// for room on the held FIFO. Whoever brings the count to zero flushes: one
+// write per burst for pipelined load, one per released batch for durable
+// updates, an immediate one for a ping-pong caller.
 package kvserver
 
 import (
@@ -45,9 +64,10 @@ import (
 
 const (
 	// protoInflight bounds one connection's concurrently running op
-	// goroutines: the pipeline stays thousands deep in the kernel socket
-	// buffers, but only this many parked or long ops exist at once per
-	// connection.
+	// goroutines, and separately its held responses: the pipeline stays
+	// thousands deep in the kernel socket buffers, but only this many
+	// parked or long ops, and this many answers waiting for the disk,
+	// exist at once per connection.
 	protoInflight = 256
 	// The two fixed buffers a connection owns. A frame larger than the
 	// read buffer is still served (ReadFrame reads through it); a response
@@ -69,11 +89,14 @@ type protoStats struct {
 	errOps atomic.Uint64 // responses with a non-OK status
 	//stm:allow-atomic listener accounting outside any transaction
 	badFrames atomic.Uint64 // connections dropped for framing/decode errors
+	//stm:allow-atomic listener accounting outside any transaction
+	held atomic.Int64 // responses currently held for a WAL ticket, all connections
 }
 
 func (p *protoStats) stats() map[string]any {
 	return map[string]any{
 		"conns":      p.conns.Load(),
+		"held":       p.held.Load(),
 		"accepted":   p.accepted.Load(),
 		"ops":        p.ops.Load(),
 		"err_ops":    p.errOps.Load(),
@@ -102,7 +125,8 @@ func (s *Server) ServeProto(l net.Listener) error {
 }
 
 // protoConn is one binary connection. The fields down to holding belong
-// to the reader goroutine; bw is shared with the op goroutines under mu.
+// to the reader goroutine; bw is shared with the op goroutines and the
+// acker under mu, the held FIFO under hmu.
 type protoConn struct {
 	s  *Server
 	br *bufio.Reader
@@ -125,12 +149,34 @@ type protoConn struct {
 	// slots bounds the op goroutines, wg waits for them at teardown.
 	slots chan struct{}
 	wg    sync.WaitGroup
+
+	// held is the FIFO of responses waiting for their WAL tickets, in the
+	// order their ops finished. hcond (on hmu) tells the acker there is
+	// one, a holder that there is room again, and the acker to finish.
+	// ackerDone is nil until the first hold starts the acker and closes
+	// when it has exited; closing tells it to, once held is empty.
+	//stm:allow-atomic guards the connection's held responses, outside any transaction
+	hmu       sync.Mutex
+	hcond     sync.Cond
+	held      []heldResp
+	ackerDone chan struct{}
+	closing   bool
+}
+
+// heldResp is one answer on the held FIFO: what to send once ack's ticket
+// has resolved clean.
+type heldResp struct {
+	resp kvproto.Response
+	ack  ackWait
 }
 
 // serveProtoConn serves one connection until its stream ends or loses
-// framing, then waits for the op goroutines still running: each answers
-// into the write buffer and flushes (into an error, if the peer is gone —
-// a failed write is sticky in bufio.Writer and never blocks).
+// framing, then waits for the op goroutines still running and for the acker
+// to release what they and the reader left held: each answers into the
+// write buffer and flushes (into an error, if the peer is gone — a failed
+// write is sticky in bufio.Writer and never blocks). A held answer waits
+// for its ticket even then; the log resolves every ticket, at the latest
+// when it closes.
 func (s *Server) serveProtoConn(conn net.Conn) {
 	defer conn.Close()
 	c := &protoConn{
@@ -139,9 +185,18 @@ func (s *Server) serveProtoConn(conn net.Conn) {
 		bw:    bufio.NewWriterSize(conn, protoWriteBuf),
 		slots: make(chan struct{}, protoInflight),
 	}
+	c.hcond.L = &c.hmu
 	c.readLoop()
 	c.release()
 	c.wg.Wait()
+	c.hmu.Lock()
+	c.closing = true
+	done := c.ackerDone
+	c.hmu.Unlock()
+	if done != nil {
+		c.hcond.Broadcast()
+		<-done
+	}
 }
 
 // readLoop runs the connection's requests until a read fails. Any framing
@@ -200,8 +255,7 @@ func (c *protoConn) dispatch(payload []byte) bool {
 		return true
 	}
 	s.proto.ops.Add(1)
-	s.execInto(surfProto, dl, &c.req, &c.resp)
-	c.send(&c.resp)
+	c.answer(&c.resp, s.execInto(surfProto, dl, &c.req, &c.resp), true)
 	return true
 }
 
@@ -225,15 +279,93 @@ func (c *protoConn) spawn(dl time.Time) {
 		// Dequeue check: the op may have sat behind a full pipeline, or
 		// behind a busy scheduler. Starting work for a client that already
 		// gave up is waste.
+		var ack ackWait
 		if expired(dl) {
 			resp = kvproto.Response{ID: req.ID, Op: req.Op}
 			s.shedDeadline(surfProto, shedStageDequeue, &resp)
 		} else {
 			s.proto.ops.Add(1)
-			s.execInto(surfProto, dl, req, &resp)
+			ack = s.execInto(surfProto, dl, req, &resp)
 		}
-		c.send(&resp)
+		c.answer(&resp, ack, false)
 	}()
+}
+
+// answer disposes of an executed request's response: sent now, or, when
+// execInto left a WAL ticket open, held for the acker. onReader says the
+// caller is the connection's reader goroutine.
+func (c *protoConn) answer(resp *kvproto.Response, ack ackWait, onReader bool) {
+	if ack.ticket == nil {
+		c.send(resp)
+		return
+	}
+	c.hmu.Lock()
+	if len(c.held) >= protoInflight {
+		if onReader {
+			// Waiting for the acker is a block like any other: the answers
+			// already in the write buffer must not wait on it.
+			c.hmu.Unlock()
+			c.release()
+			c.hmu.Lock()
+		}
+		for len(c.held) >= protoInflight {
+			c.hcond.Wait()
+		}
+	}
+	c.held = append(c.held, heldResp{resp: *resp, ack: ack})
+	c.s.proto.held.Add(1)
+	if c.ackerDone == nil {
+		c.ackerDone = make(chan struct{})
+		go c.acker()
+	}
+	c.hmu.Unlock()
+	c.hcond.Broadcast()
+}
+
+// acker releases the connection's held responses: it blocks on the oldest
+// ticket — the only place a binary update waits for the disk — and then
+// settles and sends every held response whose ticket has resolved, in one
+// encode pass with one flush. Tickets resolve a flusher batch at a time
+// and in no particular order across op goroutines, so it sweeps the whole
+// FIFO rather than a prefix: no answer waits a second fsync for an older
+// neighbour. It exits at teardown, once nothing is held.
+func (c *protoConn) acker() {
+	defer close(c.ackerDone)
+	var ready []heldResp
+	c.hmu.Lock()
+	for {
+		for len(c.held) == 0 && !c.closing {
+			c.hcond.Wait()
+		}
+		if len(c.held) == 0 {
+			c.hmu.Unlock()
+			return
+		}
+		oldest := c.held[0].ack.ticket
+		c.hmu.Unlock()
+		_ = oldest.Wait() // settle reads the outcome
+		c.hmu.Lock()
+		keep := c.held[:0]
+		for i := range c.held {
+			if c.held[i].ack.ticket.Done() {
+				ready = append(ready, c.held[i])
+			} else {
+				keep = append(keep, c.held[i])
+			}
+		}
+		clear(c.held[len(keep):])
+		c.held = keep
+		c.hmu.Unlock()
+		c.hcond.Broadcast() // room on the FIFO
+		for i := range ready {
+			c.s.settle(surfProto, &ready[i].resp, ready[i].ack)
+		}
+		c.sendHeld(ready)
+		c.s.proto.held.Add(-int64(len(ready)))
+		clear(ready)
+		ready = ready[:0]
+		c.hmu.Lock()
+	}
 }
 
 // send encodes one response into the write buffer and flushes it unless
@@ -243,6 +375,29 @@ func (c *protoConn) spawn(dl time.Time) {
 func (c *protoConn) send(resp *kvproto.Response) {
 	c.senders.Add(1)
 	c.mu.Lock()
+	c.encode(resp)
+	if c.senders.Add(-1) == 0 {
+		_ = c.bw.Flush()
+	}
+	c.mu.Unlock()
+}
+
+// sendHeld is send for the acker's released responses: one turn at the
+// write buffer and at most one flush for all of them.
+func (c *protoConn) sendHeld(held []heldResp) {
+	c.senders.Add(1)
+	c.mu.Lock()
+	for i := range held {
+		c.encode(&held[i].resp)
+	}
+	if c.senders.Add(-1) == 0 {
+		_ = c.bw.Flush()
+	}
+	c.mu.Unlock()
+}
+
+// encode appends resp's frame to the write buffer; the caller holds mu.
+func (c *protoConn) encode(resp *kvproto.Response) {
 	frame, err := kvproto.AppendResponseFrame(c.bw.AvailableBuffer(), resp)
 	if err != nil {
 		// Only a server bug gets here (a pair list or frame over the
@@ -255,10 +410,6 @@ func (c *protoConn) send(resp *kvproto.Response) {
 		c.s.proto.errOps.Add(1)
 	}
 	_, _ = c.bw.Write(frame)
-	if c.senders.Add(-1) == 0 {
-		_ = c.bw.Flush()
-	}
-	c.mu.Unlock()
 }
 
 // release takes the reader out of senders, flushing if that leaves nobody

@@ -1,0 +1,329 @@
+package kvserver
+
+import (
+	"bufio"
+	"errors"
+	"io"
+	"net"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"tinystm/internal/kvproto"
+	"tinystm/internal/wal"
+)
+
+// Tests of the binary connection's acknowledgement rule (proto.go): under
+// group durability an update's answer is held until its WAL ticket
+// resolves, by the connection's acker and by nothing else. The disk is a
+// wal.MemFS whose fsync the test holds or fails, so "not yet durable" lasts
+// exactly as long as the test wants.
+
+// startDurableProto is startProto on a group-durable server that has
+// finished recovery. The harness client's connection is up on return, so
+// proto.conns and the goroutine count have a stable baseline.
+func startDurableProto(t *testing.T, cfg Config) *protoHarness {
+	t.Helper()
+	h := startProto(t, cfg)
+	waitReady(t, h.srv)
+	if _, err := h.c.Put(1000, 1); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+func putFrame(t testing.TB, id, key, val uint64) []byte {
+	return reqFrame(t, &kvproto.Request{ID: id, Op: kvproto.OpPut, Key: key, Val: val})
+}
+
+// expectSilence asserts that nothing arrives on conn for a little while.
+// "Not answered" has no event to wait on; the callers first wait for the
+// state that guarantees it (the responses are counted as held) and use
+// this only to catch an answer that leaked out anyway.
+func expectSilence(t *testing.T, conn net.Conn) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(30 * time.Millisecond))
+	var b [1]byte
+	if n, err := conn.Read(b[:]); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read %d bytes (err %v) while every outstanding answer should be held", n, err)
+	}
+}
+
+func waitHeld(t *testing.T, s *Server, n int64) {
+	t.Helper()
+	waitFor(t, "held responses", func() bool { return s.proto.held.Load() == n })
+}
+
+// TestProtoAckNeverEarlyNeverConvoyed: Put, Put, Get pipelined on one
+// connection while the fsync is held. The Get is answered — and sees the
+// first Put, committed but not yet durable — neither Put is, and neither
+// has been counted as a finished request; once the disk lets go both Puts
+// arrive, their latency covers the wait, and the store has them.
+func TestProtoAckNeverEarlyNeverConvoyed(t *testing.T) {
+	fs := wal.NewMemFS()
+	h := startDurableProto(t, durableCfg(fs))
+	putLat := h.srv.met.req[surfProto][kvproto.OpPut-kvproto.OpGet]
+	putsBefore, acksBefore := putLat.Snapshot(), h.srv.met.ackWaitNs.Snapshot()
+
+	inSync, release := fs.HoldSync()
+	defer release()
+	conn := dialRaw(t, h.addr)
+	burst := append(putFrame(t, 1, 7, 70), putFrame(t, 2, 8, 80)...)
+	burst = append(burst, reqFrame(t, &kvproto.Request{ID: 3, Op: kvproto.OpGet, Key: 7})...)
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	if r := readResp(t, conn); r.ID != 3 || r.Status != kvproto.StatusOK || !r.Found || r.Val != 70 {
+		t.Fatalf("first answer = %+v, want the Get (id 3) seeing the committed Put", r)
+	}
+	<-inSync
+	waitHeld(t, h.srv, 2)
+	expectSilence(t, conn)
+	now := putLat.Snapshot()
+	if n := now.Sub(&putsBefore).Count; n != 0 {
+		t.Fatalf("%d Put latencies recorded before any Put was released", n)
+	}
+	heldFor := 20 * time.Millisecond
+	time.Sleep(heldFor) // the wait the released spans must cover
+
+	release()
+	seen := map[uint64]bool{}
+	for range 2 {
+		r := readResp(t, conn)
+		if r.Status != kvproto.StatusOK || !r.OK || seen[r.ID] || (r.ID != 1 && r.ID != 2) {
+			t.Fatalf("released answer = %+v (seen before: %v)", r, seen[r.ID])
+		}
+		seen[r.ID] = true
+	}
+	waitHeld(t, h.srv, 0)
+	for key, want := range map[uint64]uint64{7: 70, 8: 80} {
+		if v, found := h.srv.store.Get(key); !found || v != want {
+			t.Errorf("store.Get(%d) = (%d, %v), want %d", key, v, found, want)
+		}
+	}
+	now = putLat.Snapshot()
+	puts := now.Sub(&putsBefore)
+	now = h.srv.met.ackWaitNs.Snapshot()
+	acks := now.Sub(&acksBefore)
+	if puts.Count != 2 || acks.Count != 2 {
+		t.Fatalf("recorded %d Put latencies and %d ack waits for 2 released Puts", puts.Count, acks.Count)
+	}
+	// Quantile answers with a bucket's upper bound, so it can only overstate.
+	if lo := puts.Quantile(0); time.Duration(lo) < heldFor {
+		t.Errorf("fastest released Put recorded %v: the span lost its %v ticket wait", time.Duration(lo), heldFor)
+	}
+	if lo := acks.Quantile(0); time.Duration(lo) < heldFor {
+		t.Errorf("shortest ack wait recorded %v, held for at least %v", time.Duration(lo), heldFor)
+	}
+}
+
+// TestProtoAckFailedTicket: the fsync the held updates wait for fails.
+// Every one of them answers StatusUnavailable with the durability message,
+// the server is degraded, and the listener's error count is what the
+// client saw.
+func TestProtoAckFailedTicket(t *testing.T) {
+	fs := wal.NewMemFS()
+	h := startDurableProto(t, durableCfg(fs))
+	errsBefore := h.srv.proto.errOps.Load()
+
+	inSync, release := fs.HoldSync()
+	defer release()
+	fs.FailSyncAt(1)
+	conn := dialRaw(t, h.addr)
+	const n = 3
+	var burst []byte
+	for i := uint64(1); i <= n; i++ {
+		burst = append(burst, putFrame(t, i, i, i)...)
+	}
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	<-inSync
+	waitHeld(t, h.srv, n)
+	release()
+	for range n {
+		r := readResp(t, conn)
+		if r.Status != kvproto.StatusUnavailable || !strings.Contains(r.Msg, "commit not durable") ||
+			!strings.Contains(r.Msg, wal.ErrInjectedSync.Error()) {
+			t.Fatalf("answer to a Put whose fsync failed = %+v, want unavailable with the durability message", r)
+		}
+	}
+	waitFor(t, "the server to degrade", func() bool { return h.srv.State() == "degraded" })
+	if got := h.srv.proto.errOps.Load() - errsBefore; got != n {
+		t.Errorf("err_ops moved by %d, the client saw %d errors", got, n)
+	}
+	waitHeld(t, h.srv, 0)
+}
+
+// TestProtoAckBound: one burst of a Get and more Puts than the held FIFO
+// takes, with the fsync held. The reader holds the Get's answer back for
+// the rest of the burst — until the FIFO is full: it must give up that
+// hold before it waits for room, so the Get is answered while the reader
+// is stuck. Everything else follows once the disk lets go.
+func TestProtoAckBound(t *testing.T) {
+	fs := wal.NewMemFS()
+	cfg := durableCfg(fs)
+	cfg.SpaceWords = 1 << 20
+	h := startDurableProto(t, cfg)
+	inSync, release := fs.HoldSync()
+	defer release()
+	conn := dialRaw(t, h.addr)
+	const puts = protoInflight + 1
+	burst := reqFrame(t, &kvproto.Request{ID: 1, Op: kvproto.OpGet, Key: 1000})
+	for i := uint64(0); i < puts; i++ {
+		burst = append(burst, putFrame(t, 2+i, i, i)...)
+	}
+	burst = append(burst, reqFrame(t, &kvproto.Request{ID: 2 + puts, Op: kvproto.OpGet, Key: 1000})...)
+	if len(burst) > protoReadBuf {
+		t.Fatalf("burst of %d bytes does not fit the read buffer: the reader would not hold its flush across it", len(burst))
+	}
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	if r := readResp(t, conn); r.ID != 1 || !r.Found {
+		t.Fatalf("first answer = %+v, want the leading Get", r)
+	}
+	<-inSync
+	waitHeld(t, h.srv, protoInflight)
+	expectSilence(t, conn) // the last Put and the trailing Get sit behind the full FIFO
+	release()
+	seen := map[uint64]bool{}
+	for range puts + 1 {
+		r := readResp(t, conn)
+		if r.Status != kvproto.StatusOK || seen[r.ID] || r.ID < 2 || r.ID > 2+puts {
+			t.Fatalf("answer %+v (seen before: %v)", r, seen[r.ID])
+		}
+		seen[r.ID] = true
+	}
+	waitHeld(t, h.srv, 0)
+}
+
+// TestProtoAckTeardown: the peer vanishes with acknowledgements held. The
+// connection stays accounted open until its acker has released them — into
+// the dead writer, without blocking — and then every goroutine it started
+// is gone; the updates themselves are committed and durable.
+func TestProtoAckTeardown(t *testing.T) {
+	fs := wal.NewMemFS()
+	h := startDurableProto(t, durableCfg(fs))
+	goroutines := runtime.NumGoroutine()
+	inSync, release := fs.HoldSync()
+	defer release()
+	conn := dialRaw(t, h.addr)
+	if _, err := conn.Write(append(putFrame(t, 1, 7, 70), putFrame(t, 2, 8, 80)...)); err != nil {
+		t.Fatal(err)
+	}
+	<-inSync
+	waitHeld(t, h.srv, 2)
+	conn.Close()
+	// Nothing announces that the reader has seen the EOF; give it the time
+	// to, so the check below is of a connection that only its acker keeps.
+	time.Sleep(20 * time.Millisecond)
+	if n := h.srv.proto.conns.Load(); n != 2 {
+		t.Fatalf("conns = %d with acknowledgements still held, want 2 (harness client + this one)", n)
+	}
+	release()
+	waitFor(t, "the connection to close", func() bool { return h.srv.proto.conns.Load() == 1 })
+	waitHeld(t, h.srv, 0)
+	if v, found, err := h.c.Get(8); err != nil || !found || v != 80 {
+		t.Fatalf("Get(8) = (%d, %v, %v) after the peer left", v, found, err)
+	}
+	waitFor(t, "the connection's goroutines to exit", func() bool { return runtime.NumGoroutine() <= goroutines })
+}
+
+// TestProtoAckServerClose: Server.Close with acknowledgements held
+// terminates — closing the log resolves every ticket one way or the other —
+// and the held updates are answered, not dropped.
+func TestProtoAckServerClose(t *testing.T) {
+	fs := wal.NewMemFS()
+	h := startDurableProto(t, durableCfg(fs))
+	inSync, release := fs.HoldSync()
+	defer release()
+	conn := dialRaw(t, h.addr)
+	if _, err := conn.Write(append(putFrame(t, 1, 7, 70), putFrame(t, 2, 8, 80)...)); err != nil {
+		t.Fatal(err)
+	}
+	<-inSync
+	waitHeld(t, h.srv, 2)
+	closed := make(chan struct{})
+	go func() { defer close(closed); h.srv.Close() }()
+	release() // the final drain needs the disk back
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close did not return with acknowledgements held")
+	}
+	for range 2 {
+		// Durable before the log closed, or refused because it closed first.
+		if r := readResp(t, conn); r.Status != kvproto.StatusOK && r.Status != kvproto.StatusUnavailable {
+			t.Fatalf("answer across Close = %+v", r)
+		}
+	}
+	waitHeld(t, h.srv, 0)
+}
+
+// TestProtoAckGateAndGroup: the admission slot goes back when the
+// transaction commits, not when it is durable. With a gate one wide and
+// the fsync held, a second update commits while the first still waits for
+// its ticket.
+func TestProtoAckGateAndGroup(t *testing.T) {
+	fs := wal.NewMemFS()
+	cfg := durableCfg(fs)
+	cfg.AdmissionWidth = 1
+	h := startDurableProto(t, cfg)
+	inSync, release := fs.HoldSync()
+	defer release()
+	conn := dialRaw(t, h.addr)
+	if _, err := conn.Write(append(putFrame(t, 1, 7, 70), putFrame(t, 2, 8, 80)...)); err != nil {
+		t.Fatal(err)
+	}
+	<-inSync
+	waitHeld(t, h.srv, 2) // both committed; neither durable
+	if _, inflight, _, _ := h.srv.gate.Stats(); inflight != 0 {
+		t.Fatalf("gate inflight = %d with both updates only waiting for the disk", inflight)
+	}
+	for key, want := range map[uint64]uint64{7: 70, 8: 80} {
+		if v, found := h.srv.store.Get(key); !found || v != want {
+			t.Errorf("store.Get(%d) = (%d, %v) while held, want %d", key, v, found, want)
+		}
+	}
+	expectSilence(t, conn)
+	release()
+	for range 2 {
+		if r := readResp(t, conn); r.Status != kvproto.StatusOK || !r.OK {
+			t.Fatalf("released answer = %+v", r)
+		}
+	}
+}
+
+// TestProtoDurablePutAllocs pins the reader-run durable path: decoding a
+// Put, committing it with its redo record staged, and holding the answer
+// for the acker allocates once — the WAL ticket.
+func TestProtoDurablePutAllocs(t *testing.T) {
+	fs := wal.NewMemFS()
+	s, _ := newTestServer(t, durableCfg(fs))
+	waitReady(t, s)
+	s.store.Put(5, 50)
+	// ackerDone is preset so no acker starts: the test drops what is held
+	// itself, and the measured goroutine is the only one allocating.
+	c := &protoConn{s: s, bw: bufio.NewWriterSize(io.Discard, protoWriteBuf), ackerDone: make(chan struct{})}
+	c.hcond.L = &c.hmu
+	payload, err := kvproto.AppendRequest(nil, &kvproto.Request{ID: 1, Op: kvproto.OpPut, Key: 5, Val: 51})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := 0
+	n := testing.AllocsPerRun(500, func() {
+		c.dispatch(payload)
+		held += len(c.held)
+		c.held = c.held[:0]
+	})
+	if n > 1 {
+		t.Fatalf("decode → execInto → hold of a group-durable Put: %v allocs, want <= 1", n)
+	}
+	if held != 501 { // AllocsPerRun warms up with one extra run
+		t.Fatalf("%d of 501 Puts were held for their ticket", held)
+	}
+	s.proto.held.Store(0)
+}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"tinystm/internal/kvproto"
+	"tinystm/internal/wal"
 )
 
 // Tests of the connection loop itself (proto.go): which goroutine runs an
@@ -325,12 +326,15 @@ func TestProtoReaderPathAllocs(t *testing.T) {
 // pipelinedBench drives one loopback connection in lock-step bursts of
 // depth pre-encoded requests, each written in one call, and reports the
 // cost per request: the connection loop's own rung on the ladder.
-func pipelinedBench(b *testing.B, depth int, op kvproto.Op) {
-	srv, err := New(Config{SpaceWords: 1 << 18})
+func pipelinedBench(b *testing.B, cfg Config, depth int, op kvproto.Op) {
+	srv, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer srv.Close()
+	if err := srv.RecoveryWait(); err != nil {
+		b.Fatal(err)
+	}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -366,10 +370,19 @@ func pipelinedBench(b *testing.B, depth int, op kvproto.Op) {
 }
 
 func BenchmarkProtoPipelinedGet(b *testing.B) {
-	b.Run("depth=4", func(b *testing.B) { pipelinedBench(b, 4, kvproto.OpGet) })
-	b.Run("depth=32", func(b *testing.B) { pipelinedBench(b, 32, kvproto.OpGet) })
+	cfg := Config{SpaceWords: 1 << 18}
+	b.Run("depth=4", func(b *testing.B) { pipelinedBench(b, cfg, 4, kvproto.OpGet) })
+	b.Run("depth=32", func(b *testing.B) { pipelinedBench(b, cfg, 32, kvproto.OpGet) })
 }
 
 func BenchmarkProtoPipelinedPut(b *testing.B) {
-	b.Run("depth=4", func(b *testing.B) { pipelinedBench(b, 4, kvproto.OpPut) })
+	b.Run("depth=4", func(b *testing.B) { pipelinedBench(b, Config{SpaceWords: 1 << 18}, 4, kvproto.OpPut) })
+}
+
+// BenchmarkProtoPipelinedPutDurable is the same rung under group
+// durability on an in-memory disk: what the redo hook, the WAL ticket, the
+// flusher and the connection's acker add to a Put, with the fsync itself
+// free.
+func BenchmarkProtoPipelinedPutDurable(b *testing.B) {
+	b.Run("depth=4", func(b *testing.B) { pipelinedBench(b, durableCfg(wal.NewMemFS()), 4, kvproto.OpPut) })
 }

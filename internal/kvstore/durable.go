@@ -13,8 +13,10 @@ import (
 // fold of puts and deletes. The STM hands the records to the installed
 // redo hook (the WAL) during commit publication and leaves a durability
 // ticket on the descriptor; operations configured to ack-after-durable
-// collect that ticket right after their atomic block and block on the
-// sink until the commit's log records are fsynced.
+// collect that ticket right after their atomic block. Update and
+// ApplyTicket return it unwaited, for a caller that acknowledges later and
+// from elsewhere; Put/Delete/CAS/Add/Apply block on the sink until the
+// commit's log records are fsynced.
 //
 // Structural transactions — shard growth, recovery loading — are never
 // logged: they do not change the logical key/value state.
@@ -25,12 +27,12 @@ type DurabilitySink interface {
 	WaitDurable(t txn.DurableTicket) error
 }
 
-// DurabilityError is the panic value of a Store operation whose commit
-// could not be made durable: the transaction IS committed in memory, but
-// the write-ahead log failed before fsyncing its records, so the write
-// must not be acked. Like txn.ErrSpaceExhausted it unwinds to the server
-// handler, which maps it to 503 and flips the store into degraded
-// read-only mode (the WAL's failure is sticky).
+// DurabilityError says a commit could not be made durable: the transaction
+// IS committed in memory, but the write-ahead log failed before fsyncing
+// its records, so the write must not be acked. It is the panic value of
+// the blocking operations (Put, Apply, …), unwinding like
+// txn.ErrSpaceExhausted; a caller that waits on a ticket from Update or
+// ApplyTicket itself wraps the wait's error in one for the same message.
 type DurabilityError struct{ Err error }
 
 func (e *DurabilityError) Error() string {
@@ -129,7 +131,9 @@ func (s *Store[T]) CheckpointScan() (pairs map[uint64]uint64, epoch, ts uint64, 
 	tx := s.pool.Get()
 	defer s.pool.Put(tx)
 	s.snap.AtomicSnap(tx, func(tx T) {
-		pairs = make(map[uint64]uint64)
+		// Sized from the last scan: growing a map from empty to the whole
+		// table rehashes it a dozen times over, every checkpoint.
+		pairs = make(map[uint64]uint64, s.ckptPairs.Load())
 		p := any(tx).(positioned)
 		ts, _ = p.Snapshot()
 		epoch = p.ClockEpoch()
@@ -138,5 +142,6 @@ func (s *Store[T]) CheckpointScan() (pairs map[uint64]uint64, epoch, ts uint64, 
 			return true
 		})
 	})
+	s.ckptPairs.Store(int64(len(pairs)))
 	return pairs, epoch, ts, true
 }

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"tinystm/internal/obs"
 	"tinystm/internal/txn"
@@ -93,6 +94,10 @@ type Store[T txn.Tx] struct {
 	// durable.go. Set once via EnableDurability before traffic starts.
 	durable bool
 	sink    DurabilitySink
+	// ckptPairs is the pair count of the last CheckpointScan, the next
+	// one's size hint.
+	//stm:allow-atomic checkpoint size hint, read and written outside any transaction
+	ckptPairs atomic.Int64
 	// heat, when attached (SetShardHeat), receives one op plus the retry
 	// count per single-key operation, keyed by shard — the server's
 	// contention heat map. Nil costs every op one predictable branch.
@@ -237,32 +242,54 @@ func (s *Store[T]) Get(key uint64) (val uint64, found bool) {
 	return val, found
 }
 
-// Put upserts key and reports whether it was inserted. When the insert
-// tips the owning shard over its load factor, the shard is grown in a
-// follow-up freeze/rehash transaction before Put returns.
-func (s *Store[T]) Put(key, val uint64) (inserted bool) {
+// Update runs one single-key update — Put, Delete, CAS (val is the new
+// value, old the expected one) or Add (val is the delta) — and returns
+// what the kind's own method returns (OK: Put inserted, CAS swapped; Found:
+// Delete found the key; Val: Add's result) together with the commit's
+// durability ticket, UNWAITED. The ticket is non-nil exactly when the store
+// acks after durability (EnableDurability with a sink): the update is
+// committed and visible, and the caller must not acknowledge it until the
+// ticket resolves. When an insert tips the owning shard over its load
+// factor, the shard is grown in a follow-up freeze/rehash transaction
+// before Update returns.
+func (s *Store[T]) Update(kind OpKind, key, val, old uint64) (res OpResult, t txn.DurableTicket) {
 	tx := s.pool.Get()
 	defer s.pool.Put(tx)
-	o := s.getOp(key, val, 0)
-	s.sys.Atomic(tx, o.put)
-	inserted = o.flag
-	s.finishUpdate(tx, o)
-	return inserted
-}
-
-// finishUpdate is the tail every single-key update shares once its atomic
-// block has committed: recycle the op, grow the shard if the body asked
-// for it, then wait for the commit to be durable.
-func (s *Store[T]) finishUpdate(tx T, o *pointOp[T]) {
+	o := s.getOp(key, val, old)
+	switch kind {
+	case OpPut:
+		s.sys.Atomic(tx, o.put)
+		res.OK = o.flag
+	case OpDelete:
+		s.sys.Atomic(tx, o.del)
+		res.Found = o.flag
+	case OpCAS:
+		s.sys.Atomic(tx, o.cas)
+		res.OK = o.flag
+	case OpAdd:
+		s.sys.Atomic(tx, o.add)
+		res.Val = o.res
+	default:
+		panic(fmt.Sprintf("kvstore: %v is not a single-key update", kind))
+	}
 	// The ticket must be read before tryGrow: the growth transaction's
 	// Begin clears it from the descriptor.
-	t := s.ticket(tx)
+	t = s.ticket(tx)
 	sh, grow := o.sh, o.grow
 	s.putOp(o)
 	if grow {
 		s.tryGrow(tx, sh)
 	}
+	return res, t
+}
+
+// Put upserts key and reports whether it was inserted. Like Delete, CAS,
+// Add and Apply it is the blocking form of Update/ApplyTicket: where the
+// store acks after durability it returns once the commit is durable.
+func (s *Store[T]) Put(key, val uint64) (inserted bool) {
+	res, t := s.Update(OpPut, key, val, 0)
 	s.waitDurable(t)
+	return res.OK
 }
 
 // tryGrow runs the freeze/rehash transaction as best-effort housekeeping:
@@ -282,36 +309,24 @@ func (s *Store[T]) tryGrow(tx T, sh uint64) {
 
 // Delete removes key, reporting whether it was present.
 func (s *Store[T]) Delete(key uint64) (found bool) {
-	tx := s.pool.Get()
-	defer s.pool.Put(tx)
-	o := s.getOp(key, 0, 0)
-	s.sys.Atomic(tx, o.del)
-	found = o.flag
-	s.finishUpdate(tx, o)
-	return found
+	res, t := s.Update(OpDelete, key, 0, 0)
+	s.waitDurable(t)
+	return res.Found
 }
 
 // CAS atomically replaces key's value with new iff it currently is old.
 func (s *Store[T]) CAS(key, old, new uint64) (ok bool) {
-	tx := s.pool.Get()
-	defer s.pool.Put(tx)
-	o := s.getOp(key, new, old)
-	s.sys.Atomic(tx, o.cas)
-	ok = o.flag
-	s.finishUpdate(tx, o)
-	return ok
+	res, t := s.Update(OpCAS, key, new, old)
+	s.waitDurable(t)
+	return res.OK
 }
 
 // Add atomically adds delta to key's value (inserting at delta when
 // absent) and returns the new value.
 func (s *Store[T]) Add(key, delta uint64) (val uint64) {
-	tx := s.pool.Get()
-	defer s.pool.Put(tx)
-	o := s.getOp(key, delta, 0)
-	s.sys.Atomic(tx, o.add)
-	val = o.res
-	s.finishUpdate(tx, o)
-	return val
+	res, t := s.Update(OpAdd, key, delta, 0)
+	s.waitDurable(t)
+	return res.Val
 }
 
 // Len returns the live key count via a read-only transaction (snapshot
@@ -383,6 +398,14 @@ func (s *Store[T]) Scan(limit int) (pairs []KV, total uint64) {
 // snapshot. Results are positionally aligned with ops. A batch that only
 // reads runs read-only.
 func (s *Store[T]) Apply(ops []Op) []OpResult {
+	res, t := s.ApplyTicket(ops)
+	s.waitDurable(t)
+	return res
+}
+
+// ApplyTicket is Apply returning the commit's durability ticket unwaited,
+// under Update's contract; a read-only batch has none.
+func (s *Store[T]) ApplyTicket(ops []Op) ([]OpResult, txn.DurableTicket) {
 	res := make([]OpResult, len(ops))
 	readOnly := true
 	for _, op := range ops {
@@ -431,13 +454,12 @@ func (s *Store[T]) Apply(ops []Op) []OpResult {
 		//stm:allow-write every op is OpGet on this path; the write arms cannot execute
 		//stm:allow-redo every op is OpGet on this path; the redo arms cannot execute
 		s.atomicRO(tx, body)
-		return res
+		return res, nil
 	}
 	s.sys.Atomic(tx, body)
 	t := s.ticket(tx)
 	s.growTouched(tx, ops)
-	s.waitDurable(t)
-	return res
+	return res, t
 }
 
 // growTouched runs the freeze/rehash transaction for every shard a batch's

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"path"
+	"slices"
 	"sort"
 )
 
@@ -43,7 +44,7 @@ func WriteCheckpoint(fs FS, dir string, idx, epoch, ts uint64, pairs map[uint64]
 	for k := range pairs {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 
 	buf := make([]byte, 0, len(ckptMagic)+24+len(pairs)*16+4)
 	buf = append(buf, ckptMagic...)

@@ -10,8 +10,17 @@
 // so the log needs no coordination of its own: a single flusher goroutine
 // drains the lock-free staging stack, sorts each batch by (epoch, ts),
 // writes one checksummed frame, and fsyncs once for the whole batch.
-// Callers that need ack-after-durable semantics block on the ticket
-// Append returns.
+// Callers that need ack-after-durable semantics hold the ticket Append
+// returns until it resolves.
+//
+// The ticket (Pending) is built so that a commit pays for the log and for
+// nothing else. It carries no channel: a flag says resolved, Done polls it,
+// and Wait parks on a counter inside the ticket only when it really has to
+// block — a server connection blocks on the oldest ticket it holds and
+// polls the rest. A record of up to two ops lives inside its ticket, so
+// Append is one allocation; the flusher reuses its batch, record and frame
+// buffers, so a batch is none. Housekeeping (DropSegmentsBefore, Stats)
+// takes no lock the flusher holds across an fsync.
 //
 // Recovery is a pure fold: load the newest valid checkpoint, then replay
 // every remaining segment in segment-index order, applying records

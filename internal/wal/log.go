@@ -1,10 +1,11 @@
 package wal
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"path"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -45,8 +46,10 @@ type Config struct {
 // Stats is a point-in-time snapshot of log counters.
 type Stats struct {
 	// Appends counts records staged; Batches counts flusher drains that
-	// reached disk; Syncs counts fsyncs (one per batch plus segment
-	// headers); Rotations counts segment rollovers.
+	// reached disk — a frame was written and fsynced; a barrier-only
+	// drain (Flush or Rotate with nothing staged) is not one; Syncs counts
+	// fsyncs (one per batch plus segment headers); Rotations counts
+	// segment rollovers.
 	Appends   uint64
 	Batches   uint64
 	Syncs     uint64
@@ -57,20 +60,59 @@ type Stats struct {
 	Failed bool
 }
 
+// inlineOps is how many redo ops a ticket stores in itself: a point update
+// logs one and a two-key transfer two, so the common Append is a single
+// allocation.
+const inlineOps = 2
+
 // Pending is the durability ticket for one Append: it resolves once the
 // record's batch is fsynced (nil error) or the log fails. It satisfies
 // txn.DurableTicket so the STM redo hook can return it opaquely.
+//
+// A ticket carries no channel. Most are never blocked on — a connection's
+// acker blocks on the oldest it holds and polls the rest with Done — so
+// Append pays for a flag and a counter inside the ticket and for nothing
+// else: done says the outcome is in err, wg (raised once, at creation)
+// is what a caller that must block parks on. The runtime's semaphore
+// behind wg orders the last waiter-in against the resolver's wake-up, so
+// neither side can miss the other, and a blocked Wait allocates nothing
+// either.
 type Pending struct {
-	rec  Record
-	next *Pending
-	done chan struct{}
-	err  error
+	rec    Record
+	next   *Pending
+	inline [inlineOps]txn.RedoOp
+	err    error // written before done is set
+	done   atomic.Bool
+	wg     sync.WaitGroup
 }
 
-// Wait blocks until the record is durable and returns the outcome.
+// newPending returns an unresolved ticket for a record at (epoch, ts).
+func newPending(epoch, ts uint64) *Pending {
+	p := &Pending{rec: Record{Epoch: epoch, TS: ts}}
+	p.wg.Add(1)
+	return p
+}
+
+// Done reports whether the ticket has resolved, without blocking: Wait
+// then returns at once.
+func (p *Pending) Done() bool { return p.done.Load() }
+
+// Wait blocks until the record is durable and returns the outcome. Any
+// number of goroutines may wait on one ticket.
 func (p *Pending) Wait() error {
-	<-p.done
+	if !p.done.Load() {
+		p.wg.Wait()
+	}
 	return p.err
+}
+
+// resolve publishes the ticket's outcome and wakes its waiters. Called
+// exactly once per ticket: by the flusher, or by Close after the flusher
+// has exited.
+func (p *Pending) resolve(err error) {
+	p.err = err
+	p.done.Store(true)
+	p.wg.Done()
 }
 
 // Log is the write-ahead log: a lock-free staging stack drained by one
@@ -81,13 +123,23 @@ type Log struct {
 	wake chan struct{}
 
 	// mu guards the current segment (file handle, index, size) and the
-	// sticky failure. The flusher holds it across a batch; Rotate and
-	// DropSegmentsBefore take it from checkpointer context.
+	// sticky failure. The flusher holds it across a batch; Rotate takes it
+	// from checkpointer context. Nothing else does: housekeeping that
+	// queued here would stall every commit behind it.
 	mu       sync.Mutex
 	cur      File
 	curIndex uint64
 	curSize  int64
 	failErr  error
+	// segment mirrors curIndex for readers that must not wait for an
+	// fsync in flight (Stats, DropSegmentsBefore).
+	segment atomic.Uint64
+
+	// The flusher's scratch, reused from batch to batch: the drained
+	// tickets, their records, and the encoded frame.
+	batch []*Pending
+	recs  []Record
+	frame []byte
 
 	failed    atomic.Bool
 	errorOnce sync.Once
@@ -109,6 +161,17 @@ type Log struct {
 // with Replay before Open and truncate the old era once a boot
 // checkpoint is durable.
 func Open(cfg Config) (*Log, error) {
+	l, err := open(cfg)
+	if err != nil {
+		return nil, err
+	}
+	l.flusherWG.Add(1)
+	go l.run()
+	return l, nil
+}
+
+// open is Open without the flusher: the log's state, on a fresh segment.
+func open(cfg Config) (*Log, error) {
 	if cfg.FS == nil {
 		cfg.FS = OS
 	}
@@ -139,19 +202,20 @@ func Open(cfg Config) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.flusherWG.Add(1)
-	go l.run()
 	return l, nil
 }
 
 // Append stages one committed transaction's redo records and returns its
 // durability ticket. Safe for any number of concurrent callers; called
 // from inside STM commit publication, so it must not block. The ops
-// slice is copied (the transaction descriptor reuses it).
+// slice is copied (the transaction descriptor reuses it): into the ticket
+// itself when it fits, so the ticket is the call's only allocation.
 func (l *Log) Append(epoch, ts uint64, ops []txn.RedoOp) *Pending {
-	p := &Pending{
-		rec:  Record{Epoch: epoch, TS: ts, Ops: append([]txn.RedoOp(nil), ops...)},
-		done: make(chan struct{}),
+	p := newPending(epoch, ts)
+	if len(ops) <= inlineOps {
+		p.rec.Ops = p.inline[:copy(p.inline[:], ops)]
+	} else {
+		p.rec.Ops = append([]txn.RedoOp(nil), ops...)
 	}
 	l.push(p)
 	l.appends.Add(1)
@@ -180,7 +244,7 @@ func (l *Log) Flush() error {
 	if err := l.FailedErr(); err != nil {
 		return err
 	}
-	p := &Pending{done: make(chan struct{})}
+	p := newPending(0, 0)
 	l.push(p)
 	return p.Wait()
 }
@@ -212,9 +276,14 @@ func (l *Log) Rotate() (uint64, error) {
 // covering the dropped prefix is durable: truncation must remove a
 // prefix of segments, never a middle, or replay's last-record-wins fold
 // stops being valid.
+//
+// It takes no lock. Segments below the one being written are sealed —
+// nothing writes, rotates or reopens them — so the directory scan, the
+// removals and the directory fsync run beside the flusher instead of in
+// front of it; idx is capped at the current segment so a wrong argument
+// cannot reach the live file.
 func (l *Log) DropSegmentsBefore(idx uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	idx = min(idx, l.segment.Load())
 	names, err := l.cfg.FS.ReadDir(l.cfg.Dir)
 	if err != nil {
 		return err
@@ -244,17 +313,15 @@ func (l *Log) FailedErr() error {
 	return l.failErr
 }
 
-// Stats returns a snapshot of the log's counters.
+// Stats returns a snapshot of the log's counters. Lock-free: a scrape
+// never queues behind an fsync.
 func (l *Log) Stats() Stats {
-	l.mu.Lock()
-	seg := l.curIndex
-	l.mu.Unlock()
 	return Stats{
 		Appends:   l.appends.Load(),
 		Batches:   l.batches.Load(),
 		Syncs:     l.syncs.Load(),
 		Rotations: l.rotations.Load(),
-		Segment:   seg,
+		Segment:   l.segment.Load(),
 		Failed:    l.failed.Load(),
 	}
 }
@@ -268,8 +335,7 @@ func (l *Log) Close() error {
 	// The flusher is gone; resolve any stragglers that raced the final
 	// drain so no waiter hangs.
 	for p := l.head.Swap(nil); p != nil; p = p.next {
-		p.err = ErrLogClosed
-		close(p.done)
+		p.resolve(ErrLogClosed)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -302,34 +368,32 @@ func (l *Log) run() {
 }
 
 // takeBatch swaps the staging stack empty and returns the tickets in
-// append order. The Treiber stack yields LIFO, so reverse; then a stable
-// sort by (epoch, ts) makes each frame — and therefore each segment —
+// append order, in the flusher's reused slice (valid until the next call).
+// The Treiber stack yields LIFO, so reverse; then a stable sort by
+// (epoch, ts) makes each frame — and therefore each segment —
 // timestamp-ordered. Per-key correctness never depends on the sort:
 // conflicting commits serialize through their stripe lock, so append
 // order already agrees with per-key timestamp order and the stable sort
 // preserves it; the sort only tidies the interleaving of unrelated keys.
 func (l *Log) takeBatch() []*Pending {
-	top := l.head.Swap(nil)
-	if top == nil {
-		return nil
-	}
-	var batch []*Pending
-	for p := top; p != nil; p = p.next {
+	batch := l.batch[:0]
+	for p := l.head.Swap(nil); p != nil; p = p.next {
 		batch = append(batch, p)
 	}
-	for i, j := 0, len(batch)-1; i < j; i, j = i+1, j-1 {
-		batch[i], batch[j] = batch[j], batch[i]
-	}
-	sort.SliceStable(batch, func(i, j int) bool {
-		a, b := &batch[i].rec, &batch[j].rec
-		if a.Epoch != b.Epoch {
-			return a.Epoch < b.Epoch
+	slices.Reverse(batch)
+	slices.SortStableFunc(batch, func(a, b *Pending) int {
+		if c := cmp.Compare(a.rec.Epoch, b.rec.Epoch); c != 0 {
+			return c
 		}
-		return a.TS < b.TS
+		return cmp.Compare(a.rec.TS, b.rec.TS)
 	})
+	l.batch = batch
 	return batch
 }
 
+// commitBatch makes one drained batch durable — one frame, one fsync —
+// and resolves its tickets. It clears batch on the way out, so the reused
+// slice does not pin the resolved tickets until the next drain.
 func (l *Log) commitBatch(batch []*Pending) {
 	if len(batch) == 0 {
 		return
@@ -337,7 +401,7 @@ func (l *Log) commitBatch(batch []*Pending) {
 	l.mu.Lock()
 	err := l.failErr
 	if err == nil {
-		recs := make([]Record, 0, len(batch))
+		recs := l.recs[:0]
 		for _, p := range batch {
 			if len(p.rec.Ops) > 0 {
 				recs = append(recs, p.rec)
@@ -345,31 +409,36 @@ func (l *Log) commitBatch(batch []*Pending) {
 		}
 		if len(recs) > 0 {
 			t0 := time.Now()
-			err = l.writeAndSyncLocked(encodeFrame(recs))
+			l.frame = appendFrame(l.frame[:0], recs)
+			err = l.writeAndSyncLocked(l.frame)
 			if l.cfg.FlushNs != nil {
 				l.cfg.FlushNs.Record(uint64(time.Since(t0)))
 			}
 			if l.cfg.BatchOps != nil {
 				l.cfg.BatchOps.Record(uint64(len(recs)))
 			}
-		}
-		if err == nil {
-			l.batches.Add(1)
-			if l.curSize > l.cfg.SegmentBytes {
-				// Rotation failure poisons the log but not this batch:
-				// its bytes are already durable in the sealed segment.
-				if rerr := l.rotateLocked(); rerr != nil {
-					l.failLocked(rerr)
-				}
+			if err == nil {
+				l.batches.Add(1)
 			}
-		} else {
+		}
+		clear(recs)
+		l.recs = recs
+		if err != nil {
 			l.failLocked(err)
+		} else if l.curSize > l.cfg.SegmentBytes {
+			// Rotation failure poisons the log but not this batch:
+			// its bytes are already durable in the sealed segment.
+			if rerr := l.rotateLocked(); rerr != nil {
+				l.failLocked(rerr)
+			}
 		}
 	}
 	l.mu.Unlock()
-	for _, p := range batch {
-		p.err = err
-		close(p.done)
+	// Newest first: a caller that holds several of these tickets blocks on
+	// its oldest, and so wakes to find the rest of the batch resolved too.
+	for i := len(batch) - 1; i >= 0; i-- {
+		batch[i].resolve(err)
+		batch[i] = nil
 	}
 }
 
@@ -438,6 +507,7 @@ func (l *Log) openSegmentLocked(idx uint64) error {
 	}
 	l.cur = f
 	l.curIndex = idx
+	l.segment.Store(idx)
 	l.curSize = int64(len(segMagic))
 	return nil
 }

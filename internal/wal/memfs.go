@@ -38,6 +38,9 @@ var (
 //     bytes and then fails every subsequent operation with ErrCrashed,
 //     modelling kill -9 at an arbitrary instant; sweeping n across a
 //     workload visits every crash position.
+//   - HoldSync/HoldSyncDir park every file/directory sync until released,
+//     modelling a slow disk: what is acknowledged, and what still runs,
+//     while an fsync is in flight becomes observable without a sleep.
 //
 // Simplification, documented on purpose: metadata operations (Create,
 // Remove, Rename, MkdirAll) are durable immediately, as if the directory
@@ -54,6 +57,21 @@ type MemFS struct {
 	failSyncAt  int // 1-based sync ordinal; 0 = disarmed
 	crashAt     int // 1-based write ordinal; 0 = disarmed
 	crashed     bool
+	syncHold    *syncHold // parks file Syncs; nil = disarmed
+	dirHold     *syncHold // parks SyncDirs; nil = disarmed
+}
+
+// syncHold parks syncs: arrived closes when the first one gets here, gate
+// when the test lets them all go.
+type syncHold struct {
+	arrived chan struct{}
+	once    sync.Once
+	gate    chan struct{}
+}
+
+func (h *syncHold) park() {
+	h.once.Do(func() { close(h.arrived) })
+	<-h.gate
 }
 
 type memFile struct {
@@ -80,6 +98,40 @@ func (m *MemFS) FailSyncAt(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.failSyncAt = m.syncs + n
+}
+
+// HoldSync makes every file Sync from now on block before it takes effect
+// (the bytes stay unsynced, and no MemFS lock is held) until release is
+// called; arrived closes when the first one blocks.
+func (m *MemFS) HoldSync() (arrived <-chan struct{}, release func()) {
+	return m.hold(&m.syncHold)
+}
+
+// HoldSyncDir is HoldSync for directory syncs.
+func (m *MemFS) HoldSyncDir() (arrived <-chan struct{}, release func()) {
+	return m.hold(&m.dirHold)
+}
+
+func (m *MemFS) hold(slot **syncHold) (<-chan struct{}, func()) {
+	h := &syncHold{arrived: make(chan struct{}), gate: make(chan struct{})}
+	m.mu.Lock()
+	*slot = h
+	m.mu.Unlock()
+	return h.arrived, sync.OnceFunc(func() {
+		m.mu.Lock()
+		if *slot == h {
+			*slot = nil
+		}
+		m.mu.Unlock()
+		close(h.gate)
+	})
+}
+
+// held returns the hold armed in slot, if any.
+func (m *MemFS) held(slot **syncHold) *syncHold {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return *slot
 }
 
 // CrashAtWrite arms the crash fault: the nth write from now persists only
@@ -218,6 +270,9 @@ func (m *MemFS) Rename(oldPath, newPath string) error {
 }
 
 func (m *MemFS) SyncDir(dir string) error {
+	if h := m.held(&m.dirHold); h != nil {
+		h.park()
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.crashed {
@@ -272,6 +327,9 @@ func (h *memHandle) Write(b []byte) (int, error) {
 
 func (h *memHandle) Sync() error {
 	m := h.fs
+	if hold := m.held(&m.syncHold); hold != nil {
+		hold.park()
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.crashed {

@@ -68,31 +68,30 @@ func (e *CorruptError) Error() string {
 func le32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func le64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 
-// encodeFrame serialises one batch of records into a single frame.
-func encodeFrame(recs []Record) []byte {
-	size := 4
-	for i := range recs {
-		size += recHeaderLen + len(recs[i].Ops)*opLen
-	}
-	payload := make([]byte, 0, size)
-	payload = le32(payload, uint32(len(recs)))
+// appendFrame serialises one batch of records as a single frame appended
+// to dst: the header is reserved, the payload encoded behind it, and the
+// length and checksum filled in last, so a reused dst costs no allocation.
+func appendFrame(dst []byte, recs []Record) []byte {
+	start := len(dst)
+	dst = append(dst, frameMagic...)
+	dst = le32(dst, 0) // payload length
+	dst = le32(dst, 0) // payload checksum
+	dst = le32(dst, uint32(len(recs)))
 	for i := range recs {
 		r := &recs[i]
-		payload = le64(payload, r.Epoch)
-		payload = le64(payload, r.TS)
-		payload = le32(payload, uint32(len(r.Ops)))
+		dst = le64(dst, r.Epoch)
+		dst = le64(dst, r.TS)
+		dst = le32(dst, uint32(len(r.Ops)))
 		for _, op := range r.Ops {
-			payload = append(payload, byte(op.Kind))
-			payload = le64(payload, op.Key)
-			payload = le64(payload, op.Val)
+			dst = append(dst, byte(op.Kind))
+			dst = le64(dst, op.Key)
+			dst = le64(dst, op.Val)
 		}
 	}
-	frame := make([]byte, 0, frameHeaderLen+len(payload))
-	frame = append(frame, frameMagic...)
-	frame = le32(frame, uint32(len(payload)))
-	frame = le32(frame, crc32.Checksum(payload, crcTable))
-	frame = append(frame, payload...)
-	return frame
+	payload := dst[start+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(dst[start+4:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+8:], crc32.Checksum(payload, crcTable))
+	return dst
 }
 
 // decodePayload parses one checksum-verified frame payload. Structural

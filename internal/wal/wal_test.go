@@ -37,8 +37,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Epoch: 1, TS: 11, Ops: []txn.RedoOp{put(3, 300)}},
 		{Epoch: 2, TS: 1, Ops: nil},
 	}
-	seg := append([]byte(segMagic), encodeFrame(recs[:2])...)
-	seg = append(seg, encodeFrame(recs[2:])...)
+	seg := appendFrame([]byte(segMagic), recs[:2])
+	seg = appendFrame(seg, recs[2:])
 	got, torn, err := parseSegment("seg", seg, true)
 	if err != nil || torn != 0 {
 		t.Fatalf("parseSegment: torn=%d err=%v", torn, err)

@@ -138,23 +138,24 @@ done
 [ "$LOST" -eq 0 ] || { echo "$LOST acked writes lost"; exit 1; }
 echo "acked-write loss ok: $NACKED/60 acked through resets, 0 lost"
 
-# Deadline shedding: saturate the width-1 gate with a burst of untimed
-# updates (each holds it ~25ms for the WAL group commit), then send
-# writes with a 1ms budget — they must be refused at the gate, never
-# executed.
-BURST_PIDS=""
-for i in $(seq 1 30); do
-  curl -s -o /dev/null -X PUT -d 1 "$BASE/kv/7$i" &
-  BURST_PIDS="$BURST_PIDS $!"
-done
-sleep 0.1
+# Deadline shedding: keep the width-1 gate busy, then send writes with a
+# 1ms budget — they must be refused at the gate, never executed. The gate
+# is held for the length of a transaction, not of its fsync (the slot goes
+# back at commit), so what keeps it busy is transactions: 128 pipelined
+# writers of 1024-key atomic batches, straight at the binary port, queue
+# tens of milliseconds of work in front of it.
+"$BIN/stmkv-loadgen" -proto binary -addr "$PROTO_ADDR" -conns 2 -workers 128 \
+  -rate 20000 -duration 3s -keys 4096 -preload=false \
+  -read 0 -cas 0 -batch 100 -batch-size 1024 >/dev/null 2>&1 &
+FLOOD=$!
+sleep 0.5
 SHED=0
-for i in $(seq 1 15); do
+for i in $(seq 1 40); do
   code="$(curl -s -o /dev/null -w '%{http_code}' \
     -H 'X-Timeout-Ms: 1' -X PUT -d 1 "$BASE/kv/8$i")"
   [ "$code" = "504" ] && SHED=$((SHED + 1))
 done
-wait $BURST_PIDS
+wait $FLOOD || true
 [ "$SHED" -ge 1 ] || { echo "no 1ms-budget write was shed at the busy gate"; exit 1; }
 
 METRICS="$(curl -sf "$BASE/metrics")"
