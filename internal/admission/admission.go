@@ -122,6 +122,29 @@ func (g *Gate) EnterUntil(deadline time.Time) bool {
 	return true
 }
 
+// TryEnter is EnterUntil for a caller that must not wait — a goroutine that
+// serves other requests too. It never blocks: it claims a slot and returns
+// admitted when one is free; it refuses like EnterUntil does on arrival
+// (expired, counted in Expired) when a non-zero deadline has already
+// passed; and with the gate full it returns neither, having counted
+// nothing — the caller hands the request to a goroutine that can queue in
+// EnterUntil, which does the counting. An admitted TryEnter pairs with one
+// Exit and counts in admitted, never in waited.
+func (g *Gate) TryEnter(deadline time.Time) (admitted, expired bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !deadline.IsZero() && !time.Now().Before(deadline) {
+		g.expired++
+		return false, true
+	}
+	if g.inflight >= g.width {
+		return false, false
+	}
+	g.inflight++
+	g.admitted++
+	return true, false
+}
+
 // Exit releases a slot claimed by Enter.
 func (g *Gate) Exit() {
 	g.mu.Lock()

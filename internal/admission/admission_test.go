@@ -253,3 +253,123 @@ func TestEnterUntilPassesTheBaton(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestTryEnterNeverWaits: at a full gate TryEnter comes straight back with
+// nothing claimed and nothing counted — queueing, and its statistics, are
+// EnterUntil's — a spent deadline is refused even at an empty gate, and an
+// admitted TryEnter is an admission like any other, minus the wait.
+func TestTryEnterNeverWaits(t *testing.T) {
+	g := New(1)
+	g.Enter()
+	for _, dl := range []time.Time{{}, time.Now().Add(time.Hour)} {
+		if admitted, expired := g.TryEnter(dl); admitted || expired {
+			t.Fatalf("TryEnter(%v) at a full gate = (%v, %v), want neither", dl, admitted, expired)
+		}
+	}
+	if _, inflight, admitted, waited := g.Stats(); inflight != 1 || admitted != 1 || waited != 0 || g.Expired() != 0 {
+		t.Fatalf("a refused TryEnter moved the counters: inflight %d admitted %d waited %d expired %d",
+			inflight, admitted, waited, g.Expired())
+	}
+	if admitted, expired := g.TryEnter(time.Now().Add(-time.Millisecond)); admitted || !expired {
+		t.Fatalf("TryEnter past its deadline at a full gate = (%v, %v), want expired", admitted, expired)
+	}
+	g.Exit()
+	if admitted, expired := g.TryEnter(time.Now().Add(-time.Millisecond)); admitted || !expired {
+		t.Fatalf("TryEnter past its deadline at an EMPTY gate = (%v, %v), want expired", admitted, expired)
+	}
+	if g.Expired() != 2 {
+		t.Fatalf("expired = %d, want 2", g.Expired())
+	}
+	if admitted, expired := g.TryEnter(time.Time{}); !admitted || expired {
+		t.Fatalf("TryEnter at a free gate = (%v, %v), want admitted", admitted, expired)
+	}
+	if _, inflight, admitted, waited := g.Stats(); inflight != 1 || admitted != 2 || waited != 0 {
+		t.Fatalf("after an admitted TryEnter: inflight %d admitted %d waited %d, want 1 2 0", inflight, admitted, waited)
+	}
+	g.Exit() // pairs with the TryEnter; a second Exit would panic
+	if _, inflight, _, _ := g.Stats(); inflight != 0 {
+		t.Fatalf("inflight = %d after the paired Exit", inflight)
+	}
+}
+
+// TestTryEnterHammer mixes the three ways in while the width is walked
+// down and back up: whoever is inside was let in at a moment the gate had
+// room, so the holders never outnumber the widest the gate has been, every
+// grant is counted once, and every slot comes back.
+func TestTryEnterHammer(t *testing.T) {
+	const maxWidth, workers, opsEach = 4, 12, 400
+	g := New(maxWidth)
+	var cur, peak atomic.Int64
+	var granted, tryGranted, queued atomic.Uint64
+	inside := func() {
+		n := cur.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		granted.Add(1)
+		cur.Add(-1)
+		g.Exit()
+	}
+	stop := make(chan struct{})
+	var widths sync.WaitGroup
+	widths.Add(1)
+	go func() {
+		defer widths.Done()
+		for w := maxWidth; ; w = w%maxWidth + 1 { // 4 1 2 3 4 1 …: mostly narrowing steps
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := g.SetWidth(w); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < opsEach; j++ {
+				switch (i + j) % 3 {
+				case 0:
+					if admitted, _ := g.TryEnter(time.Time{}); admitted {
+						tryGranted.Add(1)
+						inside()
+					}
+				case 1:
+					queued.Add(1)
+					g.Enter()
+					inside()
+				default:
+					queued.Add(1)
+					if g.EnterUntil(time.Now().Add(200 * time.Microsecond)) {
+						inside()
+					}
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(stop)
+	widths.Wait()
+	if got := peak.Load(); got > maxWidth {
+		t.Fatalf("%d updaters inside at once, the gate was never wider than %d", got, maxWidth)
+	}
+	_, inflight, admitted, waited := g.Stats()
+	if inflight != 0 || admitted != granted.Load() {
+		t.Fatalf("inflight %d, admitted %d for %d grants", inflight, admitted, granted.Load())
+	}
+	if waited > queued.Load() {
+		t.Fatalf("waited = %d with only %d Enter/EnterUntil calls: a TryEnter was counted as a wait", waited, queued.Load())
+	}
+	if tryGranted.Load() == 0 {
+		t.Fatal("no TryEnter was ever admitted: nothing was tested")
+	}
+}

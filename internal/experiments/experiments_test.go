@@ -405,6 +405,10 @@ func TestSnapshotSweepShapes(t *testing.T) {
 	cfg.Keys = 512
 	cfg.Writers = []int{2}
 	cfg.Budgets = []int{64}
+	// Two spinning writers on two cores can keep the scanner off the CPU
+	// for a whole 10 ms scheduler time slice; the window must outlast that
+	// for "the scanner read something" to be about snapshots.
+	cfg.Duration = 100 * time.Millisecond
 	r := SnapshotSweep(sc, cfg)
 	if len(r.Points) != 2 {
 		t.Fatalf("got %d points, want 2 (off + one budget)", len(r.Points))

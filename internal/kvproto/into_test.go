@@ -40,14 +40,44 @@ func TestDecodeRequestIntoOverwritesWhole(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// req still holds the previous sample: none of it may survive.
+		// req still holds the previous sample: none of it may survive but
+		// the capacity of Ops, empty unless this sample is a batch.
 		if err := DecodeRequestInto(payload, &req); err != nil {
 			t.Fatalf("%+v: %v", want, err)
 		}
+		got := req
+		if got.Op != OpBatch && len(got.Ops) == 0 {
+			got.Ops = nil
+		}
 		fresh, err := DecodeRequest(payload)
-		if err != nil || !reflect.DeepEqual(&req, fresh) {
+		if err != nil || !reflect.DeepEqual(&got, fresh) {
 			t.Fatalf("reused decode %+v differs from fresh decode %+v (%v)", req, fresh, err)
 		}
+	}
+}
+
+// TestDecodeRequestIntoReusesOps: a batch that fits the Request's previous
+// Ops is decoded into them, also across non-batch requests in between.
+func TestDecodeRequestIntoReusesOps(t *testing.T) {
+	encode := func(req *Request) []byte {
+		payload, err := AppendRequest(nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+	batch := encode(&Request{ID: 1, Op: OpBatch, Ops: []BatchOp{{Op: OpAdd, Key: 1, Val: 2}, {Op: OpAdd, Key: 3, Val: 4}}})
+	get := encode(&Request{ID: 2, Op: OpGet, Key: 1})
+	var req Request
+	if n := testing.AllocsPerRun(100, func() {
+		if DecodeRequestInto(batch, &req) != nil || len(req.Ops) != 2 || req.Ops[1].Key != 3 {
+			t.Fatalf("batch decoded as %+v", req)
+		}
+		if DecodeRequestInto(get, &req) != nil || len(req.Ops) != 0 {
+			t.Fatalf("get decoded as %+v", req)
+		}
+	}); n != 0 {
+		t.Fatalf("decoding into a Request that has held the batch before: %v allocs, want 0", n)
 	}
 }
 

@@ -392,10 +392,14 @@ func DecodeRequest(p []byte) (*Request, error) {
 
 // DecodeRequestInto is DecodeRequest into a caller-owned Request, which it
 // overwrites whole (nothing of p is retained, so p may be reused at
-// once). On error req's contents are unspecified.
+// once) except that it keeps req.Ops' backing array: a Batch is decoded
+// into it when it fits, any other request leaves Ops empty. A caller that
+// hands a decoded batch to someone else sets req.Ops to nil first. On error
+// req's contents are unspecified.
 func DecodeRequestInto(p []byte, req *Request) error {
 	d := decoder{buf: p}
-	*req = Request{}
+	ops := req.Ops[:0]
+	*req = Request{Ops: ops}
 	req.ID = d.u64()
 	opByte := d.u8()
 	req.Op = Op(opByte &^ opDeadlineFlag)
@@ -430,7 +434,10 @@ func DecodeRequestInto(p []byte, req *Request) error {
 			return ErrTruncated
 		}
 		if d.err == nil {
-			req.Ops = make([]BatchOp, n)
+			if ops == nil || cap(ops) < int(n) {
+				ops = make([]BatchOp, n)
+			}
+			req.Ops = ops[:n]
 			for i := range req.Ops {
 				o := &req.Ops[i]
 				o.Op = Op(d.u8())

@@ -7,6 +7,11 @@
 //	(deadline at the gate) → store call → panic-to-status → [durability
 //	wait] → latency
 //
+// Admission is waited for by a caller whose goroutine is the request's own
+// (HTTP, a binary op goroutine) and only tried by one that serves other
+// requests too (a binary connection's reader): with the gate full that
+// caller gets the request back unrun (wouldPark) and gives it a goroutine.
+//
 // The durability wait is the one step execInto does not take itself. Under
 // group durability an update's store call returns with the commit done and
 // its WAL ticket unresolved; execInto hands that open half back (ackWait)
@@ -58,11 +63,25 @@ var (
 
 // ackWait is the open half of a request whose update has committed but
 // whose log records are not on disk yet: the ticket to wait on, and the two
-// instants settle measures from.
+// instants settle measures from. wouldPark is the other way execInto leaves
+// a request open, and only for a caller that lent a readerScratch: nothing
+// ran and nothing was counted, because the admission gate is full.
 type ackWait struct {
-	ticket *wal.Pending
-	start  time.Time // the request's latency span began
-	commit time.Time // the store call returned
+	ticket    *wal.Pending
+	start     time.Time // the request's latency span began
+	commit    time.Time // the store call returned
+	wouldPark bool
+}
+
+// readerScratch is what a goroutine that serves many requests — a binary
+// connection's reader — lends execInto, and how execInto knows it is on
+// one: the slices a short batch is converted, run and answered through
+// (resp.Results aliases out until the next batch), and the obligation not
+// to wait at the admission gate on that goroutine.
+type readerScratch struct {
+	ops [shortBatch]kvstore.Op
+	res [shortBatch]kvstore.OpResult
+	out [shortBatch]kvproto.BatchResult
 }
 
 // exec runs one decoded request from surface surf against the store and
@@ -72,7 +91,7 @@ type ackWait struct {
 // moment the request left the transport.
 func (s *Server) exec(surf int, dl time.Time, req *kvproto.Request) *kvproto.Response {
 	resp := new(kvproto.Response)
-	if ack := s.execInto(surf, dl, req, resp); ack.ticket != nil {
+	if ack := s.execInto(surf, dl, req, resp, nil); ack.ticket != nil {
 		s.settle(surf, resp, ack)
 	}
 	return resp
@@ -107,7 +126,14 @@ func (s *Server) recordLatency(surf int, op kvproto.Op, d time.Duration) {
 // It never waits for the disk. A zero ackWait says resp is final; one with
 // a ticket says resp is what to answer IF the ticket resolves clean, and
 // the caller owes a settle before it sends anything.
-func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kvproto.Response) (ack ackWait) {
+//
+// With rd nil the caller's goroutine is the request's own and an update
+// queues at a full admission gate (EnterUntil). With rd lent, execInto
+// tries the gate instead (TryEnter): a free slot is taken and the request
+// runs exactly as above; a full gate returns wouldPark with nothing run,
+// shed or recorded, and the caller runs the request again from a goroutine
+// that may wait. A spent budget is shed at the gate either way.
+func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kvproto.Response, rd *readerScratch) (ack ackWait) {
 	*resp = kvproto.Response{ID: req.ID, Op: req.Op}
 	switch {
 	case req.Op == kvproto.OpStats:
@@ -139,7 +165,7 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 			}
 			resp.Status, resp.Msg = kvproto.StatusError, core.ErrSpaceExhausted.Error()
 		}
-		if ack.ticket == nil {
+		if ack.ticket == nil && !ack.wouldPark {
 			s.recordLatency(surf, req.Op, time.Since(t0))
 		}
 	}()
@@ -148,6 +174,8 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 	// admission gate), and which are long enough that a spent budget must
 	// stop them before they start.
 	var ops []kvstore.Op
+	var res []kvstore.OpResult
+	var out []kvproto.BatchResult
 	update := false
 	switch req.Op {
 	case kvproto.OpPut, kvproto.OpDelete, kvproto.OpCAS, kvproto.OpAdd:
@@ -163,7 +191,11 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 		}
 		// An all-Get batch runs as an ungated snapshot read, exactly like
 		// Apply's own read-only path.
-		ops = make([]kvstore.Op, len(req.Ops))
+		if n := len(req.Ops); rd != nil && n <= shortBatch {
+			ops, res, out = rd.ops[:n], rd.res[:n], rd.out[:n]
+		} else {
+			ops, res, out = make([]kvstore.Op, n), make([]kvstore.OpResult, n), make([]kvproto.BatchResult, n)
+		}
 		for i, o := range req.Ops {
 			ops[i] = kvstore.Op{Kind: storeKinds[o.Op], Key: o.Key, Val: o.Val, Old: o.Old}
 			update = update || o.Op != kvproto.OpGet
@@ -182,6 +214,18 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 				s.shedDeadline(surf, shedStageGate, resp)
 				return
 			}
+		} else if rd != nil {
+			admitted, late := s.gate.TryEnter(dl)
+			if late {
+				s.shedDeadline(surf, shedStageGate, resp)
+				return
+			}
+			if !admitted {
+				ack.wouldPark = true
+				return
+			}
+			s.met.admWaitNs.Record(0)
+			defer s.gate.Exit()
 		} else {
 			tw := time.Now()
 			if !s.gate.EnterUntil(dl) {
@@ -202,12 +246,11 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 		r, ticket = s.store.Update(storeKinds[req.Op], req.Key, req.Val, req.Old)
 		resp.Val, resp.Found, resp.OK = r.Val, r.Found, r.OK
 	case kvproto.OpBatch:
-		var res []kvstore.OpResult
-		res, ticket = s.store.ApplyTicket(ops)
-		resp.Results = make([]kvproto.BatchResult, len(res))
+		ticket = s.store.ApplyInto(ops, res)
 		for i, r := range res {
-			resp.Results[i] = kvproto.BatchResult{Val: r.Val, Found: r.Found, OK: r.OK}
+			out[i] = kvproto.BatchResult(r)
 		}
+		resp.Results = out
 	case kvproto.OpScan:
 		// The walk always covers the whole table (Total is exact); only
 		// the returned pairs are capped.
@@ -232,20 +275,14 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 	return
 }
 
-// mayPark reports whether executing op can wait on something other than
-// the STM's own retry loop, or run long: an update queues at the admission
-// gate when there is one; a batch or a scan is as long as the client made
-// it. A codec that serves many requests from one goroutine gives such an op
-// its own. The durability mode does not enter into it: execInto never waits
-// for the disk.
-func (s *Server) mayPark(op kvproto.Op) bool {
-	switch op {
-	case kvproto.OpGet, kvproto.OpStats:
-		return false
-	case kvproto.OpPut, kvproto.OpDelete, kvproto.OpCAS, kvproto.OpAdd:
-		return s.gate != nil
-	}
-	return true
+// mayPark reports whether req runs long whatever the server's state: a
+// scan walks the whole table, a batch is as long as the client made it. A
+// codec that serves many requests from one goroutine gives such a request
+// its own without trying. Nothing else is decided ahead of time: whether
+// an update has to wait at the admission gate is something execInto finds
+// out by trying (wouldPark), and it never waits for the disk.
+func mayPark(req *kvproto.Request) bool {
+	return req.Op == kvproto.OpScan || (req.Op == kvproto.OpBatch && len(req.Ops) > shortBatch)
 }
 
 // refusal is the door: it returns why a data request of kind op may not

@@ -4,19 +4,31 @@
 // behind a mutex, the scratch one request at a time needs, and a FIFO of
 // answers that wait for the disk.
 //
-// Execution rule. The connection's reader goroutine reads frames through
-// its buffer, so a pipelined burst costs one read(2), and decides per
-// request from what the server can observe (Server.mayPark):
+// Execution rule: try, and spawn on would-park. The connection's reader
+// goroutine reads frames through its buffer, so a pipelined burst costs one
+// read(2), and runs each request itself unless the server shows it, for
+// this request, a reason not to:
 //
-//   - An op that cannot park runs to completion on the reader itself: Get
-//     and Stats always, the point updates (Put/Delete/CAS/Add) when the
-//     server has no admission gate — whatever the durability mode, because
-//     execInto commits and returns without waiting for the log. No
-//     goroutine, no hand-off; the only allocation is the WAL ticket.
-//   - An op that can wait or run long — a gated update, a Batch, a Scan —
-//     gets its own goroutine, at most protoInflight of them per connection
-//     (the admission gate then bounds updaters across ALL connections), and
-//     checks its deadline again when it starts.
+//   - The reader runs Get and Stats, the point updates (Put/Delete/CAS/Add)
+//     and any batch of at most shortBatch sub-ops to completion where it
+//     stands, lending execInto its scratch: no goroutine, no hand-off, no
+//     allocation but a group-durable update's WAL ticket. At the admission
+//     gate it does not wait, it tries (Gate.TryEnter): a free slot — the
+//     usual case; the gate is there to be full under an abort storm, not in
+//     calm — is taken and given back like any other, and a spent budget is
+//     shed right there. A connection's short updates thus run one at a
+//     time, and the updaters the STM sees at once are the busy connections,
+//     not their summed pipeline depth.
+//   - Only when the gate has no slot does execInto report that the request
+//     would park (having run, shed and counted nothing), and only then does
+//     the request get its own goroutine, which runs it again from the top
+//     and queues at the gate (EnterUntil) for as long as its budget lasts.
+//     A Scan and a batch longer than shortBatch run long whatever the
+//     server's state (mayPark) and get a goroutine without the try. At most
+//     protoInflight such goroutines exist per connection (the gate bounds
+//     updaters across ALL connections), each checks its deadline again when
+//     it starts, and /stats proto.spawned counts them: on a server without
+//     long requests it is how often the gate was actually full.
 //
 // Acknowledgement rule. Under group durability an update's response must
 // not leave before its WAL ticket resolves, and nothing parks on a ticket
@@ -34,9 +46,9 @@
 // write whose acknowledgement is still waiting for the disk, exactly as it
 // could while that write's goroutine was parked on the ticket.
 //
-// Responses therefore complete OUT OF ORDER: a parked or held update never
-// convoys the reads pipelined behind it, and the id the client chose is
-// its only matching key.
+// Responses therefore complete OUT OF ORDER: a parked, long or held request
+// never convoys the reads pipelined behind it, and the id the client chose
+// is its only matching key.
 //
 // Flush rule. Every responder encodes its frames straight into the shared
 // write buffer; who issues the write(2) is decided by a count of the
@@ -55,6 +67,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,6 +87,25 @@ const (
 	// larger than the write buffer is written through.
 	protoReadBuf  = 16 << 10
 	protoWriteBuf = 64 << 10
+	// shortBatch is the longest batch the reader runs itself instead of
+	// handing it to a goroutine. What the reader risks is the request
+	// pipelined behind the batch, so the bound is the measured crossover of
+	// BenchmarkProtoGetBehindBatch — time from the reader picking up a batch
+	// of k Adds to its having answered the Get behind it, reader-run vs
+	// spawned with an idle core standing by to take the goroutine (2 vCPUs,
+	// µs, three runs each):
+	//
+	//	k        1    2    3    4    5    6    8    16    32
+	//	reader   1.4  1.8  2.0  2.3  2.6  2.7  2.7  5.3   8.8
+	//	spawned  1.4  1.9  1.9  2.2  2.0  2.1  2.4  2.7   3.1
+	//
+	// Up to 4 sub-ops the two agree within their run-to-run spread (±0.4);
+	// from 5 on the Get is answered sooner behind a hand-off, by 2× at 16. At
+	// or below the bound the reader is therefore never the later one, even
+	// on a host with cores to spare, and it never pays the hand-off: a
+	// goroutine, a copy of the request and ~5 µs of CPU per batch (the whole
+	// pair takes 2.3 µs reader-run, 7 µs spawned).
+	shortBatch = 4
 )
 
 // protoStats carries the binary listener's counters for /stats and the
@@ -91,6 +123,8 @@ type protoStats struct {
 	badFrames atomic.Uint64 // connections dropped for framing/decode errors
 	//stm:allow-atomic listener accounting outside any transaction
 	held atomic.Int64 // responses currently held for a WAL ticket, all connections
+	//stm:allow-atomic listener accounting outside any transaction
+	spawned atomic.Uint64 // requests handed to a goroutine of their own
 }
 
 func (p *protoStats) stats() map[string]any {
@@ -99,6 +133,7 @@ func (p *protoStats) stats() map[string]any {
 		"held":       p.held.Load(),
 		"accepted":   p.accepted.Load(),
 		"ops":        p.ops.Load(),
+		"spawned":    p.spawned.Load(),
 		"err_ops":    p.errOps.Load(),
 		"bad_frames": p.badFrames.Load(),
 	}
@@ -135,6 +170,8 @@ type protoConn struct {
 	frame []byte
 	req   kvproto.Request
 	resp  kvproto.Response
+	// scratch is what the reader lends execInto for a short batch.
+	scratch readerScratch
 	// holding is set while the reader is counted in senders.
 	holding bool
 
@@ -250,19 +287,24 @@ func (c *protoConn) dispatch(payload []byte) bool {
 	if c.req.TimeoutMs > 0 {
 		dl = time.Now().Add(time.Duration(c.req.TimeoutMs) * time.Millisecond)
 	}
-	if s.mayPark(c.req.Op) {
-		c.spawn(dl)
-		return true
+	if !mayPark(&c.req) {
+		if ack := s.execInto(surfProto, dl, &c.req, &c.resp, &c.scratch); !ack.wouldPark {
+			s.proto.ops.Add(1)
+			c.answer(&c.resp, ack, true)
+			return true
+		}
 	}
-	s.proto.ops.Add(1)
-	c.answer(&c.resp, s.execInto(surfProto, dl, &c.req, &c.resp), true)
+	c.spawn(dl)
 	return true
 }
 
-// spawn hands the decoded request to a goroutine of its own.
+// spawn hands the decoded request to a goroutine of its own, which may
+// wait at the admission gate and run as long as the request is.
 func (c *protoConn) spawn(dl time.Time) {
+	c.s.proto.spawned.Add(1)
 	req := new(kvproto.Request)
 	*req = c.req
+	c.req.Ops = nil // the goroutine's now: the next decode must not reuse them
 	select {
 	case c.slots <- struct{}{}:
 	default:
@@ -285,7 +327,7 @@ func (c *protoConn) spawn(dl time.Time) {
 			s.shedDeadline(surfProto, shedStageDequeue, &resp)
 		} else {
 			s.proto.ops.Add(1)
-			ack = s.execInto(surfProto, dl, req, &resp)
+			ack = s.execInto(surfProto, dl, req, &resp, nil)
 		}
 		c.answer(&resp, ack, false)
 	}()
@@ -312,7 +354,13 @@ func (c *protoConn) answer(resp *kvproto.Response, ack ackWait, onReader bool) {
 			c.hcond.Wait()
 		}
 	}
-	c.held = append(c.held, heldResp{resp: *resp, ack: ack})
+	h := heldResp{resp: *resp, ack: ack}
+	if onReader {
+		// A reader-run batch answers through the connection's scratch,
+		// which the next batch overwrites.
+		h.resp.Results = slices.Clone(resp.Results)
+	}
+	c.held = append(c.held, h)
 	c.s.proto.held.Add(1)
 	if c.ackerDone == nil {
 		c.ackerDone = make(chan struct{})

@@ -266,7 +266,9 @@ func TestProtoAckServerClose(t *testing.T) {
 // TestProtoAckGateAndGroup: the admission slot goes back when the
 // transaction commits, not when it is durable. With a gate one wide and
 // the fsync held, a second update commits while the first still waits for
-// its ticket.
+// its ticket — and so do two transfers, which like the Puts ran on the
+// reader (nothing was spawned), are held on the FIFO with their results
+// copied out of the reader's scratch, and are released by the acker.
 func TestProtoAckGateAndGroup(t *testing.T) {
 	fs := wal.NewMemFS()
 	cfg := durableCfg(fs)
@@ -275,24 +277,41 @@ func TestProtoAckGateAndGroup(t *testing.T) {
 	inSync, release := fs.HoldSync()
 	defer release()
 	conn := dialRaw(t, h.addr)
-	if _, err := conn.Write(append(putFrame(t, 1, 7, 70), putFrame(t, 2, 8, 80)...)); err != nil {
+	burst := append(putFrame(t, 1, 7, 70), putFrame(t, 2, 8, 80)...)
+	burst = append(burst, reqFrame(t, transferReq(3, 7, 8, 5))...)
+	burst = append(burst, reqFrame(t, transferReq(4, 8, 9, 1))...)
+	if _, err := conn.Write(burst); err != nil {
 		t.Fatal(err)
 	}
 	<-inSync
-	waitHeld(t, h.srv, 2) // both committed; neither durable
+	waitHeld(t, h.srv, 4) // all committed; none durable
 	if _, inflight, _, _ := h.srv.gate.Stats(); inflight != 0 {
-		t.Fatalf("gate inflight = %d with both updates only waiting for the disk", inflight)
+		t.Fatalf("gate inflight = %d with every update only waiting for the disk", inflight)
 	}
-	for key, want := range map[uint64]uint64{7: 70, 8: 80} {
+	if got := h.srv.proto.spawned.Load(); got != 0 {
+		t.Fatalf("proto.spawned = %d: an update that found room at the gate left the reader", got)
+	}
+	for key, want := range map[uint64]uint64{7: 65, 8: 84, 9: 1} {
 		if v, found := h.srv.store.Get(key); !found || v != want {
 			t.Errorf("store.Get(%d) = (%d, %v) while held, want %d", key, v, found, want)
 		}
 	}
 	expectSilence(t, conn)
 	release()
-	for range 2 {
-		if r := readResp(t, conn); r.Status != kvproto.StatusOK || !r.OK {
+	// Each transfer's answer is its own: the second ran through the same
+	// scratch while the first was held.
+	wantResults := map[uint64][2]uint64{3: {65, 85}, 4: {84, 1}}
+	for range 4 {
+		r := readResp(t, conn)
+		switch want, transfer := wantResults[r.ID]; {
+		case r.Status != kvproto.StatusOK:
 			t.Fatalf("released answer = %+v", r)
+		case !transfer:
+			if !r.OK {
+				t.Fatalf("released Put = %+v", r)
+			}
+		case len(r.Results) != 2 || r.Results[0].Val != want[0] || r.Results[1].Val != want[1]:
+			t.Fatalf("released transfer %d = %+v, want values %v", r.ID, r.Results, want)
 		}
 	}
 }

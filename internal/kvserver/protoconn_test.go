@@ -69,9 +69,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestProtoLoopParkedUpdateDoesNotConvoy: a Put parked at the admission
-// gate has its own goroutine, so the Get pipelined BEHIND it on the same
-// connection is answered first, and the Put answers once released.
+// TestProtoLoopParkedUpdateDoesNotConvoy: with the gate's only slot taken,
+// a Put pipelined before a Get would park — so the reader, having tried the
+// gate, gives the Put a goroutine to queue on and answers the Get BEHIND it
+// first. The Put answers once the slot frees: spawned once, counted as one
+// wait (the reader's try is not one) and as one request.
 func TestProtoLoopParkedUpdateDoesNotConvoy(t *testing.T) {
 	h := startProto(t, Config{AdmissionWidth: 1})
 	if _, err := h.c.Put(7, 70); err != nil {
@@ -87,9 +89,15 @@ func TestProtoLoopParkedUpdateDoesNotConvoy(t *testing.T) {
 	if r := readResp(t, conn); r.ID != 2 || r.Status != kvproto.StatusOK || !r.Found || r.Val != 70 {
 		t.Fatalf("first answer = %+v, want the Get (id 2, found 70)", r)
 	}
+	waited := func() uint64 { _, _, _, w := h.srv.gate.Stats(); return w }
+	waitFor(t, "the Put to queue at the gate", func() bool { return waited() == 1 })
 	h.srv.gate.Exit()
 	if r := readResp(t, conn); r.ID != 1 || r.Status != kvproto.StatusOK || !r.OK {
 		t.Fatalf("second answer = %+v, want the released Put (id 1, inserted)", r)
+	}
+	if spawned, ops := h.srv.proto.spawned.Load(), h.srv.proto.ops.Load(); spawned != 1 || waited() != 1 || ops != 3 {
+		t.Errorf("spawned %d, admission.waited %d, proto.ops %d; want 1, 1 and 3 (the harness Put, this Put, this Get)",
+			spawned, waited(), ops)
 	}
 }
 
@@ -323,15 +331,14 @@ func TestProtoReaderPathAllocs(t *testing.T) {
 	}
 }
 
-// pipelinedBench drives one loopback connection in lock-step bursts of
-// depth pre-encoded requests, each written in one call, and reports the
-// cost per request: the connection loop's own rung on the ladder.
-func pipelinedBench(b *testing.B, cfg Config, depth int, op kvproto.Op) {
+// startBenchProto starts a recovered server with keys 0..1023 loaded,
+// serving the binary protocol on a loopback port until the benchmark ends.
+func startBenchProto(b *testing.B, cfg Config) (*Server, string) {
 	srv, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer srv.Close()
+	b.Cleanup(srv.Close)
 	if err := srv.RecoveryWait(); err != nil {
 		b.Fatal(err)
 	}
@@ -339,16 +346,33 @@ func pipelinedBench(b *testing.B, cfg Config, depth int, op kvproto.Op) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer lis.Close()
+	b.Cleanup(func() { lis.Close() })
 	go srv.ServeProto(lis)
 	for k := uint64(0); k < 1024; k++ {
 		srv.store.Put(k, k)
 	}
-	conn := dialRaw(b, lis.Addr().String())
+	return srv, lis.Addr().String()
+}
+
+// pipelinedBench is pipelinedBenchReqs with every request the same point
+// op on its own key.
+func pipelinedBench(b *testing.B, cfg Config, depth int, op kvproto.Op) {
+	pipelinedBenchReqs(b, cfg, depth, func(i int) *kvproto.Request {
+		return &kvproto.Request{ID: uint64(i), Op: op, Key: uint64(i * 37 % 1024), Val: 1}
+	})
+}
+
+// pipelinedBenchReqs drives one loopback connection in lock-step bursts of
+// depth pre-encoded requests (reqAt(i) is the burst's i-th), each burst
+// written in one call, and reports the cost per request: the connection
+// loop's own rung on the ladder.
+func pipelinedBenchReqs(b *testing.B, cfg Config, depth int, reqAt func(i int) *kvproto.Request) {
+	_, addr := startBenchProto(b, cfg)
+	conn := dialRaw(b, addr)
 	var burst []byte
 	ends := make([]int, depth) // burst[:ends[i]] is the first i+1 requests
 	for i := range ends {
-		burst = append(burst, reqFrame(b, &kvproto.Request{ID: uint64(i), Op: op, Key: uint64(i * 37 % 1024), Val: 1})...)
+		burst = append(burst, reqFrame(b, reqAt(i))...)
 		ends[i] = len(burst)
 	}
 	br := bufio.NewReader(conn)
@@ -361,6 +385,7 @@ func pipelinedBench(b *testing.B, cfg Config, depth int, op kvproto.Op) {
 			b.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
+			var err error
 			if buf, err = kvproto.ReadFrame(br, buf); err != nil {
 				b.Fatal(err)
 			}

@@ -1,0 +1,150 @@
+package kvstore
+
+import (
+	"testing"
+
+	"tinystm/internal/core"
+)
+
+// A batch asks "does this shard need to grow?" inside its own transaction,
+// where the shard's counters are already read, and grows the shards the
+// COMMITTED attempt left over their load factor — no probe transactions
+// after the batch, nothing carried over from an attempt that aborted.
+
+// keysOfShard returns n keys from start upwards that map to shard sh.
+func keysOfShard(m *Map[*core.Tx], sh, start uint64, n int) []uint64 {
+	var keys []uint64
+	for k := start; len(keys) < n; k++ {
+		if m.Shard(k) == sh {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// fillShard inserts keys through the Map, which never grows a directory.
+func fillShard(tm *core.TM, m *Map[*core.Tx], keys []uint64) {
+	tx := tm.NewTx()
+	defer tx.Release()
+	tm.Atomic(tx, func(tx *core.Tx) {
+		for _, k := range keys {
+			m.Put(tx, k, k)
+		}
+	})
+}
+
+func shardBuckets(tm *core.TM, m *Map[*core.Tx]) []uint64 {
+	tx := tm.NewTx()
+	defer tx.Release()
+	b := make([]uint64, m.Shards())
+	tm.AtomicRO(tx, func(tx *core.Tx) {
+		for sh := range b {
+			_, b[sh] = m.ShardLoad(tx, uint64(sh))
+		}
+	})
+	return b
+}
+
+// TestBatchGrowsEveryShardItTips: one batch whose inserts push two shards
+// over the load factor (a Put on one, an Add on the other) grows both, and
+// leaves the shard it only overwrote alone; the whole thing is the batch's
+// commit plus one growth commit per tipped shard.
+func TestBatchGrowsEveryShardItTips(t *testing.T) {
+	tm := newTM(t, core.WriteBack, 1<<16)
+	s := NewStore[*core.Tx](tm, 4, 2)
+	defer s.Close()
+	m := s.Map()
+	const full = 2 * loadFactor // a 2-bucket shard holds this many without asking to grow
+	var fresh [3]uint64
+	for sh := uint64(0); sh < 3; sh++ {
+		keys := keysOfShard(m, sh, 0, full+1)
+		fillShard(tm, m, keys[:full])
+		fresh[sh] = keys[full]
+	}
+	overwritten := keysOfShard(m, 2, 0, 1)[0]
+
+	before := tm.Stats()
+	res := s.Apply([]Op{
+		{Kind: OpPut, Key: fresh[0], Val: 1},
+		{Kind: OpAdd, Key: fresh[1], Val: 1},
+		{Kind: OpPut, Key: fresh[0], Val: 2}, // the same shard again: noted once
+		{Kind: OpPut, Key: overwritten, Val: 3},
+	})
+	if !res[0].OK || res[1].Val != 1 || res[2].OK || res[3].OK {
+		t.Fatalf("batch results %+v", res)
+	}
+	d := tm.Stats().Sub(before)
+	if got := shardBuckets(tm, m); got[0] != 4 || got[1] != 4 || got[2] != 2 || got[3] != 2 {
+		t.Fatalf("buckets per shard = %v, want [4 4 2 2]", got)
+	}
+	if d.Commits != 3 {
+		t.Fatalf("%d commits for a batch that tipped two shards, want 3 (batch + two growths)", d.Commits)
+	}
+}
+
+// abortOnce is a core.TM whose first update attempt runs its body and then
+// aborts; between runs after the abort and before the body starts again.
+type abortOnce struct {
+	*core.TM
+	between func()
+}
+
+func (a *abortOnce) Atomic(tx *core.Tx, fn func(*core.Tx)) {
+	attempt := 0
+	a.TM.Atomic(tx, func(tx *core.Tx) {
+		//stm:allow-effect the attempt count is the point: what to do depends on which run of the body this is
+		attempt++
+		if attempt == 2 && a.between != nil {
+			between := a.between
+			a.between = nil
+			between()
+		}
+		fn(tx)
+		if attempt == 1 && a.between != nil {
+			tx.Retry()
+		}
+	})
+}
+
+// TestBatchGrowthIsOfTheCommittedAttempt: the batch's first attempt tips
+// shards 0 and 1 and aborts; before the retry, shard 0 loses keys, so the
+// attempt that commits tips only shard 1. Shard 1 is grown once — it is
+// filled so that a second growth would double it again — and shard 0 costs
+// not even a growth transaction that finds nothing to do.
+func TestBatchGrowthIsOfTheCommittedAttempt(t *testing.T) {
+	tm := newTM(t, core.WriteBack, 1<<16)
+	sys := &abortOnce{TM: tm}
+	s := NewStore[*core.Tx](sys, 2, 2)
+	defer s.Close()
+	m := s.Map()
+	keys0 := keysOfShard(m, 0, 0, 2*loadFactor+1)
+	keys1 := keysOfShard(m, 1, 0, 4*loadFactor+2)
+	fillShard(tm, m, keys0[:2*loadFactor])
+	fillShard(tm, m, keys1[:4*loadFactor+1]) // over the factor even at 4 buckets
+
+	sys.between = func() {
+		s.Delete(keys0[0])
+		s.Delete(keys0[1])
+	}
+	before := tm.Stats()
+	res := s.Apply([]Op{
+		{Kind: OpPut, Key: keys0[2*loadFactor], Val: 1},
+		{Kind: OpPut, Key: keys1[4*loadFactor+1], Val: 1},
+	})
+	if sys.between != nil {
+		t.Fatal("the batch committed on its first attempt: nothing was tested")
+	}
+	if !res[0].OK || !res[1].OK {
+		t.Fatalf("batch results %+v", res)
+	}
+	d := tm.Stats().Sub(before)
+	if got := shardBuckets(tm, m); got[0] != 2 || got[1] != 4 {
+		t.Fatalf("buckets per shard = %v, want [2 4]: shard 1 grown once, shard 0 not at all", got)
+	}
+	if d.Commits != 2+2 { // two Deletes in between, the batch, one growth
+		t.Fatalf("%d commits, want 4 (two deletes, the batch, one growth of shard 1)", d.Commits)
+	}
+	if d.Aborts == 0 {
+		t.Fatal("no attempt aborted")
+	}
+}

@@ -14,7 +14,7 @@ import (
 // redo hook (the WAL) during commit publication and leaves a durability
 // ticket on the descriptor; operations configured to ack-after-durable
 // collect that ticket right after their atomic block. Update and
-// ApplyTicket return it unwaited, for a caller that acknowledges later and
+// ApplyInto return it unwaited, for a caller that acknowledges later and
 // from elsewhere; Put/Delete/CAS/Add/Apply block on the sink until the
 // commit's log records are fsynced.
 //
@@ -32,7 +32,7 @@ type DurabilitySink interface {
 // its records, so the write must not be acked. It is the panic value of
 // the blocking operations (Put, Apply, …), unwinding like
 // txn.ErrSpaceExhausted; a caller that waits on a ticket from Update or
-// ApplyTicket itself wraps the wait's error in one for the same message.
+// ApplyInto itself wraps the wait's error in one for the same message.
 type DurabilityError struct{ Err error }
 
 func (e *DurabilityError) Error() string {

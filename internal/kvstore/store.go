@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -103,10 +104,33 @@ type Store[T txn.Tx] struct {
 	// contention heat map. Nil costs every op one predictable branch.
 	heat *obs.ShardHeat
 
-	// opFree recycles the single-key operations' pointOps.
-	//stm:allow-atomic guards the pointOp free-list; ops are borrowed and returned outside transactions
-	opMu   sync.Mutex
-	opFree []*pointOp[T]
+	// The operations' carriers, recycled: see pointOp and batchOp.
+	pointFree freeList[pointOp[T]]
+	batchFree freeList[batchOp[T]]
+}
+
+// freeList recycles the carriers of one kind of operation. A carrier lost
+// to a panic unwinding through its borrower is simply collected.
+type freeList[O any] struct {
+	//stm:allow-atomic guards the free-list; carriers are borrowed and returned outside transactions
+	mu   sync.Mutex
+	free []*O
+}
+
+// get returns a recycled carrier, or nil when there is none.
+func (f *freeList[O]) get() (o *O) {
+	f.mu.Lock()
+	if n := len(f.free); n > 0 {
+		o, f.free = f.free[n-1], f.free[:n-1]
+	}
+	f.mu.Unlock()
+	return o
+}
+
+func (f *freeList[O]) put(o *O) {
+	f.mu.Lock()
+	f.free = append(f.free, o)
+	f.mu.Unlock()
 }
 
 // NewStore builds the Map inside sys and wraps it.
@@ -204,15 +228,9 @@ func newPointOp[T txn.Tx](s *Store[T]) *pointOp[T] {
 	return o
 }
 
-// getOp borrows a pointOp armed with the operation's arguments. An op
-// lost to a panic unwinding through its caller is simply collected.
+// getOp borrows a pointOp armed with the operation's arguments.
 func (s *Store[T]) getOp(key, val, old uint64) *pointOp[T] {
-	var o *pointOp[T]
-	s.opMu.Lock()
-	if n := len(s.opFree); n > 0 {
-		o, s.opFree = s.opFree[n-1], s.opFree[:n-1]
-	}
-	s.opMu.Unlock()
+	o := s.pointFree.get()
 	if o == nil {
 		o = newPointOp(s)
 	}
@@ -226,9 +244,7 @@ func (s *Store[T]) putOp(o *pointOp[T]) {
 	if s.heat != nil {
 		s.heat.Record(o.sh, o.attempts)
 	}
-	s.opMu.Lock()
-	s.opFree = append(s.opFree, o)
-	s.opMu.Unlock()
+	s.pointFree.put(o)
 }
 
 // Get returns key's value via a read-only transaction.
@@ -284,7 +300,7 @@ func (s *Store[T]) Update(kind OpKind, key, val, old uint64) (res OpResult, t tx
 }
 
 // Put upserts key and reports whether it was inserted. Like Delete, CAS,
-// Add and Apply it is the blocking form of Update/ApplyTicket: where the
+// Add and Apply it is the blocking form of Update/ApplyInto: where the
 // store acks after durability it returns once the commit is durable.
 func (s *Store[T]) Put(key, val uint64) (inserted bool) {
 	res, t := s.Update(OpPut, key, val, 0)
@@ -398,15 +414,19 @@ func (s *Store[T]) Scan(limit int) (pairs []KV, total uint64) {
 // snapshot. Results are positionally aligned with ops. A batch that only
 // reads runs read-only.
 func (s *Store[T]) Apply(ops []Op) []OpResult {
-	res, t := s.ApplyTicket(ops)
-	s.waitDurable(t)
+	res := make([]OpResult, len(ops))
+	s.waitDurable(s.ApplyInto(ops, res))
 	return res
 }
 
-// ApplyTicket is Apply returning the commit's durability ticket unwaited,
-// under Update's contract; a read-only batch has none.
-func (s *Store[T]) ApplyTicket(ops []Op) ([]OpResult, txn.DurableTicket) {
-	res := make([]OpResult, len(ops))
+// ApplyInto is Apply into the caller's result slice, which must be as long
+// as ops, returning the commit's durability ticket unwaited, under Update's
+// contract; a read-only batch has none. A caller that keeps both slices
+// between batches pays no allocation for one. Neither slice is retained.
+func (s *Store[T]) ApplyInto(ops []Op, res []OpResult) txn.DurableTicket {
+	if len(res) != len(ops) {
+		panic(fmt.Sprintf("kvstore: %d result slots for %d batch ops", len(res), len(ops)))
+	}
 	readOnly := true
 	for _, op := range ops {
 		if op.Kind != OpGet {
@@ -416,35 +436,12 @@ func (s *Store[T]) ApplyTicket(ops []Op) ([]OpResult, txn.DurableTicket) {
 	}
 	tx := s.pool.Get()
 	defer s.pool.Put(tx)
-	body := func(tx T) {
-		for i, op := range ops {
-			res[i] = OpResult{}
-			switch op.Kind {
-			case OpGet:
-				res[i].Val, res[i].Found = s.m.Get(tx, op.Key)
-			case OpPut:
-				res[i].OK = s.m.Put(tx, op.Key, op.Val)
-				res[i].Found = !res[i].OK
-				s.redo(tx, txn.RedoPut, op.Key, op.Val)
-			case OpDelete:
-				res[i].Found = s.m.Delete(tx, op.Key)
-				if res[i].Found {
-					s.redo(tx, txn.RedoDelete, op.Key, 0)
-				}
-			case OpCAS:
-				res[i].OK = s.m.CAS(tx, op.Key, op.Old, op.Val)
-				if res[i].OK {
-					s.redo(tx, txn.RedoPut, op.Key, op.Val)
-				}
-			case OpAdd:
-				res[i].Val = s.m.Add(tx, op.Key, op.Val)
-				res[i].OK = true
-				s.redo(tx, txn.RedoPut, op.Key, res[i].Val)
-			default:
-				panic(fmt.Sprintf("kvstore: unknown batch op %d", int(op.Kind)))
-			}
-		}
+	o := s.batchFree.get()
+	if o == nil {
+		o = newBatchOp(s)
 	}
+	o.ops, o.res = ops, res
+	var t txn.DurableTicket
 	if readOnly {
 		// All-Get batches take the snapshot fast path when the system
 		// offers it: one consistent timestamp, no validation, no aborts
@@ -453,32 +450,86 @@ func (s *Store[T]) ApplyTicket(ops []Op) ([]OpResult, txn.DurableTicket) {
 		// but the all-Get guard above makes those arms unreachable here.
 		//stm:allow-write every op is OpGet on this path; the write arms cannot execute
 		//stm:allow-redo every op is OpGet on this path; the redo arms cannot execute
-		s.atomicRO(tx, body)
-		return res, nil
-	}
-	s.sys.Atomic(tx, body)
-	t := s.ticket(tx)
-	s.growTouched(tx, ops)
-	return res, t
-}
-
-// growTouched runs the freeze/rehash transaction for every shard a batch's
-// inserts pushed past the load factor.
-func (s *Store[T]) growTouched(tx T, ops []Op) {
-	seen := make(map[uint64]bool, 4)
-	for _, op := range ops {
-		if op.Kind != OpPut && op.Kind != OpAdd {
-			continue
-		}
-		sh := s.m.Shard(op.Key)
-		if seen[sh] {
-			continue
-		}
-		seen[sh] = true
-		var grow bool
-		s.sys.AtomicRO(tx, func(tx T) { grow = s.m.NeedsGrow(tx, sh) })
-		if grow {
+		s.atomicRO(tx, o.body)
+	} else {
+		s.sys.Atomic(tx, o.body)
+		// The ticket must be read before tryGrow, as in Update.
+		t = s.ticket(tx)
+		for _, sh := range o.grow {
 			s.tryGrow(tx, sh)
 		}
 	}
+	o.ops, o.res = nil, nil
+	s.batchFree.put(o)
+	return t
+}
+
+// batchOp carries one batch through its atomic block, for pointOp's reason:
+// the body is built once over the op's fields and the ops are recycled.
+type batchOp[T txn.Tx] struct {
+	ops []Op       // in: the caller's batch
+	res []OpResult // out: the caller's result slots, aligned with ops
+	// grow lists, once the body has run, the shards the attempt's inserts
+	// left over their load factor — almost always none.
+	grow []uint64
+	body func(T)
+}
+
+func newBatchOp[T txn.Tx](s *Store[T]) *batchOp[T] {
+	o := &batchOp[T]{}
+	// inserted notes the shard of a key an op of this attempt may have
+	// added; once the ops have run, the body keeps the noted shards that are
+	// over their load factor. That is pointOp's in-body growth probe, taken
+	// once per shard instead of once per insert (a preload batch is a
+	// thousand of them): the shard's counters are in the attempt's read set
+	// already, so asking costs no transaction.
+	inserted := func(key uint64) {
+		if sh := s.m.Shard(key); !slices.Contains(o.grow, sh) {
+			o.grow = append(o.grow, sh)
+		}
+	}
+	o.body = func(tx T) {
+		// Neither an aborted attempt's notes nor the last batch's carry over.
+		o.grow = o.grow[:0]
+		for i, op := range o.ops {
+			r := &o.res[i]
+			*r = OpResult{}
+			switch op.Kind {
+			case OpGet:
+				r.Val, r.Found = s.m.Get(tx, op.Key)
+			case OpPut:
+				r.OK = s.m.Put(tx, op.Key, op.Val)
+				r.Found = !r.OK
+				if r.OK {
+					inserted(op.Key)
+				}
+				s.redo(tx, txn.RedoPut, op.Key, op.Val)
+			case OpDelete:
+				r.Found = s.m.Delete(tx, op.Key)
+				if r.Found {
+					s.redo(tx, txn.RedoDelete, op.Key, 0)
+				}
+			case OpCAS:
+				r.OK = s.m.CAS(tx, op.Key, op.Old, op.Val)
+				if r.OK {
+					s.redo(tx, txn.RedoPut, op.Key, op.Val)
+				}
+			case OpAdd:
+				r.Val = s.m.Add(tx, op.Key, op.Val)
+				r.OK = true
+				inserted(op.Key)
+				s.redo(tx, txn.RedoPut, op.Key, r.Val)
+			default:
+				panic(fmt.Sprintf("kvstore: unknown batch op %d", int(op.Kind)))
+			}
+		}
+		over := o.grow[:0]
+		for _, sh := range o.grow {
+			if s.m.NeedsGrow(tx, sh) {
+				over = append(over, sh)
+			}
+		}
+		o.grow = over
+	}
+	return o
 }
