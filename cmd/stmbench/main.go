@@ -6,7 +6,7 @@
 //	6 7 8 9      (#locks x #shifts x h) sweeps: rbtree/list, Vacation, improvement curves
 //	10 11 12     dynamic tuning from (2^8,0,1) on tuning.Runtime: rbtree, list, validation counters
 //	clock cm     commit-clock strategies; contention-management policies
-//	snapshot server proto   MVCC scans, the in-process service, the wire surfaces
+//	snapshot server proto   MVCC scans, the live service under load, the wire surfaces
 //	custom       one workload (-b -size -update) across all three systems
 //	autotune     the tuning runtime against a phase-shifting workload vs. static baselines
 //
@@ -117,11 +117,11 @@ func main() {
 	flag.Parse()
 	flag.Visit(func(f *flag.Flag) { o.sizeSet = o.sizeSet || f.Name == "size" })
 
-	o.sc = cliutil.Scale(o.duration, o.warmup, must(cliutil.ParseInts(o.threads)), o.seed, o.quick, o.yield)
+	o.sc = cliutil.Scale(o.duration, o.warmup, cliutil.Must(cliutil.ParseInts(o.threads)), o.seed, o.quick, o.yield)
 	o.sc.Repeats = o.repeats
-	o.sc.Clock = must(core.ParseClockStrategy(o.clock))
-	o.sc.CM = must(cm.ParseKind(o.cm))
-	o.kind = must(cliutil.ParseKind(o.bench))
+	o.sc.Clock = cliutil.Must(core.ParseClockStrategy(o.clock))
+	o.sc.CM = cliutil.Must(cm.ParseKind(o.cm))
+	o.kind = cliutil.Must(cliutil.ParseKind(o.bench))
 
 	for _, f := range figures {
 		if f.name == o.fig {
@@ -130,13 +130,6 @@ func main() {
 		}
 	}
 	log.Fatalf("unknown -fig %q (%s)", o.fig, figureNames())
-}
-
-func must[T any](v T, err error) T {
-	if err != nil {
-		log.Fatal(err)
-	}
-	return v
 }
 
 func (o *options) emit(tbl harness.Table) {
@@ -162,7 +155,7 @@ func (o *options) grid(locks, shifts string) ([]int, []uint) {
 	if o.shifts != "" {
 		shifts = o.shifts
 	}
-	les, shs := must(cliutil.ParseInts(locks)), must(cliutil.ParseUints(shifts))
+	les, shs := cliutil.Must(cliutil.ParseInts(locks)), cliutil.Must(cliutil.ParseUints(shifts))
 	if o.quick {
 		les, shs = les[:min(len(les), 2)], shs[:min(len(shs), 2)]
 	}
@@ -233,7 +226,7 @@ func fig9(o *options) {
 	maxExp := les[len(les)-1]
 	o.emit(experiments.Figure9Locks(o.sc, les).ToTable())
 	o.emit(experiments.Figure9Shifts(o.sc, maxExp, shs).ToTable())
-	o.emit(experiments.Figure9Hier(o.sc, maxExp, must(cliutil.ParseUint64s(o.hiers))).ToTable())
+	o.emit(experiments.Figure9Hier(o.sc, maxExp, cliutil.Must(cliutil.ParseUint64s(o.hiers))).ToTable())
 }
 
 // tuningFigure runs Section 4.3's experiment — the tuning runtime over one
@@ -291,14 +284,16 @@ func figSnapshot(o *options) {
 	o.emit(experiments.SnapshotSweep(o.sc, cfg).ToTable())
 }
 
-// figServer: open-loop service load (the cmd/stmkvd shape, in-process),
-// autotuned vs. static geometries under a calm-to-hot phase flip.
+// figServer: open-loop service load against a live kvserver over the
+// binary protocol, one connection per worker (-threads is the fan-in) —
+// what stmkvd does under that traffic, autotuned vs. static geometries,
+// through a calm-to-hot phase flip.
 func figServer(o *options) {
 	cfg := experiments.DefaultServerConfig(o.sc)
-	fmt.Printf("server sweep: rate %.0f req/s, %d workers, %v per point, period %v, start %v\n",
+	fmt.Printf("server sweep: rate %.0f req/s, %d connections, %v per point, period %v, start %v\n",
 		cfg.Rate, cfg.Workers, cfg.Duration, cfg.Period, cfg.Start)
 	r := experiments.ServerSweep(o.sc, cfg)
-	for _, ev := range r.Events {
+	for _, ev := range r.Autotuned.Events {
 		fmt.Println(ev)
 	}
 	fmt.Println()
@@ -310,8 +305,8 @@ func figServer(o *options) {
 // hot-key write storm with the admission gate off vs. on.
 func figProto(o *options) {
 	cfg := experiments.DefaultProtoConfig(o.sc)
-	fmt.Printf("proto sweep: %d keys, %d workers, %v per point, storm read %d%% theta %.2f, admission width %d\n",
-		cfg.Keys, cfg.Workers, cfg.Duration, cfg.StormReadPct, cfg.StormTheta, cfg.AdmissionWidth)
+	fmt.Printf("proto sweep: %d keys, %d connections, %v per point, storm read %d%% theta %.2f, admission width %d\n",
+		cfg.Keys, cfg.Workers, cfg.Duration, cfg.Storm.ReadPct, cfg.Storm.Theta, cfg.AdmissionWidth)
 	r := experiments.ProtoSweep(o.sc, cfg)
 	o.emit(r.SurfaceTable())
 	o.emit(r.StormTable())

@@ -30,35 +30,18 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"flag"
-	"fmt"
-	"io"
 	"log"
-	"net/http"
 	"os"
-	"sync/atomic"
-	"syscall"
-	"time"
-
 	"strings"
+	"sync/atomic"
+	"time"
 
 	"tinystm/internal/harness"
 	"tinystm/internal/kvclient"
-	"tinystm/internal/kvproto"
 	"tinystm/internal/resilience"
 	"tinystm/internal/rng"
 )
-
-type mixConsts struct {
-	zipf    *rng.Zipf
-	readPct int
-	casPct  int
-	batch   int
-	bsize   int
-}
 
 func main() {
 	log.SetFlags(0)
@@ -94,21 +77,21 @@ func main() {
 	)
 	flag.Parse()
 
-	checkMix := func(phase string, read int, theta float64) {
-		if read < 0 || *casPct < 0 || *batchPct < 0 || read+*casPct+*batchPct > 100 {
-			log.Fatalf("%s mix invalid: read=%d cas=%d batch=%d must be >= 0 and sum <= 100",
-				phase, read, *casPct, *batchPct)
-		}
-		if theta < 0 || theta >= 1 {
-			log.Fatalf("%s theta (%v) must be in [0, 1)", phase, theta)
-		}
-	}
-	checkMix("phase-1", *readPct, *theta)
-	if *shift {
-		checkMix("phase-2", *readPct2, *theta2)
-	}
 	if *keys == 0 || *rate <= 0 || *workers <= 0 || *bsize <= 0 || *conns <= 0 {
 		log.Fatal("-keys, -rate, -workers, -batch-size and -conns must be positive")
+	}
+	newMix := func(phase string, read int, theta float64) *kvclient.Mix {
+		m, err := kvclient.NewMix(kvclient.Mix{Keys: *keys, Theta: theta, ReadPct: read,
+			CASPct: *casPct, BatchPct: *batchPct, BatchSize: *bsize})
+		if err != nil {
+			log.Fatalf("%s mix: %v", phase, err)
+		}
+		return m
+	}
+	phase1 := newMix("phase-1", *readPct, *theta)
+	phase2 := phase1
+	if *shift {
+		phase2 = newMix("phase-2", *readPct2, *theta2)
 	}
 
 	// One retry budget and one retrier for the whole process: every
@@ -122,31 +105,18 @@ func main() {
 		BaseBackoff: 50 * time.Millisecond,
 		MaxBackoff:  time.Second,
 		Budget:      budget,
-		Retryable:   retryable,
+		Retryable:   kvclient.Retryable,
 	})
 
-	// doOp issues one mixed operation over the selected surface; the
-	// worker id spreads binary traffic round-robin over the connections.
-	var doOp func(m *mixConsts, r *rng.Rand, worker int) error
-	var preloadOp func(key, val uint64) error
+	// targets are the connections the mix is driven over: one shared HTTP
+	// client, or -conns binary clients the workers spread over round-robin.
+	var targets []kvclient.Target
 	var clients []*kvclient.Client // binary surface only; summary reads breaker stats
 	switch *proto {
 	case "http":
-		var rt http.RoundTripper = &http.Transport{
-			MaxIdleConns: 4 * *workers, MaxIdleConnsPerHost: 4 * *workers,
-		}
-		client := &http.Client{Transport: rt}
-		if *opTimeout > 0 {
-			// Propagate the budget on every request and give the client a
-			// little slack past it, so the server's 504 (it knows WHERE the
-			// deadline died) usually beats the local abort.
-			client.Transport = deadlineTransport{rt: rt, ms: fmt.Sprint(opTimeout.Milliseconds())}
-			client.Timeout = *opTimeout + 250*time.Millisecond
-		}
-		doOp = func(m *mixConsts, r *rng.Rand, _ int) error {
-			return oneRequest(client, *addr, m, r)
-		}
-		preloadOp = func(key, val uint64) error { return put(client, *addr, key, val) }
+		h := kvclient.NewHTTP(*addr, 4**workers, *opTimeout)
+		defer h.Close()
+		targets = []kvclient.Target{h}
 	case "binary":
 		target := strings.TrimPrefix(*addr, "http://")
 		copts := kvclient.Options{
@@ -155,17 +125,11 @@ func main() {
 				FailureThreshold: *brkThresh, Cooldown: *brkCool, Seed: *seed,
 			},
 		}
-		clients = make([]*kvclient.Client, *conns)
-		for i := range clients {
-			clients[i] = kvclient.New(target, copts)
-			defer clients[i].Close()
-		}
-		doOp = func(m *mixConsts, r *rng.Rand, worker int) error {
-			return oneBinaryRequest(clients[worker%len(clients)], m, r)
-		}
-		preloadOp = func(key, val uint64) error {
-			_, err := clients[0].Put(key, val)
-			return err
+		for i := 0; i < *conns; i++ {
+			cl := kvclient.New(target, copts)
+			defer cl.Close()
+			clients = append(clients, cl)
+			targets = append(targets, cl)
 		}
 	default:
 		log.Fatalf("-proto %q: want http or binary", *proto)
@@ -174,28 +138,23 @@ func main() {
 	if *preload {
 		r := rng.New(*seed)
 		for k := uint64(0); k < *keys; k++ {
-			k := k
 			v := r.Uint64() % 1000
-			if err := retrier.Do(func() error { return preloadOp(k, v) }); err != nil {
+			if err := retrier.Do(func() error {
+				_, err := targets[0].Put(k, v)
+				return err
+			}); err != nil {
 				log.Fatalf("preload key %d: %v", k, err)
 			}
 		}
 		log.Printf("preloaded %d keys", *keys)
 	}
 
-	phase1 := mixConsts{zipf: rng.NewZipf(*keys, *theta), readPct: *readPct,
-		casPct: *casPct, batch: *batchPct, bsize: *bsize}
-	phase2 := phase1
-	if *shift {
-		phase2 = mixConsts{zipf: rng.NewZipf(*keys, *theta2), readPct: *readPct2,
-			casPct: *casPct, batch: *batchPct, bsize: *bsize}
-	}
 	//stm:allow-atomic client-side phase flip; the loadgen process runs no STM
-	var phase atomic.Pointer[mixConsts]
-	phase.Store(&phase1)
+	var phase atomic.Pointer[kvclient.Mix]
+	phase.Store(phase1)
 	if *shift {
 		time.AfterFunc(*duration/2, func() {
-			phase.Store(&phase2)
+			phase.Store(phase2)
 			log.Printf("phase shift: read %d%%->%d%% theta %.2f->%.2f",
 				*readPct, *readPct2, *theta, *theta2)
 		})
@@ -204,10 +163,9 @@ func main() {
 	res := harness.OpenLoop{
 		Rate: *rate, Duration: *duration, Workers: *workers, Queue: *queue, Seed: *seed,
 		NewOp: func(w *harness.Worker) (func(*harness.Worker) error, func()) {
+			t := targets[w.ID%len(targets)]
 			return func(w *harness.Worker) error {
-				return retrier.Do(func() error {
-					return doOp(phase.Load(), w.Rng, w.ID)
-				})
+				return retrier.Do(func() error { return phase.Load().Do(t, w.Rng) })
 			}, nil
 		},
 	}.Run()
@@ -238,181 +196,4 @@ func main() {
 		log.Print("FAIL: every request errored")
 		os.Exit(1)
 	}
-}
-
-// deadlineTransport stamps the relative deadline budget onto every
-// outgoing HTTP request so the server can shed the ones that expire in
-// its queues instead of executing corpses.
-type deadlineTransport struct {
-	rt http.RoundTripper
-	ms string
-}
-
-func (t deadlineTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	r = r.Clone(r.Context())
-	r.Header.Set(resilience.TimeoutHeader, t.ms)
-	return t.rt.RoundTrip(r)
-}
-
-// statusError is a non-2xx HTTP response, kept typed so the retry policy
-// can distinguish "server temporarily unavailable" from a real failure.
-type statusError struct {
-	method, path, status string
-	code                 int
-}
-
-func (e statusError) Error() string {
-	return fmt.Sprintf("%s %s: %s", e.method, e.path, e.status)
-}
-
-// retryable reports whether an error is worth retrying: the connection
-// died (server killed or restarting — refused, reset, or cut mid-reply)
-// or the server answered 503 (WAL replay, degraded mode, brownout,
-// shutdown). A deadline failure is never retried — that budget is
-// already spent. Any other failure propagates immediately.
-func retryable(err error) bool {
-	var se statusError
-	if errors.As(err, &se) {
-		return se.code == http.StatusServiceUnavailable
-	}
-	// Binary-surface analogues: StatusUnavailable is the 503, a broken
-	// connection or an open breaker redials on a later attempt.
-	if kvclient.Retryable(err) {
-		return true
-	}
-	return errors.Is(err, syscall.ECONNREFUSED) ||
-		errors.Is(err, syscall.ECONNRESET) ||
-		errors.Is(err, syscall.EPIPE) ||
-		errors.Is(err, io.EOF) ||
-		errors.Is(err, io.ErrUnexpectedEOF)
-}
-
-// oneRequest performs one mixed operation against the server.
-func oneRequest(c *http.Client, base string, m *mixConsts, r *rng.Rand) error {
-	key := m.zipf.Next(r)
-	switch p := r.Intn(100); {
-	case p < m.readPct:
-		return get(c, base, key)
-	case p < m.readPct+m.casPct:
-		// Optimistic RMW over the wire: read, then CAS once.
-		resp, err := c.Get(fmt.Sprintf("%s/kv/%d", base, key))
-		if err != nil {
-			return err
-		}
-		var cur struct{ Val uint64 }
-		err = decodeOK(resp, &cur)
-		if err != nil {
-			return put(c, base, key, 1) // absent: seed it
-		}
-		body := fmt.Sprintf(`{"old":%d,"new":%d}`, cur.Val, cur.Val+1)
-		resp, err = c.Post(fmt.Sprintf("%s/kv/%d/cas", base, key), "application/json",
-			bytes.NewReader([]byte(body)))
-		if err != nil {
-			return err
-		}
-		return drain(resp)
-	case p < m.readPct+m.casPct+m.batch:
-		var b bytes.Buffer
-		b.WriteString(`{"ops":[`)
-		for i := 0; i < m.bsize; i++ {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, `{"op":"add","key":%d,"val":1}`, m.zipf.Next(r))
-		}
-		b.WriteString(`]}`)
-		resp, err := c.Post(base+"/batch", "application/json", &b)
-		if err != nil {
-			return err
-		}
-		return drain(resp)
-	default:
-		return put(c, base, key, r.Uint64()%100000)
-	}
-}
-
-// oneBinaryRequest performs one mixed operation over the pipelined
-// binary protocol — the same mix shape as oneRequest, minus HTTP.
-func oneBinaryRequest(c *kvclient.Client, m *mixConsts, r *rng.Rand) error {
-	key := m.zipf.Next(r)
-	switch p := r.Intn(100); {
-	case p < m.readPct:
-		_, _, err := c.Get(key)
-		return err
-	case p < m.readPct+m.casPct:
-		// Optimistic RMW over the wire: read, then CAS once.
-		cur, found, err := c.Get(key)
-		if err != nil {
-			return err
-		}
-		if !found {
-			_, err := c.Put(key, 1)
-			return err
-		}
-		_, err = c.CAS(key, cur, cur+1)
-		return err
-	case p < m.readPct+m.casPct+m.batch:
-		ops := make([]kvproto.BatchOp, m.bsize)
-		for i := range ops {
-			ops[i] = kvproto.BatchOp{Op: kvproto.OpAdd, Key: m.zipf.Next(r), Val: 1}
-		}
-		_, err := c.Batch(ops)
-		return err
-	default:
-		_, err := c.Put(key, r.Uint64()%100000)
-		return err
-	}
-}
-
-func get(c *http.Client, base string, key uint64) error {
-	resp, err := c.Get(fmt.Sprintf("%s/kv/%d", base, key))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
-		return statusError{method: "GET", path: fmt.Sprintf("/kv/%d", key),
-			status: resp.Status, code: resp.StatusCode}
-	}
-	return nil
-}
-
-func put(c *http.Client, base string, key, val uint64) error {
-	req, err := http.NewRequest(http.MethodPut,
-		fmt.Sprintf("%s/kv/%d", base, key), bytes.NewReader([]byte(fmt.Sprint(val))))
-	if err != nil {
-		return err
-	}
-	resp, err := c.Do(req)
-	if err != nil {
-		return err
-	}
-	return drain(resp)
-}
-
-// drain consumes and closes a response body, failing on non-2xx.
-func drain(resp *http.Response) error {
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode/100 != 2 {
-		return statusError{method: resp.Request.Method, path: resp.Request.URL.Path,
-			status: resp.Status, code: resp.StatusCode}
-	}
-	return nil
-}
-
-// decodeOK decodes a 200 JSON body into out, erroring otherwise.
-func decodeOK(resp *http.Response, out any) error {
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return statusError{method: resp.Request.Method, path: resp.Request.URL.Path,
-			status: resp.Status, code: resp.StatusCode}
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(data, out)
 }

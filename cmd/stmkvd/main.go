@@ -65,11 +65,8 @@ func main() {
 		clock     = flag.String("clock", "fetchinc", "commit-clock strategy: fetchinc, lazy, ticket")
 		geometry  = flag.String("geometry", "2^8,0,1", "initial lock-table triple locks,shifts,h (accepts 2^k)")
 		cmFlag    = flag.String("cm", "suicide", "initial contention-management policy: suicide, backoff, karma, timestamp, serializer")
-		tuneCM    = flag.Bool("tune-cm", true, "let the tuning runtime switch the contention-management policy live (needs -autotune)")
 		snaps     = flag.Bool("snapshots", true, "attach the MVCC sidecar: /scan, all-Get /batch and Len run as wait-free snapshot transactions")
-		snapBudg  = flag.Int("snap-budget", 0, "initial per-shard version budget for the sidecar (0 = mvcc default)")
-		tuneSnap  = flag.Bool("tune-snapshots", true, "let the tuning runtime walk the version budget live (needs -autotune and -snapshots)")
-		autotune  = flag.Bool("autotune", true, "attach the online tuning runtime")
+		autotune  = flag.Bool("autotune", true, "attach the online tuning runtime: lock-table geometry, contention-management policy and (with -snapshots) the version budget are tuned live")
 		period    = flag.Duration("period", time.Second, "tuning sample period")
 		samples   = flag.Int("samples", 3, "samples per tuning decision (max kept)")
 		seed      = flag.Uint64("seed", 42, "tuner move-selection seed")
@@ -83,26 +80,11 @@ func main() {
 	)
 	flag.Parse()
 
-	d, err := cliutil.ParseDesign(*design)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cs, err := core.ParseClockStrategy(*clock)
-	if err != nil {
-		log.Fatal(err)
-	}
-	geo, err := cliutil.ParseParams(*geometry)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ck, err := cm.ParseKind(*cmFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dmode, err := kvserver.ParseDurability(*durab)
-	if err != nil {
-		log.Fatal(err)
-	}
+	d := cliutil.Must(cliutil.ParseDesign(*design))
+	cs := cliutil.Must(core.ParseClockStrategy(*clock))
+	geo := cliutil.Must(cliutil.ParseParams(*geometry))
+	ck := cliutil.Must(cm.ParseKind(*cmFlag))
+	dmode := cliutil.Must(kvserver.ParseDurability(*durab))
 
 	srv, err := kvserver.New(kvserver.Config{
 		SpaceWords:      *space,
@@ -111,12 +93,9 @@ func main() {
 		Geometry:        geo,
 		CM:              ck,
 		Snapshots:       *snaps,
-		SnapshotBudget:  *snapBudg,
 		Autotune:        *autotune,
-		TuneCM:          *autotune && *tuneCM,
-		TuneSnapshots:   *autotune && *tuneSnap && *snaps,
 		AdmissionWidth:  *admWidth,
-		TuneAdmission:   *autotune && *tuneAdm && *admWidth > 0,
+		TuneAdmission:   *tuneAdm,
 		BrownoutSLO:     *brownSLO,
 		Period:          *period,
 		Samples:         *samples,
@@ -196,8 +175,8 @@ func main() {
 		_ = hs.Shutdown(ctx)
 	}()
 
-	log.Printf("serving on %s (design=%v clock=%v geometry=%v cm=%v snapshots=%v autotune=%v tune-cm=%v tune-snapshots=%v admission=%d tune-admission=%v brownout-slo=%v period=%v)",
-		hl.Addr(), d, cs, geo, ck, *snaps, *autotune, *autotune && *tuneCM, *autotune && *tuneSnap && *snaps,
+	log.Printf("serving on %s (design=%v clock=%v geometry=%v cm=%v snapshots=%v autotune=%v admission=%d tune-admission=%v brownout-slo=%v period=%v)",
+		hl.Addr(), d, cs, geo, ck, *snaps, *autotune,
 		*admWidth, *autotune && *tuneAdm && *admWidth > 0, *brownSLO, *period)
 	log.Printf("http listening on %s", hl.Addr())
 	if pl != nil {

@@ -1,21 +1,26 @@
 // Example kvstore: the sharded transactional key-value map used
 // in-process — multi-key atomic batches, optimistic CAS, and the
 // per-shard freeze/rehash growth — with the online tuner re-adapting the
-// TM underneath a phase-shifting service workload.
+// TM underneath a phase-shifting transfer workload.
 //
 // Run: go run ./examples/kvstore
 package main
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"tinystm/internal/core"
-	"tinystm/internal/harness"
 	"tinystm/internal/kvstore"
 	"tinystm/internal/mem"
+	"tinystm/internal/rng"
 	"tinystm/internal/tuning"
 )
+
+// accounts is the keyspace the load phase transfers value within.
+const accounts = 2048
 
 func main() {
 	tm := core.MustNew(core.Config{
@@ -42,25 +47,44 @@ func main() {
 	cur, _ := s.Get(1)
 	fmt.Println("CAS(1):", s.CAS(1, cur, cur*2))
 
-	// Service-shaped load with the autotuner attached: Zipf-skewed keys,
-	// mixed ops, and a calm-to-hot phase flip halfway through.
+	// Load with the autotuner attached: four clients move value between
+	// Zipf-drawn accounts, each transfer one atomic batch; halfway through
+	// the popularity turns from mild to heavily skewed.
+	for k := uint64(0); k < accounts; k++ {
+		s.Put(k, 100)
+	}
 	rt := tuning.NewRuntime(tm, tuning.RuntimeConfig{
 		Period: 50 * time.Millisecond, Samples: 1,
 	})
 	if err := rt.Start(); err != nil {
 		panic(err)
 	}
-	m := s.Map()
-	kvstore.Preload[*core.Tx](tm, m, 2048, 1)
-	calm := kvstore.MixOp[*core.Tx](tm, m, kvstore.Mix{Keys: 2048, Theta: 0.5, ReadPct: 90})
-	hot := kvstore.MixOp[*core.Tx](tm, m, kvstore.Mix{Keys: 2048, Theta: 0.99, ReadPct: 20, CASPct: 20, BatchPct: 10})
-	phased := harness.NewPhasedOp(calm, hot)
-	workers := harness.StartWorkers[*core.Tx](tm, 4, 42, phased.Op())
+	//stm:allow-atomic example control plane: the live key popularity, not data under the TM
+	var skew atomic.Pointer[rng.Zipf]
+	//stm:allow-atomic example control plane: the clients' stop flag
+	var stop atomic.Bool
+	skew.Store(rng.NewZipf(accounts, 0.5))
+	var wg sync.WaitGroup
+	for id := 0; id < 4; id++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rng.NewThread(42, id)
+			for !stop.Load() {
+				z := skew.Load()
+				s.Apply([]kvstore.Op{
+					{Kind: kvstore.OpAdd, Key: z.Next(r), Val: ^uint64(0)}, // -1
+					{Kind: kvstore.OpAdd, Key: z.Next(r), Val: 1},
+				})
+			}
+		}()
+	}
 	time.Sleep(700 * time.Millisecond)
-	phased.SetPhase(1)
+	skew.Store(rng.NewZipf(accounts, 0.99))
 	fmt.Println("--- phase shift: calm -> hot ---")
 	time.Sleep(700 * time.Millisecond)
-	workers.Stop()
+	stop.Store(true)
+	wg.Wait()
 	rt.Stop()
 
 	for _, ev := range rt.Trace() {

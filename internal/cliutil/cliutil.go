@@ -4,6 +4,7 @@ package cliutil
 
 import (
 	"fmt"
+	"log"
 	"strconv"
 	"strings"
 	"time"
@@ -12,6 +13,15 @@ import (
 	"tinystm/internal/experiments"
 	"tinystm/internal/harness"
 )
+
+// Must unwraps a flag-parsing result, ending the process with the error
+// (through log.Fatal, so under the command's log prefix) when there is one.
+func Must[T any](v T, err error) T {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
+}
 
 // ParseInts parses a comma-separated integer list ("1,2,4,6,8").
 func ParseInts(s string) ([]int, error) {

@@ -77,12 +77,11 @@ func benchStores(b *testing.B, d Design) {
 func BenchmarkStoreWriteBack(b *testing.B)    { benchStores(b, WriteBack) }
 func BenchmarkStoreWriteThrough(b *testing.B) { benchStores(b, WriteThrough) }
 
-func benchValidation2(b *testing.B, hier, hier2 uint64) {
+func benchValidation(b *testing.B, hier uint64) {
 	// An update transaction with a large read set, forced to validate by
 	// interleaving commits from a second descriptor.
 	sp := mem.NewSpace(1 << 20)
-	tm := MustNew(Config{Space: sp, Locks: 1 << 16, Design: WriteBack,
-		Hier: hier, Hier2: hier2})
+	tm := MustNew(Config{Space: sp, Locks: 1 << 16, Design: WriteBack, Hier: hier})
 	tx := tm.NewTx()
 	other := tm.NewTx()
 	var base, far uint64
@@ -104,11 +103,10 @@ func benchValidation2(b *testing.B, hier, hier2 uint64) {
 	}
 }
 
-func BenchmarkValidationNoHier(b *testing.B)        { benchValidation2(b, 1, 1) }
-func BenchmarkValidationHier16(b *testing.B)        { benchValidation2(b, 16, 1) }
-func BenchmarkValidationHier64(b *testing.B)        { benchValidation2(b, 64, 1) }
-func BenchmarkValidationHier256(b *testing.B)       { benchValidation2(b, 256, 1) }
-func BenchmarkValidationHier256Level8(b *testing.B) { benchValidation2(b, 256, 8) }
+func BenchmarkValidationNoHier(b *testing.B)  { benchValidation(b, 1) }
+func BenchmarkValidationHier16(b *testing.B)  { benchValidation(b, 16) }
+func BenchmarkValidationHier64(b *testing.B)  { benchValidation(b, 64) }
+func BenchmarkValidationHier256(b *testing.B) { benchValidation(b, 256) }
 
 func benchReadWriteMix(b *testing.B, d Design) {
 	tm, tx := benchTM(b, d, 1)

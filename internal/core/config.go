@@ -74,15 +74,6 @@ type Config struct {
 	// power of two, 1 <= Hier <= MaxHier and Hier <= Locks. 1 disables
 	// hierarchical locking. Default 1.
 	Hier uint64
-	// Hier2 enables the paper's proposed generalization of hierarchical
-	// locking "to multiple levels of nesting" (Section 3.2): a second,
-	// smaller array of Hier2 counters, each covering Hier/Hier2 first-
-	// level buckets. Validation checks the coarse counter first and can
-	// skip whole groups of buckets at once. Must be a power of two with
-	// 1 <= Hier2 <= Hier; 1 (the default) disables the second level.
-	// Unlike the triple (Locks, Shifts, Hier), Hier2 is not a dynamic
-	// tuning parameter — it survives Reconfigure unchanged.
-	Hier2 uint64
 	// Design selects write-back (default) or write-through access.
 	Design Design
 	// Clock selects how update commits obtain timestamps from the global
@@ -127,20 +118,13 @@ type Config struct {
 	// walks it via SetVersionBudget). Zero selects the mvcc default
 	// (512). Ignored without Snapshots.
 	SnapshotBudget int
-	// ConflictSpin bounds how long an access spins waiting for a
-	// foreign lock to be released before aborting. The paper notes a
-	// transaction "can try to wait for some time or abort immediately"
-	// and picks the latter (footnote 2 warns unbounded waiting risks
-	// deadlock); 0 — the default — reproduces the paper's choice, while
-	// a positive value re-checks the lock that many times.
-	ConflictSpin int
 	// YieldEvery, when positive, yields the processor after every N
 	// transactional loads. This simulates the fine-grained interleaving
 	// of the paper's 8-core testbed on hosts with fewer cores: without
 	// it, transactions on a single CPU run to completion within one
 	// scheduler slice and conflict-driven behaviour (aborts, doomed
 	// traversals, snapshot extensions) never surfaces. Zero — the
-	// default — disables yielding. See EXPERIMENTS.md.
+	// default — disables yielding. stmbench's -yield flag sets it.
 	YieldEvery int
 }
 
@@ -151,9 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Hier == 0 {
 		c.Hier = 1
-	}
-	if c.Hier2 == 0 {
-		c.Hier2 = 1
 	}
 	if c.ClockBatch == 0 {
 		c.ClockBatch = 8
@@ -184,15 +165,6 @@ func (c Config) validate() error {
 	}
 	if c.Hier > c.Locks {
 		return fmt.Errorf("core: Hier (%d) must not exceed Locks (%d)", c.Hier, c.Locks)
-	}
-	if c.Hier2 == 0 || bits.OnesCount64(c.Hier2) != 1 {
-		return fmt.Errorf("core: Hier2 (%d) must be a power of two", c.Hier2)
-	}
-	if c.Hier2 > c.Hier {
-		return fmt.Errorf("core: Hier2 (%d) must not exceed Hier (%d)", c.Hier2, c.Hier)
-	}
-	if c.Hier2 > 1 && c.Hier == 1 {
-		return fmt.Errorf("core: Hier2 requires hierarchical locking (Hier > 1)")
 	}
 	if c.Shifts > 32 {
 		return fmt.Errorf("core: Shifts (%d) out of range [0,32]", c.Shifts)

@@ -81,7 +81,7 @@ func TestGeometryMappingQuick(t *testing.T) {
 		if he > le {
 			he = le
 		}
-		g := newGeometry(Params{Locks: 1 << le, Shifts: sh, Hier: 1 << he}, 1)
+		g := newGeometry(Params{Locks: 1 << le, Shifts: sh, Hier: 1 << he})
 		li := g.lockIndex(addr)
 		if li > g.lockMask {
 			return false

@@ -13,10 +13,6 @@ type geometry struct {
 	shifts   uint
 	hier     []padCounter // h counters; nil when h == 1
 	hierMask uint64       // h - 1
-	// Second hierarchy level (extension; see Config.Hier2): each entry
-	// covers hierMask+1 / (hier2Mask+1) first-level buckets.
-	hier2     []padCounter // nil when disabled
-	hier2Mask uint64
 }
 
 // padCounter keeps each hierarchical counter on its own cache line: the
@@ -28,19 +24,15 @@ type padCounter struct {
 	_ [56]byte
 }
 
-func newGeometry(p Params, hier2 uint64) *geometry {
+func newGeometry(p Params) *geometry {
 	g := &geometry{
-		locks:     make([]uint64, p.Locks),
-		lockMask:  p.Locks - 1,
-		shifts:    p.Shifts,
-		hierMask:  p.Hier - 1,
-		hier2Mask: hier2 - 1,
+		locks:    make([]uint64, p.Locks),
+		lockMask: p.Locks - 1,
+		shifts:   p.Shifts,
+		hierMask: p.Hier - 1,
 	}
 	if p.Hier > 1 {
 		g.hier = make([]padCounter, p.Hier)
-	}
-	if hier2 > 1 && p.Hier > 1 {
-		g.hier2 = make([]padCounter, hier2)
 	}
 	return g
 }
@@ -63,15 +55,7 @@ func (g *geometry) hierIndex(addr uint64) uint64 {
 	return (addr >> g.shifts) & g.hierMask
 }
 
-func (g *geometry) hierEnabled() bool  { return g.hier != nil }
-func (g *geometry) hier2Enabled() bool { return g.hier2 != nil }
-
-// hier2Index maps a first-level bucket to its coarse group; since both
-// sizes are powers of two with hier2 <= hier, masking keeps the mapping
-// consistent (same bucket, same group).
-func (g *geometry) hier2Index(bucket uint64) uint64 {
-	return bucket & g.hier2Mask
-}
+func (g *geometry) hierEnabled() bool { return g.hier != nil }
 
 func (g *geometry) loadLock(li uint64) uint64 {
 	return atomic.LoadUint64(&g.locks[li])
@@ -93,8 +77,5 @@ func (g *geometry) resetVersions() {
 	}
 	for i := range g.hier {
 		g.hier[i].v.Store(0)
-	}
-	for i := range g.hier2 {
-		g.hier2[i].v.Store(0)
 	}
 }

@@ -27,12 +27,6 @@ package core
 // visible. The cost model the paper describes (more atomic operations for
 // larger h) is unchanged in character; writers touching w distinct locks
 // in a bucket pay w increments instead of one.
-//
-// The optional second level (Config.Hier2) realizes the paper's closing
-// remark that "this scheme can be generalized 'hierarchically' to
-// multiple levels of nesting": a coarser array of counters, each covering
-// a group of first-level buckets, lets validation skip whole groups with
-// a single check before falling back to per-bucket and per-entry work.
 
 // Both sides of the counter handshake are ordered so that a foreign
 // acquisition can never hide inside a snapshot: a transaction snapshots a
@@ -57,12 +51,6 @@ func (tx *Tx) hierTouch(addr uint64) uint64 {
 		tx.rmask.set(b)
 		tx.hsnap[b] = g.hier[b].v.Load()
 		tx.hactive = append(tx.hactive, uint8(b))
-		if g.hier2Enabled() {
-			if b2 := g.hier2Index(b); !tx.rmask2.has(b2) {
-				tx.rmask2.set(b2)
-				tx.hsnap2[b2] = g.hier2[b2].v.Load()
-			}
-		}
 	}
 	return b
 }
@@ -76,14 +64,8 @@ func (tx *Tx) hierTouch(addr uint64) uint64 {
 // bucket the write made stale. Only called with hierarchical locking
 // enabled.
 func (tx *Tx) hierRecordWrite(b uint64) {
-	g := tx.geo
-	g.hier[b].v.Add(1)
+	tx.geo.hier[b].v.Add(1)
 	tx.hacq[b]++
-	if g.hier2Enabled() {
-		b2 := g.hier2Index(b)
-		g.hier2[b2].v.Add(1)
-		tx.hacq2[b2]++
-	}
 }
 
 // ReadSetSize returns the number of read-set entries of the current

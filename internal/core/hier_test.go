@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"tinystm/internal/mem"
 	"tinystm/internal/txn"
 )
 
@@ -208,91 +207,6 @@ func TestHierLateAcquisitionInSnapshottedBucketIsDetected(t *testing.T) {
 	}
 }
 
-func TestHier2FastPathAndCorrectness(t *testing.T) {
-	// Two-level hierarchy: clean coarse counters must skip groups, and
-	// the bank invariant must hold under contention.
-	tm, _ := newTestTM(t, WriteBack, func(c *Config) {
-		c.Hier = 64
-		c.Hier2 = 8
-	})
-	runBankStress(t, tm, 4, 300)
-	s := tm.Stats()
-	if s.Commits == 0 {
-		t.Fatal("no commits")
-	}
-}
-
-func TestHier2SkipsViaCoarseCounter(t *testing.T) {
-	// A validating commit whose coarse group saw no foreign acquisitions
-	// must report skipped entries.
-	tm, _ := newTestTM(t, WriteBack, func(c *Config) {
-		c.Hier = 64
-		c.Hier2 = 4
-	})
-	t1, t2 := tm.NewTx(), tm.NewTx()
-	var a, far uint64
-	tm.Atomic(t1, func(tx *Tx) {
-		a = tx.Alloc(32)
-		for i := uint64(0); i < 32; i++ {
-			tx.Store(a+i, i)
-		}
-	})
-	tm.Atomic(t2, func(tx *Tx) { far = tx.Alloc(1); tx.Store(far, 1) })
-
-	before := t1.TxStats()
-	t1.Begin(false)
-	if !attempt(func() {
-		for i := uint64(0); i < 32; i++ {
-			_ = t1.Load(a + i)
-		}
-		t1.Store(a, 100)
-	}) {
-		t.Fatal("unexpected abort")
-	}
-	tm.Atomic(t2, func(tx *Tx) { tx.Store(far, 2) }) // force validation
-	if !t1.Commit() {
-		t.Fatal("commit failed")
-	}
-	d := t1.TxStats().Sub(before)
-	if d.LocksSkipped == 0 {
-		t.Errorf("two-level fast path never skipped: checked=%d", d.LocksValidated)
-	}
-}
-
-func TestHier2SerializabilityAndReconfigure(t *testing.T) {
-	tm, _ := newTestTM(t, WriteBack, func(c *Config) {
-		c.Hier = 32
-		c.Hier2 = 4
-	})
-	runSerializabilityCheck(t, tm, 4, 200, 8)
-	// Reconfigure shrinking h below Hier2 must clamp, not fail.
-	if err := tm.Reconfigure(Params{Locks: 1 << 10, Shifts: 0, Hier: 2}); err != nil {
-		t.Fatalf("Reconfigure with h < Hier2: %v", err)
-	}
-	runSerializabilityCheck(t, tm, 2, 100, 8)
-}
-
-func TestHier2ConfigValidation(t *testing.T) {
-	for _, c := range []struct {
-		hier, hier2 uint64
-		ok          bool
-	}{
-		{16, 4, true},
-		{16, 16, true},
-		{16, 1, true},
-		{1, 1, true},
-		{1, 4, false},   // second level requires a first level
-		{16, 32, false}, // coarser than fine level
-		{16, 3, false},  // not a power of two
-	} {
-		sp := mem.NewSpace(64)
-		_, err := New(Config{Space: sp, Locks: 1 << 10, Hier: c.hier, Hier2: c.hier2})
-		if (err == nil) != c.ok {
-			t.Errorf("Hier=%d Hier2=%d: err=%v, want ok=%v", c.hier, c.hier2, err, c.ok)
-		}
-	}
-}
-
 func TestHierConsistencyLockImpliesCounter(t *testing.T) {
 	// Property from Section 3.2: two addresses mapping to the same lock
 	// must map to the same counter, across geometries.
@@ -301,7 +215,7 @@ func TestHierConsistencyLockImpliesCounter(t *testing.T) {
 		{Locks: 1 << 8, Shifts: 2, Hier: 16},
 		{Locks: 1 << 10, Shifts: 5, Hier: 64},
 	} {
-		g := newGeometry(p, 1)
+		g := newGeometry(p)
 		for addr := uint64(0); addr < 1<<12; addr++ {
 			other := addr + (p.Locks << p.Shifts) // same lock by construction
 			if g.lockIndex(addr) != g.lockIndex(other) {

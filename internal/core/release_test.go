@@ -153,9 +153,9 @@ func TestAggregateCountsMatchStats(t *testing.T) {
 func TestConfigForCarriesAllFields(t *testing.T) {
 	sp := mem.NewSpace(1 << 12)
 	base := Config{
-		Space: sp, Locks: 1 << 10, Shifts: 2, Hier: 4, Hier2: 2,
+		Space: sp, Locks: 1 << 10, Shifts: 2, Hier: 4,
 		Design: WriteThrough, Clock: TicketBatch, ClockBatch: 16,
-		MaxClock: 1 << 20, CM: cm.Backoff, ConflictSpin: 7, YieldEvery: 3,
+		MaxClock: 1 << 20, CM: cm.Backoff, YieldEvery: 3,
 	}
 	tm := MustNew(base)
 	p := Params{Locks: 1 << 12, Shifts: 1, Hier: 8}
@@ -164,13 +164,5 @@ func TestConfigForCarriesAllFields(t *testing.T) {
 	want.Locks, want.Shifts, want.Hier = p.Locks, p.Shifts, p.Hier
 	if got != want {
 		t.Fatalf("configFor dropped fields:\ngot  %+v\nwant %+v", got, want)
-	}
-	// Hier2 is clamped when the tuner shrinks h below it.
-	small := tm.configFor(Params{Locks: 1 << 10, Shifts: 0, Hier: 1})
-	if small.Hier2 != 1 {
-		t.Fatalf("Hier2 = %d, want clamped to 1", small.Hier2)
-	}
-	if err := small.validate(); err != nil {
-		t.Fatalf("clamped config invalid: %v", err)
 	}
 }

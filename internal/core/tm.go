@@ -22,9 +22,7 @@ type TM struct {
 	space      *mem.Space
 	design     Design
 	maxClock   uint64
-	spin       int
 	yieldN     int
-	hier2      uint64
 	clockStrat ClockStrategy
 	clockBatch uint64
 	cmKnobs    cm.Knobs
@@ -165,16 +163,14 @@ func New(cfg Config) (*TM, error) {
 		space:      cfg.Space,
 		design:     cfg.Design,
 		maxClock:   cfg.MaxClock,
-		spin:       cfg.ConflictSpin,
 		yieldN:     cfg.YieldEvery,
-		hier2:      cfg.Hier2,
 		clockStrat: cfg.Clock,
 		clockBatch: cfg.ClockBatch,
 		cmKnobs:    cfg.CMKnobs,
 		baseCfg:    cfg,
 	}
 	tm.fz.init()
-	tm.geo.Store(newGeometry(Params{Locks: cfg.Locks, Shifts: cfg.Shifts, Hier: cfg.Hier}, cfg.Hier2))
+	tm.geo.Store(newGeometry(Params{Locks: cfg.Locks, Shifts: cfg.Shifts, Hier: cfg.Hier}))
 	tm.cmh.Store(&cmHolder{pol: cm.New(cfg.CM, cfg.CMKnobs, tm.CommitAbortCounts)})
 	if cfg.Snapshots {
 		tm.mvcc = mvcc.New(mvcc.Config{
@@ -524,10 +520,9 @@ func (tm *TM) Reconfigure(p Params) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	hier2 := cfg.Hier2
 	tm.fz.freeze()
 	tm.drainLimboAll()
-	tm.geo.Store(newGeometry(p, hier2))
+	tm.geo.Store(newGeometry(p))
 	tm.clk.reset()
 	tm.clockEpoch.Add(1) // drain outstanding ticket reservations
 	if tm.mvcc != nil {
@@ -541,16 +536,11 @@ func (tm *TM) Reconfigure(p Params) error {
 }
 
 // configFor returns the TM's construction-time configuration with the
-// tunable triple replaced by p. The static second hierarchy level is
-// clamped to the new h (it cannot exceed the tunable first level; clamping
-// rather than rejecting lets the tuner shrink h freely). Both New and
-// Reconfigure validate through this one Config value.
+// tunable triple replaced by p. Both New and Reconfigure validate through
+// this one Config value.
 func (tm *TM) configFor(p Params) Config {
 	cfg := tm.baseCfg
 	cfg.Locks, cfg.Shifts, cfg.Hier = p.Locks, p.Shifts, p.Hier
-	if cfg.Hier2 > p.Hier {
-		cfg.Hier2 = p.Hier
-	}
 	return cfg
 }
 

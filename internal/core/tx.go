@@ -110,11 +110,6 @@ type Tx struct {
 	hacq    [MaxHier]uint32 // own lock acquisitions per bucket
 	hactive []uint8         // buckets touched this attempt (for reset)
 
-	// Second hierarchy level (Config.Hier2).
-	rmask2 mask256
-	hsnap2 [MaxHier]uint64
-	hacq2  [MaxHier]uint32
-
 	allocs []allocRec
 	frees  []allocRec
 
@@ -295,7 +290,6 @@ func (tx *Tx) begin(readOnly, snap bool) {
 		tx.rparts[0] = tx.rinline[:0]
 	}
 	tx.rmask.reset()
-	tx.rmask2.reset()
 	if h == 1 {
 		// Hierarchy disabled: everything lives in partition 0 and the
 		// per-access bucket bookkeeping is skipped entirely.
@@ -304,19 +298,13 @@ func (tx *Tx) begin(readOnly, snap bool) {
 }
 
 // resetHier clears the per-bucket acquisition counts of the previous
-// attempt using the geometry that recorded them (a Reconfigure may swap
-// the bucket mapping between attempts). Shared by Begin and BeginSnap —
-// whichever runs next after an attempt must reset with the OLD geometry
-// before swapping in the current one, or stale hacq counts under a new
-// bucket mapping would poison the hierarchical validation fast path.
+// attempt. Shared by Begin and BeginSnap — whichever runs next after an
+// attempt must reset before swapping in the current geometry, or stale
+// hacq counts under a new bucket mapping would poison the hierarchical
+// validation fast path.
 func (tx *Tx) resetHier() {
-	if old := tx.geo; old != nil {
-		for _, b := range tx.hactive {
-			tx.hacq[b] = 0
-			if old.hier2Enabled() {
-				tx.hacq2[old.hier2Index(uint64(b))] = 0
-			}
-		}
+	for _, b := range tx.hactive {
+		tx.hacq[b] = 0
 	}
 	tx.hactive = tx.hactive[:0]
 }
@@ -550,11 +538,7 @@ restart:
 				// for some time or abort immediately" and picks the
 				// latter; here the configured contention-management
 				// policy decides (Suicide, the default, reproduces the
-				// paper). ConflictSpin still grants a bounded pre-policy
-				// wait.
-				if tx.spinUnlocked(li) {
-					continue restart
-				}
+				// paper; a policy that answers Wait is the bounded wait).
 				if tx.resolveConflict(li, cm.ReadConflict) {
 					continue restart
 				}
@@ -638,9 +622,6 @@ func (tx *Tx) store(addr uint64, v uint64, lockOnly bool) {
 		lw := g.loadLock(li)
 		if isOwned(lw) {
 			if ownerSlot(lw) != tx.slot {
-				if tx.spinUnlocked(li) {
-					continue
-				}
 				if tx.resolveConflict(li, cm.WriteConflict) {
 					continue
 				}
@@ -770,24 +751,6 @@ func (tx *Tx) resolveConflict(li uint64, k cm.ConflictKind) bool {
 	return false
 }
 
-// spinUnlocked optionally waits — boundedly, to avoid deadlock — for a
-// foreign lock to be released. Returns true once the lock was observed
-// free; false when the spin budget (Config.ConflictSpin) is exhausted or
-// spinning is disabled.
-func (tx *Tx) spinUnlocked(li uint64) bool {
-	g := tx.geo
-	for i := 0; i < tx.tm.spin; i++ {
-		if i&15 == 15 {
-			// Let the lock owner run; essential on few-core hosts.
-			runtime.Gosched()
-		}
-		if !isOwned(g.loadLock(li)) {
-			return true
-		}
-	}
-	return false
-}
-
 // extend tries to grow the snapshot's validity range to the current clock
 // (LSA snapshot extension): every read must still be valid. Read-only
 // transactions have no read set and therefore cannot extend.
@@ -808,14 +771,12 @@ func (tx *Tx) extend() bool {
 // the observed version, or locked by this very transaction with the
 // observed pre-acquisition version. Hierarchical buckets whose counter
 // proves the absence of competing writers are skipped wholesale (the fast
-// path of Section 3.2); with a second level enabled, a clean coarse
-// counter skips its whole group of buckets.
+// path of Section 3.2).
 func (tx *Tx) validate() bool {
 	g := tx.geo
 	var checked, skipped uint64
 	ok := true
 	hier := g.hierEnabled()
-	hier2 := g.hier2Enabled()
 scan:
 	for _, bb := range tx.hactive {
 		b := uint64(bb)
@@ -823,22 +784,11 @@ scan:
 		if len(part) == 0 {
 			continue
 		}
-		if hier {
-			if hier2 {
-				b2 := g.hier2Index(b)
-				if g.hier2[b2].v.Load() == tx.hsnap2[b2]+uint64(tx.hacq2[b2]) {
-					// No foreign acquisition anywhere in this coarse
-					// group since we recorded it.
-					skipped += uint64(len(part))
-					continue
-				}
-			}
-			if g.hier[b].v.Load() == tx.hsnap[b]+uint64(tx.hacq[b]) {
-				// No foreign writer touched this bucket since we
-				// recorded it: skip per-entry validation.
-				skipped += uint64(len(part))
-				continue
-			}
+		if hier && g.hier[b].v.Load() == tx.hsnap[b]+uint64(tx.hacq[b]) {
+			// No foreign writer touched this bucket since we recorded
+			// it: skip per-entry validation.
+			skipped += uint64(len(part))
+			continue
 		}
 		for _, e := range part {
 			checked++

@@ -52,7 +52,7 @@ var AllSystems = []Sys{TinySTMWB, TinySTMWT, TL2}
 
 // Scale sets the measurement effort. The paper measures seconds-long runs
 // on an 8-core Xeon; tests use milliseconds-long runs. The shapes survive
-// scaling; absolute numbers do not (documented in EXPERIMENTS.md).
+// scaling; absolute numbers do not.
 type Scale struct {
 	Duration time.Duration
 	Warmup   time.Duration
@@ -101,15 +101,6 @@ func QuickScale() Scale {
 		Seed:       42,
 		SpaceWords: 1 << 20,
 	}
-}
-
-// ContendedScale is PaperScale with the multi-core interleaving
-// simulation enabled; use it on few-core hosts to reproduce the
-// conflict-driven figures (abort rates, doomed-traversal effects).
-func ContendedScale() Scale {
-	sc := PaperScale()
-	sc.YieldEvery = 8
-	return sc
 }
 
 // Point is one measured benchmark point.

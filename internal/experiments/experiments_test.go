@@ -7,7 +7,7 @@ import (
 
 	"tinystm/internal/core"
 	"tinystm/internal/harness"
-	"tinystm/internal/kvstore"
+	"tinystm/internal/kvclient"
 	"tinystm/internal/tuning"
 	"tinystm/internal/vacation"
 )
@@ -344,7 +344,7 @@ func TestServerSweepQuick(t *testing.T) {
 	sc := tinyScale()
 	cfg := ServerConfig{
 		Shards: 4, Buckets: 16, Keys: 256,
-		Mixes: []kvstore.Mix{
+		Mixes: []kvclient.Mix{
 			{Keys: 256, Theta: 0.6, ReadPct: 80, CASPct: 5, BatchPct: 5},
 			{Keys: 256, Theta: 0.99, ReadPct: 20, CASPct: 10, BatchPct: 10},
 		},
@@ -367,7 +367,7 @@ func TestServerSweepQuick(t *testing.T) {
 	if r.Autotuned.Commits == 0 {
 		t.Fatal("autotuned run committed nothing")
 	}
-	if len(r.Events) == 0 {
+	if len(r.Autotuned.Events) == 0 {
 		t.Fatal("no tuning events recorded under service load")
 	}
 	if r.Autotuned.Reconfigs == 0 {

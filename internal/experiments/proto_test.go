@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tinystm/internal/kvclient"
 )
 
 // TestProtoSweepQuick runs the full sweep shape at toy scale: both wire
@@ -17,8 +19,7 @@ func TestProtoSweepQuick(t *testing.T) {
 		ReadPcts:       []int{50},
 		Workers:        4,
 		Duration:       40 * time.Millisecond,
-		StormTheta:     0.99,
-		StormReadPct:   10,
+		Storm:          kvclient.Mix{Keys: 64, Theta: 0.99, ReadPct: 10, CASPct: 30, BatchPct: 30},
 		AdmissionWidth: 4,
 		Period:         5 * time.Millisecond,
 		Seed:           42,
@@ -33,6 +34,9 @@ func TestProtoSweepQuick(t *testing.T) {
 		}
 		if p.Errors != 0 {
 			t.Fatalf("surface %q saw %d errors on a clean run", p.Surface, p.Errors)
+		}
+		if p.Commits == 0 {
+			t.Fatalf("surface %q: the server committed nothing", p.Surface)
 		}
 	}
 	if r.Surface[0].Surface != "http" || r.Surface[1].Surface != "binary" {
@@ -53,6 +57,16 @@ func TestProtoSweepQuick(t *testing.T) {
 	}
 	if on.Ops == 0 || off.Ops == 0 {
 		t.Fatal("storm arm completed no ops")
+	}
+	// Both arms are real servers with the runtime attached, geometry
+	// pinned: tuning periods pass, the lock table never moves.
+	for _, p := range r.Storm {
+		if len(p.Events) == 0 {
+			t.Fatalf("storm arm %q recorded no tuning events", p.Gate)
+		}
+		if p.Reconfigs != 0 {
+			t.Fatalf("storm arm %q reconfigured %d times under pinned bounds", p.Gate, p.Reconfigs)
+		}
 	}
 
 	var sb strings.Builder

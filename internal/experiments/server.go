@@ -4,21 +4,20 @@ import (
 	"fmt"
 	"time"
 
-	"tinystm/internal/admission"
 	"tinystm/internal/core"
 	"tinystm/internal/harness"
-	"tinystm/internal/kvstore"
-	"tinystm/internal/mem"
-	"tinystm/internal/obs"
+	"tinystm/internal/kvclient"
+	"tinystm/internal/kvserver"
 	"tinystm/internal/tuning"
 )
 
 // ServerConfig parameterizes the ServerSweep experiment: open-loop,
-// Zipf-skewed key-value service traffic — the load shape cmd/stmkvd sees —
-// against an autotuned TM and against static baselines. Unlike the
-// closed-loop AutotuneSweep, the offered load here is fixed by the arrival
-// schedule, so a bad configuration surfaces as shed arrivals and queueing
-// latency, not just lower throughput.
+// Zipf-skewed key-value service traffic over the binary protocol against
+// a live kvserver — what cmd/stmkvd would do under that traffic — once
+// with the tuning runtime attached and once per static geometry. Unlike
+// the closed-loop AutotuneSweep, the offered load here is fixed by the
+// arrival schedule, so a bad configuration surfaces as shed arrivals and
+// queueing latency, not just lower throughput.
 type ServerConfig struct {
 	// Shards and Buckets shape the store.
 	Shards, Buckets uint64
@@ -27,9 +26,9 @@ type ServerConfig struct {
 	// Mixes are the traffic phases; the run starts in Mixes[0] and flips
 	// to the next mix (cyclically) every Duration/len(Mixes), so every
 	// phase gets equal time. One mix disables shifting.
-	Mixes []kvstore.Mix
+	Mixes []kvclient.Mix
 	// Rate is the open-loop arrival rate (requests/second); Workers the
-	// service concurrency.
+	// number of clients, each on its own connection — the fan-in.
 	Rate    float64
 	Workers int
 	// Duration is the length of each measured run.
@@ -43,24 +42,17 @@ type ServerConfig struct {
 	Statics []core.Params
 	Bounds  tuning.Bounds
 	Seed    uint64
-	// AdmissionWidth, when positive, puts an admission gate of that
-	// initial width in front of every update transaction (reads are never
-	// gated). Zero runs ungated.
-	AdmissionWidth int
-	// TuneAdmission attaches the gate to the autotuned run's tuning
-	// runtime, which walks the width from the live abort ratio. Requires
-	// AdmissionWidth > 0; static baselines keep the fixed width.
-	TuneAdmission bool
 }
 
-// DefaultServerConfig is a calm-to-hot phase flip over a modest keyspace,
-// starting the tuner at the deliberately bad (2^8, 0, 1).
+// DefaultServerConfig is a calm-to-hot phase flip over 1024 keys, starting
+// the tuner at the deliberately bad (2^8, 0, 1). The largest thread count
+// is the number of connections: 32 or more is the contended regime.
 func DefaultServerConfig(sc Scale) ServerConfig {
-	calm := kvstore.Mix{Keys: 4096, Theta: 0.6, ReadPct: 85, CASPct: 5, BatchPct: 5}
-	hot := kvstore.Mix{Keys: 4096, Theta: 0.99, ReadPct: 20, CASPct: 20, BatchPct: 10}
+	calm := kvclient.Mix{Keys: 1024, Theta: 0.6, ReadPct: 85, CASPct: 5, BatchPct: 5}
+	hot := kvclient.Mix{Keys: 1024, Theta: 0.99, ReadPct: 20, CASPct: 20, BatchPct: 10}
 	return ServerConfig{
-		Shards: 8, Buckets: 64, Keys: 4096,
-		Mixes:    []kvstore.Mix{calm, hot},
+		Shards: 8, Buckets: 64, Keys: 1024,
+		Mixes:    []kvclient.Mix{calm, hot},
 		Rate:     20000,
 		Workers:  sc.Threads[len(sc.Threads)-1],
 		Duration: 10 * sc.Duration,
@@ -79,25 +71,19 @@ func DefaultServerConfig(sc Scale) ServerConfig {
 
 // ServerPoint is one measured service run.
 type ServerPoint struct {
-	// Name is "autotuned" or "static"; Params the geometry (for the
-	// autotuned run, the final one).
-	Name   string
-	Params core.Params
-	Load   harness.OpenLoopResult
-	// Commits/Aborts are the TM counter deltas over the run; Reconfigs
-	// how many live reconfigurations happened during it.
-	Commits, Aborts, Reconfigs uint64
-	// AdmWidth is the gate's final width (0 when the run was ungated);
-	// AdmMoves counts width changes the tuner applied during the run.
-	AdmWidth, AdmMoves int
+	// Name is "autotuned" or "static".
+	Name string
+	// Load is what the clients saw, ServiceStats what the server did
+	// (for the autotuned run, Params is the final geometry).
+	Load harness.OpenLoopResult
+	ServiceStats
 }
 
-// ServerSweepResult is the outcome of one ServerSweep.
+// ServerSweepResult is the outcome of one ServerSweep; the autotuned run's
+// tuning trace is Autotuned.Events.
 type ServerSweepResult struct {
 	Autotuned ServerPoint
 	Statics   []ServerPoint
-	// Events is the autotuned run's tuning trace.
-	Events []tuning.Event
 }
 
 // ToTable renders the autotuned-vs-static service comparison. The full
@@ -109,20 +95,16 @@ func (r ServerSweepResult) ToTable() harness.Table {
 	tbl := harness.Table{
 		Title: "service load: autotuned vs. static configurations",
 		Headers: []string{"configuration", "locks", "shifts", "h",
-			"completed (10^3)", "req/s (10^3)", "p50", "p95", "p99", "dropped", "aborts", "reconfigs", "adm", "adm moves"},
+			"completed (10^3)", "goodput (10^3/s)", "p50", "p95", "p99", "dropped", "abort ratio", "reconfigs"},
 	}
 	row := func(p ServerPoint) {
-		adm := "-"
-		if p.AdmWidth > 0 {
-			adm = fmt.Sprintf("%d", p.AdmWidth)
-		}
 		tbl.AddRow(p.Name, fmt.Sprintf("2^%d", log2(p.Params.Locks)), p.Params.Shifts, p.Params.Hier,
 			fmt.Sprintf("%.1f", float64(p.Load.Completed)/1000),
-			fmt.Sprintf("%.1f", p.Load.Throughput/1000),
+			fmt.Sprintf("%.1f", p.Load.Goodput/1000),
 			p.Load.P50.Round(10*time.Microsecond).String(),
 			p.Load.P95.Round(10*time.Microsecond).String(),
 			p.Load.P99.Round(10*time.Microsecond).String(),
-			p.Load.Dropped, p.Aborts, p.Reconfigs, adm, p.AdmMoves)
+			p.Load.Dropped, fmt.Sprintf("%.3f", p.AbortRatio), p.Reconfigs)
 	}
 	for _, p := range r.Statics {
 		row(p)
@@ -131,104 +113,37 @@ func (r ServerSweepResult) ToTable() harness.Table {
 	return tbl
 }
 
-// runServerPoint measures one configuration under the open-loop schedule.
-// The phase flipper swaps the live mix at equal intervals.
-func runServerPoint(sc Scale, cfg ServerConfig, geo core.Params, autotune bool) (ServerPoint, []tuning.Event) {
-	tm := core.MustNew(core.Config{
-		Space:  mem.NewSpace(sc.SpaceWords),
-		Locks:  geo.Locks,
-		Shifts: geo.Shifts,
-		Hier:   geo.Hier,
-		Clock:  sc.Clock,
-	})
-	m := kvstore.New[*core.Tx](tm, cfg.Shards, cfg.Buckets)
-	kvstore.Preload[*core.Tx](tm, m, cfg.Keys, 1)
-
-	// The gate fronts update transactions exactly as kvserver's handlers
-	// do; kvstore.Admitter keeps the interface indirection in one place.
-	var gate *admission.Gate
-	var adm kvstore.Admitter
-	if cfg.AdmissionWidth > 0 {
-		gate = admission.New(cfg.AdmissionWidth)
-		adm = gate
-	}
-	ops := make([]harness.OpFunc[*core.Tx], len(cfg.Mixes))
-	for i, mix := range cfg.Mixes {
-		ops[i] = kvstore.MixOpGated[*core.Tx](tm, m, mix, adm)
-	}
-	phased := harness.NewPhasedOp(ops...)
-	var flipper *time.Ticker
-	stopFlip := make(chan struct{})
-	if len(cfg.Mixes) > 1 {
-		flipper = time.NewTicker(cfg.Duration / time.Duration(len(cfg.Mixes)))
-		go func() {
-			for {
-				select {
-				case <-stopFlip:
-					return
-				case <-flipper.C:
-					phased.SetPhase((phased.Phase() + 1) % phased.Phases())
-				}
-			}
-		}()
-	}
-
-	// One histogram serves both readers: OpenLoop summarizes the run from
-	// it, and the autotuned run's tuning events carry its per-period
-	// p50/p99 deltas — the same numbers, not two measurements.
-	lat := obs.NewHistogram()
-	var rt *tuning.Runtime
-	if autotune {
-		var ctls []tuning.Controller
-		if cfg.TuneAdmission && gate != nil {
-			ctls = append(ctls, tuning.NewAdmission(gate, tuning.AdmissionConfig{}))
-		}
-		rt = tuning.NewRuntime(tm, tuning.RuntimeConfig{
-			Tuner:       tuning.Config{Initial: geo, Bounds: cfg.Bounds, Seed: cfg.Seed},
-			Period:      cfg.Period,
-			Samples:     cfg.Samples,
-			Controllers: ctls,
-			Latency:     lat,
-		})
-		if err := rt.Start(); err != nil {
-			panic(fmt.Sprintf("experiments: server sweep autotune start: %v", err))
-		}
-	}
-
-	before := tm.Stats()
+// runServerPoint boots one server at geo — with the tuning runtime when
+// autotune is set — and measures it under the open-loop schedule. Every
+// worker dials its own binary connection; the live mix flips at equal
+// intervals.
+func runServerPoint(sc Scale, cfg ServerConfig, mixes []*kvclient.Mix, geo core.Params, autotune bool) ServerPoint {
+	svc := startService(kvserver.Config{
+		SpaceWords: sc.SpaceWords,
+		Shards:     cfg.Shards, Buckets: cfg.Buckets,
+		Clock: sc.Clock, CM: sc.CM,
+		Geometry:  geo,
+		Snapshots: true,
+		Autotune:  autotune,
+		Period:    cfg.Period,
+		Samples:   cfg.Samples,
+		Bounds:    cfg.Bounds,
+		Seed:      cfg.Seed,
+	}, surfaceBinary, cfg.Keys)
+	live, stopFlip := flipMixes(mixes, cfg.Duration/time.Duration(len(mixes)))
 	load := harness.OpenLoop{
 		Rate: cfg.Rate, Duration: cfg.Duration, Workers: cfg.Workers, Seed: cfg.Seed,
-		Latency: lat,
-		NewOp:   harness.TxOp[*core.Tx](tm, phased.Op()),
+		NewOp: func(*harness.Worker) (func(*harness.Worker) error, func()) {
+			t, hangUp := svc.dial()
+			return func(w *harness.Worker) error { return live().Do(t, w.Rng) }, hangUp
+		},
 	}.Run()
-	var events []tuning.Event
-	if rt != nil {
-		rt.Stop()
-		events = rt.Trace()
-	}
-	if flipper != nil {
-		flipper.Stop()
-		close(stopFlip)
-	}
-	delta := tm.Stats().Sub(before)
-
+	stopFlip()
 	name := "static"
-	params := geo
 	if autotune {
 		name = "autotuned"
-		params = tm.Params()
 	}
-	pt := ServerPoint{
-		Name: name, Params: params, Load: load,
-		Commits: delta.Commits, Aborts: delta.Aborts, Reconfigs: delta.Reconfigs,
-	}
-	if gate != nil {
-		pt.AdmWidth = gate.Width()
-	}
-	if rt != nil {
-		pt.AdmMoves = rt.Moves(tuning.AdmissionName)
-	}
-	return pt, events
+	return ServerPoint{Name: name, Load: load, ServiceStats: svc.finish()}
 }
 
 // ServerSweep measures the autotuned configuration and every static
@@ -237,11 +152,14 @@ func ServerSweep(sc Scale, cfg ServerConfig) ServerSweepResult {
 	if len(cfg.Mixes) == 0 {
 		panic("experiments: ServerConfig needs at least one mix")
 	}
+	mixes := make([]*kvclient.Mix, len(cfg.Mixes))
+	for i, x := range cfg.Mixes {
+		mixes[i] = mustMix(x)
+	}
 	var r ServerSweepResult
-	r.Autotuned, r.Events = runServerPoint(sc, cfg, cfg.Start, true)
+	r.Autotuned = runServerPoint(sc, cfg, mixes, cfg.Start, true)
 	for _, p := range cfg.Statics {
-		pt, _ := runServerPoint(sc, cfg, p, false)
-		r.Statics = append(r.Statics, pt)
+		r.Statics = append(r.Statics, runServerPoint(sc, cfg, mixes, p, false))
 	}
 	return r
 }

@@ -119,8 +119,12 @@ func runSnapshotPoint(sc Scale, cfg SnapshotConfig, writers int, snapshots bool,
 		Snapshots:      snapshots,
 		SnapshotBudget: budget,
 	})
-	m := kvstore.New[*core.Tx](tm, cfg.Shards, cfg.Buckets)
-	kvstore.Preload[*core.Tx](tm, m, cfg.Keys, 1)
+	store := kvstore.NewStore[*core.Tx](tm, cfg.Shards, cfg.Buckets)
+	defer store.Close()
+	for k := uint64(0); k < cfg.Keys; k++ {
+		store.Put(k, 1)
+	}
+	m := store.Map()
 	zipf := rng.NewZipf(cfg.Keys, cfg.Theta)
 
 	//stm:allow-atomic experiment control plane: stop flag, not data under test

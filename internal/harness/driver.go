@@ -85,7 +85,7 @@ func (b Bench[T]) Run() Result {
 			defer wg.Done()
 			w := &Worker{ID: id, Rng: rng.NewThread(b.Seed, id)}
 			tx := b.Sys.NewTx()
-			defer releaseTx(tx)
+			defer txn.Release(tx)
 			<-start
 			for !stop.Load() {
 				b.Op(w, tx)

@@ -70,7 +70,7 @@ func BuildIntset[T txn.Tx](sys txn.System[T], p IntsetParams, seed uint64) intse
 	p = p.withDefaults()
 	r := rng.New(seed)
 	tx := sys.NewTx()
-	defer releaseTx(tx)
+	defer txn.Release(tx)
 	var set intset.Set[T]
 	sys.Atomic(tx, func(tx T) {
 		switch p.Kind {

@@ -6,7 +6,6 @@ import (
 
 	"tinystm/internal/obs"
 	"tinystm/internal/rng"
-	"tinystm/internal/txn"
 )
 
 // OpenLoop drives a workload open-loop: requests arrive on a fixed
@@ -32,14 +31,9 @@ type OpenLoop struct {
 	Queue int
 	// Seed derives each worker's private generator.
 	Seed uint64
-	// Latency, when non-nil, receives every request's arrival-to-
-	// completion latency (nanoseconds) instead of a private histogram —
-	// pass the server's own request histogram to measure client-observed
-	// and server-observed latency on one instrument.
-	Latency *obs.Histogram
 	// NewOp builds one worker's request function and an optional cleanup
 	// run when the worker exits. The error return counts failed requests
-	// (e.g. HTTP errors); transactional ops that cannot fail return nil.
+	// (e.g. HTTP errors).
 	NewOp func(w *Worker) (op func(w *Worker) error, cleanup func())
 }
 
@@ -60,25 +54,10 @@ type OpenLoopResult struct {
 	// must rank by, since refusing work raises Throughput's denominator
 	// without serving anyone.
 	Goodput float64
-	// Latency is the run's histogram snapshot (nanoseconds), measured
-	// from scheduled arrival to completion so queueing delay is included
-	// (the open-loop convention; a closed loop's "service time only"
-	// latency hides overload entirely). The convenience quantiles below
-	// are read from it; Latency.Quantile serves any other.
-	Latency            obs.Snapshot
+	// Latency quantiles, measured from scheduled arrival to completion so
+	// queueing delay is included (the open-loop convention; a closed
+	// loop's "service time only" latency hides overload entirely).
 	P50, P95, P99, Max time.Duration
-}
-
-// TxOp adapts a transactional OpFunc to OpenLoop.NewOp: each worker gets
-// its own descriptor, released when the worker exits.
-func TxOp[T txn.Tx](sys txn.System[T], op OpFunc[T]) func(w *Worker) (func(*Worker) error, func()) {
-	return func(w *Worker) (func(*Worker) error, func()) {
-		tx := sys.NewTx()
-		return func(w *Worker) error {
-			op(w, tx)
-			return nil
-		}, func() { releaseTx(tx) }
-	}
 }
 
 // Run executes the open-loop schedule and returns the summary.
@@ -96,14 +75,7 @@ func (o OpenLoop) Run() OpenLoopResult {
 	if queue <= 0 {
 		queue = 4 * o.Workers
 	}
-	hist := o.Latency
-	var base obs.Snapshot
-	if hist == nil {
-		hist = obs.NewHistogram()
-	} else {
-		// Shared instrument: report only this run's delta.
-		base = hist.Snapshot()
-	}
+	hist := obs.NewHistogram()
 
 	arrivals := make(chan time.Time, queue)
 	var res OpenLoopResult
@@ -161,19 +133,18 @@ func (o OpenLoop) Run() OpenLoopResult {
 	wg.Wait()
 	res.Elapsed = time.Since(start)
 
-	cur := hist.Snapshot()
-	res.Latency = cur.Sub(&base)
+	lat := hist.Snapshot()
 	res.Errors = errors
-	res.Completed = res.Latency.Count
+	res.Completed = lat.Count
 	if secs := res.Elapsed.Seconds(); secs > 0 {
 		res.Throughput = float64(res.Completed) / secs
 		res.Goodput = float64(res.Completed-res.Errors) / secs
 	}
-	if res.Latency.Count > 0 {
-		res.P50 = time.Duration(res.Latency.Quantile(0.50))
-		res.P95 = time.Duration(res.Latency.Quantile(0.95))
-		res.P99 = time.Duration(res.Latency.Quantile(0.99))
-		res.Max = time.Duration(res.Latency.Max)
+	if lat.Count > 0 {
+		res.P50 = time.Duration(lat.Quantile(0.50))
+		res.P95 = time.Duration(lat.Quantile(0.95))
+		res.P99 = time.Duration(lat.Quantile(0.99))
+		res.Max = time.Duration(lat.Max)
 	}
 	return res
 }

@@ -54,8 +54,9 @@ func TestOpenLoopCountsErrorsAndDrops(t *testing.T) {
 	}
 }
 
-// TestOpenLoopTxOpReleasesDescriptors pins the slot-recycling contract for
-// open-loop workers: descriptors go back to the TM when workers exit.
+// TestOpenLoopTxOpReleasesDescriptors pins the cleanup half of NewOp: what a
+// worker acquires for its op (here a descriptor; in the service experiments
+// a connection) is handed back when the worker exits, run after run.
 func TestOpenLoopTxOpReleasesDescriptors(t *testing.T) {
 	tm := core.MustNew(core.Config{Space: mem.NewSpace(1 << 12)})
 	addr := uint64(0)
@@ -66,9 +67,13 @@ func TestOpenLoopTxOpReleasesDescriptors(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		OpenLoop{
 			Rate: 20000, Duration: 20 * time.Millisecond, Workers: 8, Seed: 42,
-			NewOp: TxOp[*core.Tx](tm, func(w *Worker, tx *core.Tx) {
-				tm.Atomic(tx, func(tx *core.Tx) { tx.Store(addr, tx.Load(addr)+1) })
-			}),
+			NewOp: func(*Worker) (func(*Worker) error, func()) {
+				tx := tm.NewTx()
+				return func(*Worker) error {
+					tm.Atomic(tx, func(tx *core.Tx) { tx.Store(addr, tx.Load(addr)+1) })
+					return nil
+				}, tx.Release
+			},
 		}.Run()
 	}
 	minted, free := tm.DescriptorCounts()

@@ -31,7 +31,7 @@ func StartWorkers[T txn.Tx](sys txn.System[T], threads int, seed uint64, op OpFu
 			defer ws.wg.Done()
 			w := &Worker{ID: id, Rng: rng.NewThread(seed, id)}
 			tx := sys.NewTx()
-			defer releaseTx(tx)
+			defer txn.Release(tx)
 			for !ws.stop.Load() {
 				op(w, tx)
 				w.Ops++
@@ -39,17 +39,6 @@ func StartWorkers[T txn.Tx](sys txn.System[T], threads int, seed uint64, op OpFu
 		}(i)
 	}
 	return ws
-}
-
-// releaseTx hands a descriptor back to its system when the STM supports
-// recycling (core.Tx does; the txn.Tx interface itself does not require
-// it). Without this, repeated worker-pool lifetimes on one long-lived TM
-// leak a descriptor slot per worker per cycle until the slot space is
-// exhausted.
-func releaseTx(tx any) {
-	if r, ok := tx.(interface{ Release() }); ok {
-		r.Release()
-	}
 }
 
 // Stop terminates the pool and waits for all workers to exit.

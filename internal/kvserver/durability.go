@@ -168,13 +168,12 @@ func (s *Server) recover() {
 	}
 
 	log, err := wal.Open(wal.Config{
-		Dir:          d.dir,
-		FS:           d.fs,
-		SegmentBytes: s.cfg.WALSegmentBytes,
-		BatchDelay:   s.cfg.WALBatch,
-		OnError:      s.degrade,
-		FlushNs:      s.met.walFlushNs,
-		BatchOps:     s.met.walBatchOps,
+		Dir:        d.dir,
+		FS:         d.fs,
+		BatchDelay: s.cfg.WALBatch,
+		OnError:    s.degrade,
+		FlushNs:    s.met.walFlushNs,
+		BatchOps:   s.met.walBatchOps,
 	})
 	if err != nil {
 		fail(err)

@@ -59,7 +59,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
 		SpaceWords: 1 << 18, Shards: 4, Buckets: 8,
 		Snapshots: true, AdmissionWidth: 8,
-		Autotune: true, TuneCM: true, TuneSnapshots: true, TuneAdmission: true,
+		Autotune: true, TuneAdmission: true,
 		BrownoutSLO: time.Second, Period: 2 * time.Millisecond, Samples: 1,
 	})
 	c := ts.Client()

@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"math/bits"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -73,28 +74,19 @@ type Config struct {
 	// instead of abort-prone classic read-only ones. On by default in
 	// cmd/stmkvd.
 	Snapshots bool
-	// SnapshotBudget is the sidecar's initial per-shard version budget
-	// (zero: the mvcc default). Requires Snapshots.
-	SnapshotBudget int
 	// Autotune attaches a tuning.Runtime (on by default in cmd/stmkvd).
+	// Next to the lock-table geometry it tunes every subsystem that
+	// exists: the conflict-resolution policy always, the sidecar's
+	// retained-version budget with Snapshots, the overload ladder with
+	// BrownoutSLO.
 	Autotune bool
-	// TuneCM additionally enables the runtime's adaptive policy
-	// controller: the conflict-resolution policy becomes a live tuning
-	// dimension next to the lock-table geometry. Requires Autotune.
-	TuneCM bool
-	// TuneSnapshots additionally enables the runtime's version-budget
-	// controller: the sidecar's retained-version budget becomes a live
-	// tuning dimension, metered by snapshot-too-old aborts. Requires
-	// Autotune and Snapshots.
-	TuneSnapshots bool
 	// AdmissionWidth puts a token-bucket gate of that many concurrent
 	// update transactions in front of the store (both HTTP and binary
 	// surfaces); 0 disables the gate. Reads are never gated.
 	AdmissionWidth int
-	// TuneAdmission additionally enables the runtime's admission
-	// controller: the gate width becomes a live tuning dimension walked
-	// from the observed abort ratio. Requires Autotune and
-	// AdmissionWidth > 0.
+	// TuneAdmission lets the runtime walk the gate width from the observed
+	// abort ratio; without it the width stays where AdmissionWidth put it.
+	// Takes effect with Autotune and AdmissionWidth > 0.
 	TuneAdmission bool
 	// BrownoutSLO arms overload brownout: when the per-period request
 	// p99 (measured by the tuning runtime from the latency histogram)
@@ -102,17 +94,12 @@ type Config struct {
 	// scans first, then writes, reads last — until p99 recovers. Zero
 	// disables. Requires Autotune (the runtime is the ladder's stepper).
 	BrownoutSLO time.Duration
-	// Period, Samples, MinPeriodCommits and Bounds mirror
-	// tuning.RuntimeConfig.
-	Period           time.Duration
-	Samples          int
-	MinPeriodCommits uint64
-	Bounds           tuning.Bounds
+	// Period, Samples and Bounds mirror tuning.RuntimeConfig.
+	Period  time.Duration
+	Samples int
+	Bounds  tuning.Bounds
 	// Seed drives the tuner's randomized move selection.
 	Seed uint64
-	// Now and After are the runtime's injectable clocks (tests).
-	Now   func() time.Time
-	After func(time.Duration) <-chan time.Time
 	// Durability selects the write-ahead-log ack mode: "off" (default —
 	// no log), "async" (logged, acked before fsync) or "group" (acked
 	// only after the commit's records are fsynced; concurrent commits
@@ -124,8 +111,6 @@ type Config struct {
 	// soon as records appear). Larger values trade ack latency for fewer
 	// fsyncs.
 	WALBatch time.Duration
-	// WALSegmentBytes sets the segment rotation size (0: wal default).
-	WALSegmentBytes int64
 	// CheckpointEvery is the background snapshot-checkpoint period; 0
 	// disables checkpointing (the log then grows without truncation).
 	CheckpointEvery time.Duration
@@ -153,18 +138,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Geometry == (core.Params{}) {
 		c.Geometry = core.Params{Locks: 1 << 8, Shifts: 0, Hier: 1}
-	}
-	// Normalize: the budget controller cannot exist without the sidecar.
-	// Folding the AND in here keeps every consumer — the runtime wiring
-	// AND the /tuning report — on one effective value, so the endpoint
-	// can never claim a tuning dimension that was silently disabled.
-	if !c.Snapshots {
-		c.TuneSnapshots = false
-	}
-	// Same normalization for the admission controller: no gate, nothing
-	// to tune.
-	if c.AdmissionWidth <= 0 {
-		c.TuneAdmission = false
 	}
 	// Brownout needs the tuning runtime as its stepper: without Autotune
 	// the ladder would be armed but frozen at off forever — normalize to
@@ -231,15 +204,14 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	tm, err := core.New(core.Config{
-		Space:          mem.NewSpace(cfg.SpaceWords),
-		Locks:          cfg.Geometry.Locks,
-		Shifts:         cfg.Geometry.Shifts,
-		Hier:           cfg.Geometry.Hier,
-		Design:         cfg.Design,
-		Clock:          cfg.Clock,
-		CM:             cfg.CM,
-		Snapshots:      cfg.Snapshots,
-		SnapshotBudget: cfg.SnapshotBudget,
+		Space:     mem.NewSpace(cfg.SpaceWords),
+		Locks:     cfg.Geometry.Locks,
+		Shifts:    cfg.Geometry.Shifts,
+		Hier:      cfg.Geometry.Hier,
+		Design:    cfg.Design,
+		Clock:     cfg.Clock,
+		CM:        cfg.CM,
+		Snapshots: cfg.Snapshots,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("kvserver: %w", err)
@@ -263,33 +235,27 @@ func New(cfg Config) (*Server, error) {
 		s.brown = resilience.NewBrownout(resilience.BrownoutConfig{SLO: cfg.BrownoutSLO})
 	}
 	if cfg.Autotune {
-		// A controller in the list is on: the Tune* switches decide which
-		// ones the runtime runs behind its geometry tuner.
-		var ctls []tuning.Controller
-		if cfg.TuneCM {
-			ctls = append(ctls, tuning.NewCM(tm, tuning.CMConfig{}))
-		}
-		if cfg.TuneSnapshots {
+		// A controller in the list is on: behind its geometry tuner the
+		// runtime runs one for every subsystem this server has.
+		ctls := []tuning.Controller{tuning.NewCM(tm, tuning.CMConfig{})}
+		if cfg.Snapshots {
 			ctls = append(ctls, tuning.NewBudget(tm, tuning.SnapshotConfig{}))
 		}
-		if cfg.TuneAdmission {
+		if cfg.TuneAdmission && s.gate != nil {
 			ctls = append(ctls, tuning.NewAdmission(s.gate, tuning.AdmissionConfig{}))
 		}
 		if s.brown != nil {
 			ctls = append(ctls, tuning.NewBrownout(s.brown))
 		}
 		s.rt = tuning.NewRuntime(tm, tuning.RuntimeConfig{
-			Tuner:            tuning.Config{Initial: cfg.Geometry, Bounds: cfg.Bounds, Seed: cfg.Seed},
-			Period:           cfg.Period,
-			Samples:          cfg.Samples,
-			MinPeriodCommits: cfg.MinPeriodCommits,
-			Controllers:      ctls,
+			Tuner:       tuning.Config{Initial: cfg.Geometry, Bounds: cfg.Bounds, Seed: cfg.Seed},
+			Period:      cfg.Period,
+			Samples:     cfg.Samples,
+			Controllers: ctls,
 			// A daemon tunes forever: keep only a bounded window of
 			// events in memory (/tuning serves its tail).
 			TraceCap: traceCap,
 			Latency:  s.met.reqAll,
-			Now:      cfg.Now,
-			After:    cfg.After,
 		})
 		s.met.registerTuning(s.rt)
 		if err := s.rt.Start(); err != nil {
@@ -596,6 +562,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// tunes reports whether the named controller is attached to this server's
+// tuning runtime: /stats and /tuning report what runs, not what was asked.
+func (s *Server) tunes(controller string) bool {
+	return s.rt != nil && slices.Contains(s.rt.Controllers(), controller)
+}
+
 // admissionWidth returns the gate's live width, 0 without a gate.
 func (s *Server) admissionWidth() int {
 	if s.gate == nil {
@@ -612,7 +584,7 @@ func (s *Server) admissionStats() map[string]any {
 	width, inflight, admitted, waited := s.gate.Stats()
 	return map[string]any{
 		"enabled":  true,
-		"tuned":    s.cfg.TuneAdmission,
+		"tuned":    s.tunes(tuning.AdmissionName),
 		"width":    width,
 		"inflight": inflight,
 		"admitted": admitted,
@@ -718,13 +690,13 @@ func (s *Server) handleTuning(w http.ResponseWriter, r *http.Request) {
 		"reconfigs_total":   st.Reconfigs,
 		"periods_total":     s.rt.Periods(),
 		"cm":                s.tm.CM().String(),
-		"cm_tuning":         s.cfg.TuneCM,
+		"cm_tuning":         s.tunes(tuning.CMName),
 		"cm_switches":       s.rt.Moves(tuning.CMName),
 		"cm_switches_total": st.CMSwitches,
-		"snapshot_tuning":   s.cfg.TuneSnapshots,
+		"snapshot_tuning":   s.tunes(tuning.BudgetName),
 		"version_budget":    s.tm.VersionBudget(),
 		"budget_moves":      s.rt.Moves(tuning.BudgetName),
-		"admission_tuning":  s.cfg.TuneAdmission,
+		"admission_tuning":  s.tunes(tuning.AdmissionName),
 		"admission_width":   s.admissionWidth(),
 		"admission_moves":   s.rt.Moves(tuning.AdmissionName),
 		"brownout_tuning":   s.brown != nil,

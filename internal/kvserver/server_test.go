@@ -292,11 +292,11 @@ func TestTuningReportsCMPolicy(t *testing.T) {
 	// first period legitimately de-escalates).
 	srv, ts := newTestServer(t, Config{
 		SpaceWords: 1 << 18, Shards: 2, Buckets: 8,
-		Autotune: true, TuneCM: true,
-		CM:      cm.Karma,
-		Period:  time.Hour,
-		Samples: 1,
-		Seed:    42,
+		Autotune: true,
+		CM:       cm.Karma,
+		Period:   time.Hour,
+		Samples:  1,
+		Seed:     42,
 	})
 	c := ts.Client()
 
@@ -344,11 +344,11 @@ func TestTuningReportsCMPolicy(t *testing.T) {
 	// only the field's presence is asserted).
 	_, fast := newTestServer(t, Config{
 		SpaceWords: 1 << 18, Shards: 2, Buckets: 8,
-		Autotune: true, TuneCM: true,
-		CM:      cm.Karma,
-		Period:  5 * time.Millisecond,
-		Samples: 1,
-		Seed:    42,
+		Autotune: true,
+		CM:       cm.Karma,
+		Period:   5 * time.Millisecond,
+		Samples:  1,
+		Seed:     42,
 	})
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -366,20 +366,17 @@ func TestTuningReportsCMPolicy(t *testing.T) {
 	}
 }
 
-// Without TuneCM the /tuning payload must say so and leave events
-// unannotated.
+// The policy controller comes with the runtime: a server without Autotune
+// has neither, and /tuning says so.
 func TestTuningWithoutCMController(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		SpaceWords: 1 << 18, Shards: 2, Buckets: 8,
-		Autotune: true, Period: 5 * time.Millisecond, Samples: 1,
-	})
+	_, ts := newTestServer(t, Config{SpaceWords: 1 << 18, Shards: 2, Buckets: 8})
 	var tun struct {
 		Enabled  bool `json:"enabled"`
 		CMTuning bool `json:"cm_tuning"`
 	}
 	doJSON(t, ts.Client(), "GET", ts.URL+"/tuning", "", &tun)
-	if !tun.Enabled || tun.CMTuning {
-		t.Fatalf("cm_tuning = %v, want false", tun.CMTuning)
+	if tun.Enabled || tun.CMTuning {
+		t.Fatalf("/tuning = %+v on a static server, want everything off", tun)
 	}
 }
 
@@ -428,7 +425,7 @@ func TestScanEndpoint(t *testing.T) {
 }
 
 func TestStatsReportsSnapshotCounters(t *testing.T) {
-	_, ts := newTestServer(t, Config{SpaceWords: 1 << 18, Shards: 4, Buckets: 8, Snapshots: true, SnapshotBudget: 128})
+	srv, ts := newTestServer(t, Config{SpaceWords: 1 << 18, Shards: 4, Buckets: 8, Snapshots: true})
 	client := ts.Client()
 	doJSON(t, client, "PUT", ts.URL+"/kv/1", "10", nil)
 	doJSON(t, client, "PUT", ts.URL+"/kv/1", "11", nil)
@@ -447,7 +444,7 @@ func TestStatsReportsSnapshotCounters(t *testing.T) {
 	if code := doJSON(t, client, "GET", ts.URL+"/stats", "", &st); code != http.StatusOK {
 		t.Fatalf("GET /stats status %d", code)
 	}
-	if !st.Snapshots.Enabled || st.Snapshots.VersionBudget != 128 {
+	if !st.Snapshots.Enabled || st.Snapshots.VersionBudget == 0 || st.Snapshots.VersionBudget != srv.TM().VersionBudget() {
 		t.Fatalf("snapshot stats %+v", st.Snapshots)
 	}
 	if st.Snapshots.ReadsLive == 0 {
@@ -475,10 +472,9 @@ func TestScanWithoutSnapshotsFallsBack(t *testing.T) {
 }
 
 func TestTuningReportsVersionBudget(t *testing.T) {
-	_, ts := newTestServer(t, Config{
+	srv, ts := newTestServer(t, Config{
 		SpaceWords: 1 << 18, Shards: 4, Buckets: 8,
-		Snapshots: true, SnapshotBudget: 256,
-		Autotune: true, TuneSnapshots: true,
+		Snapshots: true, Autotune: true,
 		Period: time.Hour, // the controller goroutine idles; we only read the summary
 	})
 	client := ts.Client()
@@ -490,28 +486,29 @@ func TestTuningReportsVersionBudget(t *testing.T) {
 	if code := doJSON(t, client, "GET", ts.URL+"/tuning", "", &out); code != http.StatusOK {
 		t.Fatalf("GET /tuning status %d", code)
 	}
-	if !out.SnapshotTuning || out.VersionBudget != 256 || out.BudgetMoves != 0 {
+	if !out.SnapshotTuning || out.VersionBudget == 0 || out.VersionBudget != srv.TM().VersionBudget() || out.BudgetMoves != 0 {
 		t.Fatalf("tuning summary %+v", out)
 	}
 }
 
+// /tuning reports the controllers that are attached, not the ones asked
+// for: no sidecar, no budget controller; no gate, no admission controller.
 func TestTuneSnapshotsRequiresSnapshots(t *testing.T) {
-	s, ts := newTestServer(t, Config{
+	_, ts := newTestServer(t, Config{
 		SpaceWords: 1 << 18, Shards: 4, Buckets: 8,
-		Snapshots: false, Autotune: true, TuneSnapshots: true,
+		Snapshots: false, Autotune: true, TuneAdmission: true,
 		Period: time.Hour,
 	})
-	if s == nil {
-		t.Fatal("server not built")
-	}
 	var out struct {
-		SnapshotTuning bool `json:"snapshot_tuning"`
+		CMTuning        bool `json:"cm_tuning"`
+		SnapshotTuning  bool `json:"snapshot_tuning"`
+		AdmissionTuning bool `json:"admission_tuning"`
 	}
 	if code := doJSON(t, ts.Client(), "GET", ts.URL+"/tuning", "", &out); code != http.StatusOK {
 		t.Fatalf("GET /tuning status %d", code)
 	}
-	if out.SnapshotTuning {
-		t.Fatal("/tuning claims snapshot tuning with the sidecar disabled")
+	if !out.CMTuning || out.SnapshotTuning || out.AdmissionTuning {
+		t.Fatalf("/tuning = %+v without sidecar or gate, want cm only", out)
 	}
 }
 
@@ -591,7 +588,7 @@ func TestTuningWireKeysFrozen(t *testing.T) {
 
 	_, ts := newTestServer(t, Config{
 		SpaceWords: 1 << 18, Shards: 2, Buckets: 8, Snapshots: true, AdmissionWidth: 8,
-		Autotune: true, TuneCM: true, TuneSnapshots: true, TuneAdmission: true,
+		Autotune: true, TuneAdmission: true,
 		BrownoutSLO: time.Second, Period: time.Hour,
 	})
 	var top map[string]json.RawMessage

@@ -71,7 +71,7 @@ func New[T txn.Tx](sys txn.System[T], shards, buckets uint64) *Map[T] {
 	}
 	m := &Map[T]{shards: shards, shardBits: uint(bits.TrailingZeros64(shards))}
 	tx := sys.NewTx()
-	defer release(tx)
+	defer txn.Release(tx)
 	sys.Atomic(tx, func(tx T) {
 		m.base = tx.Alloc(int(shards) * hdrWords)
 		for s := uint64(0); s < shards; s++ {
@@ -83,13 +83,6 @@ func New[T txn.Tx](sys txn.System[T], shards, buckets uint64) *Map[T] {
 		}
 	})
 	return m
-}
-
-// release hands a descriptor back when the system supports recycling.
-func release(tx any) {
-	if r, ok := tx.(interface{ Release() }); ok {
-		r.Release()
-	}
 }
 
 // Shards returns the (static) shard count.

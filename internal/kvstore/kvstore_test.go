@@ -177,25 +177,3 @@ func TestApplyReadOnlyBatchUsesROPath(t *testing.T) {
 		t.Fatalf("read-only batch should be one commit, got %d", delta.Commits)
 	}
 }
-
-func TestMixOpDrivesAllPaths(t *testing.T) {
-	tm := newTM(t, core.WriteBack, 1<<20)
-	s := NewStore[*core.Tx](tm, 4, 8)
-	defer s.Close()
-	Preload[*core.Tx](tm, s.Map(), 256, 1)
-	op := MixOp[*core.Tx](tm, s.Map(), Mix{
-		Keys: 256, Theta: 0.9, ReadPct: 50, CASPct: 20, BatchPct: 10, BatchSize: 3,
-	})
-	tx := tm.NewTx()
-	defer tx.Release()
-	w := &Worker{ID: 0, Rng: rng.New(4)}
-	for i := 0; i < 2000; i++ {
-		op(w, tx)
-	}
-	if s.Len() < 256 {
-		t.Fatalf("mix deleted keys it should not: Len=%d", s.Len())
-	}
-	if c, _ := tm.CommitAbortCounts(); c < 2000 {
-		t.Fatalf("expected >= one commit per op, got %d", c)
-	}
-}

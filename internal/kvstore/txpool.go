@@ -53,7 +53,7 @@ func (p *TxPool[T]) Put(tx T) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		release(tx)
+		txn.Release(tx)
 		return
 	}
 	p.free = append(p.free, tx)
@@ -69,7 +69,7 @@ func (p *TxPool[T]) Close() {
 	p.closed = true
 	p.mu.Unlock()
 	for _, tx := range free {
-		release(tx)
+		txn.Release(tx)
 	}
 }
 

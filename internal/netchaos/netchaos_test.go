@@ -202,11 +202,15 @@ func TestBlackoutKillsAndRefuses(t *testing.T) {
 		t.Fatal("live connection survived the blackout")
 	}
 	// New connections accept then die immediately: any I/O fails fast.
-	c2 := dialT(t, p.Addr())
-	c2.SetReadDeadline(time.Now().Add(2 * time.Second))
-	c2.Write([]byte("x"))
-	if _, err := io.ReadFull(c2, one); err == nil {
-		t.Fatal("blackout proxy served a new connection")
+	// The reset can land before connect(2) returns, so a failed dial is
+	// the blackout refusing too.
+	if c2, err := net.DialTimeout("tcp", p.Addr(), 2*time.Second); err == nil {
+		defer c2.Close()
+		c2.SetReadDeadline(time.Now().Add(2 * time.Second))
+		c2.Write([]byte("x"))
+		if _, err := io.ReadFull(c2, one); err == nil {
+			t.Fatal("blackout proxy served a new connection")
+		}
 	}
 
 	p.SetBlackout(false)

@@ -53,6 +53,16 @@ type System[T Tx] interface {
 	Stats() Stats
 }
 
+// Release hands a descriptor back to its system when the STM recycles
+// them (core.Tx does; the Tx interface does not require it). Without it,
+// repeated NewTx lifetimes on one long-lived system leak a descriptor slot
+// each until the slot space is exhausted.
+func Release(tx Tx) {
+	if r, ok := tx.(interface{ Release() }); ok {
+		r.Release()
+	}
+}
+
 // SnapshotSystem extends System for STMs that run read-only transactions
 // in MVCC snapshot mode: a start timestamp is picked once and every read
 // is served at that timestamp (live word or version sidecar), with no read

@@ -148,7 +148,7 @@ func Setup[T txn.Tx](sys txn.System[T], p Params, seed uint64) *Manager {
 	p = p.withDefaults()
 	m := &Manager{params: p}
 	tx := sys.NewTx()
-	defer release(tx)
+	defer txn.Release(tx)
 	r := rng.New(seed)
 	sys.Atomic(tx, func(tx T) {
 		m.cars = intset.NewTree(tx)
@@ -173,15 +173,6 @@ func Setup[T txn.Tx](sys txn.System[T], p Params, seed uint64) *Manager {
 		}
 	}
 	return m
-}
-
-// release hands a descriptor back when the system supports recycling.
-// Setup minted one descriptor per call and dropped it, which retained a
-// TM slot forever — enough Setups would exhaust maxSlots.
-func release(tx any) {
-	if r, ok := tx.(interface{ Release() }); ok {
-		r.Release()
-	}
 }
 
 // Params returns the workload parameters the manager was built with.

@@ -104,7 +104,7 @@ func loadCheckpointFile(fs FS, p string) (map[uint64]uint64, uint64, uint64, err
 	ts := binary.LittleEndian.Uint64(body[off+8:])
 	count := binary.LittleEndian.Uint64(body[off+16:])
 	off += 24
-	if uint64(len(body)-off) != count*16 {
+	if rest := uint64(len(body) - off); rest%16 != 0 || rest/16 != count {
 		return nil, 0, 0, &CorruptError{Path: p, Offset: off, Reason: "checkpoint pair count mismatch"}
 	}
 	pairs := make(map[uint64]uint64, count)

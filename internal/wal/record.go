@@ -103,6 +103,11 @@ func decodePayload(p []byte) ([]Record, error) {
 	}
 	n := binary.LittleEndian.Uint32(p)
 	p = p[4:]
+	// A count the payload cannot hold is a lie: refuse it before sizing
+	// anything by it.
+	if uint64(n)*recHeaderLen > uint64(len(p)) {
+		return nil, fmt.Errorf("record count %d exceeds payload", n)
+	}
 	recs := make([]Record, 0, n)
 	for i := uint32(0); i < n; i++ {
 		if len(p) < recHeaderLen {

@@ -22,6 +22,13 @@ go vet ./... || fail=1
 # including examples/ and cmd/.
 go run ./cmd/stmlint ./... || fail=1
 
+# Layering: the store is a library under the server; the benchmark
+# harness drives it from above and is never one of its dependencies.
+if go list -deps ./internal/kvstore | grep -qx 'tinystm/internal/harness'; then
+  echo "layering: internal/kvstore depends on internal/harness"
+  fail=1
+fi
+
 if command -v staticcheck >/dev/null 2>&1; then
   staticcheck ./... || fail=1
 else
