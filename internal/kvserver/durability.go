@@ -2,6 +2,7 @@ package kvserver
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -130,13 +131,22 @@ func (s *Server) startDurability() {
 //  1. Replay: newest valid checkpoint + every segment, fold into state.
 //  2. Load the folded state into the store (durability still off, so
 //     loading does not re-log the records).
-//  3. Open the log on a fresh segment, write a BOOT CHECKPOINT of the
-//     recovered state, then drop every pre-boot segment and checkpoint.
-//     After this the on-disk era is entirely this process's: recovery
-//     never has to order this boot's (epoch, ts) positions against a
-//     previous incarnation's clock.
-//  4. Attach the redo hook and the store's durability mode, then flip to
+//  3. Write a BOOT CHECKPOINT of the recovered state, then drop every
+//     pre-boot segment, oldest first, and every older checkpoint.
+//  4. Only now open the log, on a fresh segment. After this the on-disk
+//     era is entirely this process's: recovery never has to order this
+//     boot's (epoch, ts) positions against a previous incarnation's clock.
+//  5. Attach the redo hook and the store's durability mode, then flip to
 //     ready. Only now can traffic generate log records.
+//
+// The order of 3 and 4 is what makes a crash during recovery recoverable.
+// Replay forgives a torn or still-reserved tail in the NEWEST segment
+// only, and after a kill -9 the old log's last segment has one; a fresh
+// segment created beside it would turn that tail into mid-log corruption
+// at the next boot. So no new segment exists while an old one does, and
+// removing oldest-first means that whatever a second crash leaves behind
+// is the boot checkpoint plus a suffix of the old log, replayed over it
+// idempotently, its torn tail still last.
 //
 // Any error before ready parks the server in stateFailed with the cause:
 // serving writes that recovery may have dropped would be data loss.
@@ -150,7 +160,7 @@ func (s *Server) recover() {
 		close(d.recDone)
 	}
 
-	pairs, stats, err := wal.Replay(d.fs, d.dir)
+	state, stats, err := wal.Replay(d.fs, d.dir)
 	if err != nil {
 		fail(err)
 		return
@@ -159,12 +169,30 @@ func (s *Server) recover() {
 	d.recStats = stats
 	d.mu.Unlock()
 
-	s.store.Load(pairs)
+	s.store.Load(state)
 
 	if s.cfg.recoveryGate != nil {
 		// Test hook: hold the server in stateStarting until released so
 		// readiness behaviour is observable deterministically.
 		<-s.cfg.recoveryGate
+	}
+
+	pairs := make([]kvstore.KV, 0, len(state))
+	for k, v := range state {
+		pairs = append(pairs, kvstore.KV{Key: k, Val: v})
+	}
+	bootCkpt := stats.MaxCheckpointIndex + 1
+	if err := wal.WriteCheckpoint(d.fs, d.dir, bootCkpt, 0, 0, pairs); err != nil {
+		fail(fmt.Errorf("kvserver: boot checkpoint: %w", err))
+		return
+	}
+	if err := wal.RemoveSegmentsBefore(d.fs, d.dir, math.MaxUint64); err != nil {
+		fail(fmt.Errorf("kvserver: drop pre-boot segments: %w", err))
+		return
+	}
+	if err := wal.RemoveCheckpointsBefore(d.fs, d.dir, bootCkpt); err != nil {
+		fail(fmt.Errorf("kvserver: drop pre-boot checkpoints: %w", err))
+		return
 	}
 
 	log, err := wal.Open(wal.Config{
@@ -182,23 +210,6 @@ func (s *Server) recover() {
 	d.mu.Lock()
 	d.log = log
 	d.mu.Unlock()
-
-	bootCkpt := stats.MaxCheckpointIndex + 1
-	if err := wal.WriteCheckpoint(d.fs, d.dir, bootCkpt, 0, 0, pairs); err != nil {
-		log.Close()
-		fail(fmt.Errorf("kvserver: boot checkpoint: %w", err))
-		return
-	}
-	if err := log.DropSegmentsBefore(log.Stats().Segment); err != nil {
-		log.Close()
-		fail(fmt.Errorf("kvserver: drop pre-boot segments: %w", err))
-		return
-	}
-	if err := wal.RemoveCheckpointsBefore(d.fs, d.dir, bootCkpt); err != nil {
-		log.Close()
-		fail(fmt.Errorf("kvserver: drop pre-boot checkpoints: %w", err))
-		return
-	}
 	d.nextCkpt = bootCkpt + 1
 
 	var sink kvstore.DurabilitySink
@@ -390,6 +401,9 @@ func (s *Server) durabilityStats(redoRecords uint64) map[string]any {
 			"rotations": ls.Rotations,
 			"segment":   ls.Segment,
 			"failed":    ls.Failed,
+			// false: segments could not be reserved (no fallocate here),
+			// so every sync also commits a new file size.
+			"preallocated": ls.Preallocated,
 		}
 	}
 	return out

@@ -1,10 +1,12 @@
 package kvserver
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"testing"
 
+	"tinystm/internal/kvstore"
 	"tinystm/internal/wal"
 )
 
@@ -278,5 +280,97 @@ func TestCheckpointTruncatesAndRestartUsesIt(t *testing.T) {
 	}
 	if code := doJSON(t, c2, "GET", ts2.URL+"/kv/100", "", &got); code != 200 || got.Val != 1000 {
 		t.Fatalf("post-checkpoint key: status %d val %d", code, got.Val)
+	}
+}
+
+// TestCrashDuringRecoveryIsRecoverable is the two-crash sweep. The first
+// incarnation acks some writes and is killed mid-write, leaving the old
+// log's last segment torn (or, on a reserving filesystem, still holding
+// its reservation). The second is killed at the nth write of its boot
+// sequence, for every n, and once more just after it came up. The third
+// must reach ready with every acked write: recovery forgives a bad tail in
+// the newest segment only, so a boot that created its fresh segment while
+// the old one still existed would turn that tail into mid-log corruption
+// and park every later boot in failed.
+func TestCrashDuringRecoveryIsRecoverable(t *testing.T) {
+	type disk struct {
+		name  string
+		newFS func() *wal.MemFS
+		crash func(*wal.MemFS)
+	}
+	disks := []disk{
+		{"plain/tail kept", wal.NewMemFS, func(fs *wal.MemFS) { fs.Crash(1 << 20) }},
+		{"plain/tail lost", wal.NewMemFS, func(fs *wal.MemFS) { fs.Crash(0) }},
+	}
+	for name, keep := range map[string]func(i, n int) bool{
+		"none":  func(i, n int) bool { return false },
+		"all":   func(i, n int) bool { return true },
+		"first": func(i, n int) bool { return i == 0 },
+		"last":  func(i, n int) bool { return i == n-1 },
+	} {
+		disks = append(disks, disk{"reserving/" + name, wal.NewReservingMemFS,
+			func(fs *wal.MemFS) { fs.CrashSectors(keep) }})
+	}
+	const acked = 5
+	// The write the first kill catches: one frame of three sectors.
+	inFlight := make([]kvstore.Op, 64)
+	for i := range inFlight {
+		inFlight[i] = kvstore.Op{Kind: kvstore.OpPut, Key: 1000 + uint64(i), Val: ^uint64(i)}
+	}
+	// boot brings a server up on fs and reports how recovery went.
+	boot := func(fs *wal.MemFS) (*Server, error) {
+		s, err := New(durableCfg(fs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, s.RecoveryWait()
+	}
+	for _, d := range disks {
+		t.Run(d.name, func(t *testing.T) {
+			for n := 1; ; n++ {
+				fs := d.newFS()
+				s1, err := boot(fs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := uint64(1); k <= acked; k++ {
+					s1.store.Put(k, k*10)
+				}
+				fs.CrashAtWrite(1)
+				func() {
+					defer func() {
+						var de *kvstore.DurabilityError
+						if err, _ := recover().(error); !errors.As(err, &de) {
+							t.Fatalf("write into a dying disk: %v, want a DurabilityError", err)
+						}
+					}()
+					s1.store.Apply(inFlight)
+				}()
+				s1.Close()
+				d.crash(fs)
+
+				fs.CrashAtWrite(n)
+				s2, err := boot(fs)
+				s2.Close()
+				d.crash(fs) // n past the boot's last write: the kill just after it came up
+				s3, err3 := boot(fs)
+				if err3 != nil {
+					t.Fatalf("second crash at boot write %d (that boot: %v): the next one is parked in %s: %v", n, err, s3.State(), err3)
+				}
+				for k := uint64(1); k <= acked; k++ {
+					if v, ok := s3.store.Get(k); !ok || v != k*10 {
+						t.Fatalf("second crash at boot write %d: acked key %d = (%d, %v)", n, k, v, ok)
+					}
+				}
+				// The unacked batch is there whole or not at all.
+				if got := s3.store.Len(); got != acked && got != acked+uint64(len(inFlight)) {
+					t.Fatalf("second crash at boot write %d: %d keys recovered", n, got)
+				}
+				s3.Close()
+				if err == nil {
+					return // the sweep has passed the end of the boot sequence
+				}
+			}
+		})
 	}
 }

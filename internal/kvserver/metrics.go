@@ -249,8 +249,15 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(m.walStats.Appends) })
 	m.reg.CounterFunc("stmkvd_wal_batches_total", "Flusher batches that reached disk.", nil,
 		func() float64 { return float64(m.walStats.Batches) })
-	m.reg.CounterFunc("stmkvd_wal_syncs_total", "WAL fsyncs.", nil,
+	m.reg.CounterFunc("stmkvd_wal_syncs_total", "WAL fsyncs: one per batch, per segment header and per sealed reserved segment.", nil,
 		func() float64 { return float64(m.walStats.Syncs) })
+	m.reg.GaugeFunc("stmkvd_wal_preallocated", "1 when the current WAL segment was reserved ahead of its writes (a sync is one data write), 0 when the filesystem has no fallocate and frames grow the file.", nil,
+		func() float64 {
+			if m.walStats.Preallocated {
+				return 1
+			}
+			return 0
+		})
 	m.reg.CounterFunc("stmkvd_wal_rotations_total", "WAL segment rotations.", nil,
 		func() float64 { return float64(m.walStats.Rotations) })
 	m.reg.Histogram("stmkvd_wal_flush_seconds", "Write+fsync duration per WAL batch.", nil,

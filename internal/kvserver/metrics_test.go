@@ -210,6 +210,20 @@ func TestMetricsWAL(t *testing.T) {
 	if v, ok := val("stmkvd_wal_batch_ops_count"); !ok || v < 1 {
 		t.Fatalf("wal batch-size histogram count = %v (ok=%v), want >= 1", v, ok)
 	}
+	// Whether the disk under t.TempDir() can reserve is the host's affair;
+	// the gauge and /stats must say the same thing about it.
+	var st struct {
+		Durability struct {
+			WAL struct {
+				Preallocated *bool `json:"preallocated"`
+			} `json:"wal"`
+		} `json:"durability"`
+	}
+	doJSON(t, c, "GET", ts.URL+"/stats", "", &st)
+	v, ok := val("stmkvd_wal_preallocated")
+	if p := st.Durability.WAL.Preallocated; !ok || p == nil || *p != (v == 1) {
+		t.Fatalf("stmkvd_wal_preallocated = %v (ok=%v), /stats preallocated = %v", v, ok, p)
+	}
 }
 
 // TestTxTraceEndpoint drives enough sampled traffic to fill the flight

@@ -117,13 +117,14 @@ func (s *Store[T]) Load(pairs map[uint64]uint64) {
 }
 
 // CheckpointScan captures the full table in ONE consistent transaction —
-// the snapshot a checkpoint may be built from — plus the (clock epoch,
-// snapshot timestamp) position it was taken at. ok reports whether the
-// scan really was a single consistent snapshot with a known position;
+// the snapshot a checkpoint may be built from, in table order — plus the
+// (clock epoch, snapshot timestamp) position it was taken at. ok reports
+// whether the scan really was a single consistent snapshot with a known
+// position;
 // without snapshot mode or position support it returns ok=false and the
 // caller must not checkpoint from it (per-shard fallbacks are not
 // mutually consistent).
-func (s *Store[T]) CheckpointScan() (pairs map[uint64]uint64, epoch, ts uint64, ok bool) {
+func (s *Store[T]) CheckpointScan() (pairs []KV, epoch, ts uint64, ok bool) {
 	var zero T
 	if _, can := any(zero).(positioned); !can || s.snap == nil {
 		return nil, 0, 0, false
@@ -131,14 +132,13 @@ func (s *Store[T]) CheckpointScan() (pairs map[uint64]uint64, epoch, ts uint64, 
 	tx := s.pool.Get()
 	defer s.pool.Put(tx)
 	s.snap.AtomicSnap(tx, func(tx T) {
-		// Sized from the last scan: growing a map from empty to the whole
-		// table rehashes it a dozen times over, every checkpoint.
-		pairs = make(map[uint64]uint64, s.ckptPairs.Load())
+		// Sized from the last scan, so a steady table is one allocation.
+		pairs = make([]KV, 0, s.ckptPairs.Load())
 		p := any(tx).(positioned)
 		ts, _ = p.Snapshot()
 		epoch = p.ClockEpoch()
 		s.m.Range(tx, func(k, v uint64) bool {
-			pairs[k] = v
+			pairs = append(pairs, KV{Key: k, Val: v})
 			return true
 		})
 	})

@@ -96,7 +96,7 @@ type Store[T txn.Tx] struct {
 	durable bool
 	sink    DurabilitySink
 	// ckptPairs is the pair count of the last CheckpointScan, the next
-	// one's size hint.
+	// one's capacity.
 	//stm:allow-atomic checkpoint size hint, read and written outside any transaction
 	ckptPairs atomic.Int64
 	// heat, when attached (SetShardHeat), receives one op plus the retry
@@ -355,11 +355,8 @@ func (s *Store[T]) Len() (n uint64) {
 	return n
 }
 
-// KV is one key/value pair returned by Scan.
-type KV struct {
-	Key uint64 `json:"key"`
-	Val uint64 `json:"val"`
-}
+// KV is one key/value pair returned by Scan and CheckpointScan.
+type KV = txn.KV
 
 // Scan iterates the whole table, returning up to limit pairs (all of
 // them when limit <= 0) and the total number of live keys it walked.

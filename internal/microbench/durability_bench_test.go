@@ -91,3 +91,32 @@ func benchDurabilityPutParallel(b *testing.B, mode string) {
 
 func BenchmarkDurabilityPutParallelOff(b *testing.B)   { benchDurabilityPutParallel(b, "off") }
 func BenchmarkDurabilityPutParallelGroup(b *testing.B) { benchDurabilityPutParallel(b, "group") }
+
+// BenchmarkCheckpoint64k is what one checkpoint costs the server beyond
+// its disk writes, at write-wal's table size: scan 65 536 pairs out of the
+// store in one snapshot, sort them, encode the file (onto a MemFS: the
+// fsyncs are the disk's bill, not this code's). The server pays it every
+// -checkpoint-every, beside the request path.
+func BenchmarkCheckpoint64k(b *testing.B) {
+	tm := core.MustNew(core.Config{Space: mem.NewSpace(1 << 22), Snapshots: true})
+	s := kvstore.NewStore[*core.Tx](tm, 16, 64)
+	defer s.Close()
+	for k := uint64(0); k < 1<<16; k++ {
+		s.Put(k, k)
+	}
+	fs := wal.NewMemFS()
+	if err := fs.MkdirAll("wal"); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pairs, epoch, ts, ok := s.CheckpointScan()
+		if !ok || len(pairs) != 1<<16 {
+			b.Fatalf("CheckpointScan: %d pairs, ok=%v", len(pairs), ok)
+		}
+		if err := wal.WriteCheckpoint(fs, "wal", 1, epoch, ts, pairs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

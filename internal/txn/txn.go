@@ -118,6 +118,12 @@ type RedoOp struct {
 	Val  uint64
 }
 
+// KV is one key/value pair of a table scan or a checkpoint.
+type KV struct {
+	Key uint64 `json:"key"`
+	Val uint64 `json:"val"`
+}
+
 // DurableTicket is an opaque handle a RedoHook returns for one committed
 // transaction's redo records; the caller that needs ack-after-durable
 // semantics hands it back to the durability layer and blocks until the

@@ -1,12 +1,15 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"path"
 	"slices"
 	"sort"
+
+	"tinystm/internal/txn"
 )
 
 // Checkpoint files (ckpt-%020d.ckpt) hold one full key/value snapshot:
@@ -33,27 +36,24 @@ func parseCkptName(name string) (uint64, bool) {
 	return parseIndexedName(name, "ckpt-", ".ckpt")
 }
 
-// WriteCheckpoint durably writes snapshot pairs as checkpoint index idx.
-// epoch and ts record the snapshot position for diagnostics; recovery
-// never compares them (truncation discipline makes that unnecessary).
-func WriteCheckpoint(fs FS, dir string, idx, epoch, ts uint64, pairs map[uint64]uint64) error {
+// WriteCheckpoint durably writes snapshot pairs — one per key, which it
+// sorts in place — as checkpoint index idx. epoch and ts record the
+// snapshot position for diagnostics; recovery never compares them
+// (truncation discipline makes that unnecessary).
+func WriteCheckpoint(fs FS, dir string, idx, epoch, ts uint64, pairs []txn.KV) error {
 	if fs == nil {
 		fs = OS
 	}
-	keys := make([]uint64, 0, len(pairs))
-	for k := range pairs {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
+	slices.SortFunc(pairs, func(a, b txn.KV) int { return cmp.Compare(a.Key, b.Key) })
 
 	buf := make([]byte, 0, len(ckptMagic)+24+len(pairs)*16+4)
 	buf = append(buf, ckptMagic...)
 	buf = le64(buf, epoch)
 	buf = le64(buf, ts)
 	buf = le64(buf, uint64(len(pairs)))
-	for _, k := range keys {
-		buf = le64(buf, k)
-		buf = le64(buf, pairs[k])
+	for _, kv := range pairs {
+		buf = le64(buf, kv.Key)
+		buf = le64(buf, kv.Val)
 	}
 	buf = le32(buf, crc32.Checksum(buf, crcTable))
 

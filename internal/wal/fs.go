@@ -13,6 +13,17 @@
 // Callers that need ack-after-durable semantics hold the ticket Append
 // returns until it resolves.
 //
+// That one fsync is meant to cost one data write. A segment is reserved
+// whole when it is created (Reserver: a size-extending fallocate on
+// Linux), so a frame overwrites zeros the file already owns instead of
+// growing it, and the sync has no size or block-allocation change to push
+// through the filesystem's journal. A segment is cut back to its frames
+// and synced when it is sealed, before its successor is created: only the
+// newest segment on disk can ever end in reserved zeros. Where the file
+// cannot be reserved (another platform, a filesystem that refuses
+// fallocate) frames are appended as they always were, in the same format;
+// Stats.Preallocated says which of the two a running log got.
+//
 // The ticket (Pending) is built so that a commit pays for the log and for
 // nothing else. It carries no channel: a flag says resolved, Done polls it,
 // and Wait parks on a counter inside the ticket only when it really has to
@@ -29,7 +40,9 @@
 // disk is at least as new as every record already folded into the
 // checkpoint, and the last record wins. A torn tail in the final segment
 // (the signature of kill -9 mid-write) is tolerated and measured;
-// corruption anywhere else fails loudly.
+// corruption anywhere else fails loudly. With reserved segments "torn" can
+// no longer mean "the file ends early"; parseSegment states the rule that
+// replaced it.
 package wal
 
 import (
@@ -61,13 +74,27 @@ type FS interface {
 	SyncDir(dir string) error
 }
 
-// File is a writable log file.
+// File is a writable log file. Write continues where the last one ended,
+// from offset zero in a file just created; it does not seek to the end.
 type File interface {
 	io.Writer
 	// Sync flushes written data to stable storage.
 	Sync() error
 	// Close closes the file.
 	Close() error
+}
+
+// Reserver is an optional capability of a File: space for what will be
+// written can be claimed ahead of the writes. The log asks every segment
+// it creates for it and appends as before when the File has none or
+// Reserve fails.
+type Reserver interface {
+	// Reserve extends the empty file to size bytes of allocated zeros
+	// without moving the write position. It may fail after extending the
+	// file part of the way.
+	Reserve(size int64) error
+	// Truncate sets the file's size, dropping what lies beyond it.
+	Truncate(size int64) error
 }
 
 // OS is the real filesystem.
@@ -97,7 +124,7 @@ func (osFS) Create(path string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f, nil
+	return osFile(f), nil
 }
 
 func (osFS) Remove(path string) error { return os.Remove(path) }

@@ -48,14 +48,20 @@ type Stats struct {
 	// Appends counts records staged; Batches counts flusher drains that
 	// reached disk — a frame was written and fsynced; a barrier-only
 	// drain (Flush or Rotate with nothing staged) is not one; Syncs counts
-	// fsyncs (one per batch plus segment headers); Rotations counts
-	// segment rollovers.
+	// fsyncs: one per batch, one per segment header and, for a reserved
+	// segment, one more when it is sealed (cut back to its frames);
+	// Rotations counts segment rollovers.
 	Appends   uint64
 	Batches   uint64
 	Syncs     uint64
 	Rotations uint64
 	// Segment is the index of the segment currently being written.
 	Segment uint64
+	// Preallocated reports whether that segment got its reservation, so
+	// that a batch's fsync writes data blocks only. False means frames
+	// grow the file — the platform or the filesystem has no fallocate —
+	// and every sync also commits the new size: correct, and dearer.
+	Preallocated bool
 	// Failed reports the sticky failed state.
 	Failed bool
 }
@@ -64,6 +70,11 @@ type Stats struct {
 // logs one and a two-key transfer two, so the common Append is a single
 // allocation.
 const inlineOps = 2
+
+// reserveSlack is what a segment reserves beyond SegmentBytes: room for
+// the batch that carries it over the threshold. A frame that outruns even
+// this just grows the file, as every frame did before reservations.
+const reserveSlack = 64 << 10
 
 // Pending is the durability ticket for one Append: it resolves once the
 // record's batch is fsynced (nil error) or the log fails. It satisfies
@@ -131,9 +142,11 @@ type Log struct {
 	curIndex uint64
 	curSize  int64
 	failErr  error
-	// segment mirrors curIndex for readers that must not wait for an
-	// fsync in flight (Stats, DropSegmentsBefore).
-	segment atomic.Uint64
+	// segment and reserved mirror curIndex and "cur holds a reservation"
+	// for readers that must not wait for an fsync in flight (Stats,
+	// DropSegmentsBefore).
+	segment  atomic.Uint64
+	reserved atomic.Bool
 
 	// The flusher's scratch, reused from batch to batch: the drained
 	// tickets, their records, and the encoded frame.
@@ -156,10 +169,15 @@ type Log struct {
 
 // Open creates (or reopens) the log in cfg.Dir and starts the flusher.
 // Existing segments are never appended to: writing always begins on a
-// fresh segment numbered after the highest on disk, so every index is
-// used by at most one process lifetime. Callers recover existing state
-// with Replay before Open and truncate the old era once a boot
-// checkpoint is durable.
+// fresh segment numbered after the highest on disk.
+//
+// A segment Open finds stops being the newest one the moment Open
+// returns, and recovery reads anything but the newest strictly: if a
+// crash may have left that segment torn or still reserved, the caller
+// recovers with Replay, makes a checkpoint of the result durable and
+// removes the old segments (RemoveSegmentsBefore) BEFORE it opens the
+// log. A log that was Closed has sealed its last segment and can simply
+// be reopened.
 func Open(cfg Config) (*Log, error) {
 	l, err := open(cfg)
 	if err != nil {
@@ -272,10 +290,8 @@ func (l *Log) Rotate() (uint64, error) {
 }
 
 // DropSegmentsBefore removes every segment with index < idx. Only ever
-// called with an index obtained from Rotate (or Open) after a checkpoint
-// covering the dropped prefix is durable: truncation must remove a
-// prefix of segments, never a middle, or replay's last-record-wins fold
-// stops being valid.
+// called with an index obtained from Rotate after a checkpoint covering
+// the dropped prefix is durable.
 //
 // It takes no lock. Segments below the one being written are sealed —
 // nothing writes, rotates or reopens them — so the directory scan, the
@@ -283,22 +299,34 @@ func (l *Log) Rotate() (uint64, error) {
 // front of it; idx is capped at the current segment so a wrong argument
 // cannot reach the live file.
 func (l *Log) DropSegmentsBefore(idx uint64) error {
-	idx = min(idx, l.segment.Load())
-	names, err := l.cfg.FS.ReadDir(l.cfg.Dir)
+	return RemoveSegmentsBefore(l.cfg.FS, l.cfg.Dir, min(idx, l.segment.Load()))
+}
+
+// RemoveSegmentsBefore deletes the segments in dir with index < idx,
+// oldest first, once a checkpoint covering them is durable. The order is
+// the point: truncation must remove a prefix of the log, never a middle
+// or an end, or replay's last-record-wins fold stops being valid — and a
+// crash part-way through still leaves a suffix whose newest segment is
+// the one recovery reads leniently.
+func RemoveSegmentsBefore(fs FS, dir string, idx uint64) error {
+	if fs == nil {
+		fs = OS
+	}
+	names, err := fs.ReadDir(dir) // sorted: zero-padded indices ascend
 	if err != nil {
 		return err
 	}
 	removed := false
 	for _, name := range names {
 		if i, ok := parseSegName(name); ok && i < idx {
-			if err := l.cfg.FS.Remove(path.Join(l.cfg.Dir, name)); err != nil {
+			if err := fs.Remove(path.Join(dir, name)); err != nil {
 				return err
 			}
 			removed = true
 		}
 	}
 	if removed {
-		return l.cfg.FS.SyncDir(l.cfg.Dir)
+		return fs.SyncDir(dir)
 	}
 	return nil
 }
@@ -317,18 +345,20 @@ func (l *Log) FailedErr() error {
 // never queues behind an fsync.
 func (l *Log) Stats() Stats {
 	return Stats{
-		Appends:   l.appends.Load(),
-		Batches:   l.batches.Load(),
-		Syncs:     l.syncs.Load(),
-		Rotations: l.rotations.Load(),
-		Segment:   l.segment.Load(),
-		Failed:    l.failed.Load(),
+		Appends:      l.appends.Load(),
+		Batches:      l.batches.Load(),
+		Syncs:        l.syncs.Load(),
+		Rotations:    l.rotations.Load(),
+		Segment:      l.segment.Load(),
+		Preallocated: l.reserved.Load(),
+		Failed:       l.failed.Load(),
 	}
 }
 
-// Close stops the flusher after a final drain and closes the segment.
-// The caller must have stopped producing appends (detach the redo hook
-// first); any ticket staged during shutdown resolves with ErrLogClosed.
+// Close stops the flusher after a final drain, then seals and closes the
+// segment. The caller must have stopped producing appends (detach the
+// redo hook first); any ticket staged during shutdown resolves with
+// ErrLogClosed.
 func (l *Log) Close() error {
 	l.closeOnce.Do(func() { close(l.closing) })
 	l.flusherWG.Wait()
@@ -339,16 +369,24 @@ func (l *Log) Close() error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.cur != nil {
-		err := l.cur.Close()
-		l.cur = nil
-		return err
+	if l.cur == nil {
+		return nil
 	}
-	return nil
+	var err error
+	if l.failErr == nil {
+		err = l.sealLocked()
+	}
+	if cerr := l.cur.Close(); err == nil {
+		err = cerr
+	}
+	l.cur = nil
+	return err
 }
 
 // run is the flusher: wake, optionally dally to grow the batch, drain,
-// write one frame, fsync once, resolve tickets, maybe rotate.
+// write one frame, fsync once, resolve tickets, maybe rotate. It never
+// starts a frame before the one ahead of it is synced, which is what lets
+// recovery say that bytes behind a bad frame prove the frame was acked.
 func (l *Log) run() {
 	defer l.flusherWG.Done()
 	for {
@@ -468,8 +506,14 @@ func (l *Log) failLocked(err error) {
 	}
 }
 
-// rotateLocked seals the current segment and opens the next index.
+// rotateLocked seals the current segment and opens the next index, in
+// that order: the successor is not created until its predecessor is cut
+// back to its frames and durable, so recovery never meets a reserved tail
+// anywhere but in the newest segment.
 func (l *Log) rotateLocked() error {
+	if err := l.sealLocked(); err != nil {
+		return err
+	}
 	if err := l.cur.Close(); err != nil {
 		return fmt.Errorf("wal: close segment %d: %w", l.curIndex, err)
 	}
@@ -481,16 +525,46 @@ func (l *Log) rotateLocked() error {
 	return nil
 }
 
-// openSegmentLocked creates segment idx and makes its header — and its
-// directory entry — durable before any frame can land in it, so a
-// segment that exists at recovery time always starts with a parseable
-// header unless the crash tore the header write itself (a torn tail in
-// the final segment, which the parser tolerates).
+// sealLocked gives back what the current segment reserved and did not
+// use, durably. Every frame in it is already synced; this sync is for the
+// size.
+func (l *Log) sealLocked() error {
+	if !l.reserved.Load() {
+		return nil
+	}
+	if err := l.cur.(Reserver).Truncate(l.curSize); err != nil {
+		return fmt.Errorf("wal: seal segment %d: %w", l.curIndex, err)
+	}
+	l.syncs.Add(1)
+	if err := l.cur.Sync(); err != nil {
+		return fmt.Errorf("wal: fsync sealed segment %d: %w", l.curIndex, err)
+	}
+	l.reserved.Store(false)
+	return nil
+}
+
+// openSegmentLocked creates segment idx, reserves it, and makes its
+// header — and its directory entry — durable before any frame can land in
+// it, so a segment that exists at recovery time always starts with a
+// parseable header unless the crash came before the header did (an empty
+// or all-zero newest segment, which the parser tolerates).
 func (l *Log) openSegmentLocked(idx uint64) error {
 	p := path.Join(l.cfg.Dir, segName(idx))
 	f, err := l.cfg.FS.Create(p)
 	if err != nil {
 		return fmt.Errorf("wal: create %s: %w", p, err)
+	}
+	reserved := false
+	if r, ok := f.(Reserver); ok {
+		if r.Reserve(l.cfg.SegmentBytes+reserveSlack) == nil {
+			reserved = true
+		} else if err := r.Truncate(0); err != nil {
+			// Refused is fine, the segment will grow by appending; but a
+			// reservation given up half-way must not stay behind as a
+			// zero tail that nothing would ever cut off.
+			f.Close()
+			return fmt.Errorf("wal: reset %s: %w", p, err)
+		}
 	}
 	if _, err := f.Write([]byte(segMagic)); err != nil {
 		f.Close()
@@ -508,6 +582,7 @@ func (l *Log) openSegmentLocked(idx uint64) error {
 	l.cur = f
 	l.curIndex = idx
 	l.segment.Store(idx)
+	l.reserved.Store(reserved)
 	l.curSize = int64(len(segMagic))
 	return nil
 }

@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"strings"
 
 	"tinystm/internal/txn"
 )
@@ -25,8 +27,17 @@ import (
 //	per op:     [1] kind (0 put, 1 delete)  [8] key  [8] value
 //
 // Everything little-endian. Fixed-width fields keep parsing trivially
-// position-checkable: the torn-tail detector only needs "not enough bytes
-// left", never a varint resynchronisation heuristic.
+// position-checkable: a frame is read from its own header and nothing
+// else, never by a varint resynchronisation heuristic.
+//
+// A segment the log could reserve (Reserver) is created at its full size,
+// zeros behind the magic, and frames overwrite the zeros front to back;
+// sealing cuts it down to magic plus frames. A segment it could not
+// reserve grows frame by frame and never holds a zero tail. Both are this
+// one format: magic is never zero, so the first frame boundary at which
+// only zeros remain is the end of the log. See parseSegment for how a
+// crashed write is told from damage once "the file ends early" no longer
+// can.
 const (
 	segMagic   = "TSWAL001"
 	frameMagic = "FRME"
@@ -139,53 +150,158 @@ func decodePayload(p []byte) ([]Record, error) {
 	return recs, nil
 }
 
-// parseSegment walks one segment file. last marks the newest segment on
-// disk: only there may the data end mid-frame, the signature of a crash
-// between write and fsync, in which case the good prefix is returned and
-// tornBytes counts what was dropped. Everywhere else — and for any frame
-// whose bytes are all present but wrong — the result is a CorruptError.
+// sectorSize is the unit a disk writes whole or not at all. A frame the
+// crash caught in flight is missing whole sectors, never part of one.
+const sectorSize = 512
+
+// parseSegment walks one segment file and returns its records. Any
+// segment but the newest on disk (last) is sealed: magic, then whole
+// valid frames to the last byte, and anything else — a short or zero tail
+// included — is a CorruptError.
+//
+// The newest segment may have been reserved ahead of its frames and may
+// have been cut down by a crash, so two more endings are accepted there.
+// Zeros from some frame boundary to the end of the file are the clean end
+// of the log: the part of the reservation never written. And ONE frame may
+// be torn — the write the crash caught between write and fsync — in which
+// case the good prefix is returned and tornBytes counts from the frame's
+// first byte to the last non-zero byte of the file. The flusher starts no
+// frame before the one ahead of it is synced, so a torn frame has nothing
+// behind it, and some of it is missing; a frame is torn only if
+//
+//   - the file ends before the frame's header does; or
+//   - the header is there, nothing but zeros follows the extent it claims,
+//     and the file ends inside that extent or at least one sector of it
+//     is still all zero (the rule etcd applies to its preallocated log); or
+//   - a sector under the header itself is all zero — the length is then
+//     unknown — and nowhere behind it does a whole valid frame begin.
+//
+// Everything else is a CorruptError, as before: a frame whose sectors all
+// carry bytes yet fails its magic, length or checksum was written whole
+// and damaged later, and a bad frame with bytes behind it was synced, and
+// acked, before those bytes were written. What the sector rule gives up:
+// damage to the LAST frame that happens to leave one of its sectors all
+// zero reads as torn.
 func parseSegment(path string, data []byte, last bool) (recs []Record, tornBytes int, err error) {
-	torn := func(at int) ([]Record, int, error) {
-		if last {
-			return recs, len(data) - at, nil
-		}
-		return nil, 0, &CorruptError{Path: path, Offset: at, Reason: "truncated non-final segment"}
+	corrupt := func(at int, reason string) ([]Record, int, error) {
+		return nil, 0, &CorruptError{Path: path, Offset: at, Reason: reason}
 	}
-	if len(data) < len(segMagic) {
-		// Shorter than the file header: a crash between segment creation
-		// and the header fsync (or mid-header). Nothing readable.
-		return torn(0)
+	// end is where content stops: in the newest segment, trailing zeros
+	// are reservation (or a frame's own zero bytes, which checkFrame still
+	// sees — it reads data, not data[:end]).
+	end := len(data)
+	if last {
+		end = len(bytes.TrimRight(data, "\x00"))
+	}
+	if end < len(segMagic) {
+		// The crash came between creating the segment and the header's
+		// fsync: no file header, or part of one. Nothing readable.
+		if !last {
+			return corrupt(0, "truncated non-final segment")
+		}
+		if !strings.HasPrefix(segMagic, string(data[:end])) {
+			return corrupt(0, "bad segment magic")
+		}
+		return nil, end, nil
 	}
 	if string(data[:len(segMagic)]) != segMagic {
-		return nil, 0, &CorruptError{Path: path, Offset: 0, Reason: "bad segment magic"}
+		return corrupt(0, "bad segment magic")
 	}
 	off := len(segMagic)
-	for off < len(data) {
-		rem := data[off:]
-		if len(rem) < frameHeaderLen {
-			return torn(off)
-		}
-		if string(rem[:4]) != frameMagic {
-			return nil, 0, &CorruptError{Path: path, Offset: off, Reason: "bad frame magic"}
-		}
-		plen := int(binary.LittleEndian.Uint32(rem[4:]))
-		if plen > maxFramePayload {
-			return nil, 0, &CorruptError{Path: path, Offset: off, Reason: "implausible frame length"}
-		}
-		if len(rem) < frameHeaderLen+plen {
-			return torn(off)
-		}
-		wantCRC := binary.LittleEndian.Uint32(rem[8:])
-		payload := rem[frameHeaderLen : frameHeaderLen+plen]
-		if crc32.Checksum(payload, crcTable) != wantCRC {
-			return nil, 0, &CorruptError{Path: path, Offset: off, Reason: "frame checksum mismatch"}
+	for off < end {
+		size, payload, reason := checkFrame(data[off:])
+		if reason != "" {
+			if last && tornFrame(data, off, size, end) {
+				return recs, end - off, nil
+			}
+			return corrupt(off, reason)
 		}
 		batch, derr := decodePayload(payload)
 		if derr != nil {
-			return nil, 0, &CorruptError{Path: path, Offset: off, Reason: derr.Error()}
+			return corrupt(off, derr.Error())
 		}
 		recs = append(recs, batch...)
-		off += frameHeaderLen + plen
+		off += size
 	}
 	return recs, 0, nil
+}
+
+// checkFrame reads the envelope of the frame rem begins with: its size
+// once the header yields one, its payload once the checksum holds, and
+// otherwise the reason it cannot be read.
+func checkFrame(rem []byte) (size int, payload []byte, reason string) {
+	if len(rem) < frameHeaderLen {
+		return 0, nil, "truncated frame header"
+	}
+	if string(rem[:4]) != frameMagic {
+		return 0, nil, "bad frame magic"
+	}
+	plen := int(binary.LittleEndian.Uint32(rem[4:]))
+	if plen > maxFramePayload {
+		return 0, nil, "implausible frame length"
+	}
+	size = frameHeaderLen + plen
+	if plen < 4 {
+		// No room for the record count. Not pedantry: the checksum of no
+		// bytes is zero, so a header torn right behind its magic — length
+		// zero, checksum zero — would pass for an empty frame.
+		return size, nil, "frame too short for a payload"
+	}
+	if len(rem) < size {
+		return size, nil, "truncated frame"
+	}
+	payload = rem[frameHeaderLen:size]
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rem[8:]) {
+		return size, nil, "frame checksum mismatch"
+	}
+	return size, payload, ""
+}
+
+// tornFrame applies parseSegment's rule to the unreadable frame at off in
+// the newest segment. size is the extent its header claims (0 when the
+// header says nothing usable), end the offset behind the last non-zero
+// byte of the file.
+func tornFrame(data []byte, off, size, end int) bool {
+	if len(data)-off < frameHeaderLen {
+		return true
+	}
+	if zeroSector(data, off, off+frameHeaderLen) {
+		// Part of the header never landed, so whatever length it shows is
+		// not the frame's. All that can still tell this frame from an
+		// acked one is a readable frame behind it.
+		return !frameBehind(data, off, end)
+	}
+	if size == 0 || end > off+size {
+		return false
+	}
+	return len(data) < off+size || zeroSector(data, off, off+size)
+}
+
+// zeroSector reports whether some sector of the file holds nothing but
+// zeros in the part of it that lies inside data[from:to].
+func zeroSector(data []byte, from, to int) bool {
+	for to = min(to, len(data)); from < to; {
+		next := min(to, (from/sectorSize+1)*sectorSize)
+		if len(bytes.TrimLeft(data[from:next], "\x00")) == 0 {
+			return true
+		}
+		from = next
+	}
+	return false
+}
+
+// frameBehind reports whether a whole valid frame begins anywhere in
+// data(off:end).
+func frameBehind(data []byte, off, end int) bool {
+	for p := off + 1; p < end; p++ {
+		i := bytes.Index(data[p:end], []byte(frameMagic))
+		if i < 0 {
+			return false
+		}
+		p += i
+		if _, _, reason := checkFrame(data[p:]); reason == "" {
+			return true
+		}
+	}
+	return false
 }

@@ -1,7 +1,10 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"maps"
 	"path"
 	"sync/atomic"
 	"testing"
@@ -219,11 +222,17 @@ func TestCheckpointRoundTripAndFallback(t *testing.T) {
 	if err := fs.MkdirAll("wal"); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCheckpoint(fs, "wal", 1, 0, 5, map[uint64]uint64{1: 10, 2: 20}); err != nil {
+	if err := WriteCheckpoint(fs, "wal", 1, 0, 5, []txn.KV{{Key: 2, Val: 20}, {Key: 1, Val: 10}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCheckpoint(fs, "wal", 2, 0, 9, map[uint64]uint64{1: 11}); err != nil {
+	if err := WriteCheckpoint(fs, "wal", 2, 0, 9, []txn.KV{{Key: 1, Val: 11}}); err != nil {
 		t.Fatal(err)
+	}
+	// Pairs arrive in table order and leave sorted by key: the same state
+	// is the same bytes.
+	b, _ := fs.ReadFile(path.Join("wal", ckptName(1)))
+	if pairs := b[len(ckptMagic)+24:]; binary.LittleEndian.Uint64(pairs) != 1 || binary.LittleEndian.Uint64(pairs[16:]) != 2 {
+		t.Fatalf("checkpoint pairs not sorted by key: % x", pairs)
 	}
 	state, stats := replayTest(t, fs, "wal")
 	if !stats.CheckpointFound || stats.CheckpointIndex != 2 || state[1] != 11 || len(state) != 1 {
@@ -268,9 +277,9 @@ func TestCheckpointThenTruncate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Rotate: %v", err)
 	}
-	snap := make(map[uint64]uint64, len(expect))
+	var snap []txn.KV
 	for k, v := range expect {
-		snap[k] = v
+		snap = append(snap, txn.KV{Key: k, Val: v})
 	}
 	if err := WriteCheckpoint(fs, "wal", 1, 0, 2, snap); err != nil {
 		t.Fatal(err)
@@ -329,61 +338,142 @@ func TestReplayFreshDirIsEmpty(t *testing.T) {
 	}
 }
 
+// crashShapes are the ways a reserving MemFS disk can treat the n sectors
+// it had not synced when the power went: the ith survives iff keep(i, n).
+var crashShapes = []struct {
+	name string
+	keep func(i, n int) bool
+}{
+	{"none", func(i, n int) bool { return false }},
+	{"all", func(i, n int) bool { return true }},
+	{"first", func(i, n int) bool { return i == 0 }},
+	{"last", func(i, n int) bool { return i == n-1 }},
+	{"hole", func(i, n int) bool { return i != n/2 }},
+	{"middle", func(i, n int) bool { return i == n/2 }},
+}
+
 // The acceptance property: for EVERY possible crash position, every
 // write whose ticket resolved cleanly before the crash is present after
-// recovery. Sweeps CrashAtWrite across the whole workload.
+// recovery, and nothing else is — except the one frame in flight, when
+// the disk happened to keep all of it. Sweeps CrashAtWrite across the
+// whole workload, on a plain MemFS (segments grow, the crash tears the
+// write) and on a reserving one under every crashShape, with a segment
+// that holds the whole workload and with segments a frame or two long.
 func TestAckedWritesSurviveKillAtAnyPoint(t *testing.T) {
+	for _, segBytes := range []int64{1 << 16, 1 << 11} {
+		cfg := Config{Dir: "wal", SegmentBytes: segBytes}
+		t.Run(fmt.Sprintf("plain/seg%d", segBytes), func(t *testing.T) {
+			// keep one torn byte to exercise tail truncation
+			torn, whole := sweepKills(t, cfg, NewMemFS, func(fs *MemFS) { fs.Crash(1) })
+			if torn == 0 || whole != 0 {
+				t.Errorf("%d crashes left a torn tail, %d the whole frame: a torn write is half a write", torn, whole)
+			}
+		})
+		for _, shape := range crashShapes {
+			t.Run(fmt.Sprintf("reserving/%s/seg%d", shape.name, segBytes), func(t *testing.T) {
+				torn, whole := sweepKills(t, cfg, NewReservingMemFS, func(fs *MemFS) { fs.CrashSectors(shape.keep) })
+				// The sweep means nothing unless the shapes bite.
+				switch shape.name {
+				case "none":
+					if torn != 0 || whole != 0 {
+						t.Errorf("nothing unsynced survives, yet %d torn tails and %d whole frames", torn, whole)
+					}
+				case "all":
+					if torn != 0 || whole == 0 {
+						t.Errorf("everything survives, yet %d torn tails and %d whole frames", torn, whole)
+					}
+				default:
+					if torn == 0 {
+						t.Error("no crash left a torn tail")
+					}
+				}
+			})
+		}
+	}
+}
+
+// sweepKills runs the kill-at-write-n workload for every n: records of 1
+// to ~90 ops, so frames of one sector and of several. It returns how many
+// crashes left a torn tail and how many the in-flight frame whole.
+func sweepKills(t *testing.T, cfg Config, newFS func() *MemFS, crash func(*MemFS)) (tornSeen, wholeSeen int) {
 	const nOps = 25
+	apply := func(state map[uint64]uint64, ops []txn.RedoOp) {
+		for _, op := range ops {
+			if op.Kind == txn.RedoDelete {
+				delete(state, op.Key)
+			} else {
+				state[op.Key] = op.Val
+			}
+		}
+	}
 	completed := false
 	for n := 1; n < 500 && !completed; n++ {
-		fs := NewMemFS()
+		fs := newFS()
 		fs.CrashAtWrite(n)
-		l, err := Open(Config{Dir: "wal", FS: fs})
+		cfg.FS = fs
+		l, err := Open(cfg)
 		if err != nil {
 			// Crashed while creating the very first segment: nothing
 			// acked, nothing to check.
-			fs.Crash(1)
-			if state, _ := replayTest(t, fs, "wal"); len(state) != 0 {
+			crash(fs)
+			if state, stats := replayTest(t, fs, "wal"); len(state) != 0 || stats.Records != 0 {
 				t.Fatalf("n=%d: state from nothing: %v", n, state)
 			}
 			continue
 		}
-		acked := map[uint64]uint64{}
-		i := uint64(0)
-		for ; i < nOps; i++ {
-			k, v := i%7, i*100
-			var op txn.RedoOp
-			if i%5 == 4 {
-				op = del(k)
-			} else {
-				op = put(k, v)
+		acked, ackedRecs := map[uint64]uint64{}, 0
+		var inFlight []txn.RedoOp
+		for i := uint64(0); i < nOps; i++ {
+			ops := make([]txn.RedoOp, 1+i*29%90)
+			for j := range ops {
+				k := (i + uint64(j)) % 7
+				if (i+uint64(j))%5 == 4 {
+					ops[j] = del(k)
+				} else {
+					ops[j] = put(k, i*100+uint64(j))
+				}
 			}
-			if err := l.Append(0, i+1, []txn.RedoOp{op}).Wait(); err != nil {
+			if err := l.Append(0, i+1, ops).Wait(); err != nil {
+				inFlight = ops
 				break
 			}
-			if op.Kind == txn.RedoDelete {
-				delete(acked, k)
-			} else {
-				acked[k] = v
-			}
+			apply(acked, ops)
+			ackedRecs++
 		}
-		completed = i == nOps
+		completed = inFlight == nil
 		l.Close()
-		fs.Crash(1) // keep one torn byte to exercise tail truncation
-		state, _ := replayTest(t, fs, "wal")
-		for k, v := range acked {
-			got, ok := state[k]
-			if !ok || got != v {
-				t.Fatalf("crash at write %d: acked key %d = (%d,%v), want %d", n, k, got, ok, v)
-			}
+		crash(fs)
+		state, stats := replayTest(t, fs, "wal")
+
+		// What the disk holds, read by the fuzz oracle rather than by
+		// the parser under test.
+		names, _ := fs.ReadDir("wal")
+		final, _ := fs.ReadFile(path.Join("wal", names[len(names)-1]))
+		_, torn, ok := frameWalk(final, true)
+		if !ok {
+			t.Fatalf("crash at write %d: the oracle rejects a final segment Replay accepted", n)
 		}
-		// Nothing beyond the acked prefix can have survived either: the
-		// one in-flight frame was torn mid-write and must be dropped.
-		if len(state) != len(acked) {
-			t.Fatalf("crash at write %d: state=%v acked=%v", n, state, acked)
+		want := acked
+		if stats.Records == ackedRecs+1 {
+			// The frame in flight reached the disk whole: never acked,
+			// and recovered — a crash is allowed that.
+			apply(want, inFlight)
+			wholeSeen++
+		} else if stats.Records != ackedRecs {
+			t.Fatalf("crash at write %d: %d records recovered, %d acked", n, stats.Records, ackedRecs)
+		}
+		if !maps.Equal(state, want) {
+			t.Fatalf("crash at write %d: state=%v want=%v (%d acked records, %d recovered)", n, state, want, ackedRecs, stats.Records)
+		}
+		if stats.TornBytes != torn {
+			t.Fatalf("crash at write %d: TornBytes = %d, the segment's torn tail is %d bytes", n, stats.TornBytes, torn)
+		}
+		if torn > 0 {
+			tornSeen++
 		}
 	}
 	if !completed {
 		t.Fatal("sweep never ran the workload to completion; raise the bound")
 	}
+	return tornSeen, wholeSeen
 }
