@@ -47,6 +47,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"tinystm/internal/txn"
 )
 
 // Frame limits.
@@ -165,11 +167,9 @@ type BatchResult struct {
 	OK    bool   `json:"ok"`
 }
 
-// KV is one Scan pair.
-type KV struct {
-	Key uint64 `json:"key"`
-	Val uint64 `json:"val"`
-}
+// KV is one Scan pair: the store's own pair type, so the server hands a
+// scan's pairs to the response without copying them.
+type KV = txn.KV
 
 // Stats is the OpStats response body: the counters a load generator or
 // smoke test wants without parsing the HTTP /stats document.

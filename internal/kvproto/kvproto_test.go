@@ -119,7 +119,7 @@ func sampleResponses() []*Response {
 		{ID: 4, Op: OpDelete, Found: true},
 		{ID: 5, Op: OpCAS, OK: true},
 		{ID: 6, Op: OpAdd, Val: 9},
-		{ID: 7, Op: OpScan, Snapshot: true, Total: 3, Pairs: []KV{{1, 2}, {3, 4}, {5, 6}}},
+		{ID: 7, Op: OpScan, Snapshot: true, Total: 3, Pairs: []KV{{Key: 1, Val: 2}, {Key: 3, Val: 4}, {Key: 5, Val: 6}}},
 		{ID: 8, Op: OpScan, Total: 0},
 		{ID: 9, Op: OpStats, Stats: Stats{Commits: 10, Aborts: 3, Keys: 5, AdmissionWidth: 8}},
 		{ID: 10, Op: OpBatch, Results: []BatchResult{
@@ -285,7 +285,7 @@ func TestDeadlineCodecRules(t *testing.T) {
 }
 
 func TestDecodeResponseErrors(t *testing.T) {
-	valid, err := AppendResponse(nil, &Response{ID: 1, Op: OpScan, Total: 2, Pairs: []KV{{1, 2}, {3, 4}}})
+	valid, err := AppendResponse(nil, &Response{ID: 1, Op: OpScan, Total: 2, Pairs: []KV{{Key: 1, Val: 2}, {Key: 3, Val: 4}}})
 	if err != nil {
 		t.Fatal(err)
 	}

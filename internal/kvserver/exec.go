@@ -85,16 +85,14 @@ type readerScratch struct {
 }
 
 // exec runs one decoded request from surface surf against the store and
-// builds its response, waiting inline for a group-durable update's ticket:
-// the form for a codec with a goroutine per request (HTTP). dl is the
-// request's absolute deadline (zero: none), re-anchored by the codec the
-// moment the request left the transport.
-func (s *Server) exec(surf int, dl time.Time, req *kvproto.Request) *kvproto.Response {
-	resp := new(kvproto.Response)
+// builds its response in resp, waiting inline for a group-durable update's
+// ticket: the form for a codec with a goroutine per request (HTTP). dl is
+// the request's absolute deadline (zero: none), re-anchored by the codec
+// the moment the request left the transport.
+func (s *Server) exec(surf int, dl time.Time, req *kvproto.Request, resp *kvproto.Response) {
 	if ack := s.execInto(surf, dl, req, resp, nil); ack.ticket != nil {
 		s.settle(surf, resp, ack)
 	}
-	return resp
 }
 
 // settle finishes a request execInto left open. It blocks until the ticket
@@ -252,21 +250,14 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 		}
 		resp.Results = out
 	case kvproto.OpScan:
-		// The walk always covers the whole table (Total is exact); only
-		// the returned pairs are capped.
+		// The walk stops at the pair cap; Total is still exact, read from
+		// the shard count words of the same snapshot.
 		limit := kvproto.MaxScanPairs
 		if req.Limit > 0 && int(req.Limit) < limit {
 			limit = int(req.Limit)
 		}
-		pairs, total := s.store.Scan(limit)
-		resp.Total = total
+		resp.Pairs, resp.Total = s.store.Scan(limit)
 		resp.Snapshot = s.tm.SnapshotsEnabled()
-		if len(pairs) > 0 {
-			resp.Pairs = make([]kvproto.KV, len(pairs))
-			for i, kv := range pairs {
-				resp.Pairs[i] = kvproto.KV{Key: kv.Key, Val: kv.Val}
-			}
-		}
 	}
 	if ticket != nil {
 		// The server's redo hook returns wal.Log.Append's ticket.
@@ -276,22 +267,23 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 }
 
 // mayPark reports whether req runs long whatever the server's state: a
-// scan walks the whole table, a batch is as long as the client made it. A
-// codec that serves many requests from one goroutine gives such a request
-// its own without trying. Nothing else is decided ahead of time: whether
-// an update has to wait at the admission gate is something execInto finds
-// out by trying (wouldPark), and it never waits for the disk.
+// scan walks up to MaxScanPairs pairs, a batch is as long as the client
+// made it. A codec that serves many requests from one goroutine gives such
+// a request its own without trying. Nothing else is decided ahead of time:
+// whether an update has to wait at the admission gate is something
+// execInto finds out by trying (wouldPark), and it never waits for the
+// disk.
 func mayPark(req *kvproto.Request) bool {
 	return req.Op == kvproto.OpScan || (req.Op == kvproto.OpBatch && len(req.Ops) > shortBatch)
 }
 
 // refusal is the door: it returns why a data request of kind op may not
 // run right now, or "" when it may. Brownout sheds whole request classes
-// in cost order — the full-table scan first, then everything that is not
-// a point read (a batch costs write-like even when its ops are all Gets)
-// — before any transaction runs or gate slot is waited on. The lifecycle
-// gate then requires a ready server, except that point reads and scans
-// still serve in degraded mode (committed memory is intact).
+// in cost order — scans first, then everything that is not a point read
+// (a batch costs write-like even when its ops are all Gets) — before any
+// transaction runs or gate slot is waited on. The lifecycle gate then
+// requires a ready server, except that point reads and scans still serve
+// in degraded mode (committed memory is intact).
 func (s *Server) refusal(op kvproto.Op) string {
 	class := resilience.ClassWrite
 	switch op {

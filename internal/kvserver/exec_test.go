@@ -245,7 +245,9 @@ func (h *parityHarness) viaProto(t *testing.T, st step, kb uint64, d delivery) o
 	var payload []byte
 	var err error
 	if d.expired {
-		payload, err = kvproto.AppendResponse(nil, h.s.exec(surfProto, time.Now().Add(-time.Millisecond), &req))
+		var resp kvproto.Response
+		h.s.exec(surfProto, time.Now().Add(-time.Millisecond), &req, &resp)
+		payload, err = kvproto.AppendResponse(nil, &resp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,9 +496,9 @@ func TestCodecParityOversizeBatch(t *testing.T) {
 // wire, which HTTP renders as its 507.
 func TestExecArenaExhaustion(t *testing.T) {
 	s, ts := newTestServer(t, Config{SpaceWords: 1 << 10, Shards: 1, Buckets: 1})
-	var wire *kvproto.Response
+	var wire kvproto.Response
 	for k := uint64(0); k < 1<<12; k++ {
-		if wire = s.exec(surfProto, time.Time{}, &kvproto.Request{Op: kvproto.OpPut, Key: k, Val: k}); wire.Status != kvproto.StatusOK {
+		if s.exec(surfProto, time.Time{}, &kvproto.Request{Op: kvproto.OpPut, Key: k, Val: k}, &wire); wire.Status != kvproto.StatusOK {
 			break
 		}
 	}

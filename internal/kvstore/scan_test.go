@@ -1,12 +1,14 @@
 package kvstore
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"tinystm/internal/core"
 	"tinystm/internal/mem"
+	"tinystm/internal/rng"
 	"tinystm/internal/txn"
 )
 
@@ -185,5 +187,114 @@ func TestApplyAllGetSnapshot(t *testing.T) {
 	res = s.Apply([]Op{{Kind: OpAdd, Key: 1, Val: 5}, {Kind: OpGet, Key: 1}})
 	if res[1].Val != 15 {
 		t.Fatalf("mixed batch read %d, want 15", res[1].Val)
+	}
+}
+
+// TestLenMatchesRangeUnderWriters pins what a bounded Scan's total rests
+// on: inside any snapshot, the per-shard count words sum to exactly the
+// number of keys a full walk finds, while writers insert and delete keys
+// (and grow shards) around it.
+func TestLenMatchesRangeUnderWriters(t *testing.T) {
+	tm := newSnapTM(t, 1<<20)
+	s := NewStore[*core.Tx](tm, 4, 4)
+	defer s.Close()
+	const keys = 512
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			r := rng.New(seed)
+			for !stop.Load() {
+				if k := r.Uint64n(keys); r.Uint64n(2) == 0 {
+					s.Put(k, k)
+				} else {
+					s.Delete(k)
+				}
+			}
+		}(uint64(w + 1))
+	}
+	tx := tm.NewTx()
+	defer tx.Release()
+	for i := 0; i < 300; i++ {
+		var n, walked uint64
+		tm.AtomicSnap(tx, func(tx *core.Tx) {
+			n, walked = s.Map().Len(tx), 0
+			s.Map().Range(tx, func(_, _ uint64) bool {
+				walked++
+				return true
+			})
+		})
+		if n != walked {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatalf("snapshot %d: count words say %d keys, the walk found %d", i, n, walked)
+		}
+		if pairs, total := s.Scan(0); uint64(len(pairs)) != total {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatalf("Scan(0) returned %d pairs with total %d", len(pairs), total)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+}
+
+// TestScanReadsWhatItReturns: a limited scan touches O(limit) words, not
+// O(table). Counted with the snapshot read counters on a quiet store, it
+// reads at most three words per returned pair, the header and bucket words
+// of the shards it entered, and one count word per shard; and it returns
+// the same first pairs a full scan does, in both execution modes.
+func TestScanReadsWhatItReturns(t *testing.T) {
+	const shards, keys = 16, 16384
+	snapTM := newSnapTM(t, 1<<20)
+	snap := NewStore[*core.Tx](snapTM, shards, 64)
+	defer snap.Close()
+	classic := NewStore[*core.Tx](newTM(t, core.WriteBack, 1<<20), shards, 64)
+	defer classic.Close()
+	for k := uint64(0); k < keys; k++ {
+		snap.Put(k, k^0x5a)
+		classic.Put(k, k^0x5a)
+	}
+	// Shard sizes, to know which shards a scan of n pairs must enter.
+	var counts, buckets [shards]uint64
+	tx := snapTM.NewTx()
+	snapTM.AtomicRO(tx, func(tx *core.Tx) {
+		for sh := range counts {
+			counts[sh], buckets[sh] = snap.Map().ShardLoad(tx, uint64(sh))
+		}
+	})
+	tx.Release()
+	reads := func() uint64 {
+		st := snapTM.Stats()
+		return st.SnapshotLiveReads + st.SnapshotVersionReads
+	}
+	for _, s := range []*Store[*core.Tx]{snap, classic} {
+		full, total := s.Scan(0)
+		if total != keys || len(full) != keys {
+			t.Fatalf("Scan(0) = %d pairs, total %d, want %d", len(full), total, keys)
+		}
+		for _, limit := range []int{1, 7, 1024, 5000, keys + 1} {
+			before := reads()
+			pairs, total := s.Scan(limit)
+			read := reads() - before
+			want := min(limit, keys)
+			if total != keys || len(pairs) != want || !slices.Equal(pairs, full[:want]) {
+				t.Fatalf("Scan(%d) = %d pairs, total %d; want the first %d of the full scan, total %d",
+					limit, len(pairs), total, want, keys)
+			}
+			if s != snap {
+				continue
+			}
+			bound := uint64(3*want) + shards
+			for sh, seen := 0, uint64(0); sh < shards && seen < uint64(want); sh++ {
+				bound += 2 + buckets[sh]
+				seen += counts[sh]
+			}
+			if read > bound {
+				t.Errorf("Scan(%d) made %d snapshot reads, want <= %d", limit, read, bound)
+			}
+		}
 	}
 }

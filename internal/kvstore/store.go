@@ -40,9 +40,10 @@ func (k OpKind) String() string {
 	}
 }
 
-// ParseOpKind maps a wire name to an OpKind.
-func ParseOpKind(s string) (OpKind, error) {
-	switch s {
+// ParseOpKind maps a wire name to an OpKind. It takes the name's bytes, so
+// a decoder can look one up where it lies without allocating a string.
+func ParseOpKind(name []byte) (OpKind, error) {
+	switch string(name) {
 	case "get":
 		return OpGet, nil
 	case "put":
@@ -54,7 +55,7 @@ func ParseOpKind(s string) (OpKind, error) {
 	case "add", "incr":
 		return OpAdd, nil
 	default:
-		return 0, fmt.Errorf("kvstore: unknown op %q (get, put, delete, cas, add)", s)
+		return 0, fmt.Errorf("kvstore: unknown op %q (get, put, delete, cas, add)", name)
 	}
 }
 
@@ -358,50 +359,56 @@ func (s *Store[T]) Len() (n uint64) {
 // KV is one key/value pair returned by Scan and CheckpointScan.
 type KV = txn.KV
 
-// Scan iterates the whole table, returning up to limit pairs (all of
-// them when limit <= 0) and the total number of live keys it walked.
+// Scan returns the first limit pairs of the table in shard, bucket, chain
+// order (all of them when limit <= 0) and the number of live keys.
+//
+// A scan costs what it returns: the walk stops at the limit, and total is
+// the sum of the per-shard count words, read in the same transaction as
+// the pairs. That sum is exact, not an estimate: every insert and delete
+// moves its shard's count in the transaction that links or unlinks the
+// node, so any snapshot's counts equal what a full walk would count.
 //
 // With snapshot mode available it runs as ONE snapshot transaction: a
 // single commit-ordered point in time that concurrent writers cannot
 // abort. Without it (TL2, or Snapshots off) a full-table read-only
 // transaction under write pressure can retry unboundedly — the very
 // starvation the sidecar exists to fix — so the fallback degrades to one
-// read-only transaction PER SHARD: each shard is internally consistent
-// and bounded, but the shards are not mutually consistent. The pair
-// slices are rebuilt on retry, so a fresh attempt starts clean.
+// read-only transaction PER SHARD, each reading its shard's count and,
+// until the limit is met, its pairs: each shard is internally consistent
+// and bounded, but the shards are not mutually consistent. An attempt
+// starts from what the committed shards left, so a retry starts clean.
 func (s *Store[T]) Scan(limit int) (pairs []KV, total uint64) {
 	tx := s.pool.Get()
 	defer s.pool.Put(tx)
+	more := func(k, v uint64) bool {
+		pairs = append(pairs, KV{Key: k, Val: v})
+		return limit <= 0 || len(pairs) < limit
+	}
 	if s.snap != nil {
 		s.snap.AtomicSnap(tx, func(tx T) {
-			pairs = pairs[:0]
-			total = 0
-			s.m.Range(tx, func(k, v uint64) bool {
-				total++
-				if limit <= 0 || len(pairs) < limit {
-					pairs = append(pairs, KV{Key: k, Val: v})
-				}
-				return true
-			})
+			total = s.m.Len(tx)
+			n := total
+			if limit > 0 {
+				n = min(n, uint64(limit))
+			}
+			pairs = make([]KV, 0, n)
+			if n > 0 {
+				s.m.Range(tx, more)
+			}
 		})
 		return pairs, total
 	}
 	for sh := uint64(0); sh < s.m.Shards(); sh++ {
-		var shardPairs []KV
-		var shardTotal uint64
+		done := len(pairs)
+		var count uint64
 		s.sys.AtomicRO(tx, func(tx T) {
-			shardPairs = shardPairs[:0]
-			shardTotal = 0
-			s.m.RangeShard(tx, sh, func(k, v uint64) bool {
-				shardTotal++
-				if limit <= 0 || len(pairs)+len(shardPairs) < limit {
-					shardPairs = append(shardPairs, KV{Key: k, Val: v})
-				}
-				return true
-			})
+			pairs = pairs[:done]
+			count, _ = s.m.ShardLoad(tx, sh)
+			if count > 0 && (limit <= 0 || done < limit) {
+				s.m.RangeShard(tx, sh, more)
+			}
 		})
-		pairs = append(pairs, shardPairs...)
-		total += shardTotal
+		total += count
 	}
 	return pairs, total
 }

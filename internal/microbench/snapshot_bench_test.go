@@ -19,13 +19,17 @@ import (
 // uncontended.
 
 func benchStore(b *testing.B, snapshots bool) *kvstore.Store[*core.Tx] {
+	return benchStoreKeys(b, snapshots, 8, 4096)
+}
+
+func benchStoreKeys(b *testing.B, snapshots bool, shards, keys uint64) *kvstore.Store[*core.Tx] {
 	b.Helper()
 	tm := core.MustNew(core.Config{
 		Space:     mem.NewSpace(1 << 20),
 		Snapshots: snapshots,
 	})
-	s := kvstore.NewStore[*core.Tx](tm, 8, 64)
-	for k := uint64(0); k < 4096; k++ {
+	s := kvstore.NewStore[*core.Tx](tm, shards, 64)
+	for k := uint64(0); k < keys; k++ {
 		s.Put(k, k)
 	}
 	return s
@@ -59,16 +63,31 @@ func benchKVPut(b *testing.B, snapshots bool) {
 func BenchmarkKVPutSnapshotsOff(b *testing.B) { benchKVPut(b, false) }
 func BenchmarkKVPutSnapshotsOn(b *testing.B)  { benchKVPut(b, true) }
 
+// benchScan prices a full-table walk: Scan(0) returns every pair.
 func benchScan(b *testing.B, snapshots bool) {
 	s := benchStore(b, snapshots)
 	defer s.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, total := s.Scan(1); total != 4096 {
-			b.Fatalf("scan walked %d keys", total)
+		if pairs, _ := s.Scan(0); len(pairs) != 4096 {
+			b.Fatalf("scan returned %d pairs", len(pairs))
 		}
 	}
 }
 
 func BenchmarkKVScanSnapshotsOff(b *testing.B) { benchScan(b, false) }
 func BenchmarkKVScanSnapshotsOn(b *testing.B)  { benchScan(b, true) }
+
+// BenchmarkKVScanLimit1k is the server's /scan?limit=1024 against the
+// store: 1 024 pairs of a 16 384-key table, in snapshot mode.
+func BenchmarkKVScanLimit1k(b *testing.B) {
+	s := benchStoreKeys(b, true, 16, 16384)
+	defer s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if pairs, total := s.Scan(1024); len(pairs) != 1024 || total != 16384 {
+			b.Fatalf("scan returned %d pairs of %d", len(pairs), total)
+		}
+	}
+}
