@@ -46,12 +46,10 @@ func (tx *Tx) Free(addr uint64, n int) {
 		tx.abort(txn.AbortUpgrade)
 	}
 	// A duplicate free inside one transaction would retire the block
-	// twice and corrupt the allocator; the frees list is tiny, so a
-	// linear scan is a cheap safety net.
-	for _, f := range tx.frees {
-		if f.addr == mem.Addr(addr) {
-			panic("core: double Free of the same block in one transaction")
-		}
+	// twice and corrupt the allocator. A batch of deletes frees one node
+	// per key, so the check is a set lookup, not a scan of the frees.
+	if !tx.freed.add(mem.Addr(addr)) {
+		panic("core: double Free of the same block in one transaction")
 	}
 	// Lock each word as if updating it (value unchanged). Contiguous
 	// words often share a stripe, in which case the per-word call finds

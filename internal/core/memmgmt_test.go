@@ -70,6 +70,53 @@ func TestFreeDeferredToCommit(t *testing.T) {
 	})
 }
 
+// TestManyFreesThenDuplicatePanics pins Free's duplicate check at batch
+// scale: one transaction frees 4 096 blocks and commits, and in the next a
+// repeat of the first block as the 4 097th Free still panics. The second
+// transaction frees the same addresses again (the allocator hands the
+// reclaimed blocks back), so it also shows one attempt's frees do not
+// leak into the next attempt's check.
+func TestManyFreesThenDuplicatePanics(t *testing.T) {
+	const n = 4096
+	bothDesigns(t, func(t *testing.T, d Design) {
+		tm, sp := newTestTM(t, d, nil)
+		tx := tm.NewTx()
+		alloc := func() []uint64 {
+			blocks := make([]uint64, n)
+			tm.Atomic(tx, func(tx *Tx) {
+				for i := range blocks {
+					blocks[i] = tx.Alloc(2)
+				}
+			})
+			return blocks
+		}
+		live := sp.LiveWords()
+		blocks := alloc()
+		tm.Atomic(tx, func(tx *Tx) {
+			for _, a := range blocks {
+				tx.Free(a, 2)
+			}
+		})
+		drainForTest(tm)
+		if got := sp.LiveWords(); got != live {
+			t.Fatalf("live words after freeing %d blocks = %d, want %d", n, got, live)
+		}
+
+		blocks = alloc()
+		tx.Begin(false)
+		defer tx.rollback(txn.AbortExplicit)
+		for _, a := range blocks {
+			tx.Free(a, 2)
+		}
+		defer func() {
+			if recover() == nil {
+				t.Error("duplicate Free after 4 096 distinct ones did not panic")
+			}
+		}()
+		tx.Free(blocks[0], 2)
+	})
+}
+
 func TestFreeConflictsWithConcurrentReader(t *testing.T) {
 	// Free must acquire the covering locks: a reader that has the block
 	// in its read set must fail validation afterwards.

@@ -27,8 +27,11 @@ package core
 // the tuning runtime walks it to match the live read/write mix.
 
 import (
+	"cmp"
 	"errors"
 	"runtime"
+	"slices"
+	"sort"
 
 	"tinystm/internal/mem"
 	"tinystm/internal/mvcc"
@@ -194,6 +197,14 @@ func (tx *Tx) loadSnap(addr uint64) uint64 {
 // garbage and no snapshot can reach them before this commit links them);
 // they are published as birth records so the sidecar learns their exact
 // validity start.
+//
+// What a commit pays here is linear in what it touched: one birth per
+// word it allocated, then one pre-image per pre-existing word it wrote.
+// Telling the two apart is a binary search over the allocations merged
+// into address-ordered spans (isFreshAlloc), and a write-through stripe's
+// pre-acquisition version is one lookup through its owned lock word.
+// Neither may scan the allocation or owned-lock lists per written word:
+// with every lock held, that makes a 1 024-put batch quadratic.
 func (tx *Tx) publishVersions(ts uint64) {
 	pub := tx.pub[:0]
 	// EVERY word of every block this commit allocated is born at ts —
@@ -207,6 +218,7 @@ func (tx *Tx) publishVersions(ts uint64) {
 			pub = append(pub, mvcc.Version{Stripe: tx.geo.lockIndex(addr), Addr: addr, Birth: true})
 		}
 	}
+	tx.mergeAllocSpans()
 	if tx.design == WriteBack {
 		for i := range tx.wset {
 			e := &tx.wset[i]
@@ -223,38 +235,29 @@ func (tx *Tx) publishVersions(ts uint64) {
 	} else {
 		// Write-through: the undo log holds the superseded values — the
 		// FIRST record per address (later ones captured this transaction's
-		// own intermediate writes). The dedupe scratch map is reused
-		// across commits (this runs while every write lock is still
-		// held; allocating here would stretch the critical section), and
-		// the stripe's pre-acquisition version comes from a linear scan
-		// of the owned-lock records — transactions hold few stripes.
-		if tx.pubSeen == nil {
-			tx.pubSeen = make(map[mem.Addr]struct{}, 16)
-		} else {
-			clear(tx.pubSeen)
-		}
+		// own intermediate writes). Fresh words are skipped before the
+		// dedupe, so only pre-existing addresses enter the scratch set,
+		// which is reused across commits and emptied in O(1) (this runs
+		// while every write lock is still held; allocating or clearing a
+		// big table here would stretch the critical section). Every
+		// stripe in the undo log stays owned by this transaction until
+		// after publication, and its lock word indexes its one owned
+		// record: that record holds the pre-acquisition version.
+		tx.pubSeen.reset()
 		for i := range tx.undo {
 			u := &tx.undo[i]
-			if _, dup := tx.pubSeen[u.addr]; dup {
-				continue
-			}
-			tx.pubSeen[u.addr] = struct{}{}
 			if tx.isFreshAlloc(uint64(u.addr)) {
 				continue
 			}
-			li := tx.geo.lockIndex(uint64(u.addr))
-			var from uint64
-			for _, rec := range tx.owned {
-				if rec.lockIdx == li {
-					from = versionWT(rec.prevLock)
-					break
-				}
+			if !tx.pubSeen.add(u.addr) {
+				continue
 			}
+			li := tx.geo.lockIndex(uint64(u.addr))
 			pub = append(pub, mvcc.Version{
 				Stripe: li,
 				Addr:   uint64(u.addr),
 				Val:    u.old,
-				From:   from,
+				From:   tx.prevVersionOfOwned(tx.geo.loadLock(li)),
 			})
 		}
 	}
@@ -262,13 +265,33 @@ func (tx *Tx) publishVersions(ts uint64) {
 	tx.tm.mvcc.Publish(ts, pub)
 }
 
-// isFreshAlloc reports whether addr lies inside a block this transaction
-// allocated.
-func (tx *Tx) isFreshAlloc(addr uint64) bool {
-	for _, a := range tx.allocs {
-		if addr >= uint64(a.addr) && addr < uint64(a.addr)+uint64(a.words) {
-			return true
+// mergeAllocSpans rebuilds tx.allocSpans, the index isFreshAlloc searches:
+// the attempt's allocations sorted by address, abutting blocks merged.
+// tx.allocs itself keeps allocation order — rollback frees each block as
+// it was allocated, and births are published in that order. Bump
+// allocation hands a batch's nodes out back to back, so a 1 024-node
+// commit is one or two spans; the scratch is reused like tx.pub, so a
+// warm descriptor allocates nothing here.
+func (tx *Tx) mergeAllocSpans() {
+	spans := append(tx.allocSpans[:0], tx.allocs...)
+	slices.SortFunc(spans, func(a, b allocRec) int { return cmp.Compare(a.addr, b.addr) })
+	n := 0
+	for _, s := range spans {
+		if n > 0 && spans[n-1].addr+mem.Addr(spans[n-1].words) == s.addr {
+			spans[n-1].words += s.words
+			continue
 		}
+		spans[n] = s
+		n++
 	}
-	return false
+	tx.allocSpans = spans[:n]
+}
+
+// isFreshAlloc reports whether addr lies inside a block this transaction
+// allocated: O(log spans) over the spans mergeAllocSpans built, so the
+// pre-image pass stays linear in the write set.
+func (tx *Tx) isFreshAlloc(addr uint64) bool {
+	spans := tx.allocSpans
+	i := sort.Search(len(spans), func(i int) bool { return uint64(spans[i].addr) > addr })
+	return i > 0 && addr < uint64(spans[i-1].addr)+uint64(spans[i-1].words)
 }

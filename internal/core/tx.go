@@ -112,6 +112,9 @@ type Tx struct {
 
 	allocs []allocRec
 	frees  []allocRec
+	// freed holds the addresses in frees, so Free refuses a duplicate in
+	// O(1).
+	freed addrSet
 
 	// TicketBatch state: the drain position of the reserved timestamp
 	// block — the INCLUSIVE interval [ticketNext, ticketEnd], empty when
@@ -140,9 +143,11 @@ type Tx struct {
 	// pub is the reusable pre-image staging buffer publishVersions fills
 	// each update commit when the MVCC sidecar is attached; pubSeen is
 	// its reusable write-through dedupe scratch (first undo record per
-	// address wins).
-	pub     []mvcc.Version
-	pubSeen map[mem.Addr]struct{}
+	// address wins); allocSpans is the address-ordered, merged copy of
+	// allocs that tells fresh words from pre-existing ones.
+	pub        []mvcc.Version
+	pubSeen    addrSet
+	allocSpans []allocRec
 
 	attempts int // retries of the current atomic block (for backoff)
 	// lastAbort classifies the most recent rollback, read by the atomic
@@ -265,6 +270,7 @@ func (tx *Tx) begin(readOnly, snap bool) {
 	tx.undo = tx.undo[:0]
 	tx.allocs = tx.allocs[:0]
 	tx.frees = tx.frees[:0]
+	tx.freed.reset()
 	tx.redo = tx.redo[:0]
 	tx.redoTicket = nil
 	if snap {
