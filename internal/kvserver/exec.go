@@ -33,6 +33,7 @@
 package kvserver
 
 import (
+	"sync"
 	"time"
 
 	"tinystm/internal/core"
@@ -83,6 +84,19 @@ type readerScratch struct {
 	res [shortBatch]kvstore.OpResult
 	out [shortBatch]kvproto.BatchResult
 }
+
+// batchScratch is the store-side scratch of a batch no reader lent its own
+// to — a spawned binary batch, every HTTP /batch — borrowed from
+// batchScratches for one execInto: 48 KB a 1 024-op batch that would
+// otherwise be garbage for the collector to catch up with during a
+// preload. The wire results are not pooled: a held binary answer
+// references them until its acker sends.
+type batchScratch struct {
+	ops []kvstore.Op
+	res []kvstore.OpResult
+}
+
+var batchScratches = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // exec runs one decoded request from surface surf against the store and
 // builds its response in resp, waiting inline for a group-durable update's
@@ -192,7 +206,12 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 		if n := len(req.Ops); rd != nil && n <= shortBatch {
 			ops, res, out = rd.ops[:n], rd.res[:n], rd.out[:n]
 		} else {
-			ops, res, out = make([]kvstore.Op, n), make([]kvstore.OpResult, n), make([]kvproto.BatchResult, n)
+			b := batchScratches.Get().(*batchScratch)
+			defer batchScratches.Put(b)
+			if cap(b.ops) < n {
+				b.ops, b.res = make([]kvstore.Op, n), make([]kvstore.OpResult, n)
+			}
+			ops, res, out = b.ops[:n], b.res[:n], make([]kvproto.BatchResult, n)
 		}
 		for i, o := range req.Ops {
 			ops[i] = kvstore.Op{Kind: storeKinds[o.Op], Key: o.Key, Val: o.Val, Old: o.Old}

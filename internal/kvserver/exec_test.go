@@ -9,9 +9,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tinystm/internal/core"
 	"tinystm/internal/kvproto"
@@ -507,5 +509,42 @@ func TestExecArenaExhaustion(t *testing.T) {
 	}
 	if code := doJSON(t, ts.Client(), "PUT", ts.URL+"/kv/99999", "1", nil); code != http.StatusInsufficientStorage {
 		t.Fatalf("full arena over HTTP: status %d, want 507", code)
+	}
+}
+
+// TestLongBatchAllocs pins what a batch no reader lent its scratch to — a
+// spawned binary batch, an HTTP /batch — costs the Go heap: the store-side
+// ops and results are pooled, so a warmed 1 024-op batch allocates only
+// the wire results its answer carries.
+func TestLongBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	s, _ := newTestServer(t, Config{SpaceWords: 1 << 18, Shards: 4, Buckets: 64, Snapshots: true})
+	req := &kvproto.Request{ID: 1, Op: kvproto.OpBatch, Ops: make([]kvproto.BatchOp, kvproto.MaxBatchOps)}
+	for i := range req.Ops {
+		req.Ops[i] = kvproto.BatchOp{Op: kvproto.OpPut, Key: uint64(i), Val: uint64(i)}
+	}
+	var resp kvproto.Response
+	run := func() {
+		s.execInto(surfProto, time.Time{}, req, &resp, nil)
+		if resp.Status != kvproto.StatusOK {
+			t.Fatalf("batch answered %v: %s", resp.Status, resp.Msg)
+		}
+	}
+	run() // inserts the keys; every later run overwrites them
+	if n := testing.AllocsPerRun(50, run); n > 1 {
+		t.Fatalf("warmed %d-op batch through execInto: %v allocs, want <= 1 (the wire results)", len(req.Ops), n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perBatch := (after.TotalAlloc - before.TotalAlloc) / runs
+	if wire := uint64(len(req.Ops)) * uint64(unsafe.Sizeof(kvproto.BatchResult{})); perBatch > wire+wire/2 {
+		t.Fatalf("warmed %d-op batch allocates %d B, want about the %d B of its wire results", len(req.Ops), perBatch, wire)
 	}
 }

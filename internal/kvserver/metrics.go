@@ -8,6 +8,7 @@ package kvserver
 import (
 	"math/bits"
 	"net/http"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"time"
 
@@ -70,6 +71,35 @@ type metrics struct {
 	st       txn.Stats
 	tooOld   uint64
 	walStats wal.Stats
+	mem      memStats
+}
+
+// memStats tells data from heap: the arena words the store's allocator has
+// handed out, the words mapped for the arena and the MVCC sidecar outside
+// the Go heap, and the Go heap the collector found live at its last cycle
+// — what the next one paces on. A process that holds much more than the
+// sum is holding garbage the collector has not come round to.
+type memStats struct {
+	arenaLive, arenaMapped, goHeapLive uint64
+}
+
+func (s *Server) memStats() memStats {
+	sp := s.tm.Space()
+	mapped := uint64(sp.Cap()) * 8
+	if s.tm.SnapshotsEnabled() {
+		mapped *= 2 // the sidecar holds one timestamp per arena word
+	}
+	heap := []rtmetrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	rtmetrics.Read(heap)
+	return memStats{arenaLive: sp.LiveWords() * 8, arenaMapped: mapped, goHeapLive: heap[0].Value.Uint64()}
+}
+
+func (m memStats) stats() map[string]any {
+	return map[string]any{
+		"arena_live_bytes":   m.arenaLive,
+		"arena_mapped_bytes": m.arenaMapped,
+		"go_heap_live_bytes": m.goHeapLive,
+	}
 }
 
 // newMetrics builds every instrument and registers the full metric set.
@@ -99,6 +129,7 @@ func newMetrics(s *Server) *metrics {
 		if log := s.dur.walLog(); log != nil {
 			m.walStats = log.Stats()
 		}
+		m.mem = s.memStats()
 	})
 
 	lat := obs.LatencyBounds()
@@ -154,6 +185,12 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(s.store.Len()) })
 	m.reg.GaugeFunc("stmkvd_uptime_seconds", "Seconds since the server booted.", nil,
 		func() float64 { return time.Since(s.start).Seconds() })
+	m.reg.GaugeFunc("stmkvd_arena_live_bytes", "Arena bytes the STM allocator has handed out.", nil,
+		func() float64 { return float64(m.mem.arenaLive) })
+	m.reg.GaugeFunc("stmkvd_arena_mapped_bytes", "Bytes mapped outside the Go heap for the arena and the MVCC sidecar.", nil,
+		func() float64 { return float64(m.mem.arenaMapped) })
+	m.reg.GaugeFunc("stmkvd_go_heap_live_bytes", "Go heap found live by the last collection (/gc/heap/live:bytes).", nil,
+		func() float64 { return float64(m.mem.goHeapLive) })
 	for i := 0; i < m.heat.Shards(); i++ {
 		sh := i
 		ls := obs.Labels{"shard": strconv.Itoa(sh)}

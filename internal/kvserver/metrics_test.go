@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -223,6 +224,56 @@ func TestMetricsWAL(t *testing.T) {
 	v, ok := val("stmkvd_wal_preallocated")
 	if p := st.Durability.WAL.Preallocated; !ok || p == nil || *p != (v == 1) {
 		t.Fatalf("stmkvd_wal_preallocated = %v (ok=%v), /stats preallocated = %v", v, ok, p)
+	}
+}
+
+// TestMetricsMemory: /metrics and /stats report the same memory figures,
+// the mapping covers the arena and the sidecar, and the arena's live bytes
+// account for the keys inserted.
+func TestMetricsMemory(t *testing.T) {
+	const words, keys = 1 << 18, 4096
+	s, ts := newTestServer(t, Config{SpaceWords: words, Shards: 4, Buckets: 64, Snapshots: true})
+	c := ts.Client()
+	runtime.GC() // the heap gauge reads 0 until a first collection
+	read := func() (live, mapped float64) {
+		t.Helper()
+		var st struct {
+			Memory struct {
+				ArenaLive   float64 `json:"arena_live_bytes"`
+				ArenaMapped float64 `json:"arena_mapped_bytes"`
+				GoHeapLive  float64 `json:"go_heap_live_bytes"`
+			} `json:"memory"`
+		}
+		doJSON(t, c, "GET", ts.URL+"/stats", "", &st)
+		_, val := scrape(t, c, ts.URL)
+		m := st.Memory
+		for _, g := range []struct {
+			name  string
+			stats float64
+		}{
+			{"stmkvd_arena_live_bytes", m.ArenaLive},
+			{"stmkvd_arena_mapped_bytes", m.ArenaMapped},
+		} {
+			if v, ok := val(g.name); !ok || v != g.stats {
+				t.Fatalf("%s = %v (ok=%v), /stats says %v", g.name, v, ok, g.stats)
+			}
+		}
+		if v, ok := val("stmkvd_go_heap_live_bytes"); !ok || v <= 0 || m.GoHeapLive <= 0 {
+			t.Fatalf("go heap live: /metrics %v (ok=%v), /stats %v; want both positive", v, ok, m.GoHeapLive)
+		}
+		return m.ArenaLive, m.ArenaMapped
+	}
+
+	live0, mapped := read()
+	if mapped != 2*words*8 {
+		t.Fatalf("arena mapped bytes = %v, want %d: the arena and the sidecar, a word each per arena word", mapped, 2*words*8)
+	}
+	for k := uint64(0); k < keys; k++ {
+		s.Store().Put(k, k)
+	}
+	live1, _ := read()
+	if grew := live1 - live0; grew < 24*keys {
+		t.Fatalf("arena live bytes grew by %v over a %d-key insert, want >= %d (24 B a key)", grew, keys, 24*keys)
 	}
 }
 

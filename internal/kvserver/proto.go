@@ -174,6 +174,9 @@ type protoConn struct {
 	scratch readerScratch
 	// holding is set while the reader is counted in senders.
 	holding bool
+	// spareOps carries a spawned batch's decode backing back from its
+	// goroutine once the batch has run, for the reader's next decode.
+	spareOps chan []kvproto.BatchOp
 
 	// senders counts the responders that are encoding into bw or about
 	// to; the one that brings it to zero flushes.
@@ -217,10 +220,11 @@ type heldResp struct {
 func (s *Server) serveProtoConn(conn net.Conn) {
 	defer conn.Close()
 	c := &protoConn{
-		s:     s,
-		br:    bufio.NewReaderSize(conn, protoReadBuf),
-		bw:    bufio.NewWriterSize(conn, protoWriteBuf),
-		slots: make(chan struct{}, protoInflight),
+		s:        s,
+		br:       bufio.NewReaderSize(conn, protoReadBuf),
+		bw:       bufio.NewWriterSize(conn, protoWriteBuf),
+		slots:    make(chan struct{}, protoInflight),
+		spareOps: make(chan []kvproto.BatchOp, 1),
 	}
 	c.hcond.L = &c.hmu
 	c.readLoop()
@@ -269,6 +273,12 @@ func (c *protoConn) readLoop() {
 // of its own. It reports false when the connection must be dropped.
 func (c *protoConn) dispatch(payload []byte) bool {
 	s := c.s
+	if c.req.Ops == nil {
+		select {
+		case c.req.Ops = <-c.spareOps:
+		default:
+		}
+	}
 	if err := kvproto.DecodeRequestInto(payload, &c.req); err != nil {
 		// The frame was intact (CRC passed) but the payload is not a
 		// request we understand: answer StatusError when the id is
@@ -304,7 +314,7 @@ func (c *protoConn) spawn(dl time.Time) {
 	c.s.proto.spawned.Add(1)
 	req := new(kvproto.Request)
 	*req = c.req
-	c.req.Ops = nil // the goroutine's now: the next decode must not reuse them
+	c.req.Ops = nil // the goroutine's until it hands them back on spareOps
 	select {
 	case c.slots <- struct{}{}:
 	default:
@@ -328,6 +338,12 @@ func (c *protoConn) spawn(dl time.Time) {
 		} else {
 			s.proto.ops.Add(1)
 			ack = s.execInto(surfProto, dl, req, &resp, nil)
+		}
+		if req.Ops != nil {
+			select {
+			case c.spareOps <- req.Ops:
+			default: // the reader has a spare already
+			}
 		}
 		c.answer(&resp, ack, false)
 	}()

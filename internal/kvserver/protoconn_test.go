@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tinystm/internal/kvproto"
 	"tinystm/internal/wal"
@@ -328,6 +329,45 @@ func TestProtoReaderPathAllocs(t *testing.T) {
 	}
 	if !c.resp.Found || c.resp.Val != 50 {
 		t.Fatalf("the measured path answered %+v", c.resp)
+	}
+}
+
+// TestProtoSpawnedBatchReturnsItsOps: a batch long enough to be spawned
+// gives its decode backing back to the connection once it has run, and the
+// reader's next decode takes it instead of allocating a fresh one.
+func TestProtoSpawnedBatchReturnsItsOps(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	c := &protoConn{
+		s: s, bw: bufio.NewWriterSize(io.Discard, protoWriteBuf),
+		slots: make(chan struct{}, protoInflight), spareOps: make(chan []kvproto.BatchOp, 1),
+	}
+	ops := make([]kvproto.BatchOp, shortBatch+1)
+	for i := range ops {
+		ops[i] = kvproto.BatchOp{Op: kvproto.OpGet, Key: uint64(i)}
+	}
+	batch, err := kvproto.AppendRequest(nil, &kvproto.Request{ID: 1, Op: kvproto.OpBatch, Ops: ops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	get, err := kvproto.AppendRequest(nil, &kvproto.Request{ID: 2, Op: kvproto.OpGet, Key: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.dispatch(batch)
+	c.wg.Wait()
+	var spare []kvproto.BatchOp
+	select {
+	case spare = <-c.spareOps:
+		if cap(spare) < len(ops) {
+			t.Fatalf("the batch handed back %d ops of room, want its %d-op backing", cap(spare), len(ops))
+		}
+		c.spareOps <- spare
+	default:
+		t.Fatal("the spawned batch kept its ops")
+	}
+	c.dispatch(get)
+	if unsafe.SliceData(c.req.Ops) != unsafe.SliceData(spare) || len(c.spareOps) != 0 {
+		t.Fatal("the reader's next decode did not take the returned ops")
 	}
 }
 

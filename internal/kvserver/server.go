@@ -499,6 +499,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"cm":             s.tm.CM().String(),
 		"cm_switches":    st.CMSwitches,
 		"keys":           s.store.Len(),
+		"memory":         s.memStats().stats(),
 		"commits":        st.Commits,
 		"aborts":         st.Aborts,
 		"extensions":     st.Extensions,

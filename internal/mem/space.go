@@ -12,6 +12,28 @@
 //
 // All word accesses go through sync/atomic: with the write-through design
 // transactions write to memory before commit, so plain loads would race.
+//
+// The words live outside the Go heap (MapWords: an anonymous mapping on
+// unix), as TinySTM's arena lives in raw process memory. On the heap they
+// would be one pointer-free allocation the collector never scans yet
+// counts as live: its pacing goal would sit at twice the arena, and
+// nothing allocated beside it — request scratch, descriptor growth — would
+// be collected until the process had allocated that much again. Mapped,
+// the goal follows the Go objects alone. The MVCC sidecar maps its
+// per-word timestamps the same way.
+//
+// Lifetime: a mapping belongs to an owner (the *Space for the arena, the
+// *mvcc.Store for the sidecar) and is unmapped by a runtime.AddCleanup on
+// it once the owner is unreachable. Every access goes through a reachable
+// owner — a transaction reaches the arena as tx.tm.space, the sidecar as
+// tm.mvcc — so a mapping outlives every reader, and no slice of the words
+// may escape its owner.
+//
+// The race detector ignores memory outside the Go heap: it neither checks
+// accesses to these words nor tracks happens-before through the atomics on
+// them. Nothing may rely on it doing so — an ordering between goroutines
+// that matters must also run through synchronization on the heap, as the
+// STM's lock words do.
 package mem
 
 import (
@@ -40,7 +62,8 @@ func NewSpace(capacity int) *Space {
 	if capacity < 2 {
 		panic("mem: space capacity must be at least 2 words")
 	}
-	s := &Space{words: make([]uint64, capacity)}
+	s := &Space{}
+	s.words = MapWords(s, capacity)
 	s.alloc.init(1, uint64(capacity)) // word 0 reserved
 	return s
 }
@@ -95,5 +118,5 @@ func (s *Space) Free(a Addr, n int) {
 }
 
 // LiveWords reports the number of words currently allocated (excluding the
-// reserved word). Intended for tests and leak accounting.
+// reserved word): leak accounting in tests, the server's memory gauges.
 func (s *Space) LiveWords() uint64 { return s.alloc.live() }

@@ -43,7 +43,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
+	"tinystm/internal/mem"
 	"tinystm/internal/reclaim"
 )
 
@@ -152,7 +154,8 @@ type Store struct {
 	// written[a] is the commit timestamp of the last transactional write
 	// to arena word a (0: never written since the last Reset). Lock-free
 	// on both sides; the one word per arena word is the sidecar's main
-	// memory cost, paid only when Config.Snapshots is on.
+	// memory cost, paid only when Config.Snapshots is on. Mapped outside
+	// the Go heap like the arena, and owned by the Store (see package mem).
 	written []atomic.Uint64
 
 	shards []shard
@@ -180,10 +183,10 @@ func New(cfg Config) *Store {
 		cfg.Budget = defaultBudget
 	}
 	s := &Store{
-		written: make([]atomic.Uint64, cfg.Words),
-		shards:  make([]shard, cfg.Shards),
-		mask:    uint64(cfg.Shards - 1),
+		shards: make([]shard, cfg.Shards),
+		mask:   uint64(cfg.Shards - 1),
 	}
+	s.written = unsafe.Slice((*atomic.Uint64)(unsafe.Pointer(unsafe.SliceData(mem.MapWords(s, cfg.Words)))), cfg.Words)
 	s.budget.Store(int64(cfg.Budget))
 	return s
 }
