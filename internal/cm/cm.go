@@ -19,6 +19,11 @@
 // policy *requests* the owner's abort (RequestKill); the victim notices at
 // its next conflict or commit checkpoint — never inside a critical
 // publication sequence — so a kill is always legal.
+//
+// What a policy sees is not the whole retry: core's retry loop (not TL2's)
+// additionally waits, after OnAbort, for the lock that beat the attempt to
+// change before it restarts (TinySTM's CM_DELAY). That wait is what keeps
+// Suicide's immediate abort from turning into an immediate re-collision.
 package cm
 
 import (
@@ -32,8 +37,10 @@ type Kind int
 
 const (
 	// Suicide aborts self immediately on any conflict (the paper's
-	// choice, and the default): minimal overhead, livelock-prone under
-	// heavy contention.
+	// choice, and the default): minimal overhead. It is livelock-prone
+	// under heavy contention where the retry restarts at once (TL2);
+	// core's retry first waits for the lock that beat it, which removes
+	// most re-collisions.
 	Suicide Kind = iota
 	// Backoff is Suicide plus bounded randomized exponential backoff
 	// between retries.

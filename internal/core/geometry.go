@@ -70,10 +70,12 @@ func (g *geometry) casLock(li uint64, old, new uint64) bool {
 }
 
 // resetVersions zeroes every lock word; used by clock roll-over ("we reset
-// the clock and all version numbers"). Only called while the TM is frozen.
+// the clock and all version numbers"). Only called while the TM is frozen,
+// but the stores are atomic all the same: a retry waiting for a lock word
+// to change (awaitConflict) reads it outside the freeze.
 func (g *geometry) resetVersions() {
 	for i := range g.locks {
-		g.locks[i] = 0
+		g.storeLock(uint64(i), 0)
 	}
 	for i := range g.hier {
 		g.hier[i].v.Store(0)

@@ -32,6 +32,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"time"
 
 	"tinystm/internal/mem"
 	"tinystm/internal/mvcc"
@@ -49,6 +50,19 @@ var errSnapshotsDisabled = errors.New("core: snapshots disabled (enable Config.S
 // and long writers can exhaust the budget — the retry then restarts on a
 // fresh snapshot past the writer.
 const snapSpinBudget = 512
+
+// awaitConflict's schedule for the lock that beat an attempt: retrySpins
+// looks, with a yield every 16 as loadSnap does, then a retryNap sleep
+// between looks, because an owner that holds its lock that long runs a big
+// transaction and a waiter that keeps spinning takes a core from it. After
+// retryWaitLimit the retry starts anyway. The limit is a time, not a spin
+// count: a yield returns at once when nothing else is runnable, so a spin
+// budget would run out long before a 1 024-put batch releases its locks.
+const (
+	retrySpins     = 1 << 10
+	retryNap       = 20 * time.Microsecond
+	retryWaitLimit = 100 * time.Millisecond
+)
 
 // SnapshotsEnabled reports whether the MVCC sidecar is attached.
 func (tm *TM) SnapshotsEnabled() bool { return tm.mvcc != nil }

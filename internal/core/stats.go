@@ -15,6 +15,8 @@ type txStats struct {
 	aborts           atomic.Uint64
 	abortsByKind     [txn.NAbortKinds]atomic.Uint64
 	extensions       atomic.Uint64
+	retryWaits       atomic.Uint64
+	retryWaitNs      atomic.Uint64
 	locksValidated   atomic.Uint64
 	locksSkipped     atomic.Uint64
 	dupReadsSkipped  atomic.Uint64
@@ -34,6 +36,8 @@ func (s *txStats) reset() {
 		s.abortsByKind[i].Store(0)
 	}
 	s.extensions.Store(0)
+	s.retryWaits.Store(0)
+	s.retryWaitNs.Store(0)
 	s.locksValidated.Store(0)
 	s.locksSkipped.Store(0)
 	s.dupReadsSkipped.Store(0)
@@ -50,6 +54,8 @@ func (s *txStats) snapshotInto(out *txn.Stats) {
 		out.AbortsByKind[i] += s.abortsByKind[i].Load()
 	}
 	out.Extensions += s.extensions.Load()
+	out.RetryWaits += s.retryWaits.Load()
+	out.RetryWaitNs += s.retryWaitNs.Load()
 	out.LocksValidated += s.locksValidated.Load()
 	out.LocksSkipped += s.locksSkipped.Load()
 	out.DupReadsSkipped += s.dupReadsSkipped.Load()

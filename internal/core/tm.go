@@ -402,7 +402,10 @@ func (tm *TM) atomic(tx *Tx, fn func(*Tx), ro, snap bool) {
 			// The attempt failed and rolled back (NoteAbort already
 			// accrued its work as priority); the policy may block here —
 			// backoff spinning, or waiting for the serialization token.
+			// Then, whatever the policy, a retry that lost to a lock
+			// waits for that lock first.
 			tx.pol.OnAbort(&tx.cmst)
+			tx.awaitConflict()
 		}
 	}
 }

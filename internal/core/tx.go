@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"sync/atomic"
+	"time"
 
 	"tinystm/internal/cm"
 	"tinystm/internal/mem"
@@ -156,6 +157,14 @@ type Tx struct {
 	lastAbort txn.AbortKind
 	rng       uint64
 
+	// waitLock is the lock word that beat the attempt (the policy chose
+	// Abort on it in resolveConflict) and waitWord the value it held
+	// then; the retry loop waits for the word to change before restarting
+	// (awaitConflict). Nil when the attempt lost to no lock; cleared at
+	// every Begin.
+	waitLock *uint64
+	waitWord uint64
+
 	// Contention management: cmst is this descriptor's policy-visible
 	// state (priority, age, kill requests — competitors read it through
 	// the TM's slot table); pol pins the active policy per attempt, like
@@ -244,6 +253,7 @@ func (tx *Tx) begin(readOnly, snap bool) {
 		p.OnStart(&tx.cmst)
 	}
 	tx.cmst.BeginAttempt()
+	tx.waitLock = nil
 	tx.inTx = true
 	tx.ro = readOnly
 	tx.snap = snap
@@ -737,12 +747,14 @@ func (tx *Tx) storeOwned(a mem.Addr, v uint64, li uint64, lw uint64, lockOnly bo
 // to abort; a competitor's kill request arriving while we wait aborts
 // directly as AbortKilled. The wait/kill protocol itself — epoch-pinned
 // cooperative kills, spin-count restart on ownership handoff — lives in
-// cm.ResolveConflict, shared with TL2.
+// cm.ResolveConflict, shared with TL2. On Abort it records the lock and the
+// word the policy decided on, for the retry loop's awaitConflict.
 func (tx *Tx) resolveConflict(li uint64, k cm.ConflictKind) bool {
 	g := tx.geo
+	var lw uint64
 	out := cm.ResolveConflict(tx.pol, &tx.cmst, k,
 		func() (*cm.State, bool) {
-			lw := g.loadLock(li)
+			lw = g.loadLock(li)
 			if !isOwned(lw) {
 				return nil, false
 			}
@@ -754,7 +766,46 @@ func (tx *Tx) resolveConflict(li uint64, k cm.ConflictKind) bool {
 	case cm.Killed:
 		tx.abort(txn.AbortKilled)
 	}
+	tx.waitLock, tx.waitWord = &g.locks[li], lw
 	return false
+}
+
+// awaitConflict is TinySTM's CM_DELAY, run by the retry loop after the
+// policy's OnAbort: when the failed attempt lost to a lock, wait until that
+// lock word changes — its owner released it or handed it on — because a
+// retry that starts earlier most likely runs into the same lock again, and
+// each such attempt allocates, unwinds by panic and frees for nothing. The
+// descriptor has rolled back: it holds no locks and has left the freeze,
+// so the wait blocks neither the owner, a Reconfigure nor a roll-over. A
+// word in a geometry retired meanwhile changes when its owner finishes;
+// retryWaitLimit bounds the wait for an owner that holds its lock longer
+// (a write-through attempt holds every lock it takes to its end). The
+// schedule — spin, then nap — is the one beside retryWaitLimit.
+func (tx *Tx) awaitConflict() {
+	w := tx.waitLock
+	if w == nil {
+		return
+	}
+	tx.waitLock = nil
+	if atomic.LoadUint64(w) != tx.waitWord {
+		return
+	}
+	t0 := time.Now()
+	for spin := 1; atomic.LoadUint64(w) == tx.waitWord; spin++ {
+		if spin&15 != 0 {
+			continue
+		}
+		if time.Since(t0) >= retryWaitLimit {
+			break
+		}
+		if spin < retrySpins {
+			runtime.Gosched() // let the owner run
+		} else {
+			time.Sleep(retryNap)
+		}
+	}
+	tx.stats.retryWaits.Add(1)
+	tx.stats.retryWaitNs.Add(uint64(time.Since(t0)))
 }
 
 // extend tries to grow the snapshot's validity range to the current clock

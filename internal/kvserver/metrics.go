@@ -139,6 +139,10 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(m.st.Commits) })
 	m.reg.CounterFunc("stm_extensions_total", "Successful snapshot extensions.", nil,
 		func() float64 { return float64(m.st.Extensions) })
+	m.reg.CounterFunc("stm_retry_waits_total", "Retries that first waited for the lock that beat the failed attempt.", nil,
+		func() float64 { return float64(m.st.RetryWaits) })
+	m.reg.CounterFunc("stm_retry_wait_seconds_total", "Time retries spent waiting for the lock that beat the failed attempt.", nil,
+		func() float64 { return float64(m.st.RetryWaitNs) / 1e9 })
 	m.reg.CounterFunc("stm_rollovers_total", "Clock roll-over freezes.", nil,
 		func() float64 { return float64(m.st.RollOvers) })
 	m.reg.CounterFunc("stm_reconfigs_total", "Dynamic lock-table reconfigurations.", nil,

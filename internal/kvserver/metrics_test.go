@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"tinystm/internal/core"
 	"tinystm/internal/tuning"
 )
 
@@ -274,6 +275,59 @@ func TestMetricsMemory(t *testing.T) {
 	live1, _ := read()
 	if grew := live1 - live0; grew < 24*keys {
 		t.Fatalf("arena live bytes grew by %v over a %d-key insert, want >= %d (24 B a key)", grew, keys, 24*keys)
+	}
+}
+
+// TestMetricsRetryWaits forces one conflict — a transaction holds a word's
+// lock while another's Atomic stores to it — and checks that /metrics and
+// /stats report the same retry-wait count and seconds, both non-zero.
+func TestMetricsRetryWaits(t *testing.T) {
+	s, ts := newTestServer(t, Config{SpaceWords: 1 << 18, Shards: 4, Buckets: 8})
+	c := ts.Client()
+	tm := s.TM()
+	owner, loser := tm.NewTx(), tm.NewTx()
+	defer owner.Release()
+	defer loser.Release()
+	var x uint64
+	tm.Atomic(owner, func(tx *core.Tx) { x = tx.Alloc(1) })
+
+	owner.Begin(false)
+	owner.Store(x, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tm.Atomic(loser, func(tx *core.Tx) { tx.Store(x, 2) })
+	}()
+	for loser.TxStats().Aborts == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(10 * time.Millisecond) // the loser is waiting for x's lock by now
+	if !owner.Commit() {
+		t.Fatal("the lock owner's commit failed")
+	}
+	<-done
+
+	var st struct {
+		RetryWaits struct {
+			Count   float64 `json:"count"`
+			Seconds float64 `json:"seconds"`
+		} `json:"retry_waits"`
+	}
+	doJSON(t, c, "GET", ts.URL+"/stats", "", &st)
+	_, val := scrape(t, c, ts.URL)
+	if st.RetryWaits.Count < 1 || st.RetryWaits.Seconds <= 0 {
+		t.Fatalf("/stats retry_waits = %+v, want a counted wait with its time", st.RetryWaits)
+	}
+	for _, g := range []struct {
+		name  string
+		stats float64
+	}{
+		{"stm_retry_waits_total", st.RetryWaits.Count},
+		{"stm_retry_wait_seconds_total", st.RetryWaits.Seconds},
+	} {
+		if v, ok := val(g.name); !ok || v != g.stats {
+			t.Errorf("%s = %v (ok=%v), /stats says %v", g.name, v, ok, g.stats)
+		}
 	}
 }
 

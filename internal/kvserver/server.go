@@ -503,9 +503,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"commits":        st.Commits,
 		"aborts":         st.Aborts,
 		"extensions":     st.Extensions,
-		"rollovers":      st.RollOvers,
-		"reconfigs":      st.Reconfigs,
-		"descriptors":    map[string]int{"minted": minted, "free": free},
+		"retry_waits": map[string]any{
+			"count":   st.RetryWaits,
+			"seconds": float64(st.RetryWaitNs) / 1e9,
+		},
+		"rollovers":   st.RollOvers,
+		"reconfigs":   st.Reconfigs,
+		"descriptors": map[string]int{"minted": minted, "free": free},
 		"snapshots": map[string]any{
 			"enabled":                 s.tm.SnapshotsEnabled(),
 			"version_budget":          s.tm.VersionBudget(),

@@ -1,6 +1,7 @@
 package microbench
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -62,6 +63,101 @@ func benchBatchInsert(b *testing.B, n int) {
 func BenchmarkKVBatchInsert64(b *testing.B)   { benchBatchInsert(b, 64) }
 func BenchmarkKVBatchInsert1024(b *testing.B) { benchBatchInsert(b, 1024) }
 func BenchmarkKVBatchInsert4096(b *testing.B) { benchBatchInsert(b, 4096) }
+
+// applyConcurrently runs each goroutine's batches through s.ApplyInto, one
+// goroutine per element of batches, and waits for all of them.
+func applyConcurrently(s *kvstore.Store[*core.Tx], batches [][][]kvstore.Op) {
+	var wg sync.WaitGroup
+	for _, mine := range batches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, ops := range mine {
+				s.ApplyInto(ops, make([]kvstore.OpResult, len(ops)))
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// opBatch is n ops of one kind on the keys from lo on.
+func opBatch(kind kvstore.OpKind, lo uint64, n int) []kvstore.Op {
+	ops := make([]kvstore.Op, n)
+	for i := range ops {
+		ops[i] = kvstore.Op{Kind: kind, Key: lo + uint64(i), Val: lo + uint64(i)}
+	}
+	return ops
+}
+
+// BenchmarkKVBatchInsertContended is BenchmarkKVBatchInsert1024 with two
+// goroutines inserting disjoint 1 024-key batches at once. Every batch
+// writes all 16 shard count words early, so the two always collide; the
+// loser waits for the lock that beat it (core's awaitConflict) instead of
+// spinning through aborts. ns/key is over both batches, aborts/op per
+// pair of batches.
+func BenchmarkKVBatchInsertContended(b *testing.B) {
+	const n = 1024
+	for _, d := range []core.Design{core.WriteBack, core.WriteThrough} {
+		b.Run(d.String(), func(b *testing.B) {
+			tm := core.MustNew(core.Config{Space: mem.NewSpace(1 << 20), Design: d, Snapshots: true})
+			s := kvstore.NewStore[*core.Tx](tm, 16, 64)
+			defer s.Close()
+			ins := [][][]kvstore.Op{{opBatch(kvstore.OpPut, 0, n)}, {opBatch(kvstore.OpPut, n, n)}}
+			del := [][][]kvstore.Op{{opBatch(kvstore.OpDelete, 0, 2*n)}}
+			applyConcurrently(s, ins) // grows the shard directories
+			applyConcurrently(s, del)
+			aborts := tm.Stats().Aborts
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				applyConcurrently(s, ins)
+				b.StopTimer()
+				applyConcurrently(s, del)
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*n), "ns/key")
+			b.ReportMetric(float64(tm.Stats().Aborts-aborts)/float64(b.N), "aborts/op")
+		})
+	}
+}
+
+// coldPreload is stmkvd's set-up in-process: a fresh TM and store as the
+// server builds them, then 64 batches of 1 024 puts dealt out round-robin
+// to the given number of goroutines, as the bench's preload deals them to
+// its connections. It returns how long the batches took and how many
+// attempts aborted.
+func coldPreload(d core.Design, workers int) (time.Duration, uint64) {
+	const batches, n = 64, 1024
+	tm := core.MustNew(core.Config{Space: mem.NewSpace(1 << 22), Locks: 1 << 16, Design: d, Snapshots: true})
+	s := kvstore.NewStore[*core.Tx](tm, 16, 64)
+	defer s.Close()
+	dealt := make([][][]kvstore.Op, workers)
+	for i := 0; i < batches; i++ {
+		dealt[i%workers] = append(dealt[i%workers], opBatch(kvstore.OpPut, uint64(i*n), n))
+	}
+	start := time.Now()
+	applyConcurrently(s, dealt)
+	return time.Since(start), tm.Stats().Aborts
+}
+
+// TestContendedBatchesDoNotSpin: two goroutines preloading 65 536 keys in
+// 1 024-put batches collide on the shard count words in every batch. A
+// loser that restarts at once runs into the same lock again and again —
+// about 60 000 aborts per preload — where one that waits for the lock
+// aborts about once per collision.
+func TestContendedBatchesDoNotSpin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	for _, d := range []core.Design{core.WriteBack, core.WriteThrough} {
+		one, _ := coldPreload(d, 1)
+		two, aborts := coldPreload(d, 2)
+		t.Logf("%v: one goroutine %v, two %v (%.2fx), %d aborts", d, one, two, float64(two)/float64(one), aborts)
+		if aborts >= 1000 {
+			t.Errorf("%v: a two-goroutine preload aborted %d times, want < 1000", d, aborts)
+		}
+	}
+}
 
 // TestBatchInsertScalesLinearly holds the per-key cost of a 4 096-key
 // insert batch within 4x that of a 64-key one, in both designs. Linear

@@ -213,6 +213,11 @@ type Stats struct {
 	AbortsByKind [NAbortKinds]uint64
 	// Extensions counts successful snapshot extensions (TinySTM only).
 	Extensions uint64
+	// RetryWaits counts retries that first waited for the lock that beat
+	// the failed attempt to change, and RetryWaitNs the nanoseconds those
+	// waits took (TinySTM only).
+	RetryWaits  uint64
+	RetryWaitNs uint64
 	// LocksValidated counts read-set entries checked one-by-one during
 	// validation; LocksSkipped counts entries skipped via the hierarchical
 	// fast path (Figure 12's two series).
@@ -254,6 +259,8 @@ func (s Stats) Sub(o Stats) Stats {
 		Commits:              s.Commits - o.Commits,
 		Aborts:               s.Aborts - o.Aborts,
 		Extensions:           s.Extensions - o.Extensions,
+		RetryWaits:           s.RetryWaits - o.RetryWaits,
+		RetryWaitNs:          s.RetryWaitNs - o.RetryWaitNs,
 		LocksValidated:       s.LocksValidated - o.LocksValidated,
 		LocksSkipped:         s.LocksSkipped - o.LocksSkipped,
 		DupReadsSkipped:      s.DupReadsSkipped - o.DupReadsSkipped,
@@ -279,6 +286,8 @@ func (s Stats) Add(o Stats) Stats {
 		Commits:              s.Commits + o.Commits,
 		Aborts:               s.Aborts + o.Aborts,
 		Extensions:           s.Extensions + o.Extensions,
+		RetryWaits:           s.RetryWaits + o.RetryWaits,
+		RetryWaitNs:          s.RetryWaitNs + o.RetryWaitNs,
 		LocksValidated:       s.LocksValidated + o.LocksValidated,
 		LocksSkipped:         s.LocksSkipped + o.LocksSkipped,
 		DupReadsSkipped:      s.DupReadsSkipped + o.DupReadsSkipped,
