@@ -180,22 +180,6 @@ func BenchmarkFig09Improvement(b *testing.B) {
 	b.ReportMetric(max, "improvement-%")
 }
 
-// BenchmarkClockSweep exercises the commit-clock strategy dimension end
-// to end (the sweep behind `stmbench -fig clock`) and reports the best
-// strategy's throughput.
-func BenchmarkClockSweep(b *testing.B) {
-	sc := benchScale()
-	ip := harness.IntsetParams{Kind: harness.KindRBTree, InitialSize: 256, UpdatePct: 20}
-	geo := core.Params{Locks: 1 << 12, Shifts: 0, Hier: 1}
-	var tp float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.SweepClockStrategies(sc, core.WriteBack, geo, ip,
-			core.AllClockStrategies)
-		_, tp = r.Best()
-	}
-	b.ReportMetric(tp, "txs/s")
-}
-
 // tuneBenchScale enables interleaving so validation (and its fast path)
 // actually runs during tuning benches.
 func tuneBenchScale() experiments.Scale {

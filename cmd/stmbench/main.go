@@ -5,7 +5,7 @@
 //	2 3 4 4r 5   integer-set throughput and abort rates, TinySTM-WB/WT vs TL2
 //	6 7 8 9      (#locks x #shifts x h) sweeps: rbtree/list, Vacation, improvement curves
 //	10 11 12     dynamic tuning from (2^8,0,1) on tuning.Runtime: rbtree, list, validation counters
-//	clock cm     commit-clock strategies; contention-management policies
+//	cm           contention-management policies
 //	snapshot server proto   MVCC scans, the live service under load, the wire surfaces
 //	custom       one workload (-b -size -update) across all three systems
 //	autotune     the tuning runtime against a phase-shifting workload vs. static baselines
@@ -52,7 +52,7 @@ var figures = []struct {
 	{"2", fig2}, {"3", fig3}, {"4", fig4}, {"4r", fig4r}, {"5", fig5},
 	{"6", fig6}, {"7", fig7}, {"8", fig8}, {"9", fig9},
 	{"10", fig10}, {"11", fig11}, {"12", fig12},
-	{"clock", figClock}, {"cm", figCM}, {"snapshot", figSnapshot},
+	{"cm", figCM}, {"snapshot", figSnapshot},
 	{"server", figServer}, {"proto", figProto},
 	{"custom", figCustom}, {"autotune", figAutotune},
 }
@@ -67,7 +67,7 @@ func figureNames() string {
 
 // options is the one flag block, plus what main derives from it once.
 type options struct {
-	fig, cm, clock, bench, threads string
+	fig, cm, bench, threads        string
 	size, update                   int
 	duration, warmup               time.Duration
 	seed                           uint64
@@ -85,10 +85,9 @@ func declare(fs *flag.FlagSet) *options {
 	o := new(options)
 	fs.StringVar(&o.fig, "fig", "custom", "figure to run: "+figureNames())
 	fs.StringVar(&o.cm, "cm", "suicide", "contention-management policy (suicide, backoff, karma, timestamp, serializer); -fig cm sweeps all five")
-	fs.StringVar(&o.clock, "clock", "fetchinc", "commit-clock strategy for TinySTM points (fetchinc, lazy, ticket); -fig clock sweeps all three")
-	fs.StringVar(&o.bench, "b", "rbtree", "structure (list, rbtree, skiplist, hashset) for -fig 6, 8, clock, cm, custom, autotune")
-	fs.IntVar(&o.size, "size", 4096, "initial elements for -fig 10-12, clock, cm, snapshot, custom, autotune")
-	fs.IntVar(&o.update, "update", 20, "update percentage for -fig 10-12, clock, cm, custom, autotune")
+	fs.StringVar(&o.bench, "b", "rbtree", "structure (list, rbtree, skiplist, hashset) for -fig 6, 8, cm, custom, autotune")
+	fs.IntVar(&o.size, "size", 4096, "initial elements for -fig 10-12, cm, snapshot, custom, autotune")
+	fs.IntVar(&o.update, "update", 20, "update percentage for -fig 10-12, cm, custom, autotune")
 	fs.StringVar(&o.threads, "threads", "1,2,4,6,8", "comma-separated thread counts (sweeps and tuning runs use the largest)")
 	fs.DurationVar(&o.duration, "duration", time.Second, "measurement window per point; one tuning sample for -fig 10-12, autotune")
 	fs.DurationVar(&o.warmup, "warmup", 200*time.Millisecond, "warm-up before measuring")
@@ -119,7 +118,6 @@ func main() {
 
 	o.sc = cliutil.Scale(o.duration, o.warmup, cliutil.Must(cliutil.ParseInts(o.threads)), o.seed, o.quick, o.yield)
 	o.sc.Repeats = o.repeats
-	o.sc.Clock = cliutil.Must(core.ParseClockStrategy(o.clock))
 	o.sc.CM = cliutil.Must(cm.ParseKind(o.cm))
 	o.kind = cliutil.Must(cliutil.ParseKind(o.bench))
 
@@ -252,13 +250,6 @@ func (o *options) emitPath(fig int, kind harness.Kind) {
 func fig10(o *options) { o.emitPath(10, harness.KindRBTree) }
 func fig11(o *options) { o.emitPath(11, harness.KindList) }
 func fig12(o *options) { o.emit(o.tuningFigure(harness.KindList).ValidationTable()) }
-
-func figClock(o *options) {
-	for _, d := range []core.Design{core.WriteBack, core.WriteThrough} {
-		o.emit(experiments.SweepClockStrategies(o.sc, d, defaultGeometry, o.intset(),
-			core.AllClockStrategies).ToTable())
-	}
-}
 
 // figCM sweeps all five policies across thread counts. Pass a hot mix
 // (-b list -size 256 -update 80, plus -yield on few-core hosts) to make

@@ -47,7 +47,6 @@ import (
 
 	"tinystm/internal/cliutil"
 	"tinystm/internal/cm"
-	"tinystm/internal/core"
 	"tinystm/internal/kvserver"
 )
 
@@ -62,7 +61,6 @@ func main() {
 		tuneAdm   = flag.Bool("tune-admission", true, "let the tuning runtime walk the admission width live (needs -autotune and -admission > 0)")
 		space     = flag.Int("space", 1<<22, "transactional arena size in 64-bit words")
 		design    = flag.String("design", "wb", "memory design: wb (write-back) or wt (write-through)")
-		clock     = flag.String("clock", "fetchinc", "commit-clock strategy: fetchinc, lazy, ticket")
 		geometry  = flag.String("geometry", "2^8,0,1", "initial lock-table triple locks,shifts,h (accepts 2^k)")
 		cmFlag    = flag.String("cm", "suicide", "initial contention-management policy: suicide, backoff, karma, timestamp, serializer")
 		snaps     = flag.Bool("snapshots", true, "attach the MVCC sidecar: /scan, all-Get /batch and Len run as wait-free snapshot transactions")
@@ -81,7 +79,6 @@ func main() {
 	flag.Parse()
 
 	d := cliutil.Must(cliutil.ParseDesign(*design))
-	cs := cliutil.Must(core.ParseClockStrategy(*clock))
 	geo := cliutil.Must(cliutil.ParseParams(*geometry))
 	ck := cliutil.Must(cm.ParseKind(*cmFlag))
 	dmode := cliutil.Must(kvserver.ParseDurability(*durab))
@@ -89,7 +86,6 @@ func main() {
 	srv, err := kvserver.New(kvserver.Config{
 		SpaceWords:      *space,
 		Design:          d,
-		Clock:           cs,
 		Geometry:        geo,
 		CM:              ck,
 		Snapshots:       *snaps,
@@ -175,8 +171,8 @@ func main() {
 		_ = hs.Shutdown(ctx)
 	}()
 
-	log.Printf("serving on %s (design=%v clock=%v geometry=%v cm=%v snapshots=%v autotune=%v admission=%d tune-admission=%v brownout-slo=%v period=%v)",
-		hl.Addr(), d, cs, geo, ck, *snaps, *autotune,
+	log.Printf("serving on %s (design=%v geometry=%v cm=%v snapshots=%v autotune=%v admission=%d tune-admission=%v brownout-slo=%v period=%v)",
+		hl.Addr(), d, geo, ck, *snaps, *autotune,
 		*admWidth, *autotune && *tuneAdm && *admWidth > 0, *brownSLO, *period)
 	log.Printf("http listening on %s", hl.Addr())
 	if pl != nil {

@@ -1,133 +1,41 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// ClockStrategy selects how update commits obtain their timestamp from the
-// global time base. The paper's Section 3.1 ("Clock Management") uses a
-// single shared counter incremented at every update commit; the strategies
-// below trade that commit-time contention against extra snapshot
-// extensions or reserved-but-unused timestamps, following the GV4/GV5
-// family of TL2 and the batching idea of ticket locks.
-type ClockStrategy int
-
-const (
-	// FetchInc is the paper's baseline (and TL2's GV4 spirit): every
-	// update commit performs one atomic fetch-and-increment on the shared
-	// clock. Timestamps are unique and dense; the commit-time fast path
-	// that skips validation when ts == start+1 is sound.
-	FetchInc ClockStrategy = iota
-	// Lazy is GV5-style: a committer takes now()+1 WITHOUT incrementing
-	// the clock, then advances the clock to at least that value with a
-	// single conditional compare-and-swap (skipped entirely when a
-	// concurrent committer already advanced it). Under contention most
-	// commits touch the clock's cache line read-only. The price:
-	// timestamps can collide (concurrent committers sharing now()+1), so
-	// the ts == start+1 validation skip is unsound and disabled, and
-	// readers perform more snapshot extensions.
-	Lazy
-	// TicketBatch amortizes the atomic over a block: each descriptor
-	// reserves clockBatch consecutive timestamps with one fetch-and-add
-	// on a separate reservation counter and drains them across its next
-	// commits. A commit-time staleness check (ticket must exceed the
-	// visible clock) discards reservations that fell behind concurrent
-	// commits, preserving the serialization order; reservations are also
-	// drained wholesale at clock roll-over and Reconfigure via the TM's
-	// clock epoch. Timestamps are unique but not dense (discarded tickets
-	// are never reused).
-	TicketBatch
-)
-
-// String names the strategy as the -clock flag spells it.
-func (s ClockStrategy) String() string {
-	switch s {
-	case FetchInc:
-		return "fetchinc"
-	case Lazy:
-		return "lazy"
-	case TicketBatch:
-		return "ticket"
-	default:
-		return fmt.Sprintf("ClockStrategy(%d)", int(s))
-	}
-}
-
-// AllClockStrategies lists the strategies for table-driven tests, sweeps
-// and CLI help.
-var AllClockStrategies = []ClockStrategy{FetchInc, Lazy, TicketBatch}
-
-// ParseClockStrategy converts a -clock flag value to a strategy.
-func ParseClockStrategy(s string) (ClockStrategy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "fetchinc", "gv4", "":
-		return FetchInc, nil
-	case "lazy", "gv5":
-		return Lazy, nil
-	case "ticket", "ticketbatch", "batch":
-		return TicketBatch, nil
-	}
-	return 0, fmt.Errorf("core: unknown clock strategy %q (want fetchinc, lazy or ticket)", s)
-}
-
-// clock is the global time base: a shared integer counter (paper Section
-// 3.1, "Clock Management"). v is the visible clock — the timestamp of the
-// last committed update transaction that snapshots are taken against. r is
-// the reservation counter used only by TicketBatch: timestamps are handed
-// out from r and become visible in v no later than the moment the commit
-// that uses them releases its locks, so r >= v always holds. Both counters
-// are padded to their own cache lines because every update commit touches
-// at least one of them.
+// clock is the global time base: a shared integer counter that every
+// update commit increments (paper Section 3.1, "Clock Management"). v is
+// the timestamp of the last committed update transaction, the value
+// snapshots are taken against. It is padded to its own cache line because
+// every update commit writes it.
 type clock struct {
 	_ [64]byte
 	v atomic.Uint64
-	_ [64]byte
-	r atomic.Uint64
 	_ [64]byte
 }
 
 // now returns the timestamp of the last committed update transaction.
 func (c *clock) now() uint64 { return c.v.Load() }
 
-// fetchInc issues the next commit timestamp (FetchInc strategy).
+// fetchInc issues the next timestamp.
 func (c *clock) fetchInc() uint64 { return c.v.Add(1) }
 
-// advanceTo raises the visible clock to at least ts. Callers must ensure
-// ts was derived from the clock or the reservation counter so the value is
-// never stale relative to the caller's own view; the loop terminates
-// because every CAS failure means another committer advanced the clock.
-func (c *clock) advanceTo(ts uint64) {
-	for {
-		cur := c.v.Load()
-		if cur >= ts {
-			return
-		}
-		if c.v.CompareAndSwap(cur, ts) {
-			return
-		}
-	}
+// exhausted reports whether the clock has reached the roll-over threshold.
+func (c *clock) exhausted(maxClock uint64) bool { return c.v.Load() >= maxClock-1 }
+
+// reset rewinds the clock to zero during a roll-over or Reconfigure (all
+// transactions are quiescent when this runs).
+func (c *clock) reset() { c.v.Store(0) }
+
+// commitTS returns the commit timestamp for the current update commit:
+// one fetch-and-increment, so timestamps are unique and dense and update
+// transactions serialize in timestamp order. ok == false means the clock
+// is exhausted and the caller must roll back and perform a roll-over.
+func (tx *Tx) commitTS() (ts uint64, ok bool) {
+	ts = tx.tm.clk.fetchInc()
+	return ts, ts < tx.tm.maxClock
 }
 
-// reserve hands out k consecutive timestamps [lo, hi] from the reservation
-// counter (TicketBatch strategy).
-func (c *clock) reserve(k uint64) (lo, hi uint64) {
-	hi = c.r.Add(k)
-	return hi - k + 1, hi
-}
-
-// exhausted reports whether the clock (or, for TicketBatch, the
-// reservation counter running ahead of it) has reached the roll-over
-// threshold. Used by the roll-over double-check and the begin-time check.
-func (c *clock) exhausted(maxClock uint64) bool {
-	return c.v.Load() >= maxClock-1 || c.r.Load() >= maxClock-1
-}
-
-// reset rewinds the clock to zero during a roll-over (all transactions are
-// quiescent when this runs). Descriptors holding reserved ticket batches
-// are invalidated separately via the TM's clock epoch.
-func (c *clock) reset() {
-	c.v.Store(0)
-	c.r.Store(0)
-}
+// freshVersion issues a version for a lock word outside the commit path
+// (write-through incarnation overflow). The previous version of any
+// released lock came from the same counter, so the new one exceeds it.
+func (tx *Tx) freshVersion() uint64 { return tx.tm.clk.fetchInc() }

@@ -1,339 +1,44 @@
 package core
 
-import (
-	"sync"
-	"testing"
+import "testing"
 
-	"tinystm/internal/txn"
-)
-
-func TestParseClockStrategy(t *testing.T) {
-	cases := []struct {
-		in   string
-		want ClockStrategy
-		ok   bool
-	}{
-		{"fetchinc", FetchInc, true},
-		{"gv4", FetchInc, true},
-		{"", FetchInc, true},
-		{"lazy", Lazy, true},
-		{"GV5", Lazy, true},
-		{"ticket", TicketBatch, true},
-		{"TicketBatch", TicketBatch, true},
-		{"batch", TicketBatch, true},
-		{" lazy ", Lazy, true},
-		{"gv6", 0, false},
-		{"bogus", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParseClockStrategy(c.in)
-		if (err == nil) != c.ok {
-			t.Errorf("ParseClockStrategy(%q) err = %v, want ok=%v", c.in, err, c.ok)
-			continue
+// TestCommitTimestampsDense: a lone descriptor's update commits take
+// consecutive timestamps from the shared counter, starting at 1, and a
+// read-only commit reports none. Uniqueness across descriptors is checked
+// by the serializability suites, which reject a duplicate timestamp.
+func TestCommitTimestampsDense(t *testing.T) {
+	bothDesigns(t, func(t *testing.T, d Design) {
+		tm, _ := newTestTM(t, d, nil)
+		tx := tm.NewTx()
+		var a uint64
+		tm.Atomic(tx, func(tx *Tx) { a = tx.Alloc(1); tx.Store(a, 0) })
+		last := tx.LastCommitTS()
+		if last != 1 {
+			t.Fatalf("first commit ts = %d, want 1", last)
 		}
-		if c.ok && got != c.want {
-			t.Errorf("ParseClockStrategy(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	for _, cs := range AllClockStrategies {
-		back, err := ParseClockStrategy(cs.String())
-		if err != nil || back != cs {
-			t.Errorf("round-trip %v: got %v, err %v", cs, back, err)
-		}
-	}
-}
-
-func TestConfigClockValidation(t *testing.T) {
-	tm, _ := newTestTM(t, WriteBack, nil)
-	sp := tm.Space()
-	if _, err := New(Config{Space: sp, Clock: ClockStrategy(9)}); err == nil {
-		t.Error("unknown clock strategy accepted")
-	}
-	if _, err := New(Config{Space: sp, Clock: TicketBatch, ClockBatch: 4096}); err == nil {
-		t.Error("oversized ClockBatch accepted")
-	}
-	if _, err := New(Config{Space: sp, Clock: TicketBatch, ClockBatch: 32}); err != nil {
-		t.Errorf("valid TicketBatch config rejected: %v", err)
-	}
-}
-
-func TestClockAdvanceTo(t *testing.T) {
-	var c clock
-	c.advanceTo(5)
-	if c.now() != 5 {
-		t.Fatalf("now = %d, want 5", c.now())
-	}
-	c.advanceTo(3) // never regress
-	if c.now() != 5 {
-		t.Fatalf("now after lower advance = %d, want 5", c.now())
-	}
-	c.advanceTo(5) // idempotent
-	if c.now() != 5 {
-		t.Fatalf("now after equal advance = %d, want 5", c.now())
-	}
-
-	// Concurrent advances: the clock must end at the maximum and never
-	// be observed moving backwards.
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			last := uint64(0)
-			for i := uint64(1); i <= 1000; i++ {
-				c.advanceTo(uint64(id)*1000 + i)
-				if now := c.now(); now < last {
-					t.Errorf("clock regressed: %d after %d", now, last)
-					return
-				} else {
-					last = now
-				}
+		for i := 0; i < 100; i++ {
+			tm.Atomic(tx, func(tx *Tx) { tx.Store(a, uint64(i)) })
+			ts := tx.LastCommitTS()
+			if ts != last+1 {
+				t.Fatalf("commit %d: ts = %d, want %d", i, ts, last+1)
 			}
-		}(w)
-	}
-	wg.Wait()
-	if c.now() != 8000 {
-		t.Fatalf("final clock = %d, want 8000", c.now())
-	}
-}
-
-func TestClockReserveDisjoint(t *testing.T) {
-	var c clock
-	const workers, blocks, k = 8, 100, 8
-	var mu sync.Mutex
-	seen := make(map[uint64]bool)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < blocks; i++ {
-				lo, hi := c.reserve(k)
-				if hi != lo+k-1 {
-					t.Errorf("reserve block [%d,%d] has wrong width", lo, hi)
-					return
-				}
-				mu.Lock()
-				for ts := lo; ts <= hi; ts++ {
-					if seen[ts] {
-						t.Errorf("timestamp %d reserved twice", ts)
-						mu.Unlock()
-						return
-					}
-					seen[ts] = true
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if len(seen) != workers*blocks*k {
-		t.Fatalf("reserved %d timestamps, want %d", len(seen), workers*blocks*k)
-	}
-}
-
-// TestTicketMonotonicNoLostTimestamps: a lone descriptor drains its blocks
-// in order with nothing racing it, so commit timestamps must be strictly
-// increasing AND dense — a gap would mean the strategy lost (discarded)
-// a timestamp without cause.
-func TestTicketMonotonicNoLostTimestamps(t *testing.T) {
-	tm, _ := newTestTM(t, WriteBack, func(c *Config) { c.Clock = TicketBatch })
-	tx := tm.NewTx()
-	var a uint64
-	tm.Atomic(tx, func(tx *Tx) { a = tx.Alloc(1); tx.Store(a, 0) })
-	last := tx.LastCommitTS()
-	if last != 1 {
-		t.Fatalf("first commit ts = %d, want 1", last)
-	}
-	for i := 0; i < 100; i++ {
-		tm.Atomic(tx, func(tx *Tx) { tx.Store(a, uint64(i)) })
-		ts := tx.LastCommitTS()
-		if ts != last+1 {
-			t.Fatalf("commit %d: ts = %d, want %d (monotonic, no lost timestamps)",
-				i, ts, last+1)
+			last = ts
 		}
-		last = ts
-	}
-	if got := tm.Stats().TicketsDiscarded; got != 0 {
-		t.Errorf("uncontended run discarded %d tickets, want 0", got)
-	}
-}
-
-func TestTicketTimestampsUniqueConcurrent(t *testing.T) {
-	tm, _ := newTestTM(t, WriteBack, func(c *Config) { c.Clock = TicketBatch; c.YieldEvery = 2 })
-	const workers, iters = 4, 300
-	var mu sync.Mutex
-	seen := make(map[uint64]int)
-	var wg sync.WaitGroup
-	var base uint64
-	setup := tm.NewTx()
-	tm.Atomic(setup, func(tx *Tx) { base = tx.Alloc(workers) })
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			tx := tm.NewTx()
-			for i := 0; i < iters; i++ {
-				tm.Atomic(tx, func(tx *Tx) {
-					tx.Store(base+uint64(id), uint64(i))
-				})
-				mu.Lock()
-				seen[tx.LastCommitTS()]++
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	for ts, n := range seen {
-		if n != 1 {
-			t.Errorf("timestamp %d issued %d times", ts, n)
+		if got := tm.ClockValue(); got != last {
+			t.Errorf("clock = %d, want the last commit's ts %d", got, last)
 		}
-	}
-	if len(seen) != workers*iters {
-		t.Errorf("%d distinct timestamps, want %d", len(seen), workers*iters)
-	}
-}
-
-// TestTicketStaleBatchDiscarded pins the staleness check: descriptor A
-// reserves [1..8] and uses ticket 1; B then reserves [9..16] and drives
-// the visible clock to 16 with eight commits; A's next commit must discard
-// its stale tickets 2..8 and commit at 17 from a fresh block.
-func TestTicketStaleBatchDiscarded(t *testing.T) {
-	tm, _ := newTestTM(t, WriteBack, func(c *Config) { c.Clock = TicketBatch })
-	a, b := tm.NewTx(), tm.NewTx()
-	var addr uint64
-	tm.Atomic(a, func(tx *Tx) { addr = tx.Alloc(2); tx.Store(addr, 0) })
-	if got := a.LastCommitTS(); got != 1 {
-		t.Fatalf("A's first commit ts = %d, want 1", got)
-	}
-	for i := 0; i < 8; i++ {
-		tm.Atomic(b, func(tx *Tx) { tx.Store(addr, uint64(i)) })
-	}
-	if got := b.LastCommitTS(); got != 16 {
-		t.Fatalf("B's eighth commit ts = %d, want 16", got)
-	}
-	tm.Atomic(a, func(tx *Tx) { tx.Store(addr+1, 1) })
-	if got := a.LastCommitTS(); got != 17 {
-		t.Errorf("A's post-race commit ts = %d, want 17 (fresh block)", got)
-	}
-	if got := tm.Stats().TicketsDiscarded; got != 7 {
-		t.Errorf("tickets discarded = %d, want 7 (stale 2..8)", got)
-	}
-}
-
-// TestTicketReservationsDrainedOnReconfigure: Reconfigure resets the clock
-// under the freeze barrier; a descriptor's partially-drained block from
-// the old epoch must be voided, not drained into the new epoch (where its
-// tickets would collide with fresh reservations).
-func TestTicketReservationsDrainedOnReconfigure(t *testing.T) {
-	tm, _ := newTestTM(t, WriteBack, func(c *Config) { c.Clock = TicketBatch })
-	tx := tm.NewTx()
-	var a uint64
-	tm.Atomic(tx, func(tx *Tx) { a = tx.Alloc(1); tx.Store(a, 0) })
-	tm.Atomic(tx, func(tx *Tx) { tx.Store(a, 1) })
-	if got := tx.LastCommitTS(); got != 2 {
-		t.Fatalf("pre-reconfigure ts = %d, want 2 (block [1..8] partially drained)", got)
-	}
-	if err := tm.Reconfigure(Params{Locks: 1 << 8, Shifts: 0, Hier: 1}); err != nil {
-		t.Fatalf("Reconfigure: %v", err)
-	}
-	tm.Atomic(tx, func(tx *Tx) { tx.Store(a, 2) })
-	if got := tx.LastCommitTS(); got != 1 {
-		t.Errorf("post-reconfigure ts = %d, want 1 (old block drained, fresh epoch)", got)
-	}
-}
-
-// TestTicketReservationsDrainedOnRollOver is the roll-over twin: after the
-// clock wraps, the first commit must restart from a fresh block.
-func TestTicketReservationsDrainedOnRollOver(t *testing.T) {
-	tm, _ := newTestTM(t, WriteBack, func(c *Config) { c.Clock = TicketBatch; c.MaxClock = 32 })
-	tx := tm.NewTx()
-	var a uint64
-	tm.Atomic(tx, func(tx *Tx) { a = tx.Alloc(1) })
-	for i := 0; i < 200; i++ {
-		tm.Atomic(tx, func(tx *Tx) { tx.Store(a, tx.Load(a)+1) })
-	}
-	if tm.Stats().RollOvers == 0 {
-		t.Fatal("expected roll-overs under tiny MaxClock")
-	}
-	if got := tm.ClockValue(); got >= 32 {
-		t.Errorf("clock = %d, want < MaxClock after roll-overs", got)
-	}
-	tm.Atomic(tx, func(tx *Tx) {
-		if got := tx.Load(a); got != 200 {
-			t.Errorf("counter = %d, want 200", got)
+		tm.AtomicRO(tx, func(tx *Tx) { _ = tx.Load(a) })
+		if ts := tx.LastCommitTS(); ts != 0 {
+			t.Errorf("read-only commit reported ts %d, want 0", ts)
 		}
 	})
-	if ts := tx.LastCommitTS(); ts != 0 {
-		t.Errorf("read-only commit reported ts %d, want 0", ts)
-	}
 }
 
-// TestLazyAlwaysValidates: the ts == start+1 fast path is unsound when
-// timestamps can collide, so Lazy must validate even a lone transaction.
-func TestLazyAlwaysValidates(t *testing.T) {
-	tm, _ := newTestTM(t, WriteBack, func(c *Config) { c.Clock = Lazy })
-	tx := tm.NewTx()
-	var a uint64
-	tm.Atomic(tx, func(tx *Tx) { a = tx.Alloc(2) })
-	before := tm.Stats()
-	tm.Atomic(tx, func(tx *Tx) {
-		_ = tx.Load(a + 1)
-		tx.Store(a, 1)
-	})
-	d := tm.Stats().Sub(before)
-	if d.LocksValidated+d.LocksSkipped == 0 {
-		t.Error("Lazy commit skipped validation; unsound under timestamp collisions")
-	}
-}
-
-// TestTicketSkipValidationSequential: with nothing racing it the
-// TicketBatch staleness check proves quiescence, so the ts == start+1
-// skip stays live (one of the strategy's advantages over Lazy).
-func TestTicketSkipValidationSequential(t *testing.T) {
-	tm, _ := newTestTM(t, WriteBack, func(c *Config) { c.Clock = TicketBatch })
-	tx := tm.NewTx()
-	var a uint64
-	tm.Atomic(tx, func(tx *Tx) { a = tx.Alloc(2) })
-	before := tm.Stats()
-	tm.Atomic(tx, func(tx *Tx) {
-		_ = tx.Load(a + 1)
-		tx.Store(a, 1)
-	})
-	d := tm.Stats().Sub(before)
-	if d.LocksValidated != 0 || d.LocksSkipped != 0 {
-		t.Errorf("sequential TicketBatch commit validated (checked=%d skipped=%d), want fast path",
-			d.LocksValidated, d.LocksSkipped)
-	}
-}
-
-// TestLazyCommitConflictDetected: a conflicting write committed at the
-// same would-be timestamp window must still abort the reader's commit.
-func TestLazyCommitConflictDetected(t *testing.T) {
-	tm, _ := newTestTM(t, WriteBack, func(c *Config) { c.Clock = Lazy })
-	t1, t2 := tm.NewTx(), tm.NewTx()
-	var a, b uint64
-	tm.Atomic(t1, func(tx *Tx) { a, b = tx.Alloc(1), tx.Alloc(1) })
-
-	t1.Begin(false)
-	if !attempt(func() {
-		_ = t1.Load(a)
-		t1.Store(b, 1)
-	}) {
-		t.Fatal("unexpected abort")
-	}
-	tm.Atomic(t2, func(tx *Tx) { tx.Store(a, 11) })
-	if t1.Commit() {
-		t.Fatal("t1 commit should fail validation under Lazy")
-	}
-	if got := t1.TxStats().AbortsByKind[txn.AbortValidate]; got != 1 {
-		t.Errorf("validate aborts = %d, want 1", got)
-	}
-}
-
+// TestBankInvariantClockStrategies: the bank invariant holds on each design
+// under the commit clock, with YieldEvery interleaving the commits.
 func TestBankInvariantClockStrategies(t *testing.T) {
-	designsAndClocks(t, func(t *testing.T, d Design, cs ClockStrategy) {
-		tm, _ := newTestTMClock(t, d, cs, func(c *Config) { c.YieldEvery = 8 })
+	designsAndClock(t, func(t *testing.T, d Design) {
+		tm, _ := newTestTM(t, d, func(c *Config) { c.YieldEvery = 8 })
 		runBankStress(t, tm, 4, 300)
 	})
 }

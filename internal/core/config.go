@@ -76,18 +76,6 @@ type Config struct {
 	Hier uint64
 	// Design selects write-back (default) or write-through access.
 	Design Design
-	// Clock selects how update commits obtain timestamps from the global
-	// time base: FetchInc (the default; one atomic increment per commit),
-	// Lazy (GV5-style plain read + conditional advance; zero commit-time
-	// contention, more snapshot extensions), or TicketBatch (one atomic
-	// per ClockBatch commits). See ClockStrategy.
-	Clock ClockStrategy
-	// ClockBatch is the number of timestamps a descriptor reserves per
-	// atomic operation under TicketBatch. Larger blocks amortize more but
-	// waste more timestamps when commits interleave (stale reservations
-	// are discarded, never reused). Default 8; ignored by the other
-	// strategies.
-	ClockBatch uint64
 	// MaxClock overrides the roll-over threshold of the global clock.
 	// Zero selects the design's natural maximum (2^60-ish). Tests use
 	// small values to exercise roll-over.
@@ -136,9 +124,6 @@ func (c Config) withDefaults() Config {
 	if c.Hier == 0 {
 		c.Hier = 1
 	}
-	if c.ClockBatch == 0 {
-		c.ClockBatch = 8
-	}
 	if c.MaxClock == 0 {
 		if c.Design == WriteThrough {
 			c.MaxClock = 1 << 59
@@ -172,16 +157,8 @@ func (c Config) validate() error {
 	if c.Design != WriteBack && c.Design != WriteThrough {
 		return fmt.Errorf("core: unknown Design %d", int(c.Design))
 	}
-	switch c.Clock {
-	case FetchInc, Lazy, TicketBatch:
-	default:
-		return fmt.Errorf("core: unknown ClockStrategy %d", int(c.Clock))
-	}
 	if !c.CM.Valid() {
 		return fmt.Errorf("core: unknown contention-management policy %d", int(c.CM))
-	}
-	if c.ClockBatch < 1 || c.ClockBatch > 1024 {
-		return fmt.Errorf("core: ClockBatch (%d) out of range [1,1024]", c.ClockBatch)
 	}
 	if c.MaxClock < 2 {
 		return fmt.Errorf("core: MaxClock (%d) too small", c.MaxClock)

@@ -64,8 +64,8 @@ func TestReadLockedLocationAborts(t *testing.T) {
 func TestSnapshotExtensionSucceeds(t *testing.T) {
 	// t1 reads a; t2 commits a write to b (bumping the clock); t1 then
 	// reads b, forcing an extension that succeeds because a is untouched.
-	designsAndClocks(t, func(t *testing.T, d Design, cs ClockStrategy) {
-		tm, _ := newTestTMClock(t, d, cs, nil)
+	designsAndClock(t, func(t *testing.T, d Design) {
+		tm, _ := newTestTM(t, d, nil)
 		t1, t2 := tm.NewTx(), tm.NewTx()
 		var a, b uint64
 		tm.Atomic(t1, func(tx *Tx) {
@@ -111,8 +111,8 @@ func TestSnapshotExtensionSucceeds(t *testing.T) {
 func TestSnapshotExtensionFailsOnStaleRead(t *testing.T) {
 	// t1 reads a; t2 commits writes to BOTH a and b; t1 then reads b:
 	// extension must fail because a changed after t1 read it.
-	designsAndClocks(t, func(t *testing.T, d Design, cs ClockStrategy) {
-		tm, _ := newTestTMClock(t, d, cs, nil)
+	designsAndClock(t, func(t *testing.T, d Design) {
+		tm, _ := newTestTM(t, d, nil)
 		t1, t2 := tm.NewTx(), tm.NewTx()
 		var a, b uint64
 		tm.Atomic(t1, func(tx *Tx) {
@@ -140,10 +140,10 @@ func TestSnapshotExtensionFailsOnStaleRead(t *testing.T) {
 
 func TestCommitValidationFailure(t *testing.T) {
 	// t1 reads a, t2 commits a write to a, t1 writes b and tries to
-	// commit: read-set validation must fail. Under every clock strategy:
-	// the ts == start+1 skip must never swallow this conflict.
-	designsAndClocks(t, func(t *testing.T, d Design, cs ClockStrategy) {
-		tm, _ := newTestTMClock(t, d, cs, nil)
+	// commit: read-set validation must fail — the ts == start+1 skip must
+	// never swallow this conflict.
+	designsAndClock(t, func(t *testing.T, d Design) {
+		tm, _ := newTestTM(t, d, nil)
 		t1, t2 := tm.NewTx(), tm.NewTx()
 		var a, b uint64
 		tm.Atomic(t1, func(tx *Tx) {
@@ -255,8 +255,8 @@ func TestWriteThroughDirtyReadPrevented(t *testing.T) {
 func TestSerializableIncrements(t *testing.T) {
 	// Two descriptors alternately incrementing the same counter through
 	// full Atomic blocks must produce exactly the sum of commits.
-	designsAndClocks(t, func(t *testing.T, d Design, cs ClockStrategy) {
-		tm, _ := newTestTMClock(t, d, cs, nil)
+	designsAndClock(t, func(t *testing.T, d Design) {
+		tm, _ := newTestTM(t, d, nil)
 		t1, t2 := tm.NewTx(), tm.NewTx()
 		var a uint64
 		tm.Atomic(t1, func(tx *Tx) { a = tx.Alloc(1) })
@@ -274,11 +274,10 @@ func TestSerializableIncrements(t *testing.T) {
 }
 
 func TestLockReleasedAfterCommitHasNewVersion(t *testing.T) {
-	// Single-threaded, every strategy issues dense timestamps (Lazy reads
-	// the clock it just advanced; TicketBatch drains its block in order),
-	// so the released version is exactly clock+1.
-	designsAndClocks(t, func(t *testing.T, d Design, cs ClockStrategy) {
-		tm, _ := newTestTMClock(t, d, cs, nil)
+	// Single-threaded, commit timestamps are dense, so the released
+	// version is exactly clock+1.
+	designsAndClock(t, func(t *testing.T, d Design) {
+		tm, _ := newTestTM(t, d, nil)
 		tx := tm.NewTx()
 		var a uint64
 		tm.Atomic(tx, func(tx *Tx) { a = tx.Alloc(1) })

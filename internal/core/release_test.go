@@ -154,8 +154,8 @@ func TestConfigForCarriesAllFields(t *testing.T) {
 	sp := mem.NewSpace(1 << 12)
 	base := Config{
 		Space: sp, Locks: 1 << 10, Shifts: 2, Hier: 4,
-		Design: WriteThrough, Clock: TicketBatch, ClockBatch: 16,
-		MaxClock: 1 << 20, CM: cm.Backoff, YieldEvery: 3,
+		Design: WriteThrough, MaxClock: 1 << 20, CM: cm.Backoff,
+		SnapshotShards: 8, SnapshotBudget: 64, YieldEvery: 3,
 	}
 	tm := MustNew(base)
 	p := Params{Locks: 1 << 12, Shifts: 1, Hier: 8}

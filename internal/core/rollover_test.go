@@ -7,8 +7,8 @@ import (
 )
 
 func TestClockRollOverSingleThread(t *testing.T) {
-	designsAndClocks(t, func(t *testing.T, d Design, cs ClockStrategy) {
-		tm, _ := newTestTMClock(t, d, cs, func(c *Config) { c.MaxClock = 64 })
+	designsAndClock(t, func(t *testing.T, d Design) {
+		tm, _ := newTestTM(t, d, func(c *Config) { c.MaxClock = 64 })
 		tx := tm.NewTx()
 		var a uint64
 		tm.Atomic(tx, func(tx *Tx) { a = tx.Alloc(1) })
@@ -32,8 +32,8 @@ func TestClockRollOverSingleThread(t *testing.T) {
 }
 
 func TestClockRollOverConcurrent(t *testing.T) {
-	designsAndClocks(t, func(t *testing.T, d Design, cs ClockStrategy) {
-		tm, _ := newTestTMClock(t, d, cs, func(c *Config) { c.MaxClock = 32 })
+	designsAndClock(t, func(t *testing.T, d Design) {
+		tm, _ := newTestTM(t, d, func(c *Config) { c.MaxClock = 32 })
 		runBankStress(t, tm, 4, 300)
 		if tm.Stats().RollOvers == 0 {
 			t.Error("expected roll-overs under tiny MaxClock")
@@ -76,6 +76,30 @@ func TestReconfigureChangesParams(t *testing.T) {
 	}
 }
 
+// Reconfigure resets the clock and opens a new clock epoch: the first
+// commit after it restarts the timestamps from 1.
+func TestReconfigureResetsClock(t *testing.T) {
+	tm, _ := newTestTM(t, WriteBack, nil)
+	tx := tm.NewTx()
+	var a uint64
+	tm.Atomic(tx, func(tx *Tx) { a = tx.Alloc(1); tx.Store(a, 0) })
+	tm.Atomic(tx, func(tx *Tx) { tx.Store(a, 1) })
+	if got := tx.LastCommitTS(); got != 2 {
+		t.Fatalf("pre-reconfigure ts = %d, want 2", got)
+	}
+	epoch := tm.ClockEpoch()
+	if err := tm.Reconfigure(Params{Locks: 1 << 8, Shifts: 0, Hier: 1}); err != nil {
+		t.Fatalf("Reconfigure: %v", err)
+	}
+	if got := tm.ClockEpoch(); got != epoch+1 {
+		t.Errorf("clock epoch = %d, want %d", got, epoch+1)
+	}
+	tm.Atomic(tx, func(tx *Tx) { tx.Store(a, 2) })
+	if got := tx.LastCommitTS(); got != 1 {
+		t.Errorf("post-reconfigure ts = %d, want 1", got)
+	}
+}
+
 func TestReconfigureRejectsBadParams(t *testing.T) {
 	tm, _ := newTestTM(t, WriteBack, nil)
 	for _, p := range []Params{
@@ -93,11 +117,8 @@ func TestReconfigureRejectsBadParams(t *testing.T) {
 func TestReconfigureUnderLoad(t *testing.T) {
 	// Reconfigure repeatedly while workers hammer the bank; the invariant
 	// must survive geometry changes and transactions must keep committing.
-	// Run under every clock strategy: Reconfigure resets the clock, so
-	// TicketBatch reservation draining (the epoch bump) is load-bearing
-	// here.
-	designsAndClocks(t, func(t *testing.T, d Design, cs ClockStrategy) {
-		tm, _ := newTestTMClock(t, d, cs, nil)
+	designsAndClock(t, func(t *testing.T, d Design) {
+		tm, _ := newTestTM(t, d, nil)
 		stop := make(chan struct{})
 		// ready closes after the first reconfiguration: on a one-core host
 		// the whole iteration-bounded stress can otherwise finish before

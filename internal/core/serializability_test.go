@@ -80,30 +80,24 @@ func runSerializabilityCheck(t *testing.T, tm *TM, workers, txPerWorker, words i
 	}
 	wg.Wait()
 
-	// FetchInc and TicketBatch issue globally unique timestamps; Lazy
-	// (GV5) lets concurrent committers share one, so duplicates are only
-	// a bug under the former two. The replay walks timestamp order and,
-	// within an equal-timestamp group, searches for a serial order that
-	// matches every logged read (for a correct STM one always exists:
-	// same-timestamp conflicts under Lazy are acyclic because both
-	// transactions validated before either released).
+	// Commit timestamps are unique, so the replay is a fold in timestamp
+	// order: a duplicate is a bug, and every logged read must match the
+	// model state before the transaction's writes apply.
 	sort.Slice(history, func(i, j int) bool { return history[i].ts < history[j].ts })
-	uniqueTS := tm.Clock() != Lazy
 	state := make(map[uint64]uint64, words)
-	for i := 0; i < len(history); {
-		j := i
-		for j < len(history) && history[j].ts == history[i].ts {
-			j++
+	for i, h := range history {
+		if i > 0 && h.ts == history[i-1].ts {
+			t.Fatalf("duplicate commit timestamp %d", h.ts)
 		}
-		group := history[i:j]
-		if len(group) > 1 && uniqueTS {
-			t.Fatalf("duplicate commit timestamp %d under %v clock", history[i].ts, tm.Clock())
+		for _, rd := range h.reads {
+			if got := state[rd.addr]; got != rd.val {
+				t.Fatalf("tx at ts %d read addr %d = %d, serial order has %d",
+					h.ts, rd.addr, rd.val, got)
+			}
 		}
-		if !replayGroup(group, make([]bool, len(group)), state) {
-			t.Fatalf("no serial order explains the %d transactions at timestamp %d",
-				len(group), history[i].ts)
+		for _, wr := range h.writes {
+			state[wr.addr] = wr.val
 		}
-		i = j
 	}
 	// The final memory must equal the replayed state.
 	tm.Atomic(setup, func(tx *Tx) {
@@ -114,52 +108,6 @@ func runSerializabilityCheck(t *testing.T, tm *TM, workers, txPerWorker, words i
 			}
 		}
 	})
-}
-
-// replayGroup searches (with backtracking; groups are tiny) for an order
-// of the equal-timestamp transactions under which every logged read —
-// performed strictly before the transaction's writes — matches the serial
-// model, applying writes to state as it commits to a prefix. Reads within
-// a transaction see the pre-transaction state, so a candidate fits when
-// all its reads match the current state.
-func replayGroup(group []loggedTx, used []bool, state map[uint64]uint64) bool {
-	remaining := false
-	for _, u := range used {
-		if !u {
-			remaining = true
-			break
-		}
-	}
-	if !remaining {
-		return true
-	}
-next:
-	for k := range group {
-		if used[k] {
-			continue
-		}
-		for _, rd := range group[k].reads {
-			if state[rd.addr] != rd.val {
-				continue next
-			}
-		}
-		// Tentatively serialize group[k] here.
-		type undo struct{ addr, old uint64 }
-		var undos []undo
-		for _, wr := range group[k].writes {
-			undos = append(undos, undo{wr.addr, state[wr.addr]})
-			state[wr.addr] = wr.val
-		}
-		used[k] = true
-		if replayGroup(group, used, state) {
-			return true
-		}
-		used[k] = false
-		for i := len(undos) - 1; i >= 0; i-- {
-			state[undos[i].addr] = undos[i].old
-		}
-	}
-	return false
 }
 
 func TestSerializabilityWriteBack(t *testing.T) {
@@ -189,55 +137,11 @@ func TestSerializabilityHighShift(t *testing.T) {
 }
 
 func TestSerializabilityClockStrategies(t *testing.T) {
-	// The defining property must survive every commit-clock strategy.
-	// YieldEvery forces fine-grained interleaving so commits genuinely
-	// race (Lazy then actually produces shared timestamps and TicketBatch
-	// actually discards stale reservations on few-core hosts).
-	designsAndClocks(t, func(t *testing.T, d Design, cs ClockStrategy) {
-		tm, _ := newTestTMClock(t, d, cs, func(c *Config) { c.YieldEvery = 4 })
+	// Both designs under the commit clock. YieldEvery forces fine-grained
+	// interleaving so commits genuinely race on few-core hosts, and the
+	// replay rejects any two commits that share a timestamp.
+	designsAndClock(t, func(t *testing.T, d Design) {
+		tm, _ := newTestTM(t, d, func(c *Config) { c.YieldEvery = 4 })
 		runSerializabilityCheck(t, tm, 4, 200, 8)
 	})
-}
-
-func TestSerializabilityTicketSmallBatch(t *testing.T) {
-	// ClockBatch 2 maximizes refill traffic; a tiny lock array maximizes
-	// conflicts hitting the staleness check.
-	tm, _ := newTestTM(t, WriteBack, func(c *Config) {
-		c.Clock = TicketBatch
-		c.ClockBatch = 2
-		c.Locks = 16
-		c.YieldEvery = 4
-	})
-	runSerializabilityCheck(t, tm, 4, 200, 8)
-}
-
-func TestReplayGroupSolver(t *testing.T) {
-	// The equal-timestamp solver itself: a group whose only consistent
-	// order is (reader-of-old-x, writer-of-x) — i.e. the greedy-looking
-	// first candidate is wrong — and an inconsistent group.
-	rw := func(reads, writes [](struct{ addr, val uint64 })) loggedTx {
-		return loggedTx{ts: 7, reads: reads, writes: writes}
-	}
-	pair := func(a, v uint64) struct{ addr, val uint64 } {
-		return struct{ addr, val uint64 }{a, v}
-	}
-	st := map[uint64]uint64{1: 10, 2: 20}
-	writer := rw(nil, [](struct{ addr, val uint64 }){pair(1, 11)})
-	reader := rw([](struct{ addr, val uint64 }){pair(1, 10)},
-		[](struct{ addr, val uint64 }){pair(2, 21)})
-	group := []loggedTx{writer, reader} // listed writer-first on purpose
-	if !replayGroup(group, make([]bool, 2), st) {
-		t.Fatal("solver failed to find the reader-then-writer order")
-	}
-	if st[1] != 11 || st[2] != 21 {
-		t.Fatalf("state after group = %v, want writes of both applied", st)
-	}
-
-	st = map[uint64]uint64{1: 10}
-	bad := []loggedTx{
-		rw([](struct{ addr, val uint64 }){pair(1, 99)}, nil), // read value never written
-	}
-	if replayGroup(bad, make([]bool, 1), st) {
-		t.Fatal("solver accepted an impossible read")
-	}
 }

@@ -274,7 +274,7 @@ func TestReleaseDetachesSnapshotHorizon(t *testing.T) {
 // assert that every observed state equals the unique state after some
 // prefix of that history: seq == p implies slot k holds the largest
 // i <= p with i%K == k. Any torn, stale-mixed or non-prefix state fails.
-// Table-driven over designs x clock strategies; run with -race.
+// Runs under both designs; run with -race.
 func TestSnapshotOpacityModelCheck(t *testing.T) {
 	const (
 		K        = 8 // key slots
@@ -282,8 +282,8 @@ func TestSnapshotOpacityModelCheck(t *testing.T) {
 		commits  = 300
 		scanners = 2
 	)
-	designsAndClocks(t, func(t *testing.T, d Design, cs ClockStrategy) {
-		tm, _ := newTestTMClock(t, d, cs, func(c *Config) {
+	designsAndClock(t, func(t *testing.T, d Design) {
+		tm, _ := newTestTM(t, d, func(c *Config) {
 			c.Snapshots = true
 			c.SnapshotShards = 4
 			c.SnapshotBudget = 4096 // ample: the checker wants zero too-old noise
@@ -345,8 +345,8 @@ func TestSnapshotOpacityModelCheck(t *testing.T) {
 							}
 						}
 						if state[1+k] != want {
-							t.Errorf("%v/%v: snapshot at seq %d: slot %d = %d, want %d (state %v)",
-								d, cs, p, k, state[1+k], want, state)
+							t.Errorf("%v: snapshot at seq %d: slot %d = %d, want %d (state %v)",
+								d, p, k, state[1+k], want, state)
 							stop.Store(true)
 							return
 						}

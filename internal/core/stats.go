@@ -20,7 +20,6 @@ type txStats struct {
 	locksValidated   atomic.Uint64
 	locksSkipped     atomic.Uint64
 	dupReadsSkipped  atomic.Uint64
-	ticketsDiscarded atomic.Uint64
 	snapLiveReads    atomic.Uint64
 	snapVersionReads atomic.Uint64
 	redoRecords      atomic.Uint64
@@ -41,7 +40,6 @@ func (s *txStats) reset() {
 	s.locksValidated.Store(0)
 	s.locksSkipped.Store(0)
 	s.dupReadsSkipped.Store(0)
-	s.ticketsDiscarded.Store(0)
 	s.snapLiveReads.Store(0)
 	s.snapVersionReads.Store(0)
 	s.redoRecords.Store(0)
@@ -59,7 +57,6 @@ func (s *txStats) snapshotInto(out *txn.Stats) {
 	out.LocksValidated += s.locksValidated.Load()
 	out.LocksSkipped += s.locksSkipped.Load()
 	out.DupReadsSkipped += s.dupReadsSkipped.Load()
-	out.TicketsDiscarded += s.ticketsDiscarded.Load()
 	out.SnapshotLiveReads += s.snapLiveReads.Load()
 	out.SnapshotVersionReads += s.snapVersionReads.Load()
 	out.RedoRecords += s.redoRecords.Load()

@@ -19,13 +19,11 @@ import (
 // clock roll-over and dynamic reconfiguration. A TM protects exactly one
 // mem.Space. All methods are safe for concurrent use.
 type TM struct {
-	space      *mem.Space
-	design     Design
-	maxClock   uint64
-	yieldN     int
-	clockStrat ClockStrategy
-	clockBatch uint64
-	cmKnobs    cm.Knobs
+	space    *mem.Space
+	design   Design
+	maxClock uint64
+	yieldN   int
+	cmKnobs  cm.Knobs
 
 	// baseCfg is the defaulted construction-time configuration. configFor
 	// substitutes the tunable triple into a copy, so Reconfigure validates
@@ -73,12 +71,11 @@ type TM struct {
 	descsPub atomic.Pointer[[]*Tx]
 
 	clk clock
-	// clockEpoch invalidates per-descriptor ticket reservations: it is
-	// bumped (under the freeze barrier, so no transaction is mid-commit)
-	// whenever the clock resets, and TicketBatch commits discard batches
-	// minted in an older epoch. This is the "drain reservations at
-	// freeze" half of the strategy; the staleness check in commitTS is
-	// the steady-state half.
+	// clockEpoch counts clock resets: it is bumped (under the freeze
+	// barrier, so no transaction is mid-commit) at every roll-over and
+	// Reconfigure. Timestamps restart from zero in each epoch, so
+	// (epoch, ts) is the total commit order the redo hook receives and a
+	// checkpoint scan records as its position.
 	clockEpoch atomic.Uint64
 	geo        atomic.Pointer[geometry]
 	fz         freezer
@@ -160,14 +157,12 @@ func New(cfg Config) (*TM, error) {
 		return nil, err
 	}
 	tm := &TM{
-		space:      cfg.Space,
-		design:     cfg.Design,
-		maxClock:   cfg.MaxClock,
-		yieldN:     cfg.YieldEvery,
-		clockStrat: cfg.Clock,
-		clockBatch: cfg.ClockBatch,
-		cmKnobs:    cfg.CMKnobs,
-		baseCfg:    cfg,
+		space:    cfg.Space,
+		design:   cfg.Design,
+		maxClock: cfg.MaxClock,
+		yieldN:   cfg.YieldEvery,
+		cmKnobs:  cfg.CMKnobs,
+		baseCfg:  cfg,
 	}
 	tm.fz.init()
 	tm.geo.Store(newGeometry(Params{Locks: cfg.Locks, Shifts: cfg.Shifts, Hier: cfg.Hier}))
@@ -203,9 +198,6 @@ func (tm *TM) Params() Params { return tm.geo.Load().params() }
 
 // ClockValue returns the current global clock (diagnostics and tests).
 func (tm *TM) ClockValue() uint64 { return tm.clk.now() }
-
-// Clock returns the commit-clock strategy this TM runs.
-func (tm *TM) Clock() ClockStrategy { return tm.clockStrat }
 
 // CM returns the active contention-management policy kind.
 func (tm *TM) CM() cm.Kind { return tm.policy().Kind() }
@@ -257,7 +249,6 @@ func (tm *TM) NewTx() *Tx {
 	}
 	tx := &Tx{tm: tm, slot: len(tm.descs), rng: 0x9e3779b97f4a7c15 ^ uint64(len(tm.descs)+1)}
 	tx.cmst.Seed(uint64(tx.slot + 1))
-	tx.ticketNext, tx.ticketEnd = 1, 0 // empty reservation block (next > end)
 	// Start the write sets on their inline segments so small transactions
 	// never touch the heap (the read set is wired in Begin, which owns
 	// the partition layout).
@@ -465,13 +456,11 @@ func (tx *Tx) runBody(fn func(*Tx)) (ok bool) {
 func (tm *TM) rollOver() {
 	tm.fz.freeze()
 	// Double-check under the barrier: another initiator may have already
-	// reset the clock while we waited. The reservation counter is checked
-	// too: under TicketBatch the initiator may have exhausted a reserved
-	// block while the visible clock still trails it.
+	// reset the clock while we waited.
 	if tm.clk.exhausted(tm.maxClock) {
 		tm.drainLimboAll() // old-epoch timestamps become meaningless
 		tm.clk.reset()
-		tm.clockEpoch.Add(1) // drain outstanding ticket reservations
+		tm.clockEpoch.Add(1)
 		tm.geo.Load().resetVersions()
 		if tm.mvcc != nil {
 			// Retained versions carry old-epoch timestamps; drop them all
@@ -486,13 +475,9 @@ func (tm *TM) rollOver() {
 // maybeRollOverOnBegin performs clock roll-over before starting a new
 // attempt if the clock is exhausted (transactions also detect this at
 // commit time; checking at begin keeps tiny MaxClock configurations live).
-// Only the visible clock is consulted: loading the TicketBatch reservation
-// counter here would drag its contended cache line into every Begin, and
-// liveness does not need it — a commit whose block refill crosses the
-// threshold reaches rollOver through ticketTS returning !ok, and the
-// double-check there uses the dual-counter exhausted().
+// rollOver repeats the check under the barrier.
 func (tx *Tx) maybeRollOverOnBegin() {
-	if tx.tm.clk.now() >= tx.tm.maxClock-1 {
+	if tx.tm.clk.exhausted(tx.tm.maxClock) {
 		tx.tm.rollOver()
 	}
 }
@@ -527,7 +512,7 @@ func (tm *TM) Reconfigure(p Params) error {
 	tm.drainLimboAll()
 	tm.geo.Store(newGeometry(p))
 	tm.clk.reset()
-	tm.clockEpoch.Add(1) // drain outstanding ticket reservations
+	tm.clockEpoch.Add(1)
 	if tm.mvcc != nil {
 		// The clock reset invalidates every retained timestamp, and the
 		// new geometry remaps stripes besides.

@@ -47,36 +47,18 @@ func bothDesigns(t *testing.T, f func(t *testing.T, d Design)) {
 	}
 }
 
-func allClockStrategies(t *testing.T, f func(t *testing.T, cs ClockStrategy)) {
-	t.Helper()
-	for _, cs := range AllClockStrategies {
-		cs := cs
-		t.Run(cs.String(), func(t *testing.T) { f(t, cs) })
-	}
-}
+// clockName names the commit clock (the shared fetch-and-increment
+// counter) in subtest paths.
+const clockName = "fetchinc"
 
-// designsAndClocks runs f over the full design x clock-strategy matrix:
-// the table-driven harness for the suites that must hold under every
-// commit-clock strategy. Build TMs inside f with newTestTMClock so the
-// strategy is applied by construction (passing cs to newTestTM by hand is
-// easy to forget and fails silently — three subtests all running the
-// default clock).
-func designsAndClocks(t *testing.T, f func(t *testing.T, d Design, cs ClockStrategy)) {
+// designsAndClock is bothDesigns with each design's run nested under a
+// subtest named for the commit clock. The suites that used to run over
+// several clock strategies keep their <design>/fetchinc names this way, so
+// their results line up with older runs.
+func designsAndClock(t *testing.T, f func(t *testing.T, d Design)) {
 	t.Helper()
 	bothDesigns(t, func(t *testing.T, d Design) {
-		allClockStrategies(t, func(t *testing.T, cs ClockStrategy) { f(t, d, cs) })
-	})
-}
-
-// newTestTMClock is newTestTM with the clock strategy wired in before the
-// caller's overrides run.
-func newTestTMClock(t testing.TB, d Design, cs ClockStrategy, over func(*Config)) (*TM, *mem.Space) {
-	t.Helper()
-	return newTestTM(t, d, func(c *Config) {
-		c.Clock = cs
-		if over != nil {
-			over(c)
-		}
+		t.Run(clockName, func(t *testing.T) { f(t, d) })
 	})
 }
 

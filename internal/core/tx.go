@@ -117,19 +117,10 @@ type Tx struct {
 	// O(1).
 	freed addrSet
 
-	// TicketBatch state: the drain position of the reserved timestamp
-	// block — the INCLUSIVE interval [ticketNext, ticketEnd], empty when
-	// ticketNext > ticketEnd — and the clock epoch it was minted in
-	// (stale epochs — roll-over, Reconfigure — void the block).
-	ticketNext  uint64
-	ticketEnd   uint64
-	ticketEpoch uint64
-
 	// Hot-path counters batched into plain fields (the owning goroutine
 	// is the only writer during an attempt) and flushed into the atomic
 	// stats at commit/rollback.
 	dupReads         uint64
-	ticketsDiscarded uint64
 	snapLiveReads    uint64
 	snapVersionReads uint64
 
@@ -260,7 +251,7 @@ func (tx *Tx) begin(readOnly, snap bool) {
 	if snap {
 		// Register with the sidecar BEFORE taking the snapshot timestamp.
 		// Publishers skip version retention while no snapshot is
-		// registered, and every clock strategy makes a commit's timestamp
+		// registered, and the clock increment makes a commit's timestamp
 		// visible before its publication-skip check: a clock value read
 		// AFTER our registration is therefore >= the timestamp of every
 		// commit that skipped before seeing us, so the snapshot can never
@@ -416,10 +407,6 @@ func (tx *Tx) flushHotCounters() {
 		tx.stats.dupReadsSkipped.Add(tx.dupReads)
 		tx.dupReads = 0
 	}
-	if tx.ticketsDiscarded != 0 {
-		tx.stats.ticketsDiscarded.Add(tx.ticketsDiscarded)
-		tx.ticketsDiscarded = 0
-	}
 	if tx.snapLiveReads != 0 {
 		tx.stats.snapLiveReads.Add(tx.snapLiveReads)
 		tx.snapLiveReads = 0
@@ -502,6 +489,11 @@ func (tx *Tx) Load(addr uint64) uint64 {
 	}
 	return tx.loadSlow(a, li, b)
 }
+
+// opBudgetIdle is the Load-counter refill when yielding is disabled: large
+// enough that the refill path is hit ~never, small enough to never
+// underflow int across refills.
+const opBudgetIdle = 1 << 30
 
 // loadTick is the cold half of the per-load yield bookkeeping
 // (Config.YieldEvery): refill the countdown and, when yielding is
@@ -905,7 +897,7 @@ func (tx *Tx) Commit() bool {
 		return true
 	}
 
-	ts, skipOK, ok := tx.commitTS()
+	ts, ok := tx.commitTS()
 	if !ok {
 		// Clock exhausted: abort, then perform roll-over at the barrier.
 		tx.rollback(txn.AbortFrozen)
@@ -913,11 +905,11 @@ func (tx *Tx) Commit() bool {
 		return false
 	}
 
-	// If ts == start+1 — and the clock strategy guarantees that this
-	// proves quiescence (see commitTS) — no transaction committed since
-	// our snapshot began, so the read set cannot have changed (paper
-	// Section 3.2's "notable exception").
-	if !skipOK || ts != tx.start+1 {
+	// If ts == start+1, no transaction committed since our snapshot began,
+	// so the read set cannot have changed (paper Section 3.2's "notable
+	// exception"): timestamps are unique and dense, and the increment
+	// linearizes commits.
+	if ts != tx.start+1 {
 		if !tx.validate() {
 			tx.rollback(txn.AbortValidate)
 			return false

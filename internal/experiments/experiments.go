@@ -71,10 +71,6 @@ type Scale struct {
 	// measurements, applied here to every figure. Zero or one means a
 	// single measurement.
 	Repeats int
-	// Clock selects the TinySTM commit-clock strategy for every measured
-	// point (see core.ClockStrategy). The zero value is the paper's
-	// fetch-and-increment baseline; TL2 points ignore it.
-	Clock core.ClockStrategy
 	// CM selects the contention-management policy for every measured
 	// point, in both STMs (see cm.Kind). The zero value is the paper's
 	// abort-immediately Suicide.
@@ -122,7 +118,7 @@ func newCoreTM(sc Scale, d core.Design, p core.Params) *core.TM {
 	sp := mem.NewSpace(sc.SpaceWords)
 	return core.MustNew(core.Config{
 		Space: sp, Locks: p.Locks, Shifts: p.Shifts, Hier: p.Hier, Design: d,
-		YieldEvery: sc.YieldEvery, Clock: sc.Clock, CM: sc.CM,
+		YieldEvery: sc.YieldEvery, CM: sc.CM,
 	})
 }
 

@@ -122,85 +122,6 @@ func Figure8(sc Scale, kind harness.Kind, locksExps []int, shifts []uint) SweepS
 	return s
 }
 
-// ClockSweep holds throughput and abort rates over the (clock strategy x
-// threads) grid: the commit-clock dimension added on top of the paper's
-// (#locks, #shifts, h) triple. It quantifies the GV4/GV5/ticket-batch
-// trade-off of Section 3.1's clock management: commit-time contention on
-// the shared counter versus extra snapshot extensions (Lazy) or discarded
-// reservations (TicketBatch).
-type ClockSweep struct {
-	Title      string
-	Threads    []int
-	Clocks     []core.ClockStrategy
-	Values     [][]float64 // Values[c][t]: throughput at Clocks[c], Threads[t]
-	Aborts     [][]float64
-	Extensions [][]float64 // successful snapshot extensions per second
-}
-
-// ToTable flattens the sweep into rows (clock, threads, throughput,
-// aborts, extensions).
-func (r ClockSweep) ToTable() harness.Table {
-	tbl := harness.Table{Title: r.Title,
-		Headers: []string{"clock", "threads", "throughput (10^3/s)", "aborts (10^3/s)", "extensions (10^3/s)"}}
-	for ci, cs := range r.Clocks {
-		for ti, th := range r.Threads {
-			tbl.AddRow(cs.String(), th,
-				fmt.Sprintf("%.1f", r.Values[ci][ti]/1000),
-				fmt.Sprintf("%.1f", r.Aborts[ci][ti]/1000),
-				fmt.Sprintf("%.1f", r.Extensions[ci][ti]/1000))
-		}
-	}
-	return tbl
-}
-
-// Best returns the strategy with the highest throughput at the largest
-// thread count.
-func (r ClockSweep) Best() (core.ClockStrategy, float64) {
-	best, bestTp := r.Clocks[0], -1.0
-	last := len(r.Threads) - 1
-	for ci, cs := range r.Clocks {
-		if tp := r.Values[ci][last]; tp > bestTp {
-			best, bestTp = cs, tp
-		}
-	}
-	return best, bestTp
-}
-
-// SweepClockStrategies measures an intset workload under each commit-clock
-// strategy across the scale's thread counts (TinySTM only; the geometry is
-// fixed so the clock is the one moving part).
-func SweepClockStrategies(sc Scale, d core.Design, geo core.Params,
-	ip harness.IntsetParams, clocks []core.ClockStrategy) ClockSweep {
-	sys := TinySTMWB
-	if d == core.WriteThrough {
-		sys = TinySTMWT
-	}
-	r := ClockSweep{
-		Title: fmt.Sprintf("clock-strategy sweep: %v %v, size=%d, update=%d%%",
-			d, ip.Kind, ip.InitialSize, ip.UpdatePct),
-		Threads: sc.Threads, Clocks: clocks,
-	}
-	for _, cs := range clocks {
-		scc := sc
-		scc.Clock = cs
-		tps := make([]float64, len(sc.Threads))
-		abr := make([]float64, len(sc.Threads))
-		ext := make([]float64, len(sc.Threads))
-		for ti, th := range sc.Threads {
-			p := RunIntsetPoint(scc, sys, geo, ip, th)
-			tps[ti] = p.Throughput
-			abr[ti] = p.AbortRate
-			if secs := p.Result.Duration.Seconds(); secs > 0 {
-				ext[ti] = float64(p.Result.Delta.Extensions) / secs
-			}
-		}
-		r.Values = append(r.Values, tps)
-		r.Aborts = append(r.Aborts, abr)
-		r.Extensions = append(r.Extensions, ext)
-	}
-	return r
-}
-
 // ImprovementCurve is one panel of Figure 9: throughput improvement (in
 // percent over the panel's worst configuration) along one parameter axis.
 type ImprovementCurve struct {

@@ -66,11 +66,10 @@ type Config struct {
 	// Shards and Buckets shape the store (powers of two). Defaults 16
 	// and 64.
 	Shards, Buckets uint64
-	// Design, Clock and Geometry configure the TM. A zero Geometry
-	// defaults to the deliberately modest (2^8, 0, 1) so a fresh server
-	// visibly adapts under load.
+	// Design and Geometry configure the TM. A zero Geometry defaults to
+	// the deliberately modest (2^8, 0, 1) so a fresh server visibly adapts
+	// under load.
 	Design   core.Design
-	Clock    core.ClockStrategy
 	Geometry core.Params
 	// CM is the initial contention-management policy (default Suicide).
 	CM cm.Kind
@@ -214,7 +213,6 @@ func New(cfg Config) (*Server, error) {
 		Shifts:    cfg.Geometry.Shifts,
 		Hier:      cfg.Geometry.Hier,
 		Design:    cfg.Design,
-		Clock:     cfg.Clock,
 		CM:        cfg.CM,
 		Snapshots: cfg.Snapshots,
 	})
@@ -494,7 +492,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"uptime_seconds": time.Since(s.start).Seconds(),
 		"design":         s.tm.Design().String(),
-		"clock":          s.tm.Clock().String(),
 		"params":         s.tm.Params(),
 		"cm":             s.tm.CM().String(),
 		"cm_switches":    st.CMSwitches,

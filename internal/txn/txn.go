@@ -227,10 +227,6 @@ type Stats struct {
 	// stripe matched the partition's newest entry (duplicate-read
 	// suppression; TinySTM only).
 	DupReadsSkipped uint64
-	// TicketsDiscarded counts reserved commit timestamps the TicketBatch
-	// clock strategy dropped because they fell behind the visible clock
-	// (TinySTM only; zero under the other strategies).
-	TicketsDiscarded uint64
 	// RollOvers counts clock roll-over events; Reconfigs counts dynamic
 	// parameter changes.
 	RollOvers uint64
@@ -264,7 +260,6 @@ func (s Stats) Sub(o Stats) Stats {
 		LocksValidated:       s.LocksValidated - o.LocksValidated,
 		LocksSkipped:         s.LocksSkipped - o.LocksSkipped,
 		DupReadsSkipped:      s.DupReadsSkipped - o.DupReadsSkipped,
-		TicketsDiscarded:     s.TicketsDiscarded - o.TicketsDiscarded,
 		RollOvers:            s.RollOvers - o.RollOvers,
 		Reconfigs:            s.Reconfigs - o.Reconfigs,
 		CMSwitches:           s.CMSwitches - o.CMSwitches,
@@ -291,7 +286,6 @@ func (s Stats) Add(o Stats) Stats {
 		LocksValidated:       s.LocksValidated + o.LocksValidated,
 		LocksSkipped:         s.LocksSkipped + o.LocksSkipped,
 		DupReadsSkipped:      s.DupReadsSkipped + o.DupReadsSkipped,
-		TicketsDiscarded:     s.TicketsDiscarded + o.TicketsDiscarded,
 		RollOvers:            s.RollOvers + o.RollOvers,
 		Reconfigs:            s.Reconfigs + o.Reconfigs,
 		CMSwitches:           s.CMSwitches + o.CMSwitches,
