@@ -11,13 +11,13 @@ import (
 // The publication oracle: what an update commit hands the sidecar is
 // fixed by what the transaction did, independent of how publishVersions
 // finds it. A program of Alloc, Free and Store runs as one transaction on
-// a TM with snapshots; after commit, tx.pub must equal
-//   - a birth for every word of every block it allocated, in allocation
-//     order, then
-//   - one pre-image per written address (Free locks its words as writes)
-//     that lies in no allocated block, in first-write order, carrying
-//     the committed value it supersedes and its stripe's version before
-//     the transaction acquired it.
+// a TM with snapshots; after commit at ts,
+//   - every word of every block it allocated is born: its written record
+//     in the sidecar reads ts, and
+//   - tx.pub holds one pre-image per written address (Free locks its
+//     words as writes) that lies in no allocated block, in first-write
+//     order, carrying the committed value it supersedes and its stripe's
+//     version before the transaction acquired it.
 // The oracle finds fresh words by scanning every allocated block, the
 // naive rule the merged-span search must agree with.
 
@@ -182,11 +182,11 @@ func runPubProgram(t *testing.T, d Design, prog []byte) pubCoverage {
 		return cov // no write, no lock: a read-only commit publishes nothing
 	}
 
-	var want []mvcc.Version
+	var born, want []mvcc.Version
 	for _, b := range fresh {
 		for w := 0; w < b.words; w++ {
 			a := uint64(b.addr) + uint64(w)
-			want = append(want, mvcc.Version{Stripe: g.lockIndex(a), Addr: a, Birth: true})
+			born = append(born, mvcc.Version{Stripe: g.lockIndex(a), Addr: a})
 		}
 	}
 	for _, a := range order {
@@ -197,6 +197,12 @@ func runPubProgram(t *testing.T, d Design, prog []byte) pubCoverage {
 		}
 		li := g.lockIndex(a)
 		want = append(want, mvcc.Version{Stripe: li, Addr: a, Val: preVal[a], From: version(d, preLock[li])})
+	}
+	ts := tx.LastCommitTS()
+	for _, b := range born {
+		if w := tm.mvcc.Written(b.Addr); w != ts {
+			t.Fatalf("%v: born word %d has written record %d, want the commit's ts %d", d, b.Addr, w, ts)
+		}
 	}
 	if !slices.Equal(tx.pub, want) {
 		for i := 0; i < len(want) || i < len(tx.pub); i++ {

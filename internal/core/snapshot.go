@@ -209,10 +209,10 @@ func (tx *Tx) loadSnap(addr uint64) uint64 {
 // held (see mvcc.Publish for the ordering contract). Words this very
 // transaction allocated carry no pre-image (the prior bits are allocator
 // garbage and no snapshot can reach them before this commit links them);
-// they are published as birth records so the sidecar learns their exact
-// validity start.
+// their birth at ts is stamped straight into the sidecar's written array
+// (mvcc.Store.Born) so it learns their exact validity start.
 //
-// What a commit pays here is linear in what it touched: one birth per
+// What a commit pays here is linear in what it touched: one stamp per
 // word it allocated, then one pre-image per pre-existing word it wrote.
 // Telling the two apart is a binary search over the allocations merged
 // into address-ordered spans (isFreshAlloc), and a write-through stripe's
@@ -220,18 +220,17 @@ func (tx *Tx) loadSnap(addr uint64) uint64 {
 // Neither may scan the allocation or owned-lock lists per written word:
 // with every lock held, that makes a 1 024-put batch quadratic.
 func (tx *Tx) publishVersions(ts uint64) {
-	pub := tx.pub[:0]
 	// EVERY word of every block this commit allocated is born at ts —
 	// including words the transaction never stored to (Alloc zeroes them;
 	// a grown hash directory's empty bucket heads are read by scans but
-	// never written). Without the birth, alias pressure on such a word's
-	// stripe would leave snapshot readers with an unresolvable miss.
+	// never written) and words it stored to through the capture window,
+	// whose stripes no lock moved. Without the birth, alias pressure on
+	// such a word's stripe would leave snapshot readers with an
+	// unresolvable miss.
 	for _, a := range tx.allocs {
-		for w := 0; w < a.words; w++ {
-			addr := uint64(a.addr) + uint64(w)
-			pub = append(pub, mvcc.Version{Stripe: tx.geo.lockIndex(addr), Addr: addr, Birth: true})
-		}
+		tx.tm.mvcc.Born(ts, uint64(a.addr), a.words)
 	}
+	pub := tx.pub[:0]
 	tx.mergeAllocSpans()
 	if tx.design == WriteBack {
 		for i := range tx.wset {
@@ -282,10 +281,9 @@ func (tx *Tx) publishVersions(ts uint64) {
 // mergeAllocSpans rebuilds tx.allocSpans, the index isFreshAlloc searches:
 // the attempt's allocations sorted by address, abutting blocks merged.
 // tx.allocs itself keeps allocation order — rollback frees each block as
-// it was allocated, and births are published in that order. Bump
-// allocation hands a batch's nodes out back to back, so a 1 024-node
-// commit is one or two spans; the scratch is reused like tx.pub, so a
-// warm descriptor allocates nothing here.
+// it was allocated. Bump allocation hands a batch's nodes out back to
+// back, so a 1 024-node commit is one or two spans; the scratch is reused
+// like tx.pub, so a warm descriptor allocates nothing here.
 func (tx *Tx) mergeAllocSpans() {
 	spans := append(tx.allocSpans[:0], tx.allocs...)
 	slices.SortFunc(spans, func(a, b allocRec) int { return cmp.Compare(a.addr, b.addr) })

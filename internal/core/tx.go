@@ -80,11 +80,24 @@ type Tx struct {
 	// released marks a descriptor handed back via Release: it sits on the
 	// TM free list and must not run transactions until NewTx re-issues it.
 	released bool
+	// capWrote marks an attempt that stored to (or freed) a word of its
+	// capture window: it commits as an update, taking a timestamp and
+	// stamping its births, though it may hold no lock.
+	capWrote bool
 
 	// verShift is a hot-path cache set at Begin: it avoids a per-load
 	// branch on the design (write-back versions sit at bit 1,
 	// write-through at bit 4 past the incarnation field).
 	verShift uint
+
+	// The capture window [capAddr, capAddr+capN): the attempt's most
+	// recent allocation, which no other transaction can reach yet. Alloc
+	// sets it, begin empties it (capN = 0), and a block leaves it at the
+	// next Alloc for good. Load, Store and Free serve its words straight
+	// from the space — no lock, no log entry — after one subtract and
+	// compare; memmgmt.go argues why that is sound.
+	capAddr uint64
+	capN    uint64
 
 	// Cooperative-yield state (Config.YieldEvery): simulates multi-core
 	// interleaving on few-core hosts. opBudget counts DOWN so the Load
@@ -133,7 +146,8 @@ type Tx struct {
 	redoRecords uint64
 
 	// pub is the reusable pre-image staging buffer publishVersions fills
-	// each update commit when the MVCC sidecar is attached; pubSeen is
+	// each update commit when the MVCC sidecar is attached (pre-images
+	// only: births are stamped into the sidecar directly); pubSeen is
 	// its reusable write-through dedupe scratch (first undo record per
 	// address wins); allocSpans is the address-ordered, merged copy of
 	// allocs that tells fresh words from pre-existing ones.
@@ -256,19 +270,34 @@ func (tx *Tx) begin(readOnly, snap bool) {
 		// AFTER our registration is therefore >= the timestamp of every
 		// commit that skipped before seeing us, so the snapshot can never
 		// need a version that was legitimately skipped.
-		tx.tm.mvcc.Enter(tx.slot, tx.tm.clk.now())
+		//
+		// Pin retired memory BEFORE taking it too. A snapshot reads
+		// pre-images, so it can follow a pointer that a commit at ts has
+		// since unlinked — to a block retired at ts. A reclaimer scan that
+		// misses this pin ran before the store, so the start read after it
+		// is >= ts and the snapshot never sees that pointer; one that sees
+		// the pin keeps the block. Without it, a block could be reused and
+		// re-initialised through a capture window (which moves no stripe)
+		// under a snapshot still holding the old pointer.
+		pin := tx.tm.clk.now()
+		tx.tm.mvcc.Enter(tx.slot, pin)
+		tx.startEpoch.Store(pin + 1)
 	}
 	tx.start = tx.tm.clk.now()
 	tx.end = tx.start
 	// startEpoch pins retired memory blocks (package reclaim): a block
 	// freed at ts > start must survive until this attempt finishes. A
-	// snapshot's sidecar registration (at a clock value <= start,
-	// conservative for trimming) additionally pins retained versions where
-	// the budget allows.
+	// classic attempt reads only live words, all after this store: a block
+	// a scan frees without seeing the store was unlinked by a commit that
+	// released its locks before the attempt's first read, so the attempt
+	// reads the unlink or extends past it. A snapshot's sidecar
+	// registration (at a clock value <= start, conservative for trimming)
+	// additionally pins retained versions where the budget allows.
 	tx.startEpoch.Store(tx.start + 1)
 	tx.wset = tx.wset[:0]
 	tx.owned = tx.owned[:0]
 	tx.undo = tx.undo[:0]
+	tx.capN, tx.capWrote = 0, false
 	tx.allocs = tx.allocs[:0]
 	tx.frees = tx.frees[:0]
 	tx.freed.reset()
@@ -470,11 +499,19 @@ func (tx *Tx) Load(addr uint64) uint64 {
 	a := mem.Addr(addr)
 	g := tx.geo
 	li := g.lockIndex(addr)
-	// The bucket's counter snapshot must predate the first look at the
-	// lock word (see hier.go); with h == 1 this is one predictable branch.
 	b := uint64(0)
-	if !tx.ro && g.hierEnabled() {
-		b = tx.hierTouch(addr)
+	if !tx.ro {
+		// Only an update attempt allocates, so only it has a capture
+		// window (see memmgmt.go); a read-only load pays nothing for it.
+		if addr-tx.capAddr < tx.capN {
+			return tx.loadCaptured(a)
+		}
+		// The bucket's counter snapshot must predate the first look at
+		// the lock word (see hier.go); with h == 1 this is one
+		// predictable branch.
+		if g.hierEnabled() {
+			b = tx.hierTouch(addr)
+		}
 	}
 
 	lw := g.loadLock(li)
@@ -489,6 +526,16 @@ func (tx *Tx) Load(addr uint64) uint64 {
 	}
 	return tx.loadSlow(a, li, b)
 }
+
+// loadCaptured serves a load inside the capture window. It stays a call
+// so the compiler lays the branch to it out of line as unlikely, and
+// nearly every update-attempt load, which misses the window, falls
+// through. With the body inlined in that path, BenchmarkListUpdateTinySTM
+// ran 4–7 % slower than without a window (2 vCPUs, -cpu 1); out of line,
+// within 2 %.
+//
+//go:noinline
+func (tx *Tx) loadCaptured(a mem.Addr) uint64 { return tx.tm.space.Load(a) }
 
 // opBudgetIdle is the Load-counter refill when yielding is disabled: large
 // enough that the refill path is hit ~never, small enough to never
@@ -620,6 +667,15 @@ func (tx *Tx) store(addr uint64, v uint64, lockOnly bool) {
 		tx.abort(txn.AbortUpgrade)
 	}
 	a := mem.Addr(addr)
+	if addr-tx.capAddr < tx.capN {
+		// Captured (see memmgmt.go): written in place with no undo, and a
+		// Free's lockOnly pass has nothing to lock.
+		tx.capWrote = true
+		if !lockOnly {
+			tx.tm.space.Store(a, v)
+		}
+		return
+	}
 	g := tx.geo
 	li := g.lockIndex(addr)
 
@@ -872,9 +928,10 @@ func (tx *Tx) prevVersionOfOwned(lw uint64) uint64 {
 	return versionWB(tx.wset[idx].prevLock)
 }
 
-// isUpdate reports whether the attempt wrote anything (locks held).
+// isUpdate reports whether the attempt wrote anything: locks held, or a
+// captured word stored to or freed.
 func (tx *Tx) isUpdate() bool {
-	return len(tx.wset) > 0 || len(tx.owned) > 0
+	return len(tx.wset) > 0 || len(tx.owned) > 0 || tx.capWrote
 }
 
 // Commit attempts to commit the transaction. It returns false (with the
@@ -919,11 +976,12 @@ func (tx *Tx) Commit() bool {
 	// Point of no return: publish values and release locks at version ts.
 	// With the MVCC sidecar attached, the superseded values are captured
 	// during the write-back (write-back design) or recovered from the
-	// undo log (write-through) and delivered to the sidecar BEFORE the
-	// locks are released: per-stripe publication then follows lock order,
-	// and a snapshot reader that observes the released version ts knows
-	// the matching pre-image is already retained (or trimmed into the
-	// horizon) — never still in flight.
+	// undo log (write-through) and delivered to the sidecar, and the
+	// allocated words' births stamped, BEFORE the locks are released:
+	// per-stripe publication then follows lock order, and a snapshot
+	// reader that observes the released version ts knows the matching
+	// pre-image is already retained (or trimmed into the horizon) — never
+	// still in flight.
 	g := tx.geo
 	if tx.design == WriteBack {
 		if tx.tm.mvcc != nil {

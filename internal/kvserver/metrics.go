@@ -187,6 +187,8 @@ func newMetrics(s *Server) *metrics {
 	// --- Store ---
 	m.reg.GaugeFunc("stmkvd_keys", "Live keys in the store.", nil,
 		func() float64 { return float64(s.store.Len()) })
+	m.reg.CounterFunc("stmkvd_shard_grows_total", "Committed shard growths; each relinked a whole shard in one transaction that every other operation on the shard waited out.", nil,
+		func() float64 { return float64(s.store.Grows()) })
 	m.reg.GaugeFunc("stmkvd_uptime_seconds", "Seconds since the server booted.", nil,
 		func() float64 { return time.Since(s.start).Seconds() })
 	m.reg.GaugeFunc("stmkvd_arena_live_bytes", "Arena bytes the STM allocator has handed out.", nil,

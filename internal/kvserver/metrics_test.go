@@ -278,6 +278,29 @@ func TestMetricsMemory(t *testing.T) {
 	}
 }
 
+// TestMetricsShardGrows: /metrics and /stats report the store's committed
+// shard growths, and they agree with the store: 100 keys over two
+// 2-bucket shards pass growth triggers at 8 and 32 keys a shard.
+func TestMetricsShardGrows(t *testing.T) {
+	s, ts := newTestServer(t, Config{SpaceWords: 1 << 16, Shards: 2, Buckets: 2})
+	c := ts.Client()
+	for k := uint64(0); k < 100; k++ {
+		s.Store().Put(k, k)
+	}
+	var st struct {
+		Grows uint64 `json:"grows"`
+	}
+	doJSON(t, c, "GET", ts.URL+"/stats", "", &st)
+	_, val := scrape(t, c, ts.URL)
+	want := s.Store().Grows()
+	if want == 0 {
+		t.Fatal("no shard grew")
+	}
+	if v, ok := val("stmkvd_shard_grows_total"); !ok || v != float64(want) || st.Grows != want {
+		t.Fatalf("stmkvd_shard_grows_total = %v (ok=%v), /stats grows = %d, store says %d", v, ok, st.Grows, want)
+	}
+}
+
 // TestMetricsRetryWaits forces one conflict — a transaction holds a word's
 // lock while another's Atomic stores to it — and checks that /metrics and
 // /stats report the same retry-wait count and seconds, both non-zero.

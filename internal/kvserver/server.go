@@ -496,6 +496,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"cm":             s.tm.CM().String(),
 		"cm_switches":    st.CMSwitches,
 		"keys":           s.store.Len(),
+		"grows":          s.store.Grows(),
 		"memory":         s.memStats().stats(),
 		"commits":        st.Commits,
 		"aborts":         st.Aborts,

@@ -74,8 +74,8 @@ func TestBatchGrowsEveryShardItTips(t *testing.T) {
 		t.Fatalf("batch results %+v", res)
 	}
 	d := tm.Stats().Sub(before)
-	if got := shardBuckets(tm, m); got[0] != 4 || got[1] != 4 || got[2] != 2 || got[3] != 2 {
-		t.Fatalf("buckets per shard = %v, want [4 4 2 2]", got)
+	if got := shardBuckets(tm, m); got[0] != 8 || got[1] != 8 || got[2] != 2 || got[3] != 2 {
+		t.Fatalf("buckets per shard = %v, want [8 8 2 2]", got)
 	}
 	if d.Commits != 3 {
 		t.Fatalf("%d commits for a batch that tipped two shards, want 3 (batch + two growths)", d.Commits)
@@ -109,7 +109,7 @@ func (a *abortOnce) Atomic(tx *core.Tx, fn func(*core.Tx)) {
 // TestBatchGrowthIsOfTheCommittedAttempt: the batch's first attempt tips
 // shards 0 and 1 and aborts; before the retry, shard 0 loses keys, so the
 // attempt that commits tips only shard 1. Shard 1 is grown once — it is
-// filled so that a second growth would double it again — and shard 0 costs
+// filled so that a second growth would grow it again — and shard 0 costs
 // not even a growth transaction that finds nothing to do.
 func TestBatchGrowthIsOfTheCommittedAttempt(t *testing.T) {
 	tm := newTM(t, core.WriteBack, 1<<16)
@@ -118,9 +118,9 @@ func TestBatchGrowthIsOfTheCommittedAttempt(t *testing.T) {
 	defer s.Close()
 	m := s.Map()
 	keys0 := keysOfShard(m, 0, 0, 2*loadFactor+1)
-	keys1 := keysOfShard(m, 1, 0, 4*loadFactor+2)
+	keys1 := keysOfShard(m, 1, 0, 8*loadFactor+2)
 	fillShard(tm, m, keys0[:2*loadFactor])
-	fillShard(tm, m, keys1[:4*loadFactor+1]) // over the factor even at 4 buckets
+	fillShard(tm, m, keys1[:8*loadFactor+1]) // over the factor even at 8 buckets
 
 	sys.between = func() {
 		s.Delete(keys0[0])
@@ -129,7 +129,7 @@ func TestBatchGrowthIsOfTheCommittedAttempt(t *testing.T) {
 	before := tm.Stats()
 	res := s.Apply([]Op{
 		{Kind: OpPut, Key: keys0[2*loadFactor], Val: 1},
-		{Kind: OpPut, Key: keys1[4*loadFactor+1], Val: 1},
+		{Kind: OpPut, Key: keys1[8*loadFactor+1], Val: 1},
 	})
 	if sys.between != nil {
 		t.Fatal("the batch committed on its first attempt: nothing was tested")
@@ -138,13 +138,56 @@ func TestBatchGrowthIsOfTheCommittedAttempt(t *testing.T) {
 		t.Fatalf("batch results %+v", res)
 	}
 	d := tm.Stats().Sub(before)
-	if got := shardBuckets(tm, m); got[0] != 2 || got[1] != 4 {
-		t.Fatalf("buckets per shard = %v, want [2 4]: shard 1 grown once, shard 0 not at all", got)
+	if got := shardBuckets(tm, m); got[0] != 2 || got[1] != 8 {
+		t.Fatalf("buckets per shard = %v, want [2 8]: shard 1 grown once, shard 0 not at all", got)
 	}
 	if d.Commits != 2+2 { // two Deletes in between, the batch, one growth
 		t.Fatalf("%d commits, want 4 (two deletes, the batch, one growth of shard 1)", d.Commits)
 	}
 	if d.Aborts == 0 {
 		t.Fatal("no attempt aborted")
+	}
+}
+
+// TestPreloadGrowsEachShardTwice: stmkvd's store shape, sixteen shards of
+// 64 buckets, preloaded with 65 536 keys in 1 024-put batches, 4 096 keys a
+// shard. Each shard grows 64 → 256 → 1 024 buckets: 32 growth commits,
+// where doubling took 64. Grows counts exactly the growths that
+// committed, one commit each beside the batches.
+func TestPreloadGrowsEachShardTwice(t *testing.T) {
+	const shards, perShard, batch = 16, 4096, 1024
+	tm := newTM(t, core.WriteBack, 1<<20)
+	s := NewStore[*core.Tx](tm, shards, 64)
+	defer s.Close()
+	m := s.Map()
+	// The first 4 096 keys of every shard, in key order: exactly at the
+	// load factor of a 1 024-bucket directory, so no third growth is due.
+	var keys []uint64
+	var n [shards]int
+	for k := uint64(0); len(keys) < shards*perShard; k++ {
+		if sh := m.Shard(k); n[sh] < perShard {
+			n[sh]++
+			keys = append(keys, k)
+		}
+	}
+	before := tm.Stats()
+	ops := make([]Op, batch)
+	res := make([]OpResult, batch)
+	for lo := 0; lo < len(keys); lo += batch {
+		for i, k := range keys[lo : lo+batch] {
+			ops[i] = Op{Kind: OpPut, Key: k, Val: k}
+		}
+		s.ApplyInto(ops, res)
+	}
+	if got := s.Grows(); got != 2*shards {
+		t.Fatalf("Grows = %d after the preload, want %d: two per shard", got, 2*shards)
+	}
+	if d := tm.Stats().Sub(before); d.Commits != uint64(len(keys)/batch)+2*shards {
+		t.Fatalf("%d commits, want %d batches + %d growths", d.Commits, len(keys)/batch, 2*shards)
+	}
+	for sh, b := range shardBuckets(tm, m) {
+		if b != 1024 {
+			t.Fatalf("shard %d has %d buckets after the preload, want 1024", sh, b)
+		}
 	}
 }

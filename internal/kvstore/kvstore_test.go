@@ -85,7 +85,7 @@ func TestMapAgainstModel(t *testing.T) {
 	}
 }
 
-// TestGrowPreservesContents forces directory doublings and verifies no key
+// TestGrowPreservesContents forces directory growths and verifies no key
 // is lost or duplicated, and that directories actually grew.
 func TestGrowPreservesContents(t *testing.T) {
 	tm := newTM(t, core.WriteBack, 1<<20)

@@ -11,7 +11,7 @@ import (
 )
 
 // TestResizeUnderLoad stresses the freeze/rehash path: inserters push
-// every shard through multiple directory doublings while readers hammer
+// every shard through multiple directory growths while readers hammer
 // already-inserted keys. A reader racing a Grow must either see the old
 // directory or the new one — a key observed missing after its insert
 // committed means the rehash tore.
@@ -93,12 +93,12 @@ func TestResizeUnderLoad(t *testing.T) {
 }
 
 // TestGrowFailureIsBestEffort sizes the arena so every 3-word node still
-// fits but the doubled 256-word directory cannot: growth must fail
+// fits but the quadrupled 512-word directory cannot: growth must fail
 // silently (the insert already committed) and the store must keep
 // serving with longer chains instead of panicking out of Put.
 func TestGrowFailureIsBestEffort(t *testing.T) {
 	// 1 reserved word + 8 header + 128 dir + n*3 nodes; at the growth
-	// trigger (count 513) the free space is ~24 words < 256.
+	// trigger (count 513) the free space is ~24 words < 512.
 	tm := core.MustNew(core.Config{Space: mem.NewSpace(1700)})
 	s := NewStore[*core.Tx](tm, 1, 128)
 	defer s.Close()

@@ -100,6 +100,9 @@ type Store[T txn.Tx] struct {
 	// one's capacity.
 	//stm:allow-atomic checkpoint size hint, read and written outside any transaction
 	ckptPairs atomic.Int64
+	// grows counts committed shard growths (Grows).
+	//stm:allow-atomic bumped after the growth transaction commits, never inside one
+	grows atomic.Uint64
 	// heat, when attached (SetShardHeat), receives one op plus the retry
 	// count per single-key operation, keyed by shard — the server's
 	// contention heat map. Nil costs every op one predictable branch.
@@ -311,7 +314,7 @@ func (s *Store[T]) Put(key, val uint64) (inserted bool) {
 
 // tryGrow runs the freeze/rehash transaction as best-effort housekeeping:
 // the caller's own operation has already committed, so a growth failure —
-// the arena cannot fit a doubled directory — must not surface as an error
+// the arena cannot fit a grown directory — must not surface as an error
 // for an operation that succeeded. The shard keeps serving with longer
 // chains and the next insert retries. Any panic other than the shared
 // exhaustion sentinel keeps propagating.
@@ -321,8 +324,17 @@ func (s *Store[T]) tryGrow(tx T, sh uint64) {
 			panic(r)
 		}
 	}()
-	s.sys.Atomic(tx, func(tx T) { s.m.Grow(tx, sh) })
+	var grew bool
+	s.sys.Atomic(tx, func(tx T) { grew = s.m.Grow(tx, sh) })
+	if grew {
+		s.grows.Add(1)
+	}
 }
+
+// Grows returns how many shard growths have committed. Each one relinked a
+// whole shard inside one transaction, so every operation on that shard
+// meanwhile conflicted with it and waited.
+func (s *Store[T]) Grows() uint64 { return s.grows.Load() }
 
 // Delete removes key, reporting whether it was present.
 func (s *Store[T]) Delete(key uint64) (found bool) {

@@ -5,8 +5,8 @@ import (
 )
 
 // FuzzSidecar model-checks the Store against a naive per-address version
-// list. The input decodes to a sequence of commits (births and
-// pre-images, published the way the STM publishes them: strictly
+// list. The input decodes to a sequence of commits (births stamped by
+// Born and pre-images, published the way the STM publishes them: strictly
 // increasing timestamps, a pre-image carrying the value it supersedes and
 // its stripe's version before the commit), reads, snapshot registrations
 // and departures, budget changes and Resets (each with every snapshot
@@ -133,6 +133,7 @@ func (m *sidecarModel) commit(in *byteReader) {
 	ts := m.ts + 1 + uint64(in.next()%3)
 	n := 1 + int(in.next()%4)
 	var vs []Version
+	var born [modelWords]bool
 	var touched [modelWords]bool
 	for i := 0; i < n; i++ {
 		c := in.next()
@@ -142,18 +143,23 @@ func (m *sidecarModel) commit(in *byteReader) {
 		}
 		touched[a] = true
 		st := stripeOf(a)
-		if c&0x80 != 0 {
-			vs = append(vs, Version{Stripe: st, Addr: a, Birth: true})
-		} else {
-			vs = append(vs, Version{Stripe: st, Addr: a, Val: m.live[a], From: m.stripeVer[st]})
-		}
+		born[a] = c&0x80 != 0
+		vs = append(vs, Version{Stripe: st, Addr: a, Val: m.live[a], From: m.stripeVer[st]})
 	}
 	retained := m.s.ActiveSnapshots() > 0
-	m.s.Publish(ts, vs)
+	var pre []Version
+	for _, v := range vs {
+		if born[v.Addr] {
+			m.s.Born(ts, v.Addr, 1)
+		} else {
+			pre = append(pre, v)
+		}
+	}
+	m.s.Publish(ts, pre)
 	m.seq++
 	for _, v := range vs {
 		a := v.Addr
-		if v.Birth {
+		if born[a] {
 			m.hist[a] = nil
 			m.bornAt[a] = ts
 		} else {

@@ -17,7 +17,8 @@
 //
 //   - written: a flat array with one word per arena word holding the
 //     commit timestamp of the address's last transactional write (its
-//     birth, for freshly allocated words). It answers the dominant
+//     birth, for freshly allocated words, stamped by Born: a birth has no
+//     pre-image and never passes through Publish). It answers the dominant
 //     snapshot-read question — "is the live value still the value at S?"
 //     — with one lock-free atomic load, even when a NEIGHBOR under the
 //     same lock stripe has pushed the stripe version past S. It also
@@ -64,13 +65,6 @@ type Version struct {
 	// acquired it: a conservative lower bound on when Val became current,
 	// used only when the written array has no exact record yet.
 	From uint64
-	// Birth marks a freshly allocated word the publishing commit
-	// populated: there is no pre-image to retain (the prior bits belong
-	// to no reachable object), but recording the birth timestamp in the
-	// written array matters — it is the exact validity start of the
-	// address's first supersede, and it proves to readers that the live
-	// value covers any snapshot at or after it.
-	Birth bool
 }
 
 // entry is one retained version: Val was current for snapshots in
@@ -255,6 +249,11 @@ func (s *Store) MinSnapshot() (uint64, bool) { return s.reg.Min() }
 // update commit at one atomic store per written word. A snapshot racing
 // its registration against the skip decision can miss at most the racy
 // commits' versions and restarts once on a fresh snapshot.
+//
+// Births are not versions: words the commit allocated have no pre-image
+// (their prior bits belong to no reachable object), and their commit
+// timestamp goes to the written array through Born, under the same
+// locks-held rule.
 func (s *Store) Publish(ts uint64, vs []Version) {
 	if len(vs) == 0 {
 		return
@@ -269,16 +268,9 @@ func (s *Store) Publish(ts uint64, vs []Version) {
 	// writes to one data structure cluster in nearby stripes.
 	i := 0
 	for i < len(vs) {
-		if vs[i].Birth {
-			// Births never retain an entry; the written record alone
-			// carries the information.
-			s.written[vs[i].Addr].Store(ts)
-			i++
-			continue
-		}
 		si := vs[i].Stripe & s.mask
 		j := i + 1
-		for j < len(vs) && !vs[j].Birth && vs[j].Stripe&s.mask == si {
+		for j < len(vs) && vs[j].Stripe&s.mask == si {
 			j++
 		}
 		sh := &s.shards[si]
@@ -318,6 +310,21 @@ func (s *Store) Publish(ts uint64, vs []Version) {
 		s.trimLocked(sh)
 		sh.mu.Unlock()
 		i = j
+	}
+}
+
+// Born records that the n words from addr were allocated by the commit at
+// ts: each word's written record becomes ts. That is the exact validity
+// start of the word's first supersede, and it proves to snapshot readers
+// that the live value covers any snapshot at or after ts, however far
+// aliasing writes have moved the word's stripe. Like Publish, it must run
+// while the commit still holds its write locks: other transactions reach
+// a new block only through a word the commit has locked, so no later
+// writer of a born word can stamp it first and have Born move its record
+// back.
+func (s *Store) Born(ts, addr uint64, n int) {
+	for a := addr; a < addr+uint64(n); a++ {
+		s.written[a].Store(ts)
 	}
 }
 
@@ -443,6 +450,10 @@ func (s *Store) Read(stripe, addr, snap uint64) (val uint64, res ReadResult) {
 	return 0, ReadMiss
 }
 
+// Written returns addr's written record: the commit timestamp of its last
+// transactional write or birth, 0 when none was recorded (tests).
+func (s *Store) Written(addr uint64) uint64 { return s.written[addr].Load() }
+
 // Horizon returns the trim watermark of the shard covering stripe (tests).
 func (s *Store) Horizon(stripe uint64) uint64 {
 	sh := &s.shards[stripe&s.mask]
@@ -461,7 +472,7 @@ func (s *Store) Horizon(stripe uint64) uint64 {
 // Reconfigure's stop-the-world pause O(arena words) instead of
 // O(shards+budget) — because stale records are harmless: every
 // transactional write of the new epoch refreshes its word's record
-// (retention-skip and birth paths included), so a stale record can only
+// (retention-skip and Born included), so a stale record can only
 // describe a word NOT written since the reset. Such a word's live value
 // has been its committed value since before the barrier, which makes it
 // valid at every new-epoch snapshot: a stale `w <= snap` live-valid

@@ -81,7 +81,7 @@ func TestBirthProvesLiveValid(t *testing.T) {
 	// A freshly allocated word is born at 6: no entry is retained, but
 	// any snapshot >= 6 may serve the live word even when the stripe
 	// version has moved past it.
-	s.Publish(6, []Version{{Stripe: 0, Addr: 70, Birth: true}})
+	s.Born(6, 70, 1)
 	if p, _ := s.Counts(); p != 0 {
 		t.Fatalf("birth retained %d entries, want 0", p)
 	}
