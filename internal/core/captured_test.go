@@ -187,49 +187,63 @@ func TestCapturedFreeOfWindowBlock(t *testing.T) {
 }
 
 // TestCapturedOnlyAttemptIsAnUpdate: an attempt whose only writes went
-// through the window holds no lock, yet takes a commit timestamp, and
-// every word of its block — stored to or not — reads that timestamp in the
-// sidecar's written array.
+// through the window holds no lock, yet takes a commit timestamp. With a
+// snapshot registered, every word of its block — stored to or not — reads
+// that timestamp in the sidecar's written array; with none, the commit
+// stamps nothing.
 func TestCapturedOnlyAttemptIsAnUpdate(t *testing.T) {
 	bothDesigns(t, func(t *testing.T, d Design) {
 		tm := newSnapTM(t, d, nil)
 		tx := tm.NewTx()
 		const n = 4
-		var a uint64
-		tm.Atomic(tx, func(tx *Tx) {
-			a = tx.Alloc(n)
-			tx.Store(a+1, 9)
-		})
-		ts := tx.LastCommitTS()
-		if ts == 0 || ts != tm.ClockValue() {
-			t.Fatalf("captured-only commit ts = %d (clock %d): it must commit as an update", ts, tm.ClockValue())
-		}
-		for w := uint64(0); w < n; w++ {
-			if got := tm.mvcc.Written(a + w); got != ts {
-				t.Fatalf("born word %d: written = %d, want the commit's ts %d", w, got, ts)
+		for _, reader := range []bool{false, true} {
+			var a uint64
+			whileRegistered(t, tm, reader, func() {
+				tm.Atomic(tx, func(tx *Tx) {
+					a = tx.Alloc(n)
+					tx.Store(a+1, 9)
+				})
+			})
+			ts := tx.LastCommitTS()
+			if ts == 0 || ts != tm.ClockValue() {
+				t.Fatalf("captured-only commit ts = %d (clock %d): it must commit as an update", ts, tm.ClockValue())
+			}
+			want := uint64(0)
+			if reader {
+				want = ts
+			}
+			for w := uint64(0); w < n; w++ {
+				if got := tm.mvcc.Written(a + w); got != want {
+					t.Fatalf("reader registered %v: born word %d has written record %d, want %d (commit ts %d)",
+						reader, w, got, want, ts)
+				}
 			}
 		}
 	})
 }
 
-// TestCapturedBirthsPrecedeRelease: a commit stamps its births before it
-// releases its locks. The first transaction allocates a long block, fills
-// in the node at its far end through the window and links it; the second,
-// on another goroutine, waits for the link and then writes the node, whose
-// written record must end at the second commit's timestamp. A commit that
-// stamped its births after releasing its locks would still be walking the
-// long block when the second one stamped the node, and would then move the
-// node's record back behind that write. Catching that takes two
-// processors; with one, the test still checks the order holds.
+// TestCapturedBirthsPrecedeRelease: a versioned commit stamps its births
+// before it releases its locks. The first transaction allocates a long
+// block, fills in the node at its far end through the window and links
+// it; the second, on another goroutine, waits for the link and then
+// writes the node, whose written record must end at the second commit's
+// timestamp. A commit that stamped its births after releasing its locks
+// would still be walking the long block when the second one stamped the
+// node, and would then move the node's record back behind that write.
+// Catching that takes two processors; with one, the test still checks the
+// order holds. A snapshot stays registered across these rounds, so both
+// commits version; one more round with none registered stamps nothing.
 func TestCapturedBirthsPrecedeRelease(t *testing.T) {
-	const pad, rounds = 1 << 16, 12 // rounds*pad fits newTestTM's space
+	const pad, rounds = 1 << 16, 12 // (rounds+1)*pad fits newTestTM's space
 	bothDesigns(t, func(t *testing.T, d Design) {
 		tm := newSnapTM(t, d, nil)
 		tx := tm.NewTx()
 		defer tx.Release()
 		var root uint64
 		tm.Atomic(tx, func(tx *Tx) { root = tx.Alloc(1) })
-		for r, prev := 0, uint64(0); r < rounds; r++ {
+		// round links a fresh node at the far end of a long block and
+		// returns it with the timestamp of the other goroutine's write.
+		round := func(prev uint64) (n, wts uint64) {
 			wrote := make(chan uint64)
 			go func() {
 				tx := tm.NewTx()
@@ -242,17 +256,26 @@ func TestCapturedBirthsPrecedeRelease(t *testing.T) {
 				tm.Atomic(tx, func(tx *Tx) { tx.Store(n, tx.Load(n)+1) })
 				wrote <- tx.LastCommitTS()
 			}()
-			var n uint64
 			tm.Atomic(tx, func(tx *Tx) {
 				n = tx.Alloc(pad+1) + pad
 				tx.Store(n, 1)
 				tx.Store(root, n)
 			})
-			if ts := <-wrote; tm.mvcc.Written(n) != ts {
-				t.Fatalf("round %d: node %d has written record %d, want the later writer's ts %d (the births' commit was %d)",
-					r, n, tm.mvcc.Written(n), ts, tx.LastCommitTS())
+			return n, <-wrote
+		}
+		var prev uint64
+		whileRegistered(t, tm, true, func() {
+			for r := 0; r < rounds; r++ {
+				n, ts := round(prev)
+				if tm.mvcc.Written(n) != ts {
+					t.Fatalf("round %d: node %d has written record %d, want the later writer's ts %d (the births' commit was %d)",
+						r, n, tm.mvcc.Written(n), ts, tx.LastCommitTS())
+				}
+				prev = n
 			}
-			prev = n
+		})
+		if n, _ := round(prev); tm.mvcc.Written(n) != 0 {
+			t.Fatalf("with no snapshot registered, node %d has written record %d, want none", n, tm.mvcc.Written(n))
 		}
 	})
 }
@@ -263,9 +286,10 @@ func TestCapturedBirthsPrecedeRelease(t *testing.T) {
 // old one, so freed nodes are reclaimed and recycled under the readers —
 // or move an amount between two nodes in place. Readers check both
 // invariants inside their bodies, classic and snapshot, so an attempt that
-// would later abort must not see a broken state either. At the end, every
-// node's words carry, in the sidecar, the timestamp of the last commit
-// that wrote their slot.
+// would later abort must not see a broken state either. Snapshot readers
+// come and go, so some commits are versioned and some are not. At the end,
+// a node whose slot's last commit was versioned carries that commit's
+// timestamp in the sidecar, and any other node an older record.
 
 const (
 	heavySlots   = 8
@@ -348,6 +372,9 @@ func runAllocHeavy(t *testing.T, d Design, h uint64, yield, ops, minReads int) {
 	})
 	setup.Release()
 
+	// lastWrite[i] is the newest commit that wrote slot i's node, as
+	// ts<<1 | 1 when that commit was versioned (a snapshot reader was
+	// registered when it decided), so raiseTo still orders by timestamp.
 	var lastWrite [heavySlots]atomic.Uint64
 	var failed atomic.Pointer[string]
 	fail := func(msg string) { failed.CompareAndSwap(nil, &msg) }
@@ -379,18 +406,27 @@ func runAllocHeavy(t *testing.T, d Design, h uint64, yield, ops, minReads int) {
 				tx.Store(nj, tx.Load(nj)-amt)
 				tx.Store(nj+1, tx.Load(nj+1)+amt)
 			}
+			// stamp runs body and returns its commit's ts with the
+			// versioned bit.
+			stamp := func(body func(*Tx)) uint64 {
+				v0 := tx.stats.versionedCommits.Load()
+				tm.Atomic(tx, body)
+				if tx.stats.versionedCommits.Load() != v0 {
+					return tx.LastCommitTS()<<1 | 1
+				}
+				return tx.LastCommitTS() << 1
+			}
 			for k := 0; failed.Load() == nil && (k < ops || int(reads.Load()) < minReads); k++ {
 				i = r.Uint64n(heavySlots)
 				if r.Uint64n(2) == 0 {
-					tm.Atomic(tx, replace)
-					raiseTo(&lastWrite[i], tx.LastCommitTS())
+					raiseTo(&lastWrite[i], stamp(replace))
 					continue
 				}
 				j = (i + 1 + r.Uint64n(heavySlots-1)) % heavySlots
 				amt = r.Uint64n(7) + 1
-				tm.Atomic(tx, move)
-				raiseTo(&lastWrite[i], tx.LastCommitTS())
-				raiseTo(&lastWrite[j], tx.LastCommitTS())
+				ts := stamp(move)
+				raiseTo(&lastWrite[i], ts)
+				raiseTo(&lastWrite[j], ts)
 			}
 		}(uint64(w) + 1)
 	}
@@ -438,11 +474,24 @@ func runAllocHeavy(t *testing.T, d Design, h uint64, yield, ops, minReads int) {
 			nodes[i] = tx.Load(root + uint64(i))
 		}
 	})
+	// A versioned last commit left its timestamp on the node; an
+	// unversioned one left an older record, never a newer one.
+	versioned := 0
 	for i, n := range nodes {
+		last := lastWrite[i].Load()
+		ts, stamped := last>>1, last&1 == 1
 		for w := uint64(0); w < 2; w++ {
-			if got, want := tm.mvcc.Written(n+w), lastWrite[i].Load(); got != want {
-				t.Fatalf("slot %d: node word %d has written record %d, want %d (the slot's last commit)", i, n+w, got, want)
+			got := tm.mvcc.Written(n + w)
+			if stamped && got != ts {
+				t.Fatalf("slot %d: node word %d has written record %d, want %d (the slot's last commit, versioned)", i, n+w, got, ts)
+			}
+			if !stamped && got >= ts {
+				t.Fatalf("slot %d: node word %d has written record %d, want one older than the slot's last commit %d (unversioned)", i, n+w, got, ts)
 			}
 		}
+		if stamped {
+			versioned++
+		}
 	}
+	t.Logf("%d of %d slots last written by a versioned commit", versioned, heavySlots)
 }

@@ -95,8 +95,10 @@ type Config struct {
 	// set, no commit-time validation and no conflict aborts — update
 	// commits publish the values they supersede into the sidecar, and
 	// snapshot reads fall back to it whenever a stripe has moved past
-	// their snapshot. Off by default: publication costs one extra memory
-	// read per written word at commit plus the sidecar insert.
+	// their snapshot. Off by default. A commit pays for publication (one
+	// extra memory read per written word plus the sidecar insert) only
+	// while a snapshot is registered; otherwise it runs as if this were
+	// off.
 	Snapshots bool
 	// SnapshotShards is the number of sidecar shards (power of two).
 	// Zero selects the mvcc default (64). Ignored without Snapshots.

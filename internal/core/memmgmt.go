@@ -59,13 +59,17 @@ var ErrSpaceExhausted = txn.ErrSpaceExhausted
 //     re-enters it: a word written through the write set is never
 //     written or read in place afterwards, and isFreshAlloc keeps every
 //     fresh block out of the pre-images at commit.
-//   - MVCC. Births are still published: publishVersions stamps the
-//     commit's timestamp on every word of every block the attempt
-//     allocated (mvcc.Store.Born) before the locks are released, so a
-//     snapshot at or after ts reads a born word live however far aliasing
-//     writes have moved its stripe. An attempt that stored to a captured
-//     word is therefore an update (Tx.capWrote), even with no lock held;
-//     one that only allocated stays read-only.
+//   - MVCC. Births are still published when the commit is versioned:
+//     publishVersions stamps the commit's timestamp on every word of
+//     every block the attempt allocated (mvcc.Store.Born) before the
+//     locks are released, so a snapshot at or after ts reads a born word
+//     live however far aliasing writes have moved its stripe. An
+//     unversioned commit saw no snapshot after drawing ts, so every
+//     snapshot that can reach its blocks starts at or after ts and reads
+//     their stale records as live-valid ("a reborn block" above
+//     mvcc.Store.Publish). An attempt that stored to a captured word is an
+//     update (Tx.capWrote) either way, even with no lock held: it needs
+//     the timestamp; one that only allocated stays read-only.
 //   - Free. Freeing the window block in the attempt that allocated it
 //     locks nothing, marks the attempt an update, and retires the block
 //     at the commit's timestamp like any other free; on abort it is

@@ -8,16 +8,18 @@ import (
 	"tinystm/internal/mvcc"
 )
 
-// The publication oracle: what an update commit hands the sidecar is
+// The publication oracle: what a versioned commit hands the sidecar is
 // fixed by what the transaction did, independent of how publishVersions
 // finds it. A program of Alloc, Free and Store runs as one transaction on
-// a TM with snapshots; after commit at ts,
+// a TM with snapshots. With a snapshot registered, after commit at ts,
 //   - every word of every block it allocated is born: its written record
 //     in the sidecar reads ts, and
 //   - tx.pub holds one pre-image per written address (Free locks its
 //     words as writes) that lies in no allocated block, in first-write
 //     order, carrying the committed value it supersedes and its stripe's
 //     version before the transaction acquired it.
+// With none registered the commit is unversioned: every written record is
+// as it was, and nothing is published or retained.
 // The oracle finds fresh words by scanning every allocated block, the
 // naive rule the merged-span search must agree with.
 
@@ -37,8 +39,9 @@ const (
 )
 
 // runPubProgram decodes prog two bytes per step (op, argument) into one
-// transaction of design d and checks its publication against the oracle.
-func runPubProgram(t *testing.T, d Design, prog []byte) pubCoverage {
+// transaction of design d, committed with a snapshot registered when
+// reader is set, and checks its publication against the oracle.
+func runPubProgram(t *testing.T, d Design, prog []byte, reader bool) pubCoverage {
 	t.Helper()
 	tm, err := New(Config{
 		Space:     mem.NewSpace(1 << 12),
@@ -106,6 +109,10 @@ func runPubProgram(t *testing.T, d Design, prog []byte) pubCoverage {
 	for li := range preLock {
 		preLock[li] = g.loadLock(uint64(li))
 	}
+	preWritten := make([]uint64, tm.space.Cap())
+	for a := range preWritten {
+		preWritten[a] = tm.mvcc.Written(uint64(a))
+	}
 
 	var (
 		cov        pubCoverage
@@ -128,6 +135,11 @@ func runPubProgram(t *testing.T, d Design, prog []byte) pubCoverage {
 		}
 	}
 	tx.pub = nil
+	var r *Tx // the registered snapshot, when reader is set
+	if reader {
+		r = tm.NewTx()
+		r.BeginSnap()
+	}
 	run("program", func() {
 		for i := 0; i+1 < len(prog) && i < pubMaxProgBytes; i += 2 {
 			x := int(prog[i+1])
@@ -178,6 +190,23 @@ func runPubProgram(t *testing.T, d Design, prog []byte) pubCoverage {
 			}
 		}
 	})
+	if r != nil {
+		if !r.Commit() {
+			t.Fatal("the registered snapshot failed to commit")
+		}
+		r.Release()
+	}
+	if !reader {
+		for a, w := range preWritten {
+			if got := tm.mvcc.Written(uint64(a)); got != w {
+				t.Fatalf("%v: an unversioned commit moved word %d's written record %d → %d", d, a, w, got)
+			}
+		}
+		if len(tx.pub) != 0 || tm.RetainedVersions() != 0 {
+			t.Fatalf("%v: an unversioned commit published %d versions, %d retained", d, len(tx.pub), tm.RetainedVersions())
+		}
+		return cov
+	}
 	if len(order) == 0 {
 		return cov // no write, no lock: a read-only commit publishes nothing
 	}
@@ -237,15 +266,17 @@ var pubSeed = []byte{
 
 func TestPublishSeedCoversShapes(t *testing.T) {
 	bothDesigns(t, func(t *testing.T, d Design) {
-		cov := runPubProgram(t, d, pubSeed)
-		if !cov.outOfOrder || !cov.abutting || !cov.storeFreed {
-			t.Fatalf("seed coverage %+v: every shape must be reached", cov)
+		for _, reader := range []bool{false, true} {
+			cov := runPubProgram(t, d, pubSeed, reader)
+			if !cov.outOfOrder || !cov.abutting || !cov.storeFreed {
+				t.Fatalf("seed coverage %+v: every shape must be reached", cov)
+			}
 		}
 	})
 }
 
 // FuzzPublishVersions checks every decoded program against the
-// publication oracle in both designs.
+// publication oracle in both designs, versioned and not.
 func FuzzPublishVersions(f *testing.F) {
 	f.Add(pubSeed)
 	f.Add([]byte{2, 0, 2, 1, 2, 2})                   // pre-existing words only
@@ -253,7 +284,9 @@ func FuzzPublishVersions(f *testing.F) {
 	f.Add([]byte{0, 0, 4, 0, 3, 0, 3, 1, 2, 0, 2, 1}) // frees, then stores to them
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		for _, d := range []Design{WriteBack, WriteThrough} {
-			runPubProgram(t, d, prog)
+			for _, reader := range []bool{false, true} {
+				runPubProgram(t, d, prog, reader)
+			}
 		}
 	})
 }

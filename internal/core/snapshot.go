@@ -18,13 +18,17 @@ package core
 // budget behind an in-flight writer) — and the retry restarts it on a
 // fresh snapshot.
 //
-// Update commits pay for this: with snapshots enabled, the commit path
-// captures the value each written word is about to supersede and
-// publishes those pre-images into the sidecar BEFORE releasing its locks
-// (see mvcc.Publish for why the ordering matters), at commit timestamp
-// ts. Publication happens per update commit regardless of whether any
-// snapshot is running; the per-shard version budget bounds the memory and
-// the tuning runtime walks it to match the live read/write mix.
+// Update commits pay for this only while a snapshot is registered. Such a
+// commit is versioned: it captures the value each written word is about
+// to supersede, publishes those pre-images into the sidecar and stamps
+// its births, all BEFORE releasing its locks (see mvcc.Publish for why
+// the ordering matters), at commit timestamp ts. A commit that sees no
+// registered snapshot, read once after it drew ts, skips the sidecar
+// altogether, so a workload that never scans keeps it cold; the argument
+// that a later snapshot still reads exact values sits above mvcc's
+// Publish. The per-shard version budget bounds the memory retained for
+// running snapshots, and the tuning runtime walks it to match the live
+// read/write mix.
 
 import (
 	"cmp"
@@ -45,10 +49,10 @@ var errSnapshotsDisabled = errors.New("core: snapshots disabled (enable Config.S
 
 // snapSpinBudget bounds how many times a snapshot read re-examines a
 // stripe owned by an in-flight writer before giving up on this snapshot.
-// Write-back holds stripe locks only across the commit write-back phase,
-// so the window is short; write-through holds them from encounter time
-// and long writers can exhaust the budget — the retry then restarts on a
-// fresh snapshot past the writer.
+// Both designs hold a stripe's lock from the write that took it until
+// the writer commits or aborts, so a long writer, or one the scheduler
+// parks mid-transaction, can exhaust the budget — the retry then restarts
+// on a fresh snapshot past the writer.
 const snapSpinBudget = 512
 
 // awaitConflict's schedule for the lock that beat an attempt: retrySpins
@@ -181,8 +185,7 @@ func (tx *Tx) loadSnap(addr uint64) uint64 {
 		// An in-flight writer owns the stripe. If it writes this very
 		// address, its pre-image appears BEFORE it releases (it is past
 		// the point of no return once it publishes), so poll the sidecar
-		// occasionally; otherwise just wait for the release — write-back
-		// commits hold stripe locks only across the write-back phase.
+		// occasionally; otherwise just wait for the release.
 		if spin&15 == 0 {
 			if val, res := tx.tm.mvcc.Read(li, addr, snap); res == mvcc.ReadHit {
 				tx.snapVersionReads++
@@ -192,9 +195,9 @@ func (tx *Tx) loadSnap(addr uint64) uint64 {
 			}
 		}
 		if spin >= snapSpinBudget {
-			// A write-through transaction can hold its encounter-time
-			// locks for its whole execution; give up on this snapshot
-			// rather than wait unboundedly.
+			// A writer can hold its encounter-time locks for its whole
+			// execution; give up on this snapshot rather than wait
+			// unboundedly.
 			tx.abort(txn.AbortSnapshotTooOld)
 		}
 		if spin&15 == 15 {
@@ -204,13 +207,14 @@ func (tx *Tx) loadSnap(addr uint64) uint64 {
 	}
 }
 
-// publishVersions delivers the pre-images this commit supersedes to the
-// sidecar at commit timestamp ts. Called while the write locks are still
-// held (see mvcc.Publish for the ordering contract). Words this very
-// transaction allocated carry no pre-image (the prior bits are allocator
-// garbage and no snapshot can reach them before this commit links them);
-// their birth at ts is stamped straight into the sidecar's written array
-// (mvcc.Store.Born) so it learns their exact validity start.
+// publishVersions is the versioned half of a commit: it delivers the
+// pre-images this commit supersedes to the sidecar at commit timestamp
+// ts. Called only when the commit saw a registered snapshot, while the
+// write locks are still held (see mvcc.Publish for the contract). Words
+// this very transaction allocated carry no pre-image (the prior bits are
+// allocator garbage and no snapshot can reach them before this commit
+// links them); their birth at ts is stamped straight into the sidecar's
+// written array (mvcc.Store.Born) so it learns their exact validity start.
 //
 // What a commit pays here is linear in what it touched: one stamp per
 // word it allocated, then one pre-image per pre-existing word it wrote.
@@ -220,6 +224,7 @@ func (tx *Tx) loadSnap(addr uint64) uint64 {
 // Neither may scan the allocation or owned-lock lists per written word:
 // with every lock held, that makes a 1 024-put batch quadratic.
 func (tx *Tx) publishVersions(ts uint64) {
+	tx.stats.versionedCommits.Add(1)
 	// EVERY word of every block this commit allocated is born at ts —
 	// including words the transaction never stored to (Alloc zeroes them;
 	// a grown hash directory's empty bucket heads are read by scans but

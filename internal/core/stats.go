@@ -22,6 +22,7 @@ type txStats struct {
 	dupReadsSkipped  atomic.Uint64
 	snapLiveReads    atomic.Uint64
 	snapVersionReads atomic.Uint64
+	versionedCommits atomic.Uint64
 	redoRecords      atomic.Uint64
 }
 
@@ -42,6 +43,7 @@ func (s *txStats) reset() {
 	s.dupReadsSkipped.Store(0)
 	s.snapLiveReads.Store(0)
 	s.snapVersionReads.Store(0)
+	s.versionedCommits.Store(0)
 	s.redoRecords.Store(0)
 }
 
@@ -59,5 +61,6 @@ func (s *txStats) snapshotInto(out *txn.Stats) {
 	out.DupReadsSkipped += s.dupReadsSkipped.Load()
 	out.SnapshotLiveReads += s.snapLiveReads.Load()
 	out.SnapshotVersionReads += s.snapVersionReads.Load()
+	out.VersionedCommits += s.versionedCommits.Load()
 	out.RedoRecords += s.redoRecords.Load()
 }

@@ -26,8 +26,8 @@ type wsetEntry struct {
 	lockIdx  uint64
 	prevLock uint64 // unlocked word to restore on abort (chain heads only)
 	// old captures the committed value this entry is about to supersede;
-	// filled during the commit write-back phase only when the MVCC
-	// sidecar is attached (the pre-image it publishes).
+	// filled during the commit write-back phase only when the commit is
+	// versioned (the pre-image it publishes to the MVCC sidecar).
 	old  uint64
 	next int32 // index of next entry under the same lock; -1 ends
 }
@@ -81,8 +81,8 @@ type Tx struct {
 	// TM free list and must not run transactions until NewTx re-issues it.
 	released bool
 	// capWrote marks an attempt that stored to (or freed) a word of its
-	// capture window: it commits as an update, taking a timestamp and
-	// stamping its births, though it may hold no lock.
+	// capture window: it commits as an update, taking a timestamp (and,
+	// when versioned, stamping its births), though it may hold no lock.
 	capWrote bool
 
 	// verShift is a hot-path cache set at Begin: it avoids a per-load
@@ -146,11 +146,11 @@ type Tx struct {
 	redoRecords uint64
 
 	// pub is the reusable pre-image staging buffer publishVersions fills
-	// each update commit when the MVCC sidecar is attached (pre-images
-	// only: births are stamped into the sidecar directly); pubSeen is
-	// its reusable write-through dedupe scratch (first undo record per
-	// address wins); allocSpans is the address-ordered, merged copy of
-	// allocs that tells fresh words from pre-existing ones.
+	// each versioned commit (pre-images only: births are stamped into
+	// the sidecar directly); pubSeen is its reusable write-through dedupe
+	// scratch (first undo record per address wins); allocSpans is the
+	// address-ordered, merged copy of allocs that tells fresh words from
+	// pre-existing ones.
 	pub        []mvcc.Version
 	pubSeen    addrSet
 	allocSpans []allocRec
@@ -264,12 +264,13 @@ func (tx *Tx) begin(readOnly, snap bool) {
 	tx.snap = snap
 	if snap {
 		// Register with the sidecar BEFORE taking the snapshot timestamp.
-		// Publishers skip version retention while no snapshot is
-		// registered, and the clock increment makes a commit's timestamp
-		// visible before its publication-skip check: a clock value read
-		// AFTER our registration is therefore >= the timestamp of every
-		// commit that skipped before seeing us, so the snapshot can never
-		// need a version that was legitimately skipped.
+		// A commit that sees no registered snapshot skips the sidecar
+		// (no stamp, no birth, no retention), and it reads the registry
+		// only after drawing its timestamp: a clock value read AFTER our
+		// registration is therefore >= the timestamp of every commit that
+		// skipped before seeing us, so the snapshot can never need a stamp
+		// or a version that was legitimately skipped (the full argument is
+		// above mvcc's Publish).
 		//
 		// Pin retired memory BEFORE taking it too. A snapshot reads
 		// pre-images, so it can follow a pointer that a commit at ts has
@@ -974,17 +975,21 @@ func (tx *Tx) Commit() bool {
 	}
 
 	// Point of no return: publish values and release locks at version ts.
-	// With the MVCC sidecar attached, the superseded values are captured
-	// during the write-back (write-back design) or recovered from the
-	// undo log (write-through) and delivered to the sidecar, and the
-	// allocated words' births stamped, BEFORE the locks are released:
-	// per-stripe publication then follows lock order, and a snapshot
-	// reader that observes the released version ts knows the matching
-	// pre-image is already retained (or trimmed into the horizon) — never
-	// still in flight.
+	// A versioned commit — one that sees a registered snapshot — captures
+	// the superseded values during the write-back (write-back design) or
+	// recovers them from the undo log (write-through), delivers them to
+	// the sidecar and stamps the allocated words' births, BEFORE the locks
+	// are released: per-stripe publication then follows lock order, and a
+	// snapshot reader that observes the released version ts knows the
+	// matching pre-image is already retained (or trimmed into the
+	// horizon) — never still in flight. The decision is read once, after
+	// ts was drawn, and covers births, stamps and retention alike; with no
+	// snapshot registered the commit runs as if the sidecar were absent.
+	// Why that leaves every snapshot exact is argued above mvcc's Publish.
+	versioned := tx.tm.mvcc != nil && tx.tm.mvcc.ActiveSnapshots() > 0
 	g := tx.geo
 	if tx.design == WriteBack {
-		if tx.tm.mvcc != nil {
+		if versioned {
 			for i := range tx.wset {
 				e := &tx.wset[i]
 				e.old = tx.tm.space.Load(e.addr)
@@ -1009,7 +1014,7 @@ func (tx *Tx) Commit() bool {
 			}
 		}
 	} else {
-		if tx.tm.mvcc != nil {
+		if versioned {
 			tx.publishVersions(ts)
 		}
 		tx.publishRedo(ts)

@@ -167,6 +167,8 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(m.st.SnapshotLiveReads) })
 	m.reg.CounterFunc("stm_snapshot_reads_sidecar_total", "Snapshot-mode reads served from retained versions.", nil,
 		func() float64 { return float64(m.st.SnapshotVersionReads) })
+	m.reg.CounterFunc("stm_versioned_commits_total", "Update commits that saw a registered snapshot and so published to the MVCC sidecar (0: the sidecar is cold).", nil,
+		func() float64 { return float64(m.st.VersionedCommits) })
 	m.reg.CounterFunc("stm_versions_published_total", "Pre-images delivered to the MVCC sidecar.", nil,
 		func() float64 { return float64(m.st.VersionsPublished) })
 	m.reg.CounterFunc("stm_versions_trimmed_total", "Versions evicted from the MVCC sidecar.", nil,

@@ -354,6 +354,52 @@ func TestMetricsRetryWaits(t *testing.T) {
 	}
 }
 
+// TestMetricsVersionedCommits: with only point traffic the MVCC sidecar
+// stays cold, so /metrics and /stats count no versioned commit, and a
+// /scan on its own changes nothing: a scan commits nothing. A put that
+// commits while a snapshot is registered, as under a long /scan, is
+// versioned, and both surfaces count it.
+func TestMetricsVersionedCommits(t *testing.T) {
+	s, ts := newTestServer(t, Config{SpaceWords: 1 << 18, Shards: 4, Buckets: 8, Snapshots: true})
+	c := ts.Client()
+	versioned := func() float64 {
+		t.Helper()
+		var st struct {
+			Snapshots struct {
+				VersionedCommits float64 `json:"versioned_commits"`
+			} `json:"snapshots"`
+		}
+		doJSON(t, c, "GET", ts.URL+"/stats", "", &st)
+		_, val := scrape(t, c, ts.URL)
+		v, ok := val("stm_versioned_commits_total")
+		if !ok || v != st.Snapshots.VersionedCommits {
+			t.Fatalf("stm_versioned_commits_total = %v (ok=%v), /stats says %v", v, ok, st.Snapshots.VersionedCommits)
+		}
+		return v
+	}
+	for k := 0; k < 20; k++ {
+		doJSON(t, c, "PUT", ts.URL+"/kv/"+strconv.Itoa(k), strconv.Itoa(k), nil)
+		doJSON(t, c, "GET", ts.URL+"/kv/"+strconv.Itoa(k), "", nil)
+	}
+	if code := doJSON(t, c, "GET", ts.URL+"/scan", "", nil); code != http.StatusOK {
+		t.Fatalf("GET /scan status %d", code)
+	}
+	if v := versioned(); v != 0 {
+		t.Fatalf("%v versioned commits from point traffic and a lone scan, want 0", v)
+	}
+
+	r := s.TM().NewTx()
+	defer r.Release()
+	r.BeginSnap()
+	doJSON(t, c, "PUT", ts.URL+"/kv/3", "33", nil)
+	if !r.Commit() {
+		t.Fatal("the registered snapshot failed to commit")
+	}
+	if v := versioned(); v != 1 {
+		t.Fatalf("%v versioned commits after one put under a registered snapshot, want 1", v)
+	}
+}
+
 // TestTxTraceEndpoint drives enough sampled traffic to fill the flight
 // recorder and checks the dump's shape, the limit parameter, and the
 // disabled form.

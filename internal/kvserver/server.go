@@ -511,6 +511,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"snapshots": map[string]any{
 			"enabled":                 s.tm.SnapshotsEnabled(),
 			"version_budget":          s.tm.VersionBudget(),
+			"versioned_commits":       st.VersionedCommits,
 			"versions_published":      st.VersionsPublished,
 			"versions_trimmed":        st.VersionsTrimmed,
 			"reads_live":              st.SnapshotLiveReads,

@@ -5,13 +5,17 @@ import (
 )
 
 // FuzzSidecar model-checks the Store against a naive per-address version
-// list. The input decodes to a sequence of commits (births stamped by
-// Born and pre-images, published the way the STM publishes them: strictly
-// increasing timestamps, a pre-image carrying the value it supersedes and
-// its stripe's version before the commit), reads, snapshot registrations
-// and departures, budget changes and Resets (each with every snapshot
-// gone and the clock rewound, as at the STM's freeze barrier). Every read
-// is held to five properties:
+// list. The input decodes to a sequence of commits, reads, snapshot
+// registrations and departures, budget changes and Resets (each with every
+// snapshot gone and the clock rewound, as at the STM's freeze barrier).
+// A commit behaves as the STM's does: strictly increasing timestamps, and
+// versioned only while a snapshot is registered, when it stamps births
+// through Born and publishes pre-images carrying the value each supersedes
+// and its stripe's version before the commit; with none registered it
+// leaves the store untouched — no record, no retained version. Reads come
+// from registered snapshots or at any timestamp no older than the
+// epoch's newest unversioned commit (a snapshot registering now could
+// hold it). Every read is held to five properties:
 //   - a ReadHit returns the value the model says was current at the
 //     snapshot;
 //   - ReadLiveValid only when the address's last write is <= the snapshot;
@@ -40,7 +44,7 @@ func FuzzSidecar(f *testing.F) {
 		for in.more() {
 			switch in.next() % 6 {
 			case 0:
-				m.commit(&in)
+				m.commit(t, &in)
 			case 1:
 				m.read(t, &in)
 			case 2:
@@ -104,6 +108,7 @@ type modelSlot struct {
 type sidecarModel struct {
 	s       *Store
 	ts      uint64 // newest commit timestamp of the epoch
+	floor   uint64 // newest unversioned commit of the epoch (0: none)
 	seq     int
 	nextVal uint64
 
@@ -127,9 +132,9 @@ func newSidecarModel() *sidecarModel {
 
 func stripeOf(a uint64) uint64 { return a % modelStripes }
 
-// commit publishes one commit: a timestamp gap, then up to four distinct
+// commit runs one commit: a timestamp gap, then up to four distinct
 // addresses, each a birth when the top bit of its byte is set.
-func (m *sidecarModel) commit(in *byteReader) {
+func (m *sidecarModel) commit(t *testing.T, in *byteReader) {
 	ts := m.ts + 1 + uint64(in.next()%3)
 	n := 1 + int(in.next()%4)
 	var vs []Version
@@ -146,16 +151,21 @@ func (m *sidecarModel) commit(in *byteReader) {
 		born[a] = c&0x80 != 0
 		vs = append(vs, Version{Stripe: st, Addr: a, Val: m.live[a], From: m.stripeVer[st]})
 	}
-	retained := m.s.ActiveSnapshots() > 0
-	var pre []Version
-	for _, v := range vs {
-		if born[v.Addr] {
-			m.s.Born(ts, v.Addr, 1)
-		} else {
-			pre = append(pre, v)
+	versioned := m.s.ActiveSnapshots() > 0
+	retainedBefore := m.s.Retained()
+	if versioned {
+		var pre []Version
+		for _, v := range vs {
+			if born[v.Addr] {
+				m.s.Born(ts, v.Addr, 1)
+			} else {
+				pre = append(pre, v)
+			}
 		}
+		m.s.Publish(ts, pre)
+	} else {
+		m.floor = ts
 	}
-	m.s.Publish(ts, pre)
 	m.seq++
 	for _, v := range vs {
 		a := v.Addr
@@ -164,21 +174,32 @@ func (m *sidecarModel) commit(in *byteReader) {
 			m.bornAt[a] = ts
 		} else {
 			from := v.From
-			if w := m.recorded[a]; w != 0 && w < from {
+			if w := m.recorded[a]; w < from {
 				from = w
 			}
 			m.hist[a] = append(m.hist[a], modelVersion{
 				val: m.live[a], start: m.lastWrite[a], end: ts, from: from,
-				seq: m.seq, retained: retained,
+				seq: m.seq, retained: versioned,
 			})
 		}
 		m.nextVal++
 		m.live[a] = m.nextVal
 		m.lastWrite[a] = ts
-		m.recorded[a] = ts
+		if versioned {
+			m.recorded[a] = ts
+		}
 		m.stripeVer[v.Stripe] = ts
 	}
 	m.ts = ts
+	for _, v := range vs {
+		if w := m.s.Written(v.Addr); w != m.recorded[v.Addr] {
+			t.Fatalf("commit at %d (versioned %v): address %d has written record %d, model %d",
+				ts, versioned, v.Addr, w, m.recorded[v.Addr])
+		}
+	}
+	if r := m.s.Retained(); !versioned && r != retainedBefore {
+		t.Fatalf("unversioned commit at %d: retained %d versions, was %d", ts, r, retainedBefore)
+	}
 	if m.s.Retained() >= hardCapMult*m.s.Budget() {
 		for i := range m.slots {
 			m.slots[i].capHit = true
@@ -187,8 +208,8 @@ func (m *sidecarModel) commit(in *byteReader) {
 }
 
 // read reads one address, at a registered snapshot when the selector
-// byte names a registered slot, else at an arbitrary timestamp up to one
-// past the newest commit.
+// byte names a registered slot, else at an arbitrary timestamp from the
+// newest unversioned commit up to one past the newest commit.
 func (m *sidecarModel) read(t *testing.T, in *byteReader) {
 	a := uint64(in.next()) % modelWords
 	sel := in.next()
@@ -196,7 +217,7 @@ func (m *sidecarModel) read(t *testing.T, in *byteReader) {
 		m.check(t, a, m.slots[slot].snap, slot)
 		return
 	}
-	m.check(t, a, uint64(sel)%(m.ts+2), -1)
+	m.check(t, a, m.floor+uint64(sel)%(m.ts+2-m.floor), -1)
 }
 
 func (m *sidecarModel) enter(slot int) {
@@ -218,6 +239,7 @@ func (m *sidecarModel) reset(c byte) {
 	}
 	m.s.Reset()
 	m.ts = uint64(c % 4)
+	m.floor = 0
 	for a := range m.hist {
 		m.hist[a] = nil
 		m.lastWrite[a] = 0

@@ -34,10 +34,15 @@
 // inside an active snapshot's window are kept while the shard is below a
 // hard cap, and every dropped version raises the shard's horizon so a
 // reader that could have needed it fails fast with a snapshot-too-old
-// verdict instead of reading a gap. When NO snapshot is registered at
-// all, publishers skip version retention entirely and only maintain the
-// written array — a snapshot beginning mid-skip may lose its first
-// attempt to a conservative miss, never read wrong data.
+// verdict instead of reading a gap.
+//
+// Versions cost nothing while nobody reads them. When NO snapshot is
+// registered, the STM's commits skip the sidecar altogether: no written
+// record, no birth, no retained pre-image (Multiverse's "unversioned until
+// a reader needs versions"). A workload that never takes a snapshot leaves
+// the written array's pages untouched, so the mapping holds no memory. The
+// argument that a snapshot registering later still reads exactly the
+// values committed at its start is the block above Publish.
 package mvcc
 
 import (
@@ -145,11 +150,13 @@ const (
 // Store is the sharded version sidecar. All methods are safe for
 // concurrent use.
 type Store struct {
-	// written[a] is the commit timestamp of the last transactional write
-	// to arena word a (0: never written since the last Reset). Lock-free
-	// on both sides; the one word per arena word is the sidecar's main
-	// memory cost, paid only when Config.Snapshots is on. Mapped outside
-	// the Go heap like the arena, and owned by the Store (see package mem).
+	// written[a] is arena word a's written record: the commit timestamp
+	// of its last versioned write or birth, 0 when it never had one. It
+	// is exact or stale, never ahead (see above Publish). Lock-free on
+	// both sides; the one word per arena word is the sidecar's main memory
+	// cost, paid page by page only for words written while a snapshot was
+	// registered. Mapped outside the Go heap like the arena, and owned by
+	// the Store (see package mem).
 	written []atomic.Uint64
 
 	shards []shard
@@ -233,22 +240,78 @@ func (s *Store) ActiveSnapshots() int { return s.reg.Live() }
 // MinSnapshot returns the oldest registered snapshot (tests).
 func (s *Store) MinSnapshot() (uint64, bool) { return s.reg.Min() }
 
-// Publish records the pre-images superseded by a commit at timestamp ts.
-// Callers MUST deliver versions while still holding the covering write
-// locks (after writing values to memory, before releasing the locks at
-// ts): per-stripe publication then follows lock-acquisition order, which
-// keeps each address's written record, prev chain and `until` sequence
-// monotone, and means a snapshot reader that observes a released stripe
-// version newer than its snapshot will always find the matching
-// pre-image already retained (or a raised horizon), never a publication
-// still in flight.
+// Versions on demand: the contract between the STM's commits and this
+// store, and why snapshots stay exact under it.
 //
-// While no snapshot is registered, only the written array is maintained:
-// versions whose whole validity window nobody can ever observe are not
-// worth retaining, and the skip keeps the no-reader overhead of an
-// update commit at one atomic store per written word. A snapshot racing
-// its registration against the skip decision can miss at most the racy
-// commits' versions and restarts once on a fresh snapshot.
+// A commit is versioned when it sees a registered snapshot. It then stamps
+// every word it writes (Publish) or allocates (Born) with its timestamp
+// and retains the pre-images, all before releasing its locks. Otherwise it
+// touches nothing here. The commit decides once, reading ActiveSnapshots
+// AFTER it has drawn its timestamp ts from the clock; a snapshot registers
+// (Enter) BEFORE it reads the clock for its start S. Every access involved
+// is sequentially consistent, so two facts follow:
+//
+//   - (R) A snapshot still registered when a commit at ts > S decides
+//     makes that commit versioned: Enter came before S was read, and S
+//     was read before ts was drawn.
+//   - (U) A commit that saw no snapshot has ts <= S for every snapshot
+//     that registers after its decision, and every snapshot registered
+//     before that decision had already left.
+//
+// By (R), while a snapshot S is registered, each commit that writes a word
+// at a timestamp past S stamps it before unlocking it. A written record is
+// therefore exact (the word's latest write) or stale: older than a latest
+// write that an unversioned commit made at a timestamp t that no
+// registered snapshot precedes (U). 0 is just the stalest record. The
+// five cases this must carry:
+//
+//   - An unstamped word (record 0 or stale), read by a snapshot whose
+//     stripe an alias moved past S. Read answers ReadLiveValid for any
+//     record <= S, 0 included. A write of the word past S would have
+//     stamped it past S (R), or still holds its lock, which the caller's
+//     re-check of the lock word catches; so the live value is the one
+//     committed at S. Treating 0 as a miss instead would restart every
+//     scan that meets a preloaded word under aliasing writers.
+//   - A reborn block. Its words keep their previous life's records, which
+//     predate the free and so the rebirth (reclaim hands a block back only
+//     after it was freed). An unversioned rebirth at t is <= S for every
+//     registered snapshot (U), so the first case applies; a versioned one
+//     stamps every word (Born).
+//   - Publish's from = min(v.From, w) with w stale. The entry claims its
+//     pre-image over [w, t), though it became current only at t, written
+//     by an unversioned commit. No snapshot with S in [w, t) can read the
+//     entry: one registered at that commit's decision would have made it
+//     versioned, and one registered after it has S >= t (U).
+//   - Reset and roll-over. Reset keeps the written array (see Reset), so a
+//     record can come from an older clock epoch. None of the cases above
+//     looks at a record's epoch: a record <= S reads live-valid, sound
+//     because every write past S stamps (R); a record > S finds no entry
+//     (a versioned write of this epoch would have replaced the record,
+//     and Reset emptied the chains) and misses conservatively; a record
+//     below t only widens an entry over a span no registered snapshot
+//     holds, as in the third case.
+//   - The first versioned supersede of a word last written unversioned.
+//     Within an epoch its record w is at most t, and t <= v.From (the
+//     stripe was released at t), so the entry starts at w and covers every
+//     registered snapshot. A record left from an older epoch may exceed
+//     v.From; the entry then starts at v.From, no earlier than t, and a
+//     snapshot in [t, v.From) takes a conservative miss and restarts past
+//     it. That is the only price, never a wrong value.
+
+// Publish records the pre-images superseded by a versioned commit at
+// timestamp ts: it stamps their words' written records with ts and
+// retains them. Callers MUST deliver versions while still holding the
+// covering write locks (after writing values to memory, before releasing
+// the locks at ts): per-stripe publication then follows lock-acquisition
+// order, which keeps each address's written record, prev chain and
+// `until` sequence monotone, and means a snapshot reader that observes a
+// released stripe version newer than its snapshot will always find the
+// matching pre-image already retained (or a raised horizon), never a
+// publication still in flight.
+//
+// The caller decides whether its commit is versioned (see above), and
+// Publish does not consult the registry again: one decision covers
+// stamps, births and retention alike.
 //
 // Births are not versions: words the commit allocated have no pre-image
 // (their prior bits belong to no reachable object), and their commit
@@ -256,12 +319,6 @@ func (s *Store) MinSnapshot() (uint64, bool) { return s.reg.Min() }
 // locks-held rule.
 func (s *Store) Publish(ts uint64, vs []Version) {
 	if len(vs) == 0 {
-		return
-	}
-	if s.reg.Live() == 0 {
-		for i := range vs {
-			s.written[vs[i].Addr].Store(ts)
-		}
 		return
 	}
 	// Group consecutive same-shard versions under one lock acquisition:
@@ -285,10 +342,10 @@ func (s *Store) Publish(ts uint64, vs []Version) {
 		for k := i; k < j; k++ {
 			v := &vs[k]
 			// The written record is the exact validity start of this
-			// pre-image; the stripe version is the conservative fallback
-			// for addresses last written before the sidecar existed.
+			// pre-image, or a stale one that no registered snapshot can
+			// tell from it (see above); the stripe version only bounds it.
 			from := v.From
-			if w := s.written[v.Addr].Load(); w != 0 && w < from {
+			if w := s.written[v.Addr].Load(); w < from {
 				from = w
 			}
 			prev := int64(-1)
@@ -313,11 +370,13 @@ func (s *Store) Publish(ts uint64, vs []Version) {
 	}
 }
 
-// Born records that the n words from addr were allocated by the commit at
-// ts: each word's written record becomes ts. That is the exact validity
-// start of the word's first supersede, and it proves to snapshot readers
-// that the live value covers any snapshot at or after ts, however far
-// aliasing writes have moved the word's stripe. Like Publish, it must run
+// Born records that the n words from addr were allocated by the versioned
+// commit at ts: each word's written record becomes ts. That is the exact
+// validity start of the word's first supersede, and it proves to snapshot
+// readers that the live value covers any snapshot at or after ts, however
+// far aliasing writes have moved the word's stripe. An unversioned commit
+// skips it, and its births keep whatever record their words had ("a
+// reborn block" above Publish). Like Publish, it must run
 // while the commit still holds its write locks: other transactions reach
 // a new block only through a word the commit has locked, so no later
 // writer of a born word can stamp it first and have Born move its record
@@ -385,11 +444,13 @@ const (
 	// the lock word). This is the lock-free common case when only a
 	// NEIGHBOR under the same stripe moved the stripe version.
 	ReadLiveValid
-	// ReadMiss: the value current at the snapshot was never retained
-	// (written before the sidecar could record it, or superseded while
-	// no snapshot was registered). On an unlocked stripe this is
-	// persistent — publication precedes lock release, so waiting cannot
-	// help; behind an in-flight writer the pre-image may still arrive.
+	// ReadMiss: the address's record is past the snapshot, but no
+	// retained entry holds the value current at it: the record is left
+	// from an older clock epoch, the entry's start could not be
+	// tightened, or the advisory index dropped the address. On an
+	// unlocked stripe this is persistent — publication precedes lock
+	// release, so waiting cannot help; behind an in-flight writer the
+	// pre-image may still arrive.
 	ReadMiss
 	// ReadTooOld: the shard has trimmed past the snapshot; the version —
 	// if one ever existed — may be gone and the snapshot must restart.
@@ -412,18 +473,21 @@ func (r ReadResult) String() string {
 	}
 }
 
-// Read serves a snapshot read of addr at snapshot snap. The dominant
-// outcome — the address itself has not been written past snap, whatever
-// its stripe version says — is decided by one lock-free atomic load of
-// the written record; only reads of addresses genuinely overwritten
-// since the snapshot take the shard lock and walk the address's chain,
-// newest first.
+// Read serves a read of addr by the registered snapshot snap. The
+// dominant outcome — the address itself has not been written past snap,
+// whatever its stripe version says — is decided by one lock-free atomic
+// load of the written record; only reads of addresses genuinely
+// overwritten since the snapshot take the shard lock and walk the
+// address's chain, newest first. The verdicts hold for registered
+// snapshots: a reader at an arbitrary timestamp could precede a write
+// that never stamped its word.
 func (s *Store) Read(stripe, addr, snap uint64) (val uint64, res ReadResult) {
-	if w := s.written[addr].Load(); w != 0 && w <= snap {
-		// Last write at w <= snap and (per-address monotonicity) nothing
-		// newer at the moment of the load: the live word is the value at
-		// snap. The caller re-validates the lock word, which catches a
-		// supersede racing this decision.
+	if s.written[addr].Load() <= snap {
+		// The record is exact or stale and, either way, no write past
+		// snap has stamped it; 0 is the stalest record (see above
+		// Publish). The live word is the value at snap. The caller
+		// re-validates the lock word, which catches a supersede racing
+		// this decision.
 		return 0, ReadLiveValid
 	}
 	sh := &s.shards[stripe&s.mask]
@@ -451,7 +515,7 @@ func (s *Store) Read(stripe, addr, snap uint64) (val uint64, res ReadResult) {
 }
 
 // Written returns addr's written record: the commit timestamp of its last
-// transactional write or birth, 0 when none was recorded (tests).
+// versioned write or birth, 0 when none was recorded (tests).
 func (s *Store) Written(addr uint64) uint64 { return s.written[addr].Load() }
 
 // Horizon returns the trim watermark of the shard covering stripe (tests).
@@ -470,16 +534,12 @@ func (s *Store) Horizon(stripe uint64) uint64 {
 //
 // The written array is deliberately NOT wiped — that would make every
 // Reconfigure's stop-the-world pause O(arena words) instead of
-// O(shards+budget) — because stale records are harmless: every
-// transactional write of the new epoch refreshes its word's record
-// (retention-skip and Born included), so a stale record can only
-// describe a word NOT written since the reset. Such a word's live value
-// has been its committed value since before the barrier, which makes it
-// valid at every new-epoch snapshot: a stale `w <= snap` live-valid
-// verdict serves a correct value, a stale `w > snap` just falls through
-// to the conservative miss path, and a stale `w` tightening a first
-// new-epoch supersede's interval only extends it over a span the
-// superseded value provably covered.
+// O(shards+budget), and back every page of the mapping. Records
+// therefore outlive their epoch, and need not be wiped: a new-epoch write
+// past a registered snapshot stamps its word afresh, so an old-epoch
+// record is merely stale in the sense above Publish, whose "Reset and
+// roll-over" case says why a stale record can cost a conservative miss
+// but never a wrong value.
 func (s *Store) Reset() {
 	for i := range s.shards {
 		sh := &s.shards[i]

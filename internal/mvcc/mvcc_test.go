@@ -2,13 +2,14 @@ package mvcc
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// newTestStore builds a store and registers one far-past snapshot reader
-// in slot 0 so publications are retained (with no registered snapshot the
-// store intentionally skips version retention). Tests that need precise
-// pinning behavior manage the registry themselves.
+// newTestStore builds a store and registers one far-future snapshot reader
+// in slot 1, the state in which the STM's commits publish (with no
+// registered snapshot they skip the store altogether). Tests that need
+// precise pinning behavior manage the registry themselves.
 func newTestStore(t *testing.T, shards, budget int) *Store {
 	t.Helper()
 	s := New(Config{Words: 1 << 16, Shards: shards, Budget: budget})
@@ -33,11 +34,19 @@ func TestPublishAndRead(t *testing.T) {
 		// may serve it straight from memory.
 		t.Fatalf("Read(snap=9) = %v, want live-valid (live value owns 9)", res)
 	}
-	if _, res := s.Read(7, 100, 4); res != ReadMiss {
-		t.Fatalf("Read(snap=4) = %v; 4 predates the interval, want miss", res)
+	// Address 100 had no written record, so the entry starts at 0, not at
+	// the stripe's 5. A record of 0 means every write of the word so far
+	// was unversioned, made when no snapshot was registered; a registered
+	// snapshot therefore starts at or after the write that made 11
+	// current, and no snapshot that can ask sees a wrong [0, 5).
+	if v, res := s.Read(7, 100, 4); res != ReadHit || v != 11 {
+		t.Fatalf("Read(snap=4) = (%d, %v), want the record-started hit (11, hit)", v, res)
 	}
-	if _, res := s.Read(7, 999, 6); res != ReadMiss {
-		t.Fatalf("Read of unpublished address = %v, want miss", res)
+	// An address never stamped was never written while a snapshot was
+	// registered: any write past a registered snapshot stamps its word,
+	// so its live value is the value at every registered snapshot.
+	if _, res := s.Read(7, 999, 6); res != ReadLiveValid {
+		t.Fatalf("Read of an unstamped address = %v, want live-valid", res)
 	}
 	if p, tr := s.Counts(); p != 1 || tr != 0 {
 		t.Fatalf("Counts = (%d, %d), want (1, 0)", p, tr)
@@ -101,27 +110,31 @@ func TestBirthProvesLiveValid(t *testing.T) {
 func TestNoSnapshotSkipsRetention(t *testing.T) {
 	s := New(Config{Words: 1 << 16, Shards: 1, Budget: 16})
 	s.EnsureSlots(1)
-	// No snapshot registered: publication maintains written[] only.
-	s.Publish(5, []Version{{Stripe: 0, Addr: 10, Val: 100, From: 2}})
-	if p, _ := s.Counts(); p != 0 {
-		t.Fatalf("published %d entries with no snapshot registered", p)
+	// No snapshot registered: the STM's commit at 5 skips the sidecar, so
+	// nothing is stamped, published or retained.
+	if n := s.ActiveSnapshots(); n != 0 {
+		t.Fatalf("%d snapshots registered in a fresh store", n)
 	}
-	if r := s.Retained(); r != 0 {
-		t.Fatalf("retained %d entries with no snapshot registered", r)
+	if w := s.Written(10); w != 0 {
+		t.Fatalf("written record %d before any versioned commit", w)
 	}
-	// The written record still proves live-validity for later snapshots.
+	// A snapshot registering later starts at or after that commit, and
+	// reads the unstamped word as live-valid however the stripe moved.
+	s.Enter(0, 6)
 	if _, res := s.Read(0, 10, 6); res != ReadLiveValid {
 		t.Fatalf("Read(snap=6) = %v, want live-valid", res)
 	}
-	// An older snapshot misses conservatively (never wrong data).
-	if _, res := s.Read(0, 10, 4); res != ReadMiss {
-		t.Fatalf("Read(snap=4) = %v, want miss", res)
-	}
-	// Once a snapshot registers, retention resumes.
-	s.Enter(0, 6)
-	s.Publish(9, []Version{{Stripe: 0, Addr: 10, Val: 101, From: 5}})
+	// Commits now see it and version: the supersede at 9 is retained, its
+	// interval starting at the (empty) record, and stamps the word.
+	s.Publish(9, []Version{{Stripe: 0, Addr: 10, Val: 101, From: 7}})
 	if v, res := s.Read(0, 10, 6); res != ReadHit || v != 101 {
 		t.Fatalf("Read(snap=6) after retention resumed = (%d, %v), want (101, hit)", v, res)
+	}
+	if p, _ := s.Counts(); p != 1 {
+		t.Fatalf("published %d entries, want 1", p)
+	}
+	if w := s.Written(10); w != 9 {
+		t.Fatalf("written record %d after the versioned commit, want 9", w)
 	}
 }
 
@@ -239,6 +252,45 @@ func TestConcurrentPublishRead(t *testing.T) {
 	}
 	for i := uint64(0); i < 10000; i++ {
 		s.Read(i%4, i%(4*perWriter), i)
+	}
+	wg.Wait()
+}
+
+// TestUnversionedWordsStayLiveValid: words no commit ever stamped read as
+// live-valid at every snapshot, while publishers on other goroutines
+// stamp and retain the words that share their stripes, registering a
+// snapshot around each versioned commit the way the STM's commits decide.
+func TestUnversionedWordsStayLiveValid(t *testing.T) {
+	const cold, stripes = 64, 8 // words [0, cold) are never written
+	s := New(Config{Words: 1 << 12, Shards: 4, Budget: 32})
+	s.EnsureSlots(4)
+	var clock atomic.Uint64
+	var wg sync.WaitGroup
+	for p := 0; p < 2; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for n := uint64(0); n < 2000; n++ {
+				s.Enter(p, clock.Load())
+				ts := clock.Add(1)
+				a := cold + (n*2+uint64(p))%(4*cold)
+				s.Publish(ts, []Version{{Stripe: a % stripes, Addr: a, Val: n, From: ts - 1}})
+				s.Leave(p)
+			}
+		}(p)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for n := uint64(0); n < 4000; n++ {
+				a := n % cold
+				if _, res := s.Read(a%stripes, a, clock.Load()); res != ReadLiveValid {
+					t.Errorf("Read of never-stamped word %d = %v, want live-valid", a, res)
+					return
+				}
+			}
+		}(r)
 	}
 	wg.Wait()
 }

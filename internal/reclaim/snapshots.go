@@ -23,8 +23,8 @@ type SnapshotRegistry struct {
 	// minimum while it is unchanged, so steady-state trimming costs one
 	// atomic load instead of a mutex plus a slot scan.
 	ver atomic.Uint64
-	// live counts registered snapshots; atomic so publishers can take
-	// the "nobody is reading" fast path without the mutex.
+	// live counts registered snapshots; atomic so commits can take the
+	// "nobody is reading" fast path without the mutex.
 	live  atomic.Int64
 	mu    sync.Mutex
 	slots []uint64 // start+1 while a snapshot is in flight; 0 when idle
@@ -103,6 +103,6 @@ func (r *SnapshotRegistry) Min() (min uint64, ok bool) {
 }
 
 // Live reports how many snapshots are currently registered. Lock-free:
-// publishers consult it on every update commit to skip version retention
-// while nobody is reading.
+// every update commit of an STM with a sidecar reads it once to decide
+// whether to version (stamp and publish) at all.
 func (r *SnapshotRegistry) Live() int { return int(r.live.Load()) }

@@ -243,6 +243,10 @@ type Stats struct {
 	// SnapshotVersionReads counts reads served from the sidecar.
 	SnapshotLiveReads    uint64
 	SnapshotVersionReads uint64
+	// VersionedCommits counts update commits that saw a registered
+	// snapshot and so stamped and published to the sidecar; zero means
+	// the sidecar stayed cold.
+	VersionedCommits uint64
 	// RedoRecords counts redo records handed to the attached RedoHook by
 	// committed update transactions (TinySTM with a durability layer
 	// attached).
@@ -267,6 +271,7 @@ func (s Stats) Sub(o Stats) Stats {
 		VersionsTrimmed:      s.VersionsTrimmed - o.VersionsTrimmed,
 		SnapshotLiveReads:    s.SnapshotLiveReads - o.SnapshotLiveReads,
 		SnapshotVersionReads: s.SnapshotVersionReads - o.SnapshotVersionReads,
+		VersionedCommits:     s.VersionedCommits - o.VersionedCommits,
 		RedoRecords:          s.RedoRecords - o.RedoRecords,
 	}
 	for i := range s.AbortsByKind {
@@ -293,6 +298,7 @@ func (s Stats) Add(o Stats) Stats {
 		VersionsTrimmed:      s.VersionsTrimmed + o.VersionsTrimmed,
 		SnapshotLiveReads:    s.SnapshotLiveReads + o.SnapshotLiveReads,
 		SnapshotVersionReads: s.SnapshotVersionReads + o.SnapshotVersionReads,
+		VersionedCommits:     s.VersionedCommits + o.VersionedCommits,
 		RedoRecords:          s.RedoRecords + o.RedoRecords,
 	}
 	for i := range s.AbortsByKind {
