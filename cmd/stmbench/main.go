@@ -5,7 +5,6 @@
 //	2 3 4 4r 5   integer-set throughput and abort rates, TinySTM-WB/WT vs TL2
 //	6 7 8 9      (#locks x #shifts x h) sweeps: rbtree/list, Vacation, improvement curves
 //	10 11 12     dynamic tuning from (2^8,0,1) on tuning.Runtime: rbtree, list, validation counters
-//	cm           contention-management policies
 //	snapshot server proto   MVCC scans, the live service under load, the wire surfaces
 //	custom       one workload (-b -size -update) across all three systems
 //	autotune     the tuning runtime against a phase-shifting workload vs. static baselines
@@ -17,9 +16,7 @@
 //	stmbench -fig 7 -r 16384 -q 90 -u 80 -n 4      # Figure 7, Vacation parameters
 //	stmbench -fig 11 -periods 40 -duration 1s      # Figure 11, 40 configurations
 //	stmbench -b skiplist -size 1024 -update 20     # extension workload (-fig custom)
-//	stmbench -fig cm -b list -size 256 -update 80  # contention-management sweep
-//	stmbench -cm karma -fig 3                      # run a figure under the Karma policy
-//	stmbench -fig autotune -b list -tune-cm        # autotuned vs. static comparison
+//	stmbench -fig autotune -b list                 # autotuned vs. static comparison
 package main
 
 import (
@@ -31,7 +28,6 @@ import (
 	"time"
 
 	"tinystm/internal/cliutil"
-	"tinystm/internal/cm"
 	"tinystm/internal/core"
 	"tinystm/internal/experiments"
 	"tinystm/internal/harness"
@@ -52,7 +48,7 @@ var figures = []struct {
 	{"2", fig2}, {"3", fig3}, {"4", fig4}, {"4r", fig4r}, {"5", fig5},
 	{"6", fig6}, {"7", fig7}, {"8", fig8}, {"9", fig9},
 	{"10", fig10}, {"11", fig11}, {"12", fig12},
-	{"cm", figCM}, {"snapshot", figSnapshot},
+	{"snapshot", figSnapshot},
 	{"server", figServer}, {"proto", figProto},
 	{"custom", figCustom}, {"autotune", figAutotune},
 }
@@ -67,11 +63,11 @@ func figureNames() string {
 
 // options is the one flag block, plus what main derives from it once.
 type options struct {
-	fig, cm, bench, threads        string
+	fig, bench, threads            string
 	size, update                   int
 	duration, warmup               time.Duration
 	seed                           uint64
-	quick, csv, tuneCM             bool
+	quick, csv                     bool
 	yield, repeats, periods, shift int
 	locks, shifts, hiers           string
 	vacation                       vacation.Params
@@ -84,10 +80,9 @@ type options struct {
 func declare(fs *flag.FlagSet) *options {
 	o := new(options)
 	fs.StringVar(&o.fig, "fig", "custom", "figure to run: "+figureNames())
-	fs.StringVar(&o.cm, "cm", "suicide", "contention-management policy (suicide, backoff, karma, timestamp, serializer); -fig cm sweeps all five")
-	fs.StringVar(&o.bench, "b", "rbtree", "structure (list, rbtree, skiplist, hashset) for -fig 6, 8, cm, custom, autotune")
-	fs.IntVar(&o.size, "size", 4096, "initial elements for -fig 10-12, cm, snapshot, custom, autotune")
-	fs.IntVar(&o.update, "update", 20, "update percentage for -fig 10-12, cm, custom, autotune")
+	fs.StringVar(&o.bench, "b", "rbtree", "structure (list, rbtree, skiplist, hashset) for -fig 6, 8, custom, autotune")
+	fs.IntVar(&o.size, "size", 4096, "initial elements for -fig 10-12, snapshot, custom, autotune")
+	fs.IntVar(&o.update, "update", 20, "update percentage for -fig 10-12, custom, autotune")
 	fs.StringVar(&o.threads, "threads", "1,2,4,6,8", "comma-separated thread counts (sweeps and tuning runs use the largest)")
 	fs.DurationVar(&o.duration, "duration", time.Second, "measurement window per point; one tuning sample for -fig 10-12, autotune")
 	fs.DurationVar(&o.warmup, "warmup", 200*time.Millisecond, "warm-up before measuring")
@@ -97,7 +92,6 @@ func declare(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.repeats, "repeats", 1, "measurements per point (maximum kept)")
 	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned tables")
 	fs.IntVar(&o.periods, "periods", 30, "tuning periods (configurations) for -fig 10-12, autotune")
-	fs.BoolVar(&o.tuneCM, "tune-cm", false, "let -fig autotune also switch the contention-management policy live")
 	fs.IntVar(&o.shift, "shift", 0, "flip the workload phase every N tuning periods for -fig autotune (0 = half the run)")
 	fs.StringVar(&o.locks, "locks", "", "lock-array exponents for -fig 6-9 (default 8,10,...,24; -fig 7: 16,18,...,24)")
 	fs.StringVar(&o.shifts, "shifts", "", "shift values for -fig 6-9 (default 0,1,...,6; -fig 7: 0,2,...,8)")
@@ -118,7 +112,6 @@ func main() {
 
 	o.sc = cliutil.Scale(o.duration, o.warmup, cliutil.Must(cliutil.ParseInts(o.threads)), o.seed, o.quick, o.yield)
 	o.sc.Repeats = o.repeats
-	o.sc.CM = cliutil.Must(cm.ParseKind(o.cm))
 	o.kind = cliutil.Must(cliutil.ParseKind(o.bench))
 
 	for _, f := range figures {
@@ -251,16 +244,6 @@ func fig10(o *options) { o.emitPath(10, harness.KindRBTree) }
 func fig11(o *options) { o.emitPath(11, harness.KindList) }
 func fig12(o *options) { o.emit(o.tuningFigure(harness.KindList).ValidationTable()) }
 
-// figCM sweeps all five policies across thread counts. Pass a hot mix
-// (-b list -size 256 -update 80, plus -yield on few-core hosts) to make
-// the policies actually differ; under light contention they all converge
-// on Suicide's numbers.
-func figCM(o *options) {
-	for _, d := range []core.Design{core.WriteBack, core.WriteThrough} {
-		o.emit(experiments.SweepCMPolicies(o.sc, d, defaultGeometry, o.intset(), cm.AllKinds).ToTable())
-	}
-}
-
 // figSnapshot: read-only full-table scans under write pressure, the MVCC
 // sidecar off (classic RO transactions that abort under writers) vs. on
 // across version budgets. -size overrides the table, -threads the writer
@@ -326,7 +309,6 @@ func figCustom(o *options) {
 // autotuned-vs-static comparison table.
 func figAutotune(o *options) {
 	ac := experiments.DefaultAutotuneConfig(o.sc, o.kind)
-	ac.TuneCM = o.tuneCM
 	calm := o.intset()
 	hot := calm
 	hot.UpdatePct = min(o.update+60, 100)

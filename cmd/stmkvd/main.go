@@ -17,6 +17,10 @@
 //	stmkvd -brownout-slo 50ms                # brownout: shed scans, then writes,
 //	                                         # then reads whenever p99 > 50ms
 //
+// stmkvd takes 19 flags (stmkvd -h lists them). Conflict resolution is
+// not one of them: the STM has one rule, abort on a foreign lock and wait
+// for that lock before the retry (see internal/core).
+//
 // Both listen addresses accept :0 for an ephemeral port; the actual
 // bound addresses are logged as "http listening on ..." / "proto
 // listening on ..." so scripts can parse them.
@@ -46,7 +50,6 @@ import (
 	"time"
 
 	"tinystm/internal/cliutil"
-	"tinystm/internal/cm"
 	"tinystm/internal/kvserver"
 )
 
@@ -62,9 +65,8 @@ func main() {
 		space     = flag.Int("space", 1<<22, "transactional arena size in 64-bit words")
 		design    = flag.String("design", "wb", "memory design: wb (write-back) or wt (write-through)")
 		geometry  = flag.String("geometry", "2^8,0,1", "initial lock-table triple locks,shifts,h (accepts 2^k)")
-		cmFlag    = flag.String("cm", "suicide", "initial contention-management policy: suicide, backoff, karma, timestamp, serializer")
 		snaps     = flag.Bool("snapshots", true, "attach the MVCC sidecar: /scan, all-Get /batch and Len run as wait-free snapshot transactions")
-		autotune  = flag.Bool("autotune", true, "attach the online tuning runtime: lock-table geometry, contention-management policy and (with -snapshots) the version budget are tuned live")
+		autotune  = flag.Bool("autotune", true, "attach the online tuning runtime: lock-table geometry and (with -snapshots) the version budget are tuned live")
 		period    = flag.Duration("period", time.Second, "tuning sample period")
 		samples   = flag.Int("samples", 3, "samples per tuning decision (max kept)")
 		seed      = flag.Uint64("seed", 42, "tuner move-selection seed")
@@ -80,14 +82,12 @@ func main() {
 
 	d := cliutil.Must(cliutil.ParseDesign(*design))
 	geo := cliutil.Must(cliutil.ParseParams(*geometry))
-	ck := cliutil.Must(cm.ParseKind(*cmFlag))
 	dmode := cliutil.Must(kvserver.ParseDurability(*durab))
 
 	srv, err := kvserver.New(kvserver.Config{
 		SpaceWords:      *space,
 		Design:          d,
 		Geometry:        geo,
-		CM:              ck,
 		Snapshots:       *snaps,
 		Autotune:        *autotune,
 		AdmissionWidth:  *admWidth,
@@ -171,8 +171,8 @@ func main() {
 		_ = hs.Shutdown(ctx)
 	}()
 
-	log.Printf("serving on %s (design=%v geometry=%v cm=%v snapshots=%v autotune=%v admission=%d tune-admission=%v brownout-slo=%v period=%v)",
-		hl.Addr(), d, geo, ck, *snaps, *autotune,
+	log.Printf("serving on %s (design=%v geometry=%v snapshots=%v autotune=%v admission=%d tune-admission=%v brownout-slo=%v period=%v)",
+		hl.Addr(), d, geo, *snaps, *autotune,
 		*admWidth, *autotune && *tuneAdm && *admWidth > 0, *brownSLO, *period)
 	log.Printf("http listening on %s", hl.Addr())
 	if pl != nil {
@@ -190,8 +190,8 @@ func main() {
 
 	// Final report: where the tuner went and what the TM saw.
 	st := srv.TM().Stats()
-	log.Printf("final: params=%v cm=%v commits=%d aborts=%d reconfigs=%d cm-switches=%d keys=%d",
-		srv.TM().Params(), srv.TM().CM(), st.Commits, st.Aborts, st.Reconfigs, st.CMSwitches, srv.Store().Len())
+	log.Printf("final: params=%v commits=%d aborts=%d reconfigs=%d keys=%d",
+		srv.TM().Params(), st.Commits, st.Aborts, st.Reconfigs, srv.Store().Len())
 	if rt := srv.Runtime(); rt != nil {
 		best, tp := rt.Best()
 		log.Printf("tuner: best=%v at %.0f txs/s over %d periods", best, tp, len(rt.Trace()))

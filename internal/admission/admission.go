@@ -1,13 +1,13 @@
 // Package admission bounds the number of concurrently RUNNING update
 // transactions at the server door — proactive contention management.
 //
-// The contention managers in internal/cm resolve conflicts after they
-// happen: a transaction runs, collides, and one of the parties dies.
+// The STM resolves conflicts after they happen: a transaction runs,
+// collides with a lock, aborts and waits for that lock before it retries.
 // Past a workload-dependent point that is pure waste — admitting more
 // concurrent updaters REDUCES committed throughput, because every
 // admitted transaction mostly generates aborts for the others (the
-// cost-of-concurrency observation behind the ATS-style serializer, here
-// applied before the conflict instead of after it). The Gate is a
+// cost-of-concurrency observation, here applied before the conflict
+// instead of after it). The Gate is a
 // width-limited token bucket in front of the update path: at most Width
 // updaters run at once, the rest queue at the door where they cost
 // nothing, and the width itself is a live tuning knob walked by

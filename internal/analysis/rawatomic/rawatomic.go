@@ -8,12 +8,12 @@
 //
 // The allowlist names the packages that ARE the implementation: the
 // word-based and object-based runtimes, the MVCC sidecar, epoch
-// reclamation, the WAL, contention management, the tuning loop, and the
-// arena allocator. Everything else gets one diagnostic per declaration
-// (a field or variable of a mutex/atomic type) and per direct
-// sync/atomic call; an intentional use — a pool free-list, a stats
-// counter read outside any transaction — is annotated
-// //stm:allow-atomic with the reason on the line above.
+// reclamation, the WAL, the tuning loop, and the arena allocator.
+// Everything else gets one diagnostic per declaration (a field or
+// variable of a mutex/atomic type) and per direct sync/atomic call; an
+// intentional use — a pool free-list, a stats counter read outside any
+// transaction — is annotated //stm:allow-atomic with the reason on the
+// line above.
 //
 // Test files are skipped: tests freely use atomics for counters and
 // barriers around the code under test.
@@ -43,7 +43,6 @@ var allowedLayers = map[string]bool{
 	"mvcc":    true, // multi-version sidecar
 	"reclaim": true, // epoch-based reclamation
 	"wal":     true, // write-ahead log
-	"cm":      true, // contention managers
 	"tuning":  true, // online tuning loop
 	"mem":     true, // transactional arena allocator
 	"obs":     true, // observability: lock-free histograms, seqlock ring, registry

@@ -1,7 +1,7 @@
 // Package txbody checks that closures passed to Atomic / AtomicRO /
 // AtomicSnap are safe to re-execute: transactional bodies run again from
 // the top every time the attempt aborts (conflict, validation failure,
-// snapshot-too-old, cooperative kill), so anything a body does besides
+// snapshot-too-old, roll-over), so anything a body does besides
 // transactional loads and stores happens once per ATTEMPT, not once per
 // commit.
 //

@@ -27,7 +27,11 @@ func lockWordOf(tm *TM, addr uint64) uint64 {
 // logged reports how many read-set, write-set, owned-lock and undo
 // entries the attempt holds.
 func logged(tx *Tx) int {
-	return int(tx.accessCount()) + len(tx.owned)
+	n := len(tx.wset) + len(tx.owned) + len(tx.undo)
+	for _, part := range tx.rparts {
+		n += len(part)
+	}
+	return n
 }
 
 // TestCapturedReadYourWritesAcrossWindowSwitch: A is stored through the

@@ -2,7 +2,7 @@ package core
 
 import "testing"
 
-// Conflict handling under the default policy, and the interleaving
+// Conflict handling under the one conflict rule, and the interleaving
 // simulation (Config.YieldEvery).
 
 // TestSpinDisabledAbortsImmediately pins the paper's choice: under Suicide

@@ -6,7 +6,10 @@
 // acquire locks at encounter time; a global time base (shared counter)
 // orders commits; snapshots are extended lazily as in the LSA algorithm;
 // and an optional hierarchical array of counters lets update transactions
-// skip validating most of their read set (Section 3.2). Both the
+// skip validating most of their read set (Section 3.2). Conflicts follow
+// the paper's one rule: an access that meets another transaction's lock
+// aborts at once, and the retry first waits for that lock word to change
+// (TinySTM's CM_DELAY; see Tx.awaitConflict). Both the
 // write-through and write-back access strategies are implemented, selected
 // by Config.Design. Runtime parameters (#locks, #shifts, h) can be changed
 // on a live TM via Reconfigure, which reuses the clock roll-over
@@ -17,7 +20,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"tinystm/internal/cm"
 	"tinystm/internal/mem"
 )
 
@@ -80,15 +82,6 @@ type Config struct {
 	// Zero selects the design's natural maximum (2^60-ish). Tests use
 	// small values to exercise roll-over.
 	MaxClock uint64
-	// CM selects the contention-management policy consulted on conflicts
-	// and between retries (package cm): Suicide (the paper's immediate
-	// retry; the default), Backoff, Karma, Timestamp or Serializer. The
-	// policy can also be switched on a live TM via SetCM — it is a
-	// dynamic tuning dimension like the (Locks, Shifts, Hier) triple.
-	CM cm.Kind
-	// CMKnobs tunes the selected policy (zero value: the cm package
-	// defaults). The knobs travel with SetCM switches unless overridden.
-	CMKnobs cm.Knobs
 	// Snapshots enables the commit-ordered MVCC sidecar (package mvcc)
 	// and with it the snapshot execution mode: TM.AtomicSnap runs
 	// read-only transactions against a fixed start timestamp with no read
@@ -158,9 +151,6 @@ func (c Config) validate() error {
 	}
 	if c.Design != WriteBack && c.Design != WriteThrough {
 		return fmt.Errorf("core: unknown Design %d", int(c.Design))
-	}
-	if !c.CM.Valid() {
-		return fmt.Errorf("core: unknown contention-management policy %d", int(c.CM))
 	}
 	if c.MaxClock < 2 {
 		return fmt.Errorf("core: MaxClock (%d) too small", c.MaxClock)

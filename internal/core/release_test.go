@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"tinystm/internal/cm"
 	"tinystm/internal/mem"
 )
 
@@ -154,7 +153,7 @@ func TestConfigForCarriesAllFields(t *testing.T) {
 	sp := mem.NewSpace(1 << 12)
 	base := Config{
 		Space: sp, Locks: 1 << 10, Shifts: 2, Hier: 4,
-		Design: WriteThrough, MaxClock: 1 << 20, CM: cm.Backoff,
+		Design: WriteThrough, MaxClock: 1 << 20,
 		SnapshotShards: 8, SnapshotBudget: 64, YieldEvery: 3,
 	}
 	tm := MustNew(base)

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"tinystm/internal/cm"
 	"tinystm/internal/rng"
 )
 
@@ -95,11 +94,6 @@ func TestBankInvariantHighShift(t *testing.T) {
 	})
 }
 
-func TestBankInvariantWithBackoff(t *testing.T) {
-	tm, _ := newTestTM(t, WriteBack, func(c *Config) { c.CM = cm.Backoff })
-	runBankStress(t, tm, 4, 300)
-}
-
 func TestConcurrentAllocFree(t *testing.T) {
 	bothDesigns(t, func(t *testing.T, d Design) {
 		tm, sp := newTestTM(t, d, nil)
@@ -136,4 +130,70 @@ func TestConcurrentAllocFree(t *testing.T) {
 			t.Error("expected some live words")
 		}
 	})
+}
+
+// CommitAbortCounts must stay monotonic under concurrent commit/abort
+// traffic and Release/NewTx descriptor churn: the tuning runtime
+// differentiates it.
+func TestCommitAbortCountsMonotonicUnderChurn(t *testing.T) {
+	tm, _ := newTestTM(t, WriteBack, nil)
+	setup := tm.NewTx()
+	var a uint64
+	tm.Atomic(setup, func(tx *Tx) { a = tx.Alloc(1) })
+	setup.Release()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Short-lived descriptors: mint, run one committing and
+				// one aborting transaction, release.
+				tx := tm.NewTx()
+				tm.Atomic(tx, func(t *Tx) { t.Store(a, t.Load(a)+1) })
+				first := true
+				tm.Atomic(tx, func(t *Tx) {
+					t.Store(a, t.Load(a))
+					if first {
+						first = false
+						t.Retry() // deterministic abort
+					}
+				})
+				tx.Release()
+			}
+		}(w)
+	}
+	var lastC, lastA, lastSC, lastSA uint64
+	for i := 0; i < 5000; i++ {
+		c, x := tm.CommitAbortCounts()
+		if c < lastC || x < lastA {
+			t.Fatalf("aggregates went backwards: (%d,%d) after (%d,%d)", c, x, lastC, lastA)
+		}
+		lastC, lastA = c, x
+		if i%50 == 0 {
+			// The full snapshot path must stay monotonic under the same
+			// churn (Release folds counters into the retired aggregate).
+			s := tm.Stats()
+			if s.Commits < lastSC || s.Aborts < lastSA {
+				t.Fatalf("Stats went backwards: (%d,%d) after (%d,%d)",
+					s.Commits, s.Aborts, lastSC, lastSA)
+			}
+			lastSC, lastSA = s.Commits, s.Aborts
+		}
+	}
+	close(stop)
+	wg.Wait()
+	c, x := tm.CommitAbortCounts()
+	s := tm.Stats()
+	if c != s.Commits || x != s.Aborts {
+		t.Fatalf("aggregates (%d,%d) disagree with Stats (%d,%d) at quiescence",
+			c, x, s.Commits, s.Aborts)
+	}
 }

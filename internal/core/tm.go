@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tinystm/internal/cm"
 	"tinystm/internal/mem"
 	"tinystm/internal/mvcc"
 	"tinystm/internal/obs"
@@ -23,7 +22,6 @@ type TM struct {
 	design   Design
 	maxClock uint64
 	yieldN   int
-	cmKnobs  cm.Knobs
 
 	// baseCfg is the defaulted construction-time configuration. configFor
 	// substitutes the tunable triple into a copy, so Reconfigure validates
@@ -58,18 +56,6 @@ type TM struct {
 	// block and nil-checks it at each observation point.
 	obsHook atomic.Pointer[obs.TMObs]
 
-	// cmh holds the active contention-management policy behind one
-	// pointer load; descriptors pin it per attempt at Begin (like geo),
-	// so SetCM switches policies on a live TM without a freeze.
-	// cmSwitches counts live policy changes (the policy Reconfigs).
-	cmh        atomic.Pointer[cmHolder]
-	cmSwitches atomic.Uint64
-
-	// descsPub is the lock-free owner-slot lookup table: a snapshot of
-	// descs republished on every mint, so conflict resolution can map a
-	// lock word's owner slot to its cm.State without taking mu.
-	descsPub atomic.Pointer[[]*Tx]
-
 	clk clock
 	// clockEpoch counts clock resets: it is bumped (under the freeze
 	// barrier, so no transaction is mid-commit) at every roll-over and
@@ -94,24 +80,6 @@ type TM struct {
 	retired   txn.Stats
 	rollOvers atomic.Uint64
 	reconfigs atomic.Uint64
-}
-
-// cmHolder wraps the policy interface so it can sit behind one
-// atomic.Pointer (interfaces cannot be stored atomically by themselves).
-type cmHolder struct{ pol cm.Policy }
-
-// policy returns the active contention-management policy.
-func (tm *TM) policy() cm.Policy { return tm.cmh.Load().pol }
-
-// stateOf maps an owner slot to its descriptor's contention-management
-// state; nil when the slot is unknown. Lock-free: conflict resolution runs
-// on the transaction slow path and must not take the registry mutex.
-func (tm *TM) stateOf(slot int) *cm.State {
-	ds := tm.descsPub.Load()
-	if ds == nil || slot < 0 || slot >= len(*ds) {
-		return nil
-	}
-	return &(*ds)[slot].cmst
 }
 
 // drainThreshold is the limbo size at which commits attempt reclamation.
@@ -161,12 +129,10 @@ func New(cfg Config) (*TM, error) {
 		design:   cfg.Design,
 		maxClock: cfg.MaxClock,
 		yieldN:   cfg.YieldEvery,
-		cmKnobs:  cfg.CMKnobs,
 		baseCfg:  cfg,
 	}
 	tm.fz.init()
 	tm.geo.Store(newGeometry(Params{Locks: cfg.Locks, Shifts: cfg.Shifts, Hier: cfg.Hier}))
-	tm.cmh.Store(&cmHolder{pol: cm.New(cfg.CM, cfg.CMKnobs, tm.CommitAbortCounts)})
 	if cfg.Snapshots {
 		tm.mvcc = mvcc.New(mvcc.Config{
 			Words:  cfg.Space.Cap(),
@@ -199,9 +165,6 @@ func (tm *TM) Params() Params { return tm.geo.Load().params() }
 // ClockValue returns the current global clock (diagnostics and tests).
 func (tm *TM) ClockValue() uint64 { return tm.clk.now() }
 
-// CM returns the active contention-management policy kind.
-func (tm *TM) CM() cm.Kind { return tm.policy().Kind() }
-
 // SetObs installs (or, with nil, detaches) the observability sink:
 // commit/abort duration histograms plus the sampled flight recorder.
 // Safe on a live TM; blocks that already loaded the previous hook finish
@@ -210,26 +173,6 @@ func (tm *TM) SetObs(o *obs.TMObs) { tm.obsHook.Store(o) }
 
 // Obs returns the installed observability sink, nil when detached.
 func (tm *TM) Obs() *obs.TMObs { return tm.obsHook.Load() }
-
-// SetCM switches the contention-management policy of a live TM. Unlike
-// Reconfigure it needs no world freeze: descriptors pin the policy per
-// attempt at Begin, detach from the old instance (releasing any held
-// resources, e.g. the Serializer token) and pick the new one up on their
-// next attempt. A zero kn keeps the construction-time knobs.
-func (tm *TM) SetCM(k cm.Kind, kn cm.Knobs) error {
-	if !k.Valid() {
-		return fmt.Errorf("core: unknown contention-management policy %d", int(k))
-	}
-	if kn == (cm.Knobs{}) {
-		kn = tm.cmKnobs
-	}
-	prev := tm.CM()
-	tm.cmh.Store(&cmHolder{pol: cm.New(k, kn, tm.CommitAbortCounts)})
-	if k != prev {
-		tm.cmSwitches.Add(1)
-	}
-	return nil
-}
 
 // NewTx registers and returns a fresh transaction descriptor. Descriptors
 // are affine to one goroutine at a time and are reused across
@@ -247,8 +190,7 @@ func (tm *TM) NewTx() *Tx {
 	if len(tm.descs) >= maxSlots {
 		panic(fmt.Sprintf("core: more than %d transaction descriptors", maxSlots))
 	}
-	tx := &Tx{tm: tm, slot: len(tm.descs), rng: 0x9e3779b97f4a7c15 ^ uint64(len(tm.descs)+1)}
-	tx.cmst.Seed(uint64(tx.slot + 1))
+	tx := &Tx{tm: tm, slot: len(tm.descs)}
 	// Start the write sets on their inline segments so small transactions
 	// never touch the heap (the read set is wired in Begin, which owns
 	// the partition layout).
@@ -256,11 +198,6 @@ func (tm *TM) NewTx() *Tx {
 	tx.owned = tx.oinline[:0]
 	tx.undo = tx.uinline[:0]
 	tm.descs = append(tm.descs, tx)
-	// Republish the owner-slot lookup snapshot (copy: readers hold the
-	// old slice while append may grow the backing array).
-	pub := make([]*Tx, len(tm.descs))
-	copy(pub, tm.descs)
-	tm.descsPub.Store(&pub)
 	if tm.mvcc != nil {
 		tm.mvcc.EnsureSlots(len(tm.descs))
 	}
@@ -281,13 +218,6 @@ func (tx *Tx) Release() {
 	if tx.released {
 		panic("core: descriptor released twice")
 	}
-	// Let the policy release anything it granted this descriptor (e.g.
-	// the Serializer token) and clear the carried priority/age so the
-	// next borrower starts fresh.
-	if tx.pol != nil {
-		tx.pol.Detach(&tx.cmst)
-		tx.pol = nil
-	}
 	// Detach from the MVCC horizon tracking: a released descriptor must
 	// never pin retained versions. Normally the registration is already
 	// gone (commit/rollback clear it), but a slot recycled after an
@@ -296,7 +226,6 @@ func (tx *Tx) Release() {
 	if tm.mvcc != nil {
 		tm.mvcc.Leave(tx.slot)
 	}
-	tx.cmst.NoteCommit()
 	tx.stats.snapshotInto(&tm.retired)
 	tx.stats.reset()
 	tx.released = true
@@ -352,12 +281,9 @@ func (tm *TM) atomic(tx *Tx, fn func(*Tx), ro, snap bool) {
 		}
 		tx.maybeRollOverOnBegin()
 		if snap {
-			tx.BeginSnap() // no policy hooks: see begin
+			tx.BeginSnap()
 		} else {
 			tx.Begin(ro && !tx.upgr)
-			if tx.attempts == 1 {
-				tx.pol.OnStart(&tx.cmst)
-			}
 		}
 		committed := tx.runBody(fn) && tx.Commit()
 		if o != nil {
@@ -378,24 +304,19 @@ func (tm *TM) atomic(tx *Tx, fn func(*Tx), ro, snap bool) {
 			if committed {
 				return
 			}
-			// AbortSnapshotTooOld (or a cooperative kill) retries on a
-			// fresh snapshot with no backoff: it is taken at the current
-			// clock, past whatever trimmed the old one. If fn wrote,
+			// AbortSnapshotTooOld retries on a fresh snapshot with no
+			// wait: it is taken at the current clock, past whatever
+			// trimmed the old one. If fn wrote,
 			// snapshot mode cannot serve it: rerun the whole block as a
 			// regular update transaction.
 			if tx.upgr {
 				snap, tx.attempts = false, 0
 			}
 		case committed:
-			tx.pol.OnCommit(&tx.cmst)
 			return
 		default:
-			// The attempt failed and rolled back (NoteAbort already
-			// accrued its work as priority); the policy may block here —
-			// backoff spinning, or waiting for the serialization token.
-			// Then, whatever the policy, a retry that lost to a lock
-			// waits for that lock first.
-			tx.pol.OnAbort(&tx.cmst)
+			// The attempt failed and rolled back; a retry that lost to a
+			// lock waits for that lock first.
 			tx.awaitConflict()
 		}
 	}
@@ -408,7 +329,6 @@ func (tm *TM) trace(tx *Tx, o *obs.TMObs, kind obs.EventKind, cause txn.AbortKin
 		TimeUnixNano: time.Now().UnixNano(),
 		Kind:         kind,
 		Cause:        cause,
-		CM:           tm.CM(),
 		Slot:         uint32(tx.slot),
 		Attempt:      uint32(tx.attempts),
 		DurNs:        durNs,
@@ -430,19 +350,10 @@ func (tx *Tx) runBody(fn func(*Tx)) (ok bool) {
 			ok = false
 			return
 		}
-		// Foreign panic: roll back cleanly, then propagate. The atomic
-		// block is ending abnormally, so also release anything the
-		// contention-management policy granted (the OnCommit/OnAbort
-		// hooks will not run) and clear the per-block priority/age —
-		// a recovered-and-reused descriptor (kvserver's 507 path) must
-		// not carry them into an unrelated block.
+		// Foreign panic: roll back cleanly, then propagate.
 		if tx.inTx {
 			tx.rollback(txn.AbortExplicit)
 		}
-		if tx.pol != nil {
-			tx.pol.Detach(&tx.cmst)
-		}
-		tx.cmst.NoteCommit()
 		panic(r)
 	}()
 	fn(tx)
@@ -480,22 +391,6 @@ func (tx *Tx) maybeRollOverOnBegin() {
 	if tx.tm.clk.exhausted(tx.tm.maxClock) {
 		tx.tm.rollOver()
 	}
-}
-
-// backoffWindow returns the spin-window size for the given retry count:
-// 2^min(5+attempts, 16) iterations. The implementation lives in package cm
-// (shared with the Backoff policy); this wrapper keeps the original
-// floor/cap regression tests pinned against the one true schedule.
-func backoffWindow(attempts int) uint64 {
-	return cm.Window(attempts, 0, 0)
-}
-
-// backoffSpins draws the next randomized spin count from the descriptor's
-// private xorshift state (split out so tests can observe the distribution
-// without spinning). The Backoff policy draws from the same generator via
-// its per-descriptor cm.State.
-func (tx *Tx) backoffSpins() uint64 {
-	return cm.Spins(&tx.rng, tx.attempts, 0, 0)
 }
 
 // Reconfigure atomically replaces the tunable parameters (#locks, #shifts,
@@ -548,7 +443,6 @@ func (tm *TM) Stats() txn.Stats {
 	tm.mu.Unlock()
 	s.RollOvers = tm.rollOvers.Load()
 	s.Reconfigs = tm.reconfigs.Load()
-	s.CMSwitches = tm.cmSwitches.Load()
 	if tm.mvcc != nil {
 		s.VersionsPublished, s.VersionsTrimmed = tm.mvcc.Counts()
 	}

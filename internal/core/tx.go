@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tinystm/internal/cm"
 	"tinystm/internal/mem"
 	"tinystm/internal/mvcc"
 	"tinystm/internal/txn"
@@ -155,27 +154,19 @@ type Tx struct {
 	pubSeen    addrSet
 	allocSpans []allocRec
 
-	attempts int // retries of the current atomic block (for backoff)
+	attempts int // attempts of the current atomic block
 	// lastAbort classifies the most recent rollback, read by the atomic
 	// retry loop's instrumentation to bucket the failed attempt's
 	// duration by cause.
 	lastAbort txn.AbortKind
-	rng       uint64
 
-	// waitLock is the lock word that beat the attempt (the policy chose
-	// Abort on it in resolveConflict) and waitWord the value it held
-	// then; the retry loop waits for the word to change before restarting
+	// waitLock is the lock word that beat the attempt (recorded by
+	// resolveConflict) and waitWord the value it held then; the retry
+	// loop waits for the word to change before restarting
 	// (awaitConflict). Nil when the attempt lost to no lock; cleared at
 	// every Begin.
 	waitLock *uint64
 	waitWord uint64
-
-	// Contention management: cmst is this descriptor's policy-visible
-	// state (priority, age, kill requests — competitors read it through
-	// the TM's slot table); pol pins the active policy per attempt, like
-	// geo, so a live SetCM never splits one attempt across policies.
-	cmst cm.State
-	pol  cm.Policy
 
 	// startEpoch publishes start+1 while the transaction is active (zero
 	// when idle); the reclaimer scans it to find the oldest snapshot any
@@ -240,24 +231,6 @@ func (tx *Tx) begin(readOnly, snap bool) {
 	} else {
 		tx.opBudget = opBudgetIdle
 	}
-	// Pin the contention-management policy for this attempt; a switched
-	// policy releases whatever the old one granted (Serializer token)
-	// and gets its block-scoped init immediately — a block already
-	// retrying when SetCM lands would otherwise run the new policy
-	// without an OnStart (e.g. no Timestamp age: it would lose every
-	// conflict AND read as killable-youngest to everyone else, starving
-	// exactly the long-retrying transactions wait/die protects).
-	// Snapshot attempts own no locks and conflict with nobody: the policy
-	// is not consulted, only the attempt epoch below is opened so the
-	// shared rollback/commit bookkeeping stays uniform.
-	if p := tx.tm.policy(); !snap && tx.pol != p {
-		if tx.pol != nil {
-			tx.pol.Detach(&tx.cmst)
-		}
-		tx.pol = p
-		p.OnStart(&tx.cmst)
-	}
-	tx.cmst.BeginAttempt()
 	tx.waitLock = nil
 	tx.inTx = true
 	tx.ro = readOnly
@@ -403,10 +376,6 @@ func (tx *Tx) rollback(kind txn.AbortKind) {
 		tx.tm.aggSnapTooOld.Add(1)
 	}
 	tx.flushHotCounters()
-	// Bank the attempt's work as contention-management priority (Karma)
-	// and retire the attempt's kill epoch.
-	tx.cmst.NoteAbort(tx.accessCount())
-	tx.cmst.EndAttempt()
 	if tx.snap {
 		// Detach from the sidecar's horizon tracking: a finished snapshot
 		// must not pin retained versions.
@@ -416,17 +385,6 @@ func (tx *Tx) rollback(kind txn.AbortKind) {
 	tx.inTx = false
 	tx.startEpoch.Store(0)
 	tx.tm.fz.exit()
-}
-
-// accessCount reports how many transactional accesses the current attempt
-// performed (reads + writes): the work measure Karma accrues priority
-// from.
-func (tx *Tx) accessCount() uint64 {
-	n := len(tx.wset) + len(tx.undo)
-	for _, part := range tx.rparts {
-		n += len(part)
-	}
-	return uint64(n)
 }
 
 // flushHotCounters moves the attempt's batched plain counters into the
@@ -579,9 +537,6 @@ func (tx *Tx) recordRead(b, li, ver uint64) {
 // another transaction, a lock word that changed under the read, or a
 // version beyond the snapshot (triggering LSA extension).
 func (tx *Tx) loadSlow(a mem.Addr, li, b uint64) uint64 {
-	if tx.cmst.Doomed() {
-		tx.abort(txn.AbortKilled)
-	}
 	g := tx.geo
 	var val, ver uint64
 restart:
@@ -592,10 +547,9 @@ restart:
 				// Conflict with another transaction's encounter-time
 				// lock. The paper notes a transaction "can try to wait
 				// for some time or abort immediately" and picks the
-				// latter; here the configured contention-management
-				// policy decides (Suicide, the default, reproduces the
-				// paper; a policy that answers Wait is the bounded wait).
-				if tx.resolveConflict(li, cm.ReadConflict) {
+				// latter, as does resolveConflict; the wait comes after
+				// the abort, in the retry loop.
+				if tx.resolveConflict(li) {
 					continue restart
 				}
 				tx.abort(txn.AbortReadConflict)
@@ -680,14 +634,11 @@ func (tx *Tx) store(addr uint64, v uint64, lockOnly bool) {
 	g := tx.geo
 	li := g.lockIndex(addr)
 
-	if tx.cmst.Doomed() {
-		tx.abort(txn.AbortKilled)
-	}
 	for {
 		lw := g.loadLock(li)
 		if isOwned(lw) {
 			if ownerSlot(lw) != tx.slot {
-				if tx.resolveConflict(li, cm.WriteConflict) {
+				if tx.resolveConflict(li) {
 					continue
 				}
 				tx.abort(txn.AbortWriteConflict)
@@ -790,37 +741,24 @@ func (tx *Tx) storeOwned(a mem.Addr, v uint64, li uint64, lw uint64, lockOnly bo
 	tx.geo.storeLock(li, mkOwned(tx.slot, idx))
 }
 
-// resolveConflict consults the contention-management policy about a lock
-// held by another transaction. It returns true once the lock was observed
-// free (the caller restarts the access) and false when the policy decided
-// to abort; a competitor's kill request arriving while we wait aborts
-// directly as AbortKilled. The wait/kill protocol itself — epoch-pinned
-// cooperative kills, spin-count restart on ownership handoff — lives in
-// cm.ResolveConflict, shared with TL2. On Abort it records the lock and the
-// word the policy decided on, for the retry loop's awaitConflict.
-func (tx *Tx) resolveConflict(li uint64, k cm.ConflictKind) bool {
+// resolveConflict is the one conflict rule, for a lock at li that the
+// caller found held by another transaction: the paper's "abort
+// immediately". It re-reads the lock once; if the owner released it
+// meanwhile it returns true and the caller restarts the access. Otherwise
+// it records the lock word and the value it holds for the retry loop's
+// awaitConflict and returns false: the caller aborts.
+func (tx *Tx) resolveConflict(li uint64) bool {
 	g := tx.geo
-	var lw uint64
-	out := cm.ResolveConflict(tx.pol, &tx.cmst, k,
-		func() (*cm.State, bool) {
-			lw = g.loadLock(li)
-			if !isOwned(lw) {
-				return nil, false
-			}
-			return tx.tm.stateOf(ownerSlot(lw)), true
-		})
-	switch out {
-	case cm.Freed:
+	lw := g.loadLock(li)
+	if !isOwned(lw) {
 		return true
-	case cm.Killed:
-		tx.abort(txn.AbortKilled)
 	}
 	tx.waitLock, tx.waitWord = &g.locks[li], lw
 	return false
 }
 
-// awaitConflict is TinySTM's CM_DELAY, run by the retry loop after the
-// policy's OnAbort: when the failed attempt lost to a lock, wait until that
+// awaitConflict is TinySTM's CM_DELAY, run by the retry loop after a
+// failed attempt: when the attempt lost to a lock, wait until that
 // lock word changes — its owner released it or handed it on — because a
 // retry that starts earlier most likely runs into the same lock again, and
 // each such attempt allocates, unwinds by panic and frees for nothing. The
@@ -941,12 +879,6 @@ func (tx *Tx) Commit() bool {
 	if !tx.inTx {
 		panic("core: Commit outside transaction")
 	}
-	if tx.cmst.Doomed() {
-		// A competitor's policy asked us to die; honoring it here —
-		// before validation and publication — is always legal.
-		tx.rollback(txn.AbortKilled)
-		return false
-	}
 	if !tx.isUpdate() {
 		// Read-only commit: the incrementally-validated snapshot is
 		// consistent by construction; nothing to validate or publish.
@@ -1042,8 +974,6 @@ func (tx *Tx) finishCommit() {
 	tx.stats.commits.Add(1)
 	tx.tm.aggCommits.Add(1)
 	tx.flushHotCounters()
-	tx.cmst.NoteCommit()
-	tx.cmst.EndAttempt()
 	if tx.snap {
 		tx.tm.mvcc.Leave(tx.slot)
 		tx.snap = false

@@ -30,10 +30,6 @@ type AutotuneConfig struct {
 	// from a deliberately bad (2^8, 0, 1).
 	Start  core.Params
 	Bounds tuning.Bounds
-	// TuneCM additionally enables the runtime's adaptive contention-
-	// management controller (the policy ladder beside the geometry
-	// hill-climber).
-	TuneCM bool
 	// Statics are baseline configurations each measured with a fixed
 	// geometry over the Phases[0] workload for the autotuned-vs-static
 	// comparison.
@@ -201,14 +197,9 @@ func AutotuneSweep(sc Scale, ac AutotuneConfig) AutotuneResult {
 		samples = 3
 	}
 	trace := make(chan tuning.Event, ac.Periods+8)
-	var ctls []tuning.Controller
-	if ac.TuneCM {
-		ctls = append(ctls, tuning.NewCM(tm, tuning.CMConfig{}))
-	}
 	rt := tuning.NewRuntime(tm, tuning.RuntimeConfig{
 		Tuner:  tuning.Config{Initial: ac.Start, Bounds: ac.Bounds, Seed: ac.Seed},
 		Period: ac.Period, Samples: samples, Trace: trace,
-		Controllers: ctls,
 	})
 	if err := rt.Start(); err != nil {
 		panic(fmt.Sprintf("experiments: autotune start: %v", err))

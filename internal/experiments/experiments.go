@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"time"
 
-	"tinystm/internal/cm"
 	"tinystm/internal/core"
 	"tinystm/internal/harness"
 	"tinystm/internal/mem"
@@ -71,10 +70,6 @@ type Scale struct {
 	// measurements, applied here to every figure. Zero or one means a
 	// single measurement.
 	Repeats int
-	// CM selects the contention-management policy for every measured
-	// point, in both STMs (see cm.Kind). The zero value is the paper's
-	// abort-immediately Suicide.
-	CM cm.Kind
 }
 
 // PaperScale approximates the paper's measurement effort.
@@ -118,7 +113,7 @@ func newCoreTM(sc Scale, d core.Design, p core.Params) *core.TM {
 	sp := mem.NewSpace(sc.SpaceWords)
 	return core.MustNew(core.Config{
 		Space: sp, Locks: p.Locks, Shifts: p.Shifts, Hier: p.Hier, Design: d,
-		YieldEvery: sc.YieldEvery, CM: sc.CM,
+		YieldEvery: sc.YieldEvery,
 	})
 }
 
@@ -127,7 +122,6 @@ func newTL2TM(sc Scale, p core.Params) *tl2.TM {
 	sp := mem.NewSpace(sc.SpaceWords)
 	return tl2.MustNew(tl2.Config{
 		Space: sp, Locks: p.Locks, Shifts: p.Shifts, YieldEvery: sc.YieldEvery,
-		CM: sc.CM,
 	})
 }
 

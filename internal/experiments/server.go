@@ -121,7 +121,6 @@ func runServerPoint(sc Scale, cfg ServerConfig, mixes []*kvclient.Mix, geo core.
 	svc := startService(kvserver.Config{
 		SpaceWords: sc.SpaceWords,
 		Shards:     cfg.Shards, Buckets: cfg.Buckets,
-		CM:        sc.CM,
 		Geometry:  geo,
 		Snapshots: true,
 		Autotune:  autotune,

@@ -113,7 +113,6 @@ func (r SnapshotSweepResult) ToTable() harness.Table {
 func runSnapshotPoint(sc Scale, cfg SnapshotConfig, writers int, snapshots bool, budget int) SnapshotPoint {
 	tm := core.MustNew(core.Config{
 		Space:          mem.NewSpace(sc.SpaceWords),
-		CM:             sc.CM,
 		YieldEvery:     sc.YieldEvery,
 		Snapshots:      snapshots,
 		SnapshotBudget: budget,

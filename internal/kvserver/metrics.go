@@ -147,8 +147,6 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(m.st.RollOvers) })
 	m.reg.CounterFunc("stm_reconfigs_total", "Dynamic lock-table reconfigurations.", nil,
 		func() float64 { return float64(m.st.Reconfigs) })
-	m.reg.CounterFunc("stm_cm_switches_total", "Live contention-management policy switches.", nil,
-		func() float64 { return float64(m.st.CMSwitches) })
 	m.reg.Histogram("stm_commit_seconds", "Duration of committed transaction attempts.", nil,
 		m.tmObs.CommitNs, 1e-9, lat)
 	for k := 0; k < txn.NAbortKinds; k++ {
@@ -370,7 +368,6 @@ type wireTxEvent struct {
 	Time    int64  `json:"t_unix_ns"`
 	Kind    string `json:"kind"`
 	Cause   string `json:"cause,omitempty"`
-	CM      string `json:"cm"`
 	Slot    uint32 `json:"slot"`
 	Attempt uint32 `json:"attempt"`
 	DurNs   uint64 `json:"dur_ns,omitempty"`
@@ -395,7 +392,6 @@ func (s *Server) handleTxTrace(w http.ResponseWriter, r *http.Request) {
 			Seq:     e.Seq,
 			Time:    e.TimeUnixNano,
 			Kind:    e.Kind.String(),
-			CM:      e.CM.String(),
 			Slot:    e.Slot,
 			Attempt: e.Attempt,
 			DurNs:   e.DurNs,

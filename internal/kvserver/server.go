@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"tinystm/internal/admission"
-	"tinystm/internal/cm"
 	"tinystm/internal/core"
 	"tinystm/internal/kvproto"
 	"tinystm/internal/kvstore"
@@ -71,8 +70,6 @@ type Config struct {
 	// under load.
 	Design   core.Design
 	Geometry core.Params
-	// CM is the initial contention-management policy (default Suicide).
-	CM cm.Kind
 	// Snapshots attaches the MVCC sidecar: all-Get /batch requests, Len
 	// and the /scan endpoint then run as wait-free snapshot transactions
 	// instead of abort-prone classic read-only ones. On by default in
@@ -213,7 +210,6 @@ func New(cfg Config) (*Server, error) {
 		Shifts:    cfg.Geometry.Shifts,
 		Hier:      cfg.Geometry.Hier,
 		Design:    cfg.Design,
-		CM:        cfg.CM,
 		Snapshots: cfg.Snapshots,
 	})
 	if err != nil {
@@ -240,7 +236,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Autotune {
 		// A controller in the list is on: behind its geometry tuner the
 		// runtime runs one for every subsystem this server has.
-		ctls := []tuning.Controller{tuning.NewCM(tm, tuning.CMConfig{})}
+		var ctls []tuning.Controller
 		if cfg.Snapshots {
 			ctls = append(ctls, tuning.NewBudget(tm, tuning.SnapshotConfig{}))
 		}
@@ -493,8 +489,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"uptime_seconds": time.Since(s.start).Seconds(),
 		"design":         s.tm.Design().String(),
 		"params":         s.tm.Params(),
-		"cm":             s.tm.CM().String(),
-		"cm_switches":    st.CMSwitches,
 		"keys":           s.store.Len(),
 		"grows":          s.store.Grows(),
 		"memory":         s.memStats().stats(),
@@ -645,26 +639,22 @@ func (s *Server) handleTuning(w http.ResponseWriter, r *http.Request) {
 	best, bestTp := s.rt.Best()
 	st := s.tm.Stats()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"enabled":           true,
-		"running":           s.rt.Running(),
-		"current":           s.rt.Knob(tuning.GeometryName).Params,
-		"best":              best,
-		"best_throughput":   bestTp,
-		"reconfigurations":  reconfigurations,
-		"reconfigs_total":   st.Reconfigs,
-		"periods_total":     s.rt.Periods(),
-		"cm":                s.tm.CM().String(),
-		"cm_tuning":         s.tunes(tuning.CMName),
-		"cm_switches":       s.rt.Moves(tuning.CMName),
-		"cm_switches_total": st.CMSwitches,
-		"snapshot_tuning":   s.tunes(tuning.BudgetName),
-		"version_budget":    s.tm.VersionBudget(),
-		"budget_moves":      s.rt.Moves(tuning.BudgetName),
-		"admission_tuning":  s.tunes(tuning.AdmissionName),
-		"admission_width":   s.admissionWidth(),
-		"admission_moves":   s.rt.Moves(tuning.AdmissionName),
-		"brownout_tuning":   s.brown != nil,
-		"brownout_level":    s.brownoutLevelName(),
-		"events":            out,
+		"enabled":          true,
+		"running":          s.rt.Running(),
+		"current":          s.rt.Knob(tuning.GeometryName).Params,
+		"best":             best,
+		"best_throughput":  bestTp,
+		"reconfigurations": reconfigurations,
+		"reconfigs_total":  st.Reconfigs,
+		"periods_total":    s.rt.Periods(),
+		"snapshot_tuning":  s.tunes(tuning.BudgetName),
+		"version_budget":   s.tm.VersionBudget(),
+		"budget_moves":     s.rt.Moves(tuning.BudgetName),
+		"admission_tuning": s.tunes(tuning.AdmissionName),
+		"admission_width":  s.admissionWidth(),
+		"admission_moves":  s.rt.Moves(tuning.AdmissionName),
+		"brownout_tuning":  s.brown != nil,
+		"brownout_level":   s.brownoutLevelName(),
+		"events":           out,
 	})
 }

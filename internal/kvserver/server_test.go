@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"tinystm/internal/cm"
 	"tinystm/internal/core"
 	"tinystm/internal/tuning"
 )
@@ -282,100 +281,14 @@ func TestArenaExhaustionReturns507(t *testing.T) {
 	}
 }
 
-// The /stats and /tuning payloads must report the live contention-
-// management policy and its switch counts (the policy analogue of the
-// reconfiguration counters).
-func TestTuningReportsCMPolicy(t *testing.T) {
-	// A one-hour period keeps the live controller from ever completing a
-	// tuning period during the test: every cm/switch-count assertion
-	// below would otherwise race against its first decision (a calm
-	// first period legitimately de-escalates).
-	srv, ts := newTestServer(t, Config{
-		SpaceWords: 1 << 18, Shards: 2, Buckets: 8,
-		Autotune: true,
-		CM:       cm.Karma,
-		Period:   time.Hour,
-		Samples:  1,
-		Seed:     42,
-	})
-	c := ts.Client()
-
-	var stats struct {
-		CM         string `json:"cm"`
-		CMSwitches uint64 `json:"cm_switches"`
-	}
-	doJSON(t, c, "GET", ts.URL+"/stats", "", &stats)
-	if stats.CM != "karma" || stats.CMSwitches != 0 {
-		t.Fatalf("/stats cm = %q switches = %d, want karma, 0", stats.CM, stats.CMSwitches)
-	}
-
-	var tun struct {
-		Enabled         bool   `json:"enabled"`
-		CM              string `json:"cm"`
-		CMTuning        bool   `json:"cm_tuning"`
-		CMSwitches      int    `json:"cm_switches"`
-		CMSwitchesTotal uint64 `json:"cm_switches_total"`
-		Events          []struct {
-			CM string `json:"cm"`
-		} `json:"events"`
-	}
-	doJSON(t, c, "GET", ts.URL+"/tuning", "", &tun)
-	if !tun.Enabled || !tun.CMTuning || tun.CM != "karma" {
-		t.Fatalf("/tuning cm fields wrong: %+v", tun)
-	}
-
-	// A live switch (here applied directly, as the controller would via
-	// SetCM) must show up in both payloads.
-	if err := srv.TM().SetCM(cm.Backoff, cm.Knobs{}); err != nil {
-		t.Fatal(err)
-	}
-	doJSON(t, c, "GET", ts.URL+"/stats", "", &stats)
-	if stats.CM != "backoff" || stats.CMSwitches != 1 {
-		t.Fatalf("/stats after switch: cm = %q switches = %d, want backoff, 1", stats.CM, stats.CMSwitches)
-	}
-	doJSON(t, c, "GET", ts.URL+"/tuning", "", &tun)
-	if tun.CM != "backoff" || tun.CMSwitchesTotal != 1 {
-		t.Fatalf("/tuning after switch: cm = %q total = %d, want backoff, 1", tun.CM, tun.CMSwitchesTotal)
-	}
-
-	// On a fast cadence, periods fire even when idle and their events
-	// must carry the active policy name (a separate server: here the
-	// controller is free to run and may legitimately switch policies, so
-	// only the field's presence is asserted).
-	_, fast := newTestServer(t, Config{
-		SpaceWords: 1 << 18, Shards: 2, Buckets: 8,
-		Autotune: true,
-		CM:       cm.Karma,
-		Period:   5 * time.Millisecond,
-		Samples:  1,
-		Seed:     42,
-	})
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		doJSON(t, fast.Client(), "GET", fast.URL+"/tuning", "", &tun)
-		if len(tun.Events) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no tuning events within 10s")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if tun.Events[0].CM == "" {
-		t.Fatal("tuning events do not carry the active policy")
-	}
-}
-
-// The policy controller comes with the runtime: a server without Autotune
-// has neither, and /tuning says so.
-func TestTuningWithoutCMController(t *testing.T) {
+// A server without Autotune has no tuning runtime, and /tuning says so.
+func TestTuningWithoutAutotune(t *testing.T) {
 	_, ts := newTestServer(t, Config{SpaceWords: 1 << 18, Shards: 2, Buckets: 8})
 	var tun struct {
-		Enabled  bool `json:"enabled"`
-		CMTuning bool `json:"cm_tuning"`
+		Enabled bool `json:"enabled"`
 	}
 	doJSON(t, ts.Client(), "GET", ts.URL+"/tuning", "", &tun)
-	if tun.Enabled || tun.CMTuning {
+	if tun.Enabled {
 		t.Fatalf("/tuning = %+v on a static server, want everything off", tun)
 	}
 }
@@ -500,15 +413,15 @@ func TestTuneSnapshotsRequiresSnapshots(t *testing.T) {
 		Period: time.Hour,
 	})
 	var out struct {
-		CMTuning        bool `json:"cm_tuning"`
+		Enabled         bool `json:"enabled"`
 		SnapshotTuning  bool `json:"snapshot_tuning"`
 		AdmissionTuning bool `json:"admission_tuning"`
 	}
 	if code := doJSON(t, ts.Client(), "GET", ts.URL+"/tuning", "", &out); code != http.StatusOK {
 		t.Fatalf("GET /tuning status %d", code)
 	}
-	if !out.CMTuning || out.SnapshotTuning || out.AdmissionTuning {
-		t.Fatalf("/tuning = %+v without sidecar or gate, want cm only", out)
+	if !out.Enabled || out.SnapshotTuning || out.AdmissionTuning {
+		t.Fatalf("/tuning = %+v without sidecar or gate, want geometry only", out)
 	}
 }
 
@@ -530,8 +443,6 @@ type parentWireEvent struct {
 	Idle       *bool       `json:"idle"`
 	Move       *string     `json:"move"`
 	Next       *wireParams `json:"next"`
-	CM         *string     `json:"cm"`
-	NextCM     *string     `json:"next_cm"`
 	Budget     *int        `json:"budget"`
 	NextBudget *int        `json:"next_budget"`
 	SnapTooOld *uint64     `json:"snap_too_old"`
@@ -543,7 +454,6 @@ type parentWireEvent struct {
 	LatP99Ns   *int64      `json:"lat_p99_ns"`
 	LatSamples *uint64     `json:"lat_samples"`
 	Err        *string     `json:"err"`
-	CMErr      *string     `json:"cm_err"`
 	SnapErr    *string     `json:"snap_err"`
 	AdmErr     *string     `json:"adm_err"`
 }
@@ -563,7 +473,6 @@ func TestTuningWireKeysFrozen(t *testing.T) {
 		Decisions: []tuning.Decision{
 			{Controller: tuning.GeometryName, Moved: true, Move: tuning.MoveDoubleLocks, Err: failed,
 				From: tuning.Knob{Params: core.Params{Locks: 256, Hier: 1}}, To: tuning.Knob{Params: core.Params{Locks: 512, Hier: 1}}},
-			{Controller: tuning.CMName, From: knob(0, "suicide"), To: knob(1, "backoff"), Moved: true, Err: failed},
 			{Controller: tuning.BudgetName, From: knob(64, ""), To: knob(128, ""), Moved: true, Err: failed},
 			{Controller: tuning.AdmissionName, From: knob(8, ""), To: knob(4, ""), Moved: true, Err: failed},
 			{Controller: tuning.BrownoutName, From: knob(0, "off"), To: knob(1, "shed-scans"), Moved: true},
@@ -582,7 +491,7 @@ func TestTuningWireKeysFrozen(t *testing.T) {
 			t.Errorf("event lost key %q: %s", v.Type().Field(i).Tag.Get("json"), raw)
 		}
 	}
-	if *old.Move != "1" || *old.NextCM != "backoff" || *old.NextBudget != 128 || *old.NextAdm != 4 || *old.NextBrown != "shed-scans" {
+	if *old.Move != "1" || *old.NextBudget != 128 || *old.NextAdm != 4 || *old.NextBrown != "shed-scans" {
 		t.Errorf("event values moved: %s", raw)
 	}
 
@@ -595,7 +504,7 @@ func TestTuningWireKeysFrozen(t *testing.T) {
 	doJSON(t, ts.Client(), "GET", ts.URL+"/tuning", "", &top)
 	for _, key := range []string{
 		"enabled", "running", "current", "best", "best_throughput", "reconfigurations",
-		"reconfigs_total", "periods_total", "cm", "cm_tuning", "cm_switches", "cm_switches_total",
+		"reconfigs_total", "periods_total",
 		"snapshot_tuning", "version_budget", "budget_moves", "admission_tuning", "admission_width",
 		"admission_moves", "brownout_tuning", "brownout_level", "events",
 	} {

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sync/atomic"
 
-	"tinystm/internal/cm"
 	"tinystm/internal/txn"
 )
 
@@ -15,7 +14,7 @@ type EventKind uint8
 // The flight-recorder event kinds. A sampled atomic block emits EvBegin
 // on its first attempt, EvRetry at the start of every later attempt,
 // EvAbort for each failed attempt (Cause carries the classification —
-// conflicts, validation, a contention manager's kill, ...), and EvCommit
+// conflicts, validation, ...), and EvCommit
 // when it finally publishes.
 const (
 	EvBegin EventKind = iota
@@ -41,8 +40,7 @@ func (k EventKind) String() string {
 }
 
 // Event is one flight-recorder entry: a timestamped step of one sampled
-// transaction, with the STM geometry and contention-management policy
-// that were live when it happened.
+// transaction, with the STM geometry that was live when it happened.
 type Event struct {
 	// Seq is the recorder-global sequence number (1-based, gap-free
 	// among retained events).
@@ -52,8 +50,6 @@ type Event struct {
 	Kind         EventKind
 	// Cause classifies an EvAbort (meaningless otherwise).
 	Cause txn.AbortKind
-	// CM is the contention-management policy live at the event.
-	CM cm.Kind
 	// Slot is the transaction descriptor's slot; Attempt the 1-based
 	// attempt number within the atomic block.
 	Slot    uint32
@@ -76,7 +72,7 @@ func (e Event) String() string {
 	if e.Kind == EvAbort || e.Kind == EvCommit {
 		s += fmt.Sprintf(" dur=%dns", e.DurNs)
 	}
-	return s + fmt.Sprintf(" geo=(%d,%d,%d) cm=%v", e.Locks, e.Shifts, e.Hier, e.CM)
+	return s + fmt.Sprintf(" geo=(%d,%d,%d)", e.Locks, e.Shifts, e.Hier)
 }
 
 // recSlot is one ring entry: a seqlock version word plus the event
@@ -137,7 +133,7 @@ func (r *Recorder) Record(e Event) {
 	s := &r.slots[(seq-1)&r.mask]
 	s.ver.Store(0) // mark torn while the words change
 	s.w[0].Store(uint64(e.TimeUnixNano))
-	s.w[1].Store(uint64(e.Kind) | uint64(e.Cause)<<8 | uint64(e.CM)<<16 | uint64(e.Attempt)<<32)
+	s.w[1].Store(uint64(e.Kind) | uint64(e.Cause)<<8 | uint64(e.Attempt)<<32)
 	s.w[2].Store(uint64(e.Slot) | uint64(e.Shifts)<<32)
 	s.w[3].Store(e.DurNs)
 	s.w[4].Store(e.Locks)
@@ -179,7 +175,6 @@ func (r *Recorder) Dump(limit int) []Event {
 			TimeUnixNano: int64(w[0]),
 			Kind:         EventKind(w[1] & 0xff),
 			Cause:        txn.AbortKind((w[1] >> 8) & 0xff),
-			CM:           cm.Kind((w[1] >> 16) & 0xff),
 			Attempt:      uint32(w[1] >> 32),
 			Slot:         uint32(w[2] & 0xffffffff),
 			Shifts:       uint32(w[2] >> 32),

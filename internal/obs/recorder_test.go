@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"tinystm/internal/cm"
 	"tinystm/internal/txn"
 )
 
@@ -63,8 +62,7 @@ func TestRecorderRoundTripFields(t *testing.T) {
 	in := Event{
 		TimeUnixNano: 1_700_000_000_123_456_789,
 		Kind:         EvAbort,
-		Cause:        txn.AbortKilled,
-		CM:           cm.Karma,
+		Cause:        txn.AbortSnapshotTooOld,
 		Slot:         12345,
 		Attempt:      7,
 		DurNs:        987_654,

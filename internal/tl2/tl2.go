@@ -24,7 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tinystm/internal/cm"
 	"tinystm/internal/mem"
 	"tinystm/internal/reclaim"
 	"tinystm/internal/txn"
@@ -43,14 +42,6 @@ type Config struct {
 	// transactional loads — the same multi-core interleaving simulation
 	// as core.Config.YieldEvery, applied to the baseline for fairness.
 	YieldEvery int
-	// CM selects the contention-management policy (package cm) applied
-	// where the hook maps onto TL2 cleanly: speculative-read conflicts
-	// and commit-time lock acquisition. Default Suicide — the reference
-	// TL2's abort-immediately choice. Unlike core's, TL2's policy is
-	// fixed at construction (the baseline is not dynamically tuned).
-	CM cm.Kind
-	// CMKnobs tunes the selected policy (zero: cm defaults).
-	CMKnobs cm.Knobs
 }
 
 func (c Config) withDefaults() Config {
@@ -69,9 +60,6 @@ func (c Config) validate() error {
 	}
 	if c.Shifts > 32 {
 		return fmt.Errorf("tl2: Shifts (%d) out of range [0,32]", c.Shifts)
-	}
-	if !c.CM.Valid() {
-		return fmt.Errorf("tl2: unknown contention-management policy %d", int(c.CM))
 	}
 	return nil
 }
@@ -103,7 +91,6 @@ type TM struct {
 	lockMask uint64
 	shifts   uint
 	yieldN   int
-	pol      cm.Policy
 
 	_     [64]byte
 	clock atomic.Uint64
@@ -112,9 +99,6 @@ type TM struct {
 	pool  reclaim.Pool
 	mu    sync.Mutex
 	descs []*Tx
-	// descsPub is the lock-free owner-slot lookup for conflict
-	// resolution (maps a lock word's owner to its cm.State).
-	descsPub atomic.Pointer[[]*Tx]
 }
 
 // New creates a TL2 runtime.
@@ -130,7 +114,6 @@ func New(cfg Config) (*TM, error) {
 		shifts:   cfg.Shifts,
 		yieldN:   cfg.YieldEvery,
 	}
-	tm.pol = cm.New(cfg.CM, cfg.CMKnobs, tm.CommitAbortCounts)
 	return tm, nil
 }
 
@@ -161,25 +144,8 @@ func (tm *TM) NewTx() *Tx {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
 	tx := &Tx{tm: tm, slot: len(tm.descs)}
-	tx.cmst.Seed(uint64(tx.slot + 1))
 	tm.descs = append(tm.descs, tx)
-	pub := make([]*Tx, len(tm.descs))
-	copy(pub, tm.descs)
-	tm.descsPub.Store(&pub)
 	return tx
-}
-
-// CM returns the contention-management policy this TM runs.
-func (tm *TM) CM() cm.Kind { return tm.pol.Kind() }
-
-// stateOf maps an owner slot to its descriptor's contention-management
-// state; nil when unknown.
-func (tm *TM) stateOf(slot int) *cm.State {
-	ds := tm.descsPub.Load()
-	if ds == nil || slot < 0 || slot >= len(*ds) {
-		return nil
-	}
-	return &(*ds)[slot].cmst
 }
 
 func (tm *TM) minActiveStart() uint64 {
@@ -214,7 +180,7 @@ func (tm *TM) Atomic(tx *Tx, fn func(*Tx)) { tm.atomic(tx, fn, false) }
 func (tm *TM) AtomicRO(tx *Tx, fn func(*Tx)) { tm.atomic(tx, fn, true) }
 
 // atomic is the one retry loop behind Atomic and AtomicRO: Begin, body,
-// Commit, with the contention manager told of each outcome.
+// Commit, and a failed attempt restarts at once.
 func (tm *TM) atomic(tx *Tx, fn func(*Tx), ro bool) {
 	if tx.tm != tm {
 		panic("tl2: descriptor belongs to a different TM")
@@ -224,33 +190,12 @@ func (tm *TM) atomic(tx *Tx, fn func(*Tx), ro bool) {
 		return
 	}
 	tx.upgr = false
-	for first := true; ; first = false {
+	for {
 		tx.Begin(ro && !tx.upgr)
-		if first {
-			tm.pol.OnStart(&tx.cmst)
-		}
 		if tx.runBody(fn) && tx.Commit() {
-			tm.pol.OnCommit(&tx.cmst)
 			return
 		}
-		tm.pol.OnAbort(&tx.cmst)
 	}
-}
-
-// CommitAbortCounts returns aggregate commit/abort counters summed over
-// all descriptors. Lock-free (it walks the published descriptor
-// snapshot); the Serializer policy samples it to estimate the live abort
-// rate.
-func (tm *TM) CommitAbortCounts() (commits, aborts uint64) {
-	ds := tm.descsPub.Load()
-	if ds == nil {
-		return 0, 0
-	}
-	for _, tx := range *ds {
-		commits += tx.commits.Load()
-		aborts += tx.aborts.Load()
-	}
-	return commits, aborts
 }
 
 // Stats sums counters across descriptors.

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"tinystm/internal/cm"
 	"tinystm/internal/mem"
 	"tinystm/internal/txn"
 )
@@ -43,10 +42,6 @@ type Tx struct {
 	allocs []allocRec
 	frees  []allocRec
 
-	// cmst is the contention-management state competitors reach through
-	// the TM's slot table (priority, age, kill requests).
-	cmst cm.State
-
 	startEpoch atomic.Uint64
 
 	// lastCommitTS records the write version of the most recent update
@@ -77,7 +72,6 @@ func (tx *Tx) Begin(readOnly bool) {
 	if tx.inTx {
 		panic("tl2: Begin on descriptor already in a transaction")
 	}
-	tx.cmst.BeginAttempt()
 	tx.inTx = true
 	tx.ro = readOnly
 	tx.yieldEvery = tx.tm.yieldN
@@ -108,8 +102,6 @@ func (tx *Tx) rollback(kind txn.AbortKind) {
 	}
 	tx.aborts.Add(1)
 	tx.abortsByKind[kind].Add(1)
-	tx.cmst.NoteAbort(uint64(len(tx.rset) + len(tx.wset)))
-	tx.cmst.EndAttempt()
 	tx.inTx = false
 	tx.startEpoch.Store(0)
 }
@@ -127,30 +119,10 @@ func (tx *Tx) runBody(fn func(*Tx)) (ok bool) {
 		if tx.inTx {
 			tx.rollback(txn.AbortExplicit)
 		}
-		// The atomic block ends abnormally: release any policy-held
-		// resources (the OnCommit/OnAbort hooks will not run) and clear
-		// the per-block priority/age so a reused descriptor starts
-		// fresh.
-		tx.tm.pol.Detach(&tx.cmst)
-		tx.cmst.NoteCommit()
 		panic(r)
 	}()
 	fn(tx)
 	return true
-}
-
-// resolveConflict consults the contention-management policy about a lock
-// held by another transaction; the wait/kill protocol itself lives in
-// cm.ResolveConflict, shared with core.
-func (tx *Tx) resolveConflict(li uint64, k cm.ConflictKind) cm.Outcome {
-	return cm.ResolveConflict(tx.tm.pol, &tx.cmst, k,
-		func() (*cm.State, bool) {
-			lw := tx.tm.loadLock(li)
-			if !isOwned(lw) {
-				return nil, false
-			}
-			return tx.tm.stateOf(ownerSlot(lw)), true
-		})
 }
 
 // Load returns the word at addr under TL2's read rule: speculative reads
@@ -181,17 +153,13 @@ func (tx *Tx) Load(addr uint64) uint64 {
 	var val uint64
 	for {
 		if isOwned(lw) {
-			// Speculative read hit a committing writer's lock: the
-			// contention-management policy decides (the reference TL2
-			// aborts immediately, which Suicide reproduces).
-			switch tx.resolveConflict(li, cm.ReadConflict) {
-			case cm.Freed:
-				lw = tx.tm.loadLock(li)
-				continue
-			case cm.Killed:
-				tx.abort(txn.AbortKilled)
+			// Speculative read hit a committing writer's lock: abort at
+			// once, as the reference TL2 does, unless a re-read finds it
+			// released.
+			if lw = tx.tm.loadLock(li); isOwned(lw) {
+				tx.abort(txn.AbortReadConflict)
 			}
-			tx.abort(txn.AbortReadConflict)
+			continue
 		}
 		val = tx.tm.space.Load(a)
 		lw2 := tx.tm.loadLock(li)
@@ -273,28 +241,18 @@ func (tx *Tx) Commit() bool {
 	if !tx.inTx {
 		panic("tl2: Commit outside transaction")
 	}
-	if tx.cmst.Doomed() {
-		// A competitor's policy asked us to die; before any lock is
-		// acquired or value published this is always legal.
-		tx.rollback(txn.AbortKilled)
-		return false
-	}
 	if len(tx.wset) == 0 {
 		tx.lastCommitTS = 0
 		tx.commits.Add(1)
-		tx.cmst.NoteCommit()
-		tx.cmst.EndAttempt()
 		tx.inTx = false
 		tx.startEpoch.Store(0)
 		return true
 	}
 
-	// Phase 1: lock the write set. On conflict the contention-management
-	// policy decides (the reference implementation aborts, possibly
-	// after a brief spin — exactly the Suicide/Backoff pair). Waiting
-	// here happens while holding locks, so the kill-request checkpoint
-	// below keeps cycles from deadlocking: one of the parties notices it
-	// was asked to die and releases.
+	// Phase 1: lock the write set. A stripe another transaction holds
+	// aborts the commit at once (the reference implementation's choice),
+	// unless a re-read finds it released: waiting here would happen while
+	// holding locks.
 	for _, e := range tx.wset {
 		li := tx.tm.lockIndex(uint64(e.addr))
 		for {
@@ -303,16 +261,8 @@ func (tx *Tx) Commit() bool {
 				if ownerSlot(lw) == tx.slot {
 					break // stripe already locked by an earlier entry
 				}
-				if tx.cmst.Doomed() {
-					tx.rollback(txn.AbortKilled)
-					return false
-				}
-				switch tx.resolveConflict(li, cm.WriteConflict) {
-				case cm.Freed:
+				if !isOwned(tx.tm.loadLock(li)) {
 					continue
-				case cm.Killed:
-					tx.rollback(txn.AbortKilled)
-					return false
 				}
 				tx.rollback(txn.AbortWriteConflict)
 				return false
@@ -377,8 +327,6 @@ func (tx *Tx) Commit() bool {
 	}
 	tx.lastCommitTS = wv
 	tx.commits.Add(1)
-	tx.cmst.NoteCommit()
-	tx.cmst.EndAttempt()
 	tx.inTx = false
 	tx.startEpoch.Store(0)
 	if len(tx.frees) > 0 {

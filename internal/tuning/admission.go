@@ -1,8 +1,8 @@
 package tuning
 
 // AdmissionGate is an update-admission token bucket whose width can be
-// walked live. admission.Gate satisfies it. Unlike the CM and snapshot
-// knobs the gate is not part of the STM — it sits in front of it, at the
+// walked live. admission.Gate satisfies it. Unlike the geometry and
+// snapshot knobs the gate is not part of the STM — it sits in front of it, at the
 // server door.
 type AdmissionGate interface {
 	// Width returns the current number of concurrent-updater tokens.
@@ -13,14 +13,14 @@ type AdmissionGate interface {
 
 // AdmissionConfig parameterizes the proactive admission controller
 // (NewAdmission): the paper's dynamic-tuning loop applied to the one knob
-// the contention managers cannot reach — how many update transactions run
-// AT ALL.
+// the conflict rule cannot reach — how many update transactions run AT
+// ALL.
 //
 // The cost-of-concurrency observation (Ravi): past a workload-dependent
 // point, admitting more concurrent updaters reduces committed
 // throughput, because each admitted transaction mostly manufactures
-// aborts for the others. internal/cm reacts to those conflicts after
-// the fact; this controller prevents them, bounding updaters at the
+// aborts for the others. The STM's conflict rule reacts to those
+// conflicts after the fact; this controller prevents them, bounding updaters at the
 // door. Each period it reads the same (commits, aborts) measurement as
 // the geometry tuner and walks the gate width:
 //

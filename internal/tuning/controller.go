@@ -36,15 +36,11 @@ type Sample struct {
 	// hold on idle samples — except the brownout ladder, for which
 	// idleness is the calm that walks it back down.
 	Idle bool `json:"idle,omitempty"`
-	// GeometrySettled reports that the geometry controller (always first
-	// in the list) held this period, so throughput is attributable to the
-	// other knobs. Filled by the controller loop, not by the sampler.
-	GeometrySettled bool `json:"geometry_settled,omitempty"`
 }
 
 // Knob is one controller's setting. Geometry's is the triple; every other
-// controller's is one integer (a cm.Kind, a version budget, a gate width,
-// a resilience.Level), with the name its owner prints it by when it has
+// controller's is one integer (a version budget, a gate width, a
+// resilience.Level), with the name its owner prints it by when it has
 // one.
 type Knob struct {
 	Params core.Params
@@ -184,7 +180,6 @@ func (e Event) String() string {
 // Controller names.
 const (
 	GeometryName  = "geometry"
-	CMName        = "cm"
 	BudgetName    = "budget"
 	AdmissionName = "admission"
 	BrownoutName  = "brownout"
@@ -201,15 +196,10 @@ func decide(c Controller, s Sample, step func() (moved bool)) Decision {
 }
 
 // observe runs every controller over the period's sample, in list order.
-// The list leads with the geometry controller; what it decided becomes
-// s.GeometrySettled for the controllers behind it.
-func observe(ctls []Controller, s *Sample) []Decision {
+func observe(ctls []Controller, s Sample) []Decision {
 	ds := make([]Decision, len(ctls))
 	for i, c := range ctls {
-		ds[i] = c.Observe(*s)
-		if i == 0 {
-			s.GeometrySettled = !ds[i].Moved
-		}
+		ds[i] = c.Observe(s)
 	}
 	return ds
 }

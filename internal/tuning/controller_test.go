@@ -17,12 +17,11 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/decisions.golden from the current rules")
 
-// fiveControllers builds every shipped controller, at its defaults, over
+// allControllers builds every shipped controller, at its defaults, over
 // one fake system and one ladder with a 10ms SLO.
-func fiveControllers(f *fakeSystem, brown *resilience.Brownout) []Controller {
+func allControllers(f *fakeSystem, brown *resilience.Brownout) []Controller {
 	return []Controller{
 		&geometry{sys: f, t: New(Config{Initial: f.params, Seed: 7})},
-		NewCM(f, CMConfig{}),
 		NewBudget(f, SnapshotConfig{}),
 		NewAdmission(f, AdmissionConfig{}),
 		NewBrownout(brown),
@@ -31,7 +30,7 @@ func fiveControllers(f *fakeSystem, brown *resilience.Brownout) []Controller {
 
 // TestControllersReplayGolden is the proof that no decision rule, default,
 // hold-down, ladder, floor or ceiling moved: a committed stream of samples
-// (calm → abort storm → calm, write-only → idle) goes through all five
+// (calm → abort storm → calm, write-only → idle) goes through all four
 // controllers with no clock and no runtime, and the decisions must match
 // the stream the rules produced when the fixture was recorded. A change
 // to a rule shows up here as a diff; `go test -run ReplayGolden -update`
@@ -49,12 +48,12 @@ func TestControllersReplayGolden(t *testing.T) {
 		t.Fatalf("fixture holds %d periods, want >= 60", len(samples))
 	}
 	f := newFakeSystem(p(8, 0, 1), 0, nil)
-	ctls := fiveControllers(f, resilience.NewBrownout(resilience.BrownoutConfig{SLO: 10 * time.Millisecond}))
+	ctls := allControllers(f, resilience.NewBrownout(resilience.BrownoutConfig{SLO: 10 * time.Millisecond}))
 
 	var got strings.Builder
 	moved := map[string]int{}
 	for _, s := range samples {
-		ds := observe(ctls, &s)
+		ds := observe(ctls, s)
 		install(ctls, ds)
 		for _, d := range ds {
 			fmt.Fprintf(&got, "%2d %-9s %-13v -> %-13v %s", s.Period, d.Controller, d.From, d.To, d.Outcome())
@@ -107,7 +106,7 @@ func (failApply) Apply(Decision) error { return errNoLand }
 // event — while the controllers beside it keep moving. The workload is a
 // storm that gives every controller a reason to move.
 func TestRevertAfterFailedApply(t *testing.T) {
-	for victim, name := range []string{GeometryName, CMName, BudgetName, AdmissionName, BrownoutName} {
+	for victim, name := range []string{GeometryName, BudgetName, AdmissionName, BrownoutName} {
 		t.Run(name, func(t *testing.T) {
 			hist := obs.NewHistogram()
 			rate := synthetic(p(12, 1, 2))
@@ -124,7 +123,6 @@ func TestRevertAfterFailedApply(t *testing.T) {
 			live := func() Knob {
 				return map[string]Knob{
 					GeometryName:  {Params: f.Params()},
-					CMName:        {N: int(f.CM()), Name: f.CM().String()},
 					BudgetName:    {N: f.VersionBudget()},
 					AdmissionName: {N: f.Width()},
 					BrownoutName:  levelKnob(brown.Level()),
@@ -132,7 +130,7 @@ func TestRevertAfterFailedApply(t *testing.T) {
 			}
 			before := live()
 
-			ctls := fiveControllers(f, brown)
+			ctls := allControllers(f, brown)
 			cfg := f.config(Config{Initial: f.params, Seed: 7}, ctls[1:]...)
 			cfg.Latency = hist
 			rt := NewRuntime(f, cfg)
@@ -174,7 +172,7 @@ func (h *hotKeySplitter) Name() string { return "split" }
 func (h *hotKeySplitter) Knob() Knob   { return Knob{N: h.shards} }
 func (h *hotKeySplitter) Observe(s Sample) Decision {
 	return decide(h, s, func() bool {
-		if !s.GeometrySettled || s.Aborts <= s.Commits {
+		if s.Aborts <= s.Commits {
 			return false
 		}
 		h.shards *= 2
@@ -190,7 +188,7 @@ func TestSixthControllerNeedsNoRuntimeChange(t *testing.T) {
 		f.aborts += 300
 	})
 	split := &hotKeySplitter{shards: 1}
-	// One-point bounds pin the geometry, so every period is settled.
+	// One-point bounds pin the geometry: only the splitter moves.
 	pinned := Bounds{MinLocks: 1 << 10, MaxLocks: 1 << 10, MinHier: 1, MaxHier: 1}
 	rt := NewRuntime(f, f.config(Config{Initial: f.params, Bounds: pinned}, split))
 	trace := f.runToEnd(t, rt)
@@ -208,7 +206,7 @@ func TestSixthControllerNeedsNoRuntimeChange(t *testing.T) {
 }
 
 // The live core.TM is every system the controllers drive and the sampler
-// reads (cm_test.go pins CMSystem).
+// reads.
 var (
 	_ SnapshotSystem  = (*core.TM)(nil)
 	_ snapshotCounter = (*core.TM)(nil)

@@ -57,7 +57,7 @@ type RuntimeConfig struct {
 	TraceCap int
 
 	// Controllers run after the geometry controller, in order, over the
-	// same per-period Sample: NewCM, NewBudget, NewAdmission, NewBrownout,
+	// same per-period Sample: NewBudget, NewAdmission, NewBrownout,
 	// or anything else that implements Controller. A controller in the
 	// list is on; each constructor takes the system it drives.
 	Controllers []Controller
@@ -354,7 +354,7 @@ func (r *Runtime) step(s Sample) {
 	r.mu.Lock()
 	s.Period = r.periods
 	r.periods++
-	ds := observe(r.ctls, &s)
+	ds := observe(r.ctls, s)
 	r.mu.Unlock()
 
 	install(r.ctls, ds)

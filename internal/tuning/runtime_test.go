@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"tinystm/internal/cm"
 	"tinystm/internal/core"
 	"tinystm/internal/harness"
 	"tinystm/internal/mem"
@@ -16,8 +15,7 @@ import (
 )
 
 // fakeSystem is everything a controller can drive — the STM's geometry,
-// its contention-management policy, its version budget and the admission
-// gate in front of it — behind one fake clock: time only advances when
+// its version budget and the admission gate in front of it — behind one fake clock: time only advances when
 // the runtime waits for a sample, and each advance calls tick, the test's
 // synthetic workload, to accrue counters from the settings live at that
 // moment. After maxTicks waits it hands the runtime a channel that never
@@ -36,14 +34,13 @@ type fakeSystem struct {
 
 	// Live settings, each moved by one controller's Apply.
 	params core.Params
-	kind   cm.Kind
 	budget int
 	width  int
 	// Monotonic counters the sampler differences.
 	commits, aborts, tooOld, reads uint64
 	// What the controllers did to the system.
-	reconfigs, cmSwitches, budgetSets, widthSets int
-	minWidth                                     int
+	reconfigs, budgetSets, widthSets int
+	minWidth                         int
 }
 
 func newFakeSystem(start core.Params, maxTicks int, tick func(*fakeSystem, time.Duration)) *fakeSystem {
@@ -74,17 +71,12 @@ func (f *fakeSystem) SnapshotCounts() (tooOld, reads, _, _ uint64) {
 	return
 }
 func (f *fakeSystem) Params() (p core.Params) { f.locked(func() { p = f.params }); return }
-func (f *fakeSystem) CM() (k cm.Kind)         { f.locked(func() { k = f.kind }); return }
 func (f *fakeSystem) VersionBudget() (n int)  { f.locked(func() { n = f.budget }); return }
 func (f *fakeSystem) Width() (n int)          { f.locked(func() { n = f.width }); return }
 func (f *fakeSystem) Now() (t time.Time)      { f.locked(func() { t = f.now }); return }
 
 func (f *fakeSystem) Reconfigure(p core.Params) error {
 	f.locked(func() { f.params = p; f.reconfigs++ })
-	return nil
-}
-func (f *fakeSystem) SetCM(k cm.Kind, _ cm.Knobs) error {
-	f.locked(func() { f.kind = k; f.cmSwitches++ })
 	return nil
 }
 func (f *fakeSystem) SetVersionBudget(n int) error {

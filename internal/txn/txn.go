@@ -163,10 +163,6 @@ const (
 	// AbortUpgrade: a read-only transaction attempted a write and restarts
 	// in update mode.
 	AbortUpgrade
-	// AbortKilled: a competing transaction's contention-management policy
-	// requested this transaction's abort (cooperative kill: the victim
-	// notices the request at its next conflict/commit checkpoint).
-	AbortKilled
 	// AbortSnapshotTooOld: a snapshot-mode read-only transaction needed a
 	// version the MVCC sidecar has already trimmed past (or waited out its
 	// spin budget behind an in-flight writer). The retry loop restarts it
@@ -196,8 +192,6 @@ func (k AbortKind) String() string {
 		return "frozen"
 	case AbortUpgrade:
 		return "upgrade"
-	case AbortKilled:
-		return "killed"
 	case AbortSnapshotTooOld:
 		return "snapshot-too-old"
 	default:
@@ -231,9 +225,6 @@ type Stats struct {
 	// parameter changes.
 	RollOvers uint64
 	Reconfigs uint64
-	// CMSwitches counts live contention-management policy changes
-	// (TM.SetCM), the policy analogue of Reconfigs.
-	CMSwitches uint64
 	// VersionsPublished and VersionsTrimmed count pre-images delivered to
 	// and evicted from the MVCC sidecar (TinySTM with Snapshots enabled).
 	VersionsPublished uint64
@@ -266,7 +257,6 @@ func (s Stats) Sub(o Stats) Stats {
 		DupReadsSkipped:      s.DupReadsSkipped - o.DupReadsSkipped,
 		RollOvers:            s.RollOvers - o.RollOvers,
 		Reconfigs:            s.Reconfigs - o.Reconfigs,
-		CMSwitches:           s.CMSwitches - o.CMSwitches,
 		VersionsPublished:    s.VersionsPublished - o.VersionsPublished,
 		VersionsTrimmed:      s.VersionsTrimmed - o.VersionsTrimmed,
 		SnapshotLiveReads:    s.SnapshotLiveReads - o.SnapshotLiveReads,
@@ -293,7 +283,6 @@ func (s Stats) Add(o Stats) Stats {
 		DupReadsSkipped:      s.DupReadsSkipped + o.DupReadsSkipped,
 		RollOvers:            s.RollOvers + o.RollOvers,
 		Reconfigs:            s.Reconfigs + o.Reconfigs,
-		CMSwitches:           s.CMSwitches + o.CMSwitches,
 		VersionsPublished:    s.VersionsPublished + o.VersionsPublished,
 		VersionsTrimmed:      s.VersionsTrimmed + o.VersionsTrimmed,
 		SnapshotLiveReads:    s.SnapshotLiveReads + o.SnapshotLiveReads,

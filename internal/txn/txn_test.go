@@ -1,6 +1,10 @@
 package txn
 
-import "testing"
+import (
+	"fmt"
+	"reflect"
+	"testing"
+)
 
 func TestAbortKindStrings(t *testing.T) {
 	for k := AbortKind(0); int(k) < NAbortKinds; k++ {
@@ -13,28 +17,50 @@ func TestAbortKindStrings(t *testing.T) {
 	}
 }
 
+// TestStatsSubAdd gives every uint64 field and every AbortsByKind slot of
+// Stats a distinct value, so a counter that Sub or Add forgets (or mixes
+// up with another) shows as a wrong field, not as two zeros that agree.
 func TestStatsSubAdd(t *testing.T) {
-	a := Stats{Commits: 10, Aborts: 4, Extensions: 2, RetryWaits: 3, RetryWaitNs: 900,
-		LocksValidated: 100, LocksSkipped: 50, RollOvers: 1, Reconfigs: 2}
-	a.AbortsByKind[AbortValidate] = 3
-	a.AbortsByKind[AbortReadConflict] = 1
-	b := Stats{Commits: 4, Aborts: 1, Extensions: 1, RetryWaits: 1, RetryWaitNs: 400,
-		LocksValidated: 40, LocksSkipped: 20}
-	b.AbortsByKind[AbortValidate] = 1
+	var a, b Stats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	n := uint64(0)
+	for i := 0; i < av.NumField(); i++ {
+		switch f := av.Field(i); f.Kind() {
+		case reflect.Uint64:
+			n++
+			f.SetUint(1000 * n)
+			bv.Field(i).SetUint(n)
+		case reflect.Array:
+			for j := 0; j < f.Len(); j++ {
+				n++
+				f.Index(j).SetUint(1000 * n)
+				bv.Field(i).Index(j).SetUint(n)
+			}
+		default:
+			t.Fatalf("Stats.%s: unexpected kind %v", av.Type().Field(i).Name, f.Kind())
+		}
+	}
 
 	d := a.Sub(b)
-	if d.Commits != 6 || d.Aborts != 3 || d.Extensions != 1 ||
-		d.RetryWaits != 2 || d.RetryWaitNs != 500 ||
-		d.LocksValidated != 60 || d.LocksSkipped != 30 ||
-		d.RollOvers != 1 || d.Reconfigs != 2 {
-		t.Errorf("Sub wrong: %+v", d)
+	dv := reflect.ValueOf(d)
+	n = 0
+	check := func(name string, got uint64) {
+		n++
+		if want := 999 * n; got != want {
+			t.Errorf("Sub: %s = %d, want %d", name, got, want)
+		}
 	}
-	if d.AbortsByKind[AbortValidate] != 2 || d.AbortsByKind[AbortReadConflict] != 1 {
-		t.Errorf("Sub kinds wrong: %+v", d.AbortsByKind)
+	for i := 0; i < dv.NumField(); i++ {
+		name := dv.Type().Field(i).Name
+		if f := dv.Field(i); f.Kind() == reflect.Array {
+			for j := 0; j < f.Len(); j++ {
+				check(fmt.Sprintf("%s[%v]", name, AbortKind(j)), f.Index(j).Uint())
+			}
+		} else {
+			check(name, f.Uint())
+		}
 	}
-
-	s := d.Add(b)
-	if s != a {
-		t.Errorf("Add(Sub) not identity: %+v vs %+v", s, a)
+	if s := d.Add(b); s != a {
+		t.Errorf("Add(Sub) not identity:\n got %+v\nwant %+v", s, a)
 	}
 }
