@@ -94,6 +94,15 @@ func TestBankInvariantHighShift(t *testing.T) {
 	})
 }
 
+// TestBankInvariantWithBackoff keeps the bank invariant under the one
+// conflict rule's wait: yielding on every access makes transfers collide,
+// so losers abort and wait for the winning lock (Tx.awaitConflict) before
+// they retry.
+func TestBankInvariantWithBackoff(t *testing.T) {
+	tm, _ := newTestTM(t, WriteBack, func(c *Config) { c.YieldEvery = 1 })
+	runBankStress(t, tm, 4, 300)
+}
+
 func TestConcurrentAllocFree(t *testing.T) {
 	bothDesigns(t, func(t *testing.T, d Design) {
 		tm, sp := newTestTM(t, d, nil)
