@@ -66,7 +66,7 @@ func main() {
 		design    = flag.String("design", "wb", "memory design: wb (write-back) or wt (write-through)")
 		geometry  = flag.String("geometry", "2^8,0,1", "initial lock-table triple locks,shifts,h (accepts 2^k)")
 		snaps     = flag.Bool("snapshots", true, "attach the MVCC sidecar: /scan, all-Get /batch and Len run as wait-free snapshot transactions")
-		autotune  = flag.Bool("autotune", true, "attach the online tuning runtime: lock-table geometry and (with -snapshots) the version budget are tuned live")
+		autotune  = flag.Bool("autotune", true, "attach the online tuning runtime: the lock-table geometry is tuned live, and so are the admission width (with -tune-admission) and the brownout ladder (with -brownout-slo)")
 		period    = flag.Duration("period", time.Second, "tuning sample period")
 		samples   = flag.Int("samples", 3, "samples per tuning decision (max kept)")
 		seed      = flag.Uint64("seed", 42, "tuner move-selection seed")

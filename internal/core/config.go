@@ -96,10 +96,9 @@ type Config struct {
 	// SnapshotShards is the number of sidecar shards (power of two).
 	// Zero selects the mvcc default (64). Ignored without Snapshots.
 	SnapshotShards int
-	// SnapshotBudget is the per-shard retained-version budget, the
-	// dynamic tuning knob of the snapshot subsystem (the tuning runtime
-	// walks it via SetVersionBudget). Zero selects the mvcc default
-	// (512). Ignored without Snapshots.
+	// SnapshotBudget is the per-shard retained-version budget, fixed for
+	// the TM's life. Zero selects the mvcc default (512). Ignored without
+	// Snapshots.
 	SnapshotBudget int
 	// YieldEvery, when positive, yields the processor after every N
 	// transactional loads. This simulates the fine-grained interleaving

@@ -26,13 +26,11 @@ package core
 // registered snapshot, read once after it drew ts, skips the sidecar
 // altogether, so a workload that never scans keeps it cold; the argument
 // that a later snapshot still reads exact values sits above mvcc's
-// Publish. The per-shard version budget bounds the memory retained for
-// running snapshots, and the tuning runtime walks it to match the live
-// read/write mix.
+// Publish. The per-shard version budget (Config.SnapshotBudget, fixed
+// when the TM is built) bounds the memory retained for running snapshots.
 
 import (
 	"cmp"
-	"errors"
 	"runtime"
 	"slices"
 	"sort"
@@ -42,10 +40,6 @@ import (
 	"tinystm/internal/mvcc"
 	"tinystm/internal/txn"
 )
-
-// errSnapshotsDisabled is returned by the snapshot knob setters when the
-// TM was built without Config.Snapshots.
-var errSnapshotsDisabled = errors.New("core: snapshots disabled (enable Config.Snapshots)")
 
 // snapSpinBudget bounds how many times a snapshot read re-examines a
 // stripe owned by an in-flight writer before giving up on this snapshot.
@@ -80,28 +74,15 @@ func (tm *TM) VersionBudget() int {
 	return tm.mvcc.Budget()
 }
 
-// SetVersionBudget replaces the sidecar's per-shard version budget on the
-// live TM — the snapshot subsystem's dynamic tuning knob, the analogue of
-// Reconfigure for the (Locks, Shifts, Hier) triple but with no world
-// freeze: trimming simply starts honoring the new bound.
-func (tm *TM) SetVersionBudget(n int) error {
-	if tm.mvcc == nil {
-		return errSnapshotsDisabled
-	}
-	return tm.mvcc.SetBudget(n)
-}
-
 // SnapshotCounts returns the aggregate snapshot counters: too-old aborts,
-// sidecar reads, versions published and versions trimmed. O(1) and
-// lock-free like CommitAbortCounts; the tuning runtime differentiates
-// them per period to walk the version budget.
-func (tm *TM) SnapshotCounts() (tooOld, sidecarReads, published, trimmed uint64) {
-	tooOld = tm.aggSnapTooOld.Load()
-	sidecarReads = tm.aggSnapReads.Load()
+// versions published and versions trimmed. O(1) and lock-free like
+// CommitAbortCounts.
+func (tm *TM) SnapshotCounts() (tooOld, published, trimmed uint64) {
+	tooOld = tm.aggTooOld.Load()
 	if tm.mvcc != nil {
 		published, trimmed = tm.mvcc.Counts()
 	}
-	return tooOld, sidecarReads, published, trimmed
+	return tooOld, published, trimmed
 }
 
 // RetainedVersions reports how many versions the sidecar currently holds

@@ -146,7 +146,7 @@ func TestSnapshotTooOldRetries(t *testing.T) {
 	if st.AbortsByKind[txn.AbortSnapshotTooOld] == 0 {
 		t.Fatal("abort not classified snapshot-too-old")
 	}
-	tooOld, _, _, _ := tm.SnapshotCounts()
+	tooOld, _, _ := tm.SnapshotCounts()
 	if tooOld == 0 {
 		t.Fatal("aggregate too-old counter did not advance")
 	}
@@ -196,8 +196,8 @@ func TestAtomicSnapFallsBackWithoutSidecar(t *testing.T) {
 	if got != 7 {
 		t.Fatalf("fallback read %d, want 7", got)
 	}
-	if err := tm.SetVersionBudget(128); err == nil {
-		t.Fatal("SetVersionBudget accepted with snapshots disabled")
+	if got := tm.VersionBudget(); got != 0 {
+		t.Fatalf("VersionBudget = %d with snapshots disabled, want 0", got)
 	}
 }
 
@@ -205,15 +205,6 @@ func TestVersionBudgetKnob(t *testing.T) {
 	tm := newSnapTM(t, WriteBack, nil)
 	if got := tm.VersionBudget(); got != 64 {
 		t.Fatalf("VersionBudget = %d, want 64", got)
-	}
-	if err := tm.SetVersionBudget(128); err != nil {
-		t.Fatal(err)
-	}
-	if got := tm.VersionBudget(); got != 128 {
-		t.Fatalf("VersionBudget = %d after SetVersionBudget(128)", got)
-	}
-	if err := tm.SetVersionBudget(0); err == nil {
-		t.Fatal("SetVersionBudget(0) accepted")
 	}
 }
 

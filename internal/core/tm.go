@@ -36,11 +36,8 @@ type TM struct {
 	// its full snapshot path, CommitAbortCounts is the lock-free fast one.
 	aggCommits atomic.Uint64
 	aggAborts  atomic.Uint64
-	// aggSnapTooOld/aggSnapReads are the snapshot-mode analogues: too-old
-	// aborts and sidecar-served reads, the two signals the tuning
-	// runtime's version-budget controller differentiates per period.
-	aggSnapTooOld atomic.Uint64
-	aggSnapReads  atomic.Uint64
+	// aggTooOld counts snapshot-too-old aborts the same way.
+	aggTooOld atomic.Uint64
 
 	// mvcc is the commit-ordered version sidecar backing snapshot-mode
 	// read-only transactions; nil unless Config.Snapshots.

@@ -373,7 +373,7 @@ func (tx *Tx) rollback(kind txn.AbortKind) {
 	tx.lastAbort = kind
 	tx.tm.aggAborts.Add(1)
 	if kind == txn.AbortSnapshotTooOld {
-		tx.tm.aggSnapTooOld.Add(1)
+		tx.tm.aggTooOld.Add(1)
 	}
 	tx.flushHotCounters()
 	if tx.snap {
@@ -405,9 +405,6 @@ func (tx *Tx) flushHotCounters() {
 	}
 	if tx.snapVersionReads != 0 {
 		tx.stats.snapVersionReads.Add(tx.snapVersionReads)
-		// The TM-level aggregate feeds the tuning runtime's O(1) sampler
-		// (sidecar reads signal live snapshot traffic).
-		tx.tm.aggSnapReads.Add(tx.snapVersionReads)
 		tx.snapVersionReads = 0
 	}
 }

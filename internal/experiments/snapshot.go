@@ -41,7 +41,8 @@ type SnapshotConfig struct {
 // large enough that one full scan spans several scheduler slices — the
 // "long read-only transaction" regime the sidecar exists for: without it,
 // every writer slice lands commits ahead of the scan position and the
-// classic read-only scan restarts essentially forever.
+// classic read-only scan restarts essentially forever. The budgets put
+// the default (512) between one far below it and one far above it.
 func DefaultSnapshotConfig(sc Scale) SnapshotConfig {
 	writers := make([]int, len(sc.Threads))
 	copy(writers, sc.Threads)
@@ -54,7 +55,7 @@ func DefaultSnapshotConfig(sc Scale) SnapshotConfig {
 		Shards: 8, Buckets: 64, Keys: keys,
 		Writers:  writers,
 		Scanners: 2,
-		Budgets:  []int{1024, 8192},
+		Budgets:  []int{64, 512, 65536},
 		Theta:    0.0,
 		Duration: sc.Duration,
 	}
@@ -201,7 +202,7 @@ func runSnapshotPoint(sc Scale, cfg SnapshotConfig, writers int, snapshots bool,
 	if snapshots {
 		mode = fmt.Sprintf("on/%d", budget)
 	}
-	_, _, published, trimmed := tm.SnapshotCounts()
+	_, published, trimmed := tm.SnapshotCounts()
 	return SnapshotPoint{
 		Mode: mode, Budget: budget, Writers: writers,
 		Scans:      scans.Load(),

@@ -125,7 +125,7 @@ func newMetrics(s *Server) *metrics {
 
 	m.reg.OnScrape(func() {
 		m.st = s.tm.Stats()
-		m.tooOld, _, _, _ = s.tm.SnapshotCounts()
+		m.tooOld, _, _ = s.tm.SnapshotCounts()
 		if log := s.dur.walLog(); log != nil {
 			m.walStats = log.Stats()
 		}

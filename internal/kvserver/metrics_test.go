@@ -84,8 +84,8 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// Every running controller exports its decisions by outcome and its
 	// live knob; the landed moves on /metrics are the runtime's Moves.
-	if got := rt.Controllers(); len(got) != 4 {
-		t.Fatalf("controllers = %v, want geometry, budget, admission and brownout", got)
+	if got := rt.Controllers(); len(got) != 3 {
+		t.Fatalf("controllers = %v, want geometry, admission and brownout", got)
 	}
 	for _, name := range rt.Controllers() {
 		var decisions, landed float64

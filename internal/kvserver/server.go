@@ -76,10 +76,9 @@ type Config struct {
 	// cmd/stmkvd.
 	Snapshots bool
 	// Autotune attaches a tuning.Runtime (on by default in cmd/stmkvd).
-	// Next to the lock-table geometry it tunes every subsystem that
-	// exists: the conflict-resolution policy always, the sidecar's
-	// retained-version budget with Snapshots, the overload ladder with
-	// BrownoutSLO.
+	// It always tunes the lock-table geometry; next to it, the admission
+	// gate's width with TuneAdmission and AdmissionWidth > 0, and the
+	// overload ladder with BrownoutSLO.
 	Autotune bool
 	// AdmissionWidth puts a token-bucket gate of that many concurrent
 	// update transactions in front of the store (both HTTP and binary
@@ -237,9 +236,6 @@ func New(cfg Config) (*Server, error) {
 		// A controller in the list is on: behind its geometry tuner the
 		// runtime runs one for every subsystem this server has.
 		var ctls []tuning.Controller
-		if cfg.Snapshots {
-			ctls = append(ctls, tuning.NewBudget(tm, tuning.SnapshotConfig{}))
-		}
 		if cfg.TuneAdmission && s.gate != nil {
 			ctls = append(ctls, tuning.NewAdmission(s.gate, tuning.AdmissionConfig{}))
 		}
@@ -484,7 +480,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, req *kvproto.Requ
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.tm.Stats()
 	minted, free := s.tm.DescriptorCounts()
-	tooOld, _, _, _ := s.tm.SnapshotCounts()
+	tooOld, _, _ := s.tm.SnapshotCounts()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"uptime_seconds": time.Since(s.start).Seconds(),
 		"design":         s.tm.Design().String(),
@@ -559,8 +555,6 @@ func wireKeys(controller string) (from, to, err string) {
 	switch controller {
 	case tuning.GeometryName:
 		return "params", "next", "err"
-	case tuning.BudgetName:
-		return "budget", "next_budget", "snap_err"
 	case tuning.AdmissionName:
 		return "adm_width", "next_adm_width", "adm_err"
 	}
@@ -577,9 +571,6 @@ func wireEvent(e tuning.Event) map[string]any {
 		"commits":    e.Commits,
 		"aborts":     e.Aborts,
 		"idle":       e.Idle,
-	}
-	if e.SnapTooOld > 0 {
-		we["snap_too_old"] = e.SnapTooOld
 	}
 	if e.LatSamples > 0 {
 		we["lat_p50_ns"] = int64(e.LatP50)
@@ -647,9 +638,6 @@ func (s *Server) handleTuning(w http.ResponseWriter, r *http.Request) {
 		"reconfigurations": reconfigurations,
 		"reconfigs_total":  st.Reconfigs,
 		"periods_total":    s.rt.Periods(),
-		"snapshot_tuning":  s.tunes(tuning.BudgetName),
-		"version_budget":   s.tm.VersionBudget(),
-		"budget_moves":     s.rt.Moves(tuning.BudgetName),
 		"admission_tuning": s.tunes(tuning.AdmissionName),
 		"admission_width":  s.admissionWidth(),
 		"admission_moves":  s.rt.Moves(tuning.AdmissionName),

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -384,28 +386,58 @@ func TestScanWithoutSnapshotsFallsBack(t *testing.T) {
 	}
 }
 
+// TestTuningReportsVersionBudget: the version budget is fixed when the TM
+// is built. Through an autotuned run with scans, /stats keeps reporting
+// the default 512, and /tuning shows no budget controller and no budget
+// key on any event.
 func TestTuningReportsVersionBudget(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
 		SpaceWords: 1 << 18, Shards: 4, Buckets: 8,
 		Snapshots: true, Autotune: true,
-		Period: time.Hour, // the controller goroutine idles; we only read the summary
+		Period: 2 * time.Millisecond, Samples: 1,
 	})
 	client := ts.Client()
-	var out struct {
-		SnapshotTuning bool `json:"snapshot_tuning"`
-		VersionBudget  int  `json:"version_budget"`
-		BudgetMoves    int  `json:"budget_moves"`
+	rt := srv.Runtime()
+	for i := 0; rt.Periods() < 12; i++ {
+		if i == 5000 {
+			t.Fatalf("only %d tuning periods after %d requests", rt.Periods(), 2*i)
+		}
+		doJSON(t, client, "PUT", ts.URL+"/kv/"+strconv.Itoa(i%64), strconv.Itoa(i), nil)
+		if code := doJSON(t, client, "GET", ts.URL+"/scan", "", nil); code != http.StatusOK {
+			t.Fatalf("GET /scan status %d", code)
+		}
 	}
-	if code := doJSON(t, client, "GET", ts.URL+"/tuning", "", &out); code != http.StatusOK {
-		t.Fatalf("GET /tuning status %d", code)
+	rt.Stop()
+
+	var st struct {
+		Snapshots struct {
+			VersionBudget int `json:"version_budget"`
+		} `json:"snapshots"`
 	}
-	if !out.SnapshotTuning || out.VersionBudget == 0 || out.VersionBudget != srv.TM().VersionBudget() || out.BudgetMoves != 0 {
-		t.Fatalf("tuning summary %+v", out)
+	doJSON(t, client, "GET", ts.URL+"/stats", "", &st)
+	if st.Snapshots.VersionBudget != 512 || srv.TM().VersionBudget() != 512 {
+		t.Errorf("version budget %d on /stats, %d on the TM after %d periods; want 512",
+			st.Snapshots.VersionBudget, srv.TM().VersionBudget(), rt.Periods())
+	}
+	if got := rt.Controllers(); slices.Contains(got, "budget") {
+		t.Errorf("controllers = %v, want no budget controller", got)
+	}
+	var tun struct {
+		Events []map[string]json.RawMessage `json:"events"`
+	}
+	doJSON(t, client, "GET", ts.URL+"/tuning", "", &tun)
+	if len(tun.Events) == 0 {
+		t.Fatal("/tuning listed no events")
+	}
+	for _, ev := range tun.Events {
+		if _, ok := ev["budget"]; ok {
+			t.Fatalf("/tuning event carries a budget key: %v", ev)
+		}
 	}
 }
 
 // /tuning reports the controllers that are attached, not the ones asked
-// for: no sidecar, no budget controller; no gate, no admission controller.
+// for: no gate, no admission controller.
 func TestTuneSnapshotsRequiresSnapshots(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		SpaceWords: 1 << 18, Shards: 4, Buckets: 8,
@@ -414,13 +446,12 @@ func TestTuneSnapshotsRequiresSnapshots(t *testing.T) {
 	})
 	var out struct {
 		Enabled         bool `json:"enabled"`
-		SnapshotTuning  bool `json:"snapshot_tuning"`
 		AdmissionTuning bool `json:"admission_tuning"`
 	}
 	if code := doJSON(t, ts.Client(), "GET", ts.URL+"/tuning", "", &out); code != http.StatusOK {
 		t.Fatalf("GET /tuning status %d", code)
 	}
-	if !out.Enabled || out.SnapshotTuning || out.AdmissionTuning {
+	if !out.Enabled || out.AdmissionTuning {
 		t.Fatalf("/tuning = %+v without sidecar or gate, want geometry only", out)
 	}
 }
@@ -443,9 +474,6 @@ type parentWireEvent struct {
 	Idle       *bool       `json:"idle"`
 	Move       *string     `json:"move"`
 	Next       *wireParams `json:"next"`
-	Budget     *int        `json:"budget"`
-	NextBudget *int        `json:"next_budget"`
-	SnapTooOld *uint64     `json:"snap_too_old"`
 	AdmWidth   *int        `json:"adm_width"`
 	NextAdm    *int        `json:"next_adm_width"`
 	Brownout   *string     `json:"brownout"`
@@ -454,26 +482,27 @@ type parentWireEvent struct {
 	LatP99Ns   *int64      `json:"lat_p99_ns"`
 	LatSamples *uint64     `json:"lat_samples"`
 	Err        *string     `json:"err"`
-	SnapErr    *string     `json:"snap_err"`
 	AdmErr     *string     `json:"adm_err"`
 }
 
 // TestTuningWireKeysFrozen: a period in which every controller moved and
 // every move failed must still render every key the old flat event had,
 // with the old JSON types (decoding into the old struct checks both), and
-// a live /tuning response must keep every top-level key.
+// a live /tuning response must keep every top-level key. The keys of the
+// version-budget controller were removed with it on purpose: the event's
+// budget, next_budget, snap_err and snap_too_old, and the top-level
+// snapshot_tuning, version_budget and budget_moves must stay gone.
 func TestTuningWireKeysFrozen(t *testing.T) {
 	knob := func(n int, name string) tuning.Knob { return tuning.Knob{N: n, Name: name} }
 	failed := errors.New("refused")
 	ev := tuning.Event{
 		Sample: tuning.Sample{
-			Period: 3, Throughput: 1e4, Commits: 100, Aborts: 300, SnapTooOld: 2,
+			Period: 3, Throughput: 1e4, Commits: 100, Aborts: 300,
 			LatP50: time.Millisecond, LatP99: 9 * time.Millisecond, LatSamples: 50,
 		},
 		Decisions: []tuning.Decision{
 			{Controller: tuning.GeometryName, Moved: true, Move: tuning.MoveDoubleLocks, Err: failed,
 				From: tuning.Knob{Params: core.Params{Locks: 256, Hier: 1}}, To: tuning.Knob{Params: core.Params{Locks: 512, Hier: 1}}},
-			{Controller: tuning.BudgetName, From: knob(64, ""), To: knob(128, ""), Moved: true, Err: failed},
 			{Controller: tuning.AdmissionName, From: knob(8, ""), To: knob(4, ""), Moved: true, Err: failed},
 			{Controller: tuning.BrownoutName, From: knob(0, "off"), To: knob(1, "shed-scans"), Moved: true},
 		},
@@ -491,7 +520,7 @@ func TestTuningWireKeysFrozen(t *testing.T) {
 			t.Errorf("event lost key %q: %s", v.Type().Field(i).Tag.Get("json"), raw)
 		}
 	}
-	if *old.Move != "1" || *old.NextBudget != 128 || *old.NextAdm != 4 || *old.NextBrown != "shed-scans" {
+	if *old.Move != "1" || *old.NextAdm != 4 || *old.NextBrown != "shed-scans" {
 		t.Errorf("event values moved: %s", raw)
 	}
 
@@ -504,12 +533,25 @@ func TestTuningWireKeysFrozen(t *testing.T) {
 	doJSON(t, ts.Client(), "GET", ts.URL+"/tuning", "", &top)
 	for _, key := range []string{
 		"enabled", "running", "current", "best", "best_throughput", "reconfigurations",
-		"reconfigs_total", "periods_total",
-		"snapshot_tuning", "version_budget", "budget_moves", "admission_tuning", "admission_width",
+		"reconfigs_total", "periods_total", "admission_tuning", "admission_width",
 		"admission_moves", "brownout_tuning", "brownout_level", "events",
 	} {
 		if _, ok := top[key]; !ok {
 			t.Errorf("/tuning lost top-level key %q", key)
+		}
+	}
+	var flat map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &flat); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"budget", "next_budget", "snap_err", "snap_too_old"} {
+		if _, ok := flat[key]; ok {
+			t.Errorf("event renders removed key %q: %s", key, raw)
+		}
+	}
+	for _, key := range []string{"snapshot_tuning", "version_budget", "budget_moves"} {
+		if _, ok := top[key]; ok {
+			t.Errorf("/tuning renders removed top-level key %q", key)
 		}
 	}
 }

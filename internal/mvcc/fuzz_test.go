@@ -5,9 +5,10 @@ import (
 )
 
 // FuzzSidecar model-checks the Store against a naive per-address version
-// list. The input decodes to a sequence of commits, reads, snapshot
-// registrations and departures, budget changes and Resets (each with every
-// snapshot gone and the clock rewound, as at the STM's freeze barrier).
+// list. The input's first byte picks the per-shard budget (1 to 12); the
+// rest decodes to a sequence of commits, reads, snapshot registrations and
+// departures, and Resets (each with every snapshot gone and the clock
+// rewound, as at the STM's freeze barrier).
 // A commit behaves as the STM's does: strictly increasing timestamps, and
 // versioned only while a snapshot is registered, when it stamps births
 // through Born and publishes pre-images carrying the value each supersedes
@@ -31,18 +32,18 @@ import (
 // Reads of an address at a snapshot older than its latest birth are not
 // judged: in the STM nothing reachable at that snapshot leads to it.
 func FuzzSidecar(f *testing.F) {
-	f.Add([]byte{2, 0, 0, 3, 1, 5, 0, 1, 2, 1, 0, 0, 1, 7, 1, 0, 1, 1})
-	f.Add([]byte{4, 0, 2, 1, 0, 0, 4, 1, 2, 3, 4, 0, 0, 4, 5, 6, 7, 0, 4, 8, 9, 10, 11, 1, 0})
-	f.Add([]byte{0, 0, 2, 0x81, 2, 2, 2, 0, 2, 1, 2, 1, 5, 0, 1, 3, 0, 1, 2, 1, 1})
-	f.Add([]byte{2, 0, 0, 0, 2, 1, 2, 3, 2, 1, 0, 2, 2, 3, 0, 3, 3, 0, 0, 1, 1, 0})
+	f.Add([]byte{3, 2, 0, 0, 3, 1, 5, 0, 1, 2, 1, 0, 0, 1, 7, 1, 0, 1, 1})
+	f.Add([]byte{1, 4, 0, 2, 1, 0, 0, 4, 1, 2, 3, 4, 0, 0, 4, 5, 6, 7, 0, 4, 8, 9, 10, 11, 1, 0})
+	f.Add([]byte{0, 0, 0, 2, 0x81, 2, 2, 2, 0, 2, 1, 2, 1, 5, 0, 1, 3, 0, 1, 2, 1, 1})
+	f.Add([]byte{11, 2, 0, 0, 0, 2, 1, 2, 3, 2, 1, 0, 2, 2, 3, 0, 3, 3, 0, 0, 1, 1, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 600 {
 			prog = prog[:600]
 		}
-		m := newSidecarModel()
 		in := byteReader(prog)
+		m := newSidecarModel(1 + int(in.next())%12)
 		for in.more() {
-			switch in.next() % 6 {
+			switch in.next() % 5 {
 			case 0:
 				m.commit(t, &in)
 			case 1:
@@ -52,10 +53,6 @@ func FuzzSidecar(f *testing.F) {
 			case 3:
 				m.leave(int(in.next()) % modelSlots)
 			case 4:
-				if err := m.s.SetBudget(1 + int(in.next())%12); err != nil {
-					t.Fatal(err)
-				}
-			case 5:
 				m.reset(in.next())
 			}
 		}
@@ -121,8 +118,8 @@ type sidecarModel struct {
 	slots     [modelSlots]modelSlot
 }
 
-func newSidecarModel() *sidecarModel {
-	m := &sidecarModel{s: New(Config{Words: modelWords, Shards: 4, Budget: 4})}
+func newSidecarModel(budget int) *sidecarModel {
+	m := &sidecarModel{s: New(Config{Words: modelWords, Shards: 4, Budget: budget})}
 	m.s.EnsureSlots(modelSlots)
 	for a := range m.live {
 		m.live[a] = 1000 + uint64(a)

@@ -24,7 +24,7 @@
 //     same lock stripe has pushed the stripe version past S. It also
 //     gives publishers the exact validity start of each pre-image.
 //   - per-stripe shards of retained pre-images: a FIFO dequeue in
-//     publication order (bounded by a live-tunable version budget) plus a
+//     publication order (bounded by a fixed per-shard version budget) plus a
 //     per-address chain (each entry links its predecessor), so a stale
 //     read walks only that address's versions, newest first. Only reads
 //     of addresses actually overwritten since the snapshot take the
@@ -126,7 +126,7 @@ type Config struct {
 	// Budget is the per-shard retained-version budget. Trimming starts
 	// once a shard exceeds it; the hard cap (budget * hardCapMult) bounds
 	// the overshoot granted to versions pinned by active snapshots.
-	// Default 512. Live-tunable via SetBudget.
+	// Default 512. Fixed for the Store's life.
 	Budget int
 }
 
@@ -142,9 +142,6 @@ const (
 	// index is an optimization, not a correctness requirement.
 	mapCapMult  = 8
 	mapCapFloor = 4096
-	// MaxBudget bounds SetBudget (and the tuner's walk): past a point a
-	// bigger buffer only adds memory.
-	MaxBudget = 1 << 20
 )
 
 // Store is the sharded version sidecar. All methods are safe for
@@ -161,7 +158,7 @@ type Store struct {
 
 	shards []shard
 	mask   uint64
-	budget atomic.Int64
+	budget int
 
 	published atomic.Uint64
 	trimmed   atomic.Uint64
@@ -186,25 +183,14 @@ func New(cfg Config) *Store {
 	s := &Store{
 		shards: make([]shard, cfg.Shards),
 		mask:   uint64(cfg.Shards - 1),
+		budget: cfg.Budget,
 	}
 	s.written = unsafe.Slice((*atomic.Uint64)(unsafe.Pointer(unsafe.SliceData(mem.MapWords(s, cfg.Words)))), cfg.Words)
-	s.budget.Store(int64(cfg.Budget))
 	return s
 }
 
-// Budget returns the current per-shard version budget.
-func (s *Store) Budget() int { return int(s.budget.Load()) }
-
-// SetBudget replaces the per-shard version budget on the live store.
-// Shrinking takes effect lazily: each shard trims down to the new budget
-// on its next publication.
-func (s *Store) SetBudget(n int) error {
-	if n < 1 || n > MaxBudget {
-		return fmt.Errorf("mvcc: budget (%d) out of range [1,%d]", n, MaxBudget)
-	}
-	s.budget.Store(int64(n))
-	return nil
-}
+// Budget returns the per-shard version budget.
+func (s *Store) Budget() int { return s.budget }
 
 // Counts returns the lifetime published/trimmed version totals.
 func (s *Store) Counts() (published, trimmed uint64) {
@@ -335,7 +321,7 @@ func (s *Store) Publish(ts uint64, vs []Version) {
 		if sh.newest == nil {
 			sh.newest = make(map[uint64]int64, 64)
 		}
-		mapCap := int(s.budget.Load()) * mapCapMult
+		mapCap := s.budget * mapCapMult
 		if mapCap < mapCapFloor {
 			mapCap = mapCapFloor
 		}
@@ -389,7 +375,7 @@ func (s *Store) Born(ts, addr uint64, n int) {
 
 // trimLocked enforces the budget on one shard. Caller holds sh.mu.
 func (s *Store) trimLocked(sh *shard) {
-	budget := int(s.budget.Load())
+	budget := s.budget
 	if len(sh.entries)-sh.head <= budget {
 		return
 	}

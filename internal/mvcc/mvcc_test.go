@@ -190,25 +190,6 @@ func TestActiveSnapshotPinsVersions(t *testing.T) {
 	}
 }
 
-func TestSetBudget(t *testing.T) {
-	s := newTestStore(t, 1, 8)
-	if err := s.SetBudget(0); err == nil {
-		t.Fatal("SetBudget(0) accepted")
-	}
-	if err := s.SetBudget(MaxBudget + 1); err == nil {
-		t.Fatal("SetBudget over MaxBudget accepted")
-	}
-	if err := s.SetBudget(2); err != nil {
-		t.Fatal(err)
-	}
-	for ts := uint64(2); ts <= 10; ts++ {
-		s.Publish(ts, []Version{{Stripe: 0, Addr: ts, Val: ts, From: ts - 1}})
-	}
-	if r := s.Retained(); r > 2 {
-		t.Fatalf("retained %d versions over the shrunk budget 2", r)
-	}
-}
-
 func TestReset(t *testing.T) {
 	s := newTestStore(t, 2, 2)
 	for ts := uint64(2); ts <= 10; ts++ {

@@ -1,9 +1,9 @@
 package tuning
 
 // AdmissionGate is an update-admission token bucket whose width can be
-// walked live. admission.Gate satisfies it. Unlike the geometry and
-// snapshot knobs the gate is not part of the STM — it sits in front of it, at the
-// server door.
+// walked live. admission.Gate satisfies it. Unlike the geometry knob the
+// gate is not part of the STM — it sits in front of it, at the server
+// door.
 type AdmissionGate interface {
 	// Width returns the current number of concurrent-updater tokens.
 	Width() int
@@ -78,9 +78,8 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	return c
 }
 
-// admTuner is the controller state: a deterministic rule engine like
-// cmTuner and snapTuner, so the fake-clock runtime tests cover it end
-// to end.
+// admTuner is the controller state: a deterministic rule engine, so the
+// fake-clock runtime tests cover it end to end.
 type admTuner struct {
 	gate  AdmissionGate
 	cfg   AdmissionConfig

@@ -21,10 +21,6 @@ type Sample struct {
 	// Commits and Aborts are the raw counter deltas over the whole period.
 	Commits uint64 `json:"commits"`
 	Aborts  uint64 `json:"aborts"`
-	// SnapTooOld and SnapReads are the period's snapshot-too-old abort and
-	// sidecar-read deltas (zero on a system without an MVCC sidecar).
-	SnapTooOld uint64 `json:"snap_too_old,omitempty"`
-	SnapReads  uint64 `json:"snap_reads,omitempty"`
 	// LatP50 and LatP99 are the period's request-latency quantiles and
 	// LatSamples its request count, differenced from the attached latency
 	// histogram (RuntimeConfig.Latency). Zero without one.
@@ -39,9 +35,8 @@ type Sample struct {
 }
 
 // Knob is one controller's setting. Geometry's is the triple; every other
-// controller's is one integer (a version budget, a gate width, a
-// resilience.Level), with the name its owner prints it by when it has
-// one.
+// controller's is one integer (a gate width, a resilience.Level), with
+// the name its owner prints it by when it has one.
 type Knob struct {
 	Params core.Params
 	N      int
@@ -180,7 +175,6 @@ func (e Event) String() string {
 // Controller names.
 const (
 	GeometryName  = "geometry"
-	BudgetName    = "budget"
 	AdmissionName = "admission"
 	BrownoutName  = "brownout"
 )

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"tinystm/internal/core"
 	"tinystm/internal/obs"
 	"tinystm/internal/resilience"
 )
@@ -22,7 +21,6 @@ var update = flag.Bool("update", false, "rewrite testdata/decisions.golden from 
 func allControllers(f *fakeSystem, brown *resilience.Brownout) []Controller {
 	return []Controller{
 		&geometry{sys: f, t: New(Config{Initial: f.params, Seed: 7})},
-		NewBudget(f, SnapshotConfig{}),
 		NewAdmission(f, AdmissionConfig{}),
 		NewBrownout(brown),
 	}
@@ -30,7 +28,7 @@ func allControllers(f *fakeSystem, brown *resilience.Brownout) []Controller {
 
 // TestControllersReplayGolden is the proof that no decision rule, default,
 // hold-down, ladder, floor or ceiling moved: a committed stream of samples
-// (calm → abort storm → calm, write-only → idle) goes through all four
+// (calm → abort storm → calm, write-only → idle) goes through all three
 // controllers with no clock and no runtime, and the decisions must match
 // the stream the rules produced when the fixture was recorded. A change
 // to a rule shows up here as a diff; `go test -run ReplayGolden -update`
@@ -106,7 +104,7 @@ func (failApply) Apply(Decision) error { return errNoLand }
 // event — while the controllers beside it keep moving. The workload is a
 // storm that gives every controller a reason to move.
 func TestRevertAfterFailedApply(t *testing.T) {
-	for victim, name := range []string{GeometryName, BudgetName, AdmissionName, BrownoutName} {
+	for victim, name := range []string{GeometryName, AdmissionName, BrownoutName} {
 		t.Run(name, func(t *testing.T) {
 			hist := obs.NewHistogram()
 			rate := synthetic(p(12, 1, 2))
@@ -114,7 +112,6 @@ func TestRevertAfterFailedApply(t *testing.T) {
 				dc := uint64(rate(f.params) * d.Seconds())
 				f.commits += dc
 				f.aborts += 9 * dc
-				f.tooOld += 3
 				for range 8 {
 					hist.Record(uint64(50 * time.Millisecond))
 				}
@@ -123,7 +120,6 @@ func TestRevertAfterFailedApply(t *testing.T) {
 			live := func() Knob {
 				return map[string]Knob{
 					GeometryName:  {Params: f.Params()},
-					BudgetName:    {N: f.VersionBudget()},
 					AdmissionName: {N: f.Width()},
 					BrownoutName:  levelKnob(brown.Level()),
 				}[name]
@@ -204,10 +200,3 @@ func TestSixthControllerNeedsNoRuntimeChange(t *testing.T) {
 		t.Errorf("trace line does not render the sixth controller: %q", line)
 	}
 }
-
-// The live core.TM is every system the controllers drive and the sampler
-// reads.
-var (
-	_ SnapshotSystem  = (*core.TM)(nil)
-	_ snapshotCounter = (*core.TM)(nil)
-)

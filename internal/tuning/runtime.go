@@ -57,9 +57,9 @@ type RuntimeConfig struct {
 	TraceCap int
 
 	// Controllers run after the geometry controller, in order, over the
-	// same per-period Sample: NewBudget, NewAdmission, NewBrownout,
-	// or anything else that implements Controller. A controller in the
-	// list is on; each constructor takes the system it drives.
+	// same per-period Sample: NewAdmission, NewBrownout, or anything else
+	// that implements Controller. A controller in the list is on; each
+	// constructor takes the system it drives.
 	Controllers []Controller
 
 	// Latency, when non-nil, is the server's request-latency histogram
@@ -271,29 +271,17 @@ func (r *Runtime) Trace() []Event {
 	return out
 }
 
-// snapshotCounter is the optional sampler extension for systems with an
-// MVCC sidecar: monotonically increasing too-old aborts, sidecar-served
-// snapshot reads, versions published and versions trimmed. Must be O(1)
-// like CommitAbortCounts. *core.TM satisfies it.
-type snapshotCounter interface {
-	SnapshotCounts() (tooOld, sidecarReads, published, trimmed uint64)
-}
-
 // baseline is the sampler's memory between periods: the counter values a
 // period's deltas are taken against.
 type baseline struct {
-	commits, aborts  uint64
-	tooOld, snapRead uint64
-	lat              obs.Snapshot
-	t                time.Time
+	commits, aborts uint64
+	lat             obs.Snapshot
+	t               time.Time
 }
 
 // rebase reads every source the Sample is differenced from.
 func (r *Runtime) rebase() (b baseline) {
 	b.commits, b.aborts = r.sys.CommitAbortCounts()
-	if sc, ok := r.sys.(snapshotCounter); ok {
-		b.tooOld, b.snapRead, _, _ = sc.SnapshotCounts()
-	}
 	if r.cfg.Latency != nil {
 		b.lat = r.cfg.Latency.Snapshot()
 	}
@@ -324,7 +312,6 @@ func (r *Runtime) run(stop <-chan struct{}, done chan<- struct{}) {
 		}
 		end := r.rebase()
 		s.Commits, s.Aborts = end.commits-base.commits, end.aborts-base.aborts
-		s.SnapTooOld, s.SnapReads = end.tooOld-base.tooOld, end.snapRead-base.snapRead
 		if lat := end.lat.Sub(&base.lat); lat.Count > 0 {
 			s.LatP50 = time.Duration(lat.Quantile(0.50))
 			s.LatP99 = time.Duration(lat.Quantile(0.99))

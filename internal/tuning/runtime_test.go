@@ -14,11 +14,11 @@ import (
 	"tinystm/internal/resilience"
 )
 
-// fakeSystem is everything a controller can drive — the STM's geometry,
-// its version budget and the admission gate in front of it — behind one fake clock: time only advances when
-// the runtime waits for a sample, and each advance calls tick, the test's
-// synthetic workload, to accrue counters from the settings live at that
-// moment. After maxTicks waits it hands the runtime a channel that never
+// fakeSystem is everything a controller can drive — the STM's geometry
+// and the admission gate in front of it — behind one fake clock: time
+// only advances when the runtime waits for a sample, and each advance
+// calls tick, the test's synthetic workload, to accrue counters from the
+// settings live at that moment. After maxTicks waits it hands the runtime a channel that never
 // fires and signals the test, making the whole loop deterministic — no
 // goroutine coordination, no wall clock.
 type fakeSystem struct {
@@ -34,19 +34,18 @@ type fakeSystem struct {
 
 	// Live settings, each moved by one controller's Apply.
 	params core.Params
-	budget int
 	width  int
 	// Monotonic counters the sampler differences.
-	commits, aborts, tooOld, reads uint64
+	commits, aborts uint64
 	// What the controllers did to the system.
-	reconfigs, budgetSets, widthSets int
-	minWidth                         int
+	reconfigs, widthSets int
+	minWidth             int
 }
 
 func newFakeSystem(start core.Params, maxTicks int, tick func(*fakeSystem, time.Duration)) *fakeSystem {
 	return &fakeSystem{
 		now: time.Unix(0, 0), params: start, maxTicks: maxTicks, tick: tick,
-		reached: make(chan struct{}), budget: 64, width: 32, minWidth: 32,
+		reached: make(chan struct{}), width: 32, minWidth: 32,
 	}
 }
 
@@ -66,21 +65,12 @@ func (f *fakeSystem) CommitAbortCounts() (c, a uint64) {
 	f.locked(func() { c, a = f.commits, f.aborts })
 	return
 }
-func (f *fakeSystem) SnapshotCounts() (tooOld, reads, _, _ uint64) {
-	f.locked(func() { tooOld, reads = f.tooOld, f.reads })
-	return
-}
 func (f *fakeSystem) Params() (p core.Params) { f.locked(func() { p = f.params }); return }
-func (f *fakeSystem) VersionBudget() (n int)  { f.locked(func() { n = f.budget }); return }
 func (f *fakeSystem) Width() (n int)          { f.locked(func() { n = f.width }); return }
 func (f *fakeSystem) Now() (t time.Time)      { f.locked(func() { t = f.now }); return }
 
 func (f *fakeSystem) Reconfigure(p core.Params) error {
 	f.locked(func() { f.params = p; f.reconfigs++ })
-	return nil
-}
-func (f *fakeSystem) SetVersionBudget(n int) error {
-	f.locked(func() { f.budget = n; f.budgetSets++ })
 	return nil
 }
 func (f *fakeSystem) SetWidth(w int) error {

@@ -88,10 +88,8 @@ wait $GEN
 # The autotuner must have moved the live geometry at least once, and every
 # snapshot read driven above must have been answered (counted in the loop:
 # curl -f fails the script on a non-200). Snapshot-too-old aborts are NOT
-# failures: a too-old abort is retried inside the server and is the input
-# signal of the version-budget controller. What must hold is that they
-# stay rare (<= 1% of snapshot reads) and that, when any occurred, the
-# controller reacted by moving the budget.
+# failures: a too-old abort is retried inside the server. What must hold
+# is that they stay rare (<= 1% of snapshot reads).
 TUNING="$(curl -sf "$BASE/tuning")"
 STATS="$(curl -sf "$BASE/stats")"
 FINAL_SCAN="$(curl -sf "$BASE/scan?limit=4")"
@@ -114,14 +112,12 @@ assert snap["enabled"], f"snapshots not enabled: {snap}"
 reads, too_old = snap["reads_live"] + snap["reads_sidecar"], snap["aborts_snapshot_too_old"]
 assert reads > 0, f"no snapshot reads recorded: {snap}"
 assert too_old * 100 <= reads, f"{too_old} too-old aborts over {reads} snapshot reads (> 1%): {snap}"
-assert too_old == 0 or tuning["budget_moves"] >= 1, \
-    f"{too_old} too-old aborts and the budget controller never moved: {tuning['budget_moves']}"
 assert scan["keys"] >= 1000, f"final scan saw only {scan['keys']} keys"
 print(f"smoke ok: {stats['commits']} commits, {stats['reconfigs']} reconfigs, "
       f"{len(tuning['events'])} tuning periods, final geometry {stats['params']}, "
       f"{scans} scans + {batches} ro-batches answered under load "
       f"({snap['reads_live']} live + {snap['reads_sidecar']} sidecar snapshot reads, "
-      f"{too_old} too-old retries, {tuning['budget_moves']} budget moves)")
+      f"{too_old} too-old retries)")
 PY
 
 kill $SRV
