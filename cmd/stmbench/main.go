@@ -276,11 +276,11 @@ func figServer(o *options) {
 
 // figProto: wire-surface and admission comparison over live TCP servers —
 // HTTP+JSON vs. the binary kvproto protocol at equal workers, then a
-// hot-key write storm with the admission gate off vs. on.
+// hot-key write storm ungated and behind static admission gates.
 func figProto(o *options) {
 	cfg := experiments.DefaultProtoConfig(o.sc)
-	fmt.Printf("proto sweep: %d keys, %d connections, %v per point, storm read %d%% theta %.2f, admission width %d\n",
-		cfg.Keys, cfg.Workers, cfg.Duration, cfg.Storm.ReadPct, cfg.Storm.Theta, cfg.AdmissionWidth)
+	fmt.Printf("proto sweep: %d keys, %d connections, %v per point, storm read %d%% theta %.2f, admission widths %v\n",
+		cfg.Keys, cfg.Workers, cfg.Duration, cfg.Storm.ReadPct, cfg.Storm.Theta, cfg.AdmissionWidths)
 	r := experiments.ProtoSweep(o.sc, cfg)
 	o.emit(r.SurfaceTable())
 	o.emit(r.StormTable())

@@ -1,7 +1,8 @@
 // Command stmkvd serves the STM-backed key-value store over HTTP with the
 // online tuning runtime attached: while traffic flows, the runtime meters
 // live commit throughput and re-adapts the TM's lock-table geometry
-// (#locks, #shifts, h) to it.
+// (#locks, #shifts, h) to it. The geometry is the only thing it tunes;
+// with -brownout-slo it also steps the overload ladder.
 //
 // Examples:
 //
@@ -12,12 +13,12 @@
 //	stmkvd -durability group -wal-dir /var/lib/stmkvd
 //	                                         # crash-safe: acks after group fsync,
 //	                                         # replays the WAL on restart
-//	stmkvd -proto-addr :8081 -admission 64   # binary pipelined protocol with a
-//	                                         # tuned update-admission gate
+//	stmkvd -proto-addr :8081 -admission 64   # binary pipelined protocol behind a
+//	                                         # 64-wide update-admission gate
 //	stmkvd -brownout-slo 50ms                # brownout: shed scans, then writes,
 //	                                         # then reads whenever p99 > 50ms
 //
-// stmkvd takes 19 flags (stmkvd -h lists them). Conflict resolution is
+// stmkvd takes 18 flags (stmkvd -h lists them). Conflict resolution is
 // not one of them: the STM has one rule, abort on a foreign lock and wait
 // for that lock before the retry (see internal/core).
 //
@@ -60,13 +61,12 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "HTTP listen address (:0 for an ephemeral port)")
 		protoAddr = flag.String("proto-addr", "", "binary kvproto listen address (empty = HTTP only; :0 for an ephemeral port)")
-		admWidth  = flag.Int("admission", 0, "admission gate width: max concurrent update transactions on both surfaces (0 = ungated)")
-		tuneAdm   = flag.Bool("tune-admission", true, "let the tuning runtime walk the admission width live (needs -autotune and -admission > 0)")
+		admWidth  = flag.Int("admission", 0, "admission gate width, fixed for the server's life: max concurrent update transactions on both surfaces (0 = ungated)")
 		space     = flag.Int("space", 1<<22, "transactional arena size in 64-bit words")
 		design    = flag.String("design", "wb", "memory design: wb (write-back) or wt (write-through)")
 		geometry  = flag.String("geometry", "2^8,0,1", "initial lock-table triple locks,shifts,h (accepts 2^k)")
 		snaps     = flag.Bool("snapshots", true, "attach the MVCC sidecar: /scan, all-Get /batch and Len run as wait-free snapshot transactions")
-		autotune  = flag.Bool("autotune", true, "attach the online tuning runtime: the lock-table geometry is tuned live, and so are the admission width (with -tune-admission) and the brownout ladder (with -brownout-slo)")
+		autotune  = flag.Bool("autotune", true, "attach the online tuning runtime: the lock-table geometry is tuned live, and the brownout ladder is stepped (with -brownout-slo)")
 		period    = flag.Duration("period", time.Second, "tuning sample period")
 		samples   = flag.Int("samples", 3, "samples per tuning decision (max kept)")
 		seed      = flag.Uint64("seed", 42, "tuner move-selection seed")
@@ -91,7 +91,6 @@ func main() {
 		Snapshots:       *snaps,
 		Autotune:        *autotune,
 		AdmissionWidth:  *admWidth,
-		TuneAdmission:   *tuneAdm,
 		BrownoutSLO:     *brownSLO,
 		Period:          *period,
 		Samples:         *samples,
@@ -171,9 +170,8 @@ func main() {
 		_ = hs.Shutdown(ctx)
 	}()
 
-	log.Printf("serving on %s (design=%v geometry=%v snapshots=%v autotune=%v admission=%d tune-admission=%v brownout-slo=%v period=%v)",
-		hl.Addr(), d, geo, *snaps, *autotune,
-		*admWidth, *autotune && *tuneAdm && *admWidth > 0, *brownSLO, *period)
+	log.Printf("serving on %s (design=%v geometry=%v snapshots=%v autotune=%v admission=%d brownout-slo=%v period=%v)",
+		hl.Addr(), d, geo, *snaps, *autotune, *admWidth, *brownSLO, *period)
 	log.Printf("http listening on %s", hl.Addr())
 	if pl != nil {
 		log.Printf("proto listening on %s", pl.Addr())

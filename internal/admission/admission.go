@@ -7,11 +7,10 @@
 // concurrent updaters REDUCES committed throughput, because every
 // admitted transaction mostly generates aborts for the others (the
 // cost-of-concurrency observation, here applied before the conflict
-// instead of after it). The Gate is a
-// width-limited token bucket in front of the update path: at most Width
-// updaters run at once, the rest queue at the door where they cost
-// nothing, and the width itself is a live tuning knob walked by
-// tuning.AdmissionConfig's controller from the observed abort ratio.
+// instead of after it). The Gate is a width-limited token bucket in front
+// of the update path: at most Width updaters run at once and the rest
+// queue at the door, where they cost nothing. The width is fixed at New;
+// nothing walks it while the gate runs.
 //
 // Read-only transactions are never gated: snapshot reads are wait-free
 // and classic reads conflict only with writers, so bounding writers
@@ -19,7 +18,6 @@
 package admission
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -29,7 +27,7 @@ type Gate struct {
 	//stm:allow-atomic gate state lives outside any transaction: it decides whether a transaction may START
 	mu       sync.Mutex
 	slot     *sync.Cond
-	width    int // current token count; floor 1, never starves
+	width    int // token count, fixed at New; floor 1, never starves
 	inflight int
 	admitted uint64 // total Enters granted
 	waited   uint64 // Enters that had to block first
@@ -159,32 +157,14 @@ func (g *Gate) Exit() {
 	g.slot.Signal()
 }
 
-// Width returns the current admission width.
+// Width returns the admission width.
 func (g *Gate) Width() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.width
 }
 
-// SetWidth replaces the width on the live gate. Widening wakes queued
-// waiters immediately; narrowing never interrupts updaters already
-// admitted — the gate simply refills to the smaller width as they Exit.
-// The floor is 1: a zero-width gate would starve updates forever.
-func (g *Gate) SetWidth(w int) error {
-	if w < 1 {
-		return fmt.Errorf("admission: width %d below floor 1", w)
-	}
-	g.mu.Lock()
-	grew := w > g.width
-	g.width = w
-	g.mu.Unlock()
-	if grew {
-		g.slot.Broadcast()
-	}
-	return nil
-}
-
-// Stats returns the gate's counters: the current width, how many
+// Stats returns the gate's counters: the width, how many
 // updaters hold slots right now, how many Enters were granted in total,
 // and how many of those had to wait at the door.
 func (g *Gate) Stats() (width, inflight int, admitted, waited uint64) {

@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,74 +45,12 @@ func TestGateBoundsConcurrency(t *testing.T) {
 	}
 }
 
-func TestGateWidenWakesWaiters(t *testing.T) {
-	g := New(1)
-	g.Enter() // occupy the only slot
-	entered := make(chan struct{})
-	go func() {
-		g.Enter()
-		close(entered)
-	}()
-	select {
-	case <-entered:
-		t.Fatal("second Enter passed a width-1 gate")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if err := g.SetWidth(2); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-entered:
-	case <-time.After(2 * time.Second):
-		t.Fatal("widening the gate never woke the waiter")
-	}
-	g.Exit()
-	g.Exit()
-}
-
-func TestGateNarrowNeverInterrupts(t *testing.T) {
-	g := New(4)
-	for i := 0; i < 4; i++ {
-		g.Enter()
-	}
-	if err := g.SetWidth(1); err != nil {
-		t.Fatal(err)
-	}
-	// The four admitted updaters still hold slots; they exit normally and
-	// the gate refills at the new width.
-	for i := 0; i < 4; i++ {
-		g.Exit()
-	}
-	g.Enter()
-	done := make(chan struct{})
-	go func() {
-		g.Enter()
-		g.Exit()
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("narrowed gate admitted two concurrent updaters")
-	case <-time.After(20 * time.Millisecond):
-	}
-	g.Exit()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("waiter never admitted after Exit")
-	}
-}
-
 func TestGateFloor(t *testing.T) {
 	if g := New(0); g.Width() != 1 {
 		t.Fatalf("New(0) width = %d, want clamped to 1", g.Width())
 	}
-	g := New(8)
-	if err := g.SetWidth(0); err == nil {
-		t.Fatal("SetWidth(0) accepted; the floor is 1")
-	}
-	if g.Width() != 8 {
-		t.Fatalf("failed SetWidth changed the width to %d", g.Width())
+	if g := New(-3); g.Width() != 1 {
+		t.Fatalf("New(-3) width = %d, want clamped to 1", g.Width())
 	}
 }
 
@@ -292,13 +231,13 @@ func TestTryEnterNeverWaits(t *testing.T) {
 	}
 }
 
-// TestTryEnterHammer mixes the three ways in while the width is walked
-// down and back up: whoever is inside was let in at a moment the gate had
-// room, so the holders never outnumber the widest the gate has been, every
-// grant is counted once, and every slot comes back.
+// TestTryEnterHammer mixes the three ways in at once on a narrow gate:
+// whoever is inside was let in at a moment the gate had room, so the
+// holders never outnumber the width, every grant is counted once, and
+// every slot comes back.
 func TestTryEnterHammer(t *testing.T) {
-	const maxWidth, workers, opsEach = 4, 12, 400
-	g := New(maxWidth)
+	const width, workers, opsEach = 4, 12, 400
+	g := New(width)
 	var cur, peak atomic.Int64
 	var granted, tryGranted, queued atomic.Uint64
 	inside := func() {
@@ -309,28 +248,11 @@ func TestTryEnterHammer(t *testing.T) {
 				break
 			}
 		}
+		runtime.Gosched() // hold the slot a moment: the gate fills
 		granted.Add(1)
 		cur.Add(-1)
 		g.Exit()
 	}
-	stop := make(chan struct{})
-	var widths sync.WaitGroup
-	widths.Add(1)
-	go func() {
-		defer widths.Done()
-		for w := maxWidth; ; w = w%maxWidth + 1 { // 4 1 2 3 4 1 …: mostly narrowing steps
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := g.SetWidth(w); err != nil {
-				t.Error(err)
-				return
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
-	}()
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -357,10 +279,8 @@ func TestTryEnterHammer(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	close(stop)
-	widths.Wait()
-	if got := peak.Load(); got > maxWidth {
-		t.Fatalf("%d updaters inside at once, the gate was never wider than %d", got, maxWidth)
+	if got := peak.Load(); got > width {
+		t.Fatalf("%d updaters inside at once through a gate %d wide", got, width)
 	}
 	_, inflight, admitted, waited := g.Stats()
 	if inflight != 0 || admitted != granted.Load() {
@@ -372,4 +292,5 @@ func TestTryEnterHammer(t *testing.T) {
 	if tryGranted.Load() == 0 {
 		t.Fatal("no TryEnter was ever admitted: nothing was tested")
 	}
+	t.Logf("%d grants, %d through TryEnter, %d waited at the door", admitted, tryGranted.Load(), waited)
 }

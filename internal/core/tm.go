@@ -394,12 +394,15 @@ func (tx *Tx) maybeRollOverOnBegin() {
 // h) of a live TM (paper Section 4.2). It freezes the world with the
 // roll-over barrier, swaps in a fresh zeroed lock array, resets the clock
 // (all versions restart from zero), and resumes. In-flight transactions
-// abort and retry under the new geometry.
+// abort and retry under the new geometry. With an observability sink
+// attached, the time from the freeze to the release lands in its
+// FreezeNs histogram.
 func (tm *TM) Reconfigure(p Params) error {
 	cfg := tm.configFor(p)
 	if err := cfg.validate(); err != nil {
 		return err
 	}
+	start := time.Now()
 	tm.fz.freeze()
 	tm.drainLimboAll()
 	tm.geo.Store(newGeometry(p))
@@ -412,6 +415,9 @@ func (tm *TM) Reconfigure(p Params) error {
 	}
 	tm.reconfigs.Add(1)
 	tm.fz.unfreeze()
+	if o := tm.obsHook.Load(); o != nil {
+		o.FreezeNs.Record(uint64(time.Since(start)))
+	}
 	return nil
 }
 

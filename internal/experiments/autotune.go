@@ -113,7 +113,7 @@ func (r AutotuneResult) TraceTable(title string) harness.Table {
 	tbl := harness.Table{Title: title,
 		Headers: []string{"period", "phase", "locks", "shifts", "h", "throughput (10^3/s)", "move"}}
 	for i, e := range r.Events {
-		g := e.Decision(tuning.GeometryName)
+		g := e.Geometry
 		move := "idle"
 		if !e.Idle {
 			move = g.Move.Signed(g.Reversed)
@@ -122,8 +122,8 @@ func (r AutotuneResult) TraceTable(title string) harness.Table {
 		if i < len(r.EventPhases) {
 			phase = r.EventPhases[i]
 		}
-		tbl.AddRow(e.Period, phase, fmt.Sprintf("2^%d", log2(g.From.Params.Locks)), g.From.Params.Shifts,
-			g.From.Params.Hier, fmt.Sprintf("%.1f", e.Throughput/1000), move)
+		tbl.AddRow(e.Period, phase, fmt.Sprintf("2^%d", log2(g.From.Locks)), g.From.Shifts,
+			g.From.Hier, fmt.Sprintf("%.1f", e.Throughput/1000), move)
 	}
 	return tbl
 }
@@ -217,7 +217,7 @@ func AutotuneSweep(sc Scale, ac AutotuneConfig) AutotuneResult {
 		result.Events = append(result.Events, ev)
 		result.EventPhases = append(result.EventPhases, phase)
 		result.Validation = append(result.Validation, ValidationSample{
-			Config:          ev.Decision(tuning.GeometryName).From.Params,
+			Config:          ev.Geometry.From,
 			ProcessedPerSec: float64(delta.LocksValidated) / secs,
 			SkippedPerSec:   float64(delta.LocksSkipped) / secs,
 		})
@@ -233,7 +233,7 @@ func AutotuneSweep(sc Scale, ac AutotuneConfig) AutotuneResult {
 	}
 	rt.Stop()
 	result.Best, result.BestTp = rt.Best()
-	result.Final = rt.Knob(tuning.GeometryName).Params
+	result.Final = rt.Current()
 	workers.Stop()
 
 	// Static baselines: every configuration measured under every phase on

@@ -201,24 +201,24 @@ func TestTuningFigureReconfigures(t *testing.T) {
 	if len(r.Statics) != 0 {
 		t.Errorf("%d static baselines measured, want none", len(r.Statics))
 	}
-	if first := r.Events[0].Decision(tuning.GeometryName).From.Params; first != ac.Start {
+	if first := r.Events[0].Geometry.From; first != ac.Start {
 		t.Errorf("first measured config = %+v, want start", first)
 	}
 	moved := 0
 	for i, e := range r.Events {
-		g := e.Decision(tuning.GeometryName)
+		g := e.Geometry
 		if g.Moved && g.Err == nil {
 			moved++
 		}
-		if r.Validation[i].Config != g.From.Params {
-			t.Errorf("period %d: validation sample for %v, event measured %v", i, r.Validation[i].Config, g.From.Params)
+		if r.Validation[i].Config != g.From {
+			t.Errorf("period %d: validation sample for %v, event measured %v", i, r.Validation[i].Config, g.From)
 		}
 	}
 	if moved == 0 {
 		t.Error("tuner never reconfigured")
 	}
-	if last := r.Events[len(r.Events)-1].Decision(tuning.GeometryName); last.Err == nil && r.Final != last.To.Params {
-		t.Errorf("Final = %v, runtime's geometry knob ended at %v", r.Final, last.To.Params)
+	if last := r.Events[len(r.Events)-1].Geometry; last.Err == nil && r.Final != last.To {
+		t.Errorf("Final = %v, tuner ended at %v", r.Final, last.To)
 	}
 	if r.BestTp <= 0 {
 		t.Error("no best throughput recorded")

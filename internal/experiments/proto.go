@@ -12,11 +12,11 @@ import (
 
 // ProtoConfig parameterizes ProtoSweep: live kvserver instances measured
 // over their two wire surfaces (HTTP+JSON vs. the kvproto binary
-// protocol) and, separately, under a hot-key write storm with the
-// admission gate off vs. on. Every point is a closed loop of Workers
-// clients, each on its own connection, hammering a freshly built server,
-// so the comparison isolates the protocol and the gate, not the arrival
-// schedule.
+// protocol) and, separately, under a hot-key write storm ungated and
+// behind static admission gates of several widths. Every point is a
+// closed loop of Workers clients, each on its own connection, hammering a
+// freshly built server, so the comparison isolates the protocol and the
+// gate, not the arrival schedule.
 type ProtoConfig struct {
 	// Keys is the preloaded keyspace; Theta its Zipfian skew for the
 	// surface comparison.
@@ -34,9 +34,9 @@ type ProtoConfig struct {
 	// update-dominated (the default is 90% updates on a 0.99-skew
 	// keyspace — the regime where optimistic STM livelocks).
 	Storm kvclient.Mix
-	// AdmissionWidth is the gate's initial width for the admission-on
-	// storm arm; the tuner walks it from there.
-	AdmissionWidth int
+	// AdmissionWidths are the gated storm arms' widths, one arm each,
+	// measured after the ungated arm.
+	AdmissionWidths []int
 	// Period is the storm servers' tuning period.
 	Period time.Duration
 	Seed   uint64
@@ -45,22 +45,23 @@ type ProtoConfig struct {
 // DefaultProtoConfig scales the sweep to sc.
 func DefaultProtoConfig(sc Scale) ProtoConfig {
 	return ProtoConfig{
-		Keys:           4096,
-		Theta:          0.6,
-		ReadPcts:       []int{95, 50, 10},
-		Workers:        sc.Threads[len(sc.Threads)-1] * 4,
-		Duration:       2 * sc.Duration,
-		Storm:          kvclient.Mix{Keys: 4096, Theta: 0.99, ReadPct: 10, CASPct: 30, BatchPct: 30},
-		AdmissionWidth: 64,
-		Period:         sc.Duration / 4,
-		Seed:           sc.Seed,
+		Keys:            4096,
+		Theta:           0.6,
+		ReadPcts:        []int{95, 50, 10},
+		Workers:         sc.Threads[len(sc.Threads)-1] * 4,
+		Duration:        2 * sc.Duration,
+		Storm:           kvclient.Mix{Keys: 4096, Theta: 0.99, ReadPct: 10, CASPct: 30, BatchPct: 30},
+		AdmissionWidths: []int{4, 16, 64},
+		Period:          sc.Duration / 4,
+		Seed:            sc.Seed,
 	}
 }
 
 // ProtoPoint is one measured client/server run.
 type ProtoPoint struct {
 	// Surface is "http" or "binary"; Gate "off", "on" or "" (surface
-	// comparison points carry no gate).
+	// comparison points carry no gate; an "on" point's width is
+	// ServiceStats.AdmWidth).
 	Surface string
 	Gate    string
 	ReadPct int
@@ -78,7 +79,7 @@ type ProtoSweepResult struct {
 	// Surface pairs HTTP and binary points per read mix.
 	Surface []ProtoPoint
 	// Storm is the hot-key write-storm comparison: binary surface,
-	// admission off then on.
+	// ungated, then one arm per AdmissionWidths entry.
 	Storm []ProtoPoint
 }
 
@@ -97,11 +98,11 @@ func (r ProtoSweepResult) SurfaceTable() harness.Table {
 	return tbl
 }
 
-// StormTable renders the admission-off vs. admission-on storm comparison.
+// StormTable renders the storm comparison: ungated vs. static gate widths.
 func (r ProtoSweepResult) StormTable() harness.Table {
 	tbl := harness.Table{
-		Title:   "hot-key write storm: admission control off vs. on (binary surface)",
-		Headers: []string{"admission", "goodput (10^3/s)", "errors", "abort ratio", "adm width", "adm moves"},
+		Title:   "hot-key write storm: ungated vs. static admission widths (binary surface)",
+		Headers: []string{"admission", "goodput (10^3/s)", "errors", "abort ratio", "adm width", "waited"},
 	}
 	for _, p := range r.Storm {
 		adm := "-"
@@ -112,7 +113,7 @@ func (r ProtoSweepResult) StormTable() harness.Table {
 			fmt.Sprintf("%.1f", p.Goodput/1000),
 			p.Errors,
 			fmt.Sprintf("%.3f", p.AbortRatio),
-			adm, p.AdmMoves)
+			adm, p.Waited)
 	}
 	return tbl
 }
@@ -139,7 +140,7 @@ func runProtoPoint(sc Scale, cfg ProtoConfig, surface string, mix kvclient.Mix, 
 // ProtoSweep measures (1) the two wire surfaces at equal concurrency
 // across read mixes, on a static server at a good fixed geometry — the
 // sweep measures the wire and the gate, not the lock table — and (2) the
-// hot-key write storm with the admission gate off vs. on (tuned).
+// hot-key write storm ungated and behind each static gate width.
 func ProtoSweep(sc Scale, cfg ProtoConfig) ProtoSweepResult {
 	var r ProtoSweepResult
 	for _, readPct := range cfg.ReadPcts {
@@ -151,8 +152,8 @@ func ProtoSweep(sc Scale, cfg ProtoConfig) ProtoSweepResult {
 
 	// Storm arms: identical traffic, binary surface, the tuning runtime
 	// attached with its geometry bounds pinned, so the lock table holds
-	// still and the other controllers run as they do in stmkvd. The only
-	// difference between the arms is the gate.
+	// still and the loop runs as it does in stmkvd. The only difference
+	// between the arms is the gate.
 	storm := kvserver.Config{
 		Autotune: true,
 		Period:   cfg.Period,
@@ -166,9 +167,12 @@ func ProtoSweep(sc Scale, cfg ProtoConfig) ProtoSweepResult {
 	}
 	off := runProtoPoint(sc, cfg, surfaceBinary, cfg.Storm, storm)
 	off.Gate = "off"
-	storm.AdmissionWidth, storm.TuneAdmission = cfg.AdmissionWidth, true
-	on := runProtoPoint(sc, cfg, surfaceBinary, cfg.Storm, storm)
-	on.Gate = "on"
-	r.Storm = []ProtoPoint{off, on}
+	r.Storm = []ProtoPoint{off}
+	for _, w := range cfg.AdmissionWidths {
+		storm.AdmissionWidth = w
+		on := runProtoPoint(sc, cfg, surfaceBinary, cfg.Storm, storm)
+		on.Gate = "on"
+		r.Storm = append(r.Storm, on)
+	}
 	return r
 }

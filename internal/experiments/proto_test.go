@@ -9,20 +9,20 @@ import (
 )
 
 // TestProtoSweepQuick runs the full sweep shape at toy scale: both wire
-// surfaces answer, the storm arms differ only in the gate, and the
-// tables carry the admission columns.
+// surfaces answer, the storm arms differ only in the gate, whose width
+// stays where the arm set it, and the tables carry the admission columns.
 func TestProtoSweepQuick(t *testing.T) {
 	sc := tinyScale()
 	cfg := ProtoConfig{
-		Keys:           64,
-		Theta:          0.6,
-		ReadPcts:       []int{50},
-		Workers:        4,
-		Duration:       40 * time.Millisecond,
-		Storm:          kvclient.Mix{Keys: 64, Theta: 0.99, ReadPct: 10, CASPct: 30, BatchPct: 30},
-		AdmissionWidth: 4,
-		Period:         5 * time.Millisecond,
-		Seed:           42,
+		Keys:            64,
+		Theta:           0.6,
+		ReadPcts:        []int{50},
+		Workers:         4,
+		Duration:        40 * time.Millisecond,
+		Storm:           kvclient.Mix{Keys: 64, Theta: 0.99, ReadPct: 10, CASPct: 30, BatchPct: 30},
+		AdmissionWidths: []int{2},
+		Period:          5 * time.Millisecond,
+		Seed:            42,
 	}
 	r := ProtoSweep(sc, cfg)
 	if len(r.Surface) != 2 {
@@ -52,8 +52,8 @@ func TestProtoSweepQuick(t *testing.T) {
 	if off.AdmWidth != 0 {
 		t.Fatalf("ungated storm arm reports width %d", off.AdmWidth)
 	}
-	if on.AdmWidth < 1 {
-		t.Fatalf("gated storm arm reports width %d, want >= 1", on.AdmWidth)
+	if on.AdmWidth != 2 {
+		t.Fatalf("gated storm arm ended at width %d, want the 2 it was built with", on.AdmWidth)
 	}
 	if on.Ops == 0 || off.Ops == 0 {
 		t.Fatal("storm arm completed no ops")
@@ -75,7 +75,7 @@ func TestProtoSweepQuick(t *testing.T) {
 	gt := r.StormTable()
 	gt.Render(&sb)
 	out := sb.String()
-	for _, want := range []string{"binary", "http", "admission", "adm width"} {
+	for _, want := range []string{"binary", "http", "admission", "adm width", "waited"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("tables missing %q", want)
 		}

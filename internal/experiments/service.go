@@ -39,9 +39,10 @@ type ServiceStats struct {
 	// window; AbortRatio is aborts/(commits+aborts).
 	Commits, Aborts, Reconfigs uint64
 	AbortRatio                 float64
-	// AdmWidth is the width the tuner left the admission gate at (0: no
-	// tuned gate); AdmMoves the number of width changes it applied.
-	AdmWidth, AdmMoves int
+	// AdmWidth is the admission gate's width (0: no gate) and Waited how
+	// many updates had to queue at it.
+	AdmWidth int
+	Waited   uint64
 	// Events is the server's tuning trace (nil without Autotune).
 	Events []tuning.Event
 }
@@ -135,11 +136,12 @@ func (s *service) finish() ServiceStats {
 	if total := delta.Commits + delta.Aborts; total > 0 {
 		st.AbortRatio = float64(delta.Aborts) / float64(total)
 	}
+	if g := s.srv.Gate(); g != nil {
+		st.AdmWidth, _, _, st.Waited = g.Stats()
+	}
 	s.stop()
 	s.srv.Close()
 	if rt := s.srv.Runtime(); rt != nil {
-		st.AdmWidth = rt.Knob(tuning.AdmissionName).N
-		st.AdmMoves = rt.Moves(tuning.AdmissionName)
 		st.Events = rt.Trace()
 	}
 	return st

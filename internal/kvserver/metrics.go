@@ -149,6 +149,8 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(m.st.Reconfigs) })
 	m.reg.Histogram("stm_commit_seconds", "Duration of committed transaction attempts.", nil,
 		m.tmObs.CommitNs, 1e-9, lat)
+	m.reg.Histogram("stm_freeze_seconds", "Time each lock-table reconfiguration held the world frozen.", nil,
+		m.tmObs.FreezeNs, 1e-9, lat)
 	for k := 0; k < txn.NAbortKinds; k++ {
 		kind := txn.AbortKind(k)
 		m.reg.CounterFunc("stm_aborts_total", "Aborted transaction attempts by cause.",
@@ -325,28 +327,29 @@ func newMetrics(s *Server) *metrics {
 	return m
 }
 
-// registerTuning exports every controller's decisions and live knob, so
-// "why did the tuner move" is answerable from /metrics alone. Called from
-// New once the runtime exists (it is built after the instruments it reads).
-func (m *metrics) registerTuning(rt *tuning.Runtime) {
-	knob := func(name, dim string, f func(tuning.Knob) float64) {
-		m.reg.GaugeFunc("stm_tuning_knob", "Setting each tuning controller believes is installed.",
-			obs.Labels{"controller": name, "dim": dim},
-			func() float64 { return f(rt.Knob(name)) })
-	}
-	for _, name := range rt.Controllers() {
+// registerTuning exports the tuner's and the ladder's decisions and live
+// settings, so "why did the tuner move" is answerable from /metrics alone.
+// Called from New once the runtime exists (it is built after the
+// instruments it reads); brown is nil without a ladder.
+func (m *metrics) registerTuning(rt *tuning.Runtime, brown *resilience.Brownout) {
+	decisions := func(controller string, tally func() tuning.Tally) {
 		for _, o := range tuning.Outcomes {
 			m.reg.CounterFunc("stm_tuning_decisions_total", "Per-period decisions by tuning controller and outcome.",
-				obs.Labels{"controller": name, "outcome": string(o)},
-				func() float64 { return float64(rt.Count(name, o)) })
+				obs.Labels{"controller": controller, "outcome": o.String()},
+				func() float64 { return float64(tally()[o]) })
 		}
-		if name == tuning.GeometryName {
-			knob(name, "locks_log2", func(k tuning.Knob) float64 { return float64(bits.TrailingZeros64(k.Params.Locks)) })
-			knob(name, "shifts", func(k tuning.Knob) float64 { return float64(k.Params.Shifts) })
-			knob(name, "hier_log2", func(k tuning.Knob) float64 { return float64(bits.TrailingZeros64(k.Params.Hier)) })
-			continue
-		}
-		knob(name, "value", func(k tuning.Knob) float64 { return float64(k.N) })
+	}
+	knob := func(controller, dim string, f func() float64) {
+		m.reg.GaugeFunc("stm_tuning_knob", "Setting each tuning controller believes is installed.",
+			obs.Labels{"controller": controller, "dim": dim}, f)
+	}
+	decisions("geometry", func() tuning.Tally { g, _ := rt.Counts(); return g })
+	knob("geometry", "locks_log2", func() float64 { return float64(bits.TrailingZeros64(rt.Current().Locks)) })
+	knob("geometry", "shifts", func() float64 { return float64(rt.Current().Shifts) })
+	knob("geometry", "hier_log2", func() float64 { return float64(bits.TrailingZeros64(rt.Current().Hier)) })
+	if brown != nil {
+		decisions("brownout", func() tuning.Tally { _, b := rt.Counts(); return b })
+		knob("brownout", "value", func() float64 { return float64(brown.Level()) })
 	}
 }
 

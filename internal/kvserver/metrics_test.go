@@ -61,8 +61,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
 		SpaceWords: 1 << 18, Shards: 4, Buckets: 8,
 		Snapshots: true, AdmissionWidth: 8,
-		Autotune: true, TuneAdmission: true,
-		BrownoutSLO: time.Second, Period: 2 * time.Millisecond, Samples: 1,
+		Autotune: true, BrownoutSLO: time.Second, Period: 2 * time.Millisecond, Samples: 1,
 	})
 	c := ts.Client()
 
@@ -72,27 +71,28 @@ func TestMetricsEndpoint(t *testing.T) {
 		var got struct{ Val uint64 }
 		doJSON(t, c, "GET", ts.URL+"/kv/"+strconv.Itoa(i), "", &got)
 	}
-	// Freeze the controllers so the scrape and the runtime's own counts
-	// below describe the same instant.
+	// Stop the tuning loop so the scrape and the runtime's own counts
+	// below describe the same instant, then force one more geometry move.
 	rt := srv.Runtime()
 	for deadline := time.Now().Add(5 * time.Second); rt.Periods() < 4 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	rt.Stop()
+	if err := srv.TM().Reconfigure(core.Params{Locks: 1 << 9, Hier: 1}); err != nil {
+		t.Fatal(err)
+	}
 
 	body, val := scrape(t, c, ts.URL)
 
-	// Every running controller exports its decisions by outcome and its
-	// live knob; the landed moves on /metrics are the runtime's Moves.
-	if got := rt.Controllers(); len(got) != 3 {
-		t.Fatalf("controllers = %v, want geometry, admission and brownout", got)
-	}
-	for _, name := range rt.Controllers() {
+	// The tuner and the ladder export their decisions by outcome and
+	// their live setting; the landed moves on /metrics are the runtime's.
+	geom, ladder := rt.Counts()
+	for controller, tally := range map[string]tuning.Tally{"geometry": geom, "brownout": ladder} {
 		var decisions, landed float64
 		for _, o := range tuning.Outcomes {
-			v, ok := val(`stm_tuning_decisions_total{controller="` + name + `",outcome="` + string(o) + `"}`)
+			v, ok := val(`stm_tuning_decisions_total{controller="` + controller + `",outcome="` + o.String() + `"}`)
 			if !ok {
-				t.Fatalf("no %s decisions series for controller %s", o, name)
+				t.Fatalf("no %s decisions series for controller %s", o, controller)
 			}
 			decisions += v
 			if o == tuning.Moved || o == tuning.Reverted {
@@ -100,18 +100,25 @@ func TestMetricsEndpoint(t *testing.T) {
 			}
 		}
 		if decisions != float64(rt.Periods()) || decisions < 4 {
-			t.Errorf("%s: %v decisions exported over %d periods", name, decisions, rt.Periods())
+			t.Errorf("%s: %v decisions exported over %d periods", controller, decisions, rt.Periods())
 		}
-		if landed != float64(rt.Moves(name)) {
-			t.Errorf("%s: %v landed moves exported, Runtime.Moves = %d", name, landed, rt.Moves(name))
+		if landed != float64(tally.Landed()) {
+			t.Errorf("%s: %v landed moves exported, the runtime counted %d", controller, landed, tally.Landed())
 		}
-		dim, want := "value", float64(rt.Knob(name).N)
-		if name == tuning.GeometryName {
-			dim, want = "locks_log2", math.Log2(float64(srv.TM().Params().Locks))
+	}
+	knobs := map[string]float64{
+		`stm_tuning_knob{controller="geometry",dim="locks_log2"}`: math.Log2(float64(rt.Current().Locks)),
+		`stm_tuning_knob{controller="brownout",dim="value"}`:      float64(srv.brown.Level()),
+	}
+	for series, want := range knobs {
+		if v, ok := val(series); !ok || v != want {
+			t.Errorf("%s = %v (ok=%v), want %v", series, v, ok, want)
 		}
-		if v, ok := val(`stm_tuning_knob{controller="` + name + `",dim="` + dim + `"}`); !ok || v != want {
-			t.Errorf("%s knob gauge = %v (ok=%v), want %v", name, v, ok, want)
-		}
+	}
+	// Every Reconfigure, the tuner's and the forced one, timed its freeze.
+	reconfigs, _ := val("stm_reconfigs_total")
+	if v, ok := val("stm_freeze_seconds_count"); !ok || v != reconfigs || v < 1 {
+		t.Errorf("stm_freeze_seconds_count = %v (ok=%v), stm_reconfigs_total = %v; want equal and >= 1", v, ok, reconfigs)
 	}
 
 	if v, ok := val("stm_commits_total"); !ok || v < 32 {
@@ -138,9 +145,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v, ok := val("stmkvd_keys"); !ok || v != 32 {
 		t.Fatalf("stmkvd_keys = %v (ok=%v), want 32", v, ok)
 	}
-	if v, ok := val("stmkvd_admission_width"); !ok || v != float64(rt.Knob(tuning.AdmissionName).N) || v < 8 {
-		t.Fatalf("admission width = %v (ok=%v), want the controller's %v (calm traffic only widens it from 8)",
-			v, ok, rt.Knob(tuning.AdmissionName))
+	if v, ok := val("stmkvd_admission_width"); !ok || v != 8 {
+		t.Fatalf("admission width = %v (ok=%v), want the 8 it was built with", v, ok)
 	}
 	if v, ok := val("stmkvd_admission_admitted_total"); !ok || v < 32 {
 		t.Fatalf("admitted = %v (ok=%v), want >= 32", v, ok)

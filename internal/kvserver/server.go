@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"math/bits"
 	"net/http"
-	"slices"
 	"strconv"
 	"time"
 
@@ -76,18 +75,14 @@ type Config struct {
 	// cmd/stmkvd.
 	Snapshots bool
 	// Autotune attaches a tuning.Runtime (on by default in cmd/stmkvd).
-	// It always tunes the lock-table geometry; next to it, the admission
-	// gate's width with TuneAdmission and AdmissionWidth > 0, and the
-	// overload ladder with BrownoutSLO.
+	// It tunes the lock-table geometry and, with BrownoutSLO, steps the
+	// overload ladder.
 	Autotune bool
 	// AdmissionWidth puts a token-bucket gate of that many concurrent
 	// update transactions in front of the store (both HTTP and binary
-	// surfaces); 0 disables the gate. Reads are never gated.
+	// surfaces); 0 disables the gate. Reads are never gated. The width is
+	// fixed for the server's life.
 	AdmissionWidth int
-	// TuneAdmission lets the runtime walk the gate width from the observed
-	// abort ratio; without it the width stays where AdmissionWidth put it.
-	// Takes effect with Autotune and AdmissionWidth > 0.
-	TuneAdmission bool
 	// BrownoutSLO arms overload brownout: when the per-period request
 	// p99 (measured by the tuning runtime from the latency histogram)
 	// exceeds this, the server sheds request classes in cost order —
@@ -233,26 +228,17 @@ func New(cfg Config) (*Server, error) {
 		s.brown = resilience.NewBrownout(resilience.BrownoutConfig{SLO: cfg.BrownoutSLO})
 	}
 	if cfg.Autotune {
-		// A controller in the list is on: behind its geometry tuner the
-		// runtime runs one for every subsystem this server has.
-		var ctls []tuning.Controller
-		if cfg.TuneAdmission && s.gate != nil {
-			ctls = append(ctls, tuning.NewAdmission(s.gate, tuning.AdmissionConfig{}))
-		}
-		if s.brown != nil {
-			ctls = append(ctls, tuning.NewBrownout(s.brown))
-		}
 		s.rt = tuning.NewRuntime(tm, tuning.RuntimeConfig{
-			Tuner:       tuning.Config{Initial: cfg.Geometry, Bounds: cfg.Bounds, Seed: cfg.Seed},
-			Period:      cfg.Period,
-			Samples:     cfg.Samples,
-			Controllers: ctls,
+			Tuner:    tuning.Config{Initial: cfg.Geometry, Bounds: cfg.Bounds, Seed: cfg.Seed},
+			Period:   cfg.Period,
+			Samples:  cfg.Samples,
+			Brownout: s.brown,
 			// A daemon tunes forever: keep only a bounded window of
 			// events in memory (/tuning serves its tail).
 			TraceCap: traceCap,
 			Latency:  s.met.reqAll,
 		})
-		s.met.registerTuning(s.rt)
+		s.met.registerTuning(s.rt, s.brown)
 		if err := s.rt.Start(); err != nil {
 			s.store.Close()
 			return nil, err
@@ -278,6 +264,9 @@ func (s *Server) Store() *kvstore.Store[*core.Tx] { return s.store }
 
 // Runtime returns the attached tuning runtime, nil without Autotune.
 func (s *Server) Runtime() *tuning.Runtime { return s.rt }
+
+// Gate returns the update-admission gate, nil without AdmissionWidth.
+func (s *Server) Gate() *admission.Gate { return s.gate }
 
 // Close stops the checkpointer and the write-ahead log, then the tuning
 // runtime, and releases every pooled descriptor back to the TM (the
@@ -516,12 +505,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// tunes reports whether the named controller is attached to this server's
-// tuning runtime: /stats and /tuning report what runs, not what was asked.
-func (s *Server) tunes(controller string) bool {
-	return s.rt != nil && slices.Contains(s.rt.Controllers(), controller)
-}
-
 // admissionWidth returns the gate's live width, 0 without a gate.
 func (s *Server) admissionWidth() int {
 	if s.gate == nil {
@@ -538,7 +521,6 @@ func (s *Server) admissionStats() map[string]any {
 	width, inflight, admitted, waited := s.gate.Stats()
 	return map[string]any{
 		"enabled":  true,
-		"tuned":    s.tunes(tuning.AdmissionName),
 		"width":    width,
 		"inflight": inflight,
 		"admitted": admitted,
@@ -547,24 +529,11 @@ func (s *Server) admissionStats() map[string]any {
 	}
 }
 
-// wireKeys names a controller's knob before the period, the knob after a
-// move, and a failed move, in a /tuning event. The default is <name>,
-// next_<name>, <name>_err; the exceptions predate the controller list and
+// wireEvent is the JSON form of one tuning period: the sample, the
+// tuner's triple before and after with its move number, and the ladder's
+// rung when a ladder runs (the next rung only when it moved). The keys
 // are frozen because clients read them.
-func wireKeys(controller string) (from, to, err string) {
-	switch controller {
-	case tuning.GeometryName:
-		return "params", "next", "err"
-	case tuning.AdmissionName:
-		return "adm_width", "next_adm_width", "adm_err"
-	}
-	return controller, "next_" + controller, controller + "_err"
-}
-
-// wireEvent is the JSON form of one tuning period: the sample, geometry's
-// next configuration and move number, then each controller's knob under
-// its wireKeys (the next knob only when it moved).
-func wireEvent(e tuning.Event) map[string]any {
+func wireEvent(e tuning.Event, brownout bool) map[string]any {
 	we := map[string]any{
 		"period":     e.Period,
 		"throughput": e.Throughput,
@@ -577,19 +546,19 @@ func wireEvent(e tuning.Event) map[string]any {
 		we["lat_p99_ns"] = int64(e.LatP99)
 		we["lat_samples"] = e.LatSamples
 	}
-	g := e.Decisions[0]
+	g := e.Geometry
+	we["params"] = g.From
 	we["next"] = g.To
 	if !e.Idle {
 		we["move"] = g.Move.Signed(g.Reversed)
 	}
-	for _, d := range e.Decisions {
-		from, to, errKey := wireKeys(d.Controller)
-		we[from] = d.From
-		if d.Moved {
-			we[to] = d.To
-		}
-		if d.Err != nil {
-			we[errKey] = d.Err.Error()
+	if g.Err != nil {
+		we["err"] = g.Err.Error()
+	}
+	if brownout {
+		we["brownout"] = e.Brownout.From.String()
+		if e.Brownout.Moved {
+			we["next_brownout"] = e.Brownout.To.String()
 		}
 	}
 	return we
@@ -622,8 +591,8 @@ func (s *Server) handleTuning(w http.ResponseWriter, r *http.Request) {
 	out := make([]map[string]any, len(events))
 	reconfigurations := 0
 	for i, e := range events {
-		out[i] = wireEvent(e)
-		if g := e.Decisions[0]; g.Moved && g.Err == nil {
+		out[i] = wireEvent(e, s.brown != nil)
+		if g := e.Geometry; g.Moved && g.Err == nil {
 			reconfigurations++
 		}
 	}
@@ -632,15 +601,13 @@ func (s *Server) handleTuning(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"enabled":          true,
 		"running":          s.rt.Running(),
-		"current":          s.rt.Knob(tuning.GeometryName).Params,
+		"current":          s.rt.Current(),
 		"best":             best,
 		"best_throughput":  bestTp,
 		"reconfigurations": reconfigurations,
 		"reconfigs_total":  st.Reconfigs,
 		"periods_total":    s.rt.Periods(),
-		"admission_tuning": s.tunes(tuning.AdmissionName),
 		"admission_width":  s.admissionWidth(),
-		"admission_moves":  s.rt.Moves(tuning.AdmissionName),
 		"brownout_tuning":  s.brown != nil,
 		"brownout_level":   s.brownoutLevelName(),
 		"events":           out,

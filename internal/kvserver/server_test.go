@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,6 +17,7 @@ import (
 	"time"
 
 	"tinystm/internal/core"
+	"tinystm/internal/resilience"
 	"tinystm/internal/tuning"
 )
 
@@ -388,8 +388,7 @@ func TestScanWithoutSnapshotsFallsBack(t *testing.T) {
 
 // TestTuningReportsVersionBudget: the version budget is fixed when the TM
 // is built. Through an autotuned run with scans, /stats keeps reporting
-// the default 512, and /tuning shows no budget controller and no budget
-// key on any event.
+// the default 512, and /tuning shows no budget key on any event.
 func TestTuningReportsVersionBudget(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
 		SpaceWords: 1 << 18, Shards: 4, Buckets: 8,
@@ -419,9 +418,6 @@ func TestTuningReportsVersionBudget(t *testing.T) {
 		t.Errorf("version budget %d on /stats, %d on the TM after %d periods; want 512",
 			st.Snapshots.VersionBudget, srv.TM().VersionBudget(), rt.Periods())
 	}
-	if got := rt.Controllers(); slices.Contains(got, "budget") {
-		t.Errorf("controllers = %v, want no budget controller", got)
-	}
 	var tun struct {
 		Events []map[string]json.RawMessage `json:"events"`
 	}
@@ -436,29 +432,31 @@ func TestTuningReportsVersionBudget(t *testing.T) {
 	}
 }
 
-// /tuning reports the controllers that are attached, not the ones asked
-// for: no gate, no admission controller.
+// /tuning reports what this server runs: with neither a gate nor a
+// ladder, a zero width, no ladder and no key of the removed admission
+// controller.
 func TestTuneSnapshotsRequiresSnapshots(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		SpaceWords: 1 << 18, Shards: 4, Buckets: 8,
-		Snapshots: false, Autotune: true, TuneAdmission: true,
-		Period: time.Hour,
+		Snapshots: false, Autotune: true, Period: time.Hour,
 	})
-	var out struct {
-		Enabled         bool `json:"enabled"`
-		AdmissionTuning bool `json:"admission_tuning"`
-	}
+	var out map[string]json.RawMessage
 	if code := doJSON(t, ts.Client(), "GET", ts.URL+"/tuning", "", &out); code != http.StatusOK {
 		t.Fatalf("GET /tuning status %d", code)
 	}
-	if !out.Enabled || out.AdmissionTuning {
-		t.Fatalf("/tuning = %+v without sidecar or gate, want geometry only", out)
+	for key, want := range map[string]string{"enabled": "true", "admission_width": "0", "brownout_tuning": "false"} {
+		if got := string(out[key]); got != want {
+			t.Errorf("/tuning %s = %s, want %s", key, got, want)
+		}
+	}
+	if _, ok := out["admission_tuning"]; ok {
+		t.Error("/tuning still reports admission_tuning")
 	}
 }
 
-// wireParams and parentWireEvent are the /tuning event structs as they stood before events
-// became Sample + []Decision. They are the frozen client contract: bench/ and
-// the smokes read these keys.
+// wireParams and parentWireEvent are the /tuning event as clients read it,
+// less the admission controller's keys, which went with it. They are the
+// frozen client contract: bench/ and the smokes read these keys.
 type wireParams struct {
 	Locks  uint64 `json:"locks"`
 	Shifts uint   `json:"shifts"`
@@ -474,40 +472,36 @@ type parentWireEvent struct {
 	Idle       *bool       `json:"idle"`
 	Move       *string     `json:"move"`
 	Next       *wireParams `json:"next"`
-	AdmWidth   *int        `json:"adm_width"`
-	NextAdm    *int        `json:"next_adm_width"`
 	Brownout   *string     `json:"brownout"`
 	NextBrown  *string     `json:"next_brownout"`
 	LatP50Ns   *int64      `json:"lat_p50_ns"`
 	LatP99Ns   *int64      `json:"lat_p99_ns"`
 	LatSamples *uint64     `json:"lat_samples"`
 	Err        *string     `json:"err"`
-	AdmErr     *string     `json:"adm_err"`
 }
 
-// TestTuningWireKeysFrozen: a period in which every controller moved and
-// every move failed must still render every key the old flat event had,
-// with the old JSON types (decoding into the old struct checks both), and
-// a live /tuning response must keep every top-level key. The keys of the
-// version-budget controller were removed with it on purpose: the event's
-// budget, next_budget, snap_err and snap_too_old, and the top-level
-// snapshot_tuning, version_budget and budget_moves must stay gone.
+// TestTuningWireKeysFrozen: a period in which the tuner's move failed and
+// the ladder moved must still render every key clients read, with its
+// JSON type (decoding into the struct checks both), and a live /tuning
+// response must keep every top-level key. The keys of removed controllers
+// must stay gone: the version budget's (the event's budget, next_budget,
+// snap_err and snap_too_old; the top-level snapshot_tuning,
+// version_budget and budget_moves) and the admission width's (the
+// event's adm_width, next_adm_width and adm_err; the top-level
+// admission_tuning and admission_moves).
 func TestTuningWireKeysFrozen(t *testing.T) {
-	knob := func(n int, name string) tuning.Knob { return tuning.Knob{N: n, Name: name} }
-	failed := errors.New("refused")
 	ev := tuning.Event{
 		Sample: tuning.Sample{
 			Period: 3, Throughput: 1e4, Commits: 100, Aborts: 300,
 			LatP50: time.Millisecond, LatP99: 9 * time.Millisecond, LatSamples: 50,
 		},
-		Decisions: []tuning.Decision{
-			{Controller: tuning.GeometryName, Moved: true, Move: tuning.MoveDoubleLocks, Err: failed,
-				From: tuning.Knob{Params: core.Params{Locks: 256, Hier: 1}}, To: tuning.Knob{Params: core.Params{Locks: 512, Hier: 1}}},
-			{Controller: tuning.AdmissionName, From: knob(8, ""), To: knob(4, ""), Moved: true, Err: failed},
-			{Controller: tuning.BrownoutName, From: knob(0, "off"), To: knob(1, "shed-scans"), Moved: true},
+		Geometry: tuning.GeometryDecision{
+			From: core.Params{Locks: 256, Hier: 1}, To: core.Params{Locks: 512, Hier: 1},
+			Moved: true, Move: tuning.MoveDoubleLocks, Err: errors.New("refused"),
 		},
+		Brownout: tuning.BrownoutDecision{From: resilience.LevelOff, To: resilience.LevelShedScans, Moved: true},
 	}
-	raw, err := json.Marshal(wireEvent(ev))
+	raw, err := json.Marshal(wireEvent(ev, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,21 +514,20 @@ func TestTuningWireKeysFrozen(t *testing.T) {
 			t.Errorf("event lost key %q: %s", v.Type().Field(i).Tag.Get("json"), raw)
 		}
 	}
-	if *old.Move != "1" || *old.NextAdm != 4 || *old.NextBrown != "shed-scans" {
+	if *old.Move != "1" || old.Next.Locks != 512 || *old.Brownout != "off" || *old.NextBrown != "shed-scans" || *old.Err != "refused" {
 		t.Errorf("event values moved: %s", raw)
 	}
 
 	_, ts := newTestServer(t, Config{
 		SpaceWords: 1 << 18, Shards: 2, Buckets: 8, Snapshots: true, AdmissionWidth: 8,
-		Autotune: true, TuneAdmission: true,
-		BrownoutSLO: time.Second, Period: time.Hour,
+		Autotune: true, BrownoutSLO: time.Second, Period: time.Hour,
 	})
 	var top map[string]json.RawMessage
 	doJSON(t, ts.Client(), "GET", ts.URL+"/tuning", "", &top)
 	for _, key := range []string{
 		"enabled", "running", "current", "best", "best_throughput", "reconfigurations",
-		"reconfigs_total", "periods_total", "admission_tuning", "admission_width",
-		"admission_moves", "brownout_tuning", "brownout_level", "events",
+		"reconfigs_total", "periods_total", "admission_width",
+		"brownout_tuning", "brownout_level", "events",
 	} {
 		if _, ok := top[key]; !ok {
 			t.Errorf("/tuning lost top-level key %q", key)
@@ -544,14 +537,91 @@ func TestTuningWireKeysFrozen(t *testing.T) {
 	if err := json.Unmarshal(raw, &flat); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"budget", "next_budget", "snap_err", "snap_too_old"} {
+	for _, key := range []string{"budget", "next_budget", "snap_err", "snap_too_old", "adm_width", "next_adm_width", "adm_err"} {
 		if _, ok := flat[key]; ok {
 			t.Errorf("event renders removed key %q: %s", key, raw)
 		}
 	}
-	for _, key := range []string{"snapshot_tuning", "version_budget", "budget_moves"} {
+	for _, key := range []string{"snapshot_tuning", "version_budget", "budget_moves", "admission_tuning", "admission_moves"} {
 		if _, ok := top[key]; ok {
 			t.Errorf("/tuning renders removed top-level key %q", key)
+		}
+	}
+}
+
+// TestAdmissionWidthFixedUnderAutotune: the tuning loop never touches the
+// admission gate. An autotuned server behind an 8-wide gate runs a hot
+// update storm for at least ten tuning periods; the gate is still 8 wide
+// and admitted the storm, and neither /metrics nor /tuning says anything
+// about an admission controller.
+func TestAdmissionWidthFixedUnderAutotune(t *testing.T) {
+	srv, ts := newTestServer(t, Config{
+		SpaceWords: 1 << 18, Shards: 2, Buckets: 8, Snapshots: true, AdmissionWidth: 8,
+		Autotune: true, Period: 2 * time.Millisecond, Samples: 1,
+	})
+	c := ts.Client()
+	rt := srv.Runtime()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 16; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := c.Post(ts.URL+"/kv/"+strconv.Itoa((w+i)%4)+"/add", "application/json", strings.NewReader(`{"delta":1}`))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); rt.Periods() < 10; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	rt.Stop()
+	if rt.Periods() < 10 {
+		t.Fatalf("only %d tuning periods under the storm", rt.Periods())
+	}
+
+	var st struct {
+		Admission map[string]json.RawMessage `json:"admission"`
+	}
+	doJSON(t, c, "GET", ts.URL+"/stats", "", &st)
+	if w := string(st.Admission["width"]); w != "8" || srv.Gate().Width() != 8 {
+		t.Errorf("gate width %s on /stats, %d live after %d periods; want 8", w, srv.Gate().Width(), rt.Periods())
+	}
+	if n, _ := strconv.Atoi(string(st.Admission["admitted"])); n == 0 {
+		t.Error("/stats admission.admitted = 0 under an update storm")
+	}
+	if _, ok := st.Admission["tuned"]; ok {
+		t.Error("/stats still reports admission.tuned")
+	}
+	body, val := scrape(t, c, ts.URL)
+	if strings.Contains(body, `controller="admission"`) {
+		t.Error(`/metrics exports a series with controller="admission"`)
+	}
+	if v, _ := val("stmkvd_admission_width"); v != 8 {
+		t.Errorf("stmkvd_admission_width = %v, want 8", v)
+	}
+	var tun struct {
+		Events []map[string]json.RawMessage `json:"events"`
+	}
+	doJSON(t, c, "GET", ts.URL+"/tuning", "", &tun)
+	for _, ev := range tun.Events {
+		if _, ok := ev["adm_width"]; ok {
+			t.Fatalf("/tuning event carries adm_width: %v", ev)
 		}
 	}
 }

@@ -8,7 +8,8 @@ import (
 
 // TMObs bundles the STM-level instruments one TM records into: the
 // committed-attempt duration histogram, one aborted-attempt duration
-// histogram per abort cause, and (optionally) the flight recorder. An
+// histogram per abort cause, the world-freeze histogram of Reconfigure,
+// and (optionally) the flight recorder. An
 // installed *TMObs sits behind one atomic pointer in the TM; a nil one
 // costs the transaction loop a single predictable branch.
 type TMObs struct {
@@ -18,6 +19,10 @@ type TMObs struct {
 	// AbortNs[k] is the duration of attempts that rolled back with
 	// cause k, in nanoseconds.
 	AbortNs [txn.NAbortKinds]*Histogram
+	// FreezeNs is how long each Reconfigure held the world frozen, from
+	// the start of the freeze to the release, in nanoseconds: what one
+	// geometry move costs every transaction that wanted to run meanwhile.
+	FreezeNs *Histogram
 	// Rec, when non-nil, receives the sampled per-transaction event
 	// trace.
 	Rec *Recorder
@@ -26,7 +31,7 @@ type TMObs struct {
 // NewTMObs allocates every histogram; rec may be nil (no flight
 // recording, histograms only).
 func NewTMObs(rec *Recorder) *TMObs {
-	o := &TMObs{CommitNs: NewHistogram(), Rec: rec}
+	o := &TMObs{CommitNs: NewHistogram(), FreezeNs: NewHistogram(), Rec: rec}
 	for i := range o.AbortNs {
 		o.AbortNs[i] = NewHistogram()
 	}

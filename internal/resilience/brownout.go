@@ -144,9 +144,8 @@ func NewBrownout(cfg BrownoutConfig) *Brownout {
 
 // Decide feeds one period's measured p99 and sample count to the
 // hysteresis and returns the level the ladder should stand on next, plus
-// whether that is a change. It does not move the ladder — Set does — so a
-// controller can decide under its own lock and install outside it.
-// Single-stepper only: call from one controller goroutine.
+// whether that is a change. It does not move the ladder; Set does.
+// Single-stepper only: call from one goroutine.
 func (b *Brownout) Decide(p99 time.Duration, samples uint64) (Level, bool) {
 	lvl := b.Level()
 	if samples >= b.cfg.MinSamples && p99 > b.cfg.SLO {

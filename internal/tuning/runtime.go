@@ -2,12 +2,13 @@ package tuning
 
 import (
 	"fmt"
-	"slices"
+	"strings"
 	"sync"
 	"time"
 
 	"tinystm/internal/core"
 	"tinystm/internal/obs"
+	"tinystm/internal/resilience"
 )
 
 // System is the runtime's view of a tunable STM: an O(1) lock-free sampler
@@ -27,6 +28,125 @@ type System interface {
 
 var _ System = (*core.TM)(nil)
 
+// Sample is one tuning period's measurement: the paper's "measure" step,
+// read by the hill climber and the brownout ladder alike.
+type Sample struct {
+	// Period is the zero-based index of the tuning period.
+	Period int `json:"period"`
+	// Throughput is the maximum commits/second over the period's samples
+	// (Section 4.3 measures three times and keeps the maximum).
+	Throughput float64 `json:"throughput"`
+	// Commits and Aborts are the raw counter deltas over the whole period.
+	Commits uint64 `json:"commits"`
+	Aborts  uint64 `json:"aborts"`
+	// LatP50 and LatP99 are the period's request-latency quantiles and
+	// LatSamples its request count, differenced from the attached latency
+	// histogram (RuntimeConfig.Latency). Zero without one.
+	LatP50     time.Duration `json:"lat_p50_ns,omitempty"`
+	LatP99     time.Duration `json:"lat_p99_ns,omitempty"`
+	LatSamples uint64        `json:"lat_samples,omitempty"`
+	// Idle marks a paused period: the system was (nearly) quiescent, so
+	// the measurement says nothing about the geometry and the tuner
+	// holds. The brownout ladder still steps: for it idleness is the calm
+	// that walks it back down.
+	Idle bool `json:"idle,omitempty"`
+}
+
+// Outcome classifies one period's decision.
+type Outcome int
+
+const (
+	Held  Outcome = iota // the setting stayed
+	Moved                // a move landed on the live system
+	// Reverted is a landed move that backed out to the best-known
+	// configuration (GeometryDecision.Reversed): the tuner undoing an
+	// earlier move.
+	Reverted
+	Failed // Reconfigure returned an error; the tuner was rolled back
+)
+
+// Outcomes lists every outcome (exporters register each series up front).
+var Outcomes = [...]Outcome{Held, Moved, Reverted, Failed}
+
+func (o Outcome) String() string { return [...]string{"held", "moved", "reverted", "failed"}[o] }
+
+func outcome(moved, reversed bool, err error) Outcome {
+	switch {
+	case err != nil:
+		return Failed
+	case !moved:
+		return Held
+	case reversed:
+		return Reverted
+	}
+	return Moved
+}
+
+// Tally counts one loop's decisions by outcome.
+type Tally [len(Outcomes)]uint64
+
+// Landed is how many moves reached the live system: Moved plus Reverted.
+func (t Tally) Landed() uint64 { return t[Moved] + t[Reverted] }
+
+// GeometryDecision is what the hill climber chose for one period.
+type GeometryDecision struct {
+	// From is the triple live during the period, To the one chosen for
+	// the next; Moved marks a change (the runtime then calls Reconfigure).
+	From, To core.Params
+	Moved    bool
+	// Move is the hill climber's move number and Reversed the paper's
+	// "-x" notation (reverse to best, then move x).
+	Move     Move
+	Reversed bool
+	// Err reports a failed Reconfigure: the system kept From and the
+	// tuner was reverted to it.
+	Err error
+}
+
+// Outcome classifies d once Reconfigure has run.
+func (d GeometryDecision) Outcome() Outcome { return outcome(d.Moved, d.Reversed, d.Err) }
+
+// BrownoutDecision is the overload ladder's step for one period.
+type BrownoutDecision struct {
+	From, To resilience.Level
+	Moved    bool
+}
+
+// Outcome classifies d: the ladder only holds or moves.
+func (d BrownoutDecision) Outcome() Outcome { return outcome(d.Moved, false, nil) }
+
+// Event is one tuning period as observed by the runtime — the Sample and
+// what the tuner and the ladder decided on it — published on the trace
+// channel and retained in the runtime's own trace. Brownout is the zero
+// decision when no ladder is attached.
+type Event struct {
+	Sample
+	Geometry GeometryDecision
+	Brownout BrownoutDecision
+}
+
+// String renders one trace line: the tuner's "cfg → tp via move", then a
+// failed Reconfigure and a ladder move, when there was one.
+func (e Event) String() string {
+	g := e.Geometry
+	var b strings.Builder
+	if e.Idle {
+		fmt.Fprintf(&b, "period %d: %v idle (%d commits), holding", e.Period, g.From, e.Commits)
+	} else {
+		fmt.Fprintf(&b, "period %d: %v %.0f txs/s, move %v -> %v", e.Period, g.From, e.Throughput, g.Move.Signed(g.Reversed), g.To)
+		if e.LatSamples > 0 {
+			fmt.Fprintf(&b, ", lat p50=%v p99=%v (%d reqs)", e.LatP50, e.LatP99, e.LatSamples)
+		}
+	}
+	if g.Err != nil {
+		fmt.Fprintf(&b, ", geometry %v -> %v failed: %v", g.From, g.To, g.Err)
+	}
+	if br := e.Brownout; br.Moved {
+		fmt.Fprintf(&b, ", brownout %v -> %v", br.From, br.To)
+	}
+	return b.String()
+}
+
 // RuntimeConfig parameterizes a Runtime.
 type RuntimeConfig struct {
 	// Tuner configures the hill-climbing engine. A zero Initial is
@@ -45,7 +165,7 @@ type RuntimeConfig struct {
 	// (pause only when fully quiescent).
 	MinPeriodCommits uint64
 	// Trace, when non-nil, receives one Event per period. Sends never
-	// block: if the channel is full the event is dropped (the controller
+	// block: if the channel is full the event is dropped (the loop
 	// must not stall behind a slow observer). Size the buffer to the run
 	// when completeness matters.
 	Trace chan<- Event
@@ -56,11 +176,14 @@ type RuntimeConfig struct {
 	// read the full path afterwards).
 	TraceCap int
 
-	// Controllers run after the geometry controller, in order, over the
-	// same per-period Sample: NewAdmission, NewBrownout, or anything else
-	// that implements Controller. A controller in the list is on; each
-	// constructor takes the system it drives.
-	Controllers []Controller
+	// Brownout, when non-nil, is the server's overload ladder. The
+	// runtime becomes its single stepper: once per period, idle periods
+	// included, it feeds the ladder the period's request p99 and sample
+	// count and installs the rung it decides. An overloaded server that
+	// sheds its way back to quiescence must walk the ladder down again,
+	// and the only evidence of calm is periods with few or no requests.
+	// Without Latency the ladder only ever sees calm.
+	Brownout *resilience.Brownout
 
 	// Latency, when non-nil, is the server's request-latency histogram
 	// (nanoseconds). The runtime snapshots it once per period and
@@ -97,22 +220,21 @@ func (c RuntimeConfig) withDefaults() RuntimeConfig {
 // Runtime is the online auto-tuning loop (the paper's Section 4 "dynamic
 // tuning" running inside the system rather than in a benchmark harness):
 // a background goroutine builds one Sample per period from the system's
-// aggregate counters, hands it to every controller — the hill-climbing
-// geometry tuner first, then RuntimeConfig.Controllers — and applies the
-// moves they choose to the live system.
+// aggregate counters, steps the hill-climbing tuner on it, installs the
+// triple it chooses with Reconfigure, and steps the brownout ladder when
+// one is attached.
 //
 // Start launches the loop; Stop halts it and waits for it to exit. A
-// stopped Runtime can be started again and continues from the
-// controllers' accumulated memory.
+// stopped Runtime can be started again and continues from the tuner's
+// accumulated memory.
 type Runtime struct {
 	sys System
 	cfg RuntimeConfig
 
 	mu       sync.Mutex // guards everything below
-	geom     *geometry  // ctls[0], kept typed for Best and Start
-	ctls     []Controller
-	names    []string             // ctls[i].Name()
-	counts   []map[Outcome]uint64 // decisions per controller, by outcome
+	tuner    *Tuner
+	geomN    Tally // the tuner's decisions, by outcome
+	brownN   Tally // the ladder's decisions, by outcome
 	trace    []Event
 	periods  int
 	running  bool
@@ -129,13 +251,7 @@ func NewRuntime(sys System, cfg RuntimeConfig) *Runtime {
 	if cfg.Tuner.Initial == (core.Params{}) {
 		cfg.Tuner.Initial = sys.Params()
 	}
-	geom := &geometry{sys: sys, t: New(cfg.Tuner)}
-	r := &Runtime{sys: sys, cfg: cfg, geom: geom, ctls: append([]Controller{geom}, cfg.Controllers...)}
-	for _, c := range r.ctls {
-		r.names = append(r.names, c.Name())
-		r.counts = append(r.counts, map[Outcome]uint64{})
-	}
-	return r
+	return &Runtime{sys: sys, cfg: cfg, tuner: New(cfg.Tuner)}
 }
 
 // Start launches the loop goroutine. It first reconfigures the system to
@@ -152,7 +268,7 @@ func (r *Runtime) Start() error {
 	// could otherwise revert parameters the winner's loop has already
 	// moved past.
 	r.starting = true
-	cur := r.geom.t.Current()
+	cur := r.tuner.Current()
 	r.mu.Unlock()
 
 	// The initial Reconfigure runs outside r.mu: it freezes the world and
@@ -219,7 +335,7 @@ func (r *Runtime) Running() bool {
 func (r *Runtime) Best() (core.Params, float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.geom.t.Best()
+	return r.tuner.Best()
 }
 
 // Periods returns the total number of tuning periods observed, including
@@ -230,35 +346,19 @@ func (r *Runtime) Periods() int {
 	return r.periods
 }
 
-// Controllers lists the running controllers' names, geometry first.
-func (r *Runtime) Controllers() []string { return r.names }
-
-// Knob returns the setting the named controller believes is installed
-// (the zero Knob when it is not running).
-func (r *Runtime) Knob(name string) Knob {
+// Current returns the triple the tuner believes is installed.
+func (r *Runtime) Current() core.Params {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if i := slices.Index(r.names, name); i >= 0 {
-		return r.ctls[i].Knob()
-	}
-	return Knob{}
+	return r.tuner.Current()
 }
 
-// Count returns how many of the named controller's decisions ended in
-// outcome o (zero when it is not running).
-func (r *Runtime) Count(name string, o Outcome) uint64 {
+// Counts returns how the tuner's and the ladder's decisions have ended so
+// far, by outcome (the ladder's stays zero without one).
+func (r *Runtime) Counts() (geometry, brownout Tally) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if i := slices.Index(r.names, name); i >= 0 {
-		return r.counts[i][o]
-	}
-	return 0
-}
-
-// Moves returns how many of the named controller's moves landed on the
-// live system: its Moved plus Reverted decisions.
-func (r *Runtime) Moves(name string) int {
-	return int(r.Count(name, Moved) + r.Count(name, Reverted))
+	return r.geomN, r.brownN
 }
 
 // Trace returns a copy of the per-period event log (the most recent
@@ -317,8 +417,8 @@ func (r *Runtime) run(stop <-chan struct{}, done chan<- struct{}) {
 			s.LatP99 = time.Duration(lat.Quantile(0.99))
 			s.LatSamples = lat.Count
 		}
-		// Pause on idle: an idle application must not teach any
-		// controller that its current setting is bad.
+		// Pause on idle: an idle application must not teach the tuner
+		// that its current configuration is bad.
 		s.Idle = s.Commits < r.cfg.MinPeriodCommits
 		r.step(s)
 		// Re-baseline after the decision: step can block arbitrarily long
@@ -333,26 +433,43 @@ func (r *Runtime) run(stop <-chan struct{}, done chan<- struct{}) {
 	}
 }
 
-// step runs one period of the controller loop: every controller observes
-// the sample under the lock, the moves are applied outside it (Reconfigure
-// freezes the world and can block behind in-flight transactions, and
-// Stop/Best/Trace must stay responsive), and failed moves are rolled back.
+// step runs one period of the loop: the tuner decides under the lock
+// (skipping idle periods, which teach it nothing), the move is installed
+// outside it — Reconfigure freezes the world and can block behind
+// in-flight transactions, and Stop/Best/Trace must stay responsive — and a
+// failed Reconfigure puts the tuner back on the triple that still runs.
+// The ladder steps every period, idle ones included.
 func (r *Runtime) step(s Sample) {
 	r.mu.Lock()
 	s.Period = r.periods
 	r.periods++
-	ds := observe(r.ctls, s)
+	cur := r.tuner.Current()
+	g := GeometryDecision{From: cur, To: cur}
+	if !s.Idle {
+		g.To, g.Move, g.Reversed = r.tuner.Step(s.Throughput)
+		g.Moved = g.To != cur
+	}
 	r.mu.Unlock()
 
-	install(r.ctls, ds)
-
-	ev := Event{Sample: s, Decisions: ds}
-	r.mu.Lock()
-	for i, d := range ds {
-		if d.Err != nil {
-			r.ctls[i].Revert(d)
+	if g.Moved {
+		g.Err = r.sys.Reconfigure(g.To)
+	}
+	ev := Event{Sample: s, Geometry: g}
+	if b := r.cfg.Brownout; b != nil {
+		ev.Brownout.From = b.Level()
+		ev.Brownout.To, ev.Brownout.Moved = b.Decide(s.LatP99, s.LatSamples)
+		if ev.Brownout.Moved {
+			b.Set(ev.Brownout.To)
 		}
-		r.counts[i][d.Outcome()]++
+	}
+
+	r.mu.Lock()
+	if g.Err != nil {
+		r.tuner.revert(g.From)
+	}
+	r.geomN[g.Outcome()]++
+	if r.cfg.Brownout != nil {
+		r.brownN[ev.Brownout.Outcome()]++
 	}
 	r.appendTrace(ev)
 	r.mu.Unlock()

@@ -14,13 +14,12 @@ import (
 	"tinystm/internal/resilience"
 )
 
-// fakeSystem is everything a controller can drive — the STM's geometry
-// and the admission gate in front of it — behind one fake clock: time
-// only advances when the runtime waits for a sample, and each advance
-// calls tick, the test's synthetic workload, to accrue counters from the
-// settings live at that moment. After maxTicks waits it hands the runtime a channel that never
-// fires and signals the test, making the whole loop deterministic — no
-// goroutine coordination, no wall clock.
+// fakeSystem is the STM's geometry behind one fake clock: time only
+// advances when the runtime waits for a sample, and each advance calls
+// tick, the test's synthetic workload, to accrue counters from the triple
+// live at that moment. After maxTicks waits it hands the runtime a channel
+// that never fires and signals the test, making the whole loop
+// deterministic — no goroutine coordination, no wall clock.
 type fakeSystem struct {
 	mu          sync.Mutex
 	now         time.Time
@@ -29,23 +28,19 @@ type fakeSystem struct {
 	reached     chan struct{} // closed (once) when maxTicks waits have elapsed
 	reachedOnce sync.Once
 	// tick runs under mu on the runtime goroutine after each clock
-	// advance: it reads the live settings and bumps the counters.
+	// advance: it reads the live triple and bumps the counters.
 	tick func(f *fakeSystem, d time.Duration)
 
-	// Live settings, each moved by one controller's Apply.
 	params core.Params
-	width  int
 	// Monotonic counters the sampler differences.
 	commits, aborts uint64
-	// What the controllers did to the system.
-	reconfigs, widthSets int
-	minWidth             int
+	reconfigs       int
 }
 
 func newFakeSystem(start core.Params, maxTicks int, tick func(*fakeSystem, time.Duration)) *fakeSystem {
 	return &fakeSystem{
 		now: time.Unix(0, 0), params: start, maxTicks: maxTicks, tick: tick,
-		reached: make(chan struct{}), width: 32, minWidth: 32,
+		reached: make(chan struct{}),
 	}
 }
 
@@ -66,15 +61,10 @@ func (f *fakeSystem) CommitAbortCounts() (c, a uint64) {
 	return
 }
 func (f *fakeSystem) Params() (p core.Params) { f.locked(func() { p = f.params }); return }
-func (f *fakeSystem) Width() (n int)          { f.locked(func() { n = f.width }); return }
 func (f *fakeSystem) Now() (t time.Time)      { f.locked(func() { t = f.now }); return }
 
 func (f *fakeSystem) Reconfigure(p core.Params) error {
 	f.locked(func() { f.params = p; f.reconfigs++ })
-	return nil
-}
-func (f *fakeSystem) SetWidth(w int) error {
-	f.locked(func() { f.width = w; f.widthSets++; f.minWidth = min(f.minWidth, w) })
 	return nil
 }
 
@@ -94,11 +84,8 @@ func (f *fakeSystem) After(d time.Duration) <-chan time.Time {
 }
 
 // config is the fake-clock runtime configuration: 1s periods, max-of-3.
-func (f *fakeSystem) config(tcfg Config, ctls ...Controller) RuntimeConfig {
-	return RuntimeConfig{
-		Tuner: tcfg, Period: time.Second, Samples: 3, Controllers: ctls,
-		Now: f.Now, After: f.After,
-	}
+func (f *fakeSystem) config(tcfg Config) RuntimeConfig {
+	return RuntimeConfig{Tuner: tcfg, Period: time.Second, Samples: 3, Now: f.Now, After: f.After}
 }
 
 // runToEnd starts rt, lets the fake clock run out, and stops it.
@@ -128,7 +115,7 @@ func TestRuntimeConvergesDeterministically(t *testing.T) {
 	if best.Locks <= 1<<8 {
 		t.Errorf("tuner never escaped the 2^8 start: best %v", best)
 	}
-	final := rt.Knob(GeometryName).Params
+	final := rt.Current()
 	if got := rate(final); got < bestTp*0.9 {
 		t.Errorf("final configuration %v yields %.1f, more than 10%% below best seen %.1f (at %v)",
 			final, got, bestTp, best)
@@ -136,8 +123,8 @@ func TestRuntimeConvergesDeterministically(t *testing.T) {
 	if env.reconfigs == 0 {
 		t.Error("runtime never reconfigured the system")
 	}
-	if rt.Moves(GeometryName) != env.reconfigs {
-		t.Errorf("Moves(geometry) = %d, system saw %d reconfigurations", rt.Moves(GeometryName), env.reconfigs)
+	if geom, _ := rt.Counts(); geom.Landed() != uint64(env.reconfigs) {
+		t.Errorf("%d landed moves counted, system saw %d reconfigurations", geom.Landed(), env.reconfigs)
 	}
 	if len(trace) < periods-1 {
 		t.Errorf("trace has %d events, want ~%d", len(trace), periods)
@@ -183,14 +170,14 @@ func TestRuntimePausesOnIdle(t *testing.T) {
 		if !ev.Idle {
 			t.Fatalf("event not marked idle: %+v", ev)
 		}
-		if g := ev.Decision(GeometryName); g.Moved || g.To.Params != start {
+		if g := ev.Geometry; g.Moved || g.To != start {
 			t.Fatalf("idle period moved the configuration: %+v", ev)
 		}
 	}
 	if env.reconfigs != 0 {
 		t.Errorf("idle runtime reconfigured %d times", env.reconfigs)
 	}
-	if cur := rt.Knob(GeometryName).Params; cur != start {
+	if cur := rt.Current(); cur != start {
 		t.Errorf("tuner moved while idle: %v", cur)
 	}
 }
@@ -365,7 +352,7 @@ func TestRuntimeLiveWorkersPhaseShift(t *testing.T) {
 	}
 	moved := false
 	for _, ev := range trace {
-		g := ev.Decision(GeometryName)
+		g := ev.Geometry
 		if g.Moved {
 			moved = true
 		}
@@ -430,7 +417,7 @@ func TestRuntimeLatencyDeltas(t *testing.T) {
 	}
 }
 
-// TestRuntimeBrownoutLadderFollowsLatency drives the brownout controller
+// TestRuntimeBrownoutLadderFollowsLatency drives the brownout ladder
 // through a full escalation and walk-back using latency injected on the
 // runtime's own goroutine: sustained p99 over the SLO climbs the ladder
 // one rung per EscalateAfter periods, sustained calm walks it back down.
@@ -450,16 +437,16 @@ func TestRuntimeBrownoutLadderFollowsLatency(t *testing.T) {
 	brown := resilience.NewBrownout(resilience.BrownoutConfig{
 		SLO: 10 * time.Millisecond, EscalateAfter: 2, CalmAfter: 2, MinSamples: 4,
 	})
-	cfg := env.config(Config{Initial: start, Seed: 1}, NewBrownout(brown))
-	cfg.Latency = hist
+	cfg := env.config(Config{Initial: start, Seed: 1})
+	cfg.Latency, cfg.Brownout = hist, brown
 	rt := NewRuntime(env, cfg)
 
 	maxLevel := resilience.LevelOff
 	changes := 0
 	for _, ev := range env.runToEnd(t, rt) {
-		if d := ev.Decision(BrownoutName); d.Moved {
+		if d := ev.Brownout; d.Moved {
 			changes++
-			maxLevel = max(maxLevel, resilience.Level(d.To.N))
+			maxLevel = max(maxLevel, d.To)
 		}
 	}
 	if maxLevel != resilience.LevelShedAll {
@@ -472,14 +459,14 @@ func TestRuntimeBrownoutLadderFollowsLatency(t *testing.T) {
 	if esc != 3 || deesc != 3 {
 		t.Errorf("moves = (%d escalations, %d deescalations), want (3, 3)", esc, deesc)
 	}
-	if changes != 6 || rt.Moves(BrownoutName) != 6 {
-		t.Errorf("trace carries %d brownout changes, Moves = %d, want 6", changes, rt.Moves(BrownoutName))
+	if _, ladder := rt.Counts(); changes != 6 || ladder.Landed() != 6 {
+		t.Errorf("trace carries %d brownout changes, %d counted landed, want 6", changes, ladder.Landed())
 	}
 }
 
 // TestRuntimeBrownoutStepsOnIdlePeriods pins the idle rule: an escalated
-// server whose load vanished entirely (zero commits — every other
-// controller holds) must still walk the ladder back down, and the Idle
+// server whose load vanished entirely (zero commits — the tuner holds)
+// must still walk the ladder back down, and the Idle
 // trace events must carry the change.
 func TestRuntimeBrownoutStepsOnIdlePeriods(t *testing.T) {
 	start := p(8, 0, 1)
@@ -494,15 +481,16 @@ func TestRuntimeBrownoutStepsOnIdlePeriods(t *testing.T) {
 	if brown.Level() != resilience.LevelShedScans {
 		t.Fatalf("pre-escalation landed at %v, want shed-scans", brown.Level())
 	}
-	rt := NewRuntime(env, env.config(Config{Initial: start, Seed: 1}, NewBrownout(brown)))
-	trace := env.runToEnd(t, rt)
+	cfg := env.config(Config{Initial: start, Seed: 1})
+	cfg.Brownout = brown
+	trace := env.runToEnd(t, NewRuntime(env, cfg))
 
 	if brown.Level() != resilience.LevelOff {
 		t.Errorf("idle periods never walked the ladder back: level %v", brown.Level())
 	}
 	idleChange := false
 	for _, ev := range trace {
-		if ev.Idle && ev.Decision(BrownoutName).Moved {
+		if ev.Idle && ev.Brownout.Moved {
 			idleChange = true
 		}
 	}

@@ -357,33 +357,3 @@ func (t *Tuner) revert(live core.Params) {
 	t.cur = live
 	t.last = MoveNone
 }
-
-// geometry is the hill-climbing Tuner as a Controller over the live
-// system's (#locks, #shifts, h) triple. The runtime builds it from
-// RuntimeConfig.Tuner and always runs it first.
-type geometry struct {
-	sys System
-	t   *Tuner
-}
-
-func (g *geometry) Name() string { return GeometryName }
-func (g *geometry) Knob() Knob   { return Knob{Params: g.t.Current()} }
-
-// Observe pauses on idle: the tuner learns nothing from a period in which
-// (almost) nothing ran.
-func (g *geometry) Observe(s Sample) Decision {
-	var move Move
-	var reversed bool
-	d := decide(g, s, func() bool {
-		from := g.t.cur
-		var next core.Params
-		next, move, reversed = g.t.Step(s.Throughput)
-		return next != from
-	})
-	d.Move, d.Reversed = move, reversed
-	return d
-}
-
-// Apply freezes the world and can block behind in-flight transactions.
-func (g *geometry) Apply(d Decision) error { return g.sys.Reconfigure(d.To.Params) }
-func (g *geometry) Revert(d Decision)      { g.t.revert(d.From.Params) }

@@ -27,7 +27,7 @@ CHAOSH="$(mktemp)"
 WALDIR="$(mktemp -d)"
 
 "$BIN/stmkvd" -addr 127.0.0.1:0 -proto-addr 127.0.0.1:0 \
-  -admission 1 -tune-admission=false \
+  -admission 1 \
   -durability group -wal-dir "$WALDIR" -wal-batch 25ms \
   -brownout-slo 2s -period 150ms -samples 1 \
   -geometry 2^16,0,1 >"$LOG" 2>&1 &
