@@ -2,7 +2,10 @@
 // online tuning runtime attached: while traffic flows, the runtime meters
 // live commit throughput and re-adapts the TM's lock-table geometry
 // (#locks, #shifts, h) to it. The geometry is the only thing it tunes;
-// with -brownout-slo it also steps the overload ladder.
+// with -brownout-slo it also steps the overload ladder. The MVCC sidecar
+// is always attached, so /scan, all-Get /batch and Len run as wait-free
+// snapshot transactions; while no snapshot is registered it costs an
+// update nothing.
 //
 // Examples:
 //
@@ -18,7 +21,7 @@
 //	stmkvd -brownout-slo 50ms                # brownout: shed scans, then writes,
 //	                                         # then reads whenever p99 > 50ms
 //
-// stmkvd takes 18 flags (stmkvd -h lists them). Conflict resolution is
+// stmkvd takes 17 flags (stmkvd -h lists them). Conflict resolution is
 // not one of them: the STM has one rule, abort on a foreign lock and wait
 // for that lock before the retry (see internal/core).
 //
@@ -65,7 +68,6 @@ func main() {
 		space     = flag.Int("space", 1<<22, "transactional arena size in 64-bit words")
 		design    = flag.String("design", "wb", "memory design: wb (write-back) or wt (write-through)")
 		geometry  = flag.String("geometry", "2^8,0,1", "initial lock-table triple locks,shifts,h (accepts 2^k)")
-		snaps     = flag.Bool("snapshots", true, "attach the MVCC sidecar: /scan, all-Get /batch and Len run as wait-free snapshot transactions")
 		autotune  = flag.Bool("autotune", true, "attach the online tuning runtime: the lock-table geometry is tuned live, and the brownout ladder is stepped (with -brownout-slo)")
 		period    = flag.Duration("period", time.Second, "tuning sample period")
 		samples   = flag.Int("samples", 3, "samples per tuning decision (max kept)")
@@ -88,7 +90,7 @@ func main() {
 		SpaceWords:      *space,
 		Design:          d,
 		Geometry:        geo,
-		Snapshots:       *snaps,
+		Snapshots:       true,
 		Autotune:        *autotune,
 		AdmissionWidth:  *admWidth,
 		BrownoutSLO:     *brownSLO,
@@ -170,8 +172,8 @@ func main() {
 		_ = hs.Shutdown(ctx)
 	}()
 
-	log.Printf("serving on %s (design=%v geometry=%v snapshots=%v autotune=%v admission=%d brownout-slo=%v period=%v)",
-		hl.Addr(), d, geo, *snaps, *autotune, *admWidth, *brownSLO, *period)
+	log.Printf("serving on %s (design=%v geometry=%v autotune=%v admission=%d brownout-slo=%v period=%v)",
+		hl.Addr(), d, geo, *autotune, *admWidth, *brownSLO, *period)
 	log.Printf("http listening on %s", hl.Addr())
 	if pl != nil {
 		log.Printf("proto listening on %s", pl.Addr())

@@ -38,9 +38,6 @@ func (tm *TM) SetRedoHook(h txn.RedoHook) {
 	tm.redoHook.Store(&redoHolder{hook: h})
 }
 
-// RedoHookInstalled reports whether a redo hook is attached (diagnostics).
-func (tm *TM) RedoHookInstalled() bool { return tm.redoHook.Load() != nil }
-
 // ClockEpoch returns the TM's clock epoch: bumped under the freeze barrier
 // whenever the clock resets (roll-over, Reconfigure), so (epoch, commit
 // timestamp) pairs order totally within one process lifetime. Stable while

@@ -112,9 +112,6 @@ func (tm *TM) AtomicSnap(tx *Tx, fn func(*Tx)) {
 	tm.atomic(tx, fn, true, tm.mvcc != nil)
 }
 
-// InSnapshot reports whether the current attempt runs in snapshot mode.
-func (tx *Tx) InSnapshot() bool { return tx.snap }
-
 // loadSnap serves one snapshot-mode read: live word when the stripe has
 // not moved past the snapshot, sidecar version otherwise.
 func (tx *Tx) loadSnap(addr uint64) uint64 {

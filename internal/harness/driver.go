@@ -3,8 +3,9 @@
 // committed-transaction throughput and abort rates from the STM's own
 // counters, and renders the tables the paper's figures plot.
 //
-// The driver is generic over the transaction type so each STM runs with
-// static dispatch; a benchmark configuration is one Bench value.
+// The driver is generic over the transaction type so one driver runs every
+// STM (calls through the type parameter are dictionary calls, not static
+// ones; see package txn); a benchmark configuration is one Bench value.
 package harness
 
 import (

@@ -5,7 +5,9 @@
 // a skip list and a hash set.
 //
 // Every operation is a plain function generic over the txn.Tx constraint,
-// so each STM (TinySTM, TL2) gets a statically-dispatched instantiation.
+// so one body serves each STM (TinySTM, TL2); its tx calls go through the
+// instantiation's dictionary (see package txn). Point operations only:
+// there are no ordered range queries.
 // Operations must run inside an atomic block; they do not retry themselves.
 //
 // Values must lie strictly between MinValue and MaxValue; the two bounds

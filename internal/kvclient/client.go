@@ -65,13 +65,14 @@ func Retryable(err error) bool {
 	return errors.Is(err, ErrUnavailable) || errors.Is(err, ErrConn) || errors.Is(err, ErrBreakerOpen)
 }
 
+// dialTimeout bounds connection establishment.
+const dialTimeout = 5 * time.Second
+
 // Options tune a Client.
 type Options struct {
 	// MaxInflight bounds concurrently outstanding requests on the
 	// connection (default 1024). Callers past the bound block.
 	MaxInflight int
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
 	// OpTimeout is the per-op deadline (0: none). It is enforced
 	// client-side AND propagated on the wire, so the server sheds the op
 	// wherever it is queued when the budget runs out. A client-side
@@ -90,9 +91,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 1024
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
 	}
 	return o
 }
@@ -237,7 +235,7 @@ func (c *Client) dial() (*clientConn, error) {
 	if c.breaker != nil && !c.breaker.Allow() {
 		return nil, fmt.Errorf("%w: %s", ErrBreakerOpen, c.addr)
 	}
-	sock, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	sock, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		if c.breaker != nil {
 			c.breaker.Failure()

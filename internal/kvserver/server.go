@@ -71,8 +71,8 @@ type Config struct {
 	Geometry core.Params
 	// Snapshots attaches the MVCC sidecar: all-Get /batch requests, Len
 	// and the /scan endpoint then run as wait-free snapshot transactions
-	// instead of abort-prone classic read-only ones. On by default in
-	// cmd/stmkvd.
+	// instead of abort-prone classic read-only ones. cmd/stmkvd always
+	// sets it.
 	Snapshots bool
 	// Autotune attaches a tuning.Runtime (on by default in cmd/stmkvd).
 	// It tunes the lock-table geometry and, with BrownoutSLO, steps the

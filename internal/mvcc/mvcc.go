@@ -223,9 +223,6 @@ func (s *Store) EnsureSlots(n int) { s.reg.Ensure(n) }
 // ActiveSnapshots reports how many snapshots are currently registered.
 func (s *Store) ActiveSnapshots() int { return s.reg.Live() }
 
-// MinSnapshot returns the oldest registered snapshot (tests).
-func (s *Store) MinSnapshot() (uint64, bool) { return s.reg.Min() }
-
 // Versions on demand: the contract between the STM's commits and this
 // store, and why snapshots stay exact under it.
 //

@@ -179,11 +179,3 @@ func (s *Snapshot) CumulativeLE(bound uint64) uint64 {
 	}
 	return cum
 }
-
-// Mean returns the average observation, 0 when empty.
-func (s *Snapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}

@@ -41,29 +41,27 @@ type BreakerConfig struct {
 	// breaker open (default 5).
 	FailureThreshold int
 	// Cooldown is how long the breaker stays open before allowing a
-	// probe (default 1s), jittered by ±Jitter/2 so a fleet of clients
-	// tripped by the same outage does not probe in lockstep.
+	// probe (default 1s), jittered by ±breakerJitter/2 so a fleet of
+	// clients tripped by the same outage does not probe in lockstep.
 	Cooldown time.Duration
-	// Jitter is the fraction of Cooldown randomized (default 0.2:
-	// cooldowns land uniformly in [0.9·Cooldown, 1.1·Cooldown)).
-	Jitter float64
 	// Seed seeds the jitter's deterministic generator (default 1).
 	Seed uint64
 	// Now is injectable for tests (default time.Now).
 	Now func() time.Time
 }
 
+// breakerJitter is the fraction of the cooldown randomized: cooldowns
+// land uniformly in [0.9·Cooldown, 1.1·Cooldown).
+const breakerJitter = 0.2
+
 func (c *BreakerConfig) withDefaults() BreakerConfig {
-	d := BreakerConfig{FailureThreshold: 5, Cooldown: time.Second, Jitter: 0.2, Seed: 1, Now: time.Now}
+	d := BreakerConfig{FailureThreshold: 5, Cooldown: time.Second, Seed: 1, Now: time.Now}
 	if c != nil {
 		if c.FailureThreshold > 0 {
 			d.FailureThreshold = c.FailureThreshold
 		}
 		if c.Cooldown > 0 {
 			d.Cooldown = c.Cooldown
-		}
-		if c.Jitter > 0 {
-			d.Jitter = c.Jitter
 		}
 		if c.Seed != 0 {
 			d.Seed = c.Seed
@@ -182,12 +180,11 @@ func (b *Breaker) trip() {
 	b.failures = 0
 	b.probing = false
 	b.opens++
-	cd := b.cfg.Cooldown
-	if j := b.cfg.Jitter; j > 0 {
-		// Uniform in [cd·(1-j/2), cd·(1+j/2)), deterministic per seed.
-		u := float64(b.jitter.Uint64n(1<<20)) / (1 << 20)
-		cd = time.Duration(float64(cd) * (1 - j/2 + j*u))
-	}
+	// Uniform in [Cooldown·(1-j/2), Cooldown·(1+j/2)), deterministic per
+	// seed.
+	const j = breakerJitter
+	u := float64(b.jitter.Uint64n(1<<20)) / (1 << 20)
+	cd := time.Duration(float64(b.cfg.Cooldown) * (1 - j/2 + j*u))
 	b.openUntil = b.cfg.Now().Add(cd)
 }
 

@@ -163,7 +163,6 @@ func newTestBreaker(clk *fakeClock, threshold int) *Breaker {
 	return NewBreaker(&BreakerConfig{
 		FailureThreshold: threshold,
 		Cooldown:         time.Second,
-		Jitter:           0.2,
 		Seed:             42,
 		Now:              clk.now,
 	})

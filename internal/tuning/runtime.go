@@ -45,10 +45,10 @@ type Sample struct {
 	LatP50     time.Duration `json:"lat_p50_ns,omitempty"`
 	LatP99     time.Duration `json:"lat_p99_ns,omitempty"`
 	LatSamples uint64        `json:"lat_samples,omitempty"`
-	// Idle marks a paused period: the system was (nearly) quiescent, so
-	// the measurement says nothing about the geometry and the tuner
-	// holds. The brownout ladder still steps: for it idleness is the calm
-	// that walks it back down.
+	// Idle marks a paused period: nothing committed, so the measurement
+	// says nothing about the geometry and the tuner holds. The brownout
+	// ladder still steps: for it idleness is the calm that walks it back
+	// down.
 	Idle bool `json:"idle,omitempty"`
 }
 
@@ -158,12 +158,6 @@ type RuntimeConfig struct {
 	// Samples is the number of Period-long samples per tuning decision;
 	// the maximum is kept (Section 4.3's max-of-3). Default 3.
 	Samples int
-	// MinPeriodCommits is the pause-on-idle threshold: when fewer commits
-	// than this land during a whole period, the runtime discards the
-	// measurement and holds the configuration — an idle application must
-	// not teach the tuner that its current configuration is bad. Default 1
-	// (pause only when fully quiescent).
-	MinPeriodCommits uint64
 	// Trace, when non-nil, receives one Event per period. Sends never
 	// block: if the channel is full the event is dropped (the loop
 	// must not stall behind a slow observer). Size the buffer to the run
@@ -205,9 +199,6 @@ func (c RuntimeConfig) withDefaults() RuntimeConfig {
 	if c.Samples <= 0 {
 		c.Samples = 3
 	}
-	if c.MinPeriodCommits == 0 {
-		c.MinPeriodCommits = 1
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -225,23 +216,23 @@ func (c RuntimeConfig) withDefaults() RuntimeConfig {
 // one is attached.
 //
 // Start launches the loop; Stop halts it and waits for it to exit. A
-// stopped Runtime can be started again and continues from the tuner's
-// accumulated memory.
+// Runtime runs once: Start after Start or after Stop fails.
 type Runtime struct {
 	sys System
 	cfg RuntimeConfig
 
-	mu       sync.Mutex // guards everything below
-	tuner    *Tuner
-	geomN    Tally // the tuner's decisions, by outcome
-	brownN   Tally // the ladder's decisions, by outcome
-	trace    []Event
-	periods  int
-	running  bool
-	starting bool // Start in progress: installing the initial configuration
-	stopping bool // Stop in progress: stop closed, loop still draining
-	stop     chan struct{}
-	done     chan struct{}
+	stop     chan struct{} // closed by the first Stop
+	stopOnce sync.Once
+	done     chan struct{} // closed when a started loop has exited
+
+	mu      sync.Mutex // guards everything below
+	tuner   *Tuner
+	geomN   Tally // the tuner's decisions, by outcome
+	brownN  Tally // the ladder's decisions, by outcome
+	trace   []Event
+	periods int
+	used    bool // Start or Stop has been called
+	started bool // Start was called: done will close
 }
 
 // NewRuntime builds the loop over sys. The geometry tuner starts at
@@ -251,7 +242,10 @@ func NewRuntime(sys System, cfg RuntimeConfig) *Runtime {
 	if cfg.Tuner.Initial == (core.Params{}) {
 		cfg.Tuner.Initial = sys.Params()
 	}
-	return &Runtime{sys: sys, cfg: cfg, tuner: New(cfg.Tuner)}
+	return &Runtime{
+		sys: sys, cfg: cfg, tuner: New(cfg.Tuner),
+		stop: make(chan struct{}), done: make(chan struct{}),
+	}
 }
 
 // Start launches the loop goroutine. It first reconfigures the system to
@@ -259,75 +253,55 @@ func NewRuntime(sys System, cfg RuntimeConfig) *Runtime {
 // Tuner.Initial differing from the system's construction parameters).
 func (r *Runtime) Start() error {
 	r.mu.Lock()
-	if r.running || r.starting {
+	if r.used {
 		r.mu.Unlock()
-		return fmt.Errorf("tuning: runtime already running")
+		return fmt.Errorf("tuning: runtime already started or stopped (a Runtime runs once)")
 	}
-	// Claim the start before the unlocked Reconfigure below: a concurrent
-	// Start must fail here rather than race in — its stale Reconfigure
-	// could otherwise revert parameters the winner's loop has already
-	// moved past.
-	r.starting = true
+	r.used, r.started = true, true
 	cur := r.tuner.Current()
 	r.mu.Unlock()
 
 	// The initial Reconfigure runs outside r.mu: it freezes the world and
 	// can block behind in-flight transactions, and Running/Best/Trace/Stop
 	// must stay responsive meanwhile (same invariant as step).
-	var err error
 	if cur != r.sys.Params() {
-		if e := r.sys.Reconfigure(cur); e != nil {
-			err = fmt.Errorf("tuning: installing initial configuration %v: %w", cur, e)
+		if err := r.sys.Reconfigure(cur); err != nil {
+			close(r.done)
+			return fmt.Errorf("tuning: installing initial configuration %v: %w", cur, err)
 		}
 	}
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.starting = false
-	if err != nil {
-		return err
-	}
-	r.stop = make(chan struct{})
-	r.done = make(chan struct{})
-	r.running = true
-	go r.run(r.stop, r.done)
+	go r.run()
 	return nil
 }
 
 // Stop halts the loop and waits for the goroutine to exit. Safe to call
-// multiple times and on a never-started runtime. The runtime stays
-// `running` (a concurrent Start fails) until the loop has actually
-// exited: clearing the flag before the drain would let a Start race in a
-// second loop goroutine against the old one mid-period.
+// multiple times, concurrently, and before Start, which then fails.
 func (r *Runtime) Stop() {
 	r.mu.Lock()
-	if !r.running {
-		r.mu.Unlock()
-		return
-	}
-	if !r.stopping {
-		r.stopping = true
-		close(r.stop)
-	}
-	done := r.done
+	r.used = true
+	started := r.started
 	r.mu.Unlock()
-	<-done
-	r.mu.Lock()
-	if r.done == done {
-		// Still our generation (a concurrent Stop may have completed the
-		// transition already, and a subsequent Start may have begun a new
-		// one — never clobber that).
-		r.running = false
-		r.stopping = false
+	r.stopOnce.Do(func() { close(r.stop) })
+	if started {
+		<-r.done
 	}
-	r.mu.Unlock()
 }
 
-// Running reports whether the loop goroutine is active.
+// Running reports whether the runtime has been started and its loop has
+// not exited.
 func (r *Runtime) Running() bool {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.running
+	started := r.started
+	r.mu.Unlock()
+	if !started {
+		return false
+	}
+	select {
+	case <-r.done:
+		return false
+	default:
+		return true
+	}
 }
 
 // Best returns the best configuration seen so far and its throughput.
@@ -389,17 +363,16 @@ func (r *Runtime) rebase() (b baseline) {
 	return b
 }
 
-// run is the sampler loop. stop/done are captured at Start so a
-// concurrent Stop+Start pair cannot cross wires.
-func (r *Runtime) run(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
+// run is the sampler loop.
+func (r *Runtime) run() {
+	defer close(r.done)
 	base := r.rebase()
 	for {
 		var s Sample
 		lastC, lastT := base.commits, base.t
 		for i := 0; i < r.cfg.Samples; i++ {
 			select {
-			case <-stop:
+			case <-r.stop:
 				return
 			case <-r.cfg.After(r.cfg.Period):
 			}
@@ -417,9 +390,9 @@ func (r *Runtime) run(stop <-chan struct{}, done chan<- struct{}) {
 			s.LatP99 = time.Duration(lat.Quantile(0.99))
 			s.LatSamples = lat.Count
 		}
-		// Pause on idle: an idle application must not teach the tuner
-		// that its current configuration is bad.
-		s.Idle = s.Commits < r.cfg.MinPeriodCommits
+		// Pause on idle: a period that commits nothing must not teach the
+		// tuner that its current configuration is bad.
+		s.Idle = s.Commits == 0
 		r.step(s)
 		// Re-baseline after the decision: step can block arbitrarily long
 		// in Reconfigure's world-freeze, during which commits are

@@ -182,12 +182,24 @@ func TestRuntimePausesOnIdle(t *testing.T) {
 	}
 }
 
-// Start/Stop lifecycle: double Start fails, Stop is idempotent, and a
-// stopped runtime restarts and keeps tuning from its memory.
+// A Runtime runs once: a second Start fails, Start after Stop fails, and
+// Stop is idempotent and safe before Start.
 func TestRuntimeLifecycle(t *testing.T) {
 	env := newFakeSystem(p(8, 0, 1), 1<<30, commitsAt(synthetic(p(12, 0, 1))))
+	unused := NewRuntime(env, env.config(Config{Initial: p(8, 0, 1), Seed: 5}))
+	unused.Stop() // never started: returns at once
+	unused.Stop()
+	if err := unused.Start(); err == nil {
+		t.Fatal("Start after Stop did not fail")
+	}
+	if unused.Running() {
+		t.Fatal("a runtime stopped before Start is running")
+	}
+
 	rt := NewRuntime(env, env.config(Config{Initial: p(8, 0, 1), Seed: 5}))
-	rt.Stop() // never started: no-op
+	if rt.Running() {
+		t.Fatal("running before Start")
+	}
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +214,9 @@ func TestRuntimeLifecycle(t *testing.T) {
 	if rt.Running() {
 		t.Fatal("running after Stop")
 	}
-	if err := rt.Start(); err != nil {
-		t.Fatalf("restart: %v", err)
+	if err := rt.Start(); err == nil {
+		t.Fatal("Start after Stop did not fail")
 	}
-	rt.Stop()
 }
 
 // slowReconfEnv parks the controller inside Reconfigure for a while and
@@ -242,10 +253,9 @@ func (s *slowReconfEnv) Params() core.Params {
 	return s.params
 }
 
-// While Stop is draining a controller that is mid-period, Start must keep
-// failing: clearing `running` before the drain completes would let a
-// second controller goroutine run concurrently with the old one (double-
-// feeding the tuner and issuing interleaved Reconfigures).
+// Stop waits for a loop that is mid-period, and Start fails both while
+// that drain runs and after it: a second loop goroutine beside the old
+// one would double-feed the tuner and interleave Reconfigures.
 func TestRuntimeStartBlockedUntilStopCompletes(t *testing.T) {
 	start := p(8, 0, 1)
 	env := &slowReconfEnv{params: start, entered: make(chan struct{}), delay: 500 * time.Millisecond}
@@ -271,11 +281,18 @@ func TestRuntimeStartBlockedUntilStopCompletes(t *testing.T) {
 	if err := rt.Start(); err == nil {
 		t.Fatal("Start succeeded while Stop was still draining the controller")
 	}
-	<-stopped
-	if err := rt.Start(); err != nil {
-		t.Fatalf("Start after completed Stop: %v", err)
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned while the loop was still inside Reconfigure")
+	default:
 	}
-	rt.Stop()
+	<-stopped
+	if rt.Running() {
+		t.Fatal("running after Stop returned")
+	}
+	if err := rt.Start(); err == nil {
+		t.Fatal("Start after a completed Stop succeeded")
+	}
 }
 
 // Live end-to-end under the race detector: real workers on a real TM, the

@@ -104,29 +104,24 @@ type Config struct {
 	Initial core.Params
 	Bounds  Bounds
 	Seed    uint64
-	// DropReverse is the fractional decrease versus the previous
-	// configuration that triggers a reverse (paper: 0.02).
-	DropReverse float64
-	// DropBest is the fractional gap below the best configuration that
-	// triggers a reverse (paper: 0.10).
-	DropBest float64
-	// DropForbid is the fractional decrease that forbids moving further
-	// in the same direction (paper: 0.10).
-	DropForbid float64
 }
+
+// Section 4.2's thresholds, as fractions of a throughput.
+const (
+	// dropReverse is the decrease versus the previous configuration that
+	// triggers a reverse to the best.
+	dropReverse = 0.02
+	// dropBest is the gap below the best configuration that triggers a
+	// reverse to it.
+	dropBest = 0.10
+	// dropForbid is the decrease after a shifts or hierarchy move that
+	// forbids moving further in that direction.
+	dropForbid = 0.10
+)
 
 func (c Config) withDefaults() Config {
 	if c.Bounds == (Bounds{}) {
 		c.Bounds = DefaultBounds()
-	}
-	if c.DropReverse == 0 {
-		c.DropReverse = 0.02
-	}
-	if c.DropBest == 0 {
-		c.DropBest = 0.10
-	}
-	if c.DropForbid == 0 {
-		c.DropForbid = 0.10
 	}
 	return c
 }
@@ -253,13 +248,13 @@ func (t *Tuner) unchartedMoves(p core.Params) []Move {
 	return out
 }
 
-// forbidIfBigDrop tightens the dynamic clamps after a >DropForbid drop on
+// forbidIfBigDrop tightens the dynamic clamps after a >dropForbid drop on
 // a shifts or hierarchy move from x to y: never again beyond x.
 func (t *Tuner) forbidIfBigDrop(tp float64) {
 	if !t.hasPrev || t.prevTp <= 0 {
 		return
 	}
-	if tp >= t.prevTp*(1-t.cfg.DropForbid) {
+	if tp >= t.prevTp*(1-dropForbid) {
 		return
 	}
 	switch t.last {
@@ -315,8 +310,8 @@ func (t *Tuner) Step(throughput float64) (core.Params, Move, bool) {
 		return t.cur, t.last, false
 	}
 
-	badVsPrev := t.hasPrev && t.prevTp > 0 && throughput < t.prevTp*(1-t.cfg.DropReverse)
-	farFromBest := bestTp > 0 && throughput < bestTp*(1-t.cfg.DropBest)
+	badVsPrev := t.hasPrev && t.prevTp > 0 && throughput < t.prevTp*(1-dropReverse)
+	farFromBest := bestTp > 0 && throughput < bestTp*(1-dropBest)
 
 	if (badVsPrev || farFromBest) && measured != best {
 		// Reverse to the best configuration, then immediately take a new

@@ -2,9 +2,11 @@
 // TL2 implementations, along with the statistics structures both report.
 //
 // Transactional data structures (package intset, package vacation) and the
-// benchmark harness are generic over the Tx constraint, so each STM gets a
-// statically-dispatched instantiation: there are no interface calls on the
-// load/store hot path.
+// benchmark harness are generic over the Tx constraint, so one body serves
+// both STMs. That is not static dispatch: Go stencils generics by GC
+// shape, every pointer type argument shares one shape, and so a tx.Load
+// in a generic body is an indirect call through the instantiation's
+// dictionary.
 package txn
 
 import "errors"

@@ -240,14 +240,6 @@ func fit(b []byte, size int) []byte {
 	return b
 }
 
-// Writes reports the number of write calls observed so far; tests use it
-// to size CrashAtWrite sweeps.
-func (m *MemFS) Writes() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.writes
-}
-
 func (m *MemFS) MkdirAll(dir string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -306,29 +306,44 @@ func TestCheckpointThenTruncate(t *testing.T) {
 	}
 }
 
+// A failed segment write and a failed fsync put the log in the same
+// sticky failed state: the batch's tickets carry the fault, later appends
+// and Flush fail, Stats says failed, and OnError fires exactly once.
 func TestSyncFailureIsStickyAndFiresOnErrorOnce(t *testing.T) {
-	fs := NewMemFS()
-	var fired atomic.Uint64
-	l := openTest(t, fs, "wal", Config{OnError: func(error) { fired.Add(1) }})
-	fs.FailSyncAt(1)
-	if err := l.Append(0, 1, []txn.RedoOp{put(1, 10)}).Wait(); !errors.Is(err, ErrInjectedSync) {
-		t.Fatalf("first append err = %v, want injected sync failure", err)
+	faults := []struct {
+		name string
+		arm  func(*MemFS)
+		want error
+	}{
+		{"sync", func(fs *MemFS) { fs.FailSyncAt(1) }, ErrInjectedSync},
+		{"write", func(fs *MemFS) { fs.FailWriteAt(1) }, ErrInjectedWrite},
 	}
-	// Sticky: later appends fail without touching the disk again, Flush
-	// reports the failure, stats say failed.
-	if err := l.Append(0, 2, []txn.RedoOp{put(2, 20)}).Wait(); err == nil {
-		t.Fatal("append after failure succeeded")
+	for _, f := range faults {
+		t.Run(f.name, func(t *testing.T) {
+			fs := NewMemFS()
+			var fired atomic.Uint64
+			l := openTest(t, fs, "wal", Config{OnError: func(error) { fired.Add(1) }})
+			f.arm(fs)
+			if err := l.Append(0, 1, []txn.RedoOp{put(1, 10)}).Wait(); !errors.Is(err, f.want) {
+				t.Fatalf("first append err = %v, want %v", err, f.want)
+			}
+			// Sticky: later appends fail without touching the disk again,
+			// Flush reports the failure, stats say failed.
+			if err := l.Append(0, 2, []txn.RedoOp{put(2, 20)}).Wait(); err == nil {
+				t.Fatal("append after failure succeeded")
+			}
+			if err := l.Flush(); err == nil {
+				t.Fatal("Flush after failure succeeded")
+			}
+			if !l.Stats().Failed {
+				t.Fatal("stats do not report failed")
+			}
+			if got := fired.Load(); got != 1 {
+				t.Fatalf("OnError fired %d times, want 1", got)
+			}
+			l.Close()
+		})
 	}
-	if err := l.Flush(); err == nil {
-		t.Fatal("Flush after failure succeeded")
-	}
-	if !l.Stats().Failed {
-		t.Fatal("stats do not report failed")
-	}
-	if got := fired.Load(); got != 1 {
-		t.Fatalf("OnError fired %d times, want 1", got)
-	}
-	l.Close()
 }
 
 func TestReplayFreshDirIsEmpty(t *testing.T) {
