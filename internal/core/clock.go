@@ -22,8 +22,8 @@ func (c *clock) fetchInc() uint64 { return c.v.Add(1) }
 // exhausted reports whether the clock has reached the roll-over threshold.
 func (c *clock) exhausted(maxClock uint64) bool { return c.v.Load() >= maxClock-1 }
 
-// reset rewinds the clock to zero during a roll-over or Reconfigure (all
-// transactions are quiescent when this runs).
+// reset rewinds the clock to zero during a roll-over (all transactions
+// are quiescent when this runs).
 func (c *clock) reset() { c.v.Store(0) }
 
 // commitTS returns the commit timestamp for the current update commit:

@@ -11,11 +11,12 @@ import (
 // suspend transactions and update the tuning parameters".
 //
 // Protocol: an initiator raises the frozen flag and waits for the count of
-// active transactions to drain to zero. Transactions observe the flag at
-// begin and at every load/store/commit; in-flight transactions abort
-// (releasing their locks) and park; new transactions park before starting.
-// Once quiescent, the initiator mutates shared state (clock, lock array,
-// geometry) and lowers the flag, waking everyone.
+// active attempts to drain to zero. An attempt checks the flag only when
+// it enters, at Begin (enter), and parks there while the flag is up;
+// in-flight attempts are not interrupted: the initiator waits until each
+// commits or rolls back (exit), releasing its locks. Once quiescent, the
+// initiator mutates shared state (the geometry, the sidecar and, for a
+// roll-over, the clock) and lowers the flag, waking everyone.
 type freezer struct {
 	frozen atomic.Uint32
 	active atomic.Int64
@@ -54,9 +55,6 @@ func (f *freezer) exit() {
 		f.mu.Unlock()
 	}
 }
-
-// isFrozen is the cheap per-operation check.
-func (f *freezer) isFrozen() bool { return f.frozen.Load() != 0 }
 
 // freeze blocks until this caller holds the (unique) frozen state and all
 // transactions are quiescent. The caller must not be inside a transaction.

@@ -4,9 +4,10 @@ import "sync/atomic"
 
 // geometry bundles the runtime-tunable lock-array state: the versioned
 // lock array itself, the address hash parameters, and the hierarchical
-// counter array. A TM swaps in a fresh geometry during Reconfigure while
-// the world is frozen; transactions capture the current geometry once per
-// attempt at begin time.
+// counter array. A TM swaps in a fresh geometry, every lock word and
+// counter at 0, during Reconfigure and clock roll-over while the world is
+// frozen; transactions capture the current geometry once per attempt at
+// begin time.
 type geometry struct {
 	locks    []uint64 // versioned write-locks, len == lockMask+1
 	lockMask uint64
@@ -67,17 +68,4 @@ func (g *geometry) storeLock(li uint64, lw uint64) {
 
 func (g *geometry) casLock(li uint64, old, new uint64) bool {
 	return atomic.CompareAndSwapUint64(&g.locks[li], old, new)
-}
-
-// resetVersions zeroes every lock word; used by clock roll-over ("we reset
-// the clock and all version numbers"). Only called while the TM is frozen,
-// but the stores are atomic all the same: a retry waiting for a lock word
-// to change (awaitConflict) reads it outside the freeze.
-func (g *geometry) resetVersions() {
-	for i := range g.locks {
-		g.storeLock(uint64(i), 0)
-	}
-	for i := range g.hier {
-		g.hier[i].v.Store(0)
-	}
 }

@@ -3,13 +3,16 @@ package core
 import (
 	"testing"
 
+	"tinystm/internal/mem"
 	"tinystm/internal/txn"
 )
 
 // drainForTest flushes the reclamation limbo at a quiescence point.
 func drainForTest(tm *TM) {
 	tm.fz.freeze()
-	tm.drainLimboAll()
+	for _, b := range tm.pool.DrainAll() {
+		tm.space.Free(mem.Addr(b.Addr), b.Words)
+	}
 	tm.fz.unfreeze()
 }
 

@@ -39,13 +39,13 @@ func (tm *TM) SetRedoHook(h txn.RedoHook) {
 }
 
 // ClockEpoch returns the TM's clock epoch: bumped under the freeze barrier
-// whenever the clock resets (roll-over, Reconfigure), so (epoch, commit
-// timestamp) pairs order totally within one process lifetime. Stable while
-// the calling goroutine is inside a transaction.
+// whenever the clock rolls over, so (epoch, commit timestamp) pairs order
+// totally within one process lifetime. Reconfigure keeps the epoch and the
+// clock. Stable while the calling goroutine is inside a transaction.
 func (tm *TM) ClockEpoch() uint64 { return tm.clockEpoch.Load() }
 
 // ClockEpoch on a descriptor mirrors TM.ClockEpoch; inside a transaction
-// the value cannot change (epoch bumps happen behind the freeze barrier,
+// the value cannot change (a roll-over bumps it behind the freeze barrier,
 // which waits for in-flight transactions), so a checkpoint scan can stamp
 // its snapshot with a stable (epoch, timestamp) position.
 func (tx *Tx) ClockEpoch() uint64 { return tx.tm.clockEpoch.Load() }

@@ -76,28 +76,30 @@ func TestReconfigureChangesParams(t *testing.T) {
 	}
 }
 
-// Reconfigure resets the clock and opens a new clock epoch: the first
-// commit after it restarts the timestamps from 1.
-func TestReconfigureResetsClock(t *testing.T) {
-	tm, _ := newTestTM(t, WriteBack, nil)
-	tx := tm.NewTx()
-	var a uint64
-	tm.Atomic(tx, func(tx *Tx) { a = tx.Alloc(1); tx.Store(a, 0) })
-	tm.Atomic(tx, func(tx *Tx) { tx.Store(a, 1) })
-	if got := tx.LastCommitTS(); got != 2 {
-		t.Fatalf("pre-reconfigure ts = %d, want 2", got)
-	}
-	epoch := tm.ClockEpoch()
-	if err := tm.Reconfigure(Params{Locks: 1 << 8, Shifts: 0, Hier: 1}); err != nil {
-		t.Fatalf("Reconfigure: %v", err)
-	}
-	if got := tm.ClockEpoch(); got != epoch+1 {
-		t.Errorf("clock epoch = %d, want %d", got, epoch+1)
-	}
-	tm.Atomic(tx, func(tx *Tx) { tx.Store(a, 2) })
-	if got := tx.LastCommitTS(); got != 1 {
-		t.Errorf("post-reconfigure ts = %d, want 1", got)
-	}
+// Reconfigure keeps the clock and its epoch: the first commit after a
+// move takes the timestamp after the last one before it.
+func TestReconfigureKeepsClock(t *testing.T) {
+	bothDesigns(t, func(t *testing.T, d Design) {
+		tm, _ := newTestTM(t, d, nil)
+		tx := tm.NewTx()
+		var a uint64
+		tm.Atomic(tx, func(tx *Tx) { a = tx.Alloc(1); tx.Store(a, 0) })
+		tm.Atomic(tx, func(tx *Tx) { tx.Store(a, 1) })
+		last, epoch, clock := tx.LastCommitTS(), tm.ClockEpoch(), tm.ClockValue()
+		if err := tm.Reconfigure(Params{Locks: 1 << 8, Shifts: 0, Hier: 1}); err != nil {
+			t.Fatalf("Reconfigure: %v", err)
+		}
+		if got := tm.ClockEpoch(); got != epoch {
+			t.Errorf("clock epoch = %d after the move, want %d", got, epoch)
+		}
+		if got := tm.ClockValue(); got != clock {
+			t.Errorf("clock = %d after the move, want %d", got, clock)
+		}
+		tm.Atomic(tx, func(tx *Tx) { tx.Store(a, 2) })
+		if got := tx.LastCommitTS(); got != last+1 {
+			t.Errorf("post-reconfigure ts = %d, want %d", got, last+1)
+		}
+	})
 }
 
 func TestReconfigureRejectsBadParams(t *testing.T) {

@@ -14,9 +14,10 @@ package core
 // the O(reads) validation work of a classic read-only transaction drops
 // to zero and concurrent writers can never abort it. The only abort a
 // snapshot transaction can suffer is AbortSnapshotTooOld — its snapshot
-// fell behind the sidecar's trim horizon (or it waited out its spin
-// budget behind an in-flight writer) — and the retry restarts it on a
-// fresh snapshot.
+// fell behind the sidecar's trim horizon, the sidecar held no version for
+// a record past it, or it waited out its spin budget behind an in-flight
+// writer (SnapRestart counts each) — and the retry restarts it on a fresh
+// snapshot.
 //
 // Update commits pay for this only while a snapshot is registered. Such a
 // commit is versioned: it captures the value each written word is about
@@ -62,6 +63,28 @@ const (
 	retryWaitLimit = 100 * time.Millisecond
 )
 
+// SnapRestart names why a snapshot attempt gave up: the cause behind one
+// AbortSnapshotTooOld, counted where loadSnap raises it.
+type SnapRestart int
+
+const (
+	// RestartTrimmed: the sidecar answered ReadTooOld, its shard had
+	// trimmed past the snapshot.
+	RestartTrimmed SnapRestart = iota
+	// RestartMiss: the sidecar answered ReadMiss, it held no version for
+	// a record past the snapshot.
+	RestartMiss
+	// RestartHeld: a writer held the stripe through snapSpinBudget looks.
+	RestartHeld
+	// NSnapRestarts is the number of causes.
+	NSnapRestarts
+)
+
+// String names the cause as the metrics label does.
+func (c SnapRestart) String() string {
+	return [NSnapRestarts]string{"trimmed", "miss", "held"}[c]
+}
+
 // SnapshotsEnabled reports whether the MVCC sidecar is attached.
 func (tm *TM) SnapshotsEnabled() bool { return tm.mvcc != nil }
 
@@ -78,11 +101,22 @@ func (tm *TM) VersionBudget() int {
 // versions published and versions trimmed. O(1) and lock-free like
 // CommitAbortCounts.
 func (tm *TM) SnapshotCounts() (tooOld, published, trimmed uint64) {
-	tooOld = tm.aggTooOld.Load()
+	for _, n := range tm.SnapshotRestarts() {
+		tooOld += n
+	}
 	if tm.mvcc != nil {
 		published, trimmed = tm.mvcc.Counts()
 	}
 	return tooOld, published, trimmed
+}
+
+// SnapshotRestarts returns the too-old aborts split by cause, indexed by
+// SnapRestart; they sum to SnapshotCounts' tooOld.
+func (tm *TM) SnapshotRestarts() (n [NSnapRestarts]uint64) {
+	for c := range n {
+		n[c] = tm.snapRestarts[c].Load()
+	}
+	return n
 }
 
 // RetainedVersions reports how many versions the sidecar currently holds
@@ -154,10 +188,12 @@ func (tx *Tx) loadSnap(addr uint64) uint64 {
 					return v
 				}
 				continue
+			case mvcc.ReadTooOld:
+				tx.restartSnap(RestartTrimmed)
 			default:
-				// ReadTooOld, or a miss: the value at snap predates the
-				// stripe's retained history. Restart on a fresh snapshot.
-				tx.abort(txn.AbortSnapshotTooOld)
+				// A miss: the value at snap predates the stripe's
+				// retained history. Restart on a fresh snapshot.
+				tx.restartSnap(RestartMiss)
 			}
 		}
 		// An in-flight writer owns the stripe. If it writes this very
@@ -169,20 +205,26 @@ func (tx *Tx) loadSnap(addr uint64) uint64 {
 				tx.snapVersionReads++
 				return val
 			} else if res == mvcc.ReadTooOld {
-				tx.abort(txn.AbortSnapshotTooOld)
+				tx.restartSnap(RestartTrimmed)
 			}
 		}
 		if spin >= snapSpinBudget {
 			// A writer can hold its encounter-time locks for its whole
 			// execution; give up on this snapshot rather than wait
 			// unboundedly.
-			tx.abort(txn.AbortSnapshotTooOld)
+			tx.restartSnap(RestartHeld)
 		}
 		if spin&15 == 15 {
 			// Let the lock owner run; essential on few-core hosts.
 			runtime.Gosched()
 		}
 	}
+}
+
+// restartSnap counts cause and aborts the snapshot attempt too-old.
+func (tx *Tx) restartSnap(cause SnapRestart) {
+	tx.tm.snapRestarts[cause].Add(1)
+	tx.abort(txn.AbortSnapshotTooOld)
 }
 
 // publishVersions is the versioned half of a commit: it delivers the

@@ -36,8 +36,9 @@ type TM struct {
 	// its full snapshot path, CommitAbortCounts is the lock-free fast one.
 	aggCommits atomic.Uint64
 	aggAborts  atomic.Uint64
-	// aggTooOld counts snapshot-too-old aborts the same way.
-	aggTooOld atomic.Uint64
+	// snapRestarts counts snapshot-too-old aborts the same way, split by
+	// the cause loadSnap gave up on.
+	snapRestarts [NSnapRestarts]atomic.Uint64
 
 	// mvcc is the commit-ordered version sidecar backing snapshot-mode
 	// read-only transactions; nil unless Config.Snapshots.
@@ -54,11 +55,11 @@ type TM struct {
 	obsHook atomic.Pointer[obs.TMObs]
 
 	clk clock
-	// clockEpoch counts clock resets: it is bumped (under the freeze
-	// barrier, so no transaction is mid-commit) at every roll-over and
-	// Reconfigure. Timestamps restart from zero in each epoch, so
+	// clockEpoch counts clock roll-overs: it is bumped under the freeze
+	// barrier, so no transaction is mid-commit, whenever the clock
+	// rewinds to zero. Timestamps restart from zero in each epoch, so
 	// (epoch, ts) is the total commit order the redo hook receives and a
-	// checkpoint scan records as its position.
+	// checkpoint scan records as its position. Reconfigure keeps both.
 	clockEpoch atomic.Uint64
 	geo        atomic.Pointer[geometry]
 	fz         freezer
@@ -104,13 +105,6 @@ func (tm *TM) maybeDrainLimbo() {
 		return
 	}
 	for _, b := range tm.pool.Drain(tm.minActiveStart()) {
-		tm.space.Free(mem.Addr(b.Addr), b.Words)
-	}
-}
-
-// drainLimboAll reclaims every retired block. Only callable while frozen.
-func (tm *TM) drainLimboAll() {
-	for _, b := range tm.pool.DrainAll() {
 		tm.space.Free(mem.Addr(b.Addr), b.Words)
 	}
 }
@@ -357,24 +351,24 @@ func (tx *Tx) runBody(fn func(*Tx)) (ok bool) {
 	return true
 }
 
-// rollOver resets the clock and all version numbers behind the freeze
-// barrier (paper Section 3.1, "Clock Management"). Safe to call from
-// multiple racing initiators: the reset is double-checked under the
-// barrier.
+// rollOver rewinds the clock behind the freeze barrier (paper Section
+// 3.1, "Clock Management": "we reset the clock and all version numbers").
+// It differs from Reconfigure only in the rewind: the clock, its epoch and
+// limbo, whose timestamps mean nothing against the new epoch's. The fresh
+// geometry it installs with the live triple zeroes every version number.
+// Safe to call from multiple racing initiators: the reset is
+// double-checked under the barrier.
 func (tm *TM) rollOver() {
 	tm.fz.freeze()
 	// Double-check under the barrier: another initiator may have already
 	// reset the clock while we waited.
 	if tm.clk.exhausted(tm.maxClock) {
-		tm.drainLimboAll() // old-epoch timestamps become meaningless
+		for _, b := range tm.pool.DrainAll() {
+			tm.space.Free(mem.Addr(b.Addr), b.Words)
+		}
 		tm.clk.reset()
 		tm.clockEpoch.Add(1)
-		tm.geo.Load().resetVersions()
-		if tm.mvcc != nil {
-			// Retained versions carry old-epoch timestamps; drop them all
-			// (no snapshot can be active behind the barrier).
-			tm.mvcc.Reset()
-		}
+		tm.swapGeometry(tm.Params())
 		tm.rollOvers.Add(1)
 	}
 	tm.fz.unfreeze()
@@ -390,13 +384,73 @@ func (tx *Tx) maybeRollOverOnBegin() {
 	}
 }
 
+// swapGeometry installs a fresh geometry for p, every lock word and
+// hierarchical counter at 0, and empties the sidecar, whose shards follow
+// the stripes. Only callable while frozen.
+func (tm *TM) swapGeometry(p Params) {
+	tm.geo.Store(newGeometry(p))
+	if tm.mvcc != nil {
+		tm.mvcc.Reset()
+	}
+}
+
 // Reconfigure atomically replaces the tunable parameters (#locks, #shifts,
-// h) of a live TM (paper Section 4.2). It freezes the world with the
-// roll-over barrier, swaps in a fresh zeroed lock array, resets the clock
-// (all versions restart from zero), and resumes. In-flight transactions
-// abort and retry under the new geometry. With an observability sink
-// attached, the time from the freeze to the release lands in its
+// h) of a live TM (paper Section 4.2): it freezes the world with the
+// roll-over barrier, installs a fresh geometry, empties the sidecar and
+// resumes. It does not touch the clock, its epoch or limbo. Transactions
+// parked at Begin start under the new geometry. With an observability
+// sink attached, the time from the freeze to the release lands in its
 // FreezeNs histogram.
+//
+// Why keeping the clock is sound. Three premises hold at the swap:
+//
+//   - (Q) Every attempt is quiescent: freeze waits for each one to commit
+//     or roll back, and Begin parks new ones, so no attempt holds a lock,
+//     a read set, a geometry pointer or a snapshot across the move.
+//   - (Z) The new lock words are at version 0, which is <= the start of
+//     every later attempt.
+//   - (N) Every timestamp the TM still holds — a written record, a
+//     retained entry's interval, a limbo block's retirement — came from a
+//     commit or a freshVersion before the freeze, so it is <= now, the
+//     clock the swap leaves alone. Every later start is >= now, so each
+//     stays comparable with it.
+//
+// The obligations, one piece of state at a time:
+//
+//   - Hierarchical counters and hsnap. The new geometry's counters start
+//     at 0, and an attempt snapshots a counter (hsnap) only in the
+//     geometry it loaded at Begin (Q), so no snapshot meets a counter of
+//     another geometry. Their values are never compared with the clock.
+//   - Write-through incarnations and freshVersion. A new lock word carries
+//     incarnation 0 and version 0 (Z). An incarnation overflow takes
+//     freshVersion from the same unrewound clock, so its version exceeds
+//     every version issued before, in either geometry, as it must.
+//   - The capture window. Begin empties it and Alloc opens it inside one
+//     attempt (Q): no window spans the move. Its births are stamped at the
+//     commit's timestamp like any other write.
+//   - Reclamation pins. A limbo block is freed once its retirement
+//     timestamp is <= every active start, snapshot pins included. By (N)
+//     those timestamps stay <= every later start, so the blocks drain at
+//     the next maybeDrainLimbo as if no move had happened; nothing forces
+//     a drain under the barrier.
+//   - The sidecar. Every written record is <= now (N), so it reads
+//     live-valid for every later snapshot S >= now: the live word is the
+//     value at S, since every write past S stamps its word (the cases
+//     above mvcc's Publish). A record passes S only through a versioned
+//     commit after the move. The first such commit on a word, at ts,
+//     retains the pre-image from min(From, w) to ts, where w <= S is the
+//     record it replaces and From is the stripe's version in the new
+//     geometry: 0 if no commit has released the stripe since the move, so
+//     the word's last write came before it, or else a timestamp >= w. The
+//     entry covers S, and its value was current at S, so a move costs a
+//     snapshot no miss. The retained entries are still cleared: they hang
+//     off shards chosen by the old stripes, and every entry ends at or
+//     before now, so no later snapshot (start >= now) could read one.
+//   - The redo hook's (epoch, ts) stamp. The epoch stays and timestamps
+//     keep rising across the move, so the WAL sees one epoch with
+//     increasing timestamps. Replay folds records in append order
+//     (internal/wal/replay.go), and a checkpoint's position is
+//     informational, so neither format changes.
 func (tm *TM) Reconfigure(p Params) error {
 	cfg := tm.configFor(p)
 	if err := cfg.validate(); err != nil {
@@ -404,15 +458,7 @@ func (tm *TM) Reconfigure(p Params) error {
 	}
 	start := time.Now()
 	tm.fz.freeze()
-	tm.drainLimboAll()
-	tm.geo.Store(newGeometry(p))
-	tm.clk.reset()
-	tm.clockEpoch.Add(1)
-	if tm.mvcc != nil {
-		// The clock reset invalidates every retained timestamp, and the
-		// new geometry remaps stripes besides.
-		tm.mvcc.Reset()
-	}
+	tm.swapGeometry(p)
 	tm.reconfigs.Add(1)
 	tm.fz.unfreeze()
 	if o := tm.obsHook.Load(); o != nil {
@@ -469,7 +515,7 @@ func (tm *TM) DescriptorCounts() (minted, free int) {
 }
 
 // Frozen reports whether the TM is currently at a barrier (tests).
-func (tm *TM) Frozen() bool { return tm.fz.isFrozen() }
+func (tm *TM) Frozen() bool { return tm.fz.frozen.Load() != 0 }
 
 // Compile-time checks: *Tx satisfies the shared transaction interface and
 // *TM the system interfaces used by the generic harness and store.

@@ -372,9 +372,6 @@ func (tx *Tx) rollback(kind txn.AbortKind) {
 	tx.stats.abortsByKind[kind].Add(1)
 	tx.lastAbort = kind
 	tx.tm.aggAborts.Add(1)
-	if kind == txn.AbortSnapshotTooOld {
-		tx.tm.aggTooOld.Add(1)
-	}
 	tx.flushHotCounters()
 	if tx.snap {
 		// Detach from the sidecar's horizon tracking: a finished snapshot

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"time"
 
+	"tinystm/internal/core"
 	"tinystm/internal/kvproto"
 	"tinystm/internal/obs"
 	"tinystm/internal/resilience"
@@ -69,6 +70,7 @@ type metrics struct {
 	// CounterFunc/GaugeFunc below reads one consistent snapshot instead
 	// of re-walking the TM's descriptor table per sample.
 	st       txn.Stats
+	restarts [core.NSnapRestarts]uint64
 	tooOld   uint64
 	walStats wal.Stats
 	mem      memStats
@@ -125,7 +127,11 @@ func newMetrics(s *Server) *metrics {
 
 	m.reg.OnScrape(func() {
 		m.st = s.tm.Stats()
-		m.tooOld, _, _ = s.tm.SnapshotCounts()
+		m.restarts = s.tm.SnapshotRestarts()
+		m.tooOld = 0
+		for _, n := range m.restarts {
+			m.tooOld += n
+		}
 		if log := s.dur.walLog(); log != nil {
 			m.walStats = log.Stats()
 		}
@@ -161,8 +167,13 @@ func newMetrics(s *Server) *metrics {
 	}
 
 	// --- MVCC snapshot sidecar ---
-	m.reg.CounterFunc("stm_snapshot_too_old_total", "Snapshot reads aborted because their versions were trimmed.", nil,
+	m.reg.CounterFunc("stm_snapshot_too_old_total", "Snapshot attempts that gave up and restarted on a fresh snapshot (the sum of stm_snapshot_restarts_total).", nil,
 		func() float64 { return float64(m.tooOld) })
+	for c := core.SnapRestart(0); c < core.NSnapRestarts; c++ {
+		m.reg.CounterFunc("stm_snapshot_restarts_total", "Snapshot restarts by cause: trimmed (the shard trimmed past the snapshot), miss (no version held for a record past it), held (a writer held the stripe through the spin budget).",
+			obs.Labels{"cause": c.String()},
+			func() float64 { return float64(m.restarts[c]) })
+	}
 	m.reg.CounterFunc("stm_snapshot_reads_live_total", "Snapshot-mode reads served from live memory.", nil,
 		func() float64 { return float64(m.st.SnapshotLiveReads) })
 	m.reg.CounterFunc("stm_snapshot_reads_sidecar_total", "Snapshot-mode reads served from retained versions.", nil,

@@ -477,3 +477,71 @@ func TestTxTraceEndpoint(t *testing.T) {
 		t.Fatal("TxTrace() non-nil with the recorder disabled")
 	}
 }
+
+// TestMetricsSnapshotRestarts: a scan that outwaits a writer holding its
+// stripe restarts with cause "held". /metrics splits
+// stm_snapshot_too_old_total by cause, and /stats reports the same split.
+func TestMetricsSnapshotRestarts(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		SpaceWords: 1 << 18, Shards: 4, Buckets: 8, Snapshots: true,
+		Geometry: core.Params{Locks: 1, Shifts: 0, Hier: 1},
+	})
+	c := ts.Client()
+	doJSON(t, c, "PUT", ts.URL+"/kv/1", "10", nil)
+	tm := s.TM()
+	w := tm.NewTx()
+	defer w.Release()
+	var a uint64
+	tm.Atomic(w, func(tx *core.Tx) { a = tx.Alloc(1) })
+	w.Begin(false)
+	w.Store(a, 1) // holds the one stripe every scan read needs
+	done := make(chan error, 1)
+	go func() {
+		resp, err := c.Get(ts.URL + "/scan")
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	for tm.SnapshotRestarts()[core.RestartHeld] == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if !w.Commit() {
+		t.Fatal("the holding writer failed to commit")
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("GET /scan: %v", err)
+	}
+
+	var st struct {
+		Snapshots struct {
+			TooOld   uint64            `json:"aborts_snapshot_too_old"`
+			Restarts map[string]uint64 `json:"restarts"`
+		} `json:"snapshots"`
+	}
+	doJSON(t, c, "GET", ts.URL+"/stats", "", &st)
+	_, val := scrape(t, c, ts.URL)
+	tooOld, _ := val("stm_snapshot_too_old_total")
+	var sum, statsSum float64
+	for _, cause := range []string{"trimmed", "miss", "held"} {
+		v, ok := val(`stm_snapshot_restarts_total{cause="` + cause + `"}`)
+		if !ok {
+			t.Fatalf("no stm_snapshot_restarts_total series for cause %q", cause)
+		}
+		n, ok := st.Snapshots.Restarts[cause]
+		if !ok || float64(n) > v {
+			t.Fatalf("/stats snapshots.restarts[%q] = %d (ok=%v), /metrics later read %v", cause, n, ok, v)
+		}
+		sum += v
+		statsSum += float64(n)
+	}
+	if sum != tooOld || statsSum != float64(st.Snapshots.TooOld) {
+		t.Fatalf("restarts sum to %v on /metrics (too-old %v) and %v on /stats (too-old %d)", sum, tooOld, statsSum, st.Snapshots.TooOld)
+	}
+	if v, _ := val(`stm_snapshot_restarts_total{cause="held"}`); v == 0 {
+		t.Fatal("the scan that waited out the writer counted no held restart")
+	}
+	if v, _ := val(`stm_aborts_total{cause="snapshot-too-old"}`); v != tooOld {
+		t.Fatalf(`stm_aborts_total{cause="snapshot-too-old"} = %v, stm_snapshot_too_old_total = %v`, v, tooOld)
+	}
+}

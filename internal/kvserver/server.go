@@ -469,7 +469,12 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, req *kvproto.Requ
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.tm.Stats()
 	minted, free := s.tm.DescriptorCounts()
-	tooOld, _, _ := s.tm.SnapshotCounts()
+	restarts := map[string]uint64{}
+	var tooOld uint64
+	for c, n := range s.tm.SnapshotRestarts() {
+		restarts[core.SnapRestart(c).String()] = n
+		tooOld += n
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"uptime_seconds": time.Since(s.start).Seconds(),
 		"design":         s.tm.Design().String(),
@@ -496,6 +501,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"reads_live":              st.SnapshotLiveReads,
 			"reads_sidecar":           st.SnapshotVersionReads,
 			"aborts_snapshot_too_old": tooOld,
+			"restarts":                restarts,
 		},
 		"durability": s.durabilityStats(st.RedoRecords),
 		"admission":  s.admissionStats(),

@@ -82,6 +82,51 @@ func TestEffectiveWriteSemantics(t *testing.T) {
 	}
 }
 
+// TestRedoPositionsAcrossMoves: a move keeps the clock, so the redo hook
+// sees one clock epoch and strictly increasing timestamps across it, and
+// replay rebuilds every acked write.
+func TestRedoPositionsAcrossMoves(t *testing.T) {
+	fs := wal.NewMemFS()
+	s, l, tm := durableStore(t, fs, true)
+	defer s.Close()
+	type pos struct{ epoch, ts uint64 }
+	var seen []pos
+	tm.SetRedoHook(func(epoch, ts uint64, ops []txn.RedoOp) txn.DurableTicket {
+		seen = append(seen, pos{epoch, ts})
+		return l.Append(epoch, ts, ops)
+	})
+	for k := uint64(0); k < 8; k++ {
+		s.Put(k, k)
+	}
+	if err := tm.Reconfigure(core.Params{Locks: 1 << 6, Shifts: 1, Hier: 4}); err != nil {
+		t.Fatalf("Reconfigure: %v", err)
+	}
+	for k := uint64(0); k < 8; k++ {
+		s.Put(k, k+100)
+	}
+	tm.SetRedoHook(nil)
+	if len(seen) != 16 {
+		t.Fatalf("hook saw %d commits, want 16", len(seen))
+	}
+	for i := 1; i < len(seen); i++ {
+		if seen[i].epoch != seen[0].epoch || seen[i].ts <= seen[i-1].ts {
+			t.Fatalf("commit %d at %+v after %+v: want the same epoch and a later timestamp", i, seen[i], seen[i-1])
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	state, _, err := wal.Replay(fs, "wal")
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	for k := uint64(0); k < 8; k++ {
+		if state[k] != k+100 {
+			t.Fatalf("replayed %d = %d, want %d", k, state[k], k+100)
+		}
+	}
+}
+
 // TestAckedStoreOpsSurviveKillAtAnyPoint is the end-to-end durability
 // property at the Store surface: sweep the crash point across every WAL
 // write the workload produces; whatever the Store acked before the crash

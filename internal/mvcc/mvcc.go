@@ -265,21 +265,27 @@ func (s *Store) ActiveSnapshots() int { return s.reg.Live() }
 //     by an unversioned commit. No snapshot with S in [w, t) can read the
 //     entry: one registered at that commit's decision would have made it
 //     versioned, and one registered after it has S >= t (U).
-//   - Reset and roll-over. Reset keeps the written array (see Reset), so a
-//     record can come from an older clock epoch. None of the cases above
-//     looks at a record's epoch: a record <= S reads live-valid, sound
-//     because every write past S stamps (R); a record > S finds no entry
-//     (a versioned write of this epoch would have replaced the record,
-//     and Reset emptied the chains) and misses conservatively; a record
-//     below t only widens an entry over a span no registered snapshot
-//     holds, as in the third case.
+//   - Reset and roll-over. Reset keeps the written array (see Reset). A
+//     reconfiguration resets without rewinding the clock, so every record
+//     stays <= the clock and reads live-valid for every later snapshot
+//     (the argument above core's TM.Reconfigure). A clock roll-over
+//     rewinds it, so a record can come from an older clock epoch. None of
+//     the cases above looks at a record's epoch: a record <= S reads
+//     live-valid, sound because every write past S stamps (R); a record
+//     > S finds no entry (a versioned write of this epoch would have
+//     replaced the record, and Reset emptied the chains) and misses
+//     conservatively; a record below t only widens an entry over a span
+//     no registered snapshot holds, as in the third case.
 //   - The first versioned supersede of a word last written unversioned.
 //     Within an epoch its record w is at most t, and t <= v.From (the
 //     stripe was released at t), so the entry starts at w and covers every
-//     registered snapshot. A record left from an older epoch may exceed
-//     v.From; the entry then starts at v.From, no earlier than t, and a
-//     snapshot in [t, v.From) takes a conservative miss and restarts past
-//     it. That is the only price, never a wrong value.
+//     registered snapshot. After a reconfiguration the stripe may be fresh
+//     (v.From 0, below t): the entry then starts at 0, which widens it only
+//     over [0, t), and every snapshot registered since the move starts at
+//     or after t. After a roll-over, a record left from the older
+//     epoch may exceed v.From; the entry then starts at v.From, no earlier
+//     than t, and a snapshot in [t, v.From) takes a conservative miss and
+//     restarts past it. That is the only price, never a wrong value.
 
 // Publish records the pre-images superseded by a versioned commit at
 // timestamp ts: it stamps their words' written records with ts and
@@ -429,8 +435,8 @@ const (
 	ReadLiveValid
 	// ReadMiss: the address's record is past the snapshot, but no
 	// retained entry holds the value current at it: the record is left
-	// from an older clock epoch, the entry's start could not be
-	// tightened, or the advisory index dropped the address. On an
+	// from the clock epoch before a roll-over, the entry's start could
+	// not be tightened, or the advisory index dropped the address. On an
 	// unlocked stripe this is persistent — publication precedes lock
 	// release, so waiting cannot help; behind an in-flight writer the
 	// pre-image may still arrive.
@@ -510,19 +516,22 @@ func (s *Store) Horizon(stripe uint64) uint64 {
 }
 
 // Reset drops every retained version and rewinds all horizons. Only
-// callable at a global quiescence point (the STM's freeze barrier):
-// clock roll-over and reconfiguration rewind the clock, making old-epoch
-// version INTERVALS meaningless, and no snapshot can be active behind
-// the barrier.
+// callable at a global quiescence point (the STM's freeze barrier), where
+// no snapshot can be active: a clock roll-over, which rewinds the clock
+// and so makes old-epoch version INTERVALS meaningless, and a
+// reconfiguration, which keeps the clock but remaps the stripes that pick
+// each version's shard.
 //
 // The written array is deliberately NOT wiped — that would make every
 // Reconfigure's stop-the-world pause O(arena words) instead of
 // O(shards+budget), and back every page of the mapping. Records
-// therefore outlive their epoch, and need not be wiped: a new-epoch write
-// past a registered snapshot stamps its word afresh, so an old-epoch
-// record is merely stale in the sense above Publish, whose "Reset and
-// roll-over" case says why a stale record can cost a conservative miss
-// but never a wrong value.
+// therefore outlive a Reset. After a reconfiguration each stays <= the
+// clock, below every later snapshot's start. After a roll-over a record
+// can outlive its epoch, and need not be wiped: a new-epoch write past a
+// registered snapshot stamps its word afresh, so an old-epoch record is
+// merely stale in the sense above Publish, whose "Reset and roll-over"
+// case says why a stale record can cost a conservative miss but never a
+// wrong value.
 func (s *Store) Reset() {
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -531,7 +540,7 @@ func (s *Store) Reset() {
 		sh.head = 0
 		sh.absBase = 0
 		sh.horizon = 0
-		clear(sh.newest) // old-epoch chain positions are gone with the entries
+		clear(sh.newest) // chain positions are gone with the entries
 		sh.mu.Unlock()
 	}
 }

@@ -68,8 +68,9 @@ func (p *Pool) Drain(minActiveStart uint64) []Block {
 }
 
 // DrainAll removes and returns every block unconditionally. Call only at a
-// global quiescence point (the STM's freeze barrier), e.g. during clock
-// roll-over when timestamps from the old epoch become meaningless.
+// global quiescence point (the STM's freeze barrier): clock roll-over,
+// whose rewind makes the old epoch's timestamps meaningless. A
+// reconfiguration keeps the clock, so its limbo drains as usual.
 func (p *Pool) DrainAll() []Block {
 	p.mu.Lock()
 	defer p.mu.Unlock()
