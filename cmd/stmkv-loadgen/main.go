@@ -15,7 +15,7 @@
 // retry budget for the whole process, so a run rides through a server
 // restart without ever amplifying an outage by more than the budget's
 // ratio. The summary's retries/retry-budget lines show how much traffic
-// waited out a WAL replay or brownout. With -op-timeout every request
+// waited out a WAL replay or a degraded server. With -op-timeout every request
 // carries that deadline to the server (X-Timeout-Ms on HTTP, the flagged
 // TimeoutMs field on the binary surface), and the binary path also runs
 // kvclient's circuit breaker in front of redials (-breaker-threshold,

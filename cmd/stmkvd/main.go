@@ -1,8 +1,8 @@
 // Command stmkvd serves the STM-backed key-value store over HTTP with the
 // online tuning runtime attached: while traffic flows, the runtime meters
 // live commit throughput and re-adapts the TM's lock-table geometry
-// (#locks, #shifts, h) to it. The geometry is the only thing it tunes;
-// with -brownout-slo it also steps the overload ladder. The MVCC sidecar
+// (#locks, #shifts, h) to it. The geometry is the only thing it tunes,
+// with the paper's hill climber alone. The MVCC sidecar
 // is always attached, so /scan, all-Get /batch and Len run as wait-free
 // snapshot transactions; while no snapshot is registered it costs an
 // update nothing.
@@ -18,10 +18,8 @@
 //	                                         # replays the WAL on restart
 //	stmkvd -proto-addr :8081 -admission 64   # binary pipelined protocol behind a
 //	                                         # 64-wide update-admission gate
-//	stmkvd -brownout-slo 50ms                # brownout: shed scans, then writes,
-//	                                         # then reads whenever p99 > 50ms
 //
-// stmkvd takes 17 flags (stmkvd -h lists them). Conflict resolution is
+// stmkvd takes 16 flags (stmkvd -h lists them). Conflict resolution is
 // not one of them: the STM has one rule, abort on a foreign lock and wait
 // for that lock before the retry (see internal/core).
 //
@@ -68,7 +66,7 @@ func main() {
 		space     = flag.Int("space", 1<<22, "transactional arena size in 64-bit words")
 		design    = flag.String("design", "wb", "memory design: wb (write-back) or wt (write-through)")
 		geometry  = flag.String("geometry", "2^8,0,1", "initial lock-table triple locks,shifts,h (accepts 2^k)")
-		autotune  = flag.Bool("autotune", true, "attach the online tuning runtime: the lock-table geometry is tuned live, and the brownout ladder is stepped (with -brownout-slo)")
+		autotune  = flag.Bool("autotune", true, "attach the online tuning runtime: the lock-table geometry is tuned live")
 		period    = flag.Duration("period", time.Second, "tuning sample period")
 		samples   = flag.Int("samples", 3, "samples per tuning decision (max kept)")
 		seed      = flag.Uint64("seed", 42, "tuner move-selection seed")
@@ -76,7 +74,6 @@ func main() {
 		walDir    = flag.String("wal-dir", "", "write-ahead-log directory (segments and checkpoints)")
 		walBatch  = flag.Duration("wal-batch", 0, "WAL group-commit batch delay (0 = flush immediately)")
 		ckptEvry  = flag.Duration("checkpoint-every", 30*time.Second, "snapshot-checkpoint period for WAL truncation (0 = never)")
-		brownSLO  = flag.Duration("brownout-slo", 0, "request-latency p99 SLO: when exceeded the tuning runtime sheds scans, then writes, then reads until calm (0 = off; needs -autotune)")
 		txTrace   = flag.Int("txtrace", 0, "flight-recorder sampling: trace one transaction in N (0 = default 64, negative = off)")
 		debugAddr = flag.String("debug-addr", "", "separate net/http/pprof listen address (empty = no pprof)")
 	)
@@ -93,7 +90,6 @@ func main() {
 		Snapshots:       true,
 		Autotune:        *autotune,
 		AdmissionWidth:  *admWidth,
-		BrownoutSLO:     *brownSLO,
 		Period:          *period,
 		Samples:         *samples,
 		Seed:            *seed,
@@ -172,8 +168,8 @@ func main() {
 		_ = hs.Shutdown(ctx)
 	}()
 
-	log.Printf("serving on %s (design=%v geometry=%v autotune=%v admission=%d brownout-slo=%v period=%v)",
-		hl.Addr(), d, geo, *autotune, *admWidth, *brownSLO, *period)
+	log.Printf("serving on %s (design=%v geometry=%v autotune=%v admission=%d period=%v)",
+		hl.Addr(), d, geo, *autotune, *admWidth, *period)
 	log.Printf("http listening on %s", hl.Addr())
 	if pl != nil {
 		log.Printf("proto listening on %s", pl.Addr())

@@ -49,7 +49,7 @@ var allowedLayers = map[string]bool{
 	// Client-side and test-harness infrastructure: these packages talk to
 	// the server over sockets, never to transactional memory, so their
 	// counters, breakers and fault switches are legitimately raw.
-	"resilience": true, // retry budgets, circuit breaker, brownout ladder
+	"resilience": true, // deadlines, retry budgets, circuit breaker
 	"netchaos":   true, // fault-injecting TCP proxy (tests and smoke only)
 }
 

@@ -1,7 +1,7 @@
 // Package resilience carries the name of the client-side resilience
-// layer: retry budgets, breakers and the brownout ladder guard network
-// state, not transactional memory, so — like the STM runtime layers —
-// nothing here is flagged.
+// layer: deadlines, retry budgets and breakers guard network state, not
+// transactional memory, so — like the STM runtime layers — nothing here
+// is flagged.
 package resilience
 
 import (

@@ -416,6 +416,17 @@ func TestSnapshotSweepShapes(t *testing.T) {
 	if r.Points[0].Mode != "off" || r.Points[1].Mode != "on/64" {
 		t.Fatalf("modes %q, %q", r.Points[0].Mode, r.Points[1].Mode)
 	}
+	// The scanners are the only snapshot readers, so the TM's restarts by
+	// cause account for every too-old retry they suffered.
+	for _, pt := range r.Points {
+		var sum uint64
+		for _, n := range pt.Restarts {
+			sum += n
+		}
+		if sum != pt.ScanTooOld {
+			t.Errorf("%s: restarts by cause %v sum to %d, too-old retries %d", pt.Mode, pt.Restarts, sum, pt.ScanTooOld)
+		}
+	}
 	on := r.Points[1]
 	if on.ScanROAborts != 0 {
 		t.Errorf("snapshot scans suffered %d read-only aborts", on.ScanROAborts)

@@ -79,6 +79,9 @@ type SnapshotPoint struct {
 	ScanAborts   uint64
 	ScanTooOld   uint64
 	ScanROAborts uint64
+	// Restarts splits the too-old retries by cause, indexed by
+	// core.SnapRestart (trimmed, miss, held); they sum to ScanTooOld.
+	Restarts [core.NSnapRestarts]uint64
 	// WriterRate is the writers' committed transactions/second, showing
 	// what version publication costs them.
 	WriterRate float64
@@ -96,13 +99,15 @@ func (r SnapshotSweepResult) ToTable() harness.Table {
 	tbl := harness.Table{
 		Title: "read-only full-table scans under write pressure: snapshots off vs. on",
 		Headers: []string{"mode", "writers", "scans/s", "keys/s (10^3)",
-			"scan aborts (RO)", "too-old retries", "writer txs/s (10^3)", "published", "trimmed"},
+			"scan aborts (RO)", "too-old retries", "trimmed restarts", "miss restarts", "held restarts",
+			"writer txs/s (10^3)", "published", "trimmed"},
 	}
 	for _, p := range r.Points {
 		tbl.AddRow(p.Mode, p.Writers,
 			fmt.Sprintf("%.1f", p.ScanRate),
 			fmt.Sprintf("%.1f", p.KeyRate/1000),
 			p.ScanROAborts, p.ScanTooOld,
+			p.Restarts[core.RestartTrimmed], p.Restarts[core.RestartMiss], p.Restarts[core.RestartHeld],
 			fmt.Sprintf("%.1f", p.WriterRate/1000),
 			p.Published, p.Trimmed)
 	}
@@ -209,6 +214,7 @@ func runSnapshotPoint(sc Scale, cfg SnapshotConfig, writers int, snapshots bool,
 		ScanRate:   float64(scans.Load()) / elapsed,
 		KeyRate:    float64(keysRead.Load()) / elapsed,
 		ScanAborts: allAborts.Load(), ScanTooOld: tooOld.Load(), ScanROAborts: roAborts.Load(),
+		Restarts:   tm.SnapshotRestarts(),
 		WriterRate: float64(writerCommits.Load()) / elapsed,
 		Published:  published, Trimmed: trimmed,
 	}

@@ -12,7 +12,7 @@
 // call with ErrConn, and the next call dials fresh (one dial at a time —
 // concurrent callers wait for the single in-flight dial instead of
 // stampeding the server). Status-level unavailability (WAL replay,
-// degraded mode, admission refusal, brownout) comes back as
+// degraded mode, admission refusal) comes back as
 // ErrUnavailable — retryable, the 503 analogue — while StatusError is
 // terminal.
 //

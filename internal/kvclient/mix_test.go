@@ -86,8 +86,8 @@ func TestMixDoDrivesAllArms(t *testing.T) {
 }
 
 // The CAS arm seeds an absent key with a Put — and only an absent one: a
-// Get that FAILED (a shed 503/504 under brownout) is an error, never a
-// write.
+// Get that FAILED (a 503 from a degraded server, a 504 deadline shed) is
+// an error, never a write.
 func TestMixDoCASArm(t *testing.T) {
 	m := mustMix(t, kvclient.Mix{Keys: 16, CASPct: 100})
 	r := rng.New(1)

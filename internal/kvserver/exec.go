@@ -3,9 +3,8 @@
 // the kvproto.Response. Everything that decides whether and how a data
 // request runs lives here and only here:
 //
-//	lifecycle gate → brownout class → deadline (op) → update admission
-//	(deadline at the gate) → store call → panic-to-status → [durability
-//	wait] → latency
+//	lifecycle gate → deadline (op) → update admission (deadline at the
+//	gate) → store call → panic-to-status → [durability wait] → latency
 //
 // Admission is waited for by a caller whose goroutine is the request's own
 // (HTTP, a binary op goroutine) and only tried by one that serves other
@@ -26,8 +25,8 @@
 // up.
 //
 // A refusal is a status, never a transport error: StatusUnavailable for
-// the lifecycle gate, a brownout shed or a failed durability wait (503 +
-// Retry-After on HTTP), StatusDeadlineExceeded for a spent budget (504),
+// the lifecycle gate or a failed durability wait (503 + Retry-After on
+// HTTP), StatusDeadlineExceeded for a spent budget (504),
 // StatusError for a request that can never succeed (400, or 507 for
 // arena exhaustion).
 package kvserver
@@ -39,7 +38,6 @@ import (
 	"tinystm/internal/core"
 	"tinystm/internal/kvproto"
 	"tinystm/internal/kvstore"
-	"tinystm/internal/resilience"
 	"tinystm/internal/txn"
 	"tinystm/internal/wal"
 )
@@ -297,31 +295,16 @@ func mayPark(req *kvproto.Request) bool {
 }
 
 // refusal is the door: it returns why a data request of kind op may not
-// run right now, or "" when it may. Brownout sheds whole request classes
-// in cost order — scans first, then everything that is not a point read
-// (a batch costs write-like even when its ops are all Gets) — before any
-// transaction runs or gate slot is waited on. The lifecycle gate then
-// requires a ready server, except that point reads and scans still serve
-// in degraded mode (committed memory is intact).
+// run right now, or "" when it may. The lifecycle gate requires a ready
+// server, except that point reads and scans still serve in degraded mode
+// (committed memory is intact). A batch counts as a write even when its
+// ops are all Gets: the door looks at the op, not inside it.
 func (s *Server) refusal(op kvproto.Op) string {
-	class := resilience.ClassWrite
-	switch op {
-	case kvproto.OpGet:
-		class = resilience.ClassRead
-	case kvproto.OpScan:
-		class = resilience.ClassScan
-	}
-	if s.brown != nil && s.brown.Sheds(class) {
-		s.shed.brownout[class].Add(1)
-		// Name the class so a client log line is actionable without
-		// scraping /stats.
-		return "brownout: shedding " + class.String() + " requests (p99 over SLO); retry later"
-	}
 	switch s.dur.state.Load() {
 	case stateReady:
 		return ""
 	case stateDegraded:
-		if class != resilience.ClassWrite {
+		if op == kvproto.OpGet || op == kvproto.OpScan {
 			return ""
 		}
 		return "degraded: write-ahead log failed; serving reads only"

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -121,7 +122,6 @@ func newParityHarness(t *testing.T) *parityHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.brown = testBrownout() // installed before either listener exists
 	ts := httptest.NewServer(s.Handler())
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -297,21 +297,15 @@ func (h *parityHarness) roundTripPayload(t *testing.T, payload []byte) []byte {
 	return out
 }
 
-// sheds snapshots the shed counters: one row of deadline stages per
-// surface, plus the brownout classes (shared by both surfaces).
-type sheds struct {
-	deadline [nSurfaces][nShedStages]uint64
-	brownout [resilience.NumClasses]uint64
-}
+// sheds snapshots the deadline shed counters: one row of stages per
+// surface.
+type sheds [nSurfaces][nShedStages]uint64
 
 func (h *parityHarness) sheds() (c sheds) {
-	for surf := range c.deadline {
-		for st := range c.deadline[surf] {
-			c.deadline[surf][st] = h.s.shed.deadline[surf][st].Load()
+	for surf := range c {
+		for st := range c[surf] {
+			c[surf][st] = h.s.shed.deadline[surf][st].Load()
 		}
-	}
-	for cl := range c.brownout {
-		c.brownout[cl] = h.s.shed.brownout[cl].Load()
 	}
 	return c
 }
@@ -346,8 +340,12 @@ func TestCodecParity(t *testing.T) {
 			"get miss": ok, "put insert": ok, "delete miss": ok, "batch rw": ok, "batch empty": fail, "scan": ok}},
 		{name: "starting", enter: lifecycle(stateStarting), leave: ready, want: map[string]kvproto.Status{
 			"get miss": una, "put insert": una, "batch ro": una, "batch empty": una, "scan": una}},
+		// Degraded serves exactly the ops that do not write: Get and Scan.
+		// A batch is refused whatever it holds, all-Get and empty included.
 		{name: "degraded", enter: lifecycle(stateDegraded), leave: ready, want: map[string]kvproto.Status{
-			"get miss": ok, "put insert": una, "batch ro": una, "scan": ok}},
+			"get miss": ok, "put insert": una, "put overwrite": una, "get hit": ok,
+			"cas fail": una, "cas ok": una, "add": una, "delete miss": una, "delete hit": una,
+			"batch rw": una, "batch ro": una, "batch empty": una, "scan": ok, "scan limit": ok}},
 		{name: "failed", enter: lifecycle(stateFailed), leave: ready, want: map[string]kvproto.Status{
 			"get miss": una, "put insert": una, "scan": una}},
 		// The gate's only slot is held: updates carrying a budget are shed
@@ -361,13 +359,14 @@ func TestCodecParity(t *testing.T) {
 		// to check.
 		{name: "expired", d: delivery{expired: true}, want: map[string]kvproto.Status{
 			"get miss": ok, "put insert": late, "batch rw": late, "batch ro": late, "batch empty": fail, "scan": late}},
-		// The ladder never walks back in this test, so its rungs come last.
-		{name: "brownout shed-scans", enter: func() { escalate(s.brown, 1) }, want: map[string]kvproto.Status{
-			"get miss": ok, "put insert": ok, "batch ro": ok, "scan": una}},
-		{name: "brownout shed-writes", enter: func() { escalate(s.brown, 1) }, want: map[string]kvproto.Status{
-			"get miss": ok, "put insert": una, "batch ro": una, "scan": una}},
-		{name: "brownout shed-all", enter: func() { escalate(s.brown, 1) }, want: map[string]kvproto.Status{
-			"get miss": una, "put insert": una, "scan": una}},
+	}
+
+	for _, sc := range scenarios {
+		for name := range sc.want {
+			if !slices.ContainsFunc(paritySteps, func(st step) bool { return st.name == name }) {
+				t.Fatalf("%s: want pins %q, which is no step", sc.name, name)
+			}
+		}
 	}
 
 	for i, sc := range scenarios {
@@ -394,20 +393,16 @@ func TestCodecParity(t *testing.T) {
 			var dHTTP, dProto sheds
 			for surf := 0; surf < nSurfaces; surf++ {
 				for sg := 0; sg < nShedStages; sg++ {
-					dHTTP.deadline[surf][sg] = c1.deadline[surf][sg] - c0.deadline[surf][sg]
-					dProto.deadline[surf][sg] = c2.deadline[surf][sg] - c1.deadline[surf][sg]
+					dHTTP[surf][sg] = c1[surf][sg] - c0[surf][sg]
+					dProto[surf][sg] = c2[surf][sg] - c1[surf][sg]
 				}
 			}
-			for cl := range dHTTP.brownout {
-				dHTTP.brownout[cl] = c1.brownout[cl] - c0.brownout[cl]
-				dProto.brownout[cl] = c2.brownout[cl] - c1.brownout[cl]
-			}
-			if dHTTP.deadline[surfHTTP] != dProto.deadline[surfProto] || dHTTP.brownout != dProto.brownout ||
-				dHTTP.deadline[surfProto] != [nShedStages]uint64{} || dProto.deadline[surfHTTP] != [nShedStages]uint64{} {
+			if dHTTP[surfHTTP] != dProto[surfProto] ||
+				dHTTP[surfProto] != [nShedStages]uint64{} || dProto[surfHTTP] != [nShedStages]uint64{} {
 				t.Errorf("%s / %s: shed accounting differs:\n http  %+v\n proto %+v", sc.name, st.name, dHTTP, dProto)
 			}
-			if late := viaHTTP.Status == kvproto.StatusDeadlineExceeded; late != (dHTTP.deadline[surfHTTP] != [nShedStages]uint64{}) {
-				t.Errorf("%s / %s: deadline status %v but shed counters moved by %v", sc.name, st.name, viaHTTP.Status, dHTTP.deadline[surfHTTP])
+			if late := viaHTTP.Status == kvproto.StatusDeadlineExceeded; late != (dHTTP[surfHTTP] != [nShedStages]uint64{}) {
+				t.Errorf("%s / %s: deadline status %v but shed counters moved by %v", sc.name, st.name, viaHTTP.Status, dHTTP[surfHTTP])
 			}
 		}
 		if sc.leave != nil {
@@ -432,11 +427,6 @@ func TestCodecParity(t *testing.T) {
 		pv := series(`stmkvd_deadline_shed_total{stage=%q,surface="proto"}`, stage)
 		if hv != pv || (sg != shedStageDequeue && hv == 0) {
 			t.Errorf("deadline sheds at stage %s: http %v, proto %v (want equal, and non-zero past dequeue)", stage, hv, pv)
-		}
-	}
-	for cl := 0; cl < resilience.NumClasses; cl++ {
-		if v := series(`stmkvd_brownout_shed_total{class=%q}`, resilience.Class(cl).String()); v == 0 || int(v)%2 != 0 {
-			t.Errorf("brownout sheds of class %v = %v, want a positive even count (one per surface)", resilience.Class(cl), v)
 		}
 	}
 	for op := kvproto.OpGet; op <= kvproto.OpScan; op++ {

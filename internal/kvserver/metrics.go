@@ -15,7 +15,6 @@ import (
 	"tinystm/internal/core"
 	"tinystm/internal/kvproto"
 	"tinystm/internal/obs"
-	"tinystm/internal/resilience"
 	"tinystm/internal/tuning"
 	"tinystm/internal/txn"
 	"tinystm/internal/wal"
@@ -256,7 +255,7 @@ func newMetrics(s *Server) *metrics {
 			return float64(s.gate.Expired())
 		})
 
-	// --- Resilience: deadline sheds and brownout ladder ---
+	// --- Resilience: deadline sheds ---
 	for surf := 0; surf < nSurfaces; surf++ {
 		for st := 0; st < nShedStages; st++ {
 			surf, st := surf, st
@@ -264,27 +263,6 @@ func newMetrics(s *Server) *metrics {
 				obs.Labels{"surface": surfaceNames[surf], "stage": shedStageNames[st]},
 				func() float64 { return float64(s.shed.deadline[surf][st].Load()) })
 		}
-	}
-	for lv := 0; lv < resilience.NumLevels; lv++ {
-		lv := resilience.Level(lv)
-		m.reg.GaugeFunc("stmkvd_brownout_state", "Brownout shed level (one-hot; off when no ladder is configured).",
-			obs.Labels{"state": lv.String()},
-			func() float64 {
-				cur := resilience.LevelOff
-				if s.brown != nil {
-					cur = s.brown.Level()
-				}
-				if cur == lv {
-					return 1
-				}
-				return 0
-			})
-	}
-	for c := 0; c < resilience.NumClasses; c++ {
-		c := resilience.Class(c)
-		m.reg.CounterFunc("stmkvd_brownout_shed_total", "Requests shed by the brownout controller, by class.",
-			obs.Labels{"class": c.String()},
-			func() float64 { return float64(s.shed.brownout[c].Load()) })
 	}
 
 	// --- Durability / WAL ---
@@ -338,30 +316,23 @@ func newMetrics(s *Server) *metrics {
 	return m
 }
 
-// registerTuning exports the tuner's and the ladder's decisions and live
-// settings, so "why did the tuner move" is answerable from /metrics alone.
-// Called from New once the runtime exists (it is built after the
-// instruments it reads); brown is nil without a ladder.
-func (m *metrics) registerTuning(rt *tuning.Runtime, brown *resilience.Brownout) {
-	decisions := func(controller string, tally func() tuning.Tally) {
-		for _, o := range tuning.Outcomes {
-			m.reg.CounterFunc("stm_tuning_decisions_total", "Per-period decisions by tuning controller and outcome.",
-				obs.Labels{"controller": controller, "outcome": o.String()},
-				func() float64 { return float64(tally()[o]) })
-		}
+// registerTuning exports the tuner's decisions and the triple it believes
+// is installed, so "why did the tuner move" is answerable from /metrics
+// alone. Called from New once the runtime exists (it is built after the
+// instruments it reads).
+func (m *metrics) registerTuning(rt *tuning.Runtime) {
+	for _, o := range tuning.Outcomes {
+		m.reg.CounterFunc("stm_tuning_decisions_total", "Per-period decisions by tuning controller and outcome.",
+			obs.Labels{"controller": "geometry", "outcome": o.String()},
+			func() float64 { return float64(rt.Counts()[o]) })
 	}
-	knob := func(controller, dim string, f func() float64) {
+	knob := func(dim string, f func() float64) {
 		m.reg.GaugeFunc("stm_tuning_knob", "Setting each tuning controller believes is installed.",
-			obs.Labels{"controller": controller, "dim": dim}, f)
+			obs.Labels{"controller": "geometry", "dim": dim}, f)
 	}
-	decisions("geometry", func() tuning.Tally { g, _ := rt.Counts(); return g })
-	knob("geometry", "locks_log2", func() float64 { return float64(bits.TrailingZeros64(rt.Current().Locks)) })
-	knob("geometry", "shifts", func() float64 { return float64(rt.Current().Shifts) })
-	knob("geometry", "hier_log2", func() float64 { return float64(bits.TrailingZeros64(rt.Current().Hier)) })
-	if brown != nil {
-		decisions("brownout", func() tuning.Tally { _, b := rt.Counts(); return b })
-		knob("brownout", "value", func() float64 { return float64(brown.Level()) })
-	}
+	knob("locks_log2", func() float64 { return float64(bits.TrailingZeros64(rt.Current().Locks)) })
+	knob("shifts", func() float64 { return float64(rt.Current().Shifts) })
+	knob("hier_log2", func() float64 { return float64(bits.TrailingZeros64(rt.Current().Hier)) })
 }
 
 // Metrics exposes the server's registry (tests; embedding servers).

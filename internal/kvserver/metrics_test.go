@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -55,13 +56,82 @@ func scrape(t *testing.T, c *http.Client, url string) (string, func(series strin
 	return body, func(series string) (float64, bool) { v, ok := vals[series]; return v, ok }
 }
 
+// metricFamilies is every family a fully-featured server exports, with its
+// type: the frozen /metrics contract (bench/ and the smokes read these
+// names). A family added or removed is a deliberate edit here.
+var metricFamilies = map[string]string{
+	"stm_abort_seconds":                "histogram",
+	"stm_aborts_total":                 "counter",
+	"stm_commit_seconds":               "histogram",
+	"stm_commits_total":                "counter",
+	"stm_extensions_total":             "counter",
+	"stm_freeze_seconds":               "histogram",
+	"stm_reconfigs_total":              "counter",
+	"stm_retry_wait_seconds_total":     "counter",
+	"stm_retry_waits_total":            "counter",
+	"stm_rollovers_total":              "counter",
+	"stm_snapshot_reads_live_total":    "counter",
+	"stm_snapshot_reads_sidecar_total": "counter",
+	"stm_snapshot_restarts_total":      "counter",
+	"stm_snapshot_too_old_total":       "counter",
+	"stm_tuning_decisions_total":       "counter",
+	"stm_tuning_knob":                  "gauge",
+	"stm_version_budget":               "gauge",
+	"stm_versioned_commits_total":      "counter",
+	"stm_versions_published_total":     "counter",
+	"stm_versions_trimmed_total":       "counter",
+	"stmkvd_admission_admitted_total":  "counter",
+	"stmkvd_admission_expired_total":   "counter",
+	"stmkvd_admission_inflight":        "gauge",
+	"stmkvd_admission_wait_seconds":    "histogram",
+	"stmkvd_admission_waited_total":    "counter",
+	"stmkvd_admission_width":           "gauge",
+	"stmkvd_arena_live_bytes":          "gauge",
+	"stmkvd_arena_mapped_bytes":        "gauge",
+	"stmkvd_deadline_shed_total":       "counter",
+	"stmkvd_durability_state":          "gauge",
+	"stmkvd_go_heap_live_bytes":        "gauge",
+	"stmkvd_keys":                      "gauge",
+	"stmkvd_proto_accepted_total":      "counter",
+	"stmkvd_proto_bad_frames_total":    "counter",
+	"stmkvd_proto_conns":               "gauge",
+	"stmkvd_proto_err_ops_total":       "counter",
+	"stmkvd_proto_ops_total":           "counter",
+	"stmkvd_redo_records_total":        "counter",
+	"stmkvd_request_seconds":           "histogram",
+	"stmkvd_shard_aborts_total":        "counter",
+	"stmkvd_shard_grows_total":         "counter",
+	"stmkvd_shard_ops_total":           "counter",
+	"stmkvd_uptime_seconds":            "gauge",
+	"stmkvd_wal_ack_wait_seconds":      "histogram",
+	"stmkvd_wal_appends_total":         "counter",
+	"stmkvd_wal_batch_ops":             "histogram",
+	"stmkvd_wal_batches_total":         "counter",
+	"stmkvd_wal_flush_seconds":         "histogram",
+	"stmkvd_wal_preallocated":          "gauge",
+	"stmkvd_wal_rotations_total":       "counter",
+	"stmkvd_wal_syncs_total":           "counter",
+}
+
+// families maps each family named by a "# TYPE" line of an exposition to
+// its type.
+func families(body string) map[string]string {
+	out := make(map[string]string)
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			out[f[2]] = f[3]
+		}
+	}
+	return out
+}
+
 // TestMetricsEndpoint drives traffic over a fully-featured server and
 // checks the exposition covers every layer with live values.
 func TestMetricsEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
 		SpaceWords: 1 << 18, Shards: 4, Buckets: 8,
 		Snapshots: true, AdmissionWidth: 8,
-		Autotune: true, BrownoutSLO: time.Second, Period: 2 * time.Millisecond, Samples: 1,
+		Autotune: true, Period: 2 * time.Millisecond, Samples: 1,
 	})
 	c := ts.Client()
 
@@ -84,35 +154,49 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	body, val := scrape(t, c, ts.URL)
 
-	// The tuner and the ladder export their decisions by outcome and
-	// their live setting; the landed moves on /metrics are the runtime's.
-	geom, ladder := rt.Counts()
-	for controller, tally := range map[string]tuning.Tally{"geometry": geom, "brownout": ladder} {
-		var decisions, landed float64
-		for _, o := range tuning.Outcomes {
-			v, ok := val(`stm_tuning_decisions_total{controller="` + controller + `",outcome="` + o.String() + `"}`)
-			if !ok {
-				t.Fatalf("no %s decisions series for controller %s", o, controller)
-			}
-			decisions += v
-			if o == tuning.Moved || o == tuning.Reverted {
-				landed += v
-			}
+	// The tuner exports its decisions by outcome and the triple it
+	// believes is installed; the landed moves on /metrics are the
+	// runtime's.
+	geom := rt.Counts()
+	var decisions, landed float64
+	for _, o := range tuning.Outcomes {
+		v, ok := val(`stm_tuning_decisions_total{controller="geometry",outcome="` + o.String() + `"}`)
+		if !ok {
+			t.Fatalf("no %s decisions series for the geometry controller", o)
 		}
-		if decisions != float64(rt.Periods()) || decisions < 4 {
-			t.Errorf("%s: %v decisions exported over %d periods", controller, decisions, rt.Periods())
-		}
-		if landed != float64(tally.Landed()) {
-			t.Errorf("%s: %v landed moves exported, the runtime counted %d", controller, landed, tally.Landed())
+		decisions += v
+		if o == tuning.Moved || o == tuning.Reverted {
+			landed += v
 		}
 	}
-	knobs := map[string]float64{
-		`stm_tuning_knob{controller="geometry",dim="locks_log2"}`: math.Log2(float64(rt.Current().Locks)),
-		`stm_tuning_knob{controller="brownout",dim="value"}`:      float64(srv.brown.Level()),
+	if decisions != float64(rt.Periods()) || decisions < 4 {
+		t.Errorf("%v decisions exported over %d periods", decisions, rt.Periods())
 	}
-	for series, want := range knobs {
-		if v, ok := val(series); !ok || v != want {
-			t.Errorf("%s = %v (ok=%v), want %v", series, v, ok, want)
+	if landed != float64(geom.Landed()) {
+		t.Errorf("%v landed moves exported, the runtime counted %d", landed, geom.Landed())
+	}
+	want := `stm_tuning_knob{controller="geometry",dim="locks_log2"}`
+	if v, ok := val(want); !ok || v != math.Log2(float64(rt.Current().Locks)) {
+		t.Errorf("%s = %v (ok=%v), want %v", want, v, ok, math.Log2(float64(rt.Current().Locks)))
+	}
+	// The geometry tuner is the only controller: every decision and knob
+	// series is labeled with it, and no other family has appeared or gone.
+	for _, line := range strings.Split(body, "\n") {
+		if (strings.HasPrefix(line, "stm_tuning_decisions_total{") || strings.HasPrefix(line, "stm_tuning_knob{")) &&
+			!strings.Contains(line, `{controller="geometry",`) {
+			t.Errorf("tuning series of another controller: %s", line)
+		}
+	}
+	if got := families(body); !reflect.DeepEqual(got, metricFamilies) {
+		for name, kind := range got {
+			if metricFamilies[name] != kind {
+				t.Errorf("/metrics has %s %s, not in the frozen family list", kind, name)
+			}
+		}
+		for name, kind := range metricFamilies {
+			if got[name] != kind {
+				t.Errorf("/metrics lost %s %s", kind, name)
+			}
 		}
 	}
 	// Every Reconfigure, the tuner's and the forced one, timed its freeze.

@@ -1,7 +1,7 @@
 // The server half of the resilience stack: end-to-end deadline
-// enforcement and brownout load shedding. exec (exec.go) applies both to
-// every request of either surface; this file holds their accounting and
-// the HTTP codec's deadline plumbing.
+// enforcement. exec (exec.go) applies it to every request of either
+// surface; this file holds its accounting and the HTTP codec's deadline
+// plumbing.
 //
 // Deadlines travel as RELATIVE budgets (the X-Timeout-Ms header on HTTP,
 // the flagged TimeoutMs field on the wire protocol) and are re-anchored
@@ -13,13 +13,6 @@
 // a corpse), and before long operations start. A shed is answered 504 on
 // HTTP and StatusDeadlineExceeded on the wire, and counted per
 // surface+stage so /metrics can prove WHERE requests die under overload.
-//
-// The brownout ladder (resilience.Brownout, stepped by the tuning
-// runtime from the request-latency histogram's per-period p99) sheds
-// whole request classes in cost order — scans first, then writes, reads
-// last — at the door, before any transaction or gate wait. Shed
-// responses are 503 + Retry-After, the same shape as the lifecycle
-// gate's refusals, so clients' existing retry classification applies.
 package kvserver
 
 import (
@@ -47,12 +40,10 @@ const (
 
 var shedStageNames = [nShedStages]string{"dequeue", "gate", "op"}
 
-// shedStats counts deadline and brownout sheds for /metrics and /stats.
+// shedStats counts deadline sheds for /metrics and /stats.
 type shedStats struct {
 	//stm:allow-atomic request accounting outside any transaction
 	deadline [nSurfaces][nShedStages]atomic.Uint64
-	//stm:allow-atomic request accounting outside any transaction
-	brownout [resilience.NumClasses]atomic.Uint64
 }
 
 // deadlineKey carries a request's absolute deadline in its context.
@@ -93,33 +84,4 @@ func (s *Server) deadlineShedStats() map[string]any {
 		out[surfaceNames[surf]] = stages
 	}
 	return out
-}
-
-// brownoutLevelName is the live level for /tuning ("off" without a
-// ladder: the server is never shedding).
-func (s *Server) brownoutLevelName() string {
-	if s.brown == nil {
-		return resilience.LevelOff.String()
-	}
-	return s.brown.Level().String()
-}
-
-// brownoutStats renders the ladder for /stats.
-func (s *Server) brownoutStats() map[string]any {
-	if s.brown == nil {
-		return map[string]any{"enabled": false}
-	}
-	esc, deesc := s.brown.Moves()
-	shed := make(map[string]uint64, resilience.NumClasses)
-	for c := 0; c < resilience.NumClasses; c++ {
-		shed[resilience.Class(c).String()] = s.shed.brownout[c].Load()
-	}
-	return map[string]any{
-		"enabled":       true,
-		"slo_ms":        s.brown.SLO().Milliseconds(),
-		"level":         s.brown.Level().String(),
-		"escalations":   esc,
-		"deescalations": deesc,
-		"shed":          shed,
-	}
 }

@@ -2,33 +2,19 @@ package kvserver
 
 import (
 	"encoding/binary"
-	"errors"
+	"encoding/json"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"tinystm/internal/kvclient"
 	"tinystm/internal/kvproto"
 	"tinystm/internal/resilience"
 )
-
-// escalate pushes a ladder up n rungs with over-SLO evidence.
-func escalate(b *resilience.Brownout, n int) {
-	for i := 0; i < n; i++ {
-		b.Step(time.Hour, 1<<20)
-	}
-}
-
-// testBrownout is a ladder that escalates on a single hot period and
-// never walks back on its own during a test.
-func testBrownout() *resilience.Brownout {
-	return resilience.NewBrownout(resilience.BrownoutConfig{
-		SLO: time.Millisecond, EscalateAfter: 1, CalmAfter: 1 << 30, MinSamples: 1,
-	})
-}
 
 func TestHTTPBadTimeoutHeader(t *testing.T) {
 	_, ts := newTestServer(t, Config{SpaceWords: 1 << 16})
@@ -138,87 +124,6 @@ func TestHTTPDeadlineShedAtOp(t *testing.T) {
 	}
 }
 
-// TestHTTPBrownoutLadder walks the ladder through every rung and checks
-// each class is shed exactly when its rung says so, with 503+Retry-After
-// — satellite (b)'s contract — on every refusal.
-func TestHTTPBrownoutLadder(t *testing.T) {
-	s, err := New(Config{SpaceWords: 1 << 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.brown = testBrownout() // installed before the listener exists
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { ts.Close(); s.Close() })
-	c := ts.Client()
-
-	status := func(method, path, body string) (int, http.Header) {
-		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := c.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode, resp.Header
-	}
-
-	if code, _ := status("PUT", "/kv/1", "5"); code != 200 {
-		t.Fatalf("seed PUT: %d", code)
-	}
-
-	// shed-scans: scans die, reads and writes live.
-	escalate(s.brown, 1)
-	code, hdr := status("GET", "/scan", "")
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("scan under shed-scans: %d, want 503", code)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("brownout 503 missing Retry-After")
-	}
-	if code, _ := status("GET", "/kv/1", ""); code != 200 {
-		t.Fatalf("read under shed-scans: %d", code)
-	}
-	if code, _ := status("PUT", "/kv/1", "6"); code != 200 {
-		t.Fatalf("write under shed-scans: %d", code)
-	}
-
-	// shed-writes: batch counts as a write.
-	escalate(s.brown, 1)
-	if code, _ := status("PUT", "/kv/1", "7"); code != http.StatusServiceUnavailable {
-		t.Fatalf("write under shed-writes: %d, want 503", code)
-	}
-	if code, _ := status("POST", "/batch", `{"ops":[{"op":"get","key":1}]}`); code != http.StatusServiceUnavailable {
-		t.Fatalf("batch under shed-writes: %d, want 503", code)
-	}
-	if code, _ := status("GET", "/kv/1", ""); code != 200 {
-		t.Fatalf("read under shed-writes: %d", code)
-	}
-
-	// shed-all: reads go too, but observability stays up.
-	escalate(s.brown, 1)
-	if code, _ := status("GET", "/kv/1", ""); code != http.StatusServiceUnavailable {
-		t.Fatalf("read under shed-all: %d, want 503", code)
-	}
-	if code, _ := status("GET", "/stats", ""); code != 200 {
-		t.Fatalf("/stats under shed-all: %d — observability must never brown out", code)
-	}
-
-	_, val := scrape(t, c, ts.URL)
-	if v, ok := val(`stmkvd_brownout_state{state="shed-all"}`); !ok || v != 1 {
-		t.Fatalf("brownout one-hot shed-all = (%v, %v), want 1", v, ok)
-	}
-	if v, ok := val(`stmkvd_brownout_state{state="off"}`); !ok || v != 0 {
-		t.Fatalf("brownout one-hot off = (%v, %v), want 0", v, ok)
-	}
-	for _, class := range []string{"read", "write", "scan"} {
-		if v, ok := val(`stmkvd_brownout_shed_total{class="` + class + `"}`); !ok || v < 1 {
-			t.Fatalf("brownout shed counter for %s = (%v, %v)", class, v, ok)
-		}
-	}
-}
-
 // TestProtoDeadlineShedAtGate sends a deadline-flagged frame at a held
 // gate and checks the wire answer is StatusDeadlineExceeded, not a
 // stalled worker.
@@ -266,53 +171,6 @@ func TestProtoDeadlineShedAtGate(t *testing.T) {
 	// The pipelined client still works once the gate frees up.
 	if _, err := h.c.Put(3, 3); err != nil {
 		t.Fatalf("post-release Put: %v", err)
-	}
-}
-
-// TestProtoBrownoutSheds mirrors the HTTP ladder walk on the wire
-// surface: shed ops answer StatusUnavailable, which the client maps to
-// its retryable ErrUnavailable.
-func TestProtoBrownoutSheds(t *testing.T) {
-	srv, err := New(Config{SpaceWords: 1 << 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	srv.brown = resilience.NewBrownout(resilience.BrownoutConfig{
-		SLO: time.Millisecond, EscalateAfter: 1, CalmAfter: 2, MinSamples: 1,
-	})
-	escalate(srv.brown, 1) // shed-scans before the listener starts
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lis.Close() })
-	go srv.ServeProto(lis)
-	c := kvclient.New(lis.Addr().String(), kvclient.Options{})
-	t.Cleanup(c.Close)
-
-	if _, err := c.Put(1, 10); err != nil {
-		t.Fatalf("write under shed-scans: %v", err)
-	}
-	if _, _, _, err := c.Scan(0); !errors.Is(err, kvclient.ErrUnavailable) {
-		t.Fatalf("scan under shed-scans: %v, want ErrUnavailable", err)
-	}
-	if _, _, err := c.Get(1); err != nil {
-		t.Fatalf("read under shed-scans: %v", err)
-	}
-	if srv.shed.brownout[resilience.ClassScan].Load() == 0 {
-		t.Fatal("proto scan shed not counted")
-	}
-
-	// Walk back to off on calm evidence and the same ops succeed again.
-	for i := 0; srv.brown.Level() != resilience.LevelOff; i++ {
-		if i > 100 {
-			t.Fatal("ladder never walked back on calm periods")
-		}
-		srv.brown.Step(0, 0)
-	}
-	if _, _, _, err := c.Scan(0); err != nil {
-		t.Fatalf("scan after walk-back: %v", err)
 	}
 }
 
@@ -386,27 +244,34 @@ func TestProtoBadFrameIsolation(t *testing.T) {
 	}
 }
 
-// TestStatsResilienceBlocks checks /stats carries the new brownout and
-// deadline blocks even on a server with neither configured.
+// statsSections is every top-level /stats key: the frozen contract (the
+// smokes and bench/ read these).
+var statsSections = []string{
+	"uptime_seconds", "design", "params", "keys", "grows", "memory",
+	"commits", "aborts", "extensions", "retry_waits", "rollovers", "reconfigs",
+	"descriptors", "snapshots", "durability", "admission", "proto", "deadline",
+}
+
+// TestStatsResilienceBlocks checks /stats carries the deadline block on
+// every server, and exactly the frozen top-level sections.
 func TestStatsResilienceBlocks(t *testing.T) {
 	_, ts := newTestServer(t, Config{SpaceWords: 1 << 16})
 	c := ts.Client()
-	var st struct {
-		Brownout struct {
-			Enabled bool `json:"enabled"`
-		} `json:"brownout"`
-		Deadline struct {
-			Shed map[string]map[string]uint64 `json:"shed"`
-		} `json:"deadline"`
-	}
+	var st map[string]json.RawMessage
 	if code := doJSON(t, c, "GET", ts.URL+"/stats", "", &st); code != 200 {
 		t.Fatalf("/stats: %d", code)
 	}
-	if st.Brownout.Enabled {
-		t.Fatal("brownout reported enabled without a ladder")
+	if got := slices.Sorted(maps.Keys(st)); !slices.Equal(got, slices.Sorted(slices.Values(statsSections))) {
+		t.Errorf("/stats sections %v, want exactly %v", got, statsSections)
+	}
+	var deadline struct {
+		Shed map[string]map[string]uint64 `json:"shed"`
+	}
+	if err := json.Unmarshal(st["deadline"], &deadline); err != nil {
+		t.Fatalf("/stats deadline block: %v", err)
 	}
 	for _, surf := range []string{"http", "proto"} {
-		stages, ok := st.Deadline.Shed[surf]
+		stages, ok := deadline.Shed[surf]
 		if !ok {
 			t.Fatalf("deadline shed block missing surface %q", surf)
 		}

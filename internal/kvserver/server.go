@@ -74,21 +74,14 @@ type Config struct {
 	// instead of abort-prone classic read-only ones. cmd/stmkvd always
 	// sets it.
 	Snapshots bool
-	// Autotune attaches a tuning.Runtime (on by default in cmd/stmkvd).
-	// It tunes the lock-table geometry and, with BrownoutSLO, steps the
-	// overload ladder.
+	// Autotune attaches a tuning.Runtime (on by default in cmd/stmkvd):
+	// the paper's hill climber over the lock-table geometry.
 	Autotune bool
 	// AdmissionWidth puts a token-bucket gate of that many concurrent
 	// update transactions in front of the store (both HTTP and binary
 	// surfaces); 0 disables the gate. Reads are never gated. The width is
 	// fixed for the server's life.
 	AdmissionWidth int
-	// BrownoutSLO arms overload brownout: when the per-period request
-	// p99 (measured by the tuning runtime from the latency histogram)
-	// exceeds this, the server sheds request classes in cost order —
-	// scans first, then writes, reads last — until p99 recovers. Zero
-	// disables. Requires Autotune (the runtime is the ladder's stepper).
-	BrownoutSLO time.Duration
 	// Period, Samples and Bounds mirror tuning.RuntimeConfig.
 	Period  time.Duration
 	Samples int
@@ -134,13 +127,6 @@ func (c Config) withDefaults() Config {
 	if c.Geometry == (core.Params{}) {
 		c.Geometry = core.Params{Locks: 1 << 8, Shifts: 0, Hier: 1}
 	}
-	// Brownout needs the tuning runtime as its stepper: without Autotune
-	// the ladder would be armed but frozen at off forever — normalize to
-	// disabled so /stats never claims an overload defense that cannot
-	// engage.
-	if !c.Autotune {
-		c.BrownoutSLO = 0
-	}
 	if c.Durability == "" {
 		c.Durability = DurabilityOff
 	}
@@ -164,10 +150,8 @@ type Server struct {
 	// shard heat); proto carries the binary listener's counters.
 	met   *metrics
 	proto protoStats
-	// brown is the overload-shed ladder (nil without BrownoutSLO); shed
-	// counts deadline and brownout refusals on both surfaces.
-	brown *resilience.Brownout
-	shed  shedStats
+	// shed counts deadline refusals on both surfaces.
+	shed shedStats
 }
 
 // validate rejects configurations the lower layers would panic on, so
@@ -224,21 +208,17 @@ func New(cfg Config) (*Server, error) {
 	s.met = newMetrics(s)
 	tm.SetObs(s.met.tmObs)
 	s.store.SetShardHeat(s.met.heat)
-	if cfg.BrownoutSLO > 0 {
-		s.brown = resilience.NewBrownout(resilience.BrownoutConfig{SLO: cfg.BrownoutSLO})
-	}
 	if cfg.Autotune {
 		s.rt = tuning.NewRuntime(tm, tuning.RuntimeConfig{
-			Tuner:    tuning.Config{Initial: cfg.Geometry, Bounds: cfg.Bounds, Seed: cfg.Seed},
-			Period:   cfg.Period,
-			Samples:  cfg.Samples,
-			Brownout: s.brown,
+			Tuner:   tuning.Config{Initial: cfg.Geometry, Bounds: cfg.Bounds, Seed: cfg.Seed},
+			Period:  cfg.Period,
+			Samples: cfg.Samples,
 			// A daemon tunes forever: keep only a bounded window of
 			// events in memory (/tuning serves its tail).
 			TraceCap: traceCap,
 			Latency:  s.met.reqAll,
 		})
-		s.met.registerTuning(s.rt, s.brown)
+		s.met.registerTuning(s.rt)
 		if err := s.rt.Start(); err != nil {
 			s.store.Close()
 			return nil, err
@@ -506,7 +486,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"durability": s.durabilityStats(st.RedoRecords),
 		"admission":  s.admissionStats(),
 		"proto":      s.proto.stats(),
-		"brownout":   s.brownoutStats(),
 		"deadline":   map[string]any{"shed": s.deadlineShedStats()},
 	})
 }
@@ -535,11 +514,10 @@ func (s *Server) admissionStats() map[string]any {
 	}
 }
 
-// wireEvent is the JSON form of one tuning period: the sample, the
-// tuner's triple before and after with its move number, and the ladder's
-// rung when a ladder runs (the next rung only when it moved). The keys
-// are frozen because clients read them.
-func wireEvent(e tuning.Event, brownout bool) map[string]any {
+// wireEvent is the JSON form of one tuning period: the sample and the
+// tuner's triple before and after with its move number. The keys are
+// frozen because clients read them.
+func wireEvent(e tuning.Event) map[string]any {
 	we := map[string]any{
 		"period":     e.Period,
 		"throughput": e.Throughput,
@@ -560,12 +538,6 @@ func wireEvent(e tuning.Event, brownout bool) map[string]any {
 	}
 	if g.Err != nil {
 		we["err"] = g.Err.Error()
-	}
-	if brownout {
-		we["brownout"] = e.Brownout.From.String()
-		if e.Brownout.Moved {
-			we["next_brownout"] = e.Brownout.To.String()
-		}
 	}
 	return we
 }
@@ -597,7 +569,7 @@ func (s *Server) handleTuning(w http.ResponseWriter, r *http.Request) {
 	out := make([]map[string]any, len(events))
 	reconfigurations := 0
 	for i, e := range events {
-		out[i] = wireEvent(e, s.brown != nil)
+		out[i] = wireEvent(e)
 		if g := e.Geometry; g.Moved && g.Err == nil {
 			reconfigurations++
 		}
@@ -614,8 +586,6 @@ func (s *Server) handleTuning(w http.ResponseWriter, r *http.Request) {
 		"reconfigs_total":  st.Reconfigs,
 		"periods_total":    s.rt.Periods(),
 		"admission_width":  s.admissionWidth(),
-		"brownout_tuning":  s.brown != nil,
-		"brownout_level":   s.brownoutLevelName(),
 		"events":           out,
 	})
 }

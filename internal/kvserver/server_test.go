@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"tinystm/internal/core"
-	"tinystm/internal/resilience"
 	"tinystm/internal/tuning"
 )
 
@@ -432,9 +431,8 @@ func TestTuningReportsVersionBudget(t *testing.T) {
 	}
 }
 
-// /tuning reports what this server runs: with neither a gate nor a
-// ladder, a zero width, no ladder and no key of the removed admission
-// controller.
+// /tuning reports what this server runs: without a gate, a zero width
+// and no key of the removed admission controller.
 func TestTuneSnapshotsRequiresSnapshots(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		SpaceWords: 1 << 18, Shards: 4, Buckets: 8,
@@ -444,7 +442,7 @@ func TestTuneSnapshotsRequiresSnapshots(t *testing.T) {
 	if code := doJSON(t, ts.Client(), "GET", ts.URL+"/tuning", "", &out); code != http.StatusOK {
 		t.Fatalf("GET /tuning status %d", code)
 	}
-	for key, want := range map[string]string{"enabled": "true", "admission_width": "0", "brownout_tuning": "false"} {
+	for key, want := range map[string]string{"enabled": "true", "admission_width": "0"} {
 		if got := string(out[key]); got != want {
 			t.Errorf("/tuning %s = %s, want %s", key, got, want)
 		}
@@ -472,23 +470,18 @@ type parentWireEvent struct {
 	Idle       *bool       `json:"idle"`
 	Move       *string     `json:"move"`
 	Next       *wireParams `json:"next"`
-	Brownout   *string     `json:"brownout"`
-	NextBrown  *string     `json:"next_brownout"`
 	LatP50Ns   *int64      `json:"lat_p50_ns"`
 	LatP99Ns   *int64      `json:"lat_p99_ns"`
 	LatSamples *uint64     `json:"lat_samples"`
 	Err        *string     `json:"err"`
 }
 
-// TestTuningWireKeysFrozen: a period in which the tuner's move failed and
-// the ladder moved must still render every key clients read, with its
-// JSON type (decoding into the struct checks both), and a live /tuning
-// response must keep every top-level key. The keys of removed controllers
-// must stay gone: the version budget's (the event's budget, next_budget,
-// snap_err and snap_too_old; the top-level snapshot_tuning,
-// version_budget and budget_moves) and the admission width's (the
-// event's adm_width, next_adm_width and adm_err; the top-level
-// admission_tuning and admission_moves).
+// TestTuningWireKeysFrozen: a period in which the tuner's move failed
+// must still render every key clients read, with its JSON type (decoding
+// into the struct checks both), and a live /tuning response must keep
+// every top-level key. Both key sets are exact: the keys of removed
+// controllers — the version budget's, the admission width's and the
+// overload ladder's, on the event and at the top level — stay gone.
 func TestTuningWireKeysFrozen(t *testing.T) {
 	ev := tuning.Event{
 		Sample: tuning.Sample{
@@ -499,9 +492,8 @@ func TestTuningWireKeysFrozen(t *testing.T) {
 			From: core.Params{Locks: 256, Hier: 1}, To: core.Params{Locks: 512, Hier: 1},
 			Moved: true, Move: tuning.MoveDoubleLocks, Err: errors.New("refused"),
 		},
-		Brownout: tuning.BrownoutDecision{From: resilience.LevelOff, To: resilience.LevelShedScans, Moved: true},
 	}
-	raw, err := json.Marshal(wireEvent(ev, true))
+	raw, err := json.Marshal(wireEvent(ev))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,43 +501,64 @@ func TestTuningWireKeysFrozen(t *testing.T) {
 	if err := json.Unmarshal(raw, &old); err != nil {
 		t.Fatalf("event no longer decodes into the old shape: %v\n%s", err, raw)
 	}
+	eventKeys := make(map[string]bool)
 	for v, i := reflect.ValueOf(old), 0; i < v.NumField(); i++ {
+		key := v.Type().Field(i).Tag.Get("json")
+		eventKeys[key] = true
 		if v.Field(i).IsNil() {
-			t.Errorf("event lost key %q: %s", v.Type().Field(i).Tag.Get("json"), raw)
+			t.Errorf("event lost key %q: %s", key, raw)
 		}
 	}
-	if *old.Move != "1" || old.Next.Locks != 512 || *old.Brownout != "off" || *old.NextBrown != "shed-scans" || *old.Err != "refused" {
+	if *old.Move != "1" || old.Next.Locks != 512 || *old.Err != "refused" {
 		t.Errorf("event values moved: %s", raw)
-	}
-
-	_, ts := newTestServer(t, Config{
-		SpaceWords: 1 << 18, Shards: 2, Buckets: 8, Snapshots: true, AdmissionWidth: 8,
-		Autotune: true, BrownoutSLO: time.Second, Period: time.Hour,
-	})
-	var top map[string]json.RawMessage
-	doJSON(t, ts.Client(), "GET", ts.URL+"/tuning", "", &top)
-	for _, key := range []string{
-		"enabled", "running", "current", "best", "best_throughput", "reconfigurations",
-		"reconfigs_total", "periods_total", "admission_width",
-		"brownout_tuning", "brownout_level", "events",
-	} {
-		if _, ok := top[key]; !ok {
-			t.Errorf("/tuning lost top-level key %q", key)
-		}
 	}
 	var flat map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &flat); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"budget", "next_budget", "snap_err", "snap_too_old", "adm_width", "next_adm_width", "adm_err"} {
-		if _, ok := flat[key]; ok {
-			t.Errorf("event renders removed key %q: %s", key, raw)
+	for key := range flat {
+		if !eventKeys[key] {
+			t.Errorf("event renders key %q outside the frozen set: %s", key, raw)
 		}
 	}
-	for _, key := range []string{"snapshot_tuning", "version_budget", "budget_moves", "admission_tuning", "admission_moves"} {
-		if _, ok := top[key]; ok {
-			t.Errorf("/tuning renders removed top-level key %q", key)
+
+	_, ts := newTestServer(t, Config{
+		SpaceWords: 1 << 18, Shards: 2, Buckets: 8, Snapshots: true, AdmissionWidth: 8,
+		Autotune: true, Period: time.Hour,
+	})
+	var top map[string]json.RawMessage
+	doJSON(t, ts.Client(), "GET", ts.URL+"/tuning", "", &top)
+	topKeys := map[string]bool{
+		"enabled": true, "running": true, "current": true, "best": true, "best_throughput": true,
+		"reconfigurations": true, "reconfigs_total": true, "periods_total": true,
+		"admission_width": true, "events": true,
+	}
+	for key := range topKeys {
+		if _, ok := top[key]; !ok {
+			t.Errorf("/tuning lost top-level key %q", key)
 		}
+	}
+	for key := range top {
+		if !topKeys[key] {
+			t.Errorf("/tuning renders top-level key %q outside the frozen set", key)
+		}
+	}
+	raw, err = json.Marshal(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var typed struct {
+		Enabled, Running bool
+		Current, Best    wireParams
+		BestThroughput   float64 `json:"best_throughput"`
+		Reconfigurations int
+		ReconfigsTotal   uint64 `json:"reconfigs_total"`
+		PeriodsTotal     int    `json:"periods_total"`
+		AdmissionWidth   int    `json:"admission_width"`
+		Events           []parentWireEvent
+	}
+	if err := json.Unmarshal(raw, &typed); err != nil {
+		t.Errorf("/tuning top-level keys changed JSON type: %v\n%s", err, raw)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package resilience is the request-path robustness layer: deadline
-// propagation, token-bucket retry budgets, a circuit breaker, and the
-// overload-brownout ladder. The mechanisms are deliberately boring —
-// small deterministic state machines with injectable clocks and seeded
-// randomness — because every one of them sits on a failure path, and a
+// propagation, token-bucket retry budgets and a circuit breaker. The
+// mechanisms are deliberately boring — small deterministic state machines
+// with injectable clocks and seeded randomness — because every one of them sits on a failure path, and a
 // failure path is exactly where surprising behavior costs the most.
 //
 // Deadlines are carried as RELATIVE budgets (milliseconds remaining),
@@ -18,12 +17,11 @@
 // shed expired work instead of burning a worker on an answer nobody is
 // waiting for.
 //
-// The retry budget, breaker and brownout ladder are the three layers of
-// storm control: the budget caps how much extra load a SINGLE client
-// may add when the server hiccups, the breaker stops a client from
-// hammering a DEAD server at all, and the brownout ladder is the
-// server's own last line — shedding work classes in priority order when
-// the measured p99 says the SLO is gone.
+// The retry budget and the breaker are a client's storm control: the
+// budget caps how much extra load a SINGLE client may add when the server
+// hiccups, and the breaker stops a client from hammering a DEAD server at
+// all. The server's own defence is the deadline: work nobody waits for
+// any more is shed, not run.
 package resilience
 
 import (

@@ -268,82 +268,3 @@ func TestBreakerJitterIsDeterministic(t *testing.T) {
 		t.Fatalf("jittered cooldown %v outside [0.9s, 1.1s)", cd)
 	}
 }
-
-func TestBrownoutLadder(t *testing.T) {
-	b := NewBrownout(BrownoutConfig{
-		SLO:           10 * time.Millisecond,
-		EscalateAfter: 2,
-		CalmAfter:     3,
-		MinSamples:    16,
-	})
-	hot := func() (Level, bool) { return b.Step(20*time.Millisecond, 100) }
-	calm := func() (Level, bool) { return b.Step(time.Millisecond, 100) }
-
-	if lvl, changed := hot(); lvl != LevelOff || changed {
-		t.Fatalf("one hot period moved the ladder: %v %v", lvl, changed)
-	}
-	if lvl, changed := hot(); lvl != LevelShedScans || !changed {
-		t.Fatalf("two hot periods: got %v changed=%v, want shed-scans", lvl, changed)
-	}
-	if !b.Sheds(ClassScan) || b.Sheds(ClassWrite) || b.Sheds(ClassRead) {
-		t.Fatal("shed-scans rung must shed scans only")
-	}
-	hot()
-	if lvl, _ := hot(); lvl != LevelShedWrites {
-		t.Fatalf("level = %v, want shed-writes", lvl)
-	}
-	if !b.Sheds(ClassScan) || !b.Sheds(ClassWrite) || b.Sheds(ClassRead) {
-		t.Fatal("shed-writes rung must shed scans and writes, not reads")
-	}
-	hot()
-	if lvl, _ := hot(); lvl != LevelShedAll {
-		t.Fatalf("level = %v, want shed-all", lvl)
-	}
-	if !b.Sheds(ClassRead) {
-		t.Fatal("shed-all rung must shed reads")
-	}
-	// Ladder tops out.
-	hot()
-	if lvl, changed := hot(); lvl != LevelShedAll || changed {
-		t.Fatal("ladder climbed past MaxLevel")
-	}
-
-	// Walk back: CalmAfter=3 calm periods per rung.
-	calm()
-	calm()
-	if lvl, changed := calm(); lvl != LevelShedWrites || !changed {
-		t.Fatalf("after 3 calm periods: %v changed=%v, want shed-writes", lvl, changed)
-	}
-	calm()
-	calm()
-	if lvl, _ := calm(); lvl != LevelShedScans {
-		t.Fatal("second walk-back rung missed")
-	}
-	esc, deesc := b.Moves()
-	if esc != 3 || deesc != 2 {
-		t.Fatalf("moves = %d/%d, want 3 escalations, 2 de-escalations", esc, deesc)
-	}
-}
-
-func TestBrownoutHotStreakMustBeConsecutive(t *testing.T) {
-	b := NewBrownout(BrownoutConfig{SLO: 10 * time.Millisecond, EscalateAfter: 2, CalmAfter: 100, MinSamples: 1})
-	b.Step(20*time.Millisecond, 10) // hot
-	b.Step(time.Millisecond, 10)    // calm resets the streak
-	if lvl, _ := b.Step(20*time.Millisecond, 10); lvl != LevelOff {
-		t.Fatalf("level = %v, want off (streak was broken)", lvl)
-	}
-}
-
-func TestBrownoutIdlePeriodsWalkBack(t *testing.T) {
-	b := NewBrownout(BrownoutConfig{SLO: time.Millisecond, EscalateAfter: 1, CalmAfter: 2, MinSamples: 16})
-	b.Step(time.Second, 100)
-	if b.Level() != LevelShedScans {
-		t.Fatal("setup: expected one rung up")
-	}
-	// Idle periods (below MinSamples) count as calm even though the few
-	// recorded samples were slow — no traffic is no evidence of overload.
-	b.Step(time.Second, 3)
-	if lvl, changed := b.Step(time.Second, 0); lvl != LevelOff || !changed {
-		t.Fatalf("idle periods did not walk the ladder back: %v", lvl)
-	}
-}

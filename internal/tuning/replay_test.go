@@ -11,17 +11,15 @@ import (
 	"time"
 
 	"tinystm/internal/core"
-	"tinystm/internal/obs"
-	"tinystm/internal/resilience"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/decisions.golden from the current rules")
 
 // TestControllersReplayGolden is the proof that no decision rule, default,
-// hold-down, ladder, floor or ceiling moved: a committed stream of samples
+// hold-down, floor or ceiling moved: a committed stream of samples
 // (calm → abort storm → calm, write-only → idle) goes through the
-// runtime's own period step — the hill climber and the brownout ladder —
-// with no clock and no goroutine, and the decisions must match the stream
+// runtime's own period step — the hill climber — with no clock and no
+// goroutine, and the decisions must match the stream
 // the rules produced when the fixture was recorded. A change to a rule
 // shows up here as a diff; `go test -run ReplayGolden -update` accepts it.
 func TestControllersReplayGolden(t *testing.T) {
@@ -38,30 +36,23 @@ func TestControllersReplayGolden(t *testing.T) {
 	}
 	f := newFakeSystem(p(8, 0, 1), 0, nil)
 	cfg := f.config(Config{Initial: f.params, Seed: 7})
-	cfg.Brownout = resilience.NewBrownout(resilience.BrownoutConfig{SLO: 10 * time.Millisecond})
 	rt := NewRuntime(f, cfg)
 	for _, s := range samples {
 		rt.step(s)
 	}
 
 	var got strings.Builder
-	line := func(period int, name string, from, to any, o Outcome) {
-		fmt.Fprintf(&got, "%2d %-9s %-13v -> %-13v %s", period, name, from, to, o)
-	}
 	for _, ev := range rt.Trace() {
-		g, b := ev.Geometry, ev.Brownout
-		line(ev.Period, "geometry", g.From, g.To, g.Outcome())
+		g := ev.Geometry
+		fmt.Fprintf(&got, "%2d %-9s %-13v -> %-13v %s", ev.Period, "geometry", g.From, g.To, g.Outcome())
 		if !ev.Idle {
 			fmt.Fprintf(&got, " move %s", g.Move.Signed(g.Reversed))
 		}
 		got.WriteByte('\n')
-		line(ev.Period, "brownout", b.From, b.To, b.Outcome())
-		got.WriteByte('\n')
 	}
-	geom, brown := rt.Counts()
-	if geom.Landed() == 0 || brown.Landed() == 0 {
-		t.Errorf("the fixture moves the tuner %d and the ladder %d times: it proves nothing about a loop that never moves",
-			geom.Landed(), brown.Landed())
+	if geom := rt.Counts(); geom.Landed() == 0 {
+		t.Errorf("the fixture moves the tuner %d times: it proves nothing about a loop that never moves",
+			geom.Landed())
 	}
 
 	const golden = "testdata/decisions.golden"
@@ -92,30 +83,20 @@ var errNoLand = errors.New("move refused")
 
 func (refusing) Reconfigure(core.Params) error { return errNoLand }
 
-// TestRevertAfterFailedApply runs a storm that gives the tuner and the
-// ladder every reason to move on a system that refuses every
-// Reconfigure. The geometry arm: the tuner must end believing what the
-// system actually runs, no refused move may count as landed, and every
-// failure must be on its event. The brownout arm: the ladder beside the
-// failing tuner keeps stepping, its moves land, and none of the tuner's
-// failures is charged to it.
+// TestRevertAfterFailedApply runs a storm that gives the tuner every
+// reason to move on a system that refuses every Reconfigure: the tuner
+// must end believing what the system actually runs, no refused move may
+// count as landed, and every failure must be on its event.
 func TestRevertAfterFailedApply(t *testing.T) {
-	hist := obs.NewHistogram()
 	rate := synthetic(p(12, 1, 2))
 	f := newFakeSystem(p(8, 0, 1), 12*3, func(f *fakeSystem, d time.Duration) {
 		dc := uint64(rate(f.params) * d.Seconds())
 		f.commits += dc
 		f.aborts += 9 * dc
-		for range 8 {
-			hist.Record(uint64(50 * time.Millisecond))
-		}
 	})
-	brown := resilience.NewBrownout(resilience.BrownoutConfig{SLO: 10 * time.Millisecond})
-	cfg := f.config(Config{Initial: f.params, Seed: 7})
-	cfg.Latency, cfg.Brownout = hist, brown
-	rt := NewRuntime(refusing{f}, cfg)
+	rt := NewRuntime(refusing{f}, f.config(Config{Initial: f.params, Seed: 7}))
 	trace := f.runToEnd(t, rt)
-	geom, ladder := rt.Counts()
+	geom := rt.Counts()
 
 	t.Run("geometry", func(t *testing.T) {
 		failed := 0
@@ -133,25 +114,6 @@ func TestRevertAfterFailedApply(t *testing.T) {
 		}
 		if got := rt.Current(); got != f.Params() || got != p(8, 0, 1) {
 			t.Errorf("tuner believes %v, the system runs %v (started at %v)", got, f.Params(), p(8, 0, 1))
-		}
-	})
-	t.Run("brownout", func(t *testing.T) {
-		moved := 0
-		for _, ev := range trace {
-			if ev.Brownout.Moved {
-				moved++
-			}
-		}
-		esc, deesc := brown.Moves()
-		if moved == 0 || ladder.Landed() != uint64(moved) || esc+deesc != uint64(moved) {
-			t.Errorf("ladder: %d moves on events, %d counted landed, %d installed; want equal and >= 1",
-				moved, ladder.Landed(), esc+deesc)
-		}
-		if ladder[Failed] != 0 {
-			t.Errorf("the tuner's refused moves were charged to the ladder: %d failed", ladder[Failed])
-		}
-		if last := trace[len(trace)-1].Brownout; brown.Level() != last.To {
-			t.Errorf("ladder stands on %v, its last decision chose %v", brown.Level(), last.To)
 		}
 	})
 }

@@ -8,7 +8,6 @@ import (
 
 	"tinystm/internal/core"
 	"tinystm/internal/obs"
-	"tinystm/internal/resilience"
 )
 
 // System is the runtime's view of a tunable STM: an O(1) lock-free sampler
@@ -29,7 +28,7 @@ type System interface {
 var _ System = (*core.TM)(nil)
 
 // Sample is one tuning period's measurement: the paper's "measure" step,
-// read by the hill climber and the brownout ladder alike.
+// read by the hill climber, with the period's request latency beside it.
 type Sample struct {
 	// Period is the zero-based index of the tuning period.
 	Period int `json:"period"`
@@ -46,9 +45,7 @@ type Sample struct {
 	LatP99     time.Duration `json:"lat_p99_ns,omitempty"`
 	LatSamples uint64        `json:"lat_samples,omitempty"`
 	// Idle marks a paused period: nothing committed, so the measurement
-	// says nothing about the geometry and the tuner holds. The brownout
-	// ladder still steps: for it idleness is the calm that walks it back
-	// down.
+	// says nothing about the geometry and the tuner holds.
 	Idle bool `json:"idle,omitempty"`
 }
 
@@ -70,19 +67,7 @@ var Outcomes = [...]Outcome{Held, Moved, Reverted, Failed}
 
 func (o Outcome) String() string { return [...]string{"held", "moved", "reverted", "failed"}[o] }
 
-func outcome(moved, reversed bool, err error) Outcome {
-	switch {
-	case err != nil:
-		return Failed
-	case !moved:
-		return Held
-	case reversed:
-		return Reverted
-	}
-	return Moved
-}
-
-// Tally counts one loop's decisions by outcome.
+// Tally counts the tuner's decisions by outcome.
 type Tally [len(Outcomes)]uint64
 
 // Landed is how many moves reached the live system: Moved plus Reverted.
@@ -104,29 +89,28 @@ type GeometryDecision struct {
 }
 
 // Outcome classifies d once Reconfigure has run.
-func (d GeometryDecision) Outcome() Outcome { return outcome(d.Moved, d.Reversed, d.Err) }
-
-// BrownoutDecision is the overload ladder's step for one period.
-type BrownoutDecision struct {
-	From, To resilience.Level
-	Moved    bool
+func (d GeometryDecision) Outcome() Outcome {
+	switch {
+	case d.Err != nil:
+		return Failed
+	case !d.Moved:
+		return Held
+	case d.Reversed:
+		return Reverted
+	}
+	return Moved
 }
 
-// Outcome classifies d: the ladder only holds or moves.
-func (d BrownoutDecision) Outcome() Outcome { return outcome(d.Moved, false, nil) }
-
 // Event is one tuning period as observed by the runtime — the Sample and
-// what the tuner and the ladder decided on it — published on the trace
-// channel and retained in the runtime's own trace. Brownout is the zero
-// decision when no ladder is attached.
+// what the tuner decided on it — published on the trace channel and
+// retained in the runtime's own trace.
 type Event struct {
 	Sample
 	Geometry GeometryDecision
-	Brownout BrownoutDecision
 }
 
 // String renders one trace line: the tuner's "cfg → tp via move", then a
-// failed Reconfigure and a ladder move, when there was one.
+// failed Reconfigure, when there was one.
 func (e Event) String() string {
 	g := e.Geometry
 	var b strings.Builder
@@ -140,9 +124,6 @@ func (e Event) String() string {
 	}
 	if g.Err != nil {
 		fmt.Fprintf(&b, ", geometry %v -> %v failed: %v", g.From, g.To, g.Err)
-	}
-	if br := e.Brownout; br.Moved {
-		fmt.Fprintf(&b, ", brownout %v -> %v", br.From, br.To)
 	}
 	return b.String()
 }
@@ -170,20 +151,11 @@ type RuntimeConfig struct {
 	// read the full path afterwards).
 	TraceCap int
 
-	// Brownout, when non-nil, is the server's overload ladder. The
-	// runtime becomes its single stepper: once per period, idle periods
-	// included, it feeds the ladder the period's request p99 and sample
-	// count and installs the rung it decides. An overloaded server that
-	// sheds its way back to quiescence must walk the ladder down again,
-	// and the only evidence of calm is periods with few or no requests.
-	// Without Latency the ladder only ever sees calm.
-	Brownout *resilience.Brownout
-
 	// Latency, when non-nil, is the server's request-latency histogram
 	// (nanoseconds). The runtime snapshots it once per period and
 	// carries the period's p50/p99 deltas on every Sample — the measured
 	// service-level consequence of each tuning move, next to the raw
-	// throughput the climbers steer on.
+	// throughput the tuner steers on.
 	Latency *obs.Histogram
 
 	// Now and After inject a clock for deterministic tests. Defaults:
@@ -212,8 +184,7 @@ func (c RuntimeConfig) withDefaults() RuntimeConfig {
 // tuning" running inside the system rather than in a benchmark harness):
 // a background goroutine builds one Sample per period from the system's
 // aggregate counters, steps the hill-climbing tuner on it, installs the
-// triple it chooses with Reconfigure, and steps the brownout ladder when
-// one is attached.
+// triple it chooses with Reconfigure, reverting the tuner when that fails.
 //
 // Start launches the loop; Stop halts it and waits for it to exit. A
 // Runtime runs once: Start after Start or after Stop fails.
@@ -228,7 +199,6 @@ type Runtime struct {
 	mu      sync.Mutex // guards everything below
 	tuner   *Tuner
 	geomN   Tally // the tuner's decisions, by outcome
-	brownN  Tally // the ladder's decisions, by outcome
 	trace   []Event
 	periods int
 	used    bool // Start or Stop has been called
@@ -327,12 +297,11 @@ func (r *Runtime) Current() core.Params {
 	return r.tuner.Current()
 }
 
-// Counts returns how the tuner's and the ladder's decisions have ended so
-// far, by outcome (the ladder's stays zero without one).
-func (r *Runtime) Counts() (geometry, brownout Tally) {
+// Counts returns how the tuner's decisions have ended so far, by outcome.
+func (r *Runtime) Counts() Tally {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.geomN, r.brownN
+	return r.geomN
 }
 
 // Trace returns a copy of the per-period event log (the most recent
@@ -411,7 +380,6 @@ func (r *Runtime) run() {
 // outside it — Reconfigure freezes the world and can block behind
 // in-flight transactions, and Stop/Best/Trace must stay responsive — and a
 // failed Reconfigure puts the tuner back on the triple that still runs.
-// The ladder steps every period, idle ones included.
 func (r *Runtime) step(s Sample) {
 	r.mu.Lock()
 	s.Period = r.periods
@@ -428,22 +396,12 @@ func (r *Runtime) step(s Sample) {
 		g.Err = r.sys.Reconfigure(g.To)
 	}
 	ev := Event{Sample: s, Geometry: g}
-	if b := r.cfg.Brownout; b != nil {
-		ev.Brownout.From = b.Level()
-		ev.Brownout.To, ev.Brownout.Moved = b.Decide(s.LatP99, s.LatSamples)
-		if ev.Brownout.Moved {
-			b.Set(ev.Brownout.To)
-		}
-	}
 
 	r.mu.Lock()
 	if g.Err != nil {
 		r.tuner.revert(g.From)
 	}
 	r.geomN[g.Outcome()]++
-	if r.cfg.Brownout != nil {
-		r.brownN[ev.Brownout.Outcome()]++
-	}
 	r.appendTrace(ev)
 	r.mu.Unlock()
 	r.emit(ev)

@@ -11,7 +11,6 @@ import (
 	"tinystm/internal/harness"
 	"tinystm/internal/mem"
 	"tinystm/internal/obs"
-	"tinystm/internal/resilience"
 )
 
 // fakeSystem is the STM's geometry behind one fake clock: time only
@@ -123,7 +122,7 @@ func TestRuntimeConvergesDeterministically(t *testing.T) {
 	if env.reconfigs == 0 {
 		t.Error("runtime never reconfigured the system")
 	}
-	if geom, _ := rt.Counts(); geom.Landed() != uint64(env.reconfigs) {
+	if geom := rt.Counts(); geom.Landed() != uint64(env.reconfigs) {
 		t.Errorf("%d landed moves counted, system saw %d reconfigurations", geom.Landed(), env.reconfigs)
 	}
 	if len(trace) < periods-1 {
@@ -431,87 +430,5 @@ func TestRuntimeLatencyDeltas(t *testing.T) {
 		if s := e.String(); !strings.Contains(s, "lat p50=") && !e.Idle {
 			t.Fatalf("event %d: String() misses latency: %q", i, s)
 		}
-	}
-}
-
-// TestRuntimeBrownoutLadderFollowsLatency drives the brownout ladder
-// through a full escalation and walk-back using latency injected on the
-// runtime's own goroutine: sustained p99 over the SLO climbs the ladder
-// one rung per EscalateAfter periods, sustained calm walks it back down.
-func TestRuntimeBrownoutLadderFollowsLatency(t *testing.T) {
-	start := p(8, 0, 1)
-	hist := obs.NewHistogram()
-	const samplesPerPeriod = 3
-	env := newFakeSystem(start, 42, func(f *fakeSystem, d time.Duration) {
-		f.commits += uint64(100 * d.Seconds())
-		lat := uint64(20 * time.Millisecond) // hot: p99 over the 10ms SLO
-		if f.ticks > 6*samplesPerPeriod {
-			lat = uint64(time.Millisecond) // calm
-		}
-		hist.Record(lat)
-		hist.Record(lat)
-	})
-	brown := resilience.NewBrownout(resilience.BrownoutConfig{
-		SLO: 10 * time.Millisecond, EscalateAfter: 2, CalmAfter: 2, MinSamples: 4,
-	})
-	cfg := env.config(Config{Initial: start, Seed: 1})
-	cfg.Latency, cfg.Brownout = hist, brown
-	rt := NewRuntime(env, cfg)
-
-	maxLevel := resilience.LevelOff
-	changes := 0
-	for _, ev := range env.runToEnd(t, rt) {
-		if d := ev.Brownout; d.Moved {
-			changes++
-			maxLevel = max(maxLevel, d.To)
-		}
-	}
-	if maxLevel != resilience.LevelShedAll {
-		t.Errorf("ladder peaked at %v, want shed-all under sustained overload", maxLevel)
-	}
-	if brown.Level() != resilience.LevelOff {
-		t.Errorf("ladder parked at %v after sustained calm, want off", brown.Level())
-	}
-	esc, deesc := brown.Moves()
-	if esc != 3 || deesc != 3 {
-		t.Errorf("moves = (%d escalations, %d deescalations), want (3, 3)", esc, deesc)
-	}
-	if _, ladder := rt.Counts(); changes != 6 || ladder.Landed() != 6 {
-		t.Errorf("trace carries %d brownout changes, %d counted landed, want 6", changes, ladder.Landed())
-	}
-}
-
-// TestRuntimeBrownoutStepsOnIdlePeriods pins the idle rule: an escalated
-// server whose load vanished entirely (zero commits — the tuner holds)
-// must still walk the ladder back down, and the Idle
-// trace events must carry the change.
-func TestRuntimeBrownoutStepsOnIdlePeriods(t *testing.T) {
-	start := p(8, 0, 1)
-	env := newFakeSystem(start, 12, commitsAt(func(core.Params) float64 { return 0 }))
-	brown := resilience.NewBrownout(resilience.BrownoutConfig{
-		SLO: 10 * time.Millisecond, EscalateAfter: 2, CalmAfter: 2, MinSamples: 4,
-	})
-	// Pre-escalate to shed-scans before the runtime becomes the single
-	// stepper.
-	brown.Step(20*time.Millisecond, 100)
-	brown.Step(20*time.Millisecond, 100)
-	if brown.Level() != resilience.LevelShedScans {
-		t.Fatalf("pre-escalation landed at %v, want shed-scans", brown.Level())
-	}
-	cfg := env.config(Config{Initial: start, Seed: 1})
-	cfg.Brownout = brown
-	trace := env.runToEnd(t, NewRuntime(env, cfg))
-
-	if brown.Level() != resilience.LevelOff {
-		t.Errorf("idle periods never walked the ladder back: level %v", brown.Level())
-	}
-	idleChange := false
-	for _, ev := range trace {
-		if ev.Idle && ev.Brownout.Moved {
-			idleChange = true
-		}
-	}
-	if !idleChange {
-		t.Error("no Idle trace event carries the brownout walk-back")
 	}
 }
