@@ -70,7 +70,6 @@ func main() {
 
 		opTimeout = flag.Duration("op-timeout", 0, "per-request deadline, propagated to the server (0 = none)")
 		retryTok  = flag.Float64("retry-tokens", 0, "retry-budget bucket capacity shared by the whole run (0 = default 16)")
-		retryRat  = flag.Float64("retry-ratio", 0, "retry-budget tokens earned back per success (0 = default 0.1)")
 		retryMax  = flag.Int("retry-attempts", 16, "max attempts per request including the first")
 		brkThresh = flag.Int("breaker-threshold", 0, "consecutive dial/connection failures that open the binary client's breaker (0 = default 5)")
 		brkCool   = flag.Duration("breaker-cooldown", 0, "how long an open breaker waits before probing (0 = default 1s)")
@@ -96,14 +95,11 @@ func main() {
 
 	// One retry budget and one retrier for the whole process: every
 	// worker's retries spend from the same bucket, so a server outage is
-	// never amplified by more than the budget's ratio of good traffic.
-	budget := resilience.NewRetryBudget(&resilience.RetryBudgetConfig{
-		Tokens: *retryTok, Ratio: *retryRat,
-	})
+	// never amplified by more than the budget's 10% of good traffic.
+	budget := resilience.NewRetryBudget(&resilience.RetryBudgetConfig{Tokens: *retryTok})
 	retrier := resilience.NewRetrier(resilience.RetryConfig{
 		MaxAttempts: *retryMax,
 		BaseBackoff: 50 * time.Millisecond,
-		MaxBackoff:  time.Second,
 		Budget:      budget,
 		Retryable:   kvclient.Retryable,
 	})

@@ -2,7 +2,7 @@
 //
 // A linked-list workload runs continuously while tuning.Runtime — a
 // background controller goroutine — meters live commit throughput from the
-// TM's O(1) aggregate counters, feeds the hill-climbing tuner one
+// TM's commit counters, feeds the hill-climbing tuner one
 // measurement per period (max of 3 samples, Section 4.3), and reconfigures
 // the live TM on its own. The application only starts the runtime; no
 // manual measurement loop remains. Halfway through, the workload flips

@@ -30,9 +30,9 @@ func TestReleaseReusesDescriptor(t *testing.T) {
 	}
 }
 
-// A released descriptor's counters must survive recycling: they are folded
-// into the TM-level retired aggregate, and the reused descriptor restarts
-// from zero without double counting.
+// A released descriptor's counters must survive recycling: they stay with
+// the slot, and the reissued descriptor continues them without double
+// counting.
 func TestReleasePreservesStats(t *testing.T) {
 	tm, _ := newTestTM(t, WriteBack, nil)
 	tx := tm.NewTx()
@@ -48,10 +48,10 @@ func TestReleasePreservesStats(t *testing.T) {
 	if after.Commits != 5 {
 		t.Fatalf("Commits = %d, want 5", after.Commits)
 	}
-	// The recycled descriptor starts clean.
+	// The reissued descriptor continues its slot's totals.
 	re := tm.NewTx()
-	if s := re.TxStats(); s.Commits != 0 || s.Aborts != 0 {
-		t.Fatalf("recycled descriptor kept counters: %+v", s)
+	if s := re.TxStats(); s.Commits != 5 || s.Aborts != 0 {
+		t.Fatalf("reissued descriptor's counters = %+v, want its slot's 5 commits", s)
 	}
 	commitOnce(tm, re, 0)
 	if got := tm.Stats().Commits; got != 6 {

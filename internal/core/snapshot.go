@@ -98,8 +98,7 @@ func (tm *TM) VersionBudget() int {
 }
 
 // SnapshotCounts returns the aggregate snapshot counters: too-old aborts,
-// versions published and versions trimmed. O(1) and lock-free like
-// CommitAbortCounts.
+// versions published and versions trimmed. O(1) and lock-free.
 func (tm *TM) SnapshotCounts() (tooOld, published, trimmed uint64) {
 	for _, n := range tm.SnapshotRestarts() {
 		tooOld += n

@@ -26,27 +26,6 @@ type txStats struct {
 	redoRecords      atomic.Uint64
 }
 
-// reset zeroes every counter; used when a released descriptor's totals
-// have been folded into the TM-level retired aggregate. Field-wise Stores
-// rather than struct assignment: the atomic types must not be copied.
-func (s *txStats) reset() {
-	s.commits.Store(0)
-	s.aborts.Store(0)
-	for i := range s.abortsByKind {
-		s.abortsByKind[i].Store(0)
-	}
-	s.extensions.Store(0)
-	s.retryWaits.Store(0)
-	s.retryWaitNs.Store(0)
-	s.locksValidated.Store(0)
-	s.locksSkipped.Store(0)
-	s.dupReadsSkipped.Store(0)
-	s.snapLiveReads.Store(0)
-	s.snapVersionReads.Store(0)
-	s.versionedCommits.Store(0)
-	s.redoRecords.Store(0)
-}
-
 func (s *txStats) snapshotInto(out *txn.Stats) {
 	out.Commits += s.commits.Load()
 	out.Aborts += s.aborts.Load()

@@ -29,15 +29,8 @@ type TM struct {
 	// grows.
 	baseCfg Config
 
-	// aggCommits/aggAborts are the O(1) aggregate counters: descriptors
-	// flush into them once per commit/rollback, so samplers (the tuning
-	// runtime's throughput meter) never take tm.mu or scan descriptors.
-	// They intentionally duplicate the per-descriptor stats: Stats() keeps
-	// its full snapshot path, CommitAbortCounts is the lock-free fast one.
-	aggCommits atomic.Uint64
-	aggAborts  atomic.Uint64
-	// snapRestarts counts snapshot-too-old aborts the same way, split by
-	// the cause loadSnap gave up on.
+	// snapRestarts counts snapshot-too-old aborts, split by the cause
+	// loadSnap gave up on.
 	snapRestarts [NSnapRestarts]atomic.Uint64
 
 	// mvcc is the commit-ordered version sidecar backing snapshot-mode
@@ -66,16 +59,16 @@ type TM struct {
 
 	pool reclaim.Pool
 
-	mu    sync.Mutex // descriptor registry
+	mu sync.Mutex // descriptor registry
+	// descs is every descriptor ever minted, released ones included; it
+	// only grows, so a copy of the slice header taken under mu can be
+	// scanned without it. A descriptor's counters live as long as its
+	// slot, so summing descs is the TM's total.
 	descs []*Tx
 	// free holds released descriptors for reuse: long-running servers that
 	// keep spawning worker goroutines would otherwise exhaust maxSlots with
 	// no way to recover. Guarded by mu.
-	free []*Tx
-	// retired accumulates the counters of released descriptors so Stats()
-	// survives descriptor recycling (a reused descriptor restarts its
-	// counters from zero). Guarded by mu.
-	retired   txn.Stats
+	free      []*Tx
 	rollOvers atomic.Uint64
 	reconfigs atomic.Uint64
 }
@@ -86,11 +79,8 @@ const drainThreshold = 128
 // minActiveStart returns the oldest snapshot start among active
 // transactions, or the maximum value when none are active.
 func (tm *TM) minActiveStart() uint64 {
-	tm.mu.Lock()
-	descs := tm.descs
-	tm.mu.Unlock()
 	min := ^uint64(0)
-	for _, tx := range descs {
+	for _, tx := range tm.descriptors() {
 		if e := tx.startEpoch.Load(); e != 0 && e-1 < min {
 			min = e - 1
 		}
@@ -197,8 +187,8 @@ func (tm *TM) NewTx() *Tx {
 
 // Release returns a descriptor to its TM for reuse by a later NewTx. The
 // descriptor must not be inside a transaction and must not be used again
-// by the caller. Its counters are folded into the TM-level retired
-// aggregate first, so Stats() loses nothing to recycling.
+// by the caller. Its counters stay with its slot: the descriptor NewTx
+// reissues continues them, so Stats() loses nothing to recycling.
 func (tx *Tx) Release() {
 	if tx.inTx {
 		panic("core: Release of descriptor inside a transaction")
@@ -217,8 +207,6 @@ func (tx *Tx) Release() {
 	if tm.mvcc != nil {
 		tm.mvcc.Leave(tx.slot)
 	}
-	tx.stats.snapshotInto(&tm.retired)
-	tx.stats.reset()
 	tx.released = true
 	tm.free = append(tm.free, tx)
 }
@@ -476,20 +464,14 @@ func (tm *TM) configFor(p Params) Config {
 	return cfg
 }
 
-// Stats sums commit/abort/validation counters across all descriptors plus
-// the retired aggregate of released ones. This is the full snapshot path;
-// samplers on a period cadence should prefer CommitAbortCounts, which
-// reads two atomics instead of locking the registry and scanning.
+// Stats sums commit/abort/validation counters in one pass over the
+// descriptor table, released descriptors included. Every counter only
+// grows, so successive snapshots are monotonic.
 func (tm *TM) Stats() txn.Stats {
-	tm.mu.Lock()
-	// The scan stays under mu so a concurrent Release cannot move counters
-	// into retired after we copied it but before we reach the descriptor
-	// (which would make successive snapshots non-monotonic).
-	s := tm.retired
-	for _, tx := range tm.descs {
+	var s txn.Stats
+	for _, tx := range tm.descriptors() {
 		tx.stats.snapshotInto(&s)
 	}
-	tm.mu.Unlock()
 	s.RollOvers = tm.rollOvers.Load()
 	s.Reconfigs = tm.reconfigs.Load()
 	if tm.mvcc != nil {
@@ -498,11 +480,24 @@ func (tm *TM) Stats() txn.Stats {
 	return s
 }
 
-// CommitAbortCounts returns the aggregate commit and abort counters. O(1),
-// lock-free, and safe on any goroutine: this is the sampler the tuning
-// runtime polls every period without perturbing the transaction hot path.
+// CommitAbortCounts returns the commit and abort totals: one pass over the
+// descriptor table, safe on any goroutine and monotonic. It is the
+// sampler the tuning runtime polls every period; the transaction hot path
+// writes only its own descriptor's counters.
 func (tm *TM) CommitAbortCounts() (commits, aborts uint64) {
-	return tm.aggCommits.Load(), tm.aggAborts.Load()
+	for _, tx := range tm.descriptors() {
+		commits += tx.stats.commits.Load()
+		aborts += tx.stats.aborts.Load()
+	}
+	return commits, aborts
+}
+
+// descriptors returns the descriptor table, to be scanned without mu
+// (see descs).
+func (tm *TM) descriptors() []*Tx {
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	return tm.descs
 }
 
 // DescriptorCounts reports how many descriptors have been minted over the

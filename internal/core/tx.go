@@ -371,7 +371,6 @@ func (tx *Tx) rollback(kind txn.AbortKind) {
 	tx.stats.aborts.Add(1)
 	tx.stats.abortsByKind[kind].Add(1)
 	tx.lastAbort = kind
-	tx.tm.aggAborts.Add(1)
 	tx.flushHotCounters()
 	if tx.snap {
 		// Detach from the sidecar's horizon tracking: a finished snapshot
@@ -966,7 +965,6 @@ func (tx *Tx) Commit() bool {
 
 func (tx *Tx) finishCommit() {
 	tx.stats.commits.Add(1)
-	tx.tm.aggCommits.Add(1)
 	tx.flushHotCounters()
 	if tx.snap {
 		tx.tm.mvcc.Leave(tx.slot)
@@ -994,7 +992,9 @@ func (tx *Tx) Slot() int { return tx.slot }
 // serialize in timestamp order.
 func (tx *Tx) LastCommitTS() uint64 { return tx.lastCommitTS }
 
-// TxStats returns this descriptor's counters as a snapshot.
+// TxStats returns this descriptor's counters as a snapshot. The counters
+// belong to the slot, not to one holder: a descriptor reissued by NewTx
+// after Release continues its slot's totals.
 func (tx *Tx) TxStats() txn.Stats {
 	var s txn.Stats
 	tx.stats.snapshotInto(&s)

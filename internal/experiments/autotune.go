@@ -113,17 +113,16 @@ func (r AutotuneResult) TraceTable(title string) harness.Table {
 	tbl := harness.Table{Title: title,
 		Headers: []string{"period", "phase", "locks", "shifts", "h", "throughput (10^3/s)", "move"}}
 	for i, e := range r.Events {
-		g := e.Geometry
 		move := "idle"
 		if !e.Idle {
-			move = g.Move.Signed(g.Reversed)
+			move = e.Move.Signed(e.Reversed)
 		}
 		phase := 0
 		if i < len(r.EventPhases) {
 			phase = r.EventPhases[i]
 		}
-		tbl.AddRow(e.Period, phase, fmt.Sprintf("2^%d", log2(g.From.Locks)), g.From.Shifts,
-			g.From.Hier, fmt.Sprintf("%.1f", e.Throughput/1000), move)
+		tbl.AddRow(e.Period, phase, fmt.Sprintf("2^%d", log2(e.From.Locks)), e.From.Shifts,
+			e.From.Hier, fmt.Sprintf("%.1f", e.Throughput/1000), move)
 	}
 	return tbl
 }
@@ -217,7 +216,7 @@ func AutotuneSweep(sc Scale, ac AutotuneConfig) AutotuneResult {
 		result.Events = append(result.Events, ev)
 		result.EventPhases = append(result.EventPhases, phase)
 		result.Validation = append(result.Validation, ValidationSample{
-			Config:          ev.Geometry.From,
+			Config:          ev.From,
 			ProcessedPerSec: float64(delta.LocksValidated) / secs,
 			SkippedPerSec:   float64(delta.LocksSkipped) / secs,
 		})

@@ -201,23 +201,22 @@ func TestTuningFigureReconfigures(t *testing.T) {
 	if len(r.Statics) != 0 {
 		t.Errorf("%d static baselines measured, want none", len(r.Statics))
 	}
-	if first := r.Events[0].Geometry.From; first != ac.Start {
+	if first := r.Events[0].From; first != ac.Start {
 		t.Errorf("first measured config = %+v, want start", first)
 	}
 	moved := 0
 	for i, e := range r.Events {
-		g := e.Geometry
-		if g.Moved && g.Err == nil {
+		if e.Moved && e.Err == nil {
 			moved++
 		}
-		if r.Validation[i].Config != g.From {
-			t.Errorf("period %d: validation sample for %v, event measured %v", i, r.Validation[i].Config, g.From)
+		if r.Validation[i].Config != e.From {
+			t.Errorf("period %d: validation sample for %v, event measured %v", i, r.Validation[i].Config, e.From)
 		}
 	}
 	if moved == 0 {
 		t.Error("tuner never reconfigured")
 	}
-	if last := r.Events[len(r.Events)-1].Geometry; last.Err == nil && r.Final != last.To {
+	if last := r.Events[len(r.Events)-1]; last.Err == nil && r.Final != last.To {
 		t.Errorf("Final = %v, tuner ended at %v", r.Final, last.To)
 	}
 	if r.BestTp <= 0 {

@@ -454,10 +454,8 @@ func (c *Client) attempt(req *kvproto.Request) (*kvproto.Response, error) {
 
 // ResilienceStats snapshots the client's retry and breaker activity.
 type ResilienceStats struct {
-	// Retries counts retry attempts performed; Budget is the shared
-	// bucket's state (zero when retries are off or budget-less).
+	// Retries counts retry attempts performed.
 	Retries uint64
-	Budget  resilience.BudgetStats
 	// Breaker is the transition counters and BreakerState the current
 	// position ("" when no breaker is configured).
 	Breaker      resilience.BreakerCounts
@@ -469,9 +467,6 @@ func (c *Client) ResilienceStats() ResilienceStats {
 	var st ResilienceStats
 	if c.retrier != nil {
 		st.Retries = c.retrier.Retries()
-		if b := c.opts.Retry.Budget; b != nil {
-			st.Budget = b.Stats()
-		}
 	}
 	if c.breaker != nil {
 		st.Breaker = c.breaker.Counts()
@@ -543,13 +538,4 @@ func (c *Client) Scan(limit uint32) (pairs []kvproto.KV, total uint64, snapshot 
 		return nil, 0, false, err
 	}
 	return resp.Pairs, resp.Total, resp.Snapshot, nil
-}
-
-// Stats fetches the server's core counters.
-func (c *Client) Stats() (kvproto.Stats, error) {
-	resp, err := c.roundTrip(&kvproto.Request{Op: kvproto.OpStats})
-	if err != nil {
-		return kvproto.Stats{}, err
-	}
-	return resp.Stats, nil
 }

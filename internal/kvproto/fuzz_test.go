@@ -2,6 +2,7 @@ package kvproto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
 	"testing"
@@ -33,6 +34,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	good, _ := AppendFrame(nil, []byte("payload"))
 	f.Add(good[:len(good)-2])
+	for _, p := range retiredStatsPayloads() {
+		if fr, err := AppendFrame(nil, p); err == nil {
+			f.Add(fr)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, err := ReadFrame(bytes.NewReader(data), nil)
@@ -53,6 +59,20 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
+// retiredStatsPayloads returns the request and response payloads of the
+// retired stats op (code 8) in its former wire layout: an empty request
+// body, and a response body of commits, aborts, keys (u64 each) and the
+// admission width (u32). Both decoders must refuse them with ErrBadOp.
+func retiredStatsPayloads() [][]byte {
+	req := append(binary.LittleEndian.AppendUint64(nil, 8), 8)
+	resp := append(binary.LittleEndian.AppendUint64(nil, 9), 8, byte(StatusOK))
+	for _, v := range []uint64{10, 3, 5} {
+		resp = binary.LittleEndian.AppendUint64(resp, v)
+	}
+	resp = binary.LittleEndian.AppendUint32(resp, 8)
+	return [][]byte{req, resp}
+}
+
 // FuzzRoundTrip checks that whatever DecodeRequest accepts re-encodes to
 // the identical payload (the codec is canonical: one message, one byte
 // string), and likewise for responses.
@@ -66,6 +86,9 @@ func FuzzRoundTrip(f *testing.F) {
 		if p, err := AppendResponse(nil, resp); err == nil {
 			f.Add(p)
 		}
+	}
+	for _, p := range retiredStatsPayloads() {
+		f.Add(p)
 	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {

@@ -32,8 +32,11 @@
 // echoed verbatim: a connection may carry thousands of requests in
 // flight, and responses complete OUT OF ORDER — the id, not arrival
 // order, matches a response to its request. Op-specific bodies mirror
-// the HTTP surface (Get/Put/Delete/CAS/Add/Batch/Scan/Stats); see
-// appendRequestBody / appendResponseBody for the exact layouts.
+// the HTTP data routes (Get/Put/Delete/CAS/Add/Batch/Scan); see
+// appendRequestBody / appendResponseBody for the exact layouts. The
+// protocol carries data only: counters are read from the HTTP /stats
+// and /metrics documents. Op code 8 (a former stats op) is retired and
+// decodes as ErrBadOp.
 //
 // Decoding arbitrary bytes must never panic: DecodeRequest and
 // DecodeResponse validate every length and bound before reading, and the
@@ -79,7 +82,6 @@ const (
 	OpAdd
 	OpBatch
 	OpScan
-	OpStats
 	opEnd // one past the last valid op
 )
 
@@ -100,8 +102,6 @@ func (o Op) String() string {
 		return "batch"
 	case OpScan:
 		return "scan"
-	case OpStats:
-		return "stats"
 	default:
 		return fmt.Sprintf("Op(%d)", uint8(o))
 	}
@@ -171,16 +171,6 @@ type BatchResult struct {
 // scan's pairs to the response without copying them.
 type KV = txn.KV
 
-// Stats is the OpStats response body: the counters a load generator or
-// smoke test wants without parsing the HTTP /stats document.
-type Stats struct {
-	Commits, Aborts uint64
-	Keys            uint64
-	// AdmissionWidth is the update-admission gate's current width, 0 when
-	// the gate is off.
-	AdmissionWidth uint32
-}
-
 // Request is one decoded request. Exactly the fields named by Op are
 // meaningful; the rest stay zero on the wire.
 type Request struct {
@@ -216,8 +206,6 @@ type Response struct {
 	Pairs    []KV
 	// Batch body.
 	Results []BatchResult
-	// Stats body.
-	Stats Stats
 }
 
 // Wire protocol errors. ErrFrame covers everything that breaks framing
@@ -361,7 +349,6 @@ func appendRequestBody(dst []byte, req *Request) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint64(dst, req.Val)
 	case OpScan:
 		dst = binary.LittleEndian.AppendUint32(dst, req.Limit)
-	case OpStats:
 	case OpBatch:
 		if len(req.Ops) > MaxBatchOps {
 			return dst, ErrTooManyOps
@@ -423,7 +410,6 @@ func DecodeRequestInto(p []byte, req *Request) error {
 		req.Key, req.Old, req.Val = d.u64(), d.u64(), d.u64()
 	case OpScan:
 		req.Limit = d.u32()
-	case OpStats:
 	case OpBatch:
 		n := d.u32()
 		if d.err == nil && n > MaxBatchOps {
@@ -502,11 +488,6 @@ func appendResponseBody(dst []byte, resp *Response) ([]byte, error) {
 			dst = binary.LittleEndian.AppendUint64(dst, kv.Key)
 			dst = binary.LittleEndian.AppendUint64(dst, kv.Val)
 		}
-	case OpStats:
-		dst = binary.LittleEndian.AppendUint64(dst, resp.Stats.Commits)
-		dst = binary.LittleEndian.AppendUint64(dst, resp.Stats.Aborts)
-		dst = binary.LittleEndian.AppendUint64(dst, resp.Stats.Keys)
-		dst = binary.LittleEndian.AppendUint32(dst, resp.Stats.AdmissionWidth)
 	}
 	return dst, nil
 }
@@ -572,11 +553,6 @@ func DecodeResponse(p []byte) (*Response, error) {
 				resp.Pairs[i].Key, resp.Pairs[i].Val = d.u64(), d.u64()
 			}
 		}
-	case OpStats:
-		resp.Stats.Commits = d.u64()
-		resp.Stats.Aborts = d.u64()
-		resp.Stats.Keys = d.u64()
-		resp.Stats.AdmissionWidth = d.u32()
 	}
 	return finish(&d, resp)
 }

@@ -91,7 +91,6 @@ func sampleRequests() []*Request {
 		{ID: 5, Op: OpAdd, Key: 42, Val: ^uint64(0)}, // delta -1
 		{ID: 6, Op: OpScan, Limit: 100},
 		{ID: 7, Op: OpScan},
-		{ID: 8, Op: OpStats},
 		{ID: 9, Op: OpBatch, Ops: []BatchOp{
 			{Op: OpPut, Key: 1, Val: 2},
 			{Op: OpGet, Key: 1},
@@ -107,7 +106,7 @@ func sampleRequests() []*Request {
 		{ID: 12, Op: OpPut, Key: 42, Val: 7, TimeoutMs: 1},
 		{ID: 13, Op: OpScan, Limit: 10, TimeoutMs: 3600000},
 		{ID: 14, Op: OpBatch, TimeoutMs: 50, Ops: []BatchOp{{Op: OpAdd, Key: 1, Val: 2}}},
-		{ID: 15, Op: OpStats, TimeoutMs: ^uint32(0)},
+		{ID: 15, Op: OpDelete, Key: 42, TimeoutMs: ^uint32(0)},
 	}
 }
 
@@ -121,7 +120,6 @@ func sampleResponses() []*Response {
 		{ID: 6, Op: OpAdd, Val: 9},
 		{ID: 7, Op: OpScan, Snapshot: true, Total: 3, Pairs: []KV{{Key: 1, Val: 2}, {Key: 3, Val: 4}, {Key: 5, Val: 6}}},
 		{ID: 8, Op: OpScan, Total: 0},
-		{ID: 9, Op: OpStats, Stats: Stats{Commits: 10, Aborts: 3, Keys: 5, AdmissionWidth: 8}},
 		{ID: 10, Op: OpBatch, Results: []BatchResult{
 			{Val: 1, Found: true}, {OK: true}, {},
 		}},
@@ -190,14 +188,32 @@ func TestDecodeRequestErrors(t *testing.T) {
 		t.Fatalf("padded payload: %v, want ErrTrailingBytes", err)
 	}
 
-	// Unknown op codes: 0 and one past the end.
-	bad := append(binary.LittleEndian.AppendUint64(nil, 1), 0)
-	if _, err := DecodeRequest(bad); !errors.Is(err, ErrBadOp) {
-		t.Fatalf("op 0: %v, want ErrBadOp", err)
+	// Unknown op codes are refused by both decoders: 0, op 8 (a retired
+	// stats op, also one past the end) with and without the deadline
+	// flag, and the top of the 7-bit range.
+	if Op(8).Valid() {
+		t.Fatal("Op(8).Valid() = true, want the retired op code invalid")
 	}
-	bad = append(binary.LittleEndian.AppendUint64(nil, 1), byte(opEnd))
-	if _, err := DecodeRequest(bad); !errors.Is(err, ErrBadOp) {
-		t.Fatalf("op %d: %v, want ErrBadOp", opEnd, err)
+	for _, tc := range []struct {
+		name string
+		op   byte
+	}{
+		{"op 0", 0},
+		{"op 8", 8},
+		{"op 8 with deadline", 8 | opDeadlineFlag},
+		{"op 127", 0x7f},
+	} {
+		req := append(binary.LittleEndian.AppendUint64(nil, 1), tc.op)
+		if tc.op&opDeadlineFlag != 0 {
+			req = binary.LittleEndian.AppendUint32(req, 100)
+		}
+		if _, err := DecodeRequest(req); !errors.Is(err, ErrBadOp) {
+			t.Errorf("%s request: %v, want ErrBadOp", tc.name, err)
+		}
+		resp := append(binary.LittleEndian.AppendUint64(nil, 1), tc.op, byte(StatusOK))
+		if _, err := DecodeResponse(resp); !errors.Is(err, ErrBadOp) {
+			t.Errorf("%s response: %v, want ErrBadOp", tc.name, err)
+		}
 	}
 
 	// A batch sub-op outside OpGet..OpAdd (e.g. a nested OpBatch).
@@ -250,7 +266,7 @@ func TestDeadlineCodecRules(t *testing.T) {
 	}
 
 	// A flag with the deadline field missing is truncated.
-	bad = append(binary.LittleEndian.AppendUint64(nil, 1), byte(OpStats)|opDeadlineFlag)
+	bad = append(binary.LittleEndian.AppendUint64(nil, 1), byte(OpGet)|opDeadlineFlag)
 	if _, err := DecodeRequest(bad); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("flag without field: %v, want ErrTruncated", err)
 	}

@@ -126,7 +126,6 @@ func (s *Server) settle(surf int, resp *kvproto.Response, ack ackWait) {
 }
 
 func (s *Server) recordLatency(surf int, op kvproto.Op, d time.Duration) {
-	s.met.reqAll.Record(uint64(d))
 	s.met.req[surf][op-kvproto.OpGet].Record(uint64(d))
 }
 
@@ -145,18 +144,7 @@ func (s *Server) recordLatency(surf int, op kvproto.Op, d time.Duration) {
 // that may wait. A spent budget is shed at the gate either way.
 func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kvproto.Response, rd *readerScratch) (ack ackWait) {
 	*resp = kvproto.Response{ID: req.ID, Op: req.Op}
-	switch {
-	case req.Op == kvproto.OpStats:
-		// Observability always answers, whatever the lifecycle state.
-		st := s.tm.Stats()
-		resp.Stats = kvproto.Stats{
-			Commits:        st.Commits,
-			Aborts:         st.Aborts,
-			Keys:           s.store.Len(),
-			AdmissionWidth: uint32(s.admissionWidth()),
-		}
-		return
-	case req.Op < kvproto.OpGet || req.Op > kvproto.OpScan:
+	if req.Op < kvproto.OpGet || req.Op > kvproto.OpScan {
 		resp.Status, resp.Msg = kvproto.StatusError, "unknown op"
 		return
 	}
@@ -318,7 +306,7 @@ func (s *Server) refusal(op kvproto.Op) string {
 // shedDeadline stamps resp as a deadline shed and counts it per surface
 // and stage, so /metrics can prove where requests die under overload.
 func (s *Server) shedDeadline(surf, stage int, resp *kvproto.Response) {
-	s.shed.deadline[surf][stage].Add(1)
+	s.deadlineShed[surf][stage].Add(1)
 	resp.Status = kvproto.StatusDeadlineExceeded
 	resp.Msg = "deadline exceeded before execution (" + shedStageNames[stage] + ")"
 }

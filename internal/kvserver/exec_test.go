@@ -304,7 +304,7 @@ type sheds [nSurfaces][nShedStages]uint64
 func (h *parityHarness) sheds() (c sheds) {
 	for surf := range c {
 		for st := range c[surf] {
-			c[surf][st] = h.s.shed.deadline[surf][st].Load()
+			c[surf][st] = h.s.deadlineShed[surf][st].Load()
 		}
 	}
 	return c
@@ -444,7 +444,7 @@ func TestCodecParity(t *testing.T) {
 func TestCodecParityOversizeBatch(t *testing.T) {
 	h := newParityHarness(t)
 	const n = kvproto.MaxBatchOps + 1
-	before := h.s.met.reqAll.Snapshot().Count
+	before := h.s.met.requestLatency().Count
 
 	var body strings.Builder
 	body.WriteString(`{"ops":[`)
@@ -478,7 +478,7 @@ func TestCodecParityOversizeBatch(t *testing.T) {
 	if wire.Status != kvproto.StatusError || wire.Msg != kvproto.ErrTooManyOps.Error() {
 		t.Errorf("oversize wire batch: (%v, %q), want (error, %q)", wire.Status, wire.Msg, kvproto.ErrTooManyOps)
 	}
-	if after := h.s.met.reqAll.Snapshot().Count; after != before {
+	if after := h.s.met.requestLatency().Count; after != before {
 		t.Errorf("oversize batches reached exec: %d requests recorded", after-before)
 	}
 }

@@ -47,11 +47,9 @@ const (
 type metrics struct {
 	reg *obs.Registry
 
-	// reqAll aggregates every data request across both surfaces — the
-	// histogram the tuning runtime differences per period; req splits
-	// the same observations by surface and op for exposition.
-	reqAll *obs.Histogram
-	req    [nSurfaces][nReqOps]*obs.Histogram
+	// req is every data request's latency by surface and op; the tuning
+	// runtime reads them merged (requestLatency).
+	req [nSurfaces][nReqOps]*obs.Histogram
 
 	admWaitNs   *obs.Histogram
 	walFlushNs  *obs.Histogram
@@ -103,10 +101,23 @@ func (m memStats) stats() map[string]any {
 	}
 }
 
+// requestLatency merges the per-(surface, op) request histograms into the
+// one distribution of every data request on both surfaces.
+func (m *metrics) requestLatency() obs.Snapshot {
+	var all obs.Snapshot
+	for surf := range m.req {
+		for op := range m.req[surf] {
+			s := m.req[surf][op].Snapshot()
+			all.Merge(&s)
+		}
+	}
+	return all
+}
+
 // newMetrics builds every instrument and registers the full metric set.
-// Called from New before the tuning runtime (which borrows reqAll).
+// Called from New before the tuning runtime (which reads req).
 func newMetrics(s *Server) *metrics {
-	m := &metrics{reg: obs.NewRegistry(), reqAll: obs.NewHistogram()}
+	m := &metrics{reg: obs.NewRegistry()}
 	every := uint64(txTraceDefaultEvery)
 	switch {
 	case s.cfg.TxTraceEvery > 0:
@@ -261,7 +272,7 @@ func newMetrics(s *Server) *metrics {
 			surf, st := surf, st
 			m.reg.CounterFunc("stmkvd_deadline_shed_total", "Requests shed because their deadline budget ran out, by surface and stage.",
 				obs.Labels{"surface": surfaceNames[surf], "stage": shedStageNames[st]},
-				func() float64 { return float64(s.shed.deadline[surf][st].Load()) })
+				func() float64 { return float64(s.deadlineShed[surf][st].Load()) })
 		}
 	}
 

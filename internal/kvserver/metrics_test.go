@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"tinystm/internal/core"
+	"tinystm/internal/kvproto"
+	"tinystm/internal/obs"
 	"tinystm/internal/tuning"
 )
 
@@ -627,5 +629,21 @@ func TestMetricsSnapshotRestarts(t *testing.T) {
 	}
 	if v, _ := val(`stm_aborts_total{cause="snapshot-too-old"}`); v != tooOld {
 		t.Fatalf(`stm_aborts_total{cause="snapshot-too-old"} = %v, stm_snapshot_too_old_total = %v`, v, tooOld)
+	}
+}
+
+// The tuning runtime reads request latency as the merge of the
+// per-(surface, op) histograms, so /tuning's lat_* must see exactly the
+// distribution one histogram fed every request would hold.
+func TestRequestLatencyMergesSurfacesAndOps(t *testing.T) {
+	s, _ := newTestServer(t, Config{SpaceWords: 1 << 16, Shards: 2, Buckets: 2})
+	ref := obs.NewHistogram()
+	for i := 0; i < 500; i++ {
+		d := time.Duration(i*i*37 + 1)
+		s.recordLatency(i%nSurfaces, kvproto.OpGet+kvproto.Op(i%nReqOps), d)
+		ref.Record(uint64(d))
+	}
+	if got, want := s.met.requestLatency(), ref.Snapshot(); got != want {
+		t.Fatalf("merged request latency %+v, want %+v", got, want)
 	}
 }

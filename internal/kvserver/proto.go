@@ -9,7 +9,7 @@
 // read(2), and runs each request itself unless the server shows it, for
 // this request, a reason not to:
 //
-//   - The reader runs Get and Stats, the point updates (Put/Delete/CAS/Add)
+//   - The reader runs Get, the point updates (Put/Delete/CAS/Add)
 //     and any batch of at most shortBatch sub-ops to completion where it
 //     stands, lending execInto its scratch: no goroutine, no hand-off, no
 //     allocation but a group-durable update's WAL ticket. At the admission

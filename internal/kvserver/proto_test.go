@@ -138,14 +138,6 @@ func TestProtoOps(t *testing.T) {
 		t.Fatalf("limited Scan = (%d pairs, %v), want 1", len(pairs), err)
 	}
 
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Keys != 2 || st.Commits == 0 {
-		t.Fatalf("Stats = %+v, want 2 keys and some commits", st)
-	}
-
 	if _, err := c.Batch(nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}

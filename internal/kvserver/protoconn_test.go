@@ -134,7 +134,7 @@ func TestProtoLoopFragmentedBurst(t *testing.T) {
 		{ID: 1, Op: kvproto.OpPut, Key: 1, Val: 10},
 		{ID: 2, Op: kvproto.OpGet, Key: 1},
 		{ID: 3, Op: kvproto.OpBatch, Ops: []kvproto.BatchOp{{Op: kvproto.OpAdd, Key: 2, Val: 5}}},
-		{ID: 4, Op: kvproto.OpStats},
+		{ID: 4, Op: kvproto.OpDelete, Key: 3},
 		{ID: 5, Op: kvproto.OpScan},
 		{ID: 6, Op: kvproto.OpCAS, Key: 1, Old: 10, Val: 11},
 	}

@@ -25,7 +25,7 @@ func transferReq(id, from, to, amount uint64) *kvproto.Request {
 
 // shedAt returns the binary surface's deadline sheds per stage.
 func shedAt(s *Server) (dequeue, gate, op uint64) {
-	d := &s.shed.deadline[surfProto]
+	d := &s.deadlineShed[surfProto]
 	return d[shedStageDequeue].Load(), d[shedStageGate].Load(), d[shedStageOp].Load()
 }
 

@@ -18,7 +18,6 @@ package kvserver
 import (
 	"context"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"tinystm/internal/resilience"
@@ -39,12 +38,6 @@ const (
 )
 
 var shedStageNames = [nShedStages]string{"dequeue", "gate", "op"}
-
-// shedStats counts deadline sheds for /metrics and /stats.
-type shedStats struct {
-	//stm:allow-atomic request accounting outside any transaction
-	deadline [nSurfaces][nShedStages]atomic.Uint64
-}
 
 // deadlineKey carries a request's absolute deadline in its context.
 type deadlineKey struct{}
@@ -79,7 +72,7 @@ func (s *Server) deadlineShedStats() map[string]any {
 	for surf := 0; surf < nSurfaces; surf++ {
 		stages := make(map[string]uint64, nShedStages)
 		for st := 0; st < nShedStages; st++ {
-			stages[shedStageNames[st]] = s.shed.deadline[surf][st].Load()
+			stages[shedStageNames[st]] = s.deadlineShed[surf][st].Load()
 		}
 		out[surfaceNames[surf]] = stages
 	}

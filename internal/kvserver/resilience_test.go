@@ -70,7 +70,7 @@ func TestHTTPDeadlineShedAtGate(t *testing.T) {
 	if waited := time.Since(t0); waited > 5*time.Second {
 		t.Fatalf("shed took %v; the gate queued a corpse", waited)
 	}
-	if got := s.shed.deadline[surfHTTP][shedStageGate].Load(); got != 1 {
+	if got := s.deadlineShed[surfHTTP][shedStageGate].Load(); got != 1 {
 		t.Fatalf("gate-stage shed counter = %d, want 1", got)
 	}
 	if s.gate.Expired() == 0 {
@@ -119,7 +119,7 @@ func TestHTTPDeadlineShedAtOp(t *testing.T) {
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("expired batch answered %d, want 504", w.Code)
 	}
-	if got := s.shed.deadline[surfHTTP][shedStageOp].Load(); got != 2 {
+	if got := s.deadlineShed[surfHTTP][shedStageOp].Load(); got != 2 {
 		t.Fatalf("op-stage shed counter = %d, want 2", got)
 	}
 }
@@ -163,7 +163,7 @@ func TestProtoDeadlineShedAtGate(t *testing.T) {
 	if resp.ID != 42 || resp.Status != kvproto.StatusDeadlineExceeded {
 		t.Fatalf("held gate answered (id %d, %v, %q), want deadline-exceeded", resp.ID, resp.Status, resp.Msg)
 	}
-	if got := h.srv.shed.deadline[surfProto][shedStageGate].Load(); got != 1 {
+	if got := h.srv.deadlineShed[surfProto][shedStageGate].Load(); got != 1 {
 		t.Fatalf("proto gate-stage shed counter = %d, want 1", got)
 	}
 	h.srv.gate.Exit()

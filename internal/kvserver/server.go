@@ -45,6 +45,7 @@ import (
 	"math/bits"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"tinystm/internal/admission"
@@ -150,8 +151,10 @@ type Server struct {
 	// shard heat); proto carries the binary listener's counters.
 	met   *metrics
 	proto protoStats
-	// shed counts deadline refusals on both surfaces.
-	shed shedStats
+	// deadlineShed counts deadline refusals by surface and stage, for
+	// /metrics and /stats.
+	//stm:allow-atomic request accounting outside any transaction
+	deadlineShed [nSurfaces][nShedStages]atomic.Uint64
 }
 
 // validate rejects configurations the lower layers would panic on, so
@@ -216,7 +219,7 @@ func New(cfg Config) (*Server, error) {
 			// A daemon tunes forever: keep only a bounded window of
 			// events in memory (/tuning serves its tail).
 			TraceCap: traceCap,
-			Latency:  s.met.reqAll,
+			Latency:  s.met.requestLatency,
 		})
 		s.met.registerTuning(s.rt)
 		if err := s.rt.Start(); err != nil {
@@ -530,14 +533,13 @@ func wireEvent(e tuning.Event) map[string]any {
 		we["lat_p99_ns"] = int64(e.LatP99)
 		we["lat_samples"] = e.LatSamples
 	}
-	g := e.Geometry
-	we["params"] = g.From
-	we["next"] = g.To
+	we["params"] = e.From
+	we["next"] = e.To
 	if !e.Idle {
-		we["move"] = g.Move.Signed(g.Reversed)
+		we["move"] = e.Move.Signed(e.Reversed)
 	}
-	if g.Err != nil {
-		we["err"] = g.Err.Error()
+	if e.Err != nil {
+		we["err"] = e.Err.Error()
 	}
 	return we
 }
@@ -570,7 +572,7 @@ func (s *Server) handleTuning(w http.ResponseWriter, r *http.Request) {
 	reconfigurations := 0
 	for i, e := range events {
 		out[i] = wireEvent(e)
-		if g := e.Geometry; g.Moved && g.Err == nil {
+		if e.Moved && e.Err == nil {
 			reconfigurations++
 		}
 	}

@@ -488,10 +488,8 @@ func TestTuningWireKeysFrozen(t *testing.T) {
 			Period: 3, Throughput: 1e4, Commits: 100, Aborts: 300,
 			LatP50: time.Millisecond, LatP99: 9 * time.Millisecond, LatSamples: 50,
 		},
-		Geometry: tuning.GeometryDecision{
-			From: core.Params{Locks: 256, Hier: 1}, To: core.Params{Locks: 512, Hier: 1},
-			Moved: true, Move: tuning.MoveDoubleLocks, Err: errors.New("refused"),
-		},
+		From: core.Params{Locks: 256, Hier: 1}, To: core.Params{Locks: 512, Hier: 1},
+		Moved: true, Move: tuning.MoveDoubleLocks, Err: errors.New("refused"),
 	}
 	raw, err := json.Marshal(wireEvent(ev))
 	if err != nil {

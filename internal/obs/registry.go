@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Registry renders registered instruments in the Prometheus text
@@ -26,20 +25,6 @@ type Registry struct {
 
 // Labels is one instrument's constant label set; rendered sorted by key.
 type Labels map[string]string
-
-// Counter is a monotonically increasing counter instrument.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Add increments the counter by n; Inc by one.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
 
 type metricKind int
 
@@ -67,8 +52,7 @@ type family struct {
 }
 
 type metric struct {
-	labels string // pre-rendered, sorted: `k1="v1",k2="v2"` or ""
-	ctr    *Counter
+	labels string         // pre-rendered, sorted: `k1="v1",k2="v2"` or ""
 	fn     func() float64 // counterFunc / gaugeFunc value source
 	hist   *Histogram
 	scale  float64  // multiplies raw histogram values on exposition (ns -> s: 1e-9)
@@ -134,15 +118,9 @@ func (r *Registry) register(name, help string, kind metricKind, m *metric) {
 	f.metrics = append(f.metrics, m)
 }
 
-// Counter registers and returns a counter.
-func (r *Registry) Counter(name, help string, ls Labels) *Counter {
-	c := &Counter{}
-	r.register(name, help, kindCounter, &metric{labels: renderLabels(ls), ctr: c})
-	return c
-}
-
 // CounterFunc registers a counter whose value is read from fn at scrape
-// time (for totals another layer already maintains).
+// time: every total is maintained by the layer that owns it, and the
+// registry only renders it.
 func (r *Registry) CounterFunc(name, help string, ls Labels, fn func() float64) {
 	r.register(name, help, kindCounter, &metric{labels: renderLabels(ls), fn: fn})
 }
@@ -208,8 +186,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 			switch {
 			case m.hist != nil:
 				writeHistogram(&b, f.name, m)
-			case m.ctr != nil:
-				writeSample(&b, f.name, m.labels, strconv.FormatUint(m.ctr.Value(), 10))
 			default:
 				writeSample(&b, f.name, m.labels, formatFloat(m.fn()))
 			}

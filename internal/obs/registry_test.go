@@ -16,15 +16,13 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // and histogram exposition.
 func buildFixedRegistry() *Registry {
 	r := NewRegistry()
-	c := r.Counter("test_ops_total", "Operations completed.", nil)
-	c.Add(41)
-	c.Inc()
+	r.CounterFunc("test_ops_total", "Operations completed.", nil, func() float64 { return 42 })
 	// Two label sets in one family, registered out of sorted order, with
 	// label keys given out of sorted order too.
-	r.Counter("test_requests_total", "Requests by surface and op.",
-		Labels{"op": "put", "surface": "http"}).Add(7)
-	r.Counter("test_requests_total", "Requests by surface and op.",
-		Labels{"surface": "binary", "op": "get"}).Add(3)
+	r.CounterFunc("test_requests_total", "Requests by surface and op.",
+		Labels{"op": "put", "surface": "http"}, func() float64 { return 7 })
+	r.CounterFunc("test_requests_total", "Requests by surface and op.",
+		Labels{"surface": "binary", "op": "get"}, func() float64 { return 3 })
 	r.GaugeFunc("test_width", "Current admission width.", nil, func() float64 { return 12 })
 	r.CounterFunc("test_derived_total", `Escapes: backslash \ quote " done.`, Labels{"path": `C:\x`, "q": `a"b`},
 		func() float64 { return 5 })
@@ -103,17 +101,18 @@ func TestRegistryPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	expectPanic("invalid name", func() { NewRegistry().Counter("bad-name", "", nil) })
-	expectPanic("invalid label", func() { NewRegistry().Counter("ok", "", Labels{"bad-key": "v"}) })
+	zero := func() float64 { return 0 }
+	expectPanic("invalid name", func() { NewRegistry().CounterFunc("bad-name", "", nil, zero) })
+	expectPanic("invalid label", func() { NewRegistry().CounterFunc("ok", "", Labels{"bad-key": "v"}, zero) })
 	expectPanic("dup labels", func() {
 		r := NewRegistry()
-		r.Counter("ok_total", "", Labels{"a": "1"})
-		r.Counter("ok_total", "", Labels{"a": "1"})
+		r.CounterFunc("ok_total", "", Labels{"a": "1"}, zero)
+		r.CounterFunc("ok_total", "", Labels{"a": "1"}, zero)
 	})
 	expectPanic("kind conflict", func() {
 		r := NewRegistry()
-		r.Counter("ok_total", "", nil)
-		r.GaugeFunc("ok_total", "", Labels{"a": "1"}, func() float64 { return 0 })
+		r.CounterFunc("ok_total", "", nil, zero)
+		r.GaugeFunc("ok_total", "", Labels{"a": "1"}, zero)
 	})
 	expectPanic("nil histogram", func() { NewRegistry().Histogram("h", "", nil, nil, 1, nil) })
 	expectPanic("bounds not ascending", func() {

@@ -1,56 +1,49 @@
 package resilience
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // RetryBudget is a token bucket that bounds how much RETRY load a
 // client may add on top of its first-attempt load. First attempts are
 // free; each retry spends one token; each successful attempt earns
-// back Ratio tokens (capped at Tokens). In steady state a client can
-// therefore retry at most a Ratio fraction of its successful traffic —
-// the classic retry-budget scheme — with a burst allowance of Tokens
-// for short blips. When the bucket is empty the retry is denied and
-// the caller surfaces the original error instead of amplifying an
-// outage into a retry storm.
+// back a tenth of a token (capped at Tokens). In steady state a client
+// can therefore retry at most 10% of its successful traffic — the
+// classic retry-budget scheme — with a burst allowance of Tokens for
+// short blips. When the bucket is empty the retry is denied and the
+// caller surfaces the original error instead of amplifying an outage
+// into a retry storm.
 //
 // One budget is shared by everything that retries against the same
 // backend (all ops on a connection, or a whole load generator), so the
 // bound holds for the client as a unit, not per call site.
 type RetryBudget struct {
-	mu      sync.Mutex
-	cap     float64
-	ratio   float64
-	tokens  float64
-	allowed uint64
-	denied  uint64
+	mu sync.Mutex
+	// cap and credits count tenths of a token (creditsPerToken), so ten
+	// successes earn exactly one retry.
+	cap, credits    uint64
+	allowed, denied uint64
 }
 
-// RetryBudgetConfig configures a RetryBudget. Zero values take the
-// defaults noted on each field.
+// creditsPerToken is the earn rate's inverse: a success earns one
+// credit, a retry spends creditsPerToken of them.
+const creditsPerToken = 10
+
+// RetryBudgetConfig configures a RetryBudget.
 type RetryBudgetConfig struct {
 	// Tokens is the bucket capacity and initial fill (default 16).
 	Tokens float64
-	// Ratio is the fraction of a token earned per success (default 0.1:
-	// sustained retries are bounded by 10% of successful traffic).
-	Ratio float64
-}
-
-func (c *RetryBudgetConfig) withDefaults() RetryBudgetConfig {
-	d := RetryBudgetConfig{Tokens: 16, Ratio: 0.1}
-	if c != nil {
-		if c.Tokens > 0 {
-			d.Tokens = c.Tokens
-		}
-		if c.Ratio > 0 {
-			d.Ratio = c.Ratio
-		}
-	}
-	return d
 }
 
 // NewRetryBudget returns a full bucket. cfg may be nil for defaults.
 func NewRetryBudget(cfg *RetryBudgetConfig) *RetryBudget {
-	d := cfg.withDefaults()
-	return &RetryBudget{cap: d.Tokens, ratio: d.Ratio, tokens: d.Tokens}
+	tokens := 16.0
+	if cfg != nil && cfg.Tokens > 0 {
+		tokens = cfg.Tokens
+	}
+	c := uint64(math.Round(tokens * creditsPerToken))
+	return &RetryBudget{cap: c, credits: c}
 }
 
 // Allow spends one token if at least one is available and reports
@@ -58,20 +51,20 @@ func NewRetryBudget(cfg *RetryBudgetConfig) *RetryBudget {
 func (b *RetryBudget) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.tokens < 1 {
+	if b.credits < creditsPerToken {
 		b.denied++
 		return false
 	}
-	b.tokens--
+	b.credits -= creditsPerToken
 	b.allowed++
 	return true
 }
 
-// Credit records a successful attempt, earning Ratio tokens back.
+// Credit records a successful attempt, earning a tenth of a token back.
 func (b *RetryBudget) Credit() {
 	b.mu.Lock()
-	if b.tokens += b.ratio; b.tokens > b.cap {
-		b.tokens = b.cap
+	if b.credits < b.cap {
+		b.credits++
 	}
 	b.mu.Unlock()
 }
@@ -80,13 +73,14 @@ func (b *RetryBudget) Credit() {
 type BudgetStats struct {
 	// Allowed and Denied count retry requests granted and refused.
 	Allowed, Denied uint64
-	// Tokens is the current fill, Cap the capacity, Ratio the earn rate.
-	Tokens, Cap, Ratio float64
+	// Tokens is the current fill and Cap the capacity.
+	Tokens, Cap float64
 }
 
 // Stats snapshots the budget's counters.
 func (b *RetryBudget) Stats() BudgetStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return BudgetStats{Allowed: b.allowed, Denied: b.denied, Tokens: b.tokens, Cap: b.cap, Ratio: b.ratio}
+	return BudgetStats{Allowed: b.allowed, Denied: b.denied,
+		Tokens: float64(b.credits) / creditsPerToken, Cap: float64(b.cap) / creditsPerToken}
 }

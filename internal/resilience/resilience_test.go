@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -58,7 +59,7 @@ func TestTimeoutMs(t *testing.T) {
 }
 
 func TestRetryBudgetBoundsRetries(t *testing.T) {
-	b := NewRetryBudget(&RetryBudgetConfig{Tokens: 3, Ratio: 0.5})
+	b := NewRetryBudget(&RetryBudgetConfig{Tokens: 3})
 	for i := 0; i < 3; i++ {
 		if !b.Allow() {
 			t.Fatalf("retry %d: denied with tokens available", i)
@@ -67,10 +68,13 @@ func TestRetryBudgetBoundsRetries(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("empty bucket allowed a retry")
 	}
-	// Two successes earn one token back at ratio 0.5.
-	b.Credit()
+	// Ten successes earn one token back: sustained retries are bounded
+	// by 10% of successful traffic.
+	for i := 0; i < 9; i++ {
+		b.Credit()
+	}
 	if b.Allow() {
-		t.Fatal("half a token allowed a retry")
+		t.Fatal("nine tenths of a token allowed a retry")
 	}
 	b.Credit()
 	if !b.Allow() {
@@ -83,22 +87,25 @@ func TestRetryBudgetBoundsRetries(t *testing.T) {
 }
 
 func TestRetryBudgetCapsAtTokens(t *testing.T) {
-	b := NewRetryBudget(&RetryBudgetConfig{Tokens: 2, Ratio: 1})
+	b := NewRetryBudget(&RetryBudgetConfig{Tokens: 2})
+	b.Allow()
 	for i := 0; i < 100; i++ {
 		b.Credit()
 	}
-	if got := b.Stats().Tokens; got != 2 {
-		t.Fatalf("tokens = %v, want capped at 2", got)
+	if st := b.Stats(); st.Tokens != 2 || st.Cap != 2 {
+		t.Fatalf("tokens = %v/%v, want capped at 2", st.Tokens, st.Cap)
+	}
+	if d := NewRetryBudget(nil).Stats(); d.Tokens != 16 || d.Cap != 16 {
+		t.Fatalf("default bucket = %v/%v, want 16/16", d.Tokens, d.Cap)
 	}
 }
 
 func TestRetrierBackoffAndBudget(t *testing.T) {
 	var sleeps []time.Duration
-	budget := NewRetryBudget(&RetryBudgetConfig{Tokens: 2, Ratio: 0.1})
+	budget := NewRetryBudget(&RetryBudgetConfig{Tokens: 2})
 	r := NewRetrier(RetryConfig{
 		MaxAttempts: 10,
 		BaseBackoff: 10 * time.Millisecond,
-		MaxBackoff:  40 * time.Millisecond,
 		Budget:      budget,
 		Retryable:   func(error) bool { return true },
 		Sleep:       func(d time.Duration) { sleeps = append(sleeps, d) },
@@ -119,6 +126,23 @@ func TestRetrierBackoffAndBudget(t *testing.T) {
 	}
 	if r.Retries() != 2 {
 		t.Fatalf("retries = %d, want 2", r.Retries())
+	}
+}
+
+// Without a budget the backoff doubles until it reaches the one-second
+// cap and then stays there.
+func TestRetrierBackoffCapsAtMax(t *testing.T) {
+	var sleeps []time.Duration
+	r := NewRetrier(RetryConfig{
+		MaxAttempts: 6,
+		BaseBackoff: 300 * time.Millisecond,
+		Retryable:   func(error) bool { return true },
+		Sleep:       func(d time.Duration) { sleeps = append(sleeps, d) },
+	})
+	_ = r.Do(func() error { return errors.New("boom") })
+	want := []time.Duration{300 * time.Millisecond, 600 * time.Millisecond, time.Second, time.Second, time.Second}
+	if !slices.Equal(sleeps, want) {
+		t.Fatalf("sleeps = %v, want %v", sleeps, want)
 	}
 }
 

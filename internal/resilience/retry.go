@@ -5,16 +5,18 @@ import (
 	"time"
 )
 
+// maxBackoff caps the doubling backoff between attempts.
+const maxBackoff = time.Second
+
 // RetryConfig configures a Retrier. Zero values take the defaults
 // noted on each field.
 type RetryConfig struct {
 	// MaxAttempts is the total number of attempts including the first
 	// (default 4).
 	MaxAttempts int
-	// BaseBackoff is the sleep before the first retry; it doubles per
-	// attempt up to MaxBackoff (defaults 25ms and 1s).
+	// BaseBackoff is the sleep before the first retry (default 25ms); it
+	// doubles per attempt up to maxBackoff.
 	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// Budget, when non-nil, is consulted before every retry and credited
 	// on every success. Share one budget across all retriers talking to
 	// the same backend. Nil means retries are bounded only by
@@ -33,9 +35,6 @@ func (c RetryConfig) withDefaults() RetryConfig {
 	}
 	if c.BaseBackoff <= 0 {
 		c.BaseBackoff = 25 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = time.Second
 	}
 	if c.Sleep == nil {
 		c.Sleep = time.Sleep
@@ -58,7 +57,7 @@ func NewRetrier(cfg RetryConfig) *Retrier {
 
 // Do runs fn, retrying on retryable errors while attempts and budget
 // last, and returns the last error (nil on success). The backoff
-// doubles per attempt: Base, 2*Base, ... capped at MaxBackoff.
+// doubles per attempt: Base, 2*Base, ... capped at maxBackoff.
 func (r *Retrier) Do(fn func() error) error {
 	backoff := r.cfg.BaseBackoff
 	var err error
@@ -77,9 +76,7 @@ func (r *Retrier) Do(fn func() error) error {
 		}
 		r.retries.Add(1)
 		r.cfg.Sleep(backoff)
-		if backoff *= 2; backoff > r.cfg.MaxBackoff {
-			backoff = r.cfg.MaxBackoff
-		}
+		backoff = min(2*backoff, maxBackoff)
 	}
 }
 

@@ -43,10 +43,9 @@ func TestControllersReplayGolden(t *testing.T) {
 
 	var got strings.Builder
 	for _, ev := range rt.Trace() {
-		g := ev.Geometry
-		fmt.Fprintf(&got, "%2d %-9s %-13v -> %-13v %s", ev.Period, "geometry", g.From, g.To, g.Outcome())
+		fmt.Fprintf(&got, "%2d %-9s %-13v -> %-13v %s", ev.Period, "geometry", ev.From, ev.To, ev.Outcome())
 		if !ev.Idle {
-			fmt.Fprintf(&got, " move %s", g.Move.Signed(g.Reversed))
+			fmt.Fprintf(&got, " move %s", ev.Move.Signed(ev.Reversed))
 		}
 		got.WriteByte('\n')
 	}
@@ -101,7 +100,7 @@ func TestRevertAfterFailedApply(t *testing.T) {
 	t.Run("geometry", func(t *testing.T) {
 		failed := 0
 		for _, ev := range trace {
-			if ev.Geometry.Err != nil {
+			if ev.Err != nil {
 				failed++
 			}
 		}

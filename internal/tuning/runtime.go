@@ -10,9 +10,9 @@ import (
 	"tinystm/internal/obs"
 )
 
-// System is the runtime's view of a tunable STM: an O(1) lock-free sampler
-// for the commit/abort totals, live reconfiguration, and the current
-// parameters. *core.TM satisfies it.
+// System is the runtime's view of a tunable STM: a sampler for the
+// commit/abort totals (on *core.TM, one pass over the descriptor table),
+// live reconfiguration, and the current parameters. *core.TM satisfies it.
 type System interface {
 	// CommitAbortCounts returns monotonically increasing aggregate
 	// counters. The runtime differentiates them per sample, so the call
@@ -39,8 +39,8 @@ type Sample struct {
 	Commits uint64 `json:"commits"`
 	Aborts  uint64 `json:"aborts"`
 	// LatP50 and LatP99 are the period's request-latency quantiles and
-	// LatSamples its request count, differenced from the attached latency
-	// histogram (RuntimeConfig.Latency). Zero without one.
+	// LatSamples its request count, differenced from RuntimeConfig.Latency.
+	// Zero without one.
 	LatP50     time.Duration `json:"lat_p50_ns,omitempty"`
 	LatP99     time.Duration `json:"lat_p99_ns,omitempty"`
 	LatSamples uint64        `json:"lat_samples,omitempty"`
@@ -56,7 +56,7 @@ const (
 	Held  Outcome = iota // the setting stayed
 	Moved                // a move landed on the live system
 	// Reverted is a landed move that backed out to the best-known
-	// configuration (GeometryDecision.Reversed): the tuner undoing an
+	// configuration (Event.Reversed): the tuner undoing an
 	// earlier move.
 	Reverted
 	Failed // Reconfigure returned an error; the tuner was rolled back
@@ -73,8 +73,11 @@ type Tally [len(Outcomes)]uint64
 // Landed is how many moves reached the live system: Moved plus Reverted.
 func (t Tally) Landed() uint64 { return t[Moved] + t[Reverted] }
 
-// GeometryDecision is what the hill climber chose for one period.
-type GeometryDecision struct {
+// Event is one tuning period as observed by the runtime — the Sample and
+// what the hill climber chose on it — published on the trace channel and
+// retained in the runtime's own trace.
+type Event struct {
+	Sample
 	// From is the triple live during the period, To the one chosen for
 	// the next; Moved marks a change (the runtime then calls Reconfigure).
 	From, To core.Params
@@ -88,42 +91,33 @@ type GeometryDecision struct {
 	Err error
 }
 
-// Outcome classifies d once Reconfigure has run.
-func (d GeometryDecision) Outcome() Outcome {
+// Outcome classifies e's decision once Reconfigure has run.
+func (e Event) Outcome() Outcome {
 	switch {
-	case d.Err != nil:
+	case e.Err != nil:
 		return Failed
-	case !d.Moved:
+	case !e.Moved:
 		return Held
-	case d.Reversed:
+	case e.Reversed:
 		return Reverted
 	}
 	return Moved
 }
 
-// Event is one tuning period as observed by the runtime — the Sample and
-// what the tuner decided on it — published on the trace channel and
-// retained in the runtime's own trace.
-type Event struct {
-	Sample
-	Geometry GeometryDecision
-}
-
 // String renders one trace line: the tuner's "cfg → tp via move", then a
 // failed Reconfigure, when there was one.
 func (e Event) String() string {
-	g := e.Geometry
 	var b strings.Builder
 	if e.Idle {
-		fmt.Fprintf(&b, "period %d: %v idle (%d commits), holding", e.Period, g.From, e.Commits)
+		fmt.Fprintf(&b, "period %d: %v idle (%d commits), holding", e.Period, e.From, e.Commits)
 	} else {
-		fmt.Fprintf(&b, "period %d: %v %.0f txs/s, move %v -> %v", e.Period, g.From, e.Throughput, g.Move.Signed(g.Reversed), g.To)
+		fmt.Fprintf(&b, "period %d: %v %.0f txs/s, move %v -> %v", e.Period, e.From, e.Throughput, e.Move.Signed(e.Reversed), e.To)
 		if e.LatSamples > 0 {
 			fmt.Fprintf(&b, ", lat p50=%v p99=%v (%d reqs)", e.LatP50, e.LatP99, e.LatSamples)
 		}
 	}
-	if g.Err != nil {
-		fmt.Fprintf(&b, ", geometry %v -> %v failed: %v", g.From, g.To, g.Err)
+	if e.Err != nil {
+		fmt.Fprintf(&b, ", geometry %v -> %v failed: %v", e.From, e.To, e.Err)
 	}
 	return b.String()
 }
@@ -151,12 +145,12 @@ type RuntimeConfig struct {
 	// read the full path afterwards).
 	TraceCap int
 
-	// Latency, when non-nil, is the server's request-latency histogram
-	// (nanoseconds). The runtime snapshots it once per period and
-	// carries the period's p50/p99 deltas on every Sample — the measured
-	// service-level consequence of each tuning move, next to the raw
-	// throughput the tuner steers on.
-	Latency *obs.Histogram
+	// Latency, when non-nil, reads the server's request latency
+	// (nanoseconds) as one cumulative distribution. The runtime calls it
+	// once per period and carries the period's p50/p99 deltas on every
+	// Sample — the measured service-level consequence of each tuning
+	// move, next to the raw throughput the tuner steers on.
+	Latency func() obs.Snapshot
 
 	// Now and After inject a clock for deterministic tests. Defaults:
 	// time.Now and time.After.
@@ -183,7 +177,7 @@ func (c RuntimeConfig) withDefaults() RuntimeConfig {
 // Runtime is the online auto-tuning loop (the paper's Section 4 "dynamic
 // tuning" running inside the system rather than in a benchmark harness):
 // a background goroutine builds one Sample per period from the system's
-// aggregate counters, steps the hill-climbing tuner on it, installs the
+// commit/abort totals, steps the hill-climbing tuner on it, installs the
 // triple it chooses with Reconfigure, reverting the tuner when that fails.
 //
 // Start launches the loop; Stop halts it and waits for it to exit. A
@@ -326,7 +320,7 @@ type baseline struct {
 func (r *Runtime) rebase() (b baseline) {
 	b.commits, b.aborts = r.sys.CommitAbortCounts()
 	if r.cfg.Latency != nil {
-		b.lat = r.cfg.Latency.Snapshot()
+		b.lat = r.cfg.Latency()
 	}
 	b.t = r.cfg.Now()
 	return b
@@ -385,23 +379,22 @@ func (r *Runtime) step(s Sample) {
 	s.Period = r.periods
 	r.periods++
 	cur := r.tuner.Current()
-	g := GeometryDecision{From: cur, To: cur}
+	ev := Event{Sample: s, From: cur, To: cur}
 	if !s.Idle {
-		g.To, g.Move, g.Reversed = r.tuner.Step(s.Throughput)
-		g.Moved = g.To != cur
+		ev.To, ev.Move, ev.Reversed = r.tuner.Step(s.Throughput)
+		ev.Moved = ev.To != cur
 	}
 	r.mu.Unlock()
 
-	if g.Moved {
-		g.Err = r.sys.Reconfigure(g.To)
+	if ev.Moved {
+		ev.Err = r.sys.Reconfigure(ev.To)
 	}
-	ev := Event{Sample: s, Geometry: g}
 
 	r.mu.Lock()
-	if g.Err != nil {
-		r.tuner.revert(g.From)
+	if ev.Err != nil {
+		r.tuner.revert(ev.From)
 	}
-	r.geomN[g.Outcome()]++
+	r.geomN[ev.Outcome()]++
 	r.appendTrace(ev)
 	r.mu.Unlock()
 	r.emit(ev)

@@ -169,7 +169,7 @@ func TestRuntimePausesOnIdle(t *testing.T) {
 		if !ev.Idle {
 			t.Fatalf("event not marked idle: %+v", ev)
 		}
-		if g := ev.Geometry; g.Moved || g.To != start {
+		if ev.Moved || ev.To != start {
 			t.Fatalf("idle period moved the configuration: %+v", ev)
 		}
 	}
@@ -368,12 +368,11 @@ func TestRuntimeLiveWorkersPhaseShift(t *testing.T) {
 	}
 	moved := false
 	for _, ev := range trace {
-		g := ev.Geometry
-		if g.Moved {
+		if ev.Moved {
 			moved = true
 		}
-		if g.Err != nil {
-			t.Errorf("reconfigure failed: %v", g.Err)
+		if ev.Err != nil {
+			t.Errorf("reconfigure failed: %v", ev.Err)
 		}
 	}
 	if !moved {
@@ -414,7 +413,7 @@ func TestRuntimeLatencyDeltas(t *testing.T) {
 		}
 	})
 	cfg := env.config(Config{Initial: start, Seed: 1})
-	cfg.Latency = h
+	cfg.Latency = h.Snapshot
 	events := env.runToEnd(t, NewRuntime(env, cfg))
 	if len(events) == 0 {
 		t.Fatal("no events")

@@ -8,7 +8,8 @@
 # log and counted no torn bytes (a kill -9 loses no write the kernel took:
 # what the dead server's last segment ends in is its reservation, zeros,
 # and that is not damage), and (c) both load generators rode through the
-# outage on their retry policies. The binary leg matters for durability: a pipelined connection
+# outage on their retry policies, each with its retry budget denying at
+# least one retry. The binary leg matters for durability: a pipelined connection
 # must never see an ack before the commit's WAL ticket resolves, and the
 # restart proves acked pipelined writes were really on disk. CI runs this
 # on every push; locally: ./scripts/smoke_crash.sh [bindir]
@@ -161,6 +162,14 @@ grep -Eo 'retries=[0-9]+' "$GENLOG" | grep -qv 'retries=0$' \
 wait "$BGEN" || { echo "binary loadgen failed across the restart:"; cat "$BGENLOG"; exit 1; }
 grep -Eo 'retries=[0-9]+' "$BGENLOG" | grep -qv 'retries=0$' \
   || { echo "binary loadgen reports zero retries — did the kill land mid-run?"; cat "$BGENLOG"; exit 1; }
+# The retry budget is what stops a client from turning an outage into a
+# retry storm, and the kill is the outage: each generator must have run
+# its bucket dry, so its summary line reports denied >= 1.
+for GL in "$GENLOG" "$BGENLOG"; do
+  DENIED="$(sed -n 's/.*retry-budget .* denied=\([0-9]*\)$/\1/p' "$GL" | head -1)"
+  [ "${DENIED:-0}" -ge 1 ] \
+    || { echo "retry budget denied no retry across the kill:"; cat "$GL"; exit 1; }
+done
 
 # (b) /stats tells the recovery story.
 STATS="$(curl -sf "$BASE/stats")"
