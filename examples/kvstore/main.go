@@ -1,6 +1,6 @@
 // Example kvstore: the sharded transactional key-value map used
 // in-process — multi-key atomic batches, optimistic CAS, and the
-// per-shard freeze/rehash growth — with the online tuner re-adapting the
+// shard growth behind the freeze barrier — with the online tuner re-adapting the
 // TM underneath a phase-shifting transfer workload.
 //
 // Run: go run ./examples/kvstore

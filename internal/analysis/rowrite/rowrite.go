@@ -1,6 +1,6 @@
 // Package rowrite checks that read-only and snapshot transaction bodies
 // never write: no tx.Store / tx.Free, and no mutating transactional-map
-// operation (Put, Delete, CAS, Add, Grow taking a descriptor). AtomicRO
+// operation (Put, Delete, CAS, Add taking a descriptor). AtomicRO
 // bodies that write trigger the upgrade-on-write abort and restart as
 // update transactions — correct but silently twice the work; AtomicSnap
 // bodies that write abandon their wait-free guarantee the same way. A

@@ -350,7 +350,7 @@ func FuncDecls(info *types.Info, files []*ast.File) map[*types.Func]*ast.FuncDec
 
 // MutatorCall reports whether call is a transactional write: tx.Store /
 // tx.Free on a descriptor, or a map-style mutator — a method named Put,
-// Delete, CAS, Add or Grow whose first argument is a descriptor.
+// Delete, CAS or Add whose first argument is a descriptor.
 // The returned label names the operation for diagnostics.
 func MutatorCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -363,7 +363,7 @@ func MutatorCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 		if len(call.Args) == 2 && IsTxLike(info.TypeOf(sel.X)) {
 			return "tx." + name, true
 		}
-	case "Put", "Delete", "CAS", "Add", "Grow":
+	case "Put", "Delete", "CAS", "Add":
 		if len(call.Args) >= 1 && IsTxLike(info.TypeOf(call.Args[0])) {
 			return name, true
 		}

@@ -16,7 +16,8 @@ import (
 // in-flight attempts are not interrupted: the initiator waits until each
 // commits or rolls back (exit), releasing its locks. Once quiescent, the
 // initiator mutates shared state (the geometry, the sidecar and, for a
-// roll-over, the clock) and lowers the flag, waking everyone.
+// roll-over, the clock; for a kvstore shard's growth, words of the space)
+// and lowers the flag, waking everyone. TM.Quiesce is the one initiator.
 type freezer struct {
 	frozen atomic.Uint32
 	active atomic.Int64

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"tinystm/internal/obs"
 )
 
 func TestConcurrentFreezeInitiatorsSerialize(t *testing.T) {
@@ -56,6 +58,46 @@ func TestFreezeWaitsForActiveTransactions(t *testing.T) {
 	}
 	<-frozen // must complete now
 	tm.fz.unfreeze()
+}
+
+// TestQuiesceTimesEveryFreeze: Quiesce is the TM's one barrier, so each
+// Reconfigure, each clock roll-over and each direct call lands once in the
+// FreezeNs histogram, and a fn that panics still lowers the barrier.
+func TestQuiesceTimesEveryFreeze(t *testing.T) {
+	tm, _ := newTestTM(t, WriteBack, func(c *Config) { c.MaxClock = 32 })
+	o := obs.NewTMObs(nil)
+	tm.SetObs(o)
+	tx := tm.NewTx()
+	defer tx.Release()
+	var a uint64
+	tm.Atomic(tx, func(tx *Tx) { a = tx.Alloc(1) })
+	for i := 0; i < 100; i++ {
+		tm.Atomic(tx, func(tx *Tx) { tx.Store(a, tx.Load(a)+1) })
+	}
+	if err := tm.Reconfigure(Params{Locks: 1 << 8, Hier: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var ran bool
+	tm.Quiesce(func() { ran = !tm.Frozen() })
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want the fn's panic", r)
+			}
+		}()
+		tm.Quiesce(func() { panic("boom") })
+	}()
+	if ran || tm.Frozen() {
+		t.Fatalf("fn ran unfrozen: %v; TM left frozen: %v", ran, tm.Frozen())
+	}
+	st := tm.Stats()
+	if st.RollOvers == 0 {
+		t.Fatal("no roll-over under MaxClock 32")
+	}
+	if got, want := o.FreezeNs.Snapshot().Count, st.RollOvers+st.Reconfigs+2; got != want {
+		t.Fatalf("%d freezes timed, want %d: %d roll-overs, %d reconfigurations and two direct calls", got, want, st.RollOvers, st.Reconfigs)
+	}
+	tm.Atomic(tx, func(tx *Tx) { tx.Store(a, 0) }) // still operational
 }
 
 func TestReconfigureWhileIdleIsImmediate(t *testing.T) {

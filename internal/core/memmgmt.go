@@ -25,8 +25,8 @@ var ErrSpaceExhausted = txn.ErrSpaceExhausted
 // serve a word inside it straight from the space, and Free of it takes no
 // lock. One block, not every block of the attempt: the test is one
 // subtract and compare per access, and it covers the idiom that matters,
-// initialising what was just allocated (a kvstore or intset node, a grown
-// directory). Older blocks of the attempt take the ordinary path.
+// initialising what was just allocated (a kvstore or intset node). Older
+// blocks of the attempt take the ordinary path.
 //
 // Why skipping the STM there is sound, obligation by obligation:
 //

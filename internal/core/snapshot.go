@@ -246,8 +246,8 @@ func (tx *Tx) publishVersions(ts uint64) {
 	tx.stats.versionedCommits.Add(1)
 	// EVERY word of every block this commit allocated is born at ts —
 	// including words the transaction never stored to (Alloc zeroes them;
-	// a grown hash directory's empty bucket heads are read by scans but
-	// never written) and words it stored to through the capture window,
+	// a new kvstore map's empty bucket heads are read by scans but never
+	// written) and words it stored to through the capture window,
 	// whose stripes no lock moved. Without the birth, alias pressure on
 	// such a word's stripe would leave snapshot readers with an
 	// unresolvable miss.

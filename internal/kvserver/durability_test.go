@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
+	"time"
 
 	"tinystm/internal/kvstore"
 	"tinystm/internal/wal"
@@ -280,6 +282,65 @@ func TestCheckpointTruncatesAndRestartUsesIt(t *testing.T) {
 	}
 	if code := doJSON(t, c2, "GET", ts2.URL+"/kv/100", "", &got); code != 200 || got.Val != 1000 {
 		t.Fatalf("post-checkpoint key: status %d val %d", code, got.Val)
+	}
+}
+
+// TestCheckpointLoopTruncates runs the periodic checkpointer
+// (Config.CheckpointEvery) rather than calling Checkpoint by hand: while a
+// writer keeps the log moving it checkpoints at least twice, and each
+// checkpoint drops the segments it sealed and the checkpoint before it.
+// Once the loop has stopped, the directory holds one checkpoint and one
+// segment, the one the last checkpoint opened.
+func TestCheckpointLoopTruncates(t *testing.T) {
+	fs := wal.NewMemFS()
+	cfg := durableCfg(fs)
+	cfg.CheckpointEvery = 2 * time.Millisecond
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitReady(t, s)
+	count := func() (uint64, error) {
+		s.dur.mu.Lock()
+		defer s.dur.mu.Unlock()
+		return s.dur.ckptCount, s.dur.ckptLastErr
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for k := uint64(0); ; k++ {
+		s.Store().Put(k%32, k) // acked after durable: every Put reaches a segment
+		n, err := count()
+		if err != nil {
+			t.Fatalf("checkpoint %d failed: %v", n+1, err)
+		}
+		if n >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d checkpoints in 10 s at a 2 ms period", n)
+		}
+	}
+	s.Close() // stops the loop between checkpoints, then the log
+	n, _ := count()
+
+	names, err := fs.ReadDir("wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var segs, ckpts []string
+	for _, name := range names {
+		switch {
+		case strings.HasSuffix(name, ".seg"):
+			segs = append(segs, name)
+		case strings.HasSuffix(name, ".ckpt"):
+			ckpts = append(ckpts, name)
+		}
+	}
+	if len(segs) != 1 || len(ckpts) != 1 {
+		t.Fatalf("after %d checkpoints the log directory holds segments %v and checkpoints %v, want one of each", n, segs, ckpts)
+	}
+	var seg uint64
+	if _, err := fmt.Sscanf(segs[0], "wal-%d.seg", &seg); err != nil || seg < n {
+		t.Fatalf("surviving segment %s: the %d checkpoints each sealed one, so its index is at least %d", segs[0], n, n)
 	}
 }
 

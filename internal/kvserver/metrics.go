@@ -165,7 +165,7 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(m.st.Reconfigs) })
 	m.reg.Histogram("stm_commit_seconds", "Duration of committed transaction attempts.", nil,
 		m.tmObs.CommitNs, 1e-9, lat)
-	m.reg.Histogram("stm_freeze_seconds", "Time each lock-table reconfiguration held the world frozen.", nil,
+	m.reg.Histogram("stm_freeze_seconds", "Time each freeze (lock-table reconfiguration, shard growth or clock roll-over) held the world frozen.", nil,
 		m.tmObs.FreezeNs, 1e-9, lat)
 	for k := 0; k < txn.NAbortKinds; k++ {
 		kind := txn.AbortKind(k)
@@ -210,7 +210,7 @@ func newMetrics(s *Server) *metrics {
 	// --- Store ---
 	m.reg.GaugeFunc("stmkvd_keys", "Live keys in the store.", nil,
 		func() float64 { return float64(s.store.Len()) })
-	m.reg.CounterFunc("stmkvd_shard_grows_total", "Committed shard growths; each relinked a whole shard in one transaction that every other operation on the shard waited out.", nil,
+	m.reg.CounterFunc("stmkvd_shard_grows_total", "Shard growths; each rehashed a whole shard behind the freeze barrier (one stm_freeze_seconds observation).", nil,
 		func() float64 { return float64(s.store.Grows()) })
 	m.reg.GaugeFunc("stmkvd_uptime_seconds", "Seconds since the server booted.", nil,
 		func() float64 { return time.Since(s.start).Seconds() })

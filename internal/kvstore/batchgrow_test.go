@@ -4,12 +4,16 @@ import (
 	"testing"
 
 	"tinystm/internal/core"
+	"tinystm/internal/obs"
 )
 
 // A batch asks "does this shard need to grow?" inside its own transaction,
 // where the shard's counters are already read, and grows the shards the
 // COMMITTED attempt left over their load factor — no probe transactions
-// after the batch, nothing carried over from an attempt that aborted.
+// after the batch, nothing carried over from an attempt that aborted. A
+// growth is not a transaction: it rehashes behind the freeze barrier, so
+// the batch's commit is the only commit, Grows counts the growths, and
+// the TM's freeze histogram counts the barriers raised.
 
 // keysOfShard returns n keys from start upwards that map to shard sh.
 func keysOfShard(m *Map[*core.Tx], sh, start uint64, n int) []uint64 {
@@ -45,12 +49,18 @@ func shardBuckets(tm *core.TM, m *Map[*core.Tx]) []uint64 {
 	return b
 }
 
+// freezes returns how many times tm has raised its freeze barrier since
+// o was attached.
+func freezes(o *obs.TMObs) uint64 { return o.FreezeNs.Snapshot().Count }
+
 // TestBatchGrowsEveryShardItTips: one batch whose inserts push two shards
 // over the load factor (a Put on one, an Add on the other) grows both, and
 // leaves the shard it only overwrote alone; the whole thing is the batch's
-// commit plus one growth commit per tipped shard.
+// one commit plus one growth freeze per tipped shard.
 func TestBatchGrowsEveryShardItTips(t *testing.T) {
 	tm := newTM(t, core.WriteBack, 1<<16)
+	o := obs.NewTMObs(nil)
+	tm.SetObs(o)
 	s := NewStore[*core.Tx](tm, 4, 2)
 	defer s.Close()
 	m := s.Map()
@@ -63,7 +73,7 @@ func TestBatchGrowsEveryShardItTips(t *testing.T) {
 	}
 	overwritten := keysOfShard(m, 2, 0, 1)[0]
 
-	before := tm.Stats()
+	before, grows0, freezes0 := tm.Stats(), s.Grows(), freezes(o)
 	res := s.Apply([]Op{
 		{Kind: OpPut, Key: fresh[0], Val: 1},
 		{Kind: OpAdd, Key: fresh[1], Val: 1},
@@ -77,8 +87,11 @@ func TestBatchGrowsEveryShardItTips(t *testing.T) {
 	if got := shardBuckets(tm, m); got[0] != 8 || got[1] != 8 || got[2] != 2 || got[3] != 2 {
 		t.Fatalf("buckets per shard = %v, want [8 8 2 2]", got)
 	}
-	if d.Commits != 3 {
-		t.Fatalf("%d commits for a batch that tipped two shards, want 3 (batch + two growths)", d.Commits)
+	if d.Commits != 1 {
+		t.Fatalf("%d commits for a batch that tipped two shards, want 1: the batch", d.Commits)
+	}
+	if g, f := s.Grows()-grows0, freezes(o)-freezes0; g != 2 || f != 2 {
+		t.Fatalf("%d growths in %d freezes, want 2 in 2: one per tipped shard", g, f)
 	}
 }
 
@@ -110,9 +123,11 @@ func (a *abortOnce) Atomic(tx *core.Tx, fn func(*core.Tx)) {
 // shards 0 and 1 and aborts; before the retry, shard 0 loses keys, so the
 // attempt that commits tips only shard 1. Shard 1 is grown once — it is
 // filled so that a second growth would grow it again — and shard 0 costs
-// not even a growth transaction that finds nothing to do.
+// not even a freeze that finds nothing to do.
 func TestBatchGrowthIsOfTheCommittedAttempt(t *testing.T) {
 	tm := newTM(t, core.WriteBack, 1<<16)
+	o := obs.NewTMObs(nil)
+	tm.SetObs(o)
 	sys := &abortOnce{TM: tm}
 	s := NewStore[*core.Tx](sys, 2, 2)
 	defer s.Close()
@@ -126,7 +141,7 @@ func TestBatchGrowthIsOfTheCommittedAttempt(t *testing.T) {
 		s.Delete(keys0[0])
 		s.Delete(keys0[1])
 	}
-	before := tm.Stats()
+	before, grows0, freezes0 := tm.Stats(), s.Grows(), freezes(o)
 	res := s.Apply([]Op{
 		{Kind: OpPut, Key: keys0[2*loadFactor], Val: 1},
 		{Kind: OpPut, Key: keys1[8*loadFactor+1], Val: 1},
@@ -141,8 +156,11 @@ func TestBatchGrowthIsOfTheCommittedAttempt(t *testing.T) {
 	if got := shardBuckets(tm, m); got[0] != 2 || got[1] != 8 {
 		t.Fatalf("buckets per shard = %v, want [2 8]: shard 1 grown once, shard 0 not at all", got)
 	}
-	if d.Commits != 2+2 { // two Deletes in between, the batch, one growth
-		t.Fatalf("%d commits, want 4 (two deletes, the batch, one growth of shard 1)", d.Commits)
+	if d.Commits != 2+1 { // two Deletes in between, the batch
+		t.Fatalf("%d commits, want 3 (two deletes, the batch)", d.Commits)
+	}
+	if g, f := s.Grows()-grows0, freezes(o)-freezes0; g != 1 || f != 1 {
+		t.Fatalf("%d growths in %d freezes, want 1 in 1: shard 1 only", g, f)
 	}
 	if d.Aborts == 0 {
 		t.Fatal("no attempt aborted")
@@ -151,9 +169,9 @@ func TestBatchGrowthIsOfTheCommittedAttempt(t *testing.T) {
 
 // TestPreloadGrowsEachShardTwice: stmkvd's store shape, sixteen shards of
 // 64 buckets, preloaded with 65 536 keys in 1 024-put batches, 4 096 keys a
-// shard. Each shard grows 64 → 256 → 1 024 buckets: 32 growth commits,
-// where doubling took 64. Grows counts exactly the growths that
-// committed, one commit each beside the batches.
+// shard. Each shard grows 64 → 256 → 1 024 buckets: 32 growths, where
+// doubling took 64. Grows counts exactly the growths, and the batches are
+// the only commits.
 func TestPreloadGrowsEachShardTwice(t *testing.T) {
 	const shards, perShard, batch = 16, 4096, 1024
 	tm := newTM(t, core.WriteBack, 1<<20)
@@ -170,7 +188,7 @@ func TestPreloadGrowsEachShardTwice(t *testing.T) {
 			keys = append(keys, k)
 		}
 	}
-	before := tm.Stats()
+	before, grows0 := tm.Stats(), s.Grows()
 	ops := make([]Op, batch)
 	res := make([]OpResult, batch)
 	for lo := 0; lo < len(keys); lo += batch {
@@ -179,11 +197,11 @@ func TestPreloadGrowsEachShardTwice(t *testing.T) {
 		}
 		s.ApplyInto(ops, res)
 	}
-	if got := s.Grows(); got != 2*shards {
+	if got := s.Grows() - grows0; got != 2*shards {
 		t.Fatalf("Grows = %d after the preload, want %d: two per shard", got, 2*shards)
 	}
-	if d := tm.Stats().Sub(before); d.Commits != uint64(len(keys)/batch)+2*shards {
-		t.Fatalf("%d commits, want %d batches + %d growths", d.Commits, len(keys)/batch, 2*shards)
+	if d := tm.Stats().Sub(before); d.Commits != uint64(len(keys)/batch) {
+		t.Fatalf("%d commits, want %d: the batches only", d.Commits, len(keys)/batch)
 	}
 	for sh, b := range shardBuckets(tm, m) {
 		if b != 1024 {

@@ -83,9 +83,8 @@ func (s *Store[T]) redo(tx T, kind txn.RedoKind, key, val uint64) {
 }
 
 // ticket collects the durability ticket of tx's most recent commit. It
-// must run IMMEDIATELY after the operation's atomic block — before
-// tryGrow, whose follow-up transaction's Begin clears the descriptor's
-// ticket.
+// must run after the operation's atomic block and before the descriptor's
+// next Begin, which clears the ticket.
 func (s *Store[T]) ticket(tx T) txn.DurableTicket {
 	if !s.durable || s.sink == nil {
 		return nil

@@ -5,8 +5,9 @@
 // paper's microbenchmarks, the kvstore backs an actual server
 // (cmd/stmkvd) whose traffic the online tuning runtime adapts to.
 //
-// Layout inside the mem.Space (all accesses go through txn.Tx, so every
-// operation is a real STM transaction):
+// Layout inside the mem.Space (every operation's accesses go through
+// txn.Tx, so each is a real STM transaction; only a growth rewrites words
+// directly):
 //
 //	shard header (one per shard, padded to 8 words):
 //	    +0  dir      address of the bucket directory
@@ -17,17 +18,21 @@
 //
 // A key hashes once; the low bits pick the shard, the high bits the bucket
 // within the shard's directory, so growing one shard never moves keys
-// across shards. Growing is a single freeze/rehash transaction over the
-// shard (Map.Grow): it allocates a quadrupled directory, relinks every
-// node, frees the old directory and swaps the header — concurrent
-// operations on that shard conflict with it and simply retry, which is the
-// transactional equivalent of a per-shard freeze.
+// across shards. Growing is not a transaction: Map.Grow rehashes the shard
+// with plain mem.Space loads and stores behind the STM's freeze barrier
+// (core.TM.Quiesce, the barrier of clock roll-over and Reconfigure). It
+// allocates a quadrupled directory, relinks every node, swaps the header
+// and frees the old directory while no transaction is in flight, so no
+// transaction sees a half-grown shard or builds a shard-sized read set,
+// and every transaction that wanted to run meanwhile — on any shard —
+// waits at Begin. Each growth's stall lands in the freeze histogram
+// (stm_freeze_seconds on stmkvd's /metrics) beside the Reconfigures'.
 //
 // A growth relinks every node of its shard, so the growth factor sets what
 // filling a shard costs. The relinks form a geometric series ending at the
 // last growth's count c: 4c/3 nodes when each growth quadruples, 2c when
 // each doubles. Over a fill to n keys that is n/3 to 4n/3 relinks, in half
-// as many growth commits, against n to 2n: sixteen 64-bucket shards filled
+// as many growths, against n to 2n: sixteen 64-bucket shards filled
 // with 4 096 keys each grow 32 times and relink ~20.5 k nodes, where
 // doubling grew them 64 times and relinked ~61.5 k. The price is a
 // directory of up to one word per key, against half a word.
@@ -37,6 +42,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"tinystm/internal/mem"
 	"tinystm/internal/txn"
 )
 
@@ -61,7 +67,7 @@ const (
 // count); all mutable state lives in the Space, so any number of
 // goroutines may use a Map concurrently, each through its own descriptor.
 //
-// All methods take the caller's transaction and perform plain
+// All methods but Grow take the caller's transaction and perform plain
 // transactional loads/stores: they compose freely into larger atomic
 // blocks (multi-key batches, read-modify-write, cross-map transfers).
 type Map[T txn.Tx] struct {
@@ -268,44 +274,57 @@ func (m *Map[T]) ShardLoad(tx T, s uint64) (count, buckets uint64) {
 // NeedsGrow reports whether shard s's mean chain length exceeds the load
 // factor and the directory can still grow.
 func (m *Map[T]) NeedsGrow(tx T, s uint64) bool {
-	count, buckets := m.ShardLoad(tx, s)
+	return needsGrow(m.ShardLoad(tx, s))
+}
+
+func needsGrow(count, buckets uint64) bool {
 	return buckets < maxBucketsPerShard && count > buckets*loadFactor
 }
 
+// Quiescer is what Grow needs of an STM: its space, and a barrier that
+// runs a function while none of its transactions is in flight (core.TM).
+type Quiescer interface {
+	Space() *mem.Space
+	Quiesce(fn func())
+}
+
 // Grow quadruples shard s's bucket directory (up to maxBucketsPerShard)
-// and rehashes its chains: the freeze/rehash transaction. Within one
-// atomic block it allocates the new directory, relinks every node (no node
-// is copied — only next pointers and bucket heads change), frees the old
-// directory and swaps the header. The new directory is the attempt's
-// latest allocation while the nodes are relinked, so its bucket heads are
-// read and written outside the STM's bookkeeping (core's capture window).
-// The transaction reads and writes the entire shard, so every concurrent
-// operation on the shard conflicts with it and retries after it commits —
-// a per-shard world-freeze enforced by the STM rather than a global
-// barrier. Returns false if the shard no longer needs growing (a
-// concurrent Grow got there first).
-func (m *Map[T]) Grow(tx T, s uint64) bool {
-	if !m.NeedsGrow(tx, s) {
-		return false
-	}
-	hdr := m.base + s*hdrWords
-	dir := tx.Load(hdr + hdrDir)
-	nb := tx.Load(hdr + hdrNBkts)
-	nb2 := min(nb*growFactor, maxBucketsPerShard)
-	dir2 := tx.Alloc(int(nb2))
-	for b := uint64(0); b < nb; b++ {
-		node := tx.Load(dir + b)
-		for node != 0 {
-			next := tx.Load(node + 2)
-			h := hash(tx.Load(node))
-			head := dir2 + ((h >> m.shardBits) & (nb2 - 1))
-			tx.Store(node+2, tx.Load(head))
-			tx.Store(head, node)
-			node = next
+// and rehashes its chains as a plain rewrite of the space under sys's
+// freeze barrier; the soundness argument is above core.TM.Quiesce. With
+// every transaction quiescent it re-checks the shard's count against the
+// load factor, allocates the new directory, relinks every node (no node is
+// copied — only next pointers and bucket heads change), swaps the header
+// and frees the old directory at once. It reports false, changing
+// nothing, when the shard no longer needs growing (an earlier growth got
+// there first) or the space cannot fit the new directory: growth is
+// best-effort, and the shard keeps serving with longer chains.
+func (m *Map[T]) Grow(sys Quiescer, s uint64) (grew bool) {
+	sp := sys.Space()
+	hdr := mem.Addr(m.base + s*hdrWords)
+	sys.Quiesce(func() {
+		nb := sp.Load(hdr + hdrNBkts)
+		if !needsGrow(sp.Load(hdr+hdrCount), nb) {
+			return
 		}
-	}
-	tx.Free(dir, int(nb))
-	tx.Store(hdr+hdrDir, dir2)
-	tx.Store(hdr+hdrNBkts, nb2)
-	return true
+		nb2 := min(nb*growFactor, maxBucketsPerShard)
+		dir2 := sp.Alloc(int(nb2))
+		if dir2 == mem.Nil {
+			return
+		}
+		dir := mem.Addr(sp.Load(hdr + hdrDir))
+		for b := range mem.Addr(nb) {
+			for node := mem.Addr(sp.Load(dir + b)); node != mem.Nil; {
+				next := mem.Addr(sp.Load(node + 2))
+				head := dir2 + mem.Addr((hash(sp.Load(node))>>m.shardBits)&(nb2-1))
+				sp.Store(node+2, sp.Load(head))
+				sp.Store(head, uint64(node))
+				node = next
+			}
+		}
+		sp.Store(hdr+hdrDir, uint64(dir2))
+		sp.Store(hdr+hdrNBkts, nb2)
+		sp.Free(dir, int(nb))
+		grew = true
+	})
+	return grew
 }

@@ -78,12 +78,19 @@ type OpResult struct {
 	OK    bool
 }
 
+// System is the STM a Store runs on: it runs the operations' atomic
+// blocks and, as a Quiescer, the shards' growths (core.TM is one).
+type System[T txn.Tx] interface {
+	txn.System[T]
+	Quiescer
+}
+
 // Store binds a Map to its STM and a descriptor pool, exposing the
 // self-contained operations a server handler calls: each runs exactly one
 // atomic block on a pooled descriptor. The transactional Map methods
 // remain available for callers composing their own blocks.
 type Store[T txn.Tx] struct {
-	sys  txn.System[T]
+	sys  System[T]
 	m    *Map[T]
 	pool *TxPool[T]
 	// snap is sys's snapshot view when it provides one (TinySTM with
@@ -100,8 +107,8 @@ type Store[T txn.Tx] struct {
 	// one's capacity.
 	//stm:allow-atomic checkpoint size hint, read and written outside any transaction
 	ckptPairs atomic.Int64
-	// grows counts committed shard growths (Grows).
-	//stm:allow-atomic bumped after the growth transaction commits, never inside one
+	// grows counts shard growths (Grows).
+	//stm:allow-atomic bumped after a growth, outside every transaction
 	grows atomic.Uint64
 	// heat, when attached (SetShardHeat), receives one op plus the retry
 	// count per single-key operation, keyed by shard — the server's
@@ -138,7 +145,7 @@ func (f *freeList[O]) put(o *O) {
 }
 
 // NewStore builds the Map inside sys and wraps it.
-func NewStore[T txn.Tx](sys txn.System[T], shards, buckets uint64) *Store[T] {
+func NewStore[T txn.Tx](sys System[T], shards, buckets uint64) *Store[T] {
 	s := &Store[T]{sys: sys, m: New[T](sys, shards, buckets), pool: NewTxPool[T](sys)}
 	// The type assertion alone is not enough: core.TM satisfies the
 	// interface even with the sidecar disabled (AtomicSnap then degrades
@@ -182,9 +189,9 @@ type pointOp[T txn.Tx] struct {
 	// CAS's expected value; sh is key's shard.
 	key, val, old, sh uint64
 	// Out: res is Get's value and Add's result; flag is found (Get,
-	// Delete), inserted (Put) or swapped (CAS); grow asks for a follow-up
-	// Grow of the shard. attempts counts the body's executions for the
-	// heat map.
+	// Delete), inserted (Put) or swapped (CAS); grow asks for a Grow of the
+	// shard after the commit. attempts counts the body's executions for
+	// the heat map.
 	res        uint64
 	flag, grow bool
 	attempts   int
@@ -270,8 +277,8 @@ func (s *Store[T]) Get(key uint64) (val uint64, found bool) {
 // acks after durability (EnableDurability with a sink): the update is
 // committed and visible, and the caller must not acknowledge it until the
 // ticket resolves. When an insert tips the owning shard over its load
-// factor, the shard is grown in a follow-up freeze/rehash transaction
-// before Update returns.
+// factor, the shard is grown behind the freeze barrier (Map.Grow) before
+// Update returns.
 func (s *Store[T]) Update(kind OpKind, key, val, old uint64) (res OpResult, t txn.DurableTicket) {
 	tx := s.pool.Get()
 	defer s.pool.Put(tx)
@@ -292,13 +299,11 @@ func (s *Store[T]) Update(kind OpKind, key, val, old uint64) (res OpResult, t tx
 	default:
 		panic(fmt.Sprintf("kvstore: %v is not a single-key update", kind))
 	}
-	// The ticket must be read before tryGrow: the growth transaction's
-	// Begin clears it from the descriptor.
 	t = s.ticket(tx)
 	sh, grow := o.sh, o.grow
 	s.putOp(o)
 	if grow {
-		s.tryGrow(tx, sh)
+		s.tryGrow(sh)
 	}
 	return res, t
 }
@@ -312,28 +317,22 @@ func (s *Store[T]) Put(key, val uint64) (inserted bool) {
 	return res.OK
 }
 
-// tryGrow runs the freeze/rehash transaction as best-effort housekeeping:
-// the caller's own operation has already committed, so a growth failure —
-// the arena cannot fit a grown directory — must not surface as an error
-// for an operation that succeeded. The shard keeps serving with longer
-// chains and the next insert retries. Any panic other than the shared
-// exhaustion sentinel keeps propagating.
-func (s *Store[T]) tryGrow(tx T, sh uint64) {
-	defer func() {
-		if r := recover(); r != nil && r != txn.ErrSpaceExhausted {
-			panic(r)
-		}
-	}()
-	var grew bool
-	s.sys.Atomic(tx, func(tx T) { grew = s.m.Grow(tx, sh) })
-	if grew {
+// tryGrow grows shard sh once the operation that tipped it has committed.
+// It is best-effort housekeeping: a growth the arena cannot fit changes
+// nothing, and the shard keeps serving with longer chains until a later
+// insert asks again. Map.Grow runs behind the freeze barrier, so with an
+// observability sink on the TM every growth freeze, whether it grew the
+// shard or found it already grown, lands in the FreezeNs histogram
+// (stm_freeze_seconds) as a Reconfigure does; Grows counts the growths.
+func (s *Store[T]) tryGrow(sh uint64) {
+	if s.m.Grow(s.sys, sh) {
 		s.grows.Add(1)
 	}
 }
 
-// Grows returns how many shard growths have committed. Each one relinked a
-// whole shard inside one transaction, so every operation on that shard
-// meanwhile conflicted with it and waited.
+// Grows returns how many shard growths have happened. Each one rehashed a
+// whole shard behind the freeze barrier, so every transaction that wanted
+// to run meanwhile waited at Begin.
 func (s *Store[T]) Grows() uint64 { return s.grows.Load() }
 
 // Delete removes key, reporting whether it was present.
@@ -469,10 +468,9 @@ func (s *Store[T]) ApplyInto(ops []Op, res []OpResult) txn.DurableTicket {
 		s.atomicRO(tx, o.body)
 	} else {
 		s.sys.Atomic(tx, o.body)
-		// The ticket must be read before tryGrow, as in Update.
 		t = s.ticket(tx)
 		for _, sh := range o.grow {
-			s.tryGrow(tx, sh)
+			s.tryGrow(sh)
 		}
 	}
 	o.ops, o.res = nil, nil

@@ -19,9 +19,10 @@ type TMObs struct {
 	// AbortNs[k] is the duration of attempts that rolled back with
 	// cause k, in nanoseconds.
 	AbortNs [txn.NAbortKinds]*Histogram
-	// FreezeNs is how long each Reconfigure held the world frozen, from
-	// the start of the freeze to the release, in nanoseconds: what one
-	// geometry move costs every transaction that wanted to run meanwhile.
+	// FreezeNs is how long each freeze — a Reconfigure, a kvstore shard's
+	// growth, a clock roll-over — held the world frozen, from the start of
+	// the freeze to the release, in nanoseconds: what one geometry move or
+	// one growth costs every transaction that wanted to run meanwhile.
 	FreezeNs *Histogram
 	// Rec, when non-nil, receives the sampled per-transaction event
 	// trace.
