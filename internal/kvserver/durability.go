@@ -336,7 +336,7 @@ func (s *Server) Checkpoint() error {
 // closeDurability tears down the WAL half of Close: stop checkpointing,
 // detach the redo hook so no new records are staged, then close the log
 // (final drain). Requests still in flight — a blocked HTTP handler, a
-// response on a connection's held FIFO — may see their tickets resolve
+// response a binary connection holds — may see their tickets resolve
 // with wal.ErrLogClosed and answer 503; the server is shutting down.
 func (s *Server) closeDurability() {
 	d := s.dur

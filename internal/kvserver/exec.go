@@ -15,9 +15,10 @@
 // group durability an update's store call returns with the commit done and
 // its WAL ticket unresolved; execInto hands that open half back (ackWait)
 // and the codec decides where to wait — HTTP inline in exec, one blocked
-// handler per request; the binary connection on its acker, so the reader
-// keeps reading — and then calls settle, which turns a failed ticket into
-// a status and records the latency over the whole span, wait included.
+// handler per request; the binary connection nowhere: it holds the answer
+// and the WAL's flusher delivers it, so the reader keeps reading — and
+// then calls settle, which turns a failed ticket into a status and records
+// the latency over the whole span, wait included.
 //
 // The admission slot is returned when the transaction commits, not when it
 // is durable: the gate bounds the transactions that can conflict with each
@@ -88,7 +89,7 @@ type readerScratch struct {
 // batchScratches for one execInto: 48 KB a 1 024-op batch that would
 // otherwise be garbage for the collector to catch up with during a
 // preload. The wire results are not pooled: a held binary answer
-// references them until its acker sends.
+// references them until it is sent.
 type batchScratch struct {
 	ops []kvstore.Op
 	res []kvstore.OpResult

@@ -1,7 +1,7 @@
 // The binary codec of the request pipeline: kvproto frames in, exec,
 // kvproto frames out. One TCP connection carries many requests in flight
 // and is served by one protoConn: a buffered reader, a buffered writer
-// behind a mutex, the scratch one request at a time needs, and a FIFO of
+// behind a mutex, the scratch one request at a time needs, and a list of
 // answers that wait for the disk.
 //
 // Execution rule: try, and spawn on would-park. The connection's reader
@@ -31,18 +31,20 @@
 //     long requests it is how often the gate was actually full.
 //
 // Acknowledgement rule. Under group durability an update's response must
-// not leave before its WAL ticket resolves, and nothing parks on a ticket
-// to see to that except the connection's acker. Whoever ran the op — the
-// reader or an op goroutine — puts (ticket, response) on the connection's
-// held FIFO and moves on; the acker, one goroutine per connection, started
-// by the first held response, blocks on the OLDEST ticket and then releases
-// every held response whose ticket has resolved — a flusher batch resolves
-// many at once — with one encode pass and one flush. It is the only release
-// path of a durable answer: a failed ticket becomes StatusUnavailable
-// there, and the request's latency is recorded there, so the span covers
-// the wait. At most protoInflight responses are held per connection; with
-// the FIFO full the next holder waits for the acker, the reader giving up
-// its flush hold first. A read is never held: it may observe a committed
+// not leave before its WAL ticket resolves, and no goroutine parks on a
+// ticket to see to that. Whoever ran the op — the reader or an op
+// goroutine — puts (ticket, response) on the connection's held list and
+// then claims the ticket for the connection (wal.Pending.Claim). The WAL's
+// flusher, once a batch is fsynced and all its tickets resolved, tells
+// each claiming connection once (deliver), and on the flusher's own
+// goroutine the connection takes every held answer whose ticket is done,
+// settles them — a failed ticket becomes StatusUnavailable, and the
+// request's latency is recorded, so the span covers the wait — and
+// writes them in one pass. A ticket that resolved before its claim is
+// nobody's to tell: the holder settles and sends that answer itself. At
+// most protoInflight answers are unsent per connection, held or on their
+// way out; with that many the next holder waits, the reader giving up its
+// flush hold first. A read is never held: it may observe a committed
 // write whose acknowledgement is still waiting for the disk, exactly as it
 // could while that write's goroutine was parked on the ticket.
 //
@@ -56,9 +58,20 @@
 // reader counts itself in for as long as a complete next frame is already
 // buffered — more answers of this burst are coming — and out before any
 // read that can block, including on a partial frame, and before waiting
-// for room on the held FIFO. Whoever brings the count to zero flushes: one
-// write per burst for pipelined load, one per released batch for durable
-// updates, an immediate one for a ping-pong caller.
+// for room for a held answer. Whoever brings the count to zero flushes: one
+// write per burst for pipelined load, an immediate one for a ping-pong
+// caller.
+//
+// The flusher's delivery never blocks, or one slow client would stall the
+// log for every connection. It only tries the write lock; it encodes into
+// the write buffer and leaves the flush to a responder still counted in
+// senders when there is one; otherwise it makes one write(2) attempt of
+// the frames, from an empty buffer, on the non-blocking socket. Only when
+// the lock is busy, the frames outgrow the buffer or the kernel takes less
+// than all of them does a goroutine of its own finish the write — with
+// the remainder already first in the buffer and the lock passed to it —
+// and /stats proto.handoffs counts those. The connection's teardown waits
+// for every answer to be written, so no delivery outlives it.
 package kvserver
 
 import (
@@ -70,9 +83,11 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"tinystm/internal/kvproto"
+	"tinystm/internal/wal"
 )
 
 const (
@@ -125,6 +140,8 @@ type protoStats struct {
 	held atomic.Int64 // responses currently held for a WAL ticket, all connections
 	//stm:allow-atomic listener accounting outside any transaction
 	spawned atomic.Uint64 // requests handed to a goroutine of their own
+	//stm:allow-atomic listener accounting outside any transaction
+	handoffs atomic.Uint64 // flusher deliveries finished on a goroutine of their own
 }
 
 func (p *protoStats) stats() map[string]any {
@@ -134,6 +151,7 @@ func (p *protoStats) stats() map[string]any {
 		"accepted":   p.accepted.Load(),
 		"ops":        p.ops.Load(),
 		"spawned":    p.spawned.Load(),
+		"handoffs":   p.handoffs.Load(),
 		"err_ops":    p.errOps.Load(),
 		"bad_frames": p.badFrames.Load(),
 	}
@@ -161,9 +179,10 @@ func (s *Server) ServeProto(l net.Listener) error {
 
 // protoConn is one binary connection. The fields down to holding belong
 // to the reader goroutine; bw is shared with the op goroutines and the
-// acker under mu, the held FIFO under hmu.
+// deliveries under mu, the held list under hmu.
 type protoConn struct {
 	s  *Server
+	rc syscall.RawConn // the socket, for the flusher's one write attempt; nil: always hand off
 	br *bufio.Reader
 	// frame is ReadFrame's payload scratch; req and resp are the decode
 	// target and the response of the request the reader is handling.
@@ -190,33 +209,36 @@ type protoConn struct {
 	slots chan struct{}
 	wg    sync.WaitGroup
 
-	// held is the FIFO of responses waiting for their WAL tickets, in the
-	// order their ops finished. hcond (on hmu) tells the acker there is
-	// one, a holder that there is room again, and the acker to finish.
-	// ackerDone is nil until the first hold starts the acker and closes
-	// when it has exited; closing tells it to, once held is empty.
+	// held lists the responses waiting for their WAL tickets, in the order
+	// their ops finished; unsent counts those and the ones a delivery has
+	// taken and not yet written. hcond (on hmu) tells a holder that there
+	// is room again, and the teardown that nothing is left unsent. owner
+	// is how the log tells the connection that tickets it claimed resolved
+	// (deliver); ready is deliver's scratch.
 	//stm:allow-atomic guards the connection's held responses, outside any transaction
-	hmu       sync.Mutex
-	hcond     sync.Cond
-	held      []heldResp
-	ackerDone chan struct{}
-	closing   bool
+	hmu    sync.Mutex
+	hcond  sync.Cond
+	held   []heldResp
+	unsent int
+	owner  wal.Owner
+	ready  []heldResp
 }
 
-// heldResp is one answer on the held FIFO: what to send once ack's ticket
-// has resolved clean.
+// heldResp is one held answer: what to send once ack's ticket has
+// resolved clean.
 type heldResp struct {
 	resp kvproto.Response
 	ack  ackWait
 }
 
 // serveProtoConn serves one connection until its stream ends or loses
-// framing, then waits for the op goroutines still running and for the acker
-// to release what they and the reader left held: each answers into the
-// write buffer and flushes (into an error, if the peer is gone — a failed
+// framing, then waits for the op goroutines still running and for every
+// answer they and the reader left held to be written: each goes into the
+// write buffer and out (into an error, if the peer is gone — a failed
 // write is sticky in bufio.Writer and never blocks). A held answer waits
 // for its ticket even then; the log resolves every ticket, at the latest
-// when it closes.
+// when it closes. Only then does the socket close, so no delivery, and no
+// goroutine one handed off, touches it afterwards.
 func (s *Server) serveProtoConn(conn net.Conn) {
 	defer conn.Close()
 	c := &protoConn{
@@ -226,18 +248,19 @@ func (s *Server) serveProtoConn(conn net.Conn) {
 		slots:    make(chan struct{}, protoInflight),
 		spareOps: make(chan []kvproto.BatchOp, 1),
 	}
+	if sc, ok := conn.(syscall.Conn); ok {
+		c.rc, _ = sc.SyscallConn()
+	}
 	c.hcond.L = &c.hmu
+	c.owner.Resolved = c.deliver
 	c.readLoop()
 	c.release()
 	c.wg.Wait()
 	c.hmu.Lock()
-	c.closing = true
-	done := c.ackerDone
-	c.hmu.Unlock()
-	if done != nil {
-		c.hcond.Broadcast()
-		<-done
+	for c.unsent > 0 {
+		c.hcond.Wait()
 	}
+	c.hmu.Unlock()
 }
 
 // readLoop runs the connection's requests until a read fails. Any framing
@@ -350,23 +373,24 @@ func (c *protoConn) spawn(dl time.Time) {
 }
 
 // answer disposes of an executed request's response: sent now, or, when
-// execInto left a WAL ticket open, held for the acker. onReader says the
-// caller is the connection's reader goroutine.
+// execInto left a WAL ticket open, held until the log tells the connection
+// the ticket resolved. onReader says the caller is the connection's reader
+// goroutine.
 func (c *protoConn) answer(resp *kvproto.Response, ack ackWait, onReader bool) {
 	if ack.ticket == nil {
 		c.send(resp)
 		return
 	}
 	c.hmu.Lock()
-	if len(c.held) >= protoInflight {
+	if c.unsent >= protoInflight {
 		if onReader {
-			// Waiting for the acker is a block like any other: the answers
+			// Waiting for room is a block like any other: the answers
 			// already in the write buffer must not wait on it.
 			c.hmu.Unlock()
 			c.release()
 			c.hmu.Lock()
 		}
-		for len(c.held) >= protoInflight {
+		for c.unsent >= protoInflight {
 			c.hcond.Wait()
 		}
 	}
@@ -377,59 +401,120 @@ func (c *protoConn) answer(resp *kvproto.Response, ack ackWait, onReader bool) {
 		h.resp.Results = slices.Clone(resp.Results)
 	}
 	c.held = append(c.held, h)
+	c.unsent++
 	c.s.proto.held.Add(1)
-	if c.ackerDone == nil {
-		c.ackerDone = make(chan struct{})
-		go c.acker()
-	}
 	c.hmu.Unlock()
-	c.hcond.Broadcast()
+	// Claimed only once held: the log tells the owner after the ticket
+	// resolves, and what it tells about must be there to be found.
+	if !ack.ticket.Claim(&c.owner) {
+		c.sendResolved(ack.ticket)
+	}
 }
 
-// acker releases the connection's held responses: it blocks on the oldest
-// ticket — the only place a binary update waits for the disk — and then
-// settles and sends every held response whose ticket has resolved, in one
-// encode pass with one flush. Tickets resolve a flusher batch at a time
-// and in no particular order across op goroutines, so it sweeps the whole
-// FIFO rather than a prefix: no answer waits a second fsync for an older
-// neighbour. It exits at teardown, once nothing is held.
-func (c *protoConn) acker() {
-	defer close(c.ackerDone)
-	var ready []heldResp
+// sendResolved sends the held answer whose ticket resolved before it could
+// be claimed — unless a delivery for a sibling ticket has taken it already.
+func (c *protoConn) sendResolved(t *wal.Pending) {
 	c.hmu.Lock()
-	for {
-		for len(c.held) == 0 && !c.closing {
-			c.hcond.Wait()
+	i := slices.IndexFunc(c.held, func(h heldResp) bool { return h.ack.ticket == t })
+	if i < 0 {
+		c.hmu.Unlock()
+		return
+	}
+	h := c.held[i]
+	c.held = slices.Delete(c.held, i, i+1)
+	c.hmu.Unlock()
+	c.s.settle(surfProto, &h.resp, h.ack)
+	c.send(&h.resp)
+	c.sent(1)
+}
+
+// deliver is the connection's wal.Owner.Resolved: on the flusher's
+// goroutine, after a batch resolved tickets the connection claimed, it
+// takes every held answer whose ticket is done, settles them and writes
+// them without blocking (see the flush rule above). Tickets resolve a
+// batch at a time and in no particular order across op goroutines, so it
+// sweeps the whole list rather than a prefix: no answer waits a second
+// fsync for an older neighbour.
+func (c *protoConn) deliver() {
+	c.hmu.Lock()
+	ready, keep := c.ready[:0], c.held[:0]
+	for _, h := range c.held {
+		if h.ack.ticket.Done() {
+			ready = append(ready, h)
+		} else {
+			keep = append(keep, h)
 		}
-		if len(c.held) == 0 {
-			c.hmu.Unlock()
+	}
+	clear(c.held[len(keep):])
+	c.held = keep
+	c.hmu.Unlock()
+	defer func() { clear(ready); c.ready = ready[:0] }()
+	if len(ready) == 0 {
+		return
+	}
+	for i := range ready {
+		c.s.settle(surfProto, &ready[i].resp, ready[i].ack)
+	}
+	locked := c.mu.TryLock()
+	var frames []byte
+	if locked {
+		frames = c.bw.AvailableBuffer()
+	}
+	for i := range ready {
+		frames = c.appendResp(frames, &ready[i].resp)
+	}
+	switch {
+	case !locked:
+		c.handoff(frames, len(ready), false)
+		return
+	case len(frames) > c.bw.Available():
+		// Outgrew the buffer (and left it): writing it may block.
+		c.handoff(frames, len(ready), true)
+		return
+	case c.senders.Load() > 0 || c.bw.Buffered() > 0:
+		// A responder still counted in flushes after us, or one that has
+		// just counted out is about to take the lock and flush.
+		_, _ = c.bw.Write(frames) // in place: frames is the buffer's free tail
+	default:
+		n, done := 0, false
+		if c.rc != nil {
+			n, done = rawWrite(c.rc, frames)
+		}
+		if !done {
+			_, _ = c.bw.Write(frames[n:]) // in place, to the empty buffer's front
+			c.handoff(nil, len(ready), true)
 			return
 		}
-		oldest := c.held[0].ack.ticket
-		c.hmu.Unlock()
-		_ = oldest.Wait() // settle reads the outcome
-		c.hmu.Lock()
-		keep := c.held[:0]
-		for i := range c.held {
-			if c.held[i].ack.ticket.Done() {
-				ready = append(ready, c.held[i])
-			} else {
-				keep = append(keep, c.held[i])
-			}
-		}
-		clear(c.held[len(keep):])
-		c.held = keep
-		c.hmu.Unlock()
-		c.hcond.Broadcast() // room on the FIFO
-		for i := range ready {
-			c.s.settle(surfProto, &ready[i].resp, ready[i].ack)
-		}
-		c.sendHeld(ready)
-		c.s.proto.held.Add(-int64(len(ready)))
-		clear(ready)
-		ready = ready[:0]
-		c.hmu.Lock()
 	}
+	c.mu.Unlock()
+	c.sent(len(ready))
+}
+
+// handoff finishes a delivery on a goroutine of its own: it writes frames
+// after whatever the buffer holds and flushes, taking the write lock
+// unless locked says the caller passed it on, then counts the delivery's
+// n answers sent.
+func (c *protoConn) handoff(frames []byte, n int, locked bool) {
+	c.s.proto.handoffs.Add(1)
+	go func() {
+		if !locked {
+			c.mu.Lock()
+		}
+		_, _ = c.bw.Write(frames)
+		_ = c.bw.Flush() // see send
+		c.mu.Unlock()
+		c.sent(n)
+	}()
+}
+
+// sent counts n held answers written, making room for holders and letting
+// the teardown go once nothing is left unsent.
+func (c *protoConn) sent(n int) {
+	c.s.proto.held.Add(-int64(n))
+	c.hmu.Lock()
+	c.unsent -= n
+	c.hmu.Unlock()
+	c.hcond.Broadcast()
 }
 
 // send encodes one response into the write buffer and flushes it unless
@@ -439,41 +524,27 @@ func (c *protoConn) acker() {
 func (c *protoConn) send(resp *kvproto.Response) {
 	c.senders.Add(1)
 	c.mu.Lock()
-	c.encode(resp)
+	_, _ = c.bw.Write(c.appendResp(c.bw.AvailableBuffer(), resp))
 	if c.senders.Add(-1) == 0 {
 		_ = c.bw.Flush()
 	}
 	c.mu.Unlock()
 }
 
-// sendHeld is send for the acker's released responses: one turn at the
-// write buffer and at most one flush for all of them.
-func (c *protoConn) sendHeld(held []heldResp) {
-	c.senders.Add(1)
-	c.mu.Lock()
-	for i := range held {
-		c.encode(&held[i].resp)
-	}
-	if c.senders.Add(-1) == 0 {
-		_ = c.bw.Flush()
-	}
-	c.mu.Unlock()
-}
-
-// encode appends resp's frame to the write buffer; the caller holds mu.
-func (c *protoConn) encode(resp *kvproto.Response) {
-	frame, err := kvproto.AppendResponseFrame(c.bw.AvailableBuffer(), resp)
+// appendResp appends resp's frame to dst and counts a refusal.
+func (c *protoConn) appendResp(dst []byte, resp *kvproto.Response) []byte {
+	frame, err := kvproto.AppendResponseFrame(dst, resp)
 	if err != nil {
 		// Only a server bug gets here (a pair list or frame over the
 		// protocol's caps), but the client is waiting on this id: answer
 		// it with a generic error instead of leaving it to time out.
 		resp = &kvproto.Response{ID: resp.ID, Op: resp.Op, Status: kvproto.StatusError, Msg: "response encoding failed"}
-		frame, _ = kvproto.AppendResponseFrame(c.bw.AvailableBuffer(), resp)
+		frame, _ = kvproto.AppendResponseFrame(dst, resp)
 	}
 	if resp.Status != kvproto.StatusOK {
 		c.s.proto.errOps.Add(1)
 	}
-	_, _ = c.bw.Write(frame)
+	return frame
 }
 
 // release takes the reader out of senders, flushing if that leaves nobody

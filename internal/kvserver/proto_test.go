@@ -12,11 +12,14 @@ import (
 )
 
 // capturingListener records accepted connections so tests can sever them
-// under a live client.
+// under a live client. A sndBuf above zero is the kernel send buffer every
+// connection accepted from then on gets (SetWriteBuffer), so a peer that
+// stops reading fills it soon.
 type capturingListener struct {
 	net.Listener
-	mu    sync.Mutex
-	conns []net.Conn
+	mu     sync.Mutex
+	conns  []net.Conn
+	sndBuf int
 }
 
 func (l *capturingListener) Accept() (net.Conn, error) {
@@ -24,6 +27,9 @@ func (l *capturingListener) Accept() (net.Conn, error) {
 	if err == nil {
 		l.mu.Lock()
 		l.conns = append(l.conns, c)
+		if tc, ok := c.(*net.TCPConn); ok && l.sndBuf > 0 {
+			err = tc.SetWriteBuffer(l.sndBuf)
+		}
 		l.mu.Unlock()
 	}
 	return c, err

@@ -2,6 +2,7 @@ package kvserver
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -17,7 +18,8 @@ import (
 
 // Tests of the binary connection's acknowledgement rule (proto.go): under
 // group durability an update's answer is held until its WAL ticket
-// resolves, by the connection's acker and by nothing else. The disk is a
+// resolves, and then written by the flusher that resolved it — or by its
+// holder, if the ticket resolved before it could be claimed. The disk is a
 // wal.MemFS whose fsync the test holds or fails, so "not yet durable" lasts
 // exactly as long as the test wants.
 
@@ -201,9 +203,10 @@ func TestProtoAckBound(t *testing.T) {
 }
 
 // TestProtoAckTeardown: the peer vanishes with acknowledgements held. The
-// connection stays accounted open until its acker has released them — into
-// the dead writer, without blocking — and then every goroutine it started
-// is gone; the updates themselves are committed and durable.
+// connection stays accounted open until the flusher has written them —
+// into the dead socket, without blocking — and closes only once nothing of
+// it is left unsent; then every goroutine it started is gone, and the
+// updates themselves are committed and durable.
 func TestProtoAckTeardown(t *testing.T) {
 	fs := wal.NewMemFS()
 	h := startDurableProto(t, durableCfg(fs))
@@ -218,14 +221,17 @@ func TestProtoAckTeardown(t *testing.T) {
 	waitHeld(t, h.srv, 2)
 	conn.Close()
 	// Nothing announces that the reader has seen the EOF; give it the time
-	// to, so the check below is of a connection that only its acker keeps.
+	// to, so the check below is of a connection that only its held answers
+	// keep.
 	time.Sleep(20 * time.Millisecond)
 	if n := h.srv.proto.conns.Load(); n != 2 {
 		t.Fatalf("conns = %d with acknowledgements still held, want 2 (harness client + this one)", n)
 	}
 	release()
 	waitFor(t, "the connection to close", func() bool { return h.srv.proto.conns.Load() == 1 })
-	waitHeld(t, h.srv, 0)
+	if n := h.srv.proto.held.Load(); n != 0 {
+		t.Fatalf("connection closed with %d answers still unwritten", n)
+	}
 	if v, found, err := h.c.Get(8); err != nil || !found || v != 80 {
 		t.Fatalf("Get(8) = (%d, %v, %v) after the peer left", v, found, err)
 	}
@@ -234,10 +240,12 @@ func TestProtoAckTeardown(t *testing.T) {
 
 // TestProtoAckServerClose: Server.Close with acknowledgements held
 // terminates — closing the log resolves every ticket one way or the other —
-// and the held updates are answered, not dropped.
+// the held updates are answered, not dropped, and once the peer leaves no
+// goroutine of the server or the connection is left behind.
 func TestProtoAckServerClose(t *testing.T) {
 	fs := wal.NewMemFS()
 	h := startDurableProto(t, durableCfg(fs))
+	goroutines := runtime.NumGoroutine()
 	inSync, release := fs.HoldSync()
 	defer release()
 	conn := dialRaw(t, h.addr)
@@ -261,6 +269,8 @@ func TestProtoAckServerClose(t *testing.T) {
 		}
 	}
 	waitHeld(t, h.srv, 0)
+	conn.Close()
+	waitFor(t, "the server's goroutines to exit", func() bool { return runtime.NumGoroutine() <= goroutines })
 }
 
 // TestProtoAckGateAndGroup: the admission slot goes back when the
@@ -268,7 +278,7 @@ func TestProtoAckServerClose(t *testing.T) {
 // the fsync held, a second update commits while the first still waits for
 // its ticket — and so do two transfers, which like the Puts ran on the
 // reader (nothing was spawned), are held on the FIFO with their results
-// copied out of the reader's scratch, and are released by the acker.
+// copied out of the reader's scratch, and are written once the fsync lets go.
 func TestProtoAckGateAndGroup(t *testing.T) {
 	fs := wal.NewMemFS()
 	cfg := durableCfg(fs)
@@ -316,27 +326,69 @@ func TestProtoAckGateAndGroup(t *testing.T) {
 	}
 }
 
+// TestProtoAckResolvedBeforeClaim: a ticket that resolved before its
+// holder could claim it is nobody's to tell — the flusher has passed it —
+// so the holder sends the answer itself, at once, and nothing stays held.
+func TestProtoAckResolvedBeforeClaim(t *testing.T) {
+	fs := wal.NewMemFS()
+	s, _ := newTestServer(t, durableCfg(fs))
+	waitReady(t, s)
+	var out bytes.Buffer
+	c := &protoConn{s: s, bw: bufio.NewWriterSize(&out, protoWriteBuf)}
+	c.hcond.L = &c.hmu
+	c.owner.Resolved = c.deliver
+	req := kvproto.Request{ID: 9, Op: kvproto.OpPut, Key: 5, Val: 51}
+	var resp kvproto.Response
+	ack := s.execInto(surfProto, time.Time{}, &req, &resp, &c.scratch)
+	if ack.ticket == nil {
+		t.Fatal("a group-durable Put came back without a ticket")
+	}
+	if err := ack.ticket.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	heldBefore := s.proto.held.Load()
+	c.answer(&resp, ack, true)
+	if len(c.held) != 0 || c.unsent != 0 || s.proto.held.Load() != heldBefore {
+		t.Fatalf("after answering a resolved ticket: %d held, %d unsent, proto.held %d → %d",
+			len(c.held), c.unsent, heldBefore, s.proto.held.Load())
+	}
+	payload, err := kvproto.ReadFrame(&out, nil)
+	if err != nil {
+		t.Fatalf("the holder sent nothing: %v", err)
+	}
+	if r, err := kvproto.DecodeResponse(payload); err != nil || r.ID != 9 || r.Status != kvproto.StatusOK || !r.OK {
+		t.Fatalf("answer = %+v (%v), want id 9 OK", r, err)
+	}
+}
+
 // TestProtoDurablePutAllocs pins the reader-run durable path: decoding a
 // Put, committing it with its redo record staged, and holding the answer
-// for the acker allocates once — the WAL ticket.
+// with its ticket claimed allocates once — the WAL ticket.
 func TestProtoDurablePutAllocs(t *testing.T) {
 	fs := wal.NewMemFS()
 	s, _ := newTestServer(t, durableCfg(fs))
 	waitReady(t, s)
 	s.store.Put(5, 50)
-	// ackerDone is preset so no acker starts: the test drops what is held
-	// itself, and the measured goroutine is the only one allocating.
-	c := &protoConn{s: s, bw: bufio.NewWriterSize(io.Discard, protoWriteBuf), ackerDone: make(chan struct{})}
+	// The owner does nothing when told: the test drops what is held
+	// itself, and the measured goroutine is the only one allocating. The
+	// fsync is held, so no ticket resolves during the measurement — every
+	// claim lands and every Put is held.
+	c := &protoConn{s: s, bw: bufio.NewWriterSize(io.Discard, protoWriteBuf), owner: wal.Owner{Resolved: func() {}}}
 	c.hcond.L = &c.hmu
 	payload, err := kvproto.AppendRequest(nil, &kvproto.Request{ID: 1, Op: kvproto.OpPut, Key: 5, Val: 51})
 	if err != nil {
 		t.Fatal(err)
 	}
+	inSync, release := fs.HoldSync()
+	defer release()
+	c.dispatch(payload)
+	<-inSync // the flusher is parked in this Put's fsync
+	c.held, c.unsent = c.held[:0], 0
 	held := 0
 	n := testing.AllocsPerRun(500, func() {
 		c.dispatch(payload)
 		held += len(c.held)
-		c.held = c.held[:0]
+		c.held, c.unsent = c.held[:0], 0
 	})
 	if n > 1 {
 		t.Fatalf("decode → execInto → hold of a group-durable Put: %v allocs, want <= 1", n)

@@ -396,58 +396,82 @@ func startBenchProto(b *testing.B, cfg Config) (*Server, string) {
 
 // pipelinedBench is pipelinedBenchReqs with every request the same point
 // op on its own key.
-func pipelinedBench(b *testing.B, cfg Config, depth int, op kvproto.Op) {
-	pipelinedBenchReqs(b, cfg, depth, func(i int) *kvproto.Request {
+func pipelinedBench(b *testing.B, cfg Config, conns, depth int, op kvproto.Op) {
+	pipelinedBenchReqs(b, cfg, conns, depth, func(i int) *kvproto.Request {
 		return &kvproto.Request{ID: uint64(i), Op: op, Key: uint64(i * 37 % 1024), Val: 1}
 	})
 }
 
-// pipelinedBenchReqs drives one loopback connection in lock-step bursts of
-// depth pre-encoded requests (reqAt(i) is the burst's i-th), each burst
-// written in one call, and reports the cost per request: the connection
-// loop's own rung on the ladder.
-func pipelinedBenchReqs(b *testing.B, cfg Config, depth int, reqAt func(i int) *kvproto.Request) {
+// pipelinedBenchReqs drives conns loopback connections, each in lock-step
+// bursts of depth pre-encoded requests (connection c's burst is reqAt(c*depth)
+// through reqAt(c*depth+depth-1)), each burst written in one call, the
+// connections sharing b.N between them, and reports the cost per request:
+// the connection loop's own rung on the ladder.
+func pipelinedBenchReqs(b *testing.B, cfg Config, conns, depth int, reqAt func(i int) *kvproto.Request) {
 	_, addr := startBenchProto(b, cfg)
-	conn := dialRaw(b, addr)
-	var burst []byte
-	ends := make([]int, depth) // burst[:ends[i]] is the first i+1 requests
-	for i := range ends {
-		burst = append(burst, reqFrame(b, reqAt(i))...)
-		ends[i] = len(burst)
+	run := make([]func(n int) error, conns)
+	for c := range run {
+		conn := dialRaw(b, addr)
+		var burst []byte
+		ends := make([]int, depth) // burst[:ends[i]] is the first i+1 requests
+		for i := range ends {
+			burst = append(burst, reqFrame(b, reqAt(c*depth+i))...)
+			ends[i] = len(burst)
+		}
+		br := bufio.NewReader(conn)
+		var buf []byte
+		run[c] = func(left int) error {
+			for left > 0 {
+				n := min(depth, left)
+				if _, err := conn.Write(burst[:ends[n-1]]); err != nil {
+					return err
+				}
+				for i := 0; i < n; i++ {
+					var err error
+					if buf, err = kvproto.ReadFrame(br, buf); err != nil {
+						return err
+					}
+				}
+				left -= n
+			}
+			return nil
+		}
 	}
-	br := bufio.NewReader(conn)
-	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
-	for left := b.N; left > 0; {
-		n := min(depth, left)
-		if _, err := conn.Write(burst[:ends[n-1]]); err != nil {
-			b.Fatal(err)
+	var wg sync.WaitGroup
+	for c := range run {
+		share := b.N / conns
+		if c < b.N%conns {
+			share++
 		}
-		for i := 0; i < n; i++ {
-			var err error
-			if buf, err = kvproto.ReadFrame(br, buf); err != nil {
-				b.Fatal(err)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := run[c](share); err != nil {
+				b.Error(err)
 			}
-		}
-		left -= n
+		}()
 	}
+	wg.Wait()
 }
 
 func BenchmarkProtoPipelinedGet(b *testing.B) {
 	cfg := Config{SpaceWords: 1 << 18}
-	b.Run("depth=4", func(b *testing.B) { pipelinedBench(b, cfg, 4, kvproto.OpGet) })
-	b.Run("depth=32", func(b *testing.B) { pipelinedBench(b, cfg, 32, kvproto.OpGet) })
+	b.Run("depth=4", func(b *testing.B) { pipelinedBench(b, cfg, 1, 4, kvproto.OpGet) })
+	b.Run("depth=32", func(b *testing.B) { pipelinedBench(b, cfg, 1, 32, kvproto.OpGet) })
 }
 
 func BenchmarkProtoPipelinedPut(b *testing.B) {
-	b.Run("depth=4", func(b *testing.B) { pipelinedBench(b, Config{SpaceWords: 1 << 18}, 4, kvproto.OpPut) })
+	b.Run("depth=4", func(b *testing.B) { pipelinedBench(b, Config{SpaceWords: 1 << 18}, 1, 4, kvproto.OpPut) })
 }
 
 // BenchmarkProtoPipelinedPutDurable is the same rung under group
-// durability on an in-memory disk: what the redo hook, the WAL ticket, the
-// flusher and the connection's acker add to a Put, with the fsync itself
-// free.
+// durability on an in-memory disk: what the redo hook, the WAL ticket and
+// the flusher's delivery add to a Put, with the fsync itself free. At
+// conns=16 one flusher pass writes to up to 16 connections in turn: the
+// price of delivering serially where each connection once wrote its own.
 func BenchmarkProtoPipelinedPutDurable(b *testing.B) {
-	b.Run("depth=4", func(b *testing.B) { pipelinedBench(b, durableCfg(wal.NewMemFS()), 4, kvproto.OpPut) })
+	b.Run("depth=4", func(b *testing.B) { pipelinedBench(b, durableCfg(wal.NewMemFS()), 1, 4, kvproto.OpPut) })
+	b.Run("conns=16", func(b *testing.B) { pipelinedBench(b, durableCfg(wal.NewMemFS()), 16, 4, kvproto.OpPut) })
 }

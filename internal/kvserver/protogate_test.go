@@ -226,7 +226,7 @@ func TestProtoTransferAllocs(t *testing.T) {
 // the admission gate on and never full.
 func BenchmarkProtoPipelinedGated(b *testing.B) {
 	b.Run("depth=4", func(b *testing.B) {
-		pipelinedBenchReqs(b, Config{SpaceWords: 1 << 18, AdmissionWidth: 64}, 4, func(i int) *kvproto.Request {
+		pipelinedBenchReqs(b, Config{SpaceWords: 1 << 18, AdmissionWidth: 64}, 1, 4, func(i int) *kvproto.Request {
 			if i%2 == 0 {
 				return &kvproto.Request{ID: uint64(i), Op: kvproto.OpAdd, Key: uint64(i * 37 % 1024), Val: 1}
 			}

@@ -25,10 +25,11 @@
 // Stats.Preallocated says which of the two a running log got.
 //
 // The ticket (Pending) is built so that a commit pays for the log and for
-// nothing else. It carries no channel: a flag says resolved, Done polls it,
-// and Wait parks on a counter inside the ticket only when it really has to
-// block — a server connection blocks on the oldest ticket it holds and
-// polls the rest. A record of up to two ops lives inside its ticket, so
+// nothing else. It carries no channel: one atomic word says open, claimed
+// or resolved; Done polls it, and Wait parks on a counter inside the
+// ticket only when it really has to block. A server connection blocks on
+// none: it claims its tickets (Claim), and the flusher, once a batch is
+// resolved, tells each claiming Owner once. A record of up to two ops lives inside its ticket, so
 // Append is one allocation; the flusher reuses its batch, record and frame
 // buffers, so a batch is none. Housekeeping (DropSegmentsBefore, Stats)
 // takes no lock the flusher holds across an fsync.

@@ -80,22 +80,38 @@ const reserveSlack = 64 << 10
 // record's batch is fsynced (nil error) or the log fails. It satisfies
 // txn.DurableTicket so the STM redo hook can return it opaquely.
 //
-// A ticket carries no channel. Most are never blocked on — a connection's
-// acker blocks on the oldest it holds and polls the rest with Done — so
-// Append pays for a flag and a counter inside the ticket and for nothing
-// else: done says the outcome is in err, wg (raised once, at creation)
-// is what a caller that must block parks on. The runtime's semaphore
-// behind wg orders the last waiter-in against the resolver's wake-up, so
-// neither side can miss the other, and a blocked Wait allocates nothing
-// either.
+// A ticket carries no channel. Most are never blocked on — a binary
+// connection claims its tickets and is told when they resolve — so Append
+// pays for one atomic word and a counter inside the ticket and for nothing
+// else. owner is the whole state machine: nil while open, the claiming
+// Owner once claimed, &resolvedMark once the outcome is in err (resolve
+// swaps it in, so a claim either lands before the swap and is told, or
+// fails after it). wg (raised once, at creation) is what a caller that
+// must block parks on: the runtime's semaphore behind it orders the last
+// waiter-in against the resolver's wake-up, so neither side can miss the
+// other, and a blocked Wait allocates nothing either.
 type Pending struct {
 	rec    Record
 	next   *Pending
 	inline [inlineOps]txn.RedoOp
-	err    error // written before done is set
-	done   atomic.Bool
+	err    error // written before owner is swapped to &resolvedMark
+	owner  atomic.Pointer[Owner]
 	wg     sync.WaitGroup
 }
+
+// Owner is told when tickets it claimed resolve. Resolved runs on the
+// flusher goroutine — or in Close, for the tickets the flusher never
+// drained — once per pass that resolved any of the owner's tickets, after
+// every ticket of that pass is resolved: the owner then finds all of them
+// Done at once. Resolved must not block, or the whole log waits on it.
+// An Owner claims tickets of one Log only.
+type Owner struct {
+	Resolved func()
+	pass     uint64 // the log's pass that last told it; the resolver's own
+}
+
+// resolvedMark is the owner of every resolved ticket.
+var resolvedMark Owner
 
 // newPending returns an unresolved ticket for a record at (epoch, ts).
 func newPending(epoch, ts uint64) *Pending {
@@ -106,24 +122,31 @@ func newPending(epoch, ts uint64) *Pending {
 
 // Done reports whether the ticket has resolved, without blocking: Wait
 // then returns at once.
-func (p *Pending) Done() bool { return p.done.Load() }
+func (p *Pending) Done() bool { return p.owner.Load() == &resolvedMark }
+
+// Claim makes o the ticket's owner, to be told when it resolves. It
+// returns false, and claims nothing, once the ticket has resolved (or if
+// it is claimed already): nobody will tell o about it, and the caller
+// reads the outcome itself.
+func (p *Pending) Claim(o *Owner) bool { return p.owner.CompareAndSwap(nil, o) }
 
 // Wait blocks until the record is durable and returns the outcome. Any
 // number of goroutines may wait on one ticket.
 func (p *Pending) Wait() error {
-	if !p.done.Load() {
+	if !p.Done() {
 		p.wg.Wait()
 	}
 	return p.err
 }
 
-// resolve publishes the ticket's outcome and wakes its waiters. Called
-// exactly once per ticket: by the flusher, or by Close after the flusher
-// has exited.
-func (p *Pending) resolve(err error) {
+// resolve publishes the ticket's outcome, wakes its waiters and returns
+// its owner, if one claimed it. Called exactly once per ticket: by the
+// flusher, or by Close after the flusher has exited.
+func (p *Pending) resolve(err error) *Owner {
 	p.err = err
-	p.done.Store(true)
+	o := p.owner.Swap(&resolvedMark)
 	p.wg.Done()
+	return o
 }
 
 // Log is the write-ahead log: a lock-free staging stack drained by one
@@ -153,6 +176,10 @@ type Log struct {
 	batch []*Pending
 	recs  []Record
 	frame []byte
+	// pass numbers the resolving passes; owners collects one pass's
+	// owners to tell. Both belong to the flusher, then to Close.
+	pass   uint64
+	owners []*Owner
 
 	failed    atomic.Bool
 	errorOnce sync.Once
@@ -363,10 +390,8 @@ func (l *Log) Close() error {
 	l.closeOnce.Do(func() { close(l.closing) })
 	l.flusherWG.Wait()
 	// The flusher is gone; resolve any stragglers that raced the final
-	// drain so no waiter hangs.
-	for p := l.head.Swap(nil); p != nil; p = p.next {
-		p.resolve(ErrLogClosed)
-	}
+	// drain so no waiter hangs and no owner goes untold.
+	l.resolveBatch(l.takeBatch(), ErrLogClosed)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.cur == nil {
@@ -472,12 +497,27 @@ func (l *Log) commitBatch(batch []*Pending) {
 		}
 	}
 	l.mu.Unlock()
-	// Newest first: a caller that holds several of these tickets blocks on
-	// its oldest, and so wakes to find the rest of the batch resolved too.
-	for i := len(batch) - 1; i >= 0; i-- {
-		batch[i].resolve(err)
+	l.resolveBatch(batch, err)
+}
+
+// resolveBatch is one resolving pass: it resolves every ticket of batch
+// with err, clearing the slice as it goes, and then tells each owner that
+// claimed any of them, once.
+func (l *Log) resolveBatch(batch []*Pending, err error) {
+	l.pass++
+	owners := l.owners[:0]
+	for i, p := range batch {
+		if o := p.resolve(err); o != nil && o.pass != l.pass {
+			o.pass = l.pass
+			owners = append(owners, o)
+		}
 		batch[i] = nil
 	}
+	for i, o := range owners {
+		o.Resolved()
+		owners[i] = nil
+	}
+	l.owners = owners
 }
 
 func (l *Log) writeAndSyncLocked(frame []byte) error {

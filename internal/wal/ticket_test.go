@@ -9,8 +9,8 @@ import (
 	"tinystm/internal/txn"
 )
 
-// Tests of the channel-free ticket and of what the flusher costs and
-// counts per batch.
+// Tests of the channel-free ticket, of the owner a ticket can be claimed
+// for, and of what the flusher costs and counts per batch.
 
 // TestTicketWaitVsResolve hammers the one race the ticket has: waiters
 // parking (or polling past the flag) while the resolver publishes the
@@ -102,6 +102,168 @@ func TestBatchLoopAllocs(t *testing.T) {
 	}
 	if st := l.Stats(); st.Batches != uint64(next/perBatch) {
 		t.Errorf("Batches = %d after %d drains", st.Batches, next/perBatch)
+	}
+}
+
+// TestOwnerToldOncePerBatch: a batch holding several tickets of one owner
+// tells it once, after every one of them has resolved; an owner with no
+// ticket in a batch is not told; and a steady-state pass that tells owners
+// still allocates nothing.
+func TestOwnerToldOncePerBatch(t *testing.T) {
+	l, err := open(Config{Dir: "wal", FS: NewMemFS()}) // no flusher: the test drains
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mine []*Pending
+	var a, b Owner
+	told := map[*Owner]int{}
+	a.Resolved = func() {
+		told[&a]++
+		for i, p := range mine {
+			if !p.Done() {
+				t.Errorf("owner told with its ticket %d of the batch unresolved", i)
+			}
+		}
+	}
+	b.Resolved = func() { told[&b]++ }
+	for i := range 3 {
+		p := l.Append(0, uint64(i+1), []txn.RedoOp{put(uint64(i), 1)})
+		if !p.Claim(&a) {
+			t.Fatalf("Claim of an open ticket refused")
+		}
+		mine = append(mine, p)
+	}
+	l.Append(0, 4, []txn.RedoOp{put(9, 1)}).Claim(&b)
+	l.Append(0, 5, []txn.RedoOp{put(10, 1)}) // nobody's
+	l.commitBatch(l.takeBatch())
+	if told[&a] != 1 || told[&b] != 1 {
+		t.Fatalf("one batch told a %d and b %d times, want once each", told[&a], told[&b])
+	}
+	mine = mine[:0]
+	l.Append(0, 6, []txn.RedoOp{put(11, 1)}).Claim(&b)
+	l.commitBatch(l.takeBatch())
+	if told[&a] != 1 || told[&b] != 2 {
+		t.Fatalf("a batch of b's alone told a %d and b %d times in total, want 1 and 2", told[&a], told[&b])
+	}
+
+	var c Owner
+	calls := 0
+	c.Resolved = func() { calls++ }
+	tickets := make([]Pending, 2*202) // AllocsPerRun warms up with one extra run
+	next := 0
+	drain := func() {
+		for range 2 {
+			p := &tickets[next]
+			p.wg.Add(1)
+			p.inline[0] = put(uint64(next), 1)
+			p.rec = Record{TS: uint64(next + 10), Ops: p.inline[:1]}
+			p.Claim(&c)
+			next++
+			l.push(p)
+		}
+		l.commitBatch(l.takeBatch())
+	}
+	drain()
+	if n := testing.AllocsPerRun(200, drain); n != 0 {
+		t.Errorf("a drain that tells an owner: %v allocs, want 0", n)
+	}
+	if calls != next/2 {
+		t.Errorf("owner told %d times over %d two-ticket batches", calls, next/2)
+	}
+}
+
+// TestClaimAfterResolve: a resolved ticket refuses a claim, so its holder
+// knows nobody will be told; a claimed ticket refuses a second claim.
+func TestClaimAfterResolve(t *testing.T) {
+	l, err := open(Config{Dir: "wal", FS: NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Owner{Resolved: func() { t.Error("owner told about a ticket it never claimed") }}
+	p := l.Append(0, 1, []txn.RedoOp{put(1, 1)})
+	l.commitBatch(l.takeBatch())
+	if p.Claim(&o) {
+		t.Fatal("Claim of a resolved ticket succeeded")
+	}
+	if !p.Done() || p.Wait() != nil {
+		t.Fatalf("refused claim changed the outcome: done=%v err=%v", p.Done(), p.Wait())
+	}
+	l.Append(0, 2, []txn.RedoOp{put(2, 2)})
+	l.commitBatch(l.takeBatch())
+
+	var first Owner
+	first.Resolved = func() {}
+	q := l.Append(0, 3, []txn.RedoOp{put(3, 3)})
+	if !q.Claim(&first) || q.Claim(&o) {
+		t.Fatal("an open ticket took a second claim, or refused the first")
+	}
+	l.commitBatch(l.takeBatch())
+}
+
+// TestClaimVsResolve hammers the ticket's one race besides the waiters':
+// a claim landing while the resolver swaps the outcome in. Exactly one
+// side must end up answering for the ticket — the owner, told once, if
+// the claim won; the claimer, seeing the outcome, if it lost.
+func TestClaimVsResolve(t *testing.T) {
+	l, err := open(Config{Dir: "wal", FS: NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var told int
+	var p *Pending
+	o := Owner{}
+	o.Resolved = func() {
+		told++
+		if !p.Done() {
+			t.Error("owner told before its ticket resolved")
+		}
+	}
+	for r := range 5000 {
+		told = 0
+		p = newPending(0, uint64(r))
+		var claimed bool
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); claimed = p.Claim(&o) }()
+		go func() { defer wg.Done(); l.resolveBatch([]*Pending{p}, nil) }()
+		wg.Wait()
+		if claimed != (told == 1) || told > 1 {
+			t.Fatalf("round %d: claimed=%v, owner told %d times", r, claimed, told)
+		}
+		if !claimed && !p.Done() {
+			t.Fatalf("round %d: claim refused on an open ticket", r)
+		}
+	}
+}
+
+// TestCloseTellsOwners: tickets still staged when the log closes resolve
+// with ErrLogClosed, and their owners are told, so nothing that waits to
+// be told hangs across a shutdown.
+func TestCloseTellsOwners(t *testing.T) {
+	l, err := open(Config{Dir: "wal", FS: NewMemFS()}) // no flusher: every append stays staged
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ps []*Pending
+	told := 0
+	o := Owner{Resolved: func() {
+		told++
+		for _, p := range ps {
+			if err := p.Wait(); !errors.Is(err, ErrLogClosed) {
+				t.Errorf("straggler resolved with %v, want ErrLogClosed", err)
+			}
+		}
+	}}
+	for i := range 3 {
+		p := l.Append(0, uint64(i+1), []txn.RedoOp{put(uint64(i), 1)})
+		p.Claim(&o)
+		ps = append(ps, p)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if told != 1 {
+		t.Fatalf("Close told the owner of 3 stragglers %d times, want once", told)
 	}
 }
 

@@ -83,10 +83,11 @@ ST="$(state_metric)"
   -keys 1024 -theta 0.9 -min-ops 3000 >"$GENLOG" 2>&1 &
 GEN=$!
 
-# Same shape over the pipelined binary protocol: acks on this connection
-# are only sent after the server's store call returns, which itself
-# blocks on the commit's WAL ticket — so every completed op here was
-# durable before its response frame was written.
+# Same shape over the pipelined binary protocol: an update's answer on
+# this connection is only written once the commit's WAL ticket has
+# resolved (by the flusher, or by the holder of a ticket already resolved)
+# — so every completed op here was durable before its response frame was
+# written.
 "$BIN/stmkv-loadgen" -addr "$PROTO_ADDR" -proto binary -conns 2 \
   -rate 1000 -duration 8s -workers 8 \
   -keys 1024 -theta 0.9 -min-ops 3000 >"$BGENLOG" 2>&1 &
