@@ -5,7 +5,7 @@
 //	2 3 4 4r 5   integer-set throughput and abort rates, TinySTM-WB/WT vs TL2
 //	6 7 8 9      (#locks x #shifts x h) sweeps: rbtree/list, Vacation, improvement curves
 //	10 11 12     dynamic tuning from (2^8,0,1) on tuning.Runtime: rbtree, list, validation counters
-//	snapshot server proto   MVCC scans, the live service under load, the wire surfaces
+//	snapshot proto   MVCC scans, the wire surfaces and static admission gates on a live kvserver
 //	custom       one workload (-b -size -update) across all three systems
 //	autotune     the tuning runtime against a phase-shifting workload vs. static baselines
 //
@@ -48,8 +48,7 @@ var figures = []struct {
 	{"2", fig2}, {"3", fig3}, {"4", fig4}, {"4r", fig4r}, {"5", fig5},
 	{"6", fig6}, {"7", fig7}, {"8", fig8}, {"9", fig9},
 	{"10", fig10}, {"11", fig11}, {"12", fig12},
-	{"snapshot", figSnapshot},
-	{"server", figServer}, {"proto", figProto},
+	{"snapshot", figSnapshot}, {"proto", figProto},
 	{"custom", figCustom}, {"autotune", figAutotune},
 }
 
@@ -256,22 +255,6 @@ func figSnapshot(o *options) {
 	fmt.Printf("snapshot sweep: %d keys, %d scanners, theta %.2f, %v per point, budgets %v\n",
 		cfg.Keys, cfg.Scanners, cfg.Theta, cfg.Duration, cfg.Budgets)
 	o.emit(experiments.SnapshotSweep(o.sc, cfg).ToTable())
-}
-
-// figServer: open-loop service load against a live kvserver over the
-// binary protocol, one connection per worker (-threads is the fan-in) —
-// what stmkvd does under that traffic, autotuned vs. static geometries,
-// through a calm-to-hot phase flip.
-func figServer(o *options) {
-	cfg := experiments.DefaultServerConfig(o.sc)
-	fmt.Printf("server sweep: rate %.0f req/s, %d connections, %v per point, period %v, start %v\n",
-		cfg.Rate, cfg.Workers, cfg.Duration, cfg.Period, cfg.Start)
-	r := experiments.ServerSweep(o.sc, cfg)
-	for _, ev := range r.Autotuned.Events {
-		fmt.Println(ev)
-	}
-	fmt.Println()
-	o.emit(r.ToTable())
 }
 
 // figProto: wire-surface and admission comparison over live TCP servers —

@@ -70,7 +70,7 @@ func main() {
 		period    = flag.Duration("period", time.Second, "tuning sample period")
 		samples   = flag.Int("samples", 3, "samples per tuning decision (max kept)")
 		seed      = flag.Uint64("seed", 42, "tuner move-selection seed")
-		durab     = flag.String("durability", "off", "write-ahead-log ack mode: off, async, group (needs -wal-dir)")
+		durab     = flag.String("durability", "off", "write-ahead-log ack mode: off, group (needs -wal-dir)")
 		walDir    = flag.String("wal-dir", "", "write-ahead-log directory (segments and checkpoints)")
 		walBatch  = flag.Duration("wal-batch", 0, "WAL group-commit batch delay (0 = flush immediately)")
 		ckptEvry  = flag.Duration("checkpoint-every", 30*time.Second, "snapshot-checkpoint period for WAL truncation (0 = never)")

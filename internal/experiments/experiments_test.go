@@ -7,7 +7,6 @@ import (
 
 	"tinystm/internal/core"
 	"tinystm/internal/harness"
-	"tinystm/internal/kvclient"
 	"tinystm/internal/tuning"
 	"tinystm/internal/vacation"
 )
@@ -336,65 +335,6 @@ func TestAutotuneSweepRunsAndCompares(t *testing.T) {
 	ct.Render(&sb)
 	if !strings.Contains(sb.String(), "autotuned (best in phase)") {
 		t.Error("comparison table malformed")
-	}
-}
-
-func TestServerSweepQuick(t *testing.T) {
-	sc := tinyScale()
-	cfg := ServerConfig{
-		Shards: 4, Buckets: 16, Keys: 256,
-		Mixes: []kvclient.Mix{
-			{Keys: 256, Theta: 0.6, ReadPct: 80, CASPct: 5, BatchPct: 5},
-			{Keys: 256, Theta: 0.99, ReadPct: 20, CASPct: 10, BatchPct: 10},
-		},
-		Rate: 20000, Workers: 2,
-		Duration: 120 * time.Millisecond,
-		Period:   10 * time.Millisecond,
-		Samples:  1,
-		Start:    core.Params{Locks: 1 << 8, Shifts: 0, Hier: 1},
-		Statics:  []core.Params{{Locks: 1 << 8, Shifts: 0, Hier: 1}, {Locks: 1 << 16, Shifts: 0, Hier: 1}},
-		Bounds: tuning.Bounds{
-			MinLocks: 1 << 6, MaxLocks: 1 << 12,
-			MinShifts: 0, MaxShifts: 2, MinHier: 1, MaxHier: 8,
-		},
-		Seed: 42,
-	}
-	r := ServerSweep(sc, cfg)
-	if r.Autotuned.Load.Completed == 0 {
-		t.Fatal("autotuned run completed no requests")
-	}
-	if r.Autotuned.Commits == 0 {
-		t.Fatal("autotuned run committed nothing")
-	}
-	if len(r.Autotuned.Events) == 0 {
-		t.Fatal("no tuning events recorded under service load")
-	}
-	if r.Autotuned.Reconfigs == 0 {
-		t.Fatal("tuner never reconfigured the live server TM")
-	}
-	if len(r.Statics) != len(cfg.Statics) {
-		t.Fatalf("static points = %d, want %d", len(r.Statics), len(cfg.Statics))
-	}
-	for _, p := range r.Statics {
-		if p.Load.Completed == 0 {
-			t.Fatalf("static %v completed no requests", p.Params)
-		}
-		if p.Reconfigs != 0 {
-			t.Fatalf("static %v reconfigured (%d)", p.Params, p.Reconfigs)
-		}
-	}
-	var sb strings.Builder
-	tbl := r.ToTable()
-	tbl.Render(&sb)
-	if !strings.Contains(sb.String(), "autotuned") {
-		t.Error("sweep table malformed")
-	}
-	// The comparison surfaces the full latency distribution OpenLoop
-	// measures, not just throughput.
-	for _, col := range []string{"p50", "p95", "p99"} {
-		if !strings.Contains(sb.String(), col) {
-			t.Errorf("sweep table missing %s column", col)
-		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tinystm/internal/core"
@@ -16,11 +15,10 @@ import (
 	"tinystm/internal/txn"
 )
 
-// The service scaffold: every service experiment (ServerSweep, ProtoSweep)
-// measures a real kvserver.New(cfg) behind a loopback listener, driven
-// through the daemon's own request path by kvclient.Mix.Do. What a point
-// compares — static vs. autotuned geometry, gate off vs. on, HTTP vs.
-// binary — is a difference in kvserver.Config and nothing else. Each
+// The service scaffold: ProtoSweep measures a real kvserver.New(cfg)
+// behind a loopback listener, driven through the daemon's own request
+// path by kvclient.Mix.Do. What a point compares — gate off vs. on, HTTP
+// vs. binary — is a difference in kvserver.Config and nothing else. Each
 // worker owns one connection, so the worker count IS the fan-in: on the
 // binary surface a connection's short requests run on its reader, and the
 // updaters that can conflict are the busy connections.
@@ -154,26 +152,4 @@ func mustMix(x kvclient.Mix) *kvclient.Mix {
 		panic(err)
 	}
 	return m
-}
-
-// flipMixes makes mixes[0] the live mix and then the next one (cyclically)
-// every interval until stop is called.
-func flipMixes(mixes []*kvclient.Mix, every time.Duration) (live func() *kvclient.Mix, stop func()) {
-	//stm:allow-atomic experiment control plane: the live traffic phase, not data under test
-	var cur atomic.Pointer[kvclient.Mix]
-	cur.Store(mixes[0])
-	done := make(chan struct{})
-	go func() {
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		for i := 1; ; i++ {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				cur.Store(mixes[i%len(mixes)])
-			}
-		}
-	}()
-	return cur.Load, func() { close(done) }
 }

@@ -17,9 +17,6 @@ const (
 	// DurabilityOff runs without a write-ahead log: state dies with the
 	// process (the pre-WAL behaviour).
 	DurabilityOff = "off"
-	// DurabilityAsync logs every commit but acks before the log reaches
-	// stable storage: a crash loses at most the unflushed tail.
-	DurabilityAsync = "async"
 	// DurabilityGroup acks a mutating request only after its commit's
 	// redo records are fsynced; the flusher batches concurrent commits
 	// into one fsync (group commit).
@@ -31,10 +28,10 @@ func ParseDurability(s string) (string, error) {
 	switch s {
 	case "", DurabilityOff:
 		return DurabilityOff, nil
-	case DurabilityAsync, DurabilityGroup:
+	case DurabilityGroup:
 		return s, nil
 	default:
-		return "", fmt.Errorf("kvserver: unknown durability mode %q (off, async, group)", s)
+		return "", fmt.Errorf("kvserver: unknown durability mode %q (off, group)", s)
 	}
 }
 
@@ -104,8 +101,7 @@ func (d *durability) walLog() *wal.Log {
 	return d.log
 }
 
-// walSink adapts the log's tickets to the store's DurabilitySink. It is
-// what makes the store ack after durability at all (a non-nil sink) and
+// walSink adapts the log's tickets to the store's DurabilitySink. It
 // serves the store's blocking methods; the request pipeline takes its
 // tickets unwaited (execInto) and waits on them itself (settle).
 type walSink struct{ log *wal.Log }
@@ -212,11 +208,7 @@ func (s *Server) recover() {
 	d.mu.Unlock()
 	d.nextCkpt = bootCkpt + 1
 
-	var sink kvstore.DurabilitySink
-	if d.mode == DurabilityGroup {
-		sink = walSink{log: log}
-	}
-	if err := s.store.EnableDurability(sink); err != nil {
+	if err := s.store.EnableDurability(walSink{log: log}); err != nil {
 		log.Close()
 		fail(err)
 		return

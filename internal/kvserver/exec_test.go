@@ -444,7 +444,15 @@ func TestCodecParity(t *testing.T) {
 func TestCodecParityOversizeBatch(t *testing.T) {
 	h := newParityHarness(t)
 	const n = kvproto.MaxBatchOps + 1
-	before := h.s.met.requestLatency().Count
+	recorded := func() (n uint64) {
+		for surf := range h.s.met.req {
+			for _, req := range h.s.met.req[surf] {
+				n += req.Snapshot().Count
+			}
+		}
+		return n
+	}
+	before := recorded()
 
 	var body strings.Builder
 	body.WriteString(`{"ops":[`)
@@ -478,7 +486,7 @@ func TestCodecParityOversizeBatch(t *testing.T) {
 	if wire.Status != kvproto.StatusError || wire.Msg != kvproto.ErrTooManyOps.Error() {
 		t.Errorf("oversize wire batch: (%v, %q), want (error, %q)", wire.Status, wire.Msg, kvproto.ErrTooManyOps)
 	}
-	if after := h.s.met.requestLatency().Count; after != before {
+	if after := recorded(); after != before {
 		t.Errorf("oversize batches reached exec: %d requests recorded", after-before)
 	}
 }

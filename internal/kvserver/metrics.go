@@ -47,8 +47,7 @@ const (
 type metrics struct {
 	reg *obs.Registry
 
-	// req is every data request's latency by surface and op; the tuning
-	// runtime reads them merged (requestLatency).
+	// req is every data request's latency by surface and op.
 	req [nSurfaces][nReqOps]*obs.Histogram
 
 	admWaitNs   *obs.Histogram
@@ -101,21 +100,7 @@ func (m memStats) stats() map[string]any {
 	}
 }
 
-// requestLatency merges the per-(surface, op) request histograms into the
-// one distribution of every data request on both surfaces.
-func (m *metrics) requestLatency() obs.Snapshot {
-	var all obs.Snapshot
-	for surf := range m.req {
-		for op := range m.req[surf] {
-			s := m.req[surf][op].Snapshot()
-			all.Merge(&s)
-		}
-	}
-	return all
-}
-
 // newMetrics builds every instrument and registers the full metric set.
-// Called from New before the tuning runtime (which reads req).
 func newMetrics(s *Server) *metrics {
 	m := &metrics{reg: obs.NewRegistry()}
 	every := uint64(txTraceDefaultEvery)
@@ -329,17 +314,16 @@ func newMetrics(s *Server) *metrics {
 
 // registerTuning exports the tuner's decisions and the triple it believes
 // is installed, so "why did the tuner move" is answerable from /metrics
-// alone. Called from New once the runtime exists (it is built after the
-// instruments it reads).
+// alone. Called from New once the runtime exists.
 func (m *metrics) registerTuning(rt *tuning.Runtime) {
 	for _, o := range tuning.Outcomes {
-		m.reg.CounterFunc("stm_tuning_decisions_total", "Per-period decisions by tuning controller and outcome.",
-			obs.Labels{"controller": "geometry", "outcome": o.String()},
+		m.reg.CounterFunc("stm_tuning_decisions_total", "Per-period decisions of the geometry tuner by outcome.",
+			obs.Labels{"outcome": o.String()},
 			func() float64 { return float64(rt.Counts()[o]) })
 	}
 	knob := func(dim string, f func() float64) {
-		m.reg.GaugeFunc("stm_tuning_knob", "Setting each tuning controller believes is installed.",
-			obs.Labels{"controller": "geometry", "dim": dim}, f)
+		m.reg.GaugeFunc("stm_tuning_knob", "Geometry dimension the tuner believes is installed.",
+			obs.Labels{"dim": dim}, f)
 	}
 	knob("locks_log2", func() float64 { return float64(bits.TrailingZeros64(rt.Current().Locks)) })
 	knob("shifts", func() float64 { return float64(rt.Current().Shifts) })

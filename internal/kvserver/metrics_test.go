@@ -14,8 +14,6 @@ import (
 	"time"
 
 	"tinystm/internal/core"
-	"tinystm/internal/kvproto"
-	"tinystm/internal/obs"
 	"tinystm/internal/tuning"
 )
 
@@ -162,9 +160,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	geom := rt.Counts()
 	var decisions, landed float64
 	for _, o := range tuning.Outcomes {
-		v, ok := val(`stm_tuning_decisions_total{controller="geometry",outcome="` + o.String() + `"}`)
+		v, ok := val(`stm_tuning_decisions_total{outcome="` + o.String() + `"}`)
 		if !ok {
-			t.Fatalf("no %s decisions series for the geometry controller", o)
+			t.Fatalf("no %s decisions series", o)
 		}
 		decisions += v
 		if o == tuning.Moved || o == tuning.Reverted {
@@ -177,16 +175,16 @@ func TestMetricsEndpoint(t *testing.T) {
 	if landed != float64(geom.Landed()) {
 		t.Errorf("%v landed moves exported, the runtime counted %d", landed, geom.Landed())
 	}
-	want := `stm_tuning_knob{controller="geometry",dim="locks_log2"}`
+	want := `stm_tuning_knob{dim="locks_log2"}`
 	if v, ok := val(want); !ok || v != math.Log2(float64(rt.Current().Locks)) {
 		t.Errorf("%s = %v (ok=%v), want %v", want, v, ok, math.Log2(float64(rt.Current().Locks)))
 	}
-	// The geometry tuner is the only controller: every decision and knob
-	// series is labeled with it, and no other family has appeared or gone.
+	// The geometry tuner is the only controller, so no series names one:
+	// a decision carries only its outcome and a knob only its dim. No
+	// other family has appeared or gone.
 	for _, line := range strings.Split(body, "\n") {
-		if (strings.HasPrefix(line, "stm_tuning_decisions_total{") || strings.HasPrefix(line, "stm_tuning_knob{")) &&
-			!strings.Contains(line, `{controller="geometry",`) {
-			t.Errorf("tuning series of another controller: %s", line)
+		if strings.HasPrefix(line, "stm_tuning_") && strings.Count(line, `="`) != 1 {
+			t.Errorf("tuning series with other labels: %s", line)
 		}
 	}
 	if got := families(body); !reflect.DeepEqual(got, metricFamilies) {
@@ -629,21 +627,5 @@ func TestMetricsSnapshotRestarts(t *testing.T) {
 	}
 	if v, _ := val(`stm_aborts_total{cause="snapshot-too-old"}`); v != tooOld {
 		t.Fatalf(`stm_aborts_total{cause="snapshot-too-old"} = %v, stm_snapshot_too_old_total = %v`, v, tooOld)
-	}
-}
-
-// The tuning runtime reads request latency as the merge of the
-// per-(surface, op) histograms, so /tuning's lat_* must see exactly the
-// distribution one histogram fed every request would hold.
-func TestRequestLatencyMergesSurfacesAndOps(t *testing.T) {
-	s, _ := newTestServer(t, Config{SpaceWords: 1 << 16, Shards: 2, Buckets: 2})
-	ref := obs.NewHistogram()
-	for i := 0; i < 500; i++ {
-		d := time.Duration(i*i*37 + 1)
-		s.recordLatency(i%nSurfaces, kvproto.OpGet+kvproto.Op(i%nReqOps), d)
-		ref.Record(uint64(d))
-	}
-	if got, want := s.met.requestLatency(), ref.Snapshot(); got != want {
-		t.Fatalf("merged request latency %+v, want %+v", got, want)
 	}
 }

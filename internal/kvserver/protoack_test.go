@@ -83,8 +83,7 @@ func TestProtoAckNeverEarlyNeverConvoyed(t *testing.T) {
 	<-inSync
 	waitHeld(t, h.srv, 2)
 	expectSilence(t, conn)
-	now := putLat.Snapshot()
-	if n := now.Sub(&putsBefore).Count; n != 0 {
+	if n := putLat.Snapshot().Count - putsBefore.Count; n != 0 {
 		t.Fatalf("%d Put latencies recorded before any Put was released", n)
 	}
 	heldFor := 20 * time.Millisecond
@@ -105,19 +104,18 @@ func TestProtoAckNeverEarlyNeverConvoyed(t *testing.T) {
 			t.Errorf("store.Get(%d) = (%d, %v), want %d", key, v, found, want)
 		}
 	}
-	now = putLat.Snapshot()
-	puts := now.Sub(&putsBefore)
-	now = h.srv.met.ackWaitNs.Snapshot()
-	acks := now.Sub(&acksBefore)
-	if puts.Count != 2 || acks.Count != 2 {
-		t.Fatalf("recorded %d Put latencies and %d ack waits for 2 released Puts", puts.Count, acks.Count)
+	puts, acks := putLat.Snapshot(), h.srv.met.ackWaitNs.Snapshot()
+	if n, m := puts.Count-putsBefore.Count, acks.Count-acksBefore.Count; n != 2 || m != 2 {
+		t.Fatalf("recorded %d Put latencies and %d ack waits for 2 released Puts", n, m)
 	}
-	// Quantile answers with a bucket's upper bound, so it can only overstate.
-	if lo := puts.Quantile(0); time.Duration(lo) < heldFor {
-		t.Errorf("fastest released Put recorded %v: the span lost its %v ticket wait", time.Duration(lo), heldFor)
+	// CumulativeLE counts only the buckets wholly at or under its bound,
+	// so a span recorded under heldFor here is one that really was.
+	under := uint64(heldFor) - 1
+	if n := puts.CumulativeLE(under) - putsBefore.CumulativeLE(under); n != 0 {
+		t.Errorf("%d released Puts recorded under %v: the span lost its ticket wait", n, heldFor)
 	}
-	if lo := acks.Quantile(0); time.Duration(lo) < heldFor {
-		t.Errorf("shortest ack wait recorded %v, held for at least %v", time.Duration(lo), heldFor)
+	if n := acks.CumulativeLE(under) - acksBefore.CumulativeLE(under); n != 0 {
+		t.Errorf("%d ack waits recorded under %v, held for at least that", n, heldFor)
 	}
 }
 

@@ -90,9 +90,9 @@ type Config struct {
 	// Seed drives the tuner's randomized move selection.
 	Seed uint64
 	// Durability selects the write-ahead-log ack mode: "off" (default —
-	// no log), "async" (logged, acked before fsync) or "group" (acked
-	// only after the commit's records are fsynced; concurrent commits
-	// share one fsync). Requires Snapshots for checkpoint truncation.
+	// no log) or "group" (acked only after the commit's records are
+	// fsynced; concurrent commits share one fsync). Requires Snapshots
+	// for checkpoint truncation.
 	Durability string
 	// WALDir is the log/checkpoint directory; required unless off.
 	WALDir string
@@ -172,7 +172,7 @@ func (c Config) validate() error {
 	if _, err := ParseDurability(c.Durability); err != nil {
 		return err
 	}
-	if c.Durability != DurabilityOff && c.Durability != "" && c.WALDir == "" {
+	if c.Durability != DurabilityOff && c.WALDir == "" {
 		return fmt.Errorf("kvserver: durability %q requires a WAL directory", c.Durability)
 	}
 	return nil
@@ -205,9 +205,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.AdmissionWidth > 0 {
 		s.gate = admission.New(cfg.AdmissionWidth)
 	}
-	// Instruments before the tuning runtime: the runtime differences the
-	// request-latency histogram per period to stamp p50/p99 onto its
-	// events.
 	s.met = newMetrics(s)
 	tm.SetObs(s.met.tmObs)
 	s.store.SetShardHeat(s.met.heat)
@@ -219,7 +216,6 @@ func New(cfg Config) (*Server, error) {
 			// A daemon tunes forever: keep only a bounded window of
 			// events in memory (/tuning serves its tail).
 			TraceCap: traceCap,
-			Latency:  s.met.requestLatency,
 		})
 		s.met.registerTuning(s.rt)
 		if err := s.rt.Start(); err != nil {
@@ -527,11 +523,6 @@ func wireEvent(e tuning.Event) map[string]any {
 		"commits":    e.Commits,
 		"aborts":     e.Aborts,
 		"idle":       e.Idle,
-	}
-	if e.LatSamples > 0 {
-		we["lat_p50_ns"] = int64(e.LatP50)
-		we["lat_p99_ns"] = int64(e.LatP99)
-		we["lat_samples"] = e.LatSamples
 	}
 	we["params"] = e.From
 	we["next"] = e.To

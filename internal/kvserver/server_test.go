@@ -34,6 +34,47 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// TestConfigRejects: a configuration the lower layers cannot run is an
+// error from New, never a panic, and the error names what is wrong.
+func TestConfigRejects(t *testing.T) {
+	ok := Config{SpaceWords: 1 << 16, Shards: 2, Buckets: 2}
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"durability async", func(c *Config) { c.Durability = "async" }, `unknown durability mode "async" (off, group)`},
+		{"durability bogus", func(c *Config) { c.Durability = "bogus" }, `unknown durability mode "bogus"`},
+		{"group without WALDir", func(c *Config) { c.Durability = DurabilityGroup }, "requires a WAL directory"},
+		{"shards not a power of two", func(c *Config) { c.Shards = 3 }, "Shards (3) must be a power of two"},
+		{"buckets not a power of two", func(c *Config) { c.Buckets = 6 }, "Buckets (6) must be a power of two"},
+		{"space under 1024 words", func(c *Config) { c.SpaceWords = 1023 }, "SpaceWords (1023) must be at least 1024"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ok
+			tc.edit(&cfg)
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("New panicked: %v", p)
+				}
+			}()
+			s, err := New(cfg)
+			if err == nil {
+				s.Close()
+				t.Fatalf("New(%+v) succeeded", cfg)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("New error %q, want it to contain %q", err, tc.want)
+			}
+		})
+	}
+	s, err := New(ok)
+	if err != nil {
+		t.Fatalf("the unedited configuration: %v", err)
+	}
+	s.Close()
+}
+
 func doJSON(t *testing.T, client *http.Client, method, url string, body string, out any) int {
 	t.Helper()
 	req, err := http.NewRequest(method, url, strings.NewReader(body))
@@ -453,8 +494,9 @@ func TestTuneSnapshotsRequiresSnapshots(t *testing.T) {
 }
 
 // wireParams and parentWireEvent are the /tuning event as clients read it,
-// less the admission controller's keys, which went with it. They are the
-// frozen client contract: bench/ and the smokes read these keys.
+// less the admission controller's keys and the request-latency stamp,
+// which went with them. They are the frozen client contract: bench/ and
+// the smokes read these keys.
 type wireParams struct {
 	Locks  uint64 `json:"locks"`
 	Shifts uint   `json:"shifts"`
@@ -470,9 +512,6 @@ type parentWireEvent struct {
 	Idle       *bool       `json:"idle"`
 	Move       *string     `json:"move"`
 	Next       *wireParams `json:"next"`
-	LatP50Ns   *int64      `json:"lat_p50_ns"`
-	LatP99Ns   *int64      `json:"lat_p99_ns"`
-	LatSamples *uint64     `json:"lat_samples"`
 	Err        *string     `json:"err"`
 }
 
@@ -481,14 +520,12 @@ type parentWireEvent struct {
 // into the struct checks both), and a live /tuning response must keep
 // every top-level key. Both key sets are exact: the keys of removed
 // controllers — the version budget's, the admission width's and the
-// overload ladder's, on the event and at the top level — stay gone.
+// overload ladder's, on the event and at the top level — and the event's
+// request-latency stamp (lat_*) stay gone.
 func TestTuningWireKeysFrozen(t *testing.T) {
 	ev := tuning.Event{
-		Sample: tuning.Sample{
-			Period: 3, Throughput: 1e4, Commits: 100, Aborts: 300,
-			LatP50: time.Millisecond, LatP99: 9 * time.Millisecond, LatSamples: 50,
-		},
-		From: core.Params{Locks: 256, Hier: 1}, To: core.Params{Locks: 512, Hier: 1},
+		Sample: tuning.Sample{Period: 3, Throughput: 1e4, Commits: 100, Aborts: 300},
+		From:   core.Params{Locks: 256, Hier: 1}, To: core.Params{Locks: 512, Hier: 1},
 		Moved: true, Move: tuning.MoveDoubleLocks, Err: errors.New("refused"),
 	}
 	raw, err := json.Marshal(wireEvent(ev))
@@ -620,8 +657,8 @@ func TestAdmissionWidthFixedUnderAutotune(t *testing.T) {
 		t.Error("/stats still reports admission.tuned")
 	}
 	body, val := scrape(t, c, ts.URL)
-	if strings.Contains(body, `controller="admission"`) {
-		t.Error(`/metrics exports a series with controller="admission"`)
+	if strings.Contains(body, `controller=`) {
+		t.Error(`/metrics exports a series with a controller label`)
 	}
 	if v, _ := val("stmkvd_admission_width"); v != 8 {
 		t.Errorf("stmkvd_admission_width = %v, want 8", v)

@@ -56,18 +56,19 @@ type positioned interface {
 }
 
 // EnableDurability turns on redo capture for all subsequent mutating
-// operations. With a non-nil sink they additionally block until their
-// commit is durable before returning (group/sync acks); with a nil sink
-// records are captured and handed to the redo hook but nobody waits
-// (async acks). Returns an error if the STM's descriptors cannot capture
-// redo records. Call before admitting traffic that must be logged; not
-// safe to toggle concurrently with operations.
+// operations, which then block on sink until their commit is durable
+// before returning (Update and ApplyInto hand back the ticket instead).
+// Returns an error for a nil sink or if the STM's descriptors cannot
+// capture redo records. Call before admitting traffic that must be
+// logged; not safe to toggle concurrently with operations.
 func (s *Store[T]) EnableDurability(sink DurabilitySink) error {
+	if sink == nil {
+		return fmt.Errorf("kvstore: EnableDurability needs a sink")
+	}
 	var zero T
 	if _, ok := any(zero).(redoer); !ok {
 		return fmt.Errorf("kvstore: STM descriptor %T does not support redo capture", zero)
 	}
-	s.durable = true
 	s.sink = sink
 	return nil
 }
@@ -76,7 +77,7 @@ func (s *Store[T]) EnableDurability(sink DurabilitySink) error {
 // called inside the atomic body: records belong to the current attempt
 // and die with it on abort.
 func (s *Store[T]) redo(tx T, kind txn.RedoKind, key, val uint64) {
-	if !s.durable {
+	if s.sink == nil {
 		return
 	}
 	any(tx).(redoer).Redo(txn.RedoOp{Kind: kind, Key: key, Val: val})
@@ -86,7 +87,7 @@ func (s *Store[T]) redo(tx T, kind txn.RedoKind, key, val uint64) {
 // must run after the operation's atomic block and before the descriptor's
 // next Begin, which clears the ticket.
 func (s *Store[T]) ticket(tx T) txn.DurableTicket {
-	if !s.durable || s.sink == nil {
+	if s.sink == nil {
 		return nil
 	}
 	return any(tx).(redoer).RedoTicket()
@@ -107,7 +108,7 @@ func (s *Store[T]) waitDurable(t txn.DurableTicket) {
 // EnableDurability (reloading replayed records back into the log would
 // double them) and before the store takes traffic.
 func (s *Store[T]) Load(pairs map[uint64]uint64) {
-	if s.durable {
+	if s.sink != nil {
 		panic("kvstore: Load after EnableDurability")
 	}
 	for k, v := range pairs {

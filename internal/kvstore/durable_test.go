@@ -317,12 +317,16 @@ func TestCheckpointTruncateEquivalence(t *testing.T) {
 }
 
 // TestLoadAfterEnableDurabilityPanics: reloading replayed records through
-// a live log would double them; the guard must be loud.
+// a live log would double them; the guard must be loud. A nil sink is
+// refused: it would turn nothing on.
 func TestLoadAfterEnableDurabilityPanics(t *testing.T) {
 	tm := core.MustNew(core.Config{Space: mem.NewSpace(1 << 18), Design: core.WriteBack})
 	s := NewStore[*core.Tx](tm, 2, 4)
 	defer s.Close()
-	if err := s.EnableDurability(nil); err != nil {
+	if err := s.EnableDurability(nil); err == nil {
+		t.Fatal("EnableDurability(nil) succeeded")
+	}
+	if err := s.EnableDurability(walTestSink{}); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {

@@ -99,10 +99,10 @@ type Store[T txn.Tx] struct {
 	// pressure, instead of as classic read-only transactions that abort
 	// whenever a concurrent writer moves the clock past their snapshot.
 	snap txn.SnapshotSystem[T]
-	// durable/sink: redo capture and ack-after-durable waiting; see
-	// durable.go. Set once via EnableDurability before traffic starts.
-	durable bool
-	sink    DurabilitySink
+	// sink, when set, turns on redo capture and ack-after-durable
+	// waiting; see durable.go. Set once via EnableDurability before
+	// traffic starts.
+	sink DurabilitySink
 	// ckptPairs is the pair count of the last CheckpointScan, the next
 	// one's capacity.
 	//stm:allow-atomic checkpoint size hint, read and written outside any transaction
@@ -274,7 +274,7 @@ func (s *Store[T]) Get(key uint64) (val uint64, found bool) {
 // what the kind's own method returns (OK: Put inserted, CAS swapped; Found:
 // Delete found the key; Val: Add's result) together with the commit's
 // durability ticket, UNWAITED. The ticket is non-nil exactly when the store
-// acks after durability (EnableDurability with a sink): the update is
+// acks after durability (after EnableDurability): the update is
 // committed and visible, and the caller must not acknowledge it until the
 // ticket resolves. When an insert tips the owning shard over its load
 // factor, the shard is grown behind the freeze barrier (Map.Grow) before

@@ -13,8 +13,7 @@ import (
 )
 
 // Durability ack-mode benchmarks: what a Put costs with no WAL at all
-// (Off), with redo records captured and logged but acked immediately
-// (Async), and acked only after the group-commit fsync (Group). These run
+// (Off) and acked only after the group-commit fsync (Group). These run
 // against the real filesystem (b.TempDir) so Group pays genuine fsyncs;
 // the parallel variant is the honest one — group commit amortizes the
 // fsync across concurrent committers, which a single-threaded loop cannot
@@ -25,8 +24,8 @@ type benchSink struct{ log *wal.Log }
 
 func (s benchSink) WaitDurable(t txn.DurableTicket) error { return t.(*wal.Pending).Wait() }
 
-// benchDurableStore builds a store in one of the three ack modes; mode is
-// "off", "async" or "group".
+// benchDurableStore builds a store in one of the two ack modes; mode is
+// "off" or "group".
 func benchDurableStore(b *testing.B, mode string) *kvstore.Store[*core.Tx] {
 	b.Helper()
 	tm := core.MustNew(core.Config{Space: mem.NewSpace(1 << 20)})
@@ -40,11 +39,7 @@ func benchDurableStore(b *testing.B, mode string) *kvstore.Store[*core.Tx] {
 			tm.SetRedoHook(nil)
 			l.Close()
 		})
-		var sink kvstore.DurabilitySink
-		if mode == "group" {
-			sink = benchSink{log: l}
-		}
-		if err := s.EnableDurability(sink); err != nil {
+		if err := s.EnableDurability(benchSink{log: l}); err != nil {
 			b.Fatal(err)
 		}
 		tm.SetRedoHook(func(epoch, ts uint64, ops []txn.RedoOp) txn.DurableTicket {
@@ -68,7 +63,6 @@ func benchDurabilityPut(b *testing.B, mode string) {
 }
 
 func BenchmarkDurabilityPutOff(b *testing.B)   { benchDurabilityPut(b, "off") }
-func BenchmarkDurabilityPutAsync(b *testing.B) { benchDurabilityPut(b, "async") }
 func BenchmarkDurabilityPutGroup(b *testing.B) { benchDurabilityPut(b, "group") }
 
 func benchDurabilityPutParallel(b *testing.B, mode string) {

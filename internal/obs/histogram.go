@@ -29,8 +29,7 @@ const (
 	// groups covers bit lengths subBits+1 .. 64.
 	groups = 64 - subBits
 	// NumBuckets is the fixed bucket count of every Histogram (~15 KiB
-	// of counters); all histograms share one layout, which is what makes
-	// snapshots mergeable and subtractable without metadata.
+	// of counters).
 	NumBuckets = subBuckets + groups*subBuckets
 )
 
@@ -88,8 +87,8 @@ func (h *Histogram) Record(v uint64) {
 
 // Snapshot copies the counters. Buckets are read individually (no global
 // lock), so a snapshot taken under concurrent recording is a slightly
-// torn but monotone view — fine for monitoring, and Sub between two
-// snapshots of the same histogram is always non-negative per bucket.
+// torn but monotone view — fine for monitoring: a later snapshot of the
+// same histogram never counts less in any bucket.
 func (h *Histogram) Snapshot() Snapshot {
 	var s Snapshot
 	for i := range h.counts {
@@ -103,41 +102,12 @@ func (h *Histogram) Snapshot() Snapshot {
 }
 
 // Snapshot is a point-in-time copy of a Histogram: plain counters,
-// shareable and mergeable off the hot path.
+// shareable off the hot path.
 type Snapshot struct {
 	Counts [NumBuckets]uint64
 	// Count is the total number of observations and Sum their sum; Max
 	// is the exact largest value recorded.
 	Count, Sum, Max uint64
-}
-
-// Merge folds o into s (for combining per-worker or per-surface
-// histograms into one distribution).
-func (s *Snapshot) Merge(o *Snapshot) {
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-}
-
-// Sub returns the delta distribution s - o, where o is an EARLIER
-// snapshot of the same histogram: the observations recorded between the
-// two. Max cannot be differenced and is carried from s (an upper bound
-// for the interval).
-func (s *Snapshot) Sub(o *Snapshot) Snapshot {
-	var d Snapshot
-	for i := range s.Counts {
-		c := s.Counts[i] - o.Counts[i]
-		d.Counts[i] = c
-		d.Count += c
-	}
-	d.Sum = s.Sum - o.Sum
-	d.Max = s.Max
-	return d
 }
 
 // Quantile returns the q-quantile (q in [0,1]) as the upper bound of the

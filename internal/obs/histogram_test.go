@@ -112,39 +112,6 @@ func TestCumulativeLE(t *testing.T) {
 	}
 }
 
-func TestSnapshotMergeAndSub(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for v := uint64(0); v < 1000; v++ {
-		a.Record(v)
-		b.Record(v * 10)
-	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	merged := sa
-	merged.Merge(&sb)
-	if merged.Count != 2000 {
-		t.Fatalf("merged count = %d", merged.Count)
-	}
-	if merged.Sum != sa.Sum+sb.Sum {
-		t.Fatalf("merged sum = %d", merged.Sum)
-	}
-	if merged.Max != sb.Max {
-		t.Fatalf("merged max = %d, want %d", merged.Max, sb.Max)
-	}
-
-	// Delta: record more into a, subtract the earlier snapshot.
-	for v := uint64(0); v < 500; v++ {
-		a.Record(1 << 20)
-	}
-	s2 := a.Snapshot()
-	d := s2.Sub(&sa)
-	if d.Count != 500 {
-		t.Fatalf("delta count = %d, want 500", d.Count)
-	}
-	if q := d.Quantile(0.5); q < (1<<20)-(1<<20)/subBuckets || q > (1<<20)+(1<<20)/subBuckets {
-		t.Fatalf("delta q50 = %d, want ~%d", q, 1<<20)
-	}
-}
-
 // TestConcurrentRecordMerge hammers one histogram from many goroutines
 // (run under -race in CI) and checks nothing is lost: the bucket totals,
 // count, sum and max must all reconcile exactly once the writers stop.

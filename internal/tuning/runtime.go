@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tinystm/internal/core"
-	"tinystm/internal/obs"
 )
 
 // System is the runtime's view of a tunable STM: a sampler for the
@@ -28,7 +27,7 @@ type System interface {
 var _ System = (*core.TM)(nil)
 
 // Sample is one tuning period's measurement: the paper's "measure" step,
-// read by the hill climber, with the period's request latency beside it.
+// read by the hill climber.
 type Sample struct {
 	// Period is the zero-based index of the tuning period.
 	Period int `json:"period"`
@@ -38,12 +37,6 @@ type Sample struct {
 	// Commits and Aborts are the raw counter deltas over the whole period.
 	Commits uint64 `json:"commits"`
 	Aborts  uint64 `json:"aborts"`
-	// LatP50 and LatP99 are the period's request-latency quantiles and
-	// LatSamples its request count, differenced from RuntimeConfig.Latency.
-	// Zero without one.
-	LatP50     time.Duration `json:"lat_p50_ns,omitempty"`
-	LatP99     time.Duration `json:"lat_p99_ns,omitempty"`
-	LatSamples uint64        `json:"lat_samples,omitempty"`
 	// Idle marks a paused period: nothing committed, so the measurement
 	// says nothing about the geometry and the tuner holds.
 	Idle bool `json:"idle,omitempty"`
@@ -112,9 +105,6 @@ func (e Event) String() string {
 		fmt.Fprintf(&b, "period %d: %v idle (%d commits), holding", e.Period, e.From, e.Commits)
 	} else {
 		fmt.Fprintf(&b, "period %d: %v %.0f txs/s, move %v -> %v", e.Period, e.From, e.Throughput, e.Move.Signed(e.Reversed), e.To)
-		if e.LatSamples > 0 {
-			fmt.Fprintf(&b, ", lat p50=%v p99=%v (%d reqs)", e.LatP50, e.LatP99, e.LatSamples)
-		}
 	}
 	if e.Err != nil {
 		fmt.Fprintf(&b, ", geometry %v -> %v failed: %v", e.From, e.To, e.Err)
@@ -144,13 +134,6 @@ type RuntimeConfig struct {
 	// default grows forever. Zero keeps everything (experiment runs that
 	// read the full path afterwards).
 	TraceCap int
-
-	// Latency, when non-nil, reads the server's request latency
-	// (nanoseconds) as one cumulative distribution. The runtime calls it
-	// once per period and carries the period's p50/p99 deltas on every
-	// Sample — the measured service-level consequence of each tuning
-	// move, next to the raw throughput the tuner steers on.
-	Latency func() obs.Snapshot
 
 	// Now and After inject a clock for deterministic tests. Defaults:
 	// time.Now and time.After.
@@ -312,16 +295,12 @@ func (r *Runtime) Trace() []Event {
 // period's deltas are taken against.
 type baseline struct {
 	commits, aborts uint64
-	lat             obs.Snapshot
 	t               time.Time
 }
 
 // rebase reads every source the Sample is differenced from.
 func (r *Runtime) rebase() (b baseline) {
 	b.commits, b.aborts = r.sys.CommitAbortCounts()
-	if r.cfg.Latency != nil {
-		b.lat = r.cfg.Latency()
-	}
 	b.t = r.cfg.Now()
 	return b
 }
@@ -348,11 +327,6 @@ func (r *Runtime) run() {
 		}
 		end := r.rebase()
 		s.Commits, s.Aborts = end.commits-base.commits, end.aborts-base.aborts
-		if lat := end.lat.Sub(&base.lat); lat.Count > 0 {
-			s.LatP50 = time.Duration(lat.Quantile(0.50))
-			s.LatP99 = time.Duration(lat.Quantile(0.99))
-			s.LatSamples = lat.Count
-		}
 		// Pause on idle: a period that commits nothing must not teach the
 		// tuner that its current configuration is bad.
 		s.Idle = s.Commits == 0
@@ -363,8 +337,6 @@ func (r *Runtime) run() {
 		// first sample window would include that pause and read
 		// systematically low — every move would look like a throughput
 		// drop, spuriously triggering the tuner's reverse/forbid rules.
-		// The latency baseline follows the same rule: requests stalled
-		// behind the freeze must not be charged to the next period.
 		base = r.rebase()
 	}
 }

@@ -102,9 +102,6 @@ assert tuning["reconfigurations"] >= 1, f"no reconfiguration events: {tuning}"
 assert stats["reconfigs"] >= 1, f"TM never reconfigured: {stats}"
 assert stats["commits"] >= 10000, f"too few commits: {stats['commits']}"
 assert len(tuning["events"]) >= 5, f"trace too short: {len(tuning['events'])} events"
-lat_events = [e for e in tuning["events"] if e.get("lat_p50_ns", 0) > 0]
-assert lat_events, "no tuning event carries request-latency quantiles"
-assert all(e["lat_p99_ns"] >= e["lat_p50_ns"] for e in lat_events), "p99 below p50"
 assert scans >= 30, f"only {scans} snapshot scans completed under load"
 assert batches >= 30, f"only {batches} all-Get batches completed under load"
 snap = stats["snapshots"]
