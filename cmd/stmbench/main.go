@@ -289,7 +289,9 @@ func figCustom(o *options) {
 // starting from the paper's deliberately bad (2^8, 0, 1) configuration,
 // printing one trace line per tuning period as the controller makes its
 // moves; a mid-run phase shift exercises re-adaptation. It ends with the
-// autotuned-vs-static comparison table.
+// autotuned-vs-static comparison table: per phase, the median of the last
+// third of the tuned periods against each static geometry's median over
+// as many periods, measured the same way.
 func figAutotune(o *options) {
 	ac := experiments.DefaultAutotuneConfig(o.sc, o.kind)
 	calm := o.intset()
@@ -315,7 +317,7 @@ func figAutotune(o *options) {
 	o.emit(r.TraceTable("autotune trace"))
 	o.emit(r.ComparisonTable())
 	for phase, bs := range r.BestStatic {
-		fmt.Printf("phase %d: autotuned best %.0f txs/s vs. best static %v at %.0f txs/s\n",
-			phase, r.PhaseBest[phase], bs.Params, bs.Throughput)
+		fmt.Printf("phase %d: autotuned %.0f txs/s vs. best static %v at %.0f txs/s (medians of %d periods)\n",
+			phase, r.PhaseTuned[phase], bs.Params, bs.Throughput, r.PhaseSpan[phase])
 	}
 }

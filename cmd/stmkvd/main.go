@@ -28,13 +28,15 @@
 // listening on ..." so scripts can parse them.
 //
 // Endpoints: GET/PUT/DELETE /kv/{key}, POST /kv/{key}/cas, POST
-// /kv/{key}/add, POST /batch, GET /stats, GET /tuning, GET /metrics
-// (Prometheus text format), GET /debug/txtrace (sampled transaction
-// flight recorder), GET /healthz, GET /readyz. Keys and values are
-// uint64; see internal/kvserver for wire
-// formats. The binary surface (-proto-addr) carries the same operations
-// over the kvproto framing, pipelined; see internal/kvproto. Drive either
-// with cmd/stmkv-loadgen and watch /tuning re-adapt.
+// /kv/{key}/add, POST /batch, GET /stats (what the server is: design,
+// geometry, durability and recovery), GET /tuning (the tuner's state and
+// per-period events), GET /metrics (every count and gauge, Prometheus
+// text format), GET /debug/txtrace (sampled transaction flight recorder),
+// GET /healthz, GET /readyz. Keys and values are uint64; see
+// internal/kvserver for wire formats. The binary surface (-proto-addr)
+// carries the same operations over the kvproto framing, pipelined; see
+// internal/kvproto. Drive either with cmd/stmkv-loadgen and watch /tuning
+// re-adapt.
 package main
 
 import (

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"tinystm/internal/core"
@@ -31,8 +32,7 @@ type AutotuneConfig struct {
 	Start  core.Params
 	Bounds tuning.Bounds
 	// Statics are baseline configurations each measured with a fixed
-	// geometry over the Phases[0] workload for the autotuned-vs-static
-	// comparison.
+	// geometry under every phase for the autotuned-vs-static comparison.
 	Statics []core.Params
 	Seed    uint64
 	// OnEvent, when non-nil, observes each tuning period as it completes
@@ -74,7 +74,8 @@ type ValidationSample struct {
 }
 
 // StaticPoint is one statically configured baseline measurement under one
-// workload phase.
+// workload phase: the median of as many periods, each measured as the
+// runtime measures one, as the phase's autotuned median spans.
 type StaticPoint struct {
 	Params     core.Params
 	Phase      int
@@ -95,9 +96,13 @@ type AutotuneResult struct {
 	Best   core.Params
 	BestTp float64
 	Final  core.Params
-	// PhaseBest[p] is the best autotuned per-period throughput observed
-	// while phase p was active (zero if the run never visited the phase).
-	PhaseBest []float64
+	// PhaseTuned[p] is the autotuned throughput of phase p: the median
+	// over the last third of the phase's non-idle periods, by when the
+	// tuner has had two thirds of the phase to settle (zero if the run
+	// never visited the phase). PhaseSpan[p] is how many periods that
+	// median covers.
+	PhaseTuned []float64
+	PhaseSpan  []int
 	// Statics holds every (configuration × phase) baseline measurement;
 	// BestStatic[p] is the best static point for phase p. Comparing
 	// within a phase keeps autotuned-vs-static apples-to-apples: phases
@@ -153,13 +158,15 @@ func log2(v uint64) int {
 }
 
 // ComparisonTable renders autotuned-vs-static throughput, phase by phase
-// (throughput is only comparable within one workload phase).
+// (throughput is only comparable within one workload phase). Both sides
+// are medians of periods measured alike, so period-to-period noise
+// favours neither.
 func (r AutotuneResult) ComparisonTable() harness.Table {
 	tbl := harness.Table{
 		Title:   "autotuned vs. static configurations (per workload phase)",
 		Headers: []string{"phase", "configuration", "locks", "shifts", "h", "throughput (10^3/s)"},
 	}
-	for phase := range r.PhaseBest {
+	for phase := range r.PhaseTuned {
 		for _, s := range r.Statics {
 			if s.Phase != phase {
 				continue
@@ -167,8 +174,8 @@ func (r AutotuneResult) ComparisonTable() harness.Table {
 			tbl.AddRow(phase, "static", fmt.Sprintf("2^%d", log2(s.Params.Locks)),
 				s.Params.Shifts, s.Params.Hier, fmt.Sprintf("%.1f", s.Throughput/1000))
 		}
-		tbl.AddRow(phase, "autotuned (best in phase)", "", "", "",
-			fmt.Sprintf("%.1f", r.PhaseBest[phase]/1000))
+		tbl.AddRow(phase, "autotuned (median, last third of phase)", "", "", "",
+			fmt.Sprintf("%.1f", r.PhaseTuned[phase]/1000))
 	}
 	return tbl
 }
@@ -205,7 +212,7 @@ func AutotuneSweep(sc Scale, ac AutotuneConfig) AutotuneResult {
 	}
 
 	var result AutotuneResult
-	result.PhaseBest = make([]float64, len(ac.Phases))
+	tuned := make([][]float64, len(ac.Phases))
 	lastStats, lastT := tm.Stats(), time.Now()
 	for len(result.Events) < ac.Periods {
 		ev := <-trace
@@ -220,8 +227,8 @@ func AutotuneSweep(sc Scale, ac AutotuneConfig) AutotuneResult {
 			ProcessedPerSec: float64(delta.LocksValidated) / secs,
 			SkippedPerSec:   float64(delta.LocksSkipped) / secs,
 		})
-		if !ev.Idle && ev.Throughput > result.PhaseBest[phase] {
-			result.PhaseBest[phase] = ev.Throughput
+		if !ev.Idle {
+			tuned[phase] = append(tuned[phase], ev.Throughput)
 		}
 		if ac.OnEvent != nil {
 			ac.OnEvent(ev)
@@ -235,25 +242,30 @@ func AutotuneSweep(sc Scale, ac AutotuneConfig) AutotuneResult {
 	result.Final = rt.Current()
 	workers.Stop()
 
+	result.PhaseTuned = make([]float64, len(ac.Phases))
+	result.PhaseSpan = make([]int, len(ac.Phases))
+	for phase, tps := range tuned {
+		last := tps[len(tps)-(len(tps)+2)/3:]
+		result.PhaseTuned[phase] = median(last)
+		result.PhaseSpan[phase] = len(last)
+	}
+
 	// Static baselines: every configuration measured under every phase on
 	// a fresh system, so each comparison is within one workload phase.
 	// Each point is set up exactly like the live run — the structure is
 	// built from Phases[0] and only the operation mix comes from the
 	// measured phase (a phase's Range may be far below InitialSize, which
-	// would make building *from* it impossible).
-	bench := sc
-	bench.Duration = ac.Period * time.Duration(samples)
+	// would make building *from* it impossible) — and measured like it:
+	// PhaseSpan periods of the runtime's max-of-Samples windows, median.
 	result.BestStatic = make([]StaticPoint, len(ac.Phases))
 	for phase, ip := range ac.Phases {
 		for _, p := range ac.Statics {
-			stm := newCoreTM(bench, core.WriteBack, p)
+			stm := newCoreTM(sc, core.WriteBack, p)
 			sset := harness.BuildIntset[*core.Tx](stm, base, ac.Seed)
-			b := harness.Bench[*core.Tx]{
-				Sys: stm, Threads: ac.Threads, Duration: bench.Duration,
-				Warmup: bench.Warmup, Seed: ac.Seed,
-				Op: harness.IntsetOp[*core.Tx](stm, sset, ip),
-			}
-			tp := repeatMax(bench, b.Run).Throughput
+			ws := harness.StartWorkers[*core.Tx](stm, ac.Threads, ac.Seed, harness.IntsetOp[*core.Tx](stm, sset, ip))
+			time.Sleep(sc.Warmup)
+			tp := median(periods(stm, ac.Period, samples, max(1, result.PhaseSpan[phase])))
+			ws.Stop()
 			sp := StaticPoint{Params: p, Phase: phase, Throughput: tp}
 			result.Statics = append(result.Statics, sp)
 			if tp > result.BestStatic[phase].Throughput {
@@ -262,4 +274,32 @@ func AutotuneSweep(sc Scale, ac AutotuneConfig) AutotuneResult {
 		}
 	}
 	return result
+}
+
+// periods measures n consecutive periods of tm the way tuning.Runtime
+// measures one: the highest commit rate over samples windows of period.
+func periods(tm *core.TM, period time.Duration, samples, n int) []float64 {
+	out := make([]float64, n)
+	c0, _ := tm.CommitAbortCounts()
+	t0 := time.Now()
+	for i := range out {
+		for range samples {
+			time.Sleep(period)
+			c, _ := tm.CommitAbortCounts()
+			t := time.Now()
+			out[i] = max(out[i], float64(c-c0)/t.Sub(t0).Seconds())
+			c0, t0 = c, t
+		}
+	}
+	return out
+}
+
+// median returns the middle of xs (the mean of the two middles for an
+// even count), 0 for none.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := slices.Sorted(slices.Values(xs))
+	return (s[(len(s)-1)/2] + s[len(s)/2]) / 2
 }

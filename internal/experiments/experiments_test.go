@@ -314,8 +314,8 @@ func TestAutotuneSweepRunsAndCompares(t *testing.T) {
 	if len(r.Statics) != len(ac.Statics)*len(ac.Phases) {
 		t.Fatalf("statics = %d, want %d", len(r.Statics), len(ac.Statics)*len(ac.Phases))
 	}
-	if len(r.BestStatic) != len(ac.Phases) || len(r.PhaseBest) != len(ac.Phases) {
-		t.Fatalf("per-phase slices sized %d/%d, want %d", len(r.BestStatic), len(r.PhaseBest), len(ac.Phases))
+	if len(r.BestStatic) != len(ac.Phases) || len(r.PhaseTuned) != len(ac.Phases) || len(r.PhaseSpan) != len(ac.Phases) {
+		t.Fatalf("per-phase slices sized %d/%d/%d, want %d", len(r.BestStatic), len(r.PhaseTuned), len(r.PhaseSpan), len(ac.Phases))
 	}
 	for phase, bs := range r.BestStatic {
 		if bs.Throughput <= 0 {
@@ -333,7 +333,7 @@ func TestAutotuneSweepRunsAndCompares(t *testing.T) {
 	tt.Render(&sb)
 	ct := r.ComparisonTable()
 	ct.Render(&sb)
-	if !strings.Contains(sb.String(), "autotuned (best in phase)") {
+	if !strings.Contains(sb.String(), "autotuned (median, last third of phase)") {
 		t.Error("comparison table malformed")
 	}
 }

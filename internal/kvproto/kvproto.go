@@ -34,9 +34,9 @@
 // order, matches a response to its request. Op-specific bodies mirror
 // the HTTP data routes (Get/Put/Delete/CAS/Add/Batch/Scan); see
 // appendRequestBody / appendResponseBody for the exact layouts. The
-// protocol carries data only: counters are read from the HTTP /stats
-// and /metrics documents. Op code 8 (a former stats op) is retired and
-// decodes as ErrBadOp.
+// protocol carries data only: counters are read from the HTTP /metrics
+// exposition. Op code 8 (a former stats op) is retired and decodes as
+// ErrBadOp.
 //
 // Decoding arbitrary bytes must never panic: DecodeRequest and
 // DecodeResponse validate every length and bound before reading, and the

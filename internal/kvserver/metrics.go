@@ -70,6 +70,13 @@ type metrics struct {
 	tooOld   uint64
 	walStats wal.Stats
 	mem      memStats
+	minted   int
+	free     int
+	// adm is the admission gate's state, zero without a gate.
+	adm struct {
+		width, inflight           int
+		admitted, waited, expired uint64
+	}
 }
 
 // memStats tells data from heap: the arena words the store's allocator has
@@ -90,14 +97,6 @@ func (s *Server) memStats() memStats {
 	heap := []rtmetrics.Sample{{Name: "/gc/heap/live:bytes"}}
 	rtmetrics.Read(heap)
 	return memStats{arenaLive: sp.LiveWords() * 8, arenaMapped: mapped, goHeapLive: heap[0].Value.Uint64()}
-}
-
-func (m memStats) stats() map[string]any {
-	return map[string]any{
-		"arena_live_bytes":   m.arenaLive,
-		"arena_mapped_bytes": m.arenaMapped,
-		"go_heap_live_bytes": m.goHeapLive,
-	}
 }
 
 // newMetrics builds every instrument and registers the full metric set.
@@ -131,6 +130,11 @@ func newMetrics(s *Server) *metrics {
 			m.walStats = log.Stats()
 		}
 		m.mem = s.memStats()
+		m.minted, m.free = s.tm.DescriptorCounts()
+		if s.gate != nil {
+			m.adm.width, m.adm.inflight, m.adm.admitted, m.adm.waited = s.gate.Stats()
+			m.adm.expired = s.gate.Expired()
+		}
 	})
 
 	lat := obs.LatencyBounds()
@@ -148,6 +152,9 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(m.st.RollOvers) })
 	m.reg.CounterFunc("stm_reconfigs_total", "Dynamic lock-table reconfigurations.", nil,
 		func() float64 { return float64(m.st.Reconfigs) })
+	descs := "Transaction descriptors: minted over the TM's lifetime, and free on its list now."
+	m.reg.GaugeFunc("stm_descriptors", descs, obs.Labels{"state": "minted"}, func() float64 { return float64(m.minted) })
+	m.reg.GaugeFunc("stm_descriptors", descs, obs.Labels{"state": "free"}, func() float64 { return float64(m.free) })
 	m.reg.Histogram("stm_commit_seconds", "Duration of committed transaction attempts.", nil,
 		m.tmObs.CommitNs, 1e-9, lat)
 	m.reg.Histogram("stm_freeze_seconds", "Time each freeze (lock-table reconfiguration, shard growth or clock roll-over) held the world frozen.", nil,
@@ -216,40 +223,17 @@ func newMetrics(s *Server) *metrics {
 
 	// --- Admission gate (zero-valued series when disabled) ---
 	m.reg.GaugeFunc("stmkvd_admission_width", "Update-admission gate width (0: gate disabled).", nil,
-		func() float64 { return float64(s.admissionWidth()) })
+		func() float64 { return float64(m.adm.width) })
 	m.reg.GaugeFunc("stmkvd_admission_inflight", "Update transactions currently admitted.", nil,
-		func() float64 {
-			if s.gate == nil {
-				return 0
-			}
-			_, inflight, _, _ := s.gate.Stats()
-			return float64(inflight)
-		})
+		func() float64 { return float64(m.adm.inflight) })
 	m.reg.CounterFunc("stmkvd_admission_admitted_total", "Updates admitted through the gate.", nil,
-		func() float64 {
-			if s.gate == nil {
-				return 0
-			}
-			_, _, admitted, _ := s.gate.Stats()
-			return float64(admitted)
-		})
+		func() float64 { return float64(m.adm.admitted) })
 	m.reg.CounterFunc("stmkvd_admission_waited_total", "Updates that blocked at the gate.", nil,
-		func() float64 {
-			if s.gate == nil {
-				return 0
-			}
-			_, _, _, waited := s.gate.Stats()
-			return float64(waited)
-		})
+		func() float64 { return float64(m.adm.waited) })
 	m.reg.Histogram("stmkvd_admission_wait_seconds", "Time update requests spent waiting at the admission gate.", nil,
 		m.admWaitNs, 1e-9, lat)
 	m.reg.CounterFunc("stmkvd_admission_expired_total", "Updates refused at the gate because their deadline passed.", nil,
-		func() float64 {
-			if s.gate == nil {
-				return 0
-			}
-			return float64(s.gate.Expired())
-		})
+		func() float64 { return float64(m.adm.expired) })
 
 	// --- Resilience: deadline sheds ---
 	for surf := 0; surf < nSurfaces; surf++ {
@@ -308,6 +292,12 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(s.proto.errOps.Load()) })
 	m.reg.CounterFunc("stmkvd_proto_bad_frames_total", "Connections dropped for framing/decode errors.", nil,
 		func() float64 { return float64(s.proto.badFrames.Load()) })
+	m.reg.GaugeFunc("stmkvd_proto_held", "Binary-protocol answers held for a WAL ticket, all connections.", nil,
+		func() float64 { return float64(s.proto.held.Load()) })
+	m.reg.CounterFunc("stmkvd_proto_spawned_total", "Binary-protocol requests handed to a goroutine of their own (a full gate, a Scan or a long batch).", nil,
+		func() float64 { return float64(s.proto.spawned.Load()) })
+	m.reg.CounterFunc("stmkvd_proto_handoffs_total", "Flusher deliveries of durable answers finished on a goroutine of their own.", nil,
+		func() float64 { return float64(s.proto.handoffs.Load()) })
 
 	return m
 }

@@ -64,6 +64,7 @@ var metricFamilies = map[string]string{
 	"stm_aborts_total":                 "counter",
 	"stm_commit_seconds":               "histogram",
 	"stm_commits_total":                "counter",
+	"stm_descriptors":                  "gauge",
 	"stm_extensions_total":             "counter",
 	"stm_freeze_seconds":               "histogram",
 	"stm_reconfigs_total":              "counter",
@@ -96,7 +97,10 @@ var metricFamilies = map[string]string{
 	"stmkvd_proto_bad_frames_total":    "counter",
 	"stmkvd_proto_conns":               "gauge",
 	"stmkvd_proto_err_ops_total":       "counter",
+	"stmkvd_proto_handoffs_total":      "counter",
+	"stmkvd_proto_held":                "gauge",
 	"stmkvd_proto_ops_total":           "counter",
+	"stmkvd_proto_spawned_total":       "counter",
 	"stmkvd_redo_records_total":        "counter",
 	"stmkvd_request_seconds":           "histogram",
 	"stmkvd_shard_aborts_total":        "counter",
@@ -280,7 +284,7 @@ func TestMetricsAlwaysAdmitted(t *testing.T) {
 }
 
 // TestMetricsWAL checks the durable path fills the WAL flush/batch
-// histograms and counters.
+// histograms and counters, and that the counters are the log's own.
 func TestMetricsWAL(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		SpaceWords: 1 << 18, Shards: 4, Buckets: 8, Snapshots: true,
@@ -303,23 +307,18 @@ func TestMetricsWAL(t *testing.T) {
 		t.Fatalf("wal batch-size histogram count = %v (ok=%v), want >= 1", v, ok)
 	}
 	// Whether the disk under t.TempDir() can reserve is the host's affair;
-	// the gauge and /stats must say the same thing about it.
-	var st struct {
-		Durability struct {
-			WAL struct {
-				Preallocated *bool `json:"preallocated"`
-			} `json:"wal"`
-		} `json:"durability"`
+	// the gauge and the log must say the same thing about it.
+	ls := s.dur.walLog().Stats()
+	if v, ok := val("stmkvd_wal_preallocated"); !ok || ls.Preallocated != (v == 1) {
+		t.Fatalf("stmkvd_wal_preallocated = %v (ok=%v), the log says preallocated = %v", v, ok, ls.Preallocated)
 	}
-	doJSON(t, c, "GET", ts.URL+"/stats", "", &st)
-	v, ok := val("stmkvd_wal_preallocated")
-	if p := st.Durability.WAL.Preallocated; !ok || p == nil || *p != (v == 1) {
-		t.Fatalf("stmkvd_wal_preallocated = %v (ok=%v), /stats preallocated = %v", v, ok, p)
+	if v, _ := val("stmkvd_wal_appends_total"); v != float64(ls.Appends) {
+		t.Fatalf("stmkvd_wal_appends_total = %v, the log counted %d", v, ls.Appends)
 	}
 }
 
-// TestMetricsMemory: /metrics and /stats report the same memory figures,
-// the mapping covers the arena and the sidecar, and the arena's live bytes
+// TestMetricsMemory: /metrics reports the server's memory figures, the
+// mapping covers the arena and the sidecar, and the arena's live bytes
 // account for the keys inserted.
 func TestMetricsMemory(t *testing.T) {
 	const words, keys = 1 << 18, 4096
@@ -328,31 +327,23 @@ func TestMetricsMemory(t *testing.T) {
 	runtime.GC() // the heap gauge reads 0 until a first collection
 	read := func() (live, mapped float64) {
 		t.Helper()
-		var st struct {
-			Memory struct {
-				ArenaLive   float64 `json:"arena_live_bytes"`
-				ArenaMapped float64 `json:"arena_mapped_bytes"`
-				GoHeapLive  float64 `json:"go_heap_live_bytes"`
-			} `json:"memory"`
-		}
-		doJSON(t, c, "GET", ts.URL+"/stats", "", &st)
 		_, val := scrape(t, c, ts.URL)
-		m := st.Memory
+		m := s.memStats()
 		for _, g := range []struct {
-			name  string
-			stats float64
+			name string
+			want uint64
 		}{
-			{"stmkvd_arena_live_bytes", m.ArenaLive},
-			{"stmkvd_arena_mapped_bytes", m.ArenaMapped},
+			{"stmkvd_arena_live_bytes", m.arenaLive},
+			{"stmkvd_arena_mapped_bytes", m.arenaMapped},
 		} {
-			if v, ok := val(g.name); !ok || v != g.stats {
-				t.Fatalf("%s = %v (ok=%v), /stats says %v", g.name, v, ok, g.stats)
+			if v, ok := val(g.name); !ok || v != float64(g.want) {
+				t.Fatalf("%s = %v (ok=%v), the server says %d", g.name, v, ok, g.want)
 			}
 		}
-		if v, ok := val("stmkvd_go_heap_live_bytes"); !ok || v <= 0 || m.GoHeapLive <= 0 {
-			t.Fatalf("go heap live: /metrics %v (ok=%v), /stats %v; want both positive", v, ok, m.GoHeapLive)
+		if v, ok := val("stmkvd_go_heap_live_bytes"); !ok || v <= 0 || m.goHeapLive == 0 {
+			t.Fatalf("go heap live: /metrics %v (ok=%v), the runtime %d; want both positive", v, ok, m.goHeapLive)
 		}
-		return m.ArenaLive, m.ArenaMapped
+		return float64(m.arenaLive), float64(m.arenaMapped)
 	}
 
 	live0, mapped := read()
@@ -368,32 +359,28 @@ func TestMetricsMemory(t *testing.T) {
 	}
 }
 
-// TestMetricsShardGrows: /metrics and /stats report the store's committed
-// shard growths, and they agree with the store: 100 keys over two
-// 2-bucket shards pass growth triggers at 8 and 32 keys a shard.
+// TestMetricsShardGrows: /metrics reports the store's shard growths as the
+// store counts them: 100 keys over two 2-bucket shards pass growth
+// triggers at 8 and 32 keys a shard.
 func TestMetricsShardGrows(t *testing.T) {
 	s, ts := newTestServer(t, Config{SpaceWords: 1 << 16, Shards: 2, Buckets: 2})
 	c := ts.Client()
 	for k := uint64(0); k < 100; k++ {
 		s.Store().Put(k, k)
 	}
-	var st struct {
-		Grows uint64 `json:"grows"`
-	}
-	doJSON(t, c, "GET", ts.URL+"/stats", "", &st)
 	_, val := scrape(t, c, ts.URL)
 	want := s.Store().Grows()
 	if want == 0 {
 		t.Fatal("no shard grew")
 	}
-	if v, ok := val("stmkvd_shard_grows_total"); !ok || v != float64(want) || st.Grows != want {
-		t.Fatalf("stmkvd_shard_grows_total = %v (ok=%v), /stats grows = %d, store says %d", v, ok, st.Grows, want)
+	if v, ok := val("stmkvd_shard_grows_total"); !ok || v != float64(want) {
+		t.Fatalf("stmkvd_shard_grows_total = %v (ok=%v), store says %d", v, ok, want)
 	}
 }
 
 // TestMetricsRetryWaits forces one conflict — a transaction holds a word's
-// lock while another's Atomic stores to it — and checks that /metrics and
-// /stats report the same retry-wait count and seconds, both non-zero.
+// lock while another's Atomic stores to it — and checks that /metrics
+// reports the TM's retry-wait count and seconds, both non-zero.
 func TestMetricsRetryWaits(t *testing.T) {
 	s, ts := newTestServer(t, Config{SpaceWords: 1 << 18, Shards: 4, Buckets: 8})
 	c := ts.Client()
@@ -420,50 +407,38 @@ func TestMetricsRetryWaits(t *testing.T) {
 	}
 	<-done
 
-	var st struct {
-		RetryWaits struct {
-			Count   float64 `json:"count"`
-			Seconds float64 `json:"seconds"`
-		} `json:"retry_waits"`
-	}
-	doJSON(t, c, "GET", ts.URL+"/stats", "", &st)
+	st := tm.Stats()
 	_, val := scrape(t, c, ts.URL)
-	if st.RetryWaits.Count < 1 || st.RetryWaits.Seconds <= 0 {
-		t.Fatalf("/stats retry_waits = %+v, want a counted wait with its time", st.RetryWaits)
+	if st.RetryWaits < 1 || st.RetryWaitNs == 0 {
+		t.Fatalf("TM retry waits = %d over %d ns, want a counted wait with its time", st.RetryWaits, st.RetryWaitNs)
 	}
 	for _, g := range []struct {
-		name  string
-		stats float64
+		name string
+		want float64
 	}{
-		{"stm_retry_waits_total", st.RetryWaits.Count},
-		{"stm_retry_wait_seconds_total", st.RetryWaits.Seconds},
+		{"stm_retry_waits_total", float64(st.RetryWaits)},
+		{"stm_retry_wait_seconds_total", float64(st.RetryWaitNs) / 1e9},
 	} {
-		if v, ok := val(g.name); !ok || v != g.stats {
-			t.Errorf("%s = %v (ok=%v), /stats says %v", g.name, v, ok, g.stats)
+		if v, ok := val(g.name); !ok || v != g.want {
+			t.Errorf("%s = %v (ok=%v), the TM says %v", g.name, v, ok, g.want)
 		}
 	}
 }
 
 // TestMetricsVersionedCommits: with only point traffic the MVCC sidecar
-// stays cold, so /metrics and /stats count no versioned commit, and a
+// stays cold, so /metrics and the TM count no versioned commit, and a
 // /scan on its own changes nothing: a scan commits nothing. A put that
 // commits while a snapshot is registered, as under a long /scan, is
-// versioned, and both surfaces count it.
+// versioned, and both count it.
 func TestMetricsVersionedCommits(t *testing.T) {
 	s, ts := newTestServer(t, Config{SpaceWords: 1 << 18, Shards: 4, Buckets: 8, Snapshots: true})
 	c := ts.Client()
 	versioned := func() float64 {
 		t.Helper()
-		var st struct {
-			Snapshots struct {
-				VersionedCommits float64 `json:"versioned_commits"`
-			} `json:"snapshots"`
-		}
-		doJSON(t, c, "GET", ts.URL+"/stats", "", &st)
 		_, val := scrape(t, c, ts.URL)
 		v, ok := val("stm_versioned_commits_total")
-		if !ok || v != st.Snapshots.VersionedCommits {
-			t.Fatalf("stm_versioned_commits_total = %v (ok=%v), /stats says %v", v, ok, st.Snapshots.VersionedCommits)
+		if want := s.TM().Stats().VersionedCommits; !ok || v != float64(want) {
+			t.Fatalf("stm_versioned_commits_total = %v (ok=%v), the TM says %d", v, ok, want)
 		}
 		return v
 	}
@@ -564,7 +539,7 @@ func TestTxTraceEndpoint(t *testing.T) {
 
 // TestMetricsSnapshotRestarts: a scan that outwaits a writer holding its
 // stripe restarts with cause "held". /metrics splits
-// stm_snapshot_too_old_total by cause, and /stats reports the same split.
+// stm_snapshot_too_old_total by cause, as the TM counts it.
 func TestMetricsSnapshotRestarts(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		SpaceWords: 1 << 18, Shards: 4, Buckets: 8, Snapshots: true,
@@ -597,30 +572,22 @@ func TestMetricsSnapshotRestarts(t *testing.T) {
 		t.Fatalf("GET /scan: %v", err)
 	}
 
-	var st struct {
-		Snapshots struct {
-			TooOld   uint64            `json:"aborts_snapshot_too_old"`
-			Restarts map[string]uint64 `json:"restarts"`
-		} `json:"snapshots"`
-	}
-	doJSON(t, c, "GET", ts.URL+"/stats", "", &st)
+	restarts := tm.SnapshotRestarts()
 	_, val := scrape(t, c, ts.URL)
 	tooOld, _ := val("stm_snapshot_too_old_total")
-	var sum, statsSum float64
-	for _, cause := range []string{"trimmed", "miss", "held"} {
+	var sum float64
+	for i, cause := range []string{"trimmed", "miss", "held"} {
 		v, ok := val(`stm_snapshot_restarts_total{cause="` + cause + `"}`)
 		if !ok {
 			t.Fatalf("no stm_snapshot_restarts_total series for cause %q", cause)
 		}
-		n, ok := st.Snapshots.Restarts[cause]
-		if !ok || float64(n) > v {
-			t.Fatalf("/stats snapshots.restarts[%q] = %d (ok=%v), /metrics later read %v", cause, n, ok, v)
+		if n := restarts[core.RestartTrimmed+core.SnapRestart(i)]; float64(n) > v {
+			t.Fatalf("the TM counted %d %q restarts, /metrics later read %v", n, cause, v)
 		}
 		sum += v
-		statsSum += float64(n)
 	}
-	if sum != tooOld || statsSum != float64(st.Snapshots.TooOld) {
-		t.Fatalf("restarts sum to %v on /metrics (too-old %v) and %v on /stats (too-old %d)", sum, tooOld, statsSum, st.Snapshots.TooOld)
+	if sum != tooOld {
+		t.Fatalf("restarts sum to %v on /metrics, too-old reads %v", sum, tooOld)
 	}
 	if v, _ := val(`stm_snapshot_restarts_total{cause="held"}`); v == 0 {
 		t.Fatal("the scan that waited out the writer counted no held restart")

@@ -27,8 +27,8 @@
 //     server's state (mayPark) and get a goroutine without the try. At most
 //     protoInflight such goroutines exist per connection (the gate bounds
 //     updaters across ALL connections), each checks its deadline again when
-//     it starts, and /stats proto.spawned counts them: on a server without
-//     long requests it is how often the gate was actually full.
+//     it starts, and stmkvd_proto_spawned_total counts them: on a server
+//     without long requests it is how often the gate was actually full.
 //
 // Acknowledgement rule. Under group durability an update's response must
 // not leave before its WAL ticket resolves, and no goroutine parks on a
@@ -70,8 +70,8 @@
 // the lock is busy, the frames outgrow the buffer or the kernel takes less
 // than all of them does a goroutine of its own finish the write — with
 // the remainder already first in the buffer and the lock passed to it —
-// and /stats proto.handoffs counts those. The connection's teardown waits
-// for every answer to be written, so no delivery outlives it.
+// and stmkvd_proto_handoffs_total counts those. The connection's teardown
+// waits for every answer to be written, so no delivery outlives it.
 package kvserver
 
 import (
@@ -123,8 +123,8 @@ const (
 	shortBatch = 4
 )
 
-// protoStats carries the binary listener's counters for /stats and the
-// smoke tests' zero-protocol-errors assertion.
+// protoStats carries the binary listener's counters, each exported as an
+// stmkvd_proto_* series on /metrics.
 type protoStats struct {
 	//stm:allow-atomic listener accounting outside any transaction
 	conns atomic.Int64 // currently open connections
@@ -142,19 +142,6 @@ type protoStats struct {
 	spawned atomic.Uint64 // requests handed to a goroutine of their own
 	//stm:allow-atomic listener accounting outside any transaction
 	handoffs atomic.Uint64 // flusher deliveries finished on a goroutine of their own
-}
-
-func (p *protoStats) stats() map[string]any {
-	return map[string]any{
-		"conns":      p.conns.Load(),
-		"held":       p.held.Load(),
-		"accepted":   p.accepted.Load(),
-		"ops":        p.ops.Load(),
-		"spawned":    p.spawned.Load(),
-		"handoffs":   p.handoffs.Load(),
-		"err_ops":    p.errOps.Load(),
-		"bad_frames": p.badFrames.Load(),
-	}
 }
 
 // ServeProto accepts kvproto connections on l until the listener closes,

@@ -65,16 +65,3 @@ func deadlineOf(r *http.Request) time.Time {
 	dl, _ := r.Context().Value(deadlineKey{}).(time.Time)
 	return dl
 }
-
-// deadlineShedStats renders the per-surface/stage shed counters.
-func (s *Server) deadlineShedStats() map[string]any {
-	out := make(map[string]any, nSurfaces)
-	for surf := 0; surf < nSurfaces; surf++ {
-		stages := make(map[string]uint64, nShedStages)
-		for st := 0; st < nShedStages; st++ {
-			stages[shedStageNames[st]] = s.deadlineShed[surf][st].Load()
-		}
-		out[surfaceNames[surf]] = stages
-	}
-	return out
-}

@@ -2,7 +2,6 @@ package kvserver
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"maps"
 	"net"
 	"net/http"
@@ -14,6 +13,7 @@ import (
 
 	"tinystm/internal/kvproto"
 	"tinystm/internal/resilience"
+	"tinystm/internal/wal"
 )
 
 func TestHTTPBadTimeoutHeader(t *testing.T) {
@@ -244,41 +244,72 @@ func TestProtoBadFrameIsolation(t *testing.T) {
 	}
 }
 
-// statsSections is every top-level /stats key: the frozen contract (the
-// smokes and bench/ read these).
-var statsSections = []string{
-	"uptime_seconds", "design", "params", "keys", "grows", "memory",
-	"commits", "aborts", "extensions", "retry_waits", "rollovers", "reconfigs",
-	"descriptors", "snapshots", "durability", "admission", "proto", "deadline",
+// statsLeaves flattens a /stats document into its leaves by dotted path.
+func statsLeaves(prefix string, doc map[string]any, out map[string]any) {
+	for k, v := range doc {
+		if sub, ok := v.(map[string]any); ok {
+			statsLeaves(prefix+k+".", sub, out)
+			continue
+		}
+		out[prefix+k] = v
+	}
 }
 
-// TestStatsResilienceBlocks checks /stats carries the deadline block on
-// every server, and exactly the frozen top-level sections.
-func TestStatsResilienceBlocks(t *testing.T) {
-	_, ts := newTestServer(t, Config{SpaceWords: 1 << 16})
-	c := ts.Client()
-	var st map[string]json.RawMessage
-	if code := doJSON(t, c, "GET", ts.URL+"/stats", "", &st); code != 200 {
-		t.Fatalf("/stats: %d", code)
-	}
-	if got := slices.Sorted(maps.Keys(st)); !slices.Equal(got, slices.Sorted(slices.Values(statsSections))) {
-		t.Errorf("/stats sections %v, want exactly %v", got, statsSections)
-	}
-	var deadline struct {
-		Shed map[string]map[string]uint64 `json:"shed"`
-	}
-	if err := json.Unmarshal(st["deadline"], &deadline); err != nil {
-		t.Fatalf("/stats deadline block: %v", err)
-	}
-	for _, surf := range []string{"http", "proto"} {
-		stages, ok := deadline.Shed[surf]
-		if !ok {
-			t.Fatalf("deadline shed block missing surface %q", surf)
+// statsNumeric is every /stats leaf allowed to be a number: the geometry,
+// the recovery story and the three counters bench/ reads from this page.
+// Any other count or gauge belongs on /metrics.
+func statsNumeric(path string) bool {
+	for _, prefix := range []string{"params.", "durability.recovery."} {
+		if strings.HasPrefix(path, prefix) {
+			return true
 		}
-		for _, stage := range []string{"dequeue", "gate", "op"} {
-			if _, ok := stages[stage]; !ok {
-				t.Fatalf("deadline shed block missing %s/%s", surf, stage)
+	}
+	return path == "durability.checkpoints.count" || path == "proto.bad_frames" || path == "proto.err_ops"
+}
+
+// TestStatsSections pins /stats to what the server is and how it booted:
+// the exact leaf set, for a plain server and for a durable, gated one, and
+// which of those leaves may be numbers.
+func TestStatsSections(t *testing.T) {
+	common := []string{
+		"design", "params.locks", "params.shifts", "params.hier",
+		"snapshots.enabled", "admission.enabled",
+		"durability.mode", "durability.state",
+		"proto.bad_frames", "proto.err_ops",
+	}
+	durable := durableCfg(wal.NewMemFS())
+	durable.AdmissionWidth = 8
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		extra []string
+	}{
+		{"plain", Config{SpaceWords: 1 << 16}, nil},
+		{"durable+gated", durable, []string{
+			"durability.recovery.checkpoint_found", "durability.recovery.checkpoint_pairs",
+			"durability.recovery.checkpoints_skipped", "durability.recovery.segments",
+			"durability.recovery.records", "durability.recovery.ops",
+			"durability.recovery.torn_bytes", "durability.checkpoints.count",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, tc.cfg)
+			waitReady(t, s)
+			var doc map[string]any
+			if code := doJSON(t, ts.Client(), "GET", ts.URL+"/stats", "", &doc); code != 200 {
+				t.Fatalf("/stats: %d", code)
 			}
-		}
+			leaves := make(map[string]any)
+			statsLeaves("", doc, leaves)
+			want := slices.Sorted(slices.Values(append(slices.Clone(common), tc.extra...)))
+			if got := slices.Sorted(maps.Keys(leaves)); !slices.Equal(got, want) {
+				t.Errorf("/stats leaves %v, want exactly %v", got, want)
+			}
+			for path, v := range leaves {
+				if _, num := v.(float64); num && !statsNumeric(path) {
+					t.Errorf("/stats %s = %v: a number outside the allowed leaves (it belongs on /metrics)", path, v)
+				}
+			}
+		})
 	}
 }

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -163,15 +165,20 @@ func TestEndpointsRoundTrip(t *testing.T) {
 	if code := doJSON(t, c, "POST", ts.URL+"/batch", `{"ops":[]}`, nil); code != 400 {
 		t.Fatalf("empty batch: %d", code)
 	}
-	// Stats endpoint reports the store size.
+	// /stats says what the server is; /metrics counts what it did.
 	var stats struct {
-		Keys    uint64
-		Commits uint64
-		Params  struct{ Locks uint64 }
+		Params struct{ Locks uint64 }
 	}
 	doJSON(t, c, "GET", ts.URL+"/stats", "", &stats)
-	if stats.Keys != 2 || stats.Commits == 0 || stats.Params.Locks == 0 {
+	if stats.Params.Locks == 0 {
 		t.Fatalf("stats: %+v", stats)
+	}
+	_, val := scrape(t, c, ts.URL)
+	if keys, _ := val("stmkvd_keys"); keys != 2 {
+		t.Fatalf("stmkvd_keys = %v, want 2", keys)
+	}
+	if commits, _ := val("stm_commits_total"); commits == 0 {
+		t.Fatal("stm_commits_total = 0 after a run of writes")
 	}
 	// Tuning endpoint without autotune.
 	var tun struct{ Enabled bool }
@@ -219,22 +226,35 @@ func TestAutotuneReconfiguresUnderTraffic(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		if srv.TM().Stats().Reconfigs >= 1 {
-			// The /tuning endpoint must agree.
+			// /metrics and the /tuning events must agree.
+			_, val := scrape(t, c, ts.URL)
+			if v, _ := val("stm_reconfigs_total"); v < 1 {
+				t.Fatalf("stm_reconfigs_total = %v after a reconfiguration", v)
+			}
 			var tun struct {
-				Enabled          bool
-				Reconfigurations int
-				ReconfigsTotal   uint64 `json:"reconfigs_total"`
-				Events           []json.RawMessage
+				Enabled bool
+				Events  []struct {
+					Params, Next wireParams
+					Err          *string
+				}
+			}
+			moved := func() bool {
+				for _, e := range tun.Events {
+					if e.Next != e.Params && e.Err == nil {
+						return true
+					}
+				}
+				return false
 			}
 			// Events may trail the Reconfigure by one trace append; poll briefly.
 			for time.Now().Before(deadline) {
 				doJSON(t, c, "GET", ts.URL+"/tuning", "", &tun)
-				if tun.Reconfigurations >= 1 {
+				if moved() {
 					break
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
-			if !tun.Enabled || tun.ReconfigsTotal < 1 || tun.Reconfigurations < 1 || len(tun.Events) == 0 {
+			if !tun.Enabled || !moved() {
 				t.Fatalf("/tuning disagrees with TM: %+v", tun)
 			}
 			return
@@ -390,23 +410,24 @@ func TestStatsReportsSnapshotCounters(t *testing.T) {
 	}
 	var st struct {
 		Snapshots struct {
-			Enabled       bool   `json:"enabled"`
-			VersionBudget int    `json:"version_budget"`
-			ReadsLive     uint64 `json:"reads_live"`
-			AbortsTooOld  uint64 `json:"aborts_snapshot_too_old"`
+			Enabled bool `json:"enabled"`
 		} `json:"snapshots"`
 	}
 	if code := doJSON(t, client, "GET", ts.URL+"/stats", "", &st); code != http.StatusOK {
 		t.Fatalf("GET /stats status %d", code)
 	}
-	if !st.Snapshots.Enabled || st.Snapshots.VersionBudget == 0 || st.Snapshots.VersionBudget != srv.TM().VersionBudget() {
+	if !st.Snapshots.Enabled {
 		t.Fatalf("snapshot stats %+v", st.Snapshots)
 	}
-	if st.Snapshots.ReadsLive == 0 {
+	_, val := scrape(t, client, ts.URL)
+	if budget, _ := val("stm_version_budget"); budget == 0 || budget != float64(srv.TM().VersionBudget()) {
+		t.Fatalf("stm_version_budget = %v, the TM says %d", budget, srv.TM().VersionBudget())
+	}
+	if live, _ := val("stm_snapshot_reads_live_total"); live == 0 {
 		t.Fatal("scan recorded no snapshot reads")
 	}
-	if st.Snapshots.AbortsTooOld != 0 {
-		t.Fatalf("%d snapshot-too-old aborts in an uncontended test", st.Snapshots.AbortsTooOld)
+	if tooOld, _ := val("stm_snapshot_too_old_total"); tooOld != 0 {
+		t.Fatalf("%v snapshot-too-old aborts in an uncontended test", tooOld)
 	}
 }
 
@@ -427,8 +448,8 @@ func TestScanWithoutSnapshotsFallsBack(t *testing.T) {
 }
 
 // TestTuningReportsVersionBudget: the version budget is fixed when the TM
-// is built. Through an autotuned run with scans, /stats keeps reporting
-// the default 512, and /tuning shows no budget key on any event.
+// is built. Through an autotuned run with scans, /metrics keeps reporting
+// the default 512.
 func TestTuningReportsVersionBudget(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
 		SpaceWords: 1 << 18, Shards: 4, Buckets: 8,
@@ -448,48 +469,17 @@ func TestTuningReportsVersionBudget(t *testing.T) {
 	}
 	rt.Stop()
 
-	var st struct {
-		Snapshots struct {
-			VersionBudget int `json:"version_budget"`
-		} `json:"snapshots"`
-	}
-	doJSON(t, client, "GET", ts.URL+"/stats", "", &st)
-	if st.Snapshots.VersionBudget != 512 || srv.TM().VersionBudget() != 512 {
-		t.Errorf("version budget %d on /stats, %d on the TM after %d periods; want 512",
-			st.Snapshots.VersionBudget, srv.TM().VersionBudget(), rt.Periods())
+	_, val := scrape(t, client, ts.URL)
+	if budget, _ := val("stm_version_budget"); budget != 512 || srv.TM().VersionBudget() != 512 {
+		t.Errorf("version budget %v on /metrics, %d on the TM after %d periods; want 512",
+			budget, srv.TM().VersionBudget(), rt.Periods())
 	}
 	var tun struct {
-		Events []map[string]json.RawMessage `json:"events"`
+		Events []json.RawMessage `json:"events"`
 	}
 	doJSON(t, client, "GET", ts.URL+"/tuning", "", &tun)
 	if len(tun.Events) == 0 {
 		t.Fatal("/tuning listed no events")
-	}
-	for _, ev := range tun.Events {
-		if _, ok := ev["budget"]; ok {
-			t.Fatalf("/tuning event carries a budget key: %v", ev)
-		}
-	}
-}
-
-// /tuning reports what this server runs: without a gate, a zero width
-// and no key of the removed admission controller.
-func TestTuneSnapshotsRequiresSnapshots(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		SpaceWords: 1 << 18, Shards: 4, Buckets: 8,
-		Snapshots: false, Autotune: true, Period: time.Hour,
-	})
-	var out map[string]json.RawMessage
-	if code := doJSON(t, ts.Client(), "GET", ts.URL+"/tuning", "", &out); code != http.StatusOK {
-		t.Fatalf("GET /tuning status %d", code)
-	}
-	for key, want := range map[string]string{"enabled": "true", "admission_width": "0"} {
-		if got := string(out[key]); got != want {
-			t.Errorf("/tuning %s = %s, want %s", key, got, want)
-		}
-	}
-	if _, ok := out["admission_tuning"]; ok {
-		t.Error("/tuning still reports admission_tuning")
 	}
 }
 
@@ -518,10 +508,11 @@ type parentWireEvent struct {
 // TestTuningWireKeysFrozen: a period in which the tuner's move failed
 // must still render every key clients read, with its JSON type (decoding
 // into the struct checks both), and a live /tuning response must keep
-// every top-level key. Both key sets are exact: the keys of removed
-// controllers — the version budget's, the admission width's and the
-// overload ladder's, on the event and at the top level — and the event's
-// request-latency stamp (lat_*) stay gone.
+// every top-level key, on a gated server with snapshots and on one with
+// neither. Both key sets are exact: the keys of removed controllers — the
+// version budget's, the admission width's and the overload ladder's, on
+// the event and at the top level — the event's request-latency stamp
+// (lat_*) and the counts /metrics carries stay gone.
 func TestTuningWireKeysFrozen(t *testing.T) {
 	ev := tuning.Event{
 		Sample: tuning.Sample{Period: 3, Throughput: 1e4, Commits: 100, Aborts: 300},
@@ -557,43 +548,34 @@ func TestTuningWireKeysFrozen(t *testing.T) {
 		}
 	}
 
-	_, ts := newTestServer(t, Config{
-		SpaceWords: 1 << 18, Shards: 2, Buckets: 8, Snapshots: true, AdmissionWidth: 8,
-		Autotune: true, Period: time.Hour,
-	})
-	var top map[string]json.RawMessage
-	doJSON(t, ts.Client(), "GET", ts.URL+"/tuning", "", &top)
-	topKeys := map[string]bool{
-		"enabled": true, "running": true, "current": true, "best": true, "best_throughput": true,
-		"reconfigurations": true, "reconfigs_total": true, "periods_total": true,
-		"admission_width": true, "events": true,
-	}
-	for key := range topKeys {
-		if _, ok := top[key]; !ok {
-			t.Errorf("/tuning lost top-level key %q", key)
+	topKeys := []string{"best", "best_throughput", "current", "enabled", "events", "periods_total", "running"}
+	for _, cfg := range []Config{
+		{SpaceWords: 1 << 18, Shards: 2, Buckets: 8, Snapshots: true, AdmissionWidth: 8, Autotune: true, Period: time.Hour},
+		{SpaceWords: 1 << 18, Shards: 4, Buckets: 8, Autotune: true, Period: time.Hour},
+	} {
+		_, ts := newTestServer(t, cfg)
+		var top map[string]json.RawMessage
+		doJSON(t, ts.Client(), "GET", ts.URL+"/tuning", "", &top)
+		if got := slices.Sorted(maps.Keys(top)); !slices.Equal(got, topKeys) {
+			t.Errorf("/tuning top-level keys %v, want exactly %v", got, topKeys)
 		}
-	}
-	for key := range top {
-		if !topKeys[key] {
-			t.Errorf("/tuning renders top-level key %q outside the frozen set", key)
+		raw, err = json.Marshal(top)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	raw, err = json.Marshal(top)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var typed struct {
-		Enabled, Running bool
-		Current, Best    wireParams
-		BestThroughput   float64 `json:"best_throughput"`
-		Reconfigurations int
-		ReconfigsTotal   uint64 `json:"reconfigs_total"`
-		PeriodsTotal     int    `json:"periods_total"`
-		AdmissionWidth   int    `json:"admission_width"`
-		Events           []parentWireEvent
-	}
-	if err := json.Unmarshal(raw, &typed); err != nil {
-		t.Errorf("/tuning top-level keys changed JSON type: %v\n%s", err, raw)
+		var typed struct {
+			Enabled, Running bool
+			Current, Best    wireParams
+			BestThroughput   float64 `json:"best_throughput"`
+			PeriodsTotal     int     `json:"periods_total"`
+			Events           []parentWireEvent
+		}
+		if err := json.Unmarshal(raw, &typed); err != nil {
+			t.Errorf("/tuning top-level keys changed JSON type: %v\n%s", err, raw)
+		}
+		if !typed.Enabled {
+			t.Errorf("/tuning enabled = false on an autotuned server: %s", raw)
+		}
 	}
 }
 
@@ -643,33 +625,14 @@ func TestAdmissionWidthFixedUnderAutotune(t *testing.T) {
 		t.Fatalf("only %d tuning periods under the storm", rt.Periods())
 	}
 
-	var st struct {
-		Admission map[string]json.RawMessage `json:"admission"`
-	}
-	doJSON(t, c, "GET", ts.URL+"/stats", "", &st)
-	if w := string(st.Admission["width"]); w != "8" || srv.Gate().Width() != 8 {
-		t.Errorf("gate width %s on /stats, %d live after %d periods; want 8", w, srv.Gate().Width(), rt.Periods())
-	}
-	if n, _ := strconv.Atoi(string(st.Admission["admitted"])); n == 0 {
-		t.Error("/stats admission.admitted = 0 under an update storm")
-	}
-	if _, ok := st.Admission["tuned"]; ok {
-		t.Error("/stats still reports admission.tuned")
-	}
 	body, val := scrape(t, c, ts.URL)
 	if strings.Contains(body, `controller=`) {
 		t.Error(`/metrics exports a series with a controller label`)
 	}
-	if v, _ := val("stmkvd_admission_width"); v != 8 {
-		t.Errorf("stmkvd_admission_width = %v, want 8", v)
+	if v, _ := val("stmkvd_admission_width"); v != 8 || srv.Gate().Width() != 8 {
+		t.Errorf("gate width %v on /metrics, %d live after %d periods; want 8", v, srv.Gate().Width(), rt.Periods())
 	}
-	var tun struct {
-		Events []map[string]json.RawMessage `json:"events"`
-	}
-	doJSON(t, c, "GET", ts.URL+"/tuning", "", &tun)
-	for _, ev := range tun.Events {
-		if _, ok := ev["adm_width"]; ok {
-			t.Fatalf("/tuning event carries adm_width: %v", ev)
-		}
+	if v, _ := val("stmkvd_admission_admitted_total"); v == 0 {
+		t.Error("stmkvd_admission_admitted_total = 0 under an update storm")
 	}
 }

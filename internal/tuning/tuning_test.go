@@ -170,6 +170,42 @@ func TestSecondBestSwitch(t *testing.T) {
 	}
 }
 
+// TestSecondBestWalksStaleMemory pins why the tuner makes runs of
+// switch-2nd moves after a workload shift. The memory holds each
+// configuration's most recent throughput, so after the shift every entry
+// but the one just re-measured is stale; each re-measure at the best falls
+// below the next stale value, and Section 4.2's rule walks the memory one
+// configuration a period until the fresh readings outrank the stale ones.
+func TestSecondBestWalksStaleMemory(t *testing.T) {
+	b := Bounds{MinLocks: 1 << 8, MaxLocks: 1 << 10, MinShifts: 0, MaxShifts: 0, MinHier: 1, MaxHier: 1}
+	tr := New(Config{Initial: p(8, 0, 1), Bounds: b, Seed: 1})
+	// Chart the line before the shift: 2^8, 2^9, 2^10 at 1000, 1100, 1200.
+	for _, tp := range []float64{1000, 1100, 1200} {
+		tr.Step(tp)
+	}
+	if tr.Current() != p(10, 0, 1) {
+		t.Fatalf("charted to %v, want 2^10", tr.Current())
+	}
+	// The shift halves every configuration; the tuner re-measures one a
+	// period.
+	for i, step := range []struct {
+		tp   float64
+		move Move
+		to   core.Params
+	}{
+		{600, MoveSecondBest, p(9, 0, 1)},  // 600 < 2^9's stale 1100
+		{550, MoveSecondBest, p(8, 0, 1)},  // 550 < 2^8's stale 1000
+		{500, MoveSecondBest, p(10, 0, 1)}, // 500 < 2^10's fresh 600
+		{600, MoveNop, p(10, 0, 1)},        // every entry fresh: 2^10 is best
+	} {
+		from := tr.Current()
+		to, move, _ := tr.Step(step.tp)
+		if move != step.move || to != step.to {
+			t.Fatalf("step %d at %v (%.0f): %v to %v, want %v to %v", i, from, step.tp, move, to, step.move, step.to)
+		}
+	}
+}
+
 func TestConvergesToSyntheticOptimum(t *testing.T) {
 	opt := p(18, 3, 4)
 	f := synthetic(opt)

@@ -172,11 +172,19 @@ for GL in "$GENLOG" "$BGENLOG"; do
     || { echo "retry budget denied no retry across the kill:"; cat "$GL"; exit 1; }
 done
 
-# (b) /stats tells the recovery story.
+# (b) /stats tells the recovery story; /metrics counts the traffic.
 STATS="$(curl -sf "$BASE/stats")"
-python3 - "$STATS" "$N_ACKED" <<'PY'
+METRICS="$(curl -sf "$BASE/metrics")"
+python3 - "$STATS" "$METRICS" "$N_ACKED" <<'PY'
 import json, sys
-stats, n_acked = json.loads(sys.argv[1]), int(sys.argv[2])
+stats, metrics, n_acked = json.loads(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+
+def sample(series):
+    for line in metrics.splitlines():
+        if line.startswith(series + " "):
+            return float(line.rsplit(" ", 1)[1])
+    raise AssertionError(f"series {series} missing from /metrics")
+
 d = stats["durability"]
 assert d["mode"] == "group", f"mode {d['mode']}"
 assert d["state"] == "ready", f"state {d['state']}"
@@ -184,14 +192,14 @@ rec = d["recovery"]
 assert rec["records"] >= n_acked, f"replayed {rec['records']} records < {n_acked} acked"
 assert "error" not in rec, f"recovery error: {rec}"
 assert rec["torn_bytes"] == 0, f"recovery read {rec['torn_bytes']} torn bytes after a plain kill -9: {rec}"
-proto = stats["proto"]
-assert proto["ops"] > 0, f"no binary-protocol ops reached the restarted server: {proto}"
-assert proto["bad_frames"] == 0, f"binary listener saw malformed frames: {proto}"
+ops, bad = sample("stmkvd_proto_ops_total"), sample("stmkvd_proto_bad_frames_total")
+assert ops > 0, "no binary-protocol ops reached the restarted server"
+assert bad == 0, f"binary listener saw {bad:.0f} malformed frames"
 print(f"crash smoke ok: {n_acked} acked tracker writes survived kill -9; "
       f"recovery replayed {rec['records']} records / {rec['ops']} ops "
       f"(torn_bytes={rec['torn_bytes']}, checkpoint_found={rec['checkpoint_found']}); "
       # Printed, not asserted: the filesystem under $WAL may refuse fallocate.
-      f"wal preallocated={d['wal']['preallocated']}")
+      f"wal preallocated={sample('stmkvd_wal_preallocated') == 1}")
 PY
 cat "$GENLOG"
 cat "$BGENLOG"

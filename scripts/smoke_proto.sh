@@ -4,9 +4,9 @@
 # open-loop traffic through stmkv-loadgen -proto binary with a mid-run
 # phase shift (calm read-heavy -> hot-key write-heavy), and assert that
 # (a) the gate admitted the updates and is still 32 wide, with no key of
-# the removed admission controller on /tuning or /stats, and (b) the
-# binary listener served the whole run with zero protocol-level errors
-# and zero malformed frames (/stats). CI runs this
+# the removed admission controller on /tuning, and (b) the binary
+# listener served the whole run with zero protocol-level errors and zero
+# malformed frames (/metrics). CI runs this
 # on every push; locally: ./scripts/smoke_proto.sh [bindir]
 set -euo pipefail
 
@@ -56,26 +56,35 @@ cat "$GENLOG"
 
 TUNING="$(curl -sf "$BASE/tuning")"
 STATS="$(curl -sf "$BASE/stats")"
-python3 - "$TUNING" "$STATS" <<'PY'
+METRICS="$(curl -sf "$BASE/metrics")"
+python3 - "$TUNING" "$STATS" "$METRICS" <<'PY'
 import json, sys
-tuning, stats = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+tuning, stats, metrics = json.loads(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3]
+
+def sample(series):
+    for line in metrics.splitlines():
+        if line.startswith(series + " "):
+            return float(line.rsplit(" ", 1)[1])
+    raise AssertionError(f"series {series} missing from /metrics")
+
 assert tuning["enabled"] and tuning["running"], "tuning runtime not running"
 gone = [k for k in ("admission_tuning", "admission_moves") if k in tuning]
 gone += [k for ev in tuning["events"] for k in ("adm_width", "next_adm_width", "adm_err") if k in ev]
 assert not gone, f"/tuning still carries removed admission-controller keys: {sorted(set(gone))}"
-adm = stats["admission"]
-assert adm["enabled"], f"admission gate not live: {adm}"
-assert "tuned" not in adm, f"/stats still reports admission.tuned: {adm}"
-assert adm["width"] == 32 and tuning["admission_width"] == 32, \
-    f"admission width moved from 32: /stats {adm['width']}, /tuning {tuning['admission_width']}"
-assert adm["admitted"] > 0, f"no update transactions passed the gate: {adm}"
-proto = stats["proto"]
-assert proto["ops"] >= 10000, f"binary listener served only {proto['ops']} ops"
-assert proto["err_ops"] == 0, f"binary listener answered {proto['err_ops']} errors"
-assert proto["bad_frames"] == 0, f"binary listener saw {proto['bad_frames']} malformed frames"
-print(f"proto smoke ok: {proto['ops']} pipelined ops over {proto['accepted']} conns, "
-      f"0 protocol errors; admission width {adm['width']} "
-      f"({adm['admitted']} admitted, {adm['waited']} waited)")
+assert stats["admission"]["enabled"], f"admission gate not live: {stats['admission']}"
+width = sample("stmkvd_admission_width")
+assert width == 32, f"admission width moved from 32: {width}"
+admitted, waited = sample("stmkvd_admission_admitted_total"), sample("stmkvd_admission_waited_total")
+assert admitted > 0, "no update transactions passed the gate"
+ops, err_ops = sample("stmkvd_proto_ops_total"), sample("stmkvd_proto_err_ops_total")
+bad_frames = sample("stmkvd_proto_bad_frames_total")
+assert ops >= 10000, f"binary listener served only {ops:.0f} ops"
+assert err_ops == 0, f"binary listener answered {err_ops:.0f} errors"
+assert bad_frames == 0, f"binary listener saw {bad_frames:.0f} malformed frames"
+print(f"proto smoke ok: {ops:.0f} pipelined ops over "
+      f"{sample('stmkvd_proto_accepted_total'):.0f} conns, "
+      f"0 protocol errors; admission width {width:.0f} "
+      f"({admitted:.0f} admitted, {waited:.0f} waited)")
 PY
 
 kill $SRV

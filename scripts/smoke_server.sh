@@ -2,8 +2,8 @@
 # smoke_server.sh — end-to-end service smoke: boot stmkvd with a fast
 # tuning cadence, drive >= 10k operations of open-loop Zipf traffic with a
 # mid-run phase shift through stmkv-loadgen, and assert that the live
-# autotuner actually reconfigured the TM at least once (/tuning) and that
-# the store served the traffic (/stats). CI runs this on every push; it is
+# autotuner actually reconfigured the TM at least once and that the store
+# served the traffic (/metrics). CI runs this on every push; it is
 # also runnable locally: ./scripts/smoke_server.sh [bindir]
 set -euo pipefail
 
@@ -89,32 +89,41 @@ wait $GEN
 # snapshot read driven above must have been answered (counted in the loop:
 # curl -f fails the script on a non-200). Snapshot-too-old aborts are NOT
 # failures: a too-old abort is retried inside the server. What must hold
-# is that they stay rare (<= 1% of snapshot reads).
+# is that they stay rare (<= 1% of snapshot reads). The counts come from
+# /metrics; /stats says what the server is, /tuning what the tuner did.
 TUNING="$(curl -sf "$BASE/tuning")"
 STATS="$(curl -sf "$BASE/stats")"
+METRICS="$(curl -sf "$BASE/metrics")"
 FINAL_SCAN="$(curl -sf "$BASE/scan?limit=4")"
-python3 - "$TUNING" "$STATS" "$FINAL_SCAN" "$SCANS" "$BATCHES" <<'PY'
+python3 - "$TUNING" "$STATS" "$METRICS" "$FINAL_SCAN" "$SCANS" "$BATCHES" <<'PY'
 import json, sys
-tuning, stats = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-scan, scans, batches = json.loads(sys.argv[3]), int(sys.argv[4]), int(sys.argv[5])
+tuning, stats, metrics = json.loads(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3]
+scan, scans, batches = json.loads(sys.argv[4]), int(sys.argv[5]), int(sys.argv[6])
+
+def sample(series):
+    for line in metrics.splitlines():
+        if line.startswith(series + " "):
+            return float(line.rsplit(" ", 1)[1])
+    raise AssertionError(f"series {series} missing from /metrics")
+
 assert tuning["enabled"] and tuning["running"], "tuning runtime not running"
-assert tuning["reconfigurations"] >= 1, f"no reconfiguration events: {tuning}"
-assert stats["reconfigs"] >= 1, f"TM never reconfigured: {stats}"
-assert stats["commits"] >= 10000, f"too few commits: {stats['commits']}"
+reconfigs, commits = sample("stm_reconfigs_total"), sample("stm_commits_total")
+assert reconfigs >= 1, f"TM never reconfigured: stm_reconfigs_total={reconfigs}"
+assert commits >= 10000, f"too few commits: {commits}"
 assert len(tuning["events"]) >= 5, f"trace too short: {len(tuning['events'])} events"
 assert scans >= 30, f"only {scans} snapshot scans completed under load"
 assert batches >= 30, f"only {batches} all-Get batches completed under load"
-snap = stats["snapshots"]
-assert snap["enabled"], f"snapshots not enabled: {snap}"
-reads, too_old = snap["reads_live"] + snap["reads_sidecar"], snap["aborts_snapshot_too_old"]
-assert reads > 0, f"no snapshot reads recorded: {snap}"
-assert too_old * 100 <= reads, f"{too_old} too-old aborts over {reads} snapshot reads (> 1%): {snap}"
+assert stats["snapshots"]["enabled"], f"snapshots not enabled: {stats['snapshots']}"
+live, sidecar = sample("stm_snapshot_reads_live_total"), sample("stm_snapshot_reads_sidecar_total")
+reads, too_old = live + sidecar, sample("stm_snapshot_too_old_total")
+assert reads > 0, "no snapshot reads recorded"
+assert too_old * 100 <= reads, f"{too_old:.0f} too-old aborts over {reads:.0f} snapshot reads (> 1%)"
 assert scan["keys"] >= 1000, f"final scan saw only {scan['keys']} keys"
-print(f"smoke ok: {stats['commits']} commits, {stats['reconfigs']} reconfigs, "
+print(f"smoke ok: {commits:.0f} commits, {reconfigs:.0f} reconfigs, "
       f"{len(tuning['events'])} tuning periods, final geometry {stats['params']}, "
       f"{scans} scans + {batches} ro-batches answered under load "
-      f"({snap['reads_live']} live + {snap['reads_sidecar']} sidecar snapshot reads, "
-      f"{too_old} too-old retries)")
+      f"({live:.0f} live + {sidecar:.0f} sidecar snapshot reads, "
+      f"{too_old:.0f} too-old retries)")
 PY
 
 kill $SRV
