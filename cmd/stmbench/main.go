@@ -5,7 +5,7 @@
 //	2 3 4 4r 5   integer-set throughput and abort rates, TinySTM-WB/WT vs TL2
 //	6 7 8 9      (#locks x #shifts x h) sweeps: rbtree/list, Vacation, improvement curves
 //	10 11 12     dynamic tuning from (2^8,0,1) on tuning.Runtime: rbtree, list, validation counters
-//	snapshot proto   MVCC scans, the wire surfaces and static admission gates on a live kvserver
+//	snapshot     MVCC scans: classic read-only vs. snapshot transactions under writers
 //	custom       one workload (-b -size -update) across all three systems
 //	autotune     the tuning runtime against a phase-shifting workload vs. static baselines
 //
@@ -48,7 +48,7 @@ var figures = []struct {
 	{"2", fig2}, {"3", fig3}, {"4", fig4}, {"4r", fig4r}, {"5", fig5},
 	{"6", fig6}, {"7", fig7}, {"8", fig8}, {"9", fig9},
 	{"10", fig10}, {"11", fig11}, {"12", fig12},
-	{"snapshot", figSnapshot}, {"proto", figProto},
+	{"snapshot", figSnapshot},
 	{"custom", figCustom}, {"autotune", figAutotune},
 }
 
@@ -255,18 +255,6 @@ func figSnapshot(o *options) {
 	fmt.Printf("snapshot sweep: %d keys, %d scanners, theta %.2f, %v per point, budgets %v\n",
 		cfg.Keys, cfg.Scanners, cfg.Theta, cfg.Duration, cfg.Budgets)
 	o.emit(experiments.SnapshotSweep(o.sc, cfg).ToTable())
-}
-
-// figProto: wire-surface and admission comparison over live TCP servers —
-// HTTP+JSON vs. the binary kvproto protocol at equal workers, then a
-// hot-key write storm ungated and behind static admission gates.
-func figProto(o *options) {
-	cfg := experiments.DefaultProtoConfig(o.sc)
-	fmt.Printf("proto sweep: %d keys, %d connections, %v per point, storm read %d%% theta %.2f, admission widths %v\n",
-		cfg.Keys, cfg.Workers, cfg.Duration, cfg.Storm.ReadPct, cfg.Storm.Theta, cfg.AdmissionWidths)
-	r := experiments.ProtoSweep(o.sc, cfg)
-	o.emit(r.SurfaceTable())
-	o.emit(r.StormTable())
 }
 
 func figCustom(o *options) {

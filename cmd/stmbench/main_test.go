@@ -10,7 +10,7 @@ import (
 // advertises and the names the dispatch table runs are the one list CI's
 // smoke loop and the README reproduce block walk.
 func TestFigUsageMatchesDispatchTable(t *testing.T) {
-	const want = "2 3 4 4r 5 6 7 8 9 10 11 12 snapshot proto custom autotune"
+	const want = "2 3 4 4r 5 6 7 8 9 10 11 12 snapshot custom autotune"
 
 	fs := flag.NewFlagSet("stmbench", flag.ContinueOnError)
 	o := declare(fs)

@@ -157,13 +157,6 @@ func (g *Gate) Exit() {
 	g.slot.Signal()
 }
 
-// Width returns the admission width.
-func (g *Gate) Width() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.width
-}
-
 // Stats returns the gate's counters: the width, how many
 // updaters hold slots right now, how many Enters were granted in total,
 // and how many of those had to wait at the door.

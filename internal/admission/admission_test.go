@@ -46,11 +46,10 @@ func TestGateBoundsConcurrency(t *testing.T) {
 }
 
 func TestGateFloor(t *testing.T) {
-	if g := New(0); g.Width() != 1 {
-		t.Fatalf("New(0) width = %d, want clamped to 1", g.Width())
-	}
-	if g := New(-3); g.Width() != 1 {
-		t.Fatalf("New(-3) width = %d, want clamped to 1", g.Width())
+	for _, n := range []int{0, -3} {
+		if w, _, _, _ := New(n).Stats(); w != 1 {
+			t.Fatalf("New(%d) width = %d, want clamped to 1", n, w)
+		}
 	}
 }
 

@@ -20,8 +20,7 @@ type Target interface {
 // Mix describes service-shaped KV traffic: a Zipf-skewed key popularity
 // over a bounded keyspace and a read/CAS/batch/write operation mix. Build
 // one with NewMix; Do is the only place the mix is drawn — the load
-// generator (cmd/stmkv-loadgen) and every service experiment
-// (internal/experiments) send their traffic through it.
+// generator (cmd/stmkv-loadgen) sends its traffic through it.
 type Mix struct {
 	// Keys is the keyspace size; operations draw keys in [0, Keys).
 	// Default 4096.

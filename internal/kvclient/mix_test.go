@@ -2,9 +2,13 @@ package kvclient_test
 
 import (
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -170,6 +174,132 @@ func TestHTTPAgainstServer(t *testing.T) {
 	var se *kvclient.StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusBadRequest || kvclient.Retryable(err) {
 		t.Fatalf("empty batch: err = %v, want a non-retryable 400", err)
+	}
+}
+
+// countingTarget counts the requests a Mix sends through it.
+type countingTarget struct {
+	kvclient.Target
+	n int
+}
+
+func (c *countingTarget) Get(key uint64) (uint64, bool, error) {
+	c.n++
+	return c.Target.Get(key)
+}
+
+func (c *countingTarget) Put(key, val uint64) (bool, error) {
+	c.n++
+	return c.Target.Put(key, val)
+}
+
+func (c *countingTarget) CAS(key, old, new uint64) (bool, error) {
+	c.n++
+	return c.Target.CAS(key, old, new)
+}
+
+func (c *countingTarget) Batch(ops []kvproto.BatchOp) ([]kvproto.BatchResult, error) {
+	c.n++
+	return c.Target.Batch(ops)
+}
+
+// A storm mix with all four arms runs clean against one live server over
+// both surfaces, each worker on its own connection, and the server's
+// request histograms count exactly the requests each surface was sent.
+func TestMixAgainstServerBothSurfaces(t *testing.T) {
+	srv, err := kvserver.New(kvserver.Config{SpaceWords: 1 << 18, Snapshots: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go srv.ServeProto(l)
+
+	const keys, workers, opsEach = 64, 4, 200
+	for k := uint64(0); k < keys; k++ {
+		srv.Store().Put(k, 1)
+	}
+	m := mustMix(t, kvclient.Mix{Keys: keys, Theta: 0.99, ReadPct: 10, CASPct: 30, BatchPct: 30})
+	dial := map[string]func() (kvclient.Target, func()){
+		"http": func() (kvclient.Target, func()) {
+			h := kvclient.NewHTTP(ts.URL, 1, 0)
+			return h, h.Close
+		},
+		"proto": func() (kvclient.Target, func()) {
+			c := kvclient.New(l.Addr().String(), kvclient.Options{})
+			return c, c.Close
+		},
+	}
+	sent := make(map[string]int)
+	for _, surface := range []string{"http", "proto"} {
+		var (
+			wg   sync.WaitGroup
+			reqs [workers]int
+			errs atomic.Int64
+		)
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				target, hangUp := dial[surface]()
+				defer hangUp()
+				ct := &countingTarget{Target: target}
+				r := rng.NewThread(42, w)
+				for range opsEach {
+					if err := m.Do(ct, r); err != nil {
+						errs.Add(1)
+					}
+				}
+				reqs[w] = ct.n
+			}()
+		}
+		wg.Wait()
+		if n := errs.Load(); n != 0 {
+			t.Fatalf("%s: %d of %d operations failed on a clean server", surface, n, workers*opsEach)
+		}
+		for _, n := range reqs {
+			sent[surface] += n
+		}
+	}
+	if c := srv.TM().Stats().Commits; c == 0 {
+		t.Fatal("the server committed nothing")
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := make(map[string]int)
+	for _, line := range strings.Split(string(body), "\n") {
+		if !strings.HasPrefix(line, "stmkvd_request_seconds_count{") {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		v, err := strconv.Atoi(line[sp+1:])
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		for surface := range sent {
+			if strings.Contains(line[:sp], `surface="`+surface+`"`) {
+				counted[surface] += v
+			}
+		}
+	}
+	for surface, n := range sent {
+		if n == 0 || counted[surface] != n {
+			t.Errorf("%s: sent %d requests, stmkvd_request_seconds_count sums to %d", surface, n, counted[surface])
+		}
 	}
 }
 

@@ -325,6 +325,13 @@ func (s *Server) Checkpoint() error {
 	return nil
 }
 
+// checkpoints returns how many checkpoints have completed.
+func (d *durability) checkpoints() uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.ckptCount
+}
+
 // closeDurability tears down the WAL half of Close: stop checkpointing,
 // detach the redo hook so no new records are staged, then close the log
 // (final drain). Requests still in flight — a blocked HTTP handler, a

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -321,6 +322,28 @@ func TestCheckpointLoopTruncates(t *testing.T) {
 	}
 	s.Close() // stops the loop between checkpoints, then the log
 	n, _ := count()
+
+	// The count is reported twice, on /metrics and in /stats; both must
+	// say what the loop did.
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	_, val := scrape(t, ts.Client(), ts.URL)
+	if v, ok := val("stmkvd_wal_checkpoints_total"); !ok || v != float64(n) {
+		t.Errorf("stmkvd_wal_checkpoints_total = %v (present %v) after %d checkpoints", v, ok, n)
+	}
+	var st struct {
+		Durability struct {
+			Checkpoints struct {
+				Count uint64 `json:"count"`
+			} `json:"checkpoints"`
+		} `json:"durability"`
+	}
+	if code := doJSON(t, ts.Client(), "GET", ts.URL+"/stats", "", &st); code != 200 {
+		t.Fatalf("/stats: %d", code)
+	}
+	if got := st.Durability.Checkpoints.Count; got != n {
+		t.Errorf("/stats durability.checkpoints.count = %d after %d checkpoints", got, n)
+	}
 
 	names, err := fs.ReadDir("wal")
 	if err != nil {

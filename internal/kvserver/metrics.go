@@ -274,6 +274,8 @@ func newMetrics(s *Server) *metrics {
 		})
 	m.reg.CounterFunc("stmkvd_wal_rotations_total", "WAL segment rotations.", nil,
 		func() float64 { return float64(m.walStats.Rotations) })
+	m.reg.CounterFunc("stmkvd_wal_checkpoints_total", "Checkpoints written; each truncates the log behind it.", nil,
+		func() float64 { return float64(s.dur.checkpoints()) })
 	m.reg.Histogram("stmkvd_wal_flush_seconds", "Write+fsync duration per WAL batch.", nil,
 		m.walFlushNs, 1e-9, lat)
 	m.reg.Histogram("stmkvd_wal_batch_ops", "Records per flushed WAL batch.", nil,

@@ -111,6 +111,7 @@ var metricFamilies = map[string]string{
 	"stmkvd_wal_appends_total":         "counter",
 	"stmkvd_wal_batch_ops":             "histogram",
 	"stmkvd_wal_batches_total":         "counter",
+	"stmkvd_wal_checkpoints_total":     "counter",
 	"stmkvd_wal_flush_seconds":         "histogram",
 	"stmkvd_wal_preallocated":          "gauge",
 	"stmkvd_wal_rotations_total":       "counter",

@@ -246,9 +246,6 @@ func (s *Server) Store() *kvstore.Store[*core.Tx] { return s.store }
 // Runtime returns the attached tuning runtime, nil without Autotune.
 func (s *Server) Runtime() *tuning.Runtime { return s.rt }
 
-// Gate returns the update-admission gate, nil without AdmissionWidth.
-func (s *Server) Gate() *admission.Gate { return s.gate }
-
 // Close stops the checkpointer and the write-ahead log, then the tuning
 // runtime, and releases every pooled descriptor back to the TM (the
 // server-side half of the Tx.Release contract: a shut-down server leaks

@@ -629,8 +629,11 @@ func TestAdmissionWidthFixedUnderAutotune(t *testing.T) {
 	if strings.Contains(body, `controller=`) {
 		t.Error(`/metrics exports a series with a controller label`)
 	}
-	if v, _ := val("stmkvd_admission_width"); v != 8 || srv.Gate().Width() != 8 {
-		t.Errorf("gate width %v on /metrics, %d live after %d periods; want 8", v, srv.Gate().Width(), rt.Periods())
+	if v, _ := val("stmkvd_admission_width"); v != 8 {
+		t.Errorf("gate width %v on /metrics after %d periods; want 8", v, rt.Periods())
+	}
+	if w, _, _, _ := srv.gate.Stats(); w != 8 {
+		t.Errorf("gate width %d live after %d periods; want 8", w, rt.Periods())
 	}
 	if v, _ := val("stmkvd_admission_admitted_total"); v == 0 {
 		t.Error("stmkvd_admission_admitted_total = 0 under an update storm")

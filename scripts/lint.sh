@@ -29,6 +29,15 @@ if go list -deps ./internal/kvstore | grep -qx 'tinystm/internal/harness'; then
   fail=1
 fi
 
+# Layering: the figure runners measure the STM in process; the server and
+# its client are measured by the ledger (bench/) against a live stmkvd.
+for pkg in kvserver kvclient; do
+  if go list -deps ./internal/experiments | grep -qx "tinystm/internal/$pkg"; then
+    echo "layering: internal/experiments depends on internal/$pkg"
+    fail=1
+  fi
+done
+
 if command -v staticcheck >/dev/null 2>&1; then
   staticcheck ./... || fail=1
 else
