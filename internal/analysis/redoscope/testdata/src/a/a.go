@@ -43,3 +43,12 @@ func updateBodiesMayRedo(tm *stm.TM, tx *stm.Tx) {
 		tx.Redo(stm.RedoOp{Key: 1, Val: 2})
 	})
 }
+
+// irrevocableBodiesMayRedo: an Irrevocable body is an update body, and
+// its records go to the log like an Atomic body's.
+func irrevocableBodiesMayRedo(tm *stm.TM, tx *stm.Tx) {
+	tm.Irrevocable(tx, func(tx *stm.Tx) {
+		tx.Store(1, 2)
+		tx.Redo(stm.RedoOp{Key: 1, Val: 2})
+	})
+}

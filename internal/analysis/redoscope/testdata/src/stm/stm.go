@@ -24,10 +24,11 @@ func (tx *Tx) Redo(op RedoOp)              {}
 // TM mints descriptors and runs atomic blocks.
 type TM struct{}
 
-func (tm *TM) NewTx() *Tx                      { return &Tx{} }
-func (tm *TM) Atomic(tx *Tx, fn func(*Tx))     { fn(tx) }
-func (tm *TM) AtomicRO(tx *Tx, fn func(*Tx))   { fn(tx) }
-func (tm *TM) AtomicSnap(tx *Tx, fn func(*Tx)) { fn(tx) }
+func (tm *TM) NewTx() *Tx                       { return &Tx{} }
+func (tm *TM) Atomic(tx *Tx, fn func(*Tx))      { fn(tx) }
+func (tm *TM) AtomicRO(tx *Tx, fn func(*Tx))    { fn(tx) }
+func (tm *TM) AtomicSnap(tx *Tx, fn func(*Tx))  { fn(tx) }
+func (tm *TM) Irrevocable(tx *Tx, fn func(*Tx)) { fn(tx) }
 
 // TxPool recycles descriptors.
 type TxPool struct{ tm TM }

@@ -90,3 +90,14 @@ func fieldBoundBody(tm *stm.TM, g *getter) {
 	defer tx.Release()
 	tm.AtomicRO(tx, g.body) // want `AtomicRO body reaches a write: Put`
 }
+
+// irrevocableWrites: an Irrevocable body runs in update mode and may
+// write.
+func irrevocableWrites(tm *stm.TM, m *stm.Map) {
+	tx := tm.NewTx()
+	defer tx.Release()
+	tm.Irrevocable(tx, func(tx *stm.Tx) {
+		tx.Store(1, 2)
+		m.Put(tx, 3, 4)
+	})
+}

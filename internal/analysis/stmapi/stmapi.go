@@ -1,8 +1,8 @@
 // Package stmapi recognizes the repo's STM API shapes in type-checked
-// syntax: atomic-runner calls (Atomic / AtomicRO / AtomicSnap and
-// in-package wrappers around them), transaction descriptors, descriptor
-// sources (NewTx, TxPool.Get) and the transactional map's mutating
-// operations. The analyzers under internal/analysis share these
+// syntax: atomic-runner calls (Atomic / AtomicRO / AtomicSnap /
+// Irrevocable and in-package wrappers around them), transaction
+// descriptors, descriptor sources (NewTx, TxPool.Get) and the
+// transactional map's mutating operations. The analyzers under internal/analysis share these
 // recognizers so they agree on what "a transactional body" is.
 //
 // Matching is by method name plus type shape, not by import path: the
@@ -29,6 +29,9 @@ const (
 	ReadOnly
 	// Snapshot: AtomicSnap — MVCC snapshot mode, must not write.
 	Snapshot
+	// Irrevocable: Irrevocable — update mode, run alone behind the freeze
+	// barrier. The body may write; a panic rolls it back.
+	Irrevocable
 )
 
 // String returns the runner method name for the kind.
@@ -40,6 +43,8 @@ func (k BodyKind) String() string {
 		return "AtomicRO"
 	case Snapshot:
 		return "AtomicSnap"
+	case Irrevocable:
+		return "Irrevocable"
 	default:
 		return "NotBody"
 	}
@@ -49,14 +54,15 @@ func (k BodyKind) String() string {
 func (k BodyKind) ReadOnlyKind() bool { return k == ReadOnly || k == Snapshot }
 
 var runnerNames = map[string]BodyKind{
-	"Atomic":     Update,
-	"AtomicRO":   ReadOnly,
-	"AtomicSnap": Snapshot,
+	"Atomic":      Update,
+	"AtomicRO":    ReadOnly,
+	"AtomicSnap":  Snapshot,
+	"Irrevocable": Irrevocable,
 }
 
 // ClassifyRunner reports whether call is a direct atomic-runner method
-// call — x.Atomic(tx, fn), x.AtomicRO(tx, fn), x.AtomicSnap(tx, fn) —
-// returning its kind and the body argument.
+// call — x.Atomic(tx, fn), x.AtomicRO(tx, fn), x.AtomicSnap(tx, fn),
+// x.Irrevocable(tx, fn) — returning its kind and the body argument.
 func ClassifyRunner(info *types.Info, call *ast.CallExpr) (BodyKind, ast.Expr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {

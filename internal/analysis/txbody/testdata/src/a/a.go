@@ -105,3 +105,16 @@ func fieldBoundBody(tm *stm.TM, o *op) uint64 {
 	tm.AtomicRO(tx, o.body)
 	return o.val
 }
+
+// irrevocableBody: an Irrevocable body is checked like any other. It runs
+// once, but a panic rolls back only its transactional stores.
+func irrevocableBody(tm *stm.TM, ch chan uint64) {
+	tx := tm.NewTx()
+	defer tx.Release()
+	count := 0
+	tm.Irrevocable(tx, func(tx *stm.Tx) {
+		tx.Store(1, tx.Load(1)+1)
+		count++          // want `captured variable "count" mutated non-idempotently inside Irrevocable body`
+		ch <- tx.Load(1) // want `channel send inside Irrevocable body`
+	})
+}

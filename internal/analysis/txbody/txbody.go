@@ -3,7 +3,9 @@
 // the top every time the attempt aborts (conflict, validation failure,
 // snapshot-too-old, roll-over), so anything a body does besides
 // transactional loads and stores happens once per ATTEMPT, not once per
-// commit.
+// commit. Bodies passed to Irrevocable are checked alike: they run once,
+// but a panic rolls back only their transactional stores, and a body is
+// often shared with Atomic (kvstore's batches).
 //
 // Flagged, lexically inside a body (nested closures included):
 //

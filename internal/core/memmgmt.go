@@ -91,7 +91,10 @@ func (tx *Tx) Alloc(n int) uint64 {
 		panic(ErrSpaceExhausted)
 	}
 	tx.allocs = append(tx.allocs, allocRec{addr: a, words: n})
-	tx.capAddr, tx.capN = uint64(a), uint64(n)
+	if !tx.irrev {
+		// An irrevocable run keeps its window on the whole space.
+		tx.capAddr, tx.capN = uint64(a), uint64(n)
+	}
 	return uint64(a)
 }
 

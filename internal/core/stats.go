@@ -23,6 +23,7 @@ type txStats struct {
 	snapLiveReads    atomic.Uint64
 	snapVersionReads atomic.Uint64
 	versionedCommits atomic.Uint64
+	irrevCommits     atomic.Uint64
 	redoRecords      atomic.Uint64
 }
 
@@ -41,5 +42,6 @@ func (s *txStats) snapshotInto(out *txn.Stats) {
 	out.SnapshotLiveReads += s.snapLiveReads.Load()
 	out.SnapshotVersionReads += s.snapVersionReads.Load()
 	out.VersionedCommits += s.versionedCommits.Load()
+	out.IrrevocableCommits += s.irrevCommits.Load()
 	out.RedoRecords += s.redoRecords.Load()
 }

@@ -350,17 +350,23 @@ func (tm *TM) rollOver() {
 	tm.Quiesce(func() {
 		// Double-check under the barrier: another initiator may have
 		// already reset the clock while we waited.
-		if !tm.clk.exhausted(tm.maxClock) {
-			return
+		if tm.clk.exhausted(tm.maxClock) {
+			tm.rewind()
 		}
-		for _, b := range tm.pool.DrainAll() {
-			tm.space.Free(mem.Addr(b.Addr), b.Words)
-		}
-		tm.clk.reset()
-		tm.clockEpoch.Add(1)
-		tm.swapGeometry(tm.Params())
-		tm.rollOvers.Add(1)
 	})
+}
+
+// rewind is the roll-over proper: it frees limbo, rewinds the clock into
+// a new epoch and zeroes every version number. Only callable while
+// frozen.
+func (tm *TM) rewind() {
+	for _, b := range tm.pool.DrainAll() {
+		tm.space.Free(mem.Addr(b.Addr), b.Words)
+	}
+	tm.clk.reset()
+	tm.clockEpoch.Add(1)
+	tm.swapGeometry(tm.Params())
+	tm.rollOvers.Add(1)
 }
 
 // maybeRollOverOnBegin performs clock roll-over before starting a new
@@ -454,10 +460,11 @@ func (tm *TM) Reconfigure(p Params) error {
 // the roll-over barrier (paper Section 4.2), waits for each running
 // attempt to commit or roll back, runs fn, and lowers the barrier, even
 // when fn panics. Attempts that Begin meanwhile park until it is down.
-// Reconfigure and the clock roll-over run under it, and so does a kvstore
+// Reconfigure and the clock roll-over run under it, and so do a kvstore
 // shard's growth, which rewrites words of the space with plain mem.Space
-// loads and stores. With an observability sink attached, the
-// time from the freeze to the release lands in its FreezeNs histogram.
+// loads and stores, and an Irrevocable run (a bulk batch). With an
+// observability sink attached, the time from the freeze to the release
+// lands in its FreezeNs histogram.
 // The caller must not be inside an attempt: the barrier would wait for
 // it forever.
 //
@@ -495,7 +502,8 @@ func (tm *TM) Reconfigure(p Params) error {
 // rewrites: growing a kvstore shard costs about 35 ns a node. A shard of
 // 4 097 nodes (a 1 024-bucket directory to 4 096) held the barrier for a
 // median ~150 µs on a 2-vCPU host, and the 41 growths of a 65 536-key
-// preload ~70 µs each on average, ~300 µs at most.
+// preload in transactional batches ~70 µs each on average, ~300 µs at
+// most. A bulk batch makes those growths inside its own Irrevocable run.
 func (tm *TM) Quiesce(fn func()) {
 	start := time.Now()
 	tm.fz.freeze()

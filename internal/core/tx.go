@@ -83,6 +83,10 @@ type Tx struct {
 	// capture window: it commits as an update, taking a timestamp (and,
 	// when versioned, stamping its births), though it may hold no lock.
 	capWrote bool
+	// irrev marks a run of TM.Irrevocable: the capture window spans the
+	// space, and each store to a word outside the run's latest allocation
+	// first logs the word's value in undo, for a panic to restore.
+	irrev bool
 
 	// verShift is a hot-path cache set at Begin: it avoids a per-load
 	// branch on the design (write-back versions sit at bit 1,
@@ -211,13 +215,23 @@ func (tx *Tx) Begin(readOnly bool) { tx.begin(readOnly, false) }
 func (tx *Tx) BeginSnap() { tx.begin(true, tx.tm.mvcc != nil) }
 
 func (tx *Tx) begin(readOnly, snap bool) {
+	tx.mustBeIdle()
+	tx.tm.fz.enter()
+	tx.open(readOnly, snap)
+}
+
+// mustBeIdle panics unless the descriptor may start an attempt.
+func (tx *Tx) mustBeIdle() {
 	if tx.inTx {
 		panic("core: Begin on descriptor already in a transaction")
 	}
 	if tx.released {
 		panic("core: Begin on released descriptor")
 	}
-	tx.tm.fz.enter()
+}
+
+// open starts an attempt once the descriptor is counted in the freezer.
+func (tx *Tx) open(readOnly, snap bool) {
 	tx.resetHier()
 	tx.geo = tx.tm.geo.Load()
 	tx.design = tx.tm.design
@@ -271,7 +285,7 @@ func (tx *Tx) begin(readOnly, snap bool) {
 	tx.wset = tx.wset[:0]
 	tx.owned = tx.owned[:0]
 	tx.undo = tx.undo[:0]
-	tx.capN, tx.capWrote = 0, false
+	tx.capN, tx.capWrote, tx.irrev = 0, false, false
 	tx.allocs = tx.allocs[:0]
 	tx.frees = tx.frees[:0]
 	tx.freed.reset()
@@ -341,12 +355,13 @@ func (tx *Tx) rollback(kind txn.AbortKind) {
 	if !tx.inTx {
 		panic("core: rollback outside transaction")
 	}
+	// Restore memory newest-first so earlier values win. Only a
+	// write-through attempt or an irrevocable run logs undo records.
+	for i := len(tx.undo) - 1; i >= 0; i-- {
+		u := tx.undo[i]
+		tx.tm.space.Store(u.addr, u.old)
+	}
 	if tx.design == WriteThrough {
-		// Restore memory newest-first so earlier values win.
-		for i := len(tx.undo) - 1; i >= 0; i-- {
-			u := tx.undo[i]
-			tx.tm.space.Store(u.addr, u.old)
-		}
 		// Release locks with incremented incarnation so concurrent
 		// readers between their two lock reads detect our interference
 		// (Section 3.1's subtle write-through problem).
@@ -617,9 +632,13 @@ func (tx *Tx) store(addr uint64, v uint64, lockOnly bool) {
 	a := mem.Addr(addr)
 	if addr-tx.capAddr < tx.capN {
 		// Captured (see memmgmt.go): written in place with no undo, and a
-		// Free's lockOnly pass has nothing to lock.
+		// Free's lockOnly pass has nothing to lock. An irrevocable run's
+		// window is the whole space, so it logs what it overwrites.
 		tx.capWrote = true
 		if !lockOnly {
+			if tx.irrev {
+				tx.logUndo(a)
+			}
 			tx.tm.space.Store(a, v)
 		}
 		return
@@ -976,10 +995,14 @@ func (tx *Tx) finishCommit() {
 }
 
 // Retry aborts the current attempt explicitly; TM.Atomic will re-run the
-// block. Useful for optimistic condition waiting.
+// block. Useful for optimistic condition waiting. An irrevocable run
+// cannot retry: it would find the frozen world unchanged.
 func (tx *Tx) Retry() {
 	if !tx.inTx {
 		panic("core: Retry outside transaction")
+	}
+	if tx.irrev {
+		panic("core: Retry in an irrevocable transaction")
 	}
 	tx.abort(txn.AbortExplicit)
 }

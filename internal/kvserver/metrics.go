@@ -142,6 +142,8 @@ func newMetrics(s *Server) *metrics {
 	// --- STM ---
 	m.reg.CounterFunc("stm_commits_total", "Committed transactions.", nil,
 		func() float64 { return float64(m.st.Commits) })
+	m.reg.CounterFunc("stm_irrevocable_commits_total", "Commits that ran alone behind the freeze barrier (bulk batches); stm_commits_total counts them too.", nil,
+		func() float64 { return float64(m.st.IrrevocableCommits) })
 	m.reg.CounterFunc("stm_extensions_total", "Successful snapshot extensions.", nil,
 		func() float64 { return float64(m.st.Extensions) })
 	m.reg.CounterFunc("stm_retry_waits_total", "Retries that first waited for the lock that beat the failed attempt.", nil,
@@ -157,7 +159,7 @@ func newMetrics(s *Server) *metrics {
 	m.reg.GaugeFunc("stm_descriptors", descs, obs.Labels{"state": "free"}, func() float64 { return float64(m.free) })
 	m.reg.Histogram("stm_commit_seconds", "Duration of committed transaction attempts.", nil,
 		m.tmObs.CommitNs, 1e-9, lat)
-	m.reg.Histogram("stm_freeze_seconds", "Time each freeze (lock-table reconfiguration, shard growth or clock roll-over) held the world frozen.", nil,
+	m.reg.Histogram("stm_freeze_seconds", "Time each freeze (lock-table reconfiguration, shard growth, bulk batch or clock roll-over) held the world frozen.", nil,
 		m.tmObs.FreezeNs, 1e-9, lat)
 	for k := 0; k < txn.NAbortKinds; k++ {
 		kind := txn.AbortKind(k)
@@ -202,7 +204,7 @@ func newMetrics(s *Server) *metrics {
 	// --- Store ---
 	m.reg.GaugeFunc("stmkvd_keys", "Live keys in the store.", nil,
 		func() float64 { return float64(s.store.Len()) })
-	m.reg.CounterFunc("stmkvd_shard_grows_total", "Shard growths; each rehashed a whole shard behind the freeze barrier (one stm_freeze_seconds observation).", nil,
+	m.reg.CounterFunc("stmkvd_shard_grows_total", "Shard growths; each rehashed a whole shard behind the freeze barrier, in a freeze of its own (one stm_freeze_seconds observation) or in the freeze of the bulk batch that tipped the shard.", nil,
 		func() float64 { return float64(s.store.Grows()) })
 	m.reg.GaugeFunc("stmkvd_uptime_seconds", "Seconds since the server booted.", nil,
 		func() float64 { return time.Since(s.start).Seconds() })

@@ -67,6 +67,7 @@ var metricFamilies = map[string]string{
 	"stm_descriptors":                  "gauge",
 	"stm_extensions_total":             "counter",
 	"stm_freeze_seconds":               "histogram",
+	"stm_irrevocable_commits_total":    "counter",
 	"stm_reconfigs_total":              "counter",
 	"stm_retry_wait_seconds_total":     "counter",
 	"stm_retry_waits_total":            "counter",

@@ -104,15 +104,25 @@ func (s *Store[T]) waitDurable(t txn.DurableTicket) {
 	}
 }
 
-// Load bulk-inserts recovered state. Recovery-only: must run before
-// EnableDurability (reloading replayed records back into the log would
-// double them) and before the store takes traffic.
+// Load bulk-inserts recovered state, as put batches of bulkOps pairs
+// through ApplyInto, so every full batch runs irrevocably. Recovery-only:
+// must run before EnableDurability (reloading replayed records back into
+// the log would double them) and before the store takes traffic.
 func (s *Store[T]) Load(pairs map[uint64]uint64) {
 	if s.sink != nil {
 		panic("kvstore: Load after EnableDurability")
 	}
+	ops := make([]Op, 0, bulkOps)
+	res := make([]OpResult, bulkOps)
 	for k, v := range pairs {
-		s.Put(k, v)
+		ops = append(ops, Op{Kind: OpPut, Key: k, Val: v})
+		if len(ops) == bulkOps {
+			s.ApplyInto(ops, res)
+			ops = ops[:0]
+		}
+	}
+	if len(ops) > 0 {
+		s.ApplyInto(ops, res[:len(ops)])
 	}
 }
 

@@ -7,7 +7,7 @@
 //
 // Layout inside the mem.Space (every operation's accesses go through
 // txn.Tx, so each is a real STM transaction; only a growth rewrites words
-// directly):
+// directly, and a bulk batch's transaction runs irrevocably):
 //
 //	shard header (one per shard, padded to 8 words):
 //	    +0  dir      address of the bucket directory
@@ -27,6 +27,14 @@
 // and every transaction that wanted to run meanwhile — on any shard —
 // waits at Begin. Each growth's stall lands in the freeze histogram
 // (stm_freeze_seconds on stmkvd's /metrics) beside the Reconfigures'.
+//
+// A bulk batch — an update batch of at least bulkOps ops, a preload's or a
+// recovery's — stops the world too. Store.ApplyInto runs it as one
+// irrevocable transaction (core.TM.Irrevocable): alone behind the same
+// barrier, with plain loads and stores and no read or write set, and it
+// grows the shards it tipped before it lets the barrier down, so the
+// batch and its growths are one freeze. Its commit, its redo records and
+// its answers are those of any batch.
 //
 // A growth relinks every node of its shard, so the growth factor sets what
 // filling a shard costs. The relinks form a geometric series ending at the
@@ -299,32 +307,37 @@ type Quiescer interface {
 // there first) or the space cannot fit the new directory: growth is
 // best-effort, and the shard keeps serving with longer chains.
 func (m *Map[T]) Grow(sys Quiescer, s uint64) (grew bool) {
-	sp := sys.Space()
-	hdr := mem.Addr(m.base + s*hdrWords)
-	sys.Quiesce(func() {
-		nb := sp.Load(hdr + hdrNBkts)
-		if !needsGrow(sp.Load(hdr+hdrCount), nb) {
-			return
-		}
-		nb2 := min(nb*growFactor, maxBucketsPerShard)
-		dir2 := sp.Alloc(int(nb2))
-		if dir2 == mem.Nil {
-			return
-		}
-		dir := mem.Addr(sp.Load(hdr + hdrDir))
-		for b := range mem.Addr(nb) {
-			for node := mem.Addr(sp.Load(dir + b)); node != mem.Nil; {
-				next := mem.Addr(sp.Load(node + 2))
-				head := dir2 + mem.Addr((hash(sp.Load(node))>>m.shardBits)&(nb2-1))
-				sp.Store(node+2, sp.Load(head))
-				sp.Store(head, uint64(node))
-				node = next
-			}
-		}
-		sp.Store(hdr+hdrDir, uint64(dir2))
-		sp.Store(hdr+hdrNBkts, nb2)
-		sp.Free(dir, int(nb))
-		grew = true
-	})
+	sys.Quiesce(func() { grew = m.rehash(sys.Space(), s) })
 	return grew
+}
+
+// rehash is Grow's rewrite of shard s in sp, which must be frozen: behind
+// Quiesce, or inside an irrevocable run (core.TM.Irrevocable) once its
+// last transactional store is done, since the rewrite logs nothing a
+// panic could undo.
+func (m *Map[T]) rehash(sp *mem.Space, s uint64) bool {
+	hdr := mem.Addr(m.base + s*hdrWords)
+	nb := sp.Load(hdr + hdrNBkts)
+	if !needsGrow(sp.Load(hdr+hdrCount), nb) {
+		return false
+	}
+	nb2 := min(nb*growFactor, maxBucketsPerShard)
+	dir2 := sp.Alloc(int(nb2))
+	if dir2 == mem.Nil {
+		return false
+	}
+	dir := mem.Addr(sp.Load(hdr + hdrDir))
+	for b := range mem.Addr(nb) {
+		for node := mem.Addr(sp.Load(dir + b)); node != mem.Nil; {
+			next := mem.Addr(sp.Load(node + 2))
+			head := dir2 + mem.Addr((hash(sp.Load(node))>>m.shardBits)&(nb2-1))
+			sp.Store(node+2, sp.Load(head))
+			sp.Store(head, uint64(node))
+			node = next
+		}
+	}
+	sp.Store(hdr+hdrDir, uint64(dir2))
+	sp.Store(hdr+hdrNBkts, nb2)
+	sp.Free(dir, int(nb))
+	return true
 }

@@ -99,6 +99,9 @@ type Store[T txn.Tx] struct {
 	// pressure, instead of as classic read-only transactions that abort
 	// whenever a concurrent writer moves the clock past their snapshot.
 	snap txn.SnapshotSystem[T]
+	// irr is sys's irrevocable runner when it has one (core.TM): an
+	// update batch of at least bulkOps ops runs through it.
+	irr irrevocable[T]
 	// sink, when set, turns on redo capture and ack-after-durable
 	// waiting; see durable.go. Set once via EnableDurability before
 	// traffic starts.
@@ -154,7 +157,16 @@ func NewStore[T txn.Tx](sys System[T], shards, buckets uint64) *Store[T] {
 	if ss, ok := sys.(txn.SnapshotSystem[T]); ok && ss.SnapshotsEnabled() {
 		s.snap = ss
 	}
+	if ir, ok := sys.(irrevocable[T]); ok {
+		s.irr = ir
+	}
 	return s
+}
+
+// irrevocable is an STM that can run a body alone behind its freeze
+// barrier, with plain loads and stores (core.TM.Irrevocable).
+type irrevocable[T txn.Tx] interface {
+	Irrevocable(tx T, fn func(T))
 }
 
 // atomicRO runs body as a snapshot transaction when the system offers
@@ -324,6 +336,8 @@ func (s *Store[T]) Put(key, val uint64) (inserted bool) {
 // observability sink on the TM every growth freeze, whether it grew the
 // shard or found it already grown, lands in the FreezeNs histogram
 // (stm_freeze_seconds) as a Reconfigure does; Grows counts the growths.
+// A bulk batch needs no tryGrow: it grows what it tipped in its own
+// freeze.
 func (s *Store[T]) tryGrow(sh uint64) {
 	if s.m.Grow(s.sys, sh) {
 		s.grows.Add(1)
@@ -331,8 +345,9 @@ func (s *Store[T]) tryGrow(sh uint64) {
 }
 
 // Grows returns how many shard growths have happened. Each one rehashed a
-// whole shard behind the freeze barrier, so every transaction that wanted
-// to run meanwhile waited at Begin.
+// whole shard behind the freeze barrier, in a freeze of its own or in its
+// bulk batch's, so every transaction that wanted to run meanwhile waited
+// at Begin.
 func (s *Store[T]) Grows() uint64 { return s.grows.Load() }
 
 // Delete removes key, reporting whether it was present.
@@ -434,10 +449,39 @@ func (s *Store[T]) Apply(ops []Op) []OpResult {
 	return res
 }
 
+// bulkOps is the shortest update batch ApplyInto runs irrevocably
+// (core.TM.Irrevocable): alone behind the freeze barrier, with plain loads
+// and stores, no read or write set, and its tipped shards grown in the
+// same freeze. It is the measured crossover of BenchmarkBulkCrossover
+// (internal/microbench): a batch of k fresh-key puts and one deleting
+// them again, into a 65 536-key table, run transactionally (tx) or
+// irrevocably (irr); the cost per key with the batches streamed alone,
+// and the 99th percentile of a point Get that another goroutine runs
+// while they stream (write-back, snapshots on, 2 vCPUs, medians of 5):
+//
+//	k                  8     16    32    64    256   1024
+//	ns/key      tx     530   544   472   431   420   487
+//	            irr    286   262   224   208   212   250
+//	Get p99 µs  tx     1.45  1.56  1.42  1.88  4.78  3.46
+//	            irr    2.00  1.75  1.89  1.81  3.85  1.82
+//
+// An irrevocable run costs half as much per key at every k, but below 64
+// a Get waits longer behind a stream of frozen worlds than behind
+// transactions it aborts on; from 64 on it waits less (at 64 by less than
+// the runs' spread). bulkOps is that smallest k at which the irrevocable
+// run wins both. It sits far above every batch steady traffic sends (a
+// transfer is 2 ops), so only preloads, recovery and long /batch requests
+// stop the world.
+const bulkOps = 64
+
 // ApplyInto is Apply into the caller's result slice, which must be as long
 // as ops, returning the commit's durability ticket unwaited, under Update's
 // contract; a read-only batch has none. A caller that keeps both slices
 // between batches pays no allocation for one. Neither slice is retained.
+// An update batch of at least bulkOps ops, on an STM that can run it
+// irrevocably, stops the world for its run instead: every other
+// transaction waits at Begin until it commits, and the shards it tipped
+// over their load factor grow before it lets them go.
 func (s *Store[T]) ApplyInto(ops []Op, res []OpResult) txn.DurableTicket {
 	if len(res) != len(ops) {
 		panic(fmt.Sprintf("kvstore: %d result slots for %d batch ops", len(res), len(ops)))
@@ -466,6 +510,10 @@ func (s *Store[T]) ApplyInto(ops []Op, res []OpResult) txn.DurableTicket {
 		//stm:allow-write every op is OpGet on this path; the write arms cannot execute
 		//stm:allow-redo every op is OpGet on this path; the redo arms cannot execute
 		s.atomicRO(tx, o.body)
+	} else if len(ops) >= bulkOps && s.irr != nil {
+		s.irr.Irrevocable(tx, o.bulk)
+		t = s.ticket(tx)
+		s.grows.Add(uint64(o.grown))
 	} else {
 		s.sys.Atomic(tx, o.body)
 		t = s.ticket(tx)
@@ -486,7 +534,11 @@ type batchOp[T txn.Tx] struct {
 	// grow lists, once the body has run, the shards the attempt's inserts
 	// left over their load factor — almost always none.
 	grow []uint64
-	body func(T)
+	// grown counts the shards the last irrevocable run grew.
+	grown int
+	// body runs the ops; bulk runs them irrevocably and then grows the
+	// shards they tipped, still frozen.
+	body, bulk func(T)
 }
 
 func newBatchOp[T txn.Tx](s *Store[T]) *batchOp[T] {
@@ -544,6 +596,17 @@ func newBatchOp[T txn.Tx](s *Store[T]) *batchOp[T] {
 			}
 		}
 		o.grow = over
+	}
+	sp := s.sys.Space()
+	o.bulk = func(tx T) {
+		o.body(tx)
+		grown := 0
+		for _, sh := range o.grow {
+			if s.m.rehash(sp, sh) {
+				grown++
+			}
+		}
+		o.grown = grown
 	}
 	return o
 }

@@ -20,7 +20,8 @@ type TMObs struct {
 	// cause k, in nanoseconds.
 	AbortNs [txn.NAbortKinds]*Histogram
 	// FreezeNs is how long each freeze — a Reconfigure, a kvstore shard's
-	// growth, a clock roll-over — held the world frozen, from the start of
+	// growth, a bulk batch (an irrevocable run), a clock roll-over — held
+	// the world frozen, from the start of
 	// the freeze to the release, in nanoseconds: what one geometry move or
 	// one growth costs every transaction that wanted to run meanwhile.
 	FreezeNs *Histogram

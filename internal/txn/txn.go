@@ -240,6 +240,9 @@ type Stats struct {
 	// snapshot and so stamped and published to the sidecar; zero means
 	// the sidecar stayed cold.
 	VersionedCommits uint64
+	// IrrevocableCommits counts commits that ran alone behind the freeze
+	// barrier (TinySTM's Irrevocable, a bulk batch); Commits includes them.
+	IrrevocableCommits uint64
 	// RedoRecords counts redo records handed to the attached RedoHook by
 	// committed update transactions (TinySTM with a durability layer
 	// attached).
@@ -264,6 +267,7 @@ func (s Stats) Sub(o Stats) Stats {
 		SnapshotLiveReads:    s.SnapshotLiveReads - o.SnapshotLiveReads,
 		SnapshotVersionReads: s.SnapshotVersionReads - o.SnapshotVersionReads,
 		VersionedCommits:     s.VersionedCommits - o.VersionedCommits,
+		IrrevocableCommits:   s.IrrevocableCommits - o.IrrevocableCommits,
 		RedoRecords:          s.RedoRecords - o.RedoRecords,
 	}
 	for i := range s.AbortsByKind {
@@ -290,6 +294,7 @@ func (s Stats) Add(o Stats) Stats {
 		SnapshotLiveReads:    s.SnapshotLiveReads + o.SnapshotLiveReads,
 		SnapshotVersionReads: s.SnapshotVersionReads + o.SnapshotVersionReads,
 		VersionedCommits:     s.VersionedCommits + o.VersionedCommits,
+		IrrevocableCommits:   s.IrrevocableCommits + o.IrrevocableCommits,
 		RedoRecords:          s.RedoRecords + o.RedoRecords,
 	}
 	for i := range s.AbortsByKind {
