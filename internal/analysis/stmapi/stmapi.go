@@ -80,8 +80,8 @@ func ClassifyRunner(info *types.Info, call *ast.CallExpr) (BodyKind, ast.Expr) {
 }
 
 // WrapperInfo describes an in-package function that forwards one of its
-// func-typed parameters to an atomic runner (e.g. kvstore's
-// Store.atomicRO). Calls to such a function run the forwarded argument as
+// func-typed parameters to an atomic runner (e.g. a store's
+// snapshot-or-classic read helper). Calls to such a function run the forwarded argument as
 // a transactional body of the recorded kind.
 type WrapperInfo struct {
 	Kind      BodyKind
@@ -283,7 +283,7 @@ func fieldOf(info *types.Info, sel *ast.SelectorExpr) types.Object {
 // LocalFuncLits indexes `v := func(...){...}` and `x.f = func(...){...}`
 // bindings across the package so a runner call's body argument can be
 // resolved when it is a variable or a struct field (bodies built once and
-// kept on a struct, as kvstore's pointOp does). Only single-assignment
+// kept on a struct, as kvstore's batchOp does). Only single-assignment
 // bindings are recorded: a rebound variable or field could alias several
 // literals.
 func LocalFuncLits(info *types.Info, files []*ast.File) map[types.Object]*ast.FuncLit {
@@ -379,7 +379,7 @@ func MutatorCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 
 // RedoCall reports whether call records a redo operation: a method named
 // Redo taking one argument, on a descriptor or with a RedoOp argument
-// (covers the any(tx).(redoer).Redo capability-assertion form).
+// (covers a Redo reached through an interface that is not descriptor-like).
 func RedoCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Redo" || len(call.Args) != 1 {

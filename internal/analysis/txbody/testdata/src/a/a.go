@@ -80,7 +80,7 @@ func resetMakesItIdempotent(tm *stm.TM) (int, []uint64) {
 }
 
 // op keeps its body on a struct field, built once over the struct's own
-// fields (kvstore's pointOp): the body is found through the field, and a
+// fields (kvstore's batchOp): the body is found through the field, and a
 // field of the captured struct is captured state.
 type op struct {
 	key, val uint64

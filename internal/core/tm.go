@@ -574,9 +574,9 @@ func (tm *TM) DescriptorCounts() (minted, free int) {
 func (tm *TM) Frozen() bool { return tm.fz.frozen.Load() != 0 }
 
 // Compile-time checks: *Tx satisfies the shared transaction interface and
-// *TM the system interfaces used by the generic harness and store.
+// *TM the system interface of the generic harness. kvstore's stricter
+// System and Tx are checked where NewStore[*Tx] is called.
 var (
-	_ txn.Tx                  = (*Tx)(nil)
-	_ txn.System[*Tx]         = (*TM)(nil)
-	_ txn.SnapshotSystem[*Tx] = (*TM)(nil)
+	_ txn.Tx          = (*Tx)(nil)
+	_ txn.System[*Tx] = (*TM)(nil)
 )

@@ -9,8 +9,6 @@
 package harness
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tinystm/internal/rng"
@@ -26,10 +24,6 @@ type Worker struct {
 
 	LastVal uint64
 	HasLast bool
-
-	// Ops counts completed operation invocations (not transactions; one
-	// op may run several atomic blocks).
-	Ops uint64
 }
 
 // OpFunc performs one benchmark operation using the worker's descriptor.
@@ -58,59 +52,24 @@ type Result struct {
 	Throughput float64
 	// AbortRate is aborts per second.
 	AbortRate float64
-	// Ops is the number of workload operations completed.
-	Ops uint64
 }
 
 // Run executes the benchmark and returns its result.
 func (b Bench[T]) Run() Result {
-	if b.Threads <= 0 {
-		panic("harness: Threads must be positive")
-	}
 	if b.Op == nil {
 		panic("harness: Op is required")
 	}
 
-	//stm:allow-atomic harness control plane: stop signal for workers
-	var stop atomic.Bool
-	//stm:allow-atomic harness control plane: measurement-window gate
-	var measuring atomic.Bool
-	//stm:allow-atomic throughput tally read after workers join
-	var opsMeasured atomic.Uint64
-
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < b.Threads; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			w := &Worker{ID: id, Rng: rng.NewThread(b.Seed, id)}
-			tx := b.Sys.NewTx()
-			defer txn.Release(tx)
-			<-start
-			for !stop.Load() {
-				b.Op(w, tx)
-				w.Ops++
-				if measuring.Load() {
-					opsMeasured.Add(1)
-				}
-			}
-		}(i)
-	}
-
-	close(start)
+	ws := StartWorkers(b.Sys, b.Threads, b.Seed, b.Op)
 	if b.Warmup > 0 {
 		time.Sleep(b.Warmup)
 	}
 	before := b.Sys.Stats()
-	measuring.Store(true)
 	t0 := time.Now()
 	time.Sleep(b.Duration)
 	elapsed := time.Since(t0)
 	after := b.Sys.Stats()
-	measuring.Store(false)
-	stop.Store(true)
-	wg.Wait()
+	ws.Stop()
 
 	delta := after.Sub(before)
 	secs := elapsed.Seconds()
@@ -120,6 +79,5 @@ func (b Bench[T]) Run() Result {
 		Delta:      delta,
 		Throughput: float64(delta.Commits) / secs,
 		AbortRate:  float64(delta.Aborts) / secs,
-		Ops:        opsMeasured.Load(),
 	}
 }

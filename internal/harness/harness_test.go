@@ -39,9 +39,6 @@ func TestRunCountsCommits(t *testing.T) {
 	if res.Throughput <= 0 {
 		t.Fatalf("throughput = %f", res.Throughput)
 	}
-	if res.Ops == 0 {
-		t.Fatal("no ops recorded")
-	}
 	if res.Threads != 2 {
 		t.Errorf("threads = %d", res.Threads)
 	}

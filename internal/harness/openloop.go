@@ -96,7 +96,6 @@ func (o OpenLoop) Run() OpenLoopResult {
 			var errs uint64
 			for at := range arrivals {
 				err := op(w)
-				w.Ops++
 				hist.Record(uint64(time.Since(at)))
 				if err != nil {
 					errs++

@@ -34,7 +34,6 @@ func StartWorkers[T txn.Tx](sys txn.System[T], threads int, seed uint64, op OpFu
 			defer txn.Release(tx)
 			for !ws.stop.Load() {
 				op(w, tx)
-				w.Ops++
 			}
 		}(i)
 	}

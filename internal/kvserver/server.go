@@ -85,10 +85,9 @@ type Config struct {
 	// surfaces); 0 disables the gate. Reads are never gated. The width is
 	// fixed for the server's life.
 	AdmissionWidth int
-	// Period, Samples and Bounds mirror tuning.RuntimeConfig.
+	// Period and Samples mirror tuning.RuntimeConfig.
 	Period  time.Duration
 	Samples int
-	Bounds  tuning.Bounds
 	// Seed drives the tuner's randomized move selection.
 	Seed uint64
 	// Durability selects the write-ahead-log ack mode: "off" (default —
@@ -212,7 +211,7 @@ func New(cfg Config) (*Server, error) {
 	s.store.SetShardHeat(s.met.heat)
 	if cfg.Autotune {
 		s.rt = tuning.NewRuntime(tm, tuning.RuntimeConfig{
-			Tuner:   tuning.Config{Initial: cfg.Geometry, Bounds: cfg.Bounds, Seed: cfg.Seed},
+			Tuner:   tuning.Config{Initial: cfg.Geometry, Seed: cfg.Seed},
 			Period:  cfg.Period,
 			Samples: cfg.Samples,
 			// A daemon tunes forever: keep only a bounded window of

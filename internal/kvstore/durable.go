@@ -41,33 +41,14 @@ func (e *DurabilityError) Error() string {
 
 func (e *DurabilityError) Unwrap() error { return e.Err }
 
-// redoer is the capability surface of a descriptor that supports redo
-// capture (core.Tx does; tl2 does not).
-type redoer interface {
-	Redo(op txn.RedoOp)
-	RedoTicket() txn.DurableTicket
-}
-
-// positioned is the capability surface for stamping a snapshot scan with
-// its (clock epoch, snapshot timestamp) position.
-type positioned interface {
-	Snapshot() (start, end uint64)
-	ClockEpoch() uint64
-}
-
 // EnableDurability turns on redo capture for all subsequent mutating
 // operations, which then block on sink until their commit is durable
 // before returning (Update and ApplyInto hand back the ticket instead).
-// Returns an error for a nil sink or if the STM's descriptors cannot
-// capture redo records. Call before admitting traffic that must be
-// logged; not safe to toggle concurrently with operations.
+// Returns an error for a nil sink. Call before admitting traffic that
+// must be logged; not safe to toggle concurrently with operations.
 func (s *Store[T]) EnableDurability(sink DurabilitySink) error {
 	if sink == nil {
 		return fmt.Errorf("kvstore: EnableDurability needs a sink")
-	}
-	var zero T
-	if _, ok := any(zero).(redoer); !ok {
-		return fmt.Errorf("kvstore: STM descriptor %T does not support redo capture", zero)
 	}
 	s.sink = sink
 	return nil
@@ -80,7 +61,7 @@ func (s *Store[T]) redo(tx T, kind txn.RedoKind, key, val uint64) {
 	if s.sink == nil {
 		return
 	}
-	any(tx).(redoer).Redo(txn.RedoOp{Kind: kind, Key: key, Val: val})
+	tx.Redo(txn.RedoOp{Kind: kind, Key: key, Val: val})
 }
 
 // ticket collects the durability ticket of tx's most recent commit. It
@@ -90,7 +71,7 @@ func (s *Store[T]) ticket(tx T) txn.DurableTicket {
 	if s.sink == nil {
 		return nil
 	}
-	return any(tx).(redoer).RedoTicket()
+	return tx.RedoTicket()
 }
 
 // waitDurable blocks until the ticket's records are on stable storage,
@@ -129,24 +110,20 @@ func (s *Store[T]) Load(pairs map[uint64]uint64) {
 // CheckpointScan captures the full table in ONE consistent transaction —
 // the snapshot a checkpoint may be built from, in table order — plus the
 // (clock epoch, snapshot timestamp) position it was taken at. ok reports
-// whether the scan really was a single consistent snapshot with a known
-// position;
-// without snapshot mode or position support it returns ok=false and the
-// caller must not checkpoint from it (per-shard fallbacks are not
-// mutually consistent).
+// whether the scan really was a single consistent snapshot: without
+// snapshot mode it returns ok=false and the caller must not checkpoint
+// from it (per-shard fallbacks are not mutually consistent).
 func (s *Store[T]) CheckpointScan() (pairs []KV, epoch, ts uint64, ok bool) {
-	var zero T
-	if _, can := any(zero).(positioned); !can || s.snap == nil {
+	if !s.sys.SnapshotsEnabled() {
 		return nil, 0, 0, false
 	}
 	tx := s.pool.Get()
 	defer s.pool.Put(tx)
-	s.snap.AtomicSnap(tx, func(tx T) {
+	s.sys.AtomicSnap(tx, func(tx T) {
 		// Sized from the last scan, so a steady table is one allocation.
 		pairs = make([]KV, 0, s.ckptPairs.Load())
-		p := any(tx).(positioned)
-		ts, _ = p.Snapshot()
-		epoch = p.ClockEpoch()
+		ts, _ = tx.Snapshot()
+		epoch = tx.ClockEpoch()
 		s.m.Range(tx, func(k, v uint64) bool {
 			pairs = append(pairs, KV{Key: k, Val: v})
 			return true

@@ -161,12 +161,6 @@ func (m *Map[T]) Get(tx T, key uint64) (uint64, bool) {
 	return tx.Load(node + 1), true
 }
 
-// Contains reports whether key is present.
-func (m *Map[T]) Contains(tx T, key uint64) bool {
-	node, _ := m.lookup(tx, key)
-	return node != 0
-}
-
 // Put inserts or updates key. It reports whether the key was inserted
 // (false: an existing value was overwritten).
 func (m *Map[T]) Put(tx T, key, val uint64) bool {

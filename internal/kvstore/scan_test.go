@@ -46,9 +46,9 @@ func TestScanReturnsWholeTable(t *testing.T) {
 				t.Fatalf("Scan = %d pairs, total %d, want %d", len(pairs), total, n)
 			}
 			// Snapshot mode scans in ONE transaction; without a sidecar
-			// (core.TM satisfies SnapshotSystem regardless, so the type
-			// assertion alone would lie) the bounded per-shard fallback
-			// must run one read-only transaction per shard.
+			// (core.TM has AtomicSnap regardless, so its presence alone
+			// would lie) the bounded per-shard fallback must run one
+			// read-only transaction per shard.
 			wantCommits := uint64(1)
 			if !snap {
 				wantCommits = 4 // shards

@@ -78,30 +78,50 @@ type OpResult struct {
 	OK    bool
 }
 
-// System is the STM a Store runs on: it runs the operations' atomic
-// blocks and, as a Quiescer, the shards' growths (core.TM is one).
-type System[T txn.Tx] interface {
+// Tx is the descriptor a Store runs on: besides the transactional word
+// operations, it captures redo records for the write-ahead log and tells
+// a snapshot scan its (clock epoch, snapshot timestamp) position
+// (core.Tx is one).
+type Tx interface {
+	txn.Tx
+	// Redo records one effective state change of the current attempt.
+	Redo(op txn.RedoOp)
+	// RedoTicket is the durability ticket of the descriptor's last commit.
+	RedoTicket() txn.DurableTicket
+	// Snapshot returns the attempt's snapshot interval.
+	Snapshot() (start, end uint64)
+	// ClockEpoch returns the clock's roll-over epoch.
+	ClockEpoch() uint64
+}
+
+// System is the STM a Store runs on (core.TM is one): it runs the
+// operations' atomic blocks, as a Quiescer the shards' growths, and:
+type System[T Tx] interface {
 	txn.System[T]
 	Quiescer
+	// SnapshotsEnabled reports whether an MVCC version sidecar backs
+	// AtomicSnap. Without one AtomicSnap is AtomicRO, and Scan runs its
+	// bounded per-shard fallback instead.
+	SnapshotsEnabled() bool
+	// AtomicSnap runs fn as a snapshot-mode read-only transaction: one
+	// start timestamp, every read served at it, no conflict aborts. Multi-key
+	// read-only work — all-Get batches, Len, Scan — runs in it, wait-free
+	// under write pressure, where a classic read-only transaction aborts
+	// whenever a concurrent writer moves the clock past its snapshot.
+	AtomicSnap(tx T, fn func(T))
+	// Irrevocable runs fn alone behind the freeze barrier, with plain
+	// loads and stores: a batch of at least bulkOps updates runs in it.
+	Irrevocable(tx T, fn func(T))
 }
 
 // Store binds a Map to its STM and a descriptor pool, exposing the
 // self-contained operations a server handler calls: each runs exactly one
 // atomic block on a pooled descriptor. The transactional Map methods
 // remain available for callers composing their own blocks.
-type Store[T txn.Tx] struct {
+type Store[T Tx] struct {
 	sys  System[T]
 	m    *Map[T]
 	pool *TxPool[T]
-	// snap is sys's snapshot view when it provides one (TinySTM with
-	// Config.Snapshots): multi-key read-only work — all-Get batches, Len,
-	// Scan — then runs in MVCC snapshot mode, wait-free under write
-	// pressure, instead of as classic read-only transactions that abort
-	// whenever a concurrent writer moves the clock past their snapshot.
-	snap txn.SnapshotSystem[T]
-	// irr is sys's irrevocable runner when it has one (core.TM): an
-	// update batch of at least bulkOps ops runs through it.
-	irr irrevocable[T]
 	// sink, when set, turns on redo capture and ack-after-durable
 	// waiting; see durable.go. Set once via EnableDurability before
 	// traffic starts.
@@ -118,65 +138,16 @@ type Store[T txn.Tx] struct {
 	// contention heat map. Nil costs every op one predictable branch.
 	heat *obs.ShardHeat
 
-	// The operations' carriers, recycled: see pointOp and batchOp.
-	pointFree freeList[pointOp[T]]
-	batchFree freeList[batchOp[T]]
-}
-
-// freeList recycles the carriers of one kind of operation. A carrier lost
-// to a panic unwinding through its borrower is simply collected.
-type freeList[O any] struct {
-	//stm:allow-atomic guards the free-list; carriers are borrowed and returned outside transactions
-	mu   sync.Mutex
-	free []*O
-}
-
-// get returns a recycled carrier, or nil when there is none.
-func (f *freeList[O]) get() (o *O) {
-	f.mu.Lock()
-	if n := len(f.free); n > 0 {
-		o, f.free = f.free[n-1], f.free[:n-1]
-	}
-	f.mu.Unlock()
-	return o
-}
-
-func (f *freeList[O]) put(o *O) {
-	f.mu.Lock()
-	f.free = append(f.free, o)
-	f.mu.Unlock()
+	// free recycles the operations' carriers (see batchOp). A carrier
+	// lost to a panic unwinding through its borrower is simply collected.
+	//stm:allow-atomic guards the carrier free list; carriers are borrowed and returned outside transactions
+	freeMu sync.Mutex
+	free   []*batchOp[T]
 }
 
 // NewStore builds the Map inside sys and wraps it.
-func NewStore[T txn.Tx](sys System[T], shards, buckets uint64) *Store[T] {
-	s := &Store[T]{sys: sys, m: New[T](sys, shards, buckets), pool: NewTxPool[T](sys)}
-	// The type assertion alone is not enough: core.TM satisfies the
-	// interface even with the sidecar disabled (AtomicSnap then degrades
-	// to AtomicRO), and Scan's bounded per-shard fallback must engage in
-	// exactly that case.
-	if ss, ok := sys.(txn.SnapshotSystem[T]); ok && ss.SnapshotsEnabled() {
-		s.snap = ss
-	}
-	if ir, ok := sys.(irrevocable[T]); ok {
-		s.irr = ir
-	}
-	return s
-}
-
-// irrevocable is an STM that can run a body alone behind its freeze
-// barrier, with plain loads and stores (core.TM.Irrevocable).
-type irrevocable[T txn.Tx] interface {
-	Irrevocable(tx T, fn func(T))
-}
-
-// atomicRO runs body as a snapshot transaction when the system offers
-// snapshot mode, as a classic read-only transaction otherwise.
-func (s *Store[T]) atomicRO(tx T, body func(T)) {
-	if s.snap != nil {
-		s.snap.AtomicSnap(tx, body)
-		return
-	}
-	s.sys.AtomicRO(tx, body)
+func NewStore[T Tx](sys System[T], shards, buckets uint64) *Store[T] {
+	return &Store[T]{sys: sys, m: New[T](sys, shards, buckets), pool: NewTxPool[T](sys)}
 }
 
 // SetShardHeat attaches the per-shard heat map (sized for this store via
@@ -190,95 +161,19 @@ func (s *Store[T]) Map() *Map[T] { return s.m }
 // idle.
 func (s *Store[T]) Close() { s.pool.Close() }
 
-// pointOp carries one single-key operation through its atomic block:
-// arguments in, results out, and the five bodies. A body written as a
-// closure where it is called captures its results by reference and
-// escapes through the System interface — four heap allocations around a
-// Get whose transaction makes none — so the bodies are built once per
-// pointOp, over its fields, and the ops are recycled (Store.getOp).
-type pointOp[T txn.Tx] struct {
-	// In: val is Put's value, Add's delta and CAS's new value; old is
-	// CAS's expected value; sh is key's shard.
-	key, val, old, sh uint64
-	// Out: res is Get's value and Add's result; flag is found (Get,
-	// Delete), inserted (Put) or swapped (CAS); grow asks for a Grow of the
-	// shard after the commit. attempts counts the body's executions for
-	// the heat map.
-	res        uint64
-	flag, grow bool
-	attempts   int
-
-	get, put, del, cas, add func(T)
-}
-
-func newPointOp[T txn.Tx](s *Store[T]) *pointOp[T] {
-	o := &pointOp[T]{}
-	o.get = func(tx T) {
-		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
-		o.attempts++
-		o.res, o.flag = s.m.Get(tx, o.key)
-	}
-	o.put = func(tx T) {
-		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
-		o.attempts++
-		o.flag = s.m.Put(tx, o.key, o.val)
-		o.grow = o.flag && s.m.NeedsGrow(tx, o.sh)
-		s.redo(tx, txn.RedoPut, o.key, o.val)
-	}
-	o.del = func(tx T) {
-		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
-		o.attempts++
-		o.flag = s.m.Delete(tx, o.key)
-		if o.flag {
-			s.redo(tx, txn.RedoDelete, o.key, 0)
-		}
-	}
-	o.cas = func(tx T) {
-		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
-		o.attempts++
-		o.flag = s.m.CAS(tx, o.key, o.old, o.val)
-		if o.flag {
-			s.redo(tx, txn.RedoPut, o.key, o.val)
-		}
-	}
-	o.add = func(tx T) {
-		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
-		o.attempts++
-		o.res = s.m.Add(tx, o.key, o.val)
-		o.grow = s.m.NeedsGrow(tx, o.sh)
-		s.redo(tx, txn.RedoPut, o.key, o.res)
-	}
-	return o
-}
-
-// getOp borrows a pointOp armed with the operation's arguments.
-func (s *Store[T]) getOp(key, val, old uint64) *pointOp[T] {
-	o := s.pointFree.get()
-	if o == nil {
-		o = newPointOp(s)
-	}
-	o.key, o.val, o.old, o.sh = key, val, old, s.m.Shard(key)
-	o.grow, o.attempts = false, 0
-	return o
-}
-
-// putOp records the finished op against its shard's heat and recycles it.
-func (s *Store[T]) putOp(o *pointOp[T]) {
-	if s.heat != nil {
-		s.heat.Record(o.sh, o.attempts)
-	}
-	s.pointFree.put(o)
-}
-
 // Get returns key's value via a read-only transaction.
 func (s *Store[T]) Get(key uint64) (val uint64, found bool) {
 	tx := s.pool.Get()
 	defer s.pool.Put(tx)
-	o := s.getOp(key, 0, 0)
-	s.sys.AtomicRO(tx, o.get)
-	val, found = o.res, o.flag
-	s.putOp(o)
-	return val, found
+	o := s.point(Op{Kind: OpGet, Key: key})
+	// The body is the update path's too, so it statically reaches the
+	// mutators and redo capture, but an OpGet runs neither.
+	//stm:allow-write the one op is OpGet; the write arms cannot execute
+	//stm:allow-redo the one op is OpGet; the redo arms cannot execute
+	s.sys.AtomicRO(tx, o.body)
+	r := o.oneRes[0]
+	s.donePoint(o, key)
+	return r.Val, r.Found
 }
 
 // Update runs one single-key update — Put, Delete, CAS (val is the new
@@ -292,31 +187,26 @@ func (s *Store[T]) Get(key uint64) (val uint64, found bool) {
 // factor, the shard is grown behind the freeze barrier (Map.Grow) before
 // Update returns.
 func (s *Store[T]) Update(kind OpKind, key, val, old uint64) (res OpResult, t txn.DurableTicket) {
-	tx := s.pool.Get()
-	defer s.pool.Put(tx)
-	o := s.getOp(key, val, old)
-	switch kind {
-	case OpPut:
-		s.sys.Atomic(tx, o.put)
-		res.OK = o.flag
-	case OpDelete:
-		s.sys.Atomic(tx, o.del)
-		res.Found = o.flag
-	case OpCAS:
-		s.sys.Atomic(tx, o.cas)
-		res.OK = o.flag
-	case OpAdd:
-		s.sys.Atomic(tx, o.add)
-		res.Val = o.res
-	default:
+	if kind == OpGet {
 		panic(fmt.Sprintf("kvstore: %v is not a single-key update", kind))
 	}
+	tx := s.pool.Get()
+	defer s.pool.Put(tx)
+	o := s.point(Op{Kind: kind, Key: key, Val: val, Old: old})
+	s.sys.Atomic(tx, o.body)
 	t = s.ticket(tx)
-	sh, grow := o.sh, o.grow
-	s.putOp(o)
-	if grow {
-		s.tryGrow(sh)
+	// The batch result carries more than the kind's own field (a Put's
+	// Found, an Add's OK); the single-key answer does not.
+	switch r := o.oneRes[0]; kind {
+	case OpPut, OpCAS:
+		res.OK = r.OK
+	case OpDelete:
+		res.Found = r.Found
+	case OpAdd:
+		res.Val = r.Val
 	}
+	s.growTipped(o)
+	s.donePoint(o, key)
 	return res, t
 }
 
@@ -341,6 +231,13 @@ func (s *Store[T]) Put(key, val uint64) (inserted bool) {
 func (s *Store[T]) tryGrow(sh uint64) {
 	if s.m.Grow(s.sys, sh) {
 		s.grows.Add(1)
+	}
+}
+
+// growTipped grows the shards the committed attempt of o tipped.
+func (s *Store[T]) growTipped(o *batchOp[T]) {
+	for _, sh := range o.grow {
+		s.tryGrow(sh)
 	}
 }
 
@@ -372,13 +269,13 @@ func (s *Store[T]) Add(key, delta uint64) (val uint64) {
 	return res.Val
 }
 
-// Len returns the live key count via a read-only transaction (snapshot
-// mode when available: the per-shard counters span every stripe of the
-// map's headers, exactly the scattered read set writers keep moving).
+// Len returns the live key count via a snapshot transaction: the
+// per-shard counters span every stripe of the map's headers, exactly the
+// scattered read set writers keep moving.
 func (s *Store[T]) Len() (n uint64) {
 	tx := s.pool.Get()
 	defer s.pool.Put(tx)
-	s.atomicRO(tx, func(tx T) { n = s.m.Len(tx) })
+	s.sys.AtomicSnap(tx, func(tx T) { n = s.m.Len(tx) })
 	return n
 }
 
@@ -396,7 +293,7 @@ type KV = txn.KV
 //
 // With snapshot mode available it runs as ONE snapshot transaction: a
 // single commit-ordered point in time that concurrent writers cannot
-// abort. Without it (TL2, or Snapshots off) a full-table read-only
+// abort. Without it (a TM with its sidecar off) a full-table read-only
 // transaction under write pressure can retry unboundedly — the very
 // starvation the sidecar exists to fix — so the fallback degrades to one
 // read-only transaction PER SHARD, each reading its shard's count and,
@@ -410,8 +307,8 @@ func (s *Store[T]) Scan(limit int) (pairs []KV, total uint64) {
 		pairs = append(pairs, KV{Key: k, Val: v})
 		return limit <= 0 || len(pairs) < limit
 	}
-	if s.snap != nil {
-		s.snap.AtomicSnap(tx, func(tx T) {
+	if s.sys.SnapshotsEnabled() {
+		s.sys.AtomicSnap(tx, func(tx T) {
 			total = s.m.Len(tx)
 			n := total
 			if limit > 0 {
@@ -478,10 +375,9 @@ const bulkOps = 64
 // as ops, returning the commit's durability ticket unwaited, under Update's
 // contract; a read-only batch has none. A caller that keeps both slices
 // between batches pays no allocation for one. Neither slice is retained.
-// An update batch of at least bulkOps ops, on an STM that can run it
-// irrevocably, stops the world for its run instead: every other
-// transaction waits at Begin until it commits, and the shards it tipped
-// over their load factor grow before it lets them go.
+// An update batch of at least bulkOps ops stops the world for its run
+// instead: every other transaction waits at Begin until it commits, and
+// the shards it tipped over their load factor grow before it lets them go.
 func (s *Store[T]) ApplyInto(ops []Op, res []OpResult) txn.DurableTicket {
 	if len(res) != len(ops) {
 		panic(fmt.Sprintf("kvstore: %d result slots for %d batch ops", len(res), len(ops)))
@@ -495,66 +391,111 @@ func (s *Store[T]) ApplyInto(ops []Op, res []OpResult) txn.DurableTicket {
 	}
 	tx := s.pool.Get()
 	defer s.pool.Put(tx)
-	o := s.batchFree.get()
-	if o == nil {
-		o = newBatchOp(s)
-	}
+	o := s.borrow()
 	o.ops, o.res = ops, res
 	var t txn.DurableTicket
 	if readOnly {
-		// All-Get batches take the snapshot fast path when the system
-		// offers it: one consistent timestamp, no validation, no aborts
-		// from concurrent writers. The body is shared with the update
-		// path, so it statically reaches the mutators and redo capture,
-		// but the all-Get guard above makes those arms unreachable here.
+		// All-Get batches take the snapshot fast path: one consistent
+		// timestamp, no validation, no aborts from concurrent writers.
+		// The body is shared with the update path, so it statically
+		// reaches the mutators and redo capture, but the all-Get guard
+		// above makes those arms unreachable here.
 		//stm:allow-write every op is OpGet on this path; the write arms cannot execute
 		//stm:allow-redo every op is OpGet on this path; the redo arms cannot execute
-		s.atomicRO(tx, o.body)
-	} else if len(ops) >= bulkOps && s.irr != nil {
-		s.irr.Irrevocable(tx, o.bulk)
+		s.sys.AtomicSnap(tx, o.body)
+	} else if len(ops) >= bulkOps {
+		s.sys.Irrevocable(tx, o.bulk)
 		t = s.ticket(tx)
 		s.grows.Add(uint64(o.grown))
 	} else {
 		s.sys.Atomic(tx, o.body)
 		t = s.ticket(tx)
-		for _, sh := range o.grow {
-			s.tryGrow(sh)
-		}
+		s.growTipped(o)
 	}
-	o.ops, o.res = nil, nil
-	s.batchFree.put(o)
+	o.ops, o.res = o.one[:], o.oneRes[:]
+	s.recycle(o)
 	return t
 }
 
-// batchOp carries one batch through its atomic block, for pointOp's reason:
-// the body is built once over the op's fields and the ops are recycled.
-type batchOp[T txn.Tx] struct {
-	ops []Op       // in: the caller's batch
-	res []OpResult // out: the caller's result slots, aligned with ops
+// batchOp carries every operation — a Get, an Update, a whole batch —
+// through its atomic block. A body written as a closure where it is
+// called captures its results by reference and escapes through the System
+// interface — heap allocations around a Get whose transaction makes none
+// — so the bodies are built once per carrier, over its fields, and the
+// carriers are recycled (Store.borrow).
+type batchOp[T Tx] struct {
+	ops []Op       // in: the operations
+	res []OpResult // out: their result slots, aligned with ops
+	// one and oneRes are a Get's or an Update's operation and result:
+	// ops and res point at them whenever no batch is running.
+	one    [1]Op
+	oneRes [1]OpResult
 	// grow lists, once the body has run, the shards the attempt's inserts
 	// left over their load factor — almost always none.
 	grow []uint64
 	// grown counts the shards the last irrevocable run grew.
 	grown int
+	// attempts counts the body's runs, for the heat map.
+	attempts int
 	// body runs the ops; bulk runs them irrevocably and then grows the
 	// shards they tipped, still frozen.
 	body, bulk func(T)
 }
 
-func newBatchOp[T txn.Tx](s *Store[T]) *batchOp[T] {
+// borrow returns a recycled carrier, or a new one.
+func (s *Store[T]) borrow() (o *batchOp[T]) {
+	s.freeMu.Lock()
+	if n := len(s.free); n > 0 {
+		o, s.free = s.free[n-1], s.free[:n-1]
+	}
+	s.freeMu.Unlock()
+	if o == nil {
+		o = newBatchOp(s)
+	}
+	return o
+}
+
+func (s *Store[T]) recycle(o *batchOp[T]) {
+	s.freeMu.Lock()
+	s.free = append(s.free, o)
+	s.freeMu.Unlock()
+}
+
+// point borrows a carrier armed with the one operation of a Get or an
+// Update.
+func (s *Store[T]) point(one Op) *batchOp[T] {
+	o := s.borrow()
+	o.one[0] = one
+	o.attempts = 0
+	return o
+}
+
+// donePoint records a Get's or an Update's run against its key's shard
+// heat and recycles its carrier. Batches record no heat.
+func (s *Store[T]) donePoint(o *batchOp[T], key uint64) {
+	if s.heat != nil {
+		s.heat.Record(s.m.Shard(key), o.attempts)
+	}
+	s.recycle(o)
+}
+
+func newBatchOp[T Tx](s *Store[T]) *batchOp[T] {
 	o := &batchOp[T]{}
+	o.ops, o.res = o.one[:], o.oneRes[:]
 	// inserted notes the shard of a key an op of this attempt may have
 	// added; once the ops have run, the body keeps the noted shards that are
-	// over their load factor. That is pointOp's in-body growth probe, taken
-	// once per shard instead of once per insert (a preload batch is a
-	// thousand of them): the shard's counters are in the attempt's read set
-	// already, so asking costs no transaction.
+	// over their load factor. The probe is taken once per shard instead of
+	// once per insert (a preload batch is a thousand of them): the shard's
+	// counters are in the attempt's read set already, so asking costs no
+	// transaction.
 	inserted := func(key uint64) {
 		if sh := s.m.Shard(key); !slices.Contains(o.grow, sh) {
 			o.grow = append(o.grow, sh)
 		}
 	}
 	o.body = func(tx T) {
+		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
+		o.attempts++
 		// Neither an aborted attempt's notes nor the last batch's carry over.
 		o.grow = o.grow[:0]
 		for i, op := range o.ops {

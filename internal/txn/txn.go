@@ -7,6 +7,10 @@
 // shape, every pointer type argument shares one shape, and so a tx.Load
 // in a generic body is an indirect call through the instantiation's
 // dictionary.
+//
+// What only TinySTM offers — snapshot transactions, irrevocable runs,
+// redo capture — is not part of these interfaces: package kvstore, its
+// one user, names it in its own System and Tx constraints.
 package txn
 
 import "errors"
@@ -63,28 +67,6 @@ func Release(tx Tx) {
 	if r, ok := tx.(interface{ Release() }); ok {
 		r.Release()
 	}
-}
-
-// SnapshotSystem extends System for STMs that run read-only transactions
-// in MVCC snapshot mode: a start timestamp is picked once and every read
-// is served at that timestamp (live word or version sidecar), with no read
-// set, no validation and no conflict aborts. Callers that want snapshot
-// semantics type-assert for it and fall back to AtomicRO when the system
-// (or its configuration) does not provide it.
-type SnapshotSystem[T Tx] interface {
-	System[T]
-	// SnapshotsEnabled reports whether snapshot mode is actually backed
-	// by a version sidecar on THIS instance. Implementations may satisfy
-	// the interface unconditionally (core.TM does) while AtomicSnap
-	// degrades to AtomicRO when the sidecar is off — callers choosing an
-	// execution strategy for long scans must check this, not just the
-	// type assertion.
-	SnapshotsEnabled() bool
-	// AtomicSnap runs fn as a snapshot-mode read-only transaction,
-	// restarting on a fresh snapshot when the current one falls off the
-	// retained version horizon, and falling back to an update transaction
-	// if fn writes.
-	AtomicSnap(tx T, fn func(T))
 }
 
 // RedoKind names one logical redo operation a committed transaction
