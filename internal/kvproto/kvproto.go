@@ -160,12 +160,9 @@ type BatchOp struct {
 	Old      uint64
 }
 
-// BatchResult is the outcome of one Batch sub-operation.
-type BatchResult struct {
-	Val   uint64 `json:"val"`
-	Found bool   `json:"found"`
-	OK    bool   `json:"ok"`
-}
+// BatchResult is the outcome of one Batch sub-operation: the store's own
+// result type, so the server encodes the slots the store filled.
+type BatchResult = txn.OpResult
 
 // KV is one Scan pair: the store's own pair type, so the server hands a
 // scan's pairs to the response without copying them.

@@ -64,7 +64,7 @@ var (
 // ackWait is the open half of a request whose update has committed but
 // whose log records are not on disk yet: the ticket to wait on, and the two
 // instants settle measures from. wouldPark is the other way execInto leaves
-// a request open, and only for a caller that lent a readerScratch: nothing
+// a request open, and only for the reader of a binary connection: nothing
 // ran and nothing was counted, because the admission gate is full.
 type ackWait struct {
 	ticket    *wal.Pending
@@ -73,37 +73,54 @@ type ackWait struct {
 	wouldPark bool
 }
 
-// readerScratch is what a goroutine that serves many requests — a binary
-// connection's reader — lends execInto, and how execInto knows it is on
-// one: the slices a short batch is converted, run and answered through
-// (resp.Results aliases out until the next batch), and the obligation not
-// to wait at the admission gate on that goroutine.
-type readerScratch struct {
-	ops [shortBatch]kvstore.Op
-	res [shortBatch]kvstore.OpResult
-	out [shortBatch]kvproto.BatchResult
-}
-
-// batchScratch is the store-side scratch of a batch no reader lent its own
-// to — a spawned binary batch, every HTTP /batch — borrowed from
-// batchScratches for one execInto: 48 KB a 1 024-op batch that would
-// otherwise be garbage for the collector to catch up with during a
-// preload. The wire results are not pooled: a held binary answer
-// references them until it is sent.
-type batchScratch struct {
+// batchCarrier is one request's memory from its codec to its answer: the
+// store ops and result slots a batch runs through — the answer's Results
+// are those slots, filled by the store and encoded where they lie — and,
+// for a binary request given a goroutine of its own, the request itself.
+// The one rule: a carrier goes back to batchCarriers when its answer has
+// been encoded, and not before — by protoConn.send, by the delivery or
+// sendResolved of a held answer, after writeBody for HTTP. A binary
+// connection's reader keeps one as its scratch, and a batch it ran whose
+// answer is held takes that scratch along (protoConn.answer). A preload's
+// 1 024-op batches thus reuse a few carriers and leave no garbage for a
+// collector that does not run before the preload ends.
+type batchCarrier struct {
+	req kvproto.Request
 	ops []kvstore.Op
 	res []kvstore.OpResult
 }
 
-var batchScratches = sync.Pool{New: func() any { return new(batchScratch) }}
+var batchCarriers = sync.Pool{New: func() any { return new(batchCarrier) }}
+
+// takeCarrier returns a recycled carrier, or a new one.
+func takeCarrier() *batchCarrier { return batchCarriers.Get().(*batchCarrier) }
+
+// slots returns n op slots and the n result slots aligned with them,
+// growing b to at least shortBatch, so a reader's scratch grows once.
+func (b *batchCarrier) slots(n int) ([]kvstore.Op, []kvstore.OpResult) {
+	if cap(b.ops) < n {
+		m := max(n, shortBatch)
+		b.ops, b.res = make([]kvstore.Op, m), make([]kvstore.OpResult, m)
+	}
+	return b.ops[:n], b.res[:n]
+}
+
+// recycle gives b back to batchCarriers, its answer encoded; a nil b is
+// none. The request goes: its Ops may be a connection's decode backing.
+func (b *batchCarrier) recycle() {
+	if b != nil {
+		b.req = kvproto.Request{}
+		batchCarriers.Put(b)
+	}
+}
 
 // exec runs one decoded request from surface surf against the store and
 // builds its response in resp, waiting inline for a group-durable update's
 // ticket: the form for a codec with a goroutine per request (HTTP). dl is
 // the request's absolute deadline (zero: none), re-anchored by the codec
 // the moment the request left the transport.
-func (s *Server) exec(surf int, dl time.Time, req *kvproto.Request, resp *kvproto.Response) {
-	if ack := s.execInto(surf, dl, req, resp, nil); ack.ticket != nil {
+func (s *Server) exec(surf int, dl time.Time, req *kvproto.Request, resp *kvproto.Response, bc *batchCarrier) {
+	if ack := s.execInto(surf, dl, req, resp, bc, false); ack.ticket != nil {
 		s.settle(surf, resp, ack)
 	}
 }
@@ -137,13 +154,17 @@ func (s *Server) recordLatency(surf int, op kvproto.Op, d time.Duration) {
 // a ticket says resp is what to answer IF the ticket resolves clean, and
 // the caller owes a settle before it sends anything.
 //
-// With rd nil the caller's goroutine is the request's own and an update
-// queues at a full admission gate (EnterUntil). With rd lent, execInto
-// tries the gate instead (TryEnter): a free slot is taken and the request
-// runs exactly as above; a full gate returns wouldPark with nothing run,
-// shed or recorded, and the caller runs the request again from a goroutine
-// that may wait. A spent budget is shed at the gate either way.
-func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kvproto.Response, rd *readerScratch) (ack ackWait) {
+// A batch runs in bc's slots, and resp.Results is bc's until its answer
+// is encoded; a caller that may get a batch lends a carrier.
+//
+// Without onReader the caller's goroutine is the request's own and an
+// update queues at a full admission gate (EnterUntil). On a binary
+// connection's reader execInto tries the gate instead (TryEnter): a free
+// slot is taken and the request runs exactly as above; a full gate returns
+// wouldPark with nothing run, shed or recorded, and the caller runs the
+// request again from a goroutine that may wait. A spent budget is shed at
+// the gate either way.
+func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kvproto.Response, bc *batchCarrier, onReader bool) (ack ackWait) {
 	*resp = kvproto.Response{ID: req.ID, Op: req.Op}
 	if req.Op < kvproto.OpGet || req.Op > kvproto.OpScan {
 		resp.Status, resp.Msg = kvproto.StatusError, "unknown op"
@@ -174,7 +195,6 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 	// stop them before they start.
 	var ops []kvstore.Op
 	var res []kvstore.OpResult
-	var out []kvproto.BatchResult
 	update := false
 	switch req.Op {
 	case kvproto.OpPut, kvproto.OpDelete, kvproto.OpCAS, kvproto.OpAdd:
@@ -190,16 +210,7 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 		}
 		// An all-Get batch runs as an ungated snapshot read, exactly like
 		// Apply's own read-only path.
-		if n := len(req.Ops); rd != nil && n <= shortBatch {
-			ops, res, out = rd.ops[:n], rd.res[:n], rd.out[:n]
-		} else {
-			b := batchScratches.Get().(*batchScratch)
-			defer batchScratches.Put(b)
-			if cap(b.ops) < n {
-				b.ops, b.res = make([]kvstore.Op, n), make([]kvstore.OpResult, n)
-			}
-			ops, res, out = b.ops[:n], b.res[:n], make([]kvproto.BatchResult, n)
-		}
+		ops, res = bc.slots(len(req.Ops))
 		for i, o := range req.Ops {
 			ops[i] = kvstore.Op{Kind: storeKinds[o.Op], Key: o.Key, Val: o.Val, Old: o.Old}
 			update = update || o.Op != kvproto.OpGet
@@ -218,7 +229,7 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 				s.shedDeadline(surf, shedStageGate, resp)
 				return
 			}
-		} else if rd != nil {
+		} else if onReader {
 			admitted, late := s.gate.TryEnter(dl)
 			if late {
 				s.shedDeadline(surf, shedStageGate, resp)
@@ -251,10 +262,7 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 		resp.Val, resp.Found, resp.OK = r.Val, r.Found, r.OK
 	case kvproto.OpBatch:
 		ticket = s.store.ApplyInto(ops, res)
-		for i, r := range res {
-			out[i] = kvproto.BatchResult(r)
-		}
-		resp.Results = out
+		resp.Results = res
 	case kvproto.OpScan:
 		// The walk stops at the pair cap; Total is still exact, read from
 		// the shard count words of the same snapshot.

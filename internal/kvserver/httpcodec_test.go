@@ -296,3 +296,46 @@ func TestHTTPGetAllocs(t *testing.T) {
 		t.Fatalf("GET /kv/7 through the handler: %v allocs, want <= 3", n)
 	}
 }
+
+// TestHTTPBatchAllocs pins a 64-key all-Get /batch, mixed-http's batch
+// shape, through the handler: the body is read and decoded by a pooled
+// decoder, the batch runs in a pooled carrier whose result slots the body
+// is rendered from, and the body renders into a pooled buffer. What is left
+// is TestHTTPGetAllocs's three (the mux's path match, the two header
+// values) and the body's size cap (http.MaxBytesReader). The parent of the
+// carrier allocated the results too: 5.
+func TestHTTPBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	s, _ := newTestServer(t, Config{SpaceWords: 1 << 16, Shards: 2, Buckets: 8, Snapshots: true})
+	var payload bytes.Buffer
+	payload.WriteString(`{"ops":[`)
+	for k := 0; k < 64; k++ {
+		if k > 0 {
+			payload.WriteByte(',')
+		}
+		s.Store().Put(uint64(k), uint64(k))
+		fmt.Fprintf(&payload, `{"op":"get","key":%d}`, k)
+	}
+	payload.WriteString(`]}`)
+	h := s.Handler()
+	body := &reusedBody{}
+	req := httptest.NewRequest(http.MethodPost, "/batch", nil)
+	body.Reset(payload.Bytes())
+	req.Body = body
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK || !strings.HasSuffix(rec.Body.String(), `{"val":63,"found":true,"ok":false}]}`+"\n") {
+		t.Fatalf("POST /batch answered %d %q", rec.Code, rec.Body)
+	}
+	w := &discardWriter{h: http.Header{}}
+	n := testing.AllocsPerRun(500, func() {
+		body.Reset(payload.Bytes())
+		req.Body = body
+		h.ServeHTTP(w, req)
+	})
+	if n > 4 {
+		t.Fatalf("POST /batch of 64 Gets through the handler: %v allocs, want <= 4", n)
+	}
+}

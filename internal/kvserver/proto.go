@@ -176,8 +176,8 @@ type protoConn struct {
 	frame []byte
 	req   kvproto.Request
 	resp  kvproto.Response
-	// scratch is what the reader lends execInto for a short batch.
-	scratch readerScratch
+	// scratch is the carrier the reader lends execInto for a short batch.
+	scratch batchCarrier
 	// holding is set while the reader is counted in senders.
 	holding bool
 	// spareOps carries a spawned batch's decode backing back from its
@@ -212,10 +212,11 @@ type protoConn struct {
 }
 
 // heldResp is one held answer: what to send once ack's ticket has
-// resolved clean.
+// resolved clean, and the carrier it references until it is encoded.
 type heldResp struct {
-	resp kvproto.Response
-	ack  ackWait
+	resp    kvproto.Response
+	ack     ackWait
+	carrier *batchCarrier
 }
 
 // serveProtoConn serves one connection until its stream ends or loses
@@ -308,9 +309,9 @@ func (c *protoConn) dispatch(payload []byte) bool {
 		dl = time.Now().Add(time.Duration(c.req.TimeoutMs) * time.Millisecond)
 	}
 	if !mayPark(&c.req) {
-		if ack := s.execInto(surfProto, dl, &c.req, &c.resp, &c.scratch); !ack.wouldPark {
+		if ack := s.execInto(surfProto, dl, &c.req, &c.resp, &c.scratch, true); !ack.wouldPark {
 			s.proto.ops.Add(1)
-			c.answer(&c.resp, ack, true)
+			c.answer(&c.resp, ack, nil)
 			return true
 		}
 	}
@@ -319,11 +320,13 @@ func (c *protoConn) dispatch(payload []byte) bool {
 }
 
 // spawn hands the decoded request to a goroutine of its own, which may
-// wait at the admission gate and run as long as the request is.
+// wait at the admission gate and run as long as the request is. The
+// request moves into a carrier, which the batch runs in and which goes
+// back once the answer is encoded.
 func (c *protoConn) spawn(dl time.Time) {
 	c.s.proto.spawned.Add(1)
-	req := new(kvproto.Request)
-	*req = c.req
+	bc := takeCarrier()
+	bc.req = c.req
 	c.req.Ops = nil // the goroutine's until it hands them back on spareOps
 	select {
 	case c.slots <- struct{}{}:
@@ -337,6 +340,7 @@ func (c *protoConn) spawn(dl time.Time) {
 	go func() {
 		defer func() { <-c.slots; c.wg.Done() }()
 		s := c.s
+		req := &bc.req
 		var resp kvproto.Response
 		// Dequeue check: the op may have sat behind a full pipeline, or
 		// behind a busy scheduler. Starting work for a client that already
@@ -347,7 +351,7 @@ func (c *protoConn) spawn(dl time.Time) {
 			s.shedDeadline(surfProto, shedStageDequeue, &resp)
 		} else {
 			s.proto.ops.Add(1)
-			ack = s.execInto(surfProto, dl, req, &resp, nil)
+			ack = s.execInto(surfProto, dl, req, &resp, bc, false)
 		}
 		if req.Ops != nil {
 			select {
@@ -355,18 +359,29 @@ func (c *protoConn) spawn(dl time.Time) {
 			default: // the reader has a spare already
 			}
 		}
-		c.answer(&resp, ack, false)
+		c.answer(&resp, ack, bc)
 	}()
 }
 
 // answer disposes of an executed request's response: sent now, or, when
 // execInto left a WAL ticket open, held until the log tells the connection
-// the ticket resolved. onReader says the caller is the connection's reader
-// goroutine.
-func (c *protoConn) answer(resp *kvproto.Response, ack ackWait, onReader bool) {
+// the ticket resolved. bc is the spawned request's carrier, recycled once
+// the answer is encoded; nil says the reader ran the request, and a batch
+// answers from the reader's scratch. A held answer must outlive the next
+// batch the reader runs there, so it takes the scratch along as its
+// carrier, and the reader takes a recycled one in its place: no copy, and
+// the same rule for every carrier — back to the pool when its answer has
+// been encoded.
+func (c *protoConn) answer(resp *kvproto.Response, ack ackWait, bc *batchCarrier) {
+	onReader := bc == nil
 	if ack.ticket == nil {
 		c.send(resp)
+		bc.recycle()
 		return
+	}
+	if onReader && resp.Op == kvproto.OpBatch {
+		bc = takeCarrier()
+		c.scratch, *bc = *bc, c.scratch
 	}
 	c.hmu.Lock()
 	if c.unsent >= protoInflight {
@@ -381,13 +396,7 @@ func (c *protoConn) answer(resp *kvproto.Response, ack ackWait, onReader bool) {
 			c.hcond.Wait()
 		}
 	}
-	h := heldResp{resp: *resp, ack: ack}
-	if onReader {
-		// A reader-run batch answers through the connection's scratch,
-		// which the next batch overwrites.
-		h.resp.Results = slices.Clone(resp.Results)
-	}
-	c.held = append(c.held, h)
+	c.held = append(c.held, heldResp{resp: *resp, ack: ack, carrier: bc})
 	c.unsent++
 	c.s.proto.held.Add(1)
 	c.hmu.Unlock()
@@ -412,6 +421,7 @@ func (c *protoConn) sendResolved(t *wal.Pending) {
 	c.hmu.Unlock()
 	c.s.settle(surfProto, &h.resp, h.ack)
 	c.send(&h.resp)
+	h.carrier.recycle()
 	c.sent(1)
 }
 
@@ -449,6 +459,7 @@ func (c *protoConn) deliver() {
 	}
 	for i := range ready {
 		frames = c.appendResp(frames, &ready[i].resp)
+		ready[i].carrier.recycle()
 	}
 	switch {
 	case !locked:

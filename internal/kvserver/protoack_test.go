@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -275,8 +276,9 @@ func TestProtoAckServerClose(t *testing.T) {
 // transaction commits, not when it is durable. With a gate one wide and
 // the fsync held, a second update commits while the first still waits for
 // its ticket — and so do two transfers, which like the Puts ran on the
-// reader (nothing was spawned), are held on the FIFO with their results
-// copied out of the reader's scratch, and are written once the fsync lets go.
+// reader (nothing was spawned), are held on the FIFO each in the reader
+// scratch it ran in, taken along as its carrier, and are written once the
+// fsync lets go.
 func TestProtoAckGateAndGroup(t *testing.T) {
 	fs := wal.NewMemFS()
 	cfg := durableCfg(fs)
@@ -306,8 +308,8 @@ func TestProtoAckGateAndGroup(t *testing.T) {
 	}
 	expectSilence(t, conn)
 	release()
-	// Each transfer's answer is its own: the second ran through the same
-	// scratch while the first was held.
+	// Each transfer's answer is its own: the second ran in the reader's
+	// new scratch while the first was held in the old one.
 	wantResults := map[uint64][2]uint64{3: {65, 85}, 4: {84, 1}}
 	for range 4 {
 		r := readResp(t, conn)
@@ -324,6 +326,101 @@ func TestProtoAckGateAndGroup(t *testing.T) {
 	}
 }
 
+// TestProtoHeldBatchAnswersAfterRecycle pins the carrier rule: a carrier
+// goes back to the pool when its answer is encoded, not before. Two
+// connections pipeline durable batches, long (spawned, in a pooled
+// carrier) and short (on the reader, whose scratch the held answer takes
+// along), and with the fsync held every one of them is held. Then all-Get
+// batches of both lengths stream through the same connections: answered
+// at once, they take carriers from the pool and the readers' scratch,
+// overwrite the slots and recycle them. After the release every held
+// answer must still be its own batch's. Recycling a held answer's carrier
+// early, or leaving a held short batch in the reader's scratch, hands its
+// slots to a Get batch that overwrites them.
+func TestProtoHeldBatchAnswersAfterRecycle(t *testing.T) {
+	fs := wal.NewReservingMemFS()
+	h := startDurableProto(t, durableCfg(fs))
+	const conns, rounds, reads, long, short = 2, 8, 64, shortBatch + 4, shortBatch - 1
+	const addBase, readBase, readKeys = 1 << 20, 1 << 30, 16
+	for k := uint64(0); k < readKeys; k++ {
+		h.srv.store.Put(readBase+k, 7000+k)
+	}
+	want := map[uint64][]kvproto.BatchResult{}
+	// adds is a durable batch of n Adds to keys no other op touches (the
+	// harness wrote key 1000): each answers with its own delta.
+	adds := func(id uint64, n int) []byte {
+		req := &kvproto.Request{ID: id, Op: kvproto.OpBatch}
+		for i := range n {
+			d := id*100 + uint64(i) + 1
+			req.Ops = append(req.Ops, kvproto.BatchOp{Op: kvproto.OpAdd, Key: addBase + id*100 + uint64(i), Val: d})
+			want[id] = append(want[id], kvproto.BatchResult{Val: d, OK: true})
+		}
+		return reqFrame(t, req)
+	}
+	gets := func(id uint64, n int) []byte {
+		req := &kvproto.Request{ID: id, Op: kvproto.OpBatch}
+		for i := range n {
+			k := (id + uint64(i)) % readKeys
+			req.Ops = append(req.Ops, kvproto.BatchOp{Op: kvproto.OpGet, Key: readBase + k})
+			want[id] = append(want[id], kvproto.BatchResult{Val: 7000 + k, Found: true})
+		}
+		return reqFrame(t, req)
+	}
+	check := func(r *kvproto.Response) {
+		t.Helper()
+		if r.Status != kvproto.StatusOK || !slices.Equal(r.Results, want[r.ID]) {
+			t.Fatalf("answer %d = %v %+v, want %+v", r.ID, r.Status, r.Results, want[r.ID])
+		}
+		delete(want, r.ID)
+	}
+	inSync, release := fs.HoldSync()
+	defer release()
+	cs := make([]net.Conn, conns)
+	id := uint64(0)
+	for c := range cs {
+		cs[c] = dialRaw(t, h.addr)
+		var burst []byte
+		for range rounds {
+			burst = append(burst, adds(id+1, long)...)
+			burst = append(burst, adds(id+2, short)...)
+			id += 2
+		}
+		if _, err := cs[c].Write(burst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-inSync
+	waitHeld(t, h.srv, 2*conns*rounds)
+	durable := id
+	for _, conn := range cs {
+		var burst []byte
+		for range reads {
+			burst = append(burst, gets(id+1, long)...)
+			burst = append(burst, gets(id+2, short)...)
+			id += 2
+		}
+		if _, err := conn.Write(burst); err != nil {
+			t.Fatal(err)
+		}
+		for range 2 * reads {
+			r := readResp(t, conn)
+			if r.ID <= durable {
+				t.Fatalf("durable batch %d answered before its fsync", r.ID)
+			}
+			check(r)
+		}
+	}
+	release()
+	for _, conn := range cs {
+		for range 2 * rounds {
+			check(readResp(t, conn))
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("%d batches never answered", len(want))
+	}
+}
+
 // TestProtoAckResolvedBeforeClaim: a ticket that resolved before its
 // holder could claim it is nobody's to tell — the flusher has passed it —
 // so the holder sends the answer itself, at once, and nothing stays held.
@@ -337,7 +434,7 @@ func TestProtoAckResolvedBeforeClaim(t *testing.T) {
 	c.owner.Resolved = c.deliver
 	req := kvproto.Request{ID: 9, Op: kvproto.OpPut, Key: 5, Val: 51}
 	var resp kvproto.Response
-	ack := s.execInto(surfProto, time.Time{}, &req, &resp, &c.scratch)
+	ack := s.execInto(surfProto, time.Time{}, &req, &resp, &c.scratch, true)
 	if ack.ticket == nil {
 		t.Fatal("a group-durable Put came back without a ticket")
 	}
@@ -345,7 +442,7 @@ func TestProtoAckResolvedBeforeClaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	heldBefore := s.proto.held.Load()
-	c.answer(&resp, ack, true)
+	c.answer(&resp, ack, nil)
 	if len(c.held) != 0 || c.unsent != 0 || s.proto.held.Load() != heldBefore {
 		t.Fatalf("after answering a resolved ticket: %d held, %d unsent, proto.held %d → %d",
 			len(c.held), c.unsent, heldBefore, s.proto.held.Load())

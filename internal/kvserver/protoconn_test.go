@@ -475,3 +475,31 @@ func BenchmarkProtoPipelinedPutDurable(b *testing.B) {
 	b.Run("depth=4", func(b *testing.B) { pipelinedBench(b, durableCfg(wal.NewMemFS()), 1, 4, kvproto.OpPut) })
 	b.Run("conns=16", func(b *testing.B) { pipelinedBench(b, durableCfg(wal.NewMemFS()), 16, 4, kvproto.OpPut) })
 }
+
+// BenchmarkProtoBatch1024 is the preload's request at the server: one
+// connection sends a 1 024-put batch, which the reader spawns and which
+// runs irrevocably, and waits for its answer before the next. The keys are
+// loaded, so every batch overwrites them and the table does not grow:
+// B/op and allocs/op are what a batch itself leaves to the collector.
+func BenchmarkProtoBatch1024(b *testing.B) {
+	_, addr := startBenchProto(b, Config{SpaceWords: 1 << 18})
+	req := &kvproto.Request{ID: 1, Op: kvproto.OpBatch, Ops: make([]kvproto.BatchOp, kvproto.MaxBatchOps)}
+	for i := range req.Ops {
+		req.Ops[i] = kvproto.BatchOp{Op: kvproto.OpPut, Key: uint64(i), Val: uint64(i)}
+	}
+	frame := reqFrame(b, req)
+	conn := dialRaw(b, addr)
+	br := bufio.NewReader(conn)
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := conn.Write(frame); err != nil {
+			b.Fatal(err)
+		}
+		var err error
+		if buf, err = kvproto.ReadFrame(br, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

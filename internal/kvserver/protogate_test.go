@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tinystm/internal/kvproto"
+	"tinystm/internal/wal"
 )
 
 // Tests of the binary connection's execution rule (proto.go): the reader
@@ -123,7 +124,7 @@ func TestProtoSpentBudgetShedsOnReader(t *testing.T) {
 	s, _ := newTestServer(t, Config{AdmissionWidth: 1})
 	s.gate.Enter()
 	defer s.gate.Exit()
-	var rd readerScratch
+	var rd batchCarrier
 	var resp kvproto.Response
 	past := time.Now().Add(-time.Millisecond)
 	for _, tc := range []struct {
@@ -133,7 +134,7 @@ func TestProtoSpentBudgetShedsOnReader(t *testing.T) {
 		{&kvproto.Request{ID: 1, Op: kvproto.OpAdd, Key: 1, Val: 1}, "(gate)"},
 		{transferReq(2, 1, 2, 1), "(op)"},
 	} {
-		ack := s.execInto(surfProto, past, tc.req, &resp, &rd)
+		ack := s.execInto(surfProto, past, tc.req, &resp, &rd, true)
 		if ack.wouldPark || ack.ticket != nil || resp.Status != kvproto.StatusDeadlineExceeded || !strings.Contains(resp.Msg, tc.stage) {
 			t.Fatalf("%v with a spent budget: ack %+v, answer %+v, want a shed at %s", tc.req.Op, ack, resp, tc.stage)
 		}
@@ -146,7 +147,7 @@ func TestProtoSpentBudgetShedsOnReader(t *testing.T) {
 	}
 	// With budget left, the same full gate is a would-park that counts
 	// nothing anywhere.
-	ack := s.execInto(surfProto, time.Now().Add(time.Hour), transferReq(3, 1, 2, 1), &resp, &rd)
+	ack := s.execInto(surfProto, time.Now().Add(time.Hour), transferReq(3, 1, 2, 1), &resp, &rd, true)
 	if _, _, _, waited := s.gate.Stats(); !ack.wouldPark || waited != 0 || s.gate.Expired() != 1 {
 		t.Errorf("live budget at a full gate: ack %+v, waited %d, expired %d; want wouldPark and no counts", ack, waited, s.gate.Expired())
 	}
@@ -221,6 +222,66 @@ func TestProtoTransferAllocs(t *testing.T) {
 	}
 }
 
+// TestProtoDurableTransferAllocs is TestProtoTransferAllocs under group
+// durability, beside TestProtoDurablePutAllocs: the reader runs the
+// transfer, and its answer, held for the WAL ticket, takes the reader's
+// scratch along as its carrier while the reader takes a recycled one. So
+// the held transfer allocates what the held Put does — the ticket — and no
+// copy of its results.
+func TestProtoDurableTransferAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	fs := wal.NewMemFS()
+	cfg := durableCfg(fs)
+	cfg.AdmissionWidth = 64
+	s, _ := newTestServer(t, cfg)
+	waitReady(t, s)
+	s.store.Put(5, 50)
+	s.store.Put(6, 50)
+	// As in TestProtoDurablePutAllocs, the owner does nothing when told:
+	// the test drops what is held itself, recycling each carrier as an
+	// encode would, with the fsync held so that every transfer is held.
+	c := &protoConn{s: s, bw: bufio.NewWriterSize(io.Discard, protoWriteBuf), owner: wal.Owner{Resolved: func() {}}}
+	c.hcond.L = &c.hmu
+	payload, err := kvproto.AppendRequest(nil, transferReq(1, 5, 6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := 0
+	drop := func() {
+		for _, h := range c.held {
+			if h.carrier == nil || len(h.resp.Results) != 2 || &h.resp.Results[0] != &h.carrier.res[0] {
+				t.Fatalf("held transfer answers from %p, not from its carrier %+v", h.resp.Results, h.carrier)
+			}
+			h.carrier.recycle()
+		}
+		held += len(c.held)
+		clear(c.held)
+		c.held, c.unsent = c.held[:0], 0
+	}
+	inSync, release := fs.HoldSync()
+	defer release()
+	c.dispatch(payload)
+	<-inSync // the flusher is parked in this transfer's fsync
+	drop()
+	held = 0
+	n := testing.AllocsPerRun(500, func() {
+		c.dispatch(payload)
+		drop()
+	})
+	if n > 1 {
+		t.Fatalf("decode → gate → exec → hold of a group-durable transfer: %v allocs, want <= 1 (the ticket)", n)
+	}
+	if held != 501 { // AllocsPerRun warms up with one extra run
+		t.Fatalf("%d of 501 transfers were held for their ticket", held)
+	}
+	if got := s.proto.spawned.Load(); got != 0 {
+		t.Fatalf("%d of the measured transfers were spawned", got)
+	}
+	s.proto.held.Store(0)
+}
+
 // BenchmarkProtoPipelinedGated is the loopback rung of the gated update
 // path: depth-4 bursts of an Add and a two-op transfer, alternating, with
 // the admission gate on and never full.
@@ -270,7 +331,7 @@ func BenchmarkProtoGetBehindBatch(b *testing.B) {
 					if mode == "spawned" {
 						c.spawn(time.Time{})
 					} else {
-						c.answer(&c.resp, s.execInto(surfProto, time.Time{}, &c.req, &c.resp, &c.scratch), true)
+						c.answer(&c.resp, s.execInto(surfProto, time.Time{}, &c.req, &c.resp, &c.scratch, true), nil)
 					}
 					c.dispatch(get)
 					behind += time.Since(start)

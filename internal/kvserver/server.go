@@ -422,10 +422,16 @@ var httpStatus = [...]int{
 }
 
 // serve is the back half of the HTTP codec: run the parsed request
-// through exec and render the response.
+// through exec and render the response. A batch runs in a carrier, which
+// goes back once writeBody has encoded the results that are its slots.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, req *kvproto.Request) {
 	var resp kvproto.Response
-	s.exec(surfHTTP, deadlineOf(r), req, &resp)
+	var bc *batchCarrier
+	if req.Op == kvproto.OpBatch {
+		bc = takeCarrier()
+		defer bc.recycle()
+	}
+	s.exec(surfHTTP, deadlineOf(r), req, &resp, bc)
 	if resp.Status != kvproto.StatusOK {
 		code := httpStatus[resp.Status]
 		if resp.Msg == core.ErrSpaceExhausted.Error() {

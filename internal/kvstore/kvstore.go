@@ -164,29 +164,51 @@ func (m *Map[T]) Get(tx T, key uint64) (uint64, bool) {
 // Put inserts or updates key. It reports whether the key was inserted
 // (false: an existing value was overwritten).
 func (m *Map[T]) Put(tx T, key, val uint64) bool {
+	inserted := m.put(tx, key, val)
+	if inserted {
+		m.addCount(tx, key, 1)
+	}
+	return inserted
+}
+
+// put is Put leaving the shard's count to the caller: a batch moves each
+// count word once (Store's body), not once per insert.
+func (m *Map[T]) put(tx T, key, val uint64) bool {
 	node, link := m.lookup(tx, key)
 	if node != 0 {
 		tx.Store(node+1, val)
 		return false
 	}
+	m.link(tx, link, key, val)
+	return true
+}
+
+// link inserts a new node for key at link, the empty link lookup stopped at.
+func (m *Map[T]) link(tx T, link, key, val uint64) {
 	n := tx.Alloc(nodeWords)
 	tx.Store(n, key)
 	tx.Store(n+1, val)
 	tx.Store(n+2, 0) // chain tail: lookup stopped at an empty link
 	tx.Store(link, n)
-	m.addCount(tx, key, 1)
-	return true
 }
 
 // Delete removes key, reporting whether it was present.
 func (m *Map[T]) Delete(tx T, key uint64) bool {
+	found := m.delete(tx, key)
+	if found {
+		m.addCount(tx, key, ^uint64(0))
+	}
+	return found
+}
+
+// delete is Delete leaving the shard's count to the caller.
+func (m *Map[T]) delete(tx T, key uint64) bool {
 	node, link := m.lookup(tx, key)
 	if node == 0 {
 		return false
 	}
 	tx.Store(link, tx.Load(node+2))
 	tx.Free(node, nodeWords)
-	m.addCount(tx, key, ^uint64(0))
 	return true
 }
 
@@ -205,24 +227,35 @@ func (m *Map[T]) CAS(tx T, key, old, new uint64) bool {
 // returns the new value. This is the read-modify-write primitive batches
 // need (a Get+Put pair in one batch could not see its own intermediate).
 func (m *Map[T]) Add(tx T, key, delta uint64) uint64 {
+	v, inserted := m.add(tx, key, delta)
+	if inserted {
+		m.addCount(tx, key, 1)
+	}
+	return v
+}
+
+// add is Add leaving the shard's count to the caller; it also reports
+// whether the key was inserted.
+func (m *Map[T]) add(tx T, key, delta uint64) (v uint64, inserted bool) {
 	node, link := m.lookup(tx, key)
 	if node != 0 {
-		v := tx.Load(node+1) + delta
+		v = tx.Load(node+1) + delta
 		tx.Store(node+1, v)
-		return v
+		return v, false
 	}
-	n := tx.Alloc(nodeWords)
-	tx.Store(n, key)
-	tx.Store(n+1, delta)
-	tx.Store(n+2, 0)
-	tx.Store(link, n)
-	m.addCount(tx, key, 1)
-	return delta
+	m.link(tx, link, key, delta)
+	return delta, true
 }
 
 // addCount adjusts the owning shard's live-key counter.
 func (m *Map[T]) addCount(tx T, key uint64, delta uint64) {
-	c := m.base + m.Shard(key)*hdrWords + hdrCount
+	m.addShardCount(tx, m.Shard(key), delta)
+}
+
+// addShardCount adds delta (two's complement) to shard s's live-key
+// counter.
+func (m *Map[T]) addShardCount(tx T, s uint64, delta uint64) {
+	c := m.base + s*hdrWords + hdrCount
 	tx.Store(c, tx.Load(c)+delta)
 }
 

@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -69,14 +68,9 @@ type Op struct {
 	Old  uint64
 }
 
-// OpResult is the outcome of one batch operation: Val carries Get's value
-// (and Add's result), Found whether Get/Delete found the key, OK whether
-// CAS succeeded / Put inserted.
-type OpResult struct {
-	Val   uint64
-	Found bool
-	OK    bool
-}
+// OpResult is the outcome of one batch operation: the wire's own result
+// type, so a server hands ApplyInto the slots its answer encodes.
+type OpResult = txn.OpResult
 
 // Tx is the descriptor a Store runs on: besides the transactional word
 // operations, it captures redo records for the write-ahead log and tells
@@ -430,6 +424,9 @@ type batchOp[T Tx] struct {
 	// ops and res point at them whenever no batch is running.
 	one    [1]Op
 	oneRes [1]OpResult
+	// tally is the attempt's net key count change per shard it touched;
+	// the body moves each shard's count word once, by it.
+	tally []shardTally
 	// grow lists, once the body has run, the shards the attempt's inserts
 	// left over their load factor — almost always none.
 	grow []uint64
@@ -440,6 +437,12 @@ type batchOp[T Tx] struct {
 	// body runs the ops; bulk runs them irrevocably and then grows the
 	// shards they tipped, still frozen.
 	body, bulk func(T)
+}
+
+// shardTally is a batch's net change n (two's complement) to shard's key
+// count.
+type shardTally struct {
+	shard, n uint64
 }
 
 // borrow returns a recycled carrier, or a new one.
@@ -482,22 +485,28 @@ func (s *Store[T]) donePoint(o *batchOp[T], key uint64) {
 func newBatchOp[T Tx](s *Store[T]) *batchOp[T] {
 	o := &batchOp[T]{}
 	o.ops, o.res = o.one[:], o.oneRes[:]
-	// inserted notes the shard of a key an op of this attempt may have
-	// added; once the ops have run, the body keeps the noted shards that are
-	// over their load factor. The probe is taken once per shard instead of
-	// once per insert (a preload batch is a thousand of them): the shard's
-	// counters are in the attempt's read set already, so asking costs no
-	// transaction.
-	inserted := func(key uint64) {
-		if sh := s.m.Shard(key); !slices.Contains(o.grow, sh) {
-			o.grow = append(o.grow, sh)
+	// tally adds n keys to the net change of key's shard. The ops leave
+	// the count words alone, and once they have run the body stores each
+	// touched shard's count once: a bulk run's undo log then holds one
+	// entry per shard instead of one per insert, and a transactional
+	// batch one write-set entry. It then probes each shard whose count
+	// rose for its load factor: the count is in the attempt's read set
+	// already, so asking costs no transaction.
+	tally := func(key, n uint64) {
+		sh := s.m.Shard(key)
+		for i := range o.tally {
+			if o.tally[i].shard == sh {
+				o.tally[i].n += n
+				return
+			}
 		}
+		o.tally = append(o.tally, shardTally{shard: sh, n: n})
 	}
 	o.body = func(tx T) {
 		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
 		o.attempts++
 		// Neither an aborted attempt's notes nor the last batch's carry over.
-		o.grow = o.grow[:0]
+		o.tally, o.grow = o.tally[:0], o.grow[:0]
 		for i, op := range o.ops {
 			r := &o.res[i]
 			*r = OpResult{}
@@ -505,15 +514,16 @@ func newBatchOp[T Tx](s *Store[T]) *batchOp[T] {
 			case OpGet:
 				r.Val, r.Found = s.m.Get(tx, op.Key)
 			case OpPut:
-				r.OK = s.m.Put(tx, op.Key, op.Val)
+				r.OK = s.m.put(tx, op.Key, op.Val)
 				r.Found = !r.OK
 				if r.OK {
-					inserted(op.Key)
+					tally(op.Key, 1)
 				}
 				s.redo(tx, txn.RedoPut, op.Key, op.Val)
 			case OpDelete:
-				r.Found = s.m.Delete(tx, op.Key)
+				r.Found = s.m.delete(tx, op.Key)
 				if r.Found {
+					tally(op.Key, ^uint64(0))
 					s.redo(tx, txn.RedoDelete, op.Key, 0)
 				}
 			case OpCAS:
@@ -522,21 +532,26 @@ func newBatchOp[T Tx](s *Store[T]) *batchOp[T] {
 					s.redo(tx, txn.RedoPut, op.Key, op.Val)
 				}
 			case OpAdd:
-				r.Val = s.m.Add(tx, op.Key, op.Val)
+				var inserted bool
+				r.Val, inserted = s.m.add(tx, op.Key, op.Val)
 				r.OK = true
-				inserted(op.Key)
+				if inserted {
+					tally(op.Key, 1)
+				}
 				s.redo(tx, txn.RedoPut, op.Key, r.Val)
 			default:
 				panic(fmt.Sprintf("kvstore: unknown batch op %d", int(op.Kind)))
 			}
 		}
-		over := o.grow[:0]
-		for _, sh := range o.grow {
-			if s.m.NeedsGrow(tx, sh) {
-				over = append(over, sh)
+		for _, t := range o.tally {
+			if t.n == 0 {
+				continue
+			}
+			s.m.addShardCount(tx, t.shard, t.n)
+			if int64(t.n) > 0 && s.m.NeedsGrow(tx, t.shard) {
+				o.grow = append(o.grow, t.shard)
 			}
 		}
-		o.grow = over
 	}
 	sp := s.sys.Space()
 	o.bulk = func(tx T) {

@@ -108,6 +108,17 @@ type KV struct {
 	Val uint64 `json:"val"`
 }
 
+// OpResult is the outcome of one operation of a key-value batch: Val
+// carries a Get's value and an Add's result, Found whether a Get or Delete
+// found the key, OK whether a CAS swapped or a Put inserted. The store
+// writes it and the wire encodes it, so a server answers a batch from the
+// slots the store filled.
+type OpResult struct {
+	Val   uint64 `json:"val"`
+	Found bool   `json:"found"`
+	OK    bool   `json:"ok"`
+}
+
 // DurableTicket is an opaque handle a RedoHook returns for one committed
 // transaction's redo records; the caller that needs ack-after-durable
 // semantics hands it back to the durability layer and blocks until the
