@@ -458,3 +458,36 @@ func TestCrashDuringRecoveryIsRecoverable(t *testing.T) {
 		})
 	}
 }
+
+// TestDurableBulkBatchAllocs: a warmed 1 024-put overwrite batch through
+// Store.ApplyInto on a group-durable server allocates only its ticket.
+// Its redo records are staged in a buffer the WAL takes back once the
+// batch is encoded, not copied into a fresh one per commit.
+func TestDurableBulkBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	s, _ := newTestServer(t, durableCfg(wal.NewReservingMemFS()))
+	waitReady(t, s)
+	ops := make([]kvstore.Op, 1024)
+	res := make([]kvstore.OpResult, len(ops))
+	val := uint64(0)
+	run := func() {
+		val++
+		for i := range ops {
+			ops[i] = kvstore.Op{Kind: kvstore.OpPut, Key: uint64(i), Val: val}
+		}
+		tk := s.store.ApplyInto(ops, res)
+		if err := tk.(*wal.Pending).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // inserts the keys; every later run overwrites them
+	run()
+	if n := testing.AllocsPerRun(50, run); n > 1 {
+		t.Fatalf("warmed durable %d-put batch: %v allocs, want <= 1 (the ticket)", len(ops), n)
+	}
+	if v, ok := s.store.Get(7); !ok || v != val {
+		t.Fatalf("key 7 = %d, %v after the batches, want %d", v, ok, val)
+	}
+}

@@ -83,7 +83,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"tinystm/internal/kvproto"
@@ -169,7 +168,6 @@ func (s *Server) ServeProto(l net.Listener) error {
 // deliveries under mu, the held list under hmu.
 type protoConn struct {
 	s  *Server
-	rc syscall.RawConn // the socket, for the flusher's one write attempt; nil: always hand off
 	br *bufio.Reader
 	// frame is ReadFrame's payload scratch; req and resp are the decode
 	// target and the response of the request the reader is handling.
@@ -201,7 +199,8 @@ type protoConn struct {
 	// taken and not yet written. hcond (on hmu) tells a holder that there
 	// is room again, and the teardown that nothing is left unsent. owner
 	// is how the log tells the connection that tickets it claimed resolved
-	// (deliver); ready is deliver's scratch.
+	// (deliver); ready is deliver's scratch, and raw its one write attempt
+	// on the socket.
 	//stm:allow-atomic guards the connection's held responses, outside any transaction
 	hmu    sync.Mutex
 	hcond  sync.Cond
@@ -209,6 +208,7 @@ type protoConn struct {
 	unsent int
 	owner  wal.Owner
 	ready  []heldResp
+	raw    rawWriter
 }
 
 // heldResp is one held answer: what to send once ack's ticket has
@@ -236,9 +236,7 @@ func (s *Server) serveProtoConn(conn net.Conn) {
 		slots:    make(chan struct{}, protoInflight),
 		spareOps: make(chan []kvproto.BatchOp, 1),
 	}
-	if sc, ok := conn.(syscall.Conn); ok {
-		c.rc, _ = sc.SyscallConn()
-	}
+	c.raw.init(conn)
 	c.hcond.L = &c.hmu
 	c.owner.Resolved = c.deliver
 	c.readLoop()
@@ -474,10 +472,7 @@ func (c *protoConn) deliver() {
 		// just counted out is about to take the lock and flush.
 		_, _ = c.bw.Write(frames) // in place: frames is the buffer's free tail
 	default:
-		n, done := 0, false
-		if c.rc != nil {
-			n, done = rawWrite(c.rc, frames)
-		}
+		n, done := c.raw.write(frames)
 		if !done {
 			_, _ = c.bw.Write(frames[n:]) // in place, to the empty buffer's front
 			c.handoff(nil, len(ready), true)

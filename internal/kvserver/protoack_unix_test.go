@@ -4,7 +4,9 @@ package kvserver
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"io"
 	"net"
 	"syscall"
 	"testing"
@@ -109,4 +111,70 @@ func TestProtoAckSlowReaderDoesNotStallLog(t *testing.T) {
 		seen[r.ID] = true
 	}
 	waitHeld(t, h.srv, 0)
+}
+
+// TestProtoDeliverAllocs: a delivery — the flusher settling a connection's
+// resolved answer and writing it to the socket in one write(2) attempt —
+// allocates nothing. The connection is a real loopback socket, so the
+// attempt is the raw write, not a hand-off.
+func TestProtoDeliverAllocs(t *testing.T) {
+	fs := wal.NewMemFS()
+	s, _ := newTestServer(t, durableCfg(fs))
+	waitReady(t, s)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := dialRaw(t, lis.Addr().String())
+	conn, err := lis.Accept()
+	lis.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	// The owner does nothing when told: the test delivers itself.
+	c := &protoConn{s: s, bw: bufio.NewWriterSize(conn, protoWriteBuf), owner: wal.Owner{Resolved: func() {}}}
+	c.raw.init(conn)
+	c.hcond.L = &c.hmu
+	payload, err := kvproto.AppendRequest(nil, &kvproto.Request{ID: 1, Op: kvproto.OpPut, Key: 5, Val: 51})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inSync, release := fs.HoldSync()
+	c.dispatch(payload)
+	<-inSync // the flusher is parked in this Put's fsync: its answer is held
+	release()
+	if len(c.held) != 1 {
+		t.Fatalf("%d answers held, want the Put's", len(c.held))
+	}
+	h := c.held[0]
+	if err := h.ack.ticket.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := kvproto.AppendResponseFrame(nil, &h.resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	c.held, c.unsent = c.held[:0], 0
+	s.proto.held.Store(0)
+	deliver := func() {
+		c.held = append(c.held, h)
+		c.unsent++
+		s.proto.held.Add(1)
+		c.deliver()
+		if _, err := io.ReadFull(client, got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deliver()
+	if n := testing.AllocsPerRun(200, deliver); n != 0 {
+		t.Errorf("settle → encode → write of one resolved answer: %v allocs, want 0", n)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("client read %x, want %x", got, want)
+	}
+	if n := s.proto.handoffs.Load(); n != 0 {
+		t.Fatalf("%d deliveries handed off: the measured path is not the raw write", n)
+	}
 }

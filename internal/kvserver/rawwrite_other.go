@@ -2,8 +2,12 @@
 
 package kvserver
 
-import "syscall"
+import "net"
 
-// rawWrite is the unix one-attempt socket write; elsewhere it writes
-// nothing and the delivery hands off.
-func rawWrite(rc syscall.RawConn, b []byte) (n int, done bool) { return 0, false }
+// rawWriter is the unix one-attempt socket write; elsewhere it writes
+// nothing and every delivery hands off.
+type rawWriter struct{}
+
+func (w *rawWriter) init(net.Conn) {}
+
+func (w *rawWriter) write(b []byte) (n int, done bool) { return 0, false }

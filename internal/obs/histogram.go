@@ -1,10 +1,13 @@
 // Package obs is the observability layer: lock-free log-linear
 // histograms, a dependency-free Prometheus text-format registry, and a
 // sampled per-transaction flight recorder. Everything on a record path
-// is wait-free (a handful of uncontended atomic adds), allocation-free
-// and safe for any number of concurrent writers — it is designed to sit
-// inside the STM commit path, the WAL flusher and the server's request
-// handlers without perturbing what it measures.
+// is wait-free (a handful of uncontended atomic adds) and safe for any
+// number of concurrent writers — it is designed to sit inside the STM
+// commit path, the WAL flusher and the server's request handlers without
+// perturbing what it measures. A histogram allocates its counters a group
+// of 32 at a time, on the first record into the group, so one that is
+// never recorded into costs about half a KiB; every later record into
+// the group allocates nothing.
 //
 // The paper's whole premise is an STM that watches itself run; this
 // package is where the watching happens. Aggregate counters answer "how
@@ -28,9 +31,13 @@ const (
 	subBuckets = 1 << subBits // 32 linear sub-buckets per power of two
 	// groups covers bit lengths subBits+1 .. 64.
 	groups = 64 - subBits
-	// NumBuckets is the fixed bucket count of every Histogram (~15 KiB
-	// of counters).
+	// NumBuckets is the fixed bucket count of every Histogram: 60 groups
+	// of subBuckets counters, 256 B each, allocated as they are first
+	// recorded into (all of them: ~15 KiB).
 	NumBuckets = subBuckets + groups*subBuckets
+	// numGroups is how many groups of subBuckets counters a Histogram
+	// has: the exact low range, then one per power of two.
+	numGroups = NumBuckets / subBuckets
 )
 
 // bucketIndex maps a value to its bucket. Exact for v < subBuckets.
@@ -56,23 +63,35 @@ func bucketUpper(i int) uint64 {
 }
 
 // Histogram is a fixed-layout log-linear histogram with atomic-counter
-// buckets. Record is O(1), lock-free and allocation-free; Snapshot gives
-// a consistent-enough point-in-time copy for quantile extraction,
-// merging and period deltas. The zero value is ready to use, but a
-// Histogram must not be copied after first use — always share pointers.
+// buckets, held in groups of subBuckets that are allocated on their first
+// record. Record is O(1) and lock-free, and allocation-free once its
+// group exists; Snapshot gives a consistent-enough point-in-time copy for
+// quantile extraction and period deltas. The zero value is ready to use,
+// but a Histogram must not be copied after first use — always share
+// pointers.
 type Histogram struct {
-	counts [NumBuckets]atomic.Uint64
+	groups [numGroups]atomic.Pointer[bucketGroup]
 	sum    atomic.Uint64
 	max    atomic.Uint64
 }
+
+// bucketGroup holds the counters of buckets g*subBuckets .. g*subBuckets+
+// subBuckets-1 of group g.
+type bucketGroup [subBuckets]atomic.Uint64
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
 
 // Record adds one observation. Wait-free: two atomic adds plus a
-// load-then-CAS max update that almost always skips the CAS.
+// load-then-CAS max update that almost always skips the CAS; the first
+// record into a group adds one allocation and one CAS.
 func (h *Histogram) Record(v uint64) {
-	h.counts[bucketIndex(v)].Add(1)
+	i := uint(bucketIndex(v))
+	g := h.groups[i/subBuckets].Load()
+	if g == nil {
+		g = h.group(i / subBuckets)
+	}
+	g[i%subBuckets].Add(1)
 	h.sum.Add(v)
 	for {
 		cur := h.max.Load()
@@ -85,16 +104,34 @@ func (h *Histogram) Record(v uint64) {
 	}
 }
 
-// Snapshot copies the counters. Buckets are read individually (no global
-// lock), so a snapshot taken under concurrent recording is a slightly
-// torn but monotone view — fine for monitoring: a later snapshot of the
-// same histogram never counts less in any bucket.
+// group returns group gi, allocating it. Of the records that race to
+// allocate it, one CAS installs its group and the others count into that
+// one, so no count is lost.
+func (h *Histogram) group(gi uint) *bucketGroup {
+	g := new(bucketGroup)
+	if h.groups[gi].CompareAndSwap(nil, g) {
+		return g
+	}
+	return h.groups[gi].Load()
+}
+
+// Snapshot copies the counters; a group never recorded into reads as
+// zeros. Buckets are read individually (no global lock), so a snapshot
+// taken under concurrent recording is a slightly torn but monotone view —
+// fine for monitoring: a later snapshot of the same histogram never
+// counts less in any bucket.
 func (h *Histogram) Snapshot() Snapshot {
 	var s Snapshot
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		s.Counts[i] = c
-		s.Count += c
+	for gi := range h.groups {
+		g := h.groups[gi].Load()
+		if g == nil {
+			continue
+		}
+		for j := range g {
+			c := g[j].Load()
+			s.Counts[gi*subBuckets+j] = c
+			s.Count += c
+		}
 	}
 	s.Sum = h.sum.Load()
 	s.Max = h.max.Load()

@@ -67,8 +67,8 @@ type Stats struct {
 }
 
 // inlineOps is how many redo ops a ticket stores in itself: a point update
-// logs one and a two-key transfer two, so the common Append is a single
-// allocation.
+// logs one and a two-key transfer two. A longer record is staged in a
+// buffer from the log's free list (Log.bufs).
 const inlineOps = 2
 
 // reserveSlack is what a segment reserves beyond SegmentBytes: room for
@@ -94,7 +94,8 @@ type Pending struct {
 	rec    Record
 	next   *Pending
 	inline [inlineOps]txn.RedoOp
-	err    error // written before owner is swapped to &resolvedMark
+	buf    *[]txn.RedoOp // rec.Ops' buffer from Log.bufs, until encoded
+	err    error         // written before owner is swapped to &resolvedMark
 	owner  atomic.Pointer[Owner]
 	wg     sync.WaitGroup
 }
@@ -176,6 +177,11 @@ type Log struct {
 	batch []*Pending
 	recs  []Record
 	frame []byte
+	// bufs is the free list of *[]txn.RedoOp that records of more than
+	// inlineOps ops are staged in. The flusher gives each back once its
+	// batch is encoded, so a stream of bulk batches cycles through one or
+	// two buffers instead of copying each into a fresh one.
+	bufs sync.Pool
 	// pass numbers the resolving passes; owners collects one pass's
 	// owners to tell. Both belong to the flusher, then to Close.
 	pass   uint64
@@ -254,13 +260,20 @@ func open(cfg Config) (*Log, error) {
 // durability ticket. Safe for any number of concurrent callers; called
 // from inside STM commit publication, so it must not block. The ops
 // slice is copied (the transaction descriptor reuses it): into the ticket
-// itself when it fits, so the ticket is the call's only allocation.
+// itself when it fits, else into a buffer from the log's free list, which
+// the flusher takes back once the record is encoded. Once that list holds
+// a buffer as large, the ticket is the call's only allocation.
 func (l *Log) Append(epoch, ts uint64, ops []txn.RedoOp) *Pending {
 	p := newPending(epoch, ts)
 	if len(ops) <= inlineOps {
 		p.rec.Ops = p.inline[:copy(p.inline[:], ops)]
 	} else {
-		p.rec.Ops = append([]txn.RedoOp(nil), ops...)
+		buf, _ := l.bufs.Get().(*[]txn.RedoOp)
+		if buf == nil {
+			buf = new([]txn.RedoOp)
+		}
+		*buf = append((*buf)[:0], ops...)
+		p.rec.Ops, p.buf = *buf, buf
 	}
 	l.push(p)
 	l.appends.Add(1)
@@ -473,6 +486,15 @@ func (l *Log) commitBatch(batch []*Pending) {
 		if len(recs) > 0 {
 			t0 := time.Now()
 			l.frame = appendFrame(l.frame[:0], recs)
+			// The frame holds the ops now: the buffers can stage the
+			// next batch's records while this one is written and synced.
+			for _, p := range batch {
+				if p.buf != nil {
+					p.rec.Ops = nil
+					l.bufs.Put(p.buf)
+					p.buf = nil
+				}
+			}
 			err = l.writeAndSyncLocked(l.frame)
 			if l.cfg.FlushNs != nil {
 				l.cfg.FlushNs.Record(uint64(time.Since(t0)))
