@@ -11,7 +11,7 @@
 //
 //	stmkvd                                   # listen on :8080, autotune on
 //	stmkvd -addr :9000 -geometry 2^16,0,1    # start at the paper's default
-//	stmkvd -autotune=false -design wt        # static write-through server
+//	stmkvd -autotune=false                   # static server at the initial geometry
 //	stmkvd -period 200ms -samples 1          # fast tuning cadence (demos, CI)
 //	stmkvd -durability group -wal-dir /var/lib/stmkvd
 //	                                         # crash-safe: acks after group fsync,
@@ -19,9 +19,11 @@
 //	stmkvd -proto-addr :8081 -admission 64   # binary pipelined protocol behind a
 //	                                         # 64-wide update-admission gate
 //
-// stmkvd takes 16 flags (stmkvd -h lists them). Conflict resolution is
-// not one of them: the STM has one rule, abort on a foreign lock and wait
-// for that lock before the retry (see internal/core).
+// stmkvd takes 14 flags (stmkvd -h lists them). The memory design is not
+// one of them: the server runs write-back. Nor is conflict resolution:
+// the STM has one rule, abort on a foreign lock and wait for that lock
+// before the retry (see internal/core). The flight recorder always
+// samples one transaction in 64.
 //
 // Both listen addresses accept :0 for an ephemeral port; the actual
 // bound addresses are logged as "http listening on ..." / "proto
@@ -57,6 +59,10 @@ import (
 	"tinystm/internal/kvserver"
 )
 
+// reportTail is how many tuning periods and sampled transactions the
+// shutdown report prints: the last ones before the process exits.
+const reportTail = 16
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("stmkvd: ")
@@ -66,7 +72,6 @@ func main() {
 		protoAddr = flag.String("proto-addr", "", "binary kvproto listen address (empty = HTTP only; :0 for an ephemeral port)")
 		admWidth  = flag.Int("admission", 0, "admission gate width, fixed for the server's life: max concurrent update transactions on both surfaces (0 = ungated)")
 		space     = flag.Int("space", 1<<22, "transactional arena size in 64-bit words")
-		design    = flag.String("design", "wb", "memory design: wb (write-back) or wt (write-through)")
 		geometry  = flag.String("geometry", "2^8,0,1", "initial lock-table triple locks,shifts,h (accepts 2^k)")
 		autotune  = flag.Bool("autotune", true, "attach the online tuning runtime: the lock-table geometry is tuned live")
 		period    = flag.Duration("period", time.Second, "tuning sample period")
@@ -76,18 +81,15 @@ func main() {
 		walDir    = flag.String("wal-dir", "", "write-ahead-log directory (segments and checkpoints)")
 		walBatch  = flag.Duration("wal-batch", 0, "WAL group-commit batch delay (0 = flush immediately)")
 		ckptEvry  = flag.Duration("checkpoint-every", 30*time.Second, "snapshot-checkpoint period for WAL truncation (0 = never)")
-		txTrace   = flag.Int("txtrace", 0, "flight-recorder sampling: trace one transaction in N (0 = default 64, negative = off)")
 		debugAddr = flag.String("debug-addr", "", "separate net/http/pprof listen address (empty = no pprof)")
 	)
 	flag.Parse()
 
-	d := cliutil.Must(cliutil.ParseDesign(*design))
 	geo := cliutil.Must(cliutil.ParseParams(*geometry))
 	dmode := cliutil.Must(kvserver.ParseDurability(*durab))
 
 	srv, err := kvserver.New(kvserver.Config{
 		SpaceWords:      *space,
-		Design:          d,
 		Geometry:        geo,
 		Snapshots:       true,
 		Autotune:        *autotune,
@@ -99,7 +101,6 @@ func main() {
 		WALDir:          *walDir,
 		WALBatch:        *walBatch,
 		CheckpointEvery: *ckptEvry,
-		TxTraceEvery:    *txTrace,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -170,8 +171,8 @@ func main() {
 		_ = hs.Shutdown(ctx)
 	}()
 
-	log.Printf("serving on %s (design=%v geometry=%v autotune=%v admission=%d period=%v)",
-		hl.Addr(), d, geo, *autotune, *admWidth, *period)
+	log.Printf("serving on %s (geometry=%v autotune=%v admission=%d period=%v)",
+		hl.Addr(), geo, *autotune, *admWidth, *period)
 	log.Printf("http listening on %s", hl.Addr())
 	if pl != nil {
 		log.Printf("proto listening on %s", pl.Addr())
@@ -192,14 +193,19 @@ func main() {
 		srv.TM().Params(), st.Commits, st.Aborts, st.Reconfigs, srv.Store().Len())
 	if rt := srv.Runtime(); rt != nil {
 		best, tp := rt.Best()
-		log.Printf("tuner: best=%v at %.0f txs/s over %d periods", best, tp, len(rt.Trace()))
-		for _, ev := range rt.Trace() {
+		log.Printf("tuner: best=%v at %.0f txs/s over %d periods", best, tp, rt.Periods())
+		evs := rt.Trace()
+		if len(evs) > reportTail {
+			evs = evs[len(evs)-reportTail:]
+		}
+		log.Printf("tuner: last %d periods:", len(evs))
+		for _, ev := range evs {
 			fmt.Println("  " + ev.String())
 		}
 	}
 	// Flight-recorder tail: the last sampled transactions before shutdown
 	// (crash forensics for the run that just ended).
-	if evs := srv.TxTrace(16); len(evs) > 0 {
+	if evs := srv.TxTrace(reportTail); len(evs) > 0 {
 		log.Printf("txtrace: last %d sampled transactions:", len(evs))
 		for _, e := range evs {
 			fmt.Println("  " + e.String())

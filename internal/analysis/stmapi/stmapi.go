@@ -378,20 +378,10 @@ func MutatorCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 }
 
 // RedoCall reports whether call records a redo operation: a method named
-// Redo taking one argument, on a descriptor or with a RedoOp argument
-// (covers a Redo reached through an interface that is not descriptor-like).
+// Redo taking one argument, on a descriptor.
 func RedoCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Redo" || len(call.Args) != 1 {
-		return false
-	}
-	if IsTxLike(info.TypeOf(sel.X)) {
-		return true
-	}
-	if named, ok := derefNamed(info.TypeOf(call.Args[0])); ok && named.Obj().Name() == "RedoOp" {
-		return true
-	}
-	return false
+	return ok && sel.Sel.Name == "Redo" && len(call.Args) == 1 && IsTxLike(info.TypeOf(sel.X))
 }
 
 // TxSourceCall reports whether call mints or borrows a descriptor:

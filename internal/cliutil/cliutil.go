@@ -109,18 +109,6 @@ func Scale(duration, warmup time.Duration, threads []int, seed uint64, quick boo
 	return sc
 }
 
-// ParseDesign maps a short name to a core memory-access design.
-func ParseDesign(s string) (core.Design, error) {
-	switch strings.ToLower(s) {
-	case "wb", "writeback", "write-back":
-		return core.WriteBack, nil
-	case "wt", "writethrough", "write-through":
-		return core.WriteThrough, nil
-	default:
-		return 0, fmt.Errorf("cliutil: unknown design %q (wb, wt)", s)
-	}
-}
-
 // ParsePow2 parses an unsigned value that may be written either as a
 // plain decimal ("65536") or as a power of two ("2^16").
 func ParsePow2(s string) (uint64, error) {

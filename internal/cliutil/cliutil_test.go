@@ -90,21 +90,6 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestParseDesign(t *testing.T) {
-	if d, err := ParseDesign("wb"); err != nil || d != core.WriteBack {
-		t.Errorf("wb: %v %v", d, err)
-	}
-	if d, err := ParseDesign("WT"); err != nil || d != core.WriteThrough {
-		t.Errorf("WT: %v %v", d, err)
-	}
-	if d, err := ParseDesign("write-through"); err != nil || d != core.WriteThrough {
-		t.Errorf("write-through: %v %v", d, err)
-	}
-	if _, err := ParseDesign("bogus"); err == nil {
-		t.Error("unknown design accepted")
-	}
-}
-
 func TestParsePow2(t *testing.T) {
 	cases := map[string]uint64{"65536": 65536, "2^16": 1 << 16, "2^0": 1, " 2^4 ": 16, "1": 1}
 	for in, want := range cases {

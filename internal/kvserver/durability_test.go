@@ -17,11 +17,11 @@ import (
 // group acks, in-memory filesystem so "restart" and "crash" are cheap.
 func durableCfg(fs *wal.MemFS) Config {
 	return Config{
-		SpaceWords: 1 << 18, Shards: 4, Buckets: 8,
+		SpaceWords: 1 << 18, shards: 4, buckets: 8,
 		Snapshots:  true,
 		Durability: DurabilityGroup,
 		WALDir:     "wal",
-		WALFS:      fs,
+		walFS:      fs,
 	}
 }
 

@@ -117,7 +117,7 @@ type parityHarness struct {
 
 func newParityHarness(t *testing.T) *parityHarness {
 	t.Helper()
-	s, err := New(Config{SpaceWords: 1 << 18, Shards: 4, Buckets: 8, Snapshots: true, AdmissionWidth: 1})
+	s, err := New(Config{SpaceWords: 1 << 18, shards: 4, buckets: 8, Snapshots: true, AdmissionWidth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func TestCodecParityOversizeBatch(t *testing.T) {
 // surfaces report a full arena from the same place — StatusError on the
 // wire, which HTTP renders as its 507.
 func TestExecArenaExhaustion(t *testing.T) {
-	s, ts := newTestServer(t, Config{SpaceWords: 1 << 10, Shards: 1, Buckets: 1})
+	s, ts := newTestServer(t, Config{SpaceWords: 1 << 10, shards: 1, buckets: 1})
 	var wire kvproto.Response
 	for k := uint64(0); k < 1<<12; k++ {
 		if s.exec(surfProto, time.Time{}, &kvproto.Request{Op: kvproto.OpPut, Key: k, Val: k}, &wire, nil); wire.Status != kvproto.StatusOK {
@@ -518,7 +518,7 @@ func TestLongBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	s, _ := newTestServer(t, Config{SpaceWords: 1 << 18, Shards: 4, Buckets: 64, Snapshots: true})
+	s, _ := newTestServer(t, Config{SpaceWords: 1 << 18, shards: 4, buckets: 64, Snapshots: true})
 	req := &kvproto.Request{ID: 1, Op: kvproto.OpBatch, Ops: make([]kvproto.BatchOp, kvproto.MaxBatchOps)}
 	for i := range req.Ops {
 		req.Ops[i] = kvproto.BatchOp{Op: kvproto.OpPut, Key: uint64(i), Val: uint64(i)}

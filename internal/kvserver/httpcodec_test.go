@@ -250,7 +250,7 @@ func FuzzBatchBody(f *testing.F) {
 // (at the cap, 200) — for /batch even though encoding/json would have
 // stopped reading at the end of the value.
 func TestHTTPBodyCap(t *testing.T) {
-	_, ts := newTestServer(t, Config{SpaceWords: 1 << 16, Shards: 2, Buckets: 8})
+	_, ts := newTestServer(t, Config{SpaceWords: 1 << 16, shards: 2, buckets: 8})
 	for _, rt := range []struct{ method, path, body string }{
 		{"POST", "/batch", `{"ops":[{"op":"get","key":1}]}`},
 		{"PUT", "/kv/1", "5"},
@@ -287,7 +287,7 @@ func TestHTTPGetAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	s, _ := newTestServer(t, Config{SpaceWords: 1 << 16, Shards: 2, Buckets: 8})
+	s, _ := newTestServer(t, Config{SpaceWords: 1 << 16, shards: 2, buckets: 8})
 	s.Store().Put(7, 1)
 	h := s.Handler()
 	req := httptest.NewRequest(http.MethodGet, "/kv/7", nil)
@@ -308,7 +308,7 @@ func TestHTTPBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	s, _ := newTestServer(t, Config{SpaceWords: 1 << 16, Shards: 2, Buckets: 8, Snapshots: true})
+	s, _ := newTestServer(t, Config{SpaceWords: 1 << 16, shards: 2, buckets: 8, Snapshots: true})
 	var payload bytes.Buffer
 	payload.WriteString(`{"ops":[`)
 	for k := 0; k < 64; k++ {

@@ -33,11 +33,11 @@ var surfaceNames = [nSurfaces]string{"http", "proto"}
 // request-latency histograms are indexed by op - kvproto.OpGet.
 const nReqOps = int(kvproto.OpScan-kvproto.OpGet) + 1
 
-// txTraceDefaultEvery is the default flight-recorder sampling rate (one
-// atomic block in N); txTraceCap the retained event window.
+// txTraceEvery is the flight recorder's sampling rate (one atomic block
+// in N); txTraceCap the retained event window.
 const (
-	txTraceDefaultEvery = 64
-	txTraceCap          = 4096
+	txTraceEvery = 64
+	txTraceCap   = 4096
 )
 
 // metrics bundles the server's instruments and their registry. Everything
@@ -101,19 +101,9 @@ func (s *Server) memStats() memStats {
 
 // newMetrics builds every instrument and registers the full metric set.
 func newMetrics(s *Server) *metrics {
-	m := &metrics{reg: obs.NewRegistry()}
-	every := uint64(txTraceDefaultEvery)
-	switch {
-	case s.cfg.TxTraceEvery > 0:
-		every = uint64(s.cfg.TxTraceEvery)
-	case s.cfg.TxTraceEvery < 0:
-		every = 0 // recorder disabled
-	}
-	if every > 0 {
-		m.rec = obs.NewRecorder(txTraceCap, every)
-	}
+	m := &metrics{reg: obs.NewRegistry(), rec: obs.NewRecorder(txTraceCap, txTraceEvery)}
 	m.tmObs = obs.NewTMObs(m.rec)
-	m.heat = obs.NewShardHeat(int(s.cfg.Shards))
+	m.heat = obs.NewShardHeat(int(s.cfg.shards))
 	m.admWaitNs = obs.NewHistogram()
 	m.walFlushNs = obs.NewHistogram()
 	m.walBatchOps = obs.NewHistogram()
@@ -324,17 +314,9 @@ func (m *metrics) registerTuning(rt *tuning.Runtime) {
 	knob("hier_log2", func() float64 { return float64(bits.TrailingZeros64(rt.Current().Hier)) })
 }
 
-// Metrics exposes the server's registry (tests; embedding servers).
-func (s *Server) Metrics() *obs.Registry { return s.met.reg }
-
 // TxTrace returns up to limit of the most recent flight-recorder events,
-// oldest first; nil when the recorder is disabled.
-func (s *Server) TxTrace(limit int) []obs.Event {
-	if s.met.rec == nil {
-		return nil
-	}
-	return s.met.rec.Dump(limit)
-}
+// oldest first.
+func (s *Server) TxTrace(limit int) []obs.Event { return s.met.rec.Dump(limit) }
 
 // wireTxEvent is the JSON form of one flight-recorder event.
 type wireTxEvent struct {
@@ -351,10 +333,6 @@ type wireTxEvent struct {
 }
 
 func (s *Server) handleTxTrace(w http.ResponseWriter, r *http.Request) {
-	if s.met.rec == nil {
-		writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
-		return
-	}
 	limit, ok := queryLimit(w, r)
 	if !ok {
 		return

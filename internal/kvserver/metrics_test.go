@@ -135,7 +135,7 @@ func families(body string) map[string]string {
 // checks the exposition covers every layer with live values.
 func TestMetricsEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
-		SpaceWords: 1 << 18, Shards: 4, Buckets: 8,
+		SpaceWords: 1 << 18, shards: 4, buckets: 8,
 		Snapshots: true, AdmissionWidth: 8,
 		Autotune: true, Period: 2 * time.Millisecond, Samples: 1,
 	})
@@ -265,7 +265,7 @@ func TestMetricsAlwaysAdmitted(t *testing.T) {
 	gate := make(chan struct{})
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{
-		SpaceWords: 1 << 18, Shards: 4, Buckets: 8, Snapshots: true,
+		SpaceWords: 1 << 18, shards: 4, buckets: 8, Snapshots: true,
 		Durability: DurabilityGroup, WALDir: dir, recoveryGate: gate,
 	})
 	c := ts.Client()
@@ -289,7 +289,7 @@ func TestMetricsAlwaysAdmitted(t *testing.T) {
 // histograms and counters, and that the counters are the log's own.
 func TestMetricsWAL(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		SpaceWords: 1 << 18, Shards: 4, Buckets: 8, Snapshots: true,
+		SpaceWords: 1 << 18, shards: 4, buckets: 8, Snapshots: true,
 		Durability: DurabilityGroup, WALDir: t.TempDir(),
 	})
 	c := ts.Client()
@@ -324,7 +324,7 @@ func TestMetricsWAL(t *testing.T) {
 // account for the keys inserted.
 func TestMetricsMemory(t *testing.T) {
 	const words, keys = 1 << 18, 4096
-	s, ts := newTestServer(t, Config{SpaceWords: words, Shards: 4, Buckets: 64, Snapshots: true})
+	s, ts := newTestServer(t, Config{SpaceWords: words, shards: 4, buckets: 64, Snapshots: true})
 	c := ts.Client()
 	runtime.GC() // the heap gauge reads 0 until a first collection
 	read := func() (live, mapped float64) {
@@ -365,7 +365,7 @@ func TestMetricsMemory(t *testing.T) {
 // store counts them: 100 keys over two 2-bucket shards pass growth
 // triggers at 8 and 32 keys a shard.
 func TestMetricsShardGrows(t *testing.T) {
-	s, ts := newTestServer(t, Config{SpaceWords: 1 << 16, Shards: 2, Buckets: 2})
+	s, ts := newTestServer(t, Config{SpaceWords: 1 << 16, shards: 2, buckets: 2})
 	c := ts.Client()
 	for k := uint64(0); k < 100; k++ {
 		s.Store().Put(k, k)
@@ -384,7 +384,7 @@ func TestMetricsShardGrows(t *testing.T) {
 // lock while another's Atomic stores to it — and checks that /metrics
 // reports the TM's retry-wait count and seconds, both non-zero.
 func TestMetricsRetryWaits(t *testing.T) {
-	s, ts := newTestServer(t, Config{SpaceWords: 1 << 18, Shards: 4, Buckets: 8})
+	s, ts := newTestServer(t, Config{SpaceWords: 1 << 18, shards: 4, buckets: 8})
 	c := ts.Client()
 	tm := s.TM()
 	owner, loser := tm.NewTx(), tm.NewTx()
@@ -433,7 +433,7 @@ func TestMetricsRetryWaits(t *testing.T) {
 // commits while a snapshot is registered, as under a long /scan, is
 // versioned, and both count it.
 func TestMetricsVersionedCommits(t *testing.T) {
-	s, ts := newTestServer(t, Config{SpaceWords: 1 << 18, Shards: 4, Buckets: 8, Snapshots: true})
+	s, ts := newTestServer(t, Config{SpaceWords: 1 << 18, shards: 4, buckets: 8, Snapshots: true})
 	c := ts.Client()
 	versioned := func() float64 {
 		t.Helper()
@@ -467,15 +467,15 @@ func TestMetricsVersionedCommits(t *testing.T) {
 	}
 }
 
-// TestTxTraceEndpoint drives enough sampled traffic to fill the flight
-// recorder and checks the dump's shape, the limit parameter, and the
-// disabled form.
+// TestTxTraceEndpoint drives enough traffic for the flight recorder to
+// sample several transactions at its fixed rate and checks the dump's
+// shape and the limit parameter.
 func TestTxTraceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		SpaceWords: 1 << 18, Shards: 4, Buckets: 8, TxTraceEvery: 1,
+		SpaceWords: 1 << 18, shards: 4, buckets: 8,
 	})
 	c := ts.Client()
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 4*txTraceEvery; i++ {
 		var ins struct{ Inserted bool }
 		doJSON(t, c, "PUT", ts.URL+"/kv/"+strconv.Itoa(i), "7", &ins)
 	}
@@ -493,11 +493,11 @@ func TestTxTraceEndpoint(t *testing.T) {
 	if code := doJSON(t, c, "GET", ts.URL+"/debug/txtrace", "", &dump); code != 200 {
 		t.Fatalf("txtrace status %d", code)
 	}
-	if !dump.Enabled || dump.SampleEvery != 1 {
-		t.Fatalf("enabled=%v every=%d, want true/1", dump.Enabled, dump.SampleEvery)
+	if !dump.Enabled || dump.SampleEvery != txTraceEvery {
+		t.Fatalf("enabled=%v every=%d, want true/%d", dump.Enabled, dump.SampleEvery, txTraceEvery)
 	}
 	if len(dump.Events) == 0 || dump.Recorded == 0 {
-		t.Fatal("flight recorder dumped no events under every=1 sampling")
+		t.Fatalf("flight recorder dumped no events over %d transactions", 4*txTraceEvery)
 	}
 	commits := 0
 	for _, e := range dump.Events {
@@ -522,21 +522,6 @@ func TestTxTraceEndpoint(t *testing.T) {
 	if code := doJSON(t, c, "GET", ts.URL+"/debug/txtrace?limit=0", "", nil); code != http.StatusBadRequest {
 		t.Fatalf("limit=0: status %d, want 400", code)
 	}
-
-	// TxTraceEvery < 0 disables the recorder; the endpoint still answers.
-	s2, ts2 := newTestServer(t, Config{
-		SpaceWords: 1 << 18, Shards: 4, Buckets: 8, TxTraceEvery: -1,
-	})
-	var off struct {
-		Enabled bool `json:"enabled"`
-	}
-	doJSON(t, ts2.Client(), "GET", ts2.URL+"/debug/txtrace", "", &off)
-	if off.Enabled {
-		t.Fatal("recorder reported enabled with TxTraceEvery=-1")
-	}
-	if s2.TxTrace(0) != nil {
-		t.Fatal("TxTrace() non-nil with the recorder disabled")
-	}
 }
 
 // TestMetricsSnapshotRestarts: a scan that outwaits a writer holding its
@@ -544,7 +529,7 @@ func TestTxTraceEndpoint(t *testing.T) {
 // stm_snapshot_too_old_total by cause, as the TM counts it.
 func TestMetricsSnapshotRestarts(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		SpaceWords: 1 << 18, Shards: 4, Buckets: 8, Snapshots: true,
+		SpaceWords: 1 << 18, shards: 4, buckets: 8, Snapshots: true,
 		Geometry: core.Params{Locks: 1, Shifts: 0, Hier: 1},
 	})
 	c := ts.Client()

@@ -268,8 +268,8 @@ func statsNumeric(path string) bool {
 }
 
 // TestStatsSections pins /stats to what the server is and how it booted:
-// the exact leaf set, for a plain server and for a durable, gated one, and
-// which of those leaves may be numbers.
+// the exact leaf set, for a plain server and for a durable, gated one,
+// which of those leaves may be numbers, and the one design it runs.
 func TestStatsSections(t *testing.T) {
 	common := []string{
 		"design", "params.locks", "params.shifts", "params.hier",
@@ -309,6 +309,10 @@ func TestStatsSections(t *testing.T) {
 				if _, num := v.(float64); num && !statsNumeric(path) {
 					t.Errorf("/stats %s = %v: a number outside the allowed leaves (it belongs on /metrics)", path, v)
 				}
+			}
+			// The server runs write-back; /stats still names the design.
+			if leaves["design"] != "WB" {
+				t.Errorf("/stats design = %v, want WB", leaves["design"])
 			}
 		})
 	}

@@ -60,17 +60,15 @@ import (
 	"tinystm/internal/wal"
 )
 
-// Config parameterizes a Server.
+// Config parameterizes a Server. The server always runs write-back and
+// always samples one atomic block in 64 (txTraceEvery) into the flight
+// recorder.
 type Config struct {
 	// SpaceWords sizes the transactional arena. Default 1<<22.
 	SpaceWords int
-	// Shards and Buckets shape the store (powers of two). Defaults 16
-	// and 64.
-	Shards, Buckets uint64
-	// Design and Geometry configure the TM. A zero Geometry defaults to
-	// the deliberately modest (2^8, 0, 1) so a fresh server visibly adapts
-	// under load.
-	Design   core.Design
+	// Geometry is the TM's initial lock-table triple. A zero Geometry
+	// defaults to the deliberately modest (2^8, 0, 1) so a fresh server
+	// visibly adapts under load.
 	Geometry core.Params
 	// Snapshots attaches the MVCC sidecar: all-Get /batch requests, Len
 	// and the /scan endpoint then run as wait-free snapshot transactions
@@ -104,15 +102,17 @@ type Config struct {
 	// CheckpointEvery is the background snapshot-checkpoint period; 0
 	// disables checkpointing (the log then grows without truncation).
 	CheckpointEvery time.Duration
-	// WALFS overrides the log's filesystem (fault-injection tests);
-	// nil means the real OS.
-	WALFS wal.FS
-	// TxTraceEvery is the flight recorder's sampling rate: one atomic
-	// block in N is traced. 0 picks the default (64); negative disables
-	// the recorder entirely.
-	TxTraceEvery int
-	// recoveryGate, when set by a test, holds boot recovery open (the
-	// server stays in the starting state) until the channel is closed.
+
+	// The fields below are hooks that only this package's tests set.
+
+	// shards and buckets shape the store (powers of two). Defaults 16
+	// and 64.
+	shards, buckets uint64
+	// walFS overrides the log's filesystem (fault injection); nil means
+	// the real OS.
+	walFS wal.FS
+	// recoveryGate holds boot recovery open (the server stays in the
+	// starting state) until the channel is closed.
 	recoveryGate chan struct{}
 }
 
@@ -120,11 +120,11 @@ func (c Config) withDefaults() Config {
 	if c.SpaceWords == 0 {
 		c.SpaceWords = 1 << 22
 	}
-	if c.Shards == 0 {
-		c.Shards = 16
+	if c.shards == 0 {
+		c.shards = 16
 	}
-	if c.Buckets == 0 {
-		c.Buckets = 64
+	if c.buckets == 0 {
+		c.buckets = 64
 	}
 	if c.Geometry == (core.Params{}) {
 		c.Geometry = core.Params{Locks: 1 << 8, Shifts: 0, Hier: 1}
@@ -164,11 +164,11 @@ func (c Config) validate() error {
 	if c.SpaceWords < 1<<10 {
 		return fmt.Errorf("kvserver: SpaceWords (%d) must be at least %d", c.SpaceWords, 1<<10)
 	}
-	if c.Shards == 0 || bits.OnesCount64(c.Shards) != 1 {
-		return fmt.Errorf("kvserver: Shards (%d) must be a power of two", c.Shards)
+	if c.shards == 0 || bits.OnesCount64(c.shards) != 1 {
+		return fmt.Errorf("kvserver: Shards (%d) must be a power of two", c.shards)
 	}
-	if c.Buckets == 0 || bits.OnesCount64(c.Buckets) != 1 {
-		return fmt.Errorf("kvserver: Buckets (%d) must be a power of two", c.Buckets)
+	if c.buckets == 0 || bits.OnesCount64(c.buckets) != 1 {
+		return fmt.Errorf("kvserver: Buckets (%d) must be a power of two", c.buckets)
 	}
 	if _, err := ParseDurability(c.Durability); err != nil {
 		return err
@@ -191,7 +191,7 @@ func New(cfg Config) (*Server, error) {
 		Locks:     cfg.Geometry.Locks,
 		Shifts:    cfg.Geometry.Shifts,
 		Hier:      cfg.Geometry.Hier,
-		Design:    cfg.Design,
+		Design:    core.WriteBack,
 		Snapshots: cfg.Snapshots,
 	})
 	if err != nil {
@@ -200,7 +200,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		tm:    tm,
-		store: kvstore.NewStore[*core.Tx](tm, cfg.Shards, cfg.Buckets),
+		store: kvstore.NewStore[*core.Tx](tm, cfg.shards, cfg.buckets),
 		start: time.Now(),
 	}
 	if cfg.AdmissionWidth > 0 {
@@ -226,7 +226,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.dur = &durability{
 		mode:    cfg.Durability,
-		fs:      cfg.WALFS,
+		fs:      cfg.walFS,
 		dir:     cfg.WALDir,
 		recDone: make(chan struct{}),
 	}

@@ -39,7 +39,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // TestConfigRejects: a configuration the lower layers cannot run is an
 // error from New, never a panic, and the error names what is wrong.
 func TestConfigRejects(t *testing.T) {
-	ok := Config{SpaceWords: 1 << 16, Shards: 2, Buckets: 2}
+	ok := Config{SpaceWords: 1 << 16, shards: 2, buckets: 2}
 	for _, tc := range []struct {
 		name string
 		edit func(*Config)
@@ -48,8 +48,8 @@ func TestConfigRejects(t *testing.T) {
 		{"durability async", func(c *Config) { c.Durability = "async" }, `unknown durability mode "async" (off, group)`},
 		{"durability bogus", func(c *Config) { c.Durability = "bogus" }, `unknown durability mode "bogus"`},
 		{"group without WALDir", func(c *Config) { c.Durability = DurabilityGroup }, "requires a WAL directory"},
-		{"shards not a power of two", func(c *Config) { c.Shards = 3 }, "Shards (3) must be a power of two"},
-		{"buckets not a power of two", func(c *Config) { c.Buckets = 6 }, "Buckets (6) must be a power of two"},
+		{"shards not a power of two", func(c *Config) { c.shards = 3 }, "Shards (3) must be a power of two"},
+		{"buckets not a power of two", func(c *Config) { c.buckets = 6 }, "Buckets (6) must be a power of two"},
 		{"space under 1024 words", func(c *Config) { c.SpaceWords = 1023 }, "SpaceWords (1023) must be at least 1024"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,7 +98,7 @@ func doJSON(t *testing.T, client *http.Client, method, url string, body string, 
 }
 
 func TestEndpointsRoundTrip(t *testing.T) {
-	_, ts := newTestServer(t, Config{SpaceWords: 1 << 18, Shards: 4, Buckets: 8})
+	_, ts := newTestServer(t, Config{SpaceWords: 1 << 18, shards: 4, buckets: 8})
 	c := ts.Client()
 
 	// Put, get.
@@ -194,7 +194,7 @@ func TestEndpointsRoundTrip(t *testing.T) {
 // decision land within milliseconds of traffic starting.
 func TestAutotuneReconfiguresUnderTraffic(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
-		SpaceWords: 1 << 18, Shards: 4, Buckets: 8,
+		SpaceWords: 1 << 18, shards: 4, buckets: 8,
 		Autotune: true,
 		Period:   5 * time.Millisecond,
 		Samples:  1,
@@ -267,7 +267,7 @@ func TestAutotuneReconfiguresUnderTraffic(t *testing.T) {
 // TestServerCloseReleasesDescriptors: handler churn must not leak TM
 // descriptor slots, and Close must return every pooled descriptor.
 func TestServerCloseReleasesDescriptors(t *testing.T) {
-	srv, ts := newTestServer(t, Config{SpaceWords: 1 << 18, Shards: 2, Buckets: 8})
+	srv, ts := newTestServer(t, Config{SpaceWords: 1 << 18, shards: 2, buckets: 8})
 	c := ts.Client()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -292,7 +292,7 @@ func TestServerCloseReleasesDescriptors(t *testing.T) {
 }
 
 func TestBatchTooLargeRejected(t *testing.T) {
-	_, ts := newTestServer(t, Config{SpaceWords: 1 << 16, Shards: 2, Buckets: 8})
+	_, ts := newTestServer(t, Config{SpaceWords: 1 << 16, shards: 2, buckets: 8})
 	var buf bytes.Buffer
 	buf.WriteString(`{"ops":[`)
 	for i := 0; i <= maxBatchOps; i++ {
@@ -316,7 +316,7 @@ func TestBatchTooLargeRejected(t *testing.T) {
 // checks the server answers 507 for the failing write while staying alive
 // for subsequent requests.
 func TestArenaExhaustionReturns507(t *testing.T) {
-	_, ts := newTestServer(t, Config{SpaceWords: 1 << 10, Shards: 1, Buckets: 4})
+	_, ts := newTestServer(t, Config{SpaceWords: 1 << 10, shards: 1, buckets: 4})
 	c := ts.Client()
 	doJSON(t, c, "PUT", ts.URL+"/kv/0", "1", nil)
 
@@ -345,7 +345,7 @@ func TestArenaExhaustionReturns507(t *testing.T) {
 
 // A server without Autotune has no tuning runtime, and /tuning says so.
 func TestTuningWithoutAutotune(t *testing.T) {
-	_, ts := newTestServer(t, Config{SpaceWords: 1 << 18, Shards: 2, Buckets: 8})
+	_, ts := newTestServer(t, Config{SpaceWords: 1 << 18, shards: 2, buckets: 8})
 	var tun struct {
 		Enabled bool `json:"enabled"`
 	}
@@ -356,7 +356,7 @@ func TestTuningWithoutAutotune(t *testing.T) {
 }
 
 func TestScanEndpoint(t *testing.T) {
-	s, ts := newTestServer(t, Config{SpaceWords: 1 << 18, Shards: 4, Buckets: 8, Snapshots: true})
+	s, ts := newTestServer(t, Config{SpaceWords: 1 << 18, shards: 4, buckets: 8, Snapshots: true})
 	client := ts.Client()
 	for k := 0; k < 50; k++ {
 		if code := doJSON(t, client, "PUT", fmt.Sprintf("%s/kv/%d", ts.URL, k), fmt.Sprint(k*2), nil); code != http.StatusOK {
@@ -400,7 +400,7 @@ func TestScanEndpoint(t *testing.T) {
 }
 
 func TestStatsReportsSnapshotCounters(t *testing.T) {
-	srv, ts := newTestServer(t, Config{SpaceWords: 1 << 18, Shards: 4, Buckets: 8, Snapshots: true})
+	srv, ts := newTestServer(t, Config{SpaceWords: 1 << 18, shards: 4, buckets: 8, Snapshots: true})
 	client := ts.Client()
 	doJSON(t, client, "PUT", ts.URL+"/kv/1", "10", nil)
 	doJSON(t, client, "PUT", ts.URL+"/kv/1", "11", nil)
@@ -432,7 +432,7 @@ func TestStatsReportsSnapshotCounters(t *testing.T) {
 }
 
 func TestScanWithoutSnapshotsFallsBack(t *testing.T) {
-	_, ts := newTestServer(t, Config{SpaceWords: 1 << 18, Shards: 4, Buckets: 8})
+	_, ts := newTestServer(t, Config{SpaceWords: 1 << 18, shards: 4, buckets: 8})
 	client := ts.Client()
 	doJSON(t, client, "PUT", ts.URL+"/kv/5", "50", nil)
 	var out struct {
@@ -452,7 +452,7 @@ func TestScanWithoutSnapshotsFallsBack(t *testing.T) {
 // the default 512.
 func TestTuningReportsVersionBudget(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
-		SpaceWords: 1 << 18, Shards: 4, Buckets: 8,
+		SpaceWords: 1 << 18, shards: 4, buckets: 8,
 		Snapshots: true, Autotune: true,
 		Period: 2 * time.Millisecond, Samples: 1,
 	})
@@ -550,8 +550,8 @@ func TestTuningWireKeysFrozen(t *testing.T) {
 
 	topKeys := []string{"best", "best_throughput", "current", "enabled", "events", "periods_total", "running"}
 	for _, cfg := range []Config{
-		{SpaceWords: 1 << 18, Shards: 2, Buckets: 8, Snapshots: true, AdmissionWidth: 8, Autotune: true, Period: time.Hour},
-		{SpaceWords: 1 << 18, Shards: 4, Buckets: 8, Autotune: true, Period: time.Hour},
+		{SpaceWords: 1 << 18, shards: 2, buckets: 8, Snapshots: true, AdmissionWidth: 8, Autotune: true, Period: time.Hour},
+		{SpaceWords: 1 << 18, shards: 4, buckets: 8, Autotune: true, Period: time.Hour},
 	} {
 		_, ts := newTestServer(t, cfg)
 		var top map[string]json.RawMessage
@@ -586,7 +586,7 @@ func TestTuningWireKeysFrozen(t *testing.T) {
 // about an admission controller.
 func TestAdmissionWidthFixedUnderAutotune(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
-		SpaceWords: 1 << 18, Shards: 2, Buckets: 8, Snapshots: true, AdmissionWidth: 8,
+		SpaceWords: 1 << 18, shards: 2, buckets: 8, Snapshots: true, AdmissionWidth: 8,
 		Autotune: true, Period: 2 * time.Millisecond, Samples: 1,
 	})
 	c := ts.Client()

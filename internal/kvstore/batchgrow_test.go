@@ -138,8 +138,8 @@ func TestBatchGrowthIsOfTheCommittedAttempt(t *testing.T) {
 	fillShard(tm, m, keys1[:8*loadFactor+1]) // over the factor even at 8 buckets
 
 	sys.between = func() {
-		s.Delete(keys0[0])
-		s.Delete(keys0[1])
+		deleteKey(s, keys0[0])
+		deleteKey(s, keys0[1])
 	}
 	before, grows0, freezes0 := tm.Stats(), s.Grows(), freezes(o)
 	res := s.Apply([]Op{

@@ -59,10 +59,10 @@ func TestEffectiveWriteSemantics(t *testing.T) {
 	}
 	s.Add(2, 7)
 	s.Add(2, 3)
-	if s.Delete(3) {
+	if deleteKey(s, 3) {
 		t.Fatal("Delete of missing key reported found")
 	}
-	s.Delete(1)
+	deleteKey(s, 1)
 
 	tm.SetRedoHook(nil)
 	if err := l.Close(); err != nil {
@@ -186,7 +186,7 @@ func sweepStoreKills(t *testing.T, newFS func() *wal.MemFS, crash func(*wal.MemF
 					s.Put(k, v)
 				case 1:
 					delete(next, k)
-					s.Delete(k)
+					deleteKey(s, k)
 				case 2:
 					next[k] += 3
 					if got := s.Add(k, 3); got != next[k] {
@@ -259,7 +259,7 @@ func TestCheckpointTruncateEquivalence(t *testing.T) {
 				case 1:
 					s.Add(k, 1)
 				default:
-					s.Delete(k)
+					deleteKey(s, k)
 				}
 			}
 		}(w)

@@ -222,20 +222,12 @@ func (m *Map[T]) CAS(tx T, key, old, new uint64) bool {
 	return true
 }
 
-// Add increments key's value by delta (two's-complement, so negative
+// add increments key's value by delta (two's-complement, so negative
 // deltas are ^uint64 wraps), inserting the key at delta when absent. It
-// returns the new value. This is the read-modify-write primitive batches
-// need (a Get+Put pair in one batch could not see its own intermediate).
-func (m *Map[T]) Add(tx T, key, delta uint64) uint64 {
-	v, inserted := m.add(tx, key, delta)
-	if inserted {
-		m.addCount(tx, key, 1)
-	}
-	return v
-}
-
-// add is Add leaving the shard's count to the caller; it also reports
-// whether the key was inserted.
+// returns the new value and whether the key was inserted, leaving the
+// shard's count to the caller. This is the read-modify-write primitive
+// batches need (a Get+Put pair in one batch could not see its own
+// intermediate).
 func (m *Map[T]) add(tx T, key, delta uint64) (v uint64, inserted bool) {
 	node, link := m.lookup(tx, key)
 	if node != 0 {

@@ -14,6 +14,14 @@ func newTM(t testing.TB, d core.Design, words int) *core.TM {
 	return core.MustNew(core.Config{Space: mem.NewSpace(words), Design: d})
 }
 
+// deleteKey removes key the way a request does, through Update and the
+// durability wait, and reports whether key was present.
+func deleteKey[T Tx](s *Store[T], key uint64) bool {
+	res, t := s.Update(OpDelete, key, 0, 0)
+	s.waitDurable(t)
+	return res.Found
+}
+
 // TestMapAgainstModel drives random operations against a plain Go map and
 // checks every observable result, across both memory designs and both a
 // single-shard and a sharded layout.
@@ -39,7 +47,7 @@ func TestMapAgainstModel(t *testing.T) {
 						model[k] = v
 					case 3: // delete
 						_, had := model[k]
-						if found := s.Delete(k); found != had {
+						if found := deleteKey(s, k); found != had {
 							t.Fatalf("op %d: Delete(%d) found=%v, model had=%v", i, k, found, had)
 						}
 						delete(model, k)

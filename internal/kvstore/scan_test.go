@@ -210,7 +210,7 @@ func TestLenMatchesRangeUnderWriters(t *testing.T) {
 				if k := r.Uint64n(keys); r.Uint64n(2) == 0 {
 					s.Put(k, k)
 				} else {
-					s.Delete(k)
+					deleteKey(s, k)
 				}
 			}
 		}(uint64(w + 1))

@@ -241,13 +241,6 @@ func (s *Store[T]) growTipped(o *batchOp[T]) {
 // at Begin.
 func (s *Store[T]) Grows() uint64 { return s.grows.Load() }
 
-// Delete removes key, reporting whether it was present.
-func (s *Store[T]) Delete(key uint64) (found bool) {
-	res, t := s.Update(OpDelete, key, 0, 0)
-	s.waitDurable(t)
-	return res.Found
-}
-
 // CAS atomically replaces key's value with new iff it currently is old.
 func (s *Store[T]) CAS(key, old, new uint64) (ok bool) {
 	res, t := s.Update(OpCAS, key, new, old)

@@ -13,8 +13,7 @@ import "math"
 // workers, each drawing through its own generator. The O(n) harmonic-sum
 // precomputation happens once, in NewZipf.
 type Zipf struct {
-	n     uint64
-	theta float64
+	n uint64
 	// Gray et al. constants: alpha = 1/(1-theta), zetan = H_{n,theta}
 	// (the generalized harmonic number), eta the interpolation factor.
 	alpha, zetan, eta float64
@@ -33,7 +32,7 @@ func NewZipf(n uint64, theta float64) *Zipf {
 	if theta < 0 || theta >= 1 {
 		panic("rng: NewZipf theta must be in [0, 1)")
 	}
-	z := &Zipf{n: n, theta: theta}
+	z := &Zipf{n: n}
 	zeta := func(m uint64) float64 {
 		s := 0.0
 		for i := uint64(1); i <= m; i++ {
@@ -51,12 +50,6 @@ func NewZipf(n uint64, theta float64) *Zipf {
 	z.half = 1 + math.Pow(0.5, theta)
 	return z
 }
-
-// N returns the size of the rank domain.
-func (z *Zipf) N() uint64 { return z.n }
-
-// Theta returns the skew parameter.
-func (z *Zipf) Theta() float64 { return z.theta }
 
 // Next draws the next rank in [0, n) using r as the entropy source.
 func (z *Zipf) Next(r *Rand) uint64 {

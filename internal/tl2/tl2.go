@@ -126,9 +126,6 @@ func MustNew(cfg Config) *TM {
 	return tm
 }
 
-// Space returns the protected arena.
-func (tm *TM) Space() *mem.Space { return tm.space }
-
 func (tm *TM) lockIndex(addr uint64) uint64 { return (addr >> tm.shifts) & tm.lockMask }
 
 func (tm *TM) loadLock(li uint64) uint64 { return atomic.LoadUint64(&tm.locks[li]) }

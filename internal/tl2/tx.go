@@ -85,9 +85,6 @@ func (tx *Tx) Begin(readOnly bool) {
 	tx.frees = tx.frees[:0]
 }
 
-// InTx reports whether the descriptor is inside a transaction.
-func (tx *Tx) InTx() bool { return tx.inTx }
-
 func (tx *Tx) abort(kind txn.AbortKind) {
 	tx.rollback(kind)
 	panic(abortSignal{})

@@ -10,6 +10,17 @@ set -euo pipefail
 BIN="${1:-bin}"
 LOG="$(mktemp)"
 
+# The server runs write-back and samples its flight recorder at a fixed
+# rate: -design and -txtrace are unknown flags, which the flag package
+# refuses with exit status 2 before anything starts.
+refused() {
+  local code=0
+  timeout 10 "$BIN/stmkvd" -addr 127.0.0.1:0 "$@" >/dev/null 2>&1 || code=$?
+  [ "$code" -eq 2 ] || { echo "stmkvd $* exited $code, want 2 (unknown flag)"; exit 1; }
+}
+refused -design wt
+refused -txtrace 1
+
 # Ephemeral port: the daemon binds :0 and logs the concrete address, so
 # parallel CI jobs (and local runs next to a real server) never collide.
 "$BIN/stmkvd" -addr 127.0.0.1:0 -period 200ms -samples 1 -geometry 2^8,0,1 >"$LOG" 2>&1 &
@@ -114,6 +125,7 @@ assert len(tuning["events"]) >= 5, f"trace too short: {len(tuning['events'])} ev
 assert scans >= 30, f"only {scans} snapshot scans completed under load"
 assert batches >= 30, f"only {batches} all-Get batches completed under load"
 assert stats["snapshots"]["enabled"], f"snapshots not enabled: {stats['snapshots']}"
+assert stats["design"] == "WB", f"design {stats['design']!r}, want 'WB'"
 live, sidecar = sample("stm_snapshot_reads_live_total"), sample("stm_snapshot_reads_sidecar_total")
 reads, too_old = live + sidecar, sample("stm_snapshot_too_old_total")
 assert reads > 0, "no snapshot reads recorded"
