@@ -192,8 +192,11 @@ func main() {
 	log.Printf("final: params=%v commits=%d aborts=%d reconfigs=%d keys=%d",
 		srv.TM().Params(), st.Commits, st.Aborts, st.Reconfigs, srv.Store().Len())
 	if rt := srv.Runtime(); rt != nil {
-		best, tp := rt.Best()
-		log.Printf("tuner: best=%v at %.0f txs/s over %d periods", best, tp, rt.Periods())
+		if best, tp, ok := rt.Best(); ok {
+			log.Printf("tuner: best=%v at %.0f txs/s over %d periods", best, tp, rt.Periods())
+		} else {
+			log.Printf("tuner: no period measured: all %d periods idle", rt.Periods())
+		}
 		evs := rt.Trace()
 		if len(evs) > reportTail {
 			evs = evs[len(evs)-reportTail:]

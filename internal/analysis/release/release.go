@@ -1,10 +1,9 @@
 // Package release checks that every transaction descriptor minted with
-// NewTx or borrowed from a TxPool with Get is handed back — Release for
-// minted descriptors, Put for borrowed ones — on every exit path of the
-// function that created it. A descriptor that is dropped instead retains
-// its TM slot forever; enough of them exhaust maxSlots and park every new
-// transaction (the PR 2 slot-exhaustion failure mode, of which this
-// analyzer is the static twin).
+// NewTx is released on every exit path of the function that minted it. A
+// descriptor that is dropped instead retains its TM slot forever; enough
+// of them exhaust maxSlots and park every new transaction (the PR 2
+// slot-exhaustion failure mode, of which this analyzer is the static
+// twin).
 //
 // The analysis is intraprocedural and ownership-based:
 //
@@ -14,7 +13,7 @@
 //   - Passing it to any other function, returning it, or storing it into
 //     a structure transfers ownership; the analysis then trusts the new
 //     owner and stops (no diagnostic).
-//   - A deferred Release/Put covers every subsequent exit, panics
+//   - A deferred Release covers every subsequent exit, panics
 //     included, and is the recommended form. A non-deferred release only
 //     covers the paths that reach it: each return reachable first is
 //     reported, and a release that sits after an atomic-runner call on
@@ -38,7 +37,7 @@ import (
 // Analyzer is the release analyzer.
 var Analyzer = &framework.Analyzer{
 	Name:   "release",
-	Doc:    "report descriptors (NewTx / TxPool.Get) not released on every exit path",
+	Doc:    "report descriptors (NewTx) not released on every exit path",
 	Marker: "unreleased",
 	Run:    run,
 }
@@ -72,9 +71,8 @@ func run(pass *framework.Pass) error {
 
 // creation is one descriptor-minting statement.
 type creation struct {
-	obj   types.Object
-	label string // "NewTx" or "TxPool.Get"
-	stmt  ast.Stmt
+	obj  types.Object
+	stmt ast.Stmt
 }
 
 func checkFunc(pass *framework.Pass, wrappers stmapi.Wrappers, body *ast.BlockStmt) {
@@ -98,7 +96,7 @@ func checkFunc(pass *framework.Pass, wrappers stmapi.Wrappers, body *ast.BlockSt
 }
 
 // findCreations scans body (nested literals excluded by the caller) for
-// `x := tm.NewTx()` / `x := pool.Get()` statements.
+// `x := tm.NewTx()` statements.
 func findCreations(info *types.Info, body *ast.BlockStmt) []creation {
 	var out []creation
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -115,8 +113,7 @@ func findCreations(info *types.Info, body *ast.BlockStmt) []creation {
 			if !ok {
 				return true
 			}
-			label, ok := stmapi.TxSourceCall(info, call)
-			if !ok {
+			if !stmapi.TxSourceCall(info, call) {
 				return true
 			}
 			id, ok := s.Lhs[0].(*ast.Ident)
@@ -128,7 +125,7 @@ func findCreations(info *types.Info, body *ast.BlockStmt) []creation {
 				obj = info.Uses[id]
 			}
 			if obj != nil {
-				out = append(out, creation{obj: obj, label: label, stmt: s})
+				out = append(out, creation{obj: obj, stmt: s})
 			}
 		case *ast.DeclStmt:
 			gd, ok := s.Decl.(*ast.GenDecl)
@@ -144,12 +141,11 @@ func findCreations(info *types.Info, body *ast.BlockStmt) []creation {
 				if !ok {
 					continue
 				}
-				label, ok := stmapi.TxSourceCall(info, call)
-				if !ok {
+				if !stmapi.TxSourceCall(info, call) {
 					continue
 				}
 				if obj := info.Defs[vs.Names[0]]; obj != nil {
-					out = append(out, creation{obj: obj, label: label, stmt: s})
+					out = append(out, creation{obj: obj, stmt: s})
 				}
 			}
 		}
@@ -240,21 +236,12 @@ func (t *tracker) benignUse(id *ast.Ident, stack []ast.Node) bool {
 }
 
 // isReleaseCall reports whether call releases the tracked descriptor:
-// x.Release(), pool.Put(x), or a call to a function named release/Release
-// with x among its arguments (the kvstore helper pattern).
+// x.Release(), or a call to a function named release/Release with x among
+// its arguments (the txn.Release helper pattern).
 func (t *tracker) isReleaseCall(call *ast.CallExpr) bool {
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		switch sel.Sel.Name {
-		case "Release":
-			if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && t.info.Uses[id] == t.c.obj && len(call.Args) == 0 {
-				return true
-			}
-		case "Put":
-			if len(call.Args) == 1 {
-				if id, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok && t.info.Uses[id] == t.c.obj {
-					return true
-				}
-			}
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Release" && len(call.Args) == 0 {
+		if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && t.info.Uses[id] == t.c.obj {
+			return true
 		}
 	}
 	name := calleeName(call)
@@ -384,11 +371,11 @@ func (t *tracker) walkFrom(path []pathStep) {
 			return // terminator or covered by defer on every continuation
 		}
 		if step.loop {
-			t.pass.Reportf(t.c.stmt.Pos(), "descriptor %q from %s is not released before the next loop iteration (each iteration mints another; call Release/Put or hoist the descriptor out of the loop)", objName(t.c.obj), t.c.label)
+			t.pass.Reportf(t.c.stmt.Pos(), "descriptor %q from NewTx is not released before the next loop iteration (each iteration mints another; call Release or hoist the descriptor out of the loop)", objName(t.c.obj))
 			return
 		}
 	}
-	t.pass.Reportf(t.c.stmt.Pos(), "descriptor %q from %s is not released before the function returns (add `defer tx.Release()` / `defer pool.Put(tx)` right after minting it)", objName(t.c.obj), t.c.label)
+	t.pass.Reportf(t.c.stmt.Pos(), "descriptor %q from NewTx is not released before the function returns (add `defer tx.Release()` right after minting it)", objName(t.c.obj))
 }
 
 type walkResult int
@@ -411,7 +398,7 @@ func (t *tracker) walkSeq(list []ast.Stmt, released bool) (walkResult, bool) {
 			if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
 				if t.isReleaseCall(call) {
 					if t.sawRunner {
-						t.pass.Reportf(call.Pos(), "descriptor %q from %s is released only on non-panic paths: a foreign panic unwinding out of the atomic body skips this release — use defer", objName(t.c.obj), t.c.label)
+						t.pass.Reportf(call.Pos(), "descriptor %q from NewTx is released only on non-panic paths: a foreign panic unwinding out of the atomic body skips this release — use defer", objName(t.c.obj))
 					}
 					released = true
 					continue
@@ -429,7 +416,7 @@ func (t *tracker) walkSeq(list []ast.Stmt, released bool) (walkResult, bool) {
 				continue
 			}
 		case *ast.ReturnStmt:
-			t.pass.Reportf(s.Pos(), "descriptor %q from %s is not released on this return path (release it before returning, or `defer` the release right after minting)", objName(t.c.obj), t.c.label)
+			t.pass.Reportf(s.Pos(), "descriptor %q from NewTx is not released on this return path (release it before returning, or `defer` the release right after minting)", objName(t.c.obj))
 			return stopped, released
 		case *ast.IfStmt:
 			res := t.walkIf(s, released)

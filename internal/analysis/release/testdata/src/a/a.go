@@ -18,9 +18,9 @@ func leakOnOnePath(tm *stm.TM, cond bool) int {
 	return 1
 }
 
-func leakPerIteration(pool *stm.TxPool, n int) {
+func leakPerIteration(tm *stm.TM, n int) {
 	for i := 0; i < n; i++ {
-		tx := pool.Get() // want `descriptor "tx" from TxPool.Get is not released before the next loop iteration`
+		tx := tm.NewTx() // want `descriptor "tx" from NewTx is not released before the next loop iteration`
 		tx.Begin(false)
 		tx.Commit()
 	}
@@ -38,9 +38,9 @@ func deferIsClean(tm *stm.TM) {
 	tm.Atomic(tx, func(tx *stm.Tx) { tx.Store(1, 2) })
 }
 
-func deferPutIsClean(pool *stm.TxPool, cond bool) {
-	tx := pool.Get()
-	defer pool.Put(tx)
+func deferCoversEarlyReturn(tm *stm.TM, cond bool) {
+	tx := tm.NewTx()
+	defer tx.Release()
 	if cond {
 		return
 	}

@@ -1,7 +1,7 @@
 // Package stmapi recognizes the repo's STM API shapes in type-checked
 // syntax: atomic-runner calls (Atomic / AtomicRO / AtomicSnap /
 // Irrevocable and in-package wrappers around them), transaction
-// descriptors, descriptor sources (NewTx, TxPool.Get) and the
+// descriptors, the descriptor source (NewTx) and the
 // transactional map's mutating operations. The analyzers under internal/analysis share these
 // recognizers so they agree on what "a transactional body" is.
 //
@@ -384,36 +384,11 @@ func RedoCall(info *types.Info, call *ast.CallExpr) bool {
 	return ok && sel.Sel.Name == "Redo" && len(call.Args) == 1 && IsTxLike(info.TypeOf(sel.X))
 }
 
-// TxSourceCall reports whether call mints or borrows a descriptor:
-// x.NewTx() (result is a descriptor) or pool.Get() on a TxPool. The label
-// names the source for diagnostics.
-func TxSourceCall(info *types.Info, call *ast.CallExpr) (string, bool) {
+// TxSourceCall reports whether call mints a descriptor: x.NewTx() whose
+// result is a descriptor.
+func TxSourceCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || len(call.Args) != 0 {
-		return "", false
-	}
-	switch sel.Sel.Name {
-	case "NewTx":
-		if IsTxLike(info.TypeOf(call)) {
-			return "NewTx", true
-		}
-	case "Get":
-		if named, ok := derefNamed(info.TypeOf(sel.X)); ok && named.Obj().Name() == "TxPool" && IsTxLike(info.TypeOf(call)) {
-			return "TxPool.Get", true
-		}
-	}
-	return "", false
-}
-
-func derefNamed(t types.Type) (*types.Named, bool) {
-	if t == nil {
-		return nil, false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	return n, ok
+	return ok && len(call.Args) == 0 && sel.Sel.Name == "NewTx" && IsTxLike(info.TypeOf(call))
 }
 
 // PosWithin reports whether pos lies within node's source range.

@@ -30,12 +30,6 @@ func (tm *TM) AtomicRO(tx *Tx, fn func(*Tx))    { fn(tx) }
 func (tm *TM) AtomicSnap(tx *Tx, fn func(*Tx))  { fn(tx) }
 func (tm *TM) Irrevocable(tx *Tx, fn func(*Tx)) { fn(tx) }
 
-// TxPool recycles descriptors.
-type TxPool struct{ tm TM }
-
-func (p *TxPool) Get() *Tx   { return p.tm.NewTx() }
-func (p *TxPool) Put(tx *Tx) { tx.Release() }
-
 // Map is a transactional map.
 type Map struct{}
 

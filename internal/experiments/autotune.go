@@ -238,7 +238,7 @@ func AutotuneSweep(sc Scale, ac AutotuneConfig) AutotuneResult {
 		}
 	}
 	rt.Stop()
-	result.Best, result.BestTp = rt.Best()
+	result.Best, result.BestTp, _ = rt.Best() // the workers keep every period busy
 	result.Final = rt.Current()
 	workers.Stop()
 

@@ -519,7 +519,11 @@ func (s *Server) handleTuning(w http.ResponseWriter, r *http.Request) {
 	for i, e := range events {
 		out[i] = wireEvent(e)
 	}
-	best, bestTp := s.rt.Best()
+	var best *core.Params // null until a period is measured
+	p, bestTp, ok := s.rt.Best()
+	if ok {
+		best = &p
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"enabled":         true,
 		"running":         s.rt.Running(),

@@ -576,6 +576,10 @@ func TestTuningWireKeysFrozen(t *testing.T) {
 		if !typed.Enabled {
 			t.Errorf("/tuning enabled = false on an autotuned server: %s", raw)
 		}
+		// An hour-long period has measured nothing yet: no best.
+		if string(top["best"]) != "null" {
+			t.Errorf("/tuning best = %s before any period, want null", top["best"])
+		}
 	}
 }
 

@@ -117,9 +117,9 @@ func (s *Store[T]) CheckpointScan() (pairs []KV, epoch, ts uint64, ok bool) {
 	if !s.sys.SnapshotsEnabled() {
 		return nil, 0, 0, false
 	}
-	tx := s.pool.Get()
-	defer s.pool.Put(tx)
-	s.sys.AtomicSnap(tx, func(tx T) {
+	o := s.borrow()
+	defer s.recycle(o)
+	s.sys.AtomicSnap(o.tx, func(tx T) {
 		// Sized from the last scan, so a steady table is one allocation.
 		pairs = make([]KV, 0, s.ckptPairs.Load())
 		ts, _ = tx.Snapshot()

@@ -108,14 +108,18 @@ type System[T Tx] interface {
 	Irrevocable(tx T, fn func(T))
 }
 
-// Store binds a Map to its STM and a descriptor pool, exposing the
-// self-contained operations a server handler calls: each runs exactly one
-// atomic block on a pooled descriptor. The transactional Map methods
-// remain available for callers composing their own blocks.
+// Store binds a Map to its STM, exposing the self-contained operations a
+// server handler calls. Each borrows one carrier (batchOp) and runs on the
+// descriptor the carrier owns, so an operation takes one lock round trip
+// for both, and descriptors are minted only as carriers are: never more
+// than the operations ever in flight at once. A descriptor dropped instead
+// of released would keep its TM slot forever, so every operation returns
+// its carrier by defer, and Close releases the idle carriers' descriptors.
+// The transactional Map methods remain available for callers composing
+// their own blocks.
 type Store[T Tx] struct {
-	sys  System[T]
-	m    *Map[T]
-	pool *TxPool[T]
+	sys System[T]
+	m   *Map[T]
 	// sink, when set, turns on redo capture and ack-after-durable
 	// waiting; see durable.go. Set once via EnableDurability before
 	// traffic starts.
@@ -132,16 +136,21 @@ type Store[T Tx] struct {
 	// contention heat map. Nil costs every op one predictable branch.
 	heat *obs.ShardHeat
 
-	// free recycles the operations' carriers (see batchOp). A carrier
-	// lost to a panic unwinding through its borrower is simply collected.
+	// The free list's lock is written by every operation; this keeps it
+	// off the cache line of the fields above, which every operation reads.
+	// Sharing it cost two goroutines' Gets ~20 % (BenchmarkKVGetParallel).
+	_ [64]byte
+	// free recycles the operations' carriers (see batchOp); after Close
+	// a returned carrier's descriptor is released instead.
 	//stm:allow-atomic guards the carrier free list; carriers are borrowed and returned outside transactions
 	freeMu sync.Mutex
 	free   []*batchOp[T]
+	closed bool
 }
 
 // NewStore builds the Map inside sys and wraps it.
 func NewStore[T Tx](sys System[T], shards, buckets uint64) *Store[T] {
-	return &Store[T]{sys: sys, m: New[T](sys, shards, buckets), pool: NewTxPool[T](sys)}
+	return &Store[T]{sys: sys, m: New[T](sys, shards, buckets)}
 }
 
 // SetShardHeat attaches the per-shard heat map (sized for this store via
@@ -151,22 +160,29 @@ func (s *Store[T]) SetShardHeat(h *obs.ShardHeat) { s.heat = h }
 // Map exposes the underlying transactional map.
 func (s *Store[T]) Map() *Map[T] { return s.m }
 
-// Close releases the pooled descriptors back to the TM. The Store must be
-// idle.
-func (s *Store[T]) Close() { s.pool.Close() }
+// Close releases the idle carriers' descriptors back to the TM. A carrier
+// still borrowed releases its own when it comes back.
+func (s *Store[T]) Close() {
+	s.freeMu.Lock()
+	free := s.free
+	s.free, s.closed = nil, true
+	s.freeMu.Unlock()
+	for _, o := range free {
+		txn.Release(o.tx)
+	}
+}
 
 // Get returns key's value via a read-only transaction.
 func (s *Store[T]) Get(key uint64) (val uint64, found bool) {
-	tx := s.pool.Get()
-	defer s.pool.Put(tx)
 	o := s.point(Op{Kind: OpGet, Key: key})
+	defer s.recycle(o)
 	// The body is the update path's too, so it statically reaches the
 	// mutators and redo capture, but an OpGet runs neither.
 	//stm:allow-write the one op is OpGet; the write arms cannot execute
 	//stm:allow-redo the one op is OpGet; the redo arms cannot execute
-	s.sys.AtomicRO(tx, o.body)
+	s.sys.AtomicRO(o.tx, o.body)
 	r := o.oneRes[0]
-	s.donePoint(o, key)
+	s.heatPoint(o, key)
 	return r.Val, r.Found
 }
 
@@ -184,11 +200,10 @@ func (s *Store[T]) Update(kind OpKind, key, val, old uint64) (res OpResult, t tx
 	if kind == OpGet {
 		panic(fmt.Sprintf("kvstore: %v is not a single-key update", kind))
 	}
-	tx := s.pool.Get()
-	defer s.pool.Put(tx)
 	o := s.point(Op{Kind: kind, Key: key, Val: val, Old: old})
-	s.sys.Atomic(tx, o.body)
-	t = s.ticket(tx)
+	defer s.recycle(o)
+	s.sys.Atomic(o.tx, o.body)
+	t = s.ticket(o.tx)
 	// The batch result carries more than the kind's own field (a Put's
 	// Found, an Add's OK); the single-key answer does not.
 	switch r := o.oneRes[0]; kind {
@@ -200,7 +215,7 @@ func (s *Store[T]) Update(kind OpKind, key, val, old uint64) (res OpResult, t tx
 		res.Val = r.Val
 	}
 	s.growTipped(o)
-	s.donePoint(o, key)
+	s.heatPoint(o, key)
 	return res, t
 }
 
@@ -260,9 +275,9 @@ func (s *Store[T]) Add(key, delta uint64) (val uint64) {
 // per-shard counters span every stripe of the map's headers, exactly the
 // scattered read set writers keep moving.
 func (s *Store[T]) Len() (n uint64) {
-	tx := s.pool.Get()
-	defer s.pool.Put(tx)
-	s.sys.AtomicSnap(tx, func(tx T) { n = s.m.Len(tx) })
+	o := s.borrow()
+	defer s.recycle(o)
+	s.sys.AtomicSnap(o.tx, func(tx T) { n = s.m.Len(tx) })
 	return n
 }
 
@@ -288,14 +303,14 @@ type KV = txn.KV
 // and bounded, but the shards are not mutually consistent. An attempt
 // starts from what the committed shards left, so a retry starts clean.
 func (s *Store[T]) Scan(limit int) (pairs []KV, total uint64) {
-	tx := s.pool.Get()
-	defer s.pool.Put(tx)
+	o := s.borrow()
+	defer s.recycle(o)
 	more := func(k, v uint64) bool {
 		pairs = append(pairs, KV{Key: k, Val: v})
 		return limit <= 0 || len(pairs) < limit
 	}
 	if s.sys.SnapshotsEnabled() {
-		s.sys.AtomicSnap(tx, func(tx T) {
+		s.sys.AtomicSnap(o.tx, func(tx T) {
 			total = s.m.Len(tx)
 			n := total
 			if limit > 0 {
@@ -311,7 +326,7 @@ func (s *Store[T]) Scan(limit int) (pairs []KV, total uint64) {
 	for sh := uint64(0); sh < s.m.Shards(); sh++ {
 		done := len(pairs)
 		var count uint64
-		s.sys.AtomicRO(tx, func(tx T) {
+		s.sys.AtomicRO(o.tx, func(tx T) {
 			pairs = pairs[:done]
 			count, _ = s.m.ShardLoad(tx, sh)
 			if count > 0 && (limit <= 0 || done < limit) {
@@ -376,9 +391,14 @@ func (s *Store[T]) ApplyInto(ops []Op, res []OpResult) txn.DurableTicket {
 			break
 		}
 	}
-	tx := s.pool.Get()
-	defer s.pool.Put(tx)
 	o := s.borrow()
+	defer func() {
+		// Back onto the carrier's inline arrays, panics included: the
+		// point ops run on them and do not re-arm (re-arming per point op
+		// measured slower).
+		o.ops, o.res = o.one[:], o.oneRes[:]
+		s.recycle(o)
+	}()
 	o.ops, o.res = ops, res
 	var t txn.DurableTicket
 	if readOnly {
@@ -389,28 +409,30 @@ func (s *Store[T]) ApplyInto(ops []Op, res []OpResult) txn.DurableTicket {
 		// above makes those arms unreachable here.
 		//stm:allow-write every op is OpGet on this path; the write arms cannot execute
 		//stm:allow-redo every op is OpGet on this path; the redo arms cannot execute
-		s.sys.AtomicSnap(tx, o.body)
+		s.sys.AtomicSnap(o.tx, o.body)
 	} else if len(ops) >= bulkOps {
-		s.sys.Irrevocable(tx, o.bulk)
-		t = s.ticket(tx)
+		s.sys.Irrevocable(o.tx, o.bulk)
+		t = s.ticket(o.tx)
 		s.grows.Add(uint64(o.grown))
 	} else {
-		s.sys.Atomic(tx, o.body)
-		t = s.ticket(tx)
+		s.sys.Atomic(o.tx, o.body)
+		t = s.ticket(o.tx)
 		s.growTipped(o)
 	}
-	o.ops, o.res = o.one[:], o.oneRes[:]
-	s.recycle(o)
 	return t
 }
 
-// batchOp carries every operation — a Get, an Update, a whole batch —
-// through its atomic block. A body written as a closure where it is
-// called captures its results by reference and escapes through the System
-// interface — heap allocations around a Get whose transaction makes none
-// — so the bodies are built once per carrier, over its fields, and the
-// carriers are recycled (Store.borrow).
+// batchOp carries every operation — a Get, an Update, a whole batch, a
+// scan — through its atomic block, on the descriptor it owns. A body
+// written as a closure where it is called captures its results by
+// reference and escapes through the System interface — heap allocations
+// around a Get whose transaction makes none — so the bodies are built once
+// per carrier, over its fields, and the carriers are recycled
+// (Store.borrow). The descriptor is minted with its carrier and lives as
+// long: recycled with it, released by Store.Close, or by recycle after
+// Close.
 type batchOp[T Tx] struct {
+	tx  T
 	ops []Op       // in: the operations
 	res []OpResult // out: their result slots, aligned with ops
 	// one and oneRes are a Get's or an Update's operation and result:
@@ -438,7 +460,10 @@ type shardTally struct {
 	shard, n uint64
 }
 
-// borrow returns a recycled carrier, or a new one.
+// borrow returns a recycled carrier, or a new one with a new descriptor.
+// Its borrower returns it with a deferred recycle: a panic unwinding
+// through the operation (ErrSpaceExhausted from a full arena) then leaks
+// no TM slot.
 func (s *Store[T]) borrow() (o *batchOp[T]) {
 	s.freeMu.Lock()
 	if n := len(s.free); n > 0 {
@@ -451,8 +476,15 @@ func (s *Store[T]) borrow() (o *batchOp[T]) {
 	return o
 }
 
+// recycle returns a borrowed carrier to the free list; after Close it
+// releases the carrier's descriptor instead.
 func (s *Store[T]) recycle(o *batchOp[T]) {
 	s.freeMu.Lock()
+	if s.closed {
+		s.freeMu.Unlock()
+		txn.Release(o.tx)
+		return
+	}
 	s.free = append(s.free, o)
 	s.freeMu.Unlock()
 }
@@ -466,17 +498,16 @@ func (s *Store[T]) point(one Op) *batchOp[T] {
 	return o
 }
 
-// donePoint records a Get's or an Update's run against its key's shard
-// heat and recycles its carrier. Batches record no heat.
-func (s *Store[T]) donePoint(o *batchOp[T], key uint64) {
+// heatPoint records a Get's or an Update's run against its key's shard
+// heat. Batches record no heat.
+func (s *Store[T]) heatPoint(o *batchOp[T], key uint64) {
 	if s.heat != nil {
 		s.heat.Record(s.m.Shard(key), o.attempts)
 	}
-	s.recycle(o)
 }
 
 func newBatchOp[T Tx](s *Store[T]) *batchOp[T] {
-	o := &batchOp[T]{}
+	o := &batchOp[T]{tx: s.sys.NewTx()}
 	o.ops, o.res = o.one[:], o.oneRes[:]
 	// tally adds n keys to the net change of key's shard. The ops leave
 	// the count words alone, and once they have run the body stores each

@@ -1,6 +1,7 @@
 package microbench
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"tinystm/internal/core"
@@ -48,6 +49,33 @@ func benchKVGet(b *testing.B, snapshots bool) {
 
 func BenchmarkKVGetSnapshotsOff(b *testing.B) { benchKVGet(b, false) }
 func BenchmarkKVGetSnapshotsOn(b *testing.B)  { benchKVGet(b, true) }
+
+// BenchmarkKVGetParallel runs random Gets from b.RunParallel's goroutines
+// (one per -cpu) against one store: 65 536 preloaded keys, 2^16 locks,
+// snapshots on. A read-only Get writes no shared STM word, so what the
+// goroutines share is the store's own bookkeeping around the transaction;
+// run it at -cpu 1,2 to see what a second borrower costs.
+func BenchmarkKVGetParallel(b *testing.B) {
+	const keys = 1 << 16
+	tm := core.MustNew(core.Config{Space: mem.NewSpace(1 << 22), Locks: 1 << 16, Snapshots: true})
+	s := kvstore.NewStore[*core.Tx](tm, 16, 64)
+	defer s.Close()
+	for lo := uint64(0); lo < keys; lo += 1024 {
+		s.Apply(opBatch(kvstore.OpPut, lo, 1024))
+	}
+	var seed atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		r := rng.New(seed.Add(1))
+		for pb.Next() {
+			if _, ok := s.Get(r.Uint64n(keys)); !ok {
+				b.Error("a preloaded key is missing")
+				return
+			}
+		}
+	})
+}
 
 func benchKVPut(b *testing.B, snapshots bool) {
 	s := benchStore(b, snapshots)

@@ -76,7 +76,7 @@ func TestQuickBestIsMaxOfMemory(t *testing.T) {
 			latest[cur] = tp
 			cur, _, _ = tr.Step(tp)
 		}
-		_, bestTp := tr.Best()
+		_, bestTp, _ := tr.Best()
 		max := 0.0
 		for _, tp := range latest {
 			if tp > max {

@@ -251,9 +251,10 @@ func (r *Runtime) Running() bool {
 	}
 }
 
-// Best returns the best configuration seen so far and its throughput.
-// Safe to call while the runtime is running.
-func (r *Runtime) Best() (core.Params, float64) {
+// Best returns the best configuration seen so far and its throughput; ok
+// is false while every period has been idle. Safe to call while the
+// runtime is running.
+func (r *Runtime) Best() (best core.Params, tp float64, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.tuner.Best()

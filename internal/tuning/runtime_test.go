@@ -108,7 +108,7 @@ func TestRuntimeConvergesDeterministically(t *testing.T) {
 	rt := NewRuntime(env, env.config(Config{Initial: start, Seed: 7}))
 	trace := env.runToEnd(t, rt)
 
-	best, bestTp := rt.Best()
+	best, bestTp, _ := rt.Best()
 	if best.Locks <= 1<<8 {
 		t.Errorf("tuner never escaped the 2^8 start: best %v", best)
 	}
@@ -183,6 +183,10 @@ func TestRuntimePausesOnIdle(t *testing.T) {
 	}
 	if cur := rt.Current(); cur != start {
 		t.Errorf("tuner moved while idle: %v", cur)
+	}
+	// No period was measured, so there is no best to report.
+	if best, tp, ok := rt.Best(); ok {
+		t.Errorf("idle runtime reports best %v at %.0f", best, tp)
 	}
 }
 

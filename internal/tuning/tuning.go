@@ -163,10 +163,11 @@ func New(cfg Config) *Tuner {
 // Current returns the configuration the tuner wants measured next.
 func (t *Tuner) Current() core.Params { return t.cur }
 
-// Best returns the best configuration seen and its recorded throughput.
-func (t *Tuner) Best() (core.Params, float64) {
-	best, _, tp, _ := t.ranked()
-	return best, tp
+// Best returns the best configuration seen and its recorded throughput;
+// ok is false while no period has been measured.
+func (t *Tuner) Best() (best core.Params, tp float64, ok bool) {
+	best, _, tp, _ = t.ranked()
+	return best, tp, len(t.memory) > 0
 }
 
 // ranked scans the memory for the best and second-best configurations.

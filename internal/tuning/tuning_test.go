@@ -215,7 +215,7 @@ func TestConvergesToSyntheticOptimum(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			cur, _, _ = tr.Step(f(cur))
 		}
-		best, bestTp := tr.Best()
+		best, bestTp, _ := tr.Best()
 		if bestTp < f(opt)*0.85 {
 			t.Errorf("seed %d: best %+v tp %.1f < 85%% of optimum %.1f",
 				seed, best, bestTp, f(opt))
@@ -302,12 +302,12 @@ func TestBestTracksMostRecentThroughput(t *testing.T) {
 	tr := New(Config{Initial: p(8, 0, 1), Bounds: b, Seed: 1})
 	tr.Step(1000)
 	tr.Step(500) // memory: 2^8→1000 (best), 2^9→500; reverses to 2^8
-	if best, tp := tr.Best(); best != p(8, 0, 1) || tp != 1000 {
+	if best, tp, ok := tr.Best(); !ok || best != p(8, 0, 1) || tp != 1000 {
 		t.Fatalf("best = %+v/%.0f", best, tp)
 	}
 	// Re-measure 2^8 lower: best record must update.
 	tr.Step(400)
-	if _, tp := tr.Best(); tp != 500 {
+	if _, tp, _ := tr.Best(); tp != 500 {
 		t.Fatalf("best tp = %.0f, want 500 (2^9's most recent)", tp)
 	}
 }
