@@ -55,7 +55,10 @@ type Loader struct {
 
 	exportImp   types.ImporterFrom
 	exportPaths map[string]string
-	overrides   map[string]*types.Package
+	// testExports maps a package under test to the export data of its
+	// test binary's variants (itself with its _test.go files, and every
+	// dependency rebuilt against that), by plain import path.
+	testExports map[string]map[string]string
 	stubCache   map[string]*stubEntry
 }
 
@@ -70,7 +73,7 @@ func NewLoader(dir string) *Loader {
 		Dir:         dir,
 		Fset:        token.NewFileSet(),
 		exportPaths: make(map[string]string),
-		overrides:   make(map[string]*types.Package),
+		testExports: make(map[string]map[string]string),
 		stubCache:   make(map[string]*stubEntry),
 	}
 	l.exportImp = importer.ForCompiler(l.Fset, "gc", l.lookupExport).(types.ImporterFrom)
@@ -113,18 +116,25 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			files = append(append([]string{}, t.GoFiles...), t.TestGoFiles...)
 			kind = "test"
 		}
-		pkg, err := l.checkSource(t.ImportPath, t.Name, t.Dir, files, kind)
+		pkg, err := l.checkSource(t.ImportPath, t.Name, t.Dir, files, kind, l)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, pkg)
 		if l.IncludeTests && len(t.XTestGoFiles) > 0 {
-			// The external test package imports the package under test;
-			// route that import to the augmented source-checked variant so
-			// in-package test helpers exported for _test files resolve.
-			l.overrides[t.ImportPath] = pkg.Types
-			xpkg, err := l.checkSource(t.ImportPath+"_test", t.Name+"_test", t.Dir, t.XTestGoFiles, "xtest")
-			delete(l.overrides, t.ImportPath)
+			// The external test package imports the package under test
+			// with its _test.go files (helpers exported for _test files),
+			// and every other import as the test binary builds it: one
+			// that imports the package under test in turn then sees the
+			// same one.
+			variants := l.testExports[t.ImportPath]
+			imp := importer.ForCompiler(l.Fset, "gc", func(path string) (io.ReadCloser, error) {
+				if p, ok := variants[path]; ok {
+					return os.Open(p)
+				}
+				return l.lookupExport(path)
+			})
+			xpkg, err := l.checkSource(t.ImportPath+"_test", t.Name+"_test", t.Dir, t.XTestGoFiles, "xtest", imp)
 			if err != nil {
 				return nil, err
 			}
@@ -172,7 +182,7 @@ func (l *Loader) loadStubEntry(path string) (*stubEntry, error) {
 	}
 	e := &stubEntry{checking: true}
 	l.stubCache[path] = e
-	pkg, err := l.checkSource(path, "", dir, files, "stub")
+	pkg, err := l.checkSource(path, "", dir, files, "stub", l)
 	e.checking = false
 	if err != nil {
 		delete(l.stubCache, path)
@@ -183,8 +193,8 @@ func (l *Loader) loadStubEntry(path string) (*stubEntry, error) {
 }
 
 // checkSource parses the named files in dir and type-checks them as one
-// package, resolving imports through the loader.
-func (l *Loader) checkSource(pkgPath, name, dir string, files []string, kind string) (*Package, error) {
+// package, resolving imports through imp.
+func (l *Loader) checkSource(pkgPath, name, dir string, files []string, kind string, imp types.Importer) (*Package, error) {
 	var syntax []*ast.File
 	for _, f := range files {
 		af, err := parser.ParseFile(l.Fset, filepath.Join(dir, f), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -215,7 +225,7 @@ func (l *Loader) checkSource(pkgPath, name, dir string, files []string, kind str
 		Kind:    kind,
 	}
 	conf := types.Config{
-		Importer: l,
+		Importer: imp,
 		Sizes:    types.SizesFor("gc", runtime.GOARCH),
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
@@ -229,14 +239,11 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.ImportFrom(path, l.Dir, 0)
 }
 
-// ImportFrom implements types.ImporterFrom: overrides first, then stub
-// packages, then gc export data (module + standard library).
+// ImportFrom implements types.ImporterFrom: stub packages first, then gc
+// export data (module + standard library).
 func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
-	}
-	if p, ok := l.overrides[path]; ok {
-		return p, nil
 	}
 	if l.StubRoot != "" {
 		if st, err := os.Stat(filepath.Join(l.StubRoot, filepath.FromSlash(path))); err == nil && st.IsDir() {
@@ -282,9 +289,18 @@ func (l *Loader) warmExports(patterns []string) {
 		return // lookupExport will resolve paths one by one
 	}
 	for _, p := range pkgs {
-		// Skip per-test-binary rebuilds ("pkg [other.test]"): their export
-		// data describes a variant compilation of the same import path.
-		if p.ForTest != "" || p.Export == "" {
+		if p.Export == "" {
+			continue
+		}
+		// A per-test-binary rebuild ("pkg [other.test]") is a variant
+		// compilation of the same import path: only other's external
+		// test package imports it.
+		if p.ForTest != "" {
+			path, _, _ := strings.Cut(p.ImportPath, " ")
+			if l.testExports[p.ForTest] == nil {
+				l.testExports[p.ForTest] = make(map[string]string)
+			}
+			l.testExports[p.ForTest][path] = p.Export
 			continue
 		}
 		if _, ok := l.exportPaths[p.ImportPath]; !ok {

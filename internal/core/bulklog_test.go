@@ -1,0 +1,49 @@
+package core_test
+
+import (
+	"testing"
+
+	"tinystm/internal/core"
+	"tinystm/internal/kvstore"
+	"tinystm/internal/mem"
+)
+
+// TestIrrevocableBulkLogsEachWordOnce: a 1 024-put kvstore batch runs
+// irrevocably and logs each word it overwrites once — the links its
+// inserts hang new nodes on, then each shard's count word, not one count
+// entry per insert — and a batch that overwrites those keys logs one
+// value word per put.
+func TestIrrevocableBulkLogsEachWordOnce(t *testing.T) {
+	for _, d := range []core.Design{core.WriteBack, core.WriteThrough} {
+		t.Run(d.String(), func(t *testing.T) {
+			const shards, puts = 16, 1024
+			tm := core.MustNew(core.Config{Space: mem.NewSpace(1 << 18), Locks: 1 << 16, Design: d})
+			s := kvstore.NewStore[*core.Tx](tm, shards, 64)
+			defer s.Close()
+			ops := make([]kvstore.Op, puts)
+			res := make([]kvstore.OpResult, puts)
+			for i := range ops {
+				ops[i] = kvstore.Op{Kind: kvstore.OpPut, Key: uint64(i), Val: uint64(i)}
+			}
+			for _, step := range []struct {
+				name     string
+				min, max int
+			}{
+				{"insert", puts, puts + shards},
+				{"overwrite", puts, puts},
+			} {
+				before := tm.Stats().IrrevocableCommits
+				s.ApplyInto(ops, res)
+				if tm.Stats().IrrevocableCommits != before+1 {
+					t.Fatalf("%s: the batch did not run irrevocably", step.name)
+				}
+				if n := tm.IrrevocableUndoLen(); n < step.min || n > step.max {
+					t.Fatalf("%s: the %d-put run logged %d undo entries, want %d to %d", step.name, puts, n, step.min, step.max)
+				}
+			}
+			if n := s.Len(); n != puts {
+				t.Fatalf("Len() = %d after the batches, want %d", n, puts)
+			}
+		})
+	}
+}

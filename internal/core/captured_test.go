@@ -361,8 +361,8 @@ func runAllocHeavy(t *testing.T, d Design, h uint64, yield, ops, minReads int) {
 		c.Hier = h
 		c.YieldEvery = yield
 		c.Snapshots = true
-		c.SnapshotShards = 4
 	})
+	withSidecarShards(tm, 4)
 	var root uint64
 	setup := tm.NewTx()
 	tm.Atomic(setup, func(tx *Tx) {

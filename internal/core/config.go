@@ -93,9 +93,6 @@ type Config struct {
 	// while a snapshot is registered; otherwise it runs as if this were
 	// off.
 	Snapshots bool
-	// SnapshotShards is the number of sidecar shards (power of two).
-	// Zero selects the mvcc default (64). Ignored without Snapshots.
-	SnapshotShards int
 	// SnapshotBudget is the per-shard retained-version budget, fixed for
 	// the TM's life. Zero selects the mvcc default (512). Ignored without
 	// Snapshots.
@@ -153,9 +150,6 @@ func (c Config) validate() error {
 	}
 	if c.MaxClock < 2 {
 		return fmt.Errorf("core: MaxClock (%d) too small", c.MaxClock)
-	}
-	if c.SnapshotShards < 0 || (c.SnapshotShards > 0 && bits.OnesCount(uint(c.SnapshotShards)) != 1) {
-		return fmt.Errorf("core: SnapshotShards (%d) must be a power of two", c.SnapshotShards)
 	}
 	if c.SnapshotBudget < 0 {
 		return fmt.Errorf("core: SnapshotBudget (%d) must be non-negative", c.SnapshotBudget)

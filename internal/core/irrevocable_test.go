@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"tinystm/internal/kvstore"
 	"tinystm/internal/mem"
 	"tinystm/internal/obs"
 	"tinystm/internal/txn"
@@ -49,8 +48,8 @@ func TestIrrevocableReadersSeeWholeBatches(t *testing.T) {
 			c.Hier = h
 			c.YieldEvery = 4
 			c.Snapshots = true
-			c.SnapshotShards = 4
 		})
+		withSidecarShards(tm, 4)
 		var root uint64
 		setup := tm.NewTx()
 		tm.Atomic(setup, func(tx *Tx) {
@@ -245,58 +244,6 @@ func TestIrrevocablePanicRestores(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestIrrevocableBulkLogsEachWordOnce: a 1 024-put kvstore batch runs
-// irrevocably and logs each word it overwrites once — the links its
-// inserts hang new nodes on, then each shard's count word, not one count
-// entry per insert — and a batch that overwrites those keys logs one
-// value word per put.
-func TestIrrevocableBulkLogsEachWordOnce(t *testing.T) {
-	for _, d := range []Design{WriteBack, WriteThrough} {
-		t.Run(d.String(), func(t *testing.T) {
-			const shards, puts = 16, 1024
-			tm := MustNew(Config{Space: mem.NewSpace(1 << 18), Locks: 1 << 16, Design: d})
-			s := kvstore.NewStore[*Tx](tm, shards, 64)
-			defer s.Close()
-			ops := make([]kvstore.Op, puts)
-			res := make([]kvstore.OpResult, puts)
-			for i := range ops {
-				ops[i] = kvstore.Op{Kind: kvstore.OpPut, Key: uint64(i), Val: uint64(i)}
-			}
-			// undoLen is the undo log of the descriptor the last run used:
-			// a descriptor keeps its log and its irrev mark until its next
-			// attempt begins.
-			undoLen := func() int {
-				n := -1
-				for _, tx := range tm.descriptors() {
-					if tx.irrev {
-						n = len(tx.undo)
-					}
-				}
-				return n
-			}
-			for _, step := range []struct {
-				name     string
-				min, max int
-			}{
-				{"insert", puts, puts + shards},
-				{"overwrite", puts, puts},
-			} {
-				before := tm.Stats().IrrevocableCommits
-				s.ApplyInto(ops, res)
-				if tm.Stats().IrrevocableCommits != before+1 {
-					t.Fatalf("%s: the batch did not run irrevocably", step.name)
-				}
-				if n := undoLen(); n < step.min || n > step.max {
-					t.Fatalf("%s: the %d-put run logged %d undo entries, want %d to %d", step.name, puts, n, step.min, step.max)
-				}
-			}
-			if n := s.Len(); n != puts {
-				t.Fatalf("Len() = %d after the batches, want %d", n, puts)
-			}
-		})
-	}
 }
 
 // TestIrrevocableAcrossRollOver: at MaxClock 16 the clock rolls over

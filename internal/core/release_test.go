@@ -154,7 +154,7 @@ func TestConfigForCarriesAllFields(t *testing.T) {
 	base := Config{
 		Space: sp, Locks: 1 << 10, Shifts: 2, Hier: 4,
 		Design: WriteThrough, MaxClock: 1 << 20,
-		SnapshotShards: 8, SnapshotBudget: 64, YieldEvery: 3,
+		SnapshotBudget: 64, YieldEvery: 3,
 	}
 	tm := MustNew(base)
 	p := Params{Locks: 1 << 12, Shifts: 1, Hier: 8}

@@ -9,18 +9,17 @@ import (
 	"tinystm/internal/txn"
 )
 
-// newSnapTM builds a TM with the MVCC sidecar attached.
+// newSnapTM builds a TM with an 8-shard MVCC sidecar attached.
 func newSnapTM(t testing.TB, d Design, over func(*Config)) *TM {
 	t.Helper()
 	tm, _ := newTestTM(t, d, func(c *Config) {
 		c.Snapshots = true
-		c.SnapshotShards = 8
 		c.SnapshotBudget = 64
 		if over != nil {
 			over(c)
 		}
 	})
-	return tm
+	return withSidecarShards(tm, 8)
 }
 
 func TestSnapshotReadsLiveWord(t *testing.T) {
@@ -104,10 +103,9 @@ func TestSnapshotIsolatedFromWriter(t *testing.T) {
 }
 
 func TestSnapshotTooOldRetries(t *testing.T) {
-	tm := newSnapTM(t, WriteBack, func(c *Config) {
-		c.SnapshotShards = 1
+	tm := withSidecarShards(newSnapTM(t, WriteBack, func(c *Config) {
 		c.SnapshotBudget = 1 // trim aggressively
-	})
+	}), 1)
 	w := tm.NewTx()
 	var a uint64
 	tm.Atomic(w, func(tx *Tx) {
@@ -213,10 +211,9 @@ func TestVersionBudgetKnob(t *testing.T) {
 // abnormal unwinds) and released must leave no registration behind, so
 // sidecar trimming keeps advancing and retained versions stay bounded.
 func TestReleaseDetachesSnapshotHorizon(t *testing.T) {
-	tm := newSnapTM(t, WriteBack, func(c *Config) {
-		c.SnapshotShards = 1
+	tm := withSidecarShards(newSnapTM(t, WriteBack, func(c *Config) {
 		c.SnapshotBudget = 8
-	})
+	}), 1)
 	w := tm.NewTx()
 	var a uint64
 	tm.Atomic(w, func(tx *Tx) { a = tx.Alloc(4); tx.Store(a, 0) })
@@ -276,10 +273,10 @@ func TestSnapshotOpacityModelCheck(t *testing.T) {
 	designsAndClock(t, func(t *testing.T, d Design) {
 		tm, _ := newTestTM(t, d, func(c *Config) {
 			c.Snapshots = true
-			c.SnapshotShards = 4
 			c.SnapshotBudget = 4096 // ample: the checker wants zero too-old noise
 			c.YieldEvery = 8        // interleave on few-core hosts
 		})
+		withSidecarShards(tm, 4)
 		setup := tm.NewTx()
 		var base uint64 // base+0 = seq register, base+1+k = slot k
 		tm.Atomic(setup, func(tx *Tx) {

@@ -117,7 +117,6 @@ func New(cfg Config) (*TM, error) {
 	if cfg.Snapshots {
 		tm.mvcc = mvcc.New(mvcc.Config{
 			Words:  cfg.Space.Cap(),
-			Shards: cfg.SnapshotShards,
 			Budget: cfg.SnapshotBudget,
 		})
 	}
@@ -574,8 +573,8 @@ func (tm *TM) DescriptorCounts() (minted, free int) {
 func (tm *TM) Frozen() bool { return tm.fz.frozen.Load() != 0 }
 
 // Compile-time checks: *Tx satisfies the shared transaction interface and
-// *TM the system interface of the generic harness. kvstore's stricter
-// System and Tx are checked where NewStore[*Tx] is called.
+// *TM the system interface of the generic harness. kvstore needs neither:
+// it calls *TM and *Tx directly.
 var (
 	_ txn.Tx          = (*Tx)(nil)
 	_ txn.System[*Tx] = (*TM)(nil)

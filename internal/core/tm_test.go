@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tinystm/internal/mem"
+	"tinystm/internal/mvcc"
 	"tinystm/internal/txn"
 )
 
@@ -21,6 +22,14 @@ func newTestTM(t testing.TB, d Design, over func(*Config)) (*TM, *mem.Space) {
 		t.Fatalf("New: %v", err)
 	}
 	return tm, sp
+}
+
+// withSidecarShards rebuilds tm's sidecar with n shards instead of
+// mvcc's default, keeping its budget; call it before tm's first
+// transaction. Few shards put many stripes' versions under one budget.
+func withSidecarShards(tm *TM, n int) *TM {
+	tm.mvcc = mvcc.New(mvcc.Config{Words: tm.space.Cap(), Shards: n, Budget: tm.mvcc.Budget()})
+	return tm
 }
 
 // attempt runs fn inside an already-begun transaction, reporting false if

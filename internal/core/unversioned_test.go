@@ -92,12 +92,12 @@ func runUnversionedWindow(t *testing.T, d Design, h uint64, across string) {
 		c.Locks = uvLocks
 		c.Hier = h
 		c.Snapshots = true
-		c.SnapshotShards = 4
 		c.SnapshotBudget = 4096 // no too-old restarts
 		if across == "rollover" {
 			c.MaxClock = uvMaxClock
 		}
 	})
+	withSidecarShards(tm, 4)
 	var root uint64
 	setup := tm.NewTx()
 	tm.Atomic(setup, func(tx *Tx) {

@@ -90,8 +90,8 @@ type Config struct {
 	Seed uint64
 	// Durability selects the write-ahead-log ack mode: "off" (default —
 	// no log) or "group" (acked only after the commit's records are
-	// fsynced; concurrent commits share one fsync). Requires Snapshots
-	// for checkpoint truncation.
+	// fsynced; concurrent commits share one fsync). Requires Snapshots:
+	// a checkpoint, which truncates the log, is one snapshot scan.
 	Durability string
 	// WALDir is the log/checkpoint directory; required unless off.
 	WALDir string
@@ -175,6 +175,9 @@ func (c Config) validate() error {
 	}
 	if c.Durability != DurabilityOff && c.WALDir == "" {
 		return fmt.Errorf("kvserver: durability %q requires a WAL directory", c.Durability)
+	}
+	if c.Durability != DurabilityOff && !c.Snapshots {
+		return fmt.Errorf("kvserver: durability %q requires Snapshots", c.Durability)
 	}
 	return nil
 }

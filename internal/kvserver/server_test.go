@@ -48,6 +48,7 @@ func TestConfigRejects(t *testing.T) {
 		{"durability async", func(c *Config) { c.Durability = "async" }, `unknown durability mode "async" (off, group)`},
 		{"durability bogus", func(c *Config) { c.Durability = "bogus" }, `unknown durability mode "bogus"`},
 		{"group without WALDir", func(c *Config) { c.Durability = DurabilityGroup }, "requires a WAL directory"},
+		{"group without snapshots", func(c *Config) { c.Durability, c.WALDir = DurabilityGroup, t.TempDir() }, `durability "group" requires Snapshots`},
 		{"shards not a power of two", func(c *Config) { c.shards = 3 }, "Shards (3) must be a power of two"},
 		{"buckets not a power of two", func(c *Config) { c.buckets = 6 }, "Buckets (6) must be a power of two"},
 		{"space under 1024 words", func(c *Config) { c.SpaceWords = 1023 }, "SpaceWords (1023) must be at least 1024"},

@@ -16,7 +16,7 @@ import (
 // the TM's freeze histogram counts the barriers raised.
 
 // keysOfShard returns n keys from start upwards that map to shard sh.
-func keysOfShard(m *Map[*core.Tx], sh, start uint64, n int) []uint64 {
+func keysOfShard(m *Map, sh, start uint64, n int) []uint64 {
 	var keys []uint64
 	for k := start; len(keys) < n; k++ {
 		if m.Shard(k) == sh {
@@ -27,7 +27,7 @@ func keysOfShard(m *Map[*core.Tx], sh, start uint64, n int) []uint64 {
 }
 
 // fillShard inserts keys through the Map, which never grows a directory.
-func fillShard(tm *core.TM, m *Map[*core.Tx], keys []uint64) {
+func fillShard(tm *core.TM, m *Map, keys []uint64) {
 	tx := tm.NewTx()
 	defer tx.Release()
 	tm.Atomic(tx, func(tx *core.Tx) {
@@ -37,7 +37,7 @@ func fillShard(tm *core.TM, m *Map[*core.Tx], keys []uint64) {
 	})
 }
 
-func shardBuckets(tm *core.TM, m *Map[*core.Tx]) []uint64 {
+func shardBuckets(tm *core.TM, m *Map) []uint64 {
 	tx := tm.NewTx()
 	defer tx.Release()
 	b := make([]uint64, m.Shards())
@@ -95,28 +95,31 @@ func TestBatchGrowsEveryShardItTips(t *testing.T) {
 	}
 }
 
-// abortOnce is a core.TM whose first update attempt runs its body and then
-// aborts; between runs after the abort and before the body starts again.
-type abortOnce struct {
-	*core.TM
-	between func()
-}
-
-func (a *abortOnce) Atomic(tx *core.Tx, fn func(*core.Tx)) {
+// abortOnce hands s a carrier whose first update attempt runs the batch
+// body and then aborts; between runs after the abort and before the body
+// starts again. The free list is LIFO, so the store's next borrow, with no
+// other operation in flight, takes this carrier. What the wrapper does
+// depends on which run of the body this is: counting the runs is its
+// point.
+func abortOnce(s *Store[*core.Tx], between func()) (pending func() bool) {
+	o := newBatchOp(s)
+	body := o.body
 	attempt := 0
-	a.TM.Atomic(tx, func(tx *core.Tx) {
-		//stm:allow-effect the attempt count is the point: what to do depends on which run of the body this is
+	wrapped := func(tx *core.Tx) {
 		attempt++
-		if attempt == 2 && a.between != nil {
-			between := a.between
-			a.between = nil
-			between()
+		if attempt == 2 && between != nil {
+			b := between
+			between = nil
+			b()
 		}
-		fn(tx)
-		if attempt == 1 && a.between != nil {
+		body(tx)
+		if attempt == 1 && between != nil {
 			tx.Retry()
 		}
-	})
+	}
+	o.body = wrapped
+	s.recycle(o)
+	return func() bool { return between != nil }
 }
 
 // TestBatchGrowthIsOfTheCommittedAttempt: the batch's first attempt tips
@@ -128,8 +131,7 @@ func TestBatchGrowthIsOfTheCommittedAttempt(t *testing.T) {
 	tm := newTM(t, core.WriteBack, 1<<16)
 	o := obs.NewTMObs(nil)
 	tm.SetObs(o)
-	sys := &abortOnce{TM: tm}
-	s := NewStore[*core.Tx](sys, 2, 2)
+	s := NewStore[*core.Tx](tm, 2, 2)
 	defer s.Close()
 	m := s.Map()
 	keys0 := keysOfShard(m, 0, 0, 2*loadFactor+1)
@@ -137,16 +139,16 @@ func TestBatchGrowthIsOfTheCommittedAttempt(t *testing.T) {
 	fillShard(tm, m, keys0[:2*loadFactor])
 	fillShard(tm, m, keys1[:8*loadFactor+1]) // over the factor even at 8 buckets
 
-	sys.between = func() {
+	pending := abortOnce(s, func() {
 		deleteKey(s, keys0[0])
 		deleteKey(s, keys0[1])
-	}
+	})
 	before, grows0, freezes0 := tm.Stats(), s.Grows(), freezes(o)
 	res := s.Apply([]Op{
 		{Kind: OpPut, Key: keys0[2*loadFactor], Val: 1},
 		{Kind: OpPut, Key: keys1[8*loadFactor+1], Val: 1},
 	})
-	if sys.between != nil {
+	if pending() {
 		t.Fatal("the batch committed on its first attempt: nothing was tested")
 	}
 	if !res[0].OK || !res[1].OK {

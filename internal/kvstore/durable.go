@@ -3,6 +3,7 @@ package kvstore
 import (
 	"fmt"
 
+	"tinystm/internal/core"
 	"tinystm/internal/txn"
 )
 
@@ -57,7 +58,7 @@ func (s *Store[T]) EnableDurability(sink DurabilitySink) error {
 // redo records one effective state change if durability is on. Must be
 // called inside the atomic body: records belong to the current attempt
 // and die with it on abort.
-func (s *Store[T]) redo(tx T, kind txn.RedoKind, key, val uint64) {
+func (s *Store[T]) redo(tx *core.Tx, kind txn.RedoKind, key, val uint64) {
 	if s.sink == nil {
 		return
 	}
@@ -67,7 +68,7 @@ func (s *Store[T]) redo(tx T, kind txn.RedoKind, key, val uint64) {
 // ticket collects the durability ticket of tx's most recent commit. It
 // must run after the operation's atomic block and before the descriptor's
 // next Begin, which clears the ticket.
-func (s *Store[T]) ticket(tx T) txn.DurableTicket {
+func (s *Store[T]) ticket(tx *core.Tx) txn.DurableTicket {
 	if s.sink == nil {
 		return nil
 	}
@@ -109,17 +110,13 @@ func (s *Store[T]) Load(pairs map[uint64]uint64) {
 
 // CheckpointScan captures the full table in ONE consistent transaction —
 // the snapshot a checkpoint may be built from, in table order — plus the
-// (clock epoch, snapshot timestamp) position it was taken at. ok reports
-// whether the scan really was a single consistent snapshot: without
-// snapshot mode it returns ok=false and the caller must not checkpoint
-// from it (per-shard fallbacks are not mutually consistent).
-func (s *Store[T]) CheckpointScan() (pairs []KV, epoch, ts uint64, ok bool) {
-	if !s.sys.SnapshotsEnabled() {
-		return nil, 0, 0, false
-	}
+// (clock epoch, snapshot timestamp) position it was taken at. On a TM
+// without a sidecar AtomicSnap is AtomicRO, which stays consistent but
+// can retry under write pressure; a durable server always has one.
+func (s *Store[T]) CheckpointScan() (pairs []KV, epoch, ts uint64) {
 	o := s.borrow()
 	defer s.recycle(o)
-	s.sys.AtomicSnap(o.tx, func(tx T) {
+	s.tm.AtomicSnap(o.tx, func(tx *core.Tx) {
 		// Sized from the last scan, so a steady table is one allocation.
 		pairs = make([]KV, 0, s.ckptPairs.Load())
 		ts, _ = tx.Snapshot()
@@ -130,5 +127,5 @@ func (s *Store[T]) CheckpointScan() (pairs []KV, epoch, ts uint64, ok bool) {
 		})
 	})
 	s.ckptPairs.Store(int64(len(pairs)))
-	return pairs, epoch, ts, true
+	return pairs, epoch, ts
 }

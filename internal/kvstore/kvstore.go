@@ -6,7 +6,7 @@
 // (cmd/stmkvd) whose traffic the online tuning runtime adapts to.
 //
 // Layout inside the mem.Space (every operation's accesses go through
-// txn.Tx, so each is a real STM transaction; only a growth rewrites words
+// core.Tx, so each is a real STM transaction; only a growth rewrites words
 // directly, and a bulk batch's transaction runs irrevocably):
 //
 //	shard header (one per shard, padded to 8 words):
@@ -50,8 +50,8 @@ import (
 	"fmt"
 	"math/bits"
 
+	"tinystm/internal/core"
 	"tinystm/internal/mem"
-	"tinystm/internal/txn"
 )
 
 const (
@@ -78,7 +78,7 @@ const (
 // All methods but Grow take the caller's transaction and perform plain
 // transactional loads/stores: they compose freely into larger atomic
 // blocks (multi-key batches, read-modify-write, cross-map transfers).
-type Map[T txn.Tx] struct {
+type Map struct {
 	base      uint64
 	shards    uint64
 	shardBits uint
@@ -86,18 +86,18 @@ type Map[T txn.Tx] struct {
 
 // New allocates and initializes a Map with the given shard count and
 // per-shard initial bucket count (both powers of two) inside one
-// transaction of sys.
-func New[T txn.Tx](sys txn.System[T], shards, buckets uint64) *Map[T] {
+// transaction of tm.
+func New(tm *core.TM, shards, buckets uint64) *Map {
 	if shards == 0 || bits.OnesCount64(shards) != 1 {
 		panic(fmt.Sprintf("kvstore: shards (%d) must be a power of two", shards))
 	}
 	if buckets == 0 || bits.OnesCount64(buckets) != 1 || buckets > maxBucketsPerShard {
 		panic(fmt.Sprintf("kvstore: buckets (%d) must be a power of two <= %d", buckets, maxBucketsPerShard))
 	}
-	m := &Map[T]{shards: shards, shardBits: uint(bits.TrailingZeros64(shards))}
-	tx := sys.NewTx()
-	defer txn.Release(tx)
-	sys.Atomic(tx, func(tx T) {
+	m := &Map{shards: shards, shardBits: uint(bits.TrailingZeros64(shards))}
+	tx := tm.NewTx()
+	defer tx.Release()
+	tm.Atomic(tx, func(tx *core.Tx) {
 		m.base = tx.Alloc(int(shards) * hdrWords)
 		for s := uint64(0); s < shards; s++ {
 			dir := tx.Alloc(int(buckets))
@@ -111,7 +111,7 @@ func New[T txn.Tx](sys txn.System[T], shards, buckets uint64) *Map[T] {
 }
 
 // Shards returns the (static) shard count.
-func (m *Map[T]) Shards() uint64 { return m.shards }
+func (m *Map) Shards() uint64 { return m.shards }
 
 // hash is the SplitMix64 finalizer: a full-avalanche mix so dense integer
 // keys (the load generator's Zipf ranks) spread over shards and buckets.
@@ -123,11 +123,11 @@ func hash(key uint64) uint64 {
 }
 
 // Shard returns the shard index key maps to.
-func (m *Map[T]) Shard(key uint64) uint64 { return hash(key) & (m.shards - 1) }
+func (m *Map) Shard(key uint64) uint64 { return hash(key) & (m.shards - 1) }
 
 // bucket returns the address of the bucket-head word covering key, reading
 // the shard's directory transactionally.
-func (m *Map[T]) bucket(tx T, key uint64) uint64 {
+func (m *Map) bucket(tx *core.Tx, key uint64) uint64 {
 	h := hash(key)
 	hdr := m.base + (h&(m.shards-1))*hdrWords
 	dir := tx.Load(hdr + hdrDir)
@@ -138,7 +138,7 @@ func (m *Map[T]) bucket(tx T, key uint64) uint64 {
 // lookup walks the chain at key's bucket. It returns the node address and
 // the address of the link pointing at it (the bucket head word or a
 // predecessor's next word); node is 0 when the key is absent.
-func (m *Map[T]) lookup(tx T, key uint64) (node, link uint64) {
+func (m *Map) lookup(tx *core.Tx, key uint64) (node, link uint64) {
 	link = m.bucket(tx, key)
 	for {
 		node = tx.Load(link)
@@ -153,7 +153,7 @@ func (m *Map[T]) lookup(tx T, key uint64) (node, link uint64) {
 }
 
 // Get returns the value stored under key within the caller's transaction.
-func (m *Map[T]) Get(tx T, key uint64) (uint64, bool) {
+func (m *Map) Get(tx *core.Tx, key uint64) (uint64, bool) {
 	node, _ := m.lookup(tx, key)
 	if node == 0 {
 		return 0, false
@@ -163,7 +163,7 @@ func (m *Map[T]) Get(tx T, key uint64) (uint64, bool) {
 
 // Put inserts or updates key. It reports whether the key was inserted
 // (false: an existing value was overwritten).
-func (m *Map[T]) Put(tx T, key, val uint64) bool {
+func (m *Map) Put(tx *core.Tx, key, val uint64) bool {
 	inserted := m.put(tx, key, val)
 	if inserted {
 		m.addCount(tx, key, 1)
@@ -173,7 +173,7 @@ func (m *Map[T]) Put(tx T, key, val uint64) bool {
 
 // put is Put leaving the shard's count to the caller: a batch moves each
 // count word once (Store's body), not once per insert.
-func (m *Map[T]) put(tx T, key, val uint64) bool {
+func (m *Map) put(tx *core.Tx, key, val uint64) bool {
 	node, link := m.lookup(tx, key)
 	if node != 0 {
 		tx.Store(node+1, val)
@@ -184,7 +184,7 @@ func (m *Map[T]) put(tx T, key, val uint64) bool {
 }
 
 // link inserts a new node for key at link, the empty link lookup stopped at.
-func (m *Map[T]) link(tx T, link, key, val uint64) {
+func (m *Map) link(tx *core.Tx, link, key, val uint64) {
 	n := tx.Alloc(nodeWords)
 	tx.Store(n, key)
 	tx.Store(n+1, val)
@@ -193,7 +193,7 @@ func (m *Map[T]) link(tx T, link, key, val uint64) {
 }
 
 // Delete removes key, reporting whether it was present.
-func (m *Map[T]) Delete(tx T, key uint64) bool {
+func (m *Map) Delete(tx *core.Tx, key uint64) bool {
 	found := m.delete(tx, key)
 	if found {
 		m.addCount(tx, key, ^uint64(0))
@@ -202,7 +202,7 @@ func (m *Map[T]) Delete(tx T, key uint64) bool {
 }
 
 // delete is Delete leaving the shard's count to the caller.
-func (m *Map[T]) delete(tx T, key uint64) bool {
+func (m *Map) delete(tx *core.Tx, key uint64) bool {
 	node, link := m.lookup(tx, key)
 	if node == 0 {
 		return false
@@ -213,7 +213,7 @@ func (m *Map[T]) delete(tx T, key uint64) bool {
 }
 
 // CAS replaces key's value with new iff the key is present with value old.
-func (m *Map[T]) CAS(tx T, key, old, new uint64) bool {
+func (m *Map) CAS(tx *core.Tx, key, old, new uint64) bool {
 	node, _ := m.lookup(tx, key)
 	if node == 0 || tx.Load(node+1) != old {
 		return false
@@ -228,7 +228,7 @@ func (m *Map[T]) CAS(tx T, key, old, new uint64) bool {
 // shard's count to the caller. This is the read-modify-write primitive
 // batches need (a Get+Put pair in one batch could not see its own
 // intermediate).
-func (m *Map[T]) add(tx T, key, delta uint64) (v uint64, inserted bool) {
+func (m *Map) add(tx *core.Tx, key, delta uint64) (v uint64, inserted bool) {
 	node, link := m.lookup(tx, key)
 	if node != 0 {
 		v = tx.Load(node+1) + delta
@@ -240,13 +240,13 @@ func (m *Map[T]) add(tx T, key, delta uint64) (v uint64, inserted bool) {
 }
 
 // addCount adjusts the owning shard's live-key counter.
-func (m *Map[T]) addCount(tx T, key uint64, delta uint64) {
+func (m *Map) addCount(tx *core.Tx, key uint64, delta uint64) {
 	m.addShardCount(tx, m.Shard(key), delta)
 }
 
 // addShardCount adds delta (two's complement) to shard s's live-key
 // counter.
-func (m *Map[T]) addShardCount(tx T, s uint64, delta uint64) {
+func (m *Map) addShardCount(tx *core.Tx, s uint64, delta uint64) {
 	c := m.base + s*hdrWords + hdrCount
 	tx.Store(c, tx.Load(c)+delta)
 }
@@ -257,7 +257,7 @@ func (m *Map[T]) addShardCount(tx T, s uint64, delta uint64) {
 // transaction. Composed with a snapshot-mode transaction this is the
 // wait-free full-table scan; inside an update transaction it reads (and
 // therefore validates) every word of the map.
-func (m *Map[T]) Range(tx T, fn func(key, val uint64) bool) {
+func (m *Map) Range(tx *core.Tx, fn func(key, val uint64) bool) {
 	for s := uint64(0); s < m.shards; s++ {
 		if !m.RangeShard(tx, s, fn) {
 			return
@@ -267,7 +267,7 @@ func (m *Map[T]) Range(tx T, fn func(key, val uint64) bool) {
 
 // RangeShard calls fn for every key/value pair of shard s, reporting
 // false when fn stopped the iteration early.
-func (m *Map[T]) RangeShard(tx T, s uint64, fn func(key, val uint64) bool) bool {
+func (m *Map) RangeShard(tx *core.Tx, s uint64, fn func(key, val uint64) bool) bool {
 	hdr := m.base + s*hdrWords
 	dir := tx.Load(hdr + hdrDir)
 	nb := tx.Load(hdr + hdrNBkts)
@@ -284,7 +284,7 @@ func (m *Map[T]) RangeShard(tx T, s uint64, fn func(key, val uint64) bool) bool 
 }
 
 // Len sums the per-shard counters within the caller's transaction.
-func (m *Map[T]) Len(tx T) uint64 {
+func (m *Map) Len(tx *core.Tx) uint64 {
 	var n uint64
 	for s := uint64(0); s < m.shards; s++ {
 		n += tx.Load(m.base + s*hdrWords + hdrCount)
@@ -293,14 +293,14 @@ func (m *Map[T]) Len(tx T) uint64 {
 }
 
 // ShardLoad returns shard s's live-key count and bucket count.
-func (m *Map[T]) ShardLoad(tx T, s uint64) (count, buckets uint64) {
+func (m *Map) ShardLoad(tx *core.Tx, s uint64) (count, buckets uint64) {
 	hdr := m.base + s*hdrWords
 	return tx.Load(hdr + hdrCount), tx.Load(hdr + hdrNBkts)
 }
 
 // NeedsGrow reports whether shard s's mean chain length exceeds the load
 // factor and the directory can still grow.
-func (m *Map[T]) NeedsGrow(tx T, s uint64) bool {
+func (m *Map) NeedsGrow(tx *core.Tx, s uint64) bool {
 	return needsGrow(m.ShardLoad(tx, s))
 }
 
@@ -308,15 +308,8 @@ func needsGrow(count, buckets uint64) bool {
 	return buckets < maxBucketsPerShard && count > buckets*loadFactor
 }
 
-// Quiescer is what Grow needs of an STM: its space, and a barrier that
-// runs a function while none of its transactions is in flight (core.TM).
-type Quiescer interface {
-	Space() *mem.Space
-	Quiesce(fn func())
-}
-
 // Grow quadruples shard s's bucket directory (up to maxBucketsPerShard)
-// and rehashes its chains as a plain rewrite of the space under sys's
+// and rehashes its chains as a plain rewrite of the space under tm's
 // freeze barrier; the soundness argument is above core.TM.Quiesce. With
 // every transaction quiescent it re-checks the shard's count against the
 // load factor, allocates the new directory, relinks every node (no node is
@@ -325,8 +318,8 @@ type Quiescer interface {
 // nothing, when the shard no longer needs growing (an earlier growth got
 // there first) or the space cannot fit the new directory: growth is
 // best-effort, and the shard keeps serving with longer chains.
-func (m *Map[T]) Grow(sys Quiescer, s uint64) (grew bool) {
-	sys.Quiesce(func() { grew = m.rehash(sys.Space(), s) })
+func (m *Map) Grow(tm *core.TM, s uint64) (grew bool) {
+	tm.Quiesce(func() { grew = m.rehash(tm.Space(), s) })
 	return grew
 }
 
@@ -334,7 +327,7 @@ func (m *Map[T]) Grow(sys Quiescer, s uint64) (grew bool) {
 // Quiesce, or inside an irrevocable run (core.TM.Irrevocable) once its
 // last transactional store is done, since the rewrite logs nothing a
 // panic could undo.
-func (m *Map[T]) rehash(sp *mem.Space, s uint64) bool {
+func (m *Map) rehash(sp *mem.Space, s uint64) bool {
 	hdr := mem.Addr(m.base + s*hdrWords)
 	nb := sp.Load(hdr + hdrNBkts)
 	if !needsGrow(sp.Load(hdr+hdrCount), nb) {

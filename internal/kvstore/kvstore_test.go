@@ -16,7 +16,7 @@ func newTM(t testing.TB, d core.Design, words int) *core.TM {
 
 // deleteKey removes key the way a request does, through Update and the
 // durability wait, and reports whether key was present.
-func deleteKey[T Tx](s *Store[T], key uint64) bool {
+func deleteKey(s *Store[*core.Tx], key uint64) bool {
 	res, t := s.Update(OpDelete, key, 0, 0)
 	s.waitDurable(t)
 	return res.Found

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"tinystm/internal/core"
 	"tinystm/internal/obs"
 	"tinystm/internal/txn"
 )
@@ -72,42 +73,6 @@ type Op struct {
 // type, so a server hands ApplyInto the slots its answer encodes.
 type OpResult = txn.OpResult
 
-// Tx is the descriptor a Store runs on: besides the transactional word
-// operations, it captures redo records for the write-ahead log and tells
-// a snapshot scan its (clock epoch, snapshot timestamp) position
-// (core.Tx is one).
-type Tx interface {
-	txn.Tx
-	// Redo records one effective state change of the current attempt.
-	Redo(op txn.RedoOp)
-	// RedoTicket is the durability ticket of the descriptor's last commit.
-	RedoTicket() txn.DurableTicket
-	// Snapshot returns the attempt's snapshot interval.
-	Snapshot() (start, end uint64)
-	// ClockEpoch returns the clock's roll-over epoch.
-	ClockEpoch() uint64
-}
-
-// System is the STM a Store runs on (core.TM is one): it runs the
-// operations' atomic blocks, as a Quiescer the shards' growths, and:
-type System[T Tx] interface {
-	txn.System[T]
-	Quiescer
-	// SnapshotsEnabled reports whether an MVCC version sidecar backs
-	// AtomicSnap. Without one AtomicSnap is AtomicRO, and Scan runs its
-	// bounded per-shard fallback instead.
-	SnapshotsEnabled() bool
-	// AtomicSnap runs fn as a snapshot-mode read-only transaction: one
-	// start timestamp, every read served at it, no conflict aborts. Multi-key
-	// read-only work — all-Get batches, Len, Scan — runs in it, wait-free
-	// under write pressure, where a classic read-only transaction aborts
-	// whenever a concurrent writer moves the clock past its snapshot.
-	AtomicSnap(tx T, fn func(T))
-	// Irrevocable runs fn alone behind the freeze barrier, with plain
-	// loads and stores: a batch of at least bulkOps updates runs in it.
-	Irrevocable(tx T, fn func(T))
-}
-
 // Store binds a Map to its STM, exposing the self-contained operations a
 // server handler calls. Each borrows one carrier (batchOp) and runs on the
 // descriptor the carrier owns, so an operation takes one lock round trip
@@ -117,9 +82,14 @@ type System[T Tx] interface {
 // its carrier by defer, and Close releases the idle carriers' descriptors.
 // The transactional Map methods remain available for callers composing
 // their own blocks.
-type Store[T Tx] struct {
-	sys System[T]
-	m   *Map[T]
+//
+// Store runs on core.TM alone. Its type parameter admits only *core.Tx
+// and no body uses it: it exists only so that the ledger (bench/trace.go)
+// and kvserver can keep spelling Store[*core.Tx], and it goes with
+// ROADMAP's bench-only change (item 0(b)).
+type Store[T interface{ *core.Tx }] struct {
+	tm *core.TM
+	m  *Map
 	// sink, when set, turns on redo capture and ack-after-durable
 	// waiting; see durable.go. Set once via EnableDurability before
 	// traffic starts.
@@ -144,13 +114,13 @@ type Store[T Tx] struct {
 	// a returned carrier's descriptor is released instead.
 	//stm:allow-atomic guards the carrier free list; carriers are borrowed and returned outside transactions
 	freeMu sync.Mutex
-	free   []*batchOp[T]
+	free   []*batchOp
 	closed bool
 }
 
-// NewStore builds the Map inside sys and wraps it.
-func NewStore[T Tx](sys System[T], shards, buckets uint64) *Store[T] {
-	return &Store[T]{sys: sys, m: New[T](sys, shards, buckets)}
+// NewStore builds the Map inside tm and wraps it.
+func NewStore[T interface{ *core.Tx }](tm *core.TM, shards, buckets uint64) *Store[T] {
+	return &Store[T]{tm: tm, m: New(tm, shards, buckets)}
 }
 
 // SetShardHeat attaches the per-shard heat map (sized for this store via
@@ -158,7 +128,7 @@ func NewStore[T Tx](sys System[T], shards, buckets uint64) *Store[T] {
 func (s *Store[T]) SetShardHeat(h *obs.ShardHeat) { s.heat = h }
 
 // Map exposes the underlying transactional map.
-func (s *Store[T]) Map() *Map[T] { return s.m }
+func (s *Store[T]) Map() *Map { return s.m }
 
 // Close releases the idle carriers' descriptors back to the TM. A carrier
 // still borrowed releases its own when it comes back.
@@ -168,7 +138,7 @@ func (s *Store[T]) Close() {
 	s.free, s.closed = nil, true
 	s.freeMu.Unlock()
 	for _, o := range free {
-		txn.Release(o.tx)
+		o.tx.Release()
 	}
 }
 
@@ -180,7 +150,7 @@ func (s *Store[T]) Get(key uint64) (val uint64, found bool) {
 	// mutators and redo capture, but an OpGet runs neither.
 	//stm:allow-write the one op is OpGet; the write arms cannot execute
 	//stm:allow-redo the one op is OpGet; the redo arms cannot execute
-	s.sys.AtomicRO(o.tx, o.body)
+	s.tm.AtomicRO(o.tx, o.body)
 	r := o.oneRes[0]
 	s.heatPoint(o, key)
 	return r.Val, r.Found
@@ -202,7 +172,7 @@ func (s *Store[T]) Update(kind OpKind, key, val, old uint64) (res OpResult, t tx
 	}
 	o := s.point(Op{Kind: kind, Key: key, Val: val, Old: old})
 	defer s.recycle(o)
-	s.sys.Atomic(o.tx, o.body)
+	s.tm.Atomic(o.tx, o.body)
 	t = s.ticket(o.tx)
 	// The batch result carries more than the kind's own field (a Put's
 	// Found, an Add's OK); the single-key answer does not.
@@ -238,13 +208,13 @@ func (s *Store[T]) Put(key, val uint64) (inserted bool) {
 // A bulk batch needs no tryGrow: it grows what it tipped in its own
 // freeze.
 func (s *Store[T]) tryGrow(sh uint64) {
-	if s.m.Grow(s.sys, sh) {
+	if s.m.Grow(s.tm, sh) {
 		s.grows.Add(1)
 	}
 }
 
 // growTipped grows the shards the committed attempt of o tipped.
-func (s *Store[T]) growTipped(o *batchOp[T]) {
+func (s *Store[T]) growTipped(o *batchOp) {
 	for _, sh := range o.grow {
 		s.tryGrow(sh)
 	}
@@ -277,7 +247,7 @@ func (s *Store[T]) Add(key, delta uint64) (val uint64) {
 func (s *Store[T]) Len() (n uint64) {
 	o := s.borrow()
 	defer s.recycle(o)
-	s.sys.AtomicSnap(o.tx, func(tx T) { n = s.m.Len(tx) })
+	s.tm.AtomicSnap(o.tx, func(tx *core.Tx) { n = s.m.Len(tx) })
 	return n
 }
 
@@ -309,8 +279,8 @@ func (s *Store[T]) Scan(limit int) (pairs []KV, total uint64) {
 		pairs = append(pairs, KV{Key: k, Val: v})
 		return limit <= 0 || len(pairs) < limit
 	}
-	if s.sys.SnapshotsEnabled() {
-		s.sys.AtomicSnap(o.tx, func(tx T) {
+	if s.tm.SnapshotsEnabled() {
+		s.tm.AtomicSnap(o.tx, func(tx *core.Tx) {
 			total = s.m.Len(tx)
 			n := total
 			if limit > 0 {
@@ -326,7 +296,7 @@ func (s *Store[T]) Scan(limit int) (pairs []KV, total uint64) {
 	for sh := uint64(0); sh < s.m.Shards(); sh++ {
 		done := len(pairs)
 		var count uint64
-		s.sys.AtomicRO(o.tx, func(tx T) {
+		s.tm.AtomicRO(o.tx, func(tx *core.Tx) {
 			pairs = pairs[:done]
 			count, _ = s.m.ShardLoad(tx, sh)
 			if count > 0 && (limit <= 0 || done < limit) {
@@ -409,13 +379,13 @@ func (s *Store[T]) ApplyInto(ops []Op, res []OpResult) txn.DurableTicket {
 		// above makes those arms unreachable here.
 		//stm:allow-write every op is OpGet on this path; the write arms cannot execute
 		//stm:allow-redo every op is OpGet on this path; the redo arms cannot execute
-		s.sys.AtomicSnap(o.tx, o.body)
+		s.tm.AtomicSnap(o.tx, o.body)
 	} else if len(ops) >= bulkOps {
-		s.sys.Irrevocable(o.tx, o.bulk)
+		s.tm.Irrevocable(o.tx, o.bulk)
 		t = s.ticket(o.tx)
 		s.grows.Add(uint64(o.grown))
 	} else {
-		s.sys.Atomic(o.tx, o.body)
+		s.tm.Atomic(o.tx, o.body)
 		t = s.ticket(o.tx)
 		s.growTipped(o)
 	}
@@ -425,14 +395,14 @@ func (s *Store[T]) ApplyInto(ops []Op, res []OpResult) txn.DurableTicket {
 // batchOp carries every operation — a Get, an Update, a whole batch, a
 // scan — through its atomic block, on the descriptor it owns. A body
 // written as a closure where it is called captures its results by
-// reference and escapes through the System interface — heap allocations
+// reference and escapes into the TM's retry loop — heap allocations
 // around a Get whose transaction makes none — so the bodies are built once
 // per carrier, over its fields, and the carriers are recycled
 // (Store.borrow). The descriptor is minted with its carrier and lives as
 // long: recycled with it, released by Store.Close, or by recycle after
 // Close.
-type batchOp[T Tx] struct {
-	tx  T
+type batchOp struct {
+	tx  *core.Tx
 	ops []Op       // in: the operations
 	res []OpResult // out: their result slots, aligned with ops
 	// one and oneRes are a Get's or an Update's operation and result:
@@ -451,7 +421,7 @@ type batchOp[T Tx] struct {
 	attempts int
 	// body runs the ops; bulk runs them irrevocably and then grows the
 	// shards they tipped, still frozen.
-	body, bulk func(T)
+	body, bulk func(*core.Tx)
 }
 
 // shardTally is a batch's net change n (two's complement) to shard's key
@@ -464,7 +434,7 @@ type shardTally struct {
 // Its borrower returns it with a deferred recycle: a panic unwinding
 // through the operation (ErrSpaceExhausted from a full arena) then leaks
 // no TM slot.
-func (s *Store[T]) borrow() (o *batchOp[T]) {
+func (s *Store[T]) borrow() (o *batchOp) {
 	s.freeMu.Lock()
 	if n := len(s.free); n > 0 {
 		o, s.free = s.free[n-1], s.free[:n-1]
@@ -478,11 +448,11 @@ func (s *Store[T]) borrow() (o *batchOp[T]) {
 
 // recycle returns a borrowed carrier to the free list; after Close it
 // releases the carrier's descriptor instead.
-func (s *Store[T]) recycle(o *batchOp[T]) {
+func (s *Store[T]) recycle(o *batchOp) {
 	s.freeMu.Lock()
 	if s.closed {
 		s.freeMu.Unlock()
-		txn.Release(o.tx)
+		o.tx.Release()
 		return
 	}
 	s.free = append(s.free, o)
@@ -491,7 +461,7 @@ func (s *Store[T]) recycle(o *batchOp[T]) {
 
 // point borrows a carrier armed with the one operation of a Get or an
 // Update.
-func (s *Store[T]) point(one Op) *batchOp[T] {
+func (s *Store[T]) point(one Op) *batchOp {
 	o := s.borrow()
 	o.one[0] = one
 	o.attempts = 0
@@ -500,14 +470,14 @@ func (s *Store[T]) point(one Op) *batchOp[T] {
 
 // heatPoint records a Get's or an Update's run against its key's shard
 // heat. Batches record no heat.
-func (s *Store[T]) heatPoint(o *batchOp[T], key uint64) {
+func (s *Store[T]) heatPoint(o *batchOp, key uint64) {
 	if s.heat != nil {
 		s.heat.Record(s.m.Shard(key), o.attempts)
 	}
 }
 
-func newBatchOp[T Tx](s *Store[T]) *batchOp[T] {
-	o := &batchOp[T]{tx: s.sys.NewTx()}
+func newBatchOp[T interface{ *core.Tx }](s *Store[T]) *batchOp {
+	o := &batchOp{tx: s.tm.NewTx()}
 	o.ops, o.res = o.one[:], o.oneRes[:]
 	// tally adds n keys to the net change of key's shard. The ops leave
 	// the count words alone, and once they have run the body stores each
@@ -526,7 +496,7 @@ func newBatchOp[T Tx](s *Store[T]) *batchOp[T] {
 		}
 		o.tally = append(o.tally, shardTally{shard: sh, n: n})
 	}
-	o.body = func(tx T) {
+	o.body = func(tx *core.Tx) {
 		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
 		o.attempts++
 		// Neither an aborted attempt's notes nor the last batch's carry over.
@@ -577,8 +547,8 @@ func newBatchOp[T Tx](s *Store[T]) *batchOp[T] {
 			}
 		}
 	}
-	sp := s.sys.Space()
-	o.bulk = func(tx T) {
+	sp := s.tm.Space()
+	o.bulk = func(tx *core.Tx) {
 		o.body(tx)
 		grown := 0
 		for _, sh := range o.grow {

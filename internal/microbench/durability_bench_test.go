@@ -105,9 +105,9 @@ func BenchmarkCheckpoint64k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pairs, epoch, ts, ok := s.CheckpointScan()
-		if !ok || len(pairs) != 1<<16 {
-			b.Fatalf("CheckpointScan: %d pairs, ok=%v", len(pairs), ok)
+		pairs, epoch, ts := s.CheckpointScan()
+		if len(pairs) != 1<<16 {
+			b.Fatalf("CheckpointScan: %d pairs", len(pairs))
 		}
 		if err := wal.WriteCheckpoint(fs, "wal", 1, epoch, ts, pairs); err != nil {
 			b.Fatal(err)
