@@ -15,7 +15,7 @@
 //	stmbench -fig 6 -b rbtree -locks 8,12,16       # Figure 6 on a chosen grid
 //	stmbench -fig 7 -r 16384 -q 90 -u 80 -n 4      # Figure 7, Vacation parameters
 //	stmbench -fig 11 -periods 40 -duration 1s      # Figure 11, 40 configurations
-//	stmbench -b skiplist -size 1024 -update 20     # extension workload (-fig custom)
+//	stmbench -b list -size 1024 -update 20         # one workload (-fig custom)
 //	stmbench -fig autotune -b list                 # autotuned vs. static comparison
 package main
 
@@ -24,10 +24,10 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
-	"tinystm/internal/cliutil"
 	"tinystm/internal/core"
 	"tinystm/internal/experiments"
 	"tinystm/internal/harness"
@@ -79,7 +79,7 @@ type options struct {
 func declare(fs *flag.FlagSet) *options {
 	o := new(options)
 	fs.StringVar(&o.fig, "fig", "custom", "figure to run: "+figureNames())
-	fs.StringVar(&o.bench, "b", "rbtree", "structure (list, rbtree, skiplist, hashset) for -fig 6, 8, custom, autotune")
+	fs.StringVar(&o.bench, "b", "rbtree", "structure (list, rbtree) for -fig 6, 8, custom, autotune")
 	fs.IntVar(&o.size, "size", 4096, "initial elements for -fig 10-12, snapshot, custom, autotune")
 	fs.IntVar(&o.update, "update", 20, "update percentage for -fig 10-12, custom, autotune")
 	fs.StringVar(&o.threads, "threads", "1,2,4,6,8", "comma-separated thread counts (sweeps and tuning runs use the largest)")
@@ -109,9 +109,8 @@ func main() {
 	flag.Parse()
 	flag.Visit(func(f *flag.Flag) { o.sizeSet = o.sizeSet || f.Name == "size" })
 
-	o.sc = cliutil.Scale(o.duration, o.warmup, cliutil.Must(cliutil.ParseInts(o.threads)), o.seed, o.quick, o.yield)
-	o.sc.Repeats = o.repeats
-	o.kind = cliutil.Must(cliutil.ParseKind(o.bench))
+	o.sc = o.scale()
+	o.kind = must(parseKind(o.bench))
 
 	for _, f := range figures {
 		if f.name == o.fig {
@@ -120,6 +119,78 @@ func main() {
 		}
 	}
 	log.Fatalf("unknown -fig %q (%s)", o.fig, figureNames())
+}
+
+// must unwraps a flag-parsing result, ending the process with the error
+// (through log.Fatal, so under the command's log prefix) when there is one.
+func must[T any](v T, err error) T {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
+}
+
+// parseInts parses a comma-separated integer list ("1,2,4,6,8").
+func parseInts(s string) ([]int, error) {
+	parts := strings.Split(s, ",")
+	out := make([]int, 0, len(parts))
+	for _, p := range parts {
+		p = strings.TrimSpace(p)
+		if p == "" {
+			continue
+		}
+		v, err := strconv.Atoi(p)
+		if err != nil {
+			return nil, fmt.Errorf("bad integer %q: %w", p, err)
+		}
+		out = append(out, v)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("empty list %q", s)
+	}
+	return out, nil
+}
+
+// parseUnsigned parses a comma-separated list of non-negative integers.
+func parseUnsigned[U uint | uint64](s string) ([]U, error) {
+	ints, err := parseInts(s)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]U, len(ints))
+	for i, v := range ints {
+		if v < 0 {
+			return nil, fmt.Errorf("negative value %d", v)
+		}
+		out[i] = U(v)
+	}
+	return out, nil
+}
+
+// parseKind maps a -b name to a harness kind.
+func parseKind(s string) (harness.Kind, error) {
+	switch strings.ToLower(s) {
+	case "list", "linkedlist", "ll":
+		return harness.KindList, nil
+	case "rbtree", "tree", "rb":
+		return harness.KindRBTree, nil
+	default:
+		return 0, fmt.Errorf("unknown benchmark %q (list, rbtree)", s)
+	}
+}
+
+// scale assembles the measurement scale from -duration, -warmup, -threads,
+// -seed, -yield and -repeats; -quick keeps QuickScale's timing and seed.
+func (o *options) scale() experiments.Scale {
+	sc := experiments.QuickScale()
+	if !o.quick {
+		sc = experiments.PaperScale()
+		sc.Duration, sc.Warmup, sc.Seed = o.duration, o.warmup, o.seed
+	}
+	sc.Threads = must(parseInts(o.threads))
+	sc.YieldEvery = o.yield
+	sc.Repeats = o.repeats
+	return sc
 }
 
 func (o *options) emit(tbl harness.Table) {
@@ -145,7 +216,7 @@ func (o *options) grid(locks, shifts string) ([]int, []uint) {
 	if o.shifts != "" {
 		shifts = o.shifts
 	}
-	les, shs := cliutil.Must(cliutil.ParseInts(locks)), cliutil.Must(cliutil.ParseUints(shifts))
+	les, shs := must(parseInts(locks)), must(parseUnsigned[uint](shifts))
 	if o.quick {
 		les, shs = les[:min(len(les), 2)], shs[:min(len(shs), 2)]
 	}
@@ -216,7 +287,7 @@ func fig9(o *options) {
 	maxExp := les[len(les)-1]
 	o.emit(experiments.Figure9Locks(o.sc, les).ToTable())
 	o.emit(experiments.Figure9Shifts(o.sc, maxExp, shs).ToTable())
-	o.emit(experiments.Figure9Hier(o.sc, maxExp, cliutil.Must(cliutil.ParseUint64s(o.hiers))).ToTable())
+	o.emit(experiments.Figure9Hier(o.sc, maxExp, must(parseUnsigned[uint64](o.hiers))).ToTable())
 }
 
 // tuningFigure runs Section 4.3's experiment — the tuning runtime over one

@@ -55,7 +55,7 @@ import (
 	"syscall"
 	"time"
 
-	"tinystm/internal/cliutil"
+	"tinystm/internal/core"
 	"tinystm/internal/kvserver"
 )
 
@@ -85,8 +85,14 @@ func main() {
 	)
 	flag.Parse()
 
-	geo := cliutil.Must(cliutil.ParseParams(*geometry))
-	dmode := cliutil.Must(kvserver.ParseDurability(*durab))
+	geo, err := core.ParseParams(*geometry)
+	if err != nil {
+		log.Fatal(err)
+	}
+	dmode, err := kvserver.ParseDurability(*durab)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	srv, err := kvserver.New(kvserver.Config{
 		SpaceWords:      *space,

@@ -1,9 +1,8 @@
-// Intset: the four transactional data structures under one workload.
+// Intset: the paper's two transactional integer sets under one workload.
 //
-// Four worker goroutines hammer a linked list, red-black tree, skip list
-// and hash set — all living in one shared transactional space — then the
-// program verifies sizes against an exact sequential count and checks the
-// red-black invariants. Run with:
+// Four worker goroutines hammer a sorted linked list and a red-black tree —
+// both living in one shared transactional space — then the program checks
+// that the two agree and that the red-black invariants hold. Run with:
 //
 //	go run ./examples/intset
 package main
@@ -30,16 +29,14 @@ func main() {
 
 	setup := tm.NewTx()
 	defer setup.Release()
-	var listHead, treeRoot, skipHead, hashHandle uint64
+	var listHead, treeRoot uint64
 	tm.Atomic(setup, func(tx *core.Tx) {
 		listHead = intset.NewList(tx)
 		treeRoot = intset.NewTree(tx)
-		skipHead = intset.NewSkipList(tx)
-		hashHandle = intset.NewHashSet(tx, 64)
 	})
 
-	// Every worker applies the same operation to all four structures in
-	// one transaction, so the four sets must stay permanently identical.
+	// Every worker applies the same operation to both structures in one
+	// transaction, so the two sets must stay permanently identical.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -55,13 +52,9 @@ func main() {
 					if insert {
 						intset.ListInsert(tx, listHead, v)
 						intset.TreeInsert(tx, treeRoot, v, v)
-						intset.SkipInsert(tx, skipHead, v, r)
-						intset.HashInsert(tx, hashHandle, v)
 					} else {
 						intset.ListRemove(tx, listHead, v)
 						intset.TreeRemove(tx, treeRoot, v)
-						intset.SkipRemove(tx, skipHead, v)
-						intset.HashRemove(tx, hashHandle, v)
 					}
 				})
 			}
@@ -71,23 +64,21 @@ func main() {
 
 	// The verification body only collects results; printing and panicking
 	// happen after the commit, since a body re-executes on abort.
-	var l, t, s, h int
+	var l, t int
 	var treeErr error
 	tm.Atomic(setup, func(tx *core.Tx) {
 		l = intset.ListSize(tx, listHead)
 		t = intset.TreeSize(tx, treeRoot)
-		s = intset.SkipSize(tx, skipHead)
-		h = intset.HashSize(tx, hashHandle)
 		treeErr = intset.TreeValidate(tx, treeRoot)
 	})
-	fmt.Printf("sizes: list=%d rbtree=%d skiplist=%d hashset=%d\n", l, t, s, h)
-	if l != t || t != s || s != h {
+	fmt.Printf("sizes: list=%d rbtree=%d\n", l, t)
+	if l != t {
 		panic("structures diverged")
 	}
 	if treeErr != nil {
 		panic(treeErr)
 	}
-	fmt.Println("all four structures agree; red-black invariants hold")
+	fmt.Println("both structures agree; red-black invariants hold")
 
 	st := tm.Stats()
 	fmt.Printf("commits=%d aborts=%d (%.1f%% abort rate)\n",

@@ -19,6 +19,8 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
+	"strings"
 
 	"tinystm/internal/mem"
 )
@@ -170,7 +172,55 @@ type Params struct {
 	Hier   uint64 `json:"hier"`
 }
 
-// String renders the triple like the paper's configuration labels.
+// String renders the triple like the paper's configuration labels. A lock
+// count that is not a power of two (an unvalidated triple) prints in
+// decimal.
 func (p Params) String() string {
-	return fmt.Sprintf("(locks=2^%d, shifts=%d, h=%d)", bits.TrailingZeros64(p.Locks), p.Shifts, p.Hier)
+	locks := strconv.FormatUint(p.Locks, 10)
+	if bits.OnesCount64(p.Locks) == 1 {
+		locks = "2^" + strconv.Itoa(bits.TrailingZeros64(p.Locks))
+	}
+	return fmt.Sprintf("(locks=%s, shifts=%d, h=%d)", locks, p.Shifts, p.Hier)
+}
+
+// ParseParams parses the triple "locks,shifts,h" of stmkvd's -geometry flag.
+// Locks and h accept either decimal or "2^k" notation, so "2^16,0,1" and
+// "65536,0,1" are the same configuration. It does not validate the triple;
+// New and Reconfigure do.
+func ParseParams(s string) (Params, error) {
+	parts := strings.Split(s, ",")
+	if len(parts) != 3 {
+		return Params{}, fmt.Errorf("core: geometry %q must be locks,shifts,h", s)
+	}
+	locks, err := parsePow2(parts[0])
+	if err != nil {
+		return Params{}, err
+	}
+	shifts, err := strconv.ParseUint(strings.TrimSpace(parts[1]), 10, 6)
+	if err != nil {
+		return Params{}, fmt.Errorf("core: bad shifts %q: %w", parts[1], err)
+	}
+	hier, err := parsePow2(parts[2])
+	if err != nil {
+		return Params{}, err
+	}
+	return Params{Locks: locks, Shifts: uint(shifts), Hier: hier}, nil
+}
+
+// parsePow2 parses an unsigned value written either as a plain decimal
+// ("65536") or as a power of two ("2^16").
+func parsePow2(s string) (uint64, error) {
+	s = strings.TrimSpace(s)
+	if rest, ok := strings.CutPrefix(s, "2^"); ok {
+		exp, err := strconv.ParseUint(rest, 10, 6)
+		if err != nil || exp > 63 {
+			return 0, fmt.Errorf("core: bad exponent in %q", s)
+		}
+		return 1 << exp, nil
+	}
+	v, err := strconv.ParseUint(s, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("core: bad value %q: %w", s, err)
+	}
+	return v, nil
 }

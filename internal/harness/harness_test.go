@@ -46,9 +46,7 @@ func TestRunCountsCommits(t *testing.T) {
 
 func TestBuildIntsetPopulatesExactly(t *testing.T) {
 	tm := newTM(t)
-	for _, kind := range []harness.Kind{
-		harness.KindList, harness.KindRBTree, harness.KindSkipList, harness.KindHashSet,
-	} {
+	for _, kind := range []harness.Kind{harness.KindList, harness.KindRBTree} {
 		set := harness.BuildIntset[*core.Tx](tm, harness.IntsetParams{
 			Kind: kind, InitialSize: 100,
 		}, 3)
@@ -133,10 +131,8 @@ func TestTableRender(t *testing.T) {
 
 func TestKindString(t *testing.T) {
 	names := map[harness.Kind]string{
-		harness.KindList:     "linked list",
-		harness.KindRBTree:   "red-black tree",
-		harness.KindSkipList: "skip list",
-		harness.KindHashSet:  "hash set",
+		harness.KindList:   "linked list",
+		harness.KindRBTree: "red-black tree",
 	}
 	for k, want := range names {
 		if k.String() != want {

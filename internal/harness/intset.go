@@ -8,7 +8,7 @@ import (
 	"tinystm/internal/txn"
 )
 
-// Kind selects a data structure for the integer-set workloads.
+// Kind selects one of the paper's two integer sets (Section 3.3).
 type Kind int
 
 const (
@@ -16,10 +16,6 @@ const (
 	KindList Kind = iota
 	// KindRBTree is the STAMP red-black tree of Section 3.3.
 	KindRBTree
-	// KindSkipList is an extension workload.
-	KindSkipList
-	// KindHashSet is an extension workload.
-	KindHashSet
 )
 
 // String names the kind as the paper's figures do.
@@ -29,10 +25,6 @@ func (k Kind) String() string {
 		return "linked list"
 	case KindRBTree:
 		return "red-black tree"
-	case KindSkipList:
-		return "skip list"
-	case KindHashSet:
-		return "hash set"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -78,10 +70,6 @@ func BuildIntset[T txn.Tx](sys txn.System[T], p IntsetParams, seed uint64) intse
 			set = intset.List[T]{Head: intset.NewList(tx)}
 		case KindRBTree:
 			set = intset.Tree[T]{Root: intset.NewTree(tx)}
-		case KindSkipList:
-			set = intset.SkipList[T]{Head: intset.NewSkipList(tx), Rng: r}
-		case KindHashSet:
-			set = intset.HashSet[T]{Handle: intset.NewHashSet(tx, 256)}
 		default:
 			panic("harness: unknown Kind")
 		}
@@ -120,17 +108,11 @@ func IntsetOp[T txn.Tx](sys txn.System[T], set intset.Set[T], p IntsetParams) Op
 		}
 	}
 	return func(w *Worker, tx T) {
-		// Skip lists draw tower heights from the worker's generator; the
-		// Set value carries the setup generator, so rebind per worker.
-		s := set
-		if sl, ok := any(set).(intset.SkipList[T]); ok {
-			s = intset.SkipList[T]{Head: sl.Head, Rng: w.Rng}
-		}
 		if w.Rng.Percent(p.UpdatePct) {
 			if w.HasLast {
 				// Remove the last inserted element: guaranteed present
 				// (only we could have inserted it; see BuildIntset).
-				sys.Atomic(tx, func(tx T) { s.Remove(tx, w.LastVal) })
+				sys.Atomic(tx, func(tx T) { set.Remove(tx, w.LastVal) })
 				w.HasLast = false
 				return
 			}
@@ -139,7 +121,7 @@ func IntsetOp[T txn.Tx](sys txn.System[T], set intset.Set[T], p IntsetParams) Op
 			sys.Atomic(tx, func(tx T) {
 				for {
 					v := w.Rng.Uint64n(p.Range) + 1
-					if s.Insert(tx, v) {
+					if set.Insert(tx, v) {
 						w.LastVal = v
 						break
 					}
@@ -149,6 +131,6 @@ func IntsetOp[T txn.Tx](sys txn.System[T], set intset.Set[T], p IntsetParams) Op
 			return
 		}
 		v := w.Rng.Uint64n(p.Range) + 1
-		sys.AtomicRO(tx, func(tx T) { s.Contains(tx, v) })
+		sys.AtomicRO(tx, func(tx T) { set.Contains(tx, v) })
 	}
 }

@@ -1,8 +1,7 @@
 // Package intset provides the transactional data structures used by the
 // paper's evaluation: the sorted linked list and red-black tree of Section
-// 3.3 (integer sets), the linked-list "overwrite" variant with large write
-// sets (Figure 4, right), and — as extensions exercising the same STM API —
-// a skip list and a hash set.
+// 3.3 (integer sets) and the linked-list "overwrite" variant with large
+// write sets (Figure 4, right).
 //
 // Every operation is a plain function generic over the txn.Tx constraint,
 // so one body serves each STM (TinySTM, TL2); its tx calls go through the
@@ -31,7 +30,7 @@ func checkValue(v uint64) {
 	}
 }
 
-// Set groups the operation set shared by all four structures so harness
+// Set groups the operation set shared by the list and the tree so harness
 // workloads can be written once. Implementations bind a root address and
 // dispatch to the generic functions.
 type Set[T txn.Tx] interface {

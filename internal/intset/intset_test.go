@@ -19,28 +19,16 @@ type setKind int
 const (
 	kindList setKind = iota
 	kindTree
-	kindSkip
-	kindHash
 )
 
-var kindNames = map[setKind]string{
-	kindList: "list", kindTree: "rbtree", kindSkip: "skiplist", kindHash: "hashset",
-}
+var kindNames = map[setKind]string{kindList: "list", kindTree: "rbtree"}
 
 // buildSet constructs a set of the given kind inside tx.
-func buildSet[T txn.Tx](tx T, k setKind, r *rng.Rand) intset.Set[T] {
-	switch k {
-	case kindList:
-		return intset.List[T]{Head: intset.NewList(tx)}
-	case kindTree:
+func buildSet[T txn.Tx](tx T, k setKind) intset.Set[T] {
+	if k == kindTree {
 		return intset.Tree[T]{Root: intset.NewTree(tx)}
-	case kindSkip:
-		return intset.SkipList[T]{Head: intset.NewSkipList(tx), Rng: r}
-	case kindHash:
-		return intset.HashSet[T]{Handle: intset.NewHashSet(tx, 64)}
-	default:
-		panic("unknown kind")
 	}
+	return intset.List[T]{Head: intset.NewList(tx)}
 }
 
 // runSequentialVsMap drives random operations against the structure and a
@@ -50,7 +38,7 @@ func runSequentialVsMap[T txn.Tx](t *testing.T, sys txn.System[T], k setKind, se
 	tx := sys.NewTx()
 	r := rng.New(seed)
 	var set intset.Set[T]
-	sys.Atomic(tx, func(tx T) { set = buildSet(tx, k, r) })
+	sys.Atomic(tx, func(tx T) { set = buildSet(tx, k) })
 
 	ref := map[uint64]bool{}
 	for i := 0; i < 2000; i++ {
@@ -102,7 +90,7 @@ func newTL2Sys(t testing.TB) *tl2.TM {
 }
 
 func TestSequentialSemanticsAllKindsAllSystems(t *testing.T) {
-	kinds := []setKind{kindList, kindTree, kindSkip, kindHash}
+	kinds := []setKind{kindList, kindTree}
 	for _, k := range kinds {
 		k := k
 		t.Run(kindNames[k]+"/core-wb", func(t *testing.T) {
@@ -255,10 +243,9 @@ func TestSentinelValuesPanic(t *testing.T) {
 // predictable, while shared reads cross bands.
 func runConcurrentStress[T txn.Tx](t *testing.T, sys txn.System[T], k setKind) {
 	t.Helper()
-	setupR := rng.New(1)
 	setup := sys.NewTx()
 	var set intset.Set[T]
-	sys.Atomic(setup, func(tx T) { set = buildSet(tx, k, setupR) })
+	sys.Atomic(setup, func(tx T) { set = buildSet(tx, k) })
 
 	const workers = 4
 	const band = 100
@@ -268,29 +255,23 @@ func runConcurrentStress[T txn.Tx](t *testing.T, sys txn.System[T], k setKind) {
 		go func(id int) {
 			defer wg.Done()
 			r := rng.NewThread(77, id)
-			// Each skip-list worker needs its own level generator: the
-			// shared one in `set` is not goroutine-safe.
-			var mine intset.Set[T] = set
-			if sl, ok := any(set).(intset.SkipList[T]); ok {
-				mine = intset.SkipList[T]{Head: sl.Head, Rng: r}
-			}
 			tx := sys.NewTx()
 			lo := uint64(id*band) + 1
 			for i := 0; i < 300; i++ {
 				v := lo + uint64(r.Intn(band))
 				switch r.Intn(3) {
 				case 0:
-					sys.Atomic(tx, func(tx T) { mine.Insert(tx, v) })
+					sys.Atomic(tx, func(tx T) { set.Insert(tx, v) })
 				case 1:
-					sys.Atomic(tx, func(tx T) { mine.Remove(tx, v) })
+					sys.Atomic(tx, func(tx T) { set.Remove(tx, v) })
 				default:
 					shared := uint64(r.Intn(workers*band)) + 1
-					sys.AtomicRO(tx, func(tx T) { mine.Contains(tx, shared) })
+					sys.AtomicRO(tx, func(tx T) { set.Contains(tx, shared) })
 				}
 			}
 			// Drain the band so the final size is exactly computable.
 			for v := lo; v < lo+band; v++ {
-				sys.Atomic(tx, func(tx T) { mine.Remove(tx, v) })
+				sys.Atomic(tx, func(tx T) { set.Remove(tx, v) })
 			}
 		}(w)
 	}
@@ -303,7 +284,7 @@ func runConcurrentStress[T txn.Tx](t *testing.T, sys txn.System[T], k setKind) {
 }
 
 func TestConcurrentStressAllKinds(t *testing.T) {
-	for _, k := range []setKind{kindList, kindTree, kindSkip, kindHash} {
+	for _, k := range []setKind{kindList, kindTree} {
 		k := k
 		t.Run(kindNames[k]+"/core-wb", func(t *testing.T) {
 			runConcurrentStress[*core.Tx](t, newCoreSys(t, core.WriteBack), k)
@@ -346,15 +327,4 @@ func TestConcurrentTreeKeepsInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-}
-
-func TestHashSetRequiresBucket(t *testing.T) {
-	tm := newCoreSys(t, core.WriteBack)
-	tx := tm.NewTx()
-	defer func() {
-		if recover() == nil {
-			t.Error("NewHashSet(0) did not panic")
-		}
-	}()
-	tm.Atomic(tx, func(tx *core.Tx) { intset.NewHashSet(tx, 0) })
 }

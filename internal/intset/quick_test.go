@@ -6,7 +6,6 @@ import (
 
 	"tinystm/internal/core"
 	"tinystm/internal/intset"
-	"tinystm/internal/rng"
 )
 
 // testing/quick property tests: arbitrary operation sequences against a
@@ -79,34 +78,6 @@ func TestQuickTreeVsMapWithInvariants(t *testing.T) {
 			ok = intset.TreeValidate(tx, root) == nil
 		})
 		return ok
-	}
-	if err := quick.Check(f, quickConfig()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickSkipListVsMap(t *testing.T) {
-	f := func(script opSeq, seed uint64) bool {
-		tm := newCoreSys(t, core.WriteBack)
-		tx := tm.NewTx()
-		r := rng.New(seed)
-		var head uint64
-		tm.Atomic(tx, func(tx *core.Tx) { head = intset.NewSkipList(tx) })
-		return runScript(t, tm, intset.SkipList[*core.Tx]{Head: head, Rng: r}, script)
-	}
-	if err := quick.Check(f, quickConfig()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickHashSetVsMap(t *testing.T) {
-	f := func(script opSeq, buckets uint8) bool {
-		tm := newCoreSys(t, core.WriteBack)
-		tx := tm.NewTx()
-		nb := int(buckets%32) + 1
-		var h uint64
-		tm.Atomic(tx, func(tx *core.Tx) { h = intset.NewHashSet(tx, nb) })
-		return runScript(t, tm, intset.HashSet[*core.Tx]{Handle: h}, script)
 	}
 	if err := quick.Check(f, quickConfig()); err != nil {
 		t.Fatal(err)

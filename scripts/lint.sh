@@ -43,6 +43,17 @@ for pkg in kvserver kvclient; do
   fi
 done
 
+# Layering: the server is not a figure runner. stmkvd links none of the
+# reproduction layer (the figure sweeps, their harness and workloads, the
+# comparison STM).
+kvddeps="$(go list -deps ./cmd/stmkvd)"
+for pkg in experiments harness intset tl2 vacation; do
+  if grep -qx "tinystm/internal/$pkg" <<<"$kvddeps"; then
+    echo "layering: cmd/stmkvd depends on internal/$pkg"
+    fail=1
+  fi
+done
+
 if command -v staticcheck >/dev/null 2>&1; then
   staticcheck ./... || fail=1
 else
