@@ -355,7 +355,7 @@ func FuncDecls(info *types.Info, files []*ast.File) map[*types.Func]*ast.FuncDec
 }
 
 // MutatorCall reports whether call is a transactional write: tx.Store /
-// tx.Free on a descriptor, or a map-style mutator — a method named Put,
+// tx.StoreUnreached / tx.Free on a descriptor, or a map-style mutator — a method named Put,
 // Delete, CAS or Add whose first argument is a descriptor.
 // The returned label names the operation for diagnostics.
 func MutatorCall(info *types.Info, call *ast.CallExpr) (string, bool) {
@@ -365,7 +365,7 @@ func MutatorCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	}
 	name := sel.Sel.Name
 	switch name {
-	case "Store", "Free":
+	case "Store", "StoreUnreached", "Free":
 		if len(call.Args) == 2 && IsTxLike(info.TypeOf(sel.X)) {
 			return "tx." + name, true
 		}

@@ -9,10 +9,11 @@ import (
 )
 
 // TestIrrevocableBulkLogsEachWordOnce: a 1 024-put kvstore batch runs
-// irrevocably and logs each word it overwrites once — the links its
-// inserts hang new nodes on, then each shard's count word, not one count
-// entry per insert — and a batch that overwrites those keys logs one
-// value word per put.
+// irrevocably and logs each word it overwrites once — the meta word of
+// the bucket line each insert fills (the slot's key and value words, free
+// when the run began, need none), then each shard's count word, not one
+// count entry per insert — and a batch that overwrites those keys logs
+// one value word per put.
 func TestIrrevocableBulkLogsEachWordOnce(t *testing.T) {
 	for _, d := range []core.Design{core.WriteBack, core.WriteThrough} {
 		t.Run(d.String(), func(t *testing.T) {

@@ -246,7 +246,7 @@ func (tm *TM) atomic(tx *Tx, fn func(*Tx), ro, snap bool) {
 	tx.upgr = false
 	for {
 		tx.attempts++
-		var t0 time.Time
+		var t0 time.Duration
 		if o != nil {
 			if sampled {
 				kind := obs.EvRetry
@@ -255,7 +255,7 @@ func (tm *TM) atomic(tx *Tx, fn func(*Tx), ro, snap bool) {
 				}
 				tm.trace(tx, o, kind, 0, 0)
 			}
-			t0 = time.Now()
+			t0 = obs.Mono()
 		}
 		tx.maybeRollOverOnBegin()
 		if snap {
@@ -265,7 +265,7 @@ func (tm *TM) atomic(tx *Tx, fn func(*Tx), ro, snap bool) {
 		}
 		committed := tx.runBody(fn) && tx.Commit()
 		if o != nil {
-			d := uint64(time.Since(t0))
+			d := uint64(obs.Mono() - t0)
 			kind, cause := obs.EvCommit, txn.AbortKind(0)
 			if committed {
 				o.OnCommit(d)
@@ -498,11 +498,16 @@ func (tm *TM) Reconfigure(p Params) error {
 // changes no key's value has nothing to replay.
 //
 // The stall is the drain plus fn's run time, and fn's grows with what it
-// rewrites: growing a kvstore shard costs about 35 ns a node. A shard of
-// 4 097 nodes (a 1 024-bucket directory to 4 096) held the barrier for a
-// median ~150 µs on a 2-vCPU host, and the 41 growths of a 65 536-key
-// preload in transactional batches ~70 µs each on average, ~300 µs at
-// most. A bulk batch makes those growths inside its own Irrevocable run.
+// rewrites: a kvstore shard's growth copies each entry into a directory
+// allocated, and its pages touched, before the freeze, 50–57 ns an entry
+// (BenchmarkShardGrow's freeze-ns/entry, medians of two 6-run sets on a
+// 2-vCPU host; relinking 3-word chain nodes took 36–38). A 1 024-line
+// shard grows at 5 121 entries and holds the barrier ~250–290 µs; the 32
+// growths of a 65 536-key preload copy ~25.6 k entries in all, ~1.3 ms,
+// where the chains' 41 relinked ~57 k nodes, ~2.0 ms. A block allocated
+// before the freeze is reachable only once fn links it, so the argument
+// above holds for it as for one fn allocates. A bulk batch makes its
+// growths inside its own Irrevocable run, directory allocation included.
 func (tm *TM) Quiesce(fn func()) {
 	start := time.Now()
 	tm.fz.freeze()

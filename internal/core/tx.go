@@ -620,6 +620,22 @@ func (tx *Tx) Store(addr uint64, v uint64) {
 	tx.store(addr, v, false)
 }
 
+// StoreUnreached is Store for a word that no committed state reaches
+// until a later Store of this transaction links it: a kvstore slot that
+// its line's meta word marks free, filled before its meta bit is set. The
+// word must not be one the transaction itself unlinked earlier, which was
+// reachable when it began. In an irrevocable run it logs no undo entry: a
+// rollback restores the linking word, which leaves this one unreached
+// again, so its value does not matter. Everywhere else it is Store.
+func (tx *Tx) StoreUnreached(addr uint64, v uint64) {
+	if tx.inTx && tx.irrev {
+		tx.capWrote = true
+		tx.tm.space.Store(mem.Addr(addr), v)
+		return
+	}
+	tx.store(addr, v, false)
+}
+
 func (tx *Tx) store(addr uint64, v uint64, lockOnly bool) {
 	if !tx.inTx {
 		panic("core: Store outside transaction")

@@ -39,6 +39,7 @@ import (
 	"tinystm/internal/core"
 	"tinystm/internal/kvproto"
 	"tinystm/internal/kvstore"
+	"tinystm/internal/obs"
 	"tinystm/internal/txn"
 	"tinystm/internal/wal"
 )
@@ -68,8 +69,8 @@ var (
 // ran and nothing was counted, because the admission gate is full.
 type ackWait struct {
 	ticket    *wal.Pending
-	start     time.Time // the request's latency span began
-	commit    time.Time // the store call returned
+	start     time.Duration // the request's latency span began (obs.Mono)
+	commit    time.Duration // the store call returned (obs.Mono)
 	wouldPark bool
 }
 
@@ -138,9 +139,9 @@ func (s *Server) settle(surf int, resp *kvproto.Response, ack ackWait) {
 		*resp = kvproto.Response{ID: resp.ID, Op: resp.Op, Status: kvproto.StatusUnavailable,
 			Msg: (&kvstore.DurabilityError{Err: err}).Error()}
 	}
-	now := time.Now()
-	s.met.ackWaitNs.Record(uint64(now.Sub(ack.commit)))
-	s.recordLatency(surf, resp.Op, now.Sub(ack.start))
+	now := obs.Mono()
+	s.met.ackWaitNs.Record(uint64(now - ack.commit))
+	s.recordLatency(surf, resp.Op, now-ack.start)
 }
 
 func (s *Server) recordLatency(surf int, op kvproto.Op, d time.Duration) {
@@ -174,7 +175,7 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 		resp.Status, resp.Msg = kvproto.StatusUnavailable, msg
 		return
 	}
-	t0 := time.Now()
+	t0 := obs.Mono()
 	defer func() {
 		// Arena exhaustion becomes a status instead of tearing down the
 		// caller's goroutine. Any other panic is a real bug and is
@@ -186,7 +187,7 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 			resp.Status, resp.Msg = kvproto.StatusError, core.ErrSpaceExhausted.Error()
 		}
 		if ack.ticket == nil && !ack.wouldPark {
-			s.recordLatency(surf, req.Op, time.Since(t0))
+			s.recordLatency(surf, req.Op, obs.Mono()-t0)
 		}
 	}()
 
@@ -242,12 +243,12 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 			s.met.admWaitNs.Record(0)
 			defer s.gate.Exit()
 		} else {
-			tw := time.Now()
+			tw := obs.Mono()
 			if !s.gate.EnterUntil(dl) {
 				s.shedDeadline(surf, shedStageGate, resp)
 				return
 			}
-			s.met.admWaitNs.Record(uint64(time.Since(tw)))
+			s.met.admWaitNs.Record(uint64(obs.Mono() - tw))
 			defer s.gate.Exit()
 		}
 	}
@@ -275,7 +276,7 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 	}
 	if ticket != nil {
 		// The server's redo hook returns wal.Log.Append's ticket.
-		ack = ackWait{ticket: ticket.(*wal.Pending), start: t0, commit: time.Now()}
+		ack = ackWait{ticket: ticket.(*wal.Pending), start: t0, commit: obs.Mono()}
 	}
 	return
 }

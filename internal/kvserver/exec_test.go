@@ -496,7 +496,8 @@ func TestCodecParityOversizeBatch(t *testing.T) {
 func TestExecArenaExhaustion(t *testing.T) {
 	s, ts := newTestServer(t, Config{SpaceWords: 1 << 10, shards: 1, buckets: 1})
 	var wire kvproto.Response
-	for k := uint64(0); k < 1<<12; k++ {
+	var k uint64
+	for ; k < 1<<12; k++ {
 		if s.exec(surfProto, time.Time{}, &kvproto.Request{Op: kvproto.OpPut, Key: k, Val: k}, &wire, nil); wire.Status != kvproto.StatusOK {
 			break
 		}
@@ -504,7 +505,10 @@ func TestExecArenaExhaustion(t *testing.T) {
 	if wire.Status != kvproto.StatusError || wire.Msg != core.ErrSpaceExhausted.Error() {
 		t.Fatalf("full arena over the wire: (%v, %q), want (error, %q)", wire.Status, wire.Msg, core.ErrSpaceExhausted)
 	}
-	if code := doJSON(t, ts.Client(), "PUT", ts.URL+"/kv/99999", "1", nil); code != http.StatusInsufficientStorage {
+	// The same key: its bucket's lines are still full, so it needs the
+	// line the arena could not give. (A key landing in a free slot of a
+	// bucket line would still fit.)
+	if code := doJSON(t, ts.Client(), "PUT", ts.URL+fmt.Sprintf("/kv/%d", k), "1", nil); code != http.StatusInsufficientStorage {
 		t.Fatalf("full arena over HTTP: status %d, want 507", code)
 	}
 }

@@ -356,8 +356,10 @@ func TestMetricsMemory(t *testing.T) {
 		s.Store().Put(k, k)
 	}
 	live1, _ := read()
-	if grew := live1 - live0; grew < 24*keys {
-		t.Fatalf("arena live bytes grew by %v over a %d-key insert, want >= %d (24 B a key)", grew, keys, 24*keys)
+	// A key takes at least its key and value words; lines and directories
+	// come on top, less the directories the growths freed.
+	if grew := live1 - live0; grew < 16*keys {
+		t.Fatalf("arena live bytes grew by %v over a %d-key insert, want >= %d (16 B a key)", grew, keys, 16*keys)
 	}
 }
 

@@ -173,15 +173,18 @@ func TestBatchGrowthIsOfTheCommittedAttempt(t *testing.T) {
 // 64 buckets, preloaded with 65 536 keys in 1 024-put batches, 4 096 keys a
 // shard. Each shard grows 64 → 256 → 1 024 buckets: 32 growths, where
 // doubling took 64. Grows counts exactly the growths, and the batches are
-// the only commits.
+// the only commits. (The chains of 3-word nodes grew at four keys a
+// bucket, the same 32 times for these keys; the ledger's keys 0…65 535
+// put more than 4 096 in some shards and took 41.)
 func TestPreloadGrowsEachShardTwice(t *testing.T) {
 	const shards, perShard, batch = 16, 4096, 1024
 	tm := newTM(t, core.WriteBack, 1<<20)
 	s := NewStore[*core.Tx](tm, shards, 64)
 	defer s.Close()
 	m := s.Map()
-	// The first 4 096 keys of every shard, in key order: exactly at the
-	// load factor of a 1 024-bucket directory, so no third growth is due.
+	// The first 4 096 keys of every shard, in key order: four a bucket of
+	// a 1 024-bucket directory, under the load factor of five, so no third
+	// growth is due.
 	var keys []uint64
 	var n [shards]int
 	for k := uint64(0); len(keys) < shards*perShard; k++ {

@@ -114,6 +114,62 @@ func TestBulkBatchOutOfSpaceChangesNothing(t *testing.T) {
 	}
 }
 
+// TestBulkBatchOutOfSpaceRestoresFreedSlot: a bulk batch that deletes a
+// key and then fills the slot the delete freed stores that slot's key and
+// value with an undo entry, so when the batch runs out of space the
+// deleted key is back with its value. (An insert into a slot free when
+// the batch began logs only the line's meta word; one into a slot the
+// batch freed itself would otherwise leave the restored meta bit over the
+// new key.)
+func TestBulkBatchOutOfSpaceRestoresFreedSlot(t *testing.T) {
+	for _, d := range []core.Design{core.WriteBack, core.WriteThrough} {
+		t.Run(d.String(), func(t *testing.T) {
+			sp := mem.NewSpace(1 << 12)
+			tm := core.MustNew(core.Config{Space: sp, Design: d})
+			s := NewStore[*core.Tx](tm, 4, 8)
+			defer s.Close()
+			bucket := func(k uint64) uint64 { return (hash(k) & 3) | (hash(k)>>2&7)<<2 }
+			// victim is the first key of the first bucket to hold three:
+			// slot 0 of a full head line, the first free slot once deleted.
+			var victim uint64
+			seen := map[uint64][]uint64{}
+			for k := uint64(0); ; k++ {
+				s.Put(k, k)
+				b := bucket(k)
+				if seen[b] = append(seen[b], k); len(seen[b]) == slots {
+					victim = seen[b][0]
+					break
+				}
+			}
+			var fresh uint64
+			for fresh = 1 << 20; bucket(fresh) != bucket(victim); fresh++ {
+			}
+			live, n := sp.LiveWords(), s.Len()
+			ops := []Op{{Kind: OpDelete, Key: victim}, {Kind: OpPut, Key: fresh, Val: 7}}
+			for k := uint64(1 << 21); len(ops) < 2048; k++ {
+				ops = append(ops, Op{Kind: OpPut, Key: k, Val: k})
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != core.ErrSpaceExhausted {
+						t.Fatalf("the batch panicked with %v, want ErrSpaceExhausted", r)
+					}
+				}()
+				s.Apply(ops)
+			}()
+			if l, got := sp.LiveWords(), s.Len(); l != live || got != n {
+				t.Fatalf("after the panic: %d live words, %d keys; want %d, %d", l, got, live, n)
+			}
+			if v, ok := s.Get(victim); !ok || v != victim {
+				t.Fatalf("Get(%d) = %d, %v after the panic; want the deleted key back at %d", victim, v, ok, victim)
+			}
+			if _, ok := s.Get(fresh); ok {
+				t.Fatalf("key %d, put into the freed slot by the failed batch, is present", fresh)
+			}
+		})
+	}
+}
+
 // TestAckedBulkBatchesSurviveKillAtAnyPoint is
 // TestAckedStoreOpsSurviveKillAtAnyPoint for bulk batches, each a frame
 // of bulkOps or more records spanning several sectors, between point

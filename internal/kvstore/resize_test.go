@@ -282,17 +282,18 @@ func resizeUnderMovesAndScans(t *testing.T, d core.Design, h uint64) {
 	t.Logf("%d growths, %d moves, %d scans, %d commits, %d aborts", grows, st.Reconfigs, scans.Load(), st.Commits, st.Aborts)
 }
 
-// TestGrowFailureIsBestEffort sizes the arena so every 3-word node still
-// fits but the quadrupled 512-word directory cannot: growth must fail
-// silently (the insert already committed) and the store must keep
-// serving with longer chains instead of panicking out of Put.
+// TestGrowFailureIsBestEffort sizes the arena so every entry still fits
+// but the quadrupled 512-line directory cannot: growth must fail silently
+// (the insert already committed) and the store must keep serving with
+// longer chains instead of panicking out of Put.
 func TestGrowFailureIsBestEffort(t *testing.T) {
-	// 1 reserved word + 8 header + 128 dir + n*3 nodes; at the growth
-	// trigger (count 513) the free space is ~24 words < 512.
-	tm := core.MustNew(core.Config{Space: mem.NewSpace(1700)})
+	// 1 reserved word + 7 to align + 8 header + 128 lines of directory
+	// (1 024 words) + 134 overflow lines for keys 0…659 = 2 112 words; the
+	// growth the 641st key asks for needs 4 096 in one block.
+	tm := core.MustNew(core.Config{Space: mem.NewSpace(3072)})
 	s := NewStore[*core.Tx](tm, 1, 128)
 	defer s.Close()
-	const n = 518
+	const n = 660
 	for k := uint64(0); k < n; k++ {
 		s.Put(k, k+1) // must not panic even after growth starts failing
 	}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"tinystm/internal/core"
+	"tinystm/internal/mem"
 	"tinystm/internal/obs"
 	"tinystm/internal/txn"
 )
@@ -254,14 +255,14 @@ func (s *Store[T]) Len() (n uint64) {
 // KV is one key/value pair returned by Scan and CheckpointScan.
 type KV = txn.KV
 
-// Scan returns the first limit pairs of the table in shard, bucket, chain
-// order (all of them when limit <= 0) and the number of live keys.
+// Scan returns the first limit pairs of the table in shard, bucket, line,
+// slot order (all of them when limit <= 0) and the number of live keys.
 //
 // A scan costs what it returns: the walk stops at the limit, and total is
 // the sum of the per-shard count words, read in the same transaction as
 // the pairs. That sum is exact, not an estimate: every insert and delete
-// moves its shard's count in the transaction that links or unlinks the
-// node, so any snapshot's counts equal what a full walk would count.
+// moves its shard's count in the transaction that fills or clears the
+// key's slot, so any snapshot's counts equal what a full walk would count.
 //
 // With snapshot mode available it runs as ONE snapshot transaction: a
 // single commit-ordered point in time that concurrent writers cannot
@@ -501,6 +502,9 @@ func newBatchOp[T interface{ *core.Tx }](s *Store[T]) *batchOp {
 		o.attempts++
 		// Neither an aborted attempt's notes nor the last batch's carry over.
 		o.tally, o.grow = o.tally[:0], o.grow[:0]
+		// kept holds until a delete frees a slot: until then every free
+		// slot an insert fills was free when the attempt began.
+		kept := true
 		for i, op := range o.ops {
 			r := &o.res[i]
 			*r = OpResult{}
@@ -508,7 +512,7 @@ func newBatchOp[T interface{ *core.Tx }](s *Store[T]) *batchOp {
 			case OpGet:
 				r.Val, r.Found = s.m.Get(tx, op.Key)
 			case OpPut:
-				r.OK = s.m.put(tx, op.Key, op.Val)
+				r.OK = s.m.put(tx, op.Key, op.Val, kept)
 				r.Found = !r.OK
 				if r.OK {
 					tally(op.Key, 1)
@@ -517,6 +521,7 @@ func newBatchOp[T interface{ *core.Tx }](s *Store[T]) *batchOp {
 			case OpDelete:
 				r.Found = s.m.delete(tx, op.Key)
 				if r.Found {
+					kept = false
 					tally(op.Key, ^uint64(0))
 					s.redo(tx, txn.RedoDelete, op.Key, 0)
 				}
@@ -527,7 +532,7 @@ func newBatchOp[T interface{ *core.Tx }](s *Store[T]) *batchOp {
 				}
 			case OpAdd:
 				var inserted bool
-				r.Val, inserted = s.m.add(tx, op.Key, op.Val)
+				r.Val, inserted = s.m.add(tx, op.Key, op.Val, kept)
 				r.OK = true
 				if inserted {
 					tally(op.Key, 1)
@@ -552,7 +557,7 @@ func newBatchOp[T interface{ *core.Tx }](s *Store[T]) *batchOp {
 		o.body(tx)
 		grown := 0
 		for _, sh := range o.grow {
-			if s.m.rehash(sp, sh) {
+			if s.m.rehash(sp, sh, mem.Nil, 0) {
 				grown++
 			}
 		}

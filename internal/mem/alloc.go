@@ -10,7 +10,13 @@ import "sync"
 // set of fixed node sizes (list nodes, tree nodes, reservation records),
 // for which segregated free lists are both fast and fragmentation-free.
 // Size classes larger than maxSizeClass share one list searched linearly;
-// in practice nothing in the repository allocates blocks that large.
+// only directories (a kvstore shard's bucket lines) are that large.
+//
+// A block whose size is a multiple of LineWords starts on a line boundary:
+// the frontier is rounded up to one before it is carved (the skipped words
+// become a free block of their own size), and a size class holds blocks of
+// one size only, so a reused block is aligned because its first owner's
+// was.
 type allocator struct {
 	mu       sync.Mutex
 	next     uint64 // bump frontier
@@ -53,11 +59,19 @@ func (al *allocator) take(n uint64) uint64 {
 			}
 		}
 	}
-	if al.next+n > al.limit {
+	a := al.next
+	var gap uint64
+	if n%LineWords == 0 {
+		gap = -a & (LineWords - 1)
+	}
+	if a+gap+n > al.limit {
 		return 0
 	}
-	a := al.next
-	al.next += n
+	if gap > 0 {
+		al.free[gap] = append(al.free[gap], a)
+		a += gap
+	}
+	al.next = a + n
 	al.liveWrds += n
 	return a
 }

@@ -129,6 +129,53 @@ func TestAllocNonPositivePanics(t *testing.T) {
 	}
 }
 
+// TestAllocAlignsLineMultiples: a block whose size is a multiple of
+// LineWords starts on a line boundary, whether it is carved from the
+// frontier behind odd-sized blocks or taken back from a free list; the
+// words skipped to align it are not live and are handed out again.
+func TestAllocAlignsLineMultiples(t *testing.T) {
+	s := NewSpace(1 << 12)
+	for i, n := range []int{3, 8, 5, 16, 1, 8, 7, 64, 2, 24, 512} {
+		a := s.Alloc(n)
+		if n%LineWords == 0 {
+			if a%LineWords != 0 {
+				t.Fatalf("alloc %d: a %d-word block at %d, not on a line boundary", i, n, a)
+			}
+			s.Free(a, n)
+			if b := s.Alloc(n); b != a {
+				t.Fatalf("a freed %d-word block came back at %d, want %d", n, b, a)
+			}
+		}
+	}
+	if got, want := s.LiveWords(), uint64(3+8+5+16+1+8+7+64+2+24+512); got != want {
+		t.Fatalf("live words %d, want %d: alignment gaps must not count", got, want)
+	}
+	// The first line-sized block skipped words 4..7 behind the 3-word one.
+	if gap := s.Alloc(4); gap != 4 {
+		t.Fatalf("a 4-word block at %d, want the alignment gap at 4", gap)
+	}
+}
+
+// TestAllocZeroesReleasedBlock: a block of several pages, freed (its pages
+// released where the host can) and allocated again, reads as zero.
+func TestAllocZeroesReleasedBlock(t *testing.T) {
+	n := int(3 * pageWords)
+	s := NewSpace(2 * n)
+	a := s.Alloc(n)
+	for w := a; w < a+Addr(n); w++ {
+		s.Store(w, ^uint64(0))
+	}
+	s.Free(a, n)
+	if b := s.Alloc(n); b != a {
+		t.Fatalf("the block came back at %d, want %d", b, a)
+	}
+	for w := a; w < a+Addr(n); w++ {
+		if v := s.Load(w); v != 0 {
+			t.Fatalf("word %d of the re-allocated block = %#x, want 0", w-a, v)
+		}
+	}
+}
+
 func TestLiveWordsAccounting(t *testing.T) {
 	s := NewSpace(64)
 	if s.LiveWords() != 0 {

@@ -12,6 +12,9 @@
 //
 // All word accesses go through sync/atomic: with the write-through design
 // transactions write to memory before commit, so plain loads would race.
+// The one exception is Alloc zeroing the block it hands out, which no
+// other goroutine can reach yet (the STM recycles a block only once no
+// running attempt can hold a pointer into it).
 //
 // The words live outside the Go heap (MapWords: an anonymous mapping on
 // unix), as TinySTM's arena lives in raw process memory. On the heap they
@@ -38,6 +41,7 @@ package mem
 
 import (
 	"fmt"
+	"os"
 	"sync/atomic"
 )
 
@@ -47,6 +51,16 @@ type Addr uint64
 
 // Nil is the reserved null address.
 const Nil Addr = 0
+
+// LineWords is the number of words in a cache line. Alloc returns a block
+// whose size is a multiple of LineWords on a line boundary, so a block of
+// one line is one line of the hardware and, at #shifts 0, its words map
+// to adjacent lock words.
+const LineWords = 8
+
+// pageWords is the number of words in a page of the host: Free hands the
+// whole pages of a block at least this long back to the kernel.
+var pageWords = uint64(os.Getpagesize() / 8)
 
 // Space is a flat, fixed-capacity arena of 64-bit words. Word reads and
 // writes are individually atomic; transactional consistency across words is
@@ -86,8 +100,9 @@ func (s *Space) CompareAndSwap(a Addr, old, new uint64) bool {
 	return atomic.CompareAndSwapUint64(&s.words[a], old, new)
 }
 
-// Alloc reserves n contiguous words and returns the address of the first.
-// The words are zeroed. It returns Nil if the space is exhausted.
+// Alloc reserves n contiguous words and returns the address of the first,
+// on a line boundary when n is a multiple of LineWords. The words are
+// zeroed. It returns Nil if the space is exhausted.
 func (s *Space) Alloc(n int) Addr {
 	if n <= 0 {
 		panic(fmt.Sprintf("mem: Alloc(%d): size must be positive", n))
@@ -96,14 +111,19 @@ func (s *Space) Alloc(n int) Addr {
 	if a == 0 {
 		return Nil
 	}
-	for i := Addr(a); i < Addr(a)+Addr(n); i++ {
-		atomic.StoreUint64(&s.words[i], 0)
-	}
+	// A plain clear: one memclr instead of an atomic store a word, which
+	// for a directory of thousands of lines was most of its allocation.
+	clear(s.words[a : a+uint64(n)])
 	return Addr(a)
 }
 
 // Free returns the n-word block at a to the allocator. Freeing Nil is a
-// no-op. The caller must pass the same n used at Alloc time.
+// no-op. The caller must pass the same n used at Alloc time. A block of at
+// least a page gives the pages it covers whole back to the kernel first
+// (on linux; elsewhere they stay resident), so a superseded directory
+// does not stay in the process's resident set until a block of its size
+// is asked for again; the next Alloc of the block zeroes it like any
+// other.
 func (s *Space) Free(a Addr, n int) {
 	if a == Nil {
 		return
@@ -113,6 +133,14 @@ func (s *Space) Free(a Addr, n int) {
 	}
 	if uint64(a)+uint64(n) > uint64(len(s.words)) {
 		panic(fmt.Sprintf("mem: Free(%d, %d): out of range", a, n))
+	}
+	if uint64(n) >= pageWords {
+		// Before the block is free: once given back, another Alloc may
+		// own it.
+		lo := (uint64(a) + pageWords - 1) &^ (pageWords - 1)
+		if hi := (uint64(a) + uint64(n)) &^ (pageWords - 1); lo < hi {
+			releaseWords(s.words[lo:hi])
+		}
 	}
 	s.alloc.give(uint64(a), uint64(n))
 }

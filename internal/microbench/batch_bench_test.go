@@ -8,6 +8,7 @@ import (
 	"tinystm/internal/core"
 	"tinystm/internal/kvstore"
 	"tinystm/internal/mem"
+	"tinystm/internal/obs"
 )
 
 // Large-update cost: one ApplyInto batch of n fresh-key puts with
@@ -41,6 +42,38 @@ func newBatchInserter(d core.Design, n int) *batchInserter {
 
 func (bi *batchInserter) insert() { bi.s.ApplyInto(bi.ins, bi.res) }
 func (bi *batchInserter) remove() { bi.s.ApplyInto(bi.del, bi.res) }
+
+// BenchmarkShardGrow grows a 1 024-bucket shard, filled until it asks to
+// grow, once an iteration. ns/op is the whole Map.Grow; freeze-ns/entry is
+// the freeze it raises (TM.Quiesce with no attempt to drain, and the
+// rehash), from the TM's FreezeNs histogram, per entry rehashed: the cost
+// stated above core.TM.Quiesce.
+func BenchmarkShardGrow(b *testing.B) {
+	var entries, freezeNs uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tm := core.MustNew(core.Config{Space: mem.NewSpace(1 << 18)})
+		o := obs.NewTMObs(nil)
+		tm.SetObs(o)
+		m := kvstore.New(tm, 1, 1024)
+		tx := tm.NewTx()
+		var n uint64
+		tm.Atomic(tx, func(tx *core.Tx) {
+			for k := uint64(0); !m.NeedsGrow(tx, 0); k++ {
+				m.Put(tx, k, k)
+			}
+			n, _ = m.ShardLoad(tx, 0)
+		})
+		tx.Release()
+		b.StartTimer()
+		if !m.Grow(tm, 0) {
+			b.Fatal("the shard did not grow")
+		}
+		entries += n
+		freezeNs += o.FreezeNs.Snapshot().Sum
+	}
+	b.ReportMetric(float64(freezeNs)/float64(entries), "freeze-ns/entry")
+}
 
 func benchBatchInsert(b *testing.B, n int) {
 	for _, d := range []core.Design{core.WriteBack, core.WriteThrough} {

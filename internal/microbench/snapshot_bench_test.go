@@ -77,6 +77,29 @@ func BenchmarkKVGetParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkKVGetLarge runs random Gets against a stmkvd-shaped store (16
+// shards of 64 buckets, 2^16 locks, snapshots on) holding 2^20 keys, so a
+// Get's bucket lines and lock words miss the caches the way a large
+// table's do. BenchmarkKVGetSnapshotsOn's 4 096 keys stay cache-warm and
+// cannot show what the layout of a bucket costs.
+func BenchmarkKVGetLarge(b *testing.B) {
+	const keys = 1 << 20
+	tm := core.MustNew(core.Config{Space: mem.NewSpace(1 << 23), Locks: 1 << 16, Snapshots: true})
+	s := kvstore.NewStore[*core.Tx](tm, 16, 64)
+	defer s.Close()
+	for lo := uint64(0); lo < keys; lo += 1024 {
+		s.Apply(opBatch(kvstore.OpPut, lo, 1024))
+	}
+	r := rng.New(11)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.Get(r.Uint64n(keys)); !ok {
+			b.Fatal("a preloaded key is missing")
+		}
+	}
+}
+
 func benchKVPut(b *testing.B, snapshots bool) {
 	s := benchStore(b, snapshots)
 	defer s.Close()
