@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tinystm/internal/harness"
 	"tinystm/internal/kvclient"
 	"tinystm/internal/resilience"
 	"tinystm/internal/rng"
@@ -156,19 +155,17 @@ func main() {
 		})
 	}
 
-	res := harness.OpenLoop{
-		Rate: *rate, Duration: *duration, Workers: *workers, Queue: *queue, Seed: *seed,
-		NewOp: func(w *harness.Worker) (func(*harness.Worker) error, func()) {
-			t := targets[w.ID%len(targets)]
-			return func(w *harness.Worker) error {
-				return retrier.Do(func() error { return phase.Load().Do(t, w.Rng) })
-			}, nil
+	res := openLoop{
+		rate: *rate, duration: *duration, workers: *workers, queue: *queue, seed: *seed,
+		op: func(id int, r *rng.Rand) error {
+			t := targets[id%len(targets)]
+			return retrier.Do(func() error { return phase.Load().Do(t, r) })
 		},
-	}.Run()
+	}.run()
 
 	bs := budget.Stats()
 	log.Printf("offered=%d completed=%d dropped=%d errors=%d retries=%d",
-		res.Offered, res.Completed, res.Dropped, res.Errors, retrier.Retries())
+		res.offered, res.completed, res.dropped, res.errors, retrier.Retries())
 	log.Printf("retry-budget tokens=%.1f/%.1f allowed=%d denied=%d",
 		bs.Tokens, bs.Cap, bs.Allowed, bs.Denied)
 	if len(clients) > 0 {
@@ -183,12 +180,12 @@ func main() {
 			opens, probes, closes, clients[0].ResilienceStats().BreakerState)
 	}
 	log.Printf("throughput=%.0f req/s goodput=%.0f req/s latency p50=%v p95=%v p99=%v max=%v",
-		res.Throughput, res.Goodput, res.P50, res.P95, res.P99, res.Max)
-	if *minOps > 0 && res.Completed < *minOps {
-		log.Printf("FAIL: completed %d < min-ops %d", res.Completed, *minOps)
+		res.throughput, res.goodput, res.p50, res.p95, res.p99, res.max)
+	if *minOps > 0 && res.completed < *minOps {
+		log.Printf("FAIL: completed %d < min-ops %d", res.completed, *minOps)
 		os.Exit(1)
 	}
-	if res.Completed > 0 && res.Errors == res.Completed {
+	if res.completed > 0 && res.errors == res.completed {
 		log.Print("FAIL: every request errored")
 		os.Exit(1)
 	}

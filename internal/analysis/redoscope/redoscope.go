@@ -54,15 +54,13 @@ func run(pass *framework.Pass) error {
 			if !kind.ReadOnlyKind() {
 				return true
 			}
-			body := stmapi.ResolveBody(funcLits, info, bodyArg)
-			if body == nil {
-				return true
-			}
 			w := &walker{pass: pass, info: info, decls: decls, kind: kind, visited: make(map[*types.Func]bool)}
 			if _, isInline := ast.Unparen(bodyArg).(*ast.FuncLit); !isInline {
 				w.reportAt = call
 			}
-			w.walk(body.Body, nil, 0)
+			for _, body := range stmapi.ResolveBody(funcLits, info, bodyArg) {
+				w.walk(body.Body, nil, 0)
+			}
 			return true
 		})
 

@@ -52,3 +52,21 @@ func irrevocableBodiesMayRedo(tm *stm.TM, tx *stm.Tx) {
 		tx.Redo(stm.RedoOp{Key: 1, Val: 2})
 	})
 }
+
+// twoReaders binds its body field to two literals, one that only reads
+// and then one that logs: a runner called through the field may run
+// either, so the second is walked too.
+type twoReaders struct{ body func(*stm.Tx) }
+
+func newTwoReaders(log bool) *twoReaders {
+	r := &twoReaders{}
+	r.body = func(tx *stm.Tx) { _ = tx.Load(1) }
+	if log {
+		r.body = func(tx *stm.Tx) { logPut(tx, 1, 2) }
+	}
+	return r
+}
+
+func twoBoundBodies(tm *stm.TM, tx *stm.Tx, r *twoReaders) {
+	tm.AtomicRO(tx, r.body) // want `AtomicRO body reaches Redo`
+}

@@ -46,10 +46,6 @@ func run(pass *framework.Pass) error {
 			if !kind.ReadOnlyKind() {
 				return true
 			}
-			body := stmapi.ResolveBody(funcLits, info, bodyArg)
-			if body == nil {
-				return true
-			}
 			w := &walker{
 				pass:    pass,
 				info:    info,
@@ -60,10 +56,10 @@ func run(pass *framework.Pass) error {
 			// Inline literal: report at each write. Resolved through a
 			// variable: the literal may be shared with update runners (the
 			// batch-apply pattern), so report at the runner call site.
-			if lit, isInline := ast.Unparen(bodyArg).(*ast.FuncLit); isInline {
-				w.walkNode(lit.Body, nil, 0, nil)
-			} else {
+			if _, isInline := ast.Unparen(bodyArg).(*ast.FuncLit); !isInline {
 				w.reportAt = call
+			}
+			for _, body := range stmapi.ResolveBody(funcLits, info, bodyArg) {
 				w.walkNode(body.Body, nil, 0, nil)
 			}
 			return true

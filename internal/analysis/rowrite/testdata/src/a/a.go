@@ -101,3 +101,23 @@ func irrevocableWrites(tm *stm.TM, m *stm.Map) {
 		m.Put(tx, 3, 4)
 	})
 }
+
+// twoGetters binds its body field to two literals, a read-only one and
+// then one that writes: a runner called through the field may run
+// either, so the second is walked too.
+type twoGetters struct{ body func(*stm.Tx) }
+
+func newTwoGetters(m *stm.Map, put bool) *twoGetters {
+	g := &twoGetters{}
+	g.body = func(tx *stm.Tx) { _, _ = m.Get(tx, 1) }
+	if put {
+		g.body = func(tx *stm.Tx) { m.Put(tx, 1, 2) }
+	}
+	return g
+}
+
+func twoBoundBodies(tm *stm.TM, g *twoGetters) {
+	tx := tm.NewTx()
+	defer tx.Release()
+	tm.AtomicSnap(tx, g.body) // want `AtomicSnap body reaches a write: Put`
+}

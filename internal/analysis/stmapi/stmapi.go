@@ -251,13 +251,13 @@ func isStoreSig(m *types.Func) bool {
 	return ok && sig.Params().Len() == 2 && sig.Results().Len() == 0
 }
 
-// ResolveBody resolves a runner's body argument to a function literal:
-// either the literal itself or, via bodies, a local variable or struct
-// field (x.f) bound to one.
-func ResolveBody(bodies map[types.Object]*ast.FuncLit, info *types.Info, expr ast.Expr) *ast.FuncLit {
+// ResolveBody resolves a runner's body argument to the function literals
+// it may run: the literal itself or, via bodies, every literal a local
+// variable or struct field (x.f) is bound to.
+func ResolveBody(bodies map[types.Object][]*ast.FuncLit, info *types.Info, expr ast.Expr) []*ast.FuncLit {
 	switch e := ast.Unparen(expr).(type) {
 	case *ast.FuncLit:
-		return e
+		return []*ast.FuncLit{e}
 	case *ast.Ident:
 		if obj := info.Uses[e]; obj != nil {
 			return bodies[obj]
@@ -283,13 +283,12 @@ func fieldOf(info *types.Info, sel *ast.SelectorExpr) types.Object {
 // LocalFuncLits indexes `v := func(...){...}` and `x.f = func(...){...}`
 // bindings across the package so a runner call's body argument can be
 // resolved when it is a variable or a struct field (bodies built once and
-// kept on a struct, as kvstore's batchOp does). Only single-assignment
-// bindings are recorded: a rebound variable or field could alias several
-// literals.
-func LocalFuncLits(info *types.Info, files []*ast.File) map[types.Object]*ast.FuncLit {
-	out := make(map[types.Object]*ast.FuncLit)
-	rebound := make(map[types.Object]bool)
-	bind := func(lhs ast.Expr, rhs ast.Expr) {
+// kept on a struct, as kvstore's batchOp does). A variable or field bound
+// to several literals maps to all of them, in source order: a runner
+// called through it may run any one, so each must be analysed.
+func LocalFuncLits(info *types.Info, files []*ast.File) map[types.Object][]*ast.FuncLit {
+	out := make(map[types.Object][]*ast.FuncLit)
+	bind := func(lhs ast.Expr, lit *ast.FuncLit) {
 		var obj types.Object
 		switch e := lhs.(type) {
 		case *ast.Ident:
@@ -299,16 +298,9 @@ func LocalFuncLits(info *types.Info, files []*ast.File) map[types.Object]*ast.Fu
 		case *ast.SelectorExpr:
 			obj = fieldOf(info, e)
 		}
-		if obj == nil {
-			return
+		if obj != nil {
+			out[obj] = append(out[obj], lit)
 		}
-		lit, ok := ast.Unparen(rhs).(*ast.FuncLit)
-		if !ok || out[obj] != nil || rebound[obj] {
-			rebound[obj] = true
-			delete(out, obj)
-			return
-		}
-		out[obj] = lit
 	}
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -318,8 +310,8 @@ func LocalFuncLits(info *types.Info, files []*ast.File) map[types.Object]*ast.Fu
 					return true
 				}
 				for i, lhs := range st.Lhs {
-					if _, isLit := ast.Unparen(st.Rhs[i]).(*ast.FuncLit); isLit {
-						bind(lhs, st.Rhs[i])
+					if lit, isLit := ast.Unparen(st.Rhs[i]).(*ast.FuncLit); isLit {
+						bind(lhs, lit)
 					}
 				}
 			case *ast.ValueSpec:
@@ -327,8 +319,8 @@ func LocalFuncLits(info *types.Info, files []*ast.File) map[types.Object]*ast.Fu
 					return true
 				}
 				for i, id := range st.Names {
-					if _, isLit := ast.Unparen(st.Values[i]).(*ast.FuncLit); isLit {
-						bind(id, st.Values[i])
+					if lit, isLit := ast.Unparen(st.Values[i]).(*ast.FuncLit); isLit {
+						bind(id, lit)
 					}
 				}
 			}

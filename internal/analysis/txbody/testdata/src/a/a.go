@@ -118,3 +118,28 @@ func irrevocableBody(tm *stm.TM, ch chan uint64) {
 		ch <- tx.Load(1) // want `channel send inside Irrevocable body`
 	})
 }
+
+// twoBodies binds its body field to two literals, a clean one and then
+// one that sends: a runner called through the field may run either, so
+// the second is checked too.
+type twoBodies struct {
+	ch   chan uint64
+	body func(*stm.Tx)
+}
+
+func newTwoBodies(send bool) *twoBodies {
+	b := &twoBodies{ch: make(chan uint64, 1)}
+	b.body = func(tx *stm.Tx) { _ = tx.Load(1) }
+	if send {
+		b.body = func(tx *stm.Tx) {
+			b.ch <- tx.Load(1) // want `channel send inside Atomic body`
+		}
+	}
+	return b
+}
+
+func twoBoundBodies(tm *stm.TM, b *twoBodies) {
+	tx := tm.NewTx()
+	defer tx.Release()
+	tm.Atomic(tx, b.body)
+}

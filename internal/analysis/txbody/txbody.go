@@ -64,12 +64,12 @@ func run(pass *framework.Pass) error {
 			if kind == stmapi.NotBody {
 				return true
 			}
-			body := stmapi.ResolveBody(funcLits, info, bodyArg)
-			if body == nil || seen[body] {
-				return true
+			for _, body := range stmapi.ResolveBody(funcLits, info, bodyArg) {
+				if !seen[body] {
+					seen[body] = true
+					checkBody(pass, kind, body)
+				}
 			}
-			seen[body] = true
-			checkBody(pass, kind, body)
 			return true
 		})
 	}

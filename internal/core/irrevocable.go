@@ -58,10 +58,11 @@ import (
 //
 // The stall is the drain plus fn's run time. On a 2-vCPU host a
 // 1 024-put kvstore batch that overwrites holds the barrier for a median
-// 100–170 µs; in a 65 536-key preload, where the batches also grow the
-// shards they tip, 310–410 µs, and 1.6–3.5 ms for the batch that tips all
-// sixteen shards at once. What a concurrent point Get pays for it is the
-// crossover table above kvstore's bulkOps.
+// 100–170 µs. fn rewrites no shard: the shards a kvstore batch tips grow
+// after the run, each in a Quiesce of its own (Map.Grow): the longest
+// freeze, run or growth, of a 65 536-key preload is a median 0.23–0.34 ms.
+// What a concurrent point Get pays for it is the crossover table above
+// kvstore's bulkOps.
 func (tm *TM) Irrevocable(tx *Tx, fn func(*Tx)) {
 	if tx.tm != tm {
 		panic("core: descriptor belongs to a different TM")

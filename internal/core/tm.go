@@ -506,8 +506,9 @@ func (tm *TM) Reconfigure(p Params) error {
 // growths of a 65 536-key preload copy ~25.6 k entries in all, ~1.3 ms,
 // where the chains' 41 relinked ~57 k nodes, ~2.0 ms. A block allocated
 // before the freeze is reachable only once fn links it, so the argument
-// above holds for it as for one fn allocates. A bulk batch makes its
-// growths inside its own Irrevocable run, directory allocation included.
+// above holds for it as for one fn allocates. A bulk batch's growths are
+// such growths too: they follow its Irrevocable run, each in a Quiesce of
+// its own.
 func (tm *TM) Quiesce(fn func()) {
 	start := time.Now()
 	tm.fz.freeze()

@@ -194,7 +194,7 @@ func newMetrics(s *Server) *metrics {
 	// --- Store ---
 	m.reg.GaugeFunc("stmkvd_keys", "Live keys in the store.", nil,
 		func() float64 { return float64(s.store.Len()) })
-	m.reg.CounterFunc("stmkvd_shard_grows_total", "Shard growths; each rehashed a whole shard behind the freeze barrier, in a freeze of its own (one stm_freeze_seconds observation) or in the freeze of the bulk batch that tipped the shard.", nil,
+	m.reg.CounterFunc("stmkvd_shard_grows_total", "Shard growths; each rehashed a whole shard behind the freeze barrier, in a freeze of its own (one stm_freeze_seconds observation).", nil,
 		func() float64 { return float64(s.store.Grows()) })
 	m.reg.GaugeFunc("stmkvd_uptime_seconds", "Seconds since the server booted.", nil,
 		func() float64 { return time.Since(s.start).Seconds() })

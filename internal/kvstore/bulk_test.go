@@ -12,13 +12,14 @@ import (
 )
 
 // A batch of at least bulkOps updates runs irrevocably (core.TM.Irrevocable):
-// one freeze for its run and the growths it makes due, one commit, and
-// the same answers, log records and recovery as a transactional batch.
+// one freeze for its run, one commit, and the same answers, log records,
+// growths and recovery as a transactional batch.
 
-// TestBulkBatchGrowsInItsOwnFreeze: a bulk batch that tips two shards
-// grows both before it unfreezes: one freeze, one commit, Grows up by 2,
-// and the shard it only overwrote keeps its directory.
-func TestBulkBatchGrowsInItsOwnFreeze(t *testing.T) {
+// TestBulkBatchGrowsWhatItTips: a bulk batch that tips two shards has
+// grown both when ApplyInto returns, each through Map.Grow: three
+// freezes (the run, then one per tipped shard), one commit, Grows up by
+// 2, and the shard it only overwrote keeps its directory.
+func TestBulkBatchGrowsWhatItTips(t *testing.T) {
 	for _, d := range []core.Design{core.WriteBack, core.WriteThrough} {
 		t.Run(d.String(), func(t *testing.T) {
 			tm := newTM(t, d, 1<<16)
@@ -44,7 +45,10 @@ func TestBulkBatchGrowsInItsOwnFreeze(t *testing.T) {
 			}
 
 			before, grows0, freezes0 := tm.Stats(), s.Grows(), freezes(o)
-			res := s.Apply(ops)
+			res := make([]OpResult, len(ops))
+			if tk := s.ApplyInto(ops, res); tk != nil {
+				t.Fatalf("ApplyInto returned a ticket on a store without durability")
+			}
 			if !res[0].OK || res[1].Val != 1 || res[2].OK {
 				t.Fatalf("batch results %+v", res[:3])
 			}
@@ -55,8 +59,8 @@ func TestBulkBatchGrowsInItsOwnFreeze(t *testing.T) {
 			if got := shardBuckets(tm, m); got[0] != 8 || got[1] != 8 || got[2] != 2 || got[3] != 2 {
 				t.Fatalf("buckets per shard = %v, want [8 8 2 2]", got)
 			}
-			if g, f := s.Grows()-grows0, freezes(o)-freezes0; g != 2 || f != 1 {
-				t.Fatalf("%d growths in %d freezes, want 2 in 1: the batch's own", g, f)
+			if g, f := s.Grows()-grows0, freezes(o)-freezes0; g != 2 || f != 3 {
+				t.Fatalf("%d growths in %d freezes, want 2 in 3: the run's, then one per tipped shard", g, f)
 			}
 			if v, ok := s.Get(overwritten); !ok || v != bulkOps-1 {
 				t.Fatalf("Get(%d) = %d, %v; want the batch's last put, %d", overwritten, v, ok, bulkOps-1)

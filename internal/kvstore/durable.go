@@ -109,23 +109,12 @@ func (s *Store[T]) Load(pairs map[uint64]uint64) {
 }
 
 // CheckpointScan captures the full table in ONE consistent transaction —
-// the snapshot a checkpoint may be built from, in table order — plus the
-// (clock epoch, snapshot timestamp) position it was taken at. On a TM
-// without a sidecar AtomicSnap is AtomicRO, which stays consistent but
-// can retry under write pressure; a durable server always has one.
+// the snapshot a checkpoint may be built from, in table order: Scan(0)'s
+// walk — plus the (clock epoch, snapshot timestamp) position it was taken
+// at. On a TM without a sidecar AtomicSnap is AtomicRO, which stays
+// consistent but can retry under write pressure; a durable server always
+// has one.
 func (s *Store[T]) CheckpointScan() (pairs []KV, epoch, ts uint64) {
-	o := s.borrow()
-	defer s.recycle(o)
-	s.tm.AtomicSnap(o.tx, func(tx *core.Tx) {
-		// Sized from the last scan, so a steady table is one allocation.
-		pairs = make([]KV, 0, s.ckptPairs.Load())
-		ts, _ = tx.Snapshot()
-		epoch = tx.ClockEpoch()
-		s.m.Range(tx, func(k, v uint64) bool {
-			pairs = append(pairs, KV{Key: k, Val: v})
-			return true
-		})
-	})
-	s.ckptPairs.Store(int64(len(pairs)))
+	pairs, _, epoch, ts = s.snapshot(0)
 	return pairs, epoch, ts
 }

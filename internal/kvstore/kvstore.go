@@ -47,10 +47,11 @@
 // A bulk batch — an update batch of at least bulkOps ops, a preload's or a
 // recovery's — stops the world too. Store.ApplyInto runs it as one
 // irrevocable transaction (core.TM.Irrevocable): alone behind the same
-// barrier, with plain loads and stores and no read or write set, and it
-// grows the shards it tipped before it lets the barrier down, so the
-// batch and its growths are one freeze. Its commit, its redo records and
-// its answers are those of any batch.
+// barrier, with plain loads and stores and no read or write set. Its
+// commit, its redo records and its answers are those of any batch, and so
+// is what follows: once the barrier is down, each shard it tipped grows
+// through Map.Grow, in a freeze of its own, as after a transactional
+// batch. Map.Grow is the store's one growth path.
 //
 // The constants come from this table: 16 shards of 64 buckets filled with
 // keys 0…n-1, arena bytes per key (directories, overflow lines and
@@ -337,29 +338,20 @@ func (m *Map) addShardCount(tx *core.Tx, s uint64, delta uint64) {
 // therefore validates) every word of the map.
 func (m *Map) Range(tx *core.Tx, fn func(key, val uint64) bool) {
 	for s := uint64(0); s < m.shards; s++ {
-		if !m.RangeShard(tx, s, fn) {
-			return
-		}
-	}
-}
-
-// RangeShard calls fn for every key/value pair of shard s, reporting
-// false when fn stopped the iteration early.
-func (m *Map) RangeShard(tx *core.Tx, s uint64, fn func(key, val uint64) bool) bool {
-	hdr := m.base + s*hdrWords
-	dir := tx.Load(hdr + hdrDir)
-	nb := tx.Load(hdr + hdrNBkts)
-	for line := dir; line < dir+nb*lineWords; line += lineWords {
-		for l := line; l != 0; l = tx.Load(l + lineNext) {
-			meta := tx.Load(l + lineMeta)
-			for i := range slots {
-				if meta&(1<<i) != 0 && !fn(tx.Load(l+keyWord(i)), tx.Load(l+keyWord(i)+1)) {
-					return false
+		hdr := m.base + s*hdrWords
+		dir := tx.Load(hdr + hdrDir)
+		nb := tx.Load(hdr + hdrNBkts)
+		for line := dir; line < dir+nb*lineWords; line += lineWords {
+			for l := line; l != 0; l = tx.Load(l + lineNext) {
+				meta := tx.Load(l + lineMeta)
+				for i := range slots {
+					if meta&(1<<i) != 0 && !fn(tx.Load(l+keyWord(i)), tx.Load(l+keyWord(i)+1)) {
+						return
+					}
 				}
 			}
 		}
 	}
-	return true
 }
 
 // Len sums the per-shard counters within the caller's transaction.
@@ -404,12 +396,18 @@ func grown(nb uint64) uint64 { return min(nb*growFactor, maxBucketsPerShard) }
 // there first) or the space cannot fit the new directory: growth is
 // best-effort, and the shard keeps serving with longer chains. The copy
 // allocates nothing beyond the directory, so it cannot fail half done.
+// Every growth of the store is one of these, a bulk batch's included: the
+// batch's irrevocable run only notes the shards it tipped.
 func (m *Map) Grow(tm *core.TM, s uint64) (grew bool) {
 	sp := tm.Space()
 	// Only a frozen growth writes the bucket count, so this plain read is
 	// at worst stale, and rehash then finds the directory the wrong size.
-	nb := sp.Load(mem.Addr(m.base+s*hdrWords) + hdrNBkts)
-	if nb >= maxBucketsPerShard {
+	// The key count read beside it is a hint too (rehash re-checks both):
+	// when two batches tipped the same shard, the second's Grow finds it
+	// grown here and costs neither a directory nor a freeze.
+	hdr := mem.Addr(m.base + s*hdrWords)
+	nb := sp.Load(hdr + hdrNBkts)
+	if !needsGrow(sp.Load(hdr+hdrCount), nb) {
 		return false
 	}
 	nb2 := grown(nb)
@@ -424,13 +422,10 @@ func (m *Map) Grow(tm *core.TM, s uint64) (grew bool) {
 	return grew
 }
 
-// rehash is Grow's rewrite of shard s in sp, which must be frozen: behind
-// Quiesce, or inside an irrevocable run (core.TM.Irrevocable) once its
-// last transactional store is done, since the rewrite logs nothing a
-// panic could undo. dir2 is the new directory, nb2 lines allocated by the
-// caller, or Nil for rehash to allocate it; it reports false, leaving a
-// caller's directory to the caller, when the shard needs no growth or
-// dir2 is not the length a growth makes now.
+// rehash is Grow's rewrite of shard s in sp, run behind Quiesce. dir2 is
+// the new directory, nb2 lines that Grow allocated, and faulted in, before
+// the freeze; rehash reports false, leaving dir2 to Grow, when the shard
+// needs no growth or dir2 is not the length a growth makes now.
 //
 // The keys of old bucket b land only in the new buckets b + j·nb (the
 // bucket index is the hash's low bits), so each old chain is copied on
@@ -443,15 +438,7 @@ func (m *Map) Grow(tm *core.TM, s uint64) (grew bool) {
 func (m *Map) rehash(sp *mem.Space, s uint64, dir2 mem.Addr, nb2 uint64) bool {
 	hdr := mem.Addr(m.base + s*hdrWords)
 	nb := sp.Load(hdr + hdrNBkts)
-	if !needsGrow(sp.Load(hdr+hdrCount), nb) {
-		return false
-	}
-	if dir2 == mem.Nil {
-		nb2 = grown(nb)
-		if dir2 = sp.Alloc(int(nb2 * lineWords)); dir2 == mem.Nil {
-			return false
-		}
-	} else if nb2 != grown(nb) {
+	if nb2 != grown(nb) || !needsGrow(sp.Load(hdr+hdrCount), nb) {
 		return false
 	}
 	dir := mem.Addr(sp.Load(hdr + hdrDir))

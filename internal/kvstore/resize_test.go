@@ -97,9 +97,10 @@ func TestResizeUnderLoad(t *testing.T) {
 
 // TestResizeUnderMovesAndScans races the growth freezes against everything
 // else that stops or spans the world: a stream of Reconfigures moving the
-// geometry, snapshot scans of the whole table, point readers, and two
-// inserters (one by Put, one by 8-key batches) that keep four 2-bucket
-// shards growing, in both designs at h = 1 and 4. Every scan must return
+// geometry, snapshot scans of the whole table, point readers, and three
+// inserters (one by Put, one by 8-key batches, one by bulkOps-key batches,
+// which run irrevocably and then grow what they tipped) that keep four
+// 2-bucket shards growing, in both designs at h = 1 and 4. Every scan must return
 // exactly the Len it reports, each key once with its value, and every key
 // committed before it started; every committed key must stay readable.
 func TestResizeUnderMovesAndScans(t *testing.T) {
@@ -125,7 +126,7 @@ func resizeUnderMovesAndScans(t *testing.T, d core.Design, h uint64) {
 	s := NewStore[*core.Tx](tm, 4, 2)
 	defer s.Close()
 
-	const writers, perWriter, batch = 2, 1600, 8
+	const writers, perWriter, batch = 3, 1600, 8
 	var progress [writers]atomic.Uint64 // committed-insert high-water mark per writer
 	committed := func() (keys uint64, marks [writers]uint64) {
 		for i := range marks {
@@ -170,6 +171,20 @@ func resizeUnderMovesAndScans(t *testing.T, d core.Design, h uint64) {
 			}
 			s.ApplyInto(ops, res)
 			progress[1].Store(n + batch)
+		}
+	}()
+	go func() { // writer 2: bulk batches of Puts
+		defer writeWg.Done()
+		ready.Wait()
+		ops := make([]Op, bulkOps)
+		res := make([]OpResult, bulkOps)
+		for n := uint64(0); n < perWriter && !stop.Load(); n += bulkOps {
+			for i := range ops {
+				k := 2*perWriter + n + uint64(i)
+				ops[i] = Op{Kind: OpPut, Key: k, Val: k + 1}
+			}
+			s.ApplyInto(ops, res)
+			progress[2].Store(n + bulkOps)
 		}
 	}()
 
@@ -267,6 +282,9 @@ func resizeUnderMovesAndScans(t *testing.T, d core.Design, h uint64) {
 		}
 	}
 	st := tm.Stats()
+	if st.IrrevocableCommits != perWriter/bulkOps {
+		t.Fatalf("%d irrevocable commits, want %d: writer 2's batches", st.IrrevocableCommits, perWriter/bulkOps)
+	}
 	grows := s.Grows()
 	if grows < 4*3 {
 		t.Fatalf("%d growths, want every shard grown at least 3 times", grows)
@@ -274,10 +292,11 @@ func resizeUnderMovesAndScans(t *testing.T, d core.Design, h uint64) {
 	if st.Reconfigs == 0 || scans.Load() == 0 {
 		t.Fatalf("%d moves and %d scans during the growths, want both > 0", st.Reconfigs, scans.Load())
 	}
-	// Every growth and every move raised the barrier once; a growth that
-	// found its shard already grown raised it too.
-	if f := o.FreezeNs.Snapshot().Count; f < grows+st.Reconfigs {
-		t.Fatalf("%d freezes for %d growths and %d moves", f, grows, st.Reconfigs)
+	// Every growth, every move and every bulk batch raised the barrier
+	// once; a growth that found its shard already grown behind it raised
+	// it too.
+	if f := o.FreezeNs.Snapshot().Count; f < grows+st.Reconfigs+st.IrrevocableCommits {
+		t.Fatalf("%d freezes for %d growths, %d moves and %d bulk batches", f, grows, st.Reconfigs, st.IrrevocableCommits)
 	}
 	t.Logf("%d growths, %d moves, %d scans, %d commits, %d aborts", grows, st.Reconfigs, scans.Load(), st.Commits, st.Aborts)
 }

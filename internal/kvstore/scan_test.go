@@ -45,16 +45,10 @@ func TestScanReturnsWholeTable(t *testing.T) {
 			if total != n || len(pairs) != n {
 				t.Fatalf("Scan = %d pairs, total %d, want %d", len(pairs), total, n)
 			}
-			// Snapshot mode scans in ONE transaction; without a sidecar
-			// (core.TM has AtomicSnap regardless, so its presence alone
-			// would lie) the bounded per-shard fallback must run one
-			// read-only transaction per shard.
-			wantCommits := uint64(1)
-			if !snap {
-				wantCommits = 4 // shards
-			}
-			if got := tm.Stats().Commits - before; got != wantCommits {
-				t.Fatalf("Scan ran %d transactions, want %d (snapshots=%v)", got, wantCommits, snap)
+			// A scan is ONE transaction: a snapshot, or without a sidecar
+			// one whole-table read-only transaction.
+			if got := tm.Stats().Commits - before; got != 1 {
+				t.Fatalf("Scan ran %d transactions, want 1 (snapshots=%v)", got, snap)
 			}
 			seen := make(map[uint64]uint64, n)
 			for _, kv := range pairs {
@@ -71,6 +65,31 @@ func TestScanReturnsWholeTable(t *testing.T) {
 				t.Fatalf("Scan(10) = %d pairs, total %d, want 10, %d", len(pairs), total, n)
 			}
 		})
+	}
+}
+
+// TestCheckpointScanIsScan: Scan and CheckpointScan are one walk, so on a
+// quiet store CheckpointScan returns exactly Scan(0)'s pairs, in the same
+// order, taken at the position the clock stands at.
+func TestCheckpointScanIsScan(t *testing.T) {
+	tm := newSnapTM(t, 1<<20)
+	s := NewStore[*core.Tx](tm, 4, 4)
+	defer s.Close()
+	for n := range 2 {
+		pairs, total := s.Scan(0)
+		ck, epoch, ts := s.CheckpointScan()
+		if !slices.Equal(ck, pairs) || uint64(len(ck)) != total {
+			t.Fatalf("CheckpointScan = %d pairs, Scan(0) = %d pairs of total %d; want the same pairs", len(ck), len(pairs), total)
+		}
+		if epoch != tm.ClockEpoch() || ts != tm.ClockValue() {
+			t.Fatalf("CheckpointScan at (%d, %d), want the clock's (%d, %d)", epoch, ts, tm.ClockEpoch(), tm.ClockValue())
+		}
+		if n == 0 {
+			for k := uint64(0); k < 500; k++ {
+				s.Put(k, k*7)
+			}
+			deleteKey(s, 5)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"tinystm/internal/core"
-	"tinystm/internal/mem"
 	"tinystm/internal/obs"
 	"tinystm/internal/txn"
 )
@@ -95,10 +94,6 @@ type Store[T interface{ *core.Tx }] struct {
 	// waiting; see durable.go. Set once via EnableDurability before
 	// traffic starts.
 	sink DurabilitySink
-	// ckptPairs is the pair count of the last CheckpointScan, the next
-	// one's capacity.
-	//stm:allow-atomic checkpoint size hint, read and written outside any transaction
-	ckptPairs atomic.Int64
 	// grows counts shard growths (Grows).
 	//stm:allow-atomic bumped after a growth, outside every transaction
 	grows atomic.Uint64
@@ -199,32 +194,26 @@ func (s *Store[T]) Put(key, val uint64) (inserted bool) {
 	return res.OK
 }
 
-// tryGrow grows shard sh once the operation that tipped it has committed.
-// It is best-effort housekeeping: a growth the arena cannot fit changes
-// nothing, and the shard keeps serving with longer chains until a later
-// insert asks again. Map.Grow runs behind the freeze barrier, so with an
-// observability sink on the TM every growth freeze, whether it grew the
-// shard or found it already grown, lands in the FreezeNs histogram
-// (stm_freeze_seconds) as a Reconfigure does; Grows counts the growths.
-// A bulk batch needs no tryGrow: it grows what it tipped in its own
-// freeze.
-func (s *Store[T]) tryGrow(sh uint64) {
-	if s.m.Grow(s.tm, sh) {
-		s.grows.Add(1)
-	}
-}
-
-// growTipped grows the shards the committed attempt of o tipped.
+// growTipped grows the shards the committed attempt of o tipped, each
+// once the operation has committed and in a freeze of its own (Map.Grow),
+// whether the attempt ran transactionally or irrevocably. It is
+// best-effort housekeeping: a growth the arena cannot fit changes nothing,
+// and the shard keeps serving with longer chains until a later insert asks
+// again. With an observability sink on the TM every growth freeze, whether
+// it grew the shard or found it already grown, lands in the FreezeNs
+// histogram (stm_freeze_seconds) as a Reconfigure does; Grows counts the
+// growths.
 func (s *Store[T]) growTipped(o *batchOp) {
 	for _, sh := range o.grow {
-		s.tryGrow(sh)
+		if s.m.Grow(s.tm, sh) {
+			s.grows.Add(1)
+		}
 	}
 }
 
 // Grows returns how many shard growths have happened. Each one rehashed a
-// whole shard behind the freeze barrier, in a freeze of its own or in its
-// bulk batch's, so every transaction that wanted to run meanwhile waited
-// at Begin.
+// whole shard behind the freeze barrier, so every transaction that wanted
+// to run meanwhile waited at Begin.
 func (s *Store[T]) Grows() uint64 { return s.grows.Load() }
 
 // CAS atomically replaces key's value with new iff it currently is old.
@@ -264,49 +253,43 @@ type KV = txn.KV
 // moves its shard's count in the transaction that fills or clears the
 // key's slot, so any snapshot's counts equal what a full walk would count.
 //
-// With snapshot mode available it runs as ONE snapshot transaction: a
-// single commit-ordered point in time that concurrent writers cannot
-// abort. Without it (a TM with its sidecar off) a full-table read-only
-// transaction under write pressure can retry unboundedly — the very
-// starvation the sidecar exists to fix — so the fallback degrades to one
-// read-only transaction PER SHARD, each reading its shard's count and,
-// until the limit is met, its pairs: each shard is internally consistent
-// and bounded, but the shards are not mutually consistent. An attempt
-// starts from what the committed shards left, so a retry starts clean.
+// It runs as ONE snapshot transaction (TM.AtomicSnap): a single
+// commit-ordered point in time that concurrent writers cannot abort. On a
+// TM without a sidecar that is one whole-table read-only transaction,
+// which stays consistent but can retry under write pressure; stmkvd always
+// has one.
 func (s *Store[T]) Scan(limit int) (pairs []KV, total uint64) {
+	pairs, total, _, _ = s.snapshot(limit)
+	return pairs, total
+}
+
+// snapshot is the one walk behind Scan and CheckpointScan: in one
+// AtomicSnap, the first limit pairs in table order (all of them when
+// limit <= 0), the live-key total, and the (clock epoch, snapshot
+// timestamp) the snapshot read at. The slice is sized from the count
+// words the same snapshot reads, so a walk that finds what it counted
+// allocates it once.
+func (s *Store[T]) snapshot(limit int) (pairs []KV, total, epoch, ts uint64) {
 	o := s.borrow()
 	defer s.recycle(o)
-	more := func(k, v uint64) bool {
-		pairs = append(pairs, KV{Key: k, Val: v})
-		return limit <= 0 || len(pairs) < limit
-	}
-	if s.tm.SnapshotsEnabled() {
-		s.tm.AtomicSnap(o.tx, func(tx *core.Tx) {
-			total = s.m.Len(tx)
-			n := total
-			if limit > 0 {
-				n = min(n, uint64(limit))
-			}
-			pairs = make([]KV, 0, n)
-			if n > 0 {
-				s.m.Range(tx, more)
-			}
+	s.tm.AtomicSnap(o.tx, func(tx *core.Tx) {
+		ts, _ = tx.Snapshot()
+		epoch = tx.ClockEpoch()
+		total = s.m.Len(tx)
+		n := total
+		if limit > 0 {
+			n = min(n, uint64(limit))
+		}
+		pairs = make([]KV, 0, n)
+		if n == 0 {
+			return
+		}
+		s.m.Range(tx, func(k, v uint64) bool {
+			pairs = append(pairs, KV{Key: k, Val: v})
+			return limit <= 0 || len(pairs) < limit
 		})
-		return pairs, total
-	}
-	for sh := uint64(0); sh < s.m.Shards(); sh++ {
-		done := len(pairs)
-		var count uint64
-		s.tm.AtomicRO(o.tx, func(tx *core.Tx) {
-			pairs = pairs[:done]
-			count, _ = s.m.ShardLoad(tx, sh)
-			if count > 0 && (limit <= 0 || done < limit) {
-				s.m.RangeShard(tx, sh, more)
-			}
-		})
-		total += count
-	}
-	return pairs, total
+	})
+	return pairs, total, epoch, ts
 }
 
 // Apply executes ops as ONE atomic transaction: either every operation's
@@ -321,8 +304,7 @@ func (s *Store[T]) Apply(ops []Op) []OpResult {
 
 // bulkOps is the shortest update batch ApplyInto runs irrevocably
 // (core.TM.Irrevocable): alone behind the freeze barrier, with plain loads
-// and stores, no read or write set, and its tipped shards grown in the
-// same freeze. It is the measured crossover of BenchmarkBulkCrossover
+// and stores and no read or write set. It is the measured crossover of BenchmarkBulkCrossover
 // (internal/microbench): a batch of k fresh-key puts and one deleting
 // them again, into a 65 536-key table, run transactionally (tx) or
 // irrevocably (irr); the cost per key with the batches streamed alone,
@@ -349,8 +331,9 @@ const bulkOps = 64
 // contract; a read-only batch has none. A caller that keeps both slices
 // between batches pays no allocation for one. Neither slice is retained.
 // An update batch of at least bulkOps ops stops the world for its run
-// instead: every other transaction waits at Begin until it commits, and
-// the shards it tipped over their load factor grow before it lets them go.
+// instead: every other transaction waits at Begin until it commits. Either
+// way, the shards the batch tipped over their load factor then grow, each
+// in a freeze of its own (Map.Grow), before ApplyInto returns.
 func (s *Store[T]) ApplyInto(ops []Op, res []OpResult) txn.DurableTicket {
 	if len(res) != len(ops) {
 		panic(fmt.Sprintf("kvstore: %d result slots for %d batch ops", len(res), len(ops)))
@@ -371,7 +354,6 @@ func (s *Store[T]) ApplyInto(ops []Op, res []OpResult) txn.DurableTicket {
 		s.recycle(o)
 	}()
 	o.ops, o.res = ops, res
-	var t txn.DurableTicket
 	if readOnly {
 		// All-Get batches take the snapshot fast path: one consistent
 		// timestamp, no validation, no aborts from concurrent writers.
@@ -381,15 +363,15 @@ func (s *Store[T]) ApplyInto(ops []Op, res []OpResult) txn.DurableTicket {
 		//stm:allow-write every op is OpGet on this path; the write arms cannot execute
 		//stm:allow-redo every op is OpGet on this path; the redo arms cannot execute
 		s.tm.AtomicSnap(o.tx, o.body)
-	} else if len(ops) >= bulkOps {
-		s.tm.Irrevocable(o.tx, o.bulk)
-		t = s.ticket(o.tx)
-		s.grows.Add(uint64(o.grown))
+		return nil
+	}
+	if len(ops) >= bulkOps {
+		s.tm.Irrevocable(o.tx, o.body)
 	} else {
 		s.tm.Atomic(o.tx, o.body)
-		t = s.ticket(o.tx)
-		s.growTipped(o)
 	}
+	t := s.ticket(o.tx)
+	s.growTipped(o)
 	return t
 }
 
@@ -416,13 +398,10 @@ type batchOp struct {
 	// grow lists, once the body has run, the shards the attempt's inserts
 	// left over their load factor — almost always none.
 	grow []uint64
-	// grown counts the shards the last irrevocable run grew.
-	grown int
 	// attempts counts the body's runs, for the heat map.
 	attempts int
-	// body runs the ops; bulk runs them irrevocably and then grows the
-	// shards they tipped, still frozen.
-	body, bulk func(*core.Tx)
+	// body runs the ops, as a transaction or as an irrevocable run.
+	body func(*core.Tx)
 }
 
 // shardTally is a batch's net change n (two's complement) to shard's key
@@ -551,17 +530,6 @@ func newBatchOp[T interface{ *core.Tx }](s *Store[T]) *batchOp {
 				o.grow = append(o.grow, t.shard)
 			}
 		}
-	}
-	sp := s.tm.Space()
-	o.bulk = func(tx *core.Tx) {
-		o.body(tx)
-		grown := 0
-		for _, sh := range o.grow {
-			if s.m.rehash(sp, sh, mem.Nil, 0) {
-				grown++
-			}
-		}
-		o.grown = grown
 	}
 	return o
 }

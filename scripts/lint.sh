@@ -54,6 +54,16 @@ for pkg in experiments harness intset tl2 vacation; do
   fi
 done
 
+# Layering: the load generator is a client. stmkv-loadgen links neither
+# the STM nor the store and server it drives, nor the reproduction layer.
+lgdeps="$(go list -deps ./cmd/stmkv-loadgen)"
+for pkg in core experiments harness intset kvserver kvstore tl2 vacation; do
+  if grep -qx "tinystm/internal/$pkg" <<<"$lgdeps"; then
+    echo "layering: cmd/stmkv-loadgen depends on internal/$pkg"
+    fail=1
+  fi
+done
+
 if command -v staticcheck >/dev/null 2>&1; then
   staticcheck ./... || fail=1
 else
