@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // freezer implements the stop-the-world barrier the paper uses for both
@@ -80,18 +81,22 @@ func (f *freezer) exit() {
 }
 
 // freeze blocks until this caller holds the (unique) frozen state and all
-// transactions are quiescent. The caller must not be inside a transaction.
-func (f *freezer) freeze() {
+// transactions are quiescent, and returns when it raised the flag: the
+// stall starts there, not while the caller waited behind other
+// initiators. The caller must not be inside a transaction.
+func (f *freezer) freeze() (raised time.Time) {
 	f.mu.Lock()
 	for f.parked > 0 || !f.frozen.CompareAndSwap(0, 1) {
 		// Attempts the last freeze parked have yet to enter, or another
 		// initiator is mid-freeze; wait, then compete again.
 		f.cond.Wait()
 	}
+	raised = time.Now()
 	for f.active.Load() > 0 {
 		f.cond.Wait()
 	}
 	f.mu.Unlock()
+	return raised
 }
 
 // unfreeze releases the barrier. Only the thread that won freeze may call.

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"tinystm/internal/obs"
 )
@@ -98,6 +99,40 @@ func TestQuiesceTimesEveryFreeze(t *testing.T) {
 		t.Fatalf("%d freezes timed, want %d: %d roll-overs, %d reconfigurations and two direct calls", got, want, st.RollOvers, st.Reconfigs)
 	}
 	tm.Atomic(tx, func(tx *Tx) { tx.Store(a, 0) }) // still operational
+}
+
+// TestQuiesceTimesTheStallNotTheWait: a second initiator that waits
+// while the first holds the barrier for 2h times only its own freeze, so
+// of the two observations exactly one is over h/2. Timed from before
+// freeze, the waiter's would read about 2h too.
+func TestQuiesceTimesTheStallNotTheWait(t *testing.T) {
+	const h = 20 * time.Millisecond
+	tm, _ := newTestTM(t, WriteBack, nil)
+	o := obs.NewTMObs(nil)
+	tm.SetObs(o)
+	holding, waiting := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tm.Quiesce(func() {
+			close(holding)
+			<-waiting
+			time.Sleep(2 * h)
+		})
+	}()
+	<-holding
+	second := make(chan struct{})
+	go func() {
+		defer close(second)
+		close(waiting)
+		tm.Quiesce(func() {})
+	}()
+	<-done
+	<-second
+	snap := o.FreezeNs.Snapshot()
+	if long := snap.Count - snap.CumulativeLE(uint64(h)/2); snap.Count != 2 || long != 1 {
+		t.Fatalf("%d freezes timed, %d of them over %v, want 2 and 1: the waiter's wait was timed", snap.Count, long, h/2)
+	}
 }
 
 func TestReconfigureWhileIdleIsImmediate(t *testing.T) {

@@ -9,11 +9,10 @@ import (
 // Irrevocable runs fn as a transaction alone: behind the freeze barrier
 // (Quiesce), with no other attempt in flight, so it cannot conflict and
 // cannot abort. It is TinySTM's irrevocable (serial) mode, for a
-// transaction that cannot profit from the lock table: a bulk batch
-// writes every shard count word of a kvstore and so collides with every
-// concurrent writer anyway, and through the STM it pays a lock, a
-// read-set entry and a write-set or undo entry per word, and a
-// validation, for nothing.
+// transaction that profits little from the lock table: a kvstore bulk
+// batch spans so many lines that it likely collides with any concurrent
+// writer, and through the STM it pays a lock, a read-set entry and a
+// write-set or undo entry per word, and a validation, mostly for nothing.
 //
 // The descriptor's capture window spans the whole space for the run, so
 // every Load and Store takes the captured path of memmgmt.go: a plain

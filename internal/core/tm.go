@@ -462,8 +462,9 @@ func (tm *TM) Reconfigure(p Params) error {
 // Reconfigure and the clock roll-over run under it, and so do a kvstore
 // shard's growth, which rewrites words of the space with plain mem.Space
 // loads and stores, and an Irrevocable run (a bulk batch). With an
-// observability sink attached, the time from the freeze to the release
-// lands in its FreezeNs histogram.
+// observability sink attached, the time from raising the barrier to
+// lowering it — the drain plus fn, not a wait behind another initiator's
+// freeze — lands in its FreezeNs histogram.
 // The caller must not be inside an attempt: the barrier would wait for
 // it forever.
 //
@@ -510,8 +511,7 @@ func (tm *TM) Reconfigure(p Params) error {
 // such growths too: they follow its Irrevocable run, each in a Quiesce of
 // its own.
 func (tm *TM) Quiesce(fn func()) {
-	start := time.Now()
-	tm.fz.freeze()
+	start := tm.fz.freeze()
 	defer func() {
 		tm.fz.unfreeze()
 		if o := tm.obsHook.Load(); o != nil {

@@ -197,7 +197,10 @@ type Response struct {
 	Found bool
 	OK    bool
 	Val   uint64
-	// Scan body.
+	// Scan body. Total is the live keys: len(Pairs) when the scan ended
+	// before its limit, exact for its snapshot; when it stopped at the
+	// limit, the store's key count, which may trail under traffic, and
+	// never below len(Pairs).
 	Total    uint64
 	Snapshot bool
 	Pairs    []KV

@@ -265,8 +265,8 @@ func (s *Server) execInto(surf int, dl time.Time, req *kvproto.Request, resp *kv
 		ticket = s.store.ApplyInto(ops, res)
 		resp.Results = res
 	case kvproto.OpScan:
-		// The walk stops at the pair cap; Total is still exact, read from
-		// the shard count words of the same snapshot.
+		// The walk stops at the pair cap; Total is then the store's key
+		// count (Store.Scan), which may trail under traffic.
 		limit := kvproto.MaxScanPairs
 		if req.Limit > 0 && int(req.Limit) < limit {
 			limit = int(req.Limit)

@@ -192,7 +192,7 @@ func newMetrics(s *Server) *metrics {
 	}
 
 	// --- Store ---
-	m.reg.GaugeFunc("stmkvd_keys", "Live keys in the store.", nil,
+	m.reg.GaugeFunc("stmkvd_keys", "Live keys in the store; may trail the table by the updates committed but not yet returned.", nil,
 		func() float64 { return float64(s.store.Len()) })
 	m.reg.CounterFunc("stmkvd_shard_grows_total", "Shard growths; each rehashed a whole shard behind the freeze barrier, in a freeze of its own (one stm_freeze_seconds observation).", nil,
 		func() float64 { return float64(s.store.Grows()) })

@@ -7,10 +7,10 @@ import (
 	"tinystm/internal/obs"
 )
 
-// A batch asks "does this shard need to grow?" inside its own transaction,
-// where the shard's counters are already read, and grows the shards the
-// COMMITTED attempt left over their load factor — no probe transactions
-// after the batch, nothing carried over from an attempt that aborted. A
+// A batch adds its COMMITTED attempt's net inserts to the shards' key
+// counters and grows the shards that left over their load factor — no
+// probe transactions after the batch, nothing carried over from an attempt
+// that aborted. A
 // growth is not a transaction: it rehashes behind the freeze barrier, so
 // the batch's commit is the only commit, Grows counts the growths, and
 // the TM's freeze histogram counts the barriers raised.
@@ -26,7 +26,8 @@ func keysOfShard(m *Map, sh, start uint64, n int) []uint64 {
 	return keys
 }
 
-// fillShard inserts keys through the Map, which never grows a directory.
+// fillShard inserts keys through the Map, which never grows a directory,
+// and counts them as Store would.
 func fillShard(tm *core.TM, m *Map, keys []uint64) {
 	tx := tm.NewTx()
 	defer tx.Release()
@@ -35,6 +36,14 @@ func fillShard(tm *core.TM, m *Map, keys []uint64) {
 			m.Put(tx, k, k)
 		}
 	})
+	for _, k := range keys {
+		m.addKeys(m.Shard(k), 1)
+	}
+}
+
+// buckets reads shard s's directory length within tx.
+func (m *Map) buckets(tx *core.Tx, s uint64) uint64 {
+	return tx.Load(m.base + s*hdrWords + hdrNBkts)
 }
 
 func shardBuckets(tm *core.TM, m *Map) []uint64 {
@@ -43,7 +52,7 @@ func shardBuckets(tm *core.TM, m *Map) []uint64 {
 	b := make([]uint64, m.Shards())
 	tm.AtomicRO(tx, func(tx *core.Tx) {
 		for sh := range b {
-			_, b[sh] = m.ShardLoad(tx, uint64(sh))
+			b[sh] = m.buckets(tx, uint64(sh))
 		}
 	})
 	return b

@@ -1,9 +1,13 @@
 // Package kvstore implements a sharded, transactional, in-memory
-// key-value map whose every word — bucket directories, bucket lines,
-// counts — lives in STM-managed memory. It is the repository's first
-// service-shaped workload: where the intset structures reproduce the
-// paper's microbenchmarks, the kvstore backs an actual server
-// (cmd/stmkvd) whose traffic the online tuning runtime adapts to.
+// key-value map whose table — shard headers, bucket directories, bucket
+// lines — lives in STM-managed memory, so two transactions conflict only
+// when they touch a common key's words (or words sharing its lock). Each
+// shard's live-key count is not one of those words: it is a plain counter
+// beside the Map that Store moves once an operation has committed, and it
+// serves only as the load-factor trigger and a size hint. It is the
+// repository's first service-shaped workload: where the intset structures
+// reproduce the paper's microbenchmarks, the kvstore backs an actual
+// server (cmd/stmkvd) whose traffic the online tuning runtime adapts to.
 //
 // Layout inside the mem.Space (every operation's accesses go through
 // core.Tx, so each is a real STM transaction; only a growth rewrites words
@@ -12,7 +16,6 @@
 //	shard header (one per shard, one line):
 //	    +0  dir      address of the bucket directory
 //	    +1  nbuckets directory length in lines (power of two)
-//	    +2  count    live keys in the shard
 //	bucket directory: nbuckets lines, each the head line of a bucket
 //	bucket line: 8 words [meta, next, k0, v0, k1, v1, k2, v2]
 //	    meta  bit i set: slot i holds a key
@@ -79,6 +82,7 @@ package kvstore
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"tinystm/internal/core"
 	"tinystm/internal/mem"
@@ -88,7 +92,6 @@ const (
 	hdrWords = mem.LineWords // shard header stride: shards land on distinct lines and stripes
 	hdrDir   = 0
 	hdrNBkts = 1
-	hdrCount = 2
 
 	lineWords = mem.LineWords // a bucket line: [meta, next, k0, v0, k1, v1, k2, v2]
 	lineMeta  = 0
@@ -97,7 +100,7 @@ const (
 	slots     = (lineWords - lineSlot0) / 2
 	fullMeta  = 1<<slots - 1
 
-	// loadFactor is the mean keys per bucket at which NeedsGrow triggers.
+	// loadFactor is the mean keys per bucket past which a shard grows.
 	loadFactor = 5
 	// growFactor is how many times longer Grow makes a directory.
 	growFactor = 4
@@ -114,17 +117,33 @@ func keyWord(i int) uint64 { return lineSlot0 + 2*uint64(i) }
 func freeSlot(meta uint64) int { return bits.TrailingZeros64(^meta) }
 
 // Map is a transactional hash map from uint64 keys to uint64 values. The
-// Go-side struct holds only immutable placement data (base address, shard
-// count); all mutable state lives in the Space, so any number of
-// goroutines may use a Map concurrently, each through its own descriptor.
+// Go-side struct holds immutable placement data (base address, shard
+// count) and the shards' key counters; the table itself lives in the
+// Space, so any number of goroutines may use a Map concurrently, each
+// through its own descriptor.
 //
 // All methods but Grow take the caller's transaction and perform plain
 // transactional loads/stores: they compose freely into larger atomic
 // blocks (multi-key batches, read-modify-write, cross-map transfers).
+// They leave the key counters alone: only Store keeps them, so a table
+// changed through Map alone does not grow.
 type Map struct {
 	base      uint64
 	shards    uint64
 	shardBits uint
+	keys      []shardKeys
+}
+
+// shardKeys is one shard's live-key count, on a cache line of its own so
+// that writers of different shards do not share one. It is moved after
+// commit (Store.growTipped), so it may trail the table by the operations
+// between their commit and their return, and it is exact once they have
+// all returned. It reads negative when a delete's decrement lands before
+// its insert's increment.
+type shardKeys struct {
+	//stm:allow-atomic a shard's key count, moved after commit and read as a growth trigger and size hint, never inside a transaction
+	n atomic.Int64
+	_ [56]byte
 }
 
 // New allocates and initializes a Map with the given shard count and
@@ -137,7 +156,7 @@ func New(tm *core.TM, shards, buckets uint64) *Map {
 	if buckets == 0 || bits.OnesCount64(buckets) != 1 || buckets > maxBucketsPerShard {
 		panic(fmt.Sprintf("kvstore: buckets (%d) must be a power of two <= %d", buckets, maxBucketsPerShard))
 	}
-	m := &Map{shards: shards, shardBits: uint(bits.TrailingZeros64(shards))}
+	m := &Map{shards: shards, shardBits: uint(bits.TrailingZeros64(shards)), keys: make([]shardKeys, shards)}
 	tx := tm.NewTx()
 	defer tx.Release()
 	tm.Atomic(tx, func(tx *core.Tx) {
@@ -147,7 +166,6 @@ func New(tm *core.TM, shards, buckets uint64) *Map {
 			hdr := m.base + s*hdrWords
 			tx.Store(hdr+hdrDir, dir)
 			tx.Store(hdr+hdrNBkts, buckets)
-			tx.Store(hdr+hdrCount, 0)
 		}
 	})
 	return m
@@ -216,18 +234,12 @@ func (m *Map) Get(tx *core.Tx, key uint64) (uint64, bool) {
 }
 
 // Put inserts or updates key. It reports whether the key was inserted
-// (false: an existing value was overwritten).
-func (m *Map) Put(tx *core.Tx, key, val uint64) bool {
-	inserted := m.put(tx, key, val, false)
-	if inserted {
-		m.addCount(tx, key, 1)
-	}
-	return inserted
-}
+// (false: an existing value was overwritten). It leaves the shard's key
+// count alone (see Map).
+func (m *Map) Put(tx *core.Tx, key, val uint64) bool { return m.put(tx, key, val, false) }
 
-// put is Put leaving the shard's count to the caller: a batch moves each
-// count word once (Store's body), not once per insert. kept says the
-// transaction has freed no slot so far (see insert).
+// put is Put taking kept, which says the transaction has freed no slot so
+// far (see insert).
 func (m *Map) put(tx *core.Tx, key, val uint64, kept bool) bool {
 	v, line, meta := m.lookup(tx, key)
 	if v != 0 {
@@ -265,22 +277,14 @@ func (m *Map) insert(tx *core.Tx, line, meta, key, val uint64, kept bool) {
 	tx.Store(line+lineMeta, meta|1<<i)
 }
 
-// Delete removes key, reporting whether it was present.
+// Delete removes key, reporting whether it was present. It leaves the
+// shard's key count alone (see Map). It clears the key's meta bit; the
+// line stays in its chain. It also stores the dead value word: an update
+// of the key writes only that word, so without it an update that read the
+// meta bit set and a delete that cleared it would share no lock, and could
+// append their redo records to the log in the other order than they
+// commit in.
 func (m *Map) Delete(tx *core.Tx, key uint64) bool {
-	found := m.delete(tx, key)
-	if found {
-		m.addCount(tx, key, ^uint64(0))
-	}
-	return found
-}
-
-// delete is Delete leaving the shard's count to the caller. It clears the
-// key's meta bit; the line stays in its chain. It also stores the dead
-// value word: an update of the key writes only that word, so without it
-// an update that read the meta bit set and a delete that cleared it would
-// share no lock, and could append their redo records to the log in the
-// other order than they commit in.
-func (m *Map) delete(tx *core.Tx, key uint64) bool {
 	val, line, meta := m.lookup(tx, key)
 	if val == 0 {
 		return false
@@ -303,10 +307,9 @@ func (m *Map) CAS(tx *core.Tx, key, old, new uint64) bool {
 
 // add increments key's value by delta (two's-complement, so negative
 // deltas are ^uint64 wraps), inserting the key at delta when absent. It
-// returns the new value and whether the key was inserted, leaving the
-// shard's count to the caller, and takes put's kept. This is the
-// read-modify-write primitive batches need (a Get+Put pair in one batch
-// could not see its own intermediate).
+// returns the new value and whether the key was inserted, and takes put's
+// kept. This is the read-modify-write primitive batches need (a Get+Put
+// pair in one batch could not see its own intermediate).
 func (m *Map) add(tx *core.Tx, key, delta uint64, kept bool) (v uint64, inserted bool) {
 	val, line, meta := m.lookup(tx, key)
 	if val != 0 {
@@ -316,18 +319,6 @@ func (m *Map) add(tx *core.Tx, key, delta uint64, kept bool) (v uint64, inserted
 	}
 	m.insert(tx, line, meta, key, delta, kept)
 	return delta, true
-}
-
-// addCount adjusts the owning shard's live-key counter.
-func (m *Map) addCount(tx *core.Tx, key uint64, delta uint64) {
-	m.addShardCount(tx, m.Shard(key), delta)
-}
-
-// addShardCount adds delta (two's complement) to shard s's live-key
-// counter.
-func (m *Map) addShardCount(tx *core.Tx, s uint64, delta uint64) {
-	c := m.base + s*hdrWords + hdrCount
-	tx.Store(c, tx.Load(c)+delta)
 }
 
 // Range calls fn for every key/value pair within the caller's
@@ -354,27 +345,15 @@ func (m *Map) Range(tx *core.Tx, fn func(key, val uint64) bool) {
 	}
 }
 
-// Len sums the per-shard counters within the caller's transaction.
-func (m *Map) Len(tx *core.Tx) uint64 {
-	var n uint64
-	for s := uint64(0); s < m.shards; s++ {
-		n += tx.Load(m.base + s*hdrWords + hdrCount)
-	}
-	return n
-}
+// count returns shard s's live keys as its counter reads now, 0 while a
+// delete's decrement runs ahead of its insert's increment.
+func (m *Map) count(s uint64) uint64 { return uint64(max(m.keys[s].n.Load(), 0)) }
 
-// ShardLoad returns shard s's live-key count and bucket count.
-func (m *Map) ShardLoad(tx *core.Tx, s uint64) (count, buckets uint64) {
-	hdr := m.base + s*hdrWords
-	return tx.Load(hdr + hdrCount), tx.Load(hdr + hdrNBkts)
-}
+// addKeys adds n (two's complement) to shard s's live keys.
+func (m *Map) addKeys(s, n uint64) { m.keys[s].n.Add(int64(n)) }
 
-// NeedsGrow reports whether shard s's mean keys per bucket exceeds the
-// load factor and the directory can still grow.
-func (m *Map) NeedsGrow(tx *core.Tx, s uint64) bool {
-	return needsGrow(m.ShardLoad(tx, s))
-}
-
+// needsGrow reports whether a shard of count keys over buckets lines is
+// past the load factor and its directory can still grow.
 func needsGrow(count, buckets uint64) bool {
 	return buckets < maxBucketsPerShard && count > buckets*loadFactor
 }
@@ -405,9 +384,8 @@ func (m *Map) Grow(tm *core.TM, s uint64) (grew bool) {
 	// The key count read beside it is a hint too (rehash re-checks both):
 	// when two batches tipped the same shard, the second's Grow finds it
 	// grown here and costs neither a directory nor a freeze.
-	hdr := mem.Addr(m.base + s*hdrWords)
-	nb := sp.Load(hdr + hdrNBkts)
-	if !needsGrow(sp.Load(hdr+hdrCount), nb) {
+	nb := sp.Load(mem.Addr(m.base + s*hdrWords + hdrNBkts))
+	if !needsGrow(m.count(s), nb) {
 		return false
 	}
 	nb2 := grown(nb)
@@ -438,7 +416,7 @@ func (m *Map) Grow(tm *core.TM, s uint64) (grew bool) {
 func (m *Map) rehash(sp *mem.Space, s uint64, dir2 mem.Addr, nb2 uint64) bool {
 	hdr := mem.Addr(m.base + s*hdrWords)
 	nb := sp.Load(hdr + hdrNBkts)
-	if nb2 != grown(nb) || !needsGrow(sp.Load(hdr+hdrCount), nb) {
+	if nb2 != grown(nb) || !needsGrow(m.count(s), nb) {
 		return false
 	}
 	dir := mem.Addr(sp.Load(hdr + hdrDir))

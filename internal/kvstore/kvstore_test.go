@@ -107,8 +107,8 @@ func TestGrowPreservesContents(t *testing.T) {
 	defer tx.Release()
 	var b0, b1 uint64
 	tm.AtomicRO(tx, func(tx *core.Tx) {
-		_, b0 = s.Map().ShardLoad(tx, 0)
-		_, b1 = s.Map().ShardLoad(tx, 1)
+		b0 = s.Map().buckets(tx, 0)
+		b1 = s.Map().buckets(tx, 1)
 	})
 	if b0 <= 2 || b1 <= 2 {
 		t.Fatalf("directories never grew: buckets = %d, %d", b0, b1)

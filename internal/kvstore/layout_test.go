@@ -12,15 +12,15 @@ import (
 // walkLayout reads m's shards straight from the space, outside any
 // transaction (nothing may run meanwhile), checks the bucket layout —
 // every line on a line boundary, meta bits only for the slots, each key
-// once and in the shard and bucket its hash picks, each shard's count
-// word equal to its keys — and returns the pairs it holds, with the lines
+// once and in the shard and bucket its hash picks, each shard's key
+// counter equal to its keys — and returns the pairs it holds, with the lines
 // of overflow the chains hang off their heads.
 func walkLayout(t *testing.T, sp *mem.Space, m *Map) (pairs map[uint64]uint64, overflow int) {
 	t.Helper()
 	pairs = map[uint64]uint64{}
 	for s := range m.shards {
 		hdr := mem.Addr(m.base + s*hdrWords)
-		dir, nb, count := mem.Addr(sp.Load(hdr+hdrDir)), sp.Load(hdr+hdrNBkts), sp.Load(hdr+hdrCount)
+		dir, nb, count := mem.Addr(sp.Load(hdr+hdrDir)), sp.Load(hdr+hdrNBkts), m.count(s)
 		if hdr%lineWords != 0 || dir%lineWords != 0 {
 			t.Fatalf("shard %d: header at %d, directory at %d: not on line boundaries", s, hdr, dir)
 		}
@@ -57,7 +57,7 @@ func walkLayout(t *testing.T, sp *mem.Space, m *Map) (pairs map[uint64]uint64, o
 			}
 		}
 		if n != count {
-			t.Fatalf("shard %d holds %d keys, its count word says %d", s, n, count)
+			t.Fatalf("shard %d holds %d keys, its counter says %d", s, n, count)
 		}
 	}
 	return pairs, overflow

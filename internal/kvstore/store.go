@@ -194,18 +194,21 @@ func (s *Store[T]) Put(key, val uint64) (inserted bool) {
 	return res.OK
 }
 
-// growTipped grows the shards the committed attempt of o tipped, each
-// once the operation has committed and in a freeze of its own (Map.Grow),
-// whether the attempt ran transactionally or irrevocably. It is
-// best-effort housekeeping: a growth the arena cannot fit changes nothing,
-// and the shard keeps serving with longer chains until a later insert asks
-// again. With an observability sink on the TM every growth freeze, whether
-// it grew the shard or found it already grown, lands in the FreezeNs
-// histogram (stm_freeze_seconds) as a Reconfigure does; Grows counts the
-// growths.
+// growTipped adds the committed attempt's tally to the shards' key
+// counts, once the operation has committed, whether the attempt ran
+// transactionally or irrevocably, and grows each shard whose count that
+// left over the load factor, in a freeze of its own (Map.Grow, whose
+// plain-load check passes over the rest). An operation that panics out of
+// its atomic block never gets here, so it counts nothing. Growth is best-effort housekeeping: a growth the arena cannot
+// fit changes nothing, and the shard keeps serving with longer chains
+// until a later insert asks again. With an observability sink on the TM
+// every growth freeze, whether it grew the shard or found it already
+// grown, lands in the FreezeNs histogram (stm_freeze_seconds) as a
+// Reconfigure does; Grows counts the growths.
 func (s *Store[T]) growTipped(o *batchOp) {
-	for _, sh := range o.grow {
-		if s.m.Grow(s.tm, sh) {
+	for _, t := range o.tally {
+		s.m.addKeys(t.shard, t.n)
+		if int64(t.n) > 0 && s.m.Grow(s.tm, t.shard) {
 			s.grows.Add(1)
 		}
 	}
@@ -231,14 +234,16 @@ func (s *Store[T]) Add(key, delta uint64) (val uint64) {
 	return res.Val
 }
 
-// Len returns the live key count via a snapshot transaction: the
-// per-shard counters span every stripe of the map's headers, exactly the
-// scattered read set writers keep moving.
-func (s *Store[T]) Len() (n uint64) {
-	o := s.borrow()
-	defer s.recycle(o)
-	s.tm.AtomicSnap(o.tx, func(tx *core.Tx) { n = s.m.Len(tx) })
-	return n
+// Len returns the live key count: the sum of the shards' counters, which
+// no transaction reads. It is exact once every operation that committed
+// has returned; under traffic it may trail by the operations between
+// their commit and their return.
+func (s *Store[T]) Len() uint64 {
+	var n int64
+	for i := range s.m.keys {
+		n += s.m.keys[i].n.Load()
+	}
+	return uint64(max(n, 0))
 }
 
 // KV is one key/value pair returned by Scan and CheckpointScan.
@@ -247,11 +252,11 @@ type KV = txn.KV
 // Scan returns the first limit pairs of the table in shard, bucket, line,
 // slot order (all of them when limit <= 0) and the number of live keys.
 //
-// A scan costs what it returns: the walk stops at the limit, and total is
-// the sum of the per-shard count words, read in the same transaction as
-// the pairs. That sum is exact, not an estimate: every insert and delete
-// moves its shard's count in the transaction that fills or clears the
-// key's slot, so any snapshot's counts equal what a full walk would count.
+// A scan costs what it returns: the walk stops at the limit. When it ends
+// before the limit, total is len(pairs), the exact count of the snapshot
+// the pairs come from. When it stops at the limit, total is
+// max(len(pairs), Len()): the key counters, which may trail the table
+// under traffic (see Len).
 //
 // It runs as ONE snapshot transaction (TM.AtomicSnap): a single
 // commit-ordered point in time that concurrent writers cannot abort. On a
@@ -265,30 +270,30 @@ func (s *Store[T]) Scan(limit int) (pairs []KV, total uint64) {
 
 // snapshot is the one walk behind Scan and CheckpointScan: in one
 // AtomicSnap, the first limit pairs in table order (all of them when
-// limit <= 0), the live-key total, and the (clock epoch, snapshot
-// timestamp) the snapshot read at. The slice is sized from the count
-// words the same snapshot reads, so a walk that finds what it counted
-// allocates it once.
+// limit <= 0), the live-key total (see Scan), and the (clock epoch,
+// snapshot timestamp) the snapshot read at. The slice is sized from the
+// key counters, a hint: a walk that finds what they count allocates it
+// once.
 func (s *Store[T]) snapshot(limit int) (pairs []KV, total, epoch, ts uint64) {
 	o := s.borrow()
 	defer s.recycle(o)
+	n := s.Len()
+	if limit > 0 {
+		n = min(n, uint64(limit))
+	}
 	s.tm.AtomicSnap(o.tx, func(tx *core.Tx) {
 		ts, _ = tx.Snapshot()
 		epoch = tx.ClockEpoch()
-		total = s.m.Len(tx)
-		n := total
-		if limit > 0 {
-			n = min(n, uint64(limit))
-		}
 		pairs = make([]KV, 0, n)
-		if n == 0 {
-			return
-		}
 		s.m.Range(tx, func(k, v uint64) bool {
 			pairs = append(pairs, KV{Key: k, Val: v})
 			return limit <= 0 || len(pairs) < limit
 		})
 	})
+	total = uint64(len(pairs))
+	if limit > 0 && len(pairs) == limit {
+		total = max(total, s.Len())
+	}
 	return pairs, total, epoch, ts
 }
 
@@ -393,11 +398,9 @@ type batchOp struct {
 	one    [1]Op
 	oneRes [1]OpResult
 	// tally is the attempt's net key count change per shard it touched;
-	// the body moves each shard's count word once, by it.
+	// once the committed attempt has returned, growTipped adds it to the
+	// shards' counters.
 	tally []shardTally
-	// grow lists, once the body has run, the shards the attempt's inserts
-	// left over their load factor — almost always none.
-	grow []uint64
 	// attempts counts the body's runs, for the heat map.
 	attempts int
 	// body runs the ops, as a transaction or as an irrevocable run.
@@ -459,13 +462,8 @@ func (s *Store[T]) heatPoint(o *batchOp, key uint64) {
 func newBatchOp[T interface{ *core.Tx }](s *Store[T]) *batchOp {
 	o := &batchOp{tx: s.tm.NewTx()}
 	o.ops, o.res = o.one[:], o.oneRes[:]
-	// tally adds n keys to the net change of key's shard. The ops leave
-	// the count words alone, and once they have run the body stores each
-	// touched shard's count once: a bulk run's undo log then holds one
-	// entry per shard instead of one per insert, and a transactional
-	// batch one write-set entry. It then probes each shard whose count
-	// rose for its load factor: the count is in the attempt's read set
-	// already, so asking costs no transaction.
+	// tally adds n keys to the net change of key's shard. The counts are
+	// no word of the space: two writers on disjoint keys share nothing.
 	tally := func(key, n uint64) {
 		sh := s.m.Shard(key)
 		for i := range o.tally {
@@ -480,7 +478,7 @@ func newBatchOp[T interface{ *core.Tx }](s *Store[T]) *batchOp {
 		//stm:allow-effect heat-map retry counter: monotone, reported after commit, never read in-body
 		o.attempts++
 		// Neither an aborted attempt's notes nor the last batch's carry over.
-		o.tally, o.grow = o.tally[:0], o.grow[:0]
+		o.tally = o.tally[:0]
 		// kept holds until a delete frees a slot: until then every free
 		// slot an insert fills was free when the attempt began.
 		kept := true
@@ -498,7 +496,7 @@ func newBatchOp[T interface{ *core.Tx }](s *Store[T]) *batchOp {
 				}
 				s.redo(tx, txn.RedoPut, op.Key, op.Val)
 			case OpDelete:
-				r.Found = s.m.delete(tx, op.Key)
+				r.Found = s.m.Delete(tx, op.Key)
 				if r.Found {
 					kept = false
 					tally(op.Key, ^uint64(0))
@@ -519,15 +517,6 @@ func newBatchOp[T interface{ *core.Tx }](s *Store[T]) *batchOp {
 				s.redo(tx, txn.RedoPut, op.Key, r.Val)
 			default:
 				panic(fmt.Sprintf("kvstore: unknown batch op %d", int(op.Kind)))
-			}
-		}
-		for _, t := range o.tally {
-			if t.n == 0 {
-				continue
-			}
-			s.m.addShardCount(tx, t.shard, t.n)
-			if int64(t.n) > 0 && s.m.NeedsGrow(tx, t.shard) {
-				o.grow = append(o.grow, t.shard)
 			}
 		}
 	}

@@ -59,7 +59,7 @@ func benchBulk(b *testing.B, k int, irrevocable bool) {
 	if irrevocable {
 		run = tm.Irrevocable
 	}
-	run(tx, ins) // grows the shards the fresh keys tip, warms the descriptor
+	run(tx, ins) // warms the descriptor (Map alone never grows a shard)
 	run(tx, del)
 
 	b.ResetTimer()
